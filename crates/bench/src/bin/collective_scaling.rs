@@ -1,27 +1,25 @@
 //! `collective_scaling [--quick] [--out <path>]` — collective scaling
-//! sweep across all four runtimes.
+//! sweep across all three runtimes.
 //!
-//! For each rank count the same script runs on the binomial-tree thread
-//! runtime ([`World`]), the slot-and-barrier baseline ([`FlatWorld`]), and
-//! their coroutine counterparts ([`TaskWorld`], [`FlatTaskWorld`]): raw
-//! collective micro-latencies (barrier, 32 B bcast, 32 B gather, 16 B
-//! allgather) plus the end-to-end latency of the packed
+//! For each rank count the same script runs on the tree engine under its
+//! thread driver ([`World`]), the slot-and-barrier baseline
+//! ([`FlatWorld`]), and the tree engine under its executor driver
+//! ([`TaskWorld`]): raw collective micro-latencies (barrier, 32 B bcast,
+//! 32 B gather, 16 B allgather) plus the end-to-end latency of the packed
 //! `paropen_write`/`close` protocol, and the collective round count one
 //! open+close costs on the file-group and global communicators (a
 //! protocol constant, identical for every runtime — the point of the
 //! packed exchange is that only the *latency per round* changes).
 //!
 //! Thread runtimes stop at [`MAX_THREAD_RANKS`] — beyond that, P OS
-//! threads and their stacks are the bottleneck being replaced. Both task
-//! runtimes sweep to 64Ki ranks — the scale the SC'09 paper actually ran
-//! at — on a handful of workers; the flat task runtime's former 8Ki cap
-//! fell when its O(P²)-per-round slot scans were replaced by shared
-//! per-round assembly.
+//! threads and their stacks are the bottleneck being replaced. The task
+//! runtime sweeps to 64Ki ranks — the scale the SC'09 paper actually ran
+//! at — on a handful of workers.
 //!
 //! Writes a JSON report (default `BENCH_collectives.json`); `--quick`
 //! shrinks the sweep and repetition counts for CI.
 
-use simmpi::{CoComm, Comm, FlatTaskWorld, FlatWorld, SchedPolicy, TaskWorld, World};
+use simmpi::{CoComm, Comm, FlatWorld, SchedPolicy, TaskWorld, World};
 use sion::{paropen_write, paropen_write_co, SionParams};
 use std::time::Instant;
 use vfs::MemFs;
@@ -29,13 +27,6 @@ use vfs::MemFs;
 /// Thread-per-rank is only swept this far; past it, spawning P OS threads
 /// dominates every measurement.
 const MAX_THREAD_RANKS: usize = 512;
-
-/// How far the flat task runtime is swept. Shared per-round assembly
-/// (one rank builds the allgather frame / split membership, the rest
-/// clone an `Arc`) brought its rounds down from O(P²) to O(P log P)
-/// total, so the full 64Ki-rank sweep now terminates — the old 8Ki cap,
-/// where the per-rank slot scans stopped finishing, is gone.
-const MAX_FLAT_TASK_RANKS: usize = 65536;
 
 /// One (ranks, runtime) measurement.
 struct Sample {
@@ -140,7 +131,7 @@ fn body(c: &dyn Comm, fs: &MemFs, iters: usize, reps: usize) -> Option<Raw> {
 }
 
 /// The same measurement sequence as [`body`], written against [`CoComm`]
-/// so the task runtimes execute it as resumable coroutines (parking on
+/// so the task runtime executes it as resumable coroutines (parking on
 /// each collective round instead of blocking a thread).
 async fn body_co(c: &dyn CoComm, fs: &MemFs, iters: usize, reps: usize) -> Option<Raw> {
     let me = c.rank() == 0;
@@ -226,13 +217,6 @@ fn run_case(runtime: &'static str, ranks: usize, iters: usize, reps: usize) -> S
             })
             .0
         }
-        "task-flat" => {
-            FlatTaskWorld::run_with(SchedPolicy::host(), ranks, |c| {
-                let fs = &fs;
-                async move { body_co(&c, fs, iters, reps).await }
-            })
-            .0
-        }
         other => panic!("unknown runtime {other}"),
     };
     let raw = got.into_iter().flatten().next().expect("rank 0 reports");
@@ -259,7 +243,7 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_collectives.json".to_string());
 
-    // The task runtimes sweep to 64Ki ranks — the paper's scale. The
+    // The task runtime sweeps to 64Ki ranks — the paper's scale. The
     // thread runtimes stop at MAX_THREAD_RANKS and stand as baselines.
     let ranks: &[usize] = if quick {
         &[4, 16, 64, 256, 1024]
@@ -279,9 +263,7 @@ fn main() {
             _ => 8,
         };
         let runtimes: &[&'static str] = if p <= MAX_THREAD_RANKS {
-            &["flat", "tree", "task-flat", "task-tree"]
-        } else if p <= MAX_FLAT_TASK_RANKS {
-            &["task-flat", "task-tree"]
+            &["flat", "tree", "task-tree"]
         } else {
             &["task-tree"]
         };
@@ -304,14 +286,10 @@ fn main() {
         }
     }
 
-    // Where does the tree beat its flat sibling on combined open+close
-    // latency? Reported for both runtime families; only the thread pair is
-    // gated (below). Since the flat task runtime grew shared per-round
-    // assembly, every rank pays O(1) work per collective on top of one
-    // O(P) assembly, so in-process wall-clock parity with the tree is
-    // expected there — the tree's log-P round structure only pays off once
-    // messages have real latency, which the thread runtimes (condvar
-    // wakeups) model and the coroutine runtimes do not.
+    // Where does the thread-driven tree beat the flat baseline on combined
+    // open+close latency? Both sides pay a real thread wake-up per message
+    // or rendezvous, which is the latency the tree's log-P round structure
+    // is built to hide; the gate below holds the tree to it.
     let total = |samples: &[Sample], p: usize, rt: &str| {
         samples
             .iter()
@@ -337,9 +315,8 @@ fn main() {
         if quick { "quick" } else { "full" }
     ));
     j.push_str(&format!("  \"max_thread_ranks\": {MAX_THREAD_RANKS},\n"));
-    j.push_str(&format!("  \"max_flat_task_ranks\": {MAX_FLAT_TASK_RANKS},\n"));
     j.push_str(
-        "  \"notes\": \"task runtimes measure allgather via the shared-frame \
+        "  \"notes\": \"the task runtime measures allgather via the shared-frame \
          allgather_shared (the variant paropen issues); thread runtimes use the \
          classic copying allgather\",\n",
     );
@@ -387,11 +364,10 @@ fn main() {
     });
     eprintln!("wrote {out}");
 
-    // Acceptance gate, thread runtimes only: at the largest P where both
-    // thread runtimes ran, the tree must beat flat on open+close. Smaller
-    // P are noise-bound (and uninteresting — flat SHOULD win tiny runs),
-    // and the coroutine pair is reported but not gated, per the note
-    // above.
+    // Acceptance gate: at the largest P where both thread runtimes ran,
+    // the tree must beat flat on open+close — which also guards the thread
+    // driver against regressions. Smaller P are noise-bound (and
+    // uninteresting — flat SHOULD win tiny runs).
     if let Some(&top) = tree_wins.iter().chain(tree_losses.iter()).max() {
         if tree_losses.contains(&top) {
             eprintln!("WARNING: tree did not beat flat open+close at P = {top}");

@@ -333,8 +333,7 @@ pub struct DporHarness {
 }
 
 impl DporHarness {
-    /// The schedule driver for `TaskWorld::run_driven` /
-    /// `FlatTaskWorld::run_driven`.
+    /// The schedule driver for `TaskWorld::run_driven`.
     pub fn driver(&self) -> Arc<dyn ScheduleDriver> {
         self.rec.clone()
     }

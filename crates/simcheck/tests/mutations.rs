@@ -5,7 +5,8 @@
 //! replayable [`ScheduleCfg`] and a byte-identical report on replay.
 
 use simcheck::{
-    BlockGuardFs, CheckFailure, CheckedWorld, FindingKind, ScheduleCfg, COLL_TAG_PREFIX,
+    seed_budget, BlockGuardFs, CheckFailure, CheckedWorld, FindingKind, ScheduleCfg,
+    COLL_TAG_PREFIX,
 };
 use simmpi::Comm;
 use sion::{paropen_write, Alignment, FileLayout, SionParams};
@@ -176,4 +177,45 @@ fn cyclic_recv_deadlocks_with_golden_report() {
     let want = std::fs::read_to_string(golden_path)
         .expect("golden file missing — run once with SIMCHECK_BLESS=1");
     assert_eq!(got, want, "deadlock report drifted from the golden file");
+}
+
+/// `try_recv` polls the same unified mailbox queue as blocking receives
+/// and reports consumption on a hit, so the scheduler's in-flight model
+/// stays exact: a message taken by `try_recv` is gone. The program takes
+/// message A that way and then receives A *again* — which must come back
+/// as a clean one-rank deadlock verdict (a stale in-flight record would
+/// instead keep "delivering" A until the decision budget runs out), and
+/// must replay byte-for-byte.
+#[test]
+fn try_recv_hit_consumes_the_in_flight_message() {
+    const A: u64 = 0xA;
+    const B: u64 = 0xB;
+    let run = |seed| {
+        CheckedWorld::run(2, ScheduleCfg::Seeded { seed, preemption_bound: 2 }, |c| {
+            if c.rank() == 0 {
+                c.send(1, A, b"first");
+                c.send(1, B, b"second");
+            } else {
+                // B's blocking receive leaves the earlier A queued; FIFO
+                // delivery guarantees the poll below hits.
+                assert_eq!(c.recv(0, B), b"second");
+                assert_eq!(c.try_recv(0, A).as_deref(), Some(&b"first"[..]));
+                assert_eq!(c.try_recv(0, A), None, "A was consumed by the hit");
+                let _ = c.recv(0, A);
+            }
+        })
+        .expect_err("the second receive of A can never be satisfied")
+    };
+    for seed in 0..seed_budget().min(8) {
+        let fail = run(seed);
+        let dl = fail.deadlock.as_ref().unwrap_or_else(|| panic!("no deadlock verdict:\n{fail}"));
+        assert_eq!(dl.pending.len(), 1, "only rank 1 is blocked:\n{fail}");
+        assert!(dl.pending[0].op.contains("recv(src=0, tag=0xa)"), "{}", dl.pending[0].op);
+        assert_eq!(
+            fail.findings.len(),
+            1,
+            "a deadlock and nothing else (no leak, no budget overrun):\n{fail}"
+        );
+        assert_replayable(&fail, &run(seed));
+    }
 }

@@ -2,21 +2,23 @@
 //!
 //! The task runtime ([`crate::task`]) executes ranks as cooperatively
 //! scheduled state machines, so its communicator methods cannot block the
-//! worker thread — they return futures that park on mailbox receives and
-//! collective rounds. `CoComm` is the object-safe trait for that: the
-//! async twin of [`Comm`], with the same payload conventions, collective
-//! contract, reserved tag namespace and [`CommStats`] accounting.
+//! worker thread — they return futures that park on mailbox receives.
+//! `CoComm` is the object-safe trait for that: the async twin of [`Comm`],
+//! with the same payload conventions, collective contract, reserved tag
+//! namespace and [`CommStats`] accounting.
 //!
 //! Protocol code written against `&dyn CoComm` (the `sion` crate's
-//! collective open/close) runs unchanged on **both** worlds:
+//! collective open/close) runs unchanged on **every** world:
 //!
 //! * on the task runtime, the futures genuinely suspend and the scheduler
 //!   interleaves thousands of ranks per worker thread;
-//! * on the thread-backed runtimes, [`BlockingComm`]/[`BlockingRef`] wrap
-//!   any [`Comm`] into a `CoComm` whose futures complete on first poll
-//!   (the wrapped blocking call runs *inside* `poll`, on the rank's own
-//!   thread, exactly where the direct call used to happen), and
-//!   [`drive_ready`] retires such a future with a single poll.
+//! * over a blocking [`Comm`] (a thread-per-rank [`Communicator`](crate::Communicator),
+//!   the flat oracle, [`SerialComm`](crate::SerialComm)),
+//!   [`BlockingComm`]/[`BlockingRef`] wrap it into a `CoComm` whose
+//!   futures complete on first poll (the wrapped blocking call runs
+//!   *inside* `poll`, on the rank's own thread, exactly where the direct
+//!   call used to happen), and [`drive_ready`] retires such a future with
+//!   a single poll.
 //!
 //! This is how the public blocking API keeps working unchanged while the
 //! task runtime drives the same protocol state machines.
@@ -360,7 +362,7 @@ mod tests {
 
     #[test]
     fn blocking_adapter_preserves_comm_semantics() {
-        // The same async script runs over the thread runtimes through the
+        // The same async script runs over the blocking runtimes through the
         // adapter; every await resolves in the single drive_ready poll.
         let script = |c: &dyn CoComm| {
             drive_ready(async move {

@@ -75,10 +75,9 @@ impl CommStats {
 
     /// Total payload bytes this rank pushed into the transport — user
     /// sends *and* the internal tree-edge messages of collectives. An
-    /// `Arc`-shared broadcast frame (the task runtime's allgather
-    /// down-phase) is charged once per logical payload at the rank that
-    /// forwards it, however many edges its clones fan out to; runtimes
-    /// that physically copy per edge charge per edge.
+    /// `Arc`-shared broadcast frame (the allgather down-phase) is charged
+    /// once per logical payload at the rank that forwards it, however many
+    /// edges its clones fan out to.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent.load(Ordering::Relaxed)
     }

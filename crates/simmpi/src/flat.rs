@@ -24,11 +24,11 @@
 
 use crate::comm::{Comm, CommStats};
 use crate::hook::{self, CheckHook, CollKind, CommCtx, LeakedMsg};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Barrier, Condvar};
 use std::time::Instant;
 
@@ -115,7 +115,7 @@ impl Shared {
         let size = ctx.size;
         assert!(size > 0, "communicator must have at least one rank");
         let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..size).map(|_| unbounded::<Message>()).unzip();
+            (0..size).map(|_| channel::<Message>()).unzip();
         let barrier = if hook.is_some() {
             BarrierImpl::Abortable(AbortableBarrier::new(size))
         } else {

@@ -17,8 +17,9 @@
 //!   set in the environment.
 //! * **scheduling** hooks additionally own the interleaving: every send and
 //!   every receive attempt becomes a *schedule point* where the calling
-//!   rank parks until the hook chooses it to run. The `simcheck` crate's
-//!   deterministic scheduler is built on this.
+//!   rank's thread parks until the hook chooses it to run. Only the thread
+//!   driver ([`World::run_checked`](crate::World::run_checked)) supports
+//!   them; the `simcheck` crate's deterministic scheduler is built on this.
 //!
 //! The reserved collective tag namespace also lives here. A collective
 //! message tag packs, from the top: the `0xC3` reserved prefix byte, one
@@ -257,8 +258,9 @@ pub struct LeakedMsg {
     pub tag: u64,
     /// Payload length in bytes.
     pub len: usize,
-    /// `true` if the message had been received and stashed (arrived but
-    /// never matched), `false` if it still sat in the mailbox.
+    /// `true` if the message had been taken off a channel and stashed
+    /// (arrived but never matched — the flat runtime's channel + stash
+    /// pair), `false` if it still sat in the mailbox.
     pub stashed: bool,
 }
 
@@ -346,13 +348,15 @@ pub trait CheckHook: Send + Sync {
     /// Scheduling mode: schedule point before a receive attempt.
     fn before_recv(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64) {}
 
-    /// Scheduling mode: the receive attempt found no matching message
-    /// (stash and mailbox drained). Parks until a matching message is
-    /// deliverable; on return the caller re-drains its mailbox.
+    /// Scheduling mode: the receive attempt found no matching message in
+    /// the mailbox. Parks until a matching message is deliverable; on
+    /// return the caller looks again.
     fn on_recv_blocked(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64) {}
 
-    /// Scheduling mode: a message was physically taken out of `rank`'s
-    /// mailbox (whether it matched the pending receive or was stashed).
+    /// Scheduling mode: a receive or a `try_recv` hit matched a message
+    /// and took it out of `rank`'s mailbox. Consumption happens at match
+    /// time — non-matching messages stay queued and unconsumed — so the
+    /// mailbox always holds exactly the sent-but-unconsumed messages.
     fn on_consumed(&self, comm: &CommCtx, rank: usize, from: usize, tag: u64) {}
 
     /// A task's closure returned (or panicked). Called after the task's

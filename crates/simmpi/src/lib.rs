@@ -1,21 +1,26 @@
-//! `simmpi` — a thread-backed MPI-subset runtime.
+//! `simmpi` — an in-process MPI-subset runtime.
 //!
 //! The paper's SIONlib "uses MPI for internal metadata exchange". This crate
-//! is that substrate for the Rust reproduction: SPMD execution of N tasks as
-//! OS threads, communicators with `split`, the collectives SIONlib needs
-//! (barrier, gather(v), scatter(v), broadcast, allgather, reductions) and
+//! is that substrate for the Rust reproduction: SPMD execution of N tasks,
+//! communicators with `split`, the collectives SIONlib needs (barrier,
+//! gather(v), scatter(v), broadcast, allgather, reductions) and
 //! point-to-point messaging with MPI-style (source, tag) matching for the
 //! mini-apps.
 //!
-//! The [`Comm`] trait is the runtime abstraction the `sion` crate programs
-//! against — mirroring how SIONlib is "by design not tied to a specific
-//! parallel programming interface". Implementations here:
+//! The [`Comm`] trait (and its resumable twin [`CoComm`]) is the runtime
+//! abstraction the `sion` crate programs against — mirroring how SIONlib
+//! is "by design not tied to a specific parallel programming interface".
+//! There is one tree-collective engine, two drivers of it, and one
+//! independent reference:
 //!
-//! * [`Communicator`] — one handle per task thread; collectives are log-P
-//!   binomial trees over per-rank mailboxes, with per-rank op/byte
-//!   counters exposed as [`CommStats`].
+//! * [`TaskComm`] — the engine: log-P binomial trees over per-rank
+//!   mailboxes, with per-rank op/byte counters exposed as [`CommStats`].
+//!   [`TaskWorld`] drives it with ranks as futures on a work-stealing
+//!   executor (16Ki–64Ki ranks); [`World`] drives it with one OS thread per
+//!   rank, each [`Communicator`] blocking on the same futures.
 //! * [`FlatCommunicator`] — the original O(P) slot-and-barrier collectives,
-//!   kept as the benchmark baseline and property-test reference.
+//!   sharing no code with the engine; kept as the benchmark baseline and
+//!   property-test oracle.
 //! * [`SerialComm`] — a size-1 communicator for serial tools and tests.
 //!
 //! # Example
@@ -50,8 +55,8 @@ pub use comm::{Comm, CommStats, ReduceOp};
 pub use extra::CommExt;
 pub use flat::{FlatCommunicator, FlatWorld};
 pub use task::{
-    DeadlockReport, FlatTaskComm, FlatTaskWorld, ParkedOp, SchedPolicy, SchedStats, ScheduleDriver,
-    TaskComm, TaskRun, TaskWorld,
+    DeadlockReport, ParkedOp, SchedPolicy, SchedStats, ScheduleDriver, TaskComm, TaskRun,
+    TaskWorld,
 };
 pub use hook::{
     current_task, decode_coll_tag, describe_tag, enter_agg_protocol, in_agg_protocol, is_agg_tag,

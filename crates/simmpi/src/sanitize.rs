@@ -290,24 +290,11 @@ pub(crate) fn finalize_env_checked<T>(
     results: Vec<std::thread::Result<T>>,
     san: &Sanitizer,
 ) -> Vec<T> {
-    let mut primary: Option<Box<dyn std::any::Any + Send>> = None;
-    let mut aborted = false;
-    let mut vals = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(v) => vals.push(v),
-            Err(p) if p.is::<Aborted>() => aborted = true,
-            Err(p) => {
-                if primary.is_none() {
-                    primary = Some(p);
-                }
-            }
-        }
-    }
-    if let Some(p) = primary {
-        std::panic::resume_unwind(p);
-    }
-    if aborted {
+    let ntasks = results.len();
+    let vals = crate::task::propagate_panics(results);
+    // No real panic, yet some rank did not finish: it was released from a
+    // blocked receive by the abort flag.
+    if vals.len() < ntasks {
         let reason = san.abort.lock().clone().unwrap_or_else(|| "no reason recorded".into());
         panic!("simcheck: world aborted: {reason}");
     }

@@ -1,19 +1,34 @@
-//! Task-runtime mailboxes and the tree-collective [`TaskComm`].
+//! The tree-collective engine: per-rank mailboxes and [`TaskComm`].
 //!
-//! The protocol layer is a literal translation of the thread-backed
-//! [`Communicator`](crate::Communicator): the same binomial trees, the
-//! same reserved collective tags, the same frame encoding
-//! ([`crate::wire`]), the same per-rank [`CommStats`] bump points. The only
-//! difference is the blocking primitive — where a thread parks on a
-//! channel, a rank task returns `Poll::Pending` from a [`Recv`] future and
-//! the matching send wakes it. Byte identity against the thread runtime is
-//! asserted by `tests/task_properties.rs`.
+//! This is the crate's only implementation of the log-P collectives:
 //!
-//! Every parked operation registers itself in the world's pending-op table
-//! ([`WorldRt`]), so when the executor detects quiescence the deadlock
-//! report can name exactly which rank is stuck in which receive on which
-//! communicator — the task-runtime analogue of `simcheck`'s blocked-rank
-//! dump, with no watchdog involved.
+//! * `bcast`, `gather(v)`, `scatter(v)`, `reduce` — binomial trees rooted
+//!   at the operation's root: ⌈log₂ P⌉ critical-path hops, P−1 messages.
+//! * `allgather` — binomial gather to rank 0, then one `Arc`-shared frame
+//!   down the same tree: 2(P−1) messages in 2⌈log₂ P⌉ rounds (total
+//!   message-handling work beats a Bruck exchange's P·log P messages).
+//! * `barrier` — binomial fan-in of empty messages to rank 0, then a
+//!   fan-out release: 2(P−1) messages, no rendezvous primitive.
+//!
+//! Every collective invocation consumes one *collective sequence number*
+//! (all ranks agree on it because collectives are ordered), and its
+//! messages are tagged in a reserved namespace
+//! (`0xC3 << 56 | kind << 48 | seq << 8 | round`, see
+//! [`hook::decode_coll_tag`]) so they can never be confused with user
+//! point-to-point traffic, with a neighbouring collective when fast ranks
+//! run ahead, or with a *different kind* of collective at the same ordinal.
+//!
+//! The only blocking primitive is the [`Recv`] future: it returns
+//! `Poll::Pending` until the matching send wakes it. *Who polls* is the
+//! driver's business — the work-stealing executor ([`super::exec`]) for
+//! rank tasks, or the rank's own OS thread for the blocking
+//! [`Communicator`](crate::Communicator) facade, which parks the thread
+//! while a future is pending.
+//!
+//! Every parked receive registers itself in the world's pending-op table
+//! ([`WorldRt`]), so a deadlock report (executor quiescence) or a watchdog
+//! report (thread driver) can name exactly which rank is stuck in which
+//! receive on which communicator.
 
 use crate::arena::FrameArena;
 use crate::co::AllGathered;
@@ -40,7 +55,7 @@ use std::task::{Context, Poll, Waker};
 /// byte gauges charge owned bytes only — an `Arc` clone adds no queued
 /// payload memory. The world-wide logical volume moved this way is
 /// tracked separately as `shared_frame_bytes` on [`WorldRt`].
-pub(super) enum MsgBuf {
+enum MsgBuf {
     Owned(Vec<u8>),
     Shared(Arc<Vec<u8>>),
 }
@@ -48,7 +63,7 @@ pub(super) enum MsgBuf {
 impl MsgBuf {
     /// Extract owned bytes; free for `Owned` and for the last holder of a
     /// `Shared` buffer, one copy otherwise.
-    pub(super) fn into_vec(self) -> Vec<u8> {
+    fn into_vec(self) -> Vec<u8> {
         match self {
             MsgBuf::Owned(v) => v,
             MsgBuf::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()),
@@ -114,35 +129,25 @@ impl From<Arc<Vec<u8>>> for MsgBuf {
 
 type Message = (usize, u64, MsgBuf);
 
-/// What a parked task is waiting for (deadlock diagnosis).
-pub(crate) enum ParkKind {
-    /// Matched receive (collective round edges included).
-    Recv { src: usize, tag: u64 },
-    /// Slot-and-barrier rendezvous (flat task runtime).
-    Rendezvous,
-}
-
-/// One parked operation, registered while its future is `Pending`.
+/// One parked matched receive (collective round edges included),
+/// registered while its [`Recv`] future is `Pending`.
 pub(crate) struct Parked {
     pub(crate) comm: Arc<str>,
     pub(crate) comm_rank: usize,
-    pub(crate) kind: ParkKind,
+    pub(crate) src: usize,
+    pub(crate) tag: u64,
 }
 
 impl Parked {
     /// The blocked operation alone (no communicator name), in the same
     /// shape as `simcheck`'s pending-op dumps.
     pub(crate) fn op_text(&self) -> String {
-        match &self.kind {
-            ParkKind::Recv { src, tag } => format!(
-                "recv(src={src}, tag={}) as rank {}",
-                hook::describe_tag(*tag),
-                self.comm_rank
-            ),
-            ParkKind::Rendezvous => {
-                format!("collective rendezvous as rank {}", self.comm_rank)
-            }
-        }
+        format!(
+            "recv(src={}, tag={}) as rank {}",
+            self.src,
+            hook::describe_tag(self.tag),
+            self.comm_rank
+        )
     }
 }
 
@@ -184,7 +189,7 @@ impl WorldRt {
         }
     }
 
-    pub(super) fn arena(&self) -> &FrameArena {
+    fn arena(&self) -> &FrameArena {
         &self.arena
     }
 
@@ -220,7 +225,7 @@ impl WorldRt {
         )
     }
 
-    pub(super) fn pending(&self, world_rank: usize) -> &Mutex<Option<Parked>> {
+    fn pending(&self, world_rank: usize) -> &Mutex<Option<Parked>> {
         &self.pending[world_rank]
     }
 
@@ -237,20 +242,19 @@ impl WorldRt {
 
 /// One rank's point-to-point mailbox. The queue doubles as the stash: a
 /// receive scans it for the first (src, tag) match, so non-matching
-/// messages simply stay put (same matching semantics as the thread
-/// runtime's channel + stash pair).
-pub(super) struct Mbox {
+/// messages simply stay put until their own receive comes along.
+struct Mbox {
     queue: VecDeque<Message>,
     bytes: u64,
     /// The rank's single in-flight receive, when parked. One slot
-    /// suffices: a rank task awaits at most one receive at a time.
+    /// suffices: a rank awaits at most one receive at a time.
     waiting: Option<(usize, u64, Waker)>,
 }
 
 impl Mbox {
     /// Pre-sized for tree traffic: a rank holds at most one message per
     /// tree level per in-flight collective round (~log₂ P), not O(P).
-    pub(super) fn for_world(size: usize) -> Mbox {
+    fn for_world(size: usize) -> Mbox {
         let depth = usize::BITS as usize - size.leading_zeros() as usize + 2;
         Mbox {
             queue: VecDeque::with_capacity(depth),
@@ -259,87 +263,73 @@ impl Mbox {
         }
     }
 
-    /// Drain all queued messages (teardown leak check).
-    pub(super) fn drain_messages(
-        &mut self,
-    ) -> std::collections::vec_deque::Drain<'_, Message> {
-        self.bytes = 0;
-        self.queue.drain(..)
+    /// Take the first queued `(src, tag)` match, if any.
+    fn take(&mut self, src: usize, tag: u64) -> Option<MsgBuf> {
+        let pos = self.queue.iter().position(|(s, t, _)| *s == src && *t == tag)?;
+        let (_, _, payload) = self.queue.remove(pos).expect("position valid");
+        self.bytes -= payload.mbox_charge();
+        Some(payload)
     }
 }
 
-/// Deliver a message and wake the destination if it is parked on a match.
-pub(super) fn mbox_send(
-    mboxes: &[Mutex<Mbox>],
-    world: &WorldRt,
-    from: usize,
-    dest: usize,
-    tag: u64,
-    payload: MsgBuf,
-) {
-    let waker = {
-        let mut mb = mboxes[dest].lock();
-        mb.bytes += payload.mbox_charge();
-        world.note_mbox(mb.queue.len() as u64 + 1, mb.bytes);
-        mb.queue.push_back((from, tag, payload));
-        match &mb.waiting {
-            Some((s, t, _)) if *s == from && *t == tag => {
-                mb.waiting.take().map(|(_, _, w)| w)
-            }
-            _ => None,
-        }
-    };
-    // Wake outside the mailbox lock; the wake enqueues into the executor.
-    if let Some(w) = waker {
-        w.wake();
-    }
-}
-
-/// Non-blocking matched receive: take the first queued `(src, tag)` match
-/// from `rank`'s mailbox, or `None` without parking — the poll half of
-/// [`Recv`]'s hit path, shared by both task communicators' `try_recv`.
-pub(super) fn mbox_try_take(
-    mboxes: &[Mutex<Mbox>],
-    rank: usize,
-    src: usize,
-    tag: u64,
-) -> Option<MsgBuf> {
-    let mut mb = mboxes[rank].lock();
-    let pos = mb.queue.iter().position(|(s, t, _)| *s == src && *t == tag)?;
-    let (_, _, payload) = mb.queue.remove(pos).expect("position valid");
-    mb.bytes -= payload.mbox_charge();
-    Some(payload)
-}
-
-/// Matched-receive future over a mailbox slice; the runtime's only
-/// point-to-point parking point. Carries the communicator context and the
-/// optional hook so the `Ready` transition can report the completed match
+/// Matched-receive future on one rank's mailbox; the engine's only parking
+/// point. The `Ready` transition reports the completed match
 /// ([`CheckHook::on_recv_done`]) exactly once, wherever it is awaited.
-pub(super) struct Recv<'a> {
-    mboxes: &'a [Mutex<Mbox>],
-    world: &'a WorldRt,
-    ctx: &'a CommCtx,
-    hook: &'a Option<Arc<dyn CheckHook>>,
-    comm_rank: usize,
-    world_rank: usize,
+struct Recv<'a> {
+    comm: &'a TaskComm,
     src: usize,
     tag: u64,
     parked: bool,
 }
 
-impl<'a> Recv<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn new(
-        mboxes: &'a [Mutex<Mbox>],
-        world: &'a WorldRt,
-        ctx: &'a CommCtx,
-        hook: &'a Option<Arc<dyn CheckHook>>,
-        comm_rank: usize,
-        world_rank: usize,
-        src: usize,
-        tag: u64,
-    ) -> Recv<'a> {
-        Recv { mboxes, world, ctx, hook, comm_rank, world_rank, src, tag, parked: false }
+impl Recv<'_> {
+    /// Take the match or park: arm the mailbox waker and register in the
+    /// pending table.
+    fn poll_take(&mut self, cx: &mut Context<'_>) -> Poll<MsgBuf> {
+        let c = self.comm;
+        let pending = c.shared.world.pending(c.world_rank);
+        let mut mb = c.shared.mboxes[c.rank].lock();
+        if let Some(payload) = mb.take(self.src, self.tag) {
+            drop(mb);
+            if self.parked {
+                self.parked = false;
+                *pending.lock() = None;
+            }
+            return Poll::Ready(payload);
+        }
+        mb.waiting = Some((self.src, self.tag, cx.waker().clone()));
+        drop(mb);
+        // Register for the deadlock report after arming the waker: if the
+        // world quiesces with this entry in place, this receive is what the
+        // rank is stuck on.
+        *pending.lock() = Some(Parked {
+            comm: c.shared.ctx.name.clone(),
+            comm_rank: c.rank,
+            src: self.src,
+            tag: self.tag,
+        });
+        self.parked = true;
+        Poll::Pending
+    }
+
+    /// Receive under a scheduling hook (thread driver only): every attempt
+    /// is a schedule point, and a miss parks the calling thread *inside
+    /// the hook* as blocked until the scheduler sees a deliverable match —
+    /// so this never returns `Pending`. Consumption is reported at match
+    /// time; the queue therefore always equals the scheduler's set of
+    /// unconsumed in-flight messages.
+    fn take_scheduled(&self, h: &dyn CheckHook) -> MsgBuf {
+        let c = self.comm;
+        let ctx = &c.shared.ctx;
+        h.before_recv(ctx, c.rank, self.src, self.tag);
+        loop {
+            let hit = c.shared.mboxes[c.rank].lock().take(self.src, self.tag);
+            if let Some(payload) = hit {
+                h.on_consumed(ctx, c.rank, self.src, self.tag);
+                return payload;
+            }
+            h.on_recv_blocked(ctx, c.rank, self.src, self.tag);
+        }
     }
 }
 
@@ -348,41 +338,22 @@ impl Future for Recv<'_> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<MsgBuf> {
         let this = self.get_mut();
-        let mut mb = this.mboxes[this.comm_rank].lock();
-        let hit = mb
-            .queue
-            .iter()
-            .position(|(s, t, _)| *s == this.src && *t == this.tag);
-        if let Some(pos) = hit {
-            let (_, _, payload) = mb.queue.remove(pos).expect("position valid");
-            mb.bytes -= payload.mbox_charge();
-            drop(mb);
-            if this.parked {
-                this.parked = false;
-                *this.world.pending[this.world_rank].lock() = None;
-            }
-            if let Some(h) = this.hook {
-                h.on_recv_done(this.ctx, this.comm_rank, this.src, this.tag, &payload);
-            }
-            return Poll::Ready(payload);
-        }
-        mb.waiting = Some((this.src, this.tag, cx.waker().clone()));
-        drop(mb);
-        // Register for the deadlock report after arming the waker: if the
-        // world quiesces with this entry in place, this receive is what the
-        // rank is stuck on.
-        *this.world.pending[this.world_rank].lock() = Some(Parked {
-            comm: this.ctx.name.clone(),
-            comm_rank: this.comm_rank,
-            kind: ParkKind::Recv { src: this.src, tag: this.tag },
-        });
-        this.parked = true;
-        Poll::Pending
+        let c = this.comm;
+        let Some(h) = &c.shared.hook else { return this.poll_take(cx) };
+        let payload = if h.scheduling() {
+            this.take_scheduled(h.as_ref())
+        } else {
+            std::task::ready!(this.poll_take(cx))
+        };
+        h.on_recv_done(&c.shared.ctx, c.rank, this.src, this.tag, &payload);
+        Poll::Ready(payload)
     }
 }
 
-/// State shared by every rank of one task-runtime communicator; the
-/// async counterpart of the thread runtime's `Shared`.
+/// State shared by every rank of one communicator: the mailboxes, the
+/// split-construction rendezvous, the communicator's deterministic
+/// identity, and the optional check hook — collectives need no shared
+/// payload storage of their own.
 pub(crate) struct CoShared {
     size: usize,
     ctx: CommCtx,
@@ -393,11 +364,7 @@ pub(crate) struct CoShared {
 }
 
 impl CoShared {
-    pub(crate) fn new(
-        ctx: CommCtx,
-        hook: Option<Arc<dyn CheckHook>>,
-        world: Arc<WorldRt>,
-    ) -> CoShared {
+    fn new(ctx: CommCtx, hook: Option<Arc<dyn CheckHook>>, world: Arc<WorldRt>) -> CoShared {
         assert!(ctx.size > 0, "communicator must have at least one rank");
         let size = ctx.size;
         CoShared {
@@ -411,21 +378,28 @@ impl CoShared {
     }
 }
 
-/// One rank's handle onto a task-runtime tree-collective communicator;
-/// the resumable twin of [`Communicator`](crate::Communicator).
+/// One rank's handle onto a tree-collective communicator. Rank tasks
+/// `.await` its [`CoComm`](crate::co::CoComm) methods on the executor;
+/// [`Communicator`](crate::Communicator) wraps one per OS thread and blocks
+/// on the same futures.
 pub struct TaskComm {
     rank: usize,
     /// Rank in the *world* communicator — the pending-table index, stable
     /// across splits.
     world_rank: usize,
     shared: Arc<CoShared>,
+    /// Count of collective calls on this handle; since collectives are
+    /// ordered, all ranks agree on it, making it a safe tag ingredient.
     coll_seq: AtomicU64,
+    /// Per-rank count of `split` calls on this communicator (same ordering
+    /// argument), keying the split rendezvous map.
     split_seq: AtomicU64,
+    /// This rank's op/byte counters for this communicator.
     stats: Arc<CommStats>,
 }
 
 impl TaskComm {
-    pub(crate) fn new(rank: usize, world_rank: usize, shared: Arc<CoShared>) -> TaskComm {
+    fn new(rank: usize, world_rank: usize, shared: Arc<CoShared>) -> TaskComm {
         TaskComm {
             rank,
             world_rank,
@@ -436,10 +410,46 @@ impl TaskComm {
         }
     }
 
+    /// A fresh world of `ntasks` ranks: its runtime state and one handle
+    /// per rank, in rank order. Both drivers launch from here.
+    pub(crate) fn world(
+        ntasks: usize,
+        hook: Option<Arc<dyn CheckHook>>,
+    ) -> (Arc<WorldRt>, Vec<TaskComm>) {
+        let world = Arc::new(WorldRt::new(ntasks));
+        let shared = Arc::new(CoShared::new(
+            CommCtx::new("world".into(), ntasks),
+            hook,
+            world.clone(),
+        ));
+        let comms = (0..ntasks).map(|r| TaskComm::new(r, r, shared.clone())).collect();
+        (world, comms)
+    }
+
+    pub(crate) fn ctx(&self) -> &CommCtx {
+        &self.shared.ctx
+    }
+
+    pub(crate) fn hook(&self) -> Option<&Arc<dyn CheckHook>> {
+        self.shared.hook.as_ref()
+    }
+
+    pub(crate) fn world_rt(&self) -> &WorldRt {
+        &self.shared.world
+    }
+
+    /// The receive this rank is parked in right now, as `(src, tag)` — what
+    /// the thread driver's watchdog names when a blocking call is stuck.
+    pub(crate) fn parked_recv(&self) -> Option<(usize, u64)> {
+        self.shared.world.pending(self.world_rank).lock().as_ref().map(|p| (p.src, p.tag))
+    }
+
+    /// Claim the next collective sequence number.
     fn next_seq(&self) -> u64 {
         self.coll_seq.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Report a collective entry to the hook, if one is installed.
     fn note_collective(&self, seq: u64, kind: CollKind, root: Option<usize>) {
         if let Some(h) = &self.shared.hook {
             h.on_collective(&self.shared.ctx, self.rank, seq, kind, root);
@@ -453,46 +463,63 @@ impl TaskComm {
         }
     }
 
+    /// This rank's virtual rank in a tree rooted at `root`.
     fn vrank(&self, root: usize) -> usize {
         (self.rank + self.shared.size - root) % self.shared.size
     }
 
+    /// Real rank of virtual rank `v` in a tree rooted at `root`.
     fn rank_of(&self, v: usize, root: usize) -> usize {
         (v + root) % self.shared.size
     }
 
+    /// Internal send along a tree edge (not counted as a user send).
     fn isend(&self, dest: usize, tag: u64, payload: impl Into<MsgBuf>) {
         let payload = payload.into();
-        if let Some(h) = &self.shared.hook {
-            h.on_send(&self.shared.ctx, self.rank, dest, tag, &payload);
-        }
         self.stats.add_bytes(payload.len() as u64);
-        mbox_send(&self.shared.mboxes, &self.shared.world, self.rank, dest, tag, payload);
+        self.isend_uncharged(dest, tag, payload);
     }
 
     /// [`Self::isend`] without the per-edge byte charge — for `Arc` clones
     /// of one shared frame, which [`Self::bcast_frame_impl`] charges once
-    /// per logical payload instead of once per edge.
+    /// per logical payload instead of once per edge. Delivers the message
+    /// and wakes the destination if it is parked on a match.
     fn isend_uncharged(&self, dest: usize, tag: u64, payload: MsgBuf) {
         if let Some(h) = &self.shared.hook {
+            if h.scheduling() {
+                // Schedule point (thread driver only): park until chosen,
+                // then push immediately so the scheduler's in-flight model
+                // matches the mailbox.
+                h.before_send(&self.shared.ctx, self.rank, dest, tag, payload.len());
+            }
             h.on_send(&self.shared.ctx, self.rank, dest, tag, &payload);
         }
-        mbox_send(&self.shared.mboxes, &self.shared.world, self.rank, dest, tag, payload);
+        let waker = {
+            let mut mb = self.shared.mboxes[dest].lock();
+            mb.bytes += payload.mbox_charge();
+            self.shared.world.note_mbox(mb.queue.len() as u64 + 1, mb.bytes);
+            mb.queue.push_back((self.rank, tag, payload));
+            match &mb.waiting {
+                Some((s, t, _)) if *s == self.rank && *t == tag => {
+                    mb.waiting.take().map(|(_, _, w)| w)
+                }
+                _ => None,
+            }
+        };
+        // Wake outside the mailbox lock; the wake enqueues into the
+        // executor or unparks the destination's thread.
+        if let Some(w) = waker {
+            w.wake();
+        }
     }
 
+    /// Internal matched receive (not counted as a user receive).
     fn irecv(&self, src: usize, tag: u64) -> Recv<'_> {
-        Recv::new(
-            &self.shared.mboxes,
-            &self.shared.world,
-            &self.shared.ctx,
-            &self.shared.hook,
-            self.rank,
-            self.world_rank,
-            src,
-            tag,
-        )
+        Recv { comm: self, src, tag, parked: false }
     }
 
+    /// Binomial-tree broadcast body (kept separate from the stats/seq
+    /// bookkeeping).
     async fn bcast_impl(
         &self,
         data: Option<Vec<u8>>,
@@ -506,6 +533,8 @@ impl TaskComm {
         let (buf, mut mask) = if v == 0 {
             (data.expect("root must supply bcast data"), size.next_power_of_two())
         } else {
+            // Parent is the vrank with this vrank's lowest set bit cleared;
+            // children span the bits below it.
             let lsb = v & v.wrapping_neg();
             (self.irecv(self.rank_of(v & (v - 1), root), tag).await.into_vec(), lsb)
         };
@@ -563,6 +592,10 @@ impl TaskComm {
         buf
     }
 
+    /// Binomial-tree gather body: each edge carries the sender's whole
+    /// subtree as framed (vrank, payload) pairs — a leaf sends exactly its
+    /// own payload, nothing is deposited or cloned beyond what its tree
+    /// edge needs.
     async fn gather_impl(
         &self,
         data: &[u8],
@@ -596,6 +629,8 @@ impl TaskComm {
             }
             mask <<= 1;
         }
+        // Only vrank 0 (the root) falls through. Every vrank arrives exactly
+        // once; place by real rank.
         let mut out = vec![Vec::new(); size];
         for (vr, payload) in acc {
             out[self.rank_of(vr as usize, root)] = payload;
@@ -603,6 +638,8 @@ impl TaskComm {
         Some(out)
     }
 
+    /// Binomial-tree scatter body: the root's per-rank parts flow down the
+    /// tree, each edge carrying only the receiver's subtree.
     async fn scatter_impl(
         &self,
         parts: Option<Vec<Vec<u8>>>,
@@ -630,6 +667,8 @@ impl TaskComm {
             got.recycle(arena);
             (parts, lsb)
         };
+        // `pending` covers vranks [v, v + mask); peel off the upper half for
+        // each child.
         mask >>= 1;
         while mask > 0 {
             let child = v + mask;
@@ -661,8 +700,12 @@ impl TaskComm {
     }
 
     /// Allgather with a shared result: tree gather to vrank 0, one frame
-    /// built there, then `Arc` clones of that frame down the tree. Every
-    /// rank ends up scanning the same buffer.
+    /// built there, then `Arc` clones of that frame down the tree — 2(P−1)
+    /// messages in 2·log P rounds, every rank scanning the same buffer. A
+    /// dissemination (Bruck) exchange would halve the critical-path round
+    /// count but costs P·log P messages; in-process, total message-handling
+    /// work, not network depth, is the scarce resource, and 2(P−1) wins
+    /// measurably (see the `collective_scaling` benchmark).
     async fn allgather_arc_impl(
         &self,
         data: &[u8],
@@ -682,6 +725,8 @@ impl TaskComm {
         AllGathered::from_frame(self.bcast_frame_impl(framed, seq_down, kind).await)
     }
 
+    /// Tree barrier body: binomial fan-in of empty messages to rank 0,
+    /// then a binomial fan-out release.
     async fn barrier_impl(&self, seq: u64, kind: CollKind) {
         let size = self.shared.size;
         if size == 1 {
@@ -704,6 +749,8 @@ impl TaskComm {
         if v == 0 {
             mask = size.next_power_of_two();
         } else {
+            // `mask` is v's lowest set bit; the release arrives from the
+            // same parent the fan-in went to.
             self.irecv(v & (v - 1), down).await;
         }
         mask >>= 1;
@@ -715,6 +762,8 @@ impl TaskComm {
         }
     }
 
+    /// Combining binomial fan-in: each edge carries one partial result,
+    /// not the subtree's values.
     async fn reduce_impl(&self, value: u64, op: crate::ReduceOp, root: usize, seq: u64) -> Option<u64> {
         use crate::ReduceOp;
         let size = self.shared.size;
@@ -742,7 +791,12 @@ impl TaskComm {
         Some(acc)
     }
 
-    async fn split_impl(&self, color: u64, key: u64) -> TaskComm {
+    /// `split` with the concrete handle type, which the blocking facade
+    /// wraps; [`CoComm::split`](crate::co::CoComm::split) boxes it.
+    pub(crate) async fn split_impl(&self, color: u64, key: u64) -> TaskComm {
+        self.stats.bump_split();
+        // Determine group membership: allgather (color, key, rank). Counted
+        // as part of the split, not as a separate allgather.
         let seq_up = self.next_seq();
         let seq_down = self.next_seq();
         self.note_collective(seq_up, CollKind::Split, None);
@@ -776,6 +830,9 @@ impl TaskComm {
 
         let split_no = self.split_seq.fetch_add(1, Ordering::Relaxed) + 1;
 
+        // First member of the group to arrive creates the shared state. The
+        // child's identity is derived structurally (parent name, split
+        // ordinal, color), so every member — and every run — agrees on it.
         let sub = {
             let mut splits = self.shared.splits.lock();
             splits
@@ -790,6 +847,8 @@ impl TaskComm {
                 .clone()
         };
         let comm = TaskComm::new(new_rank, self.world_rank, sub);
+        // All ranks must have attached to their group's shared state before
+        // the construction entries are retired from the map.
         let seq = self.next_seq();
         self.barrier_impl(seq, CollKind::Split).await;
         self.note_collective_done(seq_up);
@@ -839,10 +898,13 @@ impl crate::co::CoComm for TaskComm {
 
     fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
         assert!(src < self.shared.size, "try_recv src {src} out of range");
-        let payload = mbox_try_take(&self.shared.mboxes, self.rank, src, tag);
+        let payload = self.shared.mboxes[self.rank].lock().take(src, tag);
         if let Some(h) = &self.shared.hook {
             h.on_try_recv(&self.shared.ctx, self.rank, src, tag, payload.is_some());
             if let Some(p) = &payload {
+                if h.scheduling() {
+                    h.on_consumed(&self.shared.ctx, self.rank, src, tag);
+                }
                 h.on_recv_done(&self.shared.ctx, self.rank, src, tag, p);
             }
         }
@@ -956,15 +1018,16 @@ impl crate::co::CoComm for TaskComm {
 
     fn split<'a>(&'a self, color: u64, key: u64) -> crate::co::BoxFut<'a, Box<dyn crate::co::CoComm>> {
         Box::pin(async move {
-            self.stats.bump_split();
             Box::new(self.split_impl(color, key).await) as Box<dyn crate::co::CoComm>
         })
     }
 }
 
 impl Drop for TaskComm {
-    /// Teardown leak check, mirroring the thread runtime's: messages still
-    /// in this rank's mailbox when the handle drops are lost messages.
+    /// Teardown check: when a hook is installed, report messages this
+    /// rank's mailbox still holds — every message a correct program sends
+    /// is eventually matched by a receive, so leftovers mean a lost message
+    /// (wrong tag, wrong destination, or a receive that never ran).
     /// Skipped while the world is aborting (deadlock or panic teardown) —
     /// the primary diagnosis is already on its way out.
     fn drop(&mut self) {

@@ -1,39 +1,34 @@
-//! The task runtime: ranks as resumable state machines on a work-stealing
-//! pool.
+//! The tree-collective engine and its executor driver: ranks as resumable
+//! state machines on a work-stealing pool.
 //!
-//! [`TaskWorld`] is the scalable counterpart of [`World`](crate::World):
-//! instead of one OS thread per rank, each rank is an `async` state
-//! machine that parks on mailbox receives and collective rendezvous and is
-//! scheduled — with its peers — on a bounded worker pool
-//! ([`SchedPolicy::host`] sizes it to the machine). That is what makes
-//! *real* 16Ki–64Ki-rank runs of the `sion` collective open/write/close
-//! path possible: rank state is a few hundred bytes of suspended future,
-//! not an 8 MiB thread stack, and a blocked rank costs nothing but its
-//! entry in the pending table.
+//! [`TaskComm`] (see [`comm`]) is the one implementation of the tree
+//! collectives. [`TaskWorld`] drives it the scalable way: instead of one
+//! OS thread per rank, each rank is an `async` state machine that parks on
+//! mailbox receives and is scheduled — with its peers — on a bounded
+//! worker pool ([`SchedPolicy::host`] sizes it to the machine). That is
+//! what makes *real* 16Ki–64Ki-rank runs of the `sion` collective
+//! open/write/close path possible: rank state is a few hundred bytes of
+//! suspended future, not an 8 MiB thread stack, and a blocked rank costs
+//! nothing but its entry in the pending table. [`World`](crate::World) is
+//! the other driver of the same code: one OS thread per rank, each polling
+//! its own futures.
 //!
-//! The protocol layer is shared with the thread runtime (`crate::wire`,
-//! the same binomial trees, tags, and stats bump points), and byte
-//! identity between the two is enforced by property tests. `simcheck`
-//! plugs in through [`SchedPolicy::Serial`] — its serialized scheduler is
-//! literally one policy of this executor — and through the same
-//! [`CheckHook`]/[`Sanitizer`](crate::Sanitizer) hooks as the thread
-//! runtimes. Deadlock detection is *exact* here, not watchdog-based: the
+//! `simcheck` plugs in through [`SchedPolicy::Serial`] — its serialized
+//! scheduler is literally one policy of this executor — and through the
+//! same [`CheckHook`]/[`Sanitizer`](crate::Sanitizer) hooks as the thread
+//! driver. Deadlock detection is *exact* here, not watchdog-based: the
 //! executor declares a deadlock the moment no task is runnable while live
 //! tasks remain (see [`exec`]), and the report names every parked
 //! operation.
 
 mod comm;
 mod exec;
-mod flat;
 
 pub use comm::TaskComm;
 pub use exec::{SchedPolicy, ScheduleDriver};
-pub use flat::FlatTaskComm;
 
-use crate::hook::{self, Aborted, CheckHook, CommCtx};
+use crate::hook::{self, Aborted, CheckHook};
 use crate::sanitize::Sanitizer;
-use comm::{CoShared, WorldRt};
-use flat::FlatShared;
 use std::any::Any;
 use std::fmt;
 use std::future::Future;
@@ -128,33 +123,31 @@ pub struct TaskRun<T> {
     pub trace: Vec<usize>,
 }
 
-/// Shared launch path for both task runtimes: hand each pre-built
-/// communicator to `f`, execute the futures, and assemble results,
-/// deadlock report and stats.
-fn run_engine<T, C, F, Fut>(
+/// Shared launch path: build a fresh world, hand each rank's communicator
+/// to `f`, execute the futures, and assemble results, deadlock report and
+/// stats.
+fn run_engine<T, F, Fut>(
     policy: &SchedPolicy,
+    ntasks: usize,
     hook: Option<Arc<dyn CheckHook>>,
     driver: Option<Arc<dyn ScheduleDriver>>,
     trace: bool,
-    world: &Arc<WorldRt>,
-    comms: Vec<C>,
     f: F,
 ) -> TaskRun<T>
 where
     T: Send,
-    C: Send,
-    F: Fn(C) -> Fut,
+    F: Fn(TaskComm) -> Fut,
     Fut: Future<Output = T> + Send,
 {
     if let Some(h) = &hook {
         assert!(
             !h.scheduling(),
             "the task runtime drives schedules itself (SchedPolicy::Serial); \
-             thread-parking scheduling hooks only work on the thread runtimes"
+             thread-parking scheduling hooks only work on the thread driver"
         );
     }
-    let ntasks = comms.len();
-    let mut pool: Vec<Option<C>> = comms.into_iter().map(Some).collect();
+    let (world, comms) = TaskComm::world(ntasks, hook.clone());
+    let mut pool: Vec<Option<TaskComm>> = comms.into_iter().map(Some).collect();
     let (raw, report) = exec::execute(
         policy,
         ntasks,
@@ -209,11 +202,11 @@ where
     }
 }
 
-/// Collapse a plain (hook-free) run back to the [`World::run`] contract:
-/// propagate the first real panic, or fail loudly with the deadlock
-/// diagnosis.
-fn finish_plain<T>(run: TaskRun<T>) -> (Vec<T>, SchedStats) {
-    let TaskRun { results, deadlock, stats, .. } = run;
+/// Collapse the per-rank results of a plain (hook-free) run to the `run`
+/// contract both drivers share: propagate the first real panic — the
+/// [`Aborted`] unwinds of peers released from a torn-down world are
+/// secondary — or return every rank's value.
+pub(crate) fn propagate_panics<T>(results: Vec<std::thread::Result<T>>) -> Vec<T> {
     let mut out = Vec::with_capacity(results.len());
     let mut primary: Option<Box<dyn Any + Send>> = None;
     for r in results {
@@ -229,14 +222,11 @@ fn finish_plain<T>(run: TaskRun<T>) -> (Vec<T>, SchedStats) {
     if let Some(p) = primary {
         std::panic::resume_unwind(p);
     }
-    if let Some(d) = deadlock {
-        panic!("simmpi task world {d}");
-    }
-    (out, stats)
+    out
 }
 
-/// Launcher for SPMD execution as rank tasks over the tree-collective
-/// [`TaskComm`] — the scalable sibling of [`World`](crate::World).
+/// Launcher for SPMD execution as rank tasks over [`TaskComm`] — the
+/// scalable sibling of [`World`](crate::World).
 pub struct TaskWorld;
 
 impl TaskWorld {
@@ -274,15 +264,13 @@ impl TaskWorld {
             let TaskRun { results, stats, .. } = run;
             return (crate::sanitize::finalize_env_checked(results, &san), stats);
         }
-        let world = Arc::new(WorldRt::new(ntasks));
-        let shared = Arc::new(CoShared::new(
-            CommCtx::new("world".into(), ntasks),
-            None,
-            world.clone(),
-        ));
-        let comms: Vec<TaskComm> =
-            (0..ntasks).map(|r| TaskComm::new(r, r, shared.clone())).collect();
-        finish_plain(run_engine(&policy, None, None, false, &world, comms, f))
+        let TaskRun { results, deadlock, stats, .. } =
+            run_engine(&policy, ntasks, None, None, false, f);
+        let out = propagate_panics(results);
+        if let Some(d) = deadlock {
+            panic!("simmpi task world {d}");
+        }
+        (out, stats)
     }
 
     /// Run `f` under a [`CheckHook`], catching each rank's panic, with the
@@ -303,15 +291,7 @@ impl TaskWorld {
         Fut: Future<Output = T> + Send,
     {
         let trace = matches!(policy, SchedPolicy::Serial { .. });
-        let world = Arc::new(WorldRt::new(ntasks));
-        let shared = Arc::new(CoShared::new(
-            CommCtx::new("world".into(), ntasks),
-            Some(check.clone()),
-            world.clone(),
-        ));
-        let comms: Vec<TaskComm> =
-            (0..ntasks).map(|r| TaskComm::new(r, r, shared.clone())).collect();
-        run_engine(&policy, Some(check), None, trace, &world, comms, f)
+        run_engine(&policy, ntasks, Some(check), None, trace, f)
     }
 
     /// [`TaskWorld::run_checked`] with every serial scheduling decision
@@ -331,109 +311,7 @@ impl TaskWorld {
         Fut: Future<Output = T> + Send,
     {
         let policy = SchedPolicy::Serial { seed: 0, preemption_bound: usize::MAX };
-        let world = Arc::new(WorldRt::new(ntasks));
-        let shared = Arc::new(CoShared::new(
-            CommCtx::new("world".into(), ntasks),
-            Some(check.clone()),
-            world.clone(),
-        ));
-        let comms: Vec<TaskComm> =
-            (0..ntasks).map(|r| TaskComm::new(r, r, shared.clone())).collect();
-        run_engine(&policy, Some(check), Some(driver), true, &world, comms, f)
-    }
-}
-
-/// Launcher over the flat slot-and-barrier [`FlatTaskComm`] — the task
-/// sibling of [`FlatWorld`](crate::FlatWorld), kept as the O(P) baseline
-/// the tree runtime is benchmarked against at high rank counts.
-pub struct FlatTaskWorld;
-
-impl FlatTaskWorld {
-    /// Run `f` as `ntasks` flat-collective rank tasks; see
-    /// [`TaskWorld::run`].
-    pub fn run<T, F, Fut>(ntasks: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(FlatTaskComm) -> Fut,
-        Fut: Future<Output = T> + Send,
-    {
-        Self::run_with(SchedPolicy::host(), ntasks, f).0
-    }
-
-    /// [`FlatTaskWorld::run`] under an explicit policy, with scheduler
-    /// counters.
-    pub fn run_with<T, F, Fut>(policy: SchedPolicy, ntasks: usize, f: F) -> (Vec<T>, SchedStats)
-    where
-        T: Send,
-        F: Fn(FlatTaskComm) -> Fut,
-        Fut: Future<Output = T> + Send,
-    {
-        if hook::simcheck_env_enabled() {
-            let san = Arc::new(Sanitizer::new());
-            let run = Self::run_checked(policy, ntasks, san.clone(), f);
-            if let Some(d) = &run.deadlock {
-                san.record_deadlock(format!("simmpi task world {d}"));
-            }
-            let TaskRun { results, stats, .. } = run;
-            return (crate::sanitize::finalize_env_checked(results, &san), stats);
-        }
-        let world = Arc::new(WorldRt::new(ntasks));
-        let shared = Arc::new(FlatShared::new(
-            CommCtx::new("world".into(), ntasks),
-            None,
-            world.clone(),
-        ));
-        let comms: Vec<FlatTaskComm> =
-            (0..ntasks).map(|r| FlatTaskComm::new(r, r, shared.clone())).collect();
-        finish_plain(run_engine(&policy, None, None, false, &world, comms, f))
-    }
-
-    /// Checked flat-task run; see [`TaskWorld::run_checked`].
-    pub fn run_checked<T, F, Fut>(
-        policy: SchedPolicy,
-        ntasks: usize,
-        check: Arc<dyn CheckHook>,
-        f: F,
-    ) -> TaskRun<T>
-    where
-        T: Send,
-        F: Fn(FlatTaskComm) -> Fut,
-        Fut: Future<Output = T> + Send,
-    {
-        let trace = matches!(policy, SchedPolicy::Serial { .. });
-        let world = Arc::new(WorldRt::new(ntasks));
-        let shared = Arc::new(FlatShared::new(
-            CommCtx::new("world".into(), ntasks),
-            Some(check.clone()),
-            world.clone(),
-        ));
-        let comms: Vec<FlatTaskComm> =
-            (0..ntasks).map(|r| FlatTaskComm::new(r, r, shared.clone())).collect();
-        run_engine(&policy, Some(check), None, trace, &world, comms, f)
-    }
-
-    /// Driver-owned serial run; see [`TaskWorld::run_driven`].
-    pub fn run_driven<T, F, Fut>(
-        ntasks: usize,
-        check: Arc<dyn CheckHook>,
-        driver: Arc<dyn ScheduleDriver>,
-        f: F,
-    ) -> TaskRun<T>
-    where
-        T: Send,
-        F: Fn(FlatTaskComm) -> Fut,
-        Fut: Future<Output = T> + Send,
-    {
-        let policy = SchedPolicy::Serial { seed: 0, preemption_bound: usize::MAX };
-        let world = Arc::new(WorldRt::new(ntasks));
-        let shared = Arc::new(FlatShared::new(
-            CommCtx::new("world".into(), ntasks),
-            Some(check.clone()),
-            world.clone(),
-        ));
-        let comms: Vec<FlatTaskComm> =
-            (0..ntasks).map(|r| FlatTaskComm::new(r, r, shared.clone())).collect();
-        run_engine(&policy, Some(check), Some(driver), true, &world, comms, f)
+        run_engine(&policy, ntasks, Some(check), Some(driver), true, f)
     }
 }
 
@@ -484,15 +362,13 @@ mod tests {
     }
 
     #[test]
-    fn all_four_runtimes_agree_on_the_mixed_script() {
+    fn all_three_runtimes_agree_on_the_mixed_script() {
         for n in [1, 2, 3, 5, 8] {
             let task = TaskWorld::run(n, |c| async move { mixed_script(&c).await });
-            let flat_task = FlatTaskWorld::run(n, |c| async move { mixed_script(&c).await });
             let thread = World::run(n, |c| drive_ready(mixed_script(&BlockingRef(c))));
             let flat = FlatWorld::run(n, |c| drive_ready(mixed_script(&BlockingRef(c))));
             assert_eq!(task, thread, "task tree vs thread tree at n={n}");
-            assert_eq!(flat_task, flat, "task flat vs thread flat at n={n}");
-            assert_eq!(task, flat_task, "tree vs flat at n={n}");
+            assert_eq!(task, flat, "tree vs flat at n={n}");
         }
     }
 
@@ -782,17 +658,5 @@ mod tests {
         assert_eq!(stats.frame_allocs + stats.frame_reuses, 2 * ROUNDS, "{stats:?}");
         assert!(stats.frame_allocs <= 2, "p2p allocations must not scale with rounds: {stats:?}");
         assert!(stats.frame_reuses >= 2 * (ROUNDS - 1), "{stats:?}");
-    }
-
-    #[test]
-    fn flat_task_world_runs_checked_too() {
-        let san = Arc::new(Sanitizer::new());
-        let run = FlatTaskWorld::run_checked(WS4, 4, san, |c| async move {
-            c.bcast((c.rank() == 1).then(|| vec![5u8]), 1).await
-        });
-        assert!(run.deadlock.is_none());
-        for r in run.results {
-            assert_eq!(r.expect("no panic"), vec![5u8]);
-        }
     }
 }

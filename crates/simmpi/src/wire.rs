@@ -1,10 +1,9 @@
-//! Edge framing shared by the thread-backed and task-backed tree
-//! collectives.
+//! Edge framing of the tree collectives.
 //!
 //! A gather/scatter tree edge carries a whole subtree as framed
-//! `(id, payload)` pairs. Both runtimes must produce *byte-identical*
-//! frames (byte identity against the thread runtime is the task runtime's
-//! correctness bar), so the encoding lives here and nowhere else.
+//! `(id, payload)` pairs, and an allgather result ([`crate::AllGathered`])
+//! is one such frame scanned in place; the encoding lives here and nowhere
+//! else.
 
 /// Exact encoded size of a frame over `entries`, for pre-sizing buffers.
 pub(crate) fn frame_len(entries: &[(u64, &[u8])]) -> usize {

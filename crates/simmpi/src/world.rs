@@ -1,29 +1,15 @@
-//! SPMD world launcher and the thread-backed tree-collective
-//! [`Communicator`].
+//! The thread driver: SPMD world launcher and the blocking
+//! [`Communicator`] facade.
 //!
-//! Collectives run over the per-rank point-to-point mailboxes as log-P
-//! trees — no shared slot array and no global rendezvous barrier on the hot
-//! path (the flat slot-and-barrier baseline lives on in
-//! [`flat`](crate::flat)):
-//!
-//! * `bcast`, `gather(v)`, `scatter(v)`, `reduce` — binomial trees rooted
-//!   at the operation's root: ⌈log₂ P⌉ critical-path hops, P−1 messages.
-//! * `allgather` — binomial gather to rank 0 followed by a binomial
-//!   broadcast of the framed set: 2(P−1) messages in 2⌈log₂ P⌉ rounds
-//!   (total message-handling work beats a Bruck exchange's P·log P
-//!   messages on the thread-backed runtime).
-//! * `barrier` — binomial fan-in to rank 0 followed by a binomial fan-out
-//!   release: 2(P−1) empty messages, 2⌈log₂ P⌉ critical-path hops.
-//!
-//! Every collective invocation consumes one *collective sequence number*
-//! (all ranks agree on it because collectives are ordered), and its
-//! internal messages are tagged in a reserved namespace
-//! (`0xC3 << 56 | kind << 48 | seq << 8 | round`, see
-//! [`hook::decode_coll_tag`](crate::hook::decode_coll_tag)) so they can
-//! never be confused with user point-to-point traffic, with a neighbouring
-//! collective when fast ranks run ahead, or with a *different kind* of
-//! collective at the same ordinal. Per-rank op/byte counters are available
-//! via [`Comm::stats`].
+//! [`World::run`] spawns one OS thread per rank and hands each a
+//! [`Communicator`]. The communicator owns no protocol of its own: it wraps
+//! the rank's [`TaskComm`] — the same tree-collective engine
+//! [`TaskWorld`](crate::TaskWorld) schedules on its executor (mailboxes,
+//! binomial trees, reserved tags, stats and hook points all live in
+//! [`crate::task`]) — and every [`Comm`] method polls the corresponding
+//! [`CoComm`] future on the caller's thread, parking the thread while the
+//! future is `Pending`. The matching send unparks it through the thread's
+//! [`Waker`].
 //!
 //! # Correctness analysis
 //!
@@ -31,704 +17,150 @@
 //! [`CheckHook`] (see [`crate::hook`]). [`World::run`] installs the passive
 //! [`Sanitizer`](crate::sanitize::Sanitizer) automatically when
 //! `SIMCHECK=1` is set; [`World::run_checked`] lets a checker (the
-//! `simcheck` crate's deterministic scheduler) own the interleaving.
+//! `simcheck` crate's deterministic scheduler) own the interleaving. Under
+//! a hook a pending call polls instead of sleeping, so the rank can unwind
+//! when another rank's finding aborts the world, and a watchdog turns a
+//! silent hang into a diagnosed suspected deadlock.
 
+use crate::co::CoComm;
 use crate::comm::{Comm, CommStats, ReduceOp};
-use crate::hook::{self, CheckHook, CollKind, CommCtx, LeakedMsg};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::hook::{self, Aborted, CheckHook};
+use crate::task::TaskComm;
+use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::pin;
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::Thread;
 use std::time::Instant;
 
-type Message = (usize, u64, Vec<u8>);
+/// Wakes a parked rank thread.
+struct Unpark(Thread);
 
-use crate::arena::FrameArena;
-use crate::hook::coll_tag;
-use crate::wire::{frame, frame_into, frame_len, unframe};
-
-/// State shared by every rank of one communicator: the mailboxes, the
-/// split-construction rendezvous, the communicator's deterministic
-/// identity, and the optional check hook — collectives need no shared
-/// payload storage of their own.
-struct Shared {
-    size: usize,
-    /// Deterministic identity (structural name + hash), identical on every
-    /// rank and across runs.
-    ctx: CommCtx,
-    /// Correctness-analysis hook; `None` on the production path.
-    hook: Option<Arc<dyn CheckHook>>,
-    /// Point-to-point mailboxes: `senders[r]` delivers to rank `r`, whose
-    /// thread drains `receivers[r]` (locked only by its owner).
-    senders: Vec<Sender<Message>>,
-    receivers: Vec<Mutex<Receiver<Message>>>,
-    /// Sub-communicators under construction, keyed by (split sequence
-    /// number, color). The first rank of a color group to arrive creates the
-    /// shared state; the rest attach.
-    splits: Mutex<HashMap<(u64, u64), Arc<Shared>>>,
-    /// Pooled backing storage for tree-edge frames, inherited by splits so
-    /// a frame freed on any communicator serves every other.
-    arena: Arc<FrameArena>,
-}
-
-impl Shared {
-    fn new(ctx: CommCtx, hook: Option<Arc<dyn CheckHook>>) -> Self {
-        Self::with_arena(ctx, hook, Arc::new(FrameArena::new()))
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
     }
 
-    fn with_arena(
-        ctx: CommCtx,
-        hook: Option<Arc<dyn CheckHook>>,
-        arena: Arc<FrameArena>,
-    ) -> Self {
-        assert!(ctx.size > 0, "communicator must have at least one rank");
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..ctx.size).map(|_| unbounded::<Message>()).unzip();
-        Shared {
-            size: ctx.size,
-            ctx,
-            hook,
-            senders,
-            receivers: receivers.into_iter().map(Mutex::new).collect(),
-            splits: Mutex::new(HashMap::new()),
-            arena,
-        }
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.unpark();
     }
 }
 
-/// One rank's handle onto a thread-backed tree-collective communicator.
+thread_local! {
+    /// This thread's waker, built once: every blocking call on the thread
+    /// polls with it.
+    static UNPARK: Waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+}
+
+/// One rank's blocking handle onto a tree-collective communicator.
 ///
 /// Cheap to move into the owning thread; collective calls synchronize with
 /// the other ranks' handles via binomial trees over the mailboxes.
 pub struct Communicator {
-    rank: usize,
-    shared: Arc<Shared>,
-    /// Messages received but not yet matched by (source, tag).
-    stash: Mutex<VecDeque<Message>>,
-    /// Count of collective calls on this handle; since collectives are
-    /// ordered, all ranks agree on it, making it a safe tag ingredient.
-    coll_seq: AtomicU64,
-    /// Per-rank count of `split` calls on this communicator (same ordering
-    /// argument), keying the split rendezvous map.
-    split_seq: AtomicU64,
-    /// This rank's op/byte counters for this communicator.
-    stats: Arc<CommStats>,
+    inner: TaskComm,
 }
 
 impl Communicator {
-    fn new(rank: usize, shared: Arc<Shared>) -> Self {
-        Communicator {
-            rank,
-            shared,
-            stash: Mutex::new(VecDeque::new()),
-            coll_seq: AtomicU64::new(0),
-            split_seq: AtomicU64::new(0),
-            stats: Arc::new(CommStats::default()),
-        }
-    }
-
-    /// Claim the next collective sequence number.
-    fn next_seq(&self) -> u64 {
-        self.coll_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Report a collective entry to the hook, if one is installed.
-    fn note_collective(&self, seq: u64, kind: CollKind, root: Option<usize>) {
-        if let Some(h) = &self.shared.hook {
-            h.on_collective(&self.shared.ctx, self.rank, seq, kind, root);
-        }
-    }
-
-    /// Report a collective exit (the call returned on this rank).
-    fn note_collective_done(&self, seq: u64) {
-        if let Some(h) = &self.shared.hook {
-            h.on_collective_done(&self.shared.ctx, self.rank, seq);
-        }
-    }
-
-    /// This rank's virtual rank in a tree rooted at `root`.
-    fn vrank(&self, root: usize) -> usize {
-        (self.rank + self.shared.size - root) % self.shared.size
-    }
-
-    /// Real rank of virtual rank `v` in a tree rooted at `root`.
-    fn rank_of(&self, v: usize, root: usize) -> usize {
-        (v + root) % self.shared.size
-    }
-
-    /// Internal send along a tree edge (not counted as a user send).
-    fn isend(&self, dest: usize, tag: u64, payload: Vec<u8>) {
-        if let Some(h) = &self.shared.hook {
-            if h.scheduling() {
-                // Schedule point: park until chosen, then push immediately
-                // so the scheduler's in-flight model matches the mailbox.
-                h.before_send(&self.shared.ctx, self.rank, dest, tag, payload.len());
-            }
-            h.on_send(&self.shared.ctx, self.rank, dest, tag, &payload);
-        }
-        self.stats.add_bytes(payload.len() as u64);
-        self.shared.senders[dest]
-            .send((self.rank, tag, payload))
-            .expect("receiver mailbox alive for the world's lifetime");
-    }
-
-    /// Take a stashed message matching (src, tag), if any.
-    fn stash_take(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
-        let mut stash = self.stash.lock();
-        stash
-            .iter()
-            .position(|(s, t, _)| *s == src && *t == tag)
-            .map(|pos| stash.remove(pos).expect("position valid").2)
-    }
-
-    /// Internal matched receive (not counted as a user receive). Reports
-    /// the completed match to a passive hook.
-    fn irecv(&self, src: usize, tag: u64) -> Vec<u8> {
-        let payload = self.irecv_inner(src, tag);
-        if let Some(h) = &self.shared.hook {
-            h.on_recv_done(&self.shared.ctx, self.rank, src, tag, &payload);
-        }
-        payload
-    }
-
-    fn irecv_inner(&self, src: usize, tag: u64) -> Vec<u8> {
-        match self.shared.hook.clone() {
-            Some(h) if h.scheduling() => return self.irecv_scheduled(&h, src, tag),
-            Some(h) => return self.irecv_watched(&h, src, tag),
-            None => {}
-        }
-        // Production path: check previously stashed non-matching messages,
-        // then block on the mailbox.
-        if let Some(payload) = self.stash_take(src, tag) {
-            return payload;
-        }
-        let rx = self.shared.receivers[self.rank].lock();
-        loop {
-            let msg = rx.recv().expect("sender side alive for the world's lifetime");
-            if msg.0 == src && msg.1 == tag {
-                return msg.2;
-            }
-            self.stash.lock().push_back(msg);
-        }
-    }
-
-    /// Receive under a scheduling hook: every attempt is a schedule point,
-    /// and an empty mailbox parks the rank as *blocked* until the scheduler
-    /// sees a deliverable matching message.
-    fn irecv_scheduled(&self, h: &Arc<dyn CheckHook>, src: usize, tag: u64) -> Vec<u8> {
-        let ctx = &self.shared.ctx;
-        h.before_recv(ctx, self.rank, src, tag);
-        loop {
-            if let Some(payload) = self.stash_take(src, tag) {
-                return payload;
-            }
-            {
-                let rx = self.shared.receivers[self.rank].lock();
-                loop {
-                    match rx.try_recv() {
-                        Ok(msg) => {
-                            h.on_consumed(ctx, self.rank, msg.0, msg.1);
-                            if msg.0 == src && msg.1 == tag {
-                                return msg.2;
-                            }
-                            self.stash.lock().push_back(msg);
-                        }
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            unreachable!("sender side alive for the world's lifetime")
-                        }
-                    }
+    /// Poll `fut` to completion on the calling thread, parking while it is
+    /// `Pending`. `thread::park` keeps a wake-up token, so an unpark that
+    /// lands between the poll and the park is not lost; a stale token only
+    /// costs one extra poll.
+    fn block_on<T>(&self, fut: impl Future<Output = T>) -> T {
+        let mut fut = pin!(fut);
+        let mut pending_since = None;
+        UNPARK.with(|waker| {
+            let mut cx = Context::from_waker(waker);
+            loop {
+                if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
+                    return v;
                 }
+                self.park(&mut pending_since);
             }
-            // Nothing deliverable yet: park until the scheduler wakes us
-            // (a matching message was sent) or aborts the world.
-            h.on_recv_blocked(ctx, self.rank, src, tag);
-        }
+        })
     }
 
-    /// Receive under a passive hook: identical matching semantics, but the
-    /// blocking wait polls so the rank can unwind when another rank's
-    /// sanitizer finding aborts the world, and a watchdog turns a silent
-    /// hang into a diagnosed suspected deadlock.
-    fn irecv_watched(&self, h: &Arc<dyn CheckHook>, src: usize, tag: u64) -> Vec<u8> {
-        if let Some(payload) = self.stash_take(src, tag) {
-            return payload;
+    /// Sleep until something may have changed. Production: until unparked,
+    /// by the matching send or by a panicking peer's world abort. Under a
+    /// hook: one [`hook::ABORT_POLL`] tick, after which the hook's abort
+    /// flag and the deadlock watchdog are consulted.
+    fn park(&self, pending_since: &mut Option<Instant>) {
+        if self.inner.world_rt().is_aborting() {
+            std::panic::panic_any(Aborted("a peer rank panicked".into()));
         }
-        let ctx = &self.shared.ctx;
-        let rx = self.shared.receivers[self.rank].lock();
-        let start = Instant::now();
-        let watchdog = hook::watchdog_timeout();
-        loop {
-            match rx.recv_timeout(hook::ABORT_POLL) {
-                Ok(msg) => {
-                    if msg.0 == src && msg.1 == tag {
-                        return msg.2;
-                    }
-                    self.stash.lock().push_back(msg);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(reason) = h.should_abort() {
-                        std::panic::panic_any(hook::Aborted(reason));
-                    }
-                    if start.elapsed() >= watchdog {
-                        h.on_stuck(ctx, self.rank, src, tag, start.elapsed());
-                        panic!(
-                            "simcheck: rank {} blocked in recv(src={src}, tag={tag:#x}) past \
-                             the watchdog",
-                            self.rank
-                        );
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    unreachable!("sender side alive for the world's lifetime")
-                }
-            }
+        let Some(h) = self.inner.hook() else { return std::thread::park() };
+        std::thread::park_timeout(hook::ABORT_POLL);
+        if let Some(reason) = h.should_abort() {
+            std::panic::panic_any(Aborted(reason));
         }
-    }
-
-    /// Binomial-tree broadcast body (shared by `bcast` and the allgather
-    /// down-phase, kept separate from the stats/seq bookkeeping).
-    fn bcast_impl(&self, data: Option<Vec<u8>>, root: usize, seq: u64, kind: CollKind) -> Vec<u8> {
-        let size = self.shared.size;
-        let v = self.vrank(root);
-        let tag = coll_tag(kind, seq, 0);
-        let (buf, mut mask) = if v == 0 {
-            (data.expect("root must supply bcast data"), size.next_power_of_two())
-        } else {
-            // Parent is the vrank with this vrank's lowest set bit cleared;
-            // children span the bits below it.
-            let lsb = v & v.wrapping_neg();
-            (self.irecv(self.rank_of(v & (v - 1), root), tag), lsb)
-        };
-        mask >>= 1;
-        while mask > 0 {
-            let child = v + mask;
-            if child < size {
-                self.isend(self.rank_of(child, root), tag, buf.clone());
-            }
-            mask >>= 1;
-        }
-        buf
-    }
-
-    /// Binomial-tree gather body: each edge carries the sender's whole
-    /// subtree as framed (vrank, payload) pairs — a leaf sends exactly its
-    /// own payload, nothing is deposited or cloned beyond what its tree
-    /// edge needs.
-    fn gather_impl(
-        &self,
-        data: &[u8],
-        root: usize,
-        seq: u64,
-        kind: CollKind,
-    ) -> Option<Vec<Vec<u8>>> {
-        let size = self.shared.size;
-        let v = self.vrank(root);
-        let tag = coll_tag(kind, seq, 0);
-        let mut acc: Vec<(u64, Vec<u8>)> = vec![(v as u64, data.to_vec())];
-        let arena = &self.shared.arena;
-        let mut mask = 1usize;
-        while mask < size {
-            if v & mask != 0 {
-                let entries =
-                    acc.iter().map(|(id, p)| (*id, p.as_slice())).collect::<Vec<_>>();
-                let mut framed = arena.acquire(frame_len(&entries));
-                frame_into(&mut framed, &entries);
-                self.isend(self.rank_of(v - mask, root), tag, framed);
-                return None;
-            }
-            let child = v + mask;
-            if child < size {
-                let got = self.irecv(self.rank_of(child, root), tag);
-                acc.extend(unframe(&got));
-                arena.recycle(got);
-            }
-            mask <<= 1;
-        }
-        // Only vrank 0 (the root) falls through. Every vrank arrives exactly
-        // once; place by real rank.
-        let mut out = vec![Vec::new(); size];
-        for (vr, payload) in acc {
-            out[self.rank_of(vr as usize, root)] = payload;
-        }
-        Some(out)
-    }
-
-    /// Binomial-tree scatter body: the root's per-rank parts flow down the
-    /// tree, each edge carrying only the receiver's subtree.
-    fn scatter_impl(
-        &self,
-        parts: Option<Vec<Vec<u8>>>,
-        root: usize,
-        seq: u64,
-        kind: CollKind,
-    ) -> Vec<u8> {
-        let size = self.shared.size;
-        let v = self.vrank(root);
-        let tag = coll_tag(kind, seq, 0);
-        let arena = &self.shared.arena;
-        let (mut pending, mut mask) = if v == 0 {
-            let parts = parts.expect("root must supply scatter parts");
-            assert_eq!(parts.len(), size, "scatter needs one part per rank");
-            let pending: Vec<(u64, Vec<u8>)> = parts
-                .into_iter()
-                .enumerate()
-                .map(|(r, p)| (((r + size - root) % size) as u64, p))
-                .collect();
-            (pending, size.next_power_of_two())
-        } else {
-            let lsb = v & v.wrapping_neg();
-            let got = self.irecv(self.rank_of(v & (v - 1), root), tag);
-            let parts = unframe(&got);
-            arena.recycle(got);
-            (parts, lsb)
-        };
-        // `pending` covers vranks [v, v + mask); peel off the upper half for
-        // each child.
-        mask >>= 1;
-        while mask > 0 {
-            let child = v + mask;
-            if child < size {
-                let (send, keep): (Vec<_>, Vec<_>) =
-                    pending.into_iter().partition(|(id, _)| *id >= child as u64);
-                let entries =
-                    send.iter().map(|(id, p)| (*id, p.as_slice())).collect::<Vec<_>>();
-                let mut framed = arena.acquire(frame_len(&entries));
-                frame_into(&mut framed, &entries);
-                self.isend(self.rank_of(child, root), tag, framed);
-                pending = keep;
-            }
-            mask >>= 1;
-        }
-        debug_assert_eq!(pending.len(), 1, "own part remains");
-        debug_assert_eq!(pending[0].0, v as u64, "own part remains");
-        pending.pop().expect("own part remains").1
-    }
-
-    /// Allgather body: binomial gather of every rank's payload to rank 0,
-    /// then a binomial broadcast of the framed full set — 2(P−1) messages
-    /// in 2·log P rounds. A dissemination (Bruck) exchange would halve the
-    /// critical-path round count but costs P·log P messages; on the
-    /// thread-backed runtime total message-handling work, not network
-    /// depth, is the scarce resource, and 2(P−1) wins measurably (see the
-    /// `collective_scaling` benchmark).
-    fn allgather_impl(
-        &self,
-        data: &[u8],
-        seq_up: u64,
-        seq_down: u64,
-        kind: CollKind,
-    ) -> Vec<Vec<u8>> {
-        let framed = self.gather_impl(data, 0, seq_up, kind).map(|parts| {
-            frame(
-                &parts
-                    .iter()
-                    .enumerate()
-                    .map(|(r, p)| (r as u64, p.as_slice()))
-                    .collect::<Vec<_>>(),
-            )
-        });
-        let full = self.bcast_impl(framed, 0, seq_down, kind);
-        let mut out = vec![Vec::new(); self.shared.size];
-        for (r, p) in unframe(&full) {
-            out[r as usize] = p;
-        }
-        out
-    }
-
-    /// Tree barrier body: binomial fan-in of empty messages to rank 0,
-    /// then a binomial fan-out release — 2(P−1) messages, no rendezvous
-    /// primitive.
-    fn barrier_impl(&self, seq: u64, kind: CollKind) {
-        let size = self.shared.size;
-        if size == 1 {
-            return;
-        }
-        let up = coll_tag(kind, seq, 0);
-        let down = coll_tag(kind, seq, 1);
-        let v = self.rank; // rooted at rank 0
-        let mut mask = 1usize;
-        while mask < size {
-            if v & mask != 0 {
-                self.isend(v - mask, up, Vec::new());
-                break;
-            }
-            if v + mask < size {
-                self.irecv(v + mask, up);
-            }
-            mask <<= 1;
-        }
-        if v == 0 {
-            mask = size.next_power_of_two();
-        } else {
-            // `mask` is v's lowest set bit; the release arrives from the
-            // same parent the fan-in went to.
-            self.irecv(v & (v - 1), down);
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if v + mask < size {
-                self.isend(v + mask, down, Vec::new());
-            }
-            mask >>= 1;
+        let waited = pending_since.get_or_insert_with(Instant::now).elapsed();
+        if waited >= hook::watchdog_timeout() {
+            let rank = self.inner.rank();
+            let (src, tag) =
+                self.inner.parked_recv().expect("a pending call is parked in a receive");
+            h.on_stuck(self.inner.ctx(), rank, src, tag, waited);
+            panic!(
+                "simcheck: rank {rank} blocked in recv(src={src}, tag={tag:#x}) past the watchdog"
+            );
         }
     }
 }
 
 impl Comm for Communicator {
     fn rank(&self) -> usize {
-        self.rank
+        self.inner.rank()
     }
 
     fn size(&self) -> usize {
-        self.shared.size
+        self.inner.size()
     }
 
     fn stats(&self) -> Option<Arc<CommStats>> {
-        Some(self.stats.clone())
+        self.inner.stats()
     }
 
     fn barrier(&self) {
-        self.stats.bump_barrier();
-        let seq = self.next_seq();
-        self.note_collective(seq, CollKind::Barrier, None);
-        self.barrier_impl(seq, CollKind::Barrier);
-        self.note_collective_done(seq);
+        self.block_on(self.inner.barrier())
     }
 
     fn gather(&self, data: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
-        assert!(root < self.size(), "gather root {root} out of range");
-        self.stats.bump_gather();
-        let seq = self.next_seq();
-        self.note_collective(seq, CollKind::Gather, Some(root));
-        let out = self.gather_impl(data, root, seq, CollKind::Gather);
-        self.note_collective_done(seq);
-        out
+        self.block_on(self.inner.gather(data, root))
     }
 
     fn scatter(&self, parts: Option<Vec<Vec<u8>>>, root: usize) -> Vec<u8> {
-        assert!(root < self.size(), "scatter root {root} out of range");
-        self.stats.bump_scatter();
-        let seq = self.next_seq();
-        self.note_collective(seq, CollKind::Scatter, Some(root));
-        let out = self.scatter_impl(parts, root, seq, CollKind::Scatter);
-        self.note_collective_done(seq);
-        out
+        self.block_on(self.inner.scatter(parts, root))
     }
 
     fn bcast(&self, data: Option<Vec<u8>>, root: usize) -> Vec<u8> {
-        assert!(root < self.size(), "bcast root {root} out of range");
-        self.stats.bump_bcast();
-        let seq = self.next_seq();
-        self.note_collective(seq, CollKind::Bcast, Some(root));
-        let out = self.bcast_impl(data, root, seq, CollKind::Bcast);
-        self.note_collective_done(seq);
-        out
+        self.block_on(self.inner.bcast(data, root))
     }
 
     fn allgather(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        self.stats.bump_allgather();
-        let seq_up = self.next_seq();
-        let seq_down = self.next_seq();
-        self.note_collective(seq_up, CollKind::Allgather, None);
-        let out = self.allgather_impl(data, seq_up, seq_down, CollKind::Allgather);
-        self.note_collective_done(seq_up);
-        out
+        self.block_on(self.inner.allgather(data))
     }
 
     fn reduce_u64(&self, value: u64, op: ReduceOp, root: usize) -> Option<u64> {
-        assert!(root < self.size(), "reduce root {root} out of range");
-        self.stats.bump_reduce();
-        let seq = self.next_seq();
-        self.note_collective(seq, CollKind::Reduce, Some(root));
-        let size = self.shared.size;
-        let v = self.vrank(root);
-        let tag = coll_tag(CollKind::Reduce, seq, 0);
-        // Combining binomial fan-in: each edge carries one partial result,
-        // not the subtree's values.
-        let mut acc = value;
-        let mut mask = 1usize;
-        while mask < size {
-            if v & mask != 0 {
-                self.isend(self.rank_of(v - mask, root), tag, acc.to_le_bytes().to_vec());
-                self.note_collective_done(seq);
-                return None;
-            }
-            let child = v + mask;
-            if child < size {
-                let got = self.irecv(self.rank_of(child, root), tag);
-                let other = u64::from_le_bytes(got[..8].try_into().expect("u64 payload"));
-                acc = match op {
-                    ReduceOp::Sum => acc.wrapping_add(other),
-                    ReduceOp::Max => acc.max(other),
-                    ReduceOp::Min => acc.min(other),
-                };
-            }
-            mask <<= 1;
-        }
-        self.note_collective_done(seq);
-        Some(acc)
+        self.block_on(self.inner.reduce_u64(value, op, root))
     }
 
     fn split(&self, color: u64, key: u64) -> Box<dyn Comm> {
-        self.stats.bump_split();
-        // Determine group membership: allgather (color, key, rank). Counted
-        // as part of the split, not as a separate allgather.
-        let seq_up = self.next_seq();
-        let seq_down = self.next_seq();
-        self.note_collective(seq_up, CollKind::Split, None);
-        let mut payload = Vec::with_capacity(24);
-        payload.extend_from_slice(&color.to_le_bytes());
-        payload.extend_from_slice(&key.to_le_bytes());
-        payload.extend_from_slice(&(self.rank as u64).to_le_bytes());
-        let all = self.allgather_impl(&payload, seq_up, seq_down, CollKind::Split);
-        let mut members: Vec<(u64, u64)> = all
-            .iter()
-            .filter_map(|b| {
-                let c = u64::from_le_bytes(b[0..8].try_into().unwrap());
-                let k = u64::from_le_bytes(b[8..16].try_into().unwrap());
-                let r = u64::from_le_bytes(b[16..24].try_into().unwrap());
-                (c == color).then_some((k, r))
-            })
-            .collect();
-        members.sort_unstable();
-        let new_size = members.len();
-        let new_rank = members
-            .iter()
-            .position(|&(_, r)| r == self.rank as u64)
-            .expect("caller is in its own color group");
-
-        let split_no = self.split_seq.fetch_add(1, Ordering::Relaxed) + 1;
-
-        // First member of the group to arrive creates the shared state. The
-        // child's identity is derived structurally (parent name, split
-        // ordinal, color), so every member — and every run — agrees on it.
-        let sub = {
-            let mut splits = self.shared.splits.lock();
-            splits
-                .entry((split_no, color))
-                .or_insert_with(|| {
-                    Arc::new(Shared::with_arena(
-                        self.shared.ctx.child(split_no, color, new_size),
-                        self.shared.hook.clone(),
-                        self.shared.arena.clone(),
-                    ))
-                })
-                .clone()
-        };
-        let comm = Communicator::new(new_rank, sub);
-        // All ranks must have attached to their group's shared state before
-        // the construction entries are retired from the map.
-        let seq = self.next_seq();
-        self.barrier_impl(seq, CollKind::Split);
-        self.note_collective_done(seq_up);
-        if new_rank == 0 {
-            self.shared.splits.lock().remove(&(split_no, color));
-        }
-        Box::new(comm)
+        Box::new(Communicator { inner: self.block_on(self.inner.split_impl(color, key)) })
     }
 
     fn send(&self, dest: usize, tag: u64, data: &[u8]) {
-        assert!(dest < self.size(), "send dest {dest} out of range");
-        if hook::rejected_user_tag(tag) {
-            if let Some(h) = &self.shared.hook {
-                // The hook panics with a richer diagnostic (rank, dest,
-                // decoded namespace); the panic below is the fallback.
-                h.on_reserved_tag(&self.shared.ctx, self.rank, dest, tag);
-            }
-            panic!("{}", hook::reserved_tag_panic_text(tag));
-        }
-        self.stats.bump_send();
-        // Arena-backed payload: point-to-point rounds recycle their frames
-        // through the world pool just like collective tree edges, so a
-        // steady-state send/recv/recycle loop allocates nothing.
-        let mut payload = self.shared.arena.acquire(data.len());
-        payload.extend_from_slice(data);
-        self.isend(dest, tag, payload);
+        self.inner.send(dest, tag, data)
     }
 
     fn recv(&self, src: usize, tag: u64) -> Vec<u8> {
-        assert!(src < self.size(), "recv src {src} out of range");
-        self.stats.bump_recv();
-        self.irecv(src, tag)
+        self.block_on(self.inner.recv(src, tag))
     }
 
     fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
-        assert!(src < self.size(), "try_recv src {src} out of range");
-        let got = self.try_recv_inner(src, tag);
-        if let Some(h) = &self.shared.hook {
-            h.on_try_recv(&self.shared.ctx, self.rank, src, tag, got.is_some());
-            if let Some(payload) = &got {
-                h.on_recv_done(&self.shared.ctx, self.rank, src, tag, payload);
-            }
-        }
-        got
+        self.inner.try_recv(src, tag)
     }
 
     fn recycle(&self, buf: Vec<u8>) {
-        self.shared.arena.recycle(buf);
-    }
-}
-
-impl Communicator {
-    fn try_recv_inner(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
-        if let Some(payload) = self.stash_take(src, tag) {
-            self.stats.bump_recv();
-            return Some(payload);
-        }
-        if self.shared.hook.as_ref().is_some_and(|h| h.scheduling()) {
-            // Under the serialized scheduler, only blocking receives are
-            // schedule points; an opportunistic poll sees just the stash so
-            // the in-flight message model stays exact.
-            return None;
-        }
-        let rx = self.shared.receivers[self.rank].lock();
-        loop {
-            match rx.try_recv() {
-                Ok(msg) => {
-                    if msg.0 == src && msg.1 == tag {
-                        self.stats.bump_recv();
-                        return Some(msg.2);
-                    }
-                    self.stash.lock().push_back(msg);
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-}
-
-impl Drop for Communicator {
-    /// Teardown check: when a hook is installed, report messages this
-    /// rank's mailbox or stash still holds — every message a correct
-    /// program sends is eventually matched by a receive, so leftovers mean
-    /// a lost message (wrong tag, wrong destination, or a receive that
-    /// never ran).
-    fn drop(&mut self) {
-        let Some(hook) = self.shared.hook.clone() else { return };
-        let mut leaked: Vec<LeakedMsg> = self
-            .stash
-            .lock()
-            .drain(..)
-            .map(|(from, tag, payload)| LeakedMsg {
-                from,
-                tag,
-                len: payload.len(),
-                stashed: true,
-            })
-            .collect();
-        {
-            let rx = self.shared.receivers[self.rank].lock();
-            while let Ok((from, tag, payload)) = rx.try_recv() {
-                leaked.push(LeakedMsg { from, tag, len: payload.len(), stashed: false });
-            }
-        }
-        if !leaked.is_empty() {
-            leaked.sort();
-            hook.on_teardown(&self.shared.ctx, self.rank, &leaked);
-        }
+        self.inner.recycle(buf)
     }
 }
 
@@ -739,7 +171,8 @@ pub struct World;
 impl World {
     /// Run `f` on `ntasks` threads, each receiving its own [`Communicator`]
     /// for a world of size `ntasks`. Returns the per-rank results in rank
-    /// order. Panics in any task propagate.
+    /// order. The first panic in any task aborts the world — peers blocked
+    /// on the failed rank unwind instead of hanging — and propagates.
     ///
     /// With `SIMCHECK=1` in the environment, the run is instrumented with
     /// the passive [`Sanitizer`](crate::sanitize::Sanitizer): collective
@@ -756,21 +189,7 @@ impl World {
             let results = Self::run_checked(ntasks, san.clone(), f);
             return crate::sanitize::finalize_env_checked(results, &san);
         }
-        assert!(ntasks > 0, "world must have at least one task");
-        let shared = Arc::new(Shared::new(CommCtx::new("world".into(), ntasks), None));
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..ntasks)
-                .map(|rank| {
-                    let comm = Communicator::new(rank, shared.clone());
-                    scope.spawn(move || f(&comm))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("task panicked"))
-                .collect()
-        })
+        crate::task::propagate_panics(Self::launch(ntasks, None, f))
     }
 
     /// Run `f` on `ntasks` threads under a [`CheckHook`], catching each
@@ -788,33 +207,56 @@ impl World {
         T: Send,
         F: Fn(&Communicator) -> T + Send + Sync,
     {
+        Self::launch(ntasks, Some(check), f)
+    }
+
+    fn launch<T, F>(
+        ntasks: usize,
+        check: Option<Arc<dyn CheckHook>>,
+        f: F,
+    ) -> Vec<std::thread::Result<T>>
+    where
+        T: Send,
+        F: Fn(&Communicator) -> T + Send + Sync,
+    {
         assert!(ntasks > 0, "world must have at least one task");
-        let shared = Arc::new(Shared::new(
-            CommCtx::new("world".into(), ntasks),
-            Some(check.clone()),
-        ));
-        let f = &f;
+        let (world, comms) = TaskComm::world(ntasks, check.clone());
+        // Every started rank thread, so a panicking rank can wake the rest.
+        // The lock orders registration against the abort sweep: a thread
+        // registering after the sweep sees the abort flag before it parks.
+        let threads = Mutex::new(Vec::with_capacity(ntasks));
+        let registry =
+            || threads.lock().expect("rank panics are caught outside the registry lock");
+        let (f, check, world, registry) = (&f, &check, &world, &registry);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..ntasks)
-                .map(|rank| {
-                    let comm = Communicator::new(rank, shared.clone());
-                    let check = check.clone();
+            let handles: Vec<_> = comms
+                .into_iter()
+                .enumerate()
+                .map(|(rank, inner)| {
                     scope.spawn(move || {
-                        hook::set_current_task(rank);
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || f(&comm),
-                        ));
+                        registry().push(std::thread::current());
+                        if check.is_some() {
+                            hook::set_current_task(rank);
+                        }
+                        let comm = Communicator { inner };
+                        let result = catch_unwind(AssertUnwindSafe(|| f(&comm)));
                         // Drop the communicator (running its teardown leak
                         // check, which may panic with a leak diagnosis)
                         // before declaring the task finished.
-                        let teardown =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(comm)));
+                        let teardown = catch_unwind(AssertUnwindSafe(|| drop(comm)));
                         let result = match (result, teardown) {
                             (Ok(v), Ok(())) => Ok(v),
                             (Err(e), _) => Err(e),
                             (Ok(_), Err(e)) => Err(e),
                         };
-                        check.on_task_finish(rank, result.is_err());
+                        match check {
+                            Some(h) => h.on_task_finish(rank, result.is_err()),
+                            None if result.is_err() => {
+                                world.abort();
+                                registry().iter().for_each(Thread::unpark);
+                            }
+                            None => {}
+                        }
                         result
                     })
                 })
@@ -1181,6 +623,78 @@ mod tests {
             "{:?}",
             san.findings()
         );
+    }
+
+    #[test]
+    fn rank_panic_aborts_blocked_peers_and_propagates() {
+        // Rank 0 blocks on a message rank 1 will never send, because rank 1
+        // panics. The world runs on a helper thread so a regression shows
+        // up as this wall-clock guard firing, not as a hung test binary.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let err = catch_unwind(|| {
+                World::run(2, |c| {
+                    assert!(c.rank() != 1, "rank one exploded");
+                    c.recv(1, 7)
+                })
+            })
+            .expect_err("rank panic must propagate");
+            let text = err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default();
+            tx.send(text).expect("test thread waits for the verdict");
+        });
+        let text = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("World::run hung: a rank panicked while a peer was blocked on it");
+        runner.join().expect("runner thread");
+        assert!(text.contains("rank one exploded"), "first real panic re-raised: {text:?}");
+    }
+
+    /// Ping-pongs between neighbour pairs interleaved with every kind of
+    /// collective: each round parks and unparks every rank thread several
+    /// times, so a lost wake-up in the thread driver hangs this test.
+    fn wakeup_stress(c: &Communicator) -> u64 {
+        const ROUNDS: u64 = 100;
+        let (n, r) = (c.size(), c.rank());
+        let peer = r ^ 1;
+        let mut digest = 0u64;
+        for i in 0..ROUNDS {
+            if r % 2 == 0 {
+                c.send(peer, 1, &(i + r as u64).to_le_bytes());
+                let back = c.recv(peer, 2);
+                digest = digest.wrapping_mul(31).wrapping_add(back[0] as u64);
+                c.recycle(back);
+            } else {
+                let ping = c.recv(peer, 1);
+                c.send(peer, 2, &ping);
+                c.recycle(ping);
+            }
+            let root = i as usize % n;
+            digest = digest.wrapping_mul(31).wrapping_add(match i % 4 {
+                0 => {
+                    c.barrier();
+                    0
+                }
+                1 => c.allreduce_u64(i + r as u64, ReduceOp::Sum),
+                2 => c.bcast((r == root).then(|| vec![i as u8; 9]), root)[0] as u64,
+                _ => c.gather(&[r as u8], root).map_or(1, |g| g.len() as u64),
+            });
+        }
+        digest
+    }
+
+    #[test]
+    fn thread_driver_loses_no_wakeups_under_stress() {
+        // 64 ranks × 100 rounds: 3200 ping-pongs between 100 collectives.
+        let plain = World::run(64, wakeup_stress);
+        // The same program under the passive sanitizer (the SIMCHECK=1
+        // configuration), whose pending calls poll instead of sleeping.
+        let san = Arc::new(crate::sanitize::Sanitizer::new());
+        let checked: Vec<u64> = World::run_checked(64, san.clone(), wakeup_stress)
+            .into_iter()
+            .map(|r| r.expect("no rank panics"))
+            .collect();
+        assert_eq!(checked, plain);
+        assert!(san.findings().is_empty(), "{:?}", san.findings());
     }
 
     #[test]

@@ -1,27 +1,27 @@
-//! Property tests: the coroutine task runtime must be byte-identical to
-//! the thread-per-rank runtime it supersedes, collective by collective.
+//! Property tests: both drivers of the tree-collective engine must be
+//! byte-identical to each other and to the flat oracle, collective by
+//! collective.
 //!
-//! Four independent executions of the same script are compared for random
-//! world sizes, roots, and per-rank payload lengths:
+//! Three executions of the same script are compared for random world
+//! sizes, roots, and per-rank payload lengths:
 //!
 //! * [`TaskWorld`] — tree collectives as resumable tasks on the
-//!   work-stealing executor (the new default path);
-//! * [`FlatTaskWorld`] — flat collectives as tasks (baseline);
-//! * [`World`] — tree collectives thread-per-rank, driven through the
-//!   [`BlockingRef`] bridge so the *same* async script bytes run;
-//! * [`FlatWorld`] — the original flat thread runtime.
+//!   work-stealing executor;
+//! * [`World`] — the same tree collectives polled thread-per-rank, driven
+//!   through the [`BlockingRef`] bridge so the *same* async script bytes
+//!   run;
+//! * [`FlatWorld`] — the independent flat slot-and-barrier oracle.
 //!
 //! Scheduling freedom (work stealing, seeded serial replay, preemption
 //! bounds) must never change one bit of any rank's output.
 
 use proptest::prelude::*;
 use simmpi::{
-    drive_ready, BlockingRef, CoComm, FlatTaskWorld, FlatWorld, ReduceOp, SchedPolicy, TaskWorld,
-    World,
+    drive_ready, BlockingRef, CoComm, FlatWorld, ReduceOp, SchedPolicy, TaskWorld, World,
 };
 
 /// Splitmix-style generator so every rank's payload is a pure function of
-/// (seed, rank) — all four runtimes then see identical inputs by
+/// (seed, rank) — all three runtimes then see identical inputs by
 /// construction.
 fn mix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -43,7 +43,7 @@ fn payload(seed: u64, rank: usize, max_len: usize) -> Vec<u8> {
 const WS4: SchedPolicy = SchedPolicy::WorkSteal { workers: 4 };
 
 // Each script is written once against `CoComm` and executed verbatim by
-// all four runtimes (standalone `async fn`s: closures returning futures
+// all three runtimes (standalone `async fn`s: closures returning futures
 // that borrow their argument cannot name the needed lifetime).
 
 async fn bcast_script(c: &dyn CoComm, seed: u64, root: usize) -> Vec<u8> {
@@ -80,7 +80,7 @@ async fn allgather_barrier_script(c: &dyn CoComm, seed: u64) -> Vec<Vec<Vec<u8>>
 /// One pass over every collective in the §3.1 protocol's working set:
 /// bcast, variable-length gather, variable-length scatter, reduce,
 /// barrier, allgather — written once against [`CoComm`] and executed
-/// verbatim by all four runtimes.
+/// verbatim by all three runtimes.
 async fn all_ops_script(
     c: &dyn CoComm,
     seed: u64,
@@ -134,10 +134,8 @@ proptest! {
         let root = (root_sel as usize) % n;
         let task = TaskWorld::run_with(WS4, n, |c| async move { bcast_script(&c, seed, root).await }).0;
         let thread = World::run(n, |c| drive_ready(bcast_script(&BlockingRef(c), seed, root)));
-        let flat_task = FlatTaskWorld::run(n, |c| async move { bcast_script(&c, seed, root).await });
         let flat = FlatWorld::run(n, |c| drive_ready(bcast_script(&BlockingRef(c), seed, root)));
         prop_assert_eq!(&task, &thread, "task tree vs thread tree");
-        prop_assert_eq!(&task, &flat_task, "tree vs flat tasks");
         prop_assert_eq!(&task, &flat, "task tree vs thread flat");
         prop_assert!(task.iter().all(|b| *b == payload(seed, root, 96)));
     }
@@ -149,9 +147,9 @@ proptest! {
         let root = (root_sel as usize) % n;
         let task = TaskWorld::run_with(WS4, n, |c| async move { gatherv_script(&c, seed, root).await }).0;
         let thread = World::run(n, |c| drive_ready(gatherv_script(&BlockingRef(c), seed, root)));
-        let flat_task = FlatTaskWorld::run(n, |c| async move { gatherv_script(&c, seed, root).await });
+        let flat = FlatWorld::run(n, |c| drive_ready(gatherv_script(&BlockingRef(c), seed, root)));
         prop_assert_eq!(&task, &thread);
-        prop_assert_eq!(&task, &flat_task);
+        prop_assert_eq!(&task, &flat);
         let at_root = task[root].as_ref().expect("root receives the gather");
         prop_assert_eq!(at_root.len(), n);
         for (r, part) in at_root.iter().enumerate() {
@@ -166,9 +164,9 @@ proptest! {
         let root = (root_sel as usize) % n;
         let task = TaskWorld::run_with(WS4, n, |c| async move { scatterv_script(&c, seed, root).await }).0;
         let thread = World::run(n, |c| drive_ready(scatterv_script(&BlockingRef(c), seed, root)));
-        let flat_task = FlatTaskWorld::run(n, |c| async move { scatterv_script(&c, seed, root).await });
+        let flat = FlatWorld::run(n, |c| drive_ready(scatterv_script(&BlockingRef(c), seed, root)));
         prop_assert_eq!(&task, &thread);
-        prop_assert_eq!(&task, &flat_task);
+        prop_assert_eq!(&task, &flat);
         for (r, part) in task.iter().enumerate() {
             prop_assert_eq!(part, &payload(seed, r, 48));
         }
@@ -182,9 +180,9 @@ proptest! {
         let op = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min][(op_sel as usize) % 3];
         let task = TaskWorld::run_with(WS4, n, |c| async move { reduce_script(&c, seed, op, root).await }).0;
         let thread = World::run(n, |c| drive_ready(reduce_script(&BlockingRef(c), seed, op, root)));
-        let flat_task = FlatTaskWorld::run(n, |c| async move { reduce_script(&c, seed, op, root).await });
+        let flat = FlatWorld::run(n, |c| drive_ready(reduce_script(&BlockingRef(c), seed, op, root)));
         prop_assert_eq!(&task, &thread);
-        prop_assert_eq!(&task, &flat_task);
+        prop_assert_eq!(&task, &flat);
         prop_assert!(task[root].is_some());
     }
 
@@ -196,9 +194,9 @@ proptest! {
     fn allgather_barrier_rounds_match_thread_runtime(n in 1usize..65, seed in any::<u64>()) {
         let task = TaskWorld::run_with(WS4, n, |c| async move { allgather_barrier_script(&c, seed).await }).0;
         let thread = World::run(n, |c| drive_ready(allgather_barrier_script(&BlockingRef(c), seed)));
-        let flat_task = FlatTaskWorld::run(n, |c| async move { allgather_barrier_script(&c, seed).await });
+        let flat = FlatWorld::run(n, |c| drive_ready(allgather_barrier_script(&BlockingRef(c), seed)));
         prop_assert_eq!(&task, &thread);
-        prop_assert_eq!(&task, &flat_task);
+        prop_assert_eq!(&task, &flat);
         prop_assert!(task.iter().all(|rounds| rounds == &task[0]));
     }
 
@@ -222,7 +220,7 @@ proptest! {
 
     /// Pooled vs fresh-allocation frames: steady-state rounds that provably
     /// reuse recycled (dirty) frame buffers in the pooled tree runtimes
-    /// produce gather/scatter results identical to the flat runtimes, whose
+    /// produce gather/scatter results identical to the flat runtime, whose
     /// collectives allocate fresh per round.
     #[test]
     fn pooled_frames_match_fresh_allocation_runtimes(n in 2usize..49, root_sel in any::<u64>(), seed in any::<u64>()) {
@@ -231,12 +229,8 @@ proptest! {
             recycled_frames_script(&c, seed, root).await
         });
         let thread = World::run(n, |c| drive_ready(recycled_frames_script(&BlockingRef(c), seed, root)));
-        let flat_task = FlatTaskWorld::run(n, |c| async move {
-            recycled_frames_script(&c, seed, root).await
-        });
         let flat = FlatWorld::run(n, |c| drive_ready(recycled_frames_script(&BlockingRef(c), seed, root)));
         prop_assert_eq!(&task, &thread, "pooled task tree vs pooled thread tree");
-        prop_assert_eq!(&task, &flat_task, "pooled tree vs flat tasks");
         prop_assert_eq!(&task, &flat, "pooled tree vs flat threads");
         // The property is vacuous unless frames actually cycled through the
         // pool: with >= 2 ranks and 6 rounds the task runtime must have

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use simmpi::{CoComm, Comm, FlatTaskWorld, FlatWorld, TaskWorld, World};
+use simmpi::{CoComm, Comm, FlatWorld, TaskWorld, World};
 use sion::{
     paropen_read, paropen_write, paropen_write_co, Alignment, IoMode, Multifile, SionParams,
 };
@@ -115,7 +115,7 @@ fn aggregated_bytes_identical_to_independent_across_layout_families() {
 }
 
 #[test]
-fn all_four_runtimes_produce_identical_aggregated_multifiles() {
+fn all_three_runtimes_produce_identical_aggregated_multifiles() {
     let ntasks = 24;
     let bytes_per_task = 5_000;
     let params = SionParams::new(2048)
@@ -149,18 +149,6 @@ fn all_four_runtimes_produce_identical_aggregated_multifiles() {
         }
     });
     assert_eq!(dump(&fs_task, ""), baseline, "task runtime");
-
-    let fs_flat_task = MemFs::with_block_size(4096);
-    FlatTaskWorld::run(ntasks, |c| {
-        let fs = &fs_flat_task;
-        let params = &params;
-        async move {
-            let mut w = paropen_write_co(fs, "m.sion", params, &c).await.unwrap();
-            w.write(&payload(c.rank(), bytes_per_task)).unwrap();
-            w.close_co().await.unwrap();
-        }
-    });
-    assert_eq!(dump(&fs_flat_task, ""), baseline, "flat task runtime");
 }
 
 #[test]
@@ -305,8 +293,8 @@ fn write_records(w: &mut sion::SionParWriter, rank: usize, sizes: &[usize]) {
 }
 
 /// Run the write workload under `params` on the runtime selected by
-/// `runtime` (0 = thread tree, 1 = flat threads, 2 = task tree, 3 = flat
-/// tasks) and return the multifile's raw bytes.
+/// `runtime` (0 = thread tree, 1 = flat threads, 2 = task tree) and return
+/// the multifile's raw bytes.
 fn run_on_runtime(
     runtime: usize,
     params: &SionParams,
@@ -329,18 +317,8 @@ fn run_on_runtime(
                 w.close().unwrap();
             });
         }
-        2 => {
-            TaskWorld::run(ntasks, |c| {
-                let (fs, params) = (&fs, params);
-                async move {
-                    let mut w = paropen_write_co(fs, "p.sion", params, &c).await.unwrap();
-                    write_records(&mut w, c.rank(), sizes);
-                    w.close_co().await.unwrap();
-                }
-            });
-        }
         _ => {
-            FlatTaskWorld::run(ntasks, |c| {
+            TaskWorld::run(ntasks, |c| {
                 let (fs, params) = (&fs, params);
                 async move {
                     let mut w = paropen_write_co(fs, "p.sion", params, &c).await.unwrap();
@@ -365,7 +343,7 @@ proptest! {
         sizes in prop::collection::vec(1usize..700, 1..12),
         tpa in 1usize..6,
         write_buffer in 0u64..2048,
-        runtime in 0usize..4,
+        runtime in 0usize..3,
     ) {
         let ntasks = 8;
         for (family, base) in [

@@ -4,8 +4,8 @@
 //!
 //! * the **clean** protocol — a real 4-rank `Aggregated` open/write/close
 //!   — must be race- and violation-free under the [`HbEngine`] +
-//!   [`OrderGuardFs`] stack on all four runtimes (thread/task ×
-//!   tree/flat);
+//!   [`OrderGuardFs`] stack on all three runtimes (thread tree, task
+//!   tree, thread flat);
 //! * three **seeded mutations** of the ship/ack contract, each built as a
 //!   minimal member/aggregator exchange over the reserved `0xA6`/`0xA7`
 //!   namespace (under [`simmpi::enter_agg_protocol`], exactly like the
@@ -18,8 +18,8 @@
 
 use simcheck::{HbEngine, OrderGuardFs};
 use simmpi::{
-    CoComm, FlatTaskWorld, FlatWorld, SchedPolicy, TaskComm, TaskWorld, World,
-    AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX,
+    CoComm, FlatWorld, SchedPolicy, TaskComm, TaskWorld, World, AGG_ACK_TAG_PREFIX,
+    AGG_SHIP_TAG_PREFIX,
 };
 use sion::{paropen_write, paropen_write_co, Alignment, IoMode, SionParams};
 use std::future::Future;
@@ -48,7 +48,7 @@ fn payload(rank: usize, salt: u8) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// Clean protocol: race-free on all four runtimes.
+// Clean protocol: race-free on all three runtimes.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -78,7 +78,7 @@ fn clean_protocol_is_race_free_on_thread_runtimes() {
 }
 
 #[test]
-fn clean_protocol_is_race_free_on_task_runtimes() {
+fn clean_protocol_is_race_free_on_task_runtime() {
     async fn prog(fs: Arc<dyn Vfs>, c: &dyn CoComm) {
         let mut w =
             paropen_write_co(fs.as_ref(), "hb/clean.sion", &agg_params(), c).await.expect("open");
@@ -86,29 +86,17 @@ fn clean_protocol_is_race_free_on_task_runtimes() {
         w.write(&payload(c.rank(), 129)).expect("write");
         w.close_co().await.expect("close");
     }
-    for flat in [false, true] {
-        let (engine, fs) = guarded_fs();
-        let policy = SchedPolicy::Serial { seed: 0x5EED_CAFE, preemption_bound: 2 };
-        let run = if flat {
-            let fs = fs.clone();
-            FlatTaskWorld::run_checked(policy, NTASKS, engine.clone(), move |c| {
-                let fs = fs.clone();
-                async move { prog(fs, &c).await }
-            })
-        } else {
-            let fs = fs.clone();
-            TaskWorld::run_checked(policy, NTASKS, engine.clone(), move |c| {
-                let fs = fs.clone();
-                async move { prog(fs, &c).await }
-            })
-        };
-        assert!(run.deadlock.is_none(), "clean protocol must not deadlock");
-        for r in run.results {
-            r.expect("rank must not panic");
-        }
-        engine
-            .assert_race_free(&format!("clean aggregated protocol, {} tasks, flat={flat}", NTASKS));
+    let (engine, fs) = guarded_fs();
+    let policy = SchedPolicy::Serial { seed: 0x5EED_CAFE, preemption_bound: 2 };
+    let run = TaskWorld::run_checked(policy, NTASKS, engine.clone(), move |c| {
+        let fs = fs.clone();
+        async move { prog(fs, &c).await }
+    });
+    assert!(run.deadlock.is_none(), "clean protocol must not deadlock");
+    for r in run.results {
+        r.expect("rank must not panic");
     }
+    engine.assert_race_free(&format!("clean aggregated protocol, {} tasks", NTASKS));
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //!
 //! * [`sion`] — the multifile library itself (the paper's contribution);
 //! * [`vfs`] — storage abstraction (local disk, in-memory);
-//! * [`simmpi`] — thread-backed MPI-subset runtime;
+//! * [`simmpi`] — in-process MPI-subset runtime;
 //! * [`parfs`] — the parallel-file-system simulator behind the paper's
 //!   timing experiments;
 //! * [`szip`] — LZSS codec used by transparent compression;
