@@ -14,10 +14,12 @@
 //! first run's decision trace for the aggregated 3-rank case is pinned
 //! as a golden file (bless with `SIMCHECK_BLESS=1`).
 //!
-//! Four ranks is where exhaustion honestly ends on a CI box: the 4-rank
-//! *independent* space is already 163 837 classes (~4 min), and one
-//! aggregator with three members blows a 200 k cap — `dpor_stats`
-//! reports those growth rates; nothing here truncates silently.
+//! Four ranks is where exhaustion ends inside a test budget: the 4-rank
+//! *independent* space is 29 421 schedules (pinned below; it was 163 837
+//! while the open still exchanged its splits), and one aggregator with
+//! three members is 155 277 — exhaustible, but at ~20 s in a release build
+//! it is measured by `dpor_stats` (`BENCH_dpor.json`) rather than run
+//! here; nothing truncates silently.
 
 use simcheck::{Dpor, DporOutcome, HbEngine, HookChain, OrderGuardFs, Sanitizer, SinkChain};
 use simmpi::{CheckHook, CoComm, TaskWorld};
@@ -30,7 +32,7 @@ use vfs::{MemFs, Vfs};
 /// any sanitizer finding, deadlock, rank panic, race, ack violation, or
 /// a capped exploration; returns the exploration report.
 fn explore_par_write(ntasks: usize, io_mode: IoMode) -> DporOutcome {
-    let out = Dpor::default().explore(|h| {
+    let out = Dpor { max_schedules: 50_000 }.explore(|h| {
         let engine = Arc::new(HbEngine::new());
         let san = Arc::new(Sanitizer::new());
         // Extents feed both the race checker and the DPOR footprint
@@ -63,6 +65,8 @@ fn explore_par_write(ntasks: usize, io_mode: IoMode) -> DporOutcome {
         }
         let findings = san.findings();
         assert!(findings.is_empty(), "sanitizer findings under DPOR schedule: {findings:?}");
+        // Runs once per explored schedule: no byte-extent race, and no ack
+        // sent before its shipment's bytes were durable, in any of them.
         engine.assert_race_free(&format!("par write, {ntasks} ranks"));
         None
     });
@@ -77,13 +81,59 @@ fn independent_mode_explores_exhaustively() {
     let three = explore_par_write(3, IoMode::Independent);
     println!("independent 2 ranks: {}", two.summary());
     println!("independent 3 ranks: {}", three.summary());
-    // Two ranks: every dependent pair is order-forced (the collective
-    // tree between two ranks leaves no reversible race whose loser is
-    // runnable), so one schedule covers the space.
-    assert_eq!(two.explored, 1, "{}", two.summary());
-    // Three ranks: the tree's first interior choice appears.
-    assert_eq!(three.explored, 256, "{}", three.summary());
-    assert_eq!(three.pruned, 769, "{}", three.summary());
+    // Two ranks: one reversible pair, the protocol's very first message.
+    // The open now starts with rank 0 *sending* (the fingerprint
+    // broadcast) where it used to start with rank 0 *receiving* (the
+    // split's gather): under the default lowest-id-first order task 0's
+    // send runs while task 1, the receiver, is runnable and has not looked
+    // yet, so "receiver polls first and parks" is a second, inequivalent
+    // schedule (see `first_message_direction_decides_the_two_rank_count`).
+    // Every later pair is order-forced, as before.
+    assert_eq!(two.explored, 2, "{}", two.summary());
+    // Three ranks: the tree's first interior choice appears. Fewer
+    // schedules than with the exchanged splits (256): two three-message
+    // split exchanges and their barriers are gone from every run.
+    assert_eq!(three.explored, 160, "{}", three.summary());
+    assert_eq!(three.pruned, 337, "{}", three.summary());
+}
+
+/// Four ranks — the first world whose binomial trees have an interior node
+/// that both receives and forwards (rank 2) — is exhaustible since the
+/// open stopped exchanging splits: 29 421 schedules where the old protocol
+/// had 163 837.
+#[test]
+fn independent_mode_explores_four_ranks_exhaustively() {
+    let four = explore_par_write(4, IoMode::Independent);
+    println!("independent 4 ranks: {}", four.summary());
+    assert_eq!(four.explored, 29_421, "{}", four.summary());
+    assert_eq!(four.pruned, 232_713, "{}", four.summary());
+}
+
+/// The whole difference between the old and new 2-rank counts, isolated:
+/// a first message that flows *down* from rank 0 can be overtaken by its
+/// receiver, one that flows *up* to rank 0 cannot (task 0 parks on it
+/// before task 1 has sent, leaving the scheduler no choice).
+#[test]
+fn first_message_direction_decides_the_two_rank_count() {
+    let explore = |down: bool| {
+        Dpor::default().explore(|h| {
+            let san = Arc::new(Sanitizer::new());
+            let hook: Arc<dyn CheckHook> =
+                Arc::new(HookChain::new(vec![h.recorder(), san.clone()]));
+            let run = TaskWorld::run_driven(2, hook, h.driver(), |c| async move {
+                if down {
+                    c.bcast_u64((c.rank() == 0).then_some(7), 0).await
+                } else {
+                    c.reduce_u64(7, simmpi::ReduceOp::Max, 0).await.unwrap_or(7)
+                }
+            });
+            assert!(run.deadlock.is_none() && san.findings().is_empty());
+            assert!(run.results.into_iter().all(|r| r.is_ok_and(|v| v == 7)));
+            None
+        })
+    };
+    assert_eq!(explore(true).explored, 2);
+    assert_eq!(explore(false).explored, 1);
 }
 
 #[test]
@@ -97,11 +147,12 @@ fn aggregated_mode_explores_exhaustively() {
     println!("aggregated 2 ranks: {}", two.summary());
     println!("aggregated 3 ranks: {}", three.summary());
     // One remote member: ship, replay, ack happen under a schedule with
-    // no reversible race left runnable — one schedule covers it.
-    assert_eq!(two.explored, 1, "{}", two.summary());
+    // no reversible race left runnable — the open's first message is the
+    // only reversible pair, exactly as in independent mode.
+    assert_eq!(two.explored, 2, "{}", two.summary());
     // Two remote members racing their shipments into one aggregator.
-    assert_eq!(three.explored, 704, "{}", three.summary());
-    assert_eq!(three.pruned, 2881, "{}", three.summary());
+    assert_eq!(three.explored, 440, "{}", three.summary());
+    assert_eq!(three.pruned, 1405, "{}", three.summary());
 }
 
 /// The first (unforced) run's decision trace is a pure function of the

@@ -37,10 +37,10 @@ pub type BoxFut<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
 /// per-rank vectors.
 ///
 /// [`CoComm::allgather`] hands every rank its own `Vec<Vec<u8>>` — P
-/// allocations per rank, O(P²) across the world. The §3.1 protocol only
-/// ever *scans* its allgather results (membership filters in `split`,
-/// failure-flag reductions in the collective open), so at 64Ki ranks that
-/// materialization is pure waste and dominates the open. `AllGathered` is
+/// allocations per rank, O(P²) across the world. Its callers only ever
+/// *scan* the result (the membership filter in `split`, the sub-master
+/// agreement of `sion`'s sharded close), so at 64Ki ranks that
+/// materialization is pure waste. `AllGathered` is
 /// the scan-shaped alternative: runtimes whose ranks share memory return
 /// `Arc` clones of a single frame, making the whole collective O(1)
 /// allocations per rank; cloning the handle clones the `Arc`.
@@ -159,6 +159,27 @@ pub trait CoComm: Send + Sync {
     /// over the parent.
     fn split<'a>(&'a self, color: u64, key: u64) -> BoxFut<'a, Box<dyn CoComm>>;
 
+    /// [`split`](Self::split) for callers that can compute their own place
+    /// in the result; see [`Comm::split_local`] for the contract. The
+    /// provided implementation runs the exchanged split and asserts that
+    /// it agrees.
+    fn split_local<'a>(
+        &'a self,
+        color: u64,
+        new_rank: usize,
+        new_size: usize,
+    ) -> BoxFut<'a, Box<dyn CoComm>> {
+        Box::pin(async move {
+            let sub = self.split(color, new_rank as u64).await;
+            assert_eq!(
+                (sub.rank(), sub.size()),
+                (new_rank, new_size),
+                "split_local(color {color}): the exchanged split disagrees with the caller"
+            );
+            sub
+        })
+    }
+
     // ------------------------------------------------------------------
     // Typed convenience layers (provided), mirroring [`Comm`]'s.
     // ------------------------------------------------------------------
@@ -207,15 +228,12 @@ pub trait CoComm: Send + Sync {
         })
     }
 
-    /// All-reduce a `u64` with `op`.
+    /// All-reduce a `u64` with `op`: a reduction to rank 0 and a broadcast
+    /// of the result, one word per tree edge each way.
     fn allreduce_u64<'a>(&'a self, value: u64, op: ReduceOp) -> BoxFut<'a, u64> {
         Box::pin(async move {
-            let all = self.allgather_u64(value).await;
-            match op {
-                ReduceOp::Sum => all.iter().sum(),
-                ReduceOp::Max => all.into_iter().max().expect("non-empty communicator"),
-                ReduceOp::Min => all.into_iter().min().expect("non-empty communicator"),
-            }
+            let reduced = self.reduce_u64(value, op, 0).await;
+            self.bcast_u64(reduced, 0).await
         })
     }
 
@@ -335,6 +353,16 @@ macro_rules! blocking_cocomm {
                 Box::pin(ready(
                     Box::new(BlockingComm(self.inner().split(color, key))) as Box<dyn CoComm>
                 ))
+            }
+
+            fn split_local<'a>(
+                &'a self,
+                color: u64,
+                new_rank: usize,
+                new_size: usize,
+            ) -> BoxFut<'a, Box<dyn CoComm>> {
+                let sub = self.inner().split_local(color, new_rank, new_size);
+                Box::pin(ready(Box::new(BlockingComm(sub)) as Box<dyn CoComm>))
             }
         }
     };

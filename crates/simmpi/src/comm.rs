@@ -64,8 +64,8 @@ impl CommStats {
         allgathers / bump_allgather,
         /// Rooted reductions taken part in.
         reduces / bump_reduce,
-        /// `split` calls (each counts once, regardless of the exchange and
-        /// barrier it runs internally).
+        /// Exchanged `split` calls (each counts once, regardless of the
+        /// allgather it runs internally; `split_local` is not counted).
         splits / bump_split,
         /// User point-to-point sends.
         sends / bump_send,
@@ -136,6 +136,25 @@ pub trait Comm: Send + Sync {
     /// in the same sub-communicator, ordered by `(key, parent rank)`.
     /// Collective over the parent.
     fn split(&self, color: u64, key: u64) -> Box<dyn Comm>;
+
+    /// [`split`](Self::split) without the exchange, for callers that can
+    /// compute their own place in the result: this rank becomes rank
+    /// `new_rank` of the `new_size`-rank sub-communicator `color`. Still
+    /// collective over the parent and ordered with its other splits, but a
+    /// runtime may form the group without sending a message. The caller
+    /// guarantees that the members of each `color` agree on `new_size` and
+    /// claim each rank in `0..new_size` exactly once; a runtime that
+    /// detects a violation panics. The provided implementation runs the
+    /// exchanged split keyed by `new_rank` and asserts that it agrees.
+    fn split_local(&self, color: u64, new_rank: usize, new_size: usize) -> Box<dyn Comm> {
+        let sub = self.split(color, new_rank as u64);
+        assert_eq!(
+            (sub.rank(), sub.size()),
+            (new_rank, new_size),
+            "split_local(color {color}): the exchanged split disagrees with the caller"
+        );
+        sub
+    }
 
     /// Send `data` to `dest` with a matching `tag` (non-blocking buffered
     /// send).
@@ -235,14 +254,11 @@ pub trait Comm: Send + Sync {
             .collect()
     }
 
-    /// All-reduce a `u64` with `op`.
+    /// All-reduce a `u64` with `op`: a reduction to rank 0 and a broadcast
+    /// of the result.
     fn allreduce_u64(&self, value: u64, op: ReduceOp) -> u64 {
-        let all = self.allgather_u64(value);
-        match op {
-            ReduceOp::Sum => all.iter().sum(),
-            ReduceOp::Max => all.into_iter().max().expect("non-empty communicator"),
-            ReduceOp::Min => all.into_iter().min().expect("non-empty communicator"),
-        }
+        let reduced = self.reduce_u64(value, op, 0);
+        self.bcast_u64(reduced, 0)
     }
 
     /// All-reduce an `f64` with `op`.

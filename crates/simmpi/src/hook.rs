@@ -77,7 +77,7 @@ pub enum CollKind {
     Allgather,
     /// `reduce_u64(root)` combining tree.
     Reduce,
-    /// `split(color, key)` (internally allgather + barrier, tagged `Split`).
+    /// `split(color, key)` (internally an allgather, tagged `Split`).
     Split,
 }
 

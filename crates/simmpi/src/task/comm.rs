@@ -350,6 +350,19 @@ impl Future for Recv<'_> {
     }
 }
 
+/// A sub-communicator under construction: members find its shared state in
+/// the parent's `splits` map, and the last one to attach retires the entry.
+struct SplitGroup {
+    shared: Arc<CoShared>,
+    /// Parent rank that claimed each new rank (`usize::MAX`: unclaimed);
+    /// its length is the group size the creating member declared.
+    claimed: Vec<usize>,
+    /// Parent rank of the creating member, named when a later member
+    /// disagrees about the group size.
+    creator: usize,
+    attached: usize,
+}
+
 /// State shared by every rank of one communicator: the mailboxes, the
 /// split-construction rendezvous, the communicator's deterministic
 /// identity, and the optional check hook — collectives need no shared
@@ -360,7 +373,7 @@ pub(crate) struct CoShared {
     hook: Option<Arc<dyn CheckHook>>,
     world: Arc<WorldRt>,
     mboxes: Vec<Mutex<Mbox>>,
-    splits: Mutex<HashMap<(u64, u64), Arc<CoShared>>>,
+    splits: Mutex<HashMap<(u64, u64), SplitGroup>>,
 }
 
 impl CoShared {
@@ -391,8 +404,8 @@ pub struct TaskComm {
     /// Count of collective calls on this handle; since collectives are
     /// ordered, all ranks agree on it, making it a safe tag ingredient.
     coll_seq: AtomicU64,
-    /// Per-rank count of `split` calls on this communicator (same ordering
-    /// argument), keying the split rendezvous map.
+    /// Per-rank count of `split`/`split_local` calls on this communicator
+    /// (same ordering argument), keying the split rendezvous map.
     split_seq: AtomicU64,
     /// This rank's op/byte counters for this communicator.
     stats: Arc<CommStats>,
@@ -827,35 +840,80 @@ impl TaskComm {
             }
         }
         debug_assert!(new_size > 0, "caller is in its own color group");
-
-        let split_no = self.split_seq.fetch_add(1, Ordering::Relaxed) + 1;
-
-        // First member of the group to arrive creates the shared state. The
-        // child's identity is derived structurally (parent name, split
-        // ordinal, color), so every member — and every run — agrees on it.
-        let sub = {
-            let mut splits = self.shared.splits.lock();
-            splits
-                .entry((split_no, color))
-                .or_insert_with(|| {
-                    Arc::new(CoShared::new(
-                        self.shared.ctx.child(split_no, color, new_size),
-                        self.shared.hook.clone(),
-                        self.shared.world.clone(),
-                    ))
-                })
-                .clone()
-        };
-        let comm = TaskComm::new(new_rank, self.world_rank, sub);
-        // All ranks must have attached to their group's shared state before
-        // the construction entries are retired from the map.
-        let seq = self.next_seq();
-        self.barrier_impl(seq, CollKind::Split).await;
+        let comm = self.attach(color, new_rank, new_size);
         self.note_collective_done(seq_up);
-        if new_rank == 0 {
-            self.shared.splits.lock().remove(&(split_no, color));
-        }
         comm
+    }
+
+    /// Join sub-communicator `color` of this rank's next split generation
+    /// as rank `new_rank` of `new_size` — the one construction path behind
+    /// both the exchanged [`split`](crate::co::CoComm::split) and
+    /// [`split_local`](crate::co::CoComm::split_local). No message is
+    /// sent: the first member to arrive creates the group's shared state
+    /// in the parent's `splits` map, every member takes an `Arc` of it,
+    /// and the last one removes the entry, so the map holds only groups
+    /// still being formed. Split calls are collective and ordered, so every
+    /// rank's `split_seq` names the same generation; the child's identity
+    /// is derived structurally (parent name, generation, color), so every
+    /// member — and every run — agrees on it.
+    ///
+    /// Panics, naming both parent ranks, when two members claim the same
+    /// new rank or disagree about the group size.
+    pub(crate) fn attach(&self, color: u64, new_rank: usize, new_size: usize) -> TaskComm {
+        let split_no = self.split_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let key = (split_no, color);
+        let joined = {
+            let mut splits = self.shared.splits.lock();
+            let group = splits.entry(key).or_insert_with(|| SplitGroup {
+                shared: Arc::new(CoShared::new(
+                    self.shared.ctx.child(split_no, color, new_size),
+                    self.shared.hook.clone(),
+                    self.shared.world.clone(),
+                )),
+                claimed: vec![usize::MAX; new_size],
+                creator: self.rank,
+                attached: 0,
+            });
+            let size = group.claimed.len();
+            if new_size != size {
+                Err(format!(
+                    "parent rank {} declares group size {new_size}, parent rank {} created the \
+                     group with size {size}",
+                    self.rank, group.creator
+                ))
+            } else if new_rank >= size {
+                Err(format!(
+                    "parent rank {} claims rank {new_rank} of a group of {size}",
+                    self.rank
+                ))
+            } else if group.claimed[new_rank] != usize::MAX {
+                Err(format!(
+                    "parent ranks {} and {} both claim rank {new_rank}",
+                    group.claimed[new_rank], self.rank
+                ))
+            } else {
+                group.claimed[new_rank] = self.rank;
+                group.attached += 1;
+                let shared = group.shared.clone();
+                if group.attached == size {
+                    splits.remove(&key);
+                }
+                Ok(shared)
+            }
+        };
+        match joined {
+            Ok(sub) => TaskComm::new(new_rank, self.world_rank, sub),
+            Err(why) => panic!(
+                "split #{split_no} of comm \"{}\", color {color}: {why}",
+                self.shared.ctx.name
+            ),
+        }
+    }
+
+    /// Sub-communicators of this communicator still being formed.
+    #[cfg(test)]
+    pub(crate) fn splits_in_flight(&self) -> usize {
+        self.shared.splits.lock().len()
     }
 }
 
@@ -1019,6 +1077,17 @@ impl crate::co::CoComm for TaskComm {
     fn split<'a>(&'a self, color: u64, key: u64) -> crate::co::BoxFut<'a, Box<dyn crate::co::CoComm>> {
         Box::pin(async move {
             Box::new(self.split_impl(color, key).await) as Box<dyn crate::co::CoComm>
+        })
+    }
+
+    fn split_local<'a>(
+        &'a self,
+        color: u64,
+        new_rank: usize,
+        new_size: usize,
+    ) -> crate::co::BoxFut<'a, Box<dyn crate::co::CoComm>> {
+        Box::pin(async move {
+            Box::new(self.attach(color, new_rank, new_size)) as Box<dyn crate::co::CoComm>
         })
     }
 }

@@ -405,6 +405,75 @@ mod tests {
     }
 
     #[test]
+    fn split_generations_leave_no_entry_behind() {
+        // Ranks race through 24 split generations — exchanged and local,
+        // one to five groups — without synchronizing in between, so fast
+        // ranks create generation g+1 while slow ones still attach to g.
+        // The last member of every group retires its entry.
+        let out = TaskWorld::run_with(WS4, 16, |c| async move {
+            let (n, r) = (c.size(), c.rank());
+            let mut sizes = Vec::new();
+            for gen in 0..24usize {
+                let ncolors = gen % 5 + 1;
+                let color = r % ncolors;
+                let size = n / ncolors + usize::from(color < n % ncolors);
+                let sub = if gen % 2 == 0 {
+                    c.split_local(color as u64, r / ncolors, size).await
+                } else {
+                    c.split(color as u64, r as u64).await
+                };
+                sizes.push((sub.rank(), sub.size()));
+            }
+            c.barrier().await;
+            (sizes, c.splits_in_flight())
+        })
+        .0;
+        for (r, (sizes, in_flight)) in out.iter().enumerate() {
+            assert_eq!(*in_flight, 0, "rank {r} still sees groups under construction");
+            for (gen, &(rank, size)) in sizes.iter().enumerate() {
+                let ncolors = gen % 5 + 1;
+                assert_eq!(rank, r / ncolors, "generation {gen}");
+                assert_eq!(size, 16 / ncolors + usize::from(r % ncolors < 16 % ncolors));
+            }
+        }
+    }
+
+    /// The panic of a world whose rank `r` claims place `claims[r]` =
+    /// `(new_rank, new_size)` in one `split_local` of color 0.
+    fn split_local_panic(claims: &'static [(usize, usize)]) -> String {
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            TaskWorld::run(claims.len(), |c| async move {
+                let (new_rank, new_size) = claims[c.rank()];
+                c.split_local(0, new_rank, new_size).await.size()
+            })
+        }))
+        .expect_err("inconsistent split_local must panic");
+        panic_text(err)
+    }
+
+    #[test]
+    fn split_local_names_both_ranks_of_a_bad_attach() {
+        // Ranks 1 and 2 both claim rank 1 of the three-rank group.
+        let text = split_local_panic(&[(0, 3), (1, 3), (1, 3)]);
+        assert!(
+            text.contains("parent ranks 1 and 2 both claim rank 1")
+                || text.contains("parent ranks 2 and 1 both claim rank 1"),
+            "{text}"
+        );
+        assert!(text.contains("split #1 of comm \"world\", color 0"), "{text}");
+        // Rank 1 disagrees with rank 0 about the group size.
+        let text = split_local_panic(&[(0, 2), (1, 3)]);
+        assert!(
+            text.contains("parent rank 1 declares group size 3, parent rank 0 created")
+                || text.contains("parent rank 0 declares group size 2, parent rank 1 created"),
+            "{text}"
+        );
+        // A rank beyond the declared size.
+        let text = split_local_panic(&[(0, 2), (2, 2)]);
+        assert!(text.contains("parent rank 1 claims rank 2 of a group of 2"), "{text}");
+    }
+
+    #[test]
     fn p2p_matching_by_source_and_tag() {
         let out = TaskWorld::run(3, |c| async move {
             match c.rank() {

@@ -147,6 +147,10 @@ impl Comm for Communicator {
         Box::new(Communicator { inner: self.block_on(self.inner.split_impl(color, key)) })
     }
 
+    fn split_local(&self, color: u64, new_rank: usize, new_size: usize) -> Box<dyn Comm> {
+        Box::new(Communicator { inner: self.inner.attach(color, new_rank, new_size) })
+    }
+
     fn send(&self, dest: usize, tag: u64, data: &[u8]) {
         self.inner.send(dest, tag, data)
     }

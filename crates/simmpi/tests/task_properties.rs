@@ -125,8 +125,56 @@ async fn recycled_frames_script(
     out
 }
 
+/// Split into `ncolors` round-robin groups, ordered by rank or (when
+/// `reverse`) against it, then gather on the sub-communicator. `local`
+/// picks [`CoComm::split_local`], each rank computing its own place, over
+/// the exchanged [`CoComm::split`] keyed to the same order.
+async fn split_script(
+    c: &dyn CoComm,
+    seed: u64,
+    ncolors: usize,
+    reverse: bool,
+    local: bool,
+) -> (usize, usize, Option<Vec<Vec<u8>>>) {
+    let (n, r) = (c.size(), c.rank());
+    let color = r % ncolors;
+    let size = n / ncolors + usize::from(color < n % ncolors);
+    let place = if reverse { size - 1 - r / ncolors } else { r / ncolors };
+    let sub = if local {
+        c.split_local(color as u64, place, size).await
+    } else {
+        c.split(color as u64, if reverse { n - r } else { r } as u64).await
+    };
+    let gathered = sub.gather(&payload(seed, r, 48), sub.size() - 1).await;
+    (sub.rank(), sub.size(), gathered)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// split_local: a rank that names its own place lands exactly where
+    /// the exchanged split would have put it — same rank, same size, same
+    /// bytes out of a gather on the result — on the task tree, the thread
+    /// tree, and the flat oracle (whose `split_local` *is* the exchanged
+    /// split plus an agreement assert).
+    #[test]
+    fn split_local_matches_exchanged_split(n in 1usize..65, ncolors in 1usize..6, reverse in any::<bool>(), seed in any::<u64>()) {
+        let task = |local| TaskWorld::run_with(WS4, n, |c| async move {
+            split_script(&c, seed, ncolors, reverse, local).await
+        }).0;
+        let thread = |local| World::run(n, |c| {
+            drive_ready(split_script(&BlockingRef(c), seed, ncolors, reverse, local))
+        });
+        let flat = |local| FlatWorld::run(n, |c| {
+            drive_ready(split_script(&BlockingRef(c), seed, ncolors, reverse, local))
+        });
+        let exchanged = flat(false);
+        prop_assert_eq!(&task(true), &exchanged, "task split_local vs flat split");
+        prop_assert_eq!(&task(false), &exchanged, "task split vs flat split");
+        prop_assert_eq!(&thread(true), &exchanged, "thread split_local vs flat split");
+        prop_assert_eq!(&thread(false), &exchanged, "thread split vs flat split");
+        prop_assert_eq!(&flat(true), &exchanged, "flat split_local vs flat split");
+    }
 
     /// bcast: every rank of every runtime receives the root's bytes.
     #[test]

@@ -649,41 +649,27 @@ pub fn write_close_metadata(
 /// Everything one task contributes to the collective *open*, packed into a
 /// single fixed-layout record so the whole exchange is **one** gather at
 /// the file master (instead of one sequential collective round per field).
+/// Parameter agreement and local validity are settled before the file
+/// groups form, so the record carries per-task values only.
 ///
-/// Layout: 4 little-endian `u64` words —
-/// `[chunksize, global rank, params fingerprint, status]`.
+/// Layout: 2 little-endian `u64` words — `[chunksize, global rank]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenRecord {
     /// This task's chunk-size request (the one per-task open parameter).
     pub chunksize: u64,
     /// This task's rank in the global communicator.
     pub grank: u64,
-    /// Fingerprint of the parameters that must agree across tasks; the
-    /// master rejects the open when any two records disagree.
-    pub fingerprint: u64,
-    /// Status word ([`OpenRecord::STATUS_OK`] or a local-failure bit), so a
-    /// task whose pre-open validation failed can still join the gather —
-    /// deserting a collective would hang its peers.
-    pub status: u64,
 }
 
 impl OpenRecord {
     /// Encoded size in bytes.
-    pub const LEN: usize = 32;
-    /// `status` value of a task whose local pre-open checks passed.
-    pub const STATUS_OK: u64 = 0;
-    /// `status` bit of a task whose local pre-open validation failed.
-    pub const STATUS_LOCAL_INVALID: u64 = 1;
+    pub const LEN: usize = 16;
 
-    /// Serialize to the fixed 32-byte wire layout.
+    /// Serialize to the fixed 16-byte wire layout.
     pub fn encode(&self) -> [u8; Self::LEN] {
         let mut out = [0u8; Self::LEN];
-        for (slot, word) in out
-            .chunks_exact_mut(8)
-            .zip([self.chunksize, self.grank, self.fingerprint, self.status])
-        {
-            slot.copy_from_slice(&word.to_le_bytes());
-        }
+        out[..8].copy_from_slice(&self.chunksize.to_le_bytes());
+        out[8..].copy_from_slice(&self.grank.to_le_bytes());
         out
     }
 
@@ -697,12 +683,7 @@ impl OpenRecord {
             )));
         }
         let word = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-        Ok(OpenRecord {
-            chunksize: word(0),
-            grank: word(1),
-            fingerprint: word(2),
-            status: word(3),
-        })
+        Ok(OpenRecord { chunksize: word(0), grank: word(1) })
     }
 }
 
@@ -948,16 +929,11 @@ mod tests {
 
     #[test]
     fn open_record_round_trip() {
-        let rec = OpenRecord {
-            chunksize: 1 << 33,
-            grank: 4093,
-            fingerprint: 0xDEAD_BEEF_0BAD_F00D,
-            status: OpenRecord::STATUS_LOCAL_INVALID,
-        };
+        let rec = OpenRecord { chunksize: 1 << 33, grank: 4093 };
         let bytes = rec.encode();
         assert_eq!(bytes.len(), OpenRecord::LEN);
         assert_eq!(OpenRecord::decode(&bytes).unwrap(), rec);
-        assert!(OpenRecord::decode(&bytes[..24]).is_err());
+        assert!(OpenRecord::decode(&bytes[..8]).is_err());
         assert!(OpenRecord::decode(&[]).is_err());
     }
 

@@ -35,10 +35,20 @@ impl Mapping {
     /// that reach this with unvalidated values (e.g. tooling probing a
     /// damaged multifile) get a well-defined file index `< nfiles.max(1)`.
     pub fn file_of(self, rank: usize, ntasks: usize, nfiles: u32) -> u32 {
+        self.group_of(rank, ntasks, nfiles).0
+    }
+
+    /// Where `rank` lands: `(file, local rank, group size)` — its physical
+    /// file, its position among the ranks mapped to that file (in rank
+    /// order), and how many ranks that file holds. Closed form, so every
+    /// task can compute its own file group without asking anyone; total
+    /// over the full argument space with the clamping of
+    /// [`file_of`](Self::file_of).
+    pub fn group_of(self, rank: usize, ntasks: usize, nfiles: u32) -> (u32, usize, usize) {
         let ntasks = ntasks.max(1);
         let rank = rank.min(ntasks - 1);
         let nfiles = (nfiles as usize).clamp(1, ntasks);
-        match self {
+        let (file, local, size) = match self {
             Mapping::Blocked => {
                 // Split as evenly as possible: the first `rem` files get
                 // one extra task. `nfiles <= ntasks` ensures `base >= 1`.
@@ -46,17 +56,26 @@ impl Mapping {
                 let rem = ntasks % nfiles;
                 let big = (base + 1) * rem; // ranks covered by the larger files
                 if rank < big {
-                    (rank / (base + 1)) as u32
+                    (rank / (base + 1), rank % (base + 1), base + 1)
                 } else {
-                    (rem + (rank - big) / base) as u32
+                    (rem + (rank - big) / base, (rank - big) % base, base)
                 }
             }
-            Mapping::RoundRobin => (rank % nfiles) as u32,
+            Mapping::RoundRobin => {
+                let file = rank % nfiles;
+                (file, rank / nfiles, ntasks / nfiles + usize::from(file < ntasks % nfiles))
+            }
             Mapping::Grouped(g) => {
                 let g = g.max(1) as usize;
-                ((rank / g).min(nfiles - 1)) as u32
+                let file = (rank / g).min(nfiles - 1);
+                let start = file * g; // <= rank
+                // The last file absorbs every rank beyond its own group.
+                let end =
+                    if file == nfiles - 1 { ntasks } else { ntasks.min(start.saturating_add(g)) };
+                (file, rank - start, end - start)
             }
-        }
+        };
+        (file as u32, local, size)
     }
 
     /// Validate that this mapping populates every one of the `nfiles` files
@@ -83,12 +102,6 @@ impl Mapping {
         Ok(())
     }
 
-    /// The local index of `rank` within its file (its position among the
-    /// ranks mapped to the same file, in rank order).
-    pub fn local_index(self, rank: usize, ntasks: usize, nfiles: u32) -> usize {
-        let f = self.file_of(rank, ntasks, nfiles);
-        (0..rank).filter(|&r| self.file_of(r, ntasks, nfiles) == f).count()
-    }
 }
 
 #[cfg(test)]
@@ -128,19 +141,9 @@ mod tests {
         assert!(Mapping::Blocked.validate(4, 0).is_err());
     }
 
-    #[test]
-    fn local_index_counts_within_file() {
-        let m = Mapping::RoundRobin;
-        // ranks 0,3,6 in file 0 → local 0,1,2
-        assert_eq!(m.local_index(0, 8, 3), 0);
-        assert_eq!(m.local_index(3, 8, 3), 1);
-        assert_eq!(m.local_index(6, 8, 3), 2);
-        assert_eq!(m.local_index(5, 8, 3), 1); // ranks 2,5 in file 2
-    }
-
     proptest! {
-        /// Every mapping covers all files, preserves rank order within a
-        /// file, and local indices are dense.
+        /// Every mapping covers all files, and `group_of` numbers each
+        /// file's ranks densely in rank order.
         #[test]
         fn mapping_partition_properties(
             ntasks in 1usize..300,
@@ -169,9 +172,36 @@ mod tests {
             for (f, ranks) in per_file.iter().enumerate() {
                 prop_assert!(!ranks.is_empty(), "file {f} empty");
                 for (i, &r) in ranks.iter().enumerate() {
-                    prop_assert_eq!(m.local_index(r, ntasks, nfiles), i);
+                    prop_assert_eq!(m.group_of(r, ntasks, nfiles), (f as u32, i, ranks.len()));
                 }
             }
+        }
+
+        /// `group_of` against the brute-force definition — `file_of` over
+        /// all ranks — on the *full* argument space: zero and oversized
+        /// `nfiles`, zero `ntasks` and group size, remainders, the clamped
+        /// last `Grouped` file, ranks at or beyond `ntasks`.
+        #[test]
+        fn group_of_matches_brute_force_over_full_domain(
+            rank in 0usize..400,
+            ntasks in 0usize..300,
+            nfiles in 0u32..40,
+            kind in 0usize..3,
+            group in 0u64..40,
+        ) {
+            let m = match kind {
+                0 => Mapping::Blocked,
+                1 => Mapping::RoundRobin,
+                _ => Mapping::Grouped(group),
+            };
+            let (file, local, size) = m.group_of(rank, ntasks, nfiles);
+            let world = ntasks.max(1);
+            let me = rank.min(world - 1);
+            prop_assert_eq!(file, m.file_of(rank, ntasks, nfiles));
+            let peers: Vec<usize> =
+                (0..world).filter(|&r| m.file_of(r, ntasks, nfiles) == file).collect();
+            prop_assert_eq!(size, peers.len());
+            prop_assert_eq!(Some(local), peers.iter().position(|&r| r == me));
         }
 
         /// `file_of` is total: over the *full* argument space — including

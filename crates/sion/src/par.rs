@@ -15,24 +15,43 @@
 //! ([`OpenRecord`], [`CloseRecord`]) so each phase costs a constant number
 //! of collective rounds regardless of how many fields it moves:
 //!
-//! * write open — 2 `split`s, then per file group ONE metadata gather +
-//!   ONE status broadcast + ONE geometry scatter, then ONE global
-//!   allgather that doubles as the all-or-nothing failure agreement *and*
-//!   the cross-group parameter-agreement check;
+//! * write open — on the caller's communicator ONE agreement round (rank
+//!   0's parameter fingerprint broadcast, then a Max-allreduce of each
+//!   task's verdict: mismatch, locally invalid, or fine), after which the
+//!   file groups form *without an exchange* — [`Mapping::group_of`] is
+//!   pure, so every task computes its own file, local rank and group size
+//!   and joins through [`CoComm::split_local`]. Then per file group ONE
+//!   metadata gather + ONE status broadcast + ONE geometry scatter, then
+//!   ONE global allreduce of the failed flag, the all-or-nothing agreement
+//!   across file groups;
 //! * write close — ONE usage gather + ONE status broadcast per file
 //!   group, then ONE global barrier; file groups beyond
 //!   [`SHARDED_CLOSE_THRESHOLD`] tasks instead shard the gather across
 //!   per-256-task sub-masters that write disjoint metadata slices, so the
 //!   file master never materializes O(ranks·blocks) usage rows (see
 //!   [`close_sharded`]);
-//! * read open — ONE parent broadcast carrying status and the rank map
-//!   together, 2 `split`s, then per file group ONE status broadcast + ONE
-//!   geometry scatter, then ONE global allgather.
+//! * read open — ONE parent scatter handing each task its status, the
+//!   flags and its own place (file, position in that file's rank table,
+//!   group size), message-free `split_local`s, then per file group ONE
+//!   status broadcast + ONE geometry scatter, then ONE global allreduce.
 //!
-//! A task whose *local* pre-open validation fails must still join every
-//! collective (deserting a gather would hang its peers), so the failure
-//! travels as a status bit inside its packed record and surfaces as an
-//! error on every task after the exchange.
+//! No task keeps or scans a payload that grows with the number of tasks
+//! outside its own file group. On the caller's and the global communicator
+//! the write open and both closes move one word per tree edge; the read
+//! open's scatter hands each task its own four words, interior tree nodes
+//! forwarding their subtree's parts — O(P log P) bytes in all, where the
+//! rank-map broadcast it replaced moved O(P²).
+//!
+//! The agreement round has to come *before* the groups form. A task whose
+//! parameters differ would compute a different place for itself than its
+//! peers expect — a rank someone else claims, or a group of another size —
+//! and a task whose *local* pre-open validation fails must still join
+//! every collective (deserting one would hang its peers). So both travel
+//! as that task's verdict in the reduction, every task learns the worst
+//! one, and on anything but a clean verdict all return an error before a
+//! single group exists.
+//!
+//! [`Mapping::group_of`]: crate::Mapping::group_of
 //!
 //! # Maybe-async protocol bodies
 //!
@@ -67,7 +86,7 @@ use crate::layout::FileLayout;
 use crate::physical_name;
 use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter, DEFAULT_READ_AHEAD};
 use crate::{IoMode, SionParams};
-use simmpi::{drive_ready, BlockingRef, CoComm, Comm, CommStats};
+use simmpi::{drive_ready, BlockingRef, CoComm, Comm, CommStats, ReduceOp};
 use std::sync::Arc;
 use vfs::{IoSlice, Vfs};
 
@@ -92,10 +111,14 @@ const CLOSE_SHARD_TASKS: usize = 256;
 const STATUS_OK: u64 = 0;
 /// The master itself failed (layout, create, or metablock write).
 const STATUS_ERR: u64 = 1;
-/// The gathered records carried more than one parameter fingerprint.
-const STATUS_PARAM_MISMATCH: u64 = 2;
-/// Some task's record carried the local-validation-failure bit.
-const STATUS_LOCAL_INVALID: u64 = 3;
+
+/// Verdicts of the write open's agreement round, Max-reduced over the
+/// caller's communicator: the highest one present wins.
+const AGREE_OK: u64 = 0;
+/// Some task's parameters failed its local pre-open validation.
+const AGREE_LOCAL_INVALID: u64 = 1;
+/// Some task's parameter fingerprint differs from rank 0's.
+const AGREE_PARAM_MISMATCH: u64 = 2;
 
 async fn check_master_status(lcom: &dyn CoComm, local: Result<u64>) -> Result<()> {
     // Master converts its Result into a status word; everyone else echoes
@@ -118,31 +141,33 @@ async fn check_master_status(lcom: &dyn CoComm, local: Result<u64>) -> Result<()
     }
 }
 
-/// A fingerprint of the parameters that must agree across tasks.
+/// A fingerprint of the parameters that must agree across tasks. Each
+/// field is folded in by a step that is a bijection of the running hash
+/// and of the field, so two parameter sets that differ in exactly one
+/// field — one task's `nfiles` or mapping off, the disagreement the
+/// exchange-free file groups cannot survive — never collide.
 fn params_fingerprint(p: &SionParams) -> u64 {
     use crate::layout::Alignment;
-    let align = match p.alignment {
-        Alignment::FsBlock => 1u64 << 40,
-        Alignment::None => 2u64 << 40,
-        Alignment::Fixed(a) => (3u64 << 40) ^ a,
+    let (align, align_arg) = match p.alignment {
+        Alignment::FsBlock => (1, 0),
+        Alignment::None => (2, 0),
+        Alignment::Fixed(a) => (3, a),
     };
-    let map = match p.mapping {
-        crate::Mapping::Blocked => 1u64 << 50,
-        crate::Mapping::RoundRobin => 2u64 << 50,
-        crate::Mapping::Grouped(g) => (3u64 << 50) ^ g.rotate_left(17),
+    let (map, map_arg) = match p.mapping {
+        crate::Mapping::Blocked => (1, 0),
+        crate::Mapping::RoundRobin => (2, 0),
+        crate::Mapping::Grouped(g) => (3, g),
     };
-    let mode = match p.io_mode {
-        IoMode::Independent => 0,
-        IoMode::Aggregated { tasks_per_aggregator } => {
-            (5u64 << 44) ^ (tasks_per_aggregator as u64).rotate_left(9)
-        }
+    let (mode, mode_arg) = match p.io_mode {
+        IoMode::Independent => (1, 0),
+        IoMode::Aggregated { tasks_per_aggregator } => (2, tasks_per_aggregator as u64),
     };
-    (p.nfiles as u64)
-        ^ align
-        ^ map
-        ^ mode
-        ^ ((p.compressed as u64) << 60)
-        ^ ((p.rescue as u64) << 61)
+    let flags = p.compressed as u64 | (p.rescue as u64) << 1;
+    [p.nfiles as u64, align, align_arg, map, map_arg, mode, mode_arg, flags]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, &field| {
+            (h ^ field).wrapping_mul(0x0000_0100_0000_01B3).rotate_left(29)
+        })
 }
 
 /// Statistics returned by [`SionParWriter::close`].
@@ -178,93 +203,65 @@ pub struct SionParWriter {
     role: AggRole,
 }
 
-/// The file master's verdict on its group's gathered open records: either
-/// the prepared scatter payloads, or a status word for the broadcast plus
-/// the error the master itself will return.
-type MasterSetup = std::result::Result<GroupSetup, (u64, SionError)>;
-
+/// The file master's half of the write open: lay out the group's chunks
+/// from the gathered records, create the physical file, write metablock 1
+/// and prepare each task's geometry part.
 fn master_open_setup(
     vfs: &dyn Vfs,
     base: &str,
     params: &SionParams,
-    fingerprint: u64,
     filenum: u32,
     ntasks: usize,
     raw: Vec<Vec<u8>>,
-) -> MasterSetup {
-    let records: Vec<OpenRecord> = match raw.iter().map(|b| OpenRecord::decode(b)).collect() {
-        Ok(r) => r,
-        Err(e) => return Err((STATUS_ERR, e)),
-    };
-    // Agreement and validity checks come before any file is created, so a
-    // rejected open leaves nothing on disk for this group.
-    if records.iter().any(|r| r.fingerprint != fingerprint) {
-        return Err((
-            STATUS_PARAM_MISMATCH,
-            SionError::CollectiveMismatch(
-                "tasks passed different multifile parameters to the collective open".into(),
-            ),
-        ));
-    }
-    if records.iter().any(|r| r.status != OpenRecord::STATUS_OK) {
-        return Err((
-            STATUS_LOCAL_INVALID,
-            SionError::CollectiveMismatch(
-                "a task's parameters failed local pre-open validation".into(),
-            ),
-        ));
-    }
+) -> Result<GroupSetup> {
+    let records: Vec<OpenRecord> =
+        raw.iter().map(|b| OpenRecord::decode(b)).collect::<Result<_>>()?;
     let reqs: Vec<u64> = records.iter().map(|r| r.chunksize).collect();
     let granks: Vec<u64> = records.iter().map(|r| r.grank).collect();
-    (|| {
-        let layout =
-            FileLayout::compute(&reqs, vfs.block_size(), params.alignment, params.rescue)?;
-        let file = vfs.create(&physical_name(base, filenum))?;
-        let mb1 = MetaBlock1 {
-            version: crate::format::VERSION,
-            flags: params.flags(),
-            fsblksize: vfs.block_size(),
-            ntasks_global: ntasks as u64,
-            nfiles: params.nfiles,
-            filenum,
-            data_start: layout.data_start,
-            global_ranks: granks.clone(),
-            chunksize_req: reqs,
-            chunk_cap: layout.cap.clone(),
-        };
-        file.write_all_at(&mb1.encode(), 0)?;
-        // Aggregation election (IoMode::Aggregated): neighborhood starts,
-        // snapped to FS-block-clean task boundaries so aggregator extents
-        // never share an FS block with another writer. Every scatter part
-        // carries the same 9-word shape in both modes: 7 geometry words
-        // plus [aggregator lrank, neighborhood end) — a task that is its
-        // own aggregator with an empty neighborhood writes independently.
-        let groups = match params.io_mode {
-            IoMode::Independent => None,
-            IoMode::Aggregated { tasks_per_aggregator } => {
-                Some(layout.aggregation_groups(tasks_per_aggregator))
-            }
-        };
-        let parts: Vec<Vec<u8>> = (0..layout.ntasks())
-            .map(|t| {
-                let mut words = ChunkGeom::from_layout(&layout, t, granks[t]).encode();
-                let (agg, end) = match &groups {
-                    None => (t as u64, t as u64 + 1),
-                    Some(starts) => {
-                        let gi = starts.partition_point(|&s| s <= t) - 1;
-                        let end =
-                            starts.get(gi + 1).copied().unwrap_or(layout.ntasks()) as u64;
-                        (starts[gi] as u64, end)
-                    }
-                };
-                words.push(agg);
-                words.push(end);
-                words.iter().flat_map(|w| w.to_le_bytes()).collect()
-            })
-            .collect();
-        Ok((parts, file))
-    })()
-    .map_err(|e: SionError| (STATUS_ERR, e))
+    let layout = FileLayout::compute(&reqs, vfs.block_size(), params.alignment, params.rescue)?;
+    let file = vfs.create(&physical_name(base, filenum))?;
+    let mb1 = MetaBlock1 {
+        version: crate::format::VERSION,
+        flags: params.flags(),
+        fsblksize: vfs.block_size(),
+        ntasks_global: ntasks as u64,
+        nfiles: params.nfiles,
+        filenum,
+        data_start: layout.data_start,
+        global_ranks: granks.clone(),
+        chunksize_req: reqs,
+        chunk_cap: layout.cap.clone(),
+    };
+    file.write_all_at(&mb1.encode(), 0)?;
+    // Aggregation election (IoMode::Aggregated): neighborhood starts,
+    // snapped to FS-block-clean task boundaries so aggregator extents
+    // never share an FS block with another writer. Every scatter part
+    // carries the same 9-word shape in both modes: 7 geometry words
+    // plus [aggregator lrank, neighborhood end) — a task that is its
+    // own aggregator with an empty neighborhood writes independently.
+    let groups = match params.io_mode {
+        IoMode::Independent => None,
+        IoMode::Aggregated { tasks_per_aggregator } => {
+            Some(layout.aggregation_groups(tasks_per_aggregator))
+        }
+    };
+    let parts: Vec<Vec<u8>> = (0..layout.ntasks())
+        .map(|t| {
+            let mut words = ChunkGeom::from_layout(&layout, t, granks[t]).encode();
+            let (agg, end) = match &groups {
+                None => (t as u64, t as u64 + 1),
+                Some(starts) => {
+                    let gi = starts.partition_point(|&s| s <= t) - 1;
+                    let end = starts.get(gi + 1).copied().unwrap_or(layout.ntasks()) as u64;
+                    (starts[gi] as u64, end)
+                }
+            };
+            words.push(agg);
+            words.push(end);
+            words.iter().flat_map(|w| w.to_le_bytes()).collect()
+        })
+        .collect();
+    Ok((parts, file))
 }
 
 /// Collectively create a multifile for writing (`sion_paropen_mpi`).
@@ -299,50 +296,57 @@ pub async fn paropen_write_co(
     let grank = comm.rank();
     let ntasks = comm.size();
 
-    // Local pre-open validation is *deferred*: a task whose parameters
-    // fail the check still joins every collective below (returning early
-    // would hang its peers), carrying the failure as a status bit in its
-    // packed record instead.
+    // Agreement round, on the caller's communicator and before any split:
+    // the file groups below are formed without an exchange, each task
+    // computing its own place from (mapping, nfiles), so a task holding
+    // different or invalid parameters must be found out first — it would
+    // claim a place in a group its peers do not expect it in. Rank 0's
+    // fingerprint goes down, the worst verdict comes back. A task whose
+    // own check fails still joins both collectives (deserting would hang
+    // its peers); on any failure every task returns here and nobody splits.
     let local_check = params.mapping.validate(ntasks, params.nfiles);
     let fingerprint = params_fingerprint(params);
+    let reference = comm.bcast_u64((grank == 0).then_some(fingerprint), 0).await;
+    let mine = if reference != fingerprint {
+        AGREE_PARAM_MISMATCH
+    } else if local_check.is_err() {
+        AGREE_LOCAL_INVALID
+    } else {
+        AGREE_OK
+    };
+    let verdict = comm.allreduce_u64(mine, ReduceOp::Max).await;
+    if verdict != AGREE_OK {
+        // The task's own validation error is the most precise report.
+        local_check?;
+        return Err(SionError::CollectiveMismatch(if verdict == AGREE_PARAM_MISMATCH {
+            "tasks passed different multifile parameters to the collective open".into()
+        } else {
+            "another task's parameters failed local pre-open validation".into()
+        }));
+    }
 
-    // `file_of` is total, so even a task holding invalid parameters
-    // computes a split color and lands in a well-formed file group.
-    let filenum = params.mapping.file_of(grank, ntasks, params.nfiles);
-    let lcom = comm.split(filenum as u64, grank as u64).await;
+    // `group_of` is pure and the parameters agree, so every task of a file
+    // names the same group and a distinct rank in it. Local ranks follow
+    // global rank order: the local rank *is* the local task index of the
+    // on-disk layout.
+    let (filenum, lrank, lsize) = params.mapping.group_of(grank, ntasks, params.nfiles);
+    let lcom = comm.split_local(filenum as u64, lrank, lsize).await;
     // A private duplicate of the global communicator, so the handle can run
     // global collectives (the paper's open/close are collective over gcom).
-    let gcom = comm.split(0, grank as u64).await;
+    let gcom = comm.split_local(0, grank, ntasks).await;
 
     // Single-round metadata exchange: everything the master needs from
-    // each task — chunk-size request, global rank, parameter fingerprint,
-    // local status — travels in ONE packed gather instead of one
-    // sequential collective per field.
-    let record = OpenRecord {
-        chunksize: params.chunksize,
-        grank: grank as u64,
-        fingerprint,
-        status: if local_check.is_ok() {
-            OpenRecord::STATUS_OK
-        } else {
-            OpenRecord::STATUS_LOCAL_INVALID
-        },
-    };
-    let encoded = record.encode();
-    let gathered = lcom.gather(&encoded, 0).await;
-
-    let (word, setup_ok, setup_err) = if lcom.rank() == 0 {
-        // The master's metablock-1 write below happens after the gather
-        // parked this coroutine; arm its task label for the guards.
+    // each task travels in ONE packed gather instead of one sequential
+    // collective per field.
+    let record = OpenRecord { chunksize: params.chunksize, grank: grank as u64 };
+    let gathered = lcom.gather(&record.encode(), 0).await;
+    let setup = gathered.map(|raw| {
+        // The master's metablock-1 write happens after the gather parked
+        // this coroutine; arm its task label for the guards.
         vfs::guard::set_task(grank as u64);
-        let raw = gathered.expect("master receives the gather");
-        match master_open_setup(vfs, base, params, fingerprint, filenum, ntasks, raw) {
-            Ok(setup) => (Some(STATUS_OK), Some(setup), None),
-            Err((w, e)) => (Some(w), None, Some(e)),
-        }
-    } else {
-        (None, None, None)
-    };
+        master_open_setup(vfs, base, params, filenum, ntasks, raw)
+    });
+    let word = setup.as_ref().map(|s| if s.is_ok() { STATUS_OK } else { STATUS_ERR });
     let status = lcom.bcast_u64(word, 0).await;
 
     // Per-file-group phase. Any failure here is captured, not returned:
@@ -350,79 +354,52 @@ pub async fn paropen_write_co(
     // groups would hang.
     let group_result: Result<(ChunkGeom, usize, usize, Arc<dyn vfs::VfsFile>)> = async {
         if status != STATUS_OK {
-            // The task's own validation error is the most precise report;
-            // the master returns the error it diagnosed; everyone else
-            // reconstructs the verdict from the status word.
-            local_check?;
-            if let Some(e) = setup_err {
-                return Err(e);
+            return Err(match setup {
+                Some(Err(e)) => e,
+                _ => SionError::CollectiveMismatch(
+                    "master task failed during collective open".into(),
+                ),
+            });
+        }
+        let (parts, created) = match setup {
+            Some(setup) => {
+                let (parts, file) = setup.expect("status was OK");
+                (Some(parts), Some(file))
             }
-            return Err(SionError::CollectiveMismatch(match status {
-                STATUS_PARAM_MISMATCH => {
-                    "tasks passed different multifile parameters to the collective open".into()
-                }
-                STATUS_LOCAL_INVALID => {
-                    "another task's parameters failed local pre-open validation".into()
-                }
-                _ => "master task failed during collective open".into(),
-            }));
-        }
-        if lcom.rank() == 0 {
-            let (parts, file) = setup_ok.expect("status was OK");
-            let mine = lcom.scatter(Some(parts), 0).await;
-            let (geom, agg, end) = decode_write_part(&mine)?;
-            Ok((geom, agg, end, file))
-        } else {
-            let mine = lcom.scatter(None, 0).await;
-            let (geom, agg, end) = decode_write_part(&mine)?;
-            let file: Arc<dyn vfs::VfsFile> = if agg == lcom.rank() {
-                // The master created the file before the status broadcast,
-                // so it exists by now.
-                vfs.open_rw(&physical_name(base, filenum))?
-            } else {
-                // Aggregated-mode member: its stream engine runs against a
-                // data-discarding shadow of the physical file; only its
-                // aggregator touches the file itself. On a plain VFS the
-                // shadow is a `NullFile`; an ordering checker's VFS
-                // (`vfs::OrderGuardFs`) instead hands back a handle that
-                // records each write as a *logical* access to the real
-                // path, so the member's extents are checkable against the
-                // aggregator's replay without any physical I/O.
-                vfs.create_shadow(&physical_name(base, filenum))?
-            };
-            Ok((geom, agg, end, file))
-        }
+            None => (None, None),
+        };
+        let mine = lcom.scatter(parts, 0).await;
+        let (geom, agg, end) = decode_write_part(&mine)?;
+        let file = match created {
+            Some(file) => file,
+            // The master created the file before the status broadcast, so
+            // it exists by now.
+            None if agg == lcom.rank() => vfs.open_rw(&physical_name(base, filenum))?,
+            // Aggregated-mode member: its stream engine runs against a
+            // data-discarding shadow of the physical file; only its
+            // aggregator touches the file itself. On a plain VFS the
+            // shadow is a `NullFile`; an ordering checker's VFS
+            // (`vfs::OrderGuardFs`) instead hands back a handle that
+            // records each write as a *logical* access to the real path,
+            // so the member's extents are checkable against the
+            // aggregator's replay without any physical I/O.
+            None => vfs.create_shadow(&physical_name(base, filenum))?,
+        };
+        Ok((geom, agg, end, file))
     }
     .await;
 
-    // One global exchange closes the open. Its 16-byte payload carries
-    // [failed flag, parameter fingerprint]: it is simultaneously the
-    // all-or-nothing failure agreement across file groups (when it returns
-    // clean, every physical file exists and every task holds a handle) and
-    // the cross-group parameter-agreement check — the per-group gather
-    // already verified agreement *within* each group, so the former
-    // standalone fingerprint allgather round is gone.
-    let mut word16 = [0u8; 16];
-    word16[..8].copy_from_slice(&(group_result.is_err() as u64).to_le_bytes());
-    word16[8..].copy_from_slice(&fingerprint.to_le_bytes());
-    // Scanned in place via the shared-frame allgather: the result is only
-    // reduced to two booleans, so no rank materializes per-rank vectors.
-    let all = gcom.allgather_shared(&word16).await;
-    let mut any_failed = false;
-    let mut fp_mismatch = false;
-    for b in all.iter() {
-        any_failed |= u64::from_le_bytes(b[..8].try_into().unwrap()) != 0;
-        fp_mismatch |= u64::from_le_bytes(b[8..16].try_into().unwrap()) != fingerprint;
-    }
-    let (geom, agg, end, file) = match (any_failed || fp_mismatch, group_result) {
+    // One global reduction closes the open: the all-or-nothing failure
+    // agreement across file groups. When it returns clean, every physical
+    // file exists and every task holds a handle.
+    let any_failed = gcom.allreduce_u64(group_result.is_err() as u64, ReduceOp::Max).await != 0;
+    let (geom, agg, end, file) = match (any_failed, group_result) {
         (false, Ok(tuple)) => tuple,
         (_, Err(e)) => return Err(e),
         (true, Ok(_)) => {
-            return Err(SionError::CollectiveMismatch(if fp_mismatch {
-                "tasks passed different multifile parameters to the collective open".into()
-            } else {
-                "another file group failed during the collective open".into()
-            }))
+            return Err(SionError::CollectiveMismatch(
+                "another file group failed during the collective open".into(),
+            ))
         }
     };
 
@@ -789,10 +766,11 @@ impl SionParWriter {
 /// bytes produced are identical to
 /// [`write_close_metadata`](crate::format::write_close_metadata)'s.
 ///
-/// Round structure: 2 `split`s on the file-group communicator, ONE usage
-/// gather per shard, then among sub-masters ONE 16-byte allgather (failure
-/// agreement + block-count reduction) and ONE status gather; the caller's
-/// status broadcast and global barrier are unchanged.
+/// Round structure: 2 message-free `split_local`s of the file-group
+/// communicator, ONE usage gather per shard, then among sub-masters ONE
+/// 16-byte allgather (failure agreement + block-count reduction) and ONE
+/// status gather; the caller's status broadcast and global barrier are
+/// unchanged.
 async fn close_sharded(
     lcom: &dyn CoComm,
     writer: &TaskWriter,
@@ -800,18 +778,26 @@ async fn close_sharded(
     record: &[u8],
 ) -> Result<u64> {
     let n = lcom.size();
-    // `lcom` was split keyed by global rank, so the local rank *is* the
+    // `lcom` ranks follow global rank order, so the local rank *is* the
     // local task index used by the on-disk layout.
     let me = lcom.rank();
-    let shard_base = (me / CLOSE_SHARD_TASKS) * CLOSE_SHARD_TASKS;
+    let shard = me / CLOSE_SHARD_TASKS;
+    let shard_base = shard * CLOSE_SHARD_TASKS;
+    let nshards = n.div_ceil(CLOSE_SHARD_TASKS);
     let is_sub_master = me == shard_base;
 
-    // Both splits are collective over the whole group; the second hands
-    // non-sub-masters a communicator they never use.
-    let scom = lcom.split((me / CLOSE_SHARD_TASKS) as u64, me as u64).await;
-    let mcom = lcom
-        .split(if is_sub_master { 0 } else { 1 }, me as u64)
+    // Both splits are collective over the whole group and cost no message:
+    // every task computes its own place. The second hands non-sub-masters
+    // a communicator they never use.
+    let scom = lcom
+        .split_local(shard as u64, me - shard_base, CLOSE_SHARD_TASKS.min(n - shard_base))
         .await;
+    let mcom = if is_sub_master {
+        lcom.split_local(0, shard, nshards).await
+    } else {
+        // `shard + 1` sub-masters precede this task.
+        lcom.split_local(1, me - shard - 1, n - nshards).await
+    };
 
     let gathered = scom.gather(record, 0).await;
     if !is_sub_master {
@@ -953,77 +939,76 @@ pub async fn paropen_read_co(
     let grank = comm.rank();
     let ntasks = comm.size();
 
-    // The global master reads every metablock 1 once and distributes the
-    // rank → (file, local index) map, so tens of thousands of tasks do not
-    // hammer the metadata concurrently.
-    let discovery: Result<Vec<u64>> = if grank == 0 {
-        (|| {
-            let f0 = vfs.open(base)?;
-            let mb1 = MetaBlock1::read_from(f0.as_ref())?;
-            if mb1.ntasks_global != ntasks as u64 {
-                return Err(SionError::CollectiveMismatch(format!(
-                    "multifile was written by {} tasks, read with {}",
-                    mb1.ntasks_global, ntasks
-                )));
-            }
-            let nfiles = mb1.nfiles;
-            let mut map = vec![u64::MAX; ntasks];
-            for k in 0..nfiles {
-                let mbk = if k == 0 {
-                    mb1.clone()
-                } else {
-                    let fk = vfs.open(&physical_name(base, k))?;
-                    MetaBlock1::read_from(fk.as_ref())?
-                };
-                for (lt, &gr) in mbk.global_ranks.iter().enumerate() {
-                    if gr >= ntasks as u64 || map[gr as usize] != u64::MAX {
-                        return Err(SionError::Format(format!(
-                            "global rank {gr} duplicated or out of range in file {k}"
-                        )));
-                    }
-                    map[gr as usize] = ((k as u64) << 32) | lt as u64;
+    // The global master reads every metablock 1 once and tells each task
+    // its own place — [status, flags, file << 32 | local index, group
+    // size] — so tens of thousands of tasks neither hammer the metadata
+    // concurrently nor hold a copy of the whole rank → file map. The local
+    // index is the task's position in its file's own rank table, which is
+    // the order the file master scatters geometry in below.
+    let discovery = (grank == 0).then(|| -> Result<Vec<Vec<u8>>> {
+        let f0 = vfs.open(base)?;
+        let mb1 = MetaBlock1::read_from(f0.as_ref())?;
+        if mb1.ntasks_global != ntasks as u64 {
+            return Err(SionError::CollectiveMismatch(format!(
+                "multifile was written by {} tasks, read with {}",
+                mb1.ntasks_global, ntasks
+            )));
+        }
+        let flags = mb1.flags.bits();
+        let mut parts: Vec<Vec<u8>> = vec![Vec::new(); ntasks];
+        for k in 0..mb1.nfiles {
+            let mbk = if k == 0 {
+                mb1.clone()
+            } else {
+                let fk = vfs.open(&physical_name(base, k))?;
+                MetaBlock1::read_from(fk.as_ref())?
+            };
+            let group_size = mbk.global_ranks.len() as u64;
+            for (lt, &gr) in mbk.global_ranks.iter().enumerate() {
+                if gr >= ntasks as u64 || !parts[gr as usize].is_empty() {
+                    return Err(SionError::Format(format!(
+                        "global rank {gr} duplicated or out of range in file {k}"
+                    )));
                 }
+                parts[gr as usize] =
+                    [STATUS_OK, flags, ((k as u64) << 32) | lt as u64, group_size]
+                        .iter()
+                        .flat_map(|w| w.to_le_bytes())
+                        .collect();
             }
-            if map.contains(&u64::MAX) {
-                return Err(SionError::Format("some ranks missing from multifile".into()));
-            }
-            let mut payload = vec![nfiles as u64, mb1.flags.bits()];
-            payload.extend_from_slice(&map);
-            Ok(payload)
-        })()
-    } else {
-        Ok(Vec::new())
-    };
+        }
+        if parts.iter().any(Vec::is_empty) {
+            return Err(SionError::Format("some ranks missing from multifile".into()));
+        }
+        Ok(parts)
+    });
 
-    // ONE combined broadcast: the status word travels as the payload's
-    // leading word ([STATUS_OK, nfiles, flags, map...] on success, just
-    // [STATUS_ERR] on failure) instead of costing a separate status round.
-    let packed: Option<Vec<u8>> = if grank == 0 {
-        let words: Vec<u64> = match &discovery {
-            Ok(p) => std::iter::once(STATUS_OK).chain(p.iter().copied()).collect(),
-            Err(_) => vec![STATUS_ERR],
-        };
-        Some(words.iter().flat_map(|w| w.to_le_bytes()).collect())
-    } else {
-        None
+    // ONE scatter: the status word travels as each part's leading word
+    // (a lone [STATUS_ERR] on failure) instead of costing a separate round.
+    let (parts, failure) = match discovery {
+        Some(Ok(parts)) => (Some(parts), None),
+        Some(Err(e)) => (Some(vec![STATUS_ERR.to_le_bytes().to_vec(); ntasks]), Some(e)),
+        None => (None, None),
     };
-    let payload_bytes = comm.bcast(packed, 0).await;
-    let words: Vec<u64> = payload_bytes
+    let words: Vec<u64> = comm
+        .scatter(parts, 0)
+        .await
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
         .collect();
-    if words.first().copied() != Some(STATUS_OK) {
-        return Err(discovery.err().unwrap_or_else(|| {
+    let &[STATUS_OK, flags, place, group_size] = words.as_slice() else {
+        return Err(failure.unwrap_or_else(|| {
             SionError::CollectiveMismatch("master failed during read open".into())
         }));
-    }
-    let flags = SionFlags::from_bits(words[2])?;
+    };
+    let flags = SionFlags::from_bits(flags)?;
     let compressed = flags.contains(SionFlags::COMPRESSED);
-    let entry = words[3 + grank];
-    let filenum = (entry >> 32) as u32;
+    let filenum = (place >> 32) as u32;
 
-    let lcom = comm.split(filenum as u64, grank as u64).await;
-    let gcom = comm.split(0, grank as u64).await;
+    let lcom = comm
+        .split_local(filenum as u64, (place & 0xFFFF_FFFF) as usize, group_size as usize)
+        .await;
+    let gcom = comm.split_local(0, grank, ntasks).await;
 
     // Each file master reads its metablocks once and scatters per-task
     // geometry plus usage vectors.
@@ -1075,13 +1060,8 @@ pub async fn paropen_read_co(
     .await;
     let lcom_stats = lcom.stats();
 
-    // All-or-nothing across file groups, as in the write open (shared
-    // frame, scanned in place).
-    let any_failed = gcom
-        .allgather_shared(&(group_result.is_err() as u64).to_le_bytes())
-        .await
-        .iter()
-        .any(|b| u64::from_le_bytes(b[..8].try_into().unwrap()) != 0);
+    // All-or-nothing across file groups, as in the write open.
+    let any_failed = gcom.allreduce_u64(group_result.is_err() as u64, ReduceOp::Max).await != 0;
     let (geom, used, file) = match (any_failed, group_result) {
         (false, Ok(triple)) => triple,
         (_, Err(e)) => return Err(e),

@@ -259,3 +259,40 @@ fn functional_create_counts_match_paper_claim() {
     });
     assert_eq!(fs.counters().creates, ntasks as u64);
 }
+
+/// A multifile whose per-file rank tables are *not* ascending — legal on
+/// disk, though this library never writes one — must hand every task the
+/// chunks its own table entry names. The tables of a written multifile are
+/// rotated by hand; the serial global view is the oracle.
+#[test]
+fn read_open_follows_non_ascending_rank_tables() {
+    use sion::format::MetaBlock1;
+    let fs = MemFs::with_block_size(4096);
+    let (ntasks, per_file) = (6, 3);
+    World::run(ntasks, |comm| {
+        let params = SionParams::new(2048).with_nfiles(2);
+        let mut w = paropen_write(&fs, "rot.sion", &params, comm).unwrap();
+        w.write(&payload(comm.rank(), 3000 + comm.rank())).unwrap();
+        w.close().unwrap();
+    });
+    for k in 0..2 {
+        let file = fs.open_rw(&sion::physical_name("rot.sion", k)).unwrap();
+        let mut mb1 = MetaBlock1::read_from(file.as_ref()).unwrap();
+        mb1.global_ranks.rotate_left(1);
+        file.write_all_at(&mb1.encode(), 0).unwrap();
+    }
+    // Local task i of each file now belongs to rank base + (i + 1) % 3, so
+    // every rank finds what its left neighbour in the file wrote.
+    let writer_of = |rank: usize| rank / per_file * per_file + (rank + per_file - 1) % per_file;
+    let mf = Multifile::open(&fs, "rot.sion").unwrap();
+    World::run(ntasks, |comm| {
+        let want = payload(writer_of(comm.rank()), 3000 + writer_of(comm.rank()));
+        assert_eq!(mf.read_rank(comm.rank()).unwrap(), want, "serial view, rank {}", comm.rank());
+        let mut r = paropen_read(&fs, "rot.sion", comm).unwrap();
+        let mut back = vec![0u8; want.len()];
+        r.read_exact(&mut back).unwrap();
+        assert_eq!(back, want, "rank {} read another task's chunks", comm.rank());
+        assert!(r.feof());
+        r.close().unwrap();
+    });
+}
