@@ -15,6 +15,11 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> MemFs per-block locking: threads sharing one file (release)"
+# Release, unlike the debug run above: only optimised writers are fast
+# enough to be inside one file's page table at the same time.
+cargo test --release -p sion-vfs --test memfs_concurrent -q
+
 echo "==> crash-consistency harness (fixed seed)"
 CRASH_SEED=1359024137 cargo test -p sion --test crash_consistency -q
 

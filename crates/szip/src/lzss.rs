@@ -159,11 +159,17 @@ pub fn decompress_block(
                 if produced + len > raw_len {
                     return Err("match overruns declared raw length");
                 }
-                // Overlapping copy (dist may be < len): byte-at-a-time.
                 let start = out.len() - dist;
-                for src in start..start + len {
-                    let b = out[src];
-                    out.push(b);
+                if dist >= len {
+                    // Source ends before the output grows into it (the
+                    // common case): one block copy.
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // Overlapping run: each byte may be one just written.
+                    for src in start..start + len {
+                        let b = out[src];
+                        out.push(b);
+                    }
                 }
             } else {
                 if ip >= block.len() {

@@ -137,8 +137,14 @@ pub trait VfsFile: Send + Sync {
     ///
     /// The provided default loops [`write_all_at`](Self::write_all_at) per
     /// slice — correct everywhere; backends override it to batch the
-    /// submission ([`MemFs`] applies the whole iovec under one file lock,
-    /// [`LocalFs`] coalesces into a single syscall).
+    /// submission ([`MemFs`] applies the iovec as one byte run, [`LocalFs`]
+    /// coalesces into a single syscall).
+    ///
+    /// Concurrent readers get what a parallel file system gives: the write
+    /// is atomic **per FS block** ([`Vfs::block_size`]), not per call. A
+    /// reader may see the leading blocks of an iovec without the trailing
+    /// ones, never a torn block. Tasks that need more must not share
+    /// blocks, which is what [`BlockGuardFs`] checks.
     fn write_vectored_at(&self, bufs: &[IoSlice<'_>], offset: u64) -> io::Result<()> {
         let mut at = offset;
         for b in bufs {

@@ -6,8 +6,8 @@
 //! backend's native vectored submission, a wrapper that suppresses the
 //! override so the trait default runs over the same backend, and a plain
 //! in-memory byte model — and the resulting file images are compared.
-//! Runs against both overriding backends: [`MemFs`] (whole-iovec under one
-//! file lock) and [`LocalFs`] (coalesced single submission).
+//! Runs against both overriding backends: [`MemFs`] (the iovec as one byte
+//! run, block by block) and [`LocalFs`] (coalesced single submission).
 
 use proptest::prelude::*;
 use std::io;
@@ -92,7 +92,7 @@ static TMP_CASE: AtomicUsize = AtomicUsize::new(0);
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// MemFs: the one-lock whole-iovec override equals the per-slice
+    /// MemFs: the gathered block-by-block override equals the per-slice
     /// default loop and the byte model, for every script.
     #[test]
     fn memfs_vectored_override_matches_default_loop(
