@@ -9,10 +9,8 @@ echo "==> cargo build --release --workspace"
 # binaries (sionrepair/sionverify/benches) the later steps run.
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
-
 echo "==> cargo test --workspace -q"
+# The root package is a workspace member, so this runs its tests too.
 cargo test --workspace -q
 
 echo "==> MemFs per-block locking: threads sharing one file (release)"
@@ -34,7 +32,7 @@ echo "==> DPOR: exhaustive schedule enumeration over sion::par (both I/O modes)"
 # Dynamic partial-order reduction on the driven serial task runtime: every
 # inequivalent interleaving of small open/write/close configurations runs
 # under the full checker stack (sanitizer + happens-before engine +
-# OrderGuardFs). Explored-schedule counts are pinned in the test; the
+# its `TapFs` extent sink). Explored-schedule counts are pinned in the test; the
 # first run's decision trace is a golden file.
 cargo test -p sion-simcheck --test dpor_sion -q
 
@@ -156,6 +154,10 @@ echo "==> benchmark/ package: build + tests against this tree's crates"
 # leaves the tree clean.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 git checkout benchmark/Cargo.lock
+
+echo "==> structural gate: TapFs is the only forwarding Vfs (MemFs, LocalFs x2 each, NullFile, TapFs x2)"
+n=$(grep -rEc 'impl(<[^>]*>)? *(Vfs|VfsFile) for' crates/*/src | awk -F: '{ s += $2 } END { print s }')
+[ "$n" -eq 7 ] || { echo "new hand-forwarding decorator: make it a \`Tap\` ($n Vfs/VfsFile impls, want 7)"; exit 1; }
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

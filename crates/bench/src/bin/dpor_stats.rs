@@ -13,12 +13,12 @@
 //!
 //! Writes a JSON report (default `BENCH_dpor.json`).
 
-use simcheck::{Dpor, DporOutcome, HbEngine, HookChain, OrderGuardFs, Sanitizer, SinkChain};
+use simcheck::{Dpor, DporOutcome, HbEngine, HookChain, Sanitizer, TapFs};
 use simmpi::{CheckHook, CoComm, TaskWorld};
 use sion::{paropen_write_co, IoMode, SionParams};
 use std::sync::Arc;
 use std::time::Instant;
-use vfs::{MemFs, Vfs};
+use vfs::MemFs;
 
 /// One measured configuration.
 struct Case {
@@ -33,9 +33,8 @@ fn explore(case: &Case, cap: usize) -> DporOutcome {
     Dpor { max_schedules: cap }.explore(|h| {
         let engine = Arc::new(HbEngine::new());
         let san = Arc::new(Sanitizer::new());
-        let sink = Arc::new(SinkChain::new(vec![engine.clone(), h.sink()]));
-        let fs: Arc<dyn Vfs> =
-            Arc::new(OrderGuardFs::new(Arc::new(MemFs::with_block_size(256)), sink));
+        let mem = Arc::new(MemFs::with_block_size(256));
+        let fs = Arc::new(TapFs::new(mem, vec![engine.clone(), h.sink()]));
         let hook: Arc<dyn CheckHook> =
             Arc::new(HookChain::new(vec![h.recorder(), san.clone(), engine.clone()]));
         let params =

@@ -26,10 +26,6 @@
 //! *actual* SIONlib layout code, so the simulated access pattern is exactly
 //! the library's.
 //!
-//! [`SimFs`] additionally provides a functional [`vfs::Vfs`] with operation
-//! accounting, for tests that want to count creates/opens/bytes without
-//! timing.
-//!
 //! ```
 //! use parfs::{Machine, IoOp, FileRef, ScriptClass, ScriptSet, simulate};
 //!
@@ -49,11 +45,9 @@
 mod engine;
 mod fluid;
 mod machine;
-mod simfs;
 mod workload;
 
 pub use engine::{simulate, OpTiming, SimReport};
 pub use fluid::{FluidJobSpec, FluidSolver, ResourceId};
 pub use machine::{Machine, StripingConfig};
-pub use simfs::{SimFs, SimFsCounters};
 pub use workload::{FileRef, IoOp, ScriptClass, ScriptSet};

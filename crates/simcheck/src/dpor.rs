@@ -47,7 +47,7 @@ use simmpi::{Sanitizer, ScheduleDriver};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use vfs::{AccessKind, AccessSink, FileAccess};
+use vfs::{AccessKind, AccessSink, FileAccess, Tap};
 
 /// What a channel footprint entry did on its mailbox key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,27 +214,6 @@ impl AccessSink for Recorder {
     }
 }
 
-/// Fan-out of one [`OrderGuardFs`](vfs::OrderGuardFs) sink slot to several
-/// sinks — driven runs need the extent stream in both the
-/// [`HbEngine`](crate::HbEngine) (race verdicts) and the [`Recorder`]
-/// (schedule footprints).
-pub struct SinkChain(Vec<Arc<dyn AccessSink>>);
-
-impl SinkChain {
-    /// Chain `sinks`; every access is forwarded to each in order.
-    pub fn new(sinks: Vec<Arc<dyn AccessSink>>) -> Self {
-        SinkChain(sinks)
-    }
-}
-
-impl AccessSink for SinkChain {
-    fn on_access(&self, access: &FileAccess) {
-        for s in &self.0 {
-            s.on_access(access);
-        }
-    }
-}
-
 /// The happens-before relation of one executed trace: program order,
 /// send→receive message edges (FIFO per channel key) and collective
 /// entry→exit barriers, transitively closed with vector clocks. A
@@ -326,8 +305,8 @@ impl TraceHb {
 }
 
 /// Handle passed to the per-run closure: the three faces of the shared
-/// [`Recorder`], ready to wire into `run_driven`, a [`HookChain`], and an
-/// [`OrderGuardFs`](vfs::OrderGuardFs).
+/// [`Recorder`], ready to wire into `run_driven`, a [`HookChain`], and a
+/// [`TapFs`](vfs::TapFs) tap list.
 pub struct DporHarness {
     rec: Arc<Recorder>,
 }
@@ -344,9 +323,9 @@ impl DporHarness {
         self.rec.clone()
     }
 
-    /// The extent sink for an `OrderGuardFs` when the program does file
-    /// I/O.
-    pub fn sink(&self) -> Arc<dyn AccessSink> {
+    /// The extent sink, for the `TapFs` tap list when the program does
+    /// file I/O.
+    pub fn sink(&self) -> Arc<dyn Tap> {
         self.rec.clone()
     }
 }

@@ -3,8 +3,8 @@
 //! [`HbEngine`] is a **passive** [`CheckHook`] + [`AccessSink`] pair: it
 //! listens to every `simmpi` event (sends, completed receives, collective
 //! entry/exit brackets, task finishes) to maintain one vector clock per
-//! world task, and to every byte-extent access an [`OrderGuardFs`]
-//! (`vfs::OrderGuardFs`) reports, to decide whether conflicting accesses
+//! world task, and to every byte-extent access a [`TapFs`](vfs::TapFs)
+//! reports to it as an [`AccessSink`], to decide whether conflicting accesses
 //! are *ordered* by the protocol. Two conflicting extents with no
 //! happens-before path between them are a data race — exactly the
 //! ordering form of the paper's §3.2 invariant that the aggregated I/O
@@ -34,7 +34,7 @@
 //! # Shadow writes and ack durability
 //!
 //! Aggregated-mode members write their chunk arithmetic through a
-//! [`Vfs::create_shadow`](vfs::Vfs) handle; under `OrderGuardFs` those
+//! [`Vfs::create_shadow`](vfs::Vfs) handle; under a `TapFs` those
 //! surface as [`AccessKind::ShadowWrite`] extents against the real path —
 //! *logical* writes whose physical persistence is the elected aggregator's
 //! obligation. The engine turns the ship/ack framing contract
@@ -246,7 +246,7 @@ fn conflicts(a: AccessKind, b: AccessKind) -> bool {
 
 /// The happens-before engine; see the module docs. Install the same
 /// instance as the run's [`CheckHook`] (or chain it from one) and as the
-/// [`OrderGuardFs`](vfs::OrderGuardFs) sink.
+/// tap in the [`TapFs`](vfs::TapFs) the run does its I/O through.
 #[derive(Default)]
 pub struct HbEngine {
     inner: Mutex<HbState>,

@@ -35,10 +35,11 @@
 //!    (`SIMCHECK_TIMEOUT_MS`, default 20s). Production runs without the
 //!    variable pay nothing.
 //!
-//! The filesystem-level check is independent of both: wrap any
-//! [`vfs::Vfs`] in a [`BlockGuardFs`] and every FS block that two
-//! different labeled tasks write is reported as a [`BlockViolation`]
-//! ([`BlockGuardFs::assert_exclusive`] panics with the sorted list).
+//! The filesystem-level check is independent of both: list a
+//! [`BlockGuard`] in the [`TapFs`] around any [`vfs::Vfs`] and every FS
+//! block that two different labeled tasks write is reported as a
+//! [`BlockViolation`] ([`BlockGuard::assert_exclusive`] panics with the
+//! sorted list).
 //! `sion::paropen_write` labels each rank's writes automatically.
 //!
 //! All diagnostics are deterministic — stable rank ordering, no hash-map
@@ -49,7 +50,7 @@ pub mod hb;
 mod report;
 mod sched;
 
-pub use dpor::{Dpor, DporHarness, DporOutcome, HookChain, SinkChain};
+pub use dpor::{Dpor, DporHarness, DporOutcome, HookChain};
 pub use hb::{AckViolation, HbEngine, HbRace, RaceSite, VClock};
 pub use report::{CheckFailure, DeadlockInfo, PendingOp, ScheduleCfg, TraceEv};
 pub use sched::{schedules, seed_budget, CheckedTaskWorld, CheckedWorld};
@@ -59,4 +60,4 @@ pub use simmpi::{
     simcheck_env_enabled, Aborted, CheckHook, CollKind, CommCtx, Finding, FindingKind, LeakedMsg,
     Sanitizer, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK, COLL_TAG_PREFIX,
 };
-pub use vfs::{AccessKind, AccessSink, BlockGuardFs, BlockViolation, FileAccess, OrderGuardFs};
+pub use vfs::{AccessKind, AccessSink, BlockGuard, BlockViolation, FileAccess, Tap, TapFs};

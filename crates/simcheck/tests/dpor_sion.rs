@@ -3,8 +3,8 @@
 //! Small configurations of the real collective write protocol are run
 //! under [`simcheck::Dpor`] on the driven serial task runtime, in both
 //! I/O modes. Every run carries the full checker stack: the [`Sanitizer`]
-//! (collective/tag/leak discipline), an [`HbEngine`] fed by an
-//! [`OrderGuardFs`] (byte-extent races and ack durability), and the DPOR
+//! (collective/tag/leak discipline), an [`HbEngine`] fed by a
+//! [`TapFs`] (byte-extent races and ack durability), and the DPOR
 //! recorder itself — so "explored exhaustively" means every inequivalent
 //! schedule was deadlock-, finding-, race- and violation-free.
 //!
@@ -21,11 +21,11 @@
 //! it is measured by `dpor_stats` (`BENCH_dpor.json`) rather than run
 //! here; nothing truncates silently.
 
-use simcheck::{Dpor, DporOutcome, HbEngine, HookChain, OrderGuardFs, Sanitizer, SinkChain};
+use simcheck::{Dpor, DporOutcome, HbEngine, HookChain, Sanitizer, TapFs};
 use simmpi::{CheckHook, CoComm, TaskWorld};
 use sion::{paropen_write_co, IoMode, SionParams};
 use std::sync::Arc;
-use vfs::{MemFs, Vfs};
+use vfs::MemFs;
 
 /// Run the collective write protocol (open, two 40-byte writes, close)
 /// under exhaustive DPOR with the full checker stack installed. Panics on
@@ -37,9 +37,8 @@ fn explore_par_write(ntasks: usize, io_mode: IoMode) -> DporOutcome {
         let san = Arc::new(Sanitizer::new());
         // Extents feed both the race checker and the DPOR footprint
         // recorder: file conflicts are schedule-relevant too.
-        let sink = Arc::new(SinkChain::new(vec![engine.clone(), h.sink()]));
-        let fs: Arc<dyn Vfs> =
-            Arc::new(OrderGuardFs::new(Arc::new(MemFs::with_block_size(256)), sink));
+        let mem = Arc::new(MemFs::with_block_size(256));
+        let fs = Arc::new(TapFs::new(mem, vec![engine.clone(), h.sink()]));
         let hook: Arc<dyn CheckHook> =
             Arc::new(HookChain::new(vec![h.recorder(), san.clone(), engine.clone()]));
         let params =

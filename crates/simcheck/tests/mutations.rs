@@ -5,7 +5,7 @@
 //! replayable [`ScheduleCfg`] and a byte-identical report on replay.
 
 use simcheck::{
-    seed_budget, BlockGuardFs, CheckFailure, CheckedWorld, FindingKind, ScheduleCfg,
+    seed_budget, BlockGuard, CheckFailure, CheckedWorld, FindingKind, ScheduleCfg, TapFs,
     COLL_TAG_PREFIX,
 };
 use simmpi::Comm;
@@ -107,7 +107,8 @@ fn misaligned_chunks_trigger_block_contention() {
     );
 
     // ...and the sanitizer observes it happening on the wire.
-    let fs = BlockGuardFs::new(Arc::new(MemFs::with_block_size(FS_BLOCK)));
+    let guard = BlockGuard::new(FS_BLOCK);
+    let fs = TapFs::new(Arc::new(MemFs::with_block_size(FS_BLOCK)), vec![guard.clone()]);
     CheckedWorld::run(ntasks, CFG, |comm| {
         let mut w = paropen_write(&fs, "out/misaligned.sion", &params, comm).unwrap();
         w.write(&vec![comm.rank() as u8; 600]).unwrap();
@@ -115,7 +116,7 @@ fn misaligned_chunks_trigger_block_contention() {
     })
     .unwrap_or_else(|fail| panic!("protocol layer is fine, only blocks overlap:\n{fail}"));
 
-    let violations = fs.violations();
+    let violations = guard.violations();
     assert!(
         !violations.is_empty(),
         "expected cross-task FS-block overlap with unaligned chunks"
@@ -127,14 +128,15 @@ fn misaligned_chunks_trigger_block_contention() {
 
     // The aligned control: same workload, aligned layout, zero violations.
     let aligned = SionParams::new(FS_BLOCK);
-    let fs2 = BlockGuardFs::new(Arc::new(MemFs::with_block_size(FS_BLOCK)));
+    let guard2 = BlockGuard::new(FS_BLOCK);
+    let fs2 = TapFs::new(Arc::new(MemFs::with_block_size(FS_BLOCK)), vec![guard2.clone()]);
     CheckedWorld::run(ntasks, CFG, |comm| {
         let mut w = paropen_write(&fs2, "out/aligned.sion", &aligned, comm).unwrap();
         w.write(&vec![comm.rank() as u8; 600]).unwrap();
         w.close().unwrap();
     })
     .unwrap_or_else(|fail| panic!("aligned control run flagged:\n{fail}"));
-    fs2.assert_exclusive();
+    guard2.assert_exclusive();
 }
 
 /// Bug class 4: whole-world deadlock — both ranks receive first. The

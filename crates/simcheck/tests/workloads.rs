@@ -3,11 +3,13 @@
 //! under [`CheckedWorld`] across a sweep of schedules, with the
 //! block-contention sanitizer watching the filesystem.
 
-use simcheck::{schedules, seed_budget, BlockGuardFs, CheckFailure, CheckedWorld, ScheduleCfg};
+use simcheck::{
+    schedules, seed_budget, BlockGuard, CheckFailure, CheckedWorld, ScheduleCfg, TapFs,
+};
 use simmpi::Comm;
 use sion::{paropen_read, paropen_write, IoMode, Multifile, SionParams};
 use std::sync::Arc;
-use vfs::{FaultFs, MemFs, Vfs};
+use vfs::{Faults, MemFs, Vfs};
 
 /// Deterministic per-rank payload.
 fn payload(rank: usize, len: usize) -> Vec<u8> {
@@ -21,7 +23,8 @@ fn parallel_roundtrip_clean_across_schedules() {
     // FS-block-aligned params: the §3.2 invariant must hold, so the
     // block-contention sanitizer must stay silent.
     let params = SionParams::new(4096).with_nfiles(2);
-    let fs = BlockGuardFs::new(Arc::new(MemFs::with_block_size(4096)));
+    let guard = BlockGuard::new(4096);
+    let fs = TapFs::new(Arc::new(MemFs::with_block_size(4096)), vec![guard.clone()]);
     let cfgs = schedules(seed_budget().min(8), &[0, 2]);
     let explored = CheckedWorld::explore(ntasks, cfgs, |comm| {
         let fs: &dyn Vfs = &fs;
@@ -43,7 +46,7 @@ fn parallel_roundtrip_clean_across_schedules() {
     assert!(explored >= 2, "schedule sweep too small: {explored}");
 
     // No two tasks ever touched the same FS block (§3.2).
-    fs.assert_exclusive();
+    guard.assert_exclusive();
 
     // The image is valid after all those interleavings.
     let mf = Multifile::open(&fs, "out/data.sion").unwrap();
@@ -95,7 +98,7 @@ fn crash_workload_clean_under_checker() {
 
     fn crashy_run(
         ntasks: usize,
-        fs: &FaultFs<MemFs>,
+        fs: &TapFs,
         params: &SionParams,
         cfg: ScheduleCfg,
     ) -> Result<Vec<()>, Box<CheckFailure>> {
@@ -113,21 +116,25 @@ fn crash_workload_clean_under_checker() {
     }
 
     // Probe run: learn the op count so the kill switch lands mid-write.
-    let probe = FaultFs::new(MemFs::with_block_size(256));
+    let faulty = || {
+        let faults = Faults::new();
+        (TapFs::new(Arc::new(MemFs::with_block_size(256)), vec![faults.clone()]), faults)
+    };
+    let (probe, probe_faults) = faulty();
     let cfg = ScheduleCfg::Seeded { seed: 1, preemption_bound: 2 };
     crashy_run(ntasks, &probe, &params, cfg)
         .unwrap_or_else(|fail| panic!("probe run flagged:\n{fail}"));
-    let total_ops = probe.op_count();
+    let total_ops = probe_faults.op_count();
     assert!(total_ops > 20, "workload too small: {total_ops} ops");
 
     // Crash at a mid-write point, across several schedules.
     for cfg in schedules(seed_budget().min(4), &[0, 2]) {
-        let fs = FaultFs::new(MemFs::with_block_size(256));
-        fs.crash_after_ops(total_ops / 2);
+        let (fs, faults) = faulty();
+        faults.crash_after_ops(total_ops / 2);
         crashy_run(ntasks, &fs, &params, cfg)
             .unwrap_or_else(|fail| panic!("crashed workload flagged ({cfg}):\n{fail}"));
         // The torn image must still be repairable, as in the crash sweep.
-        fs.clear();
+        faults.clear();
         let report = sion::rescue::repair(&fs, "crash.sion", false).unwrap();
         assert!(report.is_clean(), "repair not clean at {cfg}: {report:?}");
     }

@@ -11,7 +11,7 @@
 //! *shipments*: framed op logs replayed through a per-member
 //! [`TaskWriter`] over the real file. Since only aggregators touch the
 //! physical file, and neighborhoods cover whole FS blocks, every FS block
-//! has exactly one writing task (the `vfs::BlockGuardFs` invariant) and
+//! has exactly one writing task (the `vfs::BlockGuard` invariant) and
 //! writes are issued in large, aligned, per-frame batches.
 //!
 //! ## Shipment protocol

@@ -247,7 +247,7 @@ impl FileLayout {
     /// The real FS-block indices (relative to the start of one layout
     /// block) that more than one task's chunk overlaps — the static
     /// prediction the runtime block-contention sanitizer
-    /// (`vfs::BlockGuardFs`) must agree with when every task writes its
+    /// (`vfs::BlockGuard`) must agree with when every task writes its
     /// full chunk. Sorted, deterministic.
     pub fn shared_fs_blocks(&self, real_block: u64) -> Vec<u64> {
         assert!(real_block >= 1);

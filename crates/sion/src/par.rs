@@ -276,7 +276,7 @@ pub fn paropen_write(
     comm: &dyn Comm,
 ) -> Result<SionParWriter> {
     // Label this rank's thread for the block-contention sanitizer: every
-    // write it issues through a `vfs::BlockGuardFs` (including coalesced
+    // write it issues through a `vfs::TapFs` (including coalesced
     // stream-engine flushes, which run on this thread) is attributed to
     // this global rank. Meaningful only here, where a rank owns its
     // thread — see the module docs.
@@ -378,11 +378,11 @@ pub async fn paropen_write_co(
             // Aggregated-mode member: its stream engine runs against a
             // data-discarding shadow of the physical file; only its
             // aggregator touches the file itself. On a plain VFS the
-            // shadow is a `NullFile`; an ordering checker's VFS
-            // (`vfs::OrderGuardFs`) instead hands back a handle that
-            // records each write as a *logical* access to the real path,
-            // so the member's extents are checkable against the
-            // aggregator's replay without any physical I/O.
+            // shadow is a `NullFile`; a `vfs::TapFs` wraps it, so that an
+            // ordering checker in its tap list sees each write as a
+            // *logical* access to the real path and the member's extents
+            // are checkable against the aggregator's replay without any
+            // physical I/O.
             None => vfs.create_shadow(&physical_name(base, filenum))?,
         };
         Ok((geom, agg, end, file))

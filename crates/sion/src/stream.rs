@@ -429,7 +429,7 @@ impl TaskWriter {
     /// after a crash anywhere in this sequence, `used` in the header
     /// understates at worst, and `rescue::repair` recovers a prefix of
     /// what the task wrote. The crash_consistency integration tests pin
-    /// this ordering via the FaultFs op log.
+    /// this ordering via the `vfs::Faults` op log.
     pub fn flush_pending(&mut self) -> Result<()> {
         if !self.wbuf.is_empty() {
             let at = self.geom.data_offset(self.block) + self.wbuf_start;

@@ -10,7 +10,7 @@ use simmpi::{CoComm, Comm, FlatWorld, TaskWorld, World};
 use sion::{
     paropen_read, paropen_write, paropen_write_co, Alignment, IoMode, Multifile, SionParams,
 };
-use vfs::{BlockGuardFs, MemFs, Vfs};
+use vfs::{BlockGuard, MemFs, TapFs, Vfs};
 
 /// Deterministic per-rank payload.
 fn payload(rank: usize, len: usize) -> Vec<u8> {
@@ -225,14 +225,15 @@ fn aggregators_never_share_an_fs_block() {
             12,
         ),
     ] {
-        let fs = BlockGuardFs::new(Arc::new(MemFs::with_block_size(4096)));
+        let guard = BlockGuard::new(4096);
+        let fs = TapFs::new(Arc::new(MemFs::with_block_size(4096)), vec![guard.clone()]);
         World::run(ntasks, |c| {
             let data = payload(c.rank(), 5_000);
             let mut w = paropen_write(&fs, "g.sion", &params, c).unwrap();
             write_workload(&mut w, c.rank(), &data, true);
             w.close().unwrap();
         });
-        fs.assert_exclusive();
+        guard.assert_exclusive();
     }
 }
 

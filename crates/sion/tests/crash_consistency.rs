@@ -5,7 +5,7 @@
 //! afterwards.
 //!
 //! The sweep is exhaustive, not sampled: a clean instrumented run against
-//! an unarmed [`FaultFs`] measures the workload's total operation count,
+//! an unarmed [`Faults`] tap measures the workload's total operation count,
 //! then the whole workload is re-run once per possible crash point with the
 //! kill switch armed there. A real crash never calls the collective
 //! `close()` (the process is simply gone), so the crashed runs drop their
@@ -27,7 +27,25 @@
 use simmpi::{Comm, World};
 use sion::rescue::repair;
 use sion::{paropen_write, IoMode, Multifile, SionParams};
-use vfs::{FaultFs, FaultKind, FaultRule, MemFs, Vfs};
+use std::sync::Arc;
+use vfs::{BlockGuard, FaultKind, FaultRule, Faults, MemFs, TapFs, Vfs};
+
+/// The file system under every sweep: a 256-byte-block `MemFs` behind the
+/// tap list `[faults, block_guard]`. The guard is listed after the fault
+/// tap, so it is charged with what physically reached the file — of a torn
+/// write, the persisted prefix — and every crash point also checks the
+/// paper's other invariant, that no two tasks wrote one FS block.
+struct CrashFs {
+    fs: TapFs,
+    faults: Arc<Faults>,
+    guard: Arc<BlockGuard>,
+}
+
+fn crash_fs() -> CrashFs {
+    let (faults, guard) = (Faults::new(), BlockGuard::new(256));
+    let mem = Arc::new(MemFs::with_block_size(256));
+    CrashFs { fs: TapFs::new(mem, vec![faults.clone(), guard.clone()]), faults, guard }
+}
 
 /// Fixed default seed: CI runs are reproducible bit-for-bit.
 const SEED: u64 = 0x510a_2009;
@@ -78,7 +96,7 @@ fn agg_params() -> SionParams {
 /// one explicit flush, writers dropped (never closed — a crash does not
 /// close). Every error is swallowed: under an armed kill switch each task
 /// simply stops making progress, like a dying process.
-fn crashy_workload_with(fs: &FaultFs<MemFs>, base: &str, seed: u64, params: &SionParams) {
+fn crashy_workload_with(fs: &dyn Vfs, base: &str, seed: u64, params: &SionParams) {
     World::run(NTASKS, |comm| {
         let Ok(mut w) = paropen_write(fs, base, params, comm) else {
             return;
@@ -92,7 +110,7 @@ fn crashy_workload_with(fs: &FaultFs<MemFs>, base: &str, seed: u64, params: &Sio
     });
 }
 
-fn crashy_workload(fs: &FaultFs<MemFs>, base: &str, seed: u64) {
+fn crashy_workload(fs: &dyn Vfs, base: &str, seed: u64) {
     crashy_workload_with(fs, base, seed, &params());
 }
 
@@ -111,8 +129,10 @@ fn assert_rank_prefix(mf: &Multifile, rank: usize, seed: u64, ctx: &str) {
 /// Returns the number of fully validated ranks, or `None` when the image
 /// was structurally unrecoverable (metablock 1 of some file never became
 /// durable) — which repair must report, not panic over.
-fn check_crash_point(fs: &FaultFs<MemFs>, base: &str, seed: u64, ctx: &str) -> Option<usize> {
-    fs.clear(); // recovery runs on the dead image without injection
+fn check_crash_point(cfs: &CrashFs, base: &str, seed: u64, ctx: &str) -> Option<usize> {
+    cfs.faults.clear(); // recovery runs on the dead image without injection
+    cfs.guard.assert_exclusive();
+    let fs = &cfs.fs;
     let report = match repair(fs, base, false) {
         Ok(r) => r,
         Err(_) => return None, // e.g. metablock 1 never written
@@ -143,19 +163,19 @@ fn check_crash_point(fs: &FaultFs<MemFs>, base: &str, seed: u64, ctx: &str) -> O
 fn every_crash_point_yields_a_repairable_prefix() {
     let seed = seed();
     // Clean instrumented run: learn the workload's op count.
-    let probe = FaultFs::new(MemFs::with_block_size(256));
-    crashy_workload(&probe, "probe.sion", seed);
-    let total_ops = probe.op_count();
+    let probe = crash_fs();
+    crashy_workload(&probe.fs, "probe.sion", seed);
+    let total_ops = probe.faults.op_count();
     assert!(total_ops > 20, "workload too small to be a meaningful sweep: {total_ops} ops");
 
     let mut recovered_points = 0u64;
     let mut unrecoverable_points = 0u64;
     for n in 0..=total_ops {
-        let fs = FaultFs::new(MemFs::with_block_size(256));
-        fs.crash_after_ops(n);
-        crashy_workload(&fs, "crash.sion", seed);
+        let cfs = crash_fs();
+        cfs.faults.crash_after_ops(n);
+        crashy_workload(&cfs.fs, "crash.sion", seed);
         let ctx = format!("crash point {n}/{total_ops} (seed {seed:#x})");
-        match check_crash_point(&fs, "crash.sion", seed, &ctx) {
+        match check_crash_point(&cfs, "crash.sion", seed, &ctx) {
             Some(_) => recovered_points += 1,
             None => unrecoverable_points += 1,
         }
@@ -169,13 +189,13 @@ fn every_crash_point_yields_a_repairable_prefix() {
     );
     // A crash after the last op is no crash at all: that point must
     // recover everything written (full payloads).
-    let fs = FaultFs::new(MemFs::with_block_size(256));
-    fs.crash_after_ops(total_ops);
-    crashy_workload(&fs, "crash.sion", seed);
-    fs.clear();
-    let report = repair(&fs, "crash.sion", false).unwrap();
+    let cfs = crash_fs();
+    cfs.faults.crash_after_ops(total_ops);
+    crashy_workload(&cfs.fs, "crash.sion", seed);
+    cfs.faults.clear();
+    let report = repair(&cfs.fs, "crash.sion", false).unwrap();
     assert!(report.is_clean());
-    let mf = Multifile::open(&fs, "crash.sion").unwrap();
+    let mf = Multifile::open(&cfs.fs, "crash.sion").unwrap();
     for rank in 0..NTASKS {
         assert_eq!(
             mf.read_rank(rank).unwrap(),
@@ -188,9 +208,9 @@ fn every_crash_point_yields_a_repairable_prefix() {
 #[test]
 fn torn_final_writes_still_recover_a_prefix() {
     let seed = seed();
-    let probe = FaultFs::new(MemFs::with_block_size(256));
-    crashy_workload(&probe, "probe.sion", seed);
-    let total_ops = probe.op_count();
+    let probe = crash_fs();
+    crashy_workload(&probe.fs, "probe.sion", seed);
+    let total_ops = probe.faults.op_count();
 
     // Sweep a subsample of crash points with several tear lengths: the op
     // at the switch persists only a prefix of its buffer. Tears land in
@@ -198,11 +218,11 @@ fn torn_final_writes_still_recover_a_prefix() {
     // metablock 1 alike.
     for n in (0..total_ops).step_by(3) {
         for keep in [1u64, 7, 17] {
-            let fs = FaultFs::new(MemFs::with_block_size(256));
-            fs.crash_torn_write(n, keep);
-            crashy_workload(&fs, "torn.sion", seed);
+            let cfs = crash_fs();
+            cfs.faults.crash_torn_write(n, keep);
+            crashy_workload(&cfs.fs, "torn.sion", seed);
             let ctx = format!("torn op {n}/{total_ops} keep {keep} (seed {seed:#x})");
-            check_crash_point(&fs, "torn.sion", seed, &ctx);
+            check_crash_point(&cfs, "torn.sion", seed, &ctx);
         }
     }
 }
@@ -212,18 +232,18 @@ fn quota_kill_recovers_a_prefix() {
     let seed = seed();
     // The paper's second failure mode: "file quota violation". Sweep the
     // byte budget from nothing to more than the workload writes.
-    let probe = FaultFs::new(MemFs::with_block_size(256));
-    crashy_workload(&probe, "probe.sion", seed);
-    let total_bytes = probe.bytes_written();
+    let probe = crash_fs();
+    crashy_workload(&probe.fs, "probe.sion", seed);
+    let total_bytes = probe.faults.bytes_written();
     assert!(total_bytes > 0);
 
     let mut recovered = 0u64;
     for quota in (0..=total_bytes + 64).step_by(97) {
-        let fs = FaultFs::new(MemFs::with_block_size(256));
-        fs.set_quota(quota);
-        crashy_workload(&fs, "quota.sion", seed);
+        let cfs = crash_fs();
+        cfs.faults.set_quota(quota);
+        crashy_workload(&cfs.fs, "quota.sion", seed);
         let ctx = format!("quota {quota}/{total_bytes} (seed {seed:#x})");
-        if check_crash_point(&fs, "quota.sion", seed, &ctx).is_some() {
+        if check_crash_point(&cfs, "quota.sion", seed, &ctx).is_some() {
             recovered += 1;
         }
     }
@@ -275,19 +295,19 @@ fn failed_flush_is_never_followed_by_a_header_patch() {
     // patch for those bytes must not happen; after the fault clears, a
     // retried flush completes both in order.
     let seed = seed();
-    let fs = FaultFs::new(MemFs::with_block_size(256));
+    let cfs = crash_fs();
     World::run(1, |comm| {
         let p = SionParams::new(256).with_rescue().with_write_buffer(4096);
-        let mut w = paropen_write(&fs, "ord.sion", &p, comm).unwrap();
+        let mut w = paropen_write(&cfs.fs, "ord.sion", &p, comm).unwrap();
         w.write(&payload(seed, 0, 100)).unwrap(); // buffered, not yet on disk
-        fs.take_log(); // look only at ops from here on
+        cfs.faults.take_log(); // look only at ops from here on
         // Occurrence counters are global (metablock 1 and the rescue
         // header already consumed write slots), so fail every write from
         // now on; clear() below ends the outage.
-        fs.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
+        cfs.faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
         assert!(w.flush().is_err(), "injected data-write failure must surface");
 
-        let log = fs.take_log();
+        let log = cfs.faults.take_log();
         let failed_write = log
             .iter()
             .find(|r| r.kind == FaultKind::Write && !r.ok)
@@ -301,9 +321,9 @@ fn failed_flush_is_never_followed_by_a_header_patch() {
 
         // Transient-EIO retry semantics: the buffer was kept, a second
         // flush persists data first, then the patch.
-        fs.clear();
+        cfs.faults.clear();
         w.flush().unwrap();
-        let log = fs.take_log();
+        let log = cfs.faults.take_log();
         let data = log
             .iter()
             .find(|r| r.kind == FaultKind::Write && r.ok && r.len == 100)
@@ -318,8 +338,8 @@ fn failed_flush_is_never_followed_by_a_header_patch() {
         );
         w.close().unwrap();
     });
-    fs.clear();
-    let mf = Multifile::open(&fs, "ord.sion").unwrap();
+    cfs.faults.clear();
+    let mf = Multifile::open(&cfs.fs, "ord.sion").unwrap();
     assert_eq!(mf.read_rank(0).unwrap(), payload(seed, 0, 100));
 }
 
@@ -334,19 +354,19 @@ fn every_crash_point_on_the_aggregated_path_yields_a_repairable_prefix() {
     // Members whose shipments were not yet applied simply lose those
     // bytes; they must never gain corrupt ones.
     let seed = seed();
-    let probe = FaultFs::new(MemFs::with_block_size(256));
-    crashy_workload_with(&probe, "probe.sion", seed, &agg_params());
-    let total_ops = probe.op_count();
+    let probe = crash_fs();
+    crashy_workload_with(&probe.fs, "probe.sion", seed, &agg_params());
+    let total_ops = probe.faults.op_count();
     assert!(total_ops > 20, "workload too small to be a meaningful sweep: {total_ops} ops");
 
     let mut recovered_points = 0u64;
     let mut unrecoverable_points = 0u64;
     for n in 0..=total_ops {
-        let fs = FaultFs::new(MemFs::with_block_size(256));
-        fs.crash_after_ops(n);
-        crashy_workload_with(&fs, "crash.sion", seed, &agg_params());
+        let cfs = crash_fs();
+        cfs.faults.crash_after_ops(n);
+        crashy_workload_with(&cfs.fs, "crash.sion", seed, &agg_params());
         let ctx = format!("aggregated crash point {n}/{total_ops} (seed {seed:#x})");
-        match check_crash_point(&fs, "crash.sion", seed, &ctx) {
+        match check_crash_point(&cfs, "crash.sion", seed, &ctx) {
             Some(_) => recovered_points += 1,
             None => unrecoverable_points += 1,
         }
@@ -366,13 +386,13 @@ fn every_crash_point_on_the_aggregated_path_yields_a_repairable_prefix() {
     // close — the aggregator never drained those last frames, which is
     // exactly the crash model: unapplied shipments are lost, never
     // corrupted.
-    let fs = FaultFs::new(MemFs::with_block_size(256));
-    fs.crash_after_ops(total_ops * 4 + 1000);
-    crashy_workload_with(&fs, "crash.sion", seed, &agg_params());
-    fs.clear();
-    let report = repair(&fs, "crash.sion", false).unwrap();
+    let cfs = crash_fs();
+    cfs.faults.crash_after_ops(total_ops * 4 + 1000);
+    crashy_workload_with(&cfs.fs, "crash.sion", seed, &agg_params());
+    cfs.faults.clear();
+    let report = repair(&cfs.fs, "crash.sion", false).unwrap();
     assert!(report.is_clean());
-    let mf = Multifile::open(&fs, "crash.sion").unwrap();
+    let mf = Multifile::open(&cfs.fs, "crash.sion").unwrap();
     for rank in [0, 2] {
         assert_eq!(
             mf.read_rank(rank).unwrap(),
@@ -391,17 +411,17 @@ fn torn_aggregated_writes_still_recover_a_prefix() {
     // issued by an aggregator for one of its members — persists only a
     // prefix of its buffer.
     let seed = seed();
-    let probe = FaultFs::new(MemFs::with_block_size(256));
-    crashy_workload_with(&probe, "probe.sion", seed, &agg_params());
-    let total_ops = probe.op_count();
+    let probe = crash_fs();
+    crashy_workload_with(&probe.fs, "probe.sion", seed, &agg_params());
+    let total_ops = probe.faults.op_count();
 
     for n in (0..total_ops).step_by(3) {
         for keep in [1u64, 7, 17] {
-            let fs = FaultFs::new(MemFs::with_block_size(256));
-            fs.crash_torn_write(n, keep);
-            crashy_workload_with(&fs, "torn.sion", seed, &agg_params());
+            let cfs = crash_fs();
+            cfs.faults.crash_torn_write(n, keep);
+            crashy_workload_with(&cfs.fs, "torn.sion", seed, &agg_params());
             let ctx = format!("aggregated torn op {n}/{total_ops} keep {keep} (seed {seed:#x})");
-            check_crash_point(&fs, "torn.sion", seed, &ctx);
+            check_crash_point(&cfs, "torn.sion", seed, &ctx);
         }
     }
 }
@@ -414,17 +434,17 @@ fn killed_aggregator_mid_shipment_fails_members_and_stays_repairable() {
     // operation or at close, the collective close fails on EVERY task
     // (metablock 2 is skipped), and repair recovers a per-rank prefix.
     let seed = seed();
-    let fs = FaultFs::new(MemFs::with_block_size(256));
+    let cfs = crash_fs();
     let results = World::run(NTASKS, |comm| {
-        let mut w = paropen_write(&fs, "kagg.sion", &agg_params(), comm).unwrap();
+        let mut w = paropen_write(&cfs.fs, "kagg.sion", &agg_params(), comm).unwrap();
         w.write(&payload(seed, comm.rank(), PAYLOAD_LEN)).unwrap();
         w.flush().unwrap();
         // The fault rules are shared state; arm them only after every
         // task's pre-fault traffic is staged.
         comm.barrier();
         if comm.rank() == 0 {
-            fs.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
-            fs.inject(FaultRule { kind: FaultKind::Sync, from: 0, count: u64::MAX });
+            cfs.faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
+            cfs.faults.inject(FaultRule { kind: FaultKind::Sync, from: 0, count: u64::MAX });
         }
         comm.barrier();
         // This wave can never become durable: the aggregators' replay
@@ -438,10 +458,10 @@ fn killed_aggregator_mid_shipment_fails_members_and_stays_repairable() {
         results.iter().all(|&failed| failed),
         "a dead aggregator must fail the collective close on every task: {results:?}"
     );
-    fs.clear();
-    let report = repair(&fs, "kagg.sion", false).unwrap();
+    cfs.faults.clear();
+    let report = repair(&cfs.fs, "kagg.sion", false).unwrap();
     assert!(report.is_clean(), "{:?}", report.problems);
-    let mf = Multifile::open(&fs, "kagg.sion").unwrap();
+    let mf = Multifile::open(&cfs.fs, "kagg.sion").unwrap();
     for rank in 0..NTASKS {
         assert_rank_prefix(&mf, rank, seed, "killed aggregator");
     }
@@ -453,9 +473,9 @@ fn crashed_task_cannot_hang_the_collective_close() {
     // collectives: every task gets an error, nothing deadlocks, and the
     // un-finalized file stays repairable.
     let seed = seed();
-    let fs = FaultFs::new(MemFs::with_block_size(256));
+    let cfs = crash_fs();
     let results = World::run(NTASKS, |comm| {
-        let mut w = paropen_write(&fs, "hang.sion", &params(), comm).unwrap();
+        let mut w = paropen_write(&cfs.fs, "hang.sion", &params(), comm).unwrap();
         w.write(&payload(seed, comm.rank(), PAYLOAD_LEN)).unwrap();
         w.flush().unwrap();
         // Everyone's payload is durable before any fault is armed — the
@@ -464,8 +484,8 @@ fn crashed_task_cannot_hang_the_collective_close() {
         if comm.rank() == 0 {
             // Everything from now on fails — including rank 0's part of
             // the close — while the other ranks' close I/O proceeds.
-            fs.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
-            fs.inject(FaultRule { kind: FaultKind::Sync, from: 0, count: u64::MAX });
+            cfs.faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
+            cfs.faults.inject(FaultRule { kind: FaultKind::Sync, from: 0, count: u64::MAX });
         }
         comm.barrier();
         w.close().is_err()
@@ -474,11 +494,11 @@ fn crashed_task_cannot_hang_the_collective_close() {
         results.iter().all(|&failed| failed),
         "metablock 2 was skipped, so close must fail on every task: {results:?}"
     );
-    fs.clear();
+    cfs.faults.clear();
     // The flushed data is fully recoverable from the rescue headers.
-    let report = repair(&fs, "hang.sion", false).unwrap();
+    let report = repair(&cfs.fs, "hang.sion", false).unwrap();
     assert!(report.is_clean(), "{:?}", report.problems);
-    let mf = Multifile::open(&fs, "hang.sion").unwrap();
+    let mf = Multifile::open(&cfs.fs, "hang.sion").unwrap();
     for rank in 0..NTASKS {
         assert_eq!(mf.read_rank(rank).unwrap(), payload(seed, rank, PAYLOAD_LEN));
     }

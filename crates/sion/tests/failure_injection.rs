@@ -4,12 +4,19 @@
 
 use simmpi::{Comm, World};
 use sion::{paropen_read, paropen_write, Multifile, SionParams};
-use vfs::{FaultFs, FaultKind, FaultRule, MemFs};
+use std::sync::Arc;
+use vfs::{FaultKind, FaultRule, Faults, MemFs, TapFs};
+
+/// A `MemFs` behind a fault tap, and the handle that arms it.
+fn faulty(block_size: u64) -> (TapFs, Arc<Faults>) {
+    let faults = Faults::new();
+    (TapFs::new(Arc::new(MemFs::with_block_size(block_size)), vec![faults.clone()]), faults)
+}
 
 #[test]
 fn master_create_failure_fails_every_task() {
-    let fs = FaultFs::new(MemFs::with_block_size(1024));
-    fs.inject(FaultRule { kind: FaultKind::Create, from: 0, count: u64::MAX });
+    let (fs, faults) = faulty(1024);
+    faults.inject(FaultRule { kind: FaultKind::Create, from: 0, count: u64::MAX });
     let results = World::run(6, |comm| {
         let params = SionParams::new(1024).with_nfiles(2);
         paropen_write(&fs, "f.sion", &params, comm).is_err()
@@ -21,8 +28,8 @@ fn master_create_failure_fails_every_task() {
 fn one_of_two_masters_failing_fails_all() {
     // Only the second physical file's create fails: the tasks of the first
     // file group must fail too (the open is globally collective).
-    let fs = FaultFs::new(MemFs::with_block_size(1024));
-    fs.inject(FaultRule { kind: FaultKind::Create, from: 1, count: 1 });
+    let (fs, faults) = faulty(1024);
+    faults.inject(FaultRule { kind: FaultKind::Create, from: 1, count: 1 });
     let results = World::run(6, |comm| {
         let params = SionParams::new(1024).with_nfiles(2);
         paropen_write(&fs, "g.sion", &params, comm).is_err()
@@ -33,9 +40,9 @@ fn one_of_two_masters_failing_fails_all() {
 
 #[test]
 fn metadata_write_failure_fails_open() {
-    let fs = FaultFs::new(MemFs::with_block_size(1024));
+    let (fs, faults) = faulty(1024);
     // First write is metablock 1.
-    fs.inject(FaultRule { kind: FaultKind::Write, from: 0, count: 1 });
+    faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: 1 });
     let results = World::run(4, |comm| {
         let params = SionParams::new(1024);
         paropen_write(&fs, "h.sion", &params, comm).is_err()
@@ -46,27 +53,27 @@ fn metadata_write_failure_fails_open() {
 #[test]
 fn open_failure_during_read_discovery_fails_everyone() {
     // Build a valid multifile, then make all opens fail.
-    let fs = FaultFs::new(MemFs::with_block_size(1024));
+    let (fs, faults) = faulty(1024);
     World::run(4, |comm| {
         let params = SionParams::new(1024);
         let mut w = paropen_write(&fs, "r.sion", &params, comm).unwrap();
         w.write(b"payload").unwrap();
         w.close().unwrap();
     });
-    fs.inject(FaultRule { kind: FaultKind::Open, from: 0, count: u64::MAX });
+    faults.inject(FaultRule { kind: FaultKind::Open, from: 0, count: u64::MAX });
     let results = World::run(4, |comm| paropen_read(&fs, "r.sion", comm).is_err());
     assert!(results.iter().all(|&failed| failed));
 }
 
 #[test]
 fn data_write_failures_surface_to_the_caller() {
-    let fs = FaultFs::new(MemFs::with_block_size(1024));
+    let (fs, faults) = faulty(1024);
     let results = World::run(2, |comm| {
         let params = SionParams::new(1024);
         let mut w = paropen_write(&fs, "d.sion", &params, comm).unwrap();
         // Fail all writes from now on (metablock 1 was already written).
         if comm.rank() == 0 {
-            fs.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
+            faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
         }
         comm.barrier();
         let write_failed = w.write(&vec![9u8; 5000]).is_err();
@@ -85,8 +92,7 @@ fn data_write_failures_surface_to_the_caller() {
 
 #[test]
 fn read_failures_surface_in_serial_view() {
-    let inner = MemFs::with_block_size(1024);
-    let fs = FaultFs::new(inner);
+    let (fs, faults) = faulty(1024);
     World::run(3, |comm| {
         let params = SionParams::new(1024);
         let mut w = paropen_write(&fs, "s.sion", &params, comm).unwrap();
@@ -95,9 +101,9 @@ fn read_failures_surface_in_serial_view() {
     });
     // Let the metadata reads through (open + mb1 + mb2 per file), then cut.
     let mf = Multifile::open(&fs, "s.sion").unwrap();
-    fs.inject(FaultRule { kind: FaultKind::Read, from: 0, count: u64::MAX });
+    faults.inject(FaultRule { kind: FaultKind::Read, from: 0, count: u64::MAX });
     assert!(mf.read_rank(0).is_err(), "data reads must fail");
-    fs.clear();
+    faults.clear();
     assert_eq!(mf.read_rank(0).unwrap(), vec![0u8; 2000]);
 }
 
@@ -106,7 +112,7 @@ fn quota_kill_mid_write_is_recoverable_up_to_last_flush() {
     // The paper's "file quota violation" failure: the byte budget runs out
     // mid-write, the job dies, and repair brings back everything flushed
     // before the cut.
-    let fs = FaultFs::new(MemFs::with_block_size(512));
+    let (fs, faults) = faulty(512);
     World::run(2, |comm| {
         let params = SionParams::new(512).with_rescue().with_write_buffer(0);
         let Ok(mut w) = paropen_write(&fs, "q.sion", &params, comm) else { return };
@@ -115,14 +121,14 @@ fn quota_kill_mid_write_is_recoverable_up_to_last_flush() {
         comm.barrier();
         if comm.rank() == 0 {
             // Budget exhausted from here on: the very next write is cut.
-            fs.set_quota(fs.bytes_written());
+            faults.set_quota(faults.bytes_written());
         }
         comm.barrier();
         let failed = w.write(&vec![9u8; 400]).is_err() || w.flush().is_err();
         assert!(failed, "writes past the quota must fail");
         // Job dies: no close.
     });
-    fs.clear();
+    faults.clear();
     let report = sion::rescue::repair(&fs, "q.sion", false).unwrap();
     assert!(report.is_clean(), "{:?}", report.problems);
     let mf = Multifile::open(&fs, "q.sion").unwrap();
@@ -138,14 +144,14 @@ fn quota_kill_mid_write_is_recoverable_up_to_last_flush() {
 fn transient_write_fault_is_survivable_by_retrying_flush() {
     // A transient EIO during flush must leave the writer retryable: the
     // write-behind buffer is kept, and a later flush lands the same bytes.
-    let fs = FaultFs::new(MemFs::with_block_size(1024));
+    let (fs, faults) = faulty(1024);
     World::run(1, |comm| {
         let params = SionParams::new(1024).with_rescue().with_write_buffer(4096);
         let mut w = paropen_write(&fs, "t.sion", &params, comm).unwrap();
         w.write(&vec![7u8; 600]).unwrap(); // buffered
-        fs.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
+        faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
         assert!(w.flush().is_err(), "flush must surface the storage error");
-        fs.clear(); // the outage passes
+        faults.clear(); // the outage passes
         w.flush().unwrap();
         w.close().unwrap();
     });
@@ -155,14 +161,14 @@ fn transient_write_fault_is_survivable_by_retrying_flush() {
 
 #[test]
 fn repair_with_failing_reads_errors_not_panics() {
-    let fs = FaultFs::new(MemFs::with_block_size(512));
+    let (fs, faults) = faulty(512);
     World::run(2, |comm| {
         let params = SionParams::new(512).with_rescue();
         let mut w = paropen_write(&fs, "rr.sion", &params, comm).unwrap();
         w.write(&vec![5u8; 900]).unwrap();
         w.close().unwrap();
     });
-    fs.inject(FaultRule { kind: FaultKind::Read, from: 2, count: u64::MAX });
+    faults.inject(FaultRule { kind: FaultKind::Read, from: 2, count: u64::MAX });
     // Depending on where the reads die, repair errors or reports zero
     // recovery — it must not panic or hang.
     let _ = sion::rescue::repair(&fs, "rr.sion", true);

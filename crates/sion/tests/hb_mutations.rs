@@ -4,7 +4,7 @@
 //!
 //! * the **clean** protocol — a real 4-rank `Aggregated` open/write/close
 //!   — must be race- and violation-free under the [`HbEngine`] +
-//!   [`OrderGuardFs`] stack on all three runtimes (thread tree, task
+//!   [`TapFs`] stack on all three runtimes (thread tree, task
 //!   tree, thread flat);
 //! * three **seeded mutations** of the ship/ack contract, each built as a
 //!   minimal member/aggregator exchange over the reserved `0xA6`/`0xA7`
@@ -16,7 +16,7 @@
 //! One seeded race report is pinned as a golden file
 //! (`tests/golden/hb_race_report.txt`, bless with `SIMCHECK_BLESS=1`).
 
-use simcheck::{HbEngine, OrderGuardFs};
+use simcheck::{HbEngine, TapFs};
 use simmpi::{
     CoComm, FlatWorld, SchedPolicy, TaskComm, TaskWorld, World, AGG_ACK_TAG_PREFIX,
     AGG_SHIP_TAG_PREFIX,
@@ -37,7 +37,7 @@ fn agg_params() -> SionParams {
 fn guarded_fs() -> (Arc<HbEngine>, Arc<dyn Vfs>) {
     let engine = Arc::new(HbEngine::new());
     let fs: Arc<dyn Vfs> =
-        Arc::new(OrderGuardFs::new(Arc::new(MemFs::with_block_size(4096)), engine.clone()));
+        Arc::new(TapFs::new(Arc::new(MemFs::with_block_size(4096)), vec![engine.clone()]));
     (engine, fs)
 }
 

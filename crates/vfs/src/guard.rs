@@ -1,28 +1,29 @@
-//! [`BlockGuardFs`]: a file-system-block contention sanitizer.
+//! [`BlockGuard`]: a file-system-block contention sanitizer.
 //!
 //! The paper's §3.2 alignment argument is that aligning each task's chunk
 //! to file-system block boundaries guarantees *no two tasks ever write the
 //! same FS block*, which is what makes task-local writes into one shared
 //! file contention-free (no block ping-pong between GPFS/Lustre lock
-//! managers). This decorator turns that argument into a checked property:
-//! it wraps any [`Vfs`] and tracks, per FS-block-sized extent of every
-//! file, which *logical writer* last touched it. A write by one writer to
-//! a block previously written by a different writer is recorded as a
-//! [`BlockViolation`].
+//! managers). This [`Tap`] turns that argument into a checked property: it
+//! tracks, per FS-block-sized extent of every file, which *logical writer*
+//! last touched it. A write by one writer to a block previously written by
+//! a different writer is recorded as a [`BlockViolation`]. Listed after a
+//! [`Faults`](crate::Faults) tap it is charged with the bytes that reached
+//! the file, so a torn write owns only the blocks of its persisted prefix.
 //!
 //! Logical writer identity is a per-thread label set with [`set_task`] —
 //! `sion::par::paropen_write` labels each rank's thread with its global
 //! rank, so during a parallel SION write every physical `write_at` is
 //! attributed to the rank that issued it (including the coalesced flushes
 //! of the buffered stream engine, which run on the owning task's thread).
-//! Writes from unlabeled threads (test setup, serial tools) are not
-//! tracked.
+//! Every [`TapFs`](crate::TapFs) op carries the label; writes from
+//! unlabeled threads (test setup, serial tools) are not tracked.
 //!
 //! Violation reports are deterministic: they are kept in insertion order
 //! per file and sorted by (path, block, tasks) before rendering, so a
 //! failing seed reproduces byte-identical output.
 
-use crate::{ByteLease, IoSlice, Vfs, VfsFile};
+use crate::tap::{Next, Op, OpKind, Tap};
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -35,14 +36,14 @@ thread_local! {
 }
 
 /// Label the current thread's writes with a logical writer id (a rank).
-/// Subsequent `write_at` calls through any [`BlockGuardFs`] are attributed
+/// Subsequent operations through any [`TapFs`](crate::TapFs) are attributed
 /// to this writer until [`clear_task`] or a new [`set_task`].
 pub fn set_task(task: u64) {
     WRITER_TASK.with(|c| c.set(Some(task)));
 }
 
-/// Remove the current thread's writer label; its writes are no longer
-/// tracked.
+/// Remove the current thread's writer label; its operations are no longer
+/// attributed to a task.
 pub fn clear_task() {
     WRITER_TASK.with(|c| c.set(None));
 }
@@ -52,7 +53,7 @@ pub fn current_writer() -> Option<u64> {
     WRITER_TASK.with(|c| c.get())
 }
 
-/// One cross-writer FS-block overlap detected by [`BlockGuardFs`].
+/// One cross-writer FS-block overlap detected by [`BlockGuard`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BlockViolation {
     /// File the overlap happened in.
@@ -80,21 +81,31 @@ impl fmt::Display for BlockViolation {
     }
 }
 
-#[derive(Default)]
-struct GuardState {
+/// Tap recording FS-block write ownership; see the module docs.
+pub struct BlockGuard {
+    block_size: u64,
     /// path → (block index → last labeled writer).
     owners: Mutex<BTreeMap<String, BTreeMap<u64, u64>>>,
     violations: Mutex<Vec<BlockViolation>>,
 }
 
-impl GuardState {
-    fn record_write(&self, block_size: u64, path: &str, offset: u64, len: usize) {
-        let Some(task) = current_writer() else { return };
+impl BlockGuard {
+    /// Track write ownership at `block_size` granularity — the guarded
+    /// file system's [`Vfs::block_size`](crate::Vfs::block_size).
+    pub fn new(block_size: u64) -> Arc<BlockGuard> {
+        Arc::new(BlockGuard {
+            block_size: block_size.max(1),
+            owners: Mutex::default(),
+            violations: Mutex::default(),
+        })
+    }
+
+    fn record_write(&self, task: u64, path: &str, offset: u64, len: u64) {
         if len == 0 {
             return;
         }
-        let first = offset / block_size;
-        let last = (offset + len as u64 - 1) / block_size;
+        let first = offset / self.block_size;
+        let last = (offset + len - 1) / self.block_size;
         let mut owners = self.owners.lock();
         let file = owners.entry(path.to_string()).or_default();
         for block in first..=last {
@@ -106,31 +117,17 @@ impl GuardState {
                         prev_task: prev,
                         task,
                         offset,
-                        len: len as u64,
+                        len,
                     });
                 }
                 _ => {}
             }
         }
     }
-}
-
-/// Decorator recording FS-block write ownership; see the module docs.
-pub struct BlockGuardFs {
-    inner: Arc<dyn Vfs>,
-    state: Arc<GuardState>,
-}
-
-impl BlockGuardFs {
-    /// Wrap `inner`, tracking write ownership at `inner.block_size()`
-    /// granularity.
-    pub fn new(inner: Arc<dyn Vfs>) -> BlockGuardFs {
-        BlockGuardFs { inner, state: Arc::new(GuardState::default()) }
-    }
 
     /// All violations recorded so far, in deterministic (sorted) order.
     pub fn violations(&self) -> Vec<BlockViolation> {
-        let mut v = self.state.violations.lock().clone();
+        let mut v = self.violations.lock().clone();
         v.sort();
         v
     }
@@ -138,7 +135,7 @@ impl BlockGuardFs {
     /// Drain the recorded violations (deterministic order), resetting the
     /// log but keeping block ownership.
     pub fn take_violations(&self) -> Vec<BlockViolation> {
-        let mut v = std::mem::take(&mut *self.state.violations.lock());
+        let mut v = std::mem::take(&mut *self.violations.lock());
         v.sort();
         v
     }
@@ -159,145 +156,58 @@ impl BlockGuardFs {
     }
 }
 
-struct GuardFile {
-    inner: Arc<dyn VfsFile>,
-    path: String,
-    block_size: u64,
-    state: Arc<GuardState>,
-}
-
-impl VfsFile for GuardFile {
-    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
-        self.inner.read_at(buf, offset)
-    }
-
-    fn write_at(&self, buf: &[u8], offset: u64) -> io::Result<usize> {
-        let n = self.inner.write_at(buf, offset)?;
-        self.state.record_write(self.block_size, &self.path, offset, n);
-        Ok(n)
-    }
-
-    /// Forward the whole iovec to the inner backend's batched submission,
-    /// then attribute each slice's extent to the current writer — block
-    /// ownership is per physical byte range, so the guard sees the same
-    /// extents whether the caller submitted them scalar or vectored.
-    fn write_vectored_at(&self, bufs: &[IoSlice<'_>], offset: u64) -> io::Result<()> {
-        self.inner.write_vectored_at(bufs, offset)?;
-        let mut at = offset;
-        for b in bufs {
-            self.state.record_write(self.block_size, &self.path, at, b.len());
-            at += b.len() as u64;
+impl Tap for BlockGuard {
+    fn around(&self, op: &Op<'_>, next: Next<'_>) -> io::Result<u64> {
+        let n = next(op.len)?;
+        // Shadow bytes never reach the file: they claim no block.
+        match (op.kind, op.task) {
+            _ if op.shadow => {}
+            // Creation truncates: previous ownership of its blocks is void.
+            (OpKind::Create, _) => drop(self.owners.lock().remove(op.path)),
+            (OpKind::Write, Some(task)) => self.record_write(task, op.path, op.offset, n),
+            _ => {}
         }
-        Ok(())
-    }
-
-    fn read_lease(&self, offset: u64, max_len: usize) -> Option<ByteLease> {
-        self.inner.read_lease(offset, max_len)
-    }
-
-    fn set_len(&self, len: u64) -> io::Result<()> {
-        self.inner.set_len(len)
-    }
-
-    fn len(&self) -> io::Result<u64> {
-        self.inner.len()
-    }
-
-    fn sync(&self) -> io::Result<()> {
-        self.inner.sync()
-    }
-}
-
-impl BlockGuardFs {
-    fn wrap(&self, path: &str, file: Arc<dyn VfsFile>) -> Arc<dyn VfsFile> {
-        Arc::new(GuardFile {
-            inner: file,
-            path: crate::normalize_path(path),
-            block_size: self.inner.block_size().max(1),
-            state: self.state.clone(),
-        })
-    }
-}
-
-impl Vfs for BlockGuardFs {
-    fn create(&self, path: &str) -> io::Result<Arc<dyn VfsFile>> {
-        // Creation truncates: any previous ownership of the file's blocks is
-        // void.
-        self.state.owners.lock().remove(&crate::normalize_path(path));
-        let f = self.inner.create(path)?;
-        Ok(self.wrap(path, f))
-    }
-
-    fn open(&self, path: &str) -> io::Result<Arc<dyn VfsFile>> {
-        let f = self.inner.open(path)?;
-        Ok(self.wrap(path, f))
-    }
-
-    fn open_rw(&self, path: &str) -> io::Result<Arc<dyn VfsFile>> {
-        let f = self.inner.open_rw(path)?;
-        Ok(self.wrap(path, f))
-    }
-
-    fn remove(&self, path: &str) -> io::Result<()> {
-        self.state.owners.lock().remove(&crate::normalize_path(path));
-        self.inner.remove(path)
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-
-    fn block_size(&self) -> u64 {
-        self.inner.block_size()
-    }
-
-    fn list(&self, prefix: &str) -> io::Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
-    /// Shadow writes never reach the physical file, so they claim no block
-    /// ownership; forward unwrapped.
-    fn create_shadow(&self, path: &str) -> io::Result<Arc<dyn VfsFile>> {
-        self.inner.create_shadow(path)
+        Ok(n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemFs;
+    use crate::{IoSlice, MemFs, TapFs, Vfs};
 
-    fn guarded() -> BlockGuardFs {
-        BlockGuardFs::new(Arc::new(MemFs::with_block_size(64)))
+    fn guarded() -> (TapFs, Arc<BlockGuard>) {
+        let guard = BlockGuard::new(64);
+        (TapFs::new(Arc::new(MemFs::with_block_size(64)), vec![guard.clone()]), guard)
     }
 
     #[test]
     fn same_task_rewrites_are_fine() {
-        let fs = guarded();
+        let (fs, guard) = guarded();
         let f = fs.create("a").unwrap();
         set_task(0);
         f.write_all_at(&[1u8; 100], 0).unwrap();
         f.write_all_at(&[2u8; 100], 0).unwrap();
         clear_task();
-        assert!(fs.violations().is_empty());
-        fs.assert_exclusive();
+        assert!(guard.violations().is_empty());
+        guard.assert_exclusive();
     }
 
     #[test]
     fn disjoint_blocks_are_fine() {
-        let fs = guarded();
+        let (fs, guard) = guarded();
         let f = fs.create("a").unwrap();
         set_task(0);
         f.write_all_at(&[1u8; 64], 0).unwrap();
         set_task(1);
         f.write_all_at(&[2u8; 64], 64).unwrap();
         clear_task();
-        assert!(fs.violations().is_empty());
+        assert!(guard.violations().is_empty());
     }
 
     #[test]
     fn cross_task_overlap_is_flagged() {
-        let fs = guarded();
+        let (fs, guard) = guarded();
         let f = fs.create("a").unwrap();
         set_task(0);
         f.write_all_at(&[1u8; 64], 0).unwrap();
@@ -305,11 +215,11 @@ mod tests {
         // Straddles blocks 0 (owned by task 0) and 1.
         f.write_all_at(&[2u8; 64], 32).unwrap();
         clear_task();
-        let v = fs.violations();
+        let v = guard.violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!((v[0].block, v[0].prev_task, v[0].task), (0, 0, 1));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fs.assert_exclusive()
+            guard.assert_exclusive()
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
@@ -319,7 +229,7 @@ mod tests {
 
     #[test]
     fn vectored_slices_are_attributed_like_scalar_writes() {
-        let fs = guarded();
+        let (fs, guard) = guarded();
         let f = fs.create("a").unwrap();
         set_task(0);
         f.write_all_at(&[1u8; 64], 0).unwrap();
@@ -329,7 +239,7 @@ mod tests {
         f.write_vectored_at(&[IoSlice::new(&[2u8; 8]), IoSlice::new(&[3u8; 8])], 56)
             .unwrap();
         clear_task();
-        let v = fs.violations();
+        let v = guard.violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!((v[0].block, v[0].prev_task, v[0].task), (0, 0, 1));
         assert_eq!(v[0].offset, 56, "violation is attributed to the slice's own offset");
@@ -337,19 +247,19 @@ mod tests {
 
     #[test]
     fn unlabeled_writes_are_ignored() {
-        let fs = guarded();
+        let (fs, guard) = guarded();
         let f = fs.create("a").unwrap();
         clear_task();
         f.write_all_at(&[1u8; 256], 0).unwrap();
         set_task(7);
         f.write_all_at(&[2u8; 256], 0).unwrap();
         clear_task();
-        assert!(fs.violations().is_empty());
+        assert!(guard.violations().is_empty());
     }
 
     #[test]
     fn create_truncation_voids_ownership() {
-        let fs = guarded();
+        let (fs, guard) = guarded();
         let f = fs.create("a").unwrap();
         set_task(0);
         f.write_all_at(&[1u8; 64], 0).unwrap();
@@ -358,12 +268,12 @@ mod tests {
         set_task(1);
         f.write_all_at(&[2u8; 64], 0).unwrap();
         clear_task();
-        assert!(fs.violations().is_empty());
+        assert!(guard.violations().is_empty());
     }
 
     #[test]
     fn reports_are_sorted_and_deterministic() {
-        let fs = guarded();
+        let (fs, guard) = guarded();
         let f = fs.create("z").unwrap();
         let g = fs.create("a").unwrap();
         set_task(0);
@@ -373,10 +283,10 @@ mod tests {
         f.write_all_at(&[2u8; 8], 0).unwrap();
         g.write_all_at(&[2u8; 8], 0).unwrap();
         clear_task();
-        let v = fs.take_violations();
+        let v = guard.take_violations();
         assert_eq!(v.len(), 2);
         assert_eq!(v[0].path, "a");
         assert_eq!(v[1].path, "z");
-        assert!(fs.take_violations().is_empty());
+        assert!(guard.take_violations().is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! disks — every component accesses storage through the [`Vfs`] and
 //! [`VfsFile`] traits defined here.
 //!
-//! Three implementations exist:
+//! Two backends exist:
 //!
 //! * [`LocalFs`] — thin wrapper over `std::fs`, positioned I/O via
 //!   `FileExt::{read_at, write_at}`. Used by the examples and CLI tools.
@@ -14,8 +14,13 @@
 //!   ranges never written) consume no memory, mirroring how GPFS/Lustre do
 //!   not materialize untouched blocks, which SIONlib's block-per-task layout
 //!   relies on. Used throughout the test suite.
-//! * `parfs::SimFs` (in the `parfs` crate) — a functional FS backed by the
-//!   parallel-file-system simulator's namespace.
+//!
+//! and one interposer: [`TapFs`] passes every operation on a backend
+//! through an ordered list of [`Tap`]s (outermost first; checkers go after
+//! the fault tap). Fault injection ([`Faults`]), the FS-block exclusivity
+//! check ([`BlockGuard`]) and the extent recorders of the happens-before
+//! engine ([`AccessSink`]) are taps — nothing else forwards the
+//! [`Vfs`]/[`VfsFile`] surface.
 //!
 //! All offsets and lengths are `u64`; positioned reads of holes yield zero
 //! bytes, as POSIX sparse files do.
@@ -26,13 +31,15 @@ mod local;
 mod mem;
 mod null;
 pub mod order_guard;
+mod tap;
 
-pub use fault::{FaultFs, FaultKind, FaultRule, OpRecord};
-pub use guard::{BlockGuardFs, BlockViolation};
+pub use fault::{FaultKind, FaultRule, Faults, OpRecord};
+pub use guard::{BlockGuard, BlockViolation};
 pub use local::LocalFs;
 pub use mem::{MemFs, MemFsStats};
 pub use null::NullFile;
-pub use order_guard::{AccessKind, AccessSink, FileAccess, OrderGuardFs};
+pub use order_guard::{AccessKind, AccessSink, FileAccess};
+pub use tap::{Next, Op, OpKind, Tap, TapFs};
 
 use std::io;
 pub use std::io::IoSlice;
@@ -144,7 +151,7 @@ pub trait VfsFile: Send + Sync {
     /// is atomic **per FS block** ([`Vfs::block_size`]), not per call. A
     /// reader may see the leading blocks of an iovec without the trailing
     /// ones, never a torn block. Tasks that need more must not share
-    /// blocks, which is what [`BlockGuardFs`] checks.
+    /// blocks, which is what [`BlockGuard`] checks.
     fn write_vectored_at(&self, bufs: &[IoSlice<'_>], offset: u64) -> io::Result<()> {
         let mut at = offset;
         for b in bufs {
@@ -215,9 +222,10 @@ pub trait Vfs: Send + Sync {
     /// another task owns the physical bytes of `path` (the aggregated-I/O
     /// member side runs its chunk arithmetic against one of these while the
     /// elected aggregator replays the ops against the real file). The
-    /// default discards the bytes ([`NullFile`]); checking decorators
-    /// override it to record the shadow extents as *durability
-    /// obligations* — bytes the owner must persist before acknowledging.
+    /// default discards the bytes ([`NullFile`]); [`TapFs`] marks every op
+    /// on one as a shadow op, which an [`AccessSink`] records as a
+    /// *durability obligation* — bytes the owner must persist before
+    /// acknowledging.
     fn create_shadow(&self, path: &str) -> io::Result<Arc<dyn VfsFile>> {
         let _ = path;
         Ok(Arc::new(NullFile::new()))

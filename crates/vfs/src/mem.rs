@@ -14,7 +14,7 @@
 //! locked maps, as a parallel file system hands out block locks. Tasks
 //! whose chunks the layout aligned to FS blocks therefore never wait for
 //! each other while sharing one physical file; tasks that do share a block
-//! (what [`crate::BlockGuardFs`] flags) serialise on its lock.
+//! (what [`crate::BlockGuard`] flags) serialise on its lock.
 //!
 //! Every data operation walks its byte range one FS block at a time and
 //! holds that block's lock only, across the copy of that block's bytes —

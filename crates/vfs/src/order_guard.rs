@@ -1,39 +1,39 @@
-//! [`OrderGuardFs`]: a byte-extent access recorder for happens-before
+//! [`AccessSink`]: byte-extent access recording for happens-before
 //! checking.
 //!
-//! [`BlockGuardFs`](crate::BlockGuardFs) checks the paper's §3.2 invariant
-//! in its strongest static form — one writer per FS block, ever. The
+//! [`BlockGuard`](crate::BlockGuard) checks the paper's §3.2 invariant in
+//! its strongest static form — one writer per FS block, ever. The
 //! aggregated I/O mode is correct under a weaker, *ordering* form: several
 //! logical writers may touch the same file (an aggregator replays every
 //! member's stream), as long as all conflicting byte-extent accesses are
 //! happens-before ordered by the protocol's messages. Whether they are is
-//! not a property a [`Vfs`] decorator can decide on its own — it depends on
-//! the send/recv edges of the run — so this decorator does the recording
-//! half only: every read, write, and shadow write that flows through it is
-//! reported to an [`AccessSink`] (the `simcheck` crate's vector-clock
-//! engine), attributed to the logical task labeled on the issuing thread
-//! via [`guard::set_task`](crate::guard::set_task).
+//! not a property a file-system tap can decide on its own — it depends on
+//! the send/recv edges of the run — so this module does the recording half
+//! only: every [`AccessSink`] is a [`Tap`], and listed in a
+//! [`TapFs`](crate::TapFs) it is told every read, write, and shadow write
+//! (the `simcheck` crate's vector-clock engine is one), attributed to the
+//! logical task labeled on the issuing thread via
+//! [`guard::set_task`](crate::guard::set_task).
 //!
 //! Three access kinds are distinguished:
 //!
 //! * [`AccessKind::Write`] — bytes physically persisted at the path.
-//! * [`AccessKind::Read`] — bytes observed from the path.
+//! * [`AccessKind::Read`] — bytes observed from the path, copied or leased.
 //! * [`AccessKind::ShadowWrite`] — bytes a task wrote through a
-//!   [`Vfs::create_shadow`] handle: *logical* writes whose physical
-//!   persistence is another task's obligation (the aggregated-mode member
-//!   side). The sink receives them against the shadowed path, so it can
-//!   pair each member's logical extents with the aggregator's physical
-//!   replay of them.
+//!   [`Vfs::create_shadow`](crate::Vfs::create_shadow) handle: *logical*
+//!   writes whose physical persistence is another task's obligation (the
+//!   aggregated-mode member side). The sink receives them against the
+//!   shadowed path, so it can pair each member's logical extents with the
+//!   aggregator's physical replay of them. Shadow reads observe nothing
+//!   real and are not reported.
 //!
 //! Accesses from unlabeled threads are not reported, mirroring
-//! [`BlockGuardFs`](crate::BlockGuardFs): test scaffolding and serial
-//! tools stay invisible.
+//! [`BlockGuard`](crate::BlockGuard): test scaffolding and serial tools
+//! stay invisible.
 
-use crate::guard::current_writer;
-use crate::{ByteLease, IoSlice, NullFile, Vfs, VfsFile};
+use crate::tap::{Next, Op, OpKind, Tap};
 use std::fmt;
 use std::io;
-use std::sync::Arc;
 
 /// How a recorded access touched the file. Ordered so access lists sort
 /// deterministically.
@@ -99,154 +99,28 @@ impl fmt::Display for FileAccess {
 }
 
 /// Consumer of the access stream (the `simcheck` happens-before engine).
-/// Called synchronously on the accessing thread, after the inner backend
-/// succeeded, so the sink observes accesses in each task's program order.
+/// Called synchronously on the accessing thread, after the rest of the tap
+/// list and the backend succeeded, so the sink observes accesses in each
+/// task's program order with the byte count that was transferred.
 pub trait AccessSink: Send + Sync {
-    /// One access flowed through the decorator.
+    /// One labeled, non-empty access flowed through the [`TapFs`](crate::TapFs).
     fn on_access(&self, access: &FileAccess);
 }
 
-/// Decorator reporting every labeled byte-extent access to an
-/// [`AccessSink`]; see the module docs.
-pub struct OrderGuardFs {
-    inner: Arc<dyn Vfs>,
-    sink: Arc<dyn AccessSink>,
-}
-
-impl OrderGuardFs {
-    /// Wrap `inner`, reporting labeled accesses to `sink`.
-    pub fn new(inner: Arc<dyn Vfs>, sink: Arc<dyn AccessSink>) -> OrderGuardFs {
-        OrderGuardFs { inner, sink }
-    }
-
-    fn wrap(&self, path: &str, file: Arc<dyn VfsFile>, shadow: bool) -> Arc<dyn VfsFile> {
-        Arc::new(OrderGuardFile {
-            inner: file,
-            path: crate::normalize_path(path),
-            shadow,
-            sink: self.sink.clone(),
-        })
-    }
-}
-
-struct OrderGuardFile {
-    inner: Arc<dyn VfsFile>,
-    path: String,
-    /// Shadow handles report writes as [`AccessKind::ShadowWrite`] and
-    /// reads not at all (a shadow read observes nothing real).
-    shadow: bool,
-    sink: Arc<dyn AccessSink>,
-}
-
-impl OrderGuardFile {
-    fn report(&self, kind: AccessKind, offset: u64, len: usize) {
-        let Some(task) = current_writer() else { return };
-        if len == 0 {
-            return;
+impl<S: AccessSink> Tap for S {
+    fn around(&self, op: &Op<'_>, next: Next<'_>) -> io::Result<u64> {
+        let len = next(op.len)?;
+        let kind = match (op.kind, op.shadow) {
+            (OpKind::Read, false) => AccessKind::Read,
+            (OpKind::Write, false) => AccessKind::Write,
+            (OpKind::Write, true) => AccessKind::ShadowWrite,
+            _ => return Ok(len),
+        };
+        if let (Some(task), true) = (op.task, len > 0) {
+            let path = op.path.to_string();
+            self.on_access(&FileAccess { path, kind, task, offset: op.offset, len });
         }
-        self.sink.on_access(&FileAccess {
-            path: self.path.clone(),
-            kind,
-            task,
-            offset,
-            len: len as u64,
-        });
-    }
-
-    fn write_kind(&self) -> AccessKind {
-        if self.shadow {
-            AccessKind::ShadowWrite
-        } else {
-            AccessKind::Write
-        }
-    }
-}
-
-impl VfsFile for OrderGuardFile {
-    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
-        let n = self.inner.read_at(buf, offset)?;
-        if !self.shadow {
-            self.report(AccessKind::Read, offset, n);
-        }
-        Ok(n)
-    }
-
-    fn write_at(&self, buf: &[u8], offset: u64) -> io::Result<usize> {
-        let n = self.inner.write_at(buf, offset)?;
-        self.report(self.write_kind(), offset, n);
-        Ok(n)
-    }
-
-    /// Forward the whole iovec batched, then report per-slice extents —
-    /// the same extents a scalar submission would have produced.
-    fn write_vectored_at(&self, bufs: &[IoSlice<'_>], offset: u64) -> io::Result<()> {
-        self.inner.write_vectored_at(bufs, offset)?;
-        let mut at = offset;
-        for b in bufs {
-            self.report(self.write_kind(), at, b.len());
-            at += b.len() as u64;
-        }
-        Ok(())
-    }
-
-    fn read_lease(&self, offset: u64, max_len: usize) -> Option<ByteLease> {
-        let lease = self.inner.read_lease(offset, max_len)?;
-        if !self.shadow {
-            self.report(AccessKind::Read, offset, lease.len());
-        }
-        Some(lease)
-    }
-
-    fn set_len(&self, len: u64) -> io::Result<()> {
-        self.inner.set_len(len)
-    }
-
-    fn len(&self) -> io::Result<u64> {
-        self.inner.len()
-    }
-
-    fn sync(&self) -> io::Result<()> {
-        self.inner.sync()
-    }
-}
-
-impl Vfs for OrderGuardFs {
-    fn create(&self, path: &str) -> io::Result<Arc<dyn VfsFile>> {
-        let f = self.inner.create(path)?;
-        Ok(self.wrap(path, f, false))
-    }
-
-    fn open(&self, path: &str) -> io::Result<Arc<dyn VfsFile>> {
-        let f = self.inner.open(path)?;
-        Ok(self.wrap(path, f, false))
-    }
-
-    fn open_rw(&self, path: &str) -> io::Result<Arc<dyn VfsFile>> {
-        let f = self.inner.open_rw(path)?;
-        Ok(self.wrap(path, f, false))
-    }
-
-    fn remove(&self, path: &str) -> io::Result<()> {
-        self.inner.remove(path)
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-
-    fn block_size(&self) -> u64 {
-        self.inner.block_size()
-    }
-
-    fn list(&self, prefix: &str) -> io::Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
-    /// Shadow handles discard bytes (the inner backend never sees them)
-    /// but report every write as a [`AccessKind::ShadowWrite`] against the
-    /// shadowed path.
-    fn create_shadow(&self, path: &str) -> io::Result<Arc<dyn VfsFile>> {
-        Ok(self.wrap(path, Arc::new(NullFile::new()), true))
+        Ok(len)
     }
 }
 
@@ -254,7 +128,8 @@ impl Vfs for OrderGuardFs {
 mod tests {
     use super::*;
     use crate::guard::{clear_task, set_task};
-    use crate::MemFs;
+    use crate::{IoSlice, MemFs, TapFs, Vfs};
+    use std::sync::Arc;
     use parking_lot::Mutex;
 
     #[derive(Default)]
@@ -266,9 +141,9 @@ mod tests {
         }
     }
 
-    fn guarded() -> (OrderGuardFs, Arc<Log>) {
+    fn guarded() -> (TapFs, Arc<Log>) {
         let log = Arc::new(Log::default());
-        (OrderGuardFs::new(Arc::new(MemFs::new()), log.clone()), log)
+        (TapFs::new(Arc::new(MemFs::new()), vec![log.clone()]), log)
     }
 
     #[test]

@@ -91,7 +91,7 @@ fn block_aligned_regions_written_side_by_side() {
     }
 }
 
-/// The misaligned case `BlockGuardFs` exists to flag: two tasks own the two
+/// The misaligned case `BlockGuard` exists to flag: two tasks own the two
 /// halves of every FS block, split in the middle of a page. Slower is fine;
 /// a lost update on the shared page or block is not.
 #[test]

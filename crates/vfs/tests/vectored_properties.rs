@@ -6,14 +6,32 @@
 //! backend's native vectored submission, a wrapper that suppresses the
 //! override so the trait default runs over the same backend, and a plain
 //! in-memory byte model — and the resulting file images are compared.
+//! On `MemFs` the script also runs through a [`TapFs`], with an empty tap
+//! list and with `[unarmed faults, block guard, recording sink]`: the
+//! interposer must be transparent under either vectored-write rule.
 //! Runs against both overriding backends: [`MemFs`] (the iovec as one byte
 //! run, block by block) and [`LocalFs`] (coalesced single submission).
 
 use proptest::prelude::*;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use vfs::{IoSlice, LocalFs, MemFs, Vfs, VfsFile};
+use std::sync::{Arc, Mutex};
+use vfs::{
+    AccessKind, AccessSink, BlockGuard, FaultKind, Faults, FileAccess, IoSlice, LocalFs, MemFs,
+    TapFs, Vfs, VfsFile,
+};
+
+/// Records the extent of every labeled write it is told about.
+#[derive(Default)]
+struct WriteExtents(Mutex<Vec<(u64, u64)>>);
+
+impl AccessSink for WriteExtents {
+    fn on_access(&self, access: &FileAccess) {
+        if access.kind == AccessKind::Write {
+            self.0.lock().unwrap().push((access.offset, access.len));
+        }
+    }
+}
 
 /// Forwards scalar I/O to the wrapped handle but deliberately does NOT
 /// forward `write_vectored_at`, so the trait's default per-slice loop runs
@@ -64,6 +82,22 @@ fn apply(file: &dyn VfsFile, ops: &[Op]) {
     }
 }
 
+/// The `(offset, len)` of every non-empty slice the script writes, in order.
+fn slice_extents(ops: &[Op]) -> Vec<(u64, u64)> {
+    let mut out = Vec::new();
+    let mut offset = 0u64;
+    for (back, lens) in ops {
+        offset = offset.saturating_sub(*back);
+        for &len in lens {
+            if len > 0 {
+                out.push((offset, len as u64));
+            }
+            offset += len as u64;
+        }
+    }
+    out
+}
+
 /// Apply the script to a plain byte vector — the ground-truth file image.
 fn apply_model(ops: &[Op]) -> Vec<u8> {
     let mut img = Vec::new();
@@ -112,6 +146,45 @@ proptest! {
         let model = apply_model(&ops);
         prop_assert_eq!(&image(native.as_ref()), &model, "native vs model");
         prop_assert_eq!(&image(&wrapped), &model, "default loop vs model");
+
+        // An empty tap list forwards the iovec whole and still serves the
+        // backend's leases.
+        let bare = TapFs::new(Arc::new(MemFs::with_block_size(512)), vec![]);
+        let bare_file = bare.create("v.bin").unwrap();
+        apply(bare_file.as_ref(), &ops);
+        prop_assert_eq!(&image(bare_file.as_ref()), &model, "empty tap list vs model");
+        if !model.is_empty() {
+            let lease = bare_file.read_lease(0, model.len()).expect("MemFs lease through TapFs");
+            prop_assert_eq!(lease.bytes(), &model[..lease.len()]);
+        }
+
+        // With a fault tap listed every slice is its own op: the unarmed
+        // tap logs one successful Write per non-empty slice, and the taps
+        // after it see the same extents.
+        let (faults, guard, sink) =
+            (Faults::new(), BlockGuard::new(512), Arc::new(WriteExtents::default()));
+        let tapped = TapFs::new(
+            Arc::new(MemFs::with_block_size(512)),
+            vec![faults.clone(), guard.clone(), sink.clone()],
+        );
+        let tapped_file = tapped.create("v.bin").unwrap();
+        vfs::guard::set_task(0);
+        apply(tapped_file.as_ref(), &ops);
+        vfs::guard::clear_task();
+        prop_assert_eq!(&image(tapped_file.as_ref()), &model, "full tap list vs model");
+        let logged: Vec<(u64, u64)> = faults
+            .take_log()
+            .iter()
+            .filter(|r| r.kind == FaultKind::Write)
+            .map(|r| {
+                assert!(r.ok && r.persisted == r.len, "{r:?}");
+                (r.offset, r.len)
+            })
+            .collect();
+        let expected = slice_extents(&ops);
+        prop_assert_eq!(&logged, &expected, "one Write record per non-empty slice");
+        prop_assert_eq!(&*sink.0.lock().unwrap(), &expected, "sink extents");
+        guard.assert_exclusive();
     }
 
     /// LocalFs: the coalesced single-submission override equals the

@@ -15,7 +15,8 @@
 
 use simmpi::{Comm, World};
 use sionlib::{sion, vfs};
-use vfs::{FaultFs, LocalFs, MemFs, Vfs};
+use std::sync::Arc;
+use vfs::{Faults, LocalFs, MemFs, TapFs, Vfs};
 
 const SMOKE_DIR: &str = "target/smoke";
 const NTASKS: usize = 4;
@@ -54,21 +55,21 @@ fn workload(fs: &dyn Vfs) {
 fn main() {
     // Probe run (in memory): learn the workload's operation count, then
     // arm the kill switch deep enough that metadata and most data landed.
-    let probe = FaultFs::new(MemFs::with_block_size(256));
-    workload(&probe);
+    let probe = Faults::new();
+    workload(&TapFs::new(Arc::new(MemFs::with_block_size(256)), vec![probe.clone()]));
     let total_ops = probe.op_count();
     let crash_at = total_ops * 3 / 4;
 
     std::fs::create_dir_all(SMOKE_DIR).expect("create target/smoke");
-    let fs = FaultFs::new(LocalFs::with_block_size(SMOKE_DIR, 256));
-    fs.crash_after_ops(crash_at);
-    workload(&fs);
-    fs.clear();
+    let disk = Arc::new(LocalFs::with_block_size(SMOKE_DIR, 256));
+    let faults = Faults::new();
+    faults.crash_after_ops(crash_at);
+    workload(&TapFs::new(disk.clone(), vec![faults]));
 
     println!(
         "crashed multifile written: {SMOKE_DIR}/crash.sion (killed at op {crash_at}/{total_ops})"
     );
-    match sion::Multifile::open(fs.inner(), "crash.sion") {
+    match sion::Multifile::open(disk.as_ref(), "crash.sion") {
         Ok(_) => {
             eprintln!("unexpected: the crashed multifile opens cleanly");
             std::process::exit(1);

@@ -2,10 +2,21 @@
 //! applications (mp2c, tracer) through the sion library, the serial tool
 //! suite, and back — over the in-memory and counting file systems.
 
-use parfs::SimFs;
 use simmpi::{Comm, World};
 use sionlib::{mp2c, sion, sion_tools, tracer, vfs};
-use vfs::{MemFs, Vfs};
+use std::sync::Arc;
+use vfs::{FaultKind, Faults, MemFs, TapFs, Vfs};
+
+/// A 4 KiB-block `MemFs` behind an unarmed fault tap, whose op log and
+/// byte count say what I/O a run performed.
+fn logged_fs() -> (TapFs, Arc<Faults>) {
+    let faults = Faults::new();
+    (TapFs::new(Arc::new(MemFs::with_block_size(4096)), vec![faults.clone()]), faults)
+}
+
+fn creates(faults: &Faults) -> u64 {
+    faults.take_log().iter().filter(|r| r.kind == FaultKind::Create && r.ok).count() as u64
+}
 
 #[test]
 fn checkpoint_then_tools_pipeline() {
@@ -81,7 +92,7 @@ fn trace_split_files_decode_as_event_streams() {
 }
 
 #[test]
-fn simfs_counts_the_metadata_story() {
+fn op_log_counts_the_metadata_story() {
     // The paper's headline claim as a functional assertion: with N tasks
     // and F physical files, the sion path costs F creates where the
     // task-local path costs N — and both store the same bytes.
@@ -89,27 +100,25 @@ fn simfs_counts_the_metadata_story() {
     let nfiles = 3;
     let payload_len = 5_000;
 
-    let fs = SimFs::with_block_size(4096);
+    let (fs, sion_log) = logged_fs();
     World::run(ntasks, |comm| {
         let params = sion::SionParams::new(4096).with_nfiles(nfiles);
         let mut w = sion::paropen_write(&fs, "multi.sion", &params, comm).unwrap();
         w.write(&vec![comm.rank() as u8; payload_len]).unwrap();
         w.close().unwrap();
     });
-    let sion_counters = fs.counters();
-    assert_eq!(sion_counters.creates, nfiles as u64);
+    assert_eq!(creates(&sion_log), nfiles as u64);
 
-    let fs2 = SimFs::with_block_size(4096);
+    let (fs2, local_log) = logged_fs();
     World::run(ntasks, |comm| {
         let f = fs2.create(&format!("task.{:06}", comm.rank())).unwrap();
         f.write_all_at(&vec![comm.rank() as u8; payload_len], 0).unwrap();
     });
-    let local_counters = fs2.counters();
-    assert_eq!(local_counters.creates, ntasks as u64);
+    assert_eq!(creates(&local_log), ntasks as u64);
 
     // Same user payload either way.
-    assert!(sion_counters.bytes_written >= local_counters.bytes_written);
-    assert_eq!(local_counters.bytes_written, (ntasks * payload_len) as u64);
+    assert!(sion_log.bytes_written() >= local_log.bytes_written());
+    assert_eq!(local_log.bytes_written(), (ntasks * payload_len) as u64);
 }
 
 #[test]
@@ -158,11 +167,11 @@ fn simulated_experiments_agree_with_functional_counts() {
         })
         .sum();
 
-    let fs = SimFs::with_block_size(4096);
+    let (fs, log) = logged_fs();
     World::run(ntasks as usize, |comm| {
         let params = sion::SionParams::new(1).with_nfiles(nfiles);
         let w = sion::paropen_write(&fs, "x.sion", &params, comm).unwrap();
         w.close().unwrap();
     });
-    assert_eq!(script_creates, fs.counters().creates);
+    assert_eq!(script_creates, creates(&log));
 }
