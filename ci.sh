@@ -88,42 +88,19 @@ cargo run --release --example rescue_smoke
 ./target/release/sionrepair target/smoke/crash.sion
 ./target/release/sionverify target/smoke/crash.sion
 
-echo "==> collective_scaling quick sweep (flat vs tree)"
-# Quick mode writes to target/bench/ so the committed full-sweep
-# BENCH_collectives.json at the repo root is not clobbered by CI runs.
-mkdir -p target/bench
-cargo run --release -p sion-bench --bin collective_scaling -- \
-    --quick --out target/bench/BENCH_collectives.json
-grep -q '"bench": "collective_scaling"' target/bench/BENCH_collectives.json
-grep -q '"runtime": "tree"' target/bench/BENCH_collectives.json
-# The binary itself exits nonzero unless the thread tree runtime beats
-# the thread flat baseline on open+close latency at the largest rank
-# count both reach — which also guards the thread driver, since the thread
-# tree is the task engine polled by the rank's own thread.
-
 echo "==> metadata_scaling quick sweep (lazy vs eager open+seek, 16Ki smoke)"
 # Doubles as the 16Ki-rank lazy serial open+seek smoke: the quick sweep's
 # largest point writes a 16384-rank multifile, then opens and seeks it
 # both eagerly and lazily under the same wall-clock budget discipline as
 # par_smoke (exit 2 on overrun). The binary exits 3 unless the lazy
 # header-open + chunk-index seek beats the eager full-directory walk by
-# >= 10x at 16Ki ranks.
+# >= 10x at 16Ki ranks. Quick sweeps write to target/bench/ so the committed
+# full-sweep BENCH_*.json at the repo root are not clobbered by CI runs.
+mkdir -p target/bench
 cargo run --release -p sion-bench --bin metadata_scaling -- \
     --quick --budget-secs 120 --out target/bench/BENCH_metadata.json
 grep -q '"bench": "metadata_scaling"' target/bench/BENCH_metadata.json
 grep -q '"ranks": 16384' target/bench/BENCH_metadata.json
-
-echo "==> throughput quick sweep (scalar vs vectored hot path, MemFs + tmpfs)"
-# The binary exits 3 unless, on MemFs, the vectored coalesced-flush path
-# reaches >= 2x the scalar (write-through) GB/s on the smallest-record
-# sweep AND a buffered 1 MiB-record write stays below one staging copy
-# per byte written (large records bypass the write-behind buffer, so
-# bytes_copied is 0 there in practice). tmpfs rates are reported, not
-# gated. Exit 2 on wall-clock overrun, like the other benches.
-cargo run --release -p sion-bench --bin throughput -- \
-    --quick --budget-secs 120 --out target/bench/BENCH_throughput.json
-grep -q '"bench": "throughput"' target/bench/BENCH_throughput.json
-grep -q '"backend": "tmpfs"' target/bench/BENCH_throughput.json
 
 echo "==> aggregation quick sweep (two-phase aggregated vs independent, parfs jugene)"
 # The binary exits 3 unless, on the parfs Jugene model, aggregated mode
@@ -153,6 +130,16 @@ echo "==> benchmark/ package: build + tests against this tree's crates"
 # dependencies the crates no longer have; restore the committed file so CI
 # leaves the tree clean.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
+
+echo "==> sionbench smoke: the real checkpoint -> restart -> tools cycle, 3 s per workload"
+# The one harness every speed number comes from (collective latencies,
+# stream coalescing, raw Vfs ceilings; see benchmark/README.md). It exits 1
+# on any failed operation or an `exact` count differing between reps.
+# Reports land in the git-ignored benchmark/out/.
+for workload in wide_8k bulk_4k; do
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 3 --trace 0
+done
 git checkout benchmark/Cargo.lock
 
 echo "==> structural gate: TapFs is the only forwarding Vfs (MemFs, LocalFs x2 each, NullFile, TapFs x2)"

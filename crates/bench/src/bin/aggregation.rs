@@ -30,6 +30,7 @@
 //! 10%) of independent at ≥ 1 MiB aligned records. `--budget-secs` bounds
 //! wall clock (exit 2 on overrun) like the other benches.
 
+use bench::arg;
 use parfs::{simulate, FileRef, IoOp, Machine, ScriptClass, ScriptSet};
 use std::time::Instant;
 
@@ -40,13 +41,6 @@ const TORUS_BW: f64 = 375.0e6;
 /// One write-behind shipment frame: the pipeline-fill unit an aggregator
 /// must receive before its first block write can start.
 const FRAME_BYTES: u64 = 4 << 20;
-
-fn arg(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 /// Mean number of tasks whose chunks overlap one FS block: the block span
 /// of a compact layout, clamped to the tasks actually in the file.
@@ -139,12 +133,8 @@ struct TpaPoint {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let budget_secs = arg(&args, "--budget-secs").unwrap_or(300);
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_aggregation.json".to_string());
+    let budget_secs: u64 = arg(&args, "--budget-secs").unwrap_or(300);
+    let out: String = arg(&args, "--out").unwrap_or_else(|| "BENCH_aggregation.json".to_string());
 
     let m = Machine::jugene();
     let ntasks: u64 = 65536;

@@ -18,6 +18,7 @@
 //! clock like `par_smoke` (exit 2 on overrun), so the CI quick step
 //! doubles as the 16Ki-rank lazy serial open+seek smoke.
 
+use bench::arg;
 use sion::{Multifile, SerialWriter, SionParams};
 use std::time::Instant;
 use vfs::MemFs;
@@ -27,13 +28,6 @@ use vfs::MemFs;
 /// per-rank chunk lists to build.
 fn payload_len(rank: usize) -> usize {
     100 + (rank % 7) * 60
-}
-
-fn arg(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 /// Build the test multifile: `ranks` tasks, 128-byte chunks, a few files.
@@ -80,12 +74,8 @@ struct Sample {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let budget_secs = arg(&args, "--budget-secs").unwrap_or(300);
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_metadata.json".to_string());
+    let budget_secs: u64 = arg(&args, "--budget-secs").unwrap_or(300);
+    let out: String = arg(&args, "--out").unwrap_or_else(|| "BENCH_metadata.json".to_string());
 
     let ranks: &[usize] = if quick {
         &[1024, 16384]

@@ -10,6 +10,7 @@
 //! the run additionally executes under the passive sanitizer (use a
 //! smaller `--ranks` there — the checks serialize some paths).
 
+use bench::arg;
 use simmpi::{CoComm, SchedPolicy, TaskWorld};
 use sion::{paropen_write_co, Multifile, SionParams};
 use std::time::Instant;
@@ -20,19 +21,12 @@ fn payload(rank: usize, len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8).collect()
 }
 
-fn arg(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let ranks = arg(&args, "--ranks").unwrap_or(16384) as usize;
-    let budget_secs = arg(&args, "--budget-secs").unwrap_or(120);
-    let bytes_per_rank = arg(&args, "--bytes").unwrap_or(512) as usize;
-    let nfiles = arg(&args, "--nfiles").unwrap_or(16) as u32;
+    let ranks: usize = arg(&args, "--ranks").unwrap_or(16384);
+    let budget_secs: u64 = arg(&args, "--budget-secs").unwrap_or(120);
+    let bytes_per_rank: usize = arg(&args, "--bytes").unwrap_or(512);
+    let nfiles: u32 = arg(&args, "--nfiles").unwrap_or(16);
 
     // Small chunk and write buffer: at 16Ki+ concurrent writers the
     // default 128 KiB buffer alone would dwarf the data being written.

@@ -107,6 +107,32 @@ fn json_number(v: f64) -> String {
     }
 }
 
+/// `Ok(None)` when flag `name` is absent from `args`, its parsed value when
+/// present, and a usage line when the value is missing or does not parse.
+fn parse_arg<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        None => Err(format!("usage: {name} <value> (value missing)")),
+        Some(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("usage: {name} <value> (cannot parse {v:?})")),
+    }
+}
+
+/// Value of the command-line flag `name`, `None` when the flag is absent.
+/// A flag whose value is missing or does not parse prints a usage line and
+/// exits 2: falling back to the default would let `--ranks 64k` run (and
+/// pass a gate) at the default rank count.
+pub fn arg<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    parse_arg(args, name).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    })
+}
+
 /// Fetch the y value of a series at an x coordinate (for tests).
 pub fn lookup(rows: &[Row], series: &str, x: f64) -> Option<f64> {
     rows.iter()
@@ -129,6 +155,18 @@ mod tests {
         assert_eq!(tsv.lines().count(), 3);
         assert_eq!(lookup(&rows, "b", 1.0), Some(3.0));
         assert_eq!(lookup(&rows, "c", 1.0), None);
+    }
+
+    #[test]
+    fn arg_rejects_missing_and_unparsable_values() {
+        let args: Vec<String> =
+            ["--ranks", "64k", "--nfiles", "32", "--out"].map(String::from).to_vec();
+        assert_eq!(parse_arg::<u32>(&args, "--nfiles"), Ok(Some(32)));
+        assert_eq!(parse_arg::<u64>(&args, "--bytes"), Ok(None));
+        let unparsable = parse_arg::<usize>(&args, "--ranks").unwrap_err();
+        assert!(unparsable.contains("--ranks") && unparsable.contains("64k"), "{unparsable}");
+        let missing = parse_arg::<String>(&args, "--out").unwrap_err();
+        assert!(missing.contains("--out") && missing.contains("missing"), "{missing}");
     }
 
     #[test]

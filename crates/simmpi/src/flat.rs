@@ -1,4 +1,4 @@
-//! The original slot-and-barrier collectives, kept as the *flat baseline*.
+//! The original slot-and-barrier collectives, kept as a *test oracle*.
 //!
 //! [`FlatCommunicator`] is the runtime this crate shipped before the tree
 //! collectives landed: every collective deposits payloads into a `P`-slot
@@ -6,12 +6,9 @@
 //! root scans all `P` slots linearly. That is O(P) latency per collective
 //! and a full-communicator wake-up storm per barrier.
 //!
-//! It is retained for two reasons:
-//!
-//! * the `collective_scaling` benchmark measures the tree runtime against
-//!   it, so the flat-vs-tree latency trajectory persists across PRs;
-//! * the property tests use it as an independent executable reference the
-//!   tree collectives must agree with byte-for-byte.
+//! It is retained for one reason: the property tests use it as an
+//! independent executable reference the tree collectives must agree with
+//! byte-for-byte.
 //!
 //! New code should use [`World`](crate::World); this module is not part of
 //! the performance story. It *is* part of the correctness-analysis story:

@@ -19,8 +19,8 @@
 //!   executor (16Ki–64Ki ranks); [`World`] drives it with one OS thread per
 //!   rank, each [`Communicator`] blocking on the same futures.
 //! * [`FlatCommunicator`] — the original O(P) slot-and-barrier collectives,
-//!   sharing no code with the engine; kept as the benchmark baseline and
-//!   property-test oracle.
+//!   sharing no code with the engine; kept only as the oracle the property
+//!   tests compare the engine against.
 //! * [`SerialComm`] — a size-1 communicator for serial tools and tests.
 //!
 //! # Example

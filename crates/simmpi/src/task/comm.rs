@@ -717,8 +717,8 @@ impl TaskComm {
     /// messages in 2·log P rounds, every rank scanning the same buffer. A
     /// dissemination (Bruck) exchange would halve the critical-path round
     /// count but costs P·log P messages; in-process, total message-handling
-    /// work, not network depth, is the scarce resource, and 2(P−1) wins
-    /// measurably (see the `collective_scaling` benchmark).
+    /// work, not network depth, is the scarce resource, and 2(P−1) won
+    /// when both were measured (DESIGN.md §4b).
     async fn allgather_arc_impl(
         &self,
         data: &[u8],

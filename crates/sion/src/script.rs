@@ -1,14 +1,16 @@
 //! I/O-script generation for the timing simulator.
 //!
 //! The paper's timing experiments run at up to 64 Ki tasks — far beyond
-//! what we can execute as real threads. This module derives `parfs`
-//! workloads ([`ScriptSet`]) from the *same layout and protocol code* the
-//! real library executes: the collective open/close message pattern of
-//! [`crate::par`], chunk capacities and block sharing from
-//! [`crate::layout`], and the baseline access patterns the paper compares
-//! against (one-file-per-task and single-file-sequential). Because the
-//! scripts are generated from the production code paths, the simulated
-//! access pattern cannot drift from the implementation.
+//! what we can execute as real threads. This module writes `parfs`
+//! workloads ([`ScriptSet`]) for them: chunk capacities, block sharing and
+//! metadata sizes come from the production code ([`crate::layout`],
+//! [`MetaBlock1`]), but the collective open/close message pattern of
+//! [`crate::par`] and the baseline access patterns the paper compares
+//! against (one-file-per-task and single-file-sequential) are written by
+//! hand, and nothing checks them against the implementation — they still
+//! emit the two open gathers the exchange-free open removed and an
+//! `8 + 8·ntasks` read-open broadcast. Replacing them with scripts
+//! recorded from an executed run is ROADMAP item 6.
 //!
 //! All generators produce symmetric task *classes* (e.g. "file masters"
 //! and "workers"), which is what keeps 64 Ki-task simulations cheap.

@@ -1274,30 +1274,41 @@ mod tests {
 
     #[test]
     fn large_records_bypass_buffer_as_one_vectored_write() {
-        let (fs, layout) = setup(&[200], Alignment::None, false);
-        let mut w = writer_buffered(&fs, &layout, 0, false, 32);
-        // Small record stages into the buffer; the large record then rides
-        // out in ONE vectored submission together with the pending bytes,
-        // never touching the write-behind buffer itself.
-        w.write(&[1u8; 10]).unwrap();
-        w.write(&[2u8; 100]).unwrap();
-        let c = w.io_counters();
-        assert_eq!(c.vectored_writes, 1, "{c:?}");
-        assert_eq!(c.vfs_calls, 1, "{c:?}");
-        assert_eq!(c.vfs_bytes, 110);
-        assert_eq!(c.bytes_copied, 10, "only the staged small record was copied");
-        let used = w.finish().unwrap();
-        assert_eq!(used, vec![110]);
-        let mut r = reader(
-            fs.open("f").unwrap(),
-            ChunkGeom::from_layout(&layout, 0, 0),
-            used,
-            false,
-        );
-        let mut back = vec![0u8; 110];
-        r.read_exact(&mut back).unwrap();
-        assert_eq!(&back[..10], &[1u8; 10][..]);
-        assert_eq!(&back[10..], &[2u8; 100][..]);
+        // (write buffer, staged small record, large record, large records)
+        let inputs = [
+            // The large record rides out in ONE vectored submission together
+            // with the pending small one, never touching the buffer itself.
+            (32, 10usize, 100usize, 1u64),
+            // 1 MiB records through the default buffer stage nothing at all.
+            (DEFAULT_WRITE_BUFFER, 0, 1 << 20, 4),
+        ];
+        for (write_buffer, small, large, n_large) in inputs {
+            let total = small as u64 + n_large * large as u64;
+            let (fs, layout) = setup(&[total], Alignment::None, false);
+            let mut w = writer_buffered(&fs, &layout, 0, false, write_buffer);
+            w.write(&vec![1u8; small]).unwrap();
+            let record = vec![2u8; large];
+            for _ in 0..n_large {
+                w.write(&record).unwrap();
+            }
+            let c = w.io_counters();
+            assert_eq!(c.vectored_writes, n_large, "{c:?}");
+            assert_eq!(c.vfs_calls, n_large, "{c:?}");
+            assert_eq!(c.vfs_bytes, total);
+            assert_eq!(c.bytes_copied, small as u64, "only the small record was staged: {c:?}");
+            let used = w.finish().unwrap();
+            assert_eq!(used, vec![total]);
+            let mut r = reader(
+                fs.open("f").unwrap(),
+                ChunkGeom::from_layout(&layout, 0, 0),
+                used,
+                false,
+            );
+            let mut back = vec![0u8; total as usize];
+            r.read_exact(&mut back).unwrap();
+            assert!(back[..small].iter().all(|&b| b == 1));
+            assert!(back[small..].iter().all(|&b| b == 2));
+        }
     }
 
     #[test]
