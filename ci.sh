@@ -146,6 +146,14 @@ echo "==> structural gate: TapFs is the only forwarding Vfs (MemFs, LocalFs x2 e
 n=$(grep -rEc 'impl(<[^>]*>)? *(Vfs|VfsFile) for' crates/*/src | awk -F: '{ s += $2 } END { print s }')
 [ "$n" -eq 7 ] || { echo "new hand-forwarding decorator: make it a \`Tap\` ($n Vfs/VfsFile impls, want 7)"; exit 1; }
 
+echo "==> structural gate: one schedule checker (no thread-parking harness, no scheduling hook methods)"
+if grep -rnw CheckedWorld crates ||
+    grep -rnE 'fn (scheduling|before_send|before_recv|on_recv_blocked|on_consumed)\b|take_scheduled' crates/*/src
+then
+    echo "interleaving control belongs to the executor (\`SchedPolicy::Serial\` / \`ScheduleDriver\`), not to a hook"
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -34,11 +34,11 @@
 //! sequence; [`Dpor::replay`] forces that sequence as the prefix and
 //! reproduces the failure exactly.
 //!
-//! Only the task runtimes support driven schedules. The thread runtimes
-//! ([`CheckedWorld`](crate::CheckedWorld)) park OS threads and cannot hand
-//! each decision to a driver — but they share the whole protocol layer
-//! (`sion::par`, collectives, framing) with the task runtimes, so DPOR
-//! coverage of the protocol transfers.
+//! Driven schedules exist on the task executor only: it polls one rank at
+//! a time, so each decision can be handed to a driver. The thread driver
+//! (`simmpi::World`) runs the same `TaskComm` engine and the same
+//! `sion::par` protocol with the operating system choosing the
+//! interleaving, so DPOR coverage of the protocol transfers to it.
 
 use crate::report::{CheckFailure, ScheduleCfg};
 use crate::sched::digest_task_run;
@@ -507,7 +507,7 @@ impl Dpor {
     }
 }
 
-/// Fan-out of one runtime hook slot to several passive hooks — the driven
+/// Fan-out of one runtime hook slot to several hooks — the driven
 /// runs need the [`Recorder`]'s footprints *and* the [`Sanitizer`]'s
 /// diagnoses (and, under `SIMCHECK`, an `HbEngine`) from the same run.
 pub struct HookChain(Vec<Arc<dyn CheckHook>>);
@@ -520,10 +520,6 @@ impl HookChain {
 }
 
 impl CheckHook for HookChain {
-    fn scheduling(&self) -> bool {
-        self.0.iter().any(|h| h.scheduling())
-    }
-
     fn on_collective(
         &self,
         comm: &CommCtx,
@@ -580,30 +576,6 @@ impl CheckHook for HookChain {
     fn on_stuck(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, waited: Duration) {
         for h in &self.0 {
             h.on_stuck(comm, rank, src, tag, waited);
-        }
-    }
-
-    fn before_send(&self, comm: &CommCtx, from: usize, to: usize, tag: u64, len: usize) {
-        for h in &self.0 {
-            h.before_send(comm, from, to, tag, len);
-        }
-    }
-
-    fn before_recv(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64) {
-        for h in &self.0 {
-            h.before_recv(comm, rank, src, tag);
-        }
-    }
-
-    fn on_recv_blocked(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64) {
-        for h in &self.0 {
-            h.on_recv_blocked(comm, rank, src, tag);
-        }
-    }
-
-    fn on_consumed(&self, comm: &CommCtx, rank: usize, from: usize, tag: u64) {
-        for h in &self.0 {
-            h.on_consumed(comm, rank, from, tag);
         }
     }
 

@@ -17,23 +17,27 @@
 //!
 //! This crate provides two ways to catch them:
 //!
-//! 1. **[`CheckedWorld`]** — a schedule-exploring harness. It runs a
-//!    `simmpi` program under a seeded deterministic scheduler
-//!    ([`ScheduleCfg`]: seed + preemption bound) that serializes every
-//!    mailbox operation and decides, at quiescence, which rank runs next.
-//!    Failures come back as a [`CheckFailure`] carrying the findings, the
-//!    whole-world deadlock verdict (with per-rank pending operations and
-//!    backtraces), and the full decision trace; re-running the same
-//!    [`ScheduleCfg`] replays the failure with a byte-identical
+//! 1. **[`CheckedTaskWorld`]** — the schedule-exploring harness. It runs
+//!    a `simmpi` program as rank tasks on the serial task executor, which
+//!    polls one rank at a time and chooses the next from a seeded,
+//!    preemption-bounded stream ([`ScheduleCfg::Seeded`]) or lets the
+//!    [`dpor`] explorer enumerate every inequivalent order
+//!    ([`ScheduleCfg::Dpor`]). Failures come back as a [`CheckFailure`]
+//!    carrying the findings, the exact whole-world deadlock verdict (each
+//!    parked rank's pending receive: communicator, source, decoded tag),
+//!    and the full decision trace; re-running the same [`ScheduleCfg`]
+//!    replays the failure with a byte-identical
 //!    [`CheckFailure::stable_report`]. Sweep the space with
-//!    [`CheckedWorld::explore`] over [`schedules`].
+//!    [`CheckedTaskWorld::explore`] over [`schedules`]. Interleaving
+//!    control lives in the executor only: hooks observe, they never park
+//!    a rank.
 //!
 //! 2. **`SIMCHECK=1`** — zero-code-change passive mode. With the
 //!    environment variable set, `World::run` and `FlatWorld::run` install a
 //!    [`Sanitizer`] that performs the same collective/tag/leak checks and
 //!    converts silent hangs into watchdog-reported deadlocks
-//!    (`SIMCHECK_TIMEOUT_MS`, default 20s). Production runs without the
-//!    variable pay nothing.
+//!    (`SIMCHECK_TIMEOUT_MS`, default 20s) under real thread concurrency.
+//!    Production runs without the variable pay nothing.
 //!
 //! The filesystem-level check is independent of both: list a
 //! [`BlockGuard`] in the [`TapFs`] around any [`vfs::Vfs`] and every FS
@@ -53,7 +57,7 @@ mod sched;
 pub use dpor::{Dpor, DporHarness, DporOutcome, HookChain};
 pub use hb::{AckViolation, HbEngine, HbRace, RaceSite, VClock};
 pub use report::{CheckFailure, DeadlockInfo, PendingOp, ScheduleCfg, TraceEv};
-pub use sched::{schedules, seed_budget, CheckedTaskWorld, CheckedWorld};
+pub use sched::{schedules, seed_budget, CheckedTaskWorld};
 
 pub use simmpi::{
     current_task, decode_coll_tag, describe_tag, is_agg_tag, is_reserved_tag,

@@ -3,12 +3,9 @@
 //! Everything rendered here must be byte-identical between a failing run
 //! and its replay (same [`ScheduleCfg`]): reports are built from sorted or
 //! insertion-ordered state only — no map iteration order, no addresses, no
-//! timestamps. The one nondeterministic ingredient, per-rank backtraces of
-//! a deadlock's pending receives, is kept out of [`CheckFailure::
-//! stable_report`] and only appears in the human-facing `Display`.
+//! timestamps.
 
 use simmpi::Finding;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One point of the schedule space: the interleaving is a pure function of
@@ -44,15 +41,14 @@ impl fmt::Display for ScheduleCfg {
     }
 }
 
-/// One scheduling decision of a checked run.
+/// One scheduling decision of a checked run: the executor polled `task`
+/// until it parked or finished.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEv {
     /// Decision ordinal (0-based).
     pub step: usize,
     /// World task chosen to run.
     pub task: usize,
-    /// The operation the task was released into.
-    pub op: String,
 }
 
 /// One rank's pending operation at deadlock time.
@@ -67,15 +63,12 @@ pub struct PendingOp {
 }
 
 /// A whole-world deadlock verdict: every live rank blocked in a receive
-/// with no deliverable message.
+/// with no deliverable message. Rank tasks park by returning `Pending`, so
+/// there is no stack to walk — the pending-op table carries the diagnosis.
 #[derive(Debug, Clone, Default)]
 pub struct DeadlockInfo {
     /// Blocked ranks in ascending task order.
     pub pending: Vec<PendingOp>,
-    /// Backtrace of each blocked rank's pending receive, captured lazily by
-    /// the rank itself as it was released to unwind. Not part of the stable
-    /// report (addresses differ between runs).
-    pub backtraces: BTreeMap<usize, String>,
 }
 
 /// Everything known about a failed checked run: the findings, the deadlock
@@ -100,8 +93,7 @@ pub struct CheckFailure {
 
 impl CheckFailure {
     /// Deterministic rendering: byte-identical between a failing seed and
-    /// its replay, suitable for golden-file comparison. Excludes
-    /// backtraces.
+    /// its replay, suitable for golden-file comparison.
     pub fn stable_report(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("simcheck failure ({})\n", self.cfg));
@@ -123,7 +115,7 @@ impl CheckFailure {
         }
         out.push_str(&format!("trace ({} decisions):\n", self.trace.len()));
         for ev in &self.trace {
-            out.push_str(&format!("  #{} task {}: {}\n", ev.step, ev.task, ev.op));
+            out.push_str(&format!("  #{} task {}\n", ev.step, ev.task));
         }
         out
     }
@@ -131,13 +123,7 @@ impl CheckFailure {
 
 impl fmt::Display for CheckFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.stable_report())?;
-        if let Some(d) = &self.deadlock {
-            for (task, bt) in &d.backtraces {
-                writeln!(f, "backtrace of rank {task}'s pending receive:\n{bt}")?;
-            }
-        }
-        Ok(())
+        f.write_str(&self.stable_report())
     }
 }
 
@@ -162,9 +148,8 @@ mod tests {
                     comm: "world".into(),
                     op: "recv(src=1, tag=0x2)".into(),
                 }],
-                backtraces: BTreeMap::from([(0, "0: somewhere".into())]),
             }),
-            trace: vec![TraceEv { step: 0, task: 1, op: "send(to=0, tag=0x1, len=3)".into() }],
+            trace: vec![TraceEv { step: 0, task: 1 }],
             schedule: Vec::new(),
         };
         let a = fail.stable_report();
@@ -172,9 +157,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("seed=0x0000000000000007"), "{a}");
         assert!(!a.contains("replay schedule"), "seeded failures have no forced schedule: {a}");
-        assert!(a.contains("#0 task 1"), "{a}");
-        assert!(!a.contains("somewhere"), "stable report must exclude backtraces: {a}");
-        let full = fail.to_string();
-        assert!(full.contains("somewhere"), "{full}");
+        assert!(a.contains("#0 task 1\n"), "{a}");
+        assert_eq!(fail.to_string(), a);
     }
 }

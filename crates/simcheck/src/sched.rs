@@ -1,419 +1,36 @@
-//! The deterministic schedule-exploring scheduler.
+//! The schedule-exploring harness.
 //!
-//! [`CheckedWorld::run`] executes a `simmpi` program under a scheduling
-//! [`CheckHook`]: every mailbox operation (send, receive attempt, blocked
-//! receive) is a *schedule point* where the issuing rank parks, and a
-//! single serialized decision stream — a pure function of
-//! [`ScheduleCfg`] — chooses which rank runs next. The design follows the
-//! CHESS/loom lineage:
+//! [`CheckedTaskWorld::run`] executes a `simmpi` program as rank tasks on
+//! the serial task executor, which owns the interleaving: it polls exactly
+//! one rank at a time and chooses the next from the runnable set, so the
+//! whole run is a pure function of [`ScheduleCfg`] and the program.
 //!
-//! * **quiescence decisions** — a decision is made only when every rank is
-//!   parked (arrived at a schedule point, blocked on a receive, or
-//!   finished), so the candidate set is a deterministic function of the
-//!   history, never of thread timing;
-//! * **seeded choice** — among the sorted candidates, a splitmix64 stream
-//!   seeded from `cfg.seed` picks the next rank;
-//! * **bounded preemption** — at most `cfg.preemption_bound` decisions may
-//!   switch away from a rank that could have continued; after that the
-//!   scheduler always continues the last rank while it remains runnable.
-//!   Sweeping seeds at small bounds covers the orderings most likely to
-//!   expose protocol bugs (most concurrency bugs need few preemptions);
+//! * **seeded choice, bounded preemption** — [`ScheduleCfg::Seeded`] maps
+//!   to [`simmpi::SchedPolicy::Serial`]: a seeded stream picks among the
+//!   runnable ranks, and at most `preemption_bound` decisions may switch
+//!   away from a rank that could have continued. Sweeping seeds at small
+//!   bounds ([`schedules`]) covers the orderings most likely to expose
+//!   protocol bugs;
+//! * **systematic exploration** — [`ScheduleCfg::Dpor`] hands every
+//!   decision to the [`crate::dpor`] explorer through a
+//!   [`simmpi::ScheduleDriver`];
+//! * **exact deadlock verdict** — a receive that nothing will satisfy never
+//!   wakes, so "every live rank parked, none runnable" is the executor's
+//!   quiescence count, not a watchdog; each parked rank's pending receive
+//!   (communicator, source, decoded tag) comes from the engine's pending
+//!   table;
 //! * **replay** — re-running the same program under the failing
 //!   [`ScheduleCfg`] reproduces the identical decision trace and the
 //!   byte-identical [`stable_report`](crate::CheckFailure::stable_report).
 //!
-//! The scheduler also owns the whole-world deadlock verdict: it models
-//! every in-flight message (recorded when a send is released, consumed
-//! when the receiver physically drains it), so "all live ranks blocked
-//! with no deliverable message" is decided exactly, not by watchdog. The
-//! blocked ranks then capture their own backtraces as they are released to
-//! unwind, giving a per-rank backtrace of the pending operation.
-//!
-//! Passive protocol checks (collective matching, reserved tags, teardown
-//! leaks) are delegated to the same [`Sanitizer`] the `SIMCHECK=1` env
-//! mode uses, so diagnoses are identical across modes.
+//! Protocol checks (collective matching, reserved tags, teardown leaks) are
+//! the same passive [`Sanitizer`] the `SIMCHECK=1` env mode installs on the
+//! thread runtimes, so diagnoses read the same everywhere.
 
 use crate::report::{CheckFailure, DeadlockInfo, PendingOp, ScheduleCfg, TraceEv};
-use simmpi::hook::{current_task, describe_tag, Aborted, CheckHook, CollKind, CommCtx, LeakedMsg};
-use simmpi::{Comm, Communicator, Finding, FindingKind, Sanitizer, World};
-use std::backtrace::Backtrace;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// Hard cap on scheduling decisions per run — a backstop against livelock
-/// in the checked program (or a checker bug), far above any workload in
-/// this repository.
-const DECISION_CAP: usize = 500_000;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Where one world task currently stands, from the scheduler's viewpoint.
-enum TState {
-    /// Released and running (or not yet arrived at its first schedule
-    /// point during startup).
-    Executing,
-    /// Parked at a schedule point, runnable as soon as chosen.
-    Arrived {
-        /// Description of the operation it will perform when released.
-        op: String,
-    },
-    /// Parked in a receive with an empty mailbox; runnable only when a
-    /// matching message is deliverable.
-    Blocked { comm_id: u64, comm_name: Arc<str>, local: usize, src: usize, tag: u64 },
-    /// Task closure (and communicator teardown) completed.
-    Finished,
-}
-
-/// One modeled in-flight message. Recorded when the sending rank is
-/// released from its send schedule point (the physical mailbox push
-/// happens immediately after, before the sender can reach another schedule
-/// point), consumed when the receiving rank physically drains it — so at
-/// every decision point the model matches the mailboxes exactly.
-struct MsgRec {
-    comm_id: u64,
-    from: usize,
-    to: usize,
-    tag: u64,
-    consumed: bool,
-}
-
-struct SchedState {
-    tasks: Vec<TState>,
-    /// Number of tasks currently running (not parked, not finished).
-    /// Decisions happen only at zero.
-    executing: usize,
-    msgs: Vec<MsgRec>,
-    rng: u64,
-    preemptions: usize,
-    last: Option<usize>,
-    trace: Vec<TraceEv>,
-    /// Set once on the first world-level failure; parked tasks unwind with
-    /// an [`Aborted`] panic when they see it.
-    abort: Option<String>,
-    /// Per-task release tokens.
-    released: Vec<bool>,
-    deadlock: Option<DeadlockInfo>,
-}
-
-struct Scheduler {
-    /// Preemption budget of the seeded configuration.
-    bound: usize,
-    san: Sanitizer,
-    inner: Mutex<SchedState>,
-    cv: Condvar,
-}
-
-impl Scheduler {
-    /// Build a scheduler for a seeded configuration. DPOR configurations
-    /// never reach here: the thread runtimes share their protocol layer
-    /// with the task runtimes byte-for-byte, so systematic exploration
-    /// runs on the serial task executor (see [`crate::dpor`]).
-    fn new(ntasks: usize, cfg: ScheduleCfg) -> Scheduler {
-        let ScheduleCfg::Seeded { seed, preemption_bound } = cfg else {
-            panic!(
-                "ScheduleCfg::Dpor drives the serial task scheduler; \
-                 use CheckedTaskWorld (or simcheck::dpor) instead of CheckedWorld"
-            )
-        };
-        Scheduler {
-            bound: preemption_bound,
-            san: Sanitizer::new(),
-            inner: Mutex::new(SchedState {
-                tasks: (0..ntasks).map(|_| TState::Executing).collect(),
-                executing: ntasks,
-                msgs: Vec::new(),
-                rng: seed,
-                preemptions: 0,
-                last: None,
-                trace: Vec::new(),
-                abort: None,
-                released: vec![false; ntasks],
-                deadlock: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, SchedState> {
-        self.inner.lock().expect("scheduler state never poisoned")
-    }
-
-    /// First schedule point of every task, called before any user code
-    /// runs. Parking here means the startup burst ends with all tasks
-    /// parked, so from the very first decision exactly one task executes at
-    /// a time — every hook callback (collective checks, teardown) is
-    /// serialized and the whole run is deterministic.
-    fn startup(&self, task: usize) {
-        self.pause(task, TState::Arrived { op: "start".to_string() });
-    }
-
-    /// Park `task` at a schedule point in state `st` until released (runs
-    /// again) or the world aborts (unwinds with [`Aborted`]).
-    fn pause(&self, task: usize, st: TState) {
-        let mut g = self.lock();
-        g.tasks[task] = st;
-        g.executing -= 1;
-        if g.executing == 0 {
-            self.decide(&mut g);
-        }
-        loop {
-            if g.released[task] {
-                g.released[task] = false;
-                return;
-            }
-            if let Some(reason) = g.abort.clone() {
-                // Deadlocked receives capture their own backtrace on the
-                // way out — lazily, only when a deadlock was actually
-                // declared, so the hot path never pays for capture.
-                if g.deadlock.is_some() && matches!(g.tasks[task], TState::Blocked { .. }) {
-                    let bt = Backtrace::force_capture().to_string();
-                    if let Some(d) = &mut g.deadlock {
-                        d.backtraces.insert(task, bt);
-                    }
-                }
-                drop(g);
-                std::panic::panic_any(Aborted(reason));
-            }
-            g = self.cv.wait(g).expect("scheduler state never poisoned");
-        }
-    }
-
-    /// Whether a message matching `task`'s blocked receive is in flight and
-    /// not yet drained.
-    fn deliverable(g: &SchedState, comm_id: u64, local: usize, src: usize, tag: u64) -> bool {
-        g.msgs.iter().any(|m| {
-            !m.consumed && m.comm_id == comm_id && m.to == local && m.from == src && m.tag == tag
-        })
-    }
-
-    /// Choose and release the next task. Called with every task parked
-    /// (`executing == 0`); the candidate set — and therefore the whole
-    /// decision stream — is a deterministic function of the history and the
-    /// seed.
-    fn decide(&self, g: &mut SchedState) {
-        if g.abort.is_some() {
-            self.cv.notify_all();
-            return;
-        }
-        let mut cands: Vec<usize> = Vec::new();
-        let mut all_finished = true;
-        for (t, st) in g.tasks.iter().enumerate() {
-            match st {
-                TState::Arrived { .. } => {
-                    all_finished = false;
-                    cands.push(t);
-                }
-                TState::Blocked { comm_id, local, src, tag, .. } => {
-                    all_finished = false;
-                    if Self::deliverable(g, *comm_id, *local, *src, *tag) {
-                        cands.push(t);
-                    }
-                }
-                TState::Executing => all_finished = false,
-                TState::Finished => {}
-            }
-        }
-        if cands.is_empty() {
-            if !all_finished {
-                self.declare_deadlock(g);
-            }
-            return;
-        }
-        if g.trace.len() >= DECISION_CAP {
-            let f = self.san.record_deadlock(format!(
-                "decision budget ({DECISION_CAP}) exceeded — livelock or runaway schedule"
-            ));
-            g.abort = Some(f.to_string());
-            self.cv.notify_all();
-            return;
-        }
-        // cands is in ascending task order by construction.
-        let choice = match g.last {
-            Some(last)
-                if cands.contains(&last) && g.preemptions >= self.bound =>
-            {
-                // Preemption budget spent: keep running the last task while
-                // it remains runnable.
-                last
-            }
-            _ => {
-                let pick = cands[(splitmix64(&mut g.rng) % cands.len() as u64) as usize];
-                if let Some(last) = g.last {
-                    if pick != last && cands.contains(&last) {
-                        g.preemptions += 1;
-                    }
-                }
-                pick
-            }
-        };
-        let op = match &g.tasks[choice] {
-            TState::Arrived { op } => op.clone(),
-            TState::Blocked { comm_name, local, src, tag, .. } => format!(
-                "deliver to recv(src={src}, tag={}) as rank {local} on \"{comm_name}\"",
-                describe_tag(*tag)
-            ),
-            _ => unreachable!("candidates are parked tasks"),
-        };
-        g.trace.push(TraceEv { step: g.trace.len(), task: choice, op });
-        g.last = Some(choice);
-        g.tasks[choice] = TState::Executing;
-        g.executing += 1;
-        g.released[choice] = true;
-        self.cv.notify_all();
-    }
-
-    /// Every live rank is blocked with no deliverable message: record the
-    /// verdict with each rank's pending operation and release them all to
-    /// unwind (capturing their backtraces on the way out).
-    fn declare_deadlock(&self, g: &mut SchedState) {
-        let mut pending = Vec::new();
-        for (t, st) in g.tasks.iter().enumerate() {
-            if let TState::Blocked { comm_name, local, src, tag, .. } = st {
-                pending.push(PendingOp {
-                    task: t,
-                    comm: comm_name.to_string(),
-                    op: format!(
-                        "recv(src={src}, tag={}) as rank {local}",
-                        describe_tag(*tag)
-                    ),
-                });
-            }
-        }
-        let desc: Vec<String> = pending
-            .iter()
-            .map(|p| format!("rank {} in {} on \"{}\"", p.task, p.op, p.comm))
-            .collect();
-        let f = self.san.record_deadlock(format!(
-            "whole-world deadlock: {} task(s) blocked with no deliverable message: {}",
-            pending.len(),
-            desc.join("; ")
-        ));
-        g.deadlock = Some(DeadlockInfo { pending, backtraces: BTreeMap::new() });
-        g.abort = Some(f.to_string());
-        self.cv.notify_all();
-    }
-
-    fn abort_world(&self, reason: String) {
-        let mut g = self.lock();
-        if g.abort.is_none() {
-            g.abort = Some(reason);
-        }
-        self.cv.notify_all();
-    }
-
-    fn world_task(&self) -> usize {
-        current_task().expect("scheduled operation outside a checked world task")
-    }
-}
-
-impl CheckHook for Scheduler {
-    fn scheduling(&self) -> bool {
-        true
-    }
-
-    fn on_collective(
-        &self,
-        comm: &CommCtx,
-        rank: usize,
-        seq: u64,
-        kind: CollKind,
-        root: Option<usize>,
-    ) {
-        if let Some(f) = self.san.check_collective(comm, rank, seq, kind, root) {
-            self.abort_world(f.to_string());
-            panic!("simcheck: {f}");
-        }
-    }
-
-    fn on_reserved_tag(&self, comm: &CommCtx, rank: usize, dest: usize, tag: u64) {
-        let f = self.san.check_reserved_tag(comm, rank, dest, tag);
-        self.abort_world(f.to_string());
-        panic!("simcheck: {f} — tags with top byte 0xC3 are reserved for internal collectives");
-    }
-
-    fn on_teardown(&self, comm: &CommCtx, rank: usize, leaked: &[LeakedMsg]) {
-        // After a world abort every parked task unwinds concurrently and
-        // in-flight messages are expected leftovers; recording them would
-        // add noise in nondeterministic order. The primary finding is
-        // already recorded.
-        if self.lock().abort.is_some() {
-            return;
-        }
-        let f = self.san.check_teardown(comm, rank, leaked);
-        self.abort_world(f.to_string());
-        if !std::thread::panicking() {
-            panic!("simcheck: {f}");
-        }
-    }
-
-    fn should_abort(&self) -> Option<String> {
-        self.lock().abort.clone()
-    }
-
-    fn before_send(&self, comm: &CommCtx, from: usize, to: usize, tag: u64, len: usize) {
-        let task = self.world_task();
-        let op = format!(
-            "send(to={to}, tag={}, len={len}) as rank {from} on \"{}\"",
-            describe_tag(tag),
-            comm.name
-        );
-        self.pause(task, TState::Arrived { op });
-        // Released: the physical push follows immediately (before this task
-        // can reach another schedule point), so record the message now.
-        self.lock().msgs.push(MsgRec { comm_id: comm.id, from, to, tag, consumed: false });
-    }
-
-    fn before_recv(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64) {
-        let task = self.world_task();
-        let op = format!(
-            "recv(src={src}, tag={}) as rank {rank} on \"{}\"",
-            describe_tag(tag),
-            comm.name
-        );
-        self.pause(task, TState::Arrived { op });
-    }
-
-    fn on_recv_blocked(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64) {
-        let task = self.world_task();
-        self.pause(
-            task,
-            TState::Blocked {
-                comm_id: comm.id,
-                comm_name: comm.name.clone(),
-                local: rank,
-                src,
-                tag,
-            },
-        );
-    }
-
-    fn on_consumed(&self, comm: &CommCtx, rank: usize, from: usize, tag: u64) {
-        let mut g = self.lock();
-        if let Some(m) = g.msgs.iter_mut().find(|m| {
-            !m.consumed && m.comm_id == comm.id && m.to == rank && m.from == from && m.tag == tag
-        }) {
-            m.consumed = true;
-        }
-    }
-
-    fn on_task_finish(&self, task: usize, _panicked: bool) {
-        let mut g = self.lock();
-        let was_executing = matches!(g.tasks[task], TState::Executing);
-        g.tasks[task] = TState::Finished;
-        if was_executing {
-            g.executing -= 1;
-            if g.executing == 0 {
-                self.decide(&mut g);
-            }
-        }
-    }
-}
+use simmpi::hook::Aborted;
+use simmpi::{Finding, FindingKind, Sanitizer};
+use std::sync::Arc;
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     p.downcast_ref::<&str>()
@@ -422,103 +39,9 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
-/// Launcher executing `simmpi` programs under the deterministic scheduler.
-pub struct CheckedWorld;
-
-impl CheckedWorld {
-    /// Run `f` as an `ntasks`-rank world under the schedule defined by
-    /// `cfg`. On success returns the per-rank results; on any finding
-    /// (collective mismatch, reserved tag, message leak, deadlock, rank
-    /// panic) returns the full [`CheckFailure`] — deterministic and
-    /// replayable by re-running with the same `cfg`.
-    pub fn run<T, F>(ntasks: usize, cfg: ScheduleCfg, f: F) -> Result<Vec<T>, Box<CheckFailure>>
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Send + Sync,
-    {
-        let sched = Arc::new(Scheduler::new(ntasks, cfg));
-        let inner = sched.clone();
-        let results = World::run_checked(ntasks, sched.clone(), move |comm| {
-            inner.startup(comm.rank());
-            f(comm)
-        });
-        let mut findings = sched.san.findings();
-        let mut vals = Vec::new();
-        for (rank, r) in results.into_iter().enumerate() {
-            match r {
-                Ok(v) => vals.push(v),
-                // Secondary unwinds of ranks released from a failed world;
-                // the primary diagnosis is already in `findings`.
-                Err(p) if p.is::<Aborted>() => {}
-                Err(p) => {
-                    let msg = panic_message(p.as_ref());
-                    // Finding panics carry the finding text; it is already
-                    // recorded by the sanitizer.
-                    if !msg.starts_with("simcheck:") {
-                        findings.push(Finding {
-                            kind: FindingKind::Panic,
-                            message: format!("rank {rank} panicked: {msg}"),
-                        });
-                    }
-                }
-            }
-        }
-        findings.extend(sched.san.incomplete_collectives());
-        if findings.is_empty() && vals.len() != ntasks {
-            findings.push(Finding {
-                kind: FindingKind::Panic,
-                message: format!(
-                    "{} of {ntasks} rank(s) unwound without a recorded finding",
-                    ntasks - vals.len()
-                ),
-            });
-        }
-        if findings.is_empty() {
-            return Ok(vals);
-        }
-        let mut g = sched.lock();
-        Err(Box::new(CheckFailure {
-            cfg,
-            findings,
-            deadlock: g.deadlock.take(),
-            trace: std::mem::take(&mut g.trace),
-            schedule: Vec::new(),
-        }))
-    }
-
-    /// Run `f` once per configuration, stopping at the first failure (whose
-    /// [`CheckFailure::cfg`] replays it). Returns the number of schedules
-    /// explored.
-    pub fn explore<T, F>(
-        ntasks: usize,
-        cfgs: impl IntoIterator<Item = ScheduleCfg>,
-        f: F,
-    ) -> Result<usize, Box<CheckFailure>>
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Send + Sync,
-    {
-        let mut explored = 0;
-        for cfg in cfgs {
-            Self::run(ntasks, cfg, &f)?;
-            explored += 1;
-        }
-        Ok(explored)
-    }
-}
-
-/// Launcher executing programs written for the **task runtime**
-/// ([`simmpi::TaskWorld`]) under deterministic seeded schedules.
-///
-/// Where [`CheckedWorld`] serializes OS threads with a parking scheduler,
-/// the task runtime *is* a scheduler — so checking it needs no thread
-/// choreography at all: [`simmpi::SchedPolicy::Serial`] replays the same
-/// seeded-splitmix64, preemption-bounded decision procedure at poll
-/// granularity, and the executor's exact quiescence detection supplies the
-/// deadlock verdict (no watchdog, no in-flight message model needed — an
-/// undeliverable receive simply never wakes). The passive [`Sanitizer`]
-/// provides the identical collective/tag/leak diagnoses, so a
-/// [`CheckFailure`] from either checker reads the same.
+/// Launcher executing `simmpi` programs, written as rank tasks for
+/// [`simmpi::TaskWorld`], under explored schedules — the one harness for
+/// seeded and systematic ([`ScheduleCfg::Dpor`]) exploration alike.
 pub struct CheckedTaskWorld;
 
 impl CheckedTaskWorld {
@@ -599,7 +122,6 @@ pub(crate) fn digest_task_run<T: Send>(
     san: &Sanitizer,
     run: simmpi::TaskRun<T>,
 ) -> Result<Vec<T>, Box<CheckFailure>> {
-    let mut findings = san.findings();
     let deadlock = run.deadlock.map(|d| {
         san.record_deadlock(format!(
             "whole-world deadlock: {} task(s) parked with no runnable peer",
@@ -611,12 +133,9 @@ pub(crate) fn digest_task_run<T: Send>(
                 .into_iter()
                 .map(|p| PendingOp { task: p.world_rank, comm: p.comm, op: p.op })
                 .collect(),
-            backtraces: BTreeMap::new(),
         }
     });
-    if deadlock.is_some() {
-        findings = san.findings();
-    }
+    let mut findings = san.findings();
     let mut vals = Vec::new();
     for (rank, r) in run.results.into_iter().enumerate() {
         match r {
@@ -656,7 +175,7 @@ pub(crate) fn digest_task_run<T: Send>(
             .trace
             .into_iter()
             .enumerate()
-            .map(|(step, task)| TraceEv { step, task, op: "poll".to_string() })
+            .map(|(step, task)| TraceEv { step, task })
             .collect(),
         schedule,
     }))
@@ -676,7 +195,36 @@ pub fn schedules(seeds: u64, bounds: &[usize]) -> Vec<ScheduleCfg> {
 }
 
 /// Seed budget for exploration sweeps: `SIMCHECK_SEEDS` in the environment
-/// (CI's `--quick` budget sets it low), default 16.
+/// (CI's `--quick` budget sets it low), default 16. Panics on a value that
+/// is zero or not a number — a sweep over no seeds passes having explored
+/// nothing.
 pub fn seed_budget() -> u64 {
-    std::env::var("SIMCHECK_SEEDS").ok().and_then(|v| v.parse().ok()).unwrap_or(16)
+    let var = std::env::var("SIMCHECK_SEEDS").ok();
+    parse_seed_budget(var.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn parse_seed_budget(var: Option<&str>) -> Result<u64, String> {
+    match var.map(str::parse::<u64>) {
+        None => Ok(16),
+        Some(Ok(n)) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "SIMCHECK_SEEDS={:?}: expected a positive seed count",
+            var.unwrap_or_default()
+        )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_seed_budget;
+
+    #[test]
+    fn seed_budget_rejects_what_would_make_a_sweep_vacuous() {
+        assert_eq!(parse_seed_budget(None), Ok(16));
+        assert_eq!(parse_seed_budget(Some("4")), Ok(4));
+        for bad in ["0", "4x", "4 ", ""] {
+            let err = parse_seed_budget(Some(bad)).expect_err(bad);
+            assert!(err.contains("SIMCHECK_SEEDS") && err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
 }

@@ -1,15 +1,17 @@
-//! Mutation tests: each seeded bug class from the issue — mismatched
-//! collective root, user tag colliding with the reserved namespace,
-//! misaligned chunk start violating the §3.2 block-exclusivity invariant,
-//! and a cyclic-receive deadlock — must be flagged by the checker, with a
-//! replayable [`ScheduleCfg`] and a byte-identical report on replay.
+//! Mutation tests: each seeded bug class — mismatched collective root or
+//! kind, user tag colliding with the reserved namespace, misaligned chunk
+//! start violating the §3.2 block-exclusivity invariant, a cyclic-receive
+//! deadlock, a receive of an already-consumed message — must be flagged by
+//! the checker, with a replayable [`ScheduleCfg`] and a byte-identical
+//! report on replay. Programs are rank tasks under [`CheckedTaskWorld`],
+//! the one schedule-exploring harness.
 
 use simcheck::{
-    seed_budget, BlockGuard, CheckFailure, CheckedWorld, FindingKind, ScheduleCfg, TapFs,
+    seed_budget, BlockGuard, CheckFailure, CheckedTaskWorld, FindingKind, ScheduleCfg, TapFs,
     COLL_TAG_PREFIX,
 };
-use simmpi::Comm;
-use sion::{paropen_write, Alignment, FileLayout, SionParams};
+use simmpi::CoComm;
+use sion::{paropen_write_co, Alignment, FileLayout, SionParams};
 use std::sync::Arc;
 use vfs::MemFs;
 
@@ -27,9 +29,9 @@ fn assert_replayable(a: &CheckFailure, b: &CheckFailure) {
 #[test]
 fn mismatched_root_is_flagged() {
     let run = || {
-        CheckedWorld::run(4, CFG, |c| {
+        CheckedTaskWorld::run(4, CFG, |c| async move {
             // Every rank names itself as the root: a classic index bug.
-            c.bcast(Some(vec![1, 2, 3]), c.rank());
+            c.bcast(Some(vec![1, 2, 3]), c.rank()).await;
         })
         .expect_err("mismatched bcast roots must not pass")
     };
@@ -48,11 +50,11 @@ fn mismatched_root_is_flagged() {
 /// Bug class 1b: ranks disagree on *which* collective they are in.
 #[test]
 fn mismatched_kind_is_flagged() {
-    let fail = CheckedWorld::run(2, CFG, |c| {
+    let fail = CheckedTaskWorld::run(2, CFG, |c| async move {
         if c.rank() == 0 {
-            c.barrier();
+            c.barrier().await;
         } else {
-            c.allgather(&[9]);
+            c.allgather(&[9]).await;
         }
     })
     .expect_err("barrier-vs-allgather must not pass");
@@ -70,7 +72,7 @@ fn reserved_tag_collision_is_flagged() {
     // round 0) — the strongest possible collision.
     let crafted = COLL_TAG_PREFIX | (1u64 << 48);
     let run = || {
-        CheckedWorld::run(2, CFG, |c| {
+        CheckedTaskWorld::run(2, CFG, |c| async move {
             if c.rank() == 0 {
                 c.send(1, crafted, b"oops");
             }
@@ -85,6 +87,25 @@ fn reserved_tag_collision_is_flagged() {
     assert_replayable(&fail, &run());
 }
 
+/// One 600-byte write per rank through the real collective open/close on a
+/// block-guarded `MemFs`, under [`CFG`]; returns the guard. The serial
+/// executor interleaves the ranks on one thread, so a violation-free run
+/// also shows every VFS write carried its own rank's task label.
+fn guarded_write(ntasks: usize, fs_block: u64, params: &SionParams) -> Arc<BlockGuard> {
+    let guard = BlockGuard::new(fs_block);
+    let fs = TapFs::new(Arc::new(MemFs::with_block_size(fs_block)), vec![guard.clone()]);
+    CheckedTaskWorld::run(ntasks, CFG, |c| {
+        let fs = &fs;
+        async move {
+            let mut w = paropen_write_co(fs, "out/guarded.sion", params, &c).await.unwrap();
+            w.write(&vec![c.rank() as u8; 600]).unwrap();
+            w.close_co().await.unwrap();
+        }
+    })
+    .unwrap_or_else(|fail| panic!("protocol layer is fine, only blocks may overlap:\n{fail}"));
+    guard
+}
+
 /// Bug class 3: misaligned chunk starts — an unaligned layout packs two
 /// tasks' chunks into the same filesystem block, violating the invariant
 /// (§3.2) that makes lock-free parallel writes safe. The block-contention
@@ -94,29 +115,19 @@ fn reserved_tag_collision_is_flagged() {
 fn misaligned_chunks_trigger_block_contention() {
     const FS_BLOCK: u64 = 4096;
     let ntasks = 4;
-    // Chunks far smaller than an FS block, no alignment: guaranteed sharing.
-    let params = SionParams::new(600).with_alignment(Alignment::None);
 
     // The layout math predicts the overlap...
     let layout =
         FileLayout::compute(&vec![600; ntasks], FS_BLOCK, Alignment::None, false).unwrap();
-    let predicted = layout.shared_fs_blocks(FS_BLOCK);
     assert!(
-        !predicted.is_empty(),
+        !layout.shared_fs_blocks(FS_BLOCK).is_empty(),
         "test premise broken: unaligned 600-byte chunks should share {FS_BLOCK}-byte FS blocks"
     );
 
-    // ...and the sanitizer observes it happening on the wire.
-    let guard = BlockGuard::new(FS_BLOCK);
-    let fs = TapFs::new(Arc::new(MemFs::with_block_size(FS_BLOCK)), vec![guard.clone()]);
-    CheckedWorld::run(ntasks, CFG, |comm| {
-        let mut w = paropen_write(&fs, "out/misaligned.sion", &params, comm).unwrap();
-        w.write(&vec![comm.rank() as u8; 600]).unwrap();
-        w.close().unwrap();
-    })
-    .unwrap_or_else(|fail| panic!("protocol layer is fine, only blocks overlap:\n{fail}"));
-
-    let violations = guard.violations();
+    // ...and the sanitizer observes it happening on the wire: chunks far
+    // smaller than an FS block, no alignment.
+    let misaligned = SionParams::new(600).with_alignment(Alignment::None);
+    let violations = guarded_write(ntasks, FS_BLOCK, &misaligned).violations();
     assert!(
         !violations.is_empty(),
         "expected cross-task FS-block overlap with unaligned chunks"
@@ -127,27 +138,19 @@ fn misaligned_chunks_trigger_block_contention() {
     }
 
     // The aligned control: same workload, aligned layout, zero violations.
-    let aligned = SionParams::new(FS_BLOCK);
-    let guard2 = BlockGuard::new(FS_BLOCK);
-    let fs2 = TapFs::new(Arc::new(MemFs::with_block_size(FS_BLOCK)), vec![guard2.clone()]);
-    CheckedWorld::run(ntasks, CFG, |comm| {
-        let mut w = paropen_write(&fs2, "out/aligned.sion", &aligned, comm).unwrap();
-        w.write(&vec![comm.rank() as u8; 600]).unwrap();
-        w.close().unwrap();
-    })
-    .unwrap_or_else(|fail| panic!("aligned control run flagged:\n{fail}"));
-    guard2.assert_exclusive();
+    guarded_write(ntasks, FS_BLOCK, &SionParams::new(FS_BLOCK)).assert_exclusive();
 }
 
 /// Bug class 4: whole-world deadlock — both ranks receive first. The
-/// checker must name each rank's pending operation and produce a stable
-/// report that replays byte-for-byte and matches the golden file.
+/// executor's exact quiescence detection (no watchdog) must name each
+/// rank's pending operation and produce a stable report that replays
+/// byte-for-byte and matches the golden file.
 #[test]
 fn cyclic_recv_deadlocks_with_golden_report() {
     let run = || {
-        CheckedWorld::run(2, ScheduleCfg::Seeded { seed: 5, preemption_bound: 1 }, |c| {
+        CheckedTaskWorld::run(2, ScheduleCfg::Seeded { seed: 5, preemption_bound: 1 }, |c| async move {
             // Both ranks recv before anyone sends: classic head-to-head.
-            let _ = c.recv(1 - c.rank(), 7);
+            let _ = c.recv(1 - c.rank(), 7).await;
             c.send(1 - c.rank(), 7, b"late");
         })
         .expect_err("cyclic receives must deadlock")
@@ -163,8 +166,8 @@ fn cyclic_recv_deadlocks_with_golden_report() {
         assert_eq!(p.task, rank, "pending ops are in stable rank order");
         assert!(p.op.contains("recv("), "pending op names the receive: {}", p.op);
     }
-    // Backtraces of the blocked receives were captured per rank.
-    assert_eq!(dl.backtraces.len(), 2, "per-rank backtraces:\n{fail}");
+    // The poll trace that led here is part of the replayable evidence.
+    assert!(!fail.trace.is_empty(), "decision trace must be recorded:\n{fail}");
 
     assert_replayable(&fail, &run());
 
@@ -181,29 +184,28 @@ fn cyclic_recv_deadlocks_with_golden_report() {
     assert_eq!(got, want, "deadlock report drifted from the golden file");
 }
 
-/// `try_recv` polls the same unified mailbox queue as blocking receives
-/// and reports consumption on a hit, so the scheduler's in-flight model
-/// stays exact: a message taken by `try_recv` is gone. The program takes
-/// message A that way and then receives A *again* — which must come back
-/// as a clean one-rank deadlock verdict (a stale in-flight record would
-/// instead keep "delivering" A until the decision budget runs out), and
+/// `try_recv` polls the same mailbox queue as blocking receives, and a hit
+/// takes the message out: a message taken by `try_recv` is gone. The
+/// program takes message A that way and then receives A *again* — nothing
+/// will ever wake that receive, so the executor must quiesce with exactly
+/// rank 1 parked: a clean one-rank deadlock verdict and nothing else, which
 /// must replay byte-for-byte.
 #[test]
 fn try_recv_hit_consumes_the_in_flight_message() {
     const A: u64 = 0xA;
     const B: u64 = 0xB;
     let run = |seed| {
-        CheckedWorld::run(2, ScheduleCfg::Seeded { seed, preemption_bound: 2 }, |c| {
+        CheckedTaskWorld::run(2, ScheduleCfg::Seeded { seed, preemption_bound: 2 }, |c| async move {
             if c.rank() == 0 {
                 c.send(1, A, b"first");
                 c.send(1, B, b"second");
             } else {
                 // B's blocking receive leaves the earlier A queued; FIFO
                 // delivery guarantees the poll below hits.
-                assert_eq!(c.recv(0, B), b"second");
+                assert_eq!(c.recv(0, B).await, b"second");
                 assert_eq!(c.try_recv(0, A).as_deref(), Some(&b"first"[..]));
                 assert_eq!(c.try_recv(0, A), None, "A was consumed by the hit");
-                let _ = c.recv(0, A);
+                let _ = c.recv(0, A).await;
             }
         })
         .expect_err("the second receive of A can never be satisfied")
@@ -213,11 +215,24 @@ fn try_recv_hit_consumes_the_in_flight_message() {
         let dl = fail.deadlock.as_ref().unwrap_or_else(|| panic!("no deadlock verdict:\n{fail}"));
         assert_eq!(dl.pending.len(), 1, "only rank 1 is blocked:\n{fail}");
         assert!(dl.pending[0].op.contains("recv(src=0, tag=0xa)"), "{}", dl.pending[0].op);
-        assert_eq!(
-            fail.findings.len(),
-            1,
-            "a deadlock and nothing else (no leak, no budget overrun):\n{fail}"
-        );
+        assert_eq!(fail.findings.len(), 1, "a deadlock and nothing else (no leak):\n{fail}");
         assert_replayable(&fail, &run(seed));
+    }
+}
+
+/// A preemption bound of zero is the strictest schedule — run each task
+/// until it parks, never preempting a runnable one — and a correct
+/// collective program must still complete under it.
+#[test]
+fn preemption_bound_zero_still_completes() {
+    for seed in 0..4 {
+        let cfg = ScheduleCfg::Seeded { seed, preemption_bound: 0 };
+        let sums = CheckedTaskWorld::run(6, cfg, |c| async move {
+            let all = c.allgather_u64(c.rank() as u64 * 3).await;
+            c.barrier().await;
+            all.iter().sum::<u64>()
+        })
+        .unwrap_or_else(|fail| panic!("bound-0 schedule flagged (seed {seed}):\n{fail}"));
+        assert_eq!(sums, vec![45; 6], "seed {seed}");
     }
 }

@@ -65,15 +65,16 @@ proptest! {
     }
 }
 
-/// The runtime rejects a crafted collision outright — in the env-gated
-/// passive mode exactly as in the scheduled mode (covered in mutations.rs).
+/// The runtime rejects a crafted collision outright, whatever collective
+/// kind the tag names (the barrier case is also covered in mutations.rs).
 #[test]
 fn runtime_rejects_crafted_collision() {
-    use simcheck::{CheckedWorld, FindingKind, ScheduleCfg};
-    use simmpi::Comm;
+    use simcheck::{CheckedTaskWorld, FindingKind, ScheduleCfg};
+    use simmpi::CoComm;
     for kind in KINDS {
         let crafted = make_coll_tag(kind, 3, 1);
-        let fail = CheckedWorld::run(2, ScheduleCfg::Seeded { seed: 0, preemption_bound: 0 }, move |c| {
+        let cfg = ScheduleCfg::Seeded { seed: 0, preemption_bound: 0 };
+        let fail = CheckedTaskWorld::run(2, cfg, |c| async move {
             if c.rank() == 1 {
                 c.send(0, crafted, &[1]);
             }

@@ -1,21 +1,35 @@
 //! Unmutated workloads must pass the checker clean: the real SION parallel
-//! open/write/close/read path and a crash-consistency-style workload, run
-//! under [`CheckedWorld`] across a sweep of schedules, with the
+//! open/write/close/read path, the aggregated ship/ack path and a
+//! crash-consistency-style workload, run as rank tasks under
+//! [`CheckedTaskWorld`] across a sweep of schedules, with the
 //! block-contention sanitizer watching the filesystem.
 
 use simcheck::{
-    schedules, seed_budget, BlockGuard, CheckFailure, CheckedWorld, ScheduleCfg, TapFs,
+    schedules, seed_budget, BlockGuard, CheckFailure, CheckedTaskWorld, ScheduleCfg, TapFs,
 };
-use simmpi::Comm;
-use sion::{paropen_read, paropen_write, IoMode, Multifile, SionParams};
+use simmpi::CoComm;
+use sion::{paropen_read_co, paropen_write_co, IoMode, Multifile, SionParams};
 use std::sync::Arc;
-use vfs::{Faults, MemFs, Vfs};
+use vfs::{Faults, MemFs};
 
 /// Deterministic per-rank payload.
 fn payload(rank: usize, len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8).collect()
 }
 
+/// Collective open, this rank's payload in uneven pieces, collective close.
+async fn write_payload(fs: &TapFs, path: &str, params: &SionParams, c: &dyn CoComm, len: usize) {
+    let mut w = paropen_write_co(fs, path, params, c).await.unwrap();
+    for piece in payload(c.rank(), len).chunks(700 + c.rank() * 13 + 1) {
+        w.write(piece).unwrap();
+    }
+    let stats = w.close_co().await.unwrap();
+    assert_eq!(stats.user_bytes, len as u64);
+}
+
+/// The full SION parallel protocol across a schedule sweep (including
+/// tight preemption bounds): zero findings, and after every schedule no
+/// two tasks touched the same FS block (§3.2) and the image is valid.
 #[test]
 fn parallel_roundtrip_clean_across_schedules() {
     let ntasks = 4;
@@ -23,66 +37,65 @@ fn parallel_roundtrip_clean_across_schedules() {
     // FS-block-aligned params: the §3.2 invariant must hold, so the
     // block-contention sanitizer must stay silent.
     let params = SionParams::new(4096).with_nfiles(2);
-    let guard = BlockGuard::new(4096);
-    let fs = TapFs::new(Arc::new(MemFs::with_block_size(4096)), vec![guard.clone()]);
     let cfgs = schedules(seed_budget().min(8), &[0, 2]);
-    let explored = CheckedWorld::explore(ntasks, cfgs, |comm| {
-        let fs: &dyn Vfs = &fs;
-        let data = payload(comm.rank(), len);
-        let mut w = paropen_write(fs, "out/data.sion", &params, comm).unwrap();
-        for piece in data.chunks(700 + comm.rank() * 13 + 1) {
-            w.write(piece).unwrap();
+    for cfg in cfgs {
+        let guard = BlockGuard::new(4096);
+        let fs = TapFs::new(Arc::new(MemFs::with_block_size(4096)), vec![guard.clone()]);
+        CheckedTaskWorld::run(ntasks, cfg, |c| {
+            let fs = &fs;
+            let params = &params;
+            async move {
+                write_payload(fs, "out/data.sion", params, &c, len).await;
+
+                let mut r = paropen_read_co(fs, "out/data.sion", &c).await.unwrap();
+                let mut back = vec![0u8; len];
+                r.read_exact(&mut back).unwrap();
+                assert_eq!(back, payload(c.rank(), len), "rank {} read-back mismatch", c.rank());
+                r.close_co().await.unwrap();
+            }
+        })
+        .unwrap_or_else(|fail| panic!("clean workload flagged:\n{fail}"));
+        guard.assert_exclusive();
+
+        let mf = Multifile::open(&fs, "out/data.sion").unwrap();
+        for rank in 0..ntasks {
+            assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, len), "rank {rank} at {cfg}");
         }
-        let stats = w.close().unwrap();
-        assert_eq!(stats.user_bytes, len as u64);
-
-        let mut r = paropen_read(fs, "out/data.sion", comm).unwrap();
-        let mut back = vec![0u8; len];
-        r.read_exact(&mut back).unwrap();
-        assert_eq!(back, data, "rank {} read-back mismatch", comm.rank());
-        r.close().unwrap();
-    })
-    .unwrap_or_else(|fail| panic!("clean workload flagged:\n{fail}"));
-    assert!(explored >= 2, "schedule sweep too small: {explored}");
-
-    // No two tasks ever touched the same FS block (§3.2).
-    guard.assert_exclusive();
-
-    // The image is valid after all those interleavings.
-    let mf = Multifile::open(&fs, "out/data.sion").unwrap();
-    for rank in 0..ntasks {
-        assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, len), "rank {rank}");
     }
 }
 
 /// The aggregated write path: aggregators drain member shipments with
-/// `try_recv` polls between their own writes, so under the scheduler the
-/// polls see whatever the chosen interleaving has delivered so far. Every
-/// schedule must still come out clean (no leaked shipment or ack, no
-/// deadlock) and produce the same multifile.
+/// `try_recv` polls between their own writes, so the polls see whatever
+/// the chosen interleaving has delivered so far. Every schedule must still
+/// come out clean (no leaked shipment or ack, no deadlock), keep the
+/// aggregators' replayed writes block-exclusive, and produce the same
+/// multifile. Tap order as in `crash_consistency.rs`: the (unarmed) fault
+/// tap outermost, the checker after it.
 #[test]
 fn aggregated_roundtrip_clean_across_schedules() {
     let ntasks = 4;
     let len = 3_000;
     let params = SionParams::new(4096)
         .with_io_mode(IoMode::Aggregated { tasks_per_aggregator: 2 });
-    let fs = MemFs::with_block_size(4096);
     let cfgs = schedules(seed_budget().min(8), &[0, 2]);
-    let explored = CheckedWorld::explore(ntasks, cfgs, |comm| {
-        let data = payload(comm.rank(), len);
-        let mut w = paropen_write(&fs, "out/agg.sion", &params, comm).unwrap();
-        for piece in data.chunks(700 + comm.rank() * 13 + 1) {
-            w.write(piece).unwrap();
-        }
-        let stats = w.close().unwrap();
-        assert_eq!(stats.user_bytes, len as u64);
-    })
-    .unwrap_or_else(|fail| panic!("clean aggregated workload flagged:\n{fail}"));
-    assert!(explored >= 2, "schedule sweep too small: {explored}");
+    for cfg in cfgs {
+        let guard = BlockGuard::new(4096);
+        let fs = TapFs::new(
+            Arc::new(MemFs::with_block_size(4096)),
+            vec![Faults::new(), guard.clone()],
+        );
+        CheckedTaskWorld::run(ntasks, cfg, |c| {
+            let fs = &fs;
+            let params = &params;
+            async move { write_payload(fs, "out/agg.sion", params, &c, len).await }
+        })
+        .unwrap_or_else(|fail| panic!("clean aggregated workload flagged:\n{fail}"));
+        guard.assert_exclusive();
 
-    let mf = Multifile::open(&fs, "out/agg.sion").unwrap();
-    for rank in 0..ntasks {
-        assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, len), "rank {rank}");
+        let mf = Multifile::open(&fs, "out/agg.sion").unwrap();
+        for rank in 0..ntasks {
+            assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, len), "rank {rank} at {cfg}");
+        }
     }
 }
 
@@ -102,11 +115,11 @@ fn crash_workload_clean_under_checker() {
         params: &SionParams,
         cfg: ScheduleCfg,
     ) -> Result<Vec<()>, Box<CheckFailure>> {
-        CheckedWorld::run(ntasks, cfg, |comm| {
-            let Ok(mut w) = paropen_write(fs, "crash.sion", params, comm) else {
+        CheckedTaskWorld::run(ntasks, cfg, |c| async move {
+            let Ok(mut w) = paropen_write_co(fs, "crash.sion", params, &c).await else {
                 return;
             };
-            for piece in payload(comm.rank(), 700).chunks(100) {
+            for piece in payload(c.rank(), 700).chunks(100) {
                 if w.write(piece).is_err() {
                     return;
                 }

@@ -1,25 +1,24 @@
 //! Instrumentation points for correctness analysis.
 //!
 //! The runtime exposes a small set of *check hooks* so an external checker
-//! (the `simcheck` crate) can observe — and, in scheduling mode, serialize —
-//! every mailbox operation and collective entry without the production path
-//! paying anything: a communicator with no hook installed takes one
-//! `Option` branch per operation and nothing else.
+//! (the `simcheck` crate) can observe every mailbox operation and
+//! collective entry without the production path paying anything: a
+//! communicator with no hook installed takes one `Option` branch per
+//! operation and nothing else.
 //!
-//! Two kinds of hooks exist:
-//!
-//! * **passive** hooks ([`CheckHook::scheduling`] returns `false`) observe
-//!   collective entries, reserved-tag violations and teardown leaks, and can
-//!   abort a blocked world via [`CheckHook::should_abort`]. The built-in
-//!   [`Sanitizer`](crate::sanitize::Sanitizer) is one; it is installed
-//!   automatically by [`World::run`](crate::World::run) and
-//!   [`FlatWorld::run`](crate::flat::FlatWorld::run) when `SIMCHECK=1` is
-//!   set in the environment.
-//! * **scheduling** hooks additionally own the interleaving: every send and
-//!   every receive attempt becomes a *schedule point* where the calling
-//!   rank's thread parks until the hook chooses it to run. Only the thread
-//!   driver ([`World::run_checked`](crate::World::run_checked)) supports
-//!   them; the `simcheck` crate's deterministic scheduler is built on this.
+//! Hooks are observation-only. They see collective entries and exits,
+//! sends, completed receives, `try_recv` polls, reserved-tag violations and
+//! teardown leaks, and can abort a blocked world via
+//! [`CheckHook::should_abort`]. The built-in
+//! [`Sanitizer`](crate::sanitize::Sanitizer) is one; it is installed
+//! automatically by [`World::run`](crate::World::run) and
+//! [`FlatWorld::run`](crate::flat::FlatWorld::run) when `SIMCHECK=1` is set
+//! in the environment. A hook never decides which rank runs next:
+//! interleaving control belongs to the task executor
+//! ([`SchedPolicy::Serial`](crate::SchedPolicy::Serial) for seeded
+//! schedules, a [`ScheduleDriver`](crate::ScheduleDriver) for systematic
+//! exploration), which polls one rank at a time and decides deadlock by
+//! exact quiescence.
 //!
 //! The reserved collective tag namespace also lives here. A collective
 //! message tag packs, from the top: the `0xC3` reserved prefix byte, one
@@ -271,25 +270,15 @@ pub struct LeakedMsg {
 #[derive(Debug)]
 pub struct Aborted(pub String);
 
-/// Observation and scheduling hooks called by the communicator runtimes.
+/// Observation hooks called by the communicator runtimes.
 ///
-/// All methods have no-op defaults; passive checkers implement the
-/// observation subset, a scheduler implements the schedule points too and
-/// returns `true` from [`scheduling`](Self::scheduling). Methods that
-/// detect a violation report it by panicking (the runtime makes no attempt
-/// to continue past a hook panic) and should arrange for
-/// [`should_abort`](Self::should_abort) to release the other ranks.
+/// All methods have no-op defaults; a checker implements the subset it
+/// needs. Methods that detect a violation report it by panicking (the
+/// runtime makes no attempt to continue past a hook panic) and should
+/// arrange for [`should_abort`](Self::should_abort) to release the other
+/// ranks.
 #[allow(unused_variables)]
 pub trait CheckHook: Send + Sync {
-    /// Whether every mailbox operation must pass through the schedule
-    /// points ([`before_send`](Self::before_send) /
-    /// [`before_recv`](Self::before_recv) /
-    /// [`on_recv_blocked`](Self::on_recv_blocked)). Passive hooks leave
-    /// this `false` and the runtime keeps its ordinary blocking receives.
-    fn scheduling(&self) -> bool {
-        false
-    }
-
     /// A rank entered a collective: communicator, local rank, the ordinal
     /// sequence number of the collective on that communicator, the
     /// operation kind, and its root (`None` for unrooted collectives).
@@ -329,35 +318,16 @@ pub trait CheckHook: Send + Sync {
     /// A communicator handle was dropped with unconsumed messages.
     fn on_teardown(&self, comm: &CommCtx, rank: usize, leaked: &[LeakedMsg]) {}
 
-    /// Passive mode: polled by blocked receives; returning `Some(reason)`
+    /// Polled by blocked receives; returning `Some(reason)`
     /// makes the blocked rank unwind with an [`Aborted`] panic.
     fn should_abort(&self) -> Option<String> {
         None
     }
 
-    /// Passive mode: a blocked receive exceeded the deadlock watchdog.
+    /// A blocked receive exceeded the deadlock watchdog.
     /// Hooks should record and panic; if this returns, the runtime panics
     /// with a generic message.
     fn on_stuck(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, waited: Duration) {}
-
-    /// Scheduling mode: schedule point before a message (user or internal)
-    /// is pushed into `to`'s mailbox. Parks until this rank is chosen; the
-    /// push happens immediately after this returns.
-    fn before_send(&self, comm: &CommCtx, from: usize, to: usize, tag: u64, len: usize) {}
-
-    /// Scheduling mode: schedule point before a receive attempt.
-    fn before_recv(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64) {}
-
-    /// Scheduling mode: the receive attempt found no matching message in
-    /// the mailbox. Parks until a matching message is deliverable; on
-    /// return the caller looks again.
-    fn on_recv_blocked(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64) {}
-
-    /// Scheduling mode: a receive or a `try_recv` hit matched a message
-    /// and took it out of `rank`'s mailbox. Consumption happens at match
-    /// time — non-matching messages stay queued and unconsumed — so the
-    /// mailbox always holds exactly the sent-but-unconsumed messages.
-    fn on_consumed(&self, comm: &CommCtx, rank: usize, from: usize, tag: u64) {}
 
     /// A task's closure returned (or panicked). Called after the task's
     /// world communicator was dropped.
@@ -375,8 +345,7 @@ pub(crate) fn set_current_task(task: usize) {
 }
 
 /// The world rank executing on this thread, if it was launched by a checked
-/// world. Scheduling hooks use this as the parking identity, which stays
-/// stable across sub-communicators.
+/// world — an identity that stays stable across sub-communicators.
 pub fn current_task() -> Option<usize> {
     CURRENT_TASK.with(|c| c.get())
 }
@@ -390,7 +359,7 @@ pub fn simcheck_env_enabled() -> bool {
     })
 }
 
-/// Deadlock watchdog for passive (non-scheduling) checked runs:
+/// Deadlock watchdog for hooked runs on the thread runtimes:
 /// `SIMCHECK_TIMEOUT_MS` in the environment, default 20 s.
 pub(crate) fn watchdog_timeout() -> Duration {
     static MS: OnceLock<u64> = OnceLock::new();
@@ -399,7 +368,7 @@ pub(crate) fn watchdog_timeout() -> Duration {
     }))
 }
 
-/// Poll interval of the passive blocked-receive loop.
+/// Poll interval of the hooked blocked-receive loop.
 pub(crate) const ABORT_POLL: Duration = Duration::from_millis(5);
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Runtime MPI-usage sanitizers (passive check hooks).
 //!
-//! [`Sanitizer`] implements the passive subset of [`CheckHook`]: it never
-//! influences scheduling, it only watches the hook stream for protocol
-//! violations and reports them:
+//! [`Sanitizer`] is a [`CheckHook`]: like every hook it never influences
+//! scheduling, it only watches the hook stream for protocol violations and
+//! reports them:
 //!
 //! * **collective mismatch** — on each communicator, collective calls are
 //!   ordered, so the N-th collective entered by one rank must be the same
@@ -20,8 +20,9 @@
 //!   handle is dropped.
 //! * **suspected deadlock** — a receive blocked past the watchdog (see
 //!   `SIMCHECK_TIMEOUT_MS`). The precise whole-world deadlock verdict
-//!   needs the scheduling checker in the `simcheck` crate; the passive
-//!   watchdog is the budget version that still turns a silent hang into a
+//!   is the task executor's quiescence detection (what `simcheck`'s
+//!   schedule-exploring harness reports); the watchdog is the budget
+//!   version for the thread runtimes that still turns a silent hang into a
 //!   diagnosed failure.
 //!
 //! Findings panic on the offending rank (with the diagnosis as the panic
@@ -39,7 +40,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Classification of a sanitizer (or scheduler) finding.
+/// Classification of a sanitizer (or schedule-harness) finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FindingKind {
     /// Ranks entered different collectives (or the same with different
@@ -53,10 +54,11 @@ pub enum FindingKind {
     ReservedTag,
     /// Messages were never consumed before communicator teardown.
     MessageLeak,
-    /// All live ranks blocked with no deliverable message (scheduling
-    /// checker), or a single receive exceeded the passive watchdog.
+    /// All live ranks parked with no runnable peer (schedule-exploring
+    /// harness), or a single receive exceeded the passive watchdog.
     Deadlock,
-    /// A rank's closure panicked (recorded by the scheduling checker).
+    /// A rank's closure panicked (recorded by the schedule-exploring
+    /// harness).
     Panic,
 }
 
@@ -124,7 +126,7 @@ impl Sanitizer {
     }
 
     /// Findings recorded so far (in detection order, which is deterministic
-    /// under the scheduling checker).
+    /// under a serial schedule).
     pub fn findings(&self) -> Vec<Finding> {
         self.findings.lock().clone()
     }
@@ -140,8 +142,8 @@ impl Sanitizer {
     }
 
     /// Check one collective entry; returns the finding on divergence. Pure
-    /// bookkeeping — the caller decides how to fail (the passive hook impl
-    /// panics, the scheduling checker aborts the world).
+    /// bookkeeping — the caller decides how to fail (the hook impl below
+    /// panics).
     pub fn check_collective(
         &self,
         comm: &CommCtx,
@@ -275,7 +277,7 @@ impl Sanitizer {
     }
 
     /// Record a deadlock-class finding (used by the passive watchdog and by
-    /// the scheduling checker for its whole-world verdict).
+    /// the schedule-exploring harness for its whole-world verdict).
     pub fn record_deadlock(&self, message: String) -> Finding {
         self.record(FindingKind::Deadlock, message)
     }

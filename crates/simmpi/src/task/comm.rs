@@ -311,26 +311,6 @@ impl Recv<'_> {
         self.parked = true;
         Poll::Pending
     }
-
-    /// Receive under a scheduling hook (thread driver only): every attempt
-    /// is a schedule point, and a miss parks the calling thread *inside
-    /// the hook* as blocked until the scheduler sees a deliverable match —
-    /// so this never returns `Pending`. Consumption is reported at match
-    /// time; the queue therefore always equals the scheduler's set of
-    /// unconsumed in-flight messages.
-    fn take_scheduled(&self, h: &dyn CheckHook) -> MsgBuf {
-        let c = self.comm;
-        let ctx = &c.shared.ctx;
-        h.before_recv(ctx, c.rank, self.src, self.tag);
-        loop {
-            let hit = c.shared.mboxes[c.rank].lock().take(self.src, self.tag);
-            if let Some(payload) = hit {
-                h.on_consumed(ctx, c.rank, self.src, self.tag);
-                return payload;
-            }
-            h.on_recv_blocked(ctx, c.rank, self.src, self.tag);
-        }
-    }
 }
 
 impl Future for Recv<'_> {
@@ -339,13 +319,10 @@ impl Future for Recv<'_> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<MsgBuf> {
         let this = self.get_mut();
         let c = this.comm;
-        let Some(h) = &c.shared.hook else { return this.poll_take(cx) };
-        let payload = if h.scheduling() {
-            this.take_scheduled(h.as_ref())
-        } else {
-            std::task::ready!(this.poll_take(cx))
-        };
-        h.on_recv_done(&c.shared.ctx, c.rank, this.src, this.tag, &payload);
+        let payload = std::task::ready!(this.poll_take(cx));
+        if let Some(h) = &c.shared.hook {
+            h.on_recv_done(&c.shared.ctx, c.rank, this.src, this.tag, &payload);
+        }
         Poll::Ready(payload)
     }
 }
@@ -499,12 +476,6 @@ impl TaskComm {
     /// and wakes the destination if it is parked on a match.
     fn isend_uncharged(&self, dest: usize, tag: u64, payload: MsgBuf) {
         if let Some(h) = &self.shared.hook {
-            if h.scheduling() {
-                // Schedule point (thread driver only): park until chosen,
-                // then push immediately so the scheduler's in-flight model
-                // matches the mailbox.
-                h.before_send(&self.shared.ctx, self.rank, dest, tag, payload.len());
-            }
             h.on_send(&self.shared.ctx, self.rank, dest, tag, &payload);
         }
         let waker = {
@@ -960,9 +931,6 @@ impl crate::co::CoComm for TaskComm {
         if let Some(h) = &self.shared.hook {
             h.on_try_recv(&self.shared.ctx, self.rank, src, tag, payload.is_some());
             if let Some(p) = &payload {
-                if h.scheduling() {
-                    h.on_consumed(&self.shared.ctx, self.rank, src, tag);
-                }
                 h.on_recv_done(&self.shared.ctx, self.rank, src, tag, p);
             }
         }

@@ -18,9 +18,9 @@
 //!   watchdog timeout. The last worker to go idle declares it.
 //! * **Policies** — [`SchedPolicy::WorkSteal`] for throughput, and
 //!   [`SchedPolicy::Serial`]: a single worker picking the next runnable
-//!   task with a seeded splitmix64 stream, which is how `simcheck`
-//!   explores wake orders on this runtime (the generalization of its
-//!   thread-parking serialized scheduler).
+//!   task with a seeded splitmix64 stream (or asking a
+//!   [`ScheduleDriver`]) — the one place a schedule is ever chosen, and
+//!   how `simcheck` explores wake orders.
 //!
 //! Lost-wakeup freedom: `enqueue` increments the runnable count *before*
 //! taking the injector lock to signal, and an idling worker re-checks the
@@ -57,9 +57,9 @@ pub enum SchedPolicy {
         /// Maximum number of *preemptions* — decisions that switch away
         /// from the last-polled task while it is still runnable. Once
         /// exhausted the scheduler keeps polling the last task whenever it
-        /// is runnable (CHESS-style iterative context bounding, the same
-        /// knob as `simcheck`'s thread scheduler). `usize::MAX` explores
-        /// freely.
+        /// is runnable (CHESS-style iterative context bounding; most
+        /// concurrency bugs need few preemptions, so sweeping seeds at
+        /// small bounds finds them first). `usize::MAX` explores freely.
         preemption_bound: usize,
     },
 }

@@ -139,13 +139,6 @@ where
     F: Fn(TaskComm) -> Fut,
     Fut: Future<Output = T> + Send,
 {
-    if let Some(h) = &hook {
-        assert!(
-            !h.scheduling(),
-            "the task runtime drives schedules itself (SchedPolicy::Serial); \
-             thread-parking scheduling hooks only work on the thread driver"
-        );
-    }
     let (world, comms) = TaskComm::world(ntasks, hook.clone());
     let mut pool: Vec<Option<TaskComm>> = comms.into_iter().map(Some).collect();
     let (raw, report) = exec::execute(

@@ -16,8 +16,10 @@
 //! Every mailbox operation and collective entry reports to an optional
 //! [`CheckHook`] (see [`crate::hook`]). [`World::run`] installs the passive
 //! [`Sanitizer`](crate::sanitize::Sanitizer) automatically when
-//! `SIMCHECK=1` is set; [`World::run_checked`] lets a checker (the
-//! `simcheck` crate's deterministic scheduler) own the interleaving. Under
+//! `SIMCHECK=1` is set; [`World::run_checked`] installs a caller's hook and
+//! hands back every rank's result or panic. A hook observes; which thread
+//! runs next is the operating system's choice here, and explored schedules
+//! are the task executor's business ([`crate::SchedPolicy::Serial`]). Under
 //! a hook a pending call polls instead of sleeping, so the rank can unwind
 //! when another rank's finding aborts the world, and a watchdog turns a
 //! silent hang into a diagnosed suspected deadlock.

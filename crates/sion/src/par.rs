@@ -69,11 +69,20 @@
 //!   lets a 16Ki–64Ki-rank collective open run on a handful of worker
 //!   threads.
 //!
-//! One caveat: `vfs::guard` block-contention attribution is per *thread*,
-//! so it is armed only by the blocking entry points (where a rank owns its
-//! thread). Under the task runtime, ranks migrate across workers and the
-//! guard's writer attribution would be meaningless; run `SIONCHECK` block
-//! guards on the thread runtimes.
+//! `vfs::guard` block-contention attribution reads a per-*thread* task
+//! label, and under the task runtime ranks share worker threads and migrate
+//! across them, so a label set once per thread would go stale. The `_co`
+//! path therefore arms the label (`vfs::guard::set_task(grank)`) at every
+//! point from which a rank issues VFS writes without parking in between:
+//! on entry to each synchronous call (`write`, `write_in_chunk`,
+//! `ensure_free_space`, `flush`) and to `close_co`, and again after every
+//! park that precedes a write — the master's metablock-1 write after the
+//! open gather, the metadata tail after the close gather, the sharded
+//! close's slice and trailer writes, and each frame an aggregator replays.
+//! The blocking entry points arm it once more up front, where a rank owns
+//! its thread. Block guards are thus attributed correctly on every
+//! runtime, the serial executor included (`simcheck`'s misaligned-chunk
+//! mutation and its aligned control check exactly that).
 
 use crate::agg::{AggRole, AggState, AggStats, MemberState, OP_ENSURE, OP_FINISH, OP_FLUSH,
     OP_WRITE, OP_WRITE_IN_CHUNK, TAG_ACK};
@@ -278,8 +287,9 @@ pub fn paropen_write(
     // Label this rank's thread for the block-contention sanitizer: every
     // write it issues through a `vfs::TapFs` (including coalesced
     // stream-engine flushes, which run on this thread) is attributed to
-    // this global rank. Meaningful only here, where a rank owns its
-    // thread — see the module docs.
+    // this global rank. The protocol body re-arms the label wherever a
+    // park could have let another rank relabel the thread — see the
+    // module docs.
     vfs::guard::set_task(comm.rank() as u64);
     drive_ready(paropen_write_co(vfs, base, params, &BlockingRef(comm)))
 }

@@ -5,10 +5,10 @@
 //! round ahead of the splits must catch it: every task gets the collective
 //! error, nobody hangs, nobody panics in `split_local`, nothing is created.
 //!
-//! Run on the thread driver, the task executor, and the thread driver
-//! under `simcheck`'s seeded scheduler.
+//! Run on the thread driver, the work-stealing task executor, and the
+//! serial task executor across `simcheck`'s seeded schedules.
 
-use simcheck::{schedules, seed_budget, CheckedWorld};
+use simcheck::{schedules, seed_budget, CheckedTaskWorld};
 use simmpi::{drive_ready, BlockingRef, CoComm, TaskWorld, World};
 use sion::{paropen_write_co, Mapping, SionError, SionParams};
 use vfs::{MemFs, Vfs};
@@ -106,11 +106,12 @@ fn mismatched_shape_fails_collectively_across_schedules() {
     for (shape, deviant) in cases() {
         for cfg in schedules(seed_budget().min(4), &[0, 2]) {
             let fs = MemFs::with_block_size(4096);
-            let out = CheckedWorld::run(NTASKS, cfg, |c| {
-                drive_ready(open_outcome(&fs, &BlockingRef(c), shape, deviant))
+            let out = CheckedTaskWorld::run(NTASKS, cfg, |c| {
+                let fs = &fs;
+                async move { open_outcome(fs, &c, shape, deviant).await }
             })
             .unwrap_or_else(|fail| panic!("{shape:?} at rank {deviant} flagged ({cfg}):\n{fail}"));
-            check(&fs, out, shape, deviant, "CheckedWorld");
+            check(&fs, out, shape, deviant, "CheckedTaskWorld");
         }
     }
 }
