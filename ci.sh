@@ -39,7 +39,7 @@ cargo test -p sion-simcheck --test dpor_sion -q
 echo "==> happens-before engine: clean protocol + seeded ship/ack mutations"
 # The 4-rank aggregated protocol must be race- and ack-violation-free on
 # all three runtimes; the three seeded mutations (ack-before-write,
-# dropped flush_pending, overlapping member extents) must each be
+# extent cut short before the ack, overlapping member extents) must each be
 # detected with a replayable seed, one race report golden-pinned.
 SIMCHECK=1 cargo test -p sion --test hb_mutations -q
 
@@ -145,6 +145,14 @@ git checkout benchmark/Cargo.lock
 echo "==> structural gate: TapFs is the only forwarding Vfs (MemFs, LocalFs x2 each, NullFile, TapFs x2)"
 n=$(grep -rEc 'impl(<[^>]*>)? *(Vfs|VfsFile) for' crates/*/src | awk -F: '{ s += $2 } END { print s }')
 [ "$n" -eq 7 ] || { echo "new hand-forwarding decorator: make it a \`Tap\` ($n Vfs/VfsFile impls, want 7)"; exit 1; }
+
+echo "==> structural gate: one stream engine per stream (no op log, no replay writers)"
+if grep -rnE 'OP_(HELLO|WRITE|WRITE_IN_CHUNK|ENSURE|FLUSH|FINISH)' crates/sion/src ||
+    grep -nE 'TaskWriter::new|FrameEncoder|ChunkGeom' crates/sion/src/agg.rs
+then
+    echo "aggregators apply extents; a stream is computed once, by the task that owns it"
+    exit 1
+fi
 
 echo "==> structural gate: one schedule checker (no thread-parking harness, no scheduling hook methods)"
 if grep -rnw CheckedWorld crates ||

@@ -120,8 +120,8 @@ pub use agg::AggStats;
 pub use serial::{ChunkInfo, Locations, Multifile, RankReader, SerialWriter, TaskLocation};
 pub use stream::{IoCounters, DEFAULT_READ_AHEAD, DEFAULT_WRITE_BUFFER};
 
-/// How tasks issue their chunk writes in a collective open (ROADMAP item
-/// 2: two-phase aggregated I/O, beyond the paper).
+/// How tasks issue their chunk writes in a collective open (two-phase
+/// aggregated I/O goes beyond the paper; DESIGN.md §4f).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoMode {
     /// Every task writes its own chunks directly — the paper's model.
@@ -129,10 +129,10 @@ pub enum IoMode {
     /// Two-phase collective writes: within each file group, neighborhoods
     /// of up to `tasks_per_aggregator` consecutive tasks elect one
     /// *aggregator* (the lowest local rank whose extent starts a fresh FS
-    /// block). Members run the full chunk arithmetic against a shadow
-    /// stream and ship their bytes to the aggregator over point-to-point
-    /// messages; the aggregator replays them through per-member writers,
-    /// issuing large writes from a single task per FS-block neighborhood.
+    /// block). Members run the stream engine against a shadow handle and
+    /// ship each write it issues, as `(offset, bytes)`, to the aggregator
+    /// over point-to-point messages; the aggregator applies them, so each
+    /// FS-block neighborhood is written by a single task.
     /// The on-disk multifile is byte-identical to `Independent` mode.
     Aggregated {
         /// Target neighborhood size; group boundaries snap outward to the

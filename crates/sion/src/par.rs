@@ -78,14 +78,13 @@
 //! `ensure_free_space`, `flush`) and to `close_co`, and again after every
 //! park that precedes a write — the master's metablock-1 write after the
 //! open gather, the metadata tail after the close gather, the sharded
-//! close's slice and trailer writes, and each frame an aggregator replays.
+//! close's slice and trailer writes, and each frame an aggregator applies.
 //! The blocking entry points arm it once more up front, where a rank owns
 //! its thread. Block guards are thus attributed correctly on every
 //! runtime, the serial executor included (`simcheck`'s misaligned-chunk
 //! mutation and its aligned control check exactly that).
 
-use crate::agg::{AggRole, AggState, AggStats, MemberState, OP_ENSURE, OP_FINISH, OP_FLUSH,
-    OP_WRITE, OP_WRITE_IN_CHUNK, TAG_ACK};
+use crate::agg::{self, AggState, AggStats, MemberState};
 use crate::error::{Result, SionError};
 use crate::format::{
     write_close_metadata, ChunkIndex, CloseRecord, MetaBlock1, MetaBlock2, OpenRecord, SionFlags,
@@ -190,20 +189,31 @@ pub struct CloseStats {
     pub blocks: u64,
     /// I/O-call accounting for this task's write stream: user-level calls
     /// vs. VFS calls actually issued, coalescing flushes, rescue patches.
-    /// On an aggregated-mode member this describes the *shadow* stream —
-    /// the calls an independent writer would have issued for this data.
+    /// On an aggregated-mode member these are the calls it issued to its
+    /// shadow handle — the same an independent writer issues for this data.
     pub write_io: IoCounters,
     /// Aggregated-mode shipment counters (all zeros in independent mode).
     pub agg: AggStats,
+}
+
+/// A task's role in the aggregation protocol, fixed at collective open.
+enum AggRole {
+    /// Writes its own chunks directly (independent mode, or an aggregated
+    /// neighborhood of one).
+    Independent,
+    /// Ships the extents its writer records; owns no real file handle.
+    Member(MemberState),
+    /// Writes its own chunks *and* applies its members' shipments.
+    Aggregator(AggState),
 }
 
 /// Handle for writing one task's logical file of an open multifile
 /// (`sion_paropen_mpi` in write mode).
 pub struct SionParWriter {
     /// This task's stream engine. In aggregated mode a *member*'s engine
-    /// runs over a [`vfs::NullFile`] shadow: identical chunk arithmetic,
-    /// validation, and close accounting, with the real bytes shipped to
-    /// the aggregator instead (see [`crate::agg`]).
+    /// writes to a [`Vfs::create_shadow`] handle — identical chunk
+    /// arithmetic, validation and close accounting — and records each
+    /// write as an extent for its aggregator to apply (see [`crate::agg`]).
     writer: TaskWriter,
     lcom: Box<dyn CoComm>,
     gcom: Box<dyn CoComm>,
@@ -391,7 +401,7 @@ pub async fn paropen_write_co(
             // shadow is a `NullFile`; a `vfs::TapFs` wraps it, so that an
             // ordering checker in its tap list sees each write as a
             // *logical* access to the real path and the member's extents
-            // are checkable against the aggregator's replay without any
+            // are checkable against the aggregator's writes without any
             // physical I/O.
             None => vfs.create_shadow(&physical_name(base, filenum))?,
         };
@@ -414,28 +424,18 @@ pub async fn paropen_write_co(
     };
 
     let me = lcom.rank();
+    let mut writer = TaskWriter::new(file.clone(), geom, params.compressed, params.write_buffer);
     let role = if agg != me {
-        AggRole::Member(MemberState::new(agg, params.write_buffer as usize, &geom))
+        let ship_cap = params.write_buffer as usize;
+        writer.frame = Some(agg::new_frame(ship_cap));
+        AggRole::Member(MemberState::new(agg, ship_cap))
     } else if end > me + 1 {
-        AggRole::Aggregator(AggState::new(
-            file.clone(),
-            params.compressed,
-            params.write_buffer,
-            grank as u64,
-            me + 1..end,
-        ))
+        AggRole::Aggregator(AggState::new(file, grank as u64, me + 1..end))
     } else {
         AggRole::Independent
     };
 
-    Ok(SionParWriter {
-        writer: TaskWriter::new(file, geom, params.compressed, params.write_buffer),
-        lcom,
-        gcom,
-        filenum,
-        grank,
-        role,
-    })
+    Ok(SionParWriter { writer, lcom, gcom, filenum, grank, role })
 }
 
 /// Decode a write-open scatter part: 7 geometry words plus the aggregation
@@ -458,61 +458,42 @@ fn decode_write_part(bytes: &[u8]) -> Result<(ChunkGeom, usize, usize)> {
 }
 
 impl SionParWriter {
-    /// Run one op through the member protocol: validate against the shadow
-    /// stream first (so errors surface exactly as in independent mode and
-    /// nothing invalid is ever shipped), then stage it, shipping and
-    /// draining acks opportunistically. Aggregators instead take the
-    /// chance to replay any already-delivered shipments — the
-    /// compute/I/O overlap — before doing their own work.
-    ///
-    /// Before a due ship the member pushes the shadow stream's buffered
-    /// bytes out (`flush_pending`, which never ends a compression frame):
-    /// the shadow accesses on record at the moment the frame is sent are
-    /// exactly the frame's replay obligations, the invariant an ordering
-    /// checker holds the aggregator's ack to.
-    fn member_op(
-        writer: &mut TaskWriter,
-        m: &mut MemberState,
-        lcom: &dyn CoComm,
-        shadow: Result<()>,
-        stage: impl FnOnce(&mut MemberState),
+    /// Run one synchronous stream op in this task's role. An aggregator
+    /// first takes the chance to apply any already-delivered shipments —
+    /// the compute/I/O overlap. A member runs the op on its own engine
+    /// (so errors surface exactly as in independent mode and nothing
+    /// invalid is ever recorded), ships the frame the engine filled if
+    /// `ship_now` or once it reached the write-behind capacity, and
+    /// collects whatever acks have arrived, without waiting.
+    fn op(
+        &mut self,
+        ship_now: bool,
+        run: impl FnOnce(&mut TaskWriter) -> Result<()>,
     ) -> Result<()> {
-        if m.failed {
-            return Err(SionError::CollectiveMismatch(
-                "aggregator failed to apply shipped data".into(),
-            ));
+        // Task-label attribution for the block/ordering guards. Under the
+        // task runtimes ranks migrate across worker threads, so the label
+        // is re-armed at every synchronous entry (no awaits until this
+        // call returns) instead of once per thread.
+        vfs::guard::set_task(self.grank as u64);
+        let lcom = self.lcom.as_ref();
+        match &mut self.role {
+            AggRole::Member(m) if m.failed => return Err(apply_failed()),
+            AggRole::Aggregator(a) => a.try_drain(lcom),
+            _ => {}
         }
-        shadow?;
-        stage(m);
-        if m.ship_due() {
-            writer.flush_pending()?;
-            m.ship(lcom);
+        run(&mut self.writer)?;
+        if let AggRole::Member(m) = &mut self.role {
+            let frame = self.writer.frame.as_mut().expect("a member's writer records");
+            m.ship(frame, ship_now, lcom);
+            m.drain_acks(lcom);
         }
-        m.drain_acks(lcom);
         Ok(())
     }
 
     /// `sion_ensure_free_space`: make room for a contiguous piece of
     /// `nbytes` in the current chunk, advancing to the next block if needed.
     pub fn ensure_free_space(&mut self, nbytes: u64) -> Result<()> {
-        // Task-label attribution for the block/ordering guards. Under the
-        // task runtimes ranks migrate across worker threads, so the label
-        // is re-armed at every synchronous entry (no awaits until this
-        // call returns) instead of once per thread.
-        vfs::guard::set_task(self.grank as u64);
-        match &mut self.role {
-            AggRole::Independent => self.writer.ensure_free_space(nbytes),
-            AggRole::Member(m) => {
-                let shadow = self.writer.ensure_free_space(nbytes);
-                Self::member_op(&mut self.writer, m, self.lcom.as_ref(), shadow, |m| {
-                    m.stage_word(OP_ENSURE, nbytes)
-                })
-            }
-            AggRole::Aggregator(a) => {
-                a.try_drain(self.lcom.as_ref());
-                self.writer.ensure_free_space(nbytes)
-            }
-        }
+        self.op(false, |w| w.ensure_free_space(nbytes))
     }
 
     /// Plain `fwrite` equivalent: write into the current chunk without
@@ -520,47 +501,13 @@ impl SionParWriter {
     ///
     /// [`ensure_free_space`]: Self::ensure_free_space
     pub fn write_in_chunk(&mut self, data: &[u8]) -> Result<()> {
-        // Task-label attribution for the block/ordering guards. Under the
-        // task runtimes ranks migrate across worker threads, so the label
-        // is re-armed at every synchronous entry (no awaits until this
-        // call returns) instead of once per thread.
-        vfs::guard::set_task(self.grank as u64);
-        match &mut self.role {
-            AggRole::Independent => self.writer.write_in_chunk(data),
-            AggRole::Member(m) => {
-                let shadow = self.writer.write_in_chunk(data);
-                Self::member_op(&mut self.writer, m, self.lcom.as_ref(), shadow, |m| {
-                    m.stage_data(OP_WRITE_IN_CHUNK, data)
-                })
-            }
-            AggRole::Aggregator(a) => {
-                a.try_drain(self.lcom.as_ref());
-                self.writer.write_in_chunk(data)
-            }
-        }
+        self.op(false, |w| w.write_in_chunk(data))
     }
 
     /// `sion_fwrite`: write data of any size, transparently split across
     /// chunk boundaries (and compressed in compressed mode).
     pub fn write(&mut self, data: &[u8]) -> Result<()> {
-        // Task-label attribution for the block/ordering guards. Under the
-        // task runtimes ranks migrate across worker threads, so the label
-        // is re-armed at every synchronous entry (no awaits until this
-        // call returns) instead of once per thread.
-        vfs::guard::set_task(self.grank as u64);
-        match &mut self.role {
-            AggRole::Independent => self.writer.write(data),
-            AggRole::Member(m) => {
-                let shadow = self.writer.write(data);
-                Self::member_op(&mut self.writer, m, self.lcom.as_ref(), shadow, |m| {
-                    m.stage_data(OP_WRITE, data)
-                })
-            }
-            AggRole::Aggregator(a) => {
-                a.try_drain(self.lcom.as_ref());
-                self.writer.write(data)
-            }
-        }
+        self.op(false, |w| w.write(data))
     }
 
     /// Bytes left in the current chunk.
@@ -571,31 +518,12 @@ impl SionParWriter {
     /// `sion_flush`: push buffered data (and the rescue header, if enabled)
     /// to the VFS so the bytes written so far are durable.
     ///
-    /// On an aggregated-mode member this ships everything staged so far
-    /// without waiting for the acknowledgement: durability follows at the
-    /// aggregator's next replay, and an aggregator crash loses only
+    /// On an aggregated-mode member this ships everything written so far
+    /// without waiting for the acknowledgement: durability follows when
+    /// the aggregator next applies, and an aggregator crash loses only
     /// not-yet-acked shipments (see [`crate::agg`]).
     pub fn flush(&mut self) -> Result<()> {
-        // Task-label attribution for the block/ordering guards. Under the
-        // task runtimes ranks migrate across worker threads, so the label
-        // is re-armed at every synchronous entry (no awaits until this
-        // call returns) instead of once per thread.
-        vfs::guard::set_task(self.grank as u64);
-        match &mut self.role {
-            AggRole::Independent => self.writer.flush(),
-            AggRole::Member(m) => {
-                let shadow = self.writer.flush();
-                Self::member_op(&mut self.writer, m, self.lcom.as_ref(), shadow, |m| {
-                    m.stage_op(OP_FLUSH)
-                })?;
-                m.ship(self.lcom.as_ref());
-                Ok(())
-            }
-            AggRole::Aggregator(a) => {
-                a.try_drain(self.lcom.as_ref());
-                self.writer.flush()
-            }
-        }
+        self.op(true, |w| w.flush())
     }
 
     /// I/O-call accounting for this task's stream so far. On an
@@ -659,33 +587,22 @@ impl SionParWriter {
     /// entry point.
     pub async fn close_co(mut self) -> Result<CloseStats> {
         // Aggregation epilogue, before the metadata exchange. A member
-        // finishes its shadow (the authoritative `used` vector), ships the
-        // final frame with OP_FINISH, and then collects every outstanding
-        // ack — so by the time it enters the close gather, its data is
-        // either durably replayed or its CloseRecord carries the failure.
-        // An aggregator exhaustively drains every member to OP_FINISH
-        // (acking as it replays) before finishing its own stream; member
-        // replay failures surface through the members' own records.
+        // finishes its stream (the authoritative `used` vector), ships the
+        // final frame with the end-of-stream word, and then collects every
+        // outstanding ack — so by the time it enters the close gather, its
+        // data is either durably applied or its CloseRecord carries the
+        // failure. An aggregator exhaustively drains every member to its
+        // end of stream (acking as it applies) before finishing its own;
+        // apply failures surface through the members' own records.
         vfs::guard::set_task(self.grank as u64);
         let role = std::mem::replace(&mut self.role, AggRole::Independent);
         let (finish_res, agg_stats) = match role {
             AggRole::Independent => (self.writer.finish(), AggStats::default()),
             AggRole::Member(mut m) => {
-                let shadow = self.writer.finish();
-                m.stage_op(OP_FINISH);
-                m.ship(self.lcom.as_ref());
-                while !m.all_acked() {
-                    let buf = self.lcom.recv(m.agg, TAG_ACK).await;
-                    m.note_ack(&buf);
-                    self.lcom.recycle(buf);
-                }
-                let res = match (shadow, m.failed) {
-                    (Ok(used), false) => Ok(used),
-                    (Ok(_), true) => Err(SionError::CollectiveMismatch(
-                        "aggregator failed to apply shipped data".into(),
-                    )),
-                    (Err(e), _) => Err(e),
-                };
+                let finished = self.writer.finish();
+                let frame = self.writer.frame.take().expect("a member's writer records");
+                m.finish(frame, self.lcom.as_ref()).await;
+                let res = if m.failed && finished.is_ok() { Err(apply_failed()) } else { finished };
                 (res, m.stats)
             }
             AggRole::Aggregator(mut a) => {
@@ -1087,6 +1004,11 @@ pub async fn paropen_read_co(
         grank,
         lcom_stats,
     })
+}
+
+/// What a member reports once an ack said its aggregator could not apply.
+fn apply_failed() -> SionError {
+    SionError::CollectiveMismatch("aggregator failed to apply shipped data".into())
 }
 
 fn clone_err(e: &SionError) -> SionError {

@@ -165,6 +165,13 @@ pub(crate) struct TaskWriter {
     rescue_dirty: bool,
     /// Coalescing counters for `CloseStats`/tracing.
     counters: IoCounters,
+    /// Aggregated-mode member only: the ship frame under construction.
+    /// Every write this engine issues is also appended to it as an extent
+    /// ([`crate::agg::push_extent`]), so what the aggregator applies is
+    /// exactly what this writer wrote to its shadow handle. The member
+    /// protocol ([`crate::agg::MemberState`]) installs, ships and finally
+    /// takes it.
+    pub frame: Option<Vec<u8>>,
 }
 
 impl TaskWriter {
@@ -194,6 +201,7 @@ impl TaskWriter {
                 allocs: (wbuf_cap > 0) as u64,
                 ..IoCounters::default()
             },
+            frame: None,
         }
     }
 
@@ -327,7 +335,7 @@ impl TaskWriter {
         self.enter_chunk()?;
         if self.wbuf_cap == 0 {
             let at = self.geom.data_offset(self.block) + self.off;
-            self.vfs_write_data(data, at)?;
+            self.submit(&[IoSlice::new(data)], at, false)?;
             self.off += data.len() as u64;
         } else {
             let mut rest = data;
@@ -384,6 +392,7 @@ impl TaskWriter {
             used: 0,
         }
         .encode();
+        let pending = std::mem::take(&mut self.wbuf);
         let mut slices: [IoSlice<'_>; 3] = [IoSlice::new(&[]); 3];
         let mut n = 0;
         let at = if lead_header {
@@ -393,17 +402,15 @@ impl TaskWriter {
         } else {
             self.geom.data_offset(self.block) + run_start
         };
-        if !self.wbuf.is_empty() {
-            slices[n] = IoSlice::new(&self.wbuf);
+        if !pending.is_empty() {
+            slices[n] = IoSlice::new(&pending);
             n += 1;
         }
         slices[n] = IoSlice::new(data);
         n += 1;
-        let total: u64 = slices[..n].iter().map(|s| s.len() as u64).sum();
-        self.file.write_vectored_at(&slices[..n], at)?;
-        self.counters.vfs_calls += 1;
-        self.counters.vectored_writes += 1;
-        self.counters.vfs_bytes += total;
+        let res = self.submit(&slices[..n], at, true);
+        self.wbuf = pending;
+        res?;
         self.entered[b] = true;
         if !self.wbuf.is_empty() {
             self.counters.flushes += 1;
@@ -430,11 +437,11 @@ impl TaskWriter {
     /// understates at worst, and `rescue::repair` recovers a prefix of
     /// what the task wrote. The crash_consistency integration tests pin
     /// this ordering via the `vfs::Faults` op log.
-    pub fn flush_pending(&mut self) -> Result<()> {
+    fn flush_pending(&mut self) -> Result<()> {
         if !self.wbuf.is_empty() {
             let at = self.geom.data_offset(self.block) + self.wbuf_start;
             let buf = std::mem::take(&mut self.wbuf);
-            let res = self.vfs_write_data(&buf, at);
+            let res = self.submit(&[IoSlice::new(&buf)], at, false);
             self.wbuf = buf;
             res?;
             self.wbuf.clear();
@@ -461,10 +468,25 @@ impl TaskWriter {
         self.flush_pending()
     }
 
-    fn vfs_write_data(&mut self, data: &[u8], at: u64) -> Result<()> {
-        self.file.write_all_at(data, at)?;
+    /// The one place this writer calls its file: every data run, rescue
+    /// header and `used` patch is submitted here — the VFS call (one
+    /// `write_vectored_at` for `vectored` runs, else the single slice as
+    /// one `write_all_at`), its [`IoCounters`] bookkeeping and, on a
+    /// member's writer, the extent record the aggregator will apply. A
+    /// failed submission records nothing.
+    fn submit(&mut self, slices: &[IoSlice<'_>], at: u64, vectored: bool) -> Result<()> {
+        if vectored {
+            self.file.write_vectored_at(slices, at)?;
+        } else {
+            debug_assert_eq!(slices.len(), 1);
+            self.file.write_all_at(&slices[0], at)?;
+        }
         self.counters.vfs_calls += 1;
-        self.counters.vfs_bytes += data.len() as u64;
+        self.counters.vectored_writes += vectored as u64;
+        self.counters.vfs_bytes += slices.iter().map(|s| s.len() as u64).sum::<u64>();
+        if let Some(frame) = self.frame.as_mut() {
+            crate::agg::push_extent(frame, at, slices);
+        }
         Ok(())
     }
 
@@ -480,9 +502,7 @@ impl TaskWriter {
             block: self.block,
             used: 0,
         };
-        self.file.write_all_at(&hdr.encode(), self.geom.chunk_start(self.block))?;
-        self.counters.vfs_calls += 1;
-        self.counters.vfs_bytes += RESCUE_HEADER_LEN;
+        self.submit(&[IoSlice::new(&hdr.encode())], self.geom.chunk_start(self.block), false)?;
         self.entered[b] = true;
         Ok(())
     }
@@ -494,12 +514,9 @@ impl TaskWriter {
             return Ok(());
         }
         debug_assert_eq!(self.geom.rescue_overhead, RESCUE_HEADER_LEN);
-        self.file.write_all_at(
-            &self.used[self.block as usize].to_le_bytes(),
-            self.geom.chunk_start(self.block) + RescueHeader::USED_FIELD_OFFSET,
-        )?;
-        self.counters.vfs_calls += 1;
-        self.counters.vfs_bytes += 8;
+        let used = self.used[self.block as usize].to_le_bytes();
+        let at = self.geom.chunk_start(self.block) + RescueHeader::USED_FIELD_OFFSET;
+        self.submit(&[IoSlice::new(&used)], at, false)?;
         self.counters.rescue_patches += 1;
         Ok(())
     }
@@ -1316,6 +1333,22 @@ mod tests {
         let (fs, layout) = setup(&[200], Alignment::FsBlock, true);
         let usable = layout.cap[0] - layout.rescue_overhead;
         let mut w = writer_buffered(&fs, &layout, 0, false, 32);
+        // A recording writer (what an aggregated-mode member runs): the
+        // submit funnel logs each VFS write as `[u64 at][u64 len][bytes]`
+        // behind the frame's 8-byte sequence slot.
+        w.frame = Some(crate::agg::new_frame(0));
+        let extents = |w: &TaskWriter| {
+            let frame = &w.frame.as_ref().unwrap()[8..];
+            let word = |p: usize| u64::from_le_bytes(frame[p..p + 8].try_into().unwrap());
+            let mut out = Vec::new();
+            let mut p = 0;
+            while p < frame.len() {
+                let len = word(p + 8) as usize;
+                out.push((word(p), frame[p + 16..p + 16 + len].to_vec()));
+                p += 16 + len;
+            }
+            out
+        };
         // First touch of the chunk with a large record: header slice +
         // payload slice land in one vectored write.
         w.write(&vec![9u8; usable as usize]).unwrap();
@@ -1323,8 +1356,18 @@ mod tests {
         assert_eq!(c.vectored_writes, 1, "{c:?}");
         assert_eq!(c.vfs_calls, 1, "header was not a separate write: {c:?}");
         assert_eq!(c.vfs_bytes, RESCUE_HEADER_LEN + usable);
+        // ... logged as ONE extent at the chunk start: the slices end to end.
+        let header = RescueHeader { global_rank: 0, block: 0, used: 0 }.encode();
+        let submitted = [&header[..], &vec![9u8; usable as usize]].concat();
+        assert_eq!(extents(&w), vec![(layout.chunk_start(0, 0), submitted.clone())]);
         let used = w.finish().unwrap();
         assert_eq!(used, vec![usable]);
+        // The later `used` patch is a second, 8-byte extent.
+        let patch_at = layout.chunk_start(0, 0) + RescueHeader::USED_FIELD_OFFSET;
+        assert_eq!(
+            extents(&w),
+            vec![(layout.chunk_start(0, 0), submitted), (patch_at, usable.to_le_bytes().to_vec())]
+        );
         let file = fs.open("f").unwrap();
         let mut hdr = [0u8; RESCUE_HEADER_LEN as usize];
         file.read_exact_at(&mut hdr, layout.chunk_start(0, 0)).unwrap();

@@ -3,14 +3,14 @@
 //! accounting, FS-block exclusivity of the elected aggregators, and
 //! rescue/verify behaviour of aggregated multifiles.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use simmpi::{CoComm, Comm, FlatWorld, TaskWorld, World};
 use sion::{
     paropen_read, paropen_write, paropen_write_co, Alignment, IoMode, Multifile, SionParams,
 };
-use vfs::{BlockGuard, MemFs, TapFs, Vfs};
+use vfs::{AccessKind, AccessSink, BlockGuard, FileAccess, MemFs, TapFs, Vfs};
 
 /// Deterministic per-rank payload.
 fn payload(rank: usize, len: usize) -> Vec<u8> {
@@ -201,6 +201,153 @@ fn shipment_stats_account_for_every_frame() {
         }
     }
     assert_eq!(shipped, received, "every shipped frame is received and acked exactly once");
+}
+
+#[test]
+fn compressed_members_compress_once_and_ship_stored_bytes() {
+    // A stream is computed once, by the task that owns it: a compressed
+    // member ships what its own encoder produced and the aggregator only
+    // places those bytes. A repetitive payload makes that visible in the
+    // frame sizes — and the file must not notice.
+    let ntasks = 8;
+    let bytes_per_task = 40_000;
+    let base = SionParams::new(8192).with_compression();
+    let data = |rank: usize| vec![rank as u8; bytes_per_task];
+    let run = |io_mode: IoMode| {
+        let fs = MemFs::with_block_size(4096);
+        let params = base.clone().with_io_mode(io_mode);
+        let stats = World::run(ntasks, |c| {
+            let mut w = paropen_write(&fs, "z.sion", &params, c).unwrap();
+            for piece in data(c.rank()).chunks(1000) {
+                w.write(piece).unwrap();
+            }
+            w.close().unwrap()
+        });
+        (stats, dump(&fs, ""))
+    };
+    let (independent_stats, independent) = run(IoMode::Independent);
+    let (stats, aggregated) = run(IoMode::Aggregated { tasks_per_aggregator: 4 });
+    assert_eq!(aggregated, independent, "compressing on the member must not change the file");
+    for (rank, s) in stats.iter().enumerate() {
+        assert_eq!(s.user_bytes, bytes_per_task as u64, "rank {rank}");
+        // The member's accounting is the independent run's, field for field.
+        let ind = &independent_stats[rank];
+        assert_eq!(
+            (s.user_bytes, s.stored_bytes, s.blocks, s.write_io),
+            (ind.user_bytes, ind.stored_bytes, ind.blocks, ind.write_io),
+            "rank {rank}"
+        );
+        if !rank.is_multiple_of(4) {
+            assert!(s.agg.shipments >= 1, "rank {rank} is a member: {:?}", s.agg);
+            assert!(
+                s.agg.shipped_bytes < s.user_bytes / 2,
+                "rank {rank} shipped {} frame bytes for {} user bytes: frames must carry \
+                 stored (compressed) bytes",
+                s.agg.shipped_bytes,
+                s.user_bytes
+            );
+        }
+    }
+}
+
+/// Records every labelled extent that flows through a `TapFs`.
+#[derive(Default)]
+struct ExtentLog(Mutex<Vec<FileAccess>>);
+
+impl AccessSink for ExtentLog {
+    fn on_access(&self, access: &FileAccess) {
+        self.0.lock().unwrap().push(access.clone());
+    }
+}
+
+impl ExtentLog {
+    /// `(path, offset, len)` of every `kind` access by `task`, in issue order.
+    fn extents(&self, kind: AccessKind, task: usize) -> Vec<(String, u64, u64)> {
+        let log = self.0.lock().unwrap();
+        log.iter()
+            .filter(|a| a.kind == kind && a.task == task as u64)
+            .map(|a| (a.path.clone(), a.offset, a.len))
+            .collect()
+    }
+}
+
+#[test]
+fn aggregators_apply_their_members_writes_extent_for_extent() {
+    // 2 files x 4 tasks, neighborhoods of 4: global ranks 0 and 4 are the
+    // aggregators, 1..=3 and 5..=7 their members. Rescue on, 700-byte
+    // records through a 1 KiB write buffer (so the 6th record crosses a
+    // chunk boundary), one explicit flush. Records stay below the buffer
+    // size: a vectored submit would reach the taps one slice at a time.
+    let ntasks = 8;
+    let params = SionParams::new(4096).with_nfiles(2).with_rescue().with_write_buffer(1024);
+    let workload = |w: &mut sion::SionParWriter, rank: usize| {
+        for i in 0..8 {
+            w.write(&record(rank, i, 700)).unwrap();
+            if i == 2 {
+                w.flush().unwrap();
+            }
+        }
+    };
+    let run = |io_mode: IoMode| {
+        let log = Arc::new(ExtentLog::default());
+        let mem = Arc::new(MemFs::with_block_size(4096));
+        let fs = TapFs::new(mem.clone(), vec![log.clone()]);
+        let params = params.clone().with_io_mode(io_mode);
+        World::run(ntasks, |c| {
+            let mut w = paropen_write(&fs, "x.sion", &params, c).unwrap();
+            workload(&mut w, c.rank());
+            w.close().unwrap();
+        });
+        (log, mem)
+    };
+    let (independent, _) = run(IoMode::Independent);
+    let (log, mem) = run(IoMode::Aggregated { tasks_per_aggregator: 4 });
+
+    let mf = Multifile::open(mem.as_ref(), "x.sion").unwrap();
+    let loc = mf.locations().unwrap();
+    // `rank`'s chunks as `[start, end)` file ranges, rescue header included.
+    let chunks = |rank: usize| {
+        let t = &loc.tasks[rank];
+        let header = t.capacity - t.usable;
+        t.chunks.iter().map(move |c| (c.offset - header, c.offset - header + t.capacity))
+    };
+    let inside = |rank: usize, (_, offset, len): &(String, u64, u64)| {
+        chunks(rank).any(|(start, end)| *offset >= start && offset + len <= end)
+    };
+    for agg in [0, 4] {
+        let physical = log.extents(AccessKind::Write, agg);
+        assert!(log.extents(AccessKind::ShadowWrite, agg).is_empty(), "aggregator {agg}");
+        let mut accounted = physical.iter().filter(|e| inside(agg, e)).count();
+        for member in agg + 1..agg + 4 {
+            assert!(
+                log.extents(AccessKind::Write, member).is_empty(),
+                "member {member} must not touch the physical file"
+            );
+            let shadow = log.extents(AccessKind::ShadowWrite, member);
+            assert!(shadow.len() >= 8, "member {member}: {shadow:?}");
+            // Every write the member's engine issued, applied once, as
+            // issued, in the order issued, under the aggregator's label ...
+            let applied: Vec<_> =
+                physical.iter().filter(|e| inside(member, e)).cloned().collect();
+            assert_eq!(applied, shadow, "member {member} via aggregator {agg}");
+            // ... and those are the writes an independent task issues.
+            assert_eq!(
+                shadow,
+                independent.extents(AccessKind::Write, member),
+                "member {member}: the transport must not re-cut the stream"
+            );
+            accounted += applied.len();
+        }
+        // What is left is the metadata the file master writes around the
+        // data blocks — nothing lands in any other task's chunk.
+        let data_start = chunks(agg).map(|(start, _)| start).min().unwrap();
+        let data_end = (agg..agg + 4).flat_map(chunks).map(|(_, end)| end).max().unwrap();
+        let metadata = physical
+            .iter()
+            .filter(|(_, offset, len)| offset + len <= data_start || *offset >= data_end)
+            .count();
+        assert_eq!(accounted + metadata, physical.len(), "aggregator {agg}: {physical:?}");
+    }
 }
 
 #[test]

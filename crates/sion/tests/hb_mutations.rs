@@ -179,10 +179,9 @@ fn ack_before_vfs_write_is_detected() {
     assert!(engine.races().is_empty(), "no extent race in this mutation:\n{report}");
 }
 
-/// Mutation 2: the aggregator replays only part of the frame before
-/// acking — the observable shape of a dropped `flush_pending` on the
-/// write-behind path (the tail of the obligation never became durable).
-/// The engine must name the missing byte subrange.
+/// Mutation 2: the aggregator applies only part of the frame before
+/// acking — an extent cut short, so the tail of the obligation never
+/// became durable. The engine must name the missing byte subrange.
 #[test]
 fn partial_write_before_ack_is_detected() {
     let (engine, report) = detect(SEED, |fs, c| async move {
