@@ -18,6 +18,13 @@ echo "==> MemFs per-block locking: threads sharing one file (release)"
 # enough to be inside one file's page table at the same time.
 cargo test --release -p sion-vfs --test memfs_concurrent -q
 
+echo "==> szip in release: ratio floors, v1 golden stream, hostile frames"
+# Release as well as the debug run above: the encoder's arithmetic wraps
+# instead of panicking there, and the ratio floors (trace events, word mix,
+# particles and random bytes stored) and the v1-encoded golden stream are
+# what keeps a faster matcher honest.
+cargo test --release -p sion-szip -q
+
 echo "==> crash-consistency harness (fixed seed)"
 CRASH_SEED=1359024137 cargo test -p sion --test crash_consistency -q
 

@@ -287,10 +287,25 @@ impl TaskWriter {
         self.user_bytes += data.len() as u64;
         if let Some(enc) = self.enc.as_mut() {
             enc.write(data);
-            let stored = enc.take_output();
-            return self.put_split(&stored);
+            return self.forward_frames();
         }
         self.put_split(data)
+    }
+
+    /// Compressed mode: write out the frames the encoder has completed, if
+    /// any (a 64 B record rarely completes one), and hand the buffer back
+    /// so the encoder does not regrow one for every frame.
+    fn forward_frames(&mut self) -> Result<()> {
+        let Some(enc) = self.enc.as_mut() else { return Ok(()) };
+        let stored = enc.take_output();
+        if stored.is_empty() {
+            return Ok(());
+        }
+        let res = self.put_split(&stored);
+        if let Some(enc) = self.enc.as_mut() {
+            enc.recycle(stored);
+        }
+        res
     }
 
     /// Write `data` into chunks, advancing blocks as needed.
@@ -462,9 +477,8 @@ impl TaskWriter {
     pub fn flush(&mut self) -> Result<()> {
         if let Some(enc) = self.enc.as_mut() {
             enc.flush();
-            let stored = enc.take_output();
-            self.put_split(&stored)?;
         }
+        self.forward_frames()?;
         self.flush_pending()
     }
 
@@ -569,11 +583,11 @@ impl TaskWriter {
     /// trailing all-zero rows the same way — so metadata rebuilt after a
     /// crash agrees exactly with what a clean close writes.
     pub fn finish(&mut self) -> Result<Vec<u64>> {
-        if let Some(mut enc) = self.enc.take() {
+        if let Some(enc) = self.enc.as_mut() {
             enc.flush();
-            let stored = enc.take_output();
-            self.put_split(&stored)?;
         }
+        self.forward_frames()?;
+        self.enc = None;
         self.flush_pending()?;
         self.file.sync()?;
         let mut used = self.used.clone();
@@ -599,6 +613,10 @@ pub(crate) struct TaskReader {
     /// Decoded bytes not yet handed to the caller (compressed mode).
     decoded: Vec<u8>,
     decoded_pos: usize,
+    /// The stored stream failed to decode: the position is lost (bytes
+    /// already copied out went down with the failed call), so every later
+    /// read fails the same way instead of resuming somewhere else.
+    dec_failed: Option<szip::SzipError>,
     /// Read-ahead cache: stored file bytes starting at *absolute* file
     /// offset `win_start`, backed either by an owned window (`rbuf`,
     /// filled by a copying VFS read) or — when the backend can lease its
@@ -652,6 +670,7 @@ impl TaskReader {
             dec: compressed.then(FrameDecoder::new),
             decoded: Vec::new(),
             decoded_pos: 0,
+            dec_failed: None,
             rbuf: Vec::new(),
             rlease: None,
             win_start: 0,
@@ -880,6 +899,9 @@ impl TaskReader {
     }
 
     fn read_decoded(&mut self, buf: &mut [u8]) -> Result<usize> {
+        if let Some(e) = &self.dec_failed {
+            return Err(e.clone().into());
+        }
         let mut done = 0;
         loop {
             // Serve from the decoded buffer first.
@@ -914,7 +936,12 @@ impl TaskReader {
             self.off += avail;
             let dec = self.dec.as_mut().expect("compressed mode");
             dec.feed(&raw);
-            dec.drain_into(&mut self.decoded)?;
+            if let Err(e) = dec.drain_into(&mut self.decoded) {
+                self.decoded.clear();
+                self.decoded_pos = 0;
+                self.dec_failed = Some(e.clone());
+                return Err(e.into());
+            }
         }
     }
 }

@@ -169,3 +169,53 @@ proptest! {
         }
     }
 }
+
+/// One flipped stored byte of a compressed chunk fails the frame's token
+/// or checksum check. The failing `read` must not be the only one that
+/// notices: the half-decoded frame must not come back from the next call.
+#[test]
+fn corrupt_compressed_chunk_never_serves_unverified_bytes() {
+    let fs = MemFs::with_block_size(512);
+    let payload: Vec<u8> = (0..60_000u32).flat_map(|i| (i / 7 % 500).to_le_bytes()).collect();
+    World::run(2, |comm| {
+        let params = SionParams::new(2048).with_compression();
+        let mut w = paropen_write(&fs, "c.sion", &params, comm).unwrap();
+        w.write(&payload).unwrap();
+        w.close().unwrap();
+    });
+    let original = file_bytes(&fs, "c.sion");
+    let loc = Multifile::open(&fs, "c.sion").unwrap().location(1).unwrap();
+    let chunks: Vec<_> = loc.chunks.iter().filter(|c| c.used > 0).collect();
+    assert!(chunks.len() >= 3, "the stream spans chunks: {chunks:?}");
+    let (first, last) = (chunks[0], chunks[chunks.len() - 1]);
+    // Past the 13-byte frame header, in the first and in the last chunk
+    // (after which no stored byte is left to trip over).
+    for at in [first.offset + 40, first.offset + first.used - 1, last.offset, last.offset + last.used - 1] {
+        let mut bytes = original.clone();
+        bytes[at as usize] ^= 0x10;
+        let fs2 = MemFs::with_block_size(512);
+        write_file(&fs2, "c.sion", &bytes);
+        let mf = Multifile::open(&fs2, "c.sion").unwrap();
+        assert_eq!(mf.read_rank(0).unwrap(), payload, "rank 0 is untouched");
+        let mut r = mf.rank_reader(1).unwrap();
+        let mut buf = [0u8; 64];
+        let mut good = 0;
+        let err = loop {
+            match r.read_some(&mut buf) {
+                Ok(0) => panic!("flip at {at}: corruption went unnoticed"),
+                Ok(n) => {
+                    assert_eq!(buf[..n], payload[good..good + n], "flip at {at}");
+                    good += n;
+                }
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, sion::SionError::Compression(_)), "flip at {at}: {err}");
+        for _ in 0..4 {
+            match r.read_some(&mut buf) {
+                Ok(0) | Err(_) => {}
+                Ok(n) => panic!("flip at {at}: {n} bytes served after {err}"),
+            }
+        }
+    }
+}

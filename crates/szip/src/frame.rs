@@ -90,6 +90,18 @@ impl FrameEncoder {
         std::mem::take(&mut self.out)
     }
 
+    /// Hand back a buffer obtained from [`take_output`] once its bytes are
+    /// written, so the next frames reuse its allocation instead of growing
+    /// a new one from empty.
+    ///
+    /// [`take_output`]: FrameEncoder::take_output
+    pub fn recycle(&mut self, mut buf: Vec<u8>) {
+        if self.out.capacity() == 0 {
+            buf.clear();
+            self.out = buf;
+        }
+    }
+
     /// Total raw bytes accepted by [`write`](FrameEncoder::write).
     pub fn raw_bytes(&self) -> u64 {
         self.raw_total
@@ -158,6 +170,10 @@ impl FrameDecoder {
 
     /// Decode every complete frame currently buffered, appending raw bytes
     /// to `out`. Incomplete trailing frames stay buffered for later `feed`s.
+    ///
+    /// On error `out` ends with the last good frame: bytes of a frame that
+    /// failed its token or checksum check are never handed out. The bad
+    /// frame stays buffered, so every later call fails the same way.
     pub fn drain_into(&mut self, out: &mut Vec<u8>) -> Result<(), SzipError> {
         loop {
             let avail = &self.buf[self.consumed..];
@@ -187,10 +203,14 @@ impl FrameDecoder {
                     out.extend_from_slice(payload);
                 }
                 _ => {
-                    decompress_block(payload, raw_len, out).map_err(SzipError::Corrupt)?;
+                    if let Err(why) = decompress_block(payload, raw_len, out) {
+                        out.truncate(before);
+                        return Err(SzipError::Corrupt(why));
+                    }
                 }
             }
             if fnv1a(&out[before..]) != checksum {
+                out.truncate(before);
                 return Err(SzipError::Corrupt("checksum mismatch"));
             }
             self.raw_total += raw_len as u64;
@@ -239,6 +259,44 @@ mod tests {
         dec2.feed(&second);
         dec2.drain_into(&mut out2).unwrap();
         assert_eq!(out2, b"bbbbbbbbbbbbbbbbbbbbbbbbbbbbb");
+    }
+
+    #[test]
+    fn recycled_buffer_is_reused_and_invisible() {
+        let data = b"recycle me, recycle me, recycle me. ".repeat(100);
+        let mut enc = FrameEncoder::new();
+        enc.write(&data);
+        enc.flush();
+        let first = enc.take_output();
+        let (ptr, cap) = (first.as_ptr(), first.capacity());
+        enc.recycle(first);
+        enc.write(&data);
+        enc.flush();
+        // Pending output is not traded for a buffer handed back late.
+        enc.recycle(vec![0xAA; 64]);
+        let second = enc.take_output();
+        assert_eq!(second, crate::compress(&data), "no byte of the old frame survives");
+        assert_eq!((second.as_ptr(), second.capacity()), (ptr, cap));
+    }
+
+    #[test]
+    fn failed_frame_leaves_nothing_behind() {
+        let good = crate::compress(b"a good frame, a good frame, a good frame");
+        let mut bad = crate::compress(&b"abcdefabcdefabcdef".repeat(10));
+        for flip in [HEADER + 1, bad.len() - 1] {
+            bad[flip] ^= 0x40;
+            let mut dec = FrameDecoder::new();
+            dec.feed(&good);
+            dec.feed(&bad);
+            let mut out = b"kept:".to_vec();
+            assert!(matches!(dec.drain_into(&mut out), Err(SzipError::Corrupt(_))));
+            assert_eq!(out, b"kept:a good frame, a good frame, a good frame");
+            // The bad frame is still there: no later call gets past it.
+            dec.feed(&good);
+            assert!(dec.drain_into(&mut out).is_err());
+            assert_eq!(out.len(), 5 + 40);
+            bad[flip] ^= 0x40;
+        }
     }
 
     #[test]

@@ -1,0 +1,132 @@
+//! Seeded inputs shared by the szip integration tests. Everything here is
+//! self-contained (its own splitmix64, no `rand`), because
+//! `golden/v1_stream.szip` was encoded from these exact bytes: changing a
+//! generator invalidates the fixture.
+
+#![allow(dead_code)]
+
+pub struct SplitMix(pub u64);
+
+impl SplitMix {
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+}
+
+/// Records laid out like `tracer::Event::encode` for a multigrid solver:
+/// per iteration one Enter, then per level an Enter, four Sends, four
+/// Recvs and an Exit — `[kind u8][time u64][region u32]` (13 B) or
+/// `[kind u8][time u64][peer u32][tag u32][bytes u32]` (21 B), all
+/// little-endian, time strictly increasing.
+pub fn trace_like(seed: u64, len: usize) -> Vec<u8> {
+    let mut rng = SplitMix(seed);
+    let mut out = Vec::with_capacity(len + 64);
+    let mut t = 0u64;
+    let region = |out: &mut Vec<u8>, kind: u8, t: u64, region: u32| {
+        out.push(kind);
+        out.extend_from_slice(&t.to_le_bytes());
+        out.extend_from_slice(&region.to_le_bytes());
+    };
+    while out.len() < len {
+        t += 100 + rng.below(100);
+        region(&mut out, 1, t, 1);
+        for level in 0..4u32 {
+            t += 50 + rng.below(100);
+            region(&mut out, 1, t, 10 + level);
+            for kind in [3u8, 4] {
+                for peer in [18u32, 16, 19, 15] {
+                    t += 1 + rng.below(19);
+                    out.push(kind);
+                    out.extend_from_slice(&t.to_le_bytes());
+                    out.extend_from_slice(&peer.to_le_bytes());
+                    out.extend_from_slice(&level.to_le_bytes());
+                    out.extend_from_slice(&(2048 + rng.below(4096) as u32).to_le_bytes());
+                }
+            }
+            t += 50 + rng.below(100);
+            region(&mut out, 2, t, 10 + level);
+        }
+        t += 10 + rng.below(40);
+        region(&mut out, 2, t, 1);
+    }
+    out.truncate(len);
+    out
+}
+
+/// Log-like text: lines built from a few verbs, nouns and tails around
+/// numeric fields, so phrases repeat but no line does.
+pub fn word_mix(seed: u64, len: usize) -> Vec<u8> {
+    const VERBS: [&str; 8] = [
+        "wrote", "read", "flushed", "synced", "opened", "closed", "shipped", "acked",
+    ];
+    const NOUNS: [&str; 8] = [
+        "chunk",
+        "block",
+        "frame",
+        "extent",
+        "metablock",
+        "rescue header",
+        "lease",
+        "window",
+    ];
+    const TAILS: [&str; 8] = [
+        "to the task-local file",
+        "of the shared multifile",
+        "at the file system block boundary",
+        "before the collective close",
+        "after the barrier",
+        "in aggregated mode",
+        "with compression on",
+        "while the aggregator drained its queue",
+    ];
+    let mut rng = SplitMix(seed);
+    let mut out = Vec::with_capacity(len + 128);
+    let mut t = 0u64;
+    while out.len() < len {
+        let r = rng.next_u64();
+        t += r % 97;
+        let line = format!(
+            "[{:>9}] rank {:>4} {} {} {} {}, {} bytes\n",
+            t,
+            (r >> 8) % 256,
+            VERBS[(r >> 16) as usize % 8],
+            NOUNS[(r >> 24) as usize % 8],
+            (r >> 32) % 64,
+            TAILS[(r >> 40) as usize % 8],
+            4096 * (1 + (r >> 48) % 16),
+        );
+        out.extend_from_slice(line.as_bytes());
+    }
+    out.truncate(len);
+    out
+}
+
+pub fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut rng = SplitMix(seed);
+    let mut out = Vec::with_capacity(len + 8);
+    while out.len() < len {
+        out.extend_from_slice(&rng.next_u64().to_le_bytes());
+    }
+    out.truncate(len);
+    out
+}
+
+/// The four inputs of the compatibility fixture, each its own frame(s) of
+/// the golden stream: trace-like records (reaching across the whole v1
+/// window), a word mix, a zero run, random bytes (stored).
+pub fn fixture_inputs() -> [(&'static str, Vec<u8>); 4] {
+    [
+        ("trace", trace_like(0x51_0E, 80 << 10)),
+        ("words", word_mix(0x51_0F, 24 << 10)),
+        ("zeros", vec![0u8; 20 << 10]),
+        ("random", random_bytes(0x51_10, 6 << 10)),
+    ]
+}
