@@ -18,11 +18,16 @@ echo "==> MemFs per-block locking: threads sharing one file (release)"
 # enough to be inside one file's page table at the same time.
 cargo test --release -p sion-vfs --test memfs_concurrent -q
 
-echo "==> szip in release: ratio floors, v1 golden stream, hostile frames"
+echo "==> szip in release: ratio floors, decode floor, v1/v2 golden streams, hostile frames"
 # Release as well as the debug run above: the encoder's arithmetic wraps
 # instead of panicking there, and the ratio floors (trace events, word mix,
-# particles and random bytes stored) and the v1-encoded golden stream are
-# what keeps a faster matcher honest.
+# particles and random bytes stored) and the golden streams (v1: FNV-1a
+# frames of the first encoder; v2: the first frames with the word-wise
+# check) are what keeps a faster matcher or decoder honest. The decode
+# floor only measures here (it returns at once in a debug build): framed
+# `decompress` of 16 MiB of trace-like records must be at least twice as
+# fast as the frozen v1 reader — push decoder plus FNV-1a — timed beside it
+# in the same test, so the floor is a ratio, not this host's speed.
 cargo test --release -p sion-szip -q
 
 echo "==> crash-consistency harness (fixed seed)"
@@ -166,6 +171,16 @@ if grep -rnw CheckedWorld crates ||
     grep -rnE 'fn (scheduling|before_send|before_recv|on_recv_blocked|on_consumed)\b|take_scheduled' crates/*/src
 then
     echo "interleaving control belongs to the executor (\`SchedPolicy::Serial\` / \`ScheduleDriver\`), not to a hook"
+    exit 1
+fi
+
+echo "==> structural gate: compressed reads cost what decoding costs (FNV-1a only decodes v1 frames, one scan for both modes)"
+n=$(grep -rn 'fnv1a(' crates/szip/src | grep -vc 'fn fnv1a(')
+[ "$n" -eq 1 ] || { echo "fnv1a has $n call sites in crates/szip/src, want 1: the v1 decode arm (new frames carry check_v2)"; exit 1; }
+if grep -rn 'unavailable in compressed mode; use read' crates/sion/src ||
+    grep -nE '^ *(let .*= )?if .*(compressed|COMPRESSED)' crates/sion-tools/src/lib.rs
+then
+    echo "\`scan_remaining\` decodes compressed streams frame by frame: no rejection, and no \`if compressed\` fork in verify/cat"
     exit 1
 fi
 

@@ -8,6 +8,14 @@
 //!
 //! All functionality is available as library functions operating on any
 //! [`vfs::Vfs`]; the binaries wrap them over the local file system.
+//!
+//! Reading a rank end to end is one path for every multifile:
+//! [`verify`], [`cat_into`] and `Multifile::read_rank` all run
+//! [`sion::RankReader::scan_remaining`], which lends plain streams from
+//! page leases and compressed streams frame by frame from the decoder's
+//! buffer. The tools stay serial programs — no communicator, any host —
+//! and only [`verify`], whose ranks are independent, spreads them over
+//! scoped threads; its report does not depend on how many.
 
 use sion::rescue::{RescueHeader, RESCUE_HEADER_LEN};
 use sion::{Multifile, Result, SerialWriter, SionError, SionFlags, SionParams};
@@ -194,12 +202,11 @@ pub struct CatStats {
 }
 
 /// Stream one rank's logical content through `sink` (the `sioncat`
-/// engine). Uncompressed streams take the borrow-based
-/// [`scan_remaining`](sion::RankReader::scan_remaining) pass: each
-/// contiguous run is handed to the sink straight from a page lease when
-/// the backend supports it, so nothing is staged through an engine-owned
-/// buffer. Compressed streams must be decoded, so they go through the
-/// copying read path chunk by chunk.
+/// engine): one borrow-based
+/// [`scan_remaining`](sion::RankReader::scan_remaining) pass, compressed or
+/// not. A plain stream's runs come straight from page leases when the
+/// backend has them, a compressed stream's frames from the decoder's one
+/// reused buffer; nothing is staged in between.
 pub fn cat_into(
     vfs: &dyn Vfs,
     base: &str,
@@ -208,20 +215,7 @@ pub fn cat_into(
 ) -> Result<CatStats> {
     let mf = Multifile::open(vfs, base)?;
     let mut reader = mf.rank_reader(rank)?;
-    let bytes = if mf.flags().contains(SionFlags::COMPRESSED) {
-        let mut buf = vec![0u8; 256 * 1024];
-        let mut total = 0u64;
-        loop {
-            let n = reader.read_some(&mut buf)?;
-            if n == 0 {
-                break total;
-            }
-            sink(&buf[..n]);
-            total += n as u64;
-        }
-    } else {
-        reader.scan_remaining(sink)?
-    };
+    let bytes = reader.scan_remaining(sink)?;
     Ok(CatStats { bytes, io: reader.io_counters() })
 }
 
@@ -261,71 +255,93 @@ impl VerifyReport {
 /// ([`verify_raw`]) that reads metablocks 1 and 2 directly and reports
 /// each inconsistency as a problem in the returned report — so damaged
 /// files still yield a diagnosis instead of just an error.
+///
+/// Still a serial program — one process, no communicator — but ranks are
+/// independent, so they are certified in contiguous ranges by at most
+/// [`available_parallelism`](std::thread::available_parallelism) scoped
+/// threads and the findings merged in rank order: the report is the one a
+/// single loop over the ranks writes, whatever the thread count.
 pub fn verify(vfs: &dyn Vfs, base: &str) -> Result<VerifyReport> {
     let mf = match Multifile::open(vfs, base) {
         Ok(mf) => mf,
         Err(open_err) => return verify_raw(vfs, base, open_err),
     };
-    let rescue = mf.flags().contains(SionFlags::RESCUE);
-    let compressed = mf.flags().contains(SionFlags::COMPRESSED);
+    // Per-file handles for the rescue cross-check.
+    let files = if mf.flags().contains(SionFlags::RESCUE) {
+        (0..mf.nfiles())
+            .map(|k| vfs.open(&sion::physical_name(base, k)))
+            .collect::<std::io::Result<Vec<_>>>()?
+    } else {
+        Vec::new()
+    };
+    let ntasks = mf.ntasks();
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .clamp(1, ntasks.max(1));
+    let share = ntasks.div_ceil(workers);
+    let parts: Vec<Result<VerifyReport>> = std::thread::scope(|s| {
+        let (mf, files) = (&mf, &files[..]);
+        let ranks = |w: usize| (w * share).min(ntasks)..((w + 1) * share).min(ntasks);
+        let spawned: Vec<_> = (1..workers)
+            .map(|w| s.spawn(move || verify_ranks(mf, files, ranks(w))))
+            .collect();
+        // The calling thread is a worker too, as in the task executor: a
+        // process then never has more threads alive than cores, and later
+        // thread pools find the malloc arenas they left.
+        let first = verify_ranks(mf, files, ranks(0));
+        let joined = spawned
+            .into_iter()
+            .map(|worker| worker.join().expect("a verify worker panicked"));
+        std::iter::once(first).chain(joined).collect()
+    });
     let mut report = VerifyReport::default();
-    // Per-file handles for the rescue cross-check, opened on first use.
-    let mut handles: Vec<Option<std::sync::Arc<dyn vfs::VfsFile>>> =
-        vec![None; mf.nfiles() as usize];
+    for part in parts {
+        match part {
+            Ok(part) => {
+                report.tasks_ok += part.tasks_ok;
+                report.problems.extend(part.problems);
+            }
+            // A per-rank fetch the strict decoder rejects sends the whole
+            // report through the raw fallback, exactly like a failed open:
+            // without consistent metadata, no stream can be certified.
+            Err(e) => return verify_raw(vfs, base, e),
+        }
+    }
+    Ok(report)
+}
 
+/// [`verify`]'s findings for `ranks`, in rank order; `Err` is the first
+/// per-rank metadata fetch that failed. `files` holds one handle per
+/// physical file if the multifile carries rescue headers.
+fn verify_ranks(
+    mf: &Multifile,
+    files: &[std::sync::Arc<dyn vfs::VfsFile>],
+    ranks: std::ops::Range<usize>,
+) -> Result<VerifyReport> {
+    let mut report = VerifyReport::default();
     // Metadata streams one rank at a time — a 64Ki-task multifile is
     // verified without ever materializing the full `Locations`.
-    for rank in 0..mf.ntasks() {
-        // A per-rank fetch the strict decoder rejects sends the whole
-        // report through the raw fallback, exactly like a failed open:
-        // without consistent metadata, no stream can be certified.
-        let t = match mf.location(rank) {
-            Ok(t) => t,
-            Err(e) => return verify_raw(vfs, base, e),
-        };
-        let mut ok = true;
+    for rank in ranks {
+        let t = mf.location(rank)?;
         // Note: per-chunk `used <= usable` needs no check here — metadata
         // violating it cannot pass the strict fetch and is diagnosed by
         // the raw fallback path instead.
-        // Certify the logical stream readable end to end. Uncompressed
-        // streams go through the borrow-based scan — on a leasing VFS the
-        // pass inspects pages in place and copies nothing — while
-        // compressed streams must be materialized to exercise
-        // decompression.
-        let scanned: Result<u64> = if compressed {
-            mf.read_rank(rank).map(|data| data.len() as u64)
-        } else {
-            mf.rank_reader(rank)
-                .and_then(|mut r| r.scan_remaining(&mut |_page| {}))
-        };
-        match scanned {
-            Ok(len) => {
-                // For uncompressed files the logical length must equal the
-                // stored length.
-                if !compressed && len != t.stored_bytes {
-                    report.problems.push(format!(
-                        "rank {rank}: logical length {len} != stored bytes {}",
-                        t.stored_bytes
-                    ));
-                    ok = false;
-                }
-            }
-            Err(e) => {
-                report.problems.push(format!("rank {rank}: stream unreadable: {e}"));
-                ok = false;
-            }
-        }
-        if ok {
-            report.tasks_ok += 1;
+        // Certify the logical stream readable end to end with the
+        // borrow-based scan: a plain stream's pages are inspected in place
+        // (on a leasing VFS nothing is copied), a compressed stream's
+        // frames are decoded and checked one at a time, none kept.
+        match mf.reader_at(&t).scan_remaining(&mut |_run| {}) {
+            Ok(_) => report.tasks_ok += 1,
+            Err(SionError::Compression(sion::SzipError::Truncated)) => report
+                .problems
+                .push(format!("rank {rank}: stream ends inside a frame")),
+            Err(e) => report
+                .problems
+                .push(format!("rank {rank}: stream unreadable: {e}")),
         }
 
         // Rescue-header cross-check, on the same pass.
-        if rescue {
-            let k = t.file as usize;
-            if handles[k].is_none() {
-                handles[k] = Some(vfs.open(&sion::physical_name(base, k as u32))?);
-            }
-            let file = handles[k].as_ref().expect("opened above");
+        if let Some(file) = files.get(t.file as usize) {
             for c in &t.chunks {
                 if c.used == 0 {
                     continue;
@@ -345,7 +361,8 @@ pub fn verify(vfs: &dyn Vfs, base: &str) -> Result<VerifyReport> {
                             && h.block == c.block
                             && h.used == c.used => {}
                     Some(h) => report.problems.push(format!(
-                        "rank {rank} block {}: rescue header disagrees                          (rank {}, block {}, used {})",
+                        "rank {rank} block {}: rescue header disagrees \
+                         (rank {}, block {}, used {})",
                         c.block, h.global_rank, h.block, h.used
                     )),
                     None => report.problems.push(format!(
@@ -585,10 +602,12 @@ mod tests {
 
     #[test]
     fn cat_streams_one_rank() {
-        let fs = MemFs::with_block_size(512);
-        sample_multifile(&fs, &SionParams::new(512), 3);
-        assert_eq!(cat(&fs, "in.sion", 2).unwrap(), payload(2, 3000));
-        assert!(cat(&fs, "in.sion", 7).is_err());
+        for params in [SionParams::new(512), SionParams::new(512).with_compression()] {
+            let fs = MemFs::with_block_size(512);
+            sample_multifile(&fs, &params, 3);
+            assert_eq!(cat(&fs, "in.sion", 2).unwrap(), payload(2, 3000));
+            assert!(cat(&fs, "in.sion", 7).is_err());
+        }
     }
 
     #[test]
@@ -621,6 +640,36 @@ mod tests {
         sample_multifile(&fs, &SionParams::new(512).with_compression().with_nfiles(2), 4);
         let report = verify(&fs, "in.sion").unwrap();
         assert!(report.is_clean(), "{:?}", report.problems);
+    }
+
+    /// Damage in ranks that fall to different workers comes back in rank
+    /// order, and a stream that stops inside a frame is named as such.
+    #[test]
+    fn verify_reports_damaged_compressed_streams_in_rank_order() {
+        let fs = MemFs::with_block_size(512);
+        sample_multifile(&fs, &SionParams::new(512).with_compression(), 7);
+        let mf = Multifile::open(&fs, "in.sion").unwrap();
+        let first_chunk = |rank| mf.location(rank).unwrap().chunks[0].offset;
+        let f = fs.open_rw("in.sion").unwrap();
+        let flip = |at: u64| {
+            let mut byte = [0u8];
+            f.read_exact_at(&mut byte, at).unwrap();
+            f.write_all_at(&[byte[0] ^ 0x10], at).unwrap();
+        };
+        // Rank 6: a payload byte. Rank 1: byte 7 of the frame header, which
+        // grows `stored_len` past the stored data.
+        flip(first_chunk(6) + 40);
+        flip(first_chunk(1) + 7);
+        drop(mf);
+        let report = verify(&fs, "in.sion").unwrap();
+        assert_eq!(report.tasks_ok, 5);
+        assert_eq!(report.problems.len(), 2, "{:?}", report.problems);
+        assert_eq!(report.problems[0], "rank 1: stream ends inside a frame");
+        assert!(
+            report.problems[1].starts_with("rank 6: stream unreadable: compressed stream error"),
+            "{:?}",
+            report.problems
+        );
     }
 
     #[test]

@@ -108,6 +108,8 @@ mod stream;
 
 pub use adapter::SionWriteAdapter;
 pub use error::{Result, SionError};
+/// The payload of [`SionError::Compression`].
+pub use szip::SzipError;
 pub use format::{CloseRecord, OpenRecord, SionFlags};
 pub use layout::{Alignment, FileLayout};
 pub use keyval::{KeyValIndex, KeyValReader, KeyValWriter};

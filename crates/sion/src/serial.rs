@@ -155,13 +155,12 @@ impl LocationCache {
 
     fn insert(&mut self, rank: usize, loc: Arc<TaskLocation>) {
         if self.entries.len() >= LOCATION_CACHE_CAP && !self.entries.contains_key(&rank) {
-            // Evict the least recently used entry; an O(capacity) scan of a
-            // 256-entry map is noise next to the read it replaces.
-            if let Some(&lru) =
-                self.entries.iter().min_by_key(|(_, (s, _))| *s).map(|(r, _)| r)
-            {
-                self.entries.remove(&lru);
-            }
+            // Drop everything not touched within the last half-capacity
+            // accesses: one O(capacity) pass per capacity/2 inserts. A
+            // rank-by-rank scan (verify, defrag) is nothing but inserts,
+            // and verify's workers make them under this one lock.
+            let keep_from = self.stamp.saturating_sub(LOCATION_CACHE_CAP as u64 / 2);
+            self.entries.retain(|_, (stamp, _)| *stamp > keep_from);
         }
         self.stamp += 1;
         self.entries.insert(rank, (self.stamp, loc));
@@ -443,11 +442,16 @@ impl Multifile {
     /// reader over that task's logical file, transparently decompressing
     /// if the multifile is compressed.
     pub fn rank_reader(&self, rank: usize) -> Result<RankReader> {
-        let t = self.location(rank)?;
+        Ok(self.reader_at(&*self.location(rank)?))
+    }
+
+    /// [`rank_reader`](Self::rank_reader) for a location this multifile
+    /// has already handed out, without a second metadata lookup.
+    pub fn reader_at(&self, t: &TaskLocation) -> RankReader {
         let fv = &self.files[t.file as usize];
-        let geom = ChunkGeom::from_layout(&fv.layout, t.ltask, rank as u64);
+        let geom = ChunkGeom::from_layout(&fv.layout, t.ltask, t.global_rank as u64);
         let used: Vec<u64> = t.chunks.iter().map(|c| c.used).collect();
-        Ok(RankReader {
+        RankReader {
             inner: TaskReader::new(
                 fv.handle.clone(),
                 geom,
@@ -455,21 +459,14 @@ impl Multifile {
                 self.compressed(),
                 DEFAULT_READ_AHEAD,
             ),
-        })
+        }
     }
 
     /// Convenience: the complete logical (decompressed) content of `rank`.
     pub fn read_rank(&self, rank: usize) -> Result<Vec<u8>> {
-        let mut r = self.rank_reader(rank)?;
         let mut out = Vec::new();
-        let mut buf = vec![0u8; 64 * 1024];
-        loop {
-            let n = r.read_some(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            out.extend_from_slice(&buf[..n]);
-        }
+        self.rank_reader(rank)?
+            .scan_remaining(&mut |run| out.extend_from_slice(run))?;
         Ok(out)
     }
 }
@@ -495,13 +492,15 @@ impl RankReader {
         self.inner.read(buf)
     }
 
-    /// Stream every remaining logical byte through `sink` without copying
-    /// when the backing [`Vfs`](vfs::Vfs) hands out page leases (MemFs
-    /// always does): the borrow-based pass `sionverify` uses to certify a
-    /// stream readable while only *inspecting* its pages. Returns the
-    /// number of bytes scanned. Errors on compressed multifiles — leases
-    /// expose stored bytes, and a compressed stream's logical content only
-    /// exists decompressed; use [`Self::read_some`] there.
+    /// Stream every remaining logical byte through `sink` and return how
+    /// many there were — the borrow-based pass `sionverify` uses to certify
+    /// a stream readable while only *inspecting* it. Plain streams are lent
+    /// straight from the backing [`Vfs`](vfs::Vfs)'s page leases (MemFs
+    /// always hands them out; nothing is copied); compressed streams are
+    /// decoded a frame at a time into one reused buffer and lent from
+    /// there. A compressed stream whose stored bytes stop inside a frame
+    /// fails with [`szip::SzipError::Truncated`] after its whole frames
+    /// have been through `sink`.
     pub fn scan_remaining(&mut self, sink: &mut dyn FnMut(&[u8])) -> Result<u64> {
         self.inner.scan_remaining(sink)
     }

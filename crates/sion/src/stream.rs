@@ -116,9 +116,12 @@ pub struct IoCounters {
     pub rescue_patches: u64,
     /// Payload bytes memcpy'd through an engine-owned staging buffer
     /// (write-behind coalescing, read-ahead window fills, bounce-buffer
-    /// scans). Zero-copy paths — vectored submits of caller slices, page
-    /// leases — move bytes without touching this counter, so tests can
-    /// assert the engine's copy discipline, not just its call counts.
+    /// scans; in compressed mode also stored bytes the decoder had to keep
+    /// because their frame straddles two chunks, and decoded bytes copied
+    /// out to a `read` caller). Zero-copy paths — vectored submits of
+    /// caller slices, page leases, decoded frames lent to a scan's sink —
+    /// move bytes without touching this counter, so tests can assert the
+    /// engine's copy discipline, not just its call counts.
     pub bytes_copied: u64,
     /// Transient heap buffers allocated on the hot path (staging/bounce
     /// buffers). A buffer that grows counts once per growth; steady-state
@@ -608,14 +611,13 @@ pub(crate) struct TaskReader {
     block: usize,
     /// Stored bytes consumed in the current chunk.
     off: u64,
-    /// Streaming decompressor (compressed mode only).
+    /// Streaming decompressor (compressed mode only). It holds the one
+    /// decoded frame not yet fully handed to the caller, which has had
+    /// `decoded_pos` bytes of it.
     dec: Option<FrameDecoder>,
-    /// Decoded bytes not yet handed to the caller (compressed mode).
-    decoded: Vec<u8>,
     decoded_pos: usize,
-    /// The stored stream failed to decode: the position is lost (bytes
-    /// already copied out went down with the failed call), so every later
-    /// read fails the same way instead of resuming somewhere else.
+    /// The stored stream failed to decode, or ended inside a frame: every
+    /// later read fails the same way instead of resuming somewhere else.
     dec_failed: Option<szip::SzipError>,
     /// Read-ahead cache: stored file bytes starting at *absolute* file
     /// offset `win_start`, backed either by an owned window (`rbuf`,
@@ -668,7 +670,6 @@ impl TaskReader {
             block: 0,
             off: 0,
             dec: compressed.then(FrameDecoder::new),
-            decoded: Vec::new(),
             decoded_pos: 0,
             dec_failed: None,
             rbuf: Vec::new(),
@@ -708,7 +709,11 @@ impl TaskReader {
 
     /// Whether the logical stream is exhausted (`sion_feof`).
     pub fn feof(&mut self) -> bool {
-        if self.dec.is_some() && self.decoded_pos < self.decoded.len() {
+        if self
+            .dec
+            .as_ref()
+            .is_some_and(|dec| self.decoded_pos < dec.frame().len())
+        {
             return false;
         }
         self.skip_empty_blocks();
@@ -798,24 +803,36 @@ impl TaskReader {
                 let avail = self.used[self.block] - self.off;
                 (at, (avail as usize).min(self.ra_cap))
             };
-            match self.file.read_lease(win_lo, window) {
-                Some(lease) if lease.len() == window => {
-                    self.rlease = Some(lease);
-                }
-                _ => {
-                    self.rlease = None;
-                    if window > self.rbuf.capacity() {
-                        self.counters.allocs += 1;
-                    }
-                    self.rbuf.resize(window, 0);
-                    self.file.read_exact_at(&mut self.rbuf, win_lo)?;
-                    self.counters.bytes_copied += window as u64;
-                }
-            }
-            self.counters.vfs_calls += 1;
-            self.counters.vfs_bytes += window as u64;
-            self.win_start = win_lo;
+            self.fetch_window(win_lo, window)?;
         }
+        Ok(())
+    }
+
+    /// Point the cache window at `len` stored bytes from absolute file offset
+    /// `lo`: a page lease if one covers all of them (zero copies into the
+    /// engine), otherwise one copying read into the owned window.
+    fn fetch_window(&mut self, lo: u64, len: usize) -> Result<()> {
+        match self.file.read_lease(lo, len) {
+            Some(lease) if lease.len() == len => {
+                self.rlease = Some(lease);
+            }
+            _ => {
+                self.rlease = None;
+                if len > self.rbuf.capacity() {
+                    self.counters.allocs += 1;
+                }
+                self.rbuf.resize(len, 0);
+                if let Err(e) = self.file.read_exact_at(&mut self.rbuf, lo) {
+                    // Whatever the failed read left must not be served.
+                    self.rbuf.clear();
+                    return Err(e.into());
+                }
+                self.counters.bytes_copied += len as u64;
+            }
+        }
+        self.counters.vfs_calls += 1;
+        self.counters.vfs_bytes += len as u64;
+        self.win_start = lo;
         Ok(())
     }
 
@@ -833,20 +850,34 @@ impl TaskReader {
         }
     }
 
-    /// Borrow-based streaming pass over the rest of the stored stream:
-    /// each contiguous run is handed to `sink` straight from a page lease
-    /// when the backend supports it (zero bytes copied — `sionverify`'s
-    /// inspection pass runs this over `MemFs` without a single memcpy), or
-    /// from a bounce buffer on lease-less backends. Returns the stored
-    /// bytes scanned. Unavailable in compressed mode, where stored bytes
-    /// are not the logical stream.
+    /// Borrow-based streaming pass over the rest of the logical stream;
+    /// returns the bytes handed to `sink`.
+    ///
+    /// Plain mode: each contiguous stored run goes to `sink` straight from
+    /// a page lease when the backend supports it (zero bytes copied —
+    /// `sionverify`'s inspection pass runs this over `MemFs` without a
+    /// single memcpy), or from a bounce buffer on lease-less backends.
+    ///
+    /// Compressed mode: each frame is decoded into the decoder's one reused
+    /// buffer and lent to `sink` from there, so nothing is materialised;
+    /// stored bytes are decoded where the lease or the window holds them.
     pub fn scan_remaining(&mut self, sink: &mut dyn FnMut(&[u8])) -> Result<u64> {
-        if self.dec.is_some() {
-            return Err(SionError::InvalidArg(
-                "scan_remaining is unavailable in compressed mode; use read()".into(),
-            ));
-        }
         self.counters.user_calls += 1;
+        if self.dec.is_some() {
+            let mut total = 0u64;
+            loop {
+                let dec = self.dec.as_ref().expect("compressed mode");
+                let rest = &dec.frame()[self.decoded_pos..];
+                if !rest.is_empty() {
+                    sink(rest);
+                }
+                total += rest.len() as u64;
+                self.decoded_pos += rest.len();
+                if !self.next_frame()? {
+                    return Ok(total);
+                }
+            }
+        }
         // A scan moves the position without going through the window cache;
         // drop any cached window so later reads re-fetch at the new spot.
         self.rlease = None;
@@ -890,6 +921,10 @@ impl TaskReader {
     pub fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
         let n = self.read(buf)?;
         if n != buf.len() {
+            // Not an ordinary end of stream if the stream is broken there.
+            if let Some(e) = &self.dec_failed {
+                return Err(e.clone().into());
+            }
             return Err(SionError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 format!("logical stream ended after {n} of {} bytes", buf.len()),
@@ -899,48 +934,77 @@ impl TaskReader {
     }
 
     fn read_decoded(&mut self, buf: &mut [u8]) -> Result<usize> {
-        if let Some(e) = &self.dec_failed {
-            return Err(e.clone().into());
-        }
         let mut done = 0;
         loop {
-            // Serve from the decoded buffer first.
-            let have = self.decoded.len() - self.decoded_pos;
-            if have > 0 {
-                let take = have.min(buf.len() - done);
-                buf[done..done + take]
-                    .copy_from_slice(&self.decoded[self.decoded_pos..self.decoded_pos + take]);
-                self.decoded_pos += take;
-                done += take;
-                if self.decoded_pos == self.decoded.len() {
-                    self.decoded.clear();
-                    self.decoded_pos = 0;
-                }
-            }
+            let frame = self.dec.as_ref().expect("compressed mode").frame();
+            let take = (frame.len() - self.decoded_pos).min(buf.len() - done);
+            buf[done..done + take]
+                .copy_from_slice(&frame[self.decoded_pos..self.decoded_pos + take]);
+            self.counters.bytes_copied += take as u64;
+            self.decoded_pos += take;
+            done += take;
             if done == buf.len() {
                 return Ok(done);
             }
-            // Pull more stored bytes (one chunk's remainder at a time).
+            match self.next_frame() {
+                Ok(true) => {}
+                Ok(false) => return Ok(done),
+                // Verified bytes are served first; a decode failure is
+                // sticky, so the next call reports it.
+                Err(SionError::Compression(_)) if done > 0 => return Ok(done),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Compressed mode: decode the next frame of the stored stream into the
+    /// decoder's frame buffer. `Ok(false)` at the end of the stream — which
+    /// must be a frame boundary: stored data that stops inside a frame is
+    /// [`szip::SzipError::Truncated`], not an early end.
+    fn next_frame(&mut self) -> Result<bool> {
+        if let Some(e) = &self.dec_failed {
+            return Err(e.clone().into());
+        }
+        let res = self.pull_frame();
+        if let Err(SionError::Compression(e)) = &res {
+            self.dec_failed = Some(e.clone());
+        }
+        res
+    }
+
+    fn pull_frame(&mut self) -> Result<bool> {
+        loop {
             self.skip_empty_blocks();
             if self.block >= self.used.len() {
-                return Ok(done);
+                let dec = self.dec.as_ref().expect("compressed mode");
+                return if dec.is_frame_boundary() {
+                    Ok(false)
+                } else {
+                    Err(szip::SzipError::Truncated.into())
+                };
             }
-            // One VFS read per chunk remainder — the compressed path has
-            // always been fully coalesced; count it like the plain path.
-            let avail = self.used[self.block] - self.off;
-            let mut raw = vec![0u8; avail as usize];
+            // The window is the rest of the chunk, fetched in one VFS call
+            // and decoded in place: only a frame that straddles two chunks
+            // is copied (into the decoder, to be completed there).
             let at = self.geom.data_offset(self.block as u64) + self.off;
-            self.file.read_exact_at(&mut raw, at)?;
-            self.counters.vfs_calls += 1;
-            self.counters.vfs_bytes += avail;
-            self.off += avail;
+            if self.cached_range(at).is_none() {
+                let avail = self.used[self.block] - self.off;
+                self.fetch_window(at, avail as usize)?;
+            }
+            let pos = (at - self.win_start) as usize;
+            let window = match &self.rlease {
+                Some(lease) => &lease[pos..],
+                None => &self.rbuf[pos..],
+            };
             let dec = self.dec.as_mut().expect("compressed mode");
-            dec.feed(&raw);
-            if let Err(e) = dec.drain_into(&mut self.decoded) {
-                self.decoded.clear();
-                self.decoded_pos = 0;
-                self.dec_failed = Some(e.clone());
-                return Err(e.into());
+            let buffered = dec.buffered_bytes();
+            // The call drops the frame the caller has finished with.
+            self.decoded_pos = 0;
+            let (taken, decoded) = dec.decode_next(window)?;
+            self.counters.bytes_copied += dec.buffered_bytes() - buffered;
+            self.off += taken as u64;
+            if decoded {
+                return Ok(true);
             }
         }
     }
@@ -1426,6 +1490,110 @@ mod tests {
         assert_eq!(c.bytes_copied, 0, "leases served the whole scan: {c:?}");
         assert_eq!(c.allocs, 0, "no bounce buffer was needed: {c:?}");
         assert!(r.feof());
+    }
+
+    #[test]
+    fn compressed_scan_decodes_in_place_and_counts_its_copies() {
+        let write = |fs: &MemFs, layout: &FileLayout, data: &[u8]| {
+            let mut w = writer(fs, layout, 0, true);
+            w.write(data).unwrap();
+            w.finish().unwrap()
+        };
+
+        // The whole stored stream in one chunk inside one MemFs page: the
+        // lease covers it, the frame is decoded where the page holds it and
+        // lent to the sink from the decoder — no byte, stored or logical,
+        // is copied by the engine.
+        let data = b"decoded where the page holds it, ".repeat(1200);
+        let (fs, layout) = setup(&[3000], Alignment::None, false);
+        let used = write(&fs, &layout, &data);
+        let stored: u64 = used.iter().sum();
+        assert!(used.len() == 1 && layout.data_start + stored < 4096, "{used:?}");
+        let geom = ChunkGeom::from_layout(&layout, 0, 0);
+        let mut r = reader(fs.open("f").unwrap(), geom, used.clone(), true);
+        let mut back = Vec::new();
+        let n = r.scan_remaining(&mut |frame| back.extend_from_slice(frame)).unwrap();
+        assert_eq!((n, &back), (data.len() as u64, &data));
+        let c = r.io_counters();
+        assert_eq!((c.bytes_copied, c.allocs), (0, 0), "{c:?}");
+        assert_eq!((c.vfs_calls, c.vfs_bytes), (1, stored), "{c:?}");
+        assert!(r.feof());
+        assert_eq!(r.scan_remaining(&mut |_| panic!("nothing is left")).unwrap(), 0);
+
+        // `read` pays for the copy to the caller, and says so.
+        let mut r = reader(fs.open("f").unwrap(), geom, used, true);
+        let mut head = vec![0u8; 1000];
+        r.read_exact(&mut head).unwrap();
+        assert_eq!(r.io_counters().bytes_copied, 1000);
+        // A scan picks up in the middle of the frame `read` left.
+        let mut rest = Vec::new();
+        r.scan_remaining(&mut |frame| rest.extend_from_slice(frame)).unwrap();
+        assert_eq!([head, rest].concat(), data);
+        assert_eq!(r.io_counters().bytes_copied, 1000);
+
+        // Chunks smaller than a page are leased one by one, so the only
+        // copy is of the frame that straddles them all, into the decoder;
+        // chunks larger than a page are read into the one window first.
+        // Either way a chunk is one VFS call and every copy is counted.
+        let data: Vec<u8> = (0..160_000u32).flat_map(|i| (i / 5 % 300).to_le_bytes()).collect();
+        for chunk in [256u64, 8192] {
+            let (fs, layout) = setup(&[chunk], Alignment::FsBlock, false);
+            let used = write(&fs, &layout, &data);
+            let stored: u64 = used.iter().sum();
+            assert!(used.len() > 2, "{used:?}");
+            let geom = ChunkGeom::from_layout(&layout, 0, 0);
+            let mut r = reader(fs.open("f").unwrap(), geom, used.clone(), true);
+            let mut back = Vec::new();
+            r.scan_remaining(&mut |frame| back.extend_from_slice(frame)).unwrap();
+            assert!(back == data);
+            let c = r.io_counters();
+            assert_eq!(c.vfs_calls, used.len() as u64, "{c:?}");
+            if chunk == 256 {
+                assert_eq!((c.bytes_copied, c.allocs), (stored, 0), "{c:?}");
+            } else {
+                assert!(c.bytes_copied > stored && c.bytes_copied < 2 * stored, "{c:?}");
+                assert_eq!(c.allocs, 1, "one window, reused: {c:?}");
+            }
+        }
+    }
+
+    /// Stored bytes that stop inside a frame are an error, not an early end
+    /// of the stream — whether the usage table was cut or a frame header
+    /// claims more than was ever written.
+    #[test]
+    fn compressed_stream_ending_inside_a_frame_is_truncated() {
+        let (fs, layout) = setup(&[4096], Alignment::None, false);
+        let mut w = writer(&fs, &layout, 0, true);
+        let first = b"the first frame is whole. ".repeat(30);
+        w.write(&first).unwrap();
+        w.flush().unwrap();
+        w.write(&b"the second frame will be cut short. ".repeat(30)).unwrap();
+        let used = w.finish().unwrap();
+        let cut = vec![used[0] - 5];
+        let truncated = |r: Result<usize>| {
+            matches!(r, Err(SionError::Compression(szip::SzipError::Truncated)))
+        };
+
+        let geom = ChunkGeom::from_layout(&layout, 0, 0);
+        let mut r = reader(fs.open("f").unwrap(), geom, cut.clone(), true);
+        let mut buf = vec![0u8; 4000];
+        // The whole frame is served first, then the error, every time.
+        assert_eq!(r.read(&mut buf).unwrap(), first.len());
+        assert_eq!(buf[..first.len()], first[..]);
+        assert!(truncated(r.read(&mut buf)));
+        assert!(truncated(r.read(&mut buf)));
+        assert!(truncated(r.scan_remaining(&mut |_| panic!("no frame is left")).map(|n| n as usize)));
+
+        let mut r = reader(fs.open("f").unwrap(), geom, cut, true);
+        let mut seen = Vec::new();
+        let scanned = r.scan_remaining(&mut |frame| seen.extend_from_slice(frame));
+        assert!(truncated(scanned.map(|n| n as usize)));
+        assert_eq!(seen, first);
+        let mut exact = vec![0u8; 10];
+        assert!(
+            matches!(r.read_exact(&mut exact), Err(SionError::Compression(_))),
+            "not an UnexpectedEof"
+        );
     }
 
     #[test]

@@ -173,6 +173,9 @@ proptest! {
 /// One flipped stored byte of a compressed chunk fails the frame's token
 /// or checksum check. The failing `read` must not be the only one that
 /// notices: the half-decoded frame must not come back from the next call.
+/// Nor may a stream that stops inside a frame pass for one that ended: a
+/// flipped bit that grows a frame's `stored_len` past the stored data, or a
+/// last chunk cut short (what a repaired crash leaves), is an error too.
 #[test]
 fn corrupt_compressed_chunk_never_serves_unverified_bytes() {
     let fs = MemFs::with_block_size(512);
@@ -188,34 +191,64 @@ fn corrupt_compressed_chunk_never_serves_unverified_bytes() {
     let chunks: Vec<_> = loc.chunks.iter().filter(|c| c.used > 0).collect();
     assert!(chunks.len() >= 3, "the stream spans chunks: {chunks:?}");
     let (first, last) = (chunks[0], chunks[chunks.len() - 1]);
-    // Past the 13-byte frame header, in the first and in the last chunk
-    // (after which no stored byte is left to trip over).
-    for at in [first.offset + 40, first.offset + first.used - 1, last.offset, last.offset + last.used - 1] {
-        let mut bytes = original.clone();
-        bytes[at as usize] ^= 0x10;
+
+    // Rank 0 reads back whole; rank 1 serves a verified prefix, then fails
+    // for good.
+    let check = |bytes: &[u8], what: &str| {
         let fs2 = MemFs::with_block_size(512);
-        write_file(&fs2, "c.sion", &bytes);
+        write_file(&fs2, "c.sion", bytes);
         let mf = Multifile::open(&fs2, "c.sion").unwrap();
         assert_eq!(mf.read_rank(0).unwrap(), payload, "rank 0 is untouched");
+        assert!(mf.read_rank(1).is_err(), "{what}");
         let mut r = mf.rank_reader(1).unwrap();
         let mut buf = [0u8; 64];
         let mut good = 0;
         let err = loop {
             match r.read_some(&mut buf) {
-                Ok(0) => panic!("flip at {at}: corruption went unnoticed"),
+                Ok(0) => panic!("{what}: corruption went unnoticed"),
                 Ok(n) => {
-                    assert_eq!(buf[..n], payload[good..good + n], "flip at {at}");
+                    assert_eq!(buf[..n], payload[good..good + n], "{what}");
                     good += n;
                 }
                 Err(e) => break e,
             }
         };
-        assert!(matches!(err, sion::SionError::Compression(_)), "flip at {at}: {err}");
         for _ in 0..4 {
             match r.read_some(&mut buf) {
                 Ok(0) | Err(_) => {}
-                Ok(n) => panic!("flip at {at}: {n} bytes served after {err}"),
+                Ok(n) => panic!("{what}: {n} bytes served after {err}"),
             }
         }
+        err
+    };
+
+    // Past the 13-byte frame header, in the first and in the last chunk
+    // (after which no stored byte is left to trip over).
+    for at in [first.offset + 40, first.offset + first.used - 1, last.offset, last.offset + last.used - 1] {
+        let mut bytes = original.clone();
+        bytes[at as usize] ^= 0x10;
+        let err = check(&bytes, &format!("flip at {at}"));
+        assert!(matches!(err, sion::SionError::Compression(_)), "flip at {at}: {err}");
     }
+
+    let truncated = |err: sion::SionError| {
+        matches!(err, sion::SionError::Compression(sion::SzipError::Truncated))
+    };
+    // Byte 7 of the first frame header: `stored_len` grows by 1 MiB, and
+    // the decoder is still waiting for the frame when the data runs out.
+    let mut bytes = original.clone();
+    bytes[first.offset as usize + 7] ^= 0x10;
+    assert!(truncated(check(&bytes, "stored_len grown")));
+
+    // The usage table says the last chunk holds three bytes fewer. Without
+    // its index the lazy fetch reads that table.
+    let mut bytes = original.clone();
+    let word = |at: usize| u64::from_le_bytes(original[at..at + 8].try_into().unwrap()) as usize;
+    let trailer = original.len() - 40;
+    let (mb2_off, idx_off) = (word(trailer), word(trailer + 16));
+    let row = mb2_off + 24 + (last.block as usize * 2 + loc.ltask) * 8;
+    assert_eq!(word(row) as u64, last.used);
+    bytes[row..row + 8].copy_from_slice(&(last.used - 3).to_le_bytes());
+    bytes[idx_off..idx_off + 8].copy_from_slice(b"XXXXXXXX");
+    assert!(truncated(check(&bytes, "last chunk cut")));
 }

@@ -11,11 +11,26 @@
 //!
 //! The algorithm is LZSS — structurally the LZ77 half of DEFLATE without
 //! the entropy stage — over a 64 KiB window, matches of 4..=258 bytes, and
-//! a per-frame stored/compressed decision. The decoder and the format are
-//! those of the first version (32 KiB window, 3-byte minimum, hash-chain
-//! matcher): every stream ever written decodes, and a v1 reader decodes
-//! today's streams, because the `u16` distance field always admitted
-//! 65 536 (`tests/golden/v1_stream.szip` pins the first half).
+//! a per-frame stored/compressed decision. The token format is that of the
+//! first version (32 KiB window, 3-byte minimum, hash-chain matcher): the
+//! `u16` distance field always admitted 65 536. The 13-byte frame header
+//! is the first version's too, but its method byte now also names the
+//! frame's check: methods 0/1 (FNV-1a, a byte per dependent multiply) are
+//! read for ever and written no more, methods 2/3 carry a word-wise check
+//! that runs at memory speed. Every stream ever written decodes
+//! (`tests/golden/v1_stream.szip`, `tests/golden/v2_stream.szip`); a
+//! reader from before methods 2/3 stops at them with
+//! [`SzipError::BadMethod`].
+//!
+//! # Decoding
+//!
+//! Reading is meant to cost what decoding costs. The block decoder writes
+//! into a pre-sized slice; while a group of eight tokens has slack at both
+//! ends it copies literal runs and matches in 8/16-byte steps, and it does
+//! every token's checks one by one only in the last groups
+//! (`lzss::decompress_into`). [`FrameDecoder::decode_next`] decodes a
+//! frame where its packed bytes lie and lends the result from one reused
+//! buffer, so a reader can walk a stream without materialising it.
 //!
 //! # The match finder
 //!
@@ -62,7 +77,7 @@
 mod frame;
 mod lzss;
 
-pub use frame::{FrameDecoder, FrameEncoder, FRAME_RAW_MAX};
+pub use frame::{decompress, FrameDecoder, FrameEncoder, FRAME_RAW_MAX};
 pub use lzss::{compress_block, decompress_block};
 
 use std::fmt;
@@ -96,19 +111,6 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut enc = FrameEncoder::new();
     enc.write(data);
     enc.finish()
-}
-
-/// One-shot decompression of a stream produced by [`compress`] /
-/// [`FrameEncoder`].
-pub fn decompress(packed: &[u8]) -> Result<Vec<u8>, SzipError> {
-    let mut dec = FrameDecoder::new();
-    dec.feed(packed);
-    let mut out = Vec::new();
-    dec.drain_into(&mut out)?;
-    if !dec.is_frame_boundary() {
-        return Err(SzipError::Truncated);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //!
 //! The encoder finds matches with two hash tables over the block — one
 //! keyed by the next 8 bytes, one by the next 4 — whose storage lives per
-//! thread and is reused from block to block ([`Matcher`]).
+//! thread and is reused from block to block ([`Matcher`]). The decoder
+//! ([`decompress_into`]) takes whole groups in wide copies while a group
+//! cannot leave either buffer, and token by token with every check after.
 
 use std::cell::RefCell;
 
@@ -35,7 +37,7 @@ const MAX_SKIP: usize = 31;
 /// Table entries are `base + position`; once `base` passes this the tables
 /// are cleared and it starts over, so an entry never wraps.
 const EPOCH_LIMIT: u32 = u32::MAX / 2;
-/// Largest block [`compress_block`] takes (keeps `base + position` in `u32`).
+/// Largest piece searched at once (keeps `base + position` in `u32`).
 const BLOCK_MAX: usize = 1 << 30;
 
 #[inline(always)]
@@ -220,15 +222,28 @@ impl Matcher {
         }
     }
 
+    /// A block longer than [`BLOCK_MAX`] is searched in pieces of that size
+    /// that share one token stream: a piece's matches stay inside it, so
+    /// every distance is one the decoder has already produced.
     fn compress(&mut self, d: &[u8], out: &mut Vec<u8>) {
-        assert!(d.len() <= BLOCK_MAX, "szip block longer than 1 GiB");
+        let mut tokens = Tokens {
+            out,
+            flags_pos: 0,
+            bit: 8,
+        };
+        for piece in d.chunks(BLOCK_MAX) {
+            self.compress_piece(piece, &mut tokens);
+        }
+    }
+
+    fn compress_piece(&mut self, d: &[u8], tokens: &mut Tokens<'_>) {
+        debug_assert!(d.len() <= BLOCK_MAX);
         if self.base > EPOCH_LIMIT {
             self.head8.fill(0);
             self.head4.fill(0);
             self.prev8.fill(0);
             self.base = WINDOW as u32;
         }
-        let mut tokens = Tokens { out, flags_pos: 0, bit: 8 };
         // Everything in `anchor..pos` is literals not yet emitted.
         let mut anchor = 0;
         let mut pos = 0;
@@ -280,9 +295,6 @@ thread_local! {
 ///
 /// The block must be independently decodable, so the window never reaches
 /// back before `data[0]`. The output is a function of `data` alone.
-///
-/// # Panics
-/// If `data` is longer than 1 GiB.
 pub fn compress_block(data: &[u8], out: &mut Vec<u8>) -> usize {
     let start_len = out.len();
     MATCHER.with(|m| m.borrow_mut().compress(data, out));
@@ -290,23 +302,124 @@ pub fn compress_block(data: &[u8], out: &mut Vec<u8>) -> usize {
 }
 
 /// Decode one LZSS block that is known to expand to exactly `raw_len`
-/// bytes, appending to `out`. Returns an error message on malformed input.
+/// bytes, appending to `out`. Returns an error message on malformed input,
+/// with `out` left as it was.
 pub fn decompress_block(
     block: &[u8],
     raw_len: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), &'static str> {
     let base = out.len();
-    out.reserve(raw_len);
-    let mut ip = 0usize;
-    while out.len() - base < raw_len {
+    out.resize(base + raw_len, 0);
+    let res = decompress_into(block, &mut out[base..]);
+    if res.is_err() {
+        out.truncate(base);
+    }
+    res
+}
+
+/// Input bytes a group can take — flag byte, eight 3-byte tokens — plus the
+/// 8 the last literal copy may read past its run.
+const GROUP_IN: usize = 1 + 8 * 3 + 8;
+/// Output bytes a group can produce, plus the 16 the last match copy may
+/// write past its length.
+const GROUP_OUT: usize = 8 * MAX_MATCH + 16;
+
+/// Eight literals in one copy; the caller advances by how many it wanted.
+#[inline(always)]
+fn copy_lits(block: &[u8], ip: usize, dst: &mut [u8], op: usize) {
+    let word: [u8; 8] = block[ip..ip + 8].try_into().expect("8-byte slice");
+    dst[op..op + 8].copy_from_slice(&word);
+}
+
+/// A match of distance at least `N`, copied `N` bytes at a time: up to
+/// `N - 1` bytes past `op + len` are written too.
+#[inline(always)]
+fn copy_wide<const N: usize>(dst: &mut [u8], op: usize, dist: usize, len: usize) {
+    let mut done = 0;
+    while done < len {
+        let from = op - dist + done;
+        let word: [u8; N] = dst[from..from + N].try_into().expect("N-byte slice");
+        dst[op + done..op + done + N].copy_from_slice(&word);
+        done += N;
+    }
+}
+
+/// `dst[op..op + len]` becomes a copy of what starts `dist` bytes before
+/// it, byte-exact when the two overlap (`dist < len`: a run).
+#[inline(always)]
+fn copy_match(dst: &mut [u8], op: usize, dist: usize, len: usize) {
+    if dist >= len {
+        dst.copy_within(op - dist..op - dist + len, op);
+    } else if dist == 1 {
+        let b = dst[op - 1];
+        dst[op..op + len].fill(b);
+    } else {
+        for i in op..op + len {
+            dst[i] = dst[i - dist];
+        }
+    }
+}
+
+/// Decode `block` into `dst`, whose length is the block's declared raw
+/// length. On an error `dst` holds garbage.
+///
+/// While a group has slack — [`GROUP_IN`] bytes of input and [`GROUP_OUT`]
+/// bytes of output left — no token of it can be truncated or overrun
+/// `dst`, whatever its bytes say, so literal runs are copied 8 bytes at a
+/// time and matches in 8/16-byte steps that may write past their end (later
+/// tokens overwrite the excess), and the only thing left to check is that a
+/// distance stays inside what has been produced. The last groups take the
+/// exact path with every check.
+pub(crate) fn decompress_into(block: &[u8], dst: &mut [u8]) -> Result<(), &'static str> {
+    let raw_len = dst.len();
+    let (mut ip, mut op) = (0usize, 0usize);
+    while ip + GROUP_IN <= block.len() && op + GROUP_OUT <= raw_len {
+        let flags = block[ip];
+        ip += 1;
+        if flags == 0 {
+            copy_lits(block, ip, dst, op);
+            ip += 8;
+            op += 8;
+            continue;
+        }
+        // Bit 8 ends the group: below it, a run of zeros is a run of
+        // literals and the one after it a match.
+        let mut bits = flags as u32 | 0x100;
+        loop {
+            let run = bits.trailing_zeros() as usize;
+            copy_lits(block, ip, dst, op);
+            ip += run;
+            op += run;
+            bits >>= run;
+            if bits == 1 {
+                break;
+            }
+            bits >>= 1;
+            let dist = u16::from_le_bytes([block[ip], block[ip + 1]]) as usize + 1;
+            let len = block[ip + 2] as usize + MIN_MATCH;
+            ip += 3;
+            if dist > op {
+                return Err("match distance reaches before block start");
+            }
+            if dist >= 16 {
+                copy_wide::<16>(dst, op, dist, len);
+            } else if dist >= 8 {
+                copy_wide::<8>(dst, op, dist, len);
+            } else {
+                copy_match(dst, op, dist, len);
+            }
+            op += len;
+        }
+    }
+    while op < raw_len {
         if ip >= block.len() {
             return Err("token stream ended early");
         }
         let flags = block[ip];
         ip += 1;
         for bit in 0..8 {
-            if out.len() - base == raw_len {
+            if op == raw_len {
                 break;
             }
             if flags & (1 << bit) != 0 {
@@ -316,31 +429,21 @@ pub fn decompress_block(
                 let dist = u16::from_le_bytes([block[ip], block[ip + 1]]) as usize + 1;
                 let len = block[ip + 2] as usize + MIN_MATCH;
                 ip += 3;
-                let produced = out.len() - base;
-                if dist > produced {
+                if dist > op {
                     return Err("match distance reaches before block start");
                 }
-                if produced + len > raw_len {
+                if op + len > raw_len {
                     return Err("match overruns declared raw length");
                 }
-                let start = out.len() - dist;
-                if dist >= len {
-                    // Source ends before the output grows into it (the
-                    // common case): one block copy.
-                    out.extend_from_within(start..start + len);
-                } else {
-                    // Overlapping run: each byte may be one just written.
-                    for src in start..start + len {
-                        let b = out[src];
-                        out.push(b);
-                    }
-                }
+                copy_match(dst, op, dist, len);
+                op += len;
             } else {
                 if ip >= block.len() {
                     return Err("literal token truncated");
                 }
-                out.push(block[ip]);
+                dst[op] = block[ip];
                 ip += 1;
+                op += 1;
             }
         }
     }
@@ -469,6 +572,24 @@ mod tests {
         assert_eq!(m.base, WINDOW as u32 + a.len() as u32, "tables were cleared and base restarted");
         run(&mut m, &b);
         assert_eq!(run(&mut m, &a), fresh, "stale entries of A and B in every bucket");
+    }
+
+    /// A block too long for one search is cut into pieces that share the
+    /// token stream, mid-group included.
+    #[test]
+    fn pieces_share_one_token_stream() {
+        let data: Vec<u8> = (0..30_000u32).flat_map(|i| (i % 700 / 3).to_le_bytes()).collect();
+        for piece in [1, 13, 1000, 65_537] {
+            let mut m = Matcher::new();
+            let mut packed = Vec::new();
+            let mut tokens = Tokens { out: &mut packed, flags_pos: 0, bit: 8 };
+            for part in data.chunks(piece) {
+                m.compress_piece(part, &mut tokens);
+            }
+            let mut out = Vec::new();
+            decompress_block(&packed, data.len(), &mut out).unwrap();
+            assert!(out == data, "pieces of {piece}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Seeded inputs shared by the szip integration tests. Everything here is
 //! self-contained (its own splitmix64, no `rand`), because
-//! `golden/v1_stream.szip` was encoded from these exact bytes: changing a
-//! generator invalidates the fixture.
+//! `golden/v1_stream.szip` and `golden/v2_stream.szip` were encoded from
+//! these exact bytes: changing a generator invalidates the fixtures.
 
 #![allow(dead_code)]
 
@@ -129,4 +129,138 @@ pub fn fixture_inputs() -> [(&'static str, Vec<u8>); 4] {
         ("zeros", vec![0u8; 20 << 10]),
         ("random", random_bytes(0x51_10, 6 << 10)),
     ]
+}
+
+/// The reader as it was before frame methods 2/3 and the slice decoder:
+/// FNV-1a, the `Vec::push` block decoder and `FrameDecoder::drain_into`'s
+/// header checks, copied from that commit and frozen. It is the oracle the
+/// block decoder is compared with, the "old reader" of the compatibility
+/// tests and the baseline of the decode-speed floor. Never update it.
+pub mod v1 {
+    use szip::SzipError;
+
+    pub const HEADER: usize = 13;
+    const FRAME_RAW_MAX: usize = 256 * 1024;
+    const MIN_MATCH: usize = 3;
+
+    pub fn fnv1a(data: &[u8]) -> u32 {
+        let mut h: u32 = 0x811c9dc5;
+        for &b in data {
+            h ^= b as u32;
+            h = h.wrapping_mul(0x0100_0193);
+        }
+        h
+    }
+
+    pub fn decompress_block(
+        block: &[u8],
+        raw_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), &'static str> {
+        let base = out.len();
+        out.reserve(raw_len);
+        let mut ip = 0usize;
+        while out.len() - base < raw_len {
+            if ip >= block.len() {
+                return Err("token stream ended early");
+            }
+            let flags = block[ip];
+            ip += 1;
+            for bit in 0..8 {
+                if out.len() - base == raw_len {
+                    break;
+                }
+                if flags & (1 << bit) != 0 {
+                    if ip + 3 > block.len() {
+                        return Err("match token truncated");
+                    }
+                    let dist = u16::from_le_bytes([block[ip], block[ip + 1]]) as usize + 1;
+                    let len = block[ip + 2] as usize + MIN_MATCH;
+                    ip += 3;
+                    let produced = out.len() - base;
+                    if dist > produced {
+                        return Err("match distance reaches before block start");
+                    }
+                    if produced + len > raw_len {
+                        return Err("match overruns declared raw length");
+                    }
+                    let start = out.len() - dist;
+                    if dist >= len {
+                        out.extend_from_within(start..start + len);
+                    } else {
+                        for src in start..start + len {
+                            let b = out[src];
+                            out.push(b);
+                        }
+                    }
+                } else {
+                    if ip >= block.len() {
+                        return Err("literal token truncated");
+                    }
+                    out.push(block[ip]);
+                    ip += 1;
+                }
+            }
+        }
+        if ip != block.len() {
+            return Err("trailing bytes after final token");
+        }
+        Ok(())
+    }
+
+    /// `szip::decompress` of that commit: every frame of `packed`, or the
+    /// first error.
+    pub fn decompress(packed: &[u8]) -> Result<Vec<u8>, SzipError> {
+        let mut out = Vec::new();
+        let mut avail = packed;
+        loop {
+            if avail.len() < HEADER {
+                break;
+            }
+            let method = avail[0];
+            let raw_len = u32::from_le_bytes(avail[1..5].try_into().unwrap()) as usize;
+            let stored_len = u32::from_le_bytes(avail[5..9].try_into().unwrap()) as usize;
+            let checksum = u32::from_le_bytes(avail[9..13].try_into().unwrap());
+            if method != 0 && method != 1 {
+                return Err(SzipError::BadMethod(method));
+            }
+            if raw_len > FRAME_RAW_MAX {
+                return Err(SzipError::Corrupt("frame raw length exceeds maximum"));
+            }
+            if avail.len() < HEADER + stored_len {
+                break;
+            }
+            let payload = &avail[HEADER..HEADER + stored_len];
+            let before = out.len();
+            if method == 0 {
+                if stored_len != raw_len {
+                    return Err(SzipError::Corrupt("stored frame length mismatch"));
+                }
+                out.extend_from_slice(payload);
+            } else {
+                decompress_block(payload, raw_len, &mut out).map_err(SzipError::Corrupt)?;
+            }
+            if fnv1a(&out[before..]) != checksum {
+                return Err(SzipError::Corrupt("checksum mismatch"));
+            }
+            avail = &avail[HEADER + stored_len..];
+        }
+        if !avail.is_empty() {
+            return Err(SzipError::Truncated);
+        }
+        Ok(out)
+    }
+}
+
+/// Where each frame of a well-formed stream starts, and the stream's length.
+pub fn frame_starts(packed: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = 0;
+    while at < packed.len() {
+        starts.push(at);
+        at += v1::HEADER
+            + u32::from_le_bytes(packed[at + 5..at + 9].try_into().unwrap()) as usize;
+    }
+    assert_eq!(at, packed.len(), "stream ends at a frame boundary");
+    starts
 }

@@ -1,41 +1,88 @@
 //! Format compatibility: a stream written by the v1 encoder (hash-chain
-//! matcher, 32 KiB window, 3-byte minimum match) still decodes, and what
-//! today's encoder writes stays inside what every decoder since v1 reads.
+//! matcher, 32 KiB window, 3-byte minimum match, FNV-1a frame check) still
+//! decodes, so does the first stream written with the v2 frame check, the
+//! two mix freely, and what today's encoder writes stays inside what every
+//! decoder since v1 reads — token for token; frame for frame an old reader
+//! stops at the first method it does not know.
 
 mod common;
 
-use szip::{compress_block, decompress, decompress_block};
+use common::v1;
+use szip::{compress, compress_block, decompress, decompress_block, SzipError};
 
 /// `FrameEncoder::write` + `flush` of each `common::fixture_inputs()` entry
 /// in turn, produced by the encoder as of the commit before the matcher was
 /// replaced. Never regenerate it with a newer encoder.
 const V1_STREAM: &[u8] = include_bytes!("golden/v1_stream.szip");
 
-#[test]
-fn v1_stream_decodes_to_its_input() {
-    let want: Vec<u8> = common::fixture_inputs()
+/// The same, produced by the first encoder that wrote frame methods 2/3.
+/// Never regenerate it either.
+const V2_STREAM: &[u8] = include_bytes!("golden/v2_stream.szip");
+
+fn fixture() -> Vec<u8> {
+    common::fixture_inputs()
         .into_iter()
         .flat_map(|(_, input)| input)
-        .collect();
-    assert_eq!(decompress(V1_STREAM).expect("v1 stream decodes"), want);
+        .collect()
+}
 
-    // Frame by frame, so that the fixture is known to hold what it claims:
-    // four frames, the last one stored.
-    let mut methods = Vec::new();
-    let mut at = 0;
-    for (name, input) in common::fixture_inputs() {
-        let stored = u32::from_le_bytes(V1_STREAM[at + 5..at + 9].try_into().unwrap()) as usize;
-        let frame = &V1_STREAM[at..at + 13 + stored];
-        assert_eq!(
-            decompress(frame).expect("frame decodes alone"),
-            input,
-            "{name}"
-        );
-        methods.push(frame[0]);
-        at += frame.len();
+/// Frame by frame, so that a fixture is known to hold what it claims: four
+/// frames with `methods`, each decoding alone to its input.
+fn check_frames(stream: &[u8], methods: [u8; 4]) {
+    let starts = common::frame_starts(stream);
+    assert_eq!(starts.len(), 4);
+    for (i, (name, input)) in common::fixture_inputs().into_iter().enumerate() {
+        let end = starts.get(i + 1).copied().unwrap_or(stream.len());
+        let frame = &stream[starts[i]..end];
+        assert_eq!(decompress(frame).expect("frame decodes alone"), input, "{name}");
+        assert_eq!(frame[0], methods[i], "{name}");
     }
-    assert_eq!(at, V1_STREAM.len());
-    assert_eq!(methods, [1, 1, 1, 0]);
+}
+
+#[test]
+fn v1_stream_decodes_to_its_input() {
+    assert_eq!(decompress(V1_STREAM).expect("v1 stream decodes"), fixture());
+    // The last frame is stored.
+    check_frames(V1_STREAM, [1, 1, 1, 0]);
+    // The reader of that time and today's agree on it.
+    assert_eq!(v1::decompress(V1_STREAM).expect("v1 reader"), fixture());
+}
+
+#[test]
+fn v2_stream_decodes_to_its_input() {
+    assert_eq!(decompress(V2_STREAM).expect("v2 stream decodes"), fixture());
+    check_frames(V2_STREAM, [3, 3, 3, 2]);
+}
+
+#[test]
+fn v1_and_v2_frames_splice() {
+    let (s1, s2) = (common::frame_starts(V1_STREAM), common::frame_starts(V2_STREAM));
+    let inputs = common::fixture_inputs();
+    // trace (v2), words (v1), zeros (v2), random (v1), then all of v1 again.
+    let mut spliced = Vec::new();
+    let mut want = Vec::new();
+    for (i, (_, input)) in inputs.iter().enumerate() {
+        let (stream, starts) = if i % 2 == 0 { (V2_STREAM, &s2) } else { (V1_STREAM, &s1) };
+        let end = starts.get(i + 1).copied().unwrap_or(stream.len());
+        spliced.extend_from_slice(&stream[starts[i]..end]);
+        want.extend_from_slice(input);
+    }
+    spliced.extend_from_slice(V1_STREAM);
+    want.extend_from_slice(&fixture());
+    assert_eq!(decompress(&spliced).expect("mixed stream decodes"), want);
+}
+
+/// A reader from before methods 2/3 meets them as `BadMethod`: no panic, no
+/// bytes, and nothing of a mixed stream past its v1 prefix.
+#[test]
+fn old_reader_rejects_v2_frames_cleanly() {
+    assert_eq!(v1::decompress(V2_STREAM), Err(SzipError::BadMethod(3)));
+    let stored = compress(&common::random_bytes(1, 500));
+    assert_eq!(stored[0], 2);
+    assert_eq!(v1::decompress(&stored), Err(SzipError::BadMethod(2)));
+    let mut mixed = V1_STREAM.to_vec();
+    mixed.extend_from_slice(V2_STREAM);
+    assert_eq!(v1::decompress(&mixed), Err(SzipError::BadMethod(3)));
 }
 
 /// Every token of a block: literals are skipped, matches are checked

@@ -1,9 +1,11 @@
 //! What the encoder must achieve on the payloads this repository really
 //! compresses, so that the matcher is not tuned to one of them — and that
-//! its output is a function of its input, whatever its reused tables hold.
+//! its output is a function of its input, whatever its reused tables hold —
+//! and how much faster than its predecessor the decoder must stay.
 
 mod common;
 
+use common::v1;
 use mp2c::Particle;
 use szip::{compress, decompress, FRAME_RAW_MAX};
 use tracer::{synthetic_events, SynthConfig};
@@ -70,6 +72,56 @@ fn ratio_floors() {
             }
         }
     }
+}
+
+/// Framed decoding against what it replaced, on the same frames in the same
+/// process, so the floor is a ratio and no host's speed: the push decoder
+/// and FNV-1a over its output (`common::v1`, frozen) must take at least
+/// twice as long as `decompress`. Both sides grow one 16 MiB `Vec`. Only an
+/// optimised build says anything about speed; `ci.sh` runs this in release.
+#[test]
+fn decode_floor() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let raw = common::trace_like(11, 16 << 20);
+    let packed = compress(&raw);
+    let starts = common::frame_starts(&packed);
+    let old_reader = || {
+        let mut out = Vec::new();
+        let mut checks = 0u32;
+        for (i, &at) in starts.iter().enumerate() {
+            let end = starts.get(i + 1).copied().unwrap_or(packed.len());
+            let raw_len = u32::from_le_bytes(packed[at + 1..at + 5].try_into().unwrap()) as usize;
+            assert_eq!(packed[at], 3, "trace-like data compresses");
+            let before = out.len();
+            v1::decompress_block(&packed[at + v1::HEADER..end], raw_len, &mut out).unwrap();
+            checks ^= v1::fnv1a(&out[before..]);
+        }
+        std::hint::black_box(checks);
+        out
+    };
+    let best = |f: &dyn Fn() -> Vec<u8>| {
+        (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let out = f();
+                let took = start.elapsed().as_secs_f64();
+                assert!(out == raw);
+                took
+            })
+            .fold(f64::MAX, f64::min)
+    };
+    let old = best(&old_reader);
+    let new = best(&|| decompress(&packed).unwrap());
+    assert!(
+        old >= 2.0 * new,
+        "decode floor: v1 reader {:.3} GB/s, decompress {:.3} GB/s, {:.2}x",
+        raw.len() as f64 / 1e9 / old,
+        raw.len() as f64 / 1e9 / new,
+        old / new
+    );
+    println!("decode floor: {:.2}x ({:.3} s against {:.3} s)", old / new, old, new);
 }
 
 /// The tables are per thread and reused: A after B, A on a fresh thread and
