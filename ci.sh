@@ -184,7 +184,35 @@ then
     exit 1
 fi
 
+echo "==> structural gate: a re-export has a consumer (every \`pub use\` of a library crate names something a .rs file outside that crate's src/ mentions)"
+unused=$(for c in vfs parfs simmpi sion szip tracer mp2c sion-tools simcheck; do
+    # What can import from the crate: every other crate, its own tests/, the
+    # root tests/ and examples/, the benchmark.
+    outside=$(ls -d crates/*/ "crates/$c"/*/ tests examples benchmark/src | grep -vx -e "crates/$c/" -e "crates/$c/src/")
+    # One line per `pub use …;` statement, the multi-line ones joined.
+    awk '/^pub use /{on=1; s=""} on{s=s" "$0} on&&/;/{print s; on=0}' "crates/$c/src/lib.rs" |
+    while read -r stmt; do
+        # The imported names only: the path in front (`task::`, `szip::`) is
+        # a module, not a name, and is never searched for.
+        case "$stmt" in
+            *\{*) names=${stmt#*\{}; names=${names%\}*} ;;
+            *) names=${stmt##*::} ;;
+        esac
+        names=$(echo "$names" | sed 's/[A-Za-z0-9_]* as //g' | tr -c 'A-Za-z0-9_' ' ')
+        # shellcheck disable=SC2046,SC2086
+        grep -rqw --include='*.rs' $(printf -- '-e %s ' $names) $outside ||
+            echo "crates/$c/src/lib.rs: $(echo "$stmt" | tr -s ' ')"
+    done
+done)
+[ -z "$unused" ] || {
+    echo "$unused"
+    echo "nothing outside the crate's src/ uses these re-exports: drop the \`pub use\` (item used inside the crate only) or the module"
+    exit 1
+}
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The counter every CHANGES.md entry quotes (net LoC is reported, not computed by hand).
+echo "crates/*/src lines: $(find crates -path '*/src/*' -name '*.rs' -not -path '*/compat/*' | xargs cat | wc -l)"
 echo "CI OK"

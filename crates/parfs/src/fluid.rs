@@ -13,11 +13,11 @@
 //! bandwidth among symmetric clients.
 
 /// Identifies a capacity-constrained resource registered with the solver.
-pub type ResourceId = usize;
+pub(crate) type ResourceId = usize;
 
 /// A flow class submitted to the solver.
 #[derive(Debug, Clone)]
-pub struct FluidJobSpec {
+pub(crate) struct FluidJobSpec {
     /// Number of identical parallel flows in this class.
     pub weight: f64,
     /// Upper bound on each flow's rate (e.g. client injection bandwidth,
@@ -30,7 +30,7 @@ pub struct FluidJobSpec {
 }
 
 /// Max-min fair rate solver over a fixed set of resources.
-pub struct FluidSolver {
+pub(crate) struct FluidSolver {
     capacities: Vec<f64>,
 }
 
@@ -38,21 +38,16 @@ impl FluidSolver {
     /// A solver with no resources (add them with [`add_resource`]).
     ///
     /// [`add_resource`]: FluidSolver::add_resource
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FluidSolver { capacities: Vec::new() }
     }
 
     /// Register a resource with the given capacity (units/s) and return its
     /// id.
-    pub fn add_resource(&mut self, capacity: f64) -> ResourceId {
+    pub(crate) fn add_resource(&mut self, capacity: f64) -> ResourceId {
         assert!(capacity > 0.0, "capacity must be positive");
         self.capacities.push(capacity);
         self.capacities.len() - 1
-    }
-
-    /// Number of registered resources.
-    pub fn num_resources(&self) -> usize {
-        self.capacities.len()
     }
 
     /// Compute the max-min fair per-flow rate of every job.
@@ -61,7 +56,7 @@ impl FluidSolver {
     /// a resource saturates, every job using it freezes at the current
     /// level; when a job reaches its per-flow cap it freezes there. Runs in
     /// `O(jobs² · usage)`.
-    pub fn rates(&self, jobs: &[FluidJobSpec]) -> Vec<f64> {
+    pub(crate) fn rates(&self, jobs: &[FluidJobSpec]) -> Vec<f64> {
         let n = jobs.len();
         let mut rate = vec![0.0f64; n];
         if n == 0 {

@@ -48,6 +48,5 @@ mod machine;
 mod workload;
 
 pub use engine::{simulate, OpTiming, SimReport};
-pub use fluid::{FluidJobSpec, FluidSolver, ResourceId};
 pub use machine::{Machine, StripingConfig};
 pub use workload::{FileRef, IoOp, ScriptClass, ScriptSet};

@@ -25,6 +25,19 @@ fn assert_replayable(a: &CheckFailure, b: &CheckFailure) {
     );
 }
 
+/// Golden-file pin of the exact report bytes (bless with SIMCHECK_BLESS=1
+/// after an intentional diagnostic change).
+fn assert_matches_golden(fail: &CheckFailure, file: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    let got = fail.stable_report();
+    if std::env::var_os("SIMCHECK_BLESS").is_some() {
+        std::fs::write(&path, &got).unwrap();
+    }
+    let want = std::fs::read_to_string(&path)
+        .expect("golden file missing — run once with SIMCHECK_BLESS=1");
+    assert_eq!(got, want, "report drifted from tests/golden/{file}");
+}
+
 /// Bug class 1: ranks disagree on a collective's root.
 #[test]
 fn mismatched_root_is_flagged() {
@@ -171,17 +184,42 @@ fn cyclic_recv_deadlocks_with_golden_report() {
 
     assert_replayable(&fail, &run());
 
-    // Golden-file pin of the exact report bytes (bless with
-    // SIMCHECK_BLESS=1 after an intentional diagnostic change).
-    let golden_path =
-        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/deadlock_report.txt");
-    let got = fail.stable_report();
-    if std::env::var_os("SIMCHECK_BLESS").is_some() {
-        std::fs::write(golden_path, &got).unwrap();
+    assert_matches_golden(&fail, "deadlock_report.txt");
+}
+
+/// A real hang, not a seeded two-liner: 4 ranks write a 2-file multifile
+/// and rank 2 returns without calling the collective close. The verdict
+/// must be an exact deadlock, and — with no backtraces in the report — the
+/// parked-rank lines alone must show where everyone is: the communicator
+/// by its structural name, the rank in it, and the collective by kind and
+/// sequence number rather than a raw `0xC3…` tag word.
+#[test]
+fn missing_close_deadlock_names_comm_and_collective() {
+    let fs = MemFs::with_block_size(1024);
+    let run = || {
+        CheckedTaskWorld::run(4, ScheduleCfg::Seeded { seed: 5, preemption_bound: 1 }, |c| {
+            let fs = &fs;
+            async move {
+                let params = SionParams::new(1024).with_nfiles(2);
+                let mut w = paropen_write_co(fs, "out/hang.sion", &params, &c).await.unwrap();
+                w.write(&[c.rank() as u8; 100]).unwrap();
+                if c.rank() != 2 {
+                    w.close_co().await.unwrap();
+                }
+            }
+        })
+        .expect_err("a close one rank never enters cannot complete")
+    };
+    let fail = run();
+    let dl = fail.deadlock.as_ref().unwrap_or_else(|| panic!("no deadlock verdict:\n{fail}"));
+    let parked: Vec<usize> = dl.pending.iter().map(|p| p.task).collect();
+    assert_eq!(parked, [0, 1, 3], "the three closing ranks are parked, rank 2 is gone:\n{fail}");
+    for p in &dl.pending {
+        assert!(p.comm.starts_with("world"), "communicator named structurally: {p:?}");
+        assert!(p.op.contains("#") && !p.op.contains("0xc3"), "collective decoded, not hex: {p:?}");
     }
-    let want = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run once with SIMCHECK_BLESS=1");
-    assert_eq!(got, want, "deadlock report drifted from the golden file");
+    assert_replayable(&fail, &run());
+    assert_matches_golden(&fail, "missing_close_report.txt");
 }
 
 /// `try_recv` polls the same mailbox queue as blocking receives, and a hit

@@ -12,8 +12,8 @@
 //!
 //! * on the task runtime, the futures genuinely suspend and the scheduler
 //!   interleaves thousands of ranks per worker thread;
-//! * over a blocking [`Comm`] (a thread-per-rank [`Communicator`](crate::Communicator),
-//!   the flat oracle, [`SerialComm`](crate::SerialComm)),
+//! * over a blocking [`Comm`] (a thread-per-rank [`Communicator`](crate::Communicator)
+//!   or the flat oracle),
 //!   [`BlockingComm`]/[`BlockingRef`] wrap it into a `CoComm` whose
 //!   futures complete on first poll (the wrapped blocking call runs
 //!   *inside* `poll`, on the rank's own thread, exactly where the direct
@@ -386,7 +386,7 @@ blocking_cocomm!(BlockingRef<'_>);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlatWorld, SerialComm, World};
+    use crate::{FlatWorld, World};
 
     #[test]
     fn blocking_adapter_preserves_comm_semantics() {
@@ -415,13 +415,14 @@ mod tests {
     }
 
     #[test]
-    fn drive_ready_runs_serial_comm() {
-        let c = SerialComm;
-        let co = BlockingRef(&c);
-        let got = drive_ready(async {
-            co.barrier().await;
-            co.allgather_u64(7).await
+    fn drive_ready_runs_a_one_rank_world() {
+        let got = World::run(1, |c| {
+            let co = BlockingRef(c);
+            drive_ready(async {
+                co.barrier().await;
+                co.allgather_u64(7).await
+            })
         });
-        assert_eq!(got, vec![7]);
+        assert_eq!(got, vec![vec![7]]);
     }
 }

@@ -21,7 +21,6 @@
 //! * [`FlatCommunicator`] — the original O(P) slot-and-barrier collectives,
 //!   sharing no code with the engine; kept only as the oracle the property
 //!   tests compare the engine against.
-//! * [`SerialComm`] — a size-1 communicator for serial tools and tests.
 //!
 //! # Example
 //!
@@ -41,18 +40,15 @@
 mod arena;
 pub mod co;
 mod comm;
-mod extra;
 pub mod flat;
 pub mod hook;
 pub mod sanitize;
-mod serial;
 pub mod task;
 mod wire;
 mod world;
 
 pub use co::{drive_ready, AllGathered, BlockingComm, BlockingRef, BoxFut, CoComm};
 pub use comm::{Comm, CommStats, ReduceOp};
-pub use extra::CommExt;
 pub use flat::{FlatCommunicator, FlatWorld};
 pub use task::{
     DeadlockReport, ParkedOp, SchedPolicy, SchedStats, ScheduleDriver, TaskComm, TaskRun,
@@ -65,7 +61,6 @@ pub use hook::{
     COLL_TAG_MASK, COLL_TAG_PREFIX,
 };
 pub use sanitize::{Finding, FindingKind, Sanitizer};
-pub use serial::SerialComm;
 pub use world::{Communicator, World};
 
 #[cfg(test)]
@@ -76,16 +71,5 @@ mod tests {
     fn world_runs_all_ranks() {
         let out = World::run(8, |c| (c.rank(), c.size()));
         assert_eq!(out, (0..8).map(|r| (r, 8)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn serial_comm_is_rank_zero_of_one() {
-        let c = SerialComm;
-        assert_eq!(c.rank(), 0);
-        assert_eq!(c.size(), 1);
-        assert_eq!(c.allgather(b"x"), vec![b"x".to_vec()]);
-        assert_eq!(c.gather(b"y", 0), Some(vec![b"y".to_vec()]));
-        assert_eq!(c.bcast(Some(b"z".to_vec()), 0), b"z".to_vec());
-        assert_eq!(c.scatter(Some(vec![b"w".to_vec()]), 0), b"w".to_vec());
     }
 }

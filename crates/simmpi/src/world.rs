@@ -526,6 +526,19 @@ mod tests {
     }
 
     #[test]
+    fn reduce_f64_ops() {
+        let out = World::run(4, |c| {
+            (
+                c.reduce_f64(c.rank() as f64, ReduceOp::Sum, 0),
+                c.reduce_f64(c.rank() as f64, ReduceOp::Max, 0),
+                c.reduce_f64(c.rank() as f64, ReduceOp::Min, 0),
+            )
+        });
+        assert_eq!(out[0], (Some(6.0), Some(3.0), Some(0.0)));
+        assert_eq!(out[1], (None, None, None));
+    }
+
+    #[test]
     fn gather_u64s_roundtrip() {
         let out = World::run(3, |c| {
             let vals: Vec<u64> = (0..=c.rank() as u64).collect();

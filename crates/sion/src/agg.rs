@@ -102,7 +102,7 @@ pub(crate) struct MemberState {
 
 impl MemberState {
     /// `ship_cap` is the write-behind capacity; 0 ships every write.
-    pub fn new(agg: usize, ship_cap: usize) -> MemberState {
+    pub(crate) fn new(agg: usize, ship_cap: usize) -> MemberState {
         MemberState { agg, ship_cap: ship_cap.max(1), ..MemberState::default() }
     }
 
@@ -110,7 +110,7 @@ impl MemberState {
     /// capacity or — with `now` — holds anything at all. Sends are buffered
     /// and never park, so this is safe from synchronous writes. The shadow
     /// writes on record at send time are exactly the extents it carries.
-    pub fn ship(&mut self, frame: &mut Vec<u8>, now: bool, lcom: &dyn CoComm) {
+    pub(crate) fn ship(&mut self, frame: &mut Vec<u8>, now: bool, lcom: &dyn CoComm) {
         let payload = frame.len() - SEQ_LEN;
         if payload == 0 || !(now || payload >= self.ship_cap) {
             return;
@@ -132,7 +132,7 @@ impl MemberState {
     /// and released with the final ship: left inside the writer it stays
     /// allocated across the collective close on every member at once (`agg_1k`:
     /// 992 x 128 KiB, `setup_s` +48 %, `peak_rss_mib` +80..200 MiB, measured).
-    pub async fn finish(&mut self, mut frame: Vec<u8>, lcom: &dyn CoComm) {
+    pub(crate) async fn finish(&mut self, mut frame: Vec<u8>, lcom: &dyn CoComm) {
         frame.extend_from_slice(&END_OF_STREAM.to_le_bytes());
         self.ship(&mut frame, true, lcom);
         drop(frame);
@@ -143,7 +143,7 @@ impl MemberState {
     }
 
     /// Consume every already-delivered ack without parking.
-    pub fn drain_acks(&mut self, lcom: &dyn CoComm) {
+    pub(crate) fn drain_acks(&mut self, lcom: &dyn CoComm) {
         while let Some(ack) = lcom.try_recv(self.agg, TAG_ACK) {
             self.note_ack(ack, lcom);
         }
@@ -184,14 +184,18 @@ pub(crate) struct AggState {
 }
 
 impl AggState {
-    pub fn new(file: Arc<dyn VfsFile>, grank: u64, lranks: std::ops::Range<usize>) -> AggState {
+    pub(crate) fn new(
+        file: Arc<dyn VfsFile>,
+        grank: u64,
+        lranks: std::ops::Range<usize>,
+    ) -> AggState {
         let slot = |lrank| MemberSlot { lrank, next_seq: 0, done: false, failed: false };
         AggState { file, grank, members: lranks.map(slot).collect(), stats: AggStats::default() }
     }
 
     /// Apply every already-delivered shipment without parking — the overlap
     /// hook, called from the aggregator's own write path.
-    pub fn try_drain(&mut self, lcom: &dyn CoComm) {
+    pub(crate) fn try_drain(&mut self, lcom: &dyn CoComm) {
         for i in 0..self.members.len() {
             while !self.members[i].done {
                 let Some(buf) = lcom.try_recv(self.members[i].lrank, TAG_SHIP) else {
@@ -203,7 +207,7 @@ impl AggState {
     }
 
     /// Drain every member to the end of its stream, parking as needed.
-    pub async fn drain_all(&mut self, lcom: &dyn CoComm) {
+    pub(crate) async fn drain_all(&mut self, lcom: &dyn CoComm) {
         for i in 0..self.members.len() {
             while !self.members[i].done {
                 let lrank = self.members[i].lrank;

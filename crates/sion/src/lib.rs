@@ -93,11 +93,9 @@
 //! });
 //! ```
 
-pub mod adapter;
 mod agg;
 pub mod error;
 pub mod format;
-pub mod keyval;
 pub mod layout;
 pub mod mapping;
 pub mod par;
@@ -106,13 +104,11 @@ pub mod script;
 pub mod serial;
 mod stream;
 
-pub use adapter::SionWriteAdapter;
 pub use error::{Result, SionError};
 /// The payload of [`SionError::Compression`].
 pub use szip::SzipError;
 pub use format::{CloseRecord, OpenRecord, SionFlags};
 pub use layout::{Alignment, FileLayout};
-pub use keyval::{KeyValIndex, KeyValReader, KeyValWriter};
 pub use mapping::Mapping;
 pub use par::{
     paropen_read, paropen_read_co, paropen_write, paropen_write_co, CloseStats, SionParReader,

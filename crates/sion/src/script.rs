@@ -10,7 +10,7 @@
 //! hand, and nothing checks them against the implementation — they still
 //! emit the two open gathers the exchange-free open removed and an
 //! `8 + 8·ntasks` read-open broadcast. Replacing them with scripts
-//! recorded from an executed run is ROADMAP item 6.
+//! recorded from an executed run is ROADMAP item 7.
 //!
 //! All generators produce symmetric task *classes* (e.g. "file masters"
 //! and "workers"), which is what keeps 64 Ki-task simulations cheap.

@@ -700,3 +700,30 @@ impl SerialWriter {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::{paropen_write, Multifile, SionParams};
+    use simmpi::World;
+    use std::io::{BufRead, BufReader};
+    use vfs::MemFs;
+
+    #[test]
+    fn rank_reader_works_with_bufreader() {
+        let fs = MemFs::with_block_size(1024);
+        World::run(2, |comm| {
+            let params = SionParams::new(1024);
+            let mut w = paropen_write(&fs, "lines.sion", &params, comm).unwrap();
+            for i in 0..50 {
+                w.write(format!("{i}\n").as_bytes()).unwrap();
+            }
+            w.close().unwrap();
+        });
+        let mf = Multifile::open(&fs, "lines.sion").unwrap();
+        // Standard io::BufRead line iteration over a logical file.
+        let reader = BufReader::new(mf.rank_reader(1).unwrap());
+        let nums: Vec<u32> =
+            reader.lines().map(|l| l.unwrap().parse().unwrap()).collect();
+        assert_eq!(nums, (0..50).collect::<Vec<_>>());
+    }
+}

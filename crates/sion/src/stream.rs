@@ -38,7 +38,7 @@ pub(crate) struct ChunkGeom {
 
 impl ChunkGeom {
     /// Extract the geometry of local task `ltask` from a file layout.
-    pub fn from_layout(layout: &FileLayout, ltask: usize, global_rank: u64) -> Self {
+    pub(crate) fn from_layout(layout: &FileLayout, ltask: usize, global_rank: u64) -> Self {
         ChunkGeom {
             data_start: layout.data_start,
             block_size: layout.block_size,
@@ -51,25 +51,25 @@ impl ChunkGeom {
     }
 
     /// File offset of this task's chunk in `block` (including header).
-    pub fn chunk_start(&self, block: u64) -> u64 {
+    pub(crate) fn chunk_start(&self, block: u64) -> u64 {
         self.data_start + block * self.block_size + self.chunk_off
     }
 
     /// File offset of user data in `block`.
-    pub fn data_offset(&self, block: u64) -> u64 {
+    pub(crate) fn data_offset(&self, block: u64) -> u64 {
         self.chunk_start(block) + self.rescue_overhead
     }
 
     /// User-data capacity of one chunk.
-    pub fn usable(&self) -> u64 {
+    pub(crate) fn usable(&self) -> u64 {
         self.cap - self.rescue_overhead
     }
 
     /// Words in the `u64` wire format of [`encode`](Self::encode).
-    pub const ENCODED_WORDS: usize = 7;
+    pub(crate) const ENCODED_WORDS: usize = 7;
 
     /// Pack into a `u64` wire format for master→task scatter.
-    pub fn encode(&self) -> Vec<u64> {
+    pub(crate) fn encode(&self) -> Vec<u64> {
         vec![
             self.data_start,
             self.block_size,
@@ -82,7 +82,7 @@ impl ChunkGeom {
     }
 
     /// Inverse of [`encode`](Self::encode).
-    pub fn decode(words: &[u64]) -> Result<Self> {
+    pub(crate) fn decode(words: &[u64]) -> Result<Self> {
         if words.len() < Self::ENCODED_WORDS {
             return Err(SionError::Format("truncated chunk geometry".into()));
         }
@@ -178,7 +178,7 @@ pub(crate) struct TaskWriter {
 }
 
 impl TaskWriter {
-    pub fn new(
+    pub(crate) fn new(
         file: Arc<dyn VfsFile>,
         geom: ChunkGeom,
         compressed: bool,
@@ -209,34 +209,34 @@ impl TaskWriter {
     }
 
     /// Coalescing counters accumulated so far.
-    pub fn io_counters(&self) -> IoCounters {
+    pub(crate) fn io_counters(&self) -> IoCounters {
         self.counters
     }
 
     /// Bytes still free in the current chunk (stored-byte granularity).
-    pub fn bytes_avail_in_chunk(&self) -> u64 {
+    pub(crate) fn bytes_avail_in_chunk(&self) -> u64 {
         self.geom.usable() - self.off
     }
 
     /// Current block number (0-based).
-    #[allow(dead_code)]
-    pub fn current_block(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn current_block(&self) -> u64 {
         self.block
     }
 
     /// Total user bytes accepted so far.
-    pub fn user_bytes(&self) -> u64 {
+    pub(crate) fn user_bytes(&self) -> u64 {
         self.user_bytes
     }
 
     /// The underlying physical-file handle.
-    pub fn file(&self) -> &dyn VfsFile {
+    pub(crate) fn file(&self) -> &dyn VfsFile {
         self.file.as_ref()
     }
 
     /// Offset where metablock 2 goes when the file holds `nblocks` blocks
     /// (derived from this task's geometry; identical for every local task).
-    pub fn mb2_offset(&self, nblocks: u64) -> u64 {
+    pub(crate) fn mb2_offset(&self, nblocks: u64) -> u64 {
         self.geom.data_start + nblocks * self.geom.block_size
     }
 
@@ -245,7 +245,7 @@ impl TaskWriter {
     /// chunk if necessary. Fails if a single chunk cannot hold `nbytes`
     /// (use [`write`](Self::write) instead) or in compressed mode (where
     /// stored sizes are not knowable in advance).
-    pub fn ensure_free_space(&mut self, nbytes: u64) -> Result<()> {
+    pub(crate) fn ensure_free_space(&mut self, nbytes: u64) -> Result<()> {
         if self.enc.is_some() {
             return Err(SionError::InvalidArg(
                 "ensure_free_space is unavailable in compressed mode; use write()".into(),
@@ -265,7 +265,7 @@ impl TaskWriter {
 
     /// Plain `fwrite` into the current chunk: the data must fit in the
     /// remaining chunk space (call [`ensure_free_space`] first).
-    pub fn write_in_chunk(&mut self, data: &[u8]) -> Result<()> {
+    pub(crate) fn write_in_chunk(&mut self, data: &[u8]) -> Result<()> {
         if self.enc.is_some() {
             return Err(SionError::InvalidArg(
                 "write_in_chunk is unavailable in compressed mode; use write()".into(),
@@ -285,7 +285,7 @@ impl TaskWriter {
 
     /// `sion_fwrite`: write arbitrarily large data, transparently split
     /// across chunk boundaries (and compressed, in compressed mode).
-    pub fn write(&mut self, data: &[u8]) -> Result<()> {
+    pub(crate) fn write(&mut self, data: &[u8]) -> Result<()> {
         self.counters.user_calls += 1;
         self.user_bytes += data.len() as u64;
         if let Some(enc) = self.enc.as_mut() {
@@ -477,7 +477,7 @@ impl TaskWriter {
 
     /// Make all accepted data visible to the VFS and patch the rescue
     /// header. In compressed mode this also ends the current frame.
-    pub fn flush(&mut self) -> Result<()> {
+    pub(crate) fn flush(&mut self) -> Result<()> {
         if let Some(enc) = self.enc.as_mut() {
             enc.flush();
         }
@@ -546,7 +546,7 @@ impl TaskWriter {
     /// Position the write cursor at (`block`, `pos`) — the serial API's
     /// `sion_seek`. Unavailable in compressed mode (stored positions are
     /// not meaningful to callers there).
-    pub fn seek(&mut self, block: u64, pos: u64) -> Result<()> {
+    pub(crate) fn seek(&mut self, block: u64, pos: u64) -> Result<()> {
         if self.enc.is_some() {
             return Err(SionError::InvalidArg(
                 "seek is unavailable in compressed mode".into(),
@@ -585,7 +585,7 @@ impl TaskWriter {
     /// canonical convention shared with [`rescue::repair`], which trims
     /// trailing all-zero rows the same way — so metadata rebuilt after a
     /// crash agrees exactly with what a clean close writes.
-    pub fn finish(&mut self) -> Result<Vec<u64>> {
+    pub(crate) fn finish(&mut self) -> Result<Vec<u64>> {
         if let Some(enc) = self.enc.as_mut() {
             enc.flush();
         }
@@ -644,7 +644,7 @@ pub(crate) struct TaskReader {
 }
 
 impl TaskReader {
-    pub fn new(
+    pub(crate) fn new(
         file: Arc<dyn VfsFile>,
         geom: ChunkGeom,
         used: Vec<u64>,
@@ -685,7 +685,7 @@ impl TaskReader {
     }
 
     /// Coalescing counters accumulated so far.
-    pub fn io_counters(&self) -> IoCounters {
+    pub(crate) fn io_counters(&self) -> IoCounters {
         self.counters
     }
 
@@ -699,7 +699,7 @@ impl TaskReader {
     /// Stored bytes still unread in the current chunk
     /// (`sion_bytes_avail_in_chunk`). In compressed mode this counts
     /// *stored* (compressed) bytes.
-    pub fn bytes_avail_in_chunk(&self) -> u64 {
+    pub(crate) fn bytes_avail_in_chunk(&self) -> u64 {
         if self.block >= self.used.len() {
             0
         } else {
@@ -708,7 +708,7 @@ impl TaskReader {
     }
 
     /// Whether the logical stream is exhausted (`sion_feof`).
-    pub fn feof(&mut self) -> bool {
+    pub(crate) fn feof(&mut self) -> bool {
         if self
             .dec
             .as_ref()
@@ -720,16 +720,10 @@ impl TaskReader {
         self.block >= self.used.len()
     }
 
-    /// Current (block, offset) position in stored bytes.
-    #[allow(dead_code)]
-    pub fn position(&self) -> (u64, u64) {
-        (self.block as u64, self.off)
-    }
-
     /// `sion_fread`: read up to `buf.len()` bytes of the logical stream
     /// (decompressed in compressed mode), crossing chunk boundaries.
     /// Returns the number of bytes read; 0 signals end of stream.
-    pub fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
+    pub(crate) fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
         self.counters.user_calls += 1;
         if self.dec.is_some() {
             return self.read_decoded(buf);
@@ -861,7 +855,7 @@ impl TaskReader {
     /// Compressed mode: each frame is decoded into the decoder's one reused
     /// buffer and lent to `sink` from there, so nothing is materialised;
     /// stored bytes are decoded where the lease or the window holds them.
-    pub fn scan_remaining(&mut self, sink: &mut dyn FnMut(&[u8])) -> Result<u64> {
+    pub(crate) fn scan_remaining(&mut self, sink: &mut dyn FnMut(&[u8])) -> Result<u64> {
         self.counters.user_calls += 1;
         if self.dec.is_some() {
             let mut total = 0u64;
@@ -918,7 +912,7 @@ impl TaskReader {
     }
 
     /// Read exactly `buf.len()` bytes or fail.
-    pub fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
+    pub(crate) fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
         let n = self.read(buf)?;
         if n != buf.len() {
             // Not an ordinary end of stream if the stream is broken there.

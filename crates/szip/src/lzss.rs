@@ -15,11 +15,11 @@
 use std::cell::RefCell;
 
 /// Sliding-window size: the largest distance the `u16` field can carry.
-pub const WINDOW: usize = 64 * 1024;
+pub(crate) const WINDOW: usize = 64 * 1024;
 /// Shortest decodable match; the bias of the length code.
-pub const MIN_MATCH: usize = 3;
+pub(crate) const MIN_MATCH: usize = 3;
 /// Longest encodable match (`MIN_MATCH + 255`).
-pub const MAX_MATCH: usize = MIN_MATCH + 255;
+pub(crate) const MAX_MATCH: usize = MIN_MATCH + 255;
 
 /// Shortest match the encoder emits: a 3-byte match costs 3⅛ bytes against
 /// 3⅜ bytes as literals, which buys nothing.

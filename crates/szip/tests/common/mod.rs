@@ -4,6 +4,7 @@
 //! these exact bytes: changing a generator invalidates the fixtures.
 
 #![allow(dead_code)]
+#![allow(unreachable_pub)]
 
 pub struct SplitMix(pub u64);
 

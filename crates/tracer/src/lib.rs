@@ -24,14 +24,12 @@
 mod analyze;
 mod backend;
 mod event;
-mod report;
 mod synth;
 
 pub use analyze::{analyze, load_rank_events, AnalysisReport, RegionStats, TraceSource};
 pub use backend::{ActiveTrace, SionBackend, TaskLocalBackend, TraceBackend};
 pub use sion::{CloseStats, IoCounters};
 pub use event::{DecodeError, Event};
-pub use report::{format_profile, MessageStats, RegionRegistry};
 pub use synth::{synthetic_events, SynthConfig, REGION_ITERATION, REGION_LEVEL0, REGION_MAIN};
 
 use sion::Result;
