@@ -184,6 +184,16 @@ then
     exit 1
 fi
 
+echo "==> structural gate: a reader calls its file in one place (one lease site, the window fill and read's bypass; no metablock decoding in par.rs)"
+leases=$(grep -c 'self\.file\.read_lease(' crates/sion/src/stream.rs || true)
+reads=$(grep -c 'self\.file\.read_exact_at(' crates/sion/src/stream.rs || true)
+decodes=$(grep -c 'MetaBlock[12]::read_from' crates/sion/src/par.rs || true)
+[ "$leases" -eq 1 ] && [ "$reads" -eq 2 ] && [ "$decodes" -eq 0 ] || {
+    echo "stream.rs has $leases read_lease / $reads read_exact_at call sites (want 1 / 2), par.rs decodes $decodes metablocks (want 0)"
+    echo "fetch through the one window; decode metadata through \`serial.rs\`"
+    exit 1
+}
+
 echo "==> structural gate: a re-export has a consumer (every \`pub use\` of a library crate names something a .rs file outside that crate's src/ mentions)"
 unused=$(for c in vfs parfs simmpi sion szip tracer mp2c sion-tools simcheck; do
     # What can import from the crate: every other crate, its own tests/, the

@@ -100,17 +100,17 @@ pub fn split(
         }
         let path = format!("{prefix}.{rank:06}");
         let out = vfs_out.create(&path)?;
-        let mut reader = mf.rank_reader(rank)?;
+        // Each run is written from where the reader holds it; the sink
+        // cannot fail, so the first write error waits for the scan to end.
         let mut at = 0u64;
-        let mut buf = vec![0u8; 256 * 1024];
-        loop {
-            let n = reader.read_some(&mut buf)?;
-            if n == 0 {
-                break;
+        let mut written = Ok(());
+        mf.rank_reader(rank)?.scan_remaining(&mut |run| {
+            if written.is_ok() {
+                written = out.write_all_at(run, at);
+                at += run.len() as u64;
             }
-            out.write_all_at(&buf[..n], at)?;
-            at += n as u64;
-        }
+        })?;
+        written?;
         created.push(path);
     }
     Ok(created)

@@ -57,11 +57,15 @@
 //! * [`SionParWriter::close`] / [`SerialWriter::close`].
 //!
 //! After a crash, everything up to the last flush point is recoverable by
-//! [`rescue::repair`]; bytes still in the buffer are lost. Readers use a
-//! symmetric **read-ahead window** ([`DEFAULT_READ_AHEAD`]) serving small
-//! reads from one cached chunk segment; reads at least as large as the
-//! window bypass it. Both sides count their work in [`IoCounters`]
-//! (user-level calls vs VFS calls, bytes, flushes, rescue patches),
+//! [`rescue::repair`]; bytes still in the buffer are lost. Readers keep one
+//! **window** on the stored bytes at their cursor: the run a lending
+//! backend offers there (a `MemFs` page, nothing copied), else a
+//! read-ahead buffer of their own ([`DEFAULT_READ_AHEAD`]) filled by one
+//! read. Small reads, borrow-based scans and the decompressor are all
+//! served from it; a read of at least a window's worth with nothing held
+//! at the cursor goes straight into the caller's buffer. Both sides count
+//! their work in [`IoCounters`] (user-level calls vs VFS calls, bytes,
+//! flushes, rescue patches),
 //! available from [`CloseStats::write_io`] and the readers'
 //! `io_counters()`. `write_buffer` is a local knob — tasks of one
 //! multifile may use different values (it is excluded from the collective

@@ -34,6 +34,12 @@
 //!   flags and its own place (file, position in that file's rank table,
 //!   group size), message-free `split_local`s, then per file group ONE
 //!   status broadcast + ONE geometry scatter, then ONE global allreduce.
+//!   What is scattered is decoded and checked by `serial.rs`, not here:
+//!   rank 0's discovery *is* a [`Multifile::open`] (every file's headers,
+//!   compared with file 0's, and the rank directory), and a file master's
+//!   setup is the header open of its one file plus the checked usage rows
+//!   out of its full metablock 2 — so the collective open fails, on every
+//!   task, exactly where the serial open of the same bytes fails.
 //!
 //! No task keeps or scans a payload that grows with the number of tasks
 //! outside its own file group. On the caller's and the global communicator
@@ -92,6 +98,7 @@ use crate::format::{
 };
 use crate::layout::FileLayout;
 use crate::physical_name;
+use crate::serial::{FileView, Multifile};
 use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter, DEFAULT_READ_AHEAD};
 use crate::{IoMode, SionParams};
 use simmpi::{drive_ready, BlockingRef, CoComm, Comm, CommStats, ReduceOp};
@@ -866,48 +873,29 @@ pub async fn paropen_read_co(
     let grank = comm.rank();
     let ntasks = comm.size();
 
-    // The global master reads every metablock 1 once and tells each task
-    // its own place — [status, flags, file << 32 | local index, group
+    // The global master opens the multifile's headers once and tells each
+    // task its own place — [status, flags, file << 32 | local index, group
     // size] — so tens of thousands of tasks neither hammer the metadata
     // concurrently nor hold a copy of the whole rank → file map. The local
     // index is the task's position in its file's own rank table, which is
     // the order the file master scatters geometry in below.
     let discovery = (grank == 0).then(|| -> Result<Vec<Vec<u8>>> {
-        let f0 = vfs.open(base)?;
-        let mb1 = MetaBlock1::read_from(f0.as_ref())?;
-        if mb1.ntasks_global != ntasks as u64 {
+        let mf = Multifile::open(vfs, base)?;
+        if mf.ntasks() != ntasks {
             return Err(SionError::CollectiveMismatch(format!(
                 "multifile was written by {} tasks, read with {}",
-                mb1.ntasks_global, ntasks
+                mf.ntasks(),
+                ntasks
             )));
         }
-        let flags = mb1.flags.bits();
-        let mut parts: Vec<Vec<u8>> = vec![Vec::new(); ntasks];
-        for k in 0..mb1.nfiles {
-            let mbk = if k == 0 {
-                mb1.clone()
-            } else {
-                let fk = vfs.open(&physical_name(base, k))?;
-                MetaBlock1::read_from(fk.as_ref())?
-            };
-            let group_size = mbk.global_ranks.len() as u64;
-            for (lt, &gr) in mbk.global_ranks.iter().enumerate() {
-                if gr >= ntasks as u64 || !parts[gr as usize].is_empty() {
-                    return Err(SionError::Format(format!(
-                        "global rank {gr} duplicated or out of range in file {k}"
-                    )));
-                }
-                parts[gr as usize] =
-                    [STATUS_OK, flags, ((k as u64) << 32) | lt as u64, group_size]
-                        .iter()
-                        .flat_map(|w| w.to_le_bytes())
-                        .collect();
-            }
-        }
-        if parts.iter().any(Vec::is_empty) {
-            return Err(SionError::Format("some ranks missing from multifile".into()));
-        }
-        Ok(parts)
+        let parts = mf.rank_map.iter().map(|&(k, lt)| {
+            let group_size = mf.files[k as usize].mb1.ntasks_local() as u64;
+            [STATUS_OK, mf.flags().bits(), ((k as u64) << 32) | lt as u64, group_size]
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .collect()
+        });
+        Ok(parts.collect())
     });
 
     // ONE scatter: the status word travels as each part's leading word
@@ -937,25 +925,20 @@ pub async fn paropen_read_co(
         .await;
     let gcom = comm.split_local(0, grank, ntasks).await;
 
-    // Each file master reads its metablocks once and scatters per-task
-    // geometry plus usage vectors.
+    // Each file master reads its file's metadata once — the whole of
+    // metablock 2, it needs every row — and scatters per-task geometry plus
+    // usage vectors. Rank 0 compared the files with each other above.
     let setup: Result<Vec<Vec<u8>>> = if lcom.rank() == 0 {
-        (|| {
-            let file = vfs.open(&physical_name(base, filenum))?;
-            let mb1 = MetaBlock1::read_from(file.as_ref())?;
-            let mb2 = MetaBlock2::read_from(file.as_ref(), mb1.ntasks_local())?;
-            let layout = FileLayout::from_mb1(&mb1);
-            layout.validate_extent(mb2.nblocks, file.len()?)?;
-            let parts = (0..layout.ntasks())
+        FileView::open(vfs, base, filenum, None).and_then(|fv| {
+            (0..fv.layout.ntasks())
                 .map(|t| {
-                    let mut words = ChunkGeom::from_layout(&layout, t, mb1.global_ranks[t])
+                    let mut words = ChunkGeom::from_layout(&fv.layout, t, fv.mb1.global_ranks[t])
                         .encode();
-                    words.extend(mb2.task_usage(t, mb1.ntasks_local()));
-                    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+                    words.extend(fv.usage_from_mb2(t)?);
+                    Ok(words.iter().flat_map(|w| w.to_le_bytes()).collect())
                 })
-                .collect();
-            Ok(parts)
-        })()
+                .collect()
+        })
     } else {
         Ok(Vec::new())
     };

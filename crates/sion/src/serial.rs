@@ -118,11 +118,13 @@ impl Locations {
 
 /// Per-physical-file state of a lazily opened multifile: the layout and
 /// trailer geometry read at open, plus the lazily materialized full
-/// metablock 2 for files without a usable chunk index.
-struct FileView {
+/// metablock 2 for files without a usable chunk index. Every decode and
+/// check of a file's metadata happens here, for the serial open and for the
+/// collective read open alike.
+pub(crate) struct FileView {
     handle: Arc<dyn VfsFile>,
-    mb1: MetaBlock1,
-    layout: FileLayout,
+    pub(crate) mb1: MetaBlock1,
+    pub(crate) layout: FileLayout,
     trailer: Trailer,
     /// Block count from the metablock-2 fixed header.
     nblocks: u64,
@@ -131,6 +133,102 @@ struct FileView {
     index: Option<(u64, u64)>,
     /// Full metablock 2, materialized at most once (v1 / torn-index path).
     mb2: Mutex<Option<Arc<MetaBlock2>>>,
+}
+
+impl FileView {
+    /// Header open of physical file `k`: metablock 1, the trailer and the
+    /// fixed metablock-2 header, with the extent they describe checked
+    /// against the file's length. `file0` is the file whose idea of the
+    /// multifile's shape this one must share; file 0 itself, and a caller
+    /// that opens `k` alone after somebody compared them all, pass `None`.
+    pub(crate) fn open(
+        vfs: &dyn Vfs,
+        base: &str,
+        k: u32,
+        file0: Option<&FileView>,
+    ) -> Result<FileView> {
+        let handle = vfs.open(&physical_name(base, k))?;
+        let mb1 = MetaBlock1::read_from(handle.as_ref())?;
+        let same_shape = file0.is_none_or(|f0| {
+            mb1.nfiles == f0.mb1.nfiles && mb1.ntasks_global == f0.mb1.ntasks_global
+        });
+        if mb1.filenum != k || !same_shape {
+            return Err(SionError::Format(format!(
+                "physical file {k} disagrees with file 0 about the multifile shape"
+            )));
+        }
+        let trailer = Trailer::read_from(handle.as_ref())?;
+        let nblocks = MetaBlock2::read_header(handle.as_ref(), &trailer, mb1.ntasks_local())?;
+        let layout = FileLayout::from_mb1(&mb1);
+        layout.validate_extent(nblocks, handle.len()?)?;
+        // A v2 trailer names an index record; use it only if its header
+        // agrees with the metablock geometry — a torn index silently
+        // degrades this file to the linear metablock-2 path.
+        let index = trailer.index.filter(|&idx| {
+            ChunkIndex::validate_header(handle.as_ref(), idx, nblocks, mb1.ntasks_local()).is_ok()
+        });
+        Ok(FileView { handle, mb1, layout, trailer, nblocks, index, mb2: Mutex::new(None) })
+    }
+
+    /// The file's full metablock 2, materialized at most once (the linear
+    /// path for pre-index files and torn indexes, the bulk path for a
+    /// caller that wants every task's row).
+    fn full_mb2(&self) -> Result<Arc<MetaBlock2>> {
+        let mut slot = self.mb2.lock().expect("metablock cache poisoned");
+        if let Some(mb2) = slot.as_ref() {
+            return Ok(mb2.clone());
+        }
+        let mb2 = Arc::new(MetaBlock2::read_at(
+            self.handle.as_ref(),
+            &self.trailer,
+            self.mb1.ntasks_local(),
+        )?);
+        *slot = Some(mb2.clone());
+        Ok(mb2)
+    }
+
+    /// Local task `lt`'s stored bytes per block, fetched on its own: one
+    /// contiguous chunk-index read for v2 files — O(blocks of this task),
+    /// independent of the task count — else out of the full metablock 2.
+    fn usage(&self, lt: usize) -> Result<Vec<u64>> {
+        let Some((idx_off, _)) = self.index else {
+            return self.usage_from_mb2(lt);
+        };
+        let cum = ChunkIndex::read_task_cum(self.handle.as_ref(), idx_off, self.nblocks, lt)?;
+        let mut usage = Vec::with_capacity(cum.len());
+        let mut prev = 0u64;
+        for (b, &c) in cum.iter().enumerate() {
+            let used = c.checked_sub(prev).ok_or_else(|| {
+                SionError::Format(format!(
+                    "file {}: task {lt} chunk index is not monotone at block {b}",
+                    self.mb1.filenum
+                ))
+            })?;
+            usage.push(used);
+            prev = c;
+        }
+        self.checked(lt, usage)
+    }
+
+    /// [`usage`](Self::usage) out of the full metablock 2: one read per
+    /// file, not one index read per task, for whoever needs every row.
+    pub(crate) fn usage_from_mb2(&self, lt: usize) -> Result<Vec<u64>> {
+        self.checked(lt, self.full_mb2()?.task_usage(lt, self.mb1.ntasks_local()))
+    }
+
+    /// No usage row leaves this module unchecked: a block that claims more
+    /// bytes than its chunk holds would send a reader into the next task's
+    /// chunk.
+    fn checked(&self, lt: usize, usage: Vec<u64>) -> Result<Vec<u64>> {
+        let usable = self.layout.usable(lt);
+        match usage.iter().position(|&used| used > usable) {
+            Some(b) => Err(SionError::Format(format!(
+                "file {}: task {lt} block {b} claims more bytes than its chunk holds",
+                self.mb1.filenum
+            ))),
+            None => Ok(usage),
+        }
+    }
 }
 
 /// Capacity of the per-rank [`TaskLocation`] LRU: plenty for tool working
@@ -172,13 +270,13 @@ impl LocationCache {
 /// Opening is cheap (headers only); per-rank metadata arrives on demand —
 /// see the [module docs](self) for the lazy lifecycle.
 pub struct Multifile {
-    files: Vec<FileView>,
+    pub(crate) files: Vec<FileView>,
     ntasks: usize,
     nfiles: u32,
     fsblksize: u64,
     flags: SionFlags,
     /// Global rank → (physical file, local task index).
-    rank_map: Vec<(u32, u32)>,
+    pub(crate) rank_map: Vec<(u32, u32)>,
     cache: Mutex<LocationCache>,
     /// The eager materialization, computed at most once.
     all: Mutex<Option<Arc<Locations>>>,
@@ -190,39 +288,23 @@ impl Multifile {
     /// directory. No per-(task, block) usage is touched — that is fetched
     /// per rank by [`location`](Self::location).
     pub fn open(vfs: &dyn Vfs, base: &str) -> Result<Multifile> {
-        let f0 = vfs.open(base)?;
-        let mb1_0 = MetaBlock1::read_from(f0.as_ref())?;
-        let nfiles = mb1_0.nfiles;
-        let ntasks = mb1_0.ntasks_global as usize;
-        if nfiles as u64 > mb1_0.ntasks_global {
+        let file0 = FileView::open(vfs, base, 0, None)?;
+        let nfiles = file0.mb1.nfiles;
+        let ntasks = file0.mb1.ntasks_global as usize;
+        if nfiles as u64 > file0.mb1.ntasks_global {
             return Err(SionError::Format(format!(
                 "{nfiles} physical files for {ntasks} tasks is implausible"
             )));
         }
 
-        let mut files = Vec::with_capacity(nfiles as usize);
+        let mut files = vec![file0];
+        for k in 1..nfiles {
+            let fv = FileView::open(vfs, base, k, files.first())?;
+            files.push(fv);
+        }
         let mut rank_map: Vec<Option<(u32, u32)>> = vec![None; ntasks];
-        for k in 0..nfiles {
-            let handle = if k == 0 { f0.clone() } else { vfs.open(&physical_name(base, k))? };
-            let mb1 =
-                if k == 0 { mb1_0.clone() } else { MetaBlock1::read_from(handle.as_ref())? };
-            if mb1.nfiles != nfiles || mb1.filenum != k || mb1.ntasks_global != ntasks as u64 {
-                return Err(SionError::Format(format!(
-                    "physical file {k} disagrees with file 0 about the multifile shape"
-                )));
-            }
-            let trailer = Trailer::read_from(handle.as_ref())?;
-            let nblocks = MetaBlock2::read_header(handle.as_ref(), &trailer, mb1.ntasks_local())?;
-            let layout = FileLayout::from_mb1(&mb1);
-            layout.validate_extent(nblocks, handle.len()?)?;
-            // A v2 trailer names an index record; use it only if its header
-            // agrees with the metablock geometry — a torn index silently
-            // degrades this file to the linear metablock-2 path.
-            let index = trailer.index.filter(|&idx| {
-                ChunkIndex::validate_header(handle.as_ref(), idx, nblocks, mb1.ntasks_local())
-                    .is_ok()
-            });
-            for (lt, &gr) in mb1.global_ranks.iter().enumerate() {
+        for (k, fv) in (0u32..).zip(&files) {
+            for (lt, &gr) in fv.mb1.global_ranks.iter().enumerate() {
                 let gr = gr as usize;
                 if gr >= ntasks || rank_map[gr].is_some() {
                     return Err(SionError::Format(format!(
@@ -231,15 +313,6 @@ impl Multifile {
                 }
                 rank_map[gr] = Some((k, lt as u32));
             }
-            files.push(FileView {
-                handle,
-                mb1,
-                layout,
-                trailer,
-                nblocks,
-                index,
-                mb2: Mutex::new(None),
-            });
         }
         let rank_map: Vec<(u32, u32)> = rank_map
             .into_iter()
@@ -249,50 +322,26 @@ impl Multifile {
             })
             .collect::<Result<_>>()?;
         Ok(Multifile {
-            files,
             ntasks,
             nfiles,
-            fsblksize: mb1_0.fsblksize,
-            flags: mb1_0.flags,
+            fsblksize: files[0].mb1.fsblksize,
+            flags: files[0].mb1.flags,
+            files,
             rank_map,
             cache: Mutex::new(LocationCache { stamp: 0, entries: HashMap::new() }),
             all: Mutex::new(None),
         })
     }
 
-    /// The file's full metablock 2, materialized at most once (the linear
-    /// path for pre-index files and torn indexes).
-    fn full_mb2(&self, k: usize) -> Result<Arc<MetaBlock2>> {
-        let fv = &self.files[k];
-        let mut slot = fv.mb2.lock().expect("metablock cache poisoned");
-        if let Some(mb2) = slot.as_ref() {
-            return Ok(mb2.clone());
-        }
-        let mb2 = Arc::new(MetaBlock2::read_at(
-            fv.handle.as_ref(),
-            &fv.trailer,
-            fv.mb1.ntasks_local(),
-        )?);
-        *slot = Some(mb2.clone());
-        Ok(mb2)
-    }
-
-    /// Build one rank's location from its per-block usage, folding the
-    /// usage-validation pass into the same walk that builds the chunk list.
-    fn build_location(&self, rank: usize, usage: &[u64]) -> Result<TaskLocation> {
+    /// Build one rank's location from its (checked) per-block usage.
+    fn build_location(&self, rank: usize, usage: &[u64]) -> TaskLocation {
         let (k, lt) = self.rank_map[rank];
         let (k, lt) = (k as usize, lt as usize);
         let fv = &self.files[k];
-        let usable = fv.layout.usable(lt);
         let mut chunks = Vec::with_capacity(usage.len());
         let mut cum = Vec::with_capacity(usage.len());
         let mut stored = 0u64;
         for (b, &used) in usage.iter().enumerate() {
-            if used > usable {
-                return Err(SionError::Format(format!(
-                    "file {k}: task {lt} block {b} claims more bytes than its chunk holds"
-                )));
-            }
             stored += used;
             cum.push(stored);
             chunks.push(ChunkInfo {
@@ -301,17 +350,17 @@ impl Multifile {
                 used,
             });
         }
-        Ok(TaskLocation {
+        TaskLocation {
             global_rank: rank,
             file: k as u32,
             ltask: lt,
             chunksize_req: fv.mb1.chunksize_req[lt],
             capacity: fv.mb1.chunk_cap[lt],
-            usable,
+            usable: fv.layout.usable(lt),
             chunks,
             cum,
             stored_bytes: stored,
-        })
+        }
     }
 
     /// On-demand per-rank metadata fetch (`sion_get_locations` for one
@@ -327,27 +376,8 @@ impl Multifile {
             return Ok(hit);
         }
         let (k, lt) = self.rank_map[rank];
-        let (k, lt) = (k as usize, lt as usize);
-        let fv = &self.files[k];
-        let usage = if let Some((idx_off, _)) = fv.index {
-            let cum =
-                ChunkIndex::read_task_cum(fv.handle.as_ref(), idx_off, fv.nblocks, lt)?;
-            let mut usage = Vec::with_capacity(cum.len());
-            let mut prev = 0u64;
-            for (b, &c) in cum.iter().enumerate() {
-                let used = c.checked_sub(prev).ok_or_else(|| {
-                    SionError::Format(format!(
-                        "file {k}: task {lt} chunk index is not monotone at block {b}"
-                    ))
-                })?;
-                usage.push(used);
-                prev = c;
-            }
-            usage
-        } else {
-            self.full_mb2(k)?.task_usage(lt, fv.mb1.ntasks_local())
-        };
-        let loc = Arc::new(self.build_location(rank, &usage)?);
+        let usage = self.files[k as usize].usage(lt as usize)?;
+        let loc = Arc::new(self.build_location(rank, &usage));
         self.cache.lock().expect("location cache poisoned").insert(rank, loc.clone());
         Ok(loc)
     }
@@ -364,11 +394,9 @@ impl Multifile {
         let mut tasks = Vec::with_capacity(self.ntasks);
         for rank in 0..self.ntasks {
             let (k, lt) = self.rank_map[rank];
-            let (k, lt) = (k as usize, lt as usize);
-            let fv = &self.files[k];
             // Bulk path: one metablock 2 per file, not ntasks index reads.
-            let usage = self.full_mb2(k)?.task_usage(lt, fv.mb1.ntasks_local());
-            tasks.push(self.build_location(rank, &usage)?);
+            let usage = self.files[k as usize].usage_from_mb2(lt as usize)?;
+            tasks.push(self.build_location(rank, &usage));
         }
         let all = Arc::new(Locations {
             ntasks: self.ntasks,
@@ -464,9 +492,10 @@ impl Multifile {
 
     /// Convenience: the complete logical (decompressed) content of `rank`.
     pub fn read_rank(&self, rank: usize) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.rank_reader(rank)?
-            .scan_remaining(&mut |run| out.extend_from_slice(run))?;
+        let t = self.location(rank)?;
+        // Exact for a plain stream, a floor for a compressed one.
+        let mut out = Vec::with_capacity(t.stored_bytes as usize);
+        self.reader_at(&t).scan_remaining(&mut |run| out.extend_from_slice(run))?;
         Ok(out)
     }
 }

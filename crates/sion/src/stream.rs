@@ -115,17 +115,18 @@ pub struct IoCounters {
     /// Rescue-header `used`-field patches written.
     pub rescue_patches: u64,
     /// Payload bytes memcpy'd through an engine-owned staging buffer
-    /// (write-behind coalescing, read-ahead window fills, bounce-buffer
-    /// scans; in compressed mode also stored bytes the decoder had to keep
-    /// because their frame straddles two chunks, and decoded bytes copied
-    /// out to a `read` caller). Zero-copy paths — vectored submits of
-    /// caller slices, page leases, decoded frames lent to a scan's sink —
-    /// move bytes without touching this counter, so tests can assert the
+    /// (write-behind coalescing, fills of a reader's owned window, bytes
+    /// `read` copies out of the window to its caller; in compressed mode
+    /// also stored bytes the decoder had to keep because their frame
+    /// straddles two runs, and decoded bytes copied out to a `read`
+    /// caller). Zero-copy paths — vectored submits of caller slices, page
+    /// leases, a window or a decoded frame lent to a scan's sink — move
+    /// bytes without touching this counter, so tests can assert the
     /// engine's copy discipline, not just its call counts.
     pub bytes_copied: u64,
-    /// Transient heap buffers allocated on the hot path (staging/bounce
-    /// buffers). A buffer that grows counts once per growth; steady-state
-    /// reuse counts zero.
+    /// Transient heap buffers allocated on the hot path (staging buffers,
+    /// a reader's owned window). A buffer that grows counts once per
+    /// growth; steady-state reuse counts zero.
     pub allocs: u64,
     /// Submissions issued via `write_vectored_at` (each also counted once
     /// in `vfs_calls`, however many slices it carried).
@@ -619,20 +620,22 @@ pub(crate) struct TaskReader {
     /// The stored stream failed to decode, or ended inside a frame: every
     /// later read fails the same way instead of resuming somewhere else.
     dec_failed: Option<szip::SzipError>,
-    /// Read-ahead cache: stored file bytes starting at *absolute* file
-    /// offset `win_start`, backed either by an owned window (`rbuf`,
-    /// filled by a copying VFS read) or — when the backend can lease its
-    /// backing pages — by a zero-copy [`vfs::ByteLease`]. Addressing the
+    /// The window: stored file bytes starting at *absolute* file offset
+    /// `win_start`, either lent by the backend (`rlease`, a zero-copy
+    /// [`vfs::ByteLease`] over however long a run it had at the cursor) or,
+    /// from a backend that lends nothing, owned (`rbuf`, filled by one
+    /// copying VFS read; empty while a lease is held). Addressing the
     /// window by file offset (not chunk offset) lets one fetch serve
     /// noncontiguous chunk segments that happen to be file-adjacent.
     rbuf: Vec<u8>,
     rlease: Option<vfs::ByteLease>,
     win_start: u64,
-    /// Read-ahead window; 0 disables caching (one VFS read per request
-    /// segment, the pre-buffering behaviour).
+    /// Size of the owned window, at least 1: a read-ahead of 0 leaves a
+    /// one-byte window, which every `read` bypasses (one VFS read per
+    /// request segment, the pre-buffering behaviour).
     ra_cap: usize,
-    /// Data-sieving unit (Thakur/Gropp/Lusk): when > 0, cache misses
-    /// fetch the whole FS block containing the position, so all of this
+    /// Data-sieving unit (Thakur/Gropp/Lusk): when > 0, a fetch reaches to
+    /// the end of the FS block containing the position, so all of this
     /// task's chunk segments inside that block — across *layout* blocks —
     /// are served by one VFS read instead of one per segment. Enabled when
     /// whole FS blocks fit in the read-ahead budget.
@@ -651,7 +654,7 @@ impl TaskReader {
         compressed: bool,
         read_ahead: u64,
     ) -> Self {
-        let ra_cap = read_ahead.min(geom.usable()) as usize;
+        let ra_cap = read_ahead.min(geom.usable()).max(1) as usize;
         // Sieve when an FS block fits the read-ahead budget and sieving
         // can actually coalesce anything (several layout blocks per FS
         // block, i.e. small unaligned chunks).
@@ -720,195 +723,190 @@ impl TaskReader {
         self.block >= self.used.len()
     }
 
+    /// Move the cursor to the next stored byte: its absolute file offset
+    /// and how many stored bytes its chunk holds from there on. `None` at
+    /// the end of the stream.
+    fn cursor(&mut self) -> Option<(u64, u64)> {
+        self.skip_empty_blocks();
+        (self.block < self.used.len()).then(|| {
+            (
+                self.geom.data_offset(self.block as u64) + self.off,
+                self.used[self.block] - self.off,
+            )
+        })
+    }
+
+    /// The window's bytes, lent or owned.
+    fn window<'a>(rlease: &'a Option<vfs::ByteLease>, rbuf: &'a [u8]) -> &'a [u8] {
+        match rlease {
+            Some(lease) => lease,
+            None => rbuf,
+        }
+    }
+
+    /// Whether the window holds the byte at absolute file offset `at`.
+    fn holds(&self, at: u64) -> bool {
+        let len = Self::window(&self.rlease, &self.rbuf).len() as u64;
+        at >= self.win_start && at - self.win_start < len
+    }
+
+    /// The one place the reader asks its file for stream data: make the
+    /// window hold the stored byte at the cursor. Returns the part of the
+    /// window that is the run from there: stored bytes of the current chunk
+    /// only, as many as the window has. `None` at the end of the stream.
+    ///
+    /// A window that holds the cursor is kept. Otherwise the backend is
+    /// asked to lend the rest of the chunk's stored bytes — with sieving,
+    /// the rest of the FS block, which also holds this task's segments of
+    /// *later layout blocks* — and whatever contiguous run it offers there,
+    /// however short, is the window, with no copy. A backend that lends
+    /// nothing fills the owned window with one read of at most `ra_cap`
+    /// bytes (the rest of the FS block when sieving).
+    fn fetch(&mut self) -> Result<Option<std::ops::Range<usize>>> {
+        let Some((at, avail)) = self.cursor() else {
+            return Ok(None);
+        };
+        if !self.holds(at) {
+            let want = if self.sieve > 0 {
+                self.sieve - at % self.sieve
+            } else {
+                avail
+            };
+            self.rlease = self.file.read_lease(at, want as usize);
+            let len = match &self.rlease {
+                Some(lease) => {
+                    self.rbuf.clear();
+                    lease.len()
+                }
+                None => {
+                    let len = if self.sieve > 0 {
+                        let flen = match self.flen {
+                            Some(l) => l,
+                            None => *self.flen.insert(self.file.len()?),
+                        };
+                        // Clipped at end of file, but not to nothing: a
+                        // cursor beyond it is for the read to report.
+                        want.min(flen.saturating_sub(at).max(1)) as usize
+                    } else {
+                        (want as usize).min(self.ra_cap)
+                    };
+                    if len > self.rbuf.capacity() {
+                        self.counters.allocs += 1;
+                    }
+                    self.rbuf.resize(len, 0);
+                    if let Err(e) = self.file.read_exact_at(&mut self.rbuf, at) {
+                        // Whatever the failed read left must not be served.
+                        self.rbuf.clear();
+                        return Err(e.into());
+                    }
+                    self.counters.bytes_copied += len as u64;
+                    len
+                }
+            };
+            self.counters.vfs_calls += 1;
+            self.counters.vfs_bytes += len as u64;
+            self.win_start = at;
+        }
+        let pos = (at - self.win_start) as usize;
+        let held = Self::window(&self.rlease, &self.rbuf).len() - pos;
+        Ok(Some(pos..pos + (held as u64).min(avail) as usize))
+    }
+
+    /// Lend `to` the next run of the logical stream, at most `limit` bytes
+    /// of it, and step past them: the rest of the decoded frame in
+    /// compressed mode, the stored run at the cursor otherwise. Returns the
+    /// length lent, `None` at the end of the stream.
+    fn lend(&mut self, limit: usize, to: impl FnOnce(&[u8])) -> Result<Option<usize>> {
+        if self.dec.is_some() {
+            while self.decoded_pos == self.dec.as_ref().expect("compressed mode").frame().len() {
+                if !self.next_frame()? {
+                    return Ok(None);
+                }
+            }
+            let frame = self.dec.as_ref().expect("compressed mode").frame();
+            let n = (frame.len() - self.decoded_pos).min(limit);
+            to(&frame[self.decoded_pos..self.decoded_pos + n]);
+            self.decoded_pos += n;
+            return Ok(Some(n));
+        }
+        let Some(run) = self.fetch()? else {
+            return Ok(None);
+        };
+        let n = run.len().min(limit);
+        to(&Self::window(&self.rlease, &self.rbuf)[run.start..run.start + n]);
+        self.off += n as u64;
+        Ok(Some(n))
+    }
+
+    /// `read`'s way around the window, the only one-copy path a backend
+    /// without leases has: a plain request for at least a window's worth of
+    /// the current chunk, with nothing held at the cursor and no sieving,
+    /// goes straight into the caller's buffer. Returns the bytes read, 0
+    /// when the request is for the window to serve.
+    fn read_direct(&mut self, buf: &mut [u8]) -> Result<usize> {
+        if self.dec.is_some() || self.sieve > 0 {
+            return Ok(0);
+        }
+        let Some((at, avail)) = self.cursor() else {
+            return Ok(0);
+        };
+        let take = (avail as usize).min(buf.len());
+        if take < self.ra_cap || self.holds(at) {
+            return Ok(0);
+        }
+        self.file.read_exact_at(&mut buf[..take], at)?;
+        self.counters.vfs_calls += 1;
+        self.counters.vfs_bytes += take as u64;
+        self.off += take as u64;
+        Ok(take)
+    }
+
     /// `sion_fread`: read up to `buf.len()` bytes of the logical stream
     /// (decompressed in compressed mode), crossing chunk boundaries.
     /// Returns the number of bytes read; 0 signals end of stream.
     pub(crate) fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
         self.counters.user_calls += 1;
-        if self.dec.is_some() {
-            return self.read_decoded(buf);
-        }
         let mut done = 0;
         while done < buf.len() {
-            self.skip_empty_blocks();
-            if self.block >= self.used.len() {
-                break;
-            }
-            let avail = self.used[self.block] - self.off;
-            let take = (avail as usize).min(buf.len() - done);
-            self.read_stored(done, take, buf)?;
-            done += take;
-        }
-        Ok(done)
-    }
-
-    /// Copy `take` stored bytes of the current chunk into
-    /// `buf[done..done+take]`, through the read-ahead cache: a cache miss
-    /// fetches a whole window in one VFS read — up to `ra_cap`, capped by
-    /// the chunk's remaining stored bytes, or (with sieving) the whole FS
-    /// block containing the position, which also serves this task's
-    /// segments in *later layout blocks* that share the FS block. Requests
-    /// at or above the window size bypass the cache straight into the
-    /// caller's buffer.
-    fn read_stored(&mut self, done: usize, take: usize, buf: &mut [u8]) -> Result<()> {
-        if self.sieve == 0 && (self.ra_cap == 0 || take >= self.ra_cap) {
-            let at = self.geom.data_offset(self.block as u64) + self.off;
-            self.file.read_exact_at(&mut buf[done..done + take], at)?;
-            self.counters.vfs_calls += 1;
-            self.counters.vfs_bytes += take as u64;
-            self.off += take as u64;
-            return Ok(());
-        }
-        let mut done = done;
-        let mut take = take;
-        while take > 0 {
-            let at = self.geom.data_offset(self.block as u64) + self.off;
-            if let Some((start, len)) = self.cached_range(at) {
-                let pos = (at - start) as usize;
-                let n = take.min(len - pos);
-                let src = match &self.rlease {
-                    Some(lease) => &lease[pos..pos + n],
-                    None => &self.rbuf[pos..pos + n],
-                };
-                buf[done..done + n].copy_from_slice(src);
-                self.counters.bytes_copied += n as u64;
-                self.off += n as u64;
-                done += n;
-                take -= n;
+            let rest = &mut buf[done..];
+            let direct = self.read_direct(rest)?;
+            if direct > 0 {
+                done += direct;
                 continue;
             }
-            // Miss: fetch a window. A page lease covering the whole window
-            // serves it with zero copies into the engine; otherwise an
-            // owned window is filled by a copying read.
-            let (win_lo, window) = if self.sieve > 0 {
-                // Data sieving: the whole FS block around the position,
-                // clipped at end of file.
-                let lo = at - at % self.sieve;
-                let flen = match self.flen {
-                    Some(l) => l,
-                    None => {
-                        let l = self.file.len()?;
-                        self.flen = Some(l);
-                        l
-                    }
-                };
-                (lo, (flen.min(lo + self.sieve) - lo) as usize)
-            } else {
-                let avail = self.used[self.block] - self.off;
-                (at, (avail as usize).min(self.ra_cap))
-            };
-            self.fetch_window(win_lo, window)?;
-        }
-        Ok(())
-    }
-
-    /// Point the cache window at `len` stored bytes from absolute file offset
-    /// `lo`: a page lease if one covers all of them (zero copies into the
-    /// engine), otherwise one copying read into the owned window.
-    fn fetch_window(&mut self, lo: u64, len: usize) -> Result<()> {
-        match self.file.read_lease(lo, len) {
-            Some(lease) if lease.len() == len => {
-                self.rlease = Some(lease);
-            }
-            _ => {
-                self.rlease = None;
-                if len > self.rbuf.capacity() {
-                    self.counters.allocs += 1;
+            match self.lend(rest.len(), |run| rest[..run.len()].copy_from_slice(run)) {
+                Ok(Some(n)) => {
+                    self.counters.bytes_copied += n as u64;
+                    done += n;
                 }
-                self.rbuf.resize(len, 0);
-                if let Err(e) = self.file.read_exact_at(&mut self.rbuf, lo) {
-                    // Whatever the failed read left must not be served.
-                    self.rbuf.clear();
-                    return Err(e.into());
-                }
-                self.counters.bytes_copied += len as u64;
+                Ok(None) => break,
+                // Verified bytes are served first; a decode failure is
+                // sticky, so the next call reports it.
+                Err(SionError::Compression(_)) if done > 0 => break,
+                Err(e) => return Err(e),
             }
         }
-        self.counters.vfs_calls += 1;
-        self.counters.vfs_bytes += len as u64;
-        self.win_start = lo;
-        Ok(())
-    }
-
-    /// The cache window covering absolute file offset `at`, if any, as
-    /// `(start, len)` in absolute file offsets.
-    fn cached_range(&self, at: u64) -> Option<(u64, usize)> {
-        let len = match &self.rlease {
-            Some(lease) => lease.len(),
-            None => self.rbuf.len(),
-        };
-        if len > 0 && at >= self.win_start && at < self.win_start + len as u64 {
-            Some((self.win_start, len))
-        } else {
-            None
-        }
+        Ok(done)
     }
 
     /// Borrow-based streaming pass over the rest of the logical stream;
     /// returns the bytes handed to `sink`.
     ///
-    /// Plain mode: each contiguous stored run goes to `sink` straight from
-    /// a page lease when the backend supports it (zero bytes copied —
+    /// Plain mode: each stored run goes to `sink` straight from the window
+    /// — lent pages on a backend with leases (zero bytes copied:
     /// `sionverify`'s inspection pass runs this over `MemFs` without a
-    /// single memcpy), or from a bounce buffer on lease-less backends.
+    /// single memcpy), the owned window elsewhere.
     ///
     /// Compressed mode: each frame is decoded into the decoder's one reused
     /// buffer and lent to `sink` from there, so nothing is materialised;
-    /// stored bytes are decoded where the lease or the window holds them.
+    /// stored bytes are decoded where the window holds them.
     pub(crate) fn scan_remaining(&mut self, sink: &mut dyn FnMut(&[u8])) -> Result<u64> {
         self.counters.user_calls += 1;
-        if self.dec.is_some() {
-            let mut total = 0u64;
-            loop {
-                let dec = self.dec.as_ref().expect("compressed mode");
-                let rest = &dec.frame()[self.decoded_pos..];
-                if !rest.is_empty() {
-                    sink(rest);
-                }
-                total += rest.len() as u64;
-                self.decoded_pos += rest.len();
-                if !self.next_frame()? {
-                    return Ok(total);
-                }
-            }
-        }
-        // A scan moves the position without going through the window cache;
-        // drop any cached window so later reads re-fetch at the new spot.
-        self.rlease = None;
-        self.rbuf.clear();
-        let mut scratch: Vec<u8> = Vec::new();
         let mut total = 0u64;
-        loop {
-            self.skip_empty_blocks();
-            if self.block >= self.used.len() {
-                return Ok(total);
-            }
-            let avail = self.used[self.block] - self.off;
-            let at = self.geom.data_offset(self.block as u64) + self.off;
-            let n = match self.file.read_lease(at, avail as usize) {
-                Some(lease) => {
-                    sink(&lease);
-                    lease.len() as u64
-                }
-                None => {
-                    // Bounce buffer, one bounded piece at a time, reused
-                    // across iterations (one alloc per scan, counted).
-                    let take = (avail as usize).min(64 * 1024);
-                    if scratch.is_empty() {
-                        self.counters.allocs += 1;
-                    }
-                    scratch.resize(take, 0);
-                    self.file.read_exact_at(&mut scratch[..take], at)?;
-                    self.counters.bytes_copied += take as u64;
-                    sink(&scratch[..take]);
-                    take as u64
-                }
-            };
-            self.counters.vfs_calls += 1;
-            self.counters.vfs_bytes += n;
-            self.off += n;
-            total += n;
+        while let Some(n) = self.lend(usize::MAX, &mut *sink)? {
+            total += n as u64;
         }
+        Ok(total)
     }
 
     /// Read exactly `buf.len()` bytes or fail.
@@ -925,30 +923,6 @@ impl TaskReader {
             )));
         }
         Ok(())
-    }
-
-    fn read_decoded(&mut self, buf: &mut [u8]) -> Result<usize> {
-        let mut done = 0;
-        loop {
-            let frame = self.dec.as_ref().expect("compressed mode").frame();
-            let take = (frame.len() - self.decoded_pos).min(buf.len() - done);
-            buf[done..done + take]
-                .copy_from_slice(&frame[self.decoded_pos..self.decoded_pos + take]);
-            self.counters.bytes_copied += take as u64;
-            self.decoded_pos += take;
-            done += take;
-            if done == buf.len() {
-                return Ok(done);
-            }
-            match self.next_frame() {
-                Ok(true) => {}
-                Ok(false) => return Ok(done),
-                // Verified bytes are served first; a decode failure is
-                // sticky, so the next call reports it.
-                Err(SionError::Compression(_)) if done > 0 => return Ok(done),
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Compressed mode: decode the next frame of the stored stream into the
@@ -968,33 +942,22 @@ impl TaskReader {
 
     fn pull_frame(&mut self) -> Result<bool> {
         loop {
-            self.skip_empty_blocks();
-            if self.block >= self.used.len() {
+            let Some(run) = self.fetch()? else {
                 let dec = self.dec.as_ref().expect("compressed mode");
                 return if dec.is_frame_boundary() {
                     Ok(false)
                 } else {
                     Err(szip::SzipError::Truncated.into())
                 };
-            }
-            // The window is the rest of the chunk, fetched in one VFS call
-            // and decoded in place: only a frame that straddles two chunks
-            // is copied (into the decoder, to be completed there).
-            let at = self.geom.data_offset(self.block as u64) + self.off;
-            if self.cached_range(at).is_none() {
-                let avail = self.used[self.block] - self.off;
-                self.fetch_window(at, avail as usize)?;
-            }
-            let pos = (at - self.win_start) as usize;
-            let window = match &self.rlease {
-                Some(lease) => &lease[pos..],
-                None => &self.rbuf[pos..],
             };
+            // The run is decoded where the window holds it: only a frame
+            // that straddles two runs is copied (into the decoder, to be
+            // completed there).
             let dec = self.dec.as_mut().expect("compressed mode");
             let buffered = dec.buffered_bytes();
             // The call drops the frame the caller has finished with.
             self.decoded_pos = 0;
-            let (taken, decoded) = dec.decode_next(window)?;
+            let (taken, decoded) = dec.decode_next(&Self::window(&self.rlease, &self.rbuf)[run])?;
             self.counters.bytes_copied += dec.buffered_bytes() - buffered;
             self.off += taken as u64;
             if decoded {
@@ -1525,10 +1488,11 @@ mod tests {
         assert_eq!([head, rest].concat(), data);
         assert_eq!(r.io_counters().bytes_copied, 1000);
 
-        // Chunks smaller than a page are leased one by one, so the only
-        // copy is of the frame that straddles them all, into the decoder;
-        // chunks larger than a page are read into the one window first.
-        // Either way a chunk is one VFS call and every copy is counted.
+        // Either way the stored bytes are lent, a page's worth at most per
+        // VFS call, and nothing is allocated: the only copy is into the
+        // decoder, of a frame that straddles two runs — every stored byte
+        // where a chunk is smaller than a frame, fewer where a chunk holds
+        // whole frames inside one page.
         let data: Vec<u8> = (0..160_000u32).flat_map(|i| (i / 5 % 300).to_le_bytes()).collect();
         for chunk in [256u64, 8192] {
             let (fs, layout) = setup(&[chunk], Alignment::FsBlock, false);
@@ -1541,12 +1505,19 @@ mod tests {
             r.scan_remaining(&mut |frame| back.extend_from_slice(frame)).unwrap();
             assert!(back == data);
             let c = r.io_counters();
-            assert_eq!(c.vfs_calls, used.len() as u64, "{c:?}");
+            assert_eq!(c.allocs, 0, "{c:?}");
             if chunk == 256 {
-                assert_eq!((c.bytes_copied, c.allocs), (stored, 0), "{c:?}");
+                assert_eq!((c.vfs_calls, c.bytes_copied), (used.len() as u64, stored), "{c:?}");
             } else {
-                assert!(c.bytes_copied > stored && c.bytes_copied < 2 * stored, "{c:?}");
-                assert_eq!(c.allocs, 1, "one window, reused: {c:?}");
+                let pages: u64 = (0u64..)
+                    .zip(&used)
+                    .map(|(b, u)| {
+                        let at = geom.data_offset(b);
+                        (at + u).div_ceil(4096) - at / 4096
+                    })
+                    .sum();
+                assert_eq!(c.vfs_calls, pages, "one lease per page touched: {c:?}");
+                assert!(c.bytes_copied <= stored, "{c:?}");
             }
         }
     }

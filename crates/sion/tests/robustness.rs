@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use simmpi::{Comm, World};
-use sion::{paropen_write, Multifile, SionParams};
+use simmpi::{Comm, TaskWorld, World};
+use sion::format::{Trailer, IDX_FIXED_LEN, MB1_FIXED_LEN, MB2_FIXED_LEN};
+use sion::{paropen_read, paropen_read_co, paropen_write, Alignment, Multifile, SionParams};
 use vfs::{MemFs, Vfs};
 
 fn valid_multifile(fs: &MemFs, rescue: bool) {
@@ -251,4 +252,99 @@ fn corrupt_compressed_chunk_never_serves_unverified_bytes() {
     bytes[row..row + 8].copy_from_slice(&(last.used - 3).to_le_bytes());
     bytes[idx_off..idx_off + 8].copy_from_slice(b"XXXXXXXX");
     assert!(truncated(check(&bytes, "last chunk cut")));
+}
+
+/// What a collective read open of `base` by `ntasks` tasks tells each rank,
+/// errors as text — on the thread runtime and on the task runtime, which
+/// must tell the same story. Returning at all is half the point: a rank that
+/// deserted a collective would hang the others (run under `SIMCHECK=1`).
+fn par_open_verdicts(fs: &MemFs, base: &str, ntasks: usize) -> Vec<Result<(), String>> {
+    let threads = World::run(ntasks, |comm| {
+        paropen_read(fs, base, comm).map(drop).map_err(|e| e.to_string())
+    });
+    let tasks = TaskWorld::run(ntasks, |c| async move {
+        paropen_read_co(fs, base, &c).await.map(drop).map_err(|e| e.to_string())
+    });
+    assert_eq!(threads, tasks, "the runtimes disagree");
+    threads
+}
+
+/// The collective open must fail on every rank, and the rank that read the
+/// metadata must say what the serial open says.
+fn assert_refused_everywhere(verdicts: &[Result<(), String>], family: &str, what: &str) {
+    assert!(verdicts.iter().all(Result::is_err), "{what}: some rank opened: {verdicts:?}");
+    assert!(
+        verdicts.iter().any(|v| v.as_ref().is_err_and(|e| e.contains(family))),
+        "{what}: nobody said \"{family}\": {verdicts:?}"
+    );
+}
+
+/// A usage word above its chunk's capacity sends a reader on into the next
+/// task's chunk. The serial open has always refused the row; the collective
+/// read open used to decode metablock 2 by itself, without that check, and
+/// served rank 1 a hundred bytes ending in rank 2's data.
+#[test]
+fn par_open_refuses_usage_beyond_the_chunk() {
+    let fs = MemFs::with_block_size(512);
+    World::run(4, |comm| {
+        let params = SionParams::new(64).with_alignment(Alignment::None);
+        let mut w = paropen_write(&fs, "u.sion", &params, comm).unwrap();
+        w.write(&[comm.rank() as u8 + 1; 40]).unwrap();
+        w.close().unwrap();
+    });
+    assert!(par_open_verdicts(&fs, "u.sion", 4).iter().all(Result::is_ok));
+
+    // Block 0 of local task 1, in metablock 2 (block-major) and in the
+    // chunk index (task-major prefix sums; the file has one block).
+    let mut bytes = file_bytes(&fs, "u.sion");
+    let trailer = Trailer::read_from(fs.open("u.sion").unwrap().as_ref()).unwrap();
+    let (idx_off, _) = trailer.index.expect("a v2 close writes the index");
+    for at in [trailer.mb2_off + MB2_FIXED_LEN + 8, idx_off + IDX_FIXED_LEN + 8] {
+        let at = at as usize;
+        assert_eq!(bytes[at..at + 8], 40u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&100u64.to_le_bytes());
+    }
+    let fs2 = MemFs::with_block_size(512);
+    write_file(&fs2, "u.sion", &bytes);
+
+    let family = "claims more bytes than its chunk holds";
+    let mf = Multifile::open(&fs2, "u.sion").unwrap();
+    assert!(mf.location(1).is_err_and(|e| e.to_string().contains(family)));
+    assert!(mf.locations().is_err_and(|e| e.to_string().contains(family)));
+    assert_eq!(mf.read_rank(2).unwrap(), [3u8; 40], "the other rows are fine");
+    assert_refused_everywhere(&par_open_verdicts(&fs2, "u.sion", 4), family, "usage 100 of 64");
+}
+
+/// File 1 of a two-file multifile names another task count, or another file
+/// number, than file 0 expects: `Multifile::open` compares the files, the
+/// collective discovery used to take file 1 at its word. A global rank
+/// listed twice in file 1's rank table was caught on both sides all along —
+/// the control that sharing the decoder kept the check.
+#[test]
+fn par_open_refuses_what_the_serial_open_refuses() {
+    let fs = MemFs::with_block_size(512);
+    valid_multifile(&fs, false);
+    assert!(par_open_verdicts(&fs, "v.sion", 4).iter().all(Result::is_ok));
+    let file0 = file_bytes(&fs, "v.sion");
+    let file1 = file_bytes(&fs, "v.sion.000001");
+
+    let shape = "physical file 1 disagrees with file 0 about the multifile shape";
+    let rank_twice = "global rank 2 duplicated or out of range in file 1";
+    // Replace `old` by `new` at `at` in file 1's metablock 1; both opens
+    // must refuse with `family`.
+    let check = |what: &str, at: usize, old: &[u8], new: &[u8], family: &str| {
+        let mut patched = file1.clone();
+        assert_eq!(&patched[at..at + old.len()], old, "{what}");
+        patched[at..at + new.len()].copy_from_slice(new);
+        let fs2 = MemFs::with_block_size(512);
+        write_file(&fs2, "v.sion", &file0);
+        write_file(&fs2, "v.sion.000001", &patched);
+        let serial = Multifile::open(&fs2, "v.sion").map(drop).map_err(|e| e.to_string());
+        assert!(serial.is_err_and(|e| e.contains(family)), "{what}");
+        assert_refused_everywhere(&par_open_verdicts(&fs2, "v.sion", 4), family, what);
+    };
+    check("ntasks_global 4 -> 5", 28, &4u64.to_le_bytes(), &5u64.to_le_bytes(), shape);
+    check("filenum 1 -> 0", 40, &1u32.to_le_bytes(), &0u32.to_le_bytes(), shape);
+    let at = MB1_FIXED_LEN as usize + 8;
+    check("ranks [2, 3] -> [2, 2]", at, &3u64.to_le_bytes(), &2u64.to_le_bytes(), rank_twice);
 }
