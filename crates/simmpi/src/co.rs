@@ -38,8 +38,8 @@ pub type BoxFut<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
 ///
 /// [`CoComm::allgather`] hands every rank its own `Vec<Vec<u8>>` — P
 /// allocations per rank, O(P²) across the world. Its callers only ever
-/// *scan* the result (the membership filter in `split`, the sub-master
-/// agreement of `sion`'s sharded close), so at 64Ki ranks that
+/// *scan* the result (the membership filter in `split`, the decode of
+/// [`CoComm::allgather_u64`]), so at 64Ki ranks that
 /// materialization is pure waste. `AllGathered` is
 /// the scan-shaped alternative: runtimes whose ranks share memory return
 /// `Arc` clones of a single frame, making the whole collective O(1)

@@ -284,23 +284,14 @@ impl MetaBlock2 {
         (0..self.nblocks).map(|b| self.used_in(b, ltask, ntasks_local)).collect()
     }
 
-    /// The fixed 24-byte header alone (magic, block count, task count) —
-    /// what a sharded collective close writes after the sub-masters have
-    /// deposited their usage slices.
-    pub fn header_bytes(nblocks: u64, ntasks_local: usize) -> [u8; MB2_FIXED_LEN as usize] {
-        let mut out = [0u8; MB2_FIXED_LEN as usize];
-        out[0..8].copy_from_slice(&MAGIC2);
-        out[8..16].copy_from_slice(&nblocks.to_le_bytes());
-        out[16..24].copy_from_slice(&(ntasks_local as u64).to_le_bytes());
-        out
-    }
-
     /// Serialize to bytes (including the local task count for validation).
     pub fn encode(&self, ntasks_local: usize) -> Vec<u8> {
         assert_eq!(self.used.len() as u64, self.nblocks * ntasks_local as u64);
         let mut out =
             Vec::with_capacity(MB2_FIXED_LEN as usize + 8 * self.used.len());
-        out.extend_from_slice(&Self::header_bytes(self.nblocks, ntasks_local));
+        out.extend_from_slice(&MAGIC2);
+        out.extend_from_slice(&self.nblocks.to_le_bytes());
+        out.extend_from_slice(&(ntasks_local as u64).to_le_bytes());
         for v in &self.used {
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -521,35 +512,16 @@ impl ChunkIndex {
         ChunkIndex { nblocks, cum }
     }
 
-    /// Prefix sums for one task's slice (task-major, so this is the byte
-    /// image of one contiguous read).
-    pub fn encode_task_slice(used: &[u64], nblocks: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(nblocks as usize * 8);
-        let mut acc = 0u64;
-        for b in 0..nblocks {
-            acc += used.get(b as usize).copied().unwrap_or(0);
-            out.extend_from_slice(&acc.to_le_bytes());
-        }
-        out
-    }
-
     /// Serialize header + prefix sums.
     pub fn encode(&self, ntasks_local: usize) -> Vec<u8> {
         assert_eq!(self.cum.len() as u64, self.nblocks * ntasks_local as u64);
         let mut out = Vec::with_capacity(Self::encoded_len(self.nblocks, ntasks_local) as usize);
-        out.extend_from_slice(&Self::header_bytes(self.nblocks, ntasks_local));
+        out.extend_from_slice(&MAGIC_IDX);
+        out.extend_from_slice(&self.nblocks.to_le_bytes());
+        out.extend_from_slice(&(ntasks_local as u64).to_le_bytes());
         for v in &self.cum {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        out
-    }
-
-    /// The fixed 24-byte header alone.
-    pub fn header_bytes(nblocks: u64, ntasks_local: usize) -> [u8; IDX_FIXED_LEN as usize] {
-        let mut out = [0u8; IDX_FIXED_LEN as usize];
-        out[0..8].copy_from_slice(&MAGIC_IDX);
-        out[8..16].copy_from_slice(&nblocks.to_le_bytes());
-        out[16..24].copy_from_slice(&(ntasks_local as u64).to_le_bytes());
         out
     }
 
@@ -870,26 +842,11 @@ mod tests {
     }
 
     #[test]
-    fn chunk_index_matches_per_task_slices() {
+    fn chunk_index_is_task_major_prefix_sums() {
         let mb2 = MetaBlock2 { nblocks: 2, used: vec![5, 0, 7, 3] };
         let idx = ChunkIndex::from_mb2(&mb2, 2);
         assert_eq!(idx.cum, vec![5, 12, 0, 3]);
-        let enc = idx.encode(2);
-        assert_eq!(enc.len() as u64, ChunkIndex::encoded_len(2, 2));
-        // The full encoding is header + concatenated per-task slices, so
-        // sharded sub-master writes compose to the same bytes.
-        let mut sharded = ChunkIndex::header_bytes(2, 2).to_vec();
-        sharded.extend(ChunkIndex::encode_task_slice(&mb2.task_usage(0, 2), 2));
-        sharded.extend(ChunkIndex::encode_task_slice(&mb2.task_usage(1, 2), 2));
-        assert_eq!(enc, sharded);
-        // Short task slices pad with the running total.
-        assert_eq!(ChunkIndex::encode_task_slice(&[4], 3), {
-            let mut v = Vec::new();
-            for w in [4u64, 4, 4] {
-                v.extend_from_slice(&w.to_le_bytes());
-            }
-            v
-        });
+        assert_eq!(idx.encode(2).len() as u64, ChunkIndex::encoded_len(2, 2));
     }
 
     #[test]

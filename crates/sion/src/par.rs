@@ -25,11 +25,7 @@
 //!   ONE global allreduce of the failed flag, the all-or-nothing agreement
 //!   across file groups;
 //! * write close — ONE usage gather + ONE status broadcast per file
-//!   group, then ONE global barrier; file groups beyond
-//!   [`SHARDED_CLOSE_THRESHOLD`] tasks instead shard the gather across
-//!   per-256-task sub-masters that write disjoint metadata slices, so the
-//!   file master never materializes O(ranks·blocks) usage rows (see
-//!   [`close_sharded`]);
+//!   group, then ONE global barrier, at every group size;
 //! * read open — ONE parent scatter handing each task its status, the
 //!   flags and its own place (file, position in that file's rank table,
 //!   group size), message-free `split_local`s, then per file group ONE
@@ -83,8 +79,8 @@
 //! on entry to each synchronous call (`write`, `write_in_chunk`,
 //! `ensure_free_space`, `flush`) and to `close_co`, and again after every
 //! park that precedes a write — the master's metablock-1 write after the
-//! open gather, the metadata tail after the close gather, the sharded
-//! close's slice and trailer writes, and each frame an aggregator applies.
+//! open gather, the metadata tail after the close gather, and each frame an
+//! aggregator applies.
 //! The blocking entry points arm it once more up front, where a rank owns
 //! its thread. Block guards are thus attributed correctly on every
 //! runtime, the serial executor included (`simcheck`'s misaligned-chunk
@@ -92,33 +88,18 @@
 
 use crate::agg::{self, AggState, AggStats, MemberState};
 use crate::error::{Result, SionError};
-use crate::format::{
-    write_close_metadata, ChunkIndex, CloseRecord, MetaBlock1, MetaBlock2, OpenRecord, SionFlags,
-    IDX_FIXED_LEN, MAGIC_EOF2, MB2_FIXED_LEN, TRAILER2_LEN,
-};
-use crate::layout::FileLayout;
+use crate::format::{CloseRecord, OpenRecord, SionFlags};
 use crate::physical_name;
-use crate::serial::{FileView, Multifile};
+use crate::serial::{create_file, finalize_file, FileView, Multifile};
 use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter, DEFAULT_READ_AHEAD};
 use crate::{IoMode, SionParams};
 use simmpi::{drive_ready, BlockingRef, CoComm, Comm, CommStats, ReduceOp};
 use std::sync::Arc;
-use vfs::{IoSlice, Vfs};
+use vfs::Vfs;
 
 /// Payload a file master prepares during the collective write open: the
 /// per-task geometry blobs to scatter plus the created file handle.
 type GroupSetup = (Vec<Vec<u8>>, Arc<dyn vfs::VfsFile>);
-
-/// File groups larger than this close through sub-master sharding
-/// ([`close_sharded`]) instead of one global usage gather. The threshold
-/// keeps the exact small-P round structure pinned by the
-/// `collective_rounds` test, and keeps every thread-backed runtime (capped
-/// at a few hundred ranks) on the simple path.
-const SHARDED_CLOSE_THRESHOLD: usize = 512;
-
-/// Local tasks per close shard: each sub-master gathers and writes the
-/// metadata slices of this many consecutive local tasks.
-const CLOSE_SHARD_TASKS: usize = 256;
 
 /// Status word broadcast by a master after its setup phase, so that a
 /// failure anywhere in the group surfaces as an error on every task
@@ -135,7 +116,7 @@ const AGREE_LOCAL_INVALID: u64 = 1;
 /// Some task's parameter fingerprint differs from rank 0's.
 const AGREE_PARAM_MISMATCH: u64 = 2;
 
-async fn check_master_status(lcom: &dyn CoComm, local: Result<u64>) -> Result<()> {
+async fn check_master_status(lcom: &dyn CoComm, local: Result<()>) -> Result<()> {
     // Master converts its Result into a status word; everyone else echoes
     // STATUS_OK and learns the verdict from the broadcast.
     let word = if lcom.rank() == 0 {
@@ -229,9 +210,9 @@ pub struct SionParWriter {
     role: AggRole,
 }
 
-/// The file master's half of the write open: lay out the group's chunks
-/// from the gathered records, create the physical file, write metablock 1
-/// and prepare each task's geometry part.
+/// The file master's half of the write open: create the physical file from
+/// the gathered records ([`create_file`]: layout, create, metablock 1) and
+/// prepare each task's geometry part.
 fn master_open_setup(
     vfs: &dyn Vfs,
     base: &str,
@@ -242,23 +223,8 @@ fn master_open_setup(
 ) -> Result<GroupSetup> {
     let records: Vec<OpenRecord> =
         raw.iter().map(|b| OpenRecord::decode(b)).collect::<Result<_>>()?;
-    let reqs: Vec<u64> = records.iter().map(|r| r.chunksize).collect();
-    let granks: Vec<u64> = records.iter().map(|r| r.grank).collect();
-    let layout = FileLayout::compute(&reqs, vfs.block_size(), params.alignment, params.rescue)?;
-    let file = vfs.create(&physical_name(base, filenum))?;
-    let mb1 = MetaBlock1 {
-        version: crate::format::VERSION,
-        flags: params.flags(),
-        fsblksize: vfs.block_size(),
-        ntasks_global: ntasks as u64,
-        nfiles: params.nfiles,
-        filenum,
-        data_start: layout.data_start,
-        global_ranks: granks.clone(),
-        chunksize_req: reqs,
-        chunk_cap: layout.cap.clone(),
-    };
-    file.write_all_at(&mb1.encode(), 0)?;
+    let (layout, file) =
+        create_file(vfs, base, params, params.flags(), filenum, ntasks, &records)?;
     // Aggregation election (IoMode::Aggregated): neighborhood starts,
     // snapped to FS-block-clean task boundaries so aggregator extents
     // never share an FS block with another writer. Every scatter part
@@ -273,7 +239,7 @@ fn master_open_setup(
     };
     let parts: Vec<Vec<u8>> = (0..layout.ntasks())
         .map(|t| {
-            let mut words = ChunkGeom::from_layout(&layout, t, granks[t]).encode();
+            let mut words = ChunkGeom::from_layout(&layout, t, records[t].grank).encode();
             let (agg, end) = match &groups {
                 None => (t as u64, t as u64 + 1),
                 Some(starts) => {
@@ -632,44 +598,24 @@ impl SionParWriter {
         };
         let encoded = record.encode();
 
-        // Small groups: ONE usage gather at the file master, which
-        // assembles and writes the whole metadata tail. Large groups:
-        // sharded assembly so no task — the master included — ever
-        // materializes O(ranks·blocks) usage rows.
-        let finalize: Result<u64> = if self.lcom.size() > SHARDED_CLOSE_THRESHOLD {
-            close_sharded(self.lcom.as_ref(), &self.writer, self.grank as u64, &encoded).await
-        } else {
-            let gathered = self.lcom.gather(&encoded, 0).await;
-            if self.lcom.rank() == 0 {
+        // ONE usage gather at the file master, which finalizes the file —
+        // unless some task's flush failed.
+        let finalize: Result<()> = match self.lcom.gather(&encoded, 0).await {
+            None => Ok(()),
+            Some(raw) => {
                 // The gather parked; re-arm before the metadata writes.
                 vfs::guard::set_task(self.grank as u64);
                 (|| {
-                    let per_task: Vec<CloseRecord> = gathered
-                        .expect("master receives the gather")
-                        .iter()
-                        .map(|b| CloseRecord::decode(b))
-                        .collect::<Result<_>>()?;
+                    let per_task: Vec<CloseRecord> =
+                        raw.iter().map(|b| CloseRecord::decode(b)).collect::<Result<_>>()?;
                     if per_task.iter().any(|r| r.status != CloseRecord::STATUS_OK) {
                         return Err(SionError::CollectiveMismatch(
                             "a task failed to flush; metablock 2 not written".into(),
                         ));
                     }
-                    let n = per_task.len();
-                    let nblocks =
-                        per_task.iter().map(|r| r.used.len()).max().unwrap_or(0) as u64;
-                    let mut usage = vec![0u64; (nblocks as usize) * n];
-                    for (t, rec) in per_task.iter().enumerate() {
-                        for (b, &u) in rec.used.iter().enumerate() {
-                            usage[b * n + t] = u;
-                        }
-                    }
-                    let mb2 = MetaBlock2 { nblocks, used: usage };
-                    let mb2_off = self.writer.mb2_offset(nblocks);
-                    write_close_metadata(self.writer.file(), mb2_off, &mb2, n)?;
-                    Ok(0)
+                    let rows: Vec<&[u64]> = per_task.iter().map(|r| r.used.as_slice()).collect();
+                    finalize_file(&self.writer, &rows)
                 })()
-            } else {
-                Ok(0)
             }
         };
         let status = check_master_status(self.lcom.as_ref(), finalize).await;
@@ -687,161 +633,6 @@ impl SionParWriter {
             agg: agg_stats,
         })
     }
-}
-
-/// Sharded collective close for large file groups: the group is cut into
-/// [`CLOSE_SHARD_TASKS`]-wide shards of consecutive local tasks, and each
-/// shard's sub-master gathers only its own tasks' usage and writes the
-/// shard's *disjoint slices* of metablock 2 (one contiguous run per block
-/// row) and of the task-major chunk index (one contiguous run total). The
-/// file master contributes nothing but the fixed headers and the trailer,
-/// written after a sub-master rendezvous confirms every slice is on disk —
-/// so the trailer still flips the file to "validly closed" last, and the
-/// bytes produced are identical to
-/// [`write_close_metadata`](crate::format::write_close_metadata)'s.
-///
-/// Round structure: 2 message-free `split_local`s of the file-group
-/// communicator, ONE usage gather per shard, then among sub-masters ONE
-/// 16-byte allgather (failure agreement + block-count reduction) and ONE
-/// status gather; the caller's status broadcast and global barrier are
-/// unchanged.
-async fn close_sharded(
-    lcom: &dyn CoComm,
-    writer: &TaskWriter,
-    grank: u64,
-    record: &[u8],
-) -> Result<u64> {
-    let n = lcom.size();
-    // `lcom` ranks follow global rank order, so the local rank *is* the
-    // local task index used by the on-disk layout.
-    let me = lcom.rank();
-    let shard = me / CLOSE_SHARD_TASKS;
-    let shard_base = shard * CLOSE_SHARD_TASKS;
-    let nshards = n.div_ceil(CLOSE_SHARD_TASKS);
-    let is_sub_master = me == shard_base;
-
-    // Both splits are collective over the whole group and cost no message:
-    // every task computes its own place. The second hands non-sub-masters
-    // a communicator they never use.
-    let scom = lcom
-        .split_local(shard as u64, me - shard_base, CLOSE_SHARD_TASKS.min(n - shard_base))
-        .await;
-    let mcom = if is_sub_master {
-        lcom.split_local(0, shard, nshards).await
-    } else {
-        // `shard + 1` sub-masters precede this task.
-        lcom.split_local(1, me - shard - 1, n - nshards).await
-    };
-
-    let gathered = scom.gather(record, 0).await;
-    if !is_sub_master {
-        return Ok(0);
-    }
-
-    // Decode this shard's records. A sub-master that fails here must still
-    // join every collective below (deserting would hang its peers), so the
-    // failure travels as a status flag.
-    let decoded: Result<Vec<CloseRecord>> = gathered
-        .expect("sub-master receives the gather")
-        .iter()
-        .map(|b| CloseRecord::decode(b))
-        .collect();
-    let (shard_failed, shard_nblocks) = match &decoded {
-        Ok(recs) => (
-            recs.iter().any(|r| r.status != CloseRecord::STATUS_OK),
-            recs.iter().map(|r| r.used.len()).max().unwrap_or(0) as u64,
-        ),
-        Err(_) => (true, 0),
-    };
-
-    // Sub-master agreement: one 16-byte allgather carries [failed flag,
-    // shard block count]; every sub-master derives the file-wide verdict
-    // and block count by scanning the shared frame in place.
-    let mut word16 = [0u8; 16];
-    word16[..8].copy_from_slice(&(shard_failed as u64).to_le_bytes());
-    word16[8..].copy_from_slice(&shard_nblocks.to_le_bytes());
-    let all = mcom.allgather_shared(&word16).await;
-    let mut any_failed = false;
-    let mut nblocks = 0u64;
-    for b in all.iter() {
-        any_failed |= u64::from_le_bytes(b[..8].try_into().unwrap()) != 0;
-        nblocks = nblocks.max(u64::from_le_bytes(b[8..16].try_into().unwrap()));
-    }
-
-    // Both the slice writes below and the trailer writes at the end run
-    // after collective parks: re-arm the sub-master's task label.
-    vfs::guard::set_task(grank);
-    let slice_res: Result<()> = (|| {
-        let per_task = decoded?;
-        if any_failed {
-            return Err(SionError::CollectiveMismatch(
-                "a task failed to flush; metablock 2 not written".into(),
-            ));
-        }
-        let file = writer.file();
-        let mb2_off = writer.mb2_offset(nblocks);
-        let idx_off = mb2_off + MB2_FIXED_LEN + 8 * nblocks * n as u64;
-        let m = per_task.len();
-        // Usage is block-major, so this shard's share of each block row is
-        // one contiguous run of `m` words (zero-filled for tasks whose
-        // stream stopped earlier).
-        let mut row = vec![0u8; 8 * m];
-        for b in 0..nblocks {
-            for (i, rec) in per_task.iter().enumerate() {
-                let u = rec.used.get(b as usize).copied().unwrap_or(0);
-                row[i * 8..i * 8 + 8].copy_from_slice(&u.to_le_bytes());
-            }
-            file.write_all_at(
-                &row,
-                mb2_off + MB2_FIXED_LEN + 8 * (b * n as u64 + shard_base as u64),
-            )?;
-        }
-        // The chunk index is task-major, so the whole shard lands as ONE
-        // contiguous vectored submission — one slice per task's encoded
-        // cumulative run, no concatenation copy.
-        let slices: Vec<Vec<u8>> = per_task
-            .iter()
-            .map(|rec| ChunkIndex::encode_task_slice(&rec.used, nblocks))
-            .collect();
-        let iov: Vec<IoSlice<'_>> = slices.iter().map(|s| IoSlice::new(s)).collect();
-        file.write_vectored_at(&iov, idx_off + IDX_FIXED_LEN + 8 * nblocks * shard_base as u64)?;
-        Ok(())
-    })();
-
-    // Rendezvous before the trailer: the file master finalizes only after
-    // every shard reports its slices written.
-    let status_word = (slice_res.is_err() as u64).to_le_bytes();
-    let statuses = mcom.gather(&status_word, 0).await;
-    if me != 0 {
-        return slice_res.map(|_| 0);
-    }
-    let any_shard_failed = statuses
-        .expect("file master receives the gather")
-        .iter()
-        .any(|b| u64::from_le_bytes(b[..8].try_into().unwrap()) != 0);
-    slice_res?;
-    if any_shard_failed {
-        return Err(SionError::CollectiveMismatch(
-            "a close shard failed to write its metadata slice".into(),
-        ));
-    }
-    vfs::guard::set_task(grank);
-    let file = writer.file();
-    let mb2_off = writer.mb2_offset(nblocks);
-    let mb2_len = MB2_FIXED_LEN + 8 * nblocks * n as u64;
-    let idx_off = mb2_off + mb2_len;
-    let idx_len = ChunkIndex::encoded_len(nblocks, n);
-    file.write_all_at(&MetaBlock2::header_bytes(nblocks, n), mb2_off)?;
-    file.write_all_at(&ChunkIndex::header_bytes(nblocks, n), idx_off)?;
-    let mut trailer = Vec::with_capacity(TRAILER2_LEN as usize);
-    trailer.extend_from_slice(&mb2_off.to_le_bytes());
-    trailer.extend_from_slice(&mb2_len.to_le_bytes());
-    trailer.extend_from_slice(&idx_off.to_le_bytes());
-    trailer.extend_from_slice(&idx_len.to_le_bytes());
-    trailer.extend_from_slice(&MAGIC_EOF2);
-    file.write_all_at(&trailer, idx_off + idx_len)?;
-    file.set_len(idx_off + idx_len + TRAILER2_LEN)?;
-    Ok(0)
 }
 
 /// Handle for reading one task's logical file of a multifile
@@ -945,10 +736,10 @@ pub async fn paropen_read_co(
 
     let group_result: Result<(ChunkGeom, Vec<u64>, Arc<dyn vfs::VfsFile>)> = async {
         if lcom.rank() == 0 {
-            check_master_status(lcom.as_ref(), setup.as_ref().map(|_| 0).map_err(clone_err))
+            check_master_status(lcom.as_ref(), setup.as_ref().map(|_| ()).map_err(clone_err))
                 .await?;
         } else {
-            check_master_status(lcom.as_ref(), Ok(0)).await?;
+            check_master_status(lcom.as_ref(), Ok(())).await?;
         }
         let mine = if lcom.rank() == 0 {
             lcom.scatter(Some(setup.expect("status was OK")), 0).await

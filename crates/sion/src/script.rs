@@ -4,19 +4,25 @@
 //! what we can execute as real threads. This module writes `parfs`
 //! workloads ([`ScriptSet`]) for them: chunk capacities, block sharing and
 //! metadata sizes come from the production code ([`crate::layout`],
-//! [`MetaBlock1`]), but the collective open/close message pattern of
-//! [`crate::par`] and the baseline access patterns the paper compares
-//! against (one-file-per-task and single-file-sequential) are written by
-//! hand, and nothing checks them against the implementation — they still
-//! emit the two open gathers the exchange-free open removed and an
-//! `8 + 8·ntasks` read-open broadcast. Replacing them with scripts
-//! recorded from an executed run is ROADMAP item 7.
+//! [`MetaBlock1`], the packed [`OpenRecord`] and `ChunkGeom` words), while
+//! the collective open/close message pattern of [`crate::par`] and the
+//! baseline access patterns the paper compares against (one-file-per-task
+//! and single-file-sequential) are written by hand.
+//! `tests/collective_rounds.rs` holds the hand-written pattern to the
+//! implementation: per task class, the number of collectives of each kind
+//! equals what an executed 8-rank run counts in its
+//! [`CommStats`](simmpi::CommStats). `parfs` has no reduction op, so a
+//! one-word allreduce is a `Gather` plus a `Bcast` of 8 bytes; `parfs` times
+//! every collective over all tasks, whichever communicator `par.rs` runs it
+//! on. Replacing the scripts with ones recorded from an executed run is
+//! ROADMAP item 7.
 //!
 //! All generators produce symmetric task *classes* (e.g. "file masters"
 //! and "workers"), which is what keeps 64 Ki-task simulations cheap.
 
-use crate::format::MetaBlock1;
+use crate::format::{MetaBlock1, OpenRecord};
 use crate::layout::{align_up, Alignment, FileLayout};
+use crate::stream::ChunkGeom;
 use parfs::{FileRef, IoOp, ScriptClass, ScriptSet};
 
 /// Parameters of a simulated multifile experiment.
@@ -108,18 +114,24 @@ impl SimSpec {
     }
 }
 
-/// Per-task payload sizes of the open/close metadata exchange (bytes):
-/// chunk-size request up, chunk geometry down, per-block usage up.
-const REQ_BYTES: u64 = 8;
-const GEOM_BYTES: u64 = 6 * 8;
+/// One status or verdict word.
+const WORD: u64 = 8;
+/// A task's chunk geometry as the file master scatters it.
+const GEOM_BYTES: u64 = 8 * ChunkGeom::ENCODED_WORDS as u64;
+
+/// A one-word allreduce, as `parfs` can say it: up, then down.
+fn allreduce_word() -> [IoOp; 2] {
+    [IoOp::Gather { bytes: WORD }, IoOp::Bcast { bytes: WORD }]
+}
 
 /// Ops of the collective open in write mode, from the perspective of a
-/// file master / a worker (mirrors [`crate::par::paropen_write`]).
+/// file master / a worker (mirrors [`crate::par::paropen_write_co`]).
 fn open_write_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
-    let mut ops = vec![
-        IoOp::Gather { bytes: REQ_BYTES },  // chunk-size requests
-        IoOp::Gather { bytes: REQ_BYTES },  // global ranks
-    ];
+    // Agreement round: rank 0's parameter fingerprint, then the verdict.
+    let mut ops = vec![IoOp::Bcast { bytes: WORD }];
+    ops.extend(allreduce_word());
+    // The file groups form without an exchange; ONE packed metadata gather.
+    ops.push(IoOp::Gather { bytes: OpenRecord::LEN as u64 });
     if master {
         ops.push(IoOp::Create(FileRef::Shared(file)));
         ops.push(IoOp::Write {
@@ -128,17 +140,21 @@ fn open_write_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
             sharers: 1.0,
         });
     }
-    ops.push(IoOp::Bcast { bytes: 8 }); // master status word
-    ops.push(IoOp::Scatter { bytes: GEOM_BYTES });
+    ops.push(IoOp::Bcast { bytes: WORD }); // master status word
+    // Geometry plus the two aggregation words.
+    ops.push(IoOp::Scatter { bytes: GEOM_BYTES + 2 * WORD });
     if !master {
         ops.push(IoOp::Open(FileRef::Shared(file)));
     }
+    // All-or-nothing agreement across file groups.
+    ops.extend(allreduce_word());
     ops
 }
 
-/// Ops of the collective close (mirrors `SionParWriter::close`).
+/// Ops of the collective close (mirrors `SionParWriter::close_co`): the
+/// packed `CloseRecord` is a status word, a block count and the usage row.
 fn close_ops(spec: &SimSpec, file: u32, master: bool, nblocks: u64) -> Vec<IoOp> {
-    let mut ops = vec![IoOp::Gather { bytes: 8 * nblocks }];
+    let mut ops = vec![IoOp::Gather { bytes: 2 * WORD + 8 * nblocks }];
     if master {
         ops.push(IoOp::Write {
             file: FileRef::Shared(file),
@@ -146,7 +162,7 @@ fn close_ops(spec: &SimSpec, file: u32, master: bool, nblocks: u64) -> Vec<IoOp>
             sharers: 1.0,
         });
     }
-    ops.push(IoOp::Bcast { bytes: 8 });
+    ops.push(IoOp::Bcast { bytes: WORD });
     ops.push(IoOp::Barrier);
     ops
 }
@@ -193,13 +209,14 @@ fn multifile_classes(
 }
 
 /// Ops of the collective open in read mode (mirrors
-/// [`crate::par::paropen_read`]): the global master reads every metablock,
-/// broadcasts the rank map, file masters scatter geometry and usage.
+/// [`crate::par::paropen_read_co`]): the global master scatters each task its
+/// status, flags and place; file masters read their file's metadata and
+/// scatter geometry and usage.
 fn open_read_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
-    let mut ops = Vec::new();
+    let mut ops = vec![IoOp::Scatter { bytes: 4 * WORD }];
     if master {
-        // Approximation: every file master stands in for the discovery
-        // reads of its own file's metablocks.
+        // Approximation: the file master's reads of its own file stand in
+        // for rank 0's header-only discovery of every file as well.
         ops.push(IoOp::Open(FileRef::Shared(file)));
         ops.push(IoOp::Read {
             file: FileRef::Shared(file),
@@ -212,12 +229,12 @@ fn open_read_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
             sharers: 1.0,
         });
     }
-    // Status word plus the full rank map from the global master.
-    ops.push(IoOp::Bcast { bytes: 8 + 8 * spec.ntasks });
+    ops.push(IoOp::Bcast { bytes: WORD }); // master status word
     ops.push(IoOp::Scatter { bytes: GEOM_BYTES + 8 * spec.nblocks() });
     if !master {
         ops.push(IoOp::Open(FileRef::Shared(file)));
     }
+    ops.extend(allreduce_word());
     ops
 }
 

@@ -22,9 +22,18 @@
 //! repeated seeks over a working set of ranks cost no further I/O;
 //! [`Multifile::locations`] remains the eager full materialization, now
 //! computed once and shared.
+//!
+//! # A file's head and tail
+//!
+//! What a physical file starts and ends with is known here and in
+//! [`crate::format`] only: `FileView` decodes it, `create_file` and
+//! `finalize_file` write it, for [`SerialWriter`] and for the collective
+//! open/close of [`crate::par`] alike.
 
 use crate::error::{Result, SionError};
-use crate::format::{ChunkIndex, MetaBlock1, MetaBlock2, SionFlags, Trailer};
+use crate::format::{
+    write_close_metadata, ChunkIndex, MetaBlock1, MetaBlock2, OpenRecord, SionFlags, Trailer,
+};
 use crate::layout::FileLayout;
 use crate::physical_name;
 use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter, DEFAULT_READ_AHEAD};
@@ -229,6 +238,56 @@ impl FileView {
             None => Ok(usage),
         }
     }
+}
+
+/// Where a physical file is born, for the serial and the collective write
+/// open alike: lay out the chunks `tasks` ask for (local task order), create
+/// file `filenum` and write its metablock 1. `flags` is what readers will be
+/// told; it differs from `params.flags()` only for [`SerialWriter::create_with_flags`].
+pub(crate) fn create_file(
+    vfs: &dyn Vfs,
+    base: &str,
+    params: &SionParams,
+    flags: SionFlags,
+    filenum: u32,
+    ntasks_global: usize,
+    tasks: &[OpenRecord],
+) -> Result<(FileLayout, Arc<dyn VfsFile>)> {
+    let reqs: Vec<u64> = tasks.iter().map(|t| t.chunksize).collect();
+    let layout = FileLayout::compute(&reqs, vfs.block_size(), params.alignment, params.rescue)?;
+    let file = vfs.create(&physical_name(base, filenum))?;
+    let mb1 = MetaBlock1 {
+        version: crate::format::VERSION,
+        flags,
+        fsblksize: vfs.block_size(),
+        ntasks_global: ntasks_global as u64,
+        nfiles: params.nfiles,
+        filenum,
+        data_start: layout.data_start,
+        global_ranks: tasks.iter().map(|t| t.grank).collect(),
+        chunksize_req: reqs,
+        chunk_cap: layout.cap.clone(),
+    };
+    file.write_all_at(&mb1.encode(), 0)?;
+    Ok((layout, file))
+}
+
+/// Where a physical file is finalized, for the serial and the collective
+/// close alike: `rows[lt]` is local task `lt`'s stored bytes per block it
+/// touched; the block-major metablock 2 over the longest row goes behind the
+/// last block with its index and trailer. `writer` is any local task's — it
+/// names the file and knows where the blocks end.
+pub(crate) fn finalize_file(writer: &TaskWriter, rows: &[&[u64]]) -> Result<()> {
+    let n = rows.len();
+    let nblocks = rows.iter().map(|r| r.len()).max().unwrap_or(0);
+    let mut used = vec![0u64; nblocks * n];
+    for (lt, row) in rows.iter().enumerate() {
+        for (b, &u) in row.iter().enumerate() {
+            used[b * n + lt] = u;
+        }
+    }
+    let mb2 = MetaBlock2 { nblocks: nblocks as u64, used };
+    write_close_metadata(writer.file(), writer.mb2_offset(mb2.nblocks), &mb2, n)
 }
 
 /// Capacity of the per-rank [`TaskLocation`] LRU: plenty for tool working
@@ -552,11 +611,9 @@ impl std::io::Read for RankReader {
 /// write mode, paper §3.2.3). "Since the open call is now executed by only
 /// one process, a whole array of chunk sizes needs to be supplied."
 pub struct SerialWriter {
-    files: Vec<Arc<dyn VfsFile>>,
-    layouts: Vec<FileLayout>,
     writers: Vec<TaskWriter>,
-    /// Physical file index of each rank.
-    rank_file: Vec<usize>,
+    /// The ranks of each physical file, in local task order.
+    per_file: Vec<Vec<usize>>,
     /// Rank whose stream the positional API currently addresses.
     cur: usize,
     ntasks: usize,
@@ -589,51 +646,28 @@ impl SerialWriter {
     ) -> Result<SerialWriter> {
         let ntasks = chunksizes.len();
         params.mapping.validate(ntasks, params.nfiles)?;
-        let mut files = Vec::with_capacity(params.nfiles as usize);
-        let mut layouts = Vec::with_capacity(params.nfiles as usize);
-        let mut writers: Vec<Option<TaskWriter>> = (0..ntasks).map(|_| None).collect();
         // Group ranks by physical file, in rank order.
         let mut per_file: Vec<Vec<usize>> = vec![Vec::new(); params.nfiles as usize];
         for r in 0..ntasks {
             per_file[params.mapping.file_of(r, ntasks, params.nfiles) as usize].push(r);
         }
+        let mut writers: Vec<Option<TaskWriter>> = (0..ntasks).map(|_| None).collect();
         for (k, ranks) in per_file.iter().enumerate() {
-            let reqs: Vec<u64> = ranks.iter().map(|&r| chunksizes[r]).collect();
-            let layout =
-                FileLayout::compute(&reqs, vfs.block_size(), params.alignment, params.rescue)?;
-            let file = vfs.create(&physical_name(base, k as u32))?;
-            let mb1 = MetaBlock1 {
-                version: crate::format::VERSION,
-                flags: stored_flags,
-                fsblksize: vfs.block_size(),
-                ntasks_global: ntasks as u64,
-                nfiles: params.nfiles,
-                filenum: k as u32,
-                data_start: layout.data_start,
-                global_ranks: ranks.iter().map(|&r| r as u64).collect(),
-                chunksize_req: reqs,
-                chunk_cap: layout.cap.clone(),
-            };
-            file.write_all_at(&mb1.encode(), 0)?;
+            let tasks: Vec<OpenRecord> = ranks
+                .iter()
+                .map(|&r| OpenRecord { chunksize: chunksizes[r], grank: r as u64 })
+                .collect();
+            let (layout, file) =
+                create_file(vfs, base, params, stored_flags, k as u32, ntasks, &tasks)?;
             for (lt, &r) in ranks.iter().enumerate() {
                 let geom = ChunkGeom::from_layout(&layout, lt, r as u64);
                 writers[r] =
                     Some(TaskWriter::new(file.clone(), geom, params.compressed, params.write_buffer));
             }
-            files.push(file);
-            layouts.push(layout);
-        }
-        let mut rank_file = vec![0usize; ntasks];
-        for (k, ranks) in per_file.iter().enumerate() {
-            for &r in ranks {
-                rank_file[r] = k;
-            }
         }
         Ok(SerialWriter {
-            files,
-            layouts,
             writers: writers.into_iter().map(|w| w.expect("every rank assigned")).collect(),
-            rank_file,
+            per_file,
             cur: 0,
             ntasks,
         })
@@ -696,35 +730,14 @@ impl SerialWriter {
     /// Finalize: write every physical file's metablock 2, chunk index, and
     /// trailer (`sion_close`).
     pub fn close(mut self) -> Result<()> {
-        // Collect per-rank usage, then group by file in local order.
         let usage: Vec<Vec<u64>> = self
             .writers
             .iter_mut()
             .map(|w| w.finish())
             .collect::<Result<_>>()?;
-        let nfiles = self.files.len();
-        let mut per_file: Vec<Vec<&Vec<u64>>> = vec![Vec::new(); nfiles];
-        // Ranks were grouped per file in rank order at create, so pushing
-        // in rank order reproduces the local task order.
-        for (r, u) in usage.iter().enumerate() {
-            per_file[self.rank_file[r]].push(u);
-        }
-        for (k, task_usage) in per_file.iter().enumerate() {
-            let n = task_usage.len();
-            let nblocks = task_usage.iter().map(|u| u.len()).max().unwrap_or(0) as u64;
-            let mut flat = vec![0u64; nblocks as usize * n];
-            for (lt, u) in task_usage.iter().enumerate() {
-                for (b, &v) in u.iter().enumerate() {
-                    flat[b * n + lt] = v;
-                }
-            }
-            let mb2 = MetaBlock2 { nblocks, used: flat };
-            crate::format::write_close_metadata(
-                self.files[k].as_ref(),
-                self.layouts[k].mb2_offset(nblocks),
-                &mb2,
-                n,
-            )?;
+        for ranks in &self.per_file {
+            let rows: Vec<&[u64]> = ranks.iter().map(|&r| usage[r].as_slice()).collect();
+            finalize_file(&self.writers[ranks[0]], &rows)?;
         }
         Ok(())
     }
