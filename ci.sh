@@ -219,6 +219,21 @@ then
     exit 1
 fi
 
+echo "==> structural gate: defrag does not stage (no read_at bounce, no bounce buffer in sion-tools outside its tests)"
+# Each rank's stored runs go from the reader's window straight into its
+# RankWriter; the old bounce copy lives on only as the oracle in `mod tests`.
+staging=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /mf\.read_at\(|vec!\[0u8;/ { print FILENAME ":" FNR ": " $0 }' crates/sion-tools/src/lib.rs)
+[ -z "$staging" ] || {
+    echo "$staging"
+    echo "defrag lends stored runs to \`RankWriter::write\`: no \`Multifile::read_at\`, no staging buffer"
+    exit 1
+}
+# What this commit did to the counter the last line prints (HEAD~1 → tree).
+delta=$(git diff --numstat HEAD~1 -- 'crates/*/src/*.rs' ':(exclude)crates/compat' 2>/dev/null |
+    awk '{ d += $1 - $2 } END { printf "%+d", d }') || delta="n/a"
+echo "crates/*/src lines since HEAD~1: $delta"
+
 echo "==> structural gate: a re-export has a consumer (every \`pub use\` of a library crate names something a .rs file outside that crate's src/ mentions)"
 unused=$(for c in vfs parfs simmpi sion szip tracer mp2c sion-tools simcheck; do
     # What can import from the crate: every other crate, its own tests/, the

@@ -14,12 +14,16 @@
 //! [`sion::RankReader::scan_remaining`], which lends plain streams from
 //! page leases and compressed streams frame by frame from the decoder's
 //! buffer. The tools stay serial programs — no communicator, any host —
-//! and only [`verify`], whose ranks are independent, spreads them over
-//! scoped threads; its report does not depend on how many.
+//! but [`verify`] and [`defrag`], whose ranks are independent, spread them
+//! over scoped threads (`over_ranks`); neither the report nor the output
+//! file depends on how many.
 
 use sion::rescue::{RescueHeader, RESCUE_HEADER_LEN};
-use sion::{Multifile, Result, SerialWriter, SionError, SionFlags, SionParams};
+use sion::{
+    IoCounters, Multifile, RankWriter, Result, SerialWriter, SionError, SionFlags, SionParams,
+};
 use std::fmt::Write as _;
+use std::ops::Range;
 use vfs::Vfs;
 
 /// Human-readable metadata dump of a multifile (the `siondump` tool).
@@ -125,6 +129,10 @@ pub struct DefragStats {
     pub blocks_before: u64,
     /// Stored bytes copied (identical before/after).
     pub stored_bytes: u64,
+    /// The readers' I/O counters, summed over the ranks: on a leasing VFS
+    /// (MemFs) `bytes_copied` and `allocs` stay zero — every stored byte
+    /// is copied once, by the output file system, from the lent page.
+    pub io: IoCounters,
 }
 
 /// Contract a multifile into a single block per task (the `siondefrag`
@@ -135,7 +143,27 @@ pub struct DefragStats {
 /// Compressed multifiles are copied verbatim (stored bytes move, the
 /// `COMPRESSED` flag is preserved), so the output remains readable by the
 /// normal API.
+///
+/// Each rank's stored stream is copied once: the runs its
+/// [`stored reader`](Multifile::stored_reader_at) lends go straight into a
+/// write-through [`RankWriter`], with no staging buffer in between. Ranks
+/// are copied in contiguous ranges by the `over_ranks` workers; every
+/// output chunk's offset is fixed by the layout and the metadata is
+/// written by `close` on the calling thread, so the output is the same
+/// bytes whatever the thread count.
 pub fn defrag(
+    vfs_in: &dyn Vfs,
+    base: &str,
+    vfs_out: &dyn Vfs,
+    out_base: &str,
+    nfiles: u32,
+) -> Result<DefragStats> {
+    defrag_on(host_workers(), vfs_in, base, vfs_out, out_base, nfiles)
+}
+
+/// [`defrag`] over `workers` threads.
+fn defrag_on(
+    workers: usize,
     vfs_in: &dyn Vfs,
     base: &str,
     vfs_out: &dyn Vfs,
@@ -148,11 +176,12 @@ pub fn defrag(
     // Two streaming passes over the ranks — sizing, then copying — so no
     // full `Locations` is ever materialized. One chunk per task, sized to
     // exactly its stored data.
-    let mut chunksizes = Vec::with_capacity(ntasks);
-    for rank in 0..ntasks {
-        chunksizes.push(mf.location(rank)?.stored_bytes.max(1));
-    }
-    let mut params = SionParams::new(0).with_nfiles(nfiles);
+    let chunksizes = (0..ntasks)
+        .map(|rank| Ok(mf.location(rank)?.stored_bytes.max(1)))
+        .collect::<Result<Vec<u64>>>()?;
+    // Write-through: a lent run (at most one MemFs page) reaches the output
+    // as one write instead of being copied into a write-behind buffer.
+    let mut params = SionParams::new(0).with_nfiles(nfiles).with_write_buffer(0);
     if !flags.contains(SionFlags::ALIGNED) {
         params = params.with_alignment(sion::Alignment::None);
     }
@@ -161,32 +190,90 @@ pub fn defrag(
     // the recorded flags keep the COMPRESSED bit for readers.
     let mut writer =
         SerialWriter::create_with_flags(vfs_out, out_base, &chunksizes, &params, flags)?;
-    let mut stored = 0u64;
-    let mut buf = vec![0u8; 256 * 1024];
-    for rank in 0..ntasks {
-        let t = mf.location(rank)?;
-        writer.select_rank(rank)?;
-        for c in &t.chunks {
-            let mut pos = 0u64;
-            while pos < c.used {
-                let n = mf.read_at(rank, c.block, pos, &mut buf)?;
-                if n == 0 {
-                    return Err(SionError::Format(format!(
-                        "chunk of rank {rank} block {} ended early",
-                        c.block
-                    )));
-                }
-                writer.write(&buf[..n])?;
-                pos += n as u64;
-                stored += n as u64;
-            }
-        }
-    }
+    let parts = over_ranks(workers, &mut writer.rank_writers(), |ranks, writers| {
+        copy_ranks(&mf, ranks, writers)
+    })?;
     writer.close()?;
-    Ok(DefragStats {
+    let mut stats = DefragStats {
         ntasks,
         blocks_before: mf.max_blocks(),
-        stored_bytes: stored,
+        stored_bytes: 0,
+        io: IoCounters::default(),
+    };
+    for (stored, io) in parts {
+        stats.stored_bytes += stored;
+        stats.io += io;
+    }
+    Ok(stats)
+}
+
+/// [`defrag`]'s copy of `ranks`, `writers[i]` being rank `ranks.start + i`'s
+/// output stream: the stored bytes copied and the readers' counters.
+fn copy_ranks(
+    mf: &Multifile,
+    ranks: Range<usize>,
+    writers: &mut [RankWriter<'_>],
+) -> Result<(u64, IoCounters)> {
+    let (mut stored, mut io) = (0u64, IoCounters::default());
+    for (rank, out) in ranks.zip(writers) {
+        let t = mf.location(rank)?;
+        let mut reader = mf.stored_reader_at(&t);
+        // The sink cannot fail, so the first write error waits for the
+        // scan to end.
+        let mut written = Ok(());
+        let copied = reader.scan_remaining(&mut |run| {
+            if written.is_ok() {
+                written = out.write(run);
+            }
+        })?;
+        written?;
+        if copied != t.stored_bytes {
+            return Err(SionError::Format(format!(
+                "rank {rank} ended early: {copied} of {} stored bytes",
+                t.stored_bytes
+            )));
+        }
+        stored += copied;
+        io += reader.io_counters();
+    }
+    Ok((stored, io))
+}
+
+/// The threads a tool spreads its ranks over: one per core.
+fn host_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Run `job` over the ranks in contiguous ranges, at most `workers` of them
+/// at once. `per_rank` holds one item per rank, and each range gets its
+/// items to itself (`&mut`) — for `defrag`, the ranks' output streams.
+/// The calling thread takes the first range itself, as in the task
+/// executor: a process then never has more threads alive than cores, and
+/// later thread pools find the malloc arenas they left. Results come back
+/// in rank order; if any range failed, the first failing one's error —
+/// each range stops at its first failing rank, so that is the lowest
+/// failing rank's.
+fn over_ranks<S: Send, T: Send>(
+    workers: usize,
+    per_rank: &mut [S],
+    job: impl Fn(Range<usize>, &mut [S]) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let share = per_rank.len().div_ceil(workers.max(1)).max(1);
+    let job = &job;
+    std::thread::scope(|s| {
+        let mut ranges = per_rank.chunks_mut(share).enumerate().map(|(w, items)| {
+            let start = w * share;
+            (start..start + items.len(), items)
+        });
+        let first = ranges.next();
+        let spawned: Vec<_> = ranges
+            .map(|(ranks, items)| s.spawn(move || job(ranks, items)))
+            .collect();
+        let first = first.map(|(ranks, items)| job(ranks, items));
+        let joined = spawned
+            .into_iter()
+            .map(|worker| worker.join().expect("a tool worker panicked"));
+        first.into_iter().chain(joined).collect()
     })
 }
 
@@ -259,8 +346,9 @@ impl VerifyReport {
 /// Still a serial program — one process, no communicator — but ranks are
 /// independent, so they are certified in contiguous ranges by at most
 /// [`available_parallelism`](std::thread::available_parallelism) scoped
-/// threads and the findings merged in rank order: the report is the one a
-/// single loop over the ranks writes, whatever the thread count.
+/// threads (`over_ranks`) and the findings merged in rank order: the
+/// report is the one a single loop over the ranks writes, whatever the
+/// thread count.
 pub fn verify(vfs: &dyn Vfs, base: &str) -> Result<VerifyReport> {
     let mf = match Multifile::open(vfs, base) {
         Ok(mf) => mf,
@@ -274,38 +362,21 @@ pub fn verify(vfs: &dyn Vfs, base: &str) -> Result<VerifyReport> {
     } else {
         Vec::new()
     };
-    let ntasks = mf.ntasks();
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .clamp(1, ntasks.max(1));
-    let share = ntasks.div_ceil(workers);
-    let parts: Vec<Result<VerifyReport>> = std::thread::scope(|s| {
-        let (mf, files) = (&mf, &files[..]);
-        let ranks = |w: usize| (w * share).min(ntasks)..((w + 1) * share).min(ntasks);
-        let spawned: Vec<_> = (1..workers)
-            .map(|w| s.spawn(move || verify_ranks(mf, files, ranks(w))))
-            .collect();
-        // The calling thread is a worker too, as in the task executor: a
-        // process then never has more threads alive than cores, and later
-        // thread pools find the malloc arenas they left.
-        let first = verify_ranks(mf, files, ranks(0));
-        let joined = spawned
-            .into_iter()
-            .map(|worker| worker.join().expect("a verify worker panicked"));
-        std::iter::once(first).chain(joined).collect()
+    // Verify keeps nothing per rank: its ranges need no items of their own.
+    let parts = over_ranks(host_workers(), &mut vec![(); mf.ntasks()], |ranks, _| {
+        verify_ranks(&mf, &files, ranks)
     });
+    let parts = match parts {
+        Ok(parts) => parts,
+        // A per-rank fetch the strict decoder rejects sends the whole
+        // report through the raw fallback, exactly like a failed open:
+        // without consistent metadata, no stream can be certified.
+        Err(e) => return verify_raw(vfs, base, e),
+    };
     let mut report = VerifyReport::default();
     for part in parts {
-        match part {
-            Ok(part) => {
-                report.tasks_ok += part.tasks_ok;
-                report.problems.extend(part.problems);
-            }
-            // A per-rank fetch the strict decoder rejects sends the whole
-            // report through the raw fallback, exactly like a failed open:
-            // without consistent metadata, no stream can be certified.
-            Err(e) => return verify_raw(vfs, base, e),
-        }
+        report.tasks_ok += part.tasks_ok;
+        report.problems.extend(part.problems);
     }
     Ok(report)
 }
@@ -465,17 +536,23 @@ mod tests {
     use super::*;
     use simmpi::{Comm, World};
     use sion::paropen_write;
-    use vfs::MemFs;
+    use std::sync::Arc;
+    use vfs::{FaultKind, FaultRule, Faults, MemFs, Next, Op, OpKind, Tap, TapFs};
 
     fn payload(rank: usize, len: usize) -> Vec<u8> {
         (0..len).map(|i| ((i * 11 + rank * 73 + 5) % 241) as u8).collect()
     }
 
     fn sample_multifile(fs: &MemFs, params: &SionParams, ntasks: usize) {
-        World::run(ntasks, |comm| {
+        multifile_of(fs, params, &vec![3000; ntasks]);
+    }
+
+    /// `in.sion` with `payload(rank, lens[rank])` for every rank.
+    fn multifile_of(fs: &MemFs, params: &SionParams, lens: &[usize]) {
+        World::run(lens.len(), |comm| {
             let mut w = paropen_write(fs, "in.sion", params, comm).unwrap();
             // Multiple writes force several blocks when chunks are small.
-            for piece in payload(comm.rank(), 3000).chunks(700) {
+            for piece in payload(comm.rank(), lens[comm.rank()]).chunks(700) {
                 w.write(piece).unwrap();
             }
             w.close().unwrap();
@@ -728,5 +805,173 @@ mod tests {
         for rank in 0..6 {
             assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, 3000));
         }
+    }
+
+    /// The oracle: `defrag` as it was until PR 25 — every stored byte
+    /// bounced through a 256 KiB buffer by `Multifile::read_at` into a
+    /// buffered `SerialWriter`, one rank after another.
+    fn bounce_defrag(fs: &MemFs, out: &MemFs, nfiles: u32) {
+        let mf = Multifile::open(fs, "in.sion").unwrap();
+        let flags = mf.flags();
+        let chunksizes: Vec<u64> =
+            (0..mf.ntasks()).map(|r| mf.location(r).unwrap().stored_bytes.max(1)).collect();
+        let mut params = SionParams::new(0).with_nfiles(nfiles);
+        if !flags.contains(SionFlags::ALIGNED) {
+            params = params.with_alignment(sion::Alignment::None);
+        }
+        params.rescue = flags.contains(SionFlags::RESCUE);
+        let mut w =
+            SerialWriter::create_with_flags(out, "out.sion", &chunksizes, &params, flags).unwrap();
+        let mut buf = vec![0u8; 256 * 1024];
+        for rank in 0..mf.ntasks() {
+            w.select_rank(rank).unwrap();
+            for c in &mf.location(rank).unwrap().chunks {
+                let mut pos = 0u64;
+                while pos < c.used {
+                    let n = mf.read_at(rank, c.block, pos, &mut buf).unwrap();
+                    w.write(&buf[..n]).unwrap();
+                    pos += n as u64;
+                }
+            }
+        }
+        w.close().unwrap();
+    }
+
+    /// The bytes of every physical file of `out.sion`.
+    fn out_files(fs: &MemFs, nfiles: u32) -> Vec<Vec<u8>> {
+        (0..nfiles)
+            .map(|k| {
+                let f = fs.open(&sion::physical_name("out.sion", k)).unwrap();
+                let mut bytes = vec![0u8; f.len().unwrap() as usize];
+                f.read_exact_at(&mut bytes, 0).unwrap();
+                bytes
+            })
+            .collect()
+    }
+
+    #[test]
+    fn defrag_is_byte_identical_to_the_bounce_copy_at_any_thread_count() {
+        let unaligned = SionParams::new(512).with_alignment(sion::Alignment::None);
+        let shapes = [
+            ("plain", SionParams::new(512), vec![3000; 4], 1),
+            ("compressed", SionParams::new(512).with_compression(), vec![3000; 3], 1),
+            ("rescue", SionParams::new(512).with_rescue(), vec![3000; 4], 1),
+            ("unaligned", unaligned, vec![3000; 5], 1),
+            ("3 files to 2", SionParams::new(512).with_nfiles(3), vec![3000; 6], 2),
+            ("one busy rank", SionParams::new(512), vec![20 * 512, 0, 0, 0], 1),
+            // Seven ranks split 4+3, 3+3+1 and 2+2+2+1 over 2, 3, 4 workers;
+            // runs of several pages.
+            ("7 ranks", SionParams::new(16384), (0..7).map(|r| 9000 + 4000 * r).collect(), 1),
+        ];
+        for (shape, params, lens, nfiles) in shapes {
+            let fs = MemFs::with_block_size(512);
+            multifile_of(&fs, &params, &lens);
+            let oracle = MemFs::with_block_size(512);
+            bounce_defrag(&fs, &oracle, nfiles);
+            let want = out_files(&oracle, nfiles);
+            for workers in 1..=4 {
+                let out = MemFs::with_block_size(512);
+                defrag_on(workers, &fs, "in.sion", &out, "out.sion", nfiles).unwrap();
+                assert!(out_files(&out, nfiles) == want, "{shape}, {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn defrag_copies_nothing_on_a_leasing_backend() {
+        // The stored runs are MemFs pages lent to the output's writes: the
+        // readers neither copy nor allocate, compressed or not.
+        for params in [SionParams::new(512), SionParams::new(512).with_compression()] {
+            let fs = MemFs::with_block_size(512);
+            sample_multifile(&fs, &params, 3);
+            let out = MemFs::with_block_size(512);
+            let stats = defrag(&fs, "in.sion", &out, "out.sion", 1).unwrap();
+            assert_eq!(stats.io.vfs_bytes, stats.stored_bytes, "{:?}", stats.io);
+            assert_eq!(stats.io.bytes_copied, 0, "{:?}", stats.io);
+            assert_eq!(stats.io.allocs, 0, "{:?}", stats.io);
+        }
+    }
+
+    /// `mem` behind a `Faults` tap that fails every read after the ones
+    /// `defrag` makes for metadata (the header open and one chunk-index read
+    /// per rank): every stored-byte read fails. No lease is served past a
+    /// fault tap, so this is the owned-window path.
+    fn failing_data_reads(mem: Arc<MemFs>) -> TapFs {
+        let faults = Faults::new();
+        let fs = TapFs::new(mem, vec![faults.clone()]);
+        // Make the metadata reads once to count them; defrag repeats them.
+        let mf = Multifile::open(&fs, "in.sion").unwrap();
+        for rank in 0..mf.ntasks() {
+            mf.location(rank).unwrap();
+        }
+        let meta = faults.take_log().iter().filter(|op| op.kind == FaultKind::Read).count();
+        faults.inject(FaultRule { kind: FaultKind::Read, from: 2 * meta as u64, count: u64::MAX });
+        fs
+    }
+
+    #[test]
+    fn defrag_fails_cleanly_when_a_read_fails_in_any_workers_range() {
+        // Two workers over four ranks: ranks 0–1 are the calling thread's,
+        // 2–3 a spawned worker's, and only the busy rank reads stored bytes.
+        for busy in [0, 3] {
+            let mem = Arc::new(MemFs::with_block_size(512));
+            let mut lens = vec![0; 4];
+            lens[busy] = 20 * 512;
+            multifile_of(&mem, &SionParams::new(512), &lens);
+            let fs = failing_data_reads(mem);
+            let out = MemFs::with_block_size(512);
+            let err = defrag_on(2, &fs, "in.sion", &out, "out.sion", 1).unwrap_err();
+            assert!(err.to_string().contains("injected fault"), "busy rank {busy}: {err}");
+            assert!(out.exists("out.sion"), "the metadata reads went through");
+        }
+    }
+
+    /// Reads of `self.0` find nothing there, as if the file ended at its
+    /// start; the metadata behind it still reads.
+    struct BytesGone(Range<u64>);
+
+    impl Tap for BytesGone {
+        fn around(&self, op: &Op<'_>, next: Next<'_>) -> std::io::Result<u64> {
+            let gone = &self.0;
+            match op.offset {
+                at if op.kind != OpKind::Read || at >= gone.end => next(op.len),
+                at if at >= gone.start => next(0),
+                at => next(op.len.min(gone.start - at)),
+            }
+        }
+    }
+
+    #[test]
+    fn defrag_fails_cleanly_on_a_chunk_cut_below_its_used() {
+        let mem = Arc::new(MemFs::with_block_size(512));
+        sample_multifile(&mem, &SionParams::new(512), 3);
+        let mf = Multifile::open(&*mem, "in.sion").unwrap();
+        let c = *mf.location(1).unwrap().chunks.last().unwrap();
+        drop(mf);
+        let cut = c.offset + c.used / 2;
+        // Lent pages stop at the cut, and the window read there comes back
+        // empty: an error, not a short copy.
+        let fs = TapFs::new(mem.clone(), vec![Arc::new(BytesGone(cut..c.offset + c.used))]);
+        let out = MemFs::with_block_size(512);
+        let err = defrag_on(2, &fs, "in.sion", &out, "out.sion", 1).unwrap_err();
+        assert!(err.to_string().contains("end of file"), "{err}");
+        assert!(out.exists("out.sion"), "the metadata reads went through");
+        // Cut for real, the metadata no longer fits the file.
+        mem.open_rw("in.sion").unwrap().set_len(cut).unwrap();
+        assert!(defrag(&*mem, "in.sion", &out, "out.sion", 1).is_err());
+    }
+
+    #[test]
+    fn defrag_of_a_rescue_multifile_verifies_clean() {
+        // verify cross-checks every chunk's rescue header against
+        // metablock 2, so a clean report means defrag wrote both to agree.
+        let fs = MemFs::with_block_size(512);
+        sample_multifile(&fs, &SionParams::new(512).with_rescue().with_nfiles(2), 5);
+        let out = MemFs::with_block_size(512);
+        defrag(&fs, "in.sion", &out, "out.sion", 2).unwrap();
+        assert!(Multifile::open(&out, "out.sion").unwrap().flags().contains(SionFlags::RESCUE));
+        let report = verify(&out, "out.sion").unwrap();
+        assert!(report.is_clean(), "{:?}", report.problems);
+        assert_eq!(report.tasks_ok, 5);
     }
 }

@@ -119,7 +119,9 @@ pub use par::{
     SionParWriter,
 };
 pub use agg::AggStats;
-pub use serial::{ChunkInfo, Locations, Multifile, RankReader, SerialWriter, TaskLocation};
+pub use serial::{
+    ChunkInfo, Locations, Multifile, RankReader, RankWriter, SerialWriter, TaskLocation,
+};
 pub use stream::{IoCounters, DEFAULT_READ_AHEAD, DEFAULT_WRITE_BUFFER};
 
 /// How tasks issue their chunk writes in a collective open (two-phase

@@ -7,7 +7,9 @@
 //! `sion_open_rank`) that streams one task's logical file. [`SerialWriter`]
 //! is the serial counterpart for *creating* a multifile from one process
 //! (`sion_open` in write mode), used for example by the defragmentation
-//! tool.
+//! tool, which reads ranks' stored streams
+//! ([`Multifile::stored_reader_at`]) and writes them through
+//! [`RankWriter`]s from several threads.
 //!
 //! # Lazy metadata
 //!
@@ -535,17 +537,24 @@ impl Multifile {
     /// [`rank_reader`](Self::rank_reader) for a location this multifile
     /// has already handed out, without a second metadata lookup.
     pub fn reader_at(&self, t: &TaskLocation) -> RankReader {
+        self.reader(t, self.compressed())
+    }
+
+    /// A reader over `t`'s *stored* stream: compressed frames are lent
+    /// verbatim, as they lie in the chunks, not decoded. Its
+    /// [`scan_remaining`](RankReader::scan_remaining) lends `MemFs` pages
+    /// as leases and fills the owned window on a backend without them —
+    /// what `siondefrag` copies into its output chunks.
+    pub fn stored_reader_at(&self, t: &TaskLocation) -> RankReader {
+        self.reader(t, false)
+    }
+
+    fn reader(&self, t: &TaskLocation, compressed: bool) -> RankReader {
         let fv = &self.files[t.file as usize];
         let geom = ChunkGeom::from_layout(&fv.layout, t.ltask, t.global_rank as u64);
         let used: Vec<u64> = t.chunks.iter().map(|c| c.used).collect();
         RankReader {
-            inner: TaskReader::new(
-                fv.handle.clone(),
-                geom,
-                used,
-                self.compressed(),
-                DEFAULT_READ_AHEAD,
-            ),
+            inner: TaskReader::new(fv.handle.clone(), geom, used, compressed, DEFAULT_READ_AHEAD),
         }
     }
 
@@ -711,6 +720,14 @@ impl SerialWriter {
         self.writers[self.cur].write(data)
     }
 
+    /// One [`RankWriter`] per rank, in rank order: disjoint borrows of the
+    /// ranks' streams, so several threads can write different ranks at
+    /// once. Every physical file's head is already written and its tail
+    /// waits for [`close`](Self::close), on the calling thread.
+    pub fn rank_writers(&mut self) -> Vec<RankWriter<'_>> {
+        self.writers.iter_mut().map(|inner| RankWriter { inner }).collect()
+    }
+
     /// Push every rank's buffered data (and rescue headers) to the VFS.
     pub fn flush(&mut self) -> Result<()> {
         for w in &mut self.writers {
@@ -740,6 +757,19 @@ impl SerialWriter {
             finalize_file(&self.writers[ranks[0]], &rows)?;
         }
         Ok(())
+    }
+}
+
+/// One rank's stream of a [`SerialWriter`], borrowed on its own
+/// ([`SerialWriter::rank_writers`]) so it can be handed to another thread.
+pub struct RankWriter<'a> {
+    inner: &'a mut TaskWriter,
+}
+
+impl RankWriter<'_> {
+    /// Chunk-splitting `sion_fwrite` on this rank's stream.
+    pub fn write(&mut self, data: &[u8]) -> Result<()> {
+        self.inner.write(data)
     }
 }
 

@@ -133,6 +133,20 @@ pub struct IoCounters {
     pub vectored_writes: u64,
 }
 
+/// Summing streams' counters, e.g. over the ranks a tool read.
+impl std::ops::AddAssign for IoCounters {
+    fn add_assign(&mut self, x: IoCounters) {
+        self.user_calls += x.user_calls;
+        self.vfs_calls += x.vfs_calls;
+        self.vfs_bytes += x.vfs_bytes;
+        self.flushes += x.flushes;
+        self.rescue_patches += x.rescue_patches;
+        self.bytes_copied += x.bytes_copied;
+        self.allocs += x.allocs;
+        self.vectored_writes += x.vectored_writes;
+    }
+}
+
 /// Default write-behind buffer size (bytes); see `SionParams::write_buffer`.
 pub const DEFAULT_WRITE_BUFFER: u64 = 128 * 1024;
 
