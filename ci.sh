@@ -229,6 +229,23 @@ staging=$(awk '/^#\[cfg\(test\)\]/ { exit }
     echo "defrag lends stored runs to \`RankWriter::write\`: no \`Multifile::read_at\`, no staging buffer"
     exit 1
 }
+
+echo "==> structural gate: no frame pool (a message is one Vec, allocated by its sender and dropped by its receiver)"
+# Neither `Comm` nor `CoComm` has a `recycle`. The one `fn recycle` left in
+# simmpi is `TaskComm`'s inherent drop, kept while sionbench calls it
+# (ROADMAP item 1(c)); szip's `FrameEncoder::recycle` reuses an encoder's
+# output buffer and is no message pool.
+recycles=$(grep -rn -A1 'fn recycle' crates/simmpi/src | tr -s ' ')
+want_recycle='crates/simmpi/src/task/comm.rs:NNN: pub fn recycle(&self, buf: Vec<u8>) {
+crates/simmpi/src/task/comm.rs-NNN- drop(buf);'
+if grep -rnE 'FrameArena|frame_into' crates ||
+    grep -rn '\.recycle(' crates/simmpi/src crates/sion/src/agg.rs ||
+    [ "$(echo "$recycles" | sed 's/\([:-]\)[0-9]*\([:-]\)/\1NNN\2/')" != "$want_recycle" ]
+then
+    echo "$recycles"
+    echo "no frame arena, no \`frame_into\`, no \`recycle\` on a communicator trait: messages are plain \`Vec\`s"
+    exit 1
+fi
 # What this commit did to the counter the last line prints (HEAD~1 → tree).
 delta=$(git diff --numstat HEAD~1 -- 'crates/*/src/*.rs' ':(exclude)crates/compat' 2>/dev/null |
     awk '{ d += $1 - $2 } END { printf "%+d", d }') || delta="n/a"

@@ -74,8 +74,9 @@ pub fn stream(particles: &mut [Particle], dt: f64, l: [f64; 3]) {
     }
 }
 
-/// SplitMix64 — the counter-based generator behind all collision noise.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 — the counter-based generator behind all collision noise and
+/// the initial state.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -84,7 +85,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Uniform f64 in [0, 1) from a counter.
-fn u01(counter: u64) -> f64 {
+pub(crate) fn u01(counter: u64) -> f64 {
     (splitmix64(counter) >> 11) as f64 / (1u64 << 53) as f64
 }
 

@@ -1,7 +1,7 @@
 //! The parallel simulation driver: slab decomposition, particle
 //! migration, and the stream/collide loop.
 
-use crate::dynamics::{collide_with_extras, stream, CellGrid};
+use crate::dynamics::{collide_with_extras, splitmix64, stream, u01, CellGrid};
 use crate::particle::Particle;
 use crate::solute::{verlet_step, LjParams, Solute};
 use simmpi::{Comm, ReduceOp};
@@ -44,18 +44,6 @@ impl Default for SimConfig {
             md_substeps: 4,
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn u01(counter: u64) -> f64 {
-    (splitmix64(counter) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The per-rank simulation state.

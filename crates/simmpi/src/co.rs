@@ -122,12 +122,6 @@ pub trait CoComm: Send + Sync {
         None
     }
 
-    /// Return a consumed payload's backing storage to the runtime's frame
-    /// pool, if it has one; see [`Comm::recycle`]. The default drops it.
-    fn recycle(&self, buf: Vec<u8>) {
-        drop(buf);
-    }
-
     /// Parks until every rank has entered the barrier.
     fn barrier<'a>(&'a self) -> BoxFut<'a, ()>;
 
@@ -306,10 +300,6 @@ macro_rules! blocking_cocomm {
 
             fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
                 self.inner().try_recv(src, tag)
-            }
-
-            fn recycle(&self, buf: Vec<u8>) {
-                self.inner().recycle(buf)
             }
 
             fn barrier<'a>(&'a self) -> BoxFut<'a, ()> {

@@ -174,14 +174,6 @@ pub trait Comm: Send + Sync {
         None
     }
 
-    /// Return a payload received via [`recv`](Self::recv)/
-    /// [`try_recv`](Self::try_recv) to the runtime's frame pool, if it has
-    /// one, so steady-state point-to-point rounds allocate nothing. The
-    /// default drops the buffer.
-    fn recycle(&self, buf: Vec<u8>) {
-        drop(buf);
-    }
-
     /// Live op/byte counters for this rank's view of the communicator, when
     /// the runtime tracks them (`None` otherwise). The returned handle keeps
     /// counting after the communicator is dropped.

@@ -37,13 +37,12 @@
 //! assert_eq!(sums, vec![10, 10, 10, 10]);
 //! ```
 
-mod arena;
-pub mod co;
+mod co;
 mod comm;
-pub mod flat;
+mod flat;
 pub mod hook;
-pub mod sanitize;
-pub mod task;
+mod sanitize;
+mod task;
 mod wire;
 mod world;
 

@@ -30,11 +30,10 @@
 //! report (thread driver) can name exactly which rank is stuck in which
 //! receive on which communicator.
 
-use crate::arena::FrameArena;
 use crate::co::AllGathered;
 use crate::comm::CommStats;
 use crate::hook::{self, coll_tag, CheckHook, CollKind, CommCtx, LeakedMsg};
-use crate::wire::{frame, frame_into, frame_len, subtree_size, unframe};
+use crate::wire::{frame, subtree_size, unframe};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -74,21 +73,6 @@ impl MsgBuf {
         match self {
             MsgBuf::Owned(v) => Arc::new(v),
             MsgBuf::Shared(a) => a,
-        }
-    }
-
-    /// Return the backing storage to the frame arena once the contents
-    /// have been consumed: free for `Owned` and for the last holder of a
-    /// `Shared` buffer; earlier holders of a shared buffer keep the bytes
-    /// alive, so those are simply dropped.
-    fn recycle(self, arena: &FrameArena) {
-        match self {
-            MsgBuf::Owned(v) => arena.recycle(v),
-            MsgBuf::Shared(a) => {
-                if let Ok(v) = Arc::try_unwrap(a) {
-                    arena.recycle(v);
-                }
-            }
         }
     }
 
@@ -167,11 +151,6 @@ pub(crate) struct WorldRt {
     aborting: AtomicBool,
     peak_mbox_msgs: AtomicU64,
     peak_mbox_bytes: AtomicU64,
-    /// Pooled backing storage for collective frames, shared by every
-    /// communicator of the world (splits included — they all hold this
-    /// `WorldRt`), so a frame allocated on one communicator's edge can be
-    /// reused on any other's.
-    arena: FrameArena,
     /// Logical bytes moved as `Arc`-shared broadcast frames, counted once
     /// per frame at the broadcast root (not once per edge clone).
     shared_frame_bytes: AtomicU64,
@@ -184,25 +163,18 @@ impl WorldRt {
             aborting: AtomicBool::new(false),
             peak_mbox_msgs: AtomicU64::new(0),
             peak_mbox_bytes: AtomicU64::new(0),
-            arena: FrameArena::new(),
             shared_frame_bytes: AtomicU64::new(0),
         }
-    }
-
-    fn arena(&self) -> &FrameArena {
-        &self.arena
     }
 
     fn note_shared_frame(&self, bytes: u64) {
         self.shared_frame_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// `(fresh frame allocations, pooled frame reuses, shared frame
-    /// bytes)` — the allocation-discipline counters surfaced in
-    /// [`SchedStats`](super::SchedStats).
-    pub(crate) fn frame_stats(&self) -> (u64, u64, u64) {
-        let (allocs, reuses) = self.arena.stats();
-        (allocs, reuses, self.shared_frame_bytes.load(Ordering::Relaxed))
+    /// Logical bytes moved as `Arc`-shared broadcast frames so far,
+    /// surfaced in [`SchedStats`](super::SchedStats).
+    pub(crate) fn shared_frame_bytes(&self) -> u64 {
+        self.shared_frame_bytes.load(Ordering::Relaxed)
     }
 
     pub(crate) fn abort(&self) {
@@ -434,6 +406,14 @@ impl TaskComm {
         self.shared.world.pending(self.world_rank).lock().as_ref().map(|p| (p.src, p.tag))
     }
 
+    /// Drops `buf`. A message is a plain `Vec` its receiver owns, so there
+    /// is nothing to give back: this is neither on [`CoComm`](crate::co::CoComm)
+    /// nor on [`Comm`](crate::Comm), and stays only while `sionbench`'s
+    /// collective micro-timings call it (ROADMAP item 1(c) drops it).
+    pub fn recycle(&self, buf: Vec<u8>) {
+        drop(buf);
+    }
+
     /// Claim the next collective sequence number.
     fn next_seq(&self) -> u64 {
         self.coll_seq.fetch_add(1, Ordering::Relaxed)
@@ -594,22 +574,17 @@ impl TaskComm {
         // accumulator never reallocates on the way up.
         let mut acc: Vec<(u64, Vec<u8>)> = Vec::with_capacity(subtree_size(v, size));
         acc.push((v as u64, data.to_vec()));
-        let arena = self.shared.world.arena();
         let mut mask = 1usize;
         while mask < size {
             if v & mask != 0 {
                 let entries =
                     acc.iter().map(|(id, p)| (*id, p.as_slice())).collect::<Vec<_>>();
-                let mut framed = arena.acquire(frame_len(&entries));
-                frame_into(&mut framed, &entries);
-                self.isend(self.rank_of(v - mask, root), tag, framed);
+                self.isend(self.rank_of(v - mask, root), tag, frame(&entries));
                 return None;
             }
             let child = v + mask;
             if child < size {
-                let got = self.irecv(self.rank_of(child, root), tag).await;
-                acc.extend(unframe(&got));
-                got.recycle(arena);
+                acc.extend(unframe(&self.irecv(self.rank_of(child, root), tag).await));
             }
             mask <<= 1;
         }
@@ -634,7 +609,6 @@ impl TaskComm {
         let size = self.shared.size;
         let v = self.vrank(root);
         let tag = coll_tag(kind, seq, 0);
-        let arena = self.shared.world.arena();
         let (mut pending, mut mask) = if v == 0 {
             let parts = parts.expect("root must supply scatter parts");
             assert_eq!(parts.len(), size, "scatter needs one part per rank");
@@ -646,10 +620,7 @@ impl TaskComm {
             (pending, size.next_power_of_two())
         } else {
             let lsb = v & v.wrapping_neg();
-            let got = self.irecv(self.rank_of(v & (v - 1), root), tag).await;
-            let parts = unframe(&got);
-            got.recycle(arena);
-            (parts, lsb)
+            (unframe(&self.irecv(self.rank_of(v & (v - 1), root), tag).await), lsb)
         };
         // `pending` covers vranks [v, v + mask); peel off the upper half for
         // each child.
@@ -661,9 +632,7 @@ impl TaskComm {
                     pending.into_iter().partition(|(id, _)| *id >= child as u64);
                 let entries =
                     send.iter().map(|(id, p)| (*id, p.as_slice())).collect::<Vec<_>>();
-                let mut framed = arena.acquire(frame_len(&entries));
-                frame_into(&mut framed, &entries);
-                self.isend(self.rank_of(child, root), tag, framed);
+                self.isend(self.rank_of(child, root), tag, frame(&entries));
                 pending = keep;
             }
             mask >>= 1;
@@ -910,11 +879,7 @@ impl crate::co::CoComm for TaskComm {
             panic!("{}", hook::reserved_tag_panic_text(tag));
         }
         self.stats.bump_send();
-        // Arena-backed payload: recycled through the world frame pool by
-        // the receiver so steady-state p2p rounds allocate nothing.
-        let mut payload = self.shared.world.arena().acquire(data.len());
-        payload.extend_from_slice(data);
-        self.isend(dest, tag, payload);
+        self.isend(dest, tag, data.to_vec());
     }
 
     fn recv<'a>(&'a self, src: usize, tag: u64) -> crate::co::BoxFut<'a, Vec<u8>> {
@@ -937,10 +902,6 @@ impl crate::co::CoComm for TaskComm {
         let payload = payload?;
         self.stats.bump_recv();
         Some(payload.into_vec())
-    }
-
-    fn recycle(&self, buf: Vec<u8>) {
-        self.shared.world.arena().recycle(buf);
     }
 
     fn barrier<'a>(&'a self) -> crate::co::BoxFut<'a, ()> {

@@ -60,11 +60,11 @@ pub struct SchedStats {
     /// (owned payloads only — an `Arc`-shared frame clone pins no
     /// additional queue memory).
     pub peak_mailbox_bytes: u64,
-    /// Collective frames freshly heap-allocated (frame-arena pool misses).
-    /// In steady state this stops growing: every tree edge reuses pooled
-    /// backing storage.
+    /// Always 0: messages are plain `Vec`s and no frame pool counts them.
+    /// Kept only because `sionbench` reads it; ROADMAP item 1(c) drops it.
     pub frame_allocs: u64,
-    /// Collective frames served from the arena pool (hits).
+    /// Always 0, like [`frame_allocs`](Self::frame_allocs); ROADMAP item
+    /// 1(c) drops it.
     pub frame_reuses: u64,
     /// Logical bytes broadcast as `Arc`-shared frames, counted once per
     /// frame — not once per tree edge the clone fans out to.
@@ -173,7 +173,6 @@ where
         })
         .collect();
     let (peak_mailbox_msgs, peak_mailbox_bytes) = world.mbox_peaks();
-    let (frame_allocs, frame_reuses, shared_frame_bytes) = world.frame_stats();
     TaskRun {
         results,
         deadlock,
@@ -187,9 +186,9 @@ where
             peak_runnable: report.peak_runnable,
             peak_mailbox_msgs,
             peak_mailbox_bytes,
-            frame_allocs,
-            frame_reuses,
-            shared_frame_bytes,
+            frame_allocs: 0,
+            frame_reuses: 0,
+            shared_frame_bytes: world.shared_frame_bytes(),
         },
         trace: report.trace,
     }
@@ -663,62 +662,5 @@ mod tests {
             stats.shared_frame_bytes, frame,
             "one logical shared payload in the whole world, counted at the root"
         );
-    }
-
-    #[test]
-    fn steady_state_gather_rounds_reuse_pooled_frames() {
-        const RANKS: usize = 256;
-        const ROUNDS: u64 = 8;
-        let (_, stats) = TaskWorld::run_with(WS4, RANKS, |c| async move {
-            for _ in 0..ROUNDS {
-                let _ = c.gather(&[c.rank() as u8; 16], 0).await;
-                // The barrier bounds live frames to one per sender: by the
-                // time a round ends, every frame has been unframed and
-                // recycled, so later rounds draw entirely from the pool.
-                c.barrier().await;
-            }
-        });
-        let per_round = (RANKS - 1) as u64; // every non-root rank frames one edge
-        assert_eq!(
-            stats.frame_allocs + stats.frame_reuses,
-            ROUNDS * per_round,
-            "one arena acquire per tree edge"
-        );
-        // Total fresh allocations are bounded by the peak number of
-        // simultaneously live frames — one round's worth — regardless of
-        // how many rounds ran: steady-state rounds allocate nothing.
-        assert!(
-            stats.frame_allocs <= per_round,
-            "allocations must not scale with rounds: {stats:?}"
-        );
-        assert!(
-            stats.frame_reuses >= (ROUNDS - 1) * per_round,
-            "steady-state rounds are served from the pool: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn steady_state_p2p_rounds_reuse_pooled_frames() {
-        // Point-to-point traffic draws from the same frame arena as the
-        // collectives: a recv'd payload handed back via `recycle` serves
-        // the next round's send without a fresh allocation.
-        const ROUNDS: u64 = 8;
-        let (_, stats) = TaskWorld::run_with(WS4, 2, |c| async move {
-            for r in 0..ROUNDS {
-                if c.rank() == 0 {
-                    c.send(1, 7, &[r as u8; 64]);
-                    let back = c.recv(1, 8).await;
-                    c.recycle(back);
-                } else {
-                    let msg = c.recv(0, 7).await;
-                    c.recycle(msg);
-                    c.send(0, 8, &[r as u8; 32]);
-                }
-            }
-        });
-        // 2 sends per round; only the first round may need fresh frames.
-        assert_eq!(stats.frame_allocs + stats.frame_reuses, 2 * ROUNDS, "{stats:?}");
-        assert!(stats.frame_allocs <= 2, "p2p allocations must not scale with rounds: {stats:?}");
-        assert!(stats.frame_reuses >= 2 * (ROUNDS - 1), "{stats:?}");
     }
 }

@@ -5,32 +5,19 @@
 //! is one such frame scanned in place; the encoding lives here and nowhere
 //! else.
 
-/// Exact encoded size of a frame over `entries`, for pre-sizing buffers.
-pub(crate) fn frame_len(entries: &[(u64, &[u8])]) -> usize {
-    8 + entries.iter().map(|(_, p)| p.len() + 16).sum::<usize>()
-}
-
 /// Serialize (id, payload) pairs for one tree edge:
-/// `[count][(id, len, bytes)...]`, all integers little-endian `u64`.
+/// `[count][(id, len, bytes)...]`, all integers little-endian `u64`, into
+/// one exactly sized allocation.
 pub(crate) fn frame(entries: &[(u64, &[u8])]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(frame_len(entries));
-    frame_into(&mut out, entries);
-    out
-}
-
-/// [`frame`], but encoding into a caller-supplied buffer — typically one
-/// acquired from a [`crate::arena::FrameArena`]. The buffer is cleared
-/// first, so a recycled (dirty) buffer yields a frame byte-identical to a
-/// freshly allocated one.
-pub(crate) fn frame_into(out: &mut Vec<u8>, entries: &[(u64, &[u8])]) {
-    out.clear();
-    out.reserve(frame_len(entries));
+    let len = 8 + entries.iter().map(|(_, p)| p.len() + 16).sum::<usize>();
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for (id, payload) in entries {
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         out.extend_from_slice(payload);
     }
+    out
 }
 
 /// Inverse of [`frame`].
@@ -95,17 +82,6 @@ mod tests {
         let framed =
             frame(&entries.iter().map(|(i, p)| (*i, p.as_slice())).collect::<Vec<_>>());
         assert_eq!(unframe(&framed), entries);
-    }
-
-    #[test]
-    fn frame_into_dirty_buffer_is_byte_identical_to_fresh() {
-        let entries: Vec<(u64, &[u8])> =
-            vec![(1, b"alpha".as_slice()), (2, b"".as_slice()), (9, b"zz".as_slice())];
-        let fresh = frame(&entries);
-        let mut dirty = vec![0xAAu8; 777];
-        frame_into(&mut dirty, &entries);
-        assert_eq!(dirty, fresh);
-        assert_eq!(fresh.len(), frame_len(&entries));
     }
 
     #[test]

@@ -164,10 +164,6 @@ impl Comm for Communicator {
     fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
         self.inner.try_recv(src, tag)
     }
-
-    fn recycle(&self, buf: Vec<u8>) {
-        self.inner.recycle(buf)
-    }
 }
 
 /// Launcher for SPMD execution: runs one closure instance per rank on its
@@ -681,11 +677,9 @@ mod tests {
                 c.send(peer, 1, &(i + r as u64).to_le_bytes());
                 let back = c.recv(peer, 2);
                 digest = digest.wrapping_mul(31).wrapping_add(back[0] as u64);
-                c.recycle(back);
             } else {
                 let ping = c.recv(peer, 1);
                 c.send(peer, 2, &ping);
-                c.recycle(ping);
             }
             let root = i as usize % n;
             digest = digest.wrapping_mul(31).wrapping_add(match i % 4 {

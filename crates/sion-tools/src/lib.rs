@@ -21,9 +21,11 @@
 use sion::rescue::{RescueHeader, RESCUE_HEADER_LEN};
 use sion::{
     IoCounters, Multifile, RankWriter, Result, SerialWriter, SionError, SionFlags, SionParams,
+    TaskLocation,
 };
 use std::fmt::Write as _;
 use std::ops::Range;
+use std::sync::Arc;
 use vfs::Vfs;
 
 /// Human-readable metadata dump of a multifile (the `siondump` tool).
@@ -173,12 +175,13 @@ fn defrag_on(
     let mf = Multifile::open(vfs_in, base)?;
     let ntasks = mf.ntasks();
     let flags = mf.flags();
-    // Two streaming passes over the ranks — sizing, then copying — so no
-    // full `Locations` is ever materialized. One chunk per task, sized to
-    // exactly its stored data.
-    let chunksizes = (0..ntasks)
-        .map(|rank| Ok(mf.location(rank)?.stored_bytes.max(1)))
-        .collect::<Result<Vec<u64>>>()?;
+    // Each rank's location is fetched once, by the sizing pass, and handed
+    // to the copy: a second lookup would re-read the chunk index of every
+    // rank the location cache has evicted by then. No full `Locations` is
+    // ever materialized. One chunk per task, sized to exactly its stored
+    // data.
+    let locs = (0..ntasks).map(|rank| mf.location(rank)).collect::<Result<Vec<_>>>()?;
+    let chunksizes: Vec<u64> = locs.iter().map(|t| t.stored_bytes.max(1)).collect();
     // Write-through: a lent run (at most one MemFs page) reaches the output
     // as one write instead of being copied into a write-behind buffer.
     let mut params = SionParams::new(0).with_nfiles(nfiles).with_write_buffer(0);
@@ -191,7 +194,7 @@ fn defrag_on(
     let mut writer =
         SerialWriter::create_with_flags(vfs_out, out_base, &chunksizes, &params, flags)?;
     let parts = over_ranks(workers, &mut writer.rank_writers(), |ranks, writers| {
-        copy_ranks(&mf, ranks, writers)
+        copy_ranks(&mf, &locs[ranks], writers)
     })?;
     writer.close()?;
     let mut stats = DefragStats {
@@ -207,17 +210,17 @@ fn defrag_on(
     Ok(stats)
 }
 
-/// [`defrag`]'s copy of `ranks`, `writers[i]` being rank `ranks.start + i`'s
-/// output stream: the stored bytes copied and the readers' counters.
+/// [`defrag`]'s copy of the ranks located by `locs`, `writers[i]` being
+/// `locs[i]`'s output stream: the stored bytes copied and the readers'
+/// counters.
 fn copy_ranks(
     mf: &Multifile,
-    ranks: Range<usize>,
+    locs: &[Arc<TaskLocation>],
     writers: &mut [RankWriter<'_>],
 ) -> Result<(u64, IoCounters)> {
     let (mut stored, mut io) = (0u64, IoCounters::default());
-    for (rank, out) in ranks.zip(writers) {
-        let t = mf.location(rank)?;
-        let mut reader = mf.stored_reader_at(&t);
+    for (t, out) in locs.iter().zip(writers) {
+        let mut reader = mf.stored_reader_at(t);
         // The sink cannot fail, so the first write error waits for the
         // scan to end.
         let mut written = Ok(());
@@ -229,8 +232,8 @@ fn copy_ranks(
         written?;
         if copied != t.stored_bytes {
             return Err(SionError::Format(format!(
-                "rank {rank} ended early: {copied} of {} stored bytes",
-                t.stored_bytes
+                "rank {} ended early: {copied} of {} stored bytes",
+                t.global_rank, t.stored_bytes
             )));
         }
         stored += copied;
@@ -386,8 +389,8 @@ pub fn verify(vfs: &dyn Vfs, base: &str) -> Result<VerifyReport> {
 /// physical file if the multifile carries rescue headers.
 fn verify_ranks(
     mf: &Multifile,
-    files: &[std::sync::Arc<dyn vfs::VfsFile>],
-    ranks: std::ops::Range<usize>,
+    files: &[Arc<dyn vfs::VfsFile>],
+    ranks: Range<usize>,
 ) -> Result<VerifyReport> {
     let mut report = VerifyReport::default();
     // Metadata streams one rank at a time — a 64Ki-task multifile is
@@ -536,7 +539,7 @@ mod tests {
     use super::*;
     use simmpi::{Comm, World};
     use sion::paropen_write;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use vfs::{FaultKind, FaultRule, Faults, MemFs, Next, Op, OpKind, Tap, TapFs};
 
     fn payload(rank: usize, len: usize) -> Vec<u8> {
@@ -959,6 +962,42 @@ mod tests {
         // Cut for real, the metadata no longer fits the file.
         mem.open_rw("in.sion").unwrap().set_len(cut).unwrap();
         assert!(defrag(&*mem, "in.sion", &out, "out.sion", 1).is_err());
+    }
+
+    /// Counts the reads that start inside `self.0`.
+    struct ReadsIn(Range<u64>, AtomicUsize);
+
+    impl Tap for ReadsIn {
+        fn around(&self, op: &Op<'_>, next: Next<'_>) -> std::io::Result<u64> {
+            if op.kind == OpKind::Read && self.0.contains(&op.offset) {
+                self.1.fetch_add(1, Ordering::Relaxed);
+            }
+            next(op.len)
+        }
+    }
+
+    #[test]
+    fn defrag_reads_each_ranks_chunk_index_slice_once() {
+        // More ranks than the location cache holds: a second lookup per
+        // rank would re-read the index slice of every rank evicted by then.
+        const RANKS: usize = 600;
+        let mem = Arc::new(MemFs::with_block_size(512));
+        let mut w =
+            SerialWriter::create(&*mem, "in.sion", &[512; RANKS], &SionParams::new(512)).unwrap();
+        for rank in 0..RANKS {
+            w.select_rank(rank).unwrap();
+            w.write(&payload(rank, 100 + rank % 700)).unwrap();
+        }
+        w.close().unwrap();
+        let file = mem.open("in.sion").unwrap();
+        let trailer = sion::format::Trailer::read_from(file.as_ref()).unwrap();
+        let (idx_off, idx_len) = trailer.index.expect("a v2 file has a chunk index");
+        // The per-rank slices, not the fixed header the open validates.
+        let tap = Arc::new(ReadsIn(idx_off + 1..idx_off + idx_len, AtomicUsize::new(0)));
+        let fs = TapFs::new(mem, vec![tap.clone()]);
+        let out = MemFs::with_block_size(512);
+        defrag_on(2, &fs, "in.sion", &out, "out.sion", 1).unwrap();
+        assert_eq!(tap.1.load(Ordering::Relaxed), RANKS, "one chunk-index read per rank");
     }
 
     #[test]

@@ -138,19 +138,19 @@ impl MemberState {
         drop(frame);
         while !self.inflight.is_empty() {
             let ack = lcom.recv(self.agg, TAG_ACK).await;
-            self.note_ack(ack, lcom);
+            self.note_ack(&ack);
         }
     }
 
     /// Consume every already-delivered ack without parking.
     pub(crate) fn drain_acks(&mut self, lcom: &dyn CoComm) {
         while let Some(ack) = lcom.try_recv(self.agg, TAG_ACK) {
-            self.note_ack(ack, lcom);
+            self.note_ack(&ack);
         }
     }
 
     /// Account one ack `[seq, status]` against the oldest in-flight frame.
-    fn note_ack(&mut self, buf: Vec<u8>, lcom: &dyn CoComm) {
+    fn note_ack(&mut self, buf: &[u8]) {
         let seq = u64::from_le_bytes(buf[..8].try_into().expect("ack seq"));
         let status = u64::from_le_bytes(buf[8..16].try_into().expect("ack status"));
         let (expect, bytes) = self.inflight.pop_front().expect("ack without in-flight frame");
@@ -158,7 +158,6 @@ impl MemberState {
         self.stats.acked_shipments += 1;
         self.stats.acked_bytes += bytes;
         self.failed |= status != 0;
-        lcom.recycle(buf);
     }
 }
 
@@ -259,6 +258,5 @@ impl AggState {
         self.stats.shipped_bytes += buf.len() as u64;
         self.stats.acked_shipments += 1;
         self.stats.acked_bytes += buf.len() as u64;
-        lcom.recycle(buf);
     }
 }

@@ -40,7 +40,7 @@ impl Alignment {
 }
 
 /// Round `x` up to the next multiple of `unit` (`unit >= 1`).
-pub fn align_up(x: u64, unit: u64) -> u64 {
+pub(crate) fn align_up(x: u64, unit: u64) -> u64 {
     debug_assert!(unit >= 1);
     x.div_ceil(unit) * unit
 }

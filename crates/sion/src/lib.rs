@@ -98,14 +98,14 @@
 //! ```
 
 mod agg;
-pub mod error;
+mod error;
 pub mod format;
-pub mod layout;
-pub mod mapping;
+mod layout;
+mod mapping;
 pub mod par;
 pub mod rescue;
 pub mod script;
-pub mod serial;
+mod serial;
 mod stream;
 
 pub use error::{Result, SionError};

@@ -30,7 +30,7 @@ pub mod guard;
 mod local;
 mod mem;
 mod null;
-pub mod order_guard;
+mod order_guard;
 mod tap;
 
 pub use fault::{FaultKind, FaultRule, Faults, OpRecord};
