@@ -105,7 +105,7 @@ impl BlockGuard {
             return;
         }
         let first = offset / self.block_size;
-        let last = (offset + len - 1) / self.block_size;
+        let last = offset.saturating_add(len - 1) / self.block_size;
         let mut owners = self.owners.lock();
         let file = owners.entry(path.to_string()).or_default();
         for block in first..=last {

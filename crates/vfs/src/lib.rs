@@ -48,12 +48,14 @@ use std::sync::Arc;
 /// A zero-copy read lease: a refcounted borrow of a contiguous run of a
 /// file's backing storage, handed out by [`VfsFile::read_lease`].
 ///
-/// The lease keeps the backing buffer alive (and its contents frozen from
-/// the lease holder's point of view — writers replace pages copy-on-write
-/// rather than mutating leased ones), so consumers can inspect file bytes
-/// without a memcpy into a caller-owned buffer.
+/// The lease holds the backing buffer itself — for [`MemFs`] the page, an
+/// `Arc<[u8]>` whose refcounts and bytes share one allocation — plus a
+/// range. It keeps the buffer alive and its contents frozen from the lease
+/// holder's point of view (writers replace pages copy-on-write rather than
+/// mutating leased ones), so consumers can inspect file bytes without a
+/// memcpy into a caller-owned buffer.
 pub struct ByteLease {
-    buf: Arc<dyn AsRef<[u8]> + Send + Sync>,
+    buf: Arc<[u8]>,
     start: usize,
     len: usize,
 }
@@ -61,9 +63,9 @@ pub struct ByteLease {
 impl ByteLease {
     /// Lease `buf[start..start + len]`. Panics if the range is out of
     /// bounds — backends construct leases from ranges they just validated.
-    pub fn new(buf: Arc<dyn AsRef<[u8]> + Send + Sync>, start: usize, len: usize) -> ByteLease {
+    pub fn new(buf: Arc<[u8]>, start: usize, len: usize) -> ByteLease {
         assert!(
-            start.checked_add(len).is_some_and(|end| end <= buf.as_ref().as_ref().len()),
+            start.checked_add(len).is_some_and(|end| end <= buf.len()),
             "lease range out of bounds"
         );
         ByteLease { buf, start, len }
@@ -71,7 +73,7 @@ impl ByteLease {
 
     /// The leased bytes.
     pub fn bytes(&self) -> &[u8] {
-        &self.buf.as_ref().as_ref()[self.start..self.start + self.len]
+        &self.buf[self.start..self.start + self.len]
     }
 
     /// Length of the leased run.
@@ -230,6 +232,16 @@ pub trait Vfs: Send + Sync {
         let _ = path;
         Ok(Arc::new(NullFile::new()))
     }
+}
+
+/// The end of a `len`-byte write at `offset`, or `InvalidInput` when it
+/// would pass `u64::MAX` — the error `pwrite` gives on a real disk, so no
+/// backend reports such a write as done.
+pub(crate) fn write_end(offset: u64, len: u64) -> io::Result<u64> {
+    offset.checked_add(len).ok_or_else(|| {
+        let msg = format!("write of {len} bytes at offset {offset} passes the largest file offset");
+        io::Error::new(io::ErrorKind::InvalidInput, msg)
+    })
 }
 
 /// Normalize a path: collapse duplicate slashes, strip a leading `./` and a

@@ -24,8 +24,15 @@
 //! [`VfsFile::set_len`] takes every stripe's lock and so excludes all data
 //! operations. The file length is an atomic high-water mark, raised under
 //! the lock of the block whose write reached it.
+//!
+//! # A page is one allocation
+//!
+//! A page is an `Arc<[u8]>`: refcounts and 4 KiB of bytes in one heap
+//! block. A full page written from one source slice costs one allocation
+//! and one copy, and dropping it one free; a [`ByteLease`] holds the page
+//! itself.
 
-use crate::{normalize_path, ByteLease, IoSlice, Vfs, VfsFile};
+use crate::{normalize_path, write_end, ByteLease, IoSlice, Vfs, VfsFile};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -43,17 +50,19 @@ const PAGE: usize = 4096;
 /// 1/64 and then wait for one block's copy at most.
 const STRIPES: usize = 64;
 
-/// One backing page: always exactly [`PAGE`] bytes once allocated,
-/// refcounted so [`VfsFile::read_lease`] can hand it out without copying.
+/// One backing page: exactly [`PAGE`] bytes in the same allocation as its
+/// refcounts, so [`VfsFile::read_lease`] can hand it out without copying.
 /// Writers that hit a leased page replace it copy-on-write
 /// ([`Arc::make_mut`]), so leases observe a consistent snapshot.
-type Page = Arc<Vec<u8>>;
+type Page = Arc<[u8]>;
 
 /// page index -> page contents
 type PageMap = BTreeMap<u64, Page>;
 
+/// A zeroed page: one allocation, filled from a static zero page.
 fn blank_page() -> Page {
-    Arc::new(vec![0u8; PAGE])
+    static ZEROS: [u8; PAGE] = [0; PAGE];
+    Arc::from(&ZEROS[..])
 }
 
 /// Read cursor over an iovec laid end to end.
@@ -63,17 +72,32 @@ struct Gather<'a, 'b> {
     at: usize,
 }
 
-impl Gather<'_, '_> {
+impl<'a> Gather<'a, '_> {
+    /// The unread rest of the current slice, after stepping over exhausted
+    /// and empty ones. At least one source byte must be left.
+    fn rest(&mut self) -> &'a [u8] {
+        let bufs = self.bufs;
+        while self.at == bufs[self.idx].len() {
+            self.idx += 1;
+            self.at = 0;
+        }
+        &bufs[self.idx][self.at..]
+    }
+
+    /// The next `n` source bytes as one borrowed run, if a single slice
+    /// holds them all; the cursor moves past them only then.
+    fn run(&mut self, n: usize) -> Option<&'a [u8]> {
+        let rest = self.rest();
+        let run = rest.get(..n)?;
+        self.at += n;
+        Some(run)
+    }
+
     /// Hand the next `n` source bytes to `sink`, in order, one contiguous
     /// piece at a time, and advance past them.
     fn take(&mut self, mut n: usize, mut sink: impl FnMut(&[u8])) {
         while n > 0 {
-            let rest = &self.bufs[self.idx][self.at..];
-            if rest.is_empty() {
-                self.idx += 1;
-                self.at = 0;
-                continue;
-            }
+            let rest = self.rest();
             let k = rest.len().min(n);
             sink(&rest[..k]);
             self.at += k;
@@ -155,9 +179,10 @@ impl FileData {
     }
 
     /// Write `bufs`, laid end to end, at `offset`, one FS block at a time.
-    fn write(&self, bufs: &[IoSlice<'_>], offset: u64) {
+    /// A write that would pass `u64::MAX` is refused whole.
+    fn write(&self, bufs: &[IoSlice<'_>], offset: u64) -> io::Result<()> {
         let total: u64 = bufs.iter().map(|b| b.len() as u64).sum();
-        let end = offset + total;
+        let end = write_end(offset, total)?;
         let mut src = Gather { bufs, idx: 0, at: 0 };
         let mut pos = offset;
         while pos < end {
@@ -167,27 +192,31 @@ impl FileData {
                 let page_idx = pos / PAGE as u64;
                 let in_page = (pos % PAGE as u64) as usize;
                 let take = (PAGE - in_page).min((block_stop - pos) as usize);
-                if take == PAGE {
-                    // Full-page overwrite: build the page straight from the
-                    // source instead of zero-filling and copying over it.
-                    // Outstanding leases keep the old page alive unchanged.
-                    let mut page = Vec::with_capacity(PAGE);
-                    src.take(PAGE, |piece| page.extend_from_slice(piece));
-                    pages.insert(page_idx, Arc::new(page));
-                } else {
-                    // Copy-on-write: clones the page only when a lease (or a
+                let run = if take == PAGE { src.run(PAGE) } else { None };
+                match run {
+                    // Full page inside one source slice: built straight from
+                    // it, one allocation and one copy. Outstanding leases
+                    // keep the old page alive unchanged.
+                    Some(run) => {
+                        pages.insert(page_idx, Arc::from(run));
+                    }
+                    // A partial page, or one gathered from several slices:
+                    // copy-on-write clones it only when a lease (or a
                     // sibling handle's lease) still holds the old contents.
-                    let page = Arc::make_mut(pages.entry(page_idx).or_insert_with(blank_page));
-                    let mut at = in_page;
-                    src.take(take, |piece| {
-                        page[at..at + piece.len()].copy_from_slice(piece);
-                        at += piece.len();
-                    });
+                    None => {
+                        let page = Arc::make_mut(pages.entry(page_idx).or_insert_with(blank_page));
+                        let mut at = in_page;
+                        src.take(take, |piece| {
+                            page[at..at + piece.len()].copy_from_slice(piece);
+                            at += piece.len();
+                        });
+                    }
                 }
                 pos += take as u64;
             }
             self.len.fetch_max(block_stop, Ordering::Release);
         }
+        Ok(())
     }
 
     fn read_lease(&self, offset: u64, max_len: usize) -> Option<ByteLease> {
@@ -269,7 +298,7 @@ impl VfsFile for MemFile {
     }
 
     fn write_at(&self, buf: &[u8], offset: u64) -> io::Result<usize> {
-        self.data.write(&[IoSlice::new(buf)], offset);
+        self.data.write(&[IoSlice::new(buf)], offset)?;
         Ok(buf.len())
     }
 
@@ -278,14 +307,13 @@ impl VfsFile for MemFile {
     /// built once and written under one lock acquisition, instead of one
     /// lock round-trip per slice.
     fn write_vectored_at(&self, bufs: &[IoSlice<'_>], offset: u64) -> io::Result<()> {
-        self.data.write(bufs, offset);
-        Ok(())
+        self.data.write(bufs, offset)
     }
 
-    /// Zero-copy borrow of the backing page: the lease is an `Arc` clone of
-    /// the page plus a range — no byte is copied. A lease ends at the page
-    /// boundary, at end of file, or at a hole (`None`: holes have no
-    /// backing storage to borrow; callers fall back to `read_at`).
+    /// Zero-copy borrow of the backing page: the lease is a clone of the
+    /// page's `Arc<[u8]>` plus a range — no byte is copied. A lease ends at
+    /// the page boundary, at end of file, or at a hole (`None`: holes have
+    /// no backing storage to borrow; callers fall back to `read_at`).
     fn read_lease(&self, offset: u64, max_len: usize) -> Option<ByteLease> {
         self.data.read_lease(offset, max_len)
     }
@@ -616,6 +644,65 @@ mod tests {
         let mut now = [0u8; 8];
         f.read_exact_at(&mut now, 100).unwrap();
         assert_eq!(now, [0x33; 8]);
+    }
+
+    #[test]
+    fn a_page_split_across_slices_is_the_page_one_slice_writes() {
+        let fs = MemFs::new();
+        let data: Vec<u8> = (0..PAGE).map(|i| (i % 239) as u8).collect();
+        fs.create("one").unwrap().write_all_at(&data, PAGE as u64).unwrap();
+        let (head, tail) = data.split_at(1000);
+        let iov = [IoSlice::new(&[]), IoSlice::new(head), IoSlice::new(tail)];
+        fs.create("split").unwrap().write_vectored_at(&iov, PAGE as u64).unwrap();
+        for name in ["one", "split"] {
+            let mut back = vec![0u8; 2 * PAGE];
+            fs.open(name).unwrap().read_exact_at(&mut back, 0).unwrap();
+            assert!(back[..PAGE].iter().all(|&b| b == 0), "{name}: the hole before the page");
+            assert_eq!(&back[PAGE..], &data[..], "{name}");
+            assert_eq!(fs.stats(name).unwrap().allocated, PAGE as u64, "{name}");
+        }
+    }
+
+    #[test]
+    fn leases_of_one_page_alias_its_storage() {
+        let fs = MemFs::new();
+        let f = fs.create("alias").unwrap();
+        f.write_all_at(&[0x5A; PAGE], 0).unwrap();
+        let (a, b) = (f.read_lease(0, PAGE).unwrap(), f.read_lease(0, 64).unwrap());
+        assert_eq!(a.as_ptr(), b.as_ptr(), "two leases of one page share its bytes");
+        let mid = f.read_lease(100, 8).unwrap();
+        assert_eq!(a[100..].as_ptr(), mid.as_ptr());
+    }
+
+    #[test]
+    fn earlier_leases_keep_their_snapshots() {
+        let fs = MemFs::new();
+        let f = fs.create("snap").unwrap();
+        let page0 = || {
+            let mut back = vec![0u8; PAGE];
+            f.read_exact_at(&mut back, 0).unwrap();
+            back
+        };
+        f.write_all_at(&[0x11; 2 * PAGE], 0).unwrap();
+        let mut leases = vec![(f.read_lease(0, PAGE).unwrap(), vec![0x11; PAGE])];
+        // A full-page overwrite replaces the page.
+        f.write_all_at(&[0x22; PAGE], 0).unwrap();
+        assert_eq!(page0(), vec![0x22; PAGE]);
+        leases.push((f.read_lease(0, PAGE).unwrap(), page0()));
+        // A partial overwrite clones the leased page first.
+        f.write_all_at(&[0x33; 8], 100).unwrap();
+        let mut now = vec![0x22; PAGE];
+        now[100..108].fill(0x33);
+        assert_eq!(page0(), now);
+        leases.push((f.read_lease(0, PAGE).unwrap(), page0()));
+        // A `set_len` into the leased page zeroes the file's tail only.
+        f.set_len(104).unwrap();
+        f.set_len(PAGE as u64).unwrap();
+        now[104..].fill(0);
+        assert_eq!(page0(), now);
+        for (i, (lease, snapshot)) in leases.iter().enumerate() {
+            assert_eq!(&lease[..], &snapshot[..], "lease {i}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the real bytes travel to its aggregator over the communicator instead
 //! of down a VFS handle.
 
-use crate::VfsFile;
+use crate::{write_end, VfsFile};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,7 +36,7 @@ impl VfsFile for NullFile {
     }
 
     fn write_at(&self, buf: &[u8], offset: u64) -> io::Result<usize> {
-        let end = offset + buf.len() as u64;
+        let end = write_end(offset, buf.len() as u64)?;
         self.len.fetch_max(end, Ordering::Relaxed);
         Ok(buf.len())
     }

@@ -292,6 +292,44 @@ mod tests {
     }
 
     #[test]
+    fn writes_past_the_largest_offset_fail_and_change_nothing() {
+        let mem = Arc::new(MemFs::new());
+        let (faults, guard) = (Faults::new(), BlockGuard::new(mem.block_size()));
+        let tapped = TapFs::new(mem.clone(), vec![faults.clone(), guard.clone()]);
+        let files: [(&str, Arc<dyn VfsFile>); 3] = [
+            ("MemFs", mem.create("m").unwrap()),
+            ("NullFile", Arc::new(crate::NullFile::new())),
+            ("TapFs[Faults, BlockGuard]", tapped.create("t").unwrap()),
+        ];
+        let at = u64::MAX - 5;
+        let (a, b) = ([7u8; 50], [8u8; 50]);
+        set_task(0);
+        for (name, f) in &files {
+            f.write_all_at(b"kept", 0).unwrap();
+            let scalar = f.write_at(&[7u8; 100], at).unwrap_err();
+            let iov = [IoSlice::new(&[]), IoSlice::new(&a), IoSlice::new(&b)];
+            let vectored = f.write_vectored_at(&iov, at).unwrap_err();
+            for err in [scalar, vectored] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{name}: {err}");
+            }
+            assert_eq!(f.len().unwrap(), 4, "{name}");
+            let mut back = [0u8; 4];
+            f.read_exact_at(&mut back, 0).unwrap();
+            if *name != "NullFile" {
+                assert_eq!(&back, b"kept", "{name}");
+            }
+        }
+        clear_task();
+        for path in ["m", "t"] {
+            assert_eq!(mem.stats(path).unwrap().allocated, 4096, "{path}: the page of \"kept\"");
+        }
+        assert!(guard.violations().is_empty());
+        let refused: Vec<_> = faults.take_log().into_iter().filter(|r| !r.ok).collect();
+        assert_eq!(refused.len(), 2, "{refused:?}");
+        assert!(refused.iter().all(|r| r.offset == at && r.persisted == 0), "{refused:?}");
+    }
+
+    #[test]
     fn taps_after_the_fault_tap_see_what_reached_the_file() {
         // Listed after the fault tap, the guard is handed the persisted
         // prefix and attributes it to its writer.
