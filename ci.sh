@@ -235,7 +235,7 @@ staging=$(awk '/^#\[cfg\(test\)\]/ { exit }
     /mf\.read_at\(|vec!\[0u8;/ { print FILENAME ":" FNR ": " $0 }' crates/sion-tools/src/lib.rs)
 [ -z "$staging" ] || {
     echo "$staging"
-    echo "defrag lends stored runs to \`RankWriter::write\`: no \`Multifile::read_at\`, no staging buffer"
+    echo "defrag lends stored runs to \`RankWriter::write_run\`: no \`Multifile::read_at\`, no staging buffer"
     exit 1
 }
 
@@ -263,6 +263,25 @@ echo "==> structural gate: a MemFs page is one allocation (no Arc<Vec<u8>>, no d
 # broadcast frames are another owner and out of scope here.)
 if grep -rnE 'Arc<Vec<u8>>|dyn AsRef' crates/vfs/src; then
     echo "a MemFs page is \`Arc<[u8]>\`, built straight from the writer's slice; \`ByteLease\` holds it"
+    exit 1
+fi
+src_delta
+
+echo "==> structural gate: the copy tools hand leases on (split and copy_ranks write lent runs as leases; one read_lease in stream.rs)"
+# A run the reader lent goes on with its lease — `split` through
+# `write_lease_at`, defrag's `copy_ranks` through `RankWriter::write_run` —
+# so a sharing backend adopts whole pages instead of copying them; the
+# reader still asks its file for a lease in one place.
+fn_body() {
+    awk -v f="$1" '$0 ~ "^(pub )?fn " f "\\(" { on = 1 } on { print } on && /^}/ { exit }' crates/sion-tools/src/lib.rs
+}
+lease_sites=$(awk '/^#\[cfg\(test\)\]/ { exit } /read_lease\(/' crates/sion/src/stream.rs | grep -c . || true)
+if ! fn_body split | grep -q 'write_lease_at(' ||
+    ! fn_body copy_ranks | grep -q 'write_run(' ||
+    [ "$lease_sites" -ne 1 ]
+then
+    echo "stream.rs has $lease_sites read_lease( lines outside its tests (want 1)"
+    echo "\`split\` writes lent runs with \`write_lease_at\`, \`copy_ranks\` with \`RankWriter::write_run\`"
     exit 1
 fi
 src_delta

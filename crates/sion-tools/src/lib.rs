@@ -13,10 +13,15 @@
 //! [`verify`], [`cat_into`] and `Multifile::read_rank` all run
 //! [`sion::RankReader::scan_remaining`], which lends plain streams from
 //! page leases and compressed streams frame by frame from the decoder's
-//! buffer. The tools stay serial programs — no communicator, any host —
-//! but [`verify`] and [`defrag`], whose ranks are independent, spread them
-//! over scoped threads (`over_ranks`); neither the report nor the output
-//! file depends on how many.
+//! buffer. The copy tools, [`split`] and [`defrag`], scan with
+//! [`sion::RankReader::scan_runs`] instead, which also hands on the lease a
+//! run came in: they write it with [`vfs::VfsFile::write_lease_at`], so on a
+//! sharing backend (`MemFs`) an output file adopts every whole, aligned
+//! input page and copies nothing — one copy per stored byte elsewhere. The
+//! tools stay serial programs — no communicator, any host — but [`verify`]
+//! and [`defrag`], whose ranks are independent, spread them over scoped
+//! threads (`over_ranks`); neither the report nor the output file depends
+//! on how many.
 
 use sion::rescue::{RescueHeader, RESCUE_HEADER_LEN};
 use sion::{
@@ -85,7 +90,9 @@ pub fn dump(vfs: &dyn Vfs, base: &str) -> Result<String> {
 ///
 /// The extracted content is the *logical* stream — decompressed if the
 /// multifile is compressed — i.e. exactly what the original task-local file
-/// would have contained.
+/// would have contained. A plain stream's lent pages are written as leases
+/// ([`vfs::VfsFile::write_lease_at`]), so a `MemFs` output shares every
+/// whole page that lands on a page boundary with the input.
 pub fn split(
     vfs_in: &dyn Vfs,
     base: &str,
@@ -106,13 +113,17 @@ pub fn split(
         }
         let path = format!("{prefix}.{rank:06}");
         let out = vfs_out.create(&path)?;
-        // Each run is written from where the reader holds it; the sink
-        // cannot fail, so the first write error waits for the scan to end.
+        // Each run is written from where the reader holds it, a lent page
+        // as the lease (a sharing backend adopts it); the sink cannot fail,
+        // so the first write error waits for the scan to end.
         let mut at = 0u64;
         let mut written = Ok(());
-        mf.rank_reader(rank)?.scan_remaining(&mut |run| {
+        mf.rank_reader(rank)?.scan_runs(&mut |run, lease| {
             if written.is_ok() {
-                written = out.write_all_at(run, at);
+                written = match lease {
+                    Some(lease) => out.write_lease_at(lease, at),
+                    None => out.write_all_at(run, at),
+                };
                 at += run.len() as u64;
             }
         })?;
@@ -132,8 +143,10 @@ pub struct DefragStats {
     /// Stored bytes copied (identical before/after).
     pub stored_bytes: u64,
     /// The readers' I/O counters, summed over the ranks: on a leasing VFS
-    /// (MemFs) `bytes_copied` and `allocs` stay zero — every stored byte
-    /// is copied once, by the output file system, from the lent page.
+    /// (MemFs) `bytes_copied` and `allocs` stay zero. The output file
+    /// system then adopts every lent page that is whole and lands on a
+    /// page boundary of its file, copying none of its bytes, and copies
+    /// the rest once.
     pub io: IoCounters,
 }
 
@@ -146,13 +159,17 @@ pub struct DefragStats {
 /// `COMPRESSED` flag is preserved), so the output remains readable by the
 /// normal API.
 ///
-/// Each rank's stored stream is copied once: the runs its
+/// Each rank's stored stream is copied at most once: the runs its
 /// [`stored reader`](Multifile::stored_reader_at) lends go straight into a
-/// write-through [`RankWriter`], with no staging buffer in between. Ranks
-/// are copied in contiguous ranges by the `over_ranks` workers; every
-/// output chunk's offset is fixed by the layout and the metadata is
-/// written by `close` on the calling thread, so the output is the same
-/// bytes whatever the thread count.
+/// write-through [`RankWriter`], with no staging buffer in between, each
+/// with the lease it came in ([`RankWriter::write_run`]). On a sharing
+/// backend the output chunk adopts such a page instead of copying it —
+/// zero copies on `MemFs` for every whole page that lands on a page
+/// boundary, as `copy_file_range` shares extents on a reflinking file
+/// system; one copy elsewhere. Ranks are copied in contiguous ranges by the
+/// `over_ranks` workers; every output chunk's offset is fixed by the layout
+/// and the metadata is written by `close` on the calling thread, so the
+/// output is the same bytes whatever the thread count.
 pub fn defrag(
     vfs_in: &dyn Vfs,
     base: &str,
@@ -183,7 +200,8 @@ fn defrag_on(
     let locs = (0..ntasks).map(|rank| mf.location(rank)).collect::<Result<Vec<_>>>()?;
     let chunksizes: Vec<u64> = locs.iter().map(|t| t.stored_bytes.max(1)).collect();
     // Write-through: a lent run (at most one MemFs page) reaches the output
-    // as one write instead of being copied into a write-behind buffer.
+    // as one write of its lease instead of being copied into a write-behind
+    // buffer.
     let mut params = SionParams::new(0).with_nfiles(nfiles).with_write_buffer(0);
     if !flags.contains(SionFlags::ALIGNED) {
         params = params.with_alignment(sion::Alignment::None);
@@ -221,12 +239,12 @@ fn copy_ranks(
     let (mut stored, mut io) = (0u64, IoCounters::default());
     for (t, out) in locs.iter().zip(writers) {
         let mut reader = mf.stored_reader_at(t);
-        // The sink cannot fail, so the first write error waits for the
-        // scan to end.
+        // Each run goes on with the lease it came in. The sink cannot fail,
+        // so the first write error waits for the scan to end.
         let mut written = Ok(());
-        let copied = reader.scan_remaining(&mut |run| {
+        let copied = reader.scan_runs(&mut |run, lease| {
             if written.is_ok() {
-                written = out.write(run);
+                written = out.write_run(run, lease);
             }
         })?;
         written?;
@@ -540,7 +558,7 @@ mod tests {
     use simmpi::{Comm, World};
     use sion::paropen_write;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use vfs::{FaultKind, FaultRule, Faults, MemFs, Next, Op, OpKind, Tap, TapFs};
+    use vfs::{BlockGuard, FaultKind, FaultRule, Faults, MemFs, Next, Op, OpKind, Tap, TapFs};
 
     fn payload(rank: usize, len: usize) -> Vec<u8> {
         (0..len).map(|i| ((i * 11 + rank * 73 + 5) % 241) as u8).collect()
@@ -893,6 +911,136 @@ mod tests {
             assert_eq!(stats.io.bytes_copied, 0, "{:?}", stats.io);
             assert_eq!(stats.io.allocs, 0, "{:?}", stats.io);
         }
+    }
+
+    /// `len` stored bytes per rank in page-multiple chunks on 4 KiB FS
+    /// blocks: every page of a stream lies on a page boundary of the input,
+    /// and of a defragmented or split copy.
+    fn paged_multifile(lens: &[usize]) -> MemFs {
+        let fs = MemFs::with_block_size(4096);
+        multifile_of(&fs, &SionParams::new(16384), lens);
+        fs
+    }
+
+    /// The start of the page backing `at` of `f`.
+    fn page_ptr(f: &Arc<dyn vfs::VfsFile>, at: u64) -> *const u8 {
+        f.read_lease(at, 4096).unwrap().as_ptr()
+    }
+
+    #[test]
+    fn defrag_adopts_every_full_page_on_memfs() {
+        let lens = [5 * 4096 + 100, 3 * 4096, 40_000, 0, 9000];
+        let fs = paged_multifile(&lens);
+        let out = MemFs::with_block_size(4096);
+        defrag(&fs, "in.sion", &out, "out.sion", 1).unwrap();
+        let (input, output) = (
+            Multifile::open(&fs, "in.sion").unwrap(),
+            Multifile::open(&out, "out.sion").unwrap(),
+        );
+        let (fin, fout) = (
+            fs.open_rw("in.sion").unwrap(),
+            out.open("out.sion").unwrap(),
+        );
+        let mut shared = Vec::new();
+        for rank in 0..lens.len() {
+            let Some(&copy) = output.location(rank).unwrap().chunks.first() else {
+                continue;
+            };
+            assert_eq!(copy.offset % 4096, 0, "rank {rank}");
+            // The input pages holding each whole output page's bytes.
+            let (mut pos, mut pages) = (0u64, 0u64);
+            for c in &input.location(rank).unwrap().chunks {
+                let end = c.offset + c.used;
+                for at in (c.offset..end)
+                    .step_by(4096)
+                    .take_while(|at| at + 4096 <= end)
+                {
+                    let o = copy.offset + pos + (at - c.offset);
+                    assert_eq!(
+                        page_ptr(&fin, at),
+                        page_ptr(&fout, o),
+                        "rank {rank}: page at {o}"
+                    );
+                    shared.push(at);
+                    pages += 1;
+                }
+                pos += c.used;
+            }
+            assert_eq!(
+                pages,
+                copy.used / 4096,
+                "rank {rank}: every whole output page is shared"
+            );
+        }
+        assert_eq!(shared.len(), 5 + 3 + 9 + 2);
+        // Overwrite the input, partly and then wholly: the copy keeps its
+        // bytes.
+        for &at in &shared {
+            fin.write_all_at(&[0xEE; 8], at + 100).unwrap();
+        }
+        fin.write_all_at(&vec![0xEE; fin.len().unwrap() as usize], 0)
+            .unwrap();
+        for (rank, &len) in lens.iter().enumerate() {
+            assert!(
+                output.read_rank(rank).unwrap() == payload(rank, len),
+                "rank {rank}"
+            );
+        }
+    }
+
+    #[test]
+    fn split_is_cat_and_shares_the_input_pages() {
+        let lens = [5 * 4096 + 100, 3 * 4096, 700];
+        let fs = paged_multifile(&lens);
+        let out = MemFs::new();
+        split(&fs, "in.sion", &out, "task", None).unwrap();
+        let input = Multifile::open(&fs, "in.sion").unwrap();
+        let fin = fs.open("in.sion").unwrap();
+        for (rank, &len) in lens.iter().enumerate() {
+            let f = out.open(&format!("task.{rank:06}")).unwrap();
+            let mut got = vec![0u8; f.len().unwrap() as usize];
+            f.read_exact_at(&mut got, 0).unwrap();
+            assert!(got == cat(&fs, "in.sion", rank).unwrap(), "rank {rank}");
+            let first = input.location(rank).unwrap().chunks[0].offset;
+            let same = page_ptr(&f, 0) == page_ptr(&fin, first);
+            assert_eq!(
+                same,
+                len >= 4096,
+                "rank {rank}: whole pages are shared, partial ones copied"
+            );
+        }
+    }
+
+    #[test]
+    fn defrag_through_fault_and_block_taps_writes_the_bare_copy() {
+        let fs = paged_multifile(&[5 * 4096 + 100, 3 * 4096, 40_000, 0]);
+        let bare = MemFs::with_block_size(4096);
+        defrag(&fs, "in.sion", &bare, "out.sion", 1).unwrap();
+        let mem = Arc::new(MemFs::with_block_size(4096));
+        let (faults, guard) = (Faults::new(), BlockGuard::new(4096));
+        let tapped = TapFs::new(mem.clone(), vec![faults.clone(), guard.clone()]);
+        defrag(&fs, "in.sion", &tapped, "out.sion", 1).unwrap();
+        assert!(out_files(&mem, 1) == out_files(&bare, 1));
+        assert!(guard.violations().is_empty());
+        let log = faults.take_log();
+        assert!(log.iter().all(|op| op.ok), "{log:?}");
+        // The whole pages went through the taps as leases and were adopted.
+        let (fin, fout) = (fs.open("in.sion").unwrap(), mem.open("out.sion").unwrap());
+        let (chunk_in, chunk_out) = (
+            Multifile::open(&fs, "in.sion")
+                .unwrap()
+                .location(2)
+                .unwrap()
+                .chunks[0]
+                .offset,
+            Multifile::open(&*mem, "out.sion")
+                .unwrap()
+                .location(2)
+                .unwrap()
+                .chunks[0]
+                .offset,
+        );
+        assert_eq!(page_ptr(&fin, chunk_in), page_ptr(&fout, chunk_out));
     }
 
     /// `mem` behind a `Faults` tap that fails every read after the ones

@@ -7,9 +7,10 @@
 //! `sion_open_rank`) that streams one task's logical file. [`SerialWriter`]
 //! is the serial counterpart for *creating* a multifile from one process
 //! (`sion_open` in write mode), used for example by the defragmentation
-//! tool, which reads ranks' stored streams
-//! ([`Multifile::stored_reader_at`]) and writes them through
-//! [`RankWriter`]s from several threads.
+//! tool, which scans ranks' stored streams
+//! ([`Multifile::stored_reader_at`], [`RankReader::scan_runs`]) and writes
+//! each run, with the lease it came in, through [`RankWriter::write_run`]
+//! from several threads.
 //!
 //! # Lazy metadata
 //!
@@ -42,7 +43,7 @@ use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter, DEFAULT_READ_
 use crate::SionParams;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use vfs::{Vfs, VfsFile};
+use vfs::{ByteLease, Vfs, VfsFile};
 
 /// Location and fill state of one chunk (`sion_get_locations` output).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -602,6 +603,14 @@ impl RankReader {
         self.inner.scan_remaining(sink)
     }
 
+    /// [`scan_remaining`](Self::scan_remaining), handing `sink` each run
+    /// together with the [`ByteLease`] it is all of, when the backend lent
+    /// one: feed both to [`RankWriter::write_run`] and a sharing backend
+    /// takes the page instead of its bytes.
+    pub fn scan_runs(&mut self, sink: &mut dyn FnMut(&[u8], Option<&ByteLease>)) -> Result<u64> {
+        self.inner.scan_runs(sink)
+    }
+
     /// I/O-call accounting for this rank's read stream so far.
     pub fn io_counters(&self) -> IoCounters {
         self.inner.io_counters()
@@ -770,6 +779,16 @@ impl RankWriter<'_> {
     /// Chunk-splitting `sion_fwrite` on this rank's stream.
     pub fn write(&mut self, data: &[u8]) -> Result<()> {
         self.inner.write(data)
+    }
+
+    /// [`write`](Self::write) of a run from [`RankReader::scan_runs`]. On
+    /// a write-through, uncompressed writer a lease that fits the current
+    /// chunk reaches the file as the lease
+    /// ([`VfsFile::write_lease_at`](vfs::VfsFile::write_lease_at)); the
+    /// bytes written are `data` either way, and a lease that is not
+    /// exactly `data` is ignored.
+    pub fn write_run(&mut self, data: &[u8], lease: Option<&ByteLease>) -> Result<()> {
+        self.inner.write_run(data, lease)
     }
 }
 

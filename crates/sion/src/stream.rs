@@ -13,7 +13,7 @@ use crate::layout::FileLayout;
 use crate::rescue::{RescueHeader, RESCUE_HEADER_LEN};
 use std::sync::Arc;
 use szip::{FrameDecoder, FrameEncoder};
-use vfs::{IoSlice, VfsFile};
+use vfs::{ByteLease, IoSlice, VfsFile};
 
 /// The chunk geometry of a single task within one physical file — the
 /// minimal slice of a [`FileLayout`] a task needs to address its chunks.
@@ -152,6 +152,17 @@ pub const DEFAULT_WRITE_BUFFER: u64 = 128 * 1024;
 
 /// Default read-ahead window (bytes) for readers.
 pub const DEFAULT_READ_AHEAD: u64 = 128 * 1024;
+
+/// The VFS call [`TaskWriter::submit`] makes.
+#[derive(Clone, Copy)]
+enum Submit<'a> {
+    /// `write_all_at` of the one slice.
+    Scalar,
+    /// `write_vectored_at` of the slices.
+    Vectored,
+    /// `write_lease_at` of the lease the one slice is all of.
+    Lease(&'a ByteLease),
+}
 
 /// Writer for one task's logical file.
 pub(crate) struct TaskWriter {
@@ -293,7 +304,7 @@ impl TaskWriter {
             });
         }
         self.counters.user_calls += 1;
-        self.put(data)?;
+        self.put(data, None)?;
         self.user_bytes += data.len() as u64;
         Ok(())
     }
@@ -301,13 +312,25 @@ impl TaskWriter {
     /// `sion_fwrite`: write arbitrarily large data, transparently split
     /// across chunk boundaries (and compressed, in compressed mode).
     pub(crate) fn write(&mut self, data: &[u8]) -> Result<()> {
+        self.write_run(data, None)
+    }
+
+    /// [`write`](Self::write) of a run a reader lent, with the lease it is
+    /// all of, if it is one ([`TaskReader::scan_runs`]). A write-through
+    /// plain writer hands a lease that fits the current chunk to its file
+    /// as it is ([`VfsFile::write_lease_at`]: `MemFs` adopts whole pages);
+    /// every other writer writes the bytes, exactly as `write` does. A
+    /// lease that is not exactly `data` (same start, same length) is
+    /// ignored: what is written is always `data`.
+    pub(crate) fn write_run(&mut self, data: &[u8], lease: Option<&ByteLease>) -> Result<()> {
+        let lease = lease.filter(|l| l.as_ptr() == data.as_ptr() && l.len() == data.len());
         self.counters.user_calls += 1;
         self.user_bytes += data.len() as u64;
         if let Some(enc) = self.enc.as_mut() {
             enc.write(data);
             return self.forward_frames();
         }
-        self.put_split(data)
+        self.put_split(data, lease)
     }
 
     /// Compressed mode: write out the frames the encoder has completed, if
@@ -319,15 +342,16 @@ impl TaskWriter {
         if stored.is_empty() {
             return Ok(());
         }
-        let res = self.put_split(&stored);
+        let res = self.put_split(&stored, None);
         if let Some(enc) = self.enc.as_mut() {
             enc.recycle(stored);
         }
         res
     }
 
-    /// Write `data` into chunks, advancing blocks as needed.
-    fn put_split(&mut self, data: &[u8]) -> Result<()> {
+    /// Write `data` into chunks, advancing blocks as needed. `lease`, if
+    /// any, is all of `data` and goes on only if one chunk takes all of it.
+    fn put_split(&mut self, data: &[u8], lease: Option<&ByteLease>) -> Result<()> {
         let mut rest = data;
         while !rest.is_empty() {
             let avail = self.bytes_avail_in_chunk();
@@ -342,7 +366,7 @@ impl TaskWriter {
                 continue;
             }
             let take = (avail as usize).min(rest.len());
-            self.put(&rest[..take])?;
+            self.put(&rest[..take], lease.filter(|_| take == data.len()))?;
             rest = &rest[take..];
         }
         Ok(())
@@ -356,8 +380,9 @@ impl TaskWriter {
     /// with any pending buffered bytes, as one vectored write
     /// ([`put_vectored`](Self::put_vectored)) — no memcpy of the payload.
     /// In write-through mode (`wbuf_cap == 0`) data goes straight to the
-    /// VFS, but the rescue patch is still deferred to flush points.
-    fn put(&mut self, data: &[u8]) -> Result<()> {
+    /// VFS — as `lease` itself, when there is one (it is all of `data`) —
+    /// but the rescue patch is still deferred to flush points.
+    fn put(&mut self, data: &[u8], lease: Option<&ByteLease>) -> Result<()> {
         debug_assert!(data.len() as u64 <= self.bytes_avail_in_chunk());
         if data.is_empty() {
             return Ok(());
@@ -368,7 +393,8 @@ impl TaskWriter {
         self.enter_chunk()?;
         if self.wbuf_cap == 0 {
             let at = self.geom.data_offset(self.block) + self.off;
-            self.submit(&[IoSlice::new(data)], at, false)?;
+            let how = lease.map_or(Submit::Scalar, Submit::Lease);
+            self.submit(&[IoSlice::new(data)], at, how)?;
             self.off += data.len() as u64;
         } else {
             let mut rest = data;
@@ -441,7 +467,7 @@ impl TaskWriter {
         }
         slices[n] = IoSlice::new(data);
         n += 1;
-        let res = self.submit(&slices[..n], at, true);
+        let res = self.submit(&slices[..n], at, Submit::Vectored);
         self.wbuf = pending;
         res?;
         self.entered[b] = true;
@@ -474,7 +500,7 @@ impl TaskWriter {
         if !self.wbuf.is_empty() {
             let at = self.geom.data_offset(self.block) + self.wbuf_start;
             let buf = std::mem::take(&mut self.wbuf);
-            let res = self.submit(&[IoSlice::new(&buf)], at, false);
+            let res = self.submit(&[IoSlice::new(&buf)], at, Submit::Scalar);
             self.wbuf = buf;
             res?;
             self.wbuf.clear();
@@ -501,20 +527,19 @@ impl TaskWriter {
     }
 
     /// The one place this writer calls its file: every data run, rescue
-    /// header and `used` patch is submitted here — the VFS call (one
-    /// `write_vectored_at` for `vectored` runs, else the single slice as
-    /// one `write_all_at`), its [`IoCounters`] bookkeeping and, on a
-    /// member's writer, the extent record the aggregator will apply. A
-    /// failed submission records nothing.
-    fn submit(&mut self, slices: &[IoSlice<'_>], at: u64, vectored: bool) -> Result<()> {
-        if vectored {
-            self.file.write_vectored_at(slices, at)?;
-        } else {
-            debug_assert_eq!(slices.len(), 1);
-            self.file.write_all_at(&slices[0], at)?;
+    /// header and `used` patch is submitted here — the one VFS call `how`
+    /// names, its [`IoCounters`] bookkeeping and, on a member's writer, the
+    /// extent record the aggregator will apply. A failed submission records
+    /// nothing.
+    fn submit(&mut self, slices: &[IoSlice<'_>], at: u64, how: Submit<'_>) -> Result<()> {
+        match how {
+            Submit::Vectored => self.file.write_vectored_at(slices, at)?,
+            Submit::Scalar => self.file.write_all_at(&slices[0], at)?,
+            Submit::Lease(lease) => self.file.write_lease_at(lease, at)?,
         }
+        debug_assert!(matches!(how, Submit::Vectored) || slices.len() == 1);
         self.counters.vfs_calls += 1;
-        self.counters.vectored_writes += vectored as u64;
+        self.counters.vectored_writes += matches!(how, Submit::Vectored) as u64;
         self.counters.vfs_bytes += slices.iter().map(|s| s.len() as u64).sum::<u64>();
         if let Some(frame) = self.frame.as_mut() {
             crate::agg::push_extent(frame, at, slices);
@@ -534,7 +559,8 @@ impl TaskWriter {
             block: self.block,
             used: 0,
         };
-        self.submit(&[IoSlice::new(&hdr.encode())], self.geom.chunk_start(self.block), false)?;
+        let at = self.geom.chunk_start(self.block);
+        self.submit(&[IoSlice::new(&hdr.encode())], at, Submit::Scalar)?;
         self.entered[b] = true;
         Ok(())
     }
@@ -548,7 +574,7 @@ impl TaskWriter {
         debug_assert_eq!(self.geom.rescue_overhead, RESCUE_HEADER_LEN);
         let used = self.used[self.block as usize].to_le_bytes();
         let at = self.geom.chunk_start(self.block) + RescueHeader::USED_FIELD_OFFSET;
-        self.submit(&[IoSlice::new(&used)], at, false)?;
+        self.submit(&[IoSlice::new(&used)], at, Submit::Scalar)?;
         self.counters.rescue_patches += 1;
         Ok(())
     }
@@ -828,9 +854,15 @@ impl TaskReader {
 
     /// Lend `to` the next run of the logical stream, at most `limit` bytes
     /// of it, and step past them: the rest of the decoded frame in
-    /// compressed mode, the stored run at the cursor otherwise. Returns the
-    /// length lent, `None` at the end of the stream.
-    fn lend(&mut self, limit: usize, to: impl FnOnce(&[u8])) -> Result<Option<usize>> {
+    /// compressed mode, the stored run at the cursor otherwise. When the
+    /// run is all of a lease the backend lent, `to` gets that lease too, so
+    /// a writer can hand the backing storage on instead of its bytes.
+    /// Returns the length lent, `None` at the end of the stream.
+    fn lend(
+        &mut self,
+        limit: usize,
+        to: impl FnOnce(&[u8], Option<&ByteLease>),
+    ) -> Result<Option<usize>> {
         if self.dec.is_some() {
             while self.decoded_pos == self.dec.as_ref().expect("compressed mode").frame().len() {
                 if !self.next_frame()? {
@@ -839,7 +871,7 @@ impl TaskReader {
             }
             let frame = self.dec.as_ref().expect("compressed mode").frame();
             let n = (frame.len() - self.decoded_pos).min(limit);
-            to(&frame[self.decoded_pos..self.decoded_pos + n]);
+            to(&frame[self.decoded_pos..self.decoded_pos + n], None);
             self.decoded_pos += n;
             return Ok(Some(n));
         }
@@ -847,7 +879,14 @@ impl TaskReader {
             return Ok(None);
         };
         let n = run.len().min(limit);
-        to(&Self::window(&self.rlease, &self.rbuf)[run.start..run.start + n]);
+        let whole = self
+            .rlease
+            .as_ref()
+            .filter(|lease| run.start == 0 && n == lease.len());
+        to(
+            &Self::window(&self.rlease, &self.rbuf)[run.start..run.start + n],
+            whole,
+        );
         self.off += n as u64;
         Ok(Some(n))
     }
@@ -888,7 +927,7 @@ impl TaskReader {
                 done += direct;
                 continue;
             }
-            match self.lend(rest.len(), |run| rest[..run.len()].copy_from_slice(run)) {
+            match self.lend(rest.len(), |run, _| rest[..run.len()].copy_from_slice(run)) {
                 Ok(Some(n)) => {
                     self.counters.bytes_copied += n as u64;
                     done += n;
@@ -915,6 +954,16 @@ impl TaskReader {
     /// buffer and lent to `sink` from there, so nothing is materialised;
     /// stored bytes are decoded where the window holds them.
     pub(crate) fn scan_remaining(&mut self, sink: &mut dyn FnMut(&[u8])) -> Result<u64> {
+        self.scan_runs(&mut |run, _| sink(run))
+    }
+
+    /// [`scan_remaining`](Self::scan_remaining), handing `sink` each run
+    /// together with the lease it is all of, if it is one: what a copy
+    /// passes to [`TaskWriter::write_run`].
+    pub(crate) fn scan_runs(
+        &mut self,
+        sink: &mut dyn FnMut(&[u8], Option<&ByteLease>),
+    ) -> Result<u64> {
         self.counters.user_calls += 1;
         let mut total = 0u64;
         while let Some(n) = self.lend(usize::MAX, &mut *sink)? {
@@ -1461,6 +1510,110 @@ mod tests {
         assert_eq!(c.bytes_copied, 0, "leases served the whole scan: {c:?}");
         assert_eq!(c.allocs, 0, "no bounce buffer was needed: {c:?}");
         assert!(r.feof());
+    }
+
+    #[test]
+    fn scan_runs_hands_on_a_lease_only_when_the_run_is_all_of_it() {
+        // Sieved 100-byte chunks: a page lease at the cursor also holds the
+        // other tasks' segments, so no run is a whole lease. Page-multiple
+        // chunks: every run is one.
+        for (chunk, align) in [(100u64, Alignment::None), (8192, Alignment::FsBlock)] {
+            let fs = MemFs::with_block_size(4096);
+            let layout = FileLayout::compute(&[chunk; 4], 4096, align, false).unwrap();
+            let data: Vec<u8> = (0..3 * chunk as usize).map(|i| (i % 251) as u8).collect();
+            let mut used = Vec::new();
+            for t in 0..4 {
+                let mut w = writer(&fs, &layout, t, false);
+                w.write(&data).unwrap();
+                used = w.finish().unwrap();
+            }
+            let geom = ChunkGeom::from_layout(&layout, 3, 3);
+            let mut r = reader(fs.open("f").unwrap(), geom, used, false);
+            let (mut back, mut lent, mut runs) = (Vec::new(), 0, 0);
+            r.scan_runs(&mut |run, lease| {
+                back.extend_from_slice(run);
+                runs += 1;
+                if let Some(lease) = lease {
+                    assert_eq!((lease.as_ptr(), lease.len()), (run.as_ptr(), run.len()));
+                    lent += 1;
+                }
+            })
+            .unwrap();
+            assert_eq!(back, data);
+            assert_eq!(
+                lent,
+                if chunk == 100 { 0 } else { runs },
+                "chunk {chunk}: {runs} runs"
+            );
+        }
+    }
+
+    #[test]
+    fn write_run_hands_on_a_lease_only_when_writing_through_plain() {
+        let src = MemFs::new();
+        let page: Vec<u8> = (0..4096).map(|i| (i % 233) as u8).collect();
+        let s = src.create("page").unwrap();
+        s.write_all_at(&page, 0).unwrap();
+        let lease = s.read_lease(0, 4096).unwrap();
+        // (chunk request, write buffer, compressed, bytes written first,
+        // adopted): write-through, buffered, compressed, and a lease the
+        // rest of one chunk cannot take.
+        let cases = [
+            (8192, 0, false, 0, true),
+            (8192, 4096, false, 0, false),
+            (8192, 0, true, 0, false),
+            (4096, 0, false, 100, false),
+        ];
+        for (req, buffer, compressed, lead, adopted) in cases {
+            let layout = FileLayout::compute(&[req], 4096, Alignment::FsBlock, false).unwrap();
+            let run = |with_lease: bool| {
+                let fs = MemFs::with_block_size(4096);
+                let mut w = writer_buffered(&fs, &layout, 0, compressed, buffer);
+                w.write(&page[..lead]).unwrap();
+                w.write_run(&lease, Some(&lease).filter(|_| with_lease))
+                    .unwrap();
+                let used = w.finish().unwrap();
+                let f = fs.open("f").unwrap();
+                let mut bytes = vec![0u8; f.len().unwrap() as usize];
+                f.read_exact_at(&mut bytes, 0).unwrap();
+                (fs, used, bytes, w.io_counters())
+            };
+            let (fs, used, bytes, counters) = run(true);
+            let (_, used_w, bytes_w, counters_w) = run(false);
+            let case = format!("chunk {req}, buffer {buffer}, compressed {compressed}");
+            assert_eq!(
+                (&used, counters),
+                (&used_w, counters_w),
+                "{case}: as `write` counts"
+            );
+            assert!(bytes == bytes_w, "{case}: the bytes `write` writes");
+            assert_eq!(used.len(), 1 + (lead > 0) as usize, "{case}");
+            let geom = ChunkGeom::from_layout(&layout, 0, 0);
+            let f = fs.open("f").unwrap();
+            let first = f.read_lease(geom.data_offset(0), 4096).unwrap();
+            assert_eq!(first.as_ptr() == lease.as_ptr(), adopted, "{case}");
+            let mut back = vec![0u8; lead + 4096];
+            reader(f, geom, used, compressed)
+                .read_exact(&mut back)
+                .unwrap();
+            assert!(back == [&page[..lead], &page[..]].concat(), "{case}");
+        }
+        // A lease that is not the run: the run is written, not the lease.
+        let layout = FileLayout::compute(&[8192], 4096, Alignment::FsBlock, false).unwrap();
+        let other = vec![7u8; 4096];
+        for data in [&other[..], &lease[..4095], &lease[1..]] {
+            let fs = MemFs::with_block_size(4096);
+            let mut w = writer_buffered(&fs, &layout, 0, false, 0);
+            w.write_run(data, Some(&lease)).unwrap();
+            let used = w.finish().unwrap();
+            let f = fs.open("f").unwrap();
+            let geom = ChunkGeom::from_layout(&layout, 0, 0);
+            let stored = f.read_lease(geom.data_offset(0), data.len()).unwrap();
+            assert!(stored.as_ptr() != lease.as_ptr());
+            let mut back = vec![0u8; data.len()];
+            reader(f, geom, used, false).read_exact(&mut back).unwrap();
+            assert!(back == data);
+        }
     }
 
     #[test]

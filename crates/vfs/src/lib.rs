@@ -81,6 +81,12 @@ impl ByteLease {
     pub fn len(&self) -> usize {
         self.len
     }
+
+    /// The backing buffer, when the lease covers all of it: what a backend
+    /// can adopt by refcount instead of copying.
+    pub(crate) fn whole_buffer(&self) -> Option<&Arc<[u8]>> {
+        (self.start == 0 && self.len == self.buf.len()).then_some(&self.buf)
+    }
 }
 
 impl std::ops::Deref for ByteLease {
@@ -174,6 +180,22 @@ pub trait VfsFile: Send + Sync {
     fn read_lease(&self, offset: u64, max_len: usize) -> Option<ByteLease> {
         let _ = (offset, max_len);
         None
+    }
+
+    /// Write the leased bytes at `offset` — the write twin of
+    /// [`read_lease`](Self::read_lease). A backend that can share storage
+    /// takes the lent buffer itself, by refcount, as `copy_file_range` or a
+    /// reflink lets a real file system share extents instead of moving the
+    /// bytes through the client; neither file can then change the other's
+    /// bytes (copy-on-write both ways). The file ends up exactly as after
+    /// [`write_all_at`](Self::write_all_at) of the same bytes, and fails
+    /// the same way.
+    ///
+    /// The default is that copy. [`MemFs`] adopts a lease of one whole page
+    /// at a page-aligned offset; [`LocalFs`] keeps the default, because a
+    /// positioned `copy_file_range` needs `unsafe`/`libc`.
+    fn write_lease_at(&self, lease: &ByteLease, offset: u64) -> io::Result<()> {
+        self.write_all_at(lease, offset)
     }
 
     /// Write all of `buf` at `offset`, failing on short writes.

@@ -30,7 +30,11 @@
 //! A page is an `Arc<[u8]>`: refcounts and 4 KiB of bytes in one heap
 //! block. A full page written from one source slice costs one allocation
 //! and one copy, and dropping it one free; a [`ByteLease`] holds the page
-//! itself.
+//! itself, and [`VfsFile::write_lease_at`] of a whole-page lease at a page
+//! boundary puts that same page into another file (or another place of
+//! this one) without copying it. A page held twice is never written in
+//! place: a full-page write replaces it, a partial write and `set_len`
+//! clone it first, so files sharing a page stay independent.
 
 use crate::{normalize_path, write_end, ByteLease, IoSlice, Vfs, VfsFile};
 use parking_lot::{Mutex, RwLock};
@@ -236,6 +240,24 @@ impl FileData {
         Some(ByteLease::new(page.clone(), in_page, take))
     }
 
+    /// Write `lease` at `offset`: a lease of one whole page at a page
+    /// boundary becomes this file's page as it is, a clone of its `Arc`;
+    /// anything else is copied by [`write`](Self::write).
+    fn write_lease(&self, lease: &ByteLease, offset: u64) -> io::Result<()> {
+        let page = lease
+            .whole_buffer()
+            .filter(|p| p.len() == PAGE && offset.is_multiple_of(PAGE as u64));
+        let Some(page) = page else {
+            return self.write(&[IoSlice::new(lease)], offset);
+        };
+        let end = write_end(offset, PAGE as u64)?;
+        let page_idx = offset / PAGE as u64;
+        let mut pages = self.stripe(page_idx).write();
+        pages.insert(page_idx, page.clone());
+        self.len.fetch_max(end, Ordering::Release);
+        Ok(())
+    }
+
     fn set_len(&self, len: u64) {
         // Every stripe, in index order: excludes all data operations, and
         // two concurrent `set_len`s cannot deadlock.
@@ -318,6 +340,15 @@ impl VfsFile for MemFile {
         self.data.read_lease(offset, max_len)
     }
 
+    /// Adopts a lent page instead of copying it: a lease of one whole page
+    /// written at a page-aligned offset makes this file share that page
+    /// with the file it came from. Neither can change the other's bytes: a
+    /// full-page write replaces the page, a partial write and `set_len`
+    /// clone it first ([`Arc::make_mut`]). Every other lease is copied.
+    fn write_lease_at(&self, lease: &ByteLease, offset: u64) -> io::Result<()> {
+        self.data.write_lease(lease, offset)
+    }
+
     fn set_len(&self, len: u64) -> io::Result<()> {
         self.data.set_len(len);
         Ok(())
@@ -337,7 +368,9 @@ impl VfsFile for MemFile {
 pub struct MemFsStats {
     /// Logical file size in bytes.
     pub len: u64,
-    /// Bytes physically backed by pages (hole-free footprint).
+    /// Bytes physically backed by pages (hole-free footprint). A per-file
+    /// figure, as `du` reports reflinked files: a page this file shares
+    /// with another ([`VfsFile::write_lease_at`]) counts in both.
     pub allocated: u64,
 }
 
@@ -705,6 +738,85 @@ mod tests {
         }
     }
 
+    /// The first `len` bytes of `f`.
+    fn image_of(f: &Arc<dyn VfsFile>, len: usize) -> Vec<u8> {
+        let mut back = vec![0u8; len];
+        f.read_exact_at(&mut back, 0).unwrap();
+        back
+    }
+
+    #[test]
+    fn an_adopted_page_is_shared_and_copied_on_write_both_ways() {
+        let fs = MemFs::new();
+        let (a, b) = (fs.create("a").unwrap(), fs.create("b").unwrap());
+        let page: Vec<u8> = (0..PAGE).map(|i| (i % 251) as u8).collect();
+        a.write_all_at(&page, 0).unwrap();
+        let adopt = || {
+            b.write_lease_at(&a.read_lease(0, PAGE).unwrap(), 2 * PAGE as u64)
+                .unwrap();
+            let shared = b.read_lease(2 * PAGE as u64, PAGE).unwrap();
+            let source = a.read_lease(0, PAGE).unwrap();
+            assert_eq!(shared.as_ptr(), source.as_ptr(), "adopted, not copied");
+        };
+        adopt();
+        assert_eq!(b.len().unwrap(), 3 * PAGE as u64);
+        // Both files count the page: a per-file footprint.
+        assert_eq!(fs.stats("a").unwrap().allocated, PAGE as u64);
+        assert_eq!(fs.stats("b").unwrap().allocated, PAGE as u64);
+        let b_now = || image_of(&b, 3 * PAGE)[2 * PAGE..].to_vec();
+
+        // A full-page overwrite in A leaves B's bytes alone, and so does a
+        // partial one.
+        a.write_all_at(&[0x11; PAGE], 0).unwrap();
+        assert_eq!(b_now(), page);
+        a.write_all_at(&page, 0).unwrap();
+        adopt();
+        a.write_all_at(&[0x22; 8], 100).unwrap();
+        assert_eq!(b_now(), page);
+        let mut a_page = page.clone();
+        a_page[100..108].fill(0x22);
+        assert_eq!(image_of(&a, PAGE), a_page);
+
+        // A `set_len` into B's adopted page leaves A's bytes alone.
+        a.write_all_at(&page, 0).unwrap();
+        adopt();
+        b.set_len(2 * PAGE as u64 + 10).unwrap();
+        b.set_len(3 * PAGE as u64).unwrap();
+        assert_eq!(image_of(&a, PAGE), page);
+        let mut b_page = page.clone();
+        b_page[10..].fill(0);
+        assert_eq!(b_now(), b_page);
+
+        // The page outlives the file it came from.
+        b.write_lease_at(&a.read_lease(0, PAGE).unwrap(), 0)
+            .unwrap();
+        fs.remove("a").unwrap();
+        drop(a);
+        assert_eq!(image_of(&b, PAGE), page);
+    }
+
+    #[test]
+    fn leases_that_are_not_one_aligned_page_are_copied() {
+        let fs = MemFs::new();
+        let src = fs.create("src").unwrap();
+        let data: Vec<u8> = (0..2 * PAGE + 100).map(|i| (i % 247) as u8).collect();
+        src.write_all_at(&data, 0).unwrap();
+        let dst = fs.create("dst").unwrap();
+        // (lease offset, lease length, destination offset): a partial lease,
+        // the end-of-file page, a whole page at a misaligned offset.
+        for (from, max, to) in [
+            (100, PAGE, 0),
+            (2 * PAGE, PAGE, 4 * PAGE),
+            (PAGE, PAGE, 8 * PAGE + 7),
+        ] {
+            let lease = src.read_lease(from as u64, max).unwrap();
+            dst.write_lease_at(&lease, to as u64).unwrap();
+            let copy = dst.read_lease(to as u64, lease.len()).unwrap();
+            assert_eq!(&copy[..], &data[from..from + copy.len()], "lease at {from}");
+            assert_ne!(copy.as_ptr(), lease.as_ptr(), "lease at {from}: a new page");
+        }
+    }
+
     #[test]
     fn vectored_write_matches_concatenated_scalar() {
         let fs = MemFs::new();
@@ -747,8 +859,14 @@ mod tests {
         SetLen(Pos),
         Read(Pos, usize),
         Lease(Pos, usize),
+        /// A lease of the source file at the offset, at most so many bytes,
+        /// written with `write_lease_at`.
+        Adopt(u64, usize, Pos),
     }
     type Pos = (bool, u64, u64);
+
+    /// The source file of `Op::Adopt`: whole pages, then a partial one.
+    const SRC_LEN: usize = 4 * PAGE + 100;
 
     fn pos() -> impl Strategy<Value = Pos> {
         (any::<bool>(), 0u64..4, 0u64..600)
@@ -765,6 +883,13 @@ mod tests {
             pos().prop_map(Op::SetLen),
             (pos(), span()).prop_map(|(p, n)| Op::Read(p, n)),
             (pos(), span()).prop_map(|(p, n)| Op::Lease(p, n)),
+            (
+                prop_oneof![(0..5u64).prop_map(|k| k * PAGE as u64), 0..5 * PAGE as u64],
+                prop_oneof![Just(PAGE), span()],
+                // A jitter of 300 is the page boundary itself.
+                prop_oneof![(0..8u64).prop_map(|k| (false, k, 300)), pos()],
+            )
+                .prop_map(|(from, max, to)| Op::Adopt(from, max, to)),
         ]
     }
 
@@ -795,11 +920,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random writes (scalar and vectored), truncations, reads and
-        /// leases around page and FS-block boundaries, at block sizes from
-        /// below one page to 2 MiB: bytes, `len` and the page-exact
-        /// `allocated` equal the flat model after every step, and every
-        /// lease still shows the bytes it was taken over.
+        /// Random writes (scalar, vectored and of another file's leases),
+        /// truncations, reads and leases around page and FS-block
+        /// boundaries, at block sizes from below one page to 2 MiB: bytes,
+        /// `len` and the page-exact `allocated` equal the flat model after
+        /// every step, every lease still shows the bytes it was taken over,
+        /// and the file whose pages were adopted is unchanged.
         #[test]
         fn file_matches_flat_model(
             block in prop::sample::select(vec![512u64, 4096, 3 * 4096, 64 << 10, 2 << 20]),
@@ -809,6 +935,9 @@ mod tests {
                 ((if unit { block } else { PAGE as u64 }) * k + jitter).saturating_sub(300)
             };
             let fs = MemFs::with_block_size(block);
+            let src_bytes: Vec<u8> = (0..SRC_LEN).map(|i| (i % 253) as u8 | 0x80).collect();
+            let src = fs.create("src").unwrap();
+            src.write_all_at(&src_bytes, 0).unwrap();
             let f = fs.create("m").unwrap();
             let mut model = Model::default();
             let mut leases: Vec<(ByteLease, Vec<u8>)> = Vec::new();
@@ -854,6 +983,12 @@ mod tests {
                             None => prop_assert!(!backed),
                         }
                     }
+                    Op::Adopt(from, max, to) => {
+                        if let Some(lease) = src.read_lease(*from, *max) {
+                            f.write_lease_at(&lease, at(*to)).unwrap();
+                            model.write(at(*to) as usize, &lease);
+                        }
+                    }
                 }
                 let st = fs.stats("m").unwrap();
                 prop_assert_eq!(st.len, model.bytes.len() as u64);
@@ -865,6 +1000,7 @@ mod tests {
             for (lease, snapshot) in &leases {
                 prop_assert_eq!(&lease[..], &snapshot[..]);
             }
+            prop_assert!(image_of(&src, SRC_LEN) == src_bytes, "an adopted page changed its source");
         }
     }
 

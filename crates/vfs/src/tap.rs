@@ -17,7 +17,7 @@
 //! the file system (a torn write's persisted prefix, attributed to its
 //! writer), not what the caller asked for.
 //!
-//! ## Two fixed rules
+//! ## Three fixed rules
 //!
 //! * **Vectored writes.** If any tap [`injects`](Tap::injects), every
 //!   slice of the iovec is its own op — own pass through the list, own
@@ -25,6 +25,10 @@
 //!   and the file keeps exactly the prefix the trait promises. Otherwise
 //!   the iovec reaches the backend in one submission and the taps then see
 //!   each slice's own extent.
+//! * **Lease writes.** [`VfsFile::write_lease_at`] is one `Write` op over
+//!   the lease's extent. The backend gets the lease only if every tap let
+//!   all of it through; a prefix a tap cut it to reaches the backend as a
+//!   plain write of those bytes.
 //! * **Shadows.** [`Vfs::create_shadow`] forwards to the backend's shadow,
 //!   wraps it, and marks every op on it [`shadow`](Op::shadow). Opening a
 //!   shadow is not itself an op.
@@ -246,6 +250,26 @@ impl VfsFile for TapFile {
         lease
     }
 
+    /// One `Write` op over the lease's extent. Let through whole, the
+    /// backend gets the lease; cut to a prefix, it gets those bytes as a
+    /// plain write — taps see exactly what a scalar write shows them.
+    fn write_lease_at(&self, lease: &ByteLease, offset: u64) -> io::Result<()> {
+        let done = self.run(OpKind::Write, offset, lease.len(), &mut |n| {
+            if n as usize == lease.len() {
+                self.inner.write_lease_at(lease, offset)?;
+            } else {
+                self.inner.write_all_at(&lease[..n as usize], offset)?;
+            }
+            Ok(n)
+        })?;
+        // A tap that cut the write without failing it: what `write_all_at`
+        // does after a short `write_at`.
+        match done {
+            0 if !lease.is_empty() => Err(io::ErrorKind::WriteZero.into()),
+            _ => self.write_all_at(&lease[done..], offset + done as u64),
+        }
+    }
+
     fn set_len(&self, len: u64) -> io::Result<()> {
         self.run(OpKind::SetLen, len, 0, &mut |_| self.inner.set_len(len).map(|()| 0))?;
         Ok(())
@@ -291,6 +315,79 @@ mod tests {
         guard.violations()
     }
 
+    /// Task 0 writes page 0 of a source file at offset 0 of `dst`, then
+    /// task 1 tears a write of page 1 over it after 100 bytes — as leases
+    /// (`lease`) or as the same bytes written with `write_all_at`. Returns
+    /// the file image, the fault tap's log and the guard's findings.
+    fn torn_page_write(lease: bool) -> (Vec<u8>, Vec<crate::OpRecord>, Vec<crate::BlockViolation>) {
+        let mem = Arc::new(MemFs::with_block_size(4096));
+        let src = mem.create("src").unwrap();
+        let pages: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
+        src.write_all_at(&pages, 0).unwrap();
+        let (faults, guard) = (Faults::new(), BlockGuard::new(4096));
+        let fs = TapFs::new(mem.clone(), vec![faults.clone(), guard.clone()]);
+        let f = fs.create("dst").unwrap(); // op 0
+        let write = |page: u64| {
+            let l = src.read_lease(page * 4096, 4096).unwrap();
+            if lease {
+                f.write_lease_at(&l, 0)
+            } else {
+                f.write_all_at(&l, 0)
+            }
+        };
+        set_task(0);
+        write(0).unwrap(); // op 1
+        if lease {
+            let adopted = mem.open("dst").unwrap().read_lease(0, 4096).unwrap();
+            assert_eq!(adopted.as_ptr(), src.read_lease(0, 1).unwrap().as_ptr());
+        }
+        set_task(1);
+        faults.crash_torn_write(2, 100);
+        assert!(write(1).is_err()); // op 2, torn
+        clear_task();
+        let mut image = vec![0u8; 4096];
+        mem.open("dst")
+            .unwrap()
+            .read_exact_at(&mut image, 0)
+            .unwrap();
+        let mut src_now = vec![0u8; 8192];
+        src.read_exact_at(&mut src_now, 0).unwrap();
+        assert!(
+            src_now == pages,
+            "the torn write reached the adopted page's source"
+        );
+        (image, faults.take_log(), guard.violations())
+    }
+
+    #[test]
+    fn a_lease_write_is_one_write_op_and_tears_like_a_scalar_one() {
+        let (image, log, violations) = torn_page_write(true);
+        let pages: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
+        let mut want = pages[..4096].to_vec();
+        want[..100].copy_from_slice(&pages[4096..4196]);
+        assert!(
+            image == want,
+            "exactly the torn prefix persisted over the adopted page"
+        );
+        let writes: Vec<_> = log
+            .iter()
+            .map(|r| (r.kind, r.len, r.persisted, r.ok))
+            .collect();
+        let want_log = [
+            (OpKind::Create, 0, 0, true),
+            (OpKind::Write, 4096, 4096, true),
+            (OpKind::Write, 4096, 100, false),
+        ];
+        assert_eq!(writes, want_log);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!((violations[0].offset, violations[0].len), (0, 100));
+        assert_eq!(
+            (image, log, violations),
+            torn_page_write(false),
+            "what a scalar write shows"
+        );
+    }
+
     #[test]
     fn writes_past_the_largest_offset_fail_and_change_nothing() {
         let mem = Arc::new(MemFs::new());
@@ -303,13 +400,19 @@ mod tests {
         ];
         let at = u64::MAX - 5;
         let (a, b) = ([7u8; 50], [8u8; 50]);
+        // A whole page, written at the last page boundary: `MemFs` would
+        // adopt it.
+        let page = mem.create("page").unwrap();
+        page.write_all_at(&[9u8; 4096], 0).unwrap();
+        let lease = page.read_lease(0, 4096).unwrap();
         set_task(0);
         for (name, f) in &files {
             f.write_all_at(b"kept", 0).unwrap();
             let scalar = f.write_at(&[7u8; 100], at).unwrap_err();
             let iov = [IoSlice::new(&[]), IoSlice::new(&a), IoSlice::new(&b)];
             let vectored = f.write_vectored_at(&iov, at).unwrap_err();
-            for err in [scalar, vectored] {
+            let leased = f.write_lease_at(&lease, u64::MAX - 4095).unwrap_err();
+            for err in [scalar, vectored, leased] {
                 assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{name}: {err}");
             }
             assert_eq!(f.len().unwrap(), 4, "{name}");
@@ -325,8 +428,10 @@ mod tests {
         }
         assert!(guard.violations().is_empty());
         let refused: Vec<_> = faults.take_log().into_iter().filter(|r| !r.ok).collect();
-        assert_eq!(refused.len(), 2, "{refused:?}");
-        assert!(refused.iter().all(|r| r.offset == at && r.persisted == 0), "{refused:?}");
+        // Scalar, vectored, lease — in that order.
+        let offsets: Vec<_> = refused.iter().map(|r| r.offset).collect();
+        assert_eq!(offsets, [at, at, u64::MAX - 4095], "{refused:?}");
+        assert!(refused.iter().all(|r| r.persisted == 0), "{refused:?}");
     }
 
     #[test]
