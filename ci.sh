@@ -240,10 +240,11 @@ staging=$(awk '/^#\[cfg\(test\)\]/ { exit }
 }
 
 echo "==> structural gate: no frame pool (a message is one Vec, allocated by its sender and dropped by its receiver)"
-# Neither `Comm` nor `CoComm` has a `recycle`. The one `fn recycle` left in
-# simmpi is `TaskComm`'s inherent drop, kept while sionbench calls it
-# (ROADMAP item 1(c)); szip's `FrameEncoder::recycle` reuses an encoder's
-# output buffer and is no message pool.
+# `CoComm` has no `recycle`, nor does the blocking `Comm` handle over it.
+# The one `fn recycle` left in simmpi is `TaskComm`'s inherent drop, kept
+# while sionbench calls it (ROADMAP item 1(c)); szip's
+# `FrameEncoder::recycle` reuses an encoder's output buffer and is no
+# message pool.
 recycles=$(grep -rn -A1 'fn recycle' crates/simmpi/src | tr -s ' ')
 want_recycle='crates/simmpi/src/task/comm.rs:NNN: pub fn recycle(&self, buf: Vec<u8>) {
 crates/simmpi/src/task/comm.rs-NNN- drop(buf);'
@@ -282,6 +283,23 @@ if ! fn_body split | grep -q 'write_lease_at(' ||
 then
     echo "stream.rs has $lease_sites read_lease( lines outside its tests (want 1)"
     echo "\`split\` writes lent runs with \`write_lease_at\`, \`copy_ranks\` with \`RankWriter::write_run\`"
+    exit 1
+fi
+src_delta
+
+echo "==> structural gate: one communicator contract (CoComm, implemented by the engine and the oracle; Comm is a handle)"
+# `CoComm` is the only communicator trait and has two implementations,
+# `TaskComm` and the flat oracle; the blocking `Comm` is a concrete handle
+# whose methods are `drive_ready` of its `CoComm` calls, so no adapter turns
+# one contract into the other. `FlatWorld` runs through `World`'s launcher
+# and spawns no thread of its own.
+co_impls=$(grep -rEc 'impl(<[^>]*>)? [A-Za-z:]*CoComm for' crates/simmpi/src | awk -F: '{ s += $2 } END { print s }')
+if grep -rnE 'trait Comm\b|BlockingComm|BlockingRef|blocking_cocomm' crates tests examples ||
+    grep -n 'spawn(' crates/simmpi/src/flat.rs ||
+    [ "$co_impls" -ne 2 ]
+then
+    echo "$co_impls \`impl CoComm for\` in crates/simmpi/src (want 2: TaskComm and the flat oracle)"
+    echo "one communicator contract: \`CoComm\` is the trait, \`Comm\` a handle driving it with \`drive_ready\`, and both worlds share one launcher"
     exit 1
 fi
 src_delta

@@ -450,7 +450,7 @@ pub fn ablation_gather_buffer() -> Vec<Row> {
 /// VFS and reports the engine's own coalescing counters, so the figure is
 /// deterministic (call counts, not wall clock).
 pub fn ablation_write_buffer() -> Vec<Row> {
-    use simmpi::{Comm, World};
+    use simmpi::World;
     use vfs::MemFs;
 
     let total = 256usize * 1024;

@@ -96,7 +96,7 @@ fn task_local_path(base: &str, rank: usize) -> String {
 /// collective operation: if any rank failed locally, every rank returns an
 /// error instead of some ranks blocking forever in a collective the failed
 /// rank never reaches (the classic MPI error-path deadlock).
-fn collective_check<T>(comm: &dyn Comm, local: Result<T>) -> Result<T> {
+fn collective_check<T>(comm: &Comm, local: Result<T>) -> Result<T> {
     let failed = comm.allreduce_u64(local.is_err() as u64, ReduceOp::Max);
     match (failed, local) {
         (0, ok) => ok,
@@ -113,7 +113,7 @@ pub fn write_checkpoint(
     vfs: &dyn Vfs,
     base: &str,
     strategy: Strategy,
-    comm: &dyn Comm,
+    comm: &Comm,
 ) -> Result<()> {
     let stream = encode_task_stream(sim);
     match strategy {
@@ -174,7 +174,7 @@ pub fn read_checkpoint(
     vfs: &dyn Vfs,
     base: &str,
     strategy: Strategy,
-    comm: &dyn Comm,
+    comm: &Comm,
 ) -> Result<Simulation> {
     let stream: Vec<u8> = match strategy {
         Strategy::Sion { .. } => {

@@ -166,7 +166,7 @@ impl Simulation {
 
     /// One full MPC step: solvent streaming + migration, MD sub-steps for
     /// the solutes, then the coupled SRD collision.
-    pub fn step(&mut self, comm: &dyn Comm) {
+    pub fn step(&mut self, comm: &Comm) {
         let l = self.config.domain as f64;
         stream(&mut self.particles, self.config.dt, [l, l, l]);
         self.migrate(comm);
@@ -195,7 +195,7 @@ impl Simulation {
     /// Re-replicate the solutes after the coupled collision: each slab's
     /// owner updated the velocities of the solutes inside it, so owners
     /// exchange their post-collision copies and everyone merges by id.
-    fn sync_solutes(&mut self, comm: &dyn Comm) {
+    fn sync_solutes(&mut self, comm: &Comm) {
         if self.nranks == 1 {
             return;
         }
@@ -218,7 +218,7 @@ impl Simulation {
 
     /// Exchange particles that streamed out of the slab with the left and
     /// right neighbours (periodic).
-    fn migrate(&mut self, comm: &dyn Comm) {
+    fn migrate(&mut self, comm: &Comm) {
         if self.nranks == 1 {
             return;
         }
@@ -257,13 +257,13 @@ impl Simulation {
     }
 
     /// Global particle count.
-    pub fn total_particles(&self, comm: &dyn Comm) -> u64 {
+    pub fn total_particles(&self, comm: &Comm) -> u64 {
         comm.allreduce_u64(self.particles.len() as u64, ReduceOp::Sum)
     }
 
     /// Global momentum (solvent plus, on top of every rank's identical
     /// replica, the solute contribution counted once).
-    pub fn total_momentum(&self, comm: &dyn Comm) -> [f64; 3] {
+    pub fn total_momentum(&self, comm: &Comm) -> [f64; 3] {
         let mut out = [0.0f64; 3];
         for (k, o) in out.iter_mut().enumerate() {
             let local: f64 = self.particles.iter().map(|p| p.vel[k]).sum();
@@ -306,7 +306,7 @@ impl Simulation {
 
     /// Global state digest (equal iff the global particle sets are
     /// bit-identical).
-    pub fn global_digest(&self, comm: &dyn Comm) -> u64 {
+    pub fn global_digest(&self, comm: &Comm) -> u64 {
         comm.allgather_u64(self.local_digest())
             .into_iter()
             .fold(0u64, u64::wrapping_add)

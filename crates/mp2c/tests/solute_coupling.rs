@@ -4,7 +4,7 @@
 
 use mp2c::checkpoint::{read_checkpoint, write_checkpoint, Strategy};
 use mp2c::{SimConfig, Simulation};
-use simmpi::{Comm, World};
+use simmpi::World;
 use vfs::MemFs;
 
 fn config_with_solutes() -> SimConfig {

@@ -42,7 +42,7 @@
 
 use crate::report::{CheckFailure, ScheduleCfg};
 use crate::sched::digest_task_run;
-use simmpi::hook::{CheckHook, CollKind, CommCtx, LeakedMsg};
+use simmpi::{CheckHook, CollKind, CommCtx, LeakedMsg};
 use simmpi::{Sanitizer, ScheduleDriver};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};

@@ -51,7 +51,7 @@
 //! shadow-vs-shadow overlaps between two members are a race — two members
 //! believe they own the same logical bytes.
 
-use simmpi::hook::{CheckHook, CollKind, CommCtx};
+use simmpi::{CheckHook, CollKind, CommCtx};
 use simmpi::{AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;

@@ -28,7 +28,7 @@
 //! thread runtimes, so diagnoses read the same everywhere.
 
 use crate::report::{CheckFailure, DeadlockInfo, PendingOp, ScheduleCfg, TraceEv};
-use simmpi::hook::Aborted;
+use simmpi::Aborted;
 use simmpi::{Finding, FindingKind, Sanitizer};
 use std::sync::Arc;
 

@@ -1,33 +1,25 @@
-//! [`CoComm`]: the resumable (coroutine-style) communicator abstraction.
+//! [`CoComm`]: the crate's one communicator contract.
 //!
-//! The task runtime ([`crate::task`]) executes ranks as cooperatively
-//! scheduled state machines, so its communicator methods cannot block the
-//! worker thread — they return futures that park on mailbox receives.
-//! `CoComm` is the object-safe trait for that: the async twin of [`Comm`],
-//! with the same payload conventions, collective contract, reserved tag
-//! namespace and [`CommStats`] accounting.
+//! Every runtime implements it: the tree engine [`TaskComm`](crate::TaskComm)
+//! and the flat oracle. Its methods return futures, so a rank can be a
+//! cooperatively scheduled state machine that parks on mailbox receives
+//! instead of blocking a worker thread.
 //!
 //! Protocol code written against `&dyn CoComm` (the `sion` crate's
 //! collective open/close) runs unchanged on **every** world:
 //!
 //! * on the task runtime, the futures genuinely suspend and the scheduler
 //!   interleaves thousands of ranks per worker thread;
-//! * over a blocking [`Comm`] (a thread-per-rank [`Communicator`](crate::Communicator)
-//!   or the flat oracle),
-//!   [`BlockingComm`]/[`BlockingRef`] wrap it into a `CoComm` whose
-//!   futures complete on first poll (the wrapped blocking call runs
-//!   *inside* `poll`, on the rank's own thread, exactly where the direct
-//!   call used to happen), and [`drive_ready`] retires such a future with
-//!   a single poll.
-//!
-//! This is how the public blocking API keeps working unchanged while the
-//! task runtime drives the same protocol state machines.
+//! * on a thread-backed world ([`World`](crate::World),
+//!   [`FlatWorld`](crate::FlatWorld)) each rank owns its thread, and
+//!   [`drive_ready`](crate::drive_ready) polls the future there, parking the
+//!   thread while it waits for a peer. The blocking [`Comm`](crate::Comm)
+//!   handle is exactly that: one `drive_ready` per method.
 
-use crate::comm::{bytes_to_u64s, Comm, CommStats, ReduceOp};
-use std::future::{ready, Future};
+use crate::comm::{bytes_to_u64s, CommStats, ReduceOp};
+use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
 
 /// Boxed future returned by [`CoComm`] methods.
 pub type BoxFut<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
@@ -58,8 +50,8 @@ impl AllGathered {
     }
 
     /// Build from per-rank parts — the copying fallback for runtimes
-    /// without shared memory between ranks (the blocking adapters).
-    pub fn from_parts(parts: &[Vec<u8>]) -> AllGathered {
+    /// without shared memory between ranks (the flat oracle).
+    pub(crate) fn from_parts(parts: &[Vec<u8>]) -> AllGathered {
         let entries: Vec<(u64, &[u8])> =
             parts.iter().enumerate().map(|(r, p)| (r as u64, p.as_slice())).collect();
         AllGathered { frame: Arc::new(crate::wire::frame(&entries)) }
@@ -85,14 +77,16 @@ impl AllGathered {
     }
 }
 
-/// A communicator whose blocking operations are futures; the async twin of
-/// [`Comm`] (same semantics, rank-ordering and payload conventions — see
-/// the corresponding [`Comm`] method for each contract).
+/// A communicator: a group of tasks with collective and point-to-point
+/// communication, in the image of an MPI communicator, whose waiting
+/// operations are futures.
 ///
 /// All collective methods must be called by **every** rank of the
-/// communicator, in the same order, and each returned future must be
-/// driven to completion before the rank starts its next operation (the
-/// protocol layer simply `.await`s them in sequence).
+/// communicator, in the same order (the usual MPI contract), and each
+/// returned future must be driven to completion before the rank starts its
+/// next operation (the protocol layer simply `.await`s them in sequence).
+/// Payloads are raw bytes so the trait stays object-safe; typed helpers
+/// are provided on top.
 pub trait CoComm: Send + Sync {
     /// This task's rank in `0..size()`.
     fn rank(&self) -> usize;
@@ -100,23 +94,27 @@ pub trait CoComm: Send + Sync {
     /// Number of tasks in the communicator.
     fn size(&self) -> usize;
 
-    /// Live op/byte counters, when the runtime tracks them; see
-    /// [`Comm::stats`].
+    /// Live op/byte counters for this rank's view of the communicator, when
+    /// the runtime tracks them (`None` otherwise). The returned handle keeps
+    /// counting after the communicator is dropped.
     fn stats(&self) -> Option<Arc<CommStats>>;
 
-    /// Buffered send to `dest`; never parks, so it stays synchronous. The
-    /// reserved `0xC3` collective tag namespace is enforced exactly as in
-    /// [`Comm::send`].
+    /// Buffered send of `data` to `dest` with a matching `tag`; never
+    /// parks, so it stays synchronous. Tags in the reserved `0xC3`
+    /// collective namespace (and the `0xA6`/`0xA7` aggregation namespaces
+    /// outside the aggregation protocol) panic.
     fn send(&self, dest: usize, tag: u64, data: &[u8]);
 
-    /// Matched receive from `src`; parks until a `(src, tag)` message is
-    /// deliverable.
+    /// Receive the next message from `src` with `tag`, with MPI-style
+    /// message matching (other (source, tag) messages are queued); parks
+    /// until a match is deliverable.
     fn recv<'a>(&'a self, src: usize, tag: u64) -> BoxFut<'a, Vec<u8>>;
 
     /// Non-blocking matched receive: the next already-deliverable
-    /// `(src, tag)` message, or `None` without parking; see
-    /// [`Comm::try_recv`]. The default returns `None`, which degrades
-    /// opportunistic drains to their blocking fallback — still correct.
+    /// `(src, tag)` message, or `None` without parking. FIFO order per
+    /// `(src, tag)` matches [`recv`](Self::recv). The default returns
+    /// `None`, which degrades opportunistic drains to their blocking
+    /// fallback — still correct.
     fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
         let _ = (src, tag);
         None
@@ -125,13 +123,18 @@ pub trait CoComm: Send + Sync {
     /// Parks until every rank has entered the barrier.
     fn barrier<'a>(&'a self) -> BoxFut<'a, ()>;
 
-    /// Gatherv to `root`; resolves to `Some(buffers)` at the root.
+    /// Gather each rank's buffer at `root`: `Some(buffers)` (indexed by
+    /// rank) at the root, `None` elsewhere. Buffers may have different
+    /// lengths (gatherv semantics).
     fn gather<'a>(&'a self, data: &'a [u8], root: usize) -> BoxFut<'a, Option<Vec<Vec<u8>>>>;
 
-    /// Scatterv from `root`.
+    /// Scatter per-rank buffers from `root`. The root passes `Some(parts)`
+    /// with exactly `size()` entries; other ranks pass `None`. Every rank
+    /// receives its part (scatterv semantics).
     fn scatter<'a>(&'a self, parts: Option<Vec<Vec<u8>>>, root: usize) -> BoxFut<'a, Vec<u8>>;
 
-    /// Broadcast from `root`.
+    /// Broadcast `root`'s buffer to every rank. Only the root's `data` is
+    /// consulted.
     fn bcast<'a>(&'a self, data: Option<Vec<u8>>, root: usize) -> BoxFut<'a, Vec<u8>>;
 
     /// Gather every rank's buffer at every rank.
@@ -146,17 +149,24 @@ pub trait CoComm: Send + Sync {
         Box::pin(async move { AllGathered::from_parts(&self.allgather(data).await) })
     }
 
-    /// Rooted `u64` reduction.
+    /// Rooted reduction: combines one `u64` per rank with `op`; the result
+    /// lands at `root` (`None` elsewhere).
     fn reduce_u64<'a>(&'a self, value: u64, op: ReduceOp, root: usize) -> BoxFut<'a, Option<u64>>;
 
-    /// Split into disjoint sub-communicators by `(color, key)`; collective
-    /// over the parent.
+    /// Split into disjoint sub-communicators: ranks sharing a `color` end up
+    /// in the same sub-communicator, ordered by `(key, parent rank)`.
+    /// Collective over the parent.
     fn split<'a>(&'a self, color: u64, key: u64) -> BoxFut<'a, Box<dyn CoComm>>;
 
-    /// [`split`](Self::split) for callers that can compute their own place
-    /// in the result; see [`Comm::split_local`] for the contract. The
-    /// provided implementation runs the exchanged split and asserts that
-    /// it agrees.
+    /// [`split`](Self::split) without the exchange, for callers that can
+    /// compute their own place in the result: this rank becomes rank
+    /// `new_rank` of the `new_size`-rank sub-communicator `color`. Still
+    /// collective over the parent and ordered with its other splits, but a
+    /// runtime may form the group without sending a message. The caller
+    /// guarantees that the members of each `color` agree on `new_size` and
+    /// claim each rank in `0..new_size` exactly once; a runtime that
+    /// detects a violation panics. The provided implementation runs the
+    /// exchanged split keyed by `new_rank` and asserts that it agrees.
     fn split_local<'a>(
         &'a self,
         color: u64,
@@ -175,7 +185,7 @@ pub trait CoComm: Send + Sync {
     }
 
     // ------------------------------------------------------------------
-    // Typed convenience layers (provided), mirroring [`Comm`]'s.
+    // Typed convenience layers (provided).
     // ------------------------------------------------------------------
 
     /// Broadcast one `u64` from `root`.
@@ -244,144 +254,49 @@ pub trait CoComm: Send + Sync {
                 .map(|bufs| bufs.iter().map(|b| bytes_to_u64s(b)).collect())
         })
     }
-}
 
-/// Retire a future that never parks (one built exclusively from
-/// [`BlockingComm`]/[`BlockingRef`] operations) with a single poll.
-///
-/// This is the bridge that keeps the blocking protocol entry points
-/// (`sion`'s `paropen_write` etc.) synchronous: the async protocol body
-/// executes start-to-finish inside this one poll, every inner await
-/// resolving immediately because the adapter already ran the blocking
-/// call. Panics if the future parks — that means it was built over a
-/// task-runtime communicator and must be driven by the task scheduler
-/// instead.
-pub fn drive_ready<T>(fut: impl Future<Output = T>) -> T {
-    let mut fut = std::pin::pin!(fut);
-    let mut cx = Context::from_waker(Waker::noop());
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(v) => v,
-        Poll::Pending => panic!(
-            "drive_ready: future parked; a task-runtime communicator must be driven by the \
-             task scheduler (use the *_co entry points inside a task world)"
-        ),
+    /// Rooted reduction of an `f64`.
+    fn reduce_f64<'a>(&'a self, value: f64, op: ReduceOp, root: usize) -> BoxFut<'a, Option<f64>> {
+        Box::pin(async move {
+            let buf = value.to_le_bytes();
+            let gathered = self.gather(&buf, root).await?;
+            let vals = gathered
+                .iter()
+                .map(|b| f64::from_le_bytes(b[..8].try_into().expect("f64 payload")));
+            Some(match op {
+                ReduceOp::Sum => vals.sum(),
+                ReduceOp::Max => vals.fold(f64::NEG_INFINITY, f64::max),
+                ReduceOp::Min => vals.fold(f64::INFINITY, f64::min),
+            })
+        })
+    }
+
+    /// All-reduce an `f64` with `op`.
+    fn allreduce_f64<'a>(&'a self, value: f64, op: ReduceOp) -> BoxFut<'a, f64> {
+        Box::pin(async move {
+            let buf = value.to_le_bytes();
+            let all = self.allgather(&buf).await;
+            let vals = all
+                .iter()
+                .map(|b| f64::from_le_bytes(b[..8].try_into().expect("f64 payload")));
+            match op {
+                ReduceOp::Sum => vals.sum(),
+                ReduceOp::Max => vals.fold(f64::NEG_INFINITY, f64::max),
+                ReduceOp::Min => vals.fold(f64::INFINITY, f64::min),
+            }
+        })
     }
 }
-
-/// Owned blocking adapter: wraps a `Box<dyn Comm>` as a [`CoComm`] whose
-/// futures run the blocking call inside `poll` and resolve immediately.
-pub struct BlockingComm(pub Box<dyn Comm>);
-
-/// Borrowed blocking adapter over any [`Comm`]; see [`BlockingComm`].
-pub struct BlockingRef<'c>(pub &'c dyn Comm);
-
-macro_rules! blocking_cocomm {
-    ($ty:ty) => {
-        impl CoComm for $ty {
-            fn rank(&self) -> usize {
-                self.inner().rank()
-            }
-
-            fn size(&self) -> usize {
-                self.inner().size()
-            }
-
-            fn stats(&self) -> Option<Arc<CommStats>> {
-                self.inner().stats()
-            }
-
-            fn send(&self, dest: usize, tag: u64, data: &[u8]) {
-                self.inner().send(dest, tag, data)
-            }
-
-            fn recv<'a>(&'a self, src: usize, tag: u64) -> BoxFut<'a, Vec<u8>> {
-                Box::pin(ready(self.inner().recv(src, tag)))
-            }
-
-            fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
-                self.inner().try_recv(src, tag)
-            }
-
-            fn barrier<'a>(&'a self) -> BoxFut<'a, ()> {
-                Box::pin(ready(self.inner().barrier()))
-            }
-
-            fn gather<'a>(
-                &'a self,
-                data: &'a [u8],
-                root: usize,
-            ) -> BoxFut<'a, Option<Vec<Vec<u8>>>> {
-                Box::pin(ready(self.inner().gather(data, root)))
-            }
-
-            fn scatter<'a>(
-                &'a self,
-                parts: Option<Vec<Vec<u8>>>,
-                root: usize,
-            ) -> BoxFut<'a, Vec<u8>> {
-                Box::pin(ready(self.inner().scatter(parts, root)))
-            }
-
-            fn bcast<'a>(&'a self, data: Option<Vec<u8>>, root: usize) -> BoxFut<'a, Vec<u8>> {
-                Box::pin(ready(self.inner().bcast(data, root)))
-            }
-
-            fn allgather<'a>(&'a self, data: &'a [u8]) -> BoxFut<'a, Vec<Vec<u8>>> {
-                Box::pin(ready(self.inner().allgather(data)))
-            }
-
-            fn reduce_u64<'a>(
-                &'a self,
-                value: u64,
-                op: ReduceOp,
-                root: usize,
-            ) -> BoxFut<'a, Option<u64>> {
-                Box::pin(ready(self.inner().reduce_u64(value, op, root)))
-            }
-
-            fn split<'a>(&'a self, color: u64, key: u64) -> BoxFut<'a, Box<dyn CoComm>> {
-                Box::pin(ready(
-                    Box::new(BlockingComm(self.inner().split(color, key))) as Box<dyn CoComm>
-                ))
-            }
-
-            fn split_local<'a>(
-                &'a self,
-                color: u64,
-                new_rank: usize,
-                new_size: usize,
-            ) -> BoxFut<'a, Box<dyn CoComm>> {
-                let sub = self.inner().split_local(color, new_rank, new_size);
-                Box::pin(ready(Box::new(BlockingComm(sub)) as Box<dyn CoComm>))
-            }
-        }
-    };
-}
-
-impl BlockingComm {
-    fn inner(&self) -> &dyn Comm {
-        self.0.as_ref()
-    }
-}
-
-impl BlockingRef<'_> {
-    fn inner(&self) -> &dyn Comm {
-        self.0
-    }
-}
-
-blocking_cocomm!(BlockingComm);
-blocking_cocomm!(BlockingRef<'_>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlatWorld, World};
+    use crate::{drive_ready, FlatWorld, World};
 
     #[test]
-    fn blocking_adapter_preserves_comm_semantics() {
-        // The same async script runs over the blocking runtimes through the
-        // adapter; every await resolves in the single drive_ready poll.
+    fn one_co_script_agrees_on_the_thread_and_flat_worlds() {
+        // The same async script runs on both thread-backed worlds, each
+        // rank's thread driving it through drive_ready.
         let script = |c: &dyn CoComm| {
             drive_ready(async move {
                 let all = c.allgather_u64(c.rank() as u64 + 1).await;
@@ -392,8 +307,8 @@ mod tests {
                 (all, sum, b, sub.size(), sub.rank())
             })
         };
-        let tree = World::run(4, |c| script(&BlockingRef(c)));
-        let flat = FlatWorld::run(4, |c| script(&BlockingRef(c)));
+        let tree = World::run(4, |c| script(c.co()));
+        let flat = FlatWorld::run(4, |c| script(c.co()));
         assert_eq!(tree, flat);
         for (r, (all, sum, b, ss, sr)) in tree.iter().enumerate() {
             assert_eq!(all, &vec![1, 2, 3, 4]);
@@ -407,7 +322,7 @@ mod tests {
     #[test]
     fn drive_ready_runs_a_one_rank_world() {
         let got = World::run(1, |c| {
-            let co = BlockingRef(c);
+            let co = c.co();
             drive_ready(async {
                 co.barrier().await;
                 co.allgather_u64(7).await

@@ -1,5 +1,8 @@
-//! The [`Comm`] trait: the parallel-runtime abstraction used by `sion`.
+//! [`Comm`], the blocking handle of the thread-backed worlds, and the
+//! counters and operators every communicator shares.
 
+use crate::co::CoComm;
+use crate::world::drive_ready;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -19,7 +22,7 @@ pub enum ReduceOp {
 /// Each counter records how many times *the owning rank* invoked the
 /// corresponding collective (or point-to-point call) on this communicator —
 /// the MPI-profiling view, not a cross-rank aggregate. Runtimes that track
-/// stats hand out `Arc<CommStats>` handles via [`Comm::stats`]; the handle
+/// stats hand out `Arc<CommStats>` handles via [`CoComm::stats`]; the handle
 /// stays live after the communicator is dropped, so callers can snapshot
 /// counters around a protocol (e.g. asserting that a collective open costs
 /// exactly one gather and one broadcast).
@@ -98,172 +101,123 @@ impl CommStats {
     }
 }
 
-/// A communicator: a group of tasks with collective and point-to-point
-/// communication, in the image of an MPI communicator.
+/// One rank's blocking handle onto a communicator: what
+/// [`World`](crate::World) and [`FlatWorld`](crate::FlatWorld) hand each
+/// rank.
 ///
-/// All collective methods must be called by **every** rank of the
-/// communicator, in the same order (the usual MPI contract). Payloads are
-/// raw bytes so the trait stays object-safe; typed helpers are provided on
-/// top.
-pub trait Comm: Send + Sync {
+/// It owns the rank's [`CoComm`] and adds nothing to it: every blocking
+/// method is [`drive_ready`] of the matching [`CoComm`] call (see there for
+/// each contract), which on a rank's own thread parks the thread while the
+/// call waits for a peer. Protocol code written once over `&dyn CoComm`,
+/// and the calls nothing makes blocking (`split_local`, `try_recv`,
+/// `scatter_u64`), take [`co`](Self::co).
+pub struct Comm {
+    co: Box<dyn CoComm>,
+}
+
+impl Comm {
+    pub(crate) fn new(co: Box<dyn CoComm>) -> Comm {
+        Comm { co }
+    }
+
+    /// The resumable communicator this handle drives.
+    pub fn co(&self) -> &dyn CoComm {
+        self.co.as_ref()
+    }
+
     /// This task's rank in `0..size()`.
-    fn rank(&self) -> usize;
+    pub fn rank(&self) -> usize {
+        self.co.rank()
+    }
 
     /// Number of tasks in the communicator.
-    fn size(&self) -> usize;
-
-    /// Block until every rank has entered the barrier.
-    fn barrier(&self);
-
-    /// Gather each rank's buffer at `root`. Returns `Some(buffers)` (indexed
-    /// by rank) at the root, `None` elsewhere. Buffers may have different
-    /// lengths (gatherv semantics).
-    fn gather(&self, data: &[u8], root: usize) -> Option<Vec<Vec<u8>>>;
-
-    /// Scatter per-rank buffers from `root`. The root passes
-    /// `Some(parts)` with exactly `size()` entries; other ranks pass `None`.
-    /// Every rank receives its part (scatterv semantics).
-    fn scatter(&self, parts: Option<Vec<Vec<u8>>>, root: usize) -> Vec<u8>;
-
-    /// Broadcast `root`'s buffer to every rank. Only the root's `data` is
-    /// consulted.
-    fn bcast(&self, data: Option<Vec<u8>>, root: usize) -> Vec<u8>;
-
-    /// Gather each rank's buffer at every rank.
-    fn allgather(&self, data: &[u8]) -> Vec<Vec<u8>>;
-
-    /// Split into disjoint sub-communicators: ranks sharing a `color` end up
-    /// in the same sub-communicator, ordered by `(key, parent rank)`.
-    /// Collective over the parent.
-    fn split(&self, color: u64, key: u64) -> Box<dyn Comm>;
-
-    /// [`split`](Self::split) without the exchange, for callers that can
-    /// compute their own place in the result: this rank becomes rank
-    /// `new_rank` of the `new_size`-rank sub-communicator `color`. Still
-    /// collective over the parent and ordered with its other splits, but a
-    /// runtime may form the group without sending a message. The caller
-    /// guarantees that the members of each `color` agree on `new_size` and
-    /// claim each rank in `0..new_size` exactly once; a runtime that
-    /// detects a violation panics. The provided implementation runs the
-    /// exchanged split keyed by `new_rank` and asserts that it agrees.
-    fn split_local(&self, color: u64, new_rank: usize, new_size: usize) -> Box<dyn Comm> {
-        let sub = self.split(color, new_rank as u64);
-        assert_eq!(
-            (sub.rank(), sub.size()),
-            (new_rank, new_size),
-            "split_local(color {color}): the exchanged split disagrees with the caller"
-        );
-        sub
+    pub fn size(&self) -> usize {
+        self.co.size()
     }
 
-    /// Send `data` to `dest` with a matching `tag` (non-blocking buffered
-    /// send).
-    fn send(&self, dest: usize, tag: u64, data: &[u8]);
-
-    /// Receive the next message from `src` with `tag` (blocking, with
-    /// MPI-style message matching: other (source, tag) messages are queued).
-    fn recv(&self, src: usize, tag: u64) -> Vec<u8>;
-
-    /// Non-blocking matched receive: the next already-deliverable message
-    /// from `src` with `tag`, or `None` without blocking. FIFO order per
-    /// `(src, tag)` matches [`recv`](Self::recv). The default returns
-    /// `None` — callers must treat that as "nothing yet" and fall back to
-    /// a blocking `recv` when they need the message.
-    fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
-        let _ = (src, tag);
-        None
+    /// See [`CoComm::stats`].
+    pub fn stats(&self) -> Option<Arc<CommStats>> {
+        self.co.stats()
     }
 
-    /// Live op/byte counters for this rank's view of the communicator, when
-    /// the runtime tracks them (`None` otherwise). The returned handle keeps
-    /// counting after the communicator is dropped.
-    fn stats(&self) -> Option<Arc<CommStats>> {
-        None
+    /// See [`CoComm::barrier`].
+    pub fn barrier(&self) {
+        drive_ready(self.co.barrier())
     }
 
-    // ------------------------------------------------------------------
-    // Typed convenience layers (provided).
-    // ------------------------------------------------------------------
-
-    /// Rooted reduction: combines one `u64` per rank with `op`; the result
-    /// lands at `root` (`None` elsewhere). The provided implementation
-    /// gathers and folds at the root; runtimes may override it with a
-    /// combining reduction tree.
-    fn reduce_u64(&self, value: u64, op: ReduceOp, root: usize) -> Option<u64> {
-        self.gather_u64(value, root).map(|vals| match op {
-            ReduceOp::Sum => vals.iter().sum(),
-            ReduceOp::Max => vals.into_iter().max().expect("non-empty communicator"),
-            ReduceOp::Min => vals.into_iter().min().expect("non-empty communicator"),
-        })
+    /// See [`CoComm::gather`].
+    pub fn gather(&self, data: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
+        drive_ready(self.co.gather(data, root))
     }
 
-    /// Rooted reduction of an `f64`.
-    fn reduce_f64(&self, value: f64, op: ReduceOp, root: usize) -> Option<f64> {
-        let gathered = self.gather(&value.to_le_bytes(), root)?;
-        let vals = gathered
-            .iter()
-            .map(|b| f64::from_le_bytes(b[..8].try_into().expect("f64 payload")));
-        Some(match op {
-            ReduceOp::Sum => vals.sum(),
-            ReduceOp::Max => vals.fold(f64::NEG_INFINITY, f64::max),
-            ReduceOp::Min => vals.fold(f64::INFINITY, f64::min),
-        })
+    /// See [`CoComm::scatter`].
+    pub fn scatter(&self, parts: Option<Vec<Vec<u8>>>, root: usize) -> Vec<u8> {
+        drive_ready(self.co.scatter(parts, root))
     }
 
-    /// Gather one `u64` per rank at `root`.
-    fn gather_u64(&self, value: u64, root: usize) -> Option<Vec<u64>> {
-        self.gather(&value.to_le_bytes(), root).map(|bufs| {
-            bufs.iter()
-                .map(|b| u64::from_le_bytes(b[..8].try_into().expect("u64 payload")))
-                .collect()
-        })
+    /// See [`CoComm::bcast`].
+    pub fn bcast(&self, data: Option<Vec<u8>>, root: usize) -> Vec<u8> {
+        drive_ready(self.co.bcast(data, root))
     }
 
-    /// Gather a `u64` slice per rank at `root` (concatenated per rank).
-    fn gather_u64s(&self, values: &[u64], root: usize) -> Option<Vec<Vec<u64>>> {
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.gather(&bytes, root).map(|bufs| bufs.iter().map(|b| bytes_to_u64s(b)).collect())
+    /// See [`CoComm::allgather`].
+    pub fn allgather(&self, data: &[u8]) -> Vec<Vec<u8>> {
+        drive_ready(self.co.allgather(data))
     }
 
-    /// Scatter one `u64` to each rank from `root`.
-    fn scatter_u64(&self, values: Option<Vec<u64>>, root: usize) -> u64 {
-        let parts = values.map(|vs| vs.iter().map(|v| v.to_le_bytes().to_vec()).collect());
-        let got = self.scatter(parts, root);
-        u64::from_le_bytes(got[..8].try_into().expect("u64 payload"))
+    /// See [`CoComm::split`].
+    pub fn split(&self, color: u64, key: u64) -> Comm {
+        Comm::new(drive_ready(self.co.split(color, key)))
     }
 
-    /// Broadcast one `u64` from `root`.
-    fn bcast_u64(&self, value: Option<u64>, root: usize) -> u64 {
-        let got = self.bcast(value.map(|v| v.to_le_bytes().to_vec()), root);
-        u64::from_le_bytes(got[..8].try_into().expect("u64 payload"))
+    /// See [`CoComm::send`].
+    pub fn send(&self, dest: usize, tag: u64, data: &[u8]) {
+        self.co.send(dest, tag, data)
     }
 
-    /// Allgather one `u64` per rank.
-    fn allgather_u64(&self, value: u64) -> Vec<u64> {
-        self.allgather(&value.to_le_bytes())
-            .iter()
-            .map(|b| u64::from_le_bytes(b[..8].try_into().expect("u64 payload")))
-            .collect()
+    /// See [`CoComm::recv`].
+    pub fn recv(&self, src: usize, tag: u64) -> Vec<u8> {
+        drive_ready(self.co.recv(src, tag))
     }
 
-    /// All-reduce a `u64` with `op`: a reduction to rank 0 and a broadcast
-    /// of the result.
-    fn allreduce_u64(&self, value: u64, op: ReduceOp) -> u64 {
-        let reduced = self.reduce_u64(value, op, 0);
-        self.bcast_u64(reduced, 0)
+    /// See [`CoComm::reduce_u64`].
+    pub fn reduce_u64(&self, value: u64, op: ReduceOp, root: usize) -> Option<u64> {
+        drive_ready(self.co.reduce_u64(value, op, root))
     }
 
-    /// All-reduce an `f64` with `op`.
-    fn allreduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
-        let all = self.allgather(&value.to_le_bytes());
-        let vals = all
-            .iter()
-            .map(|b| f64::from_le_bytes(b[..8].try_into().expect("f64 payload")));
-        match op {
-            ReduceOp::Sum => vals.sum(),
-            ReduceOp::Max => vals.fold(f64::NEG_INFINITY, f64::max),
-            ReduceOp::Min => vals.fold(f64::INFINITY, f64::min),
-        }
+    /// See [`CoComm::reduce_f64`].
+    pub fn reduce_f64(&self, value: f64, op: ReduceOp, root: usize) -> Option<f64> {
+        drive_ready(self.co.reduce_f64(value, op, root))
+    }
+
+    /// See [`CoComm::gather_u64`].
+    pub fn gather_u64(&self, value: u64, root: usize) -> Option<Vec<u64>> {
+        drive_ready(self.co.gather_u64(value, root))
+    }
+
+    /// See [`CoComm::gather_u64s`].
+    pub fn gather_u64s(&self, values: &[u64], root: usize) -> Option<Vec<Vec<u64>>> {
+        drive_ready(self.co.gather_u64s(values, root))
+    }
+
+    /// See [`CoComm::bcast_u64`].
+    pub fn bcast_u64(&self, value: Option<u64>, root: usize) -> u64 {
+        drive_ready(self.co.bcast_u64(value, root))
+    }
+
+    /// See [`CoComm::allgather_u64`].
+    pub fn allgather_u64(&self, value: u64) -> Vec<u64> {
+        drive_ready(self.co.allgather_u64(value))
+    }
+
+    /// See [`CoComm::allreduce_u64`].
+    pub fn allreduce_u64(&self, value: u64, op: ReduceOp) -> u64 {
+        drive_ready(self.co.allreduce_u64(value, op))
+    }
+
+    /// See [`CoComm::allreduce_f64`].
+    pub fn allreduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
+        drive_ready(self.co.allreduce_f64(value, op))
     }
 }
 

@@ -6,97 +6,53 @@
 //! root scans all `P` slots linearly. That is O(P) latency per collective
 //! and a full-communicator wake-up storm per barrier.
 //!
-//! It is retained for one reason: the property tests use it as an
-//! independent executable reference the tree collectives must agree with
-//! byte-for-byte.
+//! It is retained for one reason: the property tests use it, through
+//! [`FlatWorld`], as an independent executable reference the tree
+//! collectives must agree with byte-for-byte. It shares the
+//! [`CoComm`] contract and the launcher with [`World`](crate::World) and no
+//! collective code: each method's slot-and-barrier body runs, blocking,
+//! inside the future's first poll, on the rank's own thread, so
+//! [`drive_ready`](crate::drive_ready) never sees it pending. Its
+//! `reduce_u64` gathers and folds at the root, independent of the engine's
+//! reduction tree.
 //!
 //! New code should use [`World`](crate::World); this module is not part of
 //! the performance story. It *is* part of the correctness-analysis story:
 //! the same [`CheckHook`] instrumentation as the tree runtime reports
 //! collective entries, reserved-tag sends and teardown leaks, and
 //! [`FlatWorld::run`] installs the passive sanitizer under `SIMCHECK=1`.
-//! Under a hook the rendezvous barrier is an abortable reimplementation
-//! (a finding panics the offending rank; peers parked in a
-//! `std::sync::Barrier` could never be released).
+//! A rank blocked in the rendezvous barrier or in a receive wakes every
+//! [`hook::ABORT_POLL`] to check the world's abort flag (a peer panicked)
+//! and the hook's, so one rank's failure unwinds the others instead of
+//! deadlocking the world.
 
-use crate::comm::{Comm, CommStats};
-use crate::hook::{self, CheckHook, CollKind, CommCtx, LeakedMsg};
+use crate::co::{BoxFut, CoComm};
+use crate::comm::{Comm, CommStats, ReduceOp};
+use crate::hook::{self, Aborted, CheckHook, CollKind, CommCtx, LeakedMsg};
+use crate::task::WorldRt;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Barrier, Condvar};
+use std::sync::{Arc, Condvar};
 use std::time::Instant;
 
 type Message = (usize, u64, Vec<u8>);
 
-/// Rendezvous barrier that can be abandoned: waiters poll the check hook's
-/// abort flag so one rank's sanitizer panic releases the others (as an
-/// [`Aborted`](crate::hook::Aborted) unwind) instead of deadlocking the
-/// world. Used only when a hook is installed.
-struct AbortableBarrier {
-    state: std::sync::Mutex<(usize, u64)>, // (arrived count, generation)
-    cv: Condvar,
-    size: usize,
-}
-
-impl AbortableBarrier {
-    fn new(size: usize) -> Self {
-        AbortableBarrier { state: std::sync::Mutex::new((0, 0)), cv: Condvar::new(), size }
-    }
-
-    fn wait(&self, hook: &Arc<dyn CheckHook>) {
-        let mut g = self.state.lock().expect("barrier state never poisoned");
-        g.0 += 1;
-        if g.0 == self.size {
-            g.0 = 0;
-            g.1 = g.1.wrapping_add(1);
-            self.cv.notify_all();
-            return;
-        }
-        let gen = g.1;
-        let start = Instant::now();
-        let watchdog = hook::watchdog_timeout();
-        while g.1 == gen {
-            let (back, _) = self
-                .cv
-                .wait_timeout(g, hook::ABORT_POLL)
-                .expect("barrier state never poisoned");
-            g = back;
-            if g.1 != gen {
-                break;
-            }
-            if let Some(reason) = hook.should_abort() {
-                drop(g);
-                std::panic::panic_any(hook::Aborted(reason));
-            }
-            if start.elapsed() >= watchdog {
-                drop(g);
-                panic!("simcheck: rank blocked in flat barrier past the watchdog");
-            }
-        }
-    }
-}
-
-/// Barrier flavour: the plain `std` barrier on the production path, the
-/// abortable one under a check hook.
-enum BarrierImpl {
-    Std(Barrier),
-    Abortable(AbortableBarrier),
-}
-
 /// State shared by every rank of one flat communicator.
 struct Shared {
-    size: usize,
     /// Deterministic identity, identical on every rank and across runs.
     ctx: CommCtx,
     /// Correctness-analysis hook; `None` on the production path.
     hook: Option<Arc<dyn CheckHook>>,
+    /// The world's abort flag, raised when a rank panics.
+    world: Arc<WorldRt>,
     /// One exchange slot per rank, used by the collectives.
     slots: Vec<Mutex<Option<Vec<u8>>>>,
-    /// Reusable rendezvous barrier.
-    barrier: BarrierImpl,
+    /// Reusable rendezvous barrier: (arrived count, generation) and the
+    /// waiters' condition variable (see [`FlatCommunicator::wait`]).
+    barrier: (std::sync::Mutex<(usize, u64)>, Condvar),
     /// Point-to-point mailboxes: `senders[r]` delivers to rank `r`, whose
     /// thread drains `receivers[r]` (locked only by its owner).
     senders: Vec<Sender<Message>>,
@@ -108,22 +64,17 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(ctx: CommCtx, hook: Option<Arc<dyn CheckHook>>) -> Self {
+    fn new(ctx: CommCtx, hook: Option<Arc<dyn CheckHook>>, world: Arc<WorldRt>) -> Self {
         let size = ctx.size;
         assert!(size > 0, "communicator must have at least one rank");
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..size).map(|_| channel::<Message>()).unzip();
-        let barrier = if hook.is_some() {
-            BarrierImpl::Abortable(AbortableBarrier::new(size))
-        } else {
-            BarrierImpl::Std(Barrier::new(size))
-        };
         Shared {
-            size,
             ctx,
             hook,
+            world,
             slots: (0..size).map(|_| Mutex::new(None)).collect(),
-            barrier,
+            barrier: (std::sync::Mutex::new((0, 0)), Condvar::new()),
             senders,
             receivers: receivers.into_iter().map(Mutex::new).collect(),
             splits: Mutex::new(HashMap::new()),
@@ -132,7 +83,7 @@ impl Shared {
 }
 
 /// One rank's handle onto the flat slot-and-barrier communicator.
-pub struct FlatCommunicator {
+struct FlatCommunicator {
     rank: usize,
     shared: Arc<Shared>,
     /// Messages received but not yet matched by (source, tag).
@@ -142,7 +93,7 @@ pub struct FlatCommunicator {
     coll_seq: AtomicU64,
     /// Per-rank count of `split` calls on this communicator; since splits
     /// are collective and ordered, all ranks agree on the sequence number.
-    split_seq: Mutex<u64>,
+    split_seq: AtomicU64,
     stats: Arc<CommStats>,
 }
 
@@ -153,7 +104,7 @@ impl FlatCommunicator {
             shared,
             stash: Mutex::new(VecDeque::new()),
             coll_seq: AtomicU64::new(0),
-            split_seq: Mutex::new(0),
+            split_seq: AtomicU64::new(0),
             stats: Arc::new(CommStats::default()),
         }
     }
@@ -187,184 +138,93 @@ impl FlatCommunicator {
         *self.shared.slots[self.rank].lock() = data;
     }
 
+    /// One [`hook::ABORT_POLL`] tick of a blocked wait that began at
+    /// `start`: unwinds with [`Aborted`] once the world or the hook
+    /// aborts, and reports whether a hooked wait has outlived the
+    /// deadlock watchdog.
+    fn watchdog_expired(&self, start: Instant) -> bool {
+        if self.shared.world.is_aborting() {
+            std::panic::panic_any(Aborted("a peer rank panicked".into()));
+        }
+        let Some(h) = &self.shared.hook else { return false };
+        if let Some(reason) = h.should_abort() {
+            std::panic::panic_any(Aborted(reason));
+        }
+        start.elapsed() >= hook::watchdog_timeout()
+    }
+
+    /// Rendezvous with every rank of the communicator.
     fn wait(&self) {
-        match &self.shared.barrier {
-            BarrierImpl::Std(b) => {
-                b.wait();
+        let (state, cv) = &self.shared.barrier;
+        let lock = || state.lock().expect("barrier state never poisoned");
+        let mut g = lock();
+        g.0 += 1;
+        if g.0 == self.size() {
+            g.0 = 0;
+            g.1 = g.1.wrapping_add(1);
+            cv.notify_all();
+            return;
+        }
+        let gen = g.1;
+        let start = Instant::now();
+        while g.1 == gen {
+            g = cv.wait_timeout(g, hook::ABORT_POLL).expect("barrier state never poisoned").0;
+            if g.1 != gen {
+                break;
             }
-            BarrierImpl::Abortable(b) => {
-                b.wait(self.shared.hook.as_ref().expect("abortable barrier implies hook"));
+            // Unwind, if it comes to that, without holding the lock.
+            drop(g);
+            if self.watchdog_expired(start) {
+                panic!("simcheck: rank blocked in flat barrier past the watchdog");
+            }
+            g = lock();
+        }
+    }
+
+    fn recv_inner(&self, src: usize, tag: u64) -> Vec<u8> {
+        // Check previously stashed non-matching messages first.
+        {
+            let mut stash = self.stash.lock();
+            if let Some(pos) = stash.iter().position(|(s, t, _)| *s == src && *t == tag) {
+                return stash.remove(pos).expect("position valid").2;
+            }
+        }
+        let rx = self.shared.receivers[self.rank].lock();
+        let start = Instant::now();
+        loop {
+            match rx.recv_timeout(hook::ABORT_POLL) {
+                Ok((s, t, payload)) if s == src && t == tag => return payload,
+                Ok(msg) => self.stash.lock().push_back(msg),
+                Err(RecvTimeoutError::Timeout) => {
+                    if self.watchdog_expired(start) {
+                        let h = self.shared.hook.as_ref().expect("the watchdog runs under a hook");
+                        h.on_stuck(&self.shared.ctx, self.rank, src, tag, start.elapsed());
+                        panic!(
+                            "simcheck: rank {} blocked in recv(src={src}, tag={tag:#x}) \
+                             past the watchdog",
+                            self.rank
+                        );
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    unreachable!("sender side alive for the world's lifetime")
+                }
             }
         }
     }
 }
 
-impl Comm for FlatCommunicator {
+impl CoComm for FlatCommunicator {
     fn rank(&self) -> usize {
         self.rank
     }
 
     fn size(&self) -> usize {
-        self.shared.size
+        self.shared.ctx.size
     }
 
     fn stats(&self) -> Option<Arc<CommStats>> {
         Some(self.stats.clone())
-    }
-
-    fn barrier(&self) {
-        self.stats.bump_barrier();
-        let seq = self.note_collective(CollKind::Barrier, None);
-        self.wait();
-        self.note_collective_done(seq);
-    }
-
-    fn gather(&self, data: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
-        assert!(root < self.size(), "gather root {root} out of range");
-        self.stats.bump_gather();
-        let seq = self.note_collective(CollKind::Gather, Some(root));
-        self.deposit(Some(data.to_vec()));
-        self.wait();
-        let result = if self.rank == root {
-            Some(
-                self.shared
-                    .slots
-                    .iter()
-                    .map(|s| s.lock().take().expect("every rank deposited"))
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        self.wait();
-        self.note_collective_done(seq);
-        result
-    }
-
-    fn scatter(&self, parts: Option<Vec<Vec<u8>>>, root: usize) -> Vec<u8> {
-        assert!(root < self.size(), "scatter root {root} out of range");
-        self.stats.bump_scatter();
-        let seq = self.note_collective(CollKind::Scatter, Some(root));
-        if self.rank == root {
-            let parts = parts.expect("root must supply scatter parts");
-            assert_eq!(parts.len(), self.size(), "scatter needs one part per rank");
-            for (slot, part) in self.shared.slots.iter().zip(parts) {
-                self.stats.add_bytes(part.len() as u64);
-                *slot.lock() = Some(part);
-            }
-        }
-        self.wait();
-        let mine = self.shared.slots[self.rank]
-            .lock()
-            .take()
-            .expect("root deposited a part for every rank");
-        self.wait();
-        self.note_collective_done(seq);
-        mine
-    }
-
-    fn bcast(&self, data: Option<Vec<u8>>, root: usize) -> Vec<u8> {
-        assert!(root < self.size(), "bcast root {root} out of range");
-        self.stats.bump_bcast();
-        let seq = self.note_collective(CollKind::Bcast, Some(root));
-        if self.rank == root {
-            self.deposit(Some(data.expect("root must supply bcast data")));
-        }
-        self.wait();
-        let out = self.shared.slots[root]
-            .lock()
-            .as_ref()
-            .expect("root deposited")
-            .clone();
-        // Second barrier so the root's slot is not overwritten by a later
-        // collective while slow ranks still read it. The payload itself is
-        // left in place: clearing it here would race against a subsequent
-        // collective's deposits from other ranks.
-        self.wait();
-        self.note_collective_done(seq);
-        out
-    }
-
-    fn allgather(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        self.stats.bump_allgather();
-        let seq = self.note_collective(CollKind::Allgather, None);
-        self.deposit(Some(data.to_vec()));
-        self.wait();
-        let out: Vec<Vec<u8>> = self
-            .shared
-            .slots
-            .iter()
-            .map(|s| s.lock().as_ref().expect("every rank deposited").clone())
-            .collect();
-        // As in bcast: no post-barrier cleanup — a deposit after the second
-        // barrier would race against the next collective's writes.
-        self.wait();
-        self.note_collective_done(seq);
-        out
-    }
-
-    fn split(&self, color: u64, key: u64) -> Box<dyn Comm> {
-        self.stats.bump_split();
-        let coll_seq = self.note_collective(CollKind::Split, None);
-        // Determine group membership: allgather (color, key, rank).
-        let mut payload = Vec::with_capacity(24);
-        payload.extend_from_slice(&color.to_le_bytes());
-        payload.extend_from_slice(&key.to_le_bytes());
-        payload.extend_from_slice(&(self.rank as u64).to_le_bytes());
-        self.deposit(Some(payload));
-        self.wait();
-        let all: Vec<Vec<u8>> = self
-            .shared
-            .slots
-            .iter()
-            .map(|s| s.lock().as_ref().expect("every rank deposited").clone())
-            .collect();
-        self.wait();
-        let mut members: Vec<(u64, u64)> = all
-            .iter()
-            .filter_map(|b| {
-                let c = u64::from_le_bytes(b[0..8].try_into().unwrap());
-                let k = u64::from_le_bytes(b[8..16].try_into().unwrap());
-                let r = u64::from_le_bytes(b[16..24].try_into().unwrap());
-                (c == color).then_some((k, r))
-            })
-            .collect();
-        members.sort_unstable();
-        let new_size = members.len();
-        let new_rank = members
-            .iter()
-            .position(|&(_, r)| r == self.rank as u64)
-            .expect("caller is in its own color group");
-
-        let seq = {
-            let mut s = self.split_seq.lock();
-            *s += 1;
-            *s
-        };
-
-        // First member of the group to arrive creates the shared state; the
-        // child's identity is derived structurally so every member agrees.
-        let sub = {
-            let mut splits = self.shared.splits.lock();
-            splits
-                .entry((seq, color))
-                .or_insert_with(|| {
-                    Arc::new(Shared::new(
-                        self.shared.ctx.child(seq, color, new_size),
-                        self.shared.hook.clone(),
-                    ))
-                })
-                .clone()
-        };
-        let comm = FlatCommunicator::new(new_rank, sub);
-        // All ranks must have attached to their group's shared state before
-        // the construction entries are retired from the map.
-        self.wait();
-        self.note_collective_done(coll_seq);
-        if new_rank == 0 {
-            self.shared.splits.lock().remove(&(seq, color));
-        }
-        Box::new(comm)
     }
 
     fn send(&self, dest: usize, tag: u64, data: &[u8]) {
@@ -385,66 +245,191 @@ impl Comm for FlatCommunicator {
             .expect("receiver mailbox alive for the world's lifetime");
     }
 
-    fn recv(&self, src: usize, tag: u64) -> Vec<u8> {
-        assert!(src < self.size(), "recv src {src} out of range");
-        self.stats.bump_recv();
-        let payload = self.recv_inner(src, tag);
-        if let Some(h) = &self.shared.hook {
-            h.on_recv_done(&self.shared.ctx, self.rank, src, tag, &payload);
-        }
-        payload
-    }
-}
-
-impl FlatCommunicator {
-    fn recv_inner(&self, src: usize, tag: u64) -> Vec<u8> {
-        // Check previously stashed non-matching messages first.
-        {
-            let mut stash = self.stash.lock();
-            if let Some(pos) = stash.iter().position(|(s, t, _)| *s == src && *t == tag) {
-                return stash.remove(pos).expect("position valid").2;
+    fn recv<'a>(&'a self, src: usize, tag: u64) -> BoxFut<'a, Vec<u8>> {
+        Box::pin(async move {
+            assert!(src < self.size(), "recv src {src} out of range");
+            self.stats.bump_recv();
+            let payload = self.recv_inner(src, tag);
+            if let Some(h) = &self.shared.hook {
+                h.on_recv_done(&self.shared.ctx, self.rank, src, tag, &payload);
             }
-        }
-        let rx = self.shared.receivers[self.rank].lock();
-        if let Some(h) = self.shared.hook.clone() {
-            // Checked path: poll so this rank can unwind on a world abort,
-            // and diagnose a hang instead of blocking forever.
-            let start = Instant::now();
-            let watchdog = hook::watchdog_timeout();
-            loop {
-                match rx.recv_timeout(hook::ABORT_POLL) {
-                    Ok(msg) => {
-                        if msg.0 == src && msg.1 == tag {
-                            return msg.2;
-                        }
-                        self.stash.lock().push_back(msg);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if let Some(reason) = h.should_abort() {
-                            std::panic::panic_any(hook::Aborted(reason));
-                        }
-                        if start.elapsed() >= watchdog {
-                            h.on_stuck(&self.shared.ctx, self.rank, src, tag, start.elapsed());
-                            panic!(
-                                "simcheck: rank {} blocked in recv(src={src}, tag={tag:#x}) \
-                                 past the watchdog",
-                                self.rank
-                            );
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        unreachable!("sender side alive for the world's lifetime")
-                    }
+            payload
+        })
+    }
+
+    fn barrier<'a>(&'a self) -> BoxFut<'a, ()> {
+        Box::pin(async move {
+            self.stats.bump_barrier();
+            let seq = self.note_collective(CollKind::Barrier, None);
+            self.wait();
+            self.note_collective_done(seq);
+        })
+    }
+
+    fn gather<'a>(&'a self, data: &'a [u8], root: usize) -> BoxFut<'a, Option<Vec<Vec<u8>>>> {
+        Box::pin(async move {
+            assert!(root < self.size(), "gather root {root} out of range");
+            self.stats.bump_gather();
+            let seq = self.note_collective(CollKind::Gather, Some(root));
+            self.deposit(Some(data.to_vec()));
+            self.wait();
+            let result = if self.rank == root {
+                Some(
+                    self.shared
+                        .slots
+                        .iter()
+                        .map(|s| s.lock().take().expect("every rank deposited"))
+                        .collect(),
+                )
+            } else {
+                None
+            };
+            self.wait();
+            self.note_collective_done(seq);
+            result
+        })
+    }
+
+    fn scatter<'a>(&'a self, parts: Option<Vec<Vec<u8>>>, root: usize) -> BoxFut<'a, Vec<u8>> {
+        Box::pin(async move {
+            assert!(root < self.size(), "scatter root {root} out of range");
+            self.stats.bump_scatter();
+            let seq = self.note_collective(CollKind::Scatter, Some(root));
+            if self.rank == root {
+                let parts = parts.expect("root must supply scatter parts");
+                assert_eq!(parts.len(), self.size(), "scatter needs one part per rank");
+                for (slot, part) in self.shared.slots.iter().zip(parts) {
+                    self.stats.add_bytes(part.len() as u64);
+                    *slot.lock() = Some(part);
                 }
             }
-        }
-        loop {
-            let msg = rx.recv().expect("sender side alive for the world's lifetime");
-            if msg.0 == src && msg.1 == tag {
-                return msg.2;
+            self.wait();
+            let mine = self.shared.slots[self.rank]
+                .lock()
+                .take()
+                .expect("root deposited a part for every rank");
+            self.wait();
+            self.note_collective_done(seq);
+            mine
+        })
+    }
+
+    fn bcast<'a>(&'a self, data: Option<Vec<u8>>, root: usize) -> BoxFut<'a, Vec<u8>> {
+        Box::pin(async move {
+            assert!(root < self.size(), "bcast root {root} out of range");
+            self.stats.bump_bcast();
+            let seq = self.note_collective(CollKind::Bcast, Some(root));
+            if self.rank == root {
+                self.deposit(Some(data.expect("root must supply bcast data")));
             }
-            self.stash.lock().push_back(msg);
-        }
+            self.wait();
+            let out = self.shared.slots[root]
+                .lock()
+                .as_ref()
+                .expect("root deposited")
+                .clone();
+            // Second barrier so the root's slot is not overwritten by a later
+            // collective while slow ranks still read it. The payload itself is
+            // left in place: clearing it here would race against a subsequent
+            // collective's deposits from other ranks.
+            self.wait();
+            self.note_collective_done(seq);
+            out
+        })
+    }
+
+    fn allgather<'a>(&'a self, data: &'a [u8]) -> BoxFut<'a, Vec<Vec<u8>>> {
+        Box::pin(async move {
+            self.stats.bump_allgather();
+            let seq = self.note_collective(CollKind::Allgather, None);
+            self.deposit(Some(data.to_vec()));
+            self.wait();
+            let out: Vec<Vec<u8>> = self
+                .shared
+                .slots
+                .iter()
+                .map(|s| s.lock().as_ref().expect("every rank deposited").clone())
+                .collect();
+            // As in bcast: no post-barrier cleanup — a deposit after the second
+            // barrier would race against the next collective's writes.
+            self.wait();
+            self.note_collective_done(seq);
+            out
+        })
+    }
+
+    /// Gathers and folds at the root: no reduction tree.
+    fn reduce_u64<'a>(&'a self, value: u64, op: ReduceOp, root: usize) -> BoxFut<'a, Option<u64>> {
+        Box::pin(async move {
+            self.gather_u64(value, root).await.map(|vals| match op {
+                ReduceOp::Sum => vals.iter().sum(),
+                ReduceOp::Max => vals.into_iter().max().expect("non-empty communicator"),
+                ReduceOp::Min => vals.into_iter().min().expect("non-empty communicator"),
+            })
+        })
+    }
+
+    fn split<'a>(&'a self, color: u64, key: u64) -> BoxFut<'a, Box<dyn CoComm>> {
+        Box::pin(async move {
+            self.stats.bump_split();
+            let coll_seq = self.note_collective(CollKind::Split, None);
+            // Determine group membership: allgather (color, key, rank).
+            let mut payload = Vec::with_capacity(24);
+            payload.extend_from_slice(&color.to_le_bytes());
+            payload.extend_from_slice(&key.to_le_bytes());
+            payload.extend_from_slice(&(self.rank as u64).to_le_bytes());
+            self.deposit(Some(payload));
+            self.wait();
+            let all: Vec<Vec<u8>> = self
+                .shared
+                .slots
+                .iter()
+                .map(|s| s.lock().as_ref().expect("every rank deposited").clone())
+                .collect();
+            self.wait();
+            let mut members: Vec<(u64, u64)> = all
+                .iter()
+                .filter_map(|b| {
+                    let c = u64::from_le_bytes(b[0..8].try_into().unwrap());
+                    let k = u64::from_le_bytes(b[8..16].try_into().unwrap());
+                    let r = u64::from_le_bytes(b[16..24].try_into().unwrap());
+                    (c == color).then_some((k, r))
+                })
+                .collect();
+            members.sort_unstable();
+            let new_size = members.len();
+            let new_rank = members
+                .iter()
+                .position(|&(_, r)| r == self.rank as u64)
+                .expect("caller is in its own color group");
+
+            let seq = self.split_seq.fetch_add(1, Ordering::Relaxed) + 1;
+
+            // First member of the group to arrive creates the shared state; the
+            // child's identity is derived structurally so every member agrees.
+            let sub = {
+                let mut splits = self.shared.splits.lock();
+                splits
+                    .entry((seq, color))
+                    .or_insert_with(|| {
+                        Arc::new(Shared::new(
+                            self.shared.ctx.child(seq, color, new_size),
+                            self.shared.hook.clone(),
+                            self.shared.world.clone(),
+                        ))
+                    })
+                    .clone()
+            };
+            let comm = FlatCommunicator::new(new_rank, sub);
+            // All ranks must have attached to their group's shared state before
+            // the construction entries are retired from the map.
+            self.wait();
+            self.note_collective_done(coll_seq);
+            if new_rank == 0 {
+                self.shared.splits.lock().remove(&(seq, color));
+            }
+            Box::new(comm) as Box<dyn CoComm>
+        })
     }
 }
 
@@ -477,44 +462,35 @@ impl Drop for FlatCommunicator {
     }
 }
 
-/// Launcher running SPMD closures over [`FlatCommunicator`]s — the flat
-/// counterpart of [`World`](crate::World), for benchmarks and reference
-/// tests.
+/// The oracle's world: one [`FlatCommunicator`] per rank.
+fn flat_world(
+    ntasks: usize,
+    hook: Option<Arc<dyn CheckHook>>,
+) -> (Arc<WorldRt>, Vec<Box<dyn CoComm>>) {
+    let world = Arc::new(WorldRt::new(ntasks));
+    let shared = Arc::new(Shared::new(CommCtx::new("world".into(), ntasks), hook, world.clone()));
+    let comms = (0..ntasks)
+        .map(|rank| Box::new(FlatCommunicator::new(rank, shared.clone())) as Box<dyn CoComm>)
+        .collect();
+    (world, comms)
+}
+
+/// Launcher running SPMD closures over the flat oracle — the flat
+/// counterpart of [`World`](crate::World), for reference tests.
 pub struct FlatWorld;
 
 impl FlatWorld {
-    /// Run `f` on `ntasks` threads, each receiving its own
-    /// [`FlatCommunicator`] for a world of size `ntasks`. Returns the
-    /// per-rank results in rank order. Panics in any task propagate.
-    ///
-    /// With `SIMCHECK=1` in the environment, the run is instrumented with
-    /// the passive [`Sanitizer`](crate::sanitize::Sanitizer), exactly as
-    /// [`World::run`](crate::World::run).
+    /// Run `f` on `ntasks` threads, each receiving its own [`Comm`] over
+    /// the oracle for a world of size `ntasks`, exactly as
+    /// [`World::run`](crate::World::run): per-rank results in rank order,
+    /// the first panic aborts the world and propagates, and `SIMCHECK=1`
+    /// installs the passive [`Sanitizer`](crate::sanitize::Sanitizer).
     pub fn run<T, F>(ntasks: usize, f: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(&FlatCommunicator) -> T + Send + Sync,
+        F: Fn(&Comm) -> T + Send + Sync,
     {
-        if hook::simcheck_env_enabled() {
-            let san = Arc::new(crate::sanitize::Sanitizer::new());
-            let results = Self::run_checked(ntasks, san.clone(), f);
-            return crate::sanitize::finalize_env_checked(results, &san);
-        }
-        assert!(ntasks > 0, "world must have at least one task");
-        let shared = Arc::new(Shared::new(CommCtx::new("world".into(), ntasks), None));
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..ntasks)
-                .map(|rank| {
-                    let comm = FlatCommunicator::new(rank, shared.clone());
-                    scope.spawn(move || f(&comm))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("task panicked"))
-                .collect()
-        })
+        crate::world::run(flat_world, ntasks, f)
     }
 
     /// Run `f` under a [`CheckHook`], catching each rank's panic — the flat
@@ -526,48 +502,15 @@ impl FlatWorld {
     ) -> Vec<std::thread::Result<T>>
     where
         T: Send,
-        F: Fn(&FlatCommunicator) -> T + Send + Sync,
+        F: Fn(&Comm) -> T + Send + Sync,
     {
-        assert!(ntasks > 0, "world must have at least one task");
-        let shared = Arc::new(Shared::new(
-            CommCtx::new("world".into(), ntasks),
-            Some(check.clone()),
-        ));
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..ntasks)
-                .map(|rank| {
-                    let comm = FlatCommunicator::new(rank, shared.clone());
-                    let check = check.clone();
-                    scope.spawn(move || {
-                        hook::set_current_task(rank);
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || f(&comm),
-                        ));
-                        let teardown =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(comm)));
-                        let result = match (result, teardown) {
-                            (Ok(v), Ok(())) => Ok(v),
-                            (Err(e), _) => Err(e),
-                            (Ok(_), Err(e)) => Err(e),
-                        };
-                        check.on_task_finish(rank, result.is_err());
-                        result
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("task thread itself never panics"))
-                .collect()
-        })
+        crate::world::launch(flat_world, ntasks, Some(check), f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::ReduceOp;
 
     #[test]
     fn flat_collectives_still_work() {

@@ -169,7 +169,7 @@ pub fn describe_tag(tag: u64) -> String {
 /// by the runtimes' panic messages and the sanitizer's findings so the
 /// wording never drifts between them. The `0xC3` wording is pinned by
 /// long-standing tests; the aggregation namespaces get their own wording.
-pub fn reserved_tag_panic_text(tag: u64) -> &'static str {
+pub(crate) fn reserved_tag_panic_text(tag: u64) -> &'static str {
     if is_agg_tag(tag) {
         "tags with top byte 0xA6/0xA7 are reserved for the aggregation ship/ack protocol"
     } else {
@@ -205,7 +205,7 @@ pub fn enter_agg_protocol() -> AggProtocolScope {
 }
 
 /// Whether this thread is currently inside an [`enter_agg_protocol`] scope.
-pub fn in_agg_protocol() -> bool {
+pub(crate) fn in_agg_protocol() -> bool {
     AGG_PROTOCOL_DEPTH.with(|d| d.get() > 0)
 }
 

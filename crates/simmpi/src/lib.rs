@@ -7,25 +7,26 @@
 //! point-to-point messaging with MPI-style (source, tag) matching for the
 //! mini-apps.
 //!
-//! The [`Comm`] trait (and its resumable twin [`CoComm`]) is the runtime
-//! abstraction the `sion` crate programs against — mirroring how SIONlib
-//! is "by design not tied to a specific parallel programming interface".
-//! There is one tree-collective engine, two drivers of it, and one
-//! independent reference:
+//! [`CoComm`] is the one communicator contract the `sion` crate programs
+//! against — mirroring how SIONlib is "by design not tied to a specific
+//! parallel programming interface". There is one tree-collective engine,
+//! two drivers of it, and one independent reference:
 //!
 //! * [`TaskComm`] — the engine: log-P binomial trees over per-rank
 //!   mailboxes, with per-rank op/byte counters exposed as [`CommStats`].
 //!   [`TaskWorld`] drives it with ranks as futures on a work-stealing
 //!   executor (16Ki–64Ki ranks); [`World`] drives it with one OS thread per
-//!   rank, each [`Communicator`] blocking on the same futures.
-//! * [`FlatCommunicator`] — the original O(P) slot-and-barrier collectives,
-//!   sharing no code with the engine; kept only as the oracle the property
-//!   tests compare the engine against.
+//!   rank, each rank's blocking [`Comm`] handle polling the same futures
+//!   through [`drive_ready`].
+//! * The flat oracle — the original O(P) slot-and-barrier collectives,
+//!   sharing no collective code with the engine; kept only as the
+//!   reference the property tests compare the engine against, and reached
+//!   only through [`FlatWorld`].
 //!
 //! # Example
 //!
 //! ```
-//! use simmpi::{World, Comm};
+//! use simmpi::World;
 //!
 //! let sums = World::run(4, |comm| {
 //!     let mine = (comm.rank() as u64 + 1).to_le_bytes().to_vec();
@@ -40,27 +41,26 @@
 mod co;
 mod comm;
 mod flat;
-pub mod hook;
+mod hook;
 mod sanitize;
 mod task;
 mod wire;
 mod world;
 
-pub use co::{drive_ready, AllGathered, BlockingComm, BlockingRef, BoxFut, CoComm};
+pub use co::{AllGathered, BoxFut, CoComm};
 pub use comm::{Comm, CommStats, ReduceOp};
-pub use flat::{FlatCommunicator, FlatWorld};
+pub use flat::FlatWorld;
 pub use task::{
     DeadlockReport, ParkedOp, SchedPolicy, SchedStats, ScheduleDriver, TaskComm, TaskRun,
     TaskWorld,
 };
 pub use hook::{
-    current_task, decode_coll_tag, describe_tag, enter_agg_protocol, in_agg_protocol, is_agg_tag,
-    is_reserved_tag, reserved_tag_panic_text, simcheck_env_enabled, Aborted, AggProtocolScope,
-    CheckHook, CollKind, CommCtx, LeakedMsg, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX,
-    COLL_TAG_MASK, COLL_TAG_PREFIX,
+    current_task, decode_coll_tag, describe_tag, enter_agg_protocol, is_agg_tag, is_reserved_tag,
+    simcheck_env_enabled, Aborted, AggProtocolScope, CheckHook, CollKind, CommCtx, LeakedMsg,
+    AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK, COLL_TAG_PREFIX,
 };
 pub use sanitize::{Finding, FindingKind, Sanitizer};
-pub use world::{Communicator, World};
+pub use world::{drive_ready, World};
 
 #[cfg(test)]
 mod tests {

@@ -21,9 +21,9 @@
 //! The only blocking primitive is the [`Recv`] future: it returns
 //! `Poll::Pending` until the matching send wakes it. *Who polls* is the
 //! driver's business — the work-stealing executor ([`super::exec`]) for
-//! rank tasks, or the rank's own OS thread for the blocking
-//! [`Communicator`](crate::Communicator) facade, which parks the thread
-//! while a future is pending.
+//! rank tasks, or [`drive_ready`](crate::drive_ready) on the rank's own OS
+//! thread in a [`World`](crate::World), which parks the thread while a
+//! future is pending.
 //!
 //! Every parked receive registers itself in the world's pending-op table
 //! ([`WorldRt`]), so a deadlock report (executor quiescence) or a watchdog
@@ -115,8 +115,9 @@ type Message = (usize, u64, MsgBuf);
 
 /// One parked matched receive (collective round edges included),
 /// registered while its [`Recv`] future is `Pending`.
+#[derive(Clone)]
 pub(crate) struct Parked {
-    pub(crate) comm: Arc<str>,
+    pub(crate) ctx: CommCtx,
     pub(crate) comm_rank: usize,
     pub(crate) src: usize,
     pub(crate) tag: u64,
@@ -137,7 +138,7 @@ impl Parked {
 
 impl fmt::Display for Parked {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "on comm \"{}\" parked in {}", self.comm, self.op_text())
+        write!(f, "on comm \"{}\" parked in {}", self.ctx.name, self.op_text())
     }
 }
 
@@ -199,6 +200,12 @@ impl WorldRt {
 
     fn pending(&self, world_rank: usize) -> &Mutex<Option<Parked>> {
         &self.pending[world_rank]
+    }
+
+    /// The receive `world_rank` is parked in right now — what the thread
+    /// driver's watchdog names when a blocking call is stuck.
+    pub(crate) fn parked(&self, world_rank: usize) -> Option<Parked> {
+        self.pending(world_rank).lock().clone()
     }
 
     /// The parked operations of every still-blocked task, in world-rank
@@ -275,7 +282,7 @@ impl Recv<'_> {
         // world quiesces with this entry in place, this receive is what the
         // rank is stuck on.
         *pending.lock() = Some(Parked {
-            comm: c.shared.ctx.name.clone(),
+            ctx: c.shared.ctx.clone(),
             comm_rank: c.rank,
             src: self.src,
             tag: self.tag,
@@ -341,9 +348,9 @@ impl CoShared {
 }
 
 /// One rank's handle onto a tree-collective communicator. Rank tasks
-/// `.await` its [`CoComm`](crate::co::CoComm) methods on the executor;
-/// [`Communicator`](crate::Communicator) wraps one per OS thread and blocks
-/// on the same futures.
+/// `.await` its [`CoComm`](crate::co::CoComm) methods on the executor; in a
+/// [`World`](crate::World) each rank's [`Comm`](crate::Comm) owns one and
+/// drives the same futures on the rank's own thread.
 pub struct TaskComm {
     rank: usize,
     /// Rank in the *world* communicator — the pending-table index, stable
@@ -388,28 +395,10 @@ impl TaskComm {
         (world, comms)
     }
 
-    pub(crate) fn ctx(&self) -> &CommCtx {
-        &self.shared.ctx
-    }
-
-    pub(crate) fn hook(&self) -> Option<&Arc<dyn CheckHook>> {
-        self.shared.hook.as_ref()
-    }
-
-    pub(crate) fn world_rt(&self) -> &WorldRt {
-        &self.shared.world
-    }
-
-    /// The receive this rank is parked in right now, as `(src, tag)` — what
-    /// the thread driver's watchdog names when a blocking call is stuck.
-    pub(crate) fn parked_recv(&self) -> Option<(usize, u64)> {
-        self.shared.world.pending(self.world_rank).lock().as_ref().map(|p| (p.src, p.tag))
-    }
-
     /// Drops `buf`. A message is a plain `Vec` its receiver owns, so there
-    /// is nothing to give back: this is neither on [`CoComm`](crate::co::CoComm)
-    /// nor on [`Comm`](crate::Comm), and stays only while `sionbench`'s
-    /// collective micro-timings call it (ROADMAP item 1(c) drops it).
+    /// is nothing to give back: this is not on [`CoComm`](crate::co::CoComm),
+    /// and stays only while `sionbench`'s collective micro-timings call it
+    /// (ROADMAP item 1(c) drops it).
     pub fn recycle(&self, buf: Vec<u8>) {
         drop(buf);
     }
@@ -744,9 +733,9 @@ impl TaskComm {
         Some(acc)
     }
 
-    /// `split` with the concrete handle type, which the blocking facade
-    /// wraps; [`CoComm::split`](crate::co::CoComm::split) boxes it.
-    pub(crate) async fn split_impl(&self, color: u64, key: u64) -> TaskComm {
+    /// `split` with the concrete handle type;
+    /// [`CoComm::split`](crate::co::CoComm::split) boxes it.
+    async fn split_impl(&self, color: u64, key: u64) -> TaskComm {
         self.stats.bump_split();
         // Determine group membership: allgather (color, key, rank). Counted
         // as part of the split, not as a separate allgather.
@@ -799,7 +788,7 @@ impl TaskComm {
     ///
     /// Panics, naming both parent ranks, when two members claim the same
     /// new rank or disagree about the group size.
-    pub(crate) fn attach(&self, color: u64, new_rank: usize, new_size: usize) -> TaskComm {
+    fn attach(&self, color: u64, new_rank: usize, new_size: usize) -> TaskComm {
         let split_no = self.split_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let key = (split_no, color);
         let joined = {

@@ -11,7 +11,7 @@
 //! suspended future, not an 8 MiB thread stack, and a blocked rank costs
 //! nothing but its entry in the pending table. [`World`](crate::World) is
 //! the other driver of the same code: one OS thread per rank, each polling
-//! its own futures.
+//! its own futures through [`drive_ready`](crate::drive_ready).
 //!
 //! `simcheck` plugs in through [`SchedPolicy::Serial`] — its serialized
 //! scheduler is literally one policy of this executor — and through the
@@ -25,6 +25,7 @@ mod comm;
 mod exec;
 
 pub use comm::TaskComm;
+pub(crate) use comm::WorldRt;
 pub use exec::{SchedPolicy, ScheduleDriver};
 
 use crate::hook::{self, Aborted, CheckHook};
@@ -156,7 +157,7 @@ where
             .into_iter()
             .map(|(world_rank, p)| ParkedOp {
                 world_rank,
-                comm: p.comm.to_string(),
+                comm: p.ctx.name.to_string(),
                 op: p.op_text(),
                 description: p.to_string(),
             })
@@ -313,7 +314,7 @@ mod tests {
     use crate::co::CoComm;
     use crate::comm::ReduceOp;
     use crate::sanitize::{FindingKind, Sanitizer};
-    use crate::{drive_ready, BlockingRef, FlatWorld, World};
+    use crate::{drive_ready, FlatWorld, World};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const WS4: SchedPolicy = SchedPolicy::WorkSteal { workers: 4 };
@@ -357,8 +358,8 @@ mod tests {
     fn all_three_runtimes_agree_on_the_mixed_script() {
         for n in [1, 2, 3, 5, 8] {
             let task = TaskWorld::run(n, |c| async move { mixed_script(&c).await });
-            let thread = World::run(n, |c| drive_ready(mixed_script(&BlockingRef(c))));
-            let flat = FlatWorld::run(n, |c| drive_ready(mixed_script(&BlockingRef(c))));
+            let thread = World::run(n, |c| drive_ready(mixed_script(c.co())));
+            let flat = FlatWorld::run(n, |c| drive_ready(mixed_script(c.co())));
             assert_eq!(task, thread, "task tree vs thread tree at n={n}");
             assert_eq!(task, flat, "tree vs flat at n={n}");
         }

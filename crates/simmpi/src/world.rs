@@ -1,15 +1,17 @@
-//! The thread driver: SPMD world launcher and the blocking
-//! [`Communicator`] facade.
+//! The thread driver: [`drive_ready`], the one loop that polls a future on
+//! a rank's own thread, and the SPMD launcher both thread-backed worlds
+//! share.
 //!
-//! [`World::run`] spawns one OS thread per rank and hands each a
-//! [`Communicator`]. The communicator owns no protocol of its own: it wraps
-//! the rank's [`TaskComm`] — the same tree-collective engine
+//! [`World::run`] spawns one OS thread per rank and hands each a blocking
+//! [`Comm`] over the rank's [`TaskComm`] — the same tree-collective engine
 //! [`TaskWorld`](crate::TaskWorld) schedules on its executor (mailboxes,
 //! binomial trees, reserved tags, stats and hook points all live in
-//! [`crate::task`]) — and every [`Comm`] method polls the corresponding
-//! [`CoComm`] future on the caller's thread, parking the thread while the
-//! future is `Pending`. The matching send unparks it through the thread's
-//! [`Waker`].
+//! [`crate::task`]). Every blocking call is [`drive_ready`] of the matching
+//! [`CoComm`] future: it polls the future on the caller's thread and parks
+//! the thread while the future is `Pending`; the matching send unparks it
+//! through the thread's [`Waker`]. [`FlatWorld`](crate::FlatWorld) runs its
+//! oracle through the same [`launch`], so one `catch_unwind`, teardown and
+//! abort path serves both worlds.
 //!
 //! # Correctness analysis
 //!
@@ -25,145 +27,217 @@
 //! silent hang into a diagnosed suspected deadlock.
 
 use crate::co::CoComm;
-use crate::comm::{Comm, CommStats, ReduceOp};
+use crate::comm::Comm;
 use crate::hook::{self, Aborted, CheckHook};
-use crate::task::TaskComm;
+use crate::task::{TaskComm, WorldRt};
+use std::cell::OnceCell;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::pin;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
 use std::time::Instant;
 
-/// Wakes a parked rank thread.
-struct Unpark(Thread);
+/// Wakes a parked rank thread, noting that a message arrived.
+struct Unpark {
+    thread: Thread,
+    /// Set by every wake-up, cleared by the watchdog, whose clock it
+    /// restarts; it publishes no other data, hence `Relaxed`.
+    woken: AtomicBool,
+}
 
 impl Wake for Unpark {
     fn wake(self: Arc<Self>) {
-        self.0.unpark();
+        self.wake_by_ref();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.0.unpark();
+        self.woken.store(true, Ordering::Relaxed);
+        self.thread.unpark();
     }
+}
+
+/// What [`drive_ready`] needs to park a rank's thread, installed by
+/// [`launch`] before the rank's closure runs.
+struct RankThread {
+    world: Arc<WorldRt>,
+    world_rank: usize,
+    hook: Option<Arc<dyn CheckHook>>,
+    unpark: Arc<Unpark>,
 }
 
 thread_local! {
-    /// This thread's waker, built once: every blocking call on the thread
-    /// polls with it.
-    static UNPARK: Waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+    static RANK: OnceCell<RankThread> = const { OnceCell::new() };
 }
 
-/// One rank's blocking handle onto a tree-collective communicator.
-///
-/// Cheap to move into the owning thread; collective calls synchronize with
-/// the other ranks' handles via binomial trees over the mailboxes.
-pub struct Communicator {
-    inner: TaskComm,
-}
-
-impl Communicator {
-    /// Poll `fut` to completion on the calling thread, parking while it is
-    /// `Pending`. `thread::park` keeps a wake-up token, so an unpark that
-    /// lands between the poll and the park is not lost; a stale token only
-    /// costs one extra poll.
-    fn block_on<T>(&self, fut: impl Future<Output = T>) -> T {
-        let mut fut = pin!(fut);
-        let mut pending_since = None;
-        UNPARK.with(|waker| {
-            let mut cx = Context::from_waker(waker);
-            loop {
-                if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
-                    return v;
-                }
-                self.park(&mut pending_since);
-            }
-        })
-    }
-
+impl RankThread {
     /// Sleep until something may have changed. Production: until unparked,
     /// by the matching send or by a panicking peer's world abort. Under a
     /// hook: one [`hook::ABORT_POLL`] tick, after which the hook's abort
-    /// flag and the deadlock watchdog are consulted.
+    /// flag and the deadlock watchdog are consulted; the watchdog's clock
+    /// restarts whenever a message arrives.
     fn park(&self, pending_since: &mut Option<Instant>) {
-        if self.inner.world_rt().is_aborting() {
+        if self.world.is_aborting() {
             std::panic::panic_any(Aborted("a peer rank panicked".into()));
         }
-        let Some(h) = self.inner.hook() else { return std::thread::park() };
+        let Some(h) = &self.hook else { return std::thread::park() };
         std::thread::park_timeout(hook::ABORT_POLL);
         if let Some(reason) = h.should_abort() {
             std::panic::panic_any(Aborted(reason));
         }
+        if self.unpark.woken.swap(false, Ordering::Relaxed) {
+            *pending_since = None;
+            return;
+        }
         let waited = pending_since.get_or_insert_with(Instant::now).elapsed();
         if waited >= hook::watchdog_timeout() {
-            let rank = self.inner.rank();
-            let (src, tag) =
-                self.inner.parked_recv().expect("a pending call is parked in a receive");
-            h.on_stuck(self.inner.ctx(), rank, src, tag, waited);
+            let p = self.world.parked(self.world_rank).expect("a pending call parks in a receive");
+            h.on_stuck(&p.ctx, p.comm_rank, p.src, p.tag, waited);
             panic!(
-                "simcheck: rank {rank} blocked in recv(src={src}, tag={tag:#x}) past the watchdog"
+                "simcheck: rank {} blocked in recv(src={}, tag={:#x}) past the watchdog",
+                p.comm_rank, p.src, p.tag
             );
         }
     }
 }
 
-impl Comm for Communicator {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
+/// Drive `fut` to completion on the calling thread — the one loop in this
+/// crate that polls a future outside the task executor.
+///
+/// On a rank thread of [`World`] or [`FlatWorld`](crate::FlatWorld) it
+/// parks the thread while the future is `Pending` (see the module docs for
+/// aborts and the watchdog). `thread::park` keeps a wake-up token, so an
+/// unpark that lands between the poll and the park is not lost; a stale
+/// token only costs one extra poll. Anywhere else the future gets a single
+/// poll and must be ready: one that parks was built over a task-runtime
+/// communicator and must be driven by the task scheduler instead, so this
+/// panics rather than block a worker thread for good.
+pub fn drive_ready<T>(fut: impl Future<Output = T>) -> T {
+    let mut fut = pin!(fut);
+    RANK.with(|rank| match rank.get() {
+        Some(rank) => {
+            let waker = Waker::from(rank.unpark.clone());
+            let mut cx = Context::from_waker(&waker);
+            let mut pending_since = None;
+            loop {
+                if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
+                    return v;
+                }
+                rank.park(&mut pending_since);
+            }
+        }
+        None => match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(v) => v,
+            Poll::Pending => panic!(
+                "drive_ready: future parked; a task-runtime communicator must be driven by \
+                 the task scheduler (use the *_co entry points inside a task world)"
+            ),
+        },
+    })
+}
 
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
+/// A fresh world of `ntasks` ranks under an optional hook: its runtime
+/// state (abort flag, pending table) and one communicator per rank.
+pub(crate) type BuildWorld =
+    fn(usize, Option<Arc<dyn CheckHook>>) -> (Arc<WorldRt>, Vec<Box<dyn CoComm>>);
 
-    fn stats(&self) -> Option<Arc<CommStats>> {
-        self.inner.stats()
+/// The `run` contract of both thread-backed worlds: the passive sanitizer
+/// under `SIMCHECK=1`, else the first real rank panic propagates.
+pub(crate) fn run<T, F>(build: BuildWorld, ntasks: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&Comm) -> T + Send + Sync,
+{
+    if hook::simcheck_env_enabled() {
+        let san = Arc::new(crate::sanitize::Sanitizer::new());
+        let results = launch(build, ntasks, Some(san.clone()), f);
+        return crate::sanitize::finalize_env_checked(results, &san);
     }
+    crate::task::propagate_panics(launch(build, ntasks, None, f))
+}
 
-    fn barrier(&self) {
-        self.block_on(self.inner.barrier())
-    }
+/// Run `f` on one OS thread per rank of a world `build` makes, each
+/// receiving its own [`Comm`]; returns each rank's result or panic, in rank
+/// order. Without a hook the first panicking rank aborts the world, so
+/// peers blocked on it unwind instead of hanging; with one, releasing them
+/// is the hook's business ([`CheckHook::should_abort`]).
+pub(crate) fn launch<T, F>(
+    build: BuildWorld,
+    ntasks: usize,
+    check: Option<Arc<dyn CheckHook>>,
+    f: F,
+) -> Vec<std::thread::Result<T>>
+where
+    T: Send,
+    F: Fn(&Comm) -> T + Send + Sync,
+{
+    assert!(ntasks > 0, "world must have at least one task");
+    let (world, comms) = build(ntasks, check.clone());
+    // Every started rank thread, so a panicking rank can wake the rest.
+    // The lock orders registration against the abort sweep: a thread
+    // registering after the sweep sees the abort flag before it parks.
+    let threads = Mutex::new(Vec::with_capacity(ntasks));
+    let registry = || threads.lock().expect("rank panics are caught outside the registry lock");
+    let (f, check, world, registry) = (&f, &check, &world, &registry);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = comms
+            .into_iter()
+            .enumerate()
+            .map(|(rank, co)| {
+                scope.spawn(move || {
+                    registry().push(std::thread::current());
+                    if check.is_some() {
+                        hook::set_current_task(rank);
+                    }
+                    let thread = std::thread::current();
+                    let unpark = Arc::new(Unpark { thread, woken: AtomicBool::new(false) });
+                    RANK.with(|r| {
+                        r.get_or_init(|| RankThread {
+                            world: world.clone(),
+                            world_rank: rank,
+                            hook: check.clone(),
+                            unpark,
+                        });
+                    });
+                    let comm = Comm::new(co);
+                    let result = catch_unwind(AssertUnwindSafe(|| f(&comm)));
+                    // Drop the communicator (running its teardown leak
+                    // check, which may panic with a leak diagnosis) before
+                    // declaring the task finished.
+                    let teardown = catch_unwind(AssertUnwindSafe(|| drop(comm)));
+                    let result = match (result, teardown) {
+                        (Ok(v), Ok(())) => Ok(v),
+                        (Err(e), _) => Err(e),
+                        (Ok(_), Err(e)) => Err(e),
+                    };
+                    match check {
+                        Some(h) => h.on_task_finish(rank, result.is_err()),
+                        None if result.is_err() => {
+                            world.abort();
+                            registry().iter().for_each(Thread::unpark);
+                        }
+                        None => {}
+                    }
+                    result
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("task thread itself never panics"))
+            .collect()
+    })
+}
 
-    fn gather(&self, data: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
-        self.block_on(self.inner.gather(data, root))
-    }
-
-    fn scatter(&self, parts: Option<Vec<Vec<u8>>>, root: usize) -> Vec<u8> {
-        self.block_on(self.inner.scatter(parts, root))
-    }
-
-    fn bcast(&self, data: Option<Vec<u8>>, root: usize) -> Vec<u8> {
-        self.block_on(self.inner.bcast(data, root))
-    }
-
-    fn allgather(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        self.block_on(self.inner.allgather(data))
-    }
-
-    fn reduce_u64(&self, value: u64, op: ReduceOp, root: usize) -> Option<u64> {
-        self.block_on(self.inner.reduce_u64(value, op, root))
-    }
-
-    fn split(&self, color: u64, key: u64) -> Box<dyn Comm> {
-        Box::new(Communicator { inner: self.block_on(self.inner.split_impl(color, key)) })
-    }
-
-    fn split_local(&self, color: u64, new_rank: usize, new_size: usize) -> Box<dyn Comm> {
-        Box::new(Communicator { inner: self.inner.attach(color, new_rank, new_size) })
-    }
-
-    fn send(&self, dest: usize, tag: u64, data: &[u8]) {
-        self.inner.send(dest, tag, data)
-    }
-
-    fn recv(&self, src: usize, tag: u64) -> Vec<u8> {
-        self.block_on(self.inner.recv(src, tag))
-    }
-
-    fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
-        self.inner.try_recv(src, tag)
-    }
+/// The tree engine's world: one [`TaskComm`] per rank.
+fn tree_world(
+    ntasks: usize,
+    hook: Option<Arc<dyn CheckHook>>,
+) -> (Arc<WorldRt>, Vec<Box<dyn CoComm>>) {
+    let (world, comms) = TaskComm::world(ntasks, hook);
+    (world, comms.into_iter().map(|c| Box::new(c) as Box<dyn CoComm>).collect())
 }
 
 /// Launcher for SPMD execution: runs one closure instance per rank on its
@@ -171,10 +245,10 @@ impl Comm for Communicator {
 pub struct World;
 
 impl World {
-    /// Run `f` on `ntasks` threads, each receiving its own [`Communicator`]
-    /// for a world of size `ntasks`. Returns the per-rank results in rank
-    /// order. The first panic in any task aborts the world — peers blocked
-    /// on the failed rank unwind instead of hanging — and propagates.
+    /// Run `f` on `ntasks` threads, each receiving its own [`Comm`] for a
+    /// world of size `ntasks`. Returns the per-rank results in rank order.
+    /// The first panic in any task aborts the world — peers blocked on the
+    /// failed rank unwind instead of hanging — and propagates.
     ///
     /// With `SIMCHECK=1` in the environment, the run is instrumented with
     /// the passive [`Sanitizer`](crate::sanitize::Sanitizer): collective
@@ -184,14 +258,9 @@ impl World {
     pub fn run<T, F>(ntasks: usize, f: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(&Communicator) -> T + Send + Sync,
+        F: Fn(&Comm) -> T + Send + Sync,
     {
-        if hook::simcheck_env_enabled() {
-            let san = Arc::new(crate::sanitize::Sanitizer::new());
-            let results = Self::run_checked(ntasks, san.clone(), f);
-            return crate::sanitize::finalize_env_checked(results, &san);
-        }
-        crate::task::propagate_panics(Self::launch(ntasks, None, f))
+        run(tree_world, ntasks, f)
     }
 
     /// Run `f` on `ntasks` threads under a [`CheckHook`], catching each
@@ -207,67 +276,9 @@ impl World {
     ) -> Vec<std::thread::Result<T>>
     where
         T: Send,
-        F: Fn(&Communicator) -> T + Send + Sync,
+        F: Fn(&Comm) -> T + Send + Sync,
     {
-        Self::launch(ntasks, Some(check), f)
-    }
-
-    fn launch<T, F>(
-        ntasks: usize,
-        check: Option<Arc<dyn CheckHook>>,
-        f: F,
-    ) -> Vec<std::thread::Result<T>>
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Send + Sync,
-    {
-        assert!(ntasks > 0, "world must have at least one task");
-        let (world, comms) = TaskComm::world(ntasks, check.clone());
-        // Every started rank thread, so a panicking rank can wake the rest.
-        // The lock orders registration against the abort sweep: a thread
-        // registering after the sweep sees the abort flag before it parks.
-        let threads = Mutex::new(Vec::with_capacity(ntasks));
-        let registry =
-            || threads.lock().expect("rank panics are caught outside the registry lock");
-        let (f, check, world, registry) = (&f, &check, &world, &registry);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .enumerate()
-                .map(|(rank, inner)| {
-                    scope.spawn(move || {
-                        registry().push(std::thread::current());
-                        if check.is_some() {
-                            hook::set_current_task(rank);
-                        }
-                        let comm = Communicator { inner };
-                        let result = catch_unwind(AssertUnwindSafe(|| f(&comm)));
-                        // Drop the communicator (running its teardown leak
-                        // check, which may panic with a leak diagnosis)
-                        // before declaring the task finished.
-                        let teardown = catch_unwind(AssertUnwindSafe(|| drop(comm)));
-                        let result = match (result, teardown) {
-                            (Ok(v), Ok(())) => Ok(v),
-                            (Err(e), _) => Err(e),
-                            (Ok(_), Err(e)) => Err(e),
-                        };
-                        match check {
-                            Some(h) => h.on_task_finish(rank, result.is_err()),
-                            None if result.is_err() => {
-                                world.abort();
-                                registry().iter().for_each(Thread::unpark);
-                            }
-                            None => {}
-                        }
-                        result
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("task thread itself never panics"))
-                .collect()
-        })
+        launch(tree_world, ntasks, Some(check), f)
     }
 }
 
@@ -275,6 +286,7 @@ impl World {
 mod tests {
     use super::*;
     use crate::comm::ReduceOp;
+    use crate::FlatWorld;
 
     #[test]
     fn gather_collects_in_rank_order() {
@@ -664,10 +676,35 @@ mod tests {
         assert!(text.contains("rank one exploded"), "first real panic re-raised: {text:?}");
     }
 
+    #[test]
+    fn flat_rank_panic_aborts_blocked_peers_and_propagates() {
+        // The same through the shared launcher on the flat oracle, with rank
+        // 0 blocked in its rendezvous barrier and then in a receive.
+        for in_recv in [false, true] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let err = catch_unwind(|| {
+                    FlatWorld::run(2, |c| {
+                        assert!(c.rank() != 1, "rank one exploded");
+                        if in_recv { drop(c.recv(1, 7)) } else { c.barrier() }
+                    })
+                })
+                .expect_err("rank panic must propagate");
+                let text = err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default();
+                tx.send(text).expect("test thread waits for the verdict");
+            });
+            let text = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("FlatWorld::run hung (rank 0 in recv: {in_recv})"));
+            runner.join().expect("runner thread");
+            assert!(text.contains("rank one exploded"), "first real panic re-raised: {text:?}");
+        }
+    }
+
     /// Ping-pongs between neighbour pairs interleaved with every kind of
     /// collective: each round parks and unparks every rank thread several
     /// times, so a lost wake-up in the thread driver hangs this test.
-    fn wakeup_stress(c: &Communicator) -> u64 {
+    fn wakeup_stress(c: &Comm) -> u64 {
         const ROUNDS: u64 = 100;
         let (n, r) = (c.size(), c.rank());
         let peer = r ^ 1;

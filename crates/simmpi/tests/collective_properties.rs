@@ -42,7 +42,7 @@ proptest! {
     #[test]
     fn bcast_matches_flat_reference(n in 1usize..65, root_sel in any::<u64>(), seed in any::<u64>()) {
         let root = (root_sel as usize) % n;
-        let script = move |c: &dyn Comm| {
+        let script = move |c: &Comm| {
             let mine = (c.rank() == root).then(|| payload(seed, root, 96));
             c.bcast(mine, root)
         };
@@ -57,7 +57,7 @@ proptest! {
     #[test]
     fn gather_matches_flat_reference(n in 1usize..65, root_sel in any::<u64>(), seed in any::<u64>()) {
         let root = (root_sel as usize) % n;
-        let script = move |c: &dyn Comm| c.gather(&payload(seed, c.rank(), 64), root);
+        let script = move |c: &Comm| c.gather(&payload(seed, c.rank(), 64), root);
         let tree = World::run(n, |c| script(c));
         let flat = FlatWorld::run(n, |c| script(c));
         prop_assert_eq!(&tree, &flat);
@@ -70,7 +70,7 @@ proptest! {
     #[test]
     fn gather_u64s_matches_flat_reference(n in 1usize..65, root_sel in any::<u64>(), seed in any::<u64>()) {
         let root = (root_sel as usize) % n;
-        let script = move |c: &dyn Comm| c.gather_u64s(&u64s(seed, c.rank(), 9), root);
+        let script = move |c: &Comm| c.gather_u64s(&u64s(seed, c.rank(), 9), root);
         let tree = World::run(n, |c| script(c));
         let flat = FlatWorld::run(n, |c| script(c));
         prop_assert_eq!(&tree, &flat);
@@ -81,7 +81,7 @@ proptest! {
     /// non-powers of two).
     #[test]
     fn allgather_u64_matches_flat_reference(n in 1usize..65, seed in any::<u64>()) {
-        let script = move |c: &dyn Comm| {
+        let script = move |c: &Comm| {
             let mut s = seed ^ c.rank() as u64;
             c.allgather_u64(mix(&mut s))
         };
@@ -97,7 +97,7 @@ proptest! {
     fn reduce_matches_flat_reference(n in 1usize..65, root_sel in any::<u64>(), op_sel in any::<u64>(), seed in any::<u64>()) {
         let root = (root_sel as usize) % n;
         let op = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min][(op_sel as usize) % 3];
-        let script = move |c: &dyn Comm| {
+        let script = move |c: &Comm| {
             let mut s = seed ^ c.rank() as u64;
             // Keep the values small enough that Sum cannot overflow.
             c.reduce_u64(mix(&mut s) >> 16, op, root)
@@ -113,7 +113,7 @@ proptest! {
     /// that color assignment produces.
     #[test]
     fn split_collectives_match_flat_reference(n in 1usize..65, ncolors in 1usize..5, seed in any::<u64>()) {
-        let script = move |c: &dyn Comm| {
+        let script = move |c: &Comm| {
             let sub = c.split((c.rank() % ncolors) as u64, c.rank() as u64);
             let gathered = sub.gather(&payload(seed, c.rank(), 48), 0);
             let bc = sub.bcast((sub.rank() == 0).then(|| payload(!seed, c.rank(), 32)), 0);

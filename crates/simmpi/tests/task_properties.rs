@@ -7,18 +7,15 @@
 //!
 //! * [`TaskWorld`] — tree collectives as resumable tasks on the
 //!   work-stealing executor;
-//! * [`World`] — the same tree collectives polled thread-per-rank, driven
-//!   through the [`BlockingRef`] bridge so the *same* async script bytes
-//!   run;
+//! * [`World`] — the same tree collectives polled thread-per-rank, each
+//!   rank's thread driving the *same* async script through [`drive_ready`];
 //! * [`FlatWorld`] — the independent flat slot-and-barrier oracle.
 //!
 //! Scheduling freedom (work stealing, seeded serial replay, preemption
 //! bounds) must never change one bit of any rank's output.
 
 use proptest::prelude::*;
-use simmpi::{
-    drive_ready, BlockingRef, CoComm, FlatWorld, ReduceOp, SchedPolicy, TaskWorld, World,
-};
+use simmpi::{drive_ready, CoComm, FlatWorld, ReduceOp, SchedPolicy, TaskWorld, World};
 
 /// Splitmix-style generator so every rank's payload is a pure function of
 /// (seed, rank) — all three runtimes then see identical inputs by
@@ -139,10 +136,10 @@ proptest! {
             split_script(&c, seed, ncolors, reverse, local).await
         }).0;
         let thread = |local| World::run(n, |c| {
-            drive_ready(split_script(&BlockingRef(c), seed, ncolors, reverse, local))
+            drive_ready(split_script(c.co(), seed, ncolors, reverse, local))
         });
         let flat = |local| FlatWorld::run(n, |c| {
-            drive_ready(split_script(&BlockingRef(c), seed, ncolors, reverse, local))
+            drive_ready(split_script(c.co(), seed, ncolors, reverse, local))
         });
         let exchanged = flat(false);
         prop_assert_eq!(&task(true), &exchanged, "task split_local vs flat split");
@@ -157,8 +154,8 @@ proptest! {
     fn bcast_matches_thread_runtime(n in 1usize..65, root_sel in any::<u64>(), seed in any::<u64>()) {
         let root = (root_sel as usize) % n;
         let task = TaskWorld::run_with(WS4, n, |c| async move { bcast_script(&c, seed, root).await }).0;
-        let thread = World::run(n, |c| drive_ready(bcast_script(&BlockingRef(c), seed, root)));
-        let flat = FlatWorld::run(n, |c| drive_ready(bcast_script(&BlockingRef(c), seed, root)));
+        let thread = World::run(n, |c| drive_ready(bcast_script(c.co(), seed, root)));
+        let flat = FlatWorld::run(n, |c| drive_ready(bcast_script(c.co(), seed, root)));
         prop_assert_eq!(&task, &thread, "task tree vs thread tree");
         prop_assert_eq!(&task, &flat, "task tree vs thread flat");
         prop_assert!(task.iter().all(|b| *b == payload(seed, root, 96)));
@@ -170,8 +167,8 @@ proptest! {
     fn gatherv_matches_thread_runtime(n in 1usize..65, root_sel in any::<u64>(), seed in any::<u64>()) {
         let root = (root_sel as usize) % n;
         let task = TaskWorld::run_with(WS4, n, |c| async move { gatherv_script(&c, seed, root).await }).0;
-        let thread = World::run(n, |c| drive_ready(gatherv_script(&BlockingRef(c), seed, root)));
-        let flat = FlatWorld::run(n, |c| drive_ready(gatherv_script(&BlockingRef(c), seed, root)));
+        let thread = World::run(n, |c| drive_ready(gatherv_script(c.co(), seed, root)));
+        let flat = FlatWorld::run(n, |c| drive_ready(gatherv_script(c.co(), seed, root)));
         prop_assert_eq!(&task, &thread);
         prop_assert_eq!(&task, &flat);
         let at_root = task[root].as_ref().expect("root receives the gather");
@@ -187,8 +184,8 @@ proptest! {
     fn scatterv_matches_thread_runtime(n in 1usize..65, root_sel in any::<u64>(), seed in any::<u64>()) {
         let root = (root_sel as usize) % n;
         let task = TaskWorld::run_with(WS4, n, |c| async move { scatterv_script(&c, seed, root).await }).0;
-        let thread = World::run(n, |c| drive_ready(scatterv_script(&BlockingRef(c), seed, root)));
-        let flat = FlatWorld::run(n, |c| drive_ready(scatterv_script(&BlockingRef(c), seed, root)));
+        let thread = World::run(n, |c| drive_ready(scatterv_script(c.co(), seed, root)));
+        let flat = FlatWorld::run(n, |c| drive_ready(scatterv_script(c.co(), seed, root)));
         prop_assert_eq!(&task, &thread);
         prop_assert_eq!(&task, &flat);
         for (r, part) in task.iter().enumerate() {
@@ -203,8 +200,8 @@ proptest! {
         let root = (root_sel as usize) % n;
         let op = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min][(op_sel as usize) % 3];
         let task = TaskWorld::run_with(WS4, n, |c| async move { reduce_script(&c, seed, op, root).await }).0;
-        let thread = World::run(n, |c| drive_ready(reduce_script(&BlockingRef(c), seed, op, root)));
-        let flat = FlatWorld::run(n, |c| drive_ready(reduce_script(&BlockingRef(c), seed, op, root)));
+        let thread = World::run(n, |c| drive_ready(reduce_script(c.co(), seed, op, root)));
+        let flat = FlatWorld::run(n, |c| drive_ready(reduce_script(c.co(), seed, op, root)));
         prop_assert_eq!(&task, &thread);
         prop_assert_eq!(&task, &flat);
         prop_assert!(task[root].is_some());
@@ -217,8 +214,8 @@ proptest! {
     #[test]
     fn allgather_barrier_rounds_match_thread_runtime(n in 1usize..65, seed in any::<u64>()) {
         let task = TaskWorld::run_with(WS4, n, |c| async move { allgather_barrier_script(&c, seed).await }).0;
-        let thread = World::run(n, |c| drive_ready(allgather_barrier_script(&BlockingRef(c), seed)));
-        let flat = FlatWorld::run(n, |c| drive_ready(allgather_barrier_script(&BlockingRef(c), seed)));
+        let thread = World::run(n, |c| drive_ready(allgather_barrier_script(c.co(), seed)));
+        let flat = FlatWorld::run(n, |c| drive_ready(allgather_barrier_script(c.co(), seed)));
         prop_assert_eq!(&task, &thread);
         prop_assert_eq!(&task, &flat);
         prop_assert!(task.iter().all(|rounds| rounds == &task[0]));
@@ -237,7 +234,7 @@ proptest! {
         let stolen = TaskWorld::run_with(WS4, n, |c| async move {
             all_ops_script(&c, seed, root).await
         }).0;
-        let thread = World::run(n, |c| drive_ready(all_ops_script(&BlockingRef(c), seed, root)));
+        let thread = World::run(n, |c| drive_ready(all_ops_script(c.co(), seed, root)));
         prop_assert_eq!(&task, &thread, "serial tasks vs threads");
         prop_assert_eq!(&task, &stolen, "serial vs work-stealing");
     }

@@ -11,7 +11,7 @@
 use simmpi::{Comm, FindingKind, Sanitizer, World};
 use std::sync::Arc;
 
-fn stuck_findings(ntasks: usize, f: impl Fn(&dyn Comm) + Send + Sync) -> Vec<String> {
+fn stuck_findings(ntasks: usize, f: impl Fn(&Comm) + Send + Sync) -> Vec<String> {
     let san = Arc::new(Sanitizer::new());
     let results = World::run_checked(ntasks, san.clone(), |c| f(c));
     assert!(results.iter().any(|r| r.is_err()), "the stuck rank must unwind");

@@ -555,7 +555,7 @@ fn verify_raw(vfs: &dyn Vfs, base: &str, open_err: SionError) -> Result<VerifyRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::{Comm, World};
+    use simmpi::World;
     use sion::paropen_write;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use vfs::{BlockGuard, FaultKind, FaultRule, Faults, MemFs, Next, Op, OpKind, Tap, TapFs};

@@ -3,7 +3,7 @@
 //! `siondefrag`, `sionverify`, `sioncat`, and `sionrepair` as child
 //! processes, exactly as a user would.
 
-use simmpi::{Comm, World};
+use simmpi::World;
 use sion::{paropen_write, SionParams};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};

@@ -74,11 +74,13 @@
 //! ## Quick start
 //!
 //! ```
-//! use simmpi::{World, Comm};
+//! use simmpi::World;
 //! use vfs::MemFs;
 //!
 //! let fs = MemFs::new();
 //! let params = sion::SionParams::new(64 * 1024).with_nfiles(2);
+//! // `comm` is this rank's blocking `simmpi::Comm`; inside a `TaskWorld`,
+//! // await the `_co` entry points with the rank's `CoComm` instead.
 //! World::run(8, |comm| {
 //!     let mut w = sion::paropen_write(&fs, "run/ckpt.sion", &params, comm).unwrap();
 //!     let payload = vec![comm.rank() as u8; 1000];

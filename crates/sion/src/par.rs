@@ -63,9 +63,10 @@
 //! state machines run on every runtime:
 //!
 //! * on the thread-backed runtimes the public blocking entry points
-//!   ([`paropen_write`], [`paropen_read`], `close`) wrap the communicator
-//!   in [`simmpi::BlockingRef`] and retire the whole protocol in a single
-//!   [`simmpi::drive_ready`] poll — byte-for-byte the old behaviour;
+//!   ([`paropen_write`], [`paropen_read`], `close`) hand the protocol the
+//!   rank's own [`simmpi::CoComm`] ([`Comm::co`](simmpi::Comm::co)) and
+//!   retire it with [`simmpi::drive_ready`], which parks the rank's thread
+//!   at each collective round until a peer's message arrives;
 //! * inside a [`simmpi::TaskWorld`] the `_co` entry points are awaited
 //!   directly and genuinely park on each collective round, which is what
 //!   lets a 16Ki–64Ki-rank collective open run on a handful of worker
@@ -93,7 +94,7 @@ use crate::physical_name;
 use crate::serial::{create_file, finalize_file, FileView, Multifile};
 use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter, DEFAULT_READ_AHEAD};
 use crate::{IoMode, SionParams};
-use simmpi::{drive_ready, BlockingRef, CoComm, Comm, CommStats, ReduceOp};
+use simmpi::{drive_ready, CoComm, Comm, CommStats, ReduceOp};
 use std::sync::Arc;
 use vfs::Vfs;
 
@@ -265,7 +266,7 @@ pub fn paropen_write(
     vfs: &dyn Vfs,
     base: &str,
     params: &SionParams,
-    comm: &dyn Comm,
+    comm: &Comm,
 ) -> Result<SionParWriter> {
     // Label this rank's thread for the block-contention sanitizer: every
     // write it issues through a `vfs::TapFs` (including coalesced
@@ -274,7 +275,7 @@ pub fn paropen_write(
     // park could have let another rank relabel the thread — see the
     // module docs.
     vfs::guard::set_task(comm.rank() as u64);
-    drive_ready(paropen_write_co(vfs, base, params, &BlockingRef(comm)))
+    drive_ready(paropen_write_co(vfs, base, params, comm.co()))
 }
 
 /// [`paropen_write`] as a resumable protocol over [`CoComm`]: the entry
@@ -650,8 +651,8 @@ pub struct SionParReader {
 ///
 /// The task count of `comm` must equal the task count the multifile was
 /// written with, and each task is positioned at its own logical file.
-pub fn paropen_read(vfs: &dyn Vfs, base: &str, comm: &dyn Comm) -> Result<SionParReader> {
-    drive_ready(paropen_read_co(vfs, base, &BlockingRef(comm)))
+pub fn paropen_read(vfs: &dyn Vfs, base: &str, comm: &Comm) -> Result<SionParReader> {
+    drive_ready(paropen_read_co(vfs, base, comm.co()))
 }
 
 /// [`paropen_read`] as a resumable protocol over [`CoComm`]; the

@@ -6,7 +6,7 @@
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use simmpi::{CoComm, Comm, FlatWorld, TaskWorld, World};
+use simmpi::{CoComm, FlatWorld, TaskWorld, World};
 use sion::{
     paropen_read, paropen_write, paropen_write_co, Alignment, IoMode, Multifile, SionParams,
 };

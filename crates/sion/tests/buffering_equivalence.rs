@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use simmpi::{Comm, World};
+use simmpi::World;
 use sion::{
     paropen_read, paropen_write, Alignment, Multifile, SerialWriter, SionParams,
     DEFAULT_READ_AHEAD,

@@ -8,7 +8,7 @@
 
 use parfs::IoOp;
 use simmpi::{
-    drive_ready, BlockingRef, CoComm, Comm, CommStats, SchedPolicy, TaskWorld, World,
+    drive_ready, CoComm, CommStats, SchedPolicy, TaskWorld, World,
 };
 use sion::script::{sion_par_read, sion_par_write, SimSpec};
 use sion::{paropen_read, paropen_read_co, paropen_write, paropen_write_co, SionParams};
@@ -73,7 +73,7 @@ async fn write_rounds(fs: &MemFs, params: &SionParams, comm: &dyn CoComm) {
 fn write_open_and_close_cost_one_gather_each() {
     let fs = MemFs::with_block_size(512);
     let params = SionParams::new(2048).with_nfiles(2);
-    World::run(8, |comm| drive_ready(write_rounds(&fs, &params, &BlockingRef(comm))));
+    World::run(8, |comm| drive_ready(write_rounds(&fs, &params, comm.co())));
 
     let fs = MemFs::with_block_size(512);
     let params = SionParams::new(2048);

@@ -24,7 +24,7 @@
 //! `CRASH_SEED` environment variable to diversify CI runs); every failure
 //! message includes the crash point and seed needed to reproduce it.
 
-use simmpi::{Comm, World};
+use simmpi::World;
 use sion::rescue::repair;
 use sion::{paropen_write, IoMode, Multifile, SionParams};
 use std::sync::Arc;

@@ -2,7 +2,7 @@
 //! surface as clean errors on every task — never hangs, never partial
 //! multifiles accepted as valid.
 
-use simmpi::{Comm, World};
+use simmpi::World;
 use sion::{paropen_read, paropen_write, Multifile, SionParams};
 use std::sync::Arc;
 use vfs::{FaultKind, FaultRule, Faults, MemFs, TapFs};

@@ -55,7 +55,7 @@ fn payload(rank: usize, salt: u8) -> Vec<u8> {
 fn clean_protocol_is_race_free_on_thread_runtimes() {
     for flat in [false, true] {
         let (engine, fs) = guarded_fs();
-        let run = |c: &dyn simmpi::Comm| {
+        let run = |c: &simmpi::Comm| {
             let mut w =
                 paropen_write(fs.as_ref(), "hb/clean.sion", &agg_params(), c).expect("open");
             w.write(&payload(c.rank(), 1)).expect("write");

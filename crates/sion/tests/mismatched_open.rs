@@ -9,7 +9,7 @@
 //! serial task executor across `simcheck`'s seeded schedules.
 
 use simcheck::{schedules, seed_budget, CheckedTaskWorld};
-use simmpi::{drive_ready, BlockingRef, CoComm, TaskWorld, World};
+use simmpi::{drive_ready, CoComm, TaskWorld, World};
 use sion::{paropen_write_co, Mapping, SionError, SionParams};
 use vfs::{MemFs, Vfs};
 
@@ -84,7 +84,7 @@ fn mismatched_shape_fails_collectively_on_threads() {
     for (shape, deviant) in cases() {
         let fs = MemFs::with_block_size(4096);
         let out =
-            World::run(NTASKS, |c| drive_ready(open_outcome(&fs, &BlockingRef(c), shape, deviant)));
+            World::run(NTASKS, |c| drive_ready(open_outcome(&fs, c.co(), shape, deviant)));
         check(&fs, out, shape, deviant, "World");
     }
 }

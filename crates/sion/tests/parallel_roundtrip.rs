@@ -3,7 +3,7 @@
 //! the parameter space (file counts, alignments, compression, rescue,
 //! mappings, uneven chunk sizes).
 
-use simmpi::{Comm, World};
+use simmpi::World;
 use sion::{paropen_read, paropen_write, Alignment, Mapping, Multifile, SionParams};
 use std::sync::Arc;
 use vfs::{FaultKind, Faults, MemFs, TapFs, Vfs};

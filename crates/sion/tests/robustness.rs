@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use simmpi::{Comm, TaskWorld, World};
+use simmpi::{TaskWorld, World};
 use sion::format::{Trailer, IDX_FIXED_LEN, MB1_FIXED_LEN, MB2_FIXED_LEN};
 use sion::{paropen_read, paropen_read_co, paropen_write, Alignment, Multifile, SionParams};
 use vfs::{MemFs, Vfs};

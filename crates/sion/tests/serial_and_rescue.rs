@@ -2,7 +2,7 @@
 //! seek, global-view addressed reads, metadata introspection, and
 //! reconstruction of lost metablocks from rescue headers.
 
-use simmpi::{Comm, World};
+use simmpi::World;
 use sion::rescue::{repair, RESCUE_HEADER_LEN};
 use sion::{
     paropen_write, Alignment, Multifile, SerialWriter, SionError, SionParams,

@@ -4,7 +4,7 @@
 //! byte-identity of the produced multifile against the thread runtime and
 //! a four-digit-rank smoke run that would be infeasible thread-per-rank.
 
-use simmpi::{CoComm, Comm, SchedPolicy, TaskWorld, World};
+use simmpi::{CoComm, SchedPolicy, TaskWorld, World};
 use sion::{
     paropen_read_co, paropen_write, paropen_write_co, Mapping, Multifile, SionParams,
 };
@@ -132,6 +132,32 @@ fn mismatched_params_fail_collectively_on_task_runtime() {
         }
     });
     assert!(results.iter().all(|&failed| failed));
+}
+
+#[test]
+fn blocking_close_inside_a_task_world_panics_instead_of_parking() {
+    // `close` is `drive_ready(close_co())`. On a task-world worker thread the
+    // close's collective rounds park, and `drive_ready` must refuse with its
+    // misuse message instead of holding the worker thread forever.
+    let fs = MemFs::with_block_size(4096);
+    let params = SionParams::new(1024);
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        TaskWorld::run(2, |c| {
+            let fs = &fs;
+            let params = &params;
+            async move {
+                let w = paropen_write_co(fs, "misuse.sion", params, &c).await.unwrap();
+                w.close().is_ok()
+            }
+        })
+    }))
+    .expect_err("a blocking close on a task-world rank must panic");
+    let text = err
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| err.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert!(text.contains("drive_ready: future parked"), "{text:?}");
 }
 
 #[test]

@@ -146,7 +146,7 @@ mod tests {
     use crate::backend::{SionBackend, TraceBackend};
     use crate::synth::{synthetic_events, SynthConfig, REGION_MAIN};
     use crate::Tracer;
-    use simmpi::{Comm, World};
+    use simmpi::World;
     use vfs::MemFs;
 
     fn record_run(backend: &dyn TraceBackend, fs: &MemFs, ntasks: usize, cfg: &SynthConfig) {

@@ -27,7 +27,7 @@ pub trait ActiveTrace {
 /// Strategy for storing per-task traces.
 pub trait TraceBackend: Send + Sync {
     /// Collectively create/initialize this task's trace storage.
-    fn activate(&self, vfs: &dyn Vfs, comm: &dyn Comm) -> Result<Box<dyn ActiveTrace>>;
+    fn activate(&self, vfs: &dyn Vfs, comm: &Comm) -> Result<Box<dyn ActiveTrace>>;
 
     /// Path prefix (for reporting).
     fn describe(&self) -> String;
@@ -71,7 +71,7 @@ impl ActiveTrace for TaskLocalActive {
 }
 
 impl TraceBackend for TaskLocalBackend {
-    fn activate(&self, vfs: &dyn Vfs, comm: &dyn Comm) -> Result<Box<dyn ActiveTrace>> {
+    fn activate(&self, vfs: &dyn Vfs, comm: &Comm) -> Result<Box<dyn ActiveTrace>> {
         // Every task creates its own file — the contention the paper's
         // Fig. 3 and Table 2 quantify.
         let file = vfs.create(&self.path_of(comm.rank()))?;
@@ -126,7 +126,7 @@ impl ActiveTrace for SionActive {
 }
 
 impl TraceBackend for SionBackend {
-    fn activate(&self, vfs: &dyn Vfs, comm: &dyn Comm) -> Result<Box<dyn ActiveTrace>> {
+    fn activate(&self, vfs: &dyn Vfs, comm: &Comm) -> Result<Box<dyn ActiveTrace>> {
         let mut params = SionParams::new(self.chunksize).with_nfiles(self.nfiles);
         if self.compressed {
             params = params.with_compression();

@@ -10,7 +10,7 @@
 
 use mp2c::checkpoint::{read_checkpoint, write_checkpoint, Strategy};
 use mp2c::{SimConfig, Simulation};
-use simmpi::{Comm, World};
+use simmpi::World;
 use std::time::Instant;
 use vfs::{LocalFs, Vfs};
 

@@ -7,7 +7,7 @@
 //! cargo run --example multifile_tools
 //! ```
 
-use simmpi::{Comm, World};
+use simmpi::World;
 use sion::rescue::repair;
 use sion::{paropen_write, Multifile, SionParams};
 use vfs::{LocalFs, Vfs};

@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use simmpi::{Comm, World};
+use simmpi::World;
 use sionlib::{sion, vfs};
 use vfs::{LocalFs, Vfs};
 

@@ -13,7 +13,7 @@
 //! ./target/release/sionverify target/smoke/crash.sion
 //! ```
 
-use simmpi::{Comm, World};
+use simmpi::World;
 use sionlib::{sion, vfs};
 use std::sync::Arc;
 use vfs::{Faults, LocalFs, MemFs, TapFs, Vfs};

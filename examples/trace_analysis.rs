@@ -8,7 +8,7 @@
 //! cargo run --example trace_analysis
 //! ```
 
-use simmpi::{Comm, World};
+use simmpi::World;
 use tracer::{
     analyze, synthetic_events, SionBackend, SynthConfig, TaskLocalBackend, TraceBackend,
     TraceSource, Tracer,

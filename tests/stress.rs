@@ -1,7 +1,7 @@
 //! Stress tests: larger worlds and payloads than the unit suites use, to
 //! shake out scaling assumptions (these still run in seconds on MemFs).
 
-use simmpi::{Comm, ReduceOp, World};
+use simmpi::{ReduceOp, World};
 use sionlib::{sion, vfs};
 use vfs::MemFs;
 
