@@ -3,7 +3,8 @@
 # Run from the repo root. Fails fast on the first broken step.
 set -eu
 
-# What this commit did to the counter the last line prints (HEAD~1 → tree).
+# What this commit did to the counter the last line prints (HEAD~1 → tree),
+# printed once, just before it.
 src_delta() {
     delta=$(git diff --numstat HEAD~1 -- 'crates/*/src/*.rs' ':(exclude)crates/compat' 2>/dev/null |
         awk '{ d += $1 - $2 } END { printf "%+d", d }') || delta="n/a"
@@ -256,7 +257,6 @@ then
     echo "no frame arena, no \`frame_into\`, no \`recycle\` on a communicator trait: messages are plain \`Vec\`s"
     exit 1
 fi
-src_delta
 
 echo "==> structural gate: a MemFs page is one allocation (no Arc<Vec<u8>>, no dyn AsRef lease buffer in crates/vfs/src)"
 # A page is an `Arc<[u8]>` whose refcounts and bytes share one heap block,
@@ -266,7 +266,6 @@ if grep -rnE 'Arc<Vec<u8>>|dyn AsRef' crates/vfs/src; then
     echo "a MemFs page is \`Arc<[u8]>\`, built straight from the writer's slice; \`ByteLease\` holds it"
     exit 1
 fi
-src_delta
 
 echo "==> structural gate: the copy tools hand leases on (split and copy_ranks write lent runs as leases; one read_lease in stream.rs)"
 # A run the reader lent goes on with its lease — `split` through
@@ -285,7 +284,6 @@ then
     echo "\`split\` writes lent runs with \`write_lease_at\`, \`copy_ranks\` with \`RankWriter::write_run\`"
     exit 1
 fi
-src_delta
 
 echo "==> structural gate: one communicator contract (CoComm, implemented by the engine and the oracle; Comm is a handle)"
 # `CoComm` is the only communicator trait and has two implementations,
@@ -302,7 +300,28 @@ then
     echo "one communicator contract: \`CoComm\` is the trait, \`Comm\` a handle driving it with \`drive_ready\`, and both worlds share one launcher"
     exit 1
 fi
-src_delta
+
+echo "==> structural gate: one happens-before relation (one hook event, one vector-clock core, one extent-conflict rule)"
+# The runtimes report through `CheckHook::on_event(&HookEvent)`; the trait
+# has that and the `should_abort` query, nothing else. `simcheck::hb`'s
+# `ClockCore` is the only vector clock: the race engine makes each event an
+# epoch, the DPOR recorder each scheduled step. `FileAccess::conflicts` is
+# the one extent-conflict rule; DPOR's `Res::conflicts` adds only channels.
+hook_fns=$(awk '/^pub trait CheckHook/ { on = 1 }
+    on && /fn [a-z_]+/ { sub(/.*fn /, ""); sub(/[(<].*/, ""); printf "%s ", $0 }
+    on && /^}/ { exit }' crates/simmpi/src/hook.rs)
+conflict_fns=$(grep -rn 'fn conflicts\b' crates/*/src | sed 's/:[0-9]*:.*//' | tr '\n' ' ')
+if grep -rn 'struct TraceHb' crates ||
+    grep -rnE 'VecDeque<V?Clock>|fn join\b' crates/*/src | grep -v '^crates/simcheck/src/hb.rs:' ||
+    grep -rnE 'fn on_(send|recv_done|collective|collective_done|try_recv|reserved_tag|teardown|stuck|task_finish)\b' crates/*/src ||
+    [ "$hook_fns" != "on_event should_abort " ] ||
+    [ "$conflict_fns" != "crates/simcheck/src/dpor.rs crates/vfs/src/order_guard.rs " ]
+then
+    echo "CheckHook methods: $hook_fns(want: on_event should_abort)"
+    echo "fn conflicts in: $conflict_fns(want: simcheck dpor.rs for channels, vfs order_guard.rs for extents)"
+    echo "one happens-before relation: hooks match on \`HookEvent\`, ordering goes through \`hb::ClockCore\` epochs, extents conflict by \`FileAccess::conflicts\`"
+    exit 1
+fi
 
 echo "==> structural gate: a re-export has a consumer (every \`pub use\` of a library crate names something a .rs file outside that crate's src/ mentions)"
 unused=$(for c in vfs parfs simmpi sion szip tracer mp2c sion-tools simcheck; do
@@ -333,6 +352,8 @@ done)
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The counter every CHANGES.md entry quotes (net LoC is reported, not computed by hand).
+# The counter every CHANGES.md entry quotes (net LoC is reported, not computed
+# by hand), after what this commit did to it.
+src_delta
 echo "crates/*/src lines: $(find crates -path '*/src/*' -name '*.rs' -not -path '*/compat/*' | xargs cat | wc -l)"
 echo "CI OK"

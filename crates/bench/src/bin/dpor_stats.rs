@@ -13,7 +13,7 @@
 //!
 //! Writes a JSON report (default `BENCH_dpor.json`).
 
-use simcheck::{Dpor, DporOutcome, HbEngine, HookChain, Sanitizer, TapFs};
+use simcheck::{Dpor, DporOutcome, HbEngine, Sanitizer, TapFs};
 use simmpi::{CheckHook, CoComm, TaskWorld};
 use sion::{paropen_write_co, IoMode, SionParams};
 use std::sync::Arc;
@@ -35,8 +35,7 @@ fn explore(case: &Case, cap: usize) -> DporOutcome {
         let san = Arc::new(Sanitizer::new());
         let mem = Arc::new(MemFs::with_block_size(256));
         let fs = Arc::new(TapFs::new(mem, vec![engine.clone(), h.sink()]));
-        let hook: Arc<dyn CheckHook> =
-            Arc::new(HookChain::new(vec![h.recorder(), san.clone(), engine.clone()]));
+        let hook: Arc<dyn CheckHook> = Arc::new(vec![h.recorder(), san.clone(), engine.clone()]);
         let params =
             SionParams::new(96).with_alignment(sion::Alignment::None).with_io_mode(io_mode);
         let run = TaskWorld::run_driven(ranks, hook, h.driver(), |c| {

@@ -4,20 +4,23 @@
 //! this module *enumerates* it. A [`Dpor`] explorer repeatedly runs the
 //! program under a driven serial schedule ([`simmpi::ScheduleDriver`]),
 //! recording for every decision the candidate set and the *footprint* of
-//! the step that followed it — channel operations, collective rounds, and
-//! byte-extent file accesses (via [`AccessSink`]). Two steps are
-//! *dependent* when their footprints touch a shared resource (same channel
-//! key — except two poll misses, which commute — or overlapping extents
-//! with at least one write); independent steps commute, so schedules
-//! differing only in their order are equivalent and only one
-//! representative needs running.
+//! the step that followed it — channel operations and byte-extent file
+//! accesses (via [`AccessSink`]). Two steps are *dependent* when their
+//! footprints touch a shared resource: the same channel key (except two
+//! poll misses, which commute), or extents that conflict by the one rule
+//! the race engine uses too ([`FileAccess::conflicts`]). Independent steps
+//! commute, so schedules differing only in their order are equivalent and
+//! only one representative needs running.
 //!
 //! The exploration is the classic race-reversal scheme with a
-//! happens-before filter: after each run, build the trace's causal order
-//! ([`TraceHb`]: program order, send→receive edges, collective brackets),
-//! then for every step `j` find the latest earlier step `i` of a
-//! *different* task whose footprint is dependent with `j`'s and whose
-//! order is not forced through a third step. Reversing that pair may
+//! happens-before filter. The recorder orders the run as it goes, with the
+//! same clock core as the race engine ([`crate::hb`]: program order,
+//! send→receive edges, collective brackets), making every scheduled step
+//! one epoch from the `choose` that starts it: step `i` happens before step
+//! `j` iff `j`'s clock has seen `i`'s tick of its task. After each run, for
+//! every step `j` find the latest earlier step `i` of a *different* task
+//! whose footprint is dependent with `j`'s and whose order is not forced
+//! through a third step. Reversing that pair may
 //! expose new behaviour, so the prefix `decisions[..i]` extended with
 //! `j`'s task (or, when `j`'s task was not runnable at `i`, with every
 //! other candidate — the conservative fallback) is queued as a backtrack
@@ -40,14 +43,13 @@
 //! `sion::par` protocol with the operating system choosing the
 //! interleaving, so DPOR coverage of the protocol transfers to it.
 
+use crate::hb::{Chan, ClockCore, Edge, VClock};
 use crate::report::{CheckFailure, ScheduleCfg};
 use crate::sched::digest_task_run;
-use simmpi::{CheckHook, CollKind, CommCtx, LeakedMsg};
-use simmpi::{Sanitizer, ScheduleDriver};
+use simmpi::{CheckHook, HookEvent, Sanitizer, ScheduleDriver};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
-use vfs::{AccessKind, AccessSink, FileAccess, Tap};
+use vfs::{AccessSink, FileAccess, Tap};
 
 /// What a channel footprint entry did on its mailbox key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,249 +65,164 @@ enum ChanOp {
 /// One resource touched by a scheduled step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Res {
-    /// A message-channel operation on the `(comm, from, to, tag)` mailbox
-    /// key.
-    Chan { comm: u64, from: usize, to: usize, tag: u64, op: ChanOp },
-    /// A collective bracket event on `(comm, seq)` — never a *conflict*
-    /// (entries commute, and no scheduler can move an exit before an
-    /// entry), but the entry→exit edges feed the happens-before filter.
-    Coll { comm: u64, seq: u64, exit: bool },
-    /// A byte-extent file access. `shadow` marks writes that land in a
-    /// per-task shadow stream rather than the shared physical file.
-    Extent { path: String, offset: u64, len: u64, write: bool, shadow: bool },
+    /// A message-channel operation on a `(comm, from, to, tag)` mailbox key.
+    Chan(Chan, ChanOp),
+    /// A byte-extent file access.
+    Extent(FileAccess),
 }
 
 impl Res {
     fn conflicts(&self, other: &Res) -> bool {
         match (self, other) {
-            (
-                Res::Chan { comm: ca, from: fa, to: ta, tag: ga, op: oa },
-                Res::Chan { comm: cb, from: fb, to: tb, tag: gb, op: ob },
-            ) => {
-                // Two misses both observe "empty" — they commute. Any
-                // other same-key pair does not: send/send changes FIFO
-                // order, send/recv and send/poll flip what is observable,
-                // recv/recv changes who gets which message.
-                (ca, fa, ta, ga) == (cb, fb, tb, gb)
-                    && !(*oa == ChanOp::Poll && *ob == ChanOp::Poll)
+            // Two misses both observe "empty" — they commute. Any other
+            // same-key pair does not: send/send changes FIFO order,
+            // send/recv and send/poll flip what is observable, recv/recv
+            // changes who gets which message.
+            (Res::Chan(a, oa), Res::Chan(b, ob)) => {
+                a == b && !(*oa == ChanOp::Poll && *ob == ChanOp::Poll)
             }
-            (
-                Res::Extent { path: pa, offset: oa, len: la, write: wa, shadow: sa },
-                Res::Extent { path: pb, offset: ob, len: lb, write: wb, shadow: sb },
-            ) => {
-                // A shadow write touches a private buffer, not the shared
-                // file — it can only interfere with another shadow access,
-                // never with the physical bytes (mirrors the HbEngine's
-                // shadow-vs-physical exemption).
-                sa == sb && (*wa || *wb) && pa == pb && oa < &(ob + lb) && ob < &(oa + la)
-            }
+            (Res::Extent(a), Res::Extent(b)) => a.conflicts(b),
             _ => false,
         }
     }
 }
 
 /// One scheduling decision with everything the analysis needs: who ran,
-/// who *could* have run, and what the step touched.
-#[derive(Debug, Clone)]
+/// who *could* have run, what the step touched, and where it sits in the
+/// run's happens-before order.
+#[derive(Debug, Clone, Default)]
 struct StepRec {
     chosen: usize,
     candidates: Vec<usize>,
     fp: Vec<Res>,
+    /// The step's happens-before edges, applied as one epoch when it ends.
+    edges: Vec<Edge>,
+    /// The chosen task's clock after that epoch.
+    clock: VClock,
 }
 
 impl StepRec {
     fn dependent(&self, other: &StepRec) -> bool {
         self.fp.iter().any(|a| other.fp.iter().any(|b| a.conflicts(b)))
     }
+
+    /// Whether this step happens before the `later` one: `later` has seen
+    /// this step's tick of its task.
+    fn happens_before(&self, later: &StepRec) -> bool {
+        let t = self.chosen as u64;
+        later.clock.get(t) >= self.clock.get(t)
+    }
+}
+
+/// Is the dependent pair `(i, j)` a *reversible* race — ordered by no third
+/// step `z` with `i → z → j`? A pair ordered only by its own direct edge (a
+/// send and the receive/poll that consumed it) still swaps to a legal
+/// schedule in which the consumer runs first and misses; a pair ordered
+/// through an intermediate step can never be reversed by any legal schedule,
+/// so queueing a backtrack point for it is pure waste — this filter is what
+/// keeps the aggregation protocol's exploration finite.
+fn reversible(steps: &[StepRec], i: usize, j: usize) -> bool {
+    !(i + 1..j).any(|z| steps[i].happens_before(&steps[z]) && steps[z].happens_before(&steps[j]))
 }
 
 #[derive(Default)]
 struct RecState {
     prefix: Vec<usize>,
     steps: Vec<StepRec>,
+    /// The run's happens-before clocks, one epoch per step.
+    clocks: ClockCore,
+}
+
+impl RecState {
+    /// End the open step: its edges become one epoch of its task.
+    fn close_step(&mut self) {
+        if let Some(s) = self.steps.last_mut() {
+            let edges = std::mem::take(&mut s.edges);
+            s.clock = self.clocks.epoch(s.chosen as u64, &edges).clone();
+        }
+    }
 }
 
 /// The per-run instrument: schedule driver (forces the current prefix,
-/// then lowest-candidate), passive hook (channel/collective footprints)
-/// and access sink (extent footprints) in one object.
+/// then lowest-candidate), passive hook (channel footprints and
+/// happens-before edges) and access sink (extent footprints) in one object.
 #[derive(Default)]
-pub struct Recorder {
+struct Recorder {
     st: Mutex<RecState>,
 }
 
 impl Recorder {
+    fn lock(&self) -> std::sync::MutexGuard<'_, RecState> {
+        self.st.lock().expect("recorder lock")
+    }
+
     fn reset(&self, prefix: Vec<usize>) {
-        let mut g = self.st.lock().expect("recorder lock");
-        g.prefix = prefix;
-        g.steps.clear();
+        *self.lock() = RecState { prefix, ..RecState::default() };
     }
 
     fn take(&self) -> Vec<StepRec> {
-        std::mem::take(&mut self.st.lock().expect("recorder lock").steps)
+        let mut g = self.lock();
+        g.close_step();
+        std::mem::take(&mut g.steps)
     }
 
-    fn touch(&self, r: Res) {
-        let mut g = self.st.lock().expect("recorder lock");
-        if let Some(s) = g.steps.last_mut() {
-            s.fp.push(r);
+    /// Add to the open step's footprint and edges (nothing runs outside a
+    /// step).
+    fn touch(&self, res: Option<Res>, edge: Option<Edge>) {
+        if let Some(s) = self.lock().steps.last_mut() {
+            s.fp.extend(res);
+            s.edges.extend(edge);
         }
     }
 }
 
 impl ScheduleDriver for Recorder {
     fn choose(&self, step: usize, candidates: &[usize]) -> usize {
-        let mut g = self.st.lock().expect("recorder lock");
+        let mut g = self.lock();
         debug_assert_eq!(step, g.steps.len(), "driver calls arrive in step order");
+        g.close_step();
         let chosen = g
             .prefix
             .get(step)
             .copied()
             .filter(|c| candidates.contains(c))
             .unwrap_or(candidates[0]);
-        g.steps.push(StepRec { chosen, candidates: candidates.to_vec(), fp: Vec::new() });
+        g.steps.push(StepRec { chosen, candidates: candidates.to_vec(), ..StepRec::default() });
         chosen
     }
 }
 
 impl CheckHook for Recorder {
-    fn on_send(&self, comm: &CommCtx, from: usize, to: usize, tag: u64, _payload: &[u8]) {
-        self.touch(Res::Chan { comm: comm.id, from, to, tag, op: ChanOp::Send });
-    }
-
-    fn on_recv_done(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, _payload: &[u8]) {
-        self.touch(Res::Chan { comm: comm.id, from: src, to: rank, tag, op: ChanOp::Recv });
-    }
-
-    fn on_try_recv(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, hit: bool) {
-        // A hit is followed by `on_recv_done`, which records the consume;
-        // only the miss needs its own entry (it is still dependent with
-        // the send that would have satisfied it — reordering them flips
+    fn on_event(&self, ev: &HookEvent<'_>) {
+        // Collective brackets order steps but never conflict: entries
+        // commute, and no scheduler can move an exit before an entry. A
+        // `try_recv` hit is followed by `RecvDone`, which records the
+        // consume; only the miss needs its own entry (it is still dependent
+        // with the send that would have satisfied it — reordering them flips
         // the poll's outcome — but two misses commute).
-        if !hit {
-            self.touch(Res::Chan { comm: comm.id, from: src, to: rank, tag, op: ChanOp::Poll });
+        let edge = Edge::of(ev);
+        let res = match (edge, *ev) {
+            (Some(Edge::Send(chan)), _) => Some(Res::Chan(chan, ChanOp::Send)),
+            (Some(Edge::Recv(chan)), _) => Some(Res::Chan(chan, ChanOp::Recv)),
+            (_, HookEvent::TryRecv { comm, rank, src, tag, hit: false }) => {
+                Some(Res::Chan((comm.id, src, rank, tag), ChanOp::Poll))
+            }
+            _ => None,
+        };
+        if res.is_some() || edge.is_some() {
+            self.touch(res, edge);
         }
-    }
-
-    fn on_collective(
-        &self,
-        comm: &CommCtx,
-        _rank: usize,
-        seq: u64,
-        _kind: CollKind,
-        _root: Option<usize>,
-    ) {
-        self.touch(Res::Coll { comm: comm.id, seq, exit: false });
-    }
-
-    fn on_collective_done(&self, comm: &CommCtx, _rank: usize, seq: u64) {
-        self.touch(Res::Coll { comm: comm.id, seq, exit: true });
     }
 }
 
 impl AccessSink for Recorder {
     fn on_access(&self, access: &FileAccess) {
-        self.touch(Res::Extent {
-            path: access.path.clone(),
-            offset: access.offset,
-            len: access.len,
-            write: !matches!(access.kind, AccessKind::Read),
-            shadow: matches!(access.kind, AccessKind::ShadowWrite),
-        });
+        self.touch(Some(Res::Extent(access.clone())), None);
     }
 }
 
-/// The happens-before relation of one executed trace: program order,
-/// send→receive message edges (FIFO per channel key) and collective
-/// entry→exit barriers, transitively closed with vector clocks. A
-/// dependent pair already ordered *through a third step* can never be
-/// reversed by any legal schedule, so queueing a backtrack point for it is
-/// pure waste — this filter is what keeps the aggregation protocol's
-/// exploration finite.
-struct TraceHb {
-    /// `ordered[i][j]` (for `i < j`): step `i` happens-before step `j`.
-    ordered: Vec<Vec<bool>>,
-}
-
-type Clock = std::collections::BTreeMap<usize, usize>;
-
-fn join(into: &mut Clock, other: &Clock) {
-    for (t, k) in other {
-        let e = into.entry(*t).or_default();
-        *e = (*e).max(*k);
-    }
-}
-
-impl TraceHb {
-    fn build(steps: &[StepRec]) -> TraceHb {
-        use std::collections::{BTreeMap, VecDeque};
-        let mut task_clock: BTreeMap<usize, Clock> = BTreeMap::new();
-        let mut sends: BTreeMap<(u64, usize, usize, u64), VecDeque<Clock>> = BTreeMap::new();
-        let mut coll_entries: BTreeMap<(u64, u64), Clock> = BTreeMap::new();
-        let mut clocks: Vec<Clock> = Vec::with_capacity(steps.len());
-        // Step `s` is the `nth[s]`-th step (1-based) of its task.
-        let mut nth: Vec<usize> = Vec::with_capacity(steps.len());
-        for s in steps {
-            let mut c = task_clock.get(&s.chosen).cloned().unwrap_or_default();
-            for r in &s.fp {
-                match r {
-                    Res::Chan { comm, from, to, tag, op: ChanOp::Recv } => {
-                        // FIFO per key: this receive consumed the oldest
-                        // unconsumed send, inheriting its clock.
-                        if let Some(sc) =
-                            sends.get_mut(&(*comm, *from, *to, *tag)).and_then(VecDeque::pop_front)
-                        {
-                            join(&mut c, &sc);
-                        }
-                    }
-                    Res::Coll { comm, seq, exit: true } => {
-                        // A collective exit is ordered after every entry of
-                        // the same round.
-                        if let Some(e) = coll_entries.get(&(*comm, *seq)) {
-                            join(&mut c, e);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            *c.entry(s.chosen).or_default() += 1;
-            for r in &s.fp {
-                match r {
-                    Res::Chan { comm, from, to, tag, op: ChanOp::Send } => {
-                        sends.entry((*comm, *from, *to, *tag)).or_default().push_back(c.clone());
-                    }
-                    Res::Coll { comm, seq, exit: false } => {
-                        join(coll_entries.entry((*comm, *seq)).or_default(), &c);
-                    }
-                    _ => {}
-                }
-            }
-            nth.push(c[&s.chosen]);
-            clocks.push(c.clone());
-            task_clock.insert(s.chosen, c);
-        }
-        let n = steps.len();
-        let mut ordered = vec![vec![false; n]; n];
-        for j in 0..n {
-            for i in 0..j {
-                ordered[i][j] = clocks[j].get(&steps[i].chosen).copied().unwrap_or(0) >= nth[i];
-            }
-        }
-        TraceHb { ordered }
-    }
-
-    /// Is the dependent pair `(i, j)` a *reversible* race — ordered by no
-    /// third step `z` with `i → z → j`? A pair ordered only by its own
-    /// direct edge (a send and the receive/poll that consumed it) still
-    /// swaps to a legal schedule in which the consumer runs first and
-    /// misses; a pair ordered through an intermediate step cannot be
-    /// reversed at all.
-    fn reversible(&self, i: usize, j: usize) -> bool {
-        !(i + 1..j).any(|z| self.ordered[i][z] && self.ordered[z][j])
-    }
-}
-
-/// Handle passed to the per-run closure: the three faces of the shared
-/// [`Recorder`], ready to wire into `run_driven`, a [`HookChain`], and a
+/// Handle passed to the per-run closure: the three faces of the run's one
+/// recorder, ready to wire into `run_driven`, a hook list, and a
 /// [`TapFs`](vfs::TapFs) tap list.
 pub struct DporHarness {
     rec: Arc<Recorder>,
@@ -317,8 +234,8 @@ impl DporHarness {
         self.rec.clone()
     }
 
-    /// The footprint-recording hook; chain it with a fresh [`Sanitizer`]
-    /// (and any other passive hook) via [`HookChain`].
+    /// The footprint-recording hook; list it with a fresh [`Sanitizer`]
+    /// (and any other passive hook) in a `Vec<Arc<dyn CheckHook>>`.
     pub fn recorder(&self) -> Arc<dyn CheckHook> {
         self.rec.clone()
     }
@@ -327,6 +244,26 @@ impl DporHarness {
     /// file I/O.
     pub fn sink(&self) -> Arc<dyn Tap> {
         self.rec.clone()
+    }
+
+    /// One driven run of a plain `TaskWorld` program with a fresh
+    /// [`Sanitizer`] beside the recorder: its values land in `vals`, a
+    /// finding comes back as the run's failure.
+    pub(crate) fn run_sanitized<T, F, Fut>(
+        &self,
+        ntasks: usize,
+        f: F,
+        vals: &mut Option<Vec<T>>,
+    ) -> Option<Box<CheckFailure>>
+    where
+        T: Send,
+        F: Fn(simmpi::TaskComm) -> Fut,
+        Fut: std::future::Future<Output = T> + Send,
+    {
+        let san = Arc::new(Sanitizer::new());
+        let hook: Arc<dyn CheckHook> = Arc::new(vec![self.recorder(), san.clone()]);
+        let run = simmpi::TaskWorld::run_driven(ntasks, hook, self.driver(), f);
+        digest_task_run(ntasks, ScheduleCfg::Dpor, &san, run).map(|v| *vals = Some(v)).err()
     }
 }
 
@@ -417,7 +354,6 @@ impl Dpor {
                 out.failure = Some(f);
                 break;
             }
-            let hb = TraceHb::build(&steps);
             for j in 0..steps.len() {
                 // Latest earlier dependent step of a different task whose
                 // order is actually reversible: the race to reverse.
@@ -426,7 +362,7 @@ impl Dpor {
                 let Some(i) = (0..j).rev().find(|&i| {
                     steps[i].chosen != steps[j].chosen
                         && steps[i].dependent(&steps[j])
-                        && hb.reversible(i, j)
+                        && reversible(&steps, i, j)
                 }) else {
                     continue;
                 };
@@ -488,100 +424,10 @@ impl Dpor {
         Fut: std::future::Future<Output = T> + Send,
     {
         let mut vals = None;
-        let failure = Self::replay(schedule, |h| {
-            let san = Arc::new(Sanitizer::new());
-            let hook: Arc<dyn CheckHook> = Arc::new(HookChain::new(vec![h.recorder(), san.clone()]));
-            let run = simmpi::TaskWorld::run_driven(ntasks, hook, h.driver(), &f);
-            match digest_task_run(ntasks, ScheduleCfg::Dpor, &san, run) {
-                Ok(v) => {
-                    vals = Some(v);
-                    None
-                }
-                Err(e) => Some(e),
-            }
-        });
+        let failure = Self::replay(schedule, |h| h.run_sanitized(ntasks, &f, &mut vals));
         match failure {
             Some(e) => Err(e),
             None => Ok(vals.expect("replay ran exactly once")),
-        }
-    }
-}
-
-/// Fan-out of one runtime hook slot to several hooks — the driven
-/// runs need the [`Recorder`]'s footprints *and* the [`Sanitizer`]'s
-/// diagnoses (and, under `SIMCHECK`, an `HbEngine`) from the same run.
-pub struct HookChain(Vec<Arc<dyn CheckHook>>);
-
-impl HookChain {
-    /// Chain `hooks`; every event is forwarded to each in order.
-    pub fn new(hooks: Vec<Arc<dyn CheckHook>>) -> Self {
-        HookChain(hooks)
-    }
-}
-
-impl CheckHook for HookChain {
-    fn on_collective(
-        &self,
-        comm: &CommCtx,
-        rank: usize,
-        seq: u64,
-        kind: CollKind,
-        root: Option<usize>,
-    ) {
-        for h in &self.0 {
-            h.on_collective(comm, rank, seq, kind, root);
-        }
-    }
-
-    fn on_collective_done(&self, comm: &CommCtx, rank: usize, seq: u64) {
-        for h in &self.0 {
-            h.on_collective_done(comm, rank, seq);
-        }
-    }
-
-    fn on_send(&self, comm: &CommCtx, from: usize, to: usize, tag: u64, payload: &[u8]) {
-        for h in &self.0 {
-            h.on_send(comm, from, to, tag, payload);
-        }
-    }
-
-    fn on_recv_done(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, payload: &[u8]) {
-        for h in &self.0 {
-            h.on_recv_done(comm, rank, src, tag, payload);
-        }
-    }
-
-    fn on_try_recv(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, hit: bool) {
-        for h in &self.0 {
-            h.on_try_recv(comm, rank, src, tag, hit);
-        }
-    }
-
-    fn on_reserved_tag(&self, comm: &CommCtx, rank: usize, dest: usize, tag: u64) {
-        for h in &self.0 {
-            h.on_reserved_tag(comm, rank, dest, tag);
-        }
-    }
-
-    fn on_teardown(&self, comm: &CommCtx, rank: usize, leaked: &[LeakedMsg]) {
-        for h in &self.0 {
-            h.on_teardown(comm, rank, leaked);
-        }
-    }
-
-    fn should_abort(&self) -> Option<String> {
-        self.0.iter().find_map(|h| h.should_abort())
-    }
-
-    fn on_stuck(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, waited: Duration) {
-        for h in &self.0 {
-            h.on_stuck(comm, rank, src, tag, waited);
-        }
-    }
-
-    fn on_task_finish(&self, task: usize, panicked: bool) {
-        for h in &self.0 {
-            h.on_task_finish(task, panicked);
         }
     }
 }
@@ -618,8 +464,7 @@ mod tests {
         let outcomes: Mutex<BTreeSet<bool>> = Mutex::new(BTreeSet::new());
         let out = Dpor::default().explore(|h| {
             let san = Arc::new(Sanitizer::new());
-            let hook: Arc<dyn CheckHook> =
-                Arc::new(HookChain::new(vec![h.recorder(), san.clone()]));
+            let hook: Arc<dyn CheckHook> = Arc::new(vec![h.recorder(), san.clone()]);
             let run = simmpi::TaskWorld::run_driven(2, hook, h.driver(), |c| async move {
                 if c.rank() == 0 {
                     c.send(1, 7, b"x");

@@ -1,35 +1,26 @@
-//! Vector-clock happens-before engine.
+//! The happens-before relation: one vector-clock core, and the race engine
+//! built on it.
 //!
-//! [`HbEngine`] is a **passive** [`CheckHook`] + [`AccessSink`] pair: it
-//! listens to every `simmpi` event (sends, completed receives, collective
-//! entry/exit brackets, task finishes) to maintain one vector clock per
-//! world task, and to every byte-extent access a [`TapFs`](vfs::TapFs)
-//! reports to it as an [`AccessSink`], to decide whether conflicting accesses
-//! are *ordered* by the protocol. Two conflicting extents with no
-//! happens-before path between them are a data race — exactly the
-//! ordering form of the paper's §3.2 invariant that the aggregated I/O
-//! mode relies on (several logical writers per file, serialized by the
-//! ship/ack message edges rather than by block ownership).
+//! `ClockCore` keeps one [`VClock`] per world task, a FIFO of send
+//! snapshots per `(comm, from, to, tag)` channel (mailbox matching is FIFO
+//! per channel, so each receive pairs with its true send) and the joined
+//! entry clocks of every `(comm, seq)` collective. It advances in *epochs*:
+//! an epoch of task `t` joins the oldest snapshot of every receive and the
+//! entries of every collective exit, ticks `t` once, pushes the result for
+//! every send and joins it into every collective entry, and stores it as
+//! `t`'s clock. Every entry of a collective thus happens before every exit —
+//! exact for the flat runtime's slot rendezvous, a sound superset for the
+//! tree, whose real edges the message rule already covers. [`HbEngine`]
+//! makes every event and file access its own epoch; the DPOR recorder
+//! ([`crate::dpor`]) makes every scheduled step one epoch, so a message sent
+//! in a step carries what the step received after sending it.
 //!
-//! # The happens-before relation
-//!
-//! * **program order** — every observed event of a task ticks the task's
-//!   own clock component, so a task's later events dominate its earlier
-//!   ones;
-//! * **message edges** — [`on_send`](CheckHook::on_send) pushes the
-//!   sender's clock snapshot onto a per-`(comm, from, to, tag)` FIFO;
-//!   [`on_recv_done`](CheckHook::on_recv_done) pops and joins it. Mailbox
-//!   matching is FIFO per `(source, tag)`, so the queues pair each receive
-//!   with its true send. This covers user messages *and* the runtimes'
-//!   internal collective tree frames;
-//! * **collective brackets** — the flat runtimes' slot-based collectives
-//!   exchange no mailbox messages, so the engine also joins, at each
-//!   rank's collective *exit* ([`on_collective_done`]
-//!   (CheckHook::on_collective_done)), the accumulated entry clocks of
-//!   that `(comm, seq)` collective: every entry happens-before every
-//!   exit. For rendezvous collectives this is exact; for tree collectives
-//!   it is a sound superset of the true dependence (the real tree edges
-//!   are already covered by the message rule).
+//! [`HbEngine`] is a **passive** [`CheckHook`] + [`AccessSink`] pair: two
+//! conflicting ([`FileAccess::conflicts`]) extents of different tasks, as a
+//! [`TapFs`](vfs::TapFs) reports them, with no happens-before path between
+//! them are a data race — the ordering form of the paper's §3.2 invariant
+//! that the aggregated I/O mode relies on (several logical writers per
+//! file, serialized by the ship/ack edges rather than by block ownership).
 //!
 //! # Shadow writes and ack durability
 //!
@@ -46,13 +37,12 @@
 //! acking a shipment *before* its bytes reach the VFS is reported with the
 //! member's shadow site and the uncovered byte range.
 //!
-//! Shadow-vs-physical overlaps are exempt from the race check (they are
-//! ordered by the ship edge and checked by the obligation rule instead);
-//! shadow-vs-shadow overlaps between two members are a race — two members
-//! believe they own the same logical bytes.
+//! Shadow-vs-physical overlaps do not conflict (they are ordered by the
+//! ship edge and checked by the obligation rule instead); shadow-vs-shadow
+//! overlaps between two members are a race — two members believe they own
+//! the same logical bytes.
 
-use simmpi::{CheckHook, CollKind, CommCtx};
-use simmpi::{AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK};
+use simmpi::{CheckHook, HookEvent, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Mutex;
@@ -92,6 +82,81 @@ impl fmt::Display for VClock {
             write!(f, "{t}:{v}")?;
         }
         write!(f, "}}")
+    }
+}
+
+/// A message channel, `(comm, from, to, tag)`: mailbox matching is FIFO
+/// per channel.
+pub(crate) type Chan = (u64, usize, usize, u64);
+
+/// What one event contributes to the happens-before relation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Edge {
+    /// Pushed a message: the epoch's clock is its snapshot.
+    Send(Chan),
+    /// Took a message: the epoch joins the channel's oldest snapshot.
+    Recv(Chan),
+    /// Entered collective `(comm, seq)`: the epoch's clock joins its entries.
+    Enter(u64, u64),
+    /// Left collective `(comm, seq)`: the epoch joins its entries so far.
+    Exit(u64, u64),
+}
+
+impl Edge {
+    /// The edge `ev` contributes, if it orders anything.
+    pub(crate) fn of(ev: &HookEvent<'_>) -> Option<Edge> {
+        Some(match *ev {
+            HookEvent::Send { comm, from, to, tag, .. } => Edge::Send((comm.id, from, to, tag)),
+            HookEvent::RecvDone { comm, rank, src, tag, .. } => {
+                Edge::Recv((comm.id, src, rank, tag))
+            }
+            HookEvent::Collective { comm, seq, .. } => Edge::Enter(comm.id, seq),
+            HookEvent::CollectiveDone { comm, seq, .. } => Edge::Exit(comm.id, seq),
+            _ => return None,
+        })
+    }
+}
+
+/// The vector-clock core; see the module docs.
+#[derive(Default)]
+pub(crate) struct ClockCore {
+    /// Per world task vector clocks.
+    tasks: BTreeMap<u64, VClock>,
+    /// In-flight send snapshots, FIFO per channel.
+    chans: BTreeMap<Chan, VecDeque<VClock>>,
+    /// Accumulated entry clocks per `(comm, seq)` collective.
+    colls: BTreeMap<(u64, u64), VClock>,
+}
+
+impl ClockCore {
+    /// One epoch of `task` over `edges` (joins, one tick, publishes);
+    /// returns the task's new clock.
+    pub(crate) fn epoch(&mut self, task: u64, edges: &[Edge]) -> &VClock {
+        let clock = self.tasks.entry(task).or_default();
+        for edge in edges {
+            match *edge {
+                Edge::Recv(chan) => {
+                    if let Some(snap) = self.chans.get_mut(&chan).and_then(VecDeque::pop_front) {
+                        clock.join(&snap);
+                    }
+                }
+                Edge::Exit(comm, seq) => {
+                    if let Some(entries) = self.colls.get(&(comm, seq)) {
+                        clock.join(entries);
+                    }
+                }
+                Edge::Send(_) | Edge::Enter(..) => {}
+            }
+        }
+        clock.tick(task);
+        for edge in edges {
+            match *edge {
+                Edge::Send(chan) => self.chans.entry(chan).or_default().push_back(clock.clone()),
+                Edge::Enter(comm, seq) => self.colls.entry((comm, seq)).or_default().join(clock),
+                Edge::Recv(_) | Edge::Exit(..) => {}
+            }
+        }
+        clock
     }
 }
 
@@ -170,12 +235,8 @@ const KEEP: usize = 32;
 
 #[derive(Default)]
 struct HbState {
-    /// Per world task vector clocks.
-    clocks: BTreeMap<u64, VClock>,
-    /// In-flight send snapshots, FIFO per `(comm, from, to, tag)`.
-    chan: BTreeMap<(u64, usize, usize, u64), VecDeque<VClock>>,
-    /// Accumulated entry clocks per `(comm, seq)` collective.
-    coll: BTreeMap<(u64, u64), VClock>,
+    /// The happens-before clocks, one epoch per event or access.
+    core: ClockCore,
     /// Recorded accesses per path, in observation order.
     accesses: BTreeMap<String, Vec<RaceSite>>,
     /// Physically written byte intervals per path (start → end, merged).
@@ -191,10 +252,6 @@ struct HbState {
 }
 
 impl HbState {
-    fn clock(&mut self, task: u64) -> &mut VClock {
-        self.clocks.entry(task).or_default()
-    }
-
     /// Record `[start, end)` as physically written at `path`, merging with
     /// adjacent/overlapping intervals.
     fn mark_written(&mut self, path: &str, start: u64, end: u64) {
@@ -231,22 +288,38 @@ impl HbState {
         }
         None
     }
-}
 
-/// Whether two access kinds conflict when their extents overlap and the
-/// tasks differ. Shadow-vs-physical pairs are exempt: the ship edge orders
-/// them and the ack-durability rule checks them instead.
-fn conflicts(a: AccessKind, b: AccessKind) -> bool {
-    use AccessKind::*;
-    matches!(
-        (a, b),
-        (Write, Write) | (Read, Write) | (Write, Read) | (ShadowWrite, ShadowWrite)
-    )
+    /// `task` sent `payload` on `chan`: a ship frame binds the member's
+    /// pending shadow extents to its sequence number, a success ack checks
+    /// that every bound extent is physically written.
+    fn ship_or_ack(&mut self, task: u64, (comm, from, to, tag): Chan, payload: &[u8]) {
+        let ns = tag & COLL_TAG_MASK;
+        if ns == AGG_SHIP_TAG_PREFIX && payload.len() >= 8 {
+            let seq = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
+            let pending = self.pending_shadow.remove(&task).unwrap_or_default();
+            self.obligations.entry((comm, from, seq)).or_default().extend(pending);
+        } else if ns == AGG_ACK_TAG_PREFIX && payload.len() >= 16 {
+            let seq = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
+            let status = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
+            // `to` is the member being acked; a failed channel (nonzero
+            // status) promises no durability.
+            let obligations = self.obligations.remove(&(comm, to, seq)).unwrap_or_default();
+            for ob in obligations.into_iter().filter(|_| status == 0) {
+                let missing = self.first_uncovered(&ob.path, ob.offset, ob.offset + ob.len);
+                let Some(missing) = missing else { continue };
+                self.acks_total += 1;
+                if self.acks.len() < KEEP {
+                    let v = AckViolation { obligation: ob, seq, acker: Some(task), missing };
+                    self.acks.push(v);
+                }
+            }
+        }
+    }
 }
 
 /// The happens-before engine; see the module docs. Install the same
-/// instance as the run's [`CheckHook`] (or chain it from one) and as the
-/// tap in the [`TapFs`](vfs::TapFs) the run does its I/O through.
+/// instance as (or among) the run's [`CheckHook`]s and as the tap in the
+/// [`TapFs`](vfs::TapFs) the run does its I/O through.
 #[derive(Default)]
 pub struct HbEngine {
     inner: Mutex<HbState>,
@@ -314,95 +387,22 @@ impl HbEngine {
             panic!("simcheck hb: {}", self.stable_report(ctx));
         }
     }
-
-    fn acting_task() -> Option<u64> {
-        simmpi::current_task().map(|t| t as u64)
-    }
 }
 
 impl CheckHook for HbEngine {
-    fn on_send(&self, comm: &CommCtx, from: usize, to: usize, tag: u64, payload: &[u8]) {
-        let Some(task) = Self::acting_task() else { return };
-        let mut g = self.lock();
-        g.clock(task).tick(task);
-        let snap = g.clock(task).clone();
-        g.chan.entry((comm.id, from, to, tag)).or_default().push_back(snap);
-        let ns = tag & COLL_TAG_MASK;
-        if ns == AGG_SHIP_TAG_PREFIX && payload.len() >= 8 {
-            // Bind the member's pending shadow extents to this shipment.
-            let seq = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-            let pending = g.pending_shadow.remove(&task).unwrap_or_default();
-            g.obligations.entry((comm.id, from, seq)).or_default().extend(pending);
-        } else if ns == AGG_ACK_TAG_PREFIX && payload.len() >= 16 {
-            let seq = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-            let status = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
-            // `to` is the member being acked; a failed channel (nonzero
-            // status) promises no durability.
-            let obligations = g.obligations.remove(&(comm.id, to, seq)).unwrap_or_default();
-            if status == 0 {
-                for ob in obligations {
-                    let missing =
-                        g.first_uncovered(&ob.path, ob.offset, ob.offset + ob.len);
-                    if let Some(missing) = missing {
-                        g.acks_total += 1;
-                        if g.acks.len() < KEEP {
-                            let v = AckViolation {
-                                obligation: ob,
-                                seq,
-                                acker: Some(task),
-                                missing,
-                            };
-                            g.acks.push(v);
-                        }
-                    }
-                }
-            }
+    fn on_event(&self, ev: &HookEvent<'_>) {
+        // A finish carries its task; every other event is the acting rank's.
+        if let HookEvent::TaskFinish { task, .. } = *ev {
+            self.lock().core.epoch(task as u64, &[]);
+            return;
         }
-    }
-
-    fn on_recv_done(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, _payload: &[u8]) {
-        let Some(task) = Self::acting_task() else { return };
+        let Some(edge) = Edge::of(ev) else { return };
+        let Some(task) = simmpi::current_task().map(|t| t as u64) else { return };
         let mut g = self.lock();
-        let snap = g
-            .chan
-            .get_mut(&(comm.id, src, rank, tag))
-            .and_then(|q| q.pop_front());
-        let clock = g.clock(task);
-        if let Some(snap) = snap {
-            clock.join(&snap);
+        g.core.epoch(task, &[edge]);
+        if let (Edge::Send(chan), HookEvent::Send { payload, .. }) = (edge, *ev) {
+            g.ship_or_ack(task, chan, payload);
         }
-        clock.tick(task);
-    }
-
-    fn on_collective(
-        &self,
-        comm: &CommCtx,
-        _rank: usize,
-        seq: u64,
-        _kind: CollKind,
-        _root: Option<usize>,
-    ) {
-        let Some(task) = Self::acting_task() else { return };
-        let mut g = self.lock();
-        g.clock(task).tick(task);
-        let snap = g.clock(task).clone();
-        g.coll.entry((comm.id, seq)).or_default().join(&snap);
-    }
-
-    fn on_collective_done(&self, comm: &CommCtx, _rank: usize, seq: u64) {
-        let Some(task) = Self::acting_task() else { return };
-        let mut g = self.lock();
-        let acc = g.coll.get(&(comm.id, seq)).cloned();
-        let clock = g.clock(task);
-        if let Some(acc) = acc {
-            clock.join(&acc);
-        }
-        clock.tick(task);
-    }
-
-    fn on_task_finish(&self, task: usize, _panicked: bool) {
-        let mut g = self.lock();
-        g.clock(task as u64).tick(task as u64);
     }
 }
 
@@ -410,8 +410,8 @@ impl AccessSink for HbEngine {
     fn on_access(&self, access: &FileAccess) {
         let task = access.task;
         let mut g = self.lock();
-        g.clock(task).tick(task);
-        let site = RaceSite { access: access.clone(), clock: g.clock(task).clone() };
+        let clock = g.core.epoch(task, &[]).clone();
+        let site = RaceSite { access: access.clone(), clock };
         match access.kind {
             AccessKind::Write => {
                 g.mark_written(&access.path, access.offset, access.offset + access.len);
@@ -429,8 +429,7 @@ impl AccessSink for HbEngine {
         let mut found: Vec<HbRace> = Vec::new();
         for p in prior.iter() {
             if p.access.task != task
-                && conflicts(p.access.kind, access.kind)
-                && p.access.overlaps(&site.access)
+                && p.access.conflicts(&site.access)
                 && p.clock.get(p.access.task) > site.clock.get(p.access.task)
             {
                 found.push(HbRace { a: p.clone(), b: site.clone() });
@@ -446,7 +445,7 @@ impl AccessSink for HbEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::CoComm;
+    use simmpi::{CoComm, CollKind, CommCtx};
     use std::sync::Arc;
 
     fn ctx(name: &str, size: usize) -> CommCtx {
@@ -476,6 +475,10 @@ mod tests {
             .expect("world has ranks")
             .expect("no panic")
             .expect("acting rank produced the value")
+    }
+
+    fn send(eng: &HbEngine, comm: &CommCtx, from: usize, to: usize, tag: u64, payload: &[u8]) {
+        eng.on_event(&HookEvent::Send { comm, from, to, tag, payload });
     }
 
     #[test]
@@ -509,8 +512,11 @@ mod tests {
         let eng = Arc::new(HbEngine::new());
         let c = ctx("world", 2);
         eng.on_access(&access(0, AccessKind::Write, 0, 10));
-        as_task(0, || eng.on_send(&c, 0, 1, 7, b"go"));
-        as_task(1, || eng.on_recv_done(&c, 1, 0, 7, b"go"));
+        as_task(0, || send(&eng, &c, 0, 1, 7, b"go"));
+        as_task(1, || {
+            let (comm, payload) = (&c, b"go".as_slice());
+            eng.on_event(&HookEvent::RecvDone { comm, rank: 1, src: 0, tag: 7, payload })
+        });
         eng.on_access(&access(1, AccessKind::Write, 5, 10));
         eng.assert_race_free("test");
         // ... but an access the sender makes *after* the send is not
@@ -524,11 +530,15 @@ mod tests {
     fn collective_brackets_order_across_the_barrier() {
         let eng = Arc::new(HbEngine::new());
         let c = ctx("world", 2);
+        let (kind, comm) = (CollKind::Barrier, &c);
+        let enter =
+            |rank| eng.on_event(&HookEvent::Collective { comm, rank, seq: 1, kind, root: None });
+        let exit = |rank| eng.on_event(&HookEvent::CollectiveDone { comm, rank, seq: 1 });
         eng.on_access(&access(0, AccessKind::Write, 0, 10));
-        as_task(0, || eng.on_collective(&c, 0, 1, CollKind::Barrier, None));
-        as_task(1, || eng.on_collective(&c, 1, 1, CollKind::Barrier, None));
-        as_task(0, || eng.on_collective_done(&c, 0, 1));
-        as_task(1, || eng.on_collective_done(&c, 1, 1));
+        as_task(0, || enter(0));
+        as_task(1, || enter(1));
+        as_task(0, || exit(0));
+        as_task(1, || exit(1));
         eng.on_access(&access(1, AccessKind::Write, 0, 10));
         eng.assert_race_free("test");
     }
@@ -554,8 +564,8 @@ mod tests {
         // Member (local rank 1) shadow-writes, ships; aggregator (local 0)
         // acks WITHOUT writing.
         eng.on_access(&access(1, AccessKind::ShadowWrite, 0, 64));
-        as_task(1, || eng.on_send(&c, 1, 0, AGG_SHIP_TAG_PREFIX | 1, &ship));
-        as_task(0, || eng.on_send(&c, 0, 1, AGG_ACK_TAG_PREFIX | 1, &ok_ack));
+        as_task(1, || send(&eng, &c, 1, 0, AGG_SHIP_TAG_PREFIX | 1, &ship));
+        as_task(0, || send(&eng, &c, 0, 1, AGG_ACK_TAG_PREFIX | 1, &ok_ack));
         let v = eng.ack_violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].seq, 5);
@@ -570,11 +580,11 @@ mod tests {
         let ship = 0u64.to_le_bytes().to_vec();
         let ok_ack: Vec<u8> = [0u64.to_le_bytes(), 0u64.to_le_bytes()].concat();
         eng.on_access(&access(1, AccessKind::ShadowWrite, 10, 20));
-        as_task(1, || eng.on_send(&c, 1, 0, AGG_SHIP_TAG_PREFIX, &ship));
+        as_task(1, || send(&eng, &c, 1, 0, AGG_SHIP_TAG_PREFIX, &ship));
         // Aggregator covers [10, 30) in two out-of-order pieces.
         eng.on_access(&access(0, AccessKind::Write, 20, 10));
         eng.on_access(&access(0, AccessKind::Write, 5, 15));
-        as_task(0, || eng.on_send(&c, 0, 1, AGG_ACK_TAG_PREFIX, &ok_ack));
+        as_task(0, || send(&eng, &c, 0, 1, AGG_ACK_TAG_PREFIX, &ok_ack));
         assert!(eng.is_clean(), "{}", eng.stable_report("s"));
     }
 
@@ -585,8 +595,8 @@ mod tests {
         let ship = 1u64.to_le_bytes().to_vec();
         let bad_ack: Vec<u8> = [1u64.to_le_bytes(), 9u64.to_le_bytes()].concat();
         eng.on_access(&access(1, AccessKind::ShadowWrite, 0, 8));
-        as_task(1, || eng.on_send(&c, 1, 0, AGG_SHIP_TAG_PREFIX, &ship));
-        as_task(0, || eng.on_send(&c, 0, 1, AGG_ACK_TAG_PREFIX, &bad_ack));
+        as_task(1, || send(&eng, &c, 1, 0, AGG_SHIP_TAG_PREFIX, &ship));
+        as_task(0, || send(&eng, &c, 0, 1, AGG_ACK_TAG_PREFIX, &bad_ack));
         assert!(eng.is_clean());
     }
 
@@ -600,5 +610,29 @@ mod tests {
         assert_eq!(st.first_uncovered("p", 0, 30), None);
         assert_eq!(st.first_uncovered("p", 29, 31), Some((30, 31)));
         assert_eq!(st.first_uncovered("q", 0, 1), Some((0, 1)));
+    }
+
+    /// Task C (2) sends `r` to A (0); in one step A sends `m` to B (1) and
+    /// then receives `r`; later B receives `m`. As one step epoch, A's send
+    /// carries what A received in the same step, so B is ordered after C's
+    /// send; as one epoch per event, the send came before the receive and
+    /// B is not. This is why DPOR and the race engine cut epochs
+    /// differently over the same core.
+    #[test]
+    fn step_epochs_order_what_event_epochs_keep_apart() {
+        let (a, b, c) = (0u64, 1u64, 2u64);
+        let (r, m): (Chan, Chan) = ((9, 2, 0, 1), (9, 0, 1, 2));
+        let mut steps = ClockCore::default();
+        let sent = steps.epoch(c, &[Edge::Send(r)]).get(c);
+        steps.epoch(a, &[Edge::Send(m), Edge::Recv(r)]);
+        let b_clock = steps.epoch(b, &[Edge::Recv(m)]);
+        assert!(b_clock.get(c) >= sent, "step epochs: B after C's send, {b_clock}");
+
+        let mut events = ClockCore::default();
+        events.epoch(c, &[Edge::Send(r)]);
+        events.epoch(a, &[Edge::Send(m)]);
+        assert!(events.epoch(a, &[Edge::Recv(r)]).get(c) >= sent, "A is after C's send");
+        let b_clock = events.epoch(b, &[Edge::Recv(m)]);
+        assert!(b_clock.get(c) < sent, "event epochs: B unordered with C, {b_clock}");
     }
 }

@@ -33,11 +33,19 @@
 //!    a rank.
 //!
 //! 2. **`SIMCHECK=1`** — zero-code-change passive mode. With the
-//!    environment variable set, `World::run` and `FlatWorld::run` install a
-//!    [`Sanitizer`] that performs the same collective/tag/leak checks and
+//!    environment variable set, `World::run`, `FlatWorld::run` and
+//!    `TaskWorld::run` install a [`Sanitizer`] that performs the same
+//!    collective/tag/leak checks; on the two thread runtimes it also
 //!    converts silent hangs into watchdog-reported deadlocks
 //!    (`SIMCHECK_TIMEOUT_MS`, default 20s) under real thread concurrency.
-//!    Production runs without the variable pay nothing.
+//!    Production runs without the variable pay one `Option` branch per
+//!    operation.
+//!
+//! Every checker is a [`CheckHook`] (several share a run as a
+//! `Vec<Arc<dyn CheckHook>>`), and ordering comes from one place, [`hb`]'s
+//! vector-clock core: the [`HbEngine`] race checker makes each event an
+//! epoch, the [`dpor`] recorder each scheduled step, and both judge file
+//! extents by one rule, [`FileAccess::conflicts`].
 //!
 //! The filesystem-level check is independent of both: list a
 //! [`BlockGuard`] in the [`TapFs`] around any [`vfs::Vfs`] and every FS
@@ -54,7 +62,7 @@ pub mod hb;
 mod report;
 mod sched;
 
-pub use dpor::{Dpor, DporHarness, DporOutcome, HookChain};
+pub use dpor::{Dpor, DporHarness, DporOutcome};
 pub use hb::{AckViolation, HbEngine, HbRace, RaceSite, VClock};
 pub use report::{CheckFailure, DeadlockInfo, PendingOp, ScheduleCfg, TraceEv};
 pub use sched::{schedules, seed_budget, CheckedTaskWorld};

@@ -68,19 +68,8 @@ impl CheckedTaskWorld {
             }
             ScheduleCfg::Dpor => {
                 let mut vals = None;
-                let outcome = crate::dpor::Dpor::default().explore(|h| {
-                    let san = Arc::new(Sanitizer::new());
-                    let hook: Arc<dyn simmpi::CheckHook> =
-                        Arc::new(crate::dpor::HookChain::new(vec![h.recorder(), san.clone()]));
-                    let run = simmpi::TaskWorld::run_driven(ntasks, hook, h.driver(), &f);
-                    match digest_task_run(ntasks, cfg, &san, run) {
-                        Ok(v) => {
-                            vals = Some(v);
-                            None
-                        }
-                        Err(e) => Some(e),
-                    }
-                });
+                let outcome = crate::dpor::Dpor::default()
+                    .explore(|h| h.run_sanitized(ntasks, &f, &mut vals));
                 match outcome.failure {
                     Some(e) => Err(e),
                     None => Ok(vals.expect("dpor explores at least one schedule")),

@@ -21,7 +21,7 @@
 //! it is measured by `dpor_stats` (`BENCH_dpor.json`) rather than run
 //! here; nothing truncates silently.
 
-use simcheck::{Dpor, DporOutcome, HbEngine, HookChain, Sanitizer, TapFs};
+use simcheck::{Dpor, DporOutcome, HbEngine, Sanitizer, TapFs};
 use simmpi::{CheckHook, CoComm, TaskWorld};
 use sion::{paropen_write_co, IoMode, SionParams};
 use std::sync::Arc;
@@ -39,8 +39,7 @@ fn explore_par_write(ntasks: usize, io_mode: IoMode) -> DporOutcome {
         // recorder: file conflicts are schedule-relevant too.
         let mem = Arc::new(MemFs::with_block_size(256));
         let fs = Arc::new(TapFs::new(mem, vec![engine.clone(), h.sink()]));
-        let hook: Arc<dyn CheckHook> =
-            Arc::new(HookChain::new(vec![h.recorder(), san.clone(), engine.clone()]));
+        let hook: Arc<dyn CheckHook> = Arc::new(vec![h.recorder(), san.clone(), engine.clone()]);
         let params =
             SionParams::new(96).with_alignment(sion::Alignment::None).with_io_mode(io_mode);
         let run = TaskWorld::run_driven(ntasks, hook, h.driver(), |c| {
@@ -117,8 +116,7 @@ fn first_message_direction_decides_the_two_rank_count() {
     let explore = |down: bool| {
         Dpor::default().explore(|h| {
             let san = Arc::new(Sanitizer::new());
-            let hook: Arc<dyn CheckHook> =
-                Arc::new(HookChain::new(vec![h.recorder(), san.clone()]));
+            let hook: Arc<dyn CheckHook> = Arc::new(vec![h.recorder(), san.clone()]);
             let run = TaskWorld::run_driven(2, hook, h.driver(), |c| async move {
                 if down {
                     c.bcast_u64((c.rank() == 0).then_some(7), 0).await

@@ -28,7 +28,7 @@
 
 use crate::co::{BoxFut, CoComm};
 use crate::comm::{Comm, CommStats, ReduceOp};
-use crate::hook::{self, Aborted, CheckHook, CollKind, CommCtx, LeakedMsg};
+use crate::hook::{self, Aborted, CheckHook, CollKind, CommCtx, HookEvent, LeakedMsg};
 use crate::task::WorldRt;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -115,7 +115,8 @@ impl FlatCommunicator {
     fn note_collective(&self, kind: CollKind, root: Option<usize>) -> u64 {
         let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
         if let Some(h) = &self.shared.hook {
-            h.on_collective(&self.shared.ctx, self.rank, seq, kind, root);
+            let (comm, rank) = (&self.shared.ctx, self.rank);
+            h.on_event(&HookEvent::Collective { comm, rank, seq, kind, root });
         }
         seq
     }
@@ -127,7 +128,7 @@ impl FlatCommunicator {
     /// before every exit.
     fn note_collective_done(&self, seq: u64) {
         if let Some(h) = &self.shared.hook {
-            h.on_collective_done(&self.shared.ctx, self.rank, seq);
+            h.on_event(&HookEvent::CollectiveDone { comm: &self.shared.ctx, rank: self.rank, seq });
         }
     }
 
@@ -198,7 +199,8 @@ impl FlatCommunicator {
                 Err(RecvTimeoutError::Timeout) => {
                     if self.watchdog_expired(start) {
                         let h = self.shared.hook.as_ref().expect("the watchdog runs under a hook");
-                        h.on_stuck(&self.shared.ctx, self.rank, src, tag, start.elapsed());
+                        let (comm, rank, waited) = (&self.shared.ctx, self.rank, start.elapsed());
+                        h.on_event(&HookEvent::Stuck { comm, rank, src, tag, waited });
                         panic!(
                             "simcheck: rank {} blocked in recv(src={src}, tag={tag:#x}) \
                              past the watchdog",
@@ -231,14 +233,16 @@ impl CoComm for FlatCommunicator {
         assert!(dest < self.size(), "send dest {dest} out of range");
         if hook::rejected_user_tag(tag) {
             if let Some(h) = &self.shared.hook {
-                h.on_reserved_tag(&self.shared.ctx, self.rank, dest, tag);
+                let (comm, rank) = (&self.shared.ctx, self.rank);
+                h.on_event(&HookEvent::ReservedTag { comm, rank, dest, tag });
             }
             panic!("{}", hook::reserved_tag_panic_text(tag));
         }
         self.stats.bump_send();
         self.stats.add_bytes(data.len() as u64);
         if let Some(h) = &self.shared.hook {
-            h.on_send(&self.shared.ctx, self.rank, dest, tag, data);
+            let (comm, from) = (&self.shared.ctx, self.rank);
+            h.on_event(&HookEvent::Send { comm, from, to: dest, tag, payload: data });
         }
         self.shared.senders[dest]
             .send((self.rank, tag, data.to_vec()))
@@ -251,7 +255,8 @@ impl CoComm for FlatCommunicator {
             self.stats.bump_recv();
             let payload = self.recv_inner(src, tag);
             if let Some(h) = &self.shared.hook {
-                h.on_recv_done(&self.shared.ctx, self.rank, src, tag, &payload);
+                let (comm, rank) = (&self.shared.ctx, self.rank);
+                h.on_event(&HookEvent::RecvDone { comm, rank, src, tag, payload: &payload });
             }
             payload
         })
@@ -457,7 +462,8 @@ impl Drop for FlatCommunicator {
         }
         if !leaked.is_empty() {
             leaked.sort();
-            hook.on_teardown(&self.shared.ctx, self.rank, &leaked);
+            let (comm, rank) = (&self.shared.ctx, self.rank);
+            hook.on_event(&HookEvent::Teardown { comm, rank, leaked: &leaked });
         }
     }
 }

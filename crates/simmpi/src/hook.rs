@@ -1,19 +1,20 @@
 //! Instrumentation points for correctness analysis.
 //!
-//! The runtime exposes a small set of *check hooks* so an external checker
-//! (the `simcheck` crate) can observe every mailbox operation and
-//! collective entry without the production path paying anything: a
-//! communicator with no hook installed takes one `Option` branch per
+//! The runtime reports to an external checker (the `simcheck` crate)
+//! through one value, [`HookEvent`], handed to one method,
+//! [`CheckHook::on_event`]. A runtime builds the event only when a hook is
+//! installed, so a communicator without one takes one `Option` branch per
 //! operation and nothing else.
 //!
-//! Hooks are observation-only. They see collective entries and exits,
-//! sends, completed receives, `try_recv` polls, reserved-tag violations and
-//! teardown leaks, and can abort a blocked world via
-//! [`CheckHook::should_abort`]. The built-in
-//! [`Sanitizer`](crate::sanitize::Sanitizer) is one; it is installed
-//! automatically by [`World::run`](crate::World::run) and
-//! [`FlatWorld::run`](crate::flat::FlatWorld::run) when `SIMCHECK=1` is set
-//! in the environment. A hook never decides which rank runs next:
+//! Hooks are observation-only; their one query,
+//! [`CheckHook::should_abort`], lets a hook release a blocked world.
+//! Several hooks share one runtime slot as a `Vec<Arc<dyn CheckHook>>`,
+//! which hands every event to each in list order. The built-in
+//! [`Sanitizer`](crate::sanitize::Sanitizer) is a hook; it is installed
+//! automatically by [`World::run`](crate::World::run),
+//! [`FlatWorld::run`](crate::flat::FlatWorld::run) and
+//! [`TaskWorld::run`](crate::TaskWorld::run) when `SIMCHECK=1` is set in
+//! the environment. A hook never decides which rank runs next:
 //! interleaving control belongs to the task executor
 //! ([`SchedPolicy::Serial`](crate::SchedPolicy::Serial) for seeded
 //! schedules, a [`ScheduleDriver`](crate::ScheduleDriver) for systematic
@@ -43,9 +44,11 @@ pub const COLL_TAG_MASK: u64 = 0xFF << 56;
 /// [`enter_agg_protocol`] scope.
 ///
 /// Frame contract (stable; checkers decode it without depending on the
-/// `sion` crate): payload is `[u64 seq (LE)] [op stream…]` — the sequence
-/// number of this shipment on that member's channel, followed by the
-/// replayable op stream.
+/// `sion` crate): payload is `[u64 seq (LE)] extent* [u64 END_OF_STREAM]?`
+/// — the sequence number of this shipment on that member's channel, then
+/// the extents (`[u64 file offset] [u64 len] [len bytes]`) the aggregator
+/// writes, and on the member's last frame an `END_OF_STREAM` (`u64::MAX`)
+/// word in an offset slot.
 pub const AGG_SHIP_TAG_PREFIX: u64 = 0xA6 << 56;
 /// Top byte of the aggregation *acknowledgement* namespace: the aggregator
 /// confirming a shipment is durably applied. Payload contract (stable):
@@ -61,11 +64,13 @@ pub fn is_agg_tag(tag: u64) -> bool {
 }
 
 /// The collective operation kinds carried in the op-kind byte of reserved
-/// tags and reported to check hooks.
+/// tags and reported to check hooks. The discriminant is the wire code,
+/// nonzero so that an all-zero byte is never a valid kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum CollKind {
     /// `barrier()`.
-    Barrier,
+    Barrier = 1,
     /// `bcast(root)`.
     Bcast,
     /// `gather(root)` (gatherv semantics).
@@ -81,45 +86,30 @@ pub enum CollKind {
 }
 
 impl CollKind {
-    /// Wire encoding of the op-kind byte (nonzero, so an all-zero byte is
-    /// never a valid kind).
+    /// Every kind in wire-code order, with its diagnostic name.
+    const ALL: [(CollKind, &'static str); 7] = [
+        (CollKind::Barrier, "barrier"),
+        (CollKind::Bcast, "bcast"),
+        (CollKind::Gather, "gather"),
+        (CollKind::Scatter, "scatter"),
+        (CollKind::Allgather, "allgather"),
+        (CollKind::Reduce, "reduce"),
+        (CollKind::Split, "split"),
+    ];
+
+    /// Wire encoding of the op-kind byte.
     pub fn code(self) -> u8 {
-        match self {
-            CollKind::Barrier => 1,
-            CollKind::Bcast => 2,
-            CollKind::Gather => 3,
-            CollKind::Scatter => 4,
-            CollKind::Allgather => 5,
-            CollKind::Reduce => 6,
-            CollKind::Split => 7,
-        }
+        self as u8
     }
 
     /// Inverse of [`code`](Self::code).
     pub fn from_code(code: u8) -> Option<CollKind> {
-        Some(match code {
-            1 => CollKind::Barrier,
-            2 => CollKind::Bcast,
-            3 => CollKind::Gather,
-            4 => CollKind::Scatter,
-            5 => CollKind::Allgather,
-            6 => CollKind::Reduce,
-            7 => CollKind::Split,
-            _ => return None,
-        })
+        Self::ALL.get(usize::from(code).checked_sub(1)?).map(|&(kind, _)| kind)
     }
 
     /// Human-readable name for diagnostics.
     pub fn name(self) -> &'static str {
-        match self {
-            CollKind::Barrier => "barrier",
-            CollKind::Bcast => "bcast",
-            CollKind::Gather => "gather",
-            CollKind::Scatter => "scatter",
-            CollKind::Allgather => "allgather",
-            CollKind::Reduce => "reduce",
-            CollKind::Split => "split",
-        }
+        Self::ALL[self as usize - 1].1
     }
 }
 
@@ -270,68 +260,80 @@ pub struct LeakedMsg {
 #[derive(Debug)]
 pub struct Aborted(pub String);
 
-/// Observation hooks called by the communicator runtimes.
-///
-/// All methods have no-op defaults; a checker implements the subset it
-/// needs. Methods that detect a violation report it by panicking (the
-/// runtime makes no attempt to continue past a hook panic) and should
-/// arrange for [`should_abort`](Self::should_abort) to release the other
-/// ranks.
-#[allow(unused_variables)]
-pub trait CheckHook: Send + Sync {
+/// One observation a communicator runtime reports to its [`CheckHook`].
+/// Borrowed slices (payloads, leak lists) must not be retained past the
+/// [`on_event`](CheckHook::on_event) call.
+#[derive(Debug, Clone, Copy)]
+pub enum HookEvent<'a> {
     /// A rank entered a collective: communicator, local rank, the ordinal
     /// sequence number of the collective on that communicator, the
     /// operation kind, and its root (`None` for unrooted collectives).
-    fn on_collective(&self, comm: &CommCtx, rank: usize, seq: u64, kind: CollKind, root: Option<usize>) {}
-
+    Collective { comm: &'a CommCtx, rank: usize, seq: u64, kind: CollKind, root: Option<usize> },
     /// A rank *left* a collective (the call returned on that rank). With
-    /// [`on_collective`](Self::on_collective) this brackets every
-    /// collective: a happens-before checker may soundly order every entry
-    /// of collective `(comm, seq)` before every exit — a superset of the
-    /// true dependence of any correct collective implementation.
-    fn on_collective_done(&self, comm: &CommCtx, rank: usize, seq: u64) {}
-
-    /// Passive observation: a message (user or internal, including
-    /// reserved-namespace frames) was pushed into `to`'s mailbox. The
-    /// payload slice lets ordering checkers decode protocol frames (see
-    /// [`AGG_SHIP_TAG_PREFIX`] for the ship/ack framing contract) without
-    /// copying; it must not be retained past the call.
-    fn on_send(&self, comm: &CommCtx, from: usize, to: usize, tag: u64, payload: &[u8]) {}
-
-    /// Passive observation: a receive completed on `rank` with a matched
-    /// message from `src`. Fired for blocking receives and for successful
-    /// `try_recv`, on user and internal messages alike. The payload slice
-    /// must not be retained past the call.
-    fn on_recv_done(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, payload: &[u8]) {}
-
-    /// Passive observation: a `try_recv` poll ran on `rank` for `(src,
-    /// tag)` and either matched (`hit`, followed by
-    /// [`on_recv_done`](Self::on_recv_done)) or found nothing. Makes
-    /// polling drains visible as discrete events instead of opaque spins.
-    fn on_try_recv(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, hit: bool) {}
-
-    /// A user-level send attempted to use a tag inside the reserved
-    /// collective namespace. The runtime panics right after this returns;
-    /// hooks may panic themselves with a richer diagnostic.
-    fn on_reserved_tag(&self, comm: &CommCtx, rank: usize, dest: usize, tag: u64) {}
-
+    /// [`Collective`](Self::Collective) this brackets every collective: a
+    /// happens-before checker may soundly order every entry of collective
+    /// `(comm, seq)` before every exit — a superset of the true dependence
+    /// of any correct collective implementation.
+    CollectiveDone { comm: &'a CommCtx, rank: usize, seq: u64 },
+    /// A message (user or internal, including reserved-namespace frames)
+    /// was pushed into `to`'s mailbox. The payload lets ordering checkers
+    /// decode protocol frames (see [`AGG_SHIP_TAG_PREFIX`] for the ship/ack
+    /// framing contract) without copying.
+    Send { comm: &'a CommCtx, from: usize, to: usize, tag: u64, payload: &'a [u8] },
+    /// A receive completed on `rank` with a matched message from `src`.
+    /// Reported for blocking receives and for successful `try_recv`, on user
+    /// and internal messages alike.
+    RecvDone { comm: &'a CommCtx, rank: usize, src: usize, tag: u64, payload: &'a [u8] },
+    /// A `try_recv` poll ran on `rank` for `(src, tag)` and either matched
+    /// (`hit`, followed by [`RecvDone`](Self::RecvDone)) or found nothing.
+    /// Makes polling drains visible as discrete events instead of opaque
+    /// spins.
+    TryRecv { comm: &'a CommCtx, rank: usize, src: usize, tag: u64, hit: bool },
+    /// A user-level send attempted to use a tag inside a reserved
+    /// namespace. The runtime panics right after the hook returns; hooks
+    /// may panic themselves with a richer diagnostic.
+    ReservedTag { comm: &'a CommCtx, rank: usize, dest: usize, tag: u64 },
     /// A communicator handle was dropped with unconsumed messages.
-    fn on_teardown(&self, comm: &CommCtx, rank: usize, leaked: &[LeakedMsg]) {}
+    Teardown { comm: &'a CommCtx, rank: usize, leaked: &'a [LeakedMsg] },
+    /// A blocked receive exceeded the deadlock watchdog. Hooks should
+    /// record and panic; if the hook returns, the runtime panics with a
+    /// generic message.
+    Stuck { comm: &'a CommCtx, rank: usize, src: usize, tag: u64, waited: Duration },
+    /// A task's closure returned (or panicked), reported after the task's
+    /// world communicator was dropped.
+    TaskFinish { task: usize, panicked: bool },
+}
+
+/// What the communicator runtimes report to: every observation arrives as
+/// one [`HookEvent`], and [`should_abort`](Self::should_abort) is the one
+/// query. A hook that detects a violation reports it by panicking (the
+/// runtime makes no attempt to continue past a hook panic) and should
+/// arrange for `should_abort` to release the other ranks.
+pub trait CheckHook: Send + Sync {
+    /// One observation; a hook matches the kinds it checks and ignores the
+    /// rest.
+    fn on_event(&self, ev: &HookEvent<'_>);
 
     /// Polled by blocked receives; returning `Some(reason)`
     /// makes the blocked rank unwind with an [`Aborted`] panic.
     fn should_abort(&self) -> Option<String> {
         None
     }
+}
 
-    /// A blocked receive exceeded the deadlock watchdog.
-    /// Hooks should record and panic; if this returns, the runtime panics
-    /// with a generic message.
-    fn on_stuck(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, waited: Duration) {}
+/// Several hooks in one runtime slot (a schedule recorder, a sanitizer, a
+/// happens-before engine): every event reaches each hook in list order, and
+/// the first hook with an abort reason names it.
+impl CheckHook for Vec<Arc<dyn CheckHook>> {
+    fn on_event(&self, ev: &HookEvent<'_>) {
+        for h in self {
+            h.on_event(ev);
+        }
+    }
 
-    /// A task's closure returned (or panicked). Called after the task's
-    /// world communicator was dropped.
-    fn on_task_finish(&self, task: usize, panicked: bool) {}
+    fn should_abort(&self) -> Option<String> {
+        self.iter().find_map(|h| h.should_abort())
+    }
 }
 
 thread_local! {

@@ -56,7 +56,8 @@ pub use task::{
 };
 pub use hook::{
     current_task, decode_coll_tag, describe_tag, enter_agg_protocol, is_agg_tag, is_reserved_tag,
-    simcheck_env_enabled, Aborted, AggProtocolScope, CheckHook, CollKind, CommCtx, LeakedMsg,
+    simcheck_env_enabled, Aborted, AggProtocolScope, CheckHook, CollKind, CommCtx, HookEvent,
+    LeakedMsg,
     AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK, COLL_TAG_PREFIX,
 };
 pub use sanitize::{Finding, FindingKind, Sanitizer};

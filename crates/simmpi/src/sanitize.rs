@@ -1,8 +1,8 @@
 //! Runtime MPI-usage sanitizers (passive check hooks).
 //!
 //! [`Sanitizer`] is a [`CheckHook`]: like every hook it never influences
-//! scheduling, it only watches the hook stream for protocol violations and
-//! reports them:
+//! scheduling, it only matches the [`HookEvent`]s that show these protocol
+//! violations and reports them:
 //!
 //! * **collective mismatch** — on each communicator, collective calls are
 //!   ordered, so the N-th collective entered by one rank must be the same
@@ -32,13 +32,12 @@
 
 use crate::hook::{
     describe_tag, is_agg_tag, reserved_tag_panic_text, Aborted, CheckHook, CollKind, CommCtx,
-    LeakedMsg,
+    HookEvent, LeakedMsg,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Classification of a sanitizer (or schedule-harness) finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,7 +143,7 @@ impl Sanitizer {
     /// Check one collective entry; returns the finding on divergence. Pure
     /// bookkeeping — the caller decides how to fail (the hook impl below
     /// panics).
-    pub fn check_collective(
+    fn check_collective(
         &self,
         comm: &CommCtx,
         rank: usize,
@@ -197,35 +196,23 @@ impl Sanitizer {
     /// Build the reserved-tag finding for a crafted user send into a
     /// reserved namespace (`0xC3` collectives, or the `0xA6`/`0xA7`
     /// aggregation ship/ack namespaces from outside the protocol).
-    pub fn check_reserved_tag(
-        &self,
-        comm: &CommCtx,
-        rank: usize,
-        dest: usize,
-        tag: u64,
-    ) -> Finding {
-        let msg = if is_agg_tag(tag) {
-            format!(
-                "rank {rank} sent a user message to rank {dest} on comm \"{}\" with tag \
-                 {tag:#018x}, which lies in the 0xA6/0xA7 namespace reserved for the \
-                 aggregation ship/ack protocol ({})",
-                comm.name,
-                describe_tag(tag),
-            )
+    fn check_reserved_tag(&self, comm: &CommCtx, rank: usize, dest: usize, tag: u64) -> Finding {
+        let namespace = if is_agg_tag(tag) {
+            "0xA6/0xA7 namespace reserved for the aggregation ship/ack protocol"
         } else {
-            format!(
-                "rank {rank} sent a user message to rank {dest} on comm \"{}\" with tag \
-                 {tag:#018x}, which lies in the 0xC3 namespace reserved for internal \
-                 collectives ({})",
-                comm.name,
-                describe_tag(tag),
-            )
+            "0xC3 namespace reserved for internal collectives"
         };
+        let msg = format!(
+            "rank {rank} sent a user message to rank {dest} on comm \"{}\" with tag \
+             {tag:#018x}, which lies in the {namespace} ({})",
+            comm.name,
+            describe_tag(tag),
+        );
         self.record(FindingKind::ReservedTag, msg)
     }
 
     /// Build the leak finding for unconsumed messages at teardown.
-    pub fn check_teardown(&self, comm: &CommCtx, rank: usize, leaked: &[LeakedMsg]) -> Finding {
+    fn check_teardown(&self, comm: &CommCtx, rank: usize, leaked: &[LeakedMsg]) -> Finding {
         let mut sorted = leaked.to_vec();
         sorted.sort();
         let list: Vec<String> = sorted
@@ -309,50 +296,45 @@ pub(crate) fn finalize_env_checked<T>(
 }
 
 impl CheckHook for Sanitizer {
-    fn on_collective(
-        &self,
-        comm: &CommCtx,
-        rank: usize,
-        seq: u64,
-        kind: CollKind,
-        root: Option<usize>,
-    ) {
-        if let Some(f) = self.check_collective(comm, rank, seq, kind, root) {
-            panic!("simcheck: {f}");
-        }
-    }
-
-    fn on_reserved_tag(&self, comm: &CommCtx, rank: usize, dest: usize, tag: u64) {
-        let f = self.check_reserved_tag(comm, rank, dest, tag);
-        // Keep the historical 0xC3 wording so callers matching on the plain
-        // runtime's panic message see the same contract; the aggregation
-        // namespaces get the matching runtime wording too.
-        panic!("simcheck: {f} — {}", reserved_tag_panic_text(tag));
-    }
-
-    fn on_teardown(&self, comm: &CommCtx, rank: usize, leaked: &[LeakedMsg]) {
-        let f = self.check_teardown(comm, rank, leaked);
-        // During an unwind (this rank already failed, or the world is
-        // aborting) a second panic would abort the process; the finding is
-        // recorded either way.
-        if !std::thread::panicking() {
-            panic!("simcheck: {f}");
+    fn on_event(&self, ev: &HookEvent<'_>) {
+        match *ev {
+            HookEvent::Collective { comm, rank, seq, kind, root } => {
+                if let Some(f) = self.check_collective(comm, rank, seq, kind, root) {
+                    panic!("simcheck: {f}");
+                }
+            }
+            HookEvent::ReservedTag { comm, rank, dest, tag } => {
+                let f = self.check_reserved_tag(comm, rank, dest, tag);
+                // Keep the historical 0xC3 wording so callers matching on the
+                // plain runtime's panic message see the same contract; the
+                // aggregation namespaces get the matching runtime wording too.
+                panic!("simcheck: {f} — {}", reserved_tag_panic_text(tag));
+            }
+            HookEvent::Teardown { comm, rank, leaked } => {
+                let f = self.check_teardown(comm, rank, leaked);
+                // During an unwind (this rank already failed, or the world is
+                // aborting) a second panic would abort the process; the
+                // finding is recorded either way.
+                if !std::thread::panicking() {
+                    panic!("simcheck: {f}");
+                }
+            }
+            HookEvent::Stuck { comm, rank, src, tag, waited } => {
+                let f = self.record_deadlock(format!(
+                    "suspected deadlock: rank {rank} on comm \"{}\" blocked in recv(src={src}, \
+                     tag={}) for {:?} with no message arriving",
+                    comm.name,
+                    describe_tag(tag),
+                    waited,
+                ));
+                std::panic::panic_any(Aborted(format!("simcheck: {f}")));
+            }
+            _ => {}
         }
     }
 
     fn should_abort(&self) -> Option<String> {
         self.abort.lock().clone()
-    }
-
-    fn on_stuck(&self, comm: &CommCtx, rank: usize, src: usize, tag: u64, waited: Duration) {
-        let f = self.record_deadlock(format!(
-            "suspected deadlock: rank {rank} on comm \"{}\" blocked in recv(src={src}, \
-             tag={}) for {:?} with no message arriving",
-            comm.name,
-            describe_tag(tag),
-            waited,
-        ));
-        std::panic::panic_any(Aborted(format!("simcheck: {f}")));
     }
 }
 

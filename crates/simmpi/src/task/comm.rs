@@ -32,7 +32,7 @@
 
 use crate::co::AllGathered;
 use crate::comm::CommStats;
-use crate::hook::{self, coll_tag, CheckHook, CollKind, CommCtx, LeakedMsg};
+use crate::hook::{self, coll_tag, CheckHook, CollKind, CommCtx, HookEvent, LeakedMsg};
 use crate::wire::{frame, subtree_size, unframe};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -253,7 +253,7 @@ impl Mbox {
 
 /// Matched-receive future on one rank's mailbox; the engine's only parking
 /// point. The `Ready` transition reports the completed match
-/// ([`CheckHook::on_recv_done`]) exactly once, wherever it is awaited.
+/// ([`HookEvent::RecvDone`]) exactly once, wherever it is awaited.
 struct Recv<'a> {
     comm: &'a TaskComm,
     src: usize,
@@ -300,7 +300,8 @@ impl Future for Recv<'_> {
         let c = this.comm;
         let payload = std::task::ready!(this.poll_take(cx));
         if let Some(h) = &c.shared.hook {
-            h.on_recv_done(&c.shared.ctx, c.rank, this.src, this.tag, &payload);
+            let (comm, rank, src, tag) = (&c.shared.ctx, c.rank, this.src, this.tag);
+            h.on_event(&HookEvent::RecvDone { comm, rank, src, tag, payload: &payload });
         }
         Poll::Ready(payload)
     }
@@ -411,14 +412,15 @@ impl TaskComm {
     /// Report a collective entry to the hook, if one is installed.
     fn note_collective(&self, seq: u64, kind: CollKind, root: Option<usize>) {
         if let Some(h) = &self.shared.hook {
-            h.on_collective(&self.shared.ctx, self.rank, seq, kind, root);
+            let (comm, rank) = (&self.shared.ctx, self.rank);
+            h.on_event(&HookEvent::Collective { comm, rank, seq, kind, root });
         }
     }
 
     /// Report a collective exit (the call returned on this rank).
     fn note_collective_done(&self, seq: u64) {
         if let Some(h) = &self.shared.hook {
-            h.on_collective_done(&self.shared.ctx, self.rank, seq);
+            h.on_event(&HookEvent::CollectiveDone { comm: &self.shared.ctx, rank: self.rank, seq });
         }
     }
 
@@ -445,7 +447,8 @@ impl TaskComm {
     /// and wakes the destination if it is parked on a match.
     fn isend_uncharged(&self, dest: usize, tag: u64, payload: MsgBuf) {
         if let Some(h) = &self.shared.hook {
-            h.on_send(&self.shared.ctx, self.rank, dest, tag, &payload);
+            let (comm, from) = (&self.shared.ctx, self.rank);
+            h.on_event(&HookEvent::Send { comm, from, to: dest, tag, payload: &payload });
         }
         let waker = {
             let mut mb = self.shared.mboxes[dest].lock();
@@ -863,7 +866,8 @@ impl crate::co::CoComm for TaskComm {
         assert!(dest < self.shared.size, "send dest {dest} out of range");
         if hook::rejected_user_tag(tag) {
             if let Some(h) = &self.shared.hook {
-                h.on_reserved_tag(&self.shared.ctx, self.rank, dest, tag);
+                let (comm, rank) = (&self.shared.ctx, self.rank);
+                h.on_event(&HookEvent::ReservedTag { comm, rank, dest, tag });
             }
             panic!("{}", hook::reserved_tag_panic_text(tag));
         }
@@ -883,9 +887,10 @@ impl crate::co::CoComm for TaskComm {
         assert!(src < self.shared.size, "try_recv src {src} out of range");
         let payload = self.shared.mboxes[self.rank].lock().take(src, tag);
         if let Some(h) = &self.shared.hook {
-            h.on_try_recv(&self.shared.ctx, self.rank, src, tag, payload.is_some());
+            let (comm, rank) = (&self.shared.ctx, self.rank);
+            h.on_event(&HookEvent::TryRecv { comm, rank, src, tag, hit: payload.is_some() });
             if let Some(p) = &payload {
-                h.on_recv_done(&self.shared.ctx, self.rank, src, tag, p);
+                h.on_event(&HookEvent::RecvDone { comm, rank, src, tag, payload: p });
             }
         }
         let payload = payload?;
@@ -1037,7 +1042,8 @@ impl Drop for TaskComm {
         drop(mb);
         if !leaked.is_empty() {
             leaked.sort();
-            hook.on_teardown(&self.shared.ctx, self.rank, &leaked);
+            let (comm, rank) = (&self.shared.ctx, self.rank);
+            hook.on_event(&HookEvent::Teardown { comm, rank, leaked: &leaked });
         }
     }
 }

@@ -28,7 +28,7 @@
 //! `Condvar::wait`. Either the sleeper sees the new count and retries, or
 //! the waker's notification happens after the sleeper is parked.
 
-use crate::hook::{self, CheckHook};
+use crate::hook::{self, CheckHook, HookEvent};
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -506,7 +506,7 @@ where
             if let Some(h) = &hook {
                 let panicked =
                     results[id].lock().as_ref().is_some_and(|r| r.is_err());
-                h.on_task_finish(id, panicked);
+                h.on_event(&HookEvent::TaskFinish { task: id, panicked });
             }
             core.finish_one();
         }

@@ -289,9 +289,9 @@ impl TaskWorld {
 
     /// [`TaskWorld::run_checked`] with every serial scheduling decision
     /// owned by `driver` instead of the seeded stream — the entry point
-    /// `simcheck`'s DPOR explorer forces decision prefixes through.
-    /// `policy` must be [`SchedPolicy::Serial`] (its seed and preemption
-    /// bound are ignored in driver mode).
+    /// `simcheck`'s DPOR explorer forces decision prefixes through. The run
+    /// is always [`SchedPolicy::Serial`], with no seed or preemption bound:
+    /// `driver` picks the task at every poll.
     pub fn run_driven<T, F, Fut>(
         ntasks: usize,
         check: Arc<dyn CheckHook>,

@@ -28,7 +28,7 @@
 
 use crate::co::CoComm;
 use crate::comm::Comm;
-use crate::hook::{self, Aborted, CheckHook};
+use crate::hook::{self, Aborted, CheckHook, HookEvent};
 use crate::task::{TaskComm, WorldRt};
 use std::cell::OnceCell;
 use std::future::Future;
@@ -94,7 +94,8 @@ impl RankThread {
         let waited = pending_since.get_or_insert_with(Instant::now).elapsed();
         if waited >= hook::watchdog_timeout() {
             let p = self.world.parked(self.world_rank).expect("a pending call parks in a receive");
-            h.on_stuck(&p.ctx, p.comm_rank, p.src, p.tag, waited);
+            let (comm, rank, src, tag) = (&p.ctx, p.comm_rank, p.src, p.tag);
+            h.on_event(&HookEvent::Stuck { comm, rank, src, tag, waited });
             panic!(
                 "simcheck: rank {} blocked in recv(src={}, tag={:#x}) past the watchdog",
                 p.comm_rank, p.src, p.tag
@@ -212,9 +213,10 @@ where
                         (Err(e), _) => Err(e),
                         (Ok(_), Err(e)) => Err(e),
                     };
+                    let panicked = result.is_err();
                     match check {
-                        Some(h) => h.on_task_finish(rank, result.is_err()),
-                        None if result.is_err() => {
+                        Some(h) => h.on_event(&HookEvent::TaskFinish { task: rank, panicked }),
+                        None if panicked => {
                             world.abort();
                             registry().iter().for_each(Thread::unpark);
                         }

@@ -37,15 +37,14 @@
 //! its [`CloseRecord`](crate::format::CloseRecord): the group skips
 //! metablock 2 and the file stays repairable via `rescue::repair`.
 
+// Shipment frames, member → aggregator, and acks `[seq, status]`,
+// aggregator → member: the namespaces `simmpi` reserves for this protocol.
+use simmpi::{AGG_ACK_TAG_PREFIX as TAG_ACK, AGG_SHIP_TAG_PREFIX as TAG_SHIP};
 use simmpi::CoComm;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vfs::{IoSlice, VfsFile};
 
-/// Shipment frames, member → aggregator.
-const TAG_SHIP: u64 = 0xA6 << 56;
-/// Acks `[seq, status]`, aggregator → member.
-const TAG_ACK: u64 = 0xA7 << 56;
 /// Bytes reserved at the head of a frame for its sequence number.
 const SEQ_LEN: usize = 8;
 /// In an extent's offset slot: the member's stream ends here.

@@ -82,6 +82,17 @@ impl FileAccess {
             && self.offset < other.offset + other.len
             && other.offset < self.offset + self.len
     }
+
+    /// Whether the two accesses conflict when different tasks issue them:
+    /// they overlap, at least one writes, and a shadow write meets only
+    /// another shadow write (it lands in a per-task shadow, not in the
+    /// physical bytes; two on the same bytes mean two owners).
+    pub fn conflicts(&self, other: &FileAccess) -> bool {
+        let shadow = |a: &FileAccess| a.kind == AccessKind::ShadowWrite;
+        self.overlaps(other)
+            && (self.kind != AccessKind::Read || other.kind != AccessKind::Read)
+            && shadow(self) == shadow(other)
+    }
 }
 
 impl fmt::Display for FileAccess {
@@ -246,5 +257,18 @@ mod tests {
         assert!(a.overlaps(&b) && b.overlaps(&a));
         assert!(!a.overlaps(&c));
         assert!(!a.overlaps(&d));
+    }
+
+    #[test]
+    fn conflicts_need_overlap_a_write_and_matching_shadowness() {
+        use AccessKind::*;
+        let at = |kind, offset| FileAccess { path: "p".into(), kind, task: 0, offset, len: 10 };
+        let kinds = [Read, Write, ShadowWrite];
+        let conflicts = [(Write, Write), (Read, Write), (Write, Read), (ShadowWrite, ShadowWrite)];
+        for (a, b) in kinds.into_iter().flat_map(|a| kinds.map(|b| (a, b))) {
+            let want = conflicts.contains(&(a, b));
+            assert_eq!(at(a, 0).conflicts(&at(b, 5)), want, "{a:?}/{b:?}");
+            assert!(!at(a, 0).conflicts(&at(b, 10)), "disjoint {a:?}/{b:?}");
+        }
     }
 }
