@@ -204,10 +204,14 @@ impl Faults {
             let keep = self.crash_keep.load(SeqCst);
             if op.kind == OpKind::Write && seq == crash_at && keep != DISARMED {
                 let (keep, of) = (keep.min(op.len), op.len);
-                let msg = format!("injected torn write: {keep} of {of} bytes persisted at op #{seq}");
+                let msg =
+                    format!("injected torn write: {keep} of {of} bytes persisted at op #{seq}");
                 return refuse(keep, msg);
             }
-            return refuse(0, format!("injected crash: op #{seq} (crash point {crash_at})"));
+            return refuse(
+                0,
+                format!("injected crash: op #{seq} (crash point {crash_at})"),
+            );
         }
         let hit = |r: &FaultRule| r.kind == op.kind && nth >= r.from && nth - r.from < r.count;
         if self.rules.lock().iter().any(hit) {
@@ -217,8 +221,9 @@ impl Faults {
             let room = quota.saturating_sub(self.written.load(SeqCst));
             if op.len > room {
                 let of = op.len;
-                let msg =
-                    format!("injected quota exceeded: {room} of {of} bytes persisted (quota {quota})");
+                let msg = format!(
+                    "injected quota exceeded: {room} of {of} bytes persisted (quota {quota})"
+                );
                 return refuse(room, msg);
             }
         }
@@ -243,7 +248,11 @@ impl Tap for Faults {
         let (allow, refusal) = self.verdict(op, seq, nth, quota);
         // A refused op still persists its allowed prefix (torn write,
         // quota); whatever happens below, the op leaves a log record.
-        let moved = if refusal.is_some() && allow == 0 { Ok(0) } else { next(allow) };
+        let moved = if refusal.is_some() && allow == 0 {
+            Ok(0)
+        } else {
+            next(allow)
+        };
         let persisted = match (op.kind, &moved) {
             (OpKind::Write, Ok(n)) => *n,
             _ => 0,
@@ -270,13 +279,20 @@ mod tests {
 
     fn faulty() -> (TapFs, Arc<Faults>) {
         let faults = Faults::new();
-        (TapFs::new(Arc::new(MemFs::new()), vec![faults.clone()]), faults)
+        (
+            TapFs::new(Arc::new(MemFs::new()), vec![faults.clone()]),
+            faults,
+        )
     }
 
     #[test]
     fn create_faults_fire_at_the_right_occurrence() {
         let (fs, faults) = faulty();
-        faults.inject(FaultRule { kind: FaultKind::Create, from: 1, count: 1 });
+        faults.inject(FaultRule {
+            kind: FaultKind::Create,
+            from: 1,
+            count: 1,
+        });
         assert!(fs.create("a").is_ok());
         assert!(fs.create("b").is_err()); // occurrence #1
         assert!(fs.create("c").is_ok());
@@ -285,7 +301,11 @@ mod tests {
     #[test]
     fn write_faults_affect_open_files() {
         let (fs, faults) = faulty();
-        faults.inject(FaultRule { kind: FaultKind::Write, from: 2, count: u64::MAX });
+        faults.inject(FaultRule {
+            kind: FaultKind::Write,
+            from: 2,
+            count: u64::MAX,
+        });
         let f = fs.create("f").unwrap();
         assert!(f.write_at(b"one", 0).is_ok());
         assert!(f.write_at(b"two", 3).is_ok());
@@ -296,7 +316,11 @@ mod tests {
     #[test]
     fn clear_stops_injection() {
         let (fs, faults) = faulty();
-        faults.inject(FaultRule { kind: FaultKind::Open, from: 0, count: u64::MAX });
+        faults.inject(FaultRule {
+            kind: FaultKind::Open,
+            from: 0,
+            count: u64::MAX,
+        });
         fs.create("x").unwrap();
         assert!(fs.open("x").is_err());
         faults.clear();
@@ -306,7 +330,11 @@ mod tests {
     #[test]
     fn reads_fault_independently_of_writes() {
         let (fs, faults) = faulty();
-        faults.inject(FaultRule { kind: FaultKind::Read, from: 0, count: 1 });
+        faults.inject(FaultRule {
+            kind: FaultKind::Read,
+            from: 0,
+            count: 1,
+        });
         let f = fs.create("r").unwrap();
         f.write_all_at(b"data", 0).unwrap();
         let mut buf = [0u8; 4];
@@ -370,12 +398,16 @@ mod tests {
     fn vectored_write_logs_one_record_per_slice_and_tears_mid_iovec() {
         let (fs, faults) = faulty();
         let f = fs.create("vt").unwrap(); // op 0
-        // Op 1 = slice "aaaa"; op 2 = slice "bbbb", torn after 2 bytes;
-        // any later slice fails cleanly past the crash point.
+                                          // Op 1 = slice "aaaa"; op 2 = slice "bbbb", torn after 2 bytes;
+                                          // any later slice fails cleanly past the crash point.
         faults.crash_torn_write(2, 2);
         let err = f
             .write_vectored_at(
-                &[IoSlice::new(b"aaaa"), IoSlice::new(b"bbbb"), IoSlice::new(b"cccc")],
+                &[
+                    IoSlice::new(b"aaaa"),
+                    IoSlice::new(b"bbbb"),
+                    IoSlice::new(b"cccc"),
+                ],
                 0,
             )
             .unwrap_err();
@@ -388,11 +420,16 @@ mod tests {
         assert_eq!(&back, b"aaaabb");
         // One log record per submitted slice, at the slice's own offset.
         let log = faults.take_log();
-        let writes: Vec<&OpRecord> =
-            log.iter().filter(|r| r.kind == FaultKind::Write).collect();
+        let writes: Vec<&OpRecord> = log.iter().filter(|r| r.kind == FaultKind::Write).collect();
         assert_eq!(writes.len(), 2, "third slice was never admitted as a write");
-        assert_eq!((writes[0].offset, writes[0].persisted, writes[0].ok), (0, 4, true));
-        assert_eq!((writes[1].offset, writes[1].persisted, writes[1].ok), (4, 2, false));
+        assert_eq!(
+            (writes[0].offset, writes[0].persisted, writes[0].ok),
+            (0, 4, true)
+        );
+        assert_eq!(
+            (writes[1].offset, writes[1].persisted, writes[1].ok),
+            (4, 2, false)
+        );
     }
 
     #[test]
@@ -415,7 +452,11 @@ mod tests {
         let (fs, faults) = faulty();
         let f = fs.create("log").unwrap();
         f.write_all_at(b"abc", 0).unwrap();
-        faults.inject(FaultRule { kind: FaultKind::Write, from: 1, count: 1 });
+        faults.inject(FaultRule {
+            kind: FaultKind::Write,
+            from: 1,
+            count: 1,
+        });
         assert!(f.write_all_at(b"def", 3).is_err());
         f.sync().unwrap();
         let log = faults.take_log();
@@ -459,7 +500,11 @@ mod tests {
         // number, so it must leave a record although the error is not its own.
         let (upper, lower) = (Faults::new(), Faults::new());
         let fs = TapFs::new(Arc::new(MemFs::new()), vec![upper.clone(), lower.clone()]);
-        lower.inject(FaultRule { kind: FaultKind::Write, from: 0, count: 1 });
+        lower.inject(FaultRule {
+            kind: FaultKind::Write,
+            from: 0,
+            count: 1,
+        });
         upper.set_quota(1 << 20);
         let f = fs.create("f").unwrap();
         assert!(f.write_at(b"abcd", 0).is_err());
@@ -467,11 +512,21 @@ mod tests {
         let log = upper.take_log();
         let seqs: Vec<u64> = log.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2], "sequence numbers are dense: {log:?}");
-        assert_eq!((log[1].kind, log[1].ok, log[1].persisted), (FaultKind::Write, false, 0));
-        assert_eq!((log[2].kind, log[2].ok, log[2].persisted), (FaultKind::Write, true, 4));
+        assert_eq!(
+            (log[1].kind, log[1].ok, log[1].persisted),
+            (FaultKind::Write, false, 0)
+        );
+        assert_eq!(
+            (log[2].kind, log[2].ok, log[2].persisted),
+            (FaultKind::Write, true, 4)
+        );
         assert_eq!(upper.bytes_written(), 4);
         // The same holds for the prefix of a torn crash write.
-        lower.inject(FaultRule { kind: FaultKind::Write, from: 2, count: 1 });
+        lower.inject(FaultRule {
+            kind: FaultKind::Write,
+            from: 2,
+            count: 1,
+        });
         upper.crash_torn_write(upper.op_count(), 2);
         assert!(f.write_at(b"ijkl", 8).is_err());
         let log = upper.take_log();
@@ -490,11 +545,27 @@ mod tests {
         g.read_exact_at(&mut buf, 0).unwrap();
         fs.remove("a").unwrap(); // not an op
         let log = faults.take_log();
-        let of = |kind| log.iter().filter(|r| r.kind == kind && r.ok).collect::<Vec<_>>();
+        let of = |kind| {
+            log.iter()
+                .filter(|r| r.kind == kind && r.ok)
+                .collect::<Vec<_>>()
+        };
         assert_eq!(of(FaultKind::Create).len(), 1);
         assert_eq!(of(FaultKind::Open).len(), 1);
-        assert_eq!(of(FaultKind::Write).iter().map(|r| r.persisted).collect::<Vec<_>>(), [5]);
-        assert_eq!(of(FaultKind::Read).iter().map(|r| r.len).collect::<Vec<_>>(), [5]);
+        assert_eq!(
+            of(FaultKind::Write)
+                .iter()
+                .map(|r| r.persisted)
+                .collect::<Vec<_>>(),
+            [5]
+        );
+        assert_eq!(
+            of(FaultKind::Read)
+                .iter()
+                .map(|r| r.len)
+                .collect::<Vec<_>>(),
+            [5]
+        );
         assert_eq!((log.len(), faults.bytes_written()), (4, 5));
     }
 
@@ -502,7 +573,10 @@ mod tests {
     fn tapped_writes_stay_sparse_in_the_backend() {
         let mem = Arc::new(MemFs::with_block_size(4096));
         let fs = TapFs::new(mem.clone(), vec![Faults::new()]);
-        fs.create("sparse").unwrap().write_all_at(b"x", 1 << 20).unwrap();
+        fs.create("sparse")
+            .unwrap()
+            .write_all_at(b"x", 1 << 20)
+            .unwrap();
         let st = mem.stats("sparse").unwrap();
         assert!(st.allocated < st.len);
     }

@@ -178,7 +178,10 @@ mod tests {
 
     fn guarded() -> (TapFs, Arc<BlockGuard>) {
         let guard = BlockGuard::new(64);
-        (TapFs::new(Arc::new(MemFs::with_block_size(64)), vec![guard.clone()]), guard)
+        (
+            TapFs::new(Arc::new(MemFs::with_block_size(64)), vec![guard.clone()]),
+            guard,
+        )
     }
 
     #[test]
@@ -218,10 +221,9 @@ mod tests {
         let v = guard.violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!((v[0].block, v[0].prev_task, v[0].task), (0, 0, 1));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            guard.assert_exclusive()
-        }))
-        .unwrap_err();
+        let err =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| guard.assert_exclusive()))
+                .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("[block-contention]"), "{msg}");
         assert!(msg.contains("FS block 0"), "{msg}");
@@ -242,7 +244,10 @@ mod tests {
         let v = guard.violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!((v[0].block, v[0].prev_task, v[0].task), (0, 0, 1));
-        assert_eq!(v[0].offset, 56, "violation is attributed to the slice's own offset");
+        assert_eq!(
+            v[0].offset, 56,
+            "violation is attributed to the slice's own offset"
+        );
     }
 
     #[test]

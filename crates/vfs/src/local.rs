@@ -26,7 +26,10 @@ impl LocalFs {
     /// A local FS advertising a caller-chosen block size (must be > 0).
     pub fn with_block_size(root: impl Into<PathBuf>, block_size: u64) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        Self { root: root.into(), block_size }
+        Self {
+            root: root.into(),
+            block_size,
+        }
     }
 
     fn full(&self, path: &str) -> PathBuf {
@@ -112,7 +115,10 @@ impl Vfs for LocalFs {
     }
 
     fn open_rw(&self, path: &str) -> io::Result<Arc<dyn VfsFile>> {
-        let file = OpenOptions::new().read(true).write(true).open(self.full(path))?;
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(self.full(path))?;
         Ok(Arc::new(LocalFile { file }))
     }
 
@@ -164,8 +170,7 @@ mod tests {
     use super::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("vfs-local-test-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("vfs-local-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -211,7 +216,10 @@ mod tests {
         fs.create("run/ckpt.000002").unwrap();
         fs.create("run/other").unwrap();
         let got = fs.list("run/ckpt.").unwrap();
-        assert_eq!(got, vec!["run/ckpt.000001".to_string(), "run/ckpt.000002".to_string()]);
+        assert_eq!(
+            got,
+            vec!["run/ckpt.000001".to_string(), "run/ckpt.000002".to_string()]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -153,7 +153,11 @@ impl FileData {
     }
 
     fn allocated_bytes(&self) -> u64 {
-        self.stripes.iter().map(|s| s.read().len() as u64).sum::<u64>() * PAGE as u64
+        self.stripes
+            .iter()
+            .map(|s| s.read().len() as u64)
+            .sum::<u64>()
+            * PAGE as u64
     }
 
     fn read_at(&self, buf: &mut [u8], offset: u64) -> usize {
@@ -173,7 +177,9 @@ impl FileData {
                 let in_page = (pos % PAGE as u64) as usize;
                 let take = (PAGE - in_page).min(block_stop - done);
                 match pages.get(&page_idx) {
-                    Some(page) => buf[done..done + take].copy_from_slice(&page[in_page..in_page + take]),
+                    Some(page) => {
+                        buf[done..done + take].copy_from_slice(&page[in_page..in_page + take])
+                    }
                     None => buf[done..done + take].fill(0),
                 }
                 done += take;
@@ -187,7 +193,11 @@ impl FileData {
     fn write(&self, bufs: &[IoSlice<'_>], offset: u64) -> io::Result<()> {
         let total: u64 = bufs.iter().map(|b| b.len() as u64).sum();
         let end = write_end(offset, total)?;
-        let mut src = Gather { bufs, idx: 0, at: 0 };
+        let mut src = Gather {
+            bufs,
+            idx: 0,
+            at: 0,
+        };
         let mut pos = offset;
         while pos < end {
             let block_stop = self.block_end(pos).min(end);
@@ -302,7 +312,10 @@ impl Drop for FileData {
             .collect();
         while let Some(Reverse((first, i))) = next_block.pop() {
             let block_stop = (first / self.pages_per_block + 1) * self.pages_per_block;
-            while runs[i].next_if(|&(page_idx, _)| page_idx < block_stop).is_some() {}
+            while runs[i]
+                .next_if(|&(page_idx, _)| page_idx < block_stop)
+                .is_some()
+            {}
             if let Some(&(page_idx, _)) = runs[i].peek() {
                 next_block.push(Reverse((page_idx, i)));
             }
@@ -428,7 +441,10 @@ impl MemFs {
         let path = normalize_path(path);
         let data = self.shard(&path).lock().get(&path)?.clone();
         let len = data.len.load(Ordering::Acquire);
-        Some(MemFsStats { len, allocated: data.allocated_bytes() })
+        Some(MemFsStats {
+            len,
+            allocated: data.allocated_bytes(),
+        })
     }
 
     /// Number of files in the namespace.
@@ -461,9 +477,9 @@ impl Vfs for MemFs {
     fn open_rw(&self, path: &str) -> io::Result<Arc<dyn VfsFile>> {
         let norm = normalize_path(path);
         let files = self.shard(&norm).lock();
-        let data = files
-            .get(&norm)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no such file: {path}")))?;
+        let data = files.get(&norm).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::NotFound, format!("no such file: {path}"))
+        })?;
         Ok(Arc::new(MemFile { data: data.clone() }))
     }
 
@@ -489,7 +505,13 @@ impl Vfs for MemFs {
         let prefix = normalize_path(prefix);
         let mut out: Vec<String> = Vec::new();
         for shard in &self.shards {
-            out.extend(shard.lock().keys().filter(|k| k.starts_with(&prefix)).cloned());
+            out.extend(
+                shard
+                    .lock()
+                    .keys()
+                    .filter(|k| k.starts_with(&prefix))
+                    .cloned(),
+            );
         }
         out.sort();
         Ok(out)
@@ -556,7 +578,10 @@ mod tests {
         fs.create("d/a").unwrap();
         fs.create("d/b").unwrap();
         fs.create("e/c").unwrap();
-        assert_eq!(fs.list("d/").unwrap(), vec!["d/a".to_string(), "d/b".to_string()]);
+        assert_eq!(
+            fs.list("d/").unwrap(),
+            vec!["d/a".to_string(), "d/b".to_string()]
+        );
         assert_eq!(fs.file_count(), 3);
         fs.remove("d/a").unwrap();
         assert!(!fs.exists("d/a"));
@@ -683,14 +708,23 @@ mod tests {
     fn a_page_split_across_slices_is_the_page_one_slice_writes() {
         let fs = MemFs::new();
         let data: Vec<u8> = (0..PAGE).map(|i| (i % 239) as u8).collect();
-        fs.create("one").unwrap().write_all_at(&data, PAGE as u64).unwrap();
+        fs.create("one")
+            .unwrap()
+            .write_all_at(&data, PAGE as u64)
+            .unwrap();
         let (head, tail) = data.split_at(1000);
         let iov = [IoSlice::new(&[]), IoSlice::new(head), IoSlice::new(tail)];
-        fs.create("split").unwrap().write_vectored_at(&iov, PAGE as u64).unwrap();
+        fs.create("split")
+            .unwrap()
+            .write_vectored_at(&iov, PAGE as u64)
+            .unwrap();
         for name in ["one", "split"] {
             let mut back = vec![0u8; 2 * PAGE];
             fs.open(name).unwrap().read_exact_at(&mut back, 0).unwrap();
-            assert!(back[..PAGE].iter().all(|&b| b == 0), "{name}: the hole before the page");
+            assert!(
+                back[..PAGE].iter().all(|&b| b == 0),
+                "{name}: the hole before the page"
+            );
             assert_eq!(&back[PAGE..], &data[..], "{name}");
             assert_eq!(fs.stats(name).unwrap().allocated, PAGE as u64, "{name}");
         }
@@ -702,7 +736,11 @@ mod tests {
         let f = fs.create("alias").unwrap();
         f.write_all_at(&[0x5A; PAGE], 0).unwrap();
         let (a, b) = (f.read_lease(0, PAGE).unwrap(), f.read_lease(0, 64).unwrap());
-        assert_eq!(a.as_ptr(), b.as_ptr(), "two leases of one page share its bytes");
+        assert_eq!(
+            a.as_ptr(),
+            b.as_ptr(),
+            "two leases of one page share its bytes"
+        );
         let mid = f.read_lease(100, 8).unwrap();
         assert_eq!(a[100..].as_ptr(), mid.as_ptr());
     }
@@ -908,12 +946,14 @@ mod tests {
                 self.bytes.resize(end, 0);
             }
             self.bytes[at..end].copy_from_slice(data);
-            self.touched.extend(at as u64 / PAGE as u64..=(end as u64 - 1) / PAGE as u64);
+            self.touched
+                .extend(at as u64 / PAGE as u64..=(end as u64 - 1) / PAGE as u64);
         }
 
         fn set_len(&mut self, len: usize) {
             self.bytes.resize(len, 0);
-            self.touched.retain(|&page| page * (PAGE as u64) < len as u64);
+            self.touched
+                .retain(|&page| page * (PAGE as u64) < len as u64);
         }
     }
 

@@ -79,7 +79,8 @@ mod tests {
         let f = NullFile::new();
         let a = [7u8; 3];
         let b = [8u8; 5];
-        f.write_vectored_at(&[io::IoSlice::new(&a), io::IoSlice::new(&b)], 100).unwrap();
+        f.write_vectored_at(&[io::IoSlice::new(&a), io::IoSlice::new(&b)], 100)
+            .unwrap();
         assert_eq!(f.len().unwrap(), 108);
     }
 }

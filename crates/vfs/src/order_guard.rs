@@ -129,7 +129,13 @@ impl<S: AccessSink> Tap for S {
         };
         if let (Some(task), true) = (op.task, len > 0) {
             let path = op.path.to_string();
-            self.on_access(&FileAccess { path, kind, task, offset: op.offset, len });
+            self.on_access(&FileAccess {
+                path,
+                kind,
+                task,
+                offset: op.offset,
+                len,
+            });
         }
         Ok(len)
     }
@@ -140,8 +146,8 @@ mod tests {
     use super::*;
     use crate::guard::{clear_task, set_task};
     use crate::{IoSlice, MemFs, TapFs, Vfs};
-    use std::sync::Arc;
     use parking_lot::Mutex;
+    use std::sync::Arc;
 
     #[derive(Default)]
     struct Log(Mutex<Vec<FileAccess>>);
@@ -251,9 +257,25 @@ mod tests {
             offset: 0,
             len: 10,
         };
-        let b = FileAccess { offset: 9, len: 1, task: 1, ..a.clone() };
-        let c = FileAccess { offset: 10, len: 1, task: 1, ..a.clone() };
-        let d = FileAccess { path: "q".into(), offset: 0, len: 10, task: 1, kind: AccessKind::Write };
+        let b = FileAccess {
+            offset: 9,
+            len: 1,
+            task: 1,
+            ..a.clone()
+        };
+        let c = FileAccess {
+            offset: 10,
+            len: 1,
+            task: 1,
+            ..a.clone()
+        };
+        let d = FileAccess {
+            path: "q".into(),
+            offset: 0,
+            len: 10,
+            task: 1,
+            kind: AccessKind::Write,
+        };
         assert!(a.overlaps(&b) && b.overlaps(&a));
         assert!(!a.overlaps(&c));
         assert!(!a.overlaps(&d));
@@ -262,9 +284,20 @@ mod tests {
     #[test]
     fn conflicts_need_overlap_a_write_and_matching_shadowness() {
         use AccessKind::*;
-        let at = |kind, offset| FileAccess { path: "p".into(), kind, task: 0, offset, len: 10 };
+        let at = |kind, offset| FileAccess {
+            path: "p".into(),
+            kind,
+            task: 0,
+            offset,
+            len: 10,
+        };
         let kinds = [Read, Write, ShadowWrite];
-        let conflicts = [(Write, Write), (Read, Write), (Write, Read), (ShadowWrite, ShadowWrite)];
+        let conflicts = [
+            (Write, Write),
+            (Read, Write),
+            (Write, Read),
+            (ShadowWrite, ShadowWrite),
+        ];
         for (a, b) in kinds.into_iter().flat_map(|a| kinds.map(|b| (a, b))) {
             let want = conflicts.contains(&(a, b));
             assert_eq!(at(a, 0).conflicts(&at(b, 5)), want, "{a:?}/{b:?}");

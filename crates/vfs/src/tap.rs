@@ -104,9 +104,16 @@ pub trait Tap: Send + Sync {
 fn pass(taps: &[Arc<dyn Tap>], op: &Op<'_>, backend: Next<'_>) -> io::Result<u64> {
     match taps.split_first() {
         None => backend(op.len),
-        Some((tap, rest)) => {
-            tap.around(op, &mut |n| pass(rest, &Op { len: n.min(op.len), ..*op }, backend))
-        }
+        Some((tap, rest)) => tap.around(op, &mut |n| {
+            pass(
+                rest,
+                &Op {
+                    len: n.min(op.len),
+                    ..*op
+                },
+                backend,
+            )
+        }),
     }
 }
 
@@ -124,12 +131,22 @@ pub struct TapFs {
 impl TapFs {
     /// Interpose `taps`, outermost first, on `inner`.
     pub fn new(inner: Arc<dyn Vfs>, taps: Vec<Arc<dyn Tap>>) -> TapFs {
-        TapFs { inner, injects: taps.iter().any(|t| t.injects()), taps: taps.into() }
+        TapFs {
+            inner,
+            injects: taps.iter().any(|t| t.injects()),
+            taps: taps.into(),
+        }
     }
 
     fn wrap(&self, path: String, shadow: bool, inner: Arc<dyn VfsFile>) -> Arc<dyn VfsFile> {
         let (injects, taps) = (self.injects, self.taps.clone());
-        Arc::new(TapFile { inner, path, shadow, injects, taps })
+        Arc::new(TapFile {
+            inner,
+            path,
+            shadow,
+            injects,
+            taps,
+        })
     }
 
     fn open_op(
@@ -139,13 +156,24 @@ impl TapFs {
         open: &dyn Fn() -> io::Result<Arc<dyn VfsFile>>,
     ) -> io::Result<Arc<dyn VfsFile>> {
         let path = normalize_path(path);
-        let op = Op { kind, path: &path, shadow: false, task: current_writer(), offset: 0, len: 0 };
+        let op = Op {
+            kind,
+            path: &path,
+            shadow: false,
+            task: current_writer(),
+            offset: 0,
+            len: 0,
+        };
         let mut file = None;
         pass(&self.taps, &op, &mut |_| {
             file = Some(open()?);
             Ok(0)
         })?;
-        Ok(self.wrap(path, false, file.expect("a tap returned Ok without running the op")))
+        Ok(self.wrap(
+            path,
+            false,
+            file.expect("a tap returned Ok without running the op"),
+        ))
     }
 }
 
@@ -208,13 +236,17 @@ impl TapFile {
 impl VfsFile for TapFile {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
         self.run(OpKind::Read, offset, buf.len(), &mut |n| {
-            self.inner.read_at(&mut buf[..n as usize], offset).map(|n| n as u64)
+            self.inner
+                .read_at(&mut buf[..n as usize], offset)
+                .map(|n| n as u64)
         })
     }
 
     fn write_at(&self, buf: &[u8], offset: u64) -> io::Result<usize> {
         self.run(OpKind::Write, offset, buf.len(), &mut |n| {
-            self.inner.write_at(&buf[..n as usize], offset).map(|n| n as u64)
+            self.inner
+                .write_at(&buf[..n as usize], offset)
+                .map(|n| n as u64)
         })
     }
 
@@ -271,7 +303,9 @@ impl VfsFile for TapFile {
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
-        self.run(OpKind::SetLen, len, 0, &mut |_| self.inner.set_len(len).map(|()| 0))?;
+        self.run(OpKind::SetLen, len, 0, &mut |_| {
+            self.inner.set_len(len).map(|()| 0)
+        })?;
         Ok(())
     }
 
@@ -311,7 +345,11 @@ mod tests {
         clear_task();
         let mut back = [0u8; 8];
         mem.open("a").unwrap().read_exact_at(&mut back, 16).unwrap();
-        assert_eq!(back, [2, 2, 2, 2, 2, 1, 1, 1], "exactly the torn prefix persisted");
+        assert_eq!(
+            back,
+            [2, 2, 2, 2, 2, 1, 1, 1],
+            "exactly the torn prefix persisted"
+        );
         guard.violations()
     }
 
@@ -424,7 +462,11 @@ mod tests {
         }
         clear_task();
         for path in ["m", "t"] {
-            assert_eq!(mem.stats(path).unwrap().allocated, 4096, "{path}: the page of \"kept\"");
+            assert_eq!(
+                mem.stats(path).unwrap().allocated,
+                4096,
+                "{path}: the page of \"kept\""
+            );
         }
         assert!(guard.violations().is_empty());
         let refused: Vec<_> = faults.take_log().into_iter().filter(|r| !r.ok).collect();
@@ -441,7 +483,11 @@ mod tests {
         let v = torn_write_into_foreign_block(true);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!((v[0].prev_task, v[0].task, v[0].block), (0, 1, 0));
-        assert_eq!((v[0].offset, v[0].len), (16, 5), "len is the bytes kept, not the bytes asked");
+        assert_eq!(
+            (v[0].offset, v[0].len),
+            (16, 5),
+            "len is the bytes kept, not the bytes asked"
+        );
         // Listed before it, the guard only learns that the op failed: the
         // five foreign bytes in task 0's block go unnoticed.
         assert!(torn_write_into_foreign_block(false).is_empty());

@@ -18,7 +18,9 @@ const ROUNDS: usize = 4;
 
 /// What region `r` of the file must hold.
 fn region_bytes(r: usize) -> Vec<u8> {
-    (0..REGION).map(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u8 ^ r as u8).collect()
+    (0..REGION)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u8 ^ r as u8)
+        .collect()
 }
 
 #[test]
@@ -48,7 +50,8 @@ fn block_aligned_regions_written_side_by_side() {
                             let (a, rest) = piece.split_at(1000);
                             let (b, c) = rest.split_at(70_000);
                             let iov = [IoSlice::new(a), IoSlice::new(b), IoSlice::new(c)];
-                            file.write_vectored_at(&iov, base + (i * (128 << 10)) as u64).unwrap();
+                            file.write_vectored_at(&iov, base + (i * (128 << 10)) as u64)
+                                .unwrap();
                         }
                     }
                     finished.send(r).unwrap();
@@ -68,14 +71,23 @@ fn block_aligned_regions_written_side_by_side() {
                 let base = (r * REGION) as u64;
                 let mut at = 0;
                 while at < REGION {
-                    let lease = file.read_lease(base + at as u64, REGION - at).expect("written page");
-                    assert!(lease[..] == want[at..at + lease.len()], "lease of region {r} at {at}");
+                    let lease = file
+                        .read_lease(base + at as u64, REGION - at)
+                        .expect("written page");
+                    assert!(
+                        lease[..] == want[at..at + lease.len()],
+                        "lease of region {r} at {at}"
+                    );
                     at += lease.len();
                 }
                 let mut buf = vec![0u8; 100_000];
                 for (i, piece) in want.chunks(100_000).enumerate() {
-                    file.read_exact_at(&mut buf[..piece.len()], base + (i * 100_000) as u64).unwrap();
-                    assert!(buf[..piece.len()] == *piece, "read of region {r}, piece {i}");
+                    file.read_exact_at(&mut buf[..piece.len()], base + (i * 100_000) as u64)
+                        .unwrap();
+                    assert!(
+                        buf[..piece.len()] == *piece,
+                        "read of region {r}, piece {i}"
+                    );
                 }
             }
         });
@@ -87,7 +99,10 @@ fn block_aligned_regions_written_side_by_side() {
     let mut image = vec![0u8; total];
     file.read_exact_at(&mut image, 0).unwrap();
     for (r, got) in image.chunks(REGION).enumerate() {
-        assert!(got == region_bytes(r), "region {r} differs after all writers finished");
+        assert!(
+            got == region_bytes(r),
+            "region {r} differs after all writers finished"
+        );
     }
 }
 
@@ -107,9 +122,14 @@ fn two_writers_sharing_every_block_lose_nothing() {
         for who in 0..2 {
             let (file, start) = (&file, &start);
             s.spawn(move || {
-                let (from, to) = if who == 0 { (0, SPLIT) } else { (SPLIT, BLOCK as usize) };
-                let mine: Vec<Vec<u8>> =
-                    (0..BLOCKS).map(|b| (from..to).map(|i| byte(who, b, i)).collect()).collect();
+                let (from, to) = if who == 0 {
+                    (0, SPLIT)
+                } else {
+                    (SPLIT, BLOCK as usize)
+                };
+                let mine: Vec<Vec<u8>> = (0..BLOCKS)
+                    .map(|b| (from..to).map(|i| byte(who, b, i)).collect())
+                    .collect();
                 start.wait();
                 for (b, half) in mine.iter().enumerate() {
                     for (k, piece) in half.chunks(1000).enumerate() {
@@ -128,7 +148,10 @@ fn two_writers_sharing_every_block_lose_nothing() {
     file.read_exact_at(&mut image, 0).unwrap();
     for (b, block) in image.chunks(BLOCK as usize).enumerate() {
         let want = |i| byte((i >= SPLIT) as usize, b, i);
-        let torn = block.iter().enumerate().position(|(i, &got)| got != want(i));
+        let torn = block
+            .iter()
+            .enumerate()
+            .position(|(i, &got)| got != want(i));
         assert_eq!(torn, None, "block {b}");
     }
 }

@@ -58,7 +58,9 @@ impl VfsFile for ScalarOnly {
 
 /// Deterministic bytes for the `i`-th slice of the `k`-th op.
 fn slice_bytes(k: usize, i: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|j| ((k * 131 + i * 41 + j * 7 + 3) % 251) as u8).collect()
+    (0..len)
+        .map(|j| ((k * 131 + i * 41 + j * 7 + 3) % 251) as u8)
+        .collect()
 }
 
 /// One iovec script op: a relative offset step back (overlap) and the
