@@ -258,12 +258,16 @@ then
     exit 1
 fi
 
-echo "==> structural gate: a MemFs page is one allocation (no Arc<Vec<u8>>, no dyn AsRef lease buffer in crates/vfs/src)"
-# A page is an `Arc<[u8]>` whose refcounts and bytes share one heap block,
-# and a lease holds that page, not a type-erased buffer. (simmpi's shared
-# broadcast frames are another owner and out of scope here.)
-if grep -rnE 'Arc<Vec<u8>>|dyn AsRef' crates/vfs/src; then
-    echo "a MemFs page is \`Arc<[u8]>\`, built straight from the writer's slice; \`ByteLease\` holds it"
+echo "==> structural gate: a MemFs extent is one allocation (no Arc<Vec<u8>>, no dyn AsRef lease buffer in crates/vfs/src, no page-keyed table in mem.rs)"
+# An extent — the whole pages one write or one adopted lease put into one
+# FS block — is an `Arc<[u8]>` whose refcounts and bytes share one heap
+# block, and a lease holds that buffer, not a type-erased one. The table
+# maps a first page to an extent, never a page to its own allocation.
+# (simmpi's shared broadcast frames are another owner and out of scope here.)
+if grep -rnE 'Arc<Vec<u8>>|dyn AsRef' crates/vfs/src ||
+    grep -nE 'type Page\b|BTreeMap<u64, *Arc<\[u8\]>>' crates/vfs/src/mem.rs
+then
+    echo "a MemFs extent is one \`Arc<[u8]>\` built straight from the writer's slice and keyed by its first page; \`ByteLease\` holds it"
     exit 1
 fi
 
@@ -351,6 +355,10 @@ done)
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo fmt --check -p sion-vfs"
+# The one crate kept rustfmt-clean so far; the rest of the tree is not yet.
+cargo fmt --check -p sion-vfs
 
 # The counter every CHANGES.md entry quotes (net LoC is reported, not computed
 # by hand), after what this commit did to it.

@@ -12,12 +12,13 @@
 //! Reading a rank end to end is one path for every multifile:
 //! [`verify`], [`cat_into`] and `Multifile::read_rank` all run
 //! [`sion::RankReader::scan_remaining`], which lends plain streams from
-//! page leases and compressed streams frame by frame from the decoder's
+//! extent leases and compressed streams frame by frame from the decoder's
 //! buffer. The copy tools, [`split`] and [`defrag`], scan with
 //! [`sion::RankReader::scan_runs`] instead, which also hands on the lease a
 //! run came in: they write it with [`vfs::VfsFile::write_lease_at`], so on a
-//! sharing backend (`MemFs`) an output file adopts every whole, aligned
-//! input page and copies nothing — one copy per stored byte elsewhere. The
+//! sharing backend (`MemFs`) an output file adopts every lent run of whole
+//! pages that lands on a page boundary, one write per input extent, and
+//! copies nothing — one copy per stored byte elsewhere. The
 //! tools stay serial programs — no communicator, any host — but [`verify`]
 //! and [`defrag`], whose ranks are independent, spread them over scoped
 //! threads (`over_ranks`); neither the report nor the output file depends
@@ -90,9 +91,9 @@ pub fn dump(vfs: &dyn Vfs, base: &str) -> Result<String> {
 ///
 /// The extracted content is the *logical* stream — decompressed if the
 /// multifile is compressed — i.e. exactly what the original task-local file
-/// would have contained. A plain stream's lent pages are written as leases
-/// ([`vfs::VfsFile::write_lease_at`]), so a `MemFs` output shares every
-/// whole page that lands on a page boundary with the input.
+/// would have contained. A plain stream's lent runs are written as leases
+/// ([`vfs::VfsFile::write_lease_at`]), so a `MemFs` output shares with the
+/// input every run of whole pages that lands on a page boundary.
 pub fn split(
     vfs_in: &dyn Vfs,
     base: &str,
@@ -113,7 +114,7 @@ pub fn split(
         }
         let path = format!("{prefix}.{rank:06}");
         let out = vfs_out.create(&path)?;
-        // Each run is written from where the reader holds it, a lent page
+        // Each run is written from where the reader holds it, a lent run
         // as the lease (a sharing backend adopts it); the sink cannot fail,
         // so the first write error waits for the scan to end.
         let mut at = 0u64;
@@ -144,7 +145,7 @@ pub struct DefragStats {
     pub stored_bytes: u64,
     /// The readers' I/O counters, summed over the ranks: on a leasing VFS
     /// (MemFs) `bytes_copied` and `allocs` stay zero. The output file
-    /// system then adopts every lent page that is whole and lands on a
+    /// system then adopts every lent run of whole pages that lands on a
     /// page boundary of its file, copying none of its bytes, and copies
     /// the rest once.
     pub io: IoCounters,
@@ -163,10 +164,11 @@ pub struct DefragStats {
 /// [`stored reader`](Multifile::stored_reader_at) lends go straight into a
 /// write-through [`RankWriter`], with no staging buffer in between, each
 /// with the lease it came in ([`RankWriter::write_run`]). On a sharing
-/// backend the output chunk adopts such a page instead of copying it —
-/// zero copies on `MemFs` for every whole page that lands on a page
-/// boundary, as `copy_file_range` shares extents on a reflinking file
-/// system; one copy elsewhere. Ranks are copied in contiguous ranges by the
+/// backend the output chunk adopts such a run instead of copying it —
+/// zero copies on `MemFs`, one write per input extent, for every run of
+/// whole pages that lands on a page boundary, as `copy_file_range` shares
+/// extents on a reflinking file system; one copy elsewhere. Ranks are
+/// copied in contiguous ranges by the
 /// `over_ranks` workers; every output chunk's offset is fixed by the layout
 /// and the metadata is written by `close` on the calling thread, so the
 /// output is the same bytes whatever the thread count.
@@ -199,9 +201,9 @@ fn defrag_on(
     // data.
     let locs = (0..ntasks).map(|rank| mf.location(rank)).collect::<Result<Vec<_>>>()?;
     let chunksizes: Vec<u64> = locs.iter().map(|t| t.stored_bytes.max(1)).collect();
-    // Write-through: a lent run (at most one MemFs page) reaches the output
-    // as one write of its lease instead of being copied into a write-behind
-    // buffer.
+    // Write-through: a lent run (at most one MemFs extent, so at most one FS
+    // block) reaches the output as one write of its lease instead of being
+    // copied into a write-behind buffer.
     let mut params = SionParams::new(0).with_nfiles(nfiles).with_write_buffer(0);
     if !flags.contains(SionFlags::ALIGNED) {
         params = params.with_alignment(sion::Alignment::None);
@@ -304,7 +306,7 @@ pub struct CatStats {
     /// Logical bytes streamed into the sink.
     pub bytes: u64,
     /// The reader's I/O counters: on a leasing VFS (MemFs) an uncompressed
-    /// cat keeps `bytes_copied` at zero — pages flow from the backing
+    /// cat keeps `bytes_copied` at zero — extents flow from the backing
     /// store straight through the sink.
     pub io: sion::IoCounters,
 }
@@ -312,7 +314,7 @@ pub struct CatStats {
 /// Stream one rank's logical content through `sink` (the `sioncat`
 /// engine): one borrow-based
 /// [`scan_remaining`](sion::RankReader::scan_remaining) pass, compressed or
-/// not. A plain stream's runs come straight from page leases when the
+/// not. A plain stream's runs come straight from extent leases when the
 /// backend has them, a compressed stream's frames from the decoder's one
 /// reused buffer; nothing is staged in between.
 pub fn cat_into(
@@ -419,7 +421,7 @@ fn verify_ranks(
         // violating it cannot pass the strict fetch and is diagnosed by
         // the raw fallback path instead.
         // Certify the logical stream readable end to end with the
-        // borrow-based scan: a plain stream's pages are inspected in place
+        // borrow-based scan: a plain stream's runs are inspected in place
         // (on a leasing VFS nothing is copied), a compressed stream's
         // frames are decoded and checked one at a time, none kept.
         match mf.reader_at(&t).scan_remaining(&mut |_run| {}) {
@@ -985,6 +987,64 @@ mod tests {
                 output.read_rank(rank).unwrap() == payload(rank, len),
                 "rank {rank}"
             );
+        }
+    }
+
+    /// Records the offset of every write.
+    #[derive(Default)]
+    struct WritesAt(std::sync::Mutex<Vec<u64>>);
+
+    impl Tap for WritesAt {
+        fn around(&self, op: &Op<'_>, next: Next<'_>) -> std::io::Result<u64> {
+            if op.kind == OpKind::Write {
+                self.0.lock().unwrap().push(op.offset);
+            }
+            next(op.len)
+        }
+    }
+
+    #[test]
+    fn defrag_adopts_whole_extents_on_memfs() {
+        // 64 KiB FS blocks, each written as one MemFs extent: defrag writes
+        // each rank's stored bytes with one lease per input extent — at most
+        // one per FS block and one for a last partial page — not one per
+        // 4 KiB page, and the output shares every whole page with the input.
+        const BLOCK: u64 = 64 << 10;
+        let lens = [5 * BLOCK as usize + 100, 3 * BLOCK as usize, 200_000, 0, 9000];
+        let fs = MemFs::with_block_size(BLOCK);
+        multifile_of(&fs, &SionParams::new(1 << 20), &lens);
+        let mem = Arc::new(MemFs::with_block_size(BLOCK));
+        let tap = Arc::new(WritesAt::default());
+        let out = TapFs::new(mem.clone(), vec![tap.clone()]);
+        defrag(&fs, "in.sion", &out, "out.sion", 1).unwrap();
+        let writes = tap.0.lock().unwrap().clone();
+        let (input, output) = (
+            Multifile::open(&fs, "in.sion").unwrap(),
+            Multifile::open(&*mem, "out.sion").unwrap(),
+        );
+        let (fin, fout) = (fs.open("in.sion").unwrap(), mem.open("out.sion").unwrap());
+        for (rank, &len) in lens.iter().enumerate() {
+            assert!(output.read_rank(rank).unwrap() == payload(rank, len), "rank {rank}");
+            let Some(&copy) = output.location(rank).unwrap().chunks.first() else {
+                continue;
+            };
+            let stored = copy.offset..copy.offset + copy.used;
+            let n = writes.iter().filter(|at| stored.contains(at)).count() as u64;
+            assert!(
+                n <= copy.used.div_ceil(BLOCK) + 1,
+                "rank {rank}: {n} data writes for {} bytes",
+                copy.used
+            );
+            let [c] = input.location(rank).unwrap().chunks[..] else {
+                panic!("rank {rank}: one input chunk");
+            };
+            for at in (0..c.used / 4096 * 4096).step_by(4096) {
+                assert_eq!(
+                    page_ptr(&fin, c.offset + at),
+                    page_ptr(&fout, copy.offset + at),
+                    "rank {rank}: page at {at}"
+                );
+            }
         }
     }
 

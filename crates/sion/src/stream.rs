@@ -119,7 +119,7 @@ pub struct IoCounters {
     /// `read` copies out of the window to its caller; in compressed mode
     /// also stored bytes the decoder had to keep because their frame
     /// straddles two runs, and decoded bytes copied out to a `read`
-    /// caller). Zero-copy paths — vectored submits of caller slices, page
+    /// caller). Zero-copy paths — vectored submits of caller slices, extent
     /// leases, a window or a decoded frame lent to a scan's sink — move
     /// bytes without touching this counter, so tests can assert the
     /// engine's copy discipline, not just its call counts.
@@ -318,7 +318,8 @@ impl TaskWriter {
     /// [`write`](Self::write) of a run a reader lent, with the lease it is
     /// all of, if it is one ([`TaskReader::scan_runs`]). A write-through
     /// plain writer hands a lease that fits the current chunk to its file
-    /// as it is ([`VfsFile::write_lease_at`]: `MemFs` adopts whole pages);
+    /// as it is ([`VfsFile::write_lease_at`]: `MemFs` adopts runs of whole
+    /// pages at a page boundary);
     /// every other writer writes the bytes, exactly as `write` does. A
     /// lease that is not exactly `data` (same start, same length) is
     /// ignored: what is written is always `data`.
@@ -946,7 +947,7 @@ impl TaskReader {
     /// returns the bytes handed to `sink`.
     ///
     /// Plain mode: each stored run goes to `sink` straight from the window
-    /// — lent pages on a backend with leases (zero bytes copied:
+    /// — lent extents on a backend with leases (zero bytes copied:
     /// `sionverify`'s inspection pass runs this over `MemFs` without a
     /// single memcpy), the owned window elsewhere.
     ///
@@ -1686,6 +1687,40 @@ mod tests {
                 assert_eq!(c.vfs_calls, pages, "one lease per page touched: {c:?}");
                 assert!(c.bytes_copied <= stored, "{c:?}");
             }
+        }
+    }
+
+    #[test]
+    fn a_plain_read_takes_one_lease_per_fs_block() {
+        // 4 KiB records through the write-behind buffer on 64 KiB FS blocks,
+        // as sionbench `bulk_4k` writes them: each FS block is one MemFs
+        // extent, and a reader takes one lease per block, whether it scans
+        // or reads record by record.
+        const BLOCK: u64 = 64 << 10;
+        let layout = FileLayout::compute(&[8 * BLOCK], BLOCK, Alignment::FsBlock, false).unwrap();
+        let data: Vec<u8> = (0..5 * BLOCK as usize).map(|i| (i % 251) as u8).collect();
+        let fs = MemFs::with_block_size(BLOCK);
+        let mut w = writer(&fs, &layout, 0, false);
+        for record in data.chunks(4096) {
+            w.write(record).unwrap();
+        }
+        let used = w.finish().unwrap();
+        let geom = ChunkGeom::from_layout(&layout, 0, 0);
+        for scan in [true, false] {
+            let mut r = reader(fs.open("f").unwrap(), geom, used.clone(), false);
+            let mut back = vec![0u8; data.len()];
+            if scan {
+                back.clear();
+                r.scan_remaining(&mut |run| back.extend_from_slice(run)).unwrap();
+            } else {
+                for record in back.chunks_mut(4096) {
+                    r.read_exact(record).unwrap();
+                }
+            }
+            assert!(back == data, "scan {scan}");
+            let c = r.io_counters();
+            assert_eq!(c.vfs_calls, 5, "scan {scan}: one lease per FS block: {c:?}");
+            assert_eq!(c.bytes_copied, if scan { 0 } else { data.len() as u64 }, "{c:?}");
         }
     }
 

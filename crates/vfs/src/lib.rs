@@ -48,11 +48,11 @@ use std::sync::Arc;
 /// A zero-copy read lease: a refcounted borrow of a contiguous run of a
 /// file's backing storage, handed out by [`VfsFile::read_lease`].
 ///
-/// The lease holds the backing buffer itself — for [`MemFs`] the page, an
-/// `Arc<[u8]>` whose refcounts and bytes share one allocation — plus a
+/// The lease holds the backing buffer itself — for [`MemFs`] the extent's,
+/// an `Arc<[u8]>` whose refcounts and bytes share one allocation — plus a
 /// range. It keeps the buffer alive and its contents frozen from the lease
-/// holder's point of view (writers replace pages copy-on-write rather than
-/// mutating leased ones), so consumers can inspect file bytes without a
+/// holder's point of view (writers copy out or replace leased pages rather
+/// than mutating them), so consumers can inspect file bytes without a
 /// memcpy into a caller-owned buffer.
 pub struct ByteLease {
     buf: Arc<[u8]>,
@@ -82,10 +82,10 @@ impl ByteLease {
         self.len
     }
 
-    /// The backing buffer, when the lease covers all of it: what a backend
-    /// can adopt by refcount instead of copying.
-    pub(crate) fn whole_buffer(&self) -> Option<&Arc<[u8]>> {
-        (self.start == 0 && self.len == self.buf.len()).then_some(&self.buf)
+    /// The backing buffer and where in it the leased bytes start: what a
+    /// backend can adopt by refcount instead of copying.
+    pub(crate) fn parts(&self) -> (&Arc<[u8]>, usize) {
+        (&self.buf, self.start)
     }
 }
 
@@ -191,9 +191,9 @@ pub trait VfsFile: Send + Sync {
     /// [`write_all_at`](Self::write_all_at) of the same bytes, and fails
     /// the same way.
     ///
-    /// The default is that copy. [`MemFs`] adopts a lease of one whole page
-    /// at a page-aligned offset; [`LocalFs`] keeps the default, because a
-    /// positioned `copy_file_range` needs `unsafe`/`libc`.
+    /// The default is that copy. [`MemFs`] adopts a lease of a whole number
+    /// of pages at a page-aligned offset; [`LocalFs`] keeps the default,
+    /// because a positioned `copy_file_range` needs `unsafe`/`libc`.
     fn write_lease_at(&self, lease: &ByteLease, offset: u64) -> io::Result<()> {
         self.write_all_at(lease, offset)
     }

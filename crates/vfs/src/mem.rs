@@ -1,15 +1,15 @@
 //! [`MemFs`]: a thread-safe, sparse, in-memory file system.
 //!
-//! Files are stored as maps of fixed-size pages; ranges never written are
-//! *holes* that consume no memory and read back as zeros. This mirrors the
-//! sparse-allocation behaviour of GPFS/Lustre that SIONlib's block-per-task
-//! layout depends on ("file systems tend not to physically allocate the
-//! empty blocks"), and lets tests assert on *physically allocated* bytes
-//! (e.g. that `siondefrag` removes gaps).
+//! Files are stored as maps of extents, runs of whole 4 KiB pages; ranges
+//! never written are *holes* that consume no memory and read back as zeros.
+//! This mirrors the sparse-allocation behaviour of GPFS/Lustre that
+//! SIONlib's block-per-task layout depends on ("file systems tend not to
+//! physically allocate the empty blocks"), and lets tests assert on
+//! *physically allocated* bytes (e.g. that `siondefrag` removes gaps).
 //!
 //! # Locking: per FS block, not per file
 //!
-//! A file's page table is split by FS block (`offset / block_size`, the
+//! A file's extent table is split by FS block (`offset / block_size`, the
 //! value [`Vfs::block_size`] advertises) over [`STRIPES`] independently
 //! locked maps, as a parallel file system hands out block locks. Tasks
 //! whose chunks the layout aligned to FS blocks therefore never wait for
@@ -25,16 +25,20 @@
 //! operations. The file length is an atomic high-water mark, raised under
 //! the lock of the block whose write reached it.
 //!
-//! # A page is one allocation
+//! # An extent is one allocation
 //!
-//! A page is an `Arc<[u8]>`: refcounts and 4 KiB of bytes in one heap
-//! block. A full page written from one source slice costs one allocation
-//! and one copy, and dropping it one free; a [`ByteLease`] holds the page
-//! itself, and [`VfsFile::write_lease_at`] of a whole-page lease at a page
-//! boundary puts that same page into another file (or another place of
-//! this one) without copying it. A page held twice is never written in
-//! place: a full-page write replaces it, a partial write and `set_len`
-//! clone it first, so files sharing a page stay independent.
+//! An extent is a run of whole pages inside one FS block, backed by one
+//! `Arc<[u8]>`: refcounts and bytes in one heap block. The whole pages one
+//! source slice covers in one FS block become one extent — one allocation
+//! and one copy, and dropping it one free, however many pages it holds. A
+//! [`ByteLease`] holds the extent's buffer itself and runs to the end of
+//! the extent, and [`VfsFile::write_lease_at`] of a whole number of pages
+//! at a page boundary puts that same buffer into another file (or another
+//! place of this one) without copying it. A buffer held twice is never
+//! written in place: a write of whole pages replaces them, a partial write
+//! and `set_len` copy out the one page they touch first, and the pieces of
+//! the extent around it keep sharing the old allocation, so files sharing
+//! an extent stay independent.
 
 use crate::{normalize_path, write_end, ByteLease, IoSlice, Vfs, VfsFile};
 use parking_lot::{Mutex, RwLock};
@@ -48,23 +52,111 @@ use std::sync::Arc;
 /// in tests exercise multi-page paths, large enough to stay fast.
 const PAGE: usize = 4096;
 
-/// Number of lock stripes a file's page table is split into (a power of
+/// Number of lock stripes a file's extent table is split into (a power of
 /// two). Fixed per file, so the overhead does not grow with the blocks
 /// touched; two blocks in flight at once share a stripe with probability
 /// 1/64 and then wait for one block's copy at most.
 const STRIPES: usize = 64;
 
-/// One backing page: exactly [`PAGE`] bytes in the same allocation as its
-/// refcounts, so [`VfsFile::read_lease`] can hand it out without copying.
-/// Writers that hit a leased page replace it copy-on-write
-/// ([`Arc::make_mut`]), so leases observe a consistent snapshot.
-type Page = Arc<[u8]>;
+/// A run of whole pages of one FS block: `pages` pages of `buf` from byte
+/// `start` on. The buffer's refcounts and bytes are one allocation, so
+/// [`VfsFile::read_lease`] hands out the buffer itself, and pieces cut from
+/// an extent keep sharing it. Writers never change a buffer something else
+/// holds, so leases observe a consistent snapshot.
+#[derive(Clone)]
+struct Extent {
+    buf: Arc<[u8]>,
+    start: usize,
+    pages: u64,
+}
 
-/// page index -> page contents
-type PageMap = BTreeMap<u64, Page>;
+impl Extent {
+    /// All of `buf`, a whole number of pages.
+    fn whole(buf: Arc<[u8]>) -> Extent {
+        let pages = (buf.len() / PAGE) as u64;
+        Extent {
+            buf,
+            start: 0,
+            pages,
+        }
+    }
+
+    /// Its pages `from..to`, sharing its allocation.
+    fn slice(&self, from: u64, to: u64) -> Extent {
+        Extent {
+            buf: self.buf.clone(),
+            start: self.start + from as usize * PAGE,
+            pages: to - from,
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.start..self.start + self.pages as usize * PAGE]
+    }
+}
+
+/// first page index -> the extent starting there
+type ExtentMap = BTreeMap<u64, Extent>;
+
+/// The extent holding page `page`, and its first page.
+fn extent_at(map: &ExtentMap, page: u64) -> Option<(u64, &Extent)> {
+    let (&first, ext) = map.range(..=page).next_back()?;
+    (page < first + ext.pages).then_some((first, ext))
+}
+
+/// Unmap pages `from..to` of one FS block. An extent reaching into the
+/// range keeps its pages outside it, still sharing its allocation.
+fn unmap(map: &mut ExtentMap, from: u64, to: u64) {
+    // The overlapping extents, last first: one lookup when there is none.
+    while let Some((&first, ext)) = map.range_mut(..to).next_back() {
+        let end = first + ext.pages;
+        if end <= from {
+            return;
+        }
+        let tail = (end > to).then(|| ext.slice(to - first, end - first));
+        let head = first < from;
+        if head {
+            ext.pages = from - first;
+        } else {
+            map.remove(&first);
+        }
+        if let Some(tail) = tail {
+            map.insert(to, tail);
+        }
+        if head {
+            return;
+        }
+    }
+}
+
+/// Page `page`, writable in place: a hole becomes a zeroed page, and a page
+/// whose allocation anything else holds (a lease, another file, another
+/// piece of its extent) is copied out into a one-page extent of its own.
+fn page_mut(map: &mut ExtentMap, page: u64) -> &mut [u8] {
+    let (first, ext) = match extent_at(map, page) {
+        Some((first, ext)) if Arc::strong_count(&ext.buf) == 1 => {
+            (first, map.get_mut(&first).expect("found above"))
+        }
+        found => {
+            let copy = match found {
+                Some((first, ext)) => {
+                    let at = (page - first) as usize * PAGE;
+                    Arc::from(&ext.bytes()[at..at + PAGE])
+                }
+                None => blank_page(),
+            };
+            if found.is_some() {
+                unmap(map, page, page + 1);
+            }
+            (page, map.entry(page).or_insert(Extent::whole(copy)))
+        }
+    };
+    let at = ext.start + (page - first) as usize * PAGE;
+    &mut Arc::get_mut(&mut ext.buf).expect("held by this map only")[at..at + PAGE]
+}
 
 /// A zeroed page: one allocation, filled from a static zero page.
-fn blank_page() -> Page {
+fn blank_page() -> Arc<[u8]> {
     static ZEROS: [u8; PAGE] = [0; PAGE];
     Arc::from(&ZEROS[..])
 }
@@ -88,13 +180,16 @@ impl<'a> Gather<'a, '_> {
         &bufs[self.idx][self.at..]
     }
 
-    /// The next `n` source bytes as one borrowed run, if a single slice
-    /// holds them all; the cursor moves past them only then.
-    fn run(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// The longest run of whole pages, at most `max` bytes, that the current
+    /// slice holds from the cursor on, and the cursor moves past it; `None`
+    /// if the slice holds less than a page.
+    fn pages(&mut self, max: usize) -> Option<&'a [u8]> {
         let rest = self.rest();
-        let run = rest.get(..n)?;
-        self.at += n;
-        Some(run)
+        let n = rest.len().min(max) / PAGE * PAGE;
+        (n > 0).then(|| {
+            self.at += n;
+            &rest[..n]
+        })
     }
 
     /// Hand the next `n` source bytes to `sink`, in order, one contiguous
@@ -111,22 +206,22 @@ impl<'a> Gather<'a, '_> {
 }
 
 struct FileData {
-    /// The page table: all pages of one FS block live in one stripe.
-    stripes: [RwLock<PageMap>; STRIPES],
+    /// The extent table: all extents of one FS block live in one stripe.
+    stripes: [RwLock<ExtentMap>; STRIPES],
     /// Logical length. Raised by `fetch_max(Release)` under the lock of the
     /// block just written and stored under every lock by `set_len`; the
     /// `Acquire` loads in `read_at`/`len` pair with both, so whoever sees a
     /// length also sees the pages written before it was published.
     len: AtomicU64,
     /// Lock granule in pages: the FS block, or one page where the block is
-    /// smaller than the unit of storage.
+    /// smaller than the unit of storage. No extent is longer.
     pages_per_block: u64,
 }
 
 impl FileData {
     fn new(block_size: u64) -> Self {
         FileData {
-            stripes: std::array::from_fn(|_| RwLock::new(PageMap::new())),
+            stripes: std::array::from_fn(|_| RwLock::new(ExtentMap::new())),
             len: AtomicU64::new(0),
             pages_per_block: (block_size / PAGE as u64).max(1),
         }
@@ -142,7 +237,7 @@ impl FileData {
         (hash >> (u64::BITS - STRIPES.trailing_zeros())) as usize
     }
 
-    fn stripe(&self, page_idx: u64) -> &RwLock<PageMap> {
+    fn stripe(&self, page_idx: u64) -> &RwLock<ExtentMap> {
         &self.stripes[self.stripe_index(page_idx)]
     }
 
@@ -153,11 +248,8 @@ impl FileData {
     }
 
     fn allocated_bytes(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.read().len() as u64)
-            .sum::<u64>()
-            * PAGE as u64
+        let pages = |s: &RwLock<ExtentMap>| s.read().values().map(|e| e.pages).sum::<u64>();
+        self.stripes.iter().map(pages).sum::<u64>() * PAGE as u64
     }
 
     fn read_at(&self, buf: &mut [u8], offset: u64) -> usize {
@@ -170,18 +262,27 @@ impl FileData {
         while done < n {
             let pos = offset + done as u64;
             let block_stop = done + (self.block_end(pos) - pos).min((n - done) as u64) as usize;
-            let pages = self.stripe(pos / PAGE as u64).read();
+            let map = self.stripe(pos / PAGE as u64).read();
             while done < block_stop {
                 let pos = offset + done as u64;
-                let page_idx = pos / PAGE as u64;
-                let in_page = (pos % PAGE as u64) as usize;
-                let take = (PAGE - in_page).min(block_stop - done);
-                match pages.get(&page_idx) {
-                    Some(page) => {
-                        buf[done..done + take].copy_from_slice(&page[in_page..in_page + take])
+                let page = pos / PAGE as u64;
+                let room = block_stop - done;
+                // One copy per extent, one fill per hole.
+                let take = match extent_at(&map, page) {
+                    Some((first, ext)) => {
+                        let from = &ext.bytes()[(pos - first * PAGE as u64) as usize..];
+                        let take = from.len().min(room);
+                        buf[done..done + take].copy_from_slice(&from[..take]);
+                        take
                     }
-                    None => buf[done..done + take].fill(0),
-                }
+                    None => {
+                        let next = map.range(page..).next();
+                        let hole = next.map_or(u64::MAX, |(&first, _)| first * PAGE as u64 - pos);
+                        let take = hole.min(room as u64) as usize;
+                        buf[done..done + take].fill(0);
+                        take
+                    }
+                };
                 done += take;
             }
         }
@@ -201,32 +302,37 @@ impl FileData {
         let mut pos = offset;
         while pos < end {
             let block_stop = self.block_end(pos).min(end);
-            let mut pages = self.stripe(pos / PAGE as u64).write();
+            let mut map = self.stripe(pos / PAGE as u64).write();
             while pos < block_stop {
-                let page_idx = pos / PAGE as u64;
+                let page = pos / PAGE as u64;
                 let in_page = (pos % PAGE as u64) as usize;
-                let take = (PAGE - in_page).min((block_stop - pos) as usize);
-                let run = if take == PAGE { src.run(PAGE) } else { None };
+                let room = (block_stop - pos) as usize;
+                let run = if in_page == 0 { src.pages(room) } else { None };
                 match run {
-                    // Full page inside one source slice: built straight from
-                    // it, one allocation and one copy. Outstanding leases
-                    // keep the old page alive unchanged.
+                    // The whole pages one source slice covers in this block:
+                    // one extent, built straight from it with one allocation
+                    // and one copy. Outstanding leases keep the old
+                    // extents alive unchanged.
                     Some(run) => {
-                        pages.insert(page_idx, Arc::from(run));
+                        let pages = (run.len() / PAGE) as u64;
+                        unmap(&mut map, page, page + pages);
+                        map.insert(page, Extent::whole(Arc::from(run)));
+                        pos += run.len() as u64;
                     }
-                    // A partial page, or one gathered from several slices:
-                    // copy-on-write clones it only when a lease (or a
-                    // sibling handle's lease) still holds the old contents.
+                    // A partial page, or one gathered from several slices,
+                    // is written in place, copied out first only when
+                    // anything else holds its allocation.
                     None => {
-                        let page = Arc::make_mut(pages.entry(page_idx).or_insert_with(blank_page));
+                        let take = (PAGE - in_page).min(room);
+                        let bytes = page_mut(&mut map, page);
                         let mut at = in_page;
                         src.take(take, |piece| {
-                            page[at..at + piece.len()].copy_from_slice(piece);
+                            bytes[at..at + piece.len()].copy_from_slice(piece);
                             at += piece.len();
                         });
+                        pos += take as u64;
                     }
                 }
-                pos += take as u64;
             }
             self.len.fetch_max(block_stop, Ordering::Release);
         }
@@ -237,34 +343,47 @@ impl FileData {
         if max_len == 0 {
             return None;
         }
-        let page_idx = offset / PAGE as u64;
-        let in_page = (offset % PAGE as u64) as usize;
-        let pages = self.stripe(page_idx).read();
+        let page = offset / PAGE as u64;
+        let map = self.stripe(page).read();
         // Under the lock: a `set_len` cannot slip between the two checks.
         let len = self.len.load(Ordering::Acquire);
         if offset >= len {
             return None;
         }
-        let page = pages.get(&page_idx)?;
-        let take = (PAGE - in_page).min(max_len).min((len - offset) as usize);
-        Some(ByteLease::new(page.clone(), in_page, take))
+        let (first, ext) = extent_at(&map, page)?;
+        let at = (offset - first * PAGE as u64) as usize;
+        let left = (len - offset).min(max_len as u64) as usize;
+        let take = (ext.pages as usize * PAGE - at).min(left);
+        Some(ByteLease::new(ext.buf.clone(), ext.start + at, take))
     }
 
-    /// Write `lease` at `offset`: a lease of one whole page at a page
-    /// boundary becomes this file's page as it is, a clone of its `Arc`;
-    /// anything else is copied by [`write`](Self::write).
+    /// Write `lease` at `offset`: a whole number of pages at a page
+    /// boundary becomes this file's extents as it is, one per FS block it
+    /// lands in, each a clone of the lent buffer's `Arc`; anything else is
+    /// copied by [`write`](Self::write).
     fn write_lease(&self, lease: &ByteLease, offset: u64) -> io::Result<()> {
-        let page = lease
-            .whole_buffer()
-            .filter(|p| p.len() == PAGE && offset.is_multiple_of(PAGE as u64));
-        let Some(page) = page else {
+        let aligned = |n: u64| n.is_multiple_of(PAGE as u64);
+        if !aligned(lease.len() as u64) || !aligned(offset) {
             return self.write(&[IoSlice::new(lease)], offset);
+        }
+        let end = write_end(offset, lease.len() as u64)?;
+        let (buf, start) = lease.parts();
+        let lent = Extent {
+            buf: buf.clone(),
+            start,
+            pages: (lease.len() / PAGE) as u64,
         };
-        let end = write_end(offset, PAGE as u64)?;
-        let page_idx = offset / PAGE as u64;
-        let mut pages = self.stripe(page_idx).write();
-        pages.insert(page_idx, page.clone());
-        self.len.fetch_max(end, Ordering::Release);
+        let first = offset / PAGE as u64;
+        let mut pos = offset;
+        while pos < end {
+            let block_stop = self.block_end(pos).min(end);
+            let (from, to) = (pos / PAGE as u64, block_stop / PAGE as u64);
+            let mut map = self.stripe(from).write();
+            unmap(&mut map, from, to);
+            map.insert(from, lent.slice(from - first, to - first));
+            self.len.fetch_max(block_stop, Ordering::Release);
+            pos = block_stop;
+        }
         Ok(())
     }
 
@@ -273,18 +392,24 @@ impl FileData {
         // two concurrent `set_len`s cannot deadlock.
         let mut stripes: Vec<_> = self.stripes.iter().map(|s| s.write()).collect();
         if len < self.len.load(Ordering::Acquire) {
-            // Drop pages fully past the new end and zero the tail of the
-            // boundary page, so re-extending reads back zeros (POSIX).
+            // Drop pages fully past the new end — extents starting there, and
+            // the tail of the one extent reaching across it — and zero the
+            // tail of the boundary page, so re-extending reads back zeros
+            // (POSIX).
             let first_dropped = len.div_ceil(PAGE as u64);
-            for pages in &mut stripes {
-                pages.split_off(&first_dropped);
+            for map in &mut stripes {
+                map.split_off(&first_dropped);
+            }
+            let holder = &mut stripes[self.stripe_index(first_dropped)];
+            if let Some((&first, ext)) = holder.range_mut(..first_dropped).next_back() {
+                ext.pages = ext.pages.min(first_dropped - first);
             }
             let keep_into_boundary = (len % PAGE as u64) as usize;
             if keep_into_boundary > 0 {
-                let boundary_page = len / PAGE as u64;
-                let holder = &mut stripes[self.stripe_index(boundary_page)];
-                if let Some(page) = holder.get_mut(&boundary_page) {
-                    Arc::make_mut(page)[keep_into_boundary..].fill(0);
+                let boundary = len / PAGE as u64;
+                let holder = &mut stripes[self.stripe_index(boundary)];
+                if extent_at(holder, boundary).is_some() {
+                    page_mut(holder, boundary)[keep_into_boundary..].fill(0);
                 }
             }
         }
@@ -293,7 +418,7 @@ impl FileData {
 }
 
 impl Drop for FileData {
-    /// Free the pages in file order, not stripe by stripe. File order is
+    /// Free the extents in file order, not stripe by stripe. File order is
     /// roughly the order they were allocated in, so the allocator gets
     /// neighbouring chunks back one after the other and hands them out in
     /// that order again; freeing stripe by stripe cost the next checkpoint
@@ -312,12 +437,9 @@ impl Drop for FileData {
             .collect();
         while let Some(Reverse((first, i))) = next_block.pop() {
             let block_stop = (first / self.pages_per_block + 1) * self.pages_per_block;
-            while runs[i]
-                .next_if(|&(page_idx, _)| page_idx < block_stop)
-                .is_some()
-            {}
-            if let Some(&(page_idx, _)) = runs[i].peek() {
-                next_block.push(Reverse((page_idx, i)));
+            while runs[i].next_if(|&(page, _)| page < block_stop).is_some() {}
+            if let Some(&(page, _)) = runs[i].peek() {
+                next_block.push(Reverse((page, i)));
             }
         }
     }
@@ -338,26 +460,30 @@ impl VfsFile for MemFile {
     }
 
     /// Native vectored write: the iovec is applied as one byte run, so a
-    /// page or an FS block that several slices cover together is still
-    /// built once and written under one lock acquisition, instead of one
-    /// lock round-trip per slice.
+    /// page that several slices cover together is still built once, and an
+    /// FS block is written under one lock acquisition, instead of one lock
+    /// round-trip per slice.
     fn write_vectored_at(&self, bufs: &[IoSlice<'_>], offset: u64) -> io::Result<()> {
         self.data.write(bufs, offset)
     }
 
-    /// Zero-copy borrow of the backing page: the lease is a clone of the
-    /// page's `Arc<[u8]>` plus a range — no byte is copied. A lease ends at
-    /// the page boundary, at end of file, or at a hole (`None`: holes have
-    /// no backing storage to borrow; callers fall back to `read_at`).
+    /// Zero-copy borrow of the backing extent: the lease is a clone of the
+    /// extent's `Arc<[u8]>` plus a range — no byte is copied. A lease runs
+    /// from `offset` to the end of the extent holding it (never past the FS
+    /// block), clipped at end of file and at `max_len`; at a hole it is
+    /// `None` (holes have no backing storage to borrow; callers fall back
+    /// to `read_at`).
     fn read_lease(&self, offset: u64, max_len: usize) -> Option<ByteLease> {
         self.data.read_lease(offset, max_len)
     }
 
-    /// Adopts a lent page instead of copying it: a lease of one whole page
-    /// written at a page-aligned offset makes this file share that page
-    /// with the file it came from. Neither can change the other's bytes: a
-    /// full-page write replaces the page, a partial write and `set_len`
-    /// clone it first ([`Arc::make_mut`]). Every other lease is copied.
+    /// Adopts a lent run instead of copying it: a lease of a whole number
+    /// of pages written at a page-aligned offset — wherever it starts in
+    /// its buffer — becomes extents of this file that share the lent
+    /// allocation with the file it came from, one per FS block it lands
+    /// in. Neither file can change the other's bytes: a write of whole
+    /// pages replaces them, a partial write and `set_len` copy out the page
+    /// they touch first. Every other lease is copied.
     fn write_lease_at(&self, lease: &ByteLease, offset: u64) -> io::Result<()> {
         self.data.write_lease(lease, offset)
     }
@@ -381,9 +507,13 @@ impl VfsFile for MemFile {
 pub struct MemFsStats {
     /// Logical file size in bytes.
     pub len: u64,
-    /// Bytes physically backed by pages (hole-free footprint). A per-file
-    /// figure, as `du` reports reflinked files: a page this file shares
-    /// with another ([`VfsFile::write_lease_at`]) counts in both.
+    /// Bytes of the pages this file maps (hole-free footprint), page-exact.
+    /// A per-file figure, as `du` reports reflinked files: a page this file
+    /// shares with another ([`VfsFile::write_lease_at`]) counts in both.
+    /// It counts mapped pages, not allocations: a page copied out of an
+    /// extent (a partial write, `set_len`) or an extent cut short leaves
+    /// the rest of that extent holding its whole allocation, so resident
+    /// memory can exceed `allocated` until every piece is gone.
     pub allocated: u64,
 }
 
@@ -664,7 +794,8 @@ mod tests {
         let lease = f.read_lease(0, PAGE).unwrap();
         assert_eq!(lease.len(), PAGE);
         assert_eq!(&lease[..], &data[..]);
-        // A lease never crosses a page boundary; mid-page start clamps.
+        // A lease ends with its extent, here the one page; a mid-page start
+        // clamps.
         let lease = f.read_lease(100, PAGE).unwrap();
         assert_eq!(lease.len(), PAGE - 100);
         assert_eq!(&lease[..], &data[100..]);
@@ -834,25 +965,147 @@ mod tests {
     }
 
     #[test]
-    fn leases_that_are_not_one_aligned_page_are_copied() {
+    fn leases_that_are_not_whole_pages_at_a_page_boundary_are_copied() {
         let fs = MemFs::new();
         let src = fs.create("src").unwrap();
         let data: Vec<u8> = (0..2 * PAGE + 100).map(|i| (i % 247) as u8).collect();
         src.write_all_at(&data, 0).unwrap();
         let dst = fs.create("dst").unwrap();
-        // (lease offset, lease length, destination offset): a partial lease,
-        // the end-of-file page, a whole page at a misaligned offset.
-        for (from, max, to) in [
-            (100, PAGE, 0),
-            (2 * PAGE, PAGE, 4 * PAGE),
-            (PAGE, PAGE, 8 * PAGE + 7),
+        // (lease offset, lease length, destination offset, adopted): whole
+        // pages at a page boundary, wherever they start in their source, are
+        // adopted; a partial-page length, the end-of-file page and a whole
+        // page at a misaligned offset are copied.
+        for (from, max, to, adopted) in [
+            (0, 2 * PAGE, 4 * PAGE, true),
+            (100, PAGE, 0, true),
+            (100, 2 * PAGE, 8 * PAGE, false),
+            (2 * PAGE, PAGE, 12 * PAGE, false),
+            (PAGE, PAGE, 16 * PAGE + 7, false),
         ] {
             let lease = src.read_lease(from as u64, max).unwrap();
             dst.write_lease_at(&lease, to as u64).unwrap();
             let copy = dst.read_lease(to as u64, lease.len()).unwrap();
             assert_eq!(&copy[..], &data[from..from + copy.len()], "lease at {from}");
-            assert_ne!(copy.as_ptr(), lease.as_ptr(), "lease at {from}: a new page");
+            assert_eq!(copy.as_ptr() == lease.as_ptr(), adopted, "lease at {from}");
         }
+    }
+
+    /// 16 pages: one 64 KiB FS block.
+    const BLOCK: usize = 16 * PAGE;
+
+    /// A 64 KiB-block file system with `n` bytes of a pattern written to
+    /// "x" at 0 in one call.
+    fn blocks_fs(n: usize) -> (MemFs, Arc<dyn VfsFile>, Vec<u8>) {
+        let fs = MemFs::with_block_size(BLOCK as u64);
+        let f = fs.create("x").unwrap();
+        let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
+        f.write_all_at(&data, 0).unwrap();
+        (fs, f, data)
+    }
+
+    /// The lease from the start of page `page` of `f` to the end of its
+    /// extent.
+    fn lease_at(f: &Arc<dyn VfsFile>, page: usize) -> ByteLease {
+        f.read_lease((page * PAGE) as u64, usize::MAX).unwrap()
+    }
+
+    #[test]
+    fn whole_pages_written_in_one_call_are_one_extent_per_fs_block() {
+        let (fs, f, data) = blocks_fs(3 * BLOCK);
+        for b in 0..3 {
+            let whole = lease_at(&f, b * 16);
+            assert_eq!(&whole[..], &data[b * BLOCK..(b + 1) * BLOCK], "block {b}");
+            let next = lease_at(&f, b * 16 + 1);
+            assert_eq!(
+                next.as_ptr(),
+                whole[PAGE..].as_ptr(),
+                "block {b}: one allocation"
+            );
+            assert_eq!(next.len(), BLOCK - PAGE, "block {b}");
+        }
+        assert_eq!(fs.stats("x").unwrap().allocated, 3 * BLOCK as u64);
+    }
+
+    #[test]
+    fn a_partial_write_copies_out_only_the_page_it_touches() {
+        let (fs, f, data) = blocks_fs(BLOCK);
+        let before = lease_at(&f, 0);
+        f.write_all_at(&[0xEE; 8], 5 * PAGE as u64 + 100).unwrap();
+        assert_eq!(
+            &before[..],
+            &data[..],
+            "the earlier lease keeps its snapshot"
+        );
+        assert_eq!(
+            (lease_at(&f, 0).as_ptr(), lease_at(&f, 0).len()),
+            (before.as_ptr(), 5 * PAGE)
+        );
+        assert_eq!(lease_at(&f, 6).as_ptr(), before[6 * PAGE..].as_ptr());
+        assert_eq!(lease_at(&f, 5).len(), PAGE);
+        assert_ne!(lease_at(&f, 5).as_ptr(), before[5 * PAGE..].as_ptr());
+        let mut now = data.clone();
+        now[5 * PAGE + 100..5 * PAGE + 108].fill(0xEE);
+        assert_eq!(image_of(&f, BLOCK), now);
+        assert_eq!(fs.stats("x").unwrap().allocated, BLOCK as u64);
+    }
+
+    #[test]
+    fn set_len_inside_an_extent_drops_its_tail_and_keeps_its_head_shared() {
+        let (fs, f, data) = blocks_fs(BLOCK);
+        let before = lease_at(&f, 0);
+        f.set_len(5 * PAGE as u64 + 10).unwrap();
+        assert_eq!(fs.stats("x").unwrap().allocated, 6 * PAGE as u64);
+        f.set_len(BLOCK as u64).unwrap();
+        let mut now = data.clone();
+        now[5 * PAGE + 10..].fill(0);
+        assert_eq!(image_of(&f, BLOCK), now);
+        assert_eq!(
+            &before[..],
+            &data[..],
+            "the earlier lease keeps its snapshot"
+        );
+        assert_eq!(
+            (lease_at(&f, 0).as_ptr(), lease_at(&f, 0).len()),
+            (before.as_ptr(), 5 * PAGE)
+        );
+        assert_ne!(lease_at(&f, 5).as_ptr(), before[5 * PAGE..].as_ptr());
+        assert!(f.read_lease(6 * PAGE as u64, 1).is_none(), "a hole");
+    }
+
+    #[test]
+    fn an_adopted_extent_is_shared_until_a_partial_write_copies_one_page() {
+        let (fs, a, data) = blocks_fs(BLOCK);
+        let b = fs.create("b").unwrap();
+        let lent = lease_at(&a, 0);
+        b.write_lease_at(&lent, BLOCK as u64).unwrap();
+        assert_eq!(
+            (lease_at(&b, 16).as_ptr(), lease_at(&b, 16).len()),
+            (lent.as_ptr(), BLOCK)
+        );
+        assert_eq!(fs.stats("x").unwrap().allocated, BLOCK as u64);
+        assert_eq!(fs.stats("b").unwrap().allocated, BLOCK as u64);
+        drop(lent);
+        a.write_all_at(&[1; 8], 3 * PAGE as u64 + 5).unwrap();
+        b.write_all_at(&[2; 8], (BLOCK + 9 * PAGE + 5) as u64)
+            .unwrap();
+        let (mut a_now, mut b_now) = (data.clone(), data.clone());
+        a_now[3 * PAGE + 5..3 * PAGE + 13].fill(1);
+        b_now[9 * PAGE + 5..9 * PAGE + 13].fill(2);
+        assert_eq!(image_of(&a, BLOCK), a_now);
+        assert_eq!(&image_of(&b, 2 * BLOCK)[BLOCK..], &b_now[..]);
+        // Each write copied out one page; every other page is still shared.
+        for page in 0..16 {
+            let shared = lease_at(&a, page).as_ptr() == lease_at(&b, 16 + page).as_ptr();
+            assert_eq!(shared, page != 3 && page != 9, "page {page}");
+        }
+        assert_eq!(fs.stats("x").unwrap().allocated, BLOCK as u64);
+        assert_eq!(fs.stats("b").unwrap().allocated, BLOCK as u64);
+        // Adopted across an FS-block boundary: one extent per block.
+        let c = fs.create("c").unwrap();
+        c.write_lease_at(&lease_at(&b, 16), (BLOCK + 8 * PAGE) as u64)
+            .unwrap();
+        assert_eq!(lease_at(&c, 24).len(), 8 * PAGE);
+        assert_eq!(lease_at(&c, 32).as_ptr(), lease_at(&b, 24).as_ptr());
     }
 
     #[test]
@@ -1015,7 +1268,10 @@ mod tests {
                         match f.read_lease(start as u64, *max) {
                             Some(lease) => {
                                 prop_assert!(backed);
-                                let n = (*max).min(PAGE - start % PAGE).min(model.bytes.len() - start);
+                                let granule = (block as usize / PAGE).max(1) * PAGE;
+                                let most = (*max).min(granule - start % granule).min(model.bytes.len() - start);
+                                let n = lease.len();
+                                prop_assert!(n >= most.min(PAGE - start % PAGE) && n <= most);
                                 prop_assert_eq!(&lease[..], &model.bytes[start..start + n]);
                                 let snapshot = lease.to_vec();
                                 leases.push((lease, snapshot));
