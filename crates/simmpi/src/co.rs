@@ -52,9 +52,14 @@ impl AllGathered {
     /// Build from per-rank parts — the copying fallback for runtimes
     /// without shared memory between ranks (the flat oracle).
     pub(crate) fn from_parts(parts: &[Vec<u8>]) -> AllGathered {
-        let entries: Vec<(u64, &[u8])> =
-            parts.iter().enumerate().map(|(r, p)| (r as u64, p.as_slice())).collect();
-        AllGathered { frame: Arc::new(crate::wire::frame(&entries)) }
+        let entries: Vec<(u64, &[u8])> = parts
+            .iter()
+            .enumerate()
+            .map(|(r, p)| (r as u64, p.as_slice()))
+            .collect();
+        AllGathered {
+            frame: Arc::new(crate::wire::frame(&entries)),
+        }
     }
 
     /// Number of contributions (the communicator size).
@@ -191,7 +196,9 @@ pub trait CoComm: Send + Sync {
     /// Broadcast one `u64` from `root`.
     fn bcast_u64<'a>(&'a self, value: Option<u64>, root: usize) -> BoxFut<'a, u64> {
         Box::pin(async move {
-            let got = self.bcast(value.map(|v| v.to_le_bytes().to_vec()), root).await;
+            let got = self
+                .bcast(value.map(|v| v.to_le_bytes().to_vec()), root)
+                .await;
             u64::from_le_bytes(got[..8].try_into().expect("u64 payload"))
         })
     }

@@ -116,7 +116,13 @@ impl FlatCommunicator {
         let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
         if let Some(h) = &self.shared.hook {
             let (comm, rank) = (&self.shared.ctx, self.rank);
-            h.on_event(&HookEvent::Collective { comm, rank, seq, kind, root });
+            h.on_event(&HookEvent::Collective {
+                comm,
+                rank,
+                seq,
+                kind,
+                root,
+            });
         }
         seq
     }
@@ -128,7 +134,11 @@ impl FlatCommunicator {
     /// before every exit.
     fn note_collective_done(&self, seq: u64) {
         if let Some(h) = &self.shared.hook {
-            h.on_event(&HookEvent::CollectiveDone { comm: &self.shared.ctx, rank: self.rank, seq });
+            h.on_event(&HookEvent::CollectiveDone {
+                comm: &self.shared.ctx,
+                rank: self.rank,
+                seq,
+            });
         }
     }
 
@@ -147,7 +157,9 @@ impl FlatCommunicator {
         if self.shared.world.is_aborting() {
             std::panic::panic_any(Aborted("a peer rank panicked".into()));
         }
-        let Some(h) = &self.shared.hook else { return false };
+        let Some(h) = &self.shared.hook else {
+            return false;
+        };
         if let Some(reason) = h.should_abort() {
             std::panic::panic_any(Aborted(reason));
         }
@@ -169,7 +181,10 @@ impl FlatCommunicator {
         let gen = g.1;
         let start = Instant::now();
         while g.1 == gen {
-            g = cv.wait_timeout(g, hook::ABORT_POLL).expect("barrier state never poisoned").0;
+            g = cv
+                .wait_timeout(g, hook::ABORT_POLL)
+                .expect("barrier state never poisoned")
+                .0;
             if g.1 != gen {
                 break;
             }
@@ -198,9 +213,19 @@ impl FlatCommunicator {
                 Ok(msg) => self.stash.lock().push_back(msg),
                 Err(RecvTimeoutError::Timeout) => {
                     if self.watchdog_expired(start) {
-                        let h = self.shared.hook.as_ref().expect("the watchdog runs under a hook");
+                        let h = self
+                            .shared
+                            .hook
+                            .as_ref()
+                            .expect("the watchdog runs under a hook");
                         let (comm, rank, waited) = (&self.shared.ctx, self.rank, start.elapsed());
-                        h.on_event(&HookEvent::Stuck { comm, rank, src, tag, waited });
+                        h.on_event(&HookEvent::Stuck {
+                            comm,
+                            rank,
+                            src,
+                            tag,
+                            waited,
+                        });
                         panic!(
                             "simcheck: rank {} blocked in recv(src={src}, tag={tag:#x}) \
                              past the watchdog",
@@ -234,7 +259,12 @@ impl CoComm for FlatCommunicator {
         if hook::rejected_user_tag(tag) {
             if let Some(h) = &self.shared.hook {
                 let (comm, rank) = (&self.shared.ctx, self.rank);
-                h.on_event(&HookEvent::ReservedTag { comm, rank, dest, tag });
+                h.on_event(&HookEvent::ReservedTag {
+                    comm,
+                    rank,
+                    dest,
+                    tag,
+                });
             }
             panic!("{}", hook::reserved_tag_panic_text(tag));
         }
@@ -242,7 +272,13 @@ impl CoComm for FlatCommunicator {
         self.stats.add_bytes(data.len() as u64);
         if let Some(h) = &self.shared.hook {
             let (comm, from) = (&self.shared.ctx, self.rank);
-            h.on_event(&HookEvent::Send { comm, from, to: dest, tag, payload: data });
+            h.on_event(&HookEvent::Send {
+                comm,
+                from,
+                to: dest,
+                tag,
+                payload: data,
+            });
         }
         self.shared.senders[dest]
             .send((self.rank, tag, data.to_vec()))
@@ -256,7 +292,13 @@ impl CoComm for FlatCommunicator {
             let payload = self.recv_inner(src, tag);
             if let Some(h) = &self.shared.hook {
                 let (comm, rank) = (&self.shared.ctx, self.rank);
-                h.on_event(&HookEvent::RecvDone { comm, rank, src, tag, payload: &payload });
+                h.on_event(&HookEvent::RecvDone {
+                    comm,
+                    rank,
+                    src,
+                    tag,
+                    payload: &payload,
+                });
             }
             payload
         })
@@ -442,7 +484,9 @@ impl Drop for FlatCommunicator {
     /// Teardown check mirroring the tree runtime's: report unconsumed
     /// messages when a hook is installed.
     fn drop(&mut self) {
-        let Some(hook) = self.shared.hook.clone() else { return };
+        let Some(hook) = self.shared.hook.clone() else {
+            return;
+        };
         let mut leaked: Vec<LeakedMsg> = self
             .stash
             .lock()
@@ -457,13 +501,22 @@ impl Drop for FlatCommunicator {
         {
             let rx = self.shared.receivers[self.rank].lock();
             while let Ok((from, tag, payload)) = rx.try_recv() {
-                leaked.push(LeakedMsg { from, tag, len: payload.len(), stashed: false });
+                leaked.push(LeakedMsg {
+                    from,
+                    tag,
+                    len: payload.len(),
+                    stashed: false,
+                });
             }
         }
         if !leaked.is_empty() {
             leaked.sort();
             let (comm, rank) = (&self.shared.ctx, self.rank);
-            hook.on_event(&HookEvent::Teardown { comm, rank, leaked: &leaked });
+            hook.on_event(&HookEvent::Teardown {
+                comm,
+                rank,
+                leaked: &leaked,
+            });
         }
     }
 }
@@ -474,7 +527,11 @@ fn flat_world(
     hook: Option<Arc<dyn CheckHook>>,
 ) -> (Arc<WorldRt>, Vec<Box<dyn CoComm>>) {
     let world = Arc::new(WorldRt::new(ntasks));
-    let shared = Arc::new(Shared::new(CommCtx::new("world".into(), ntasks), hook, world.clone()));
+    let shared = Arc::new(Shared::new(
+        CommCtx::new("world".into(), ntasks),
+        hook,
+        world.clone(),
+    ));
     let comms = (0..ntasks)
         .map(|rank| Box::new(FlatCommunicator::new(rank, shared.clone())) as Box<dyn CoComm>)
         .collect();
@@ -531,7 +588,10 @@ mod tests {
             &(0..5u8).map(|r| vec![r]).collect::<Vec<_>>()
         );
         assert!(out.iter().all(|(_, b, s)| b == b"flat" && *s == 10));
-        assert!(out.iter().enumerate().all(|(r, (g, _, _))| (r == 2) == g.is_some()));
+        assert!(out
+            .iter()
+            .enumerate()
+            .all(|(r, (g, _, _))| (r == 2) == g.is_some()));
     }
 
     #[test]
@@ -540,7 +600,11 @@ mod tests {
             let sub = c.split((c.rank() % 2) as u64, c.rank() as u64);
             let members = sub.allgather_u64(c.rank() as u64);
             let stats = c.stats().expect("flat tracks stats");
-            (members, stats.splits(), sub.stats().expect("sub tracks stats").allgathers())
+            (
+                members,
+                stats.splits(),
+                sub.stats().expect("sub tracks stats").allgathers(),
+            )
         });
         for (r, (members, splits, sub_allgathers)) in out.iter().enumerate() {
             let expect: Vec<u64> = (0..4u64).filter(|x| x % 2 == r as u64 % 2).collect();
@@ -568,7 +632,10 @@ mod tests {
             }
         });
         assert!(
-            out[0].as_ref().expect("send panicked").contains("reserved for internal"),
+            out[0]
+                .as_ref()
+                .expect("send panicked")
+                .contains("reserved for internal"),
             "{out:?}"
         );
     }
@@ -586,7 +653,9 @@ mod tests {
         });
         assert!(results.iter().any(|r| r.is_err()));
         assert!(
-            san.findings().iter().any(|f| f.kind == FindingKind::CollectiveMismatch),
+            san.findings()
+                .iter()
+                .any(|f| f.kind == FindingKind::CollectiveMismatch),
             "{:?}",
             san.findings()
         );

@@ -104,7 +104,9 @@ impl CollKind {
 
     /// Inverse of [`code`](Self::code).
     pub fn from_code(code: u8) -> Option<CollKind> {
-        Self::ALL.get(usize::from(code).checked_sub(1)?).map(|&(kind, _)| kind)
+        Self::ALL
+            .get(usize::from(code).checked_sub(1)?)
+            .map(|&(kind, _)| kind)
     }
 
     /// Human-readable name for diagnostics.
@@ -118,10 +120,7 @@ impl CollKind {
 /// collective.
 pub(crate) fn coll_tag(kind: CollKind, seq: u64, round: u32) -> u64 {
     debug_assert!(round < 256, "collective round fits one byte");
-    COLL_TAG_PREFIX
-        | ((kind.code() as u64) << 48)
-        | ((seq & 0x00FF_FFFF_FFFF) << 8)
-        | round as u64
+    COLL_TAG_PREFIX | ((kind.code() as u64) << 48) | ((seq & 0x00FF_FFFF_FFFF) << 8) | round as u64
 }
 
 /// Decode a reserved collective tag into (kind, sequence number, round).
@@ -228,7 +227,11 @@ impl CommCtx {
             id ^= *b as u64;
             id = id.wrapping_mul(0x0000_0100_0000_01B3);
         }
-        CommCtx { id, name: name.into(), size }
+        CommCtx {
+            id,
+            name: name.into(),
+            size,
+        }
     }
 
     /// Derive the child context produced by `split` number `split_no` with
@@ -268,37 +271,80 @@ pub enum HookEvent<'a> {
     /// A rank entered a collective: communicator, local rank, the ordinal
     /// sequence number of the collective on that communicator, the
     /// operation kind, and its root (`None` for unrooted collectives).
-    Collective { comm: &'a CommCtx, rank: usize, seq: u64, kind: CollKind, root: Option<usize> },
+    Collective {
+        comm: &'a CommCtx,
+        rank: usize,
+        seq: u64,
+        kind: CollKind,
+        root: Option<usize>,
+    },
     /// A rank *left* a collective (the call returned on that rank). With
     /// [`Collective`](Self::Collective) this brackets every collective: a
     /// happens-before checker may soundly order every entry of collective
     /// `(comm, seq)` before every exit — a superset of the true dependence
     /// of any correct collective implementation.
-    CollectiveDone { comm: &'a CommCtx, rank: usize, seq: u64 },
+    CollectiveDone {
+        comm: &'a CommCtx,
+        rank: usize,
+        seq: u64,
+    },
     /// A message (user or internal, including reserved-namespace frames)
     /// was pushed into `to`'s mailbox. The payload lets ordering checkers
     /// decode protocol frames (see [`AGG_SHIP_TAG_PREFIX`] for the ship/ack
     /// framing contract) without copying.
-    Send { comm: &'a CommCtx, from: usize, to: usize, tag: u64, payload: &'a [u8] },
+    Send {
+        comm: &'a CommCtx,
+        from: usize,
+        to: usize,
+        tag: u64,
+        payload: &'a [u8],
+    },
     /// A receive completed on `rank` with a matched message from `src`.
     /// Reported for blocking receives and for successful `try_recv`, on user
     /// and internal messages alike.
-    RecvDone { comm: &'a CommCtx, rank: usize, src: usize, tag: u64, payload: &'a [u8] },
+    RecvDone {
+        comm: &'a CommCtx,
+        rank: usize,
+        src: usize,
+        tag: u64,
+        payload: &'a [u8],
+    },
     /// A `try_recv` poll ran on `rank` for `(src, tag)` and either matched
     /// (`hit`, followed by [`RecvDone`](Self::RecvDone)) or found nothing.
     /// Makes polling drains visible as discrete events instead of opaque
     /// spins.
-    TryRecv { comm: &'a CommCtx, rank: usize, src: usize, tag: u64, hit: bool },
+    TryRecv {
+        comm: &'a CommCtx,
+        rank: usize,
+        src: usize,
+        tag: u64,
+        hit: bool,
+    },
     /// A user-level send attempted to use a tag inside a reserved
     /// namespace. The runtime panics right after the hook returns; hooks
     /// may panic themselves with a richer diagnostic.
-    ReservedTag { comm: &'a CommCtx, rank: usize, dest: usize, tag: u64 },
+    ReservedTag {
+        comm: &'a CommCtx,
+        rank: usize,
+        dest: usize,
+        tag: u64,
+    },
     /// A communicator handle was dropped with unconsumed messages.
-    Teardown { comm: &'a CommCtx, rank: usize, leaked: &'a [LeakedMsg] },
+    Teardown {
+        comm: &'a CommCtx,
+        rank: usize,
+        leaked: &'a [LeakedMsg],
+    },
     /// A blocked receive exceeded the deadlock watchdog. Hooks should
     /// record and panic; if the hook returns, the runtime panics with a
     /// generic message.
-    Stuck { comm: &'a CommCtx, rank: usize, src: usize, tag: u64, waited: Duration },
+    Stuck {
+        comm: &'a CommCtx,
+        rank: usize,
+        src: usize,
+        tag: u64,
+        waited: Duration,
+    },
     /// A task's closure returned (or panicked), reported after the task's
     /// world communicator was dropped.
     TaskFinish { task: usize, panicked: bool },
@@ -357,7 +403,9 @@ pub fn current_task() -> Option<usize> {
 pub fn simcheck_env_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| {
-        std::env::var("SIMCHECK").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
+        std::env::var("SIMCHECK")
+            .map(|v| !v.is_empty() && v != "0")
+            .unwrap_or(false)
     })
 }
 
@@ -366,7 +414,10 @@ pub fn simcheck_env_enabled() -> bool {
 pub(crate) fn watchdog_timeout() -> Duration {
     static MS: OnceLock<u64> = OnceLock::new();
     Duration::from_millis(*MS.get_or_init(|| {
-        std::env::var("SIMCHECK_TIMEOUT_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(20_000)
+        std::env::var("SIMCHECK_TIMEOUT_MS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(20_000)
     }))
 }
 

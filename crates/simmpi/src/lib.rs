@@ -50,17 +50,15 @@ mod world;
 pub use co::{AllGathered, BoxFut, CoComm};
 pub use comm::{Comm, CommStats, ReduceOp};
 pub use flat::FlatWorld;
-pub use task::{
-    DeadlockReport, ParkedOp, SchedPolicy, SchedStats, ScheduleDriver, TaskComm, TaskRun,
-    TaskWorld,
-};
 pub use hook::{
     current_task, decode_coll_tag, describe_tag, enter_agg_protocol, is_agg_tag, is_reserved_tag,
     simcheck_env_enabled, Aborted, AggProtocolScope, CheckHook, CollKind, CommCtx, HookEvent,
-    LeakedMsg,
-    AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK, COLL_TAG_PREFIX,
+    LeakedMsg, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK, COLL_TAG_PREFIX,
 };
 pub use sanitize::{Finding, FindingKind, Sanitizer};
+pub use task::{
+    DeadlockReport, ParkedOp, SchedPolicy, SchedStats, ScheduleDriver, TaskComm, TaskRun, TaskWorld,
+};
 pub use world::{drive_ready, World};
 
 #[cfg(test)]

@@ -284,7 +284,11 @@ pub(crate) fn finalize_env_checked<T>(
     // No real panic, yet some rank did not finish: it was released from a
     // blocked receive by the abort flag.
     if vals.len() < ntasks {
-        let reason = san.abort.lock().clone().unwrap_or_else(|| "no reason recorded".into());
+        let reason = san
+            .abort
+            .lock()
+            .clone()
+            .unwrap_or_else(|| "no reason recorded".into());
         panic!("simcheck: world aborted: {reason}");
     }
     let incomplete = san.incomplete_collectives();
@@ -298,12 +302,23 @@ pub(crate) fn finalize_env_checked<T>(
 impl CheckHook for Sanitizer {
     fn on_event(&self, ev: &HookEvent<'_>) {
         match *ev {
-            HookEvent::Collective { comm, rank, seq, kind, root } => {
+            HookEvent::Collective {
+                comm,
+                rank,
+                seq,
+                kind,
+                root,
+            } => {
                 if let Some(f) = self.check_collective(comm, rank, seq, kind, root) {
                     panic!("simcheck: {f}");
                 }
             }
-            HookEvent::ReservedTag { comm, rank, dest, tag } => {
+            HookEvent::ReservedTag {
+                comm,
+                rank,
+                dest,
+                tag,
+            } => {
                 let f = self.check_reserved_tag(comm, rank, dest, tag);
                 // Keep the historical 0xC3 wording so callers matching on the
                 // plain runtime's panic message see the same contract; the
@@ -319,7 +334,13 @@ impl CheckHook for Sanitizer {
                     panic!("simcheck: {f}");
                 }
             }
-            HookEvent::Stuck { comm, rank, src, tag, waited } => {
+            HookEvent::Stuck {
+                comm,
+                rank,
+                src,
+                tag,
+                waited,
+            } => {
                 let f = self.record_deadlock(format!(
                     "suspected deadlock: rank {rank} on comm \"{}\" blocked in recv(src={src}, \
                      tag={}) for {:?} with no message arriving",
@@ -351,7 +372,9 @@ mod tests {
         let s = Sanitizer::new();
         let c = ctx("world", 3);
         for rank in 0..3 {
-            assert!(s.check_collective(&c, rank, 0, CollKind::Bcast, Some(1)).is_none());
+            assert!(s
+                .check_collective(&c, rank, 0, CollKind::Bcast, Some(1))
+                .is_none());
         }
         assert!(s.incomplete_collectives().is_empty());
         assert!(s.findings().is_empty());
@@ -361,11 +384,23 @@ mod tests {
     fn root_mismatch_is_diagnosed_on_second_entry() {
         let s = Sanitizer::new();
         let c = ctx("world", 2);
-        assert!(s.check_collective(&c, 0, 0, CollKind::Bcast, Some(0)).is_none());
-        let f = s.check_collective(&c, 1, 0, CollKind::Bcast, Some(1)).expect("mismatch");
+        assert!(s
+            .check_collective(&c, 0, 0, CollKind::Bcast, Some(0))
+            .is_none());
+        let f = s
+            .check_collective(&c, 1, 0, CollKind::Bcast, Some(1))
+            .expect("mismatch");
         assert_eq!(f.kind, FindingKind::CollectiveMismatch);
-        assert!(f.message.contains("rank 1 entered bcast(root=1)"), "{}", f.message);
-        assert!(f.message.contains("rank 0 entered bcast(root=0)"), "{}", f.message);
+        assert!(
+            f.message.contains("rank 1 entered bcast(root=1)"),
+            "{}",
+            f.message
+        );
+        assert!(
+            f.message.contains("rank 0 entered bcast(root=0)"),
+            "{}",
+            f.message
+        );
         assert!(s.should_abort().is_some());
     }
 
@@ -373,8 +408,12 @@ mod tests {
     fn kind_mismatch_is_diagnosed() {
         let s = Sanitizer::new();
         let c = ctx("world", 2);
-        assert!(s.check_collective(&c, 1, 4, CollKind::Gather, Some(0)).is_none());
-        let f = s.check_collective(&c, 0, 4, CollKind::Barrier, None).expect("mismatch");
+        assert!(s
+            .check_collective(&c, 1, 4, CollKind::Gather, Some(0))
+            .is_none());
+        let f = s
+            .check_collective(&c, 0, 4, CollKind::Barrier, None)
+            .expect("mismatch");
         assert!(f.message.contains("barrier"), "{}", f.message);
         assert!(f.message.contains("gather(root=0)"), "{}", f.message);
     }
@@ -383,11 +422,17 @@ mod tests {
     fn incomplete_collective_reported_at_end() {
         let s = Sanitizer::new();
         let c = ctx("world", 4);
-        assert!(s.check_collective(&c, 2, 9, CollKind::Allgather, None).is_none());
+        assert!(s
+            .check_collective(&c, 2, 9, CollKind::Allgather, None)
+            .is_none());
         let inc = s.incomplete_collectives();
         assert_eq!(inc.len(), 1);
         assert_eq!(inc[0].kind, FindingKind::IncompleteCollective);
-        assert!(inc[0].message.contains("only 1 of 4 ranks"), "{}", inc[0].message);
+        assert!(
+            inc[0].message.contains("only 1 of 4 ranks"),
+            "{}",
+            inc[0].message
+        );
     }
 
     #[test]
@@ -395,8 +440,18 @@ mod tests {
         let s = Sanitizer::new();
         let c = ctx("world", 2);
         let leaked = vec![
-            LeakedMsg { from: 1, tag: 9, len: 3, stashed: false },
-            LeakedMsg { from: 0, tag: 5, len: 10, stashed: true },
+            LeakedMsg {
+                from: 1,
+                tag: 9,
+                len: 3,
+                stashed: false,
+            },
+            LeakedMsg {
+                from: 0,
+                tag: 5,
+                len: 10,
+                stashed: true,
+            },
         ];
         let f = s.check_teardown(&c, 0, &leaked);
         let lo = f.message.find("from rank 0").expect("rank 0 listed");

@@ -138,7 +138,12 @@ impl Parked {
 
 impl fmt::Display for Parked {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "on comm \"{}\" parked in {}", self.ctx.name, self.op_text())
+        write!(
+            f,
+            "on comm \"{}\" parked in {}",
+            self.ctx.name,
+            self.op_text()
+        )
     }
 }
 
@@ -244,7 +249,10 @@ impl Mbox {
 
     /// Take the first queued `(src, tag)` match, if any.
     fn take(&mut self, src: usize, tag: u64) -> Option<MsgBuf> {
-        let pos = self.queue.iter().position(|(s, t, _)| *s == src && *t == tag)?;
+        let pos = self
+            .queue
+            .iter()
+            .position(|(s, t, _)| *s == src && *t == tag)?;
         let (_, _, payload) = self.queue.remove(pos).expect("position valid");
         self.bytes -= payload.mbox_charge();
         Some(payload)
@@ -301,7 +309,13 @@ impl Future for Recv<'_> {
         let payload = std::task::ready!(this.poll_take(cx));
         if let Some(h) = &c.shared.hook {
             let (comm, rank, src, tag) = (&c.shared.ctx, c.rank, this.src, this.tag);
-            h.on_event(&HookEvent::RecvDone { comm, rank, src, tag, payload: &payload });
+            h.on_event(&HookEvent::RecvDone {
+                comm,
+                rank,
+                src,
+                tag,
+                payload: &payload,
+            });
         }
         Poll::Ready(payload)
     }
@@ -342,7 +356,9 @@ impl CoShared {
             ctx,
             hook,
             world,
-            mboxes: (0..size).map(|_| Mutex::new(Mbox::for_world(size))).collect(),
+            mboxes: (0..size)
+                .map(|_| Mutex::new(Mbox::for_world(size)))
+                .collect(),
             splits: Mutex::new(HashMap::new()),
         }
     }
@@ -392,7 +408,9 @@ impl TaskComm {
             hook,
             world.clone(),
         ));
-        let comms = (0..ntasks).map(|r| TaskComm::new(r, r, shared.clone())).collect();
+        let comms = (0..ntasks)
+            .map(|r| TaskComm::new(r, r, shared.clone()))
+            .collect();
         (world, comms)
     }
 
@@ -413,14 +431,24 @@ impl TaskComm {
     fn note_collective(&self, seq: u64, kind: CollKind, root: Option<usize>) {
         if let Some(h) = &self.shared.hook {
             let (comm, rank) = (&self.shared.ctx, self.rank);
-            h.on_event(&HookEvent::Collective { comm, rank, seq, kind, root });
+            h.on_event(&HookEvent::Collective {
+                comm,
+                rank,
+                seq,
+                kind,
+                root,
+            });
         }
     }
 
     /// Report a collective exit (the call returned on this rank).
     fn note_collective_done(&self, seq: u64) {
         if let Some(h) = &self.shared.hook {
-            h.on_event(&HookEvent::CollectiveDone { comm: &self.shared.ctx, rank: self.rank, seq });
+            h.on_event(&HookEvent::CollectiveDone {
+                comm: &self.shared.ctx,
+                rank: self.rank,
+                seq,
+            });
         }
     }
 
@@ -448,12 +476,20 @@ impl TaskComm {
     fn isend_uncharged(&self, dest: usize, tag: u64, payload: MsgBuf) {
         if let Some(h) = &self.shared.hook {
             let (comm, from) = (&self.shared.ctx, self.rank);
-            h.on_event(&HookEvent::Send { comm, from, to: dest, tag, payload: &payload });
+            h.on_event(&HookEvent::Send {
+                comm,
+                from,
+                to: dest,
+                tag,
+                payload: &payload,
+            });
         }
         let waker = {
             let mut mb = self.shared.mboxes[dest].lock();
             mb.bytes += payload.mbox_charge();
-            self.shared.world.note_mbox(mb.queue.len() as u64 + 1, mb.bytes);
+            self.shared
+                .world
+                .note_mbox(mb.queue.len() as u64 + 1, mb.bytes);
             mb.queue.push_back((self.rank, tag, payload));
             match &mb.waiting {
                 Some((s, t, _)) if *s == self.rank && *t == tag => {
@@ -471,7 +507,12 @@ impl TaskComm {
 
     /// Internal matched receive (not counted as a user receive).
     fn irecv(&self, src: usize, tag: u64) -> Recv<'_> {
-        Recv { comm: self, src, tag, parked: false }
+        Recv {
+            comm: self,
+            src,
+            tag,
+            parked: false,
+        }
     }
 
     /// Binomial-tree broadcast body (kept separate from the stats/seq
@@ -487,12 +528,20 @@ impl TaskComm {
         let v = self.vrank(root);
         let tag = coll_tag(kind, seq, 0);
         let (buf, mut mask) = if v == 0 {
-            (data.expect("root must supply bcast data"), size.next_power_of_two())
+            (
+                data.expect("root must supply bcast data"),
+                size.next_power_of_two(),
+            )
         } else {
             // Parent is the vrank with this vrank's lowest set bit cleared;
             // children span the bits below it.
             let lsb = v & v.wrapping_neg();
-            (self.irecv(self.rank_of(v & (v - 1), root), tag).await.into_vec(), lsb)
+            (
+                self.irecv(self.rank_of(v & (v - 1), root), tag)
+                    .await
+                    .into_vec(),
+                lsb,
+            )
         };
         mask >>= 1;
         while mask > 0 {
@@ -524,7 +573,10 @@ impl TaskComm {
         let v = self.rank; // rooted at rank 0, like the allgather up-phase
         let tag = coll_tag(kind, seq, 0);
         let (buf, mut mask) = if v == 0 {
-            (Arc::new(data.expect("root must supply bcast data")), size.next_power_of_two())
+            (
+                Arc::new(data.expect("root must supply bcast data")),
+                size.next_power_of_two(),
+            )
         } else {
             let lsb = v & v.wrapping_neg();
             (self.irecv(v & (v - 1), tag).await.into_shared(), lsb)
@@ -569,8 +621,10 @@ impl TaskComm {
         let mut mask = 1usize;
         while mask < size {
             if v & mask != 0 {
-                let entries =
-                    acc.iter().map(|(id, p)| (*id, p.as_slice())).collect::<Vec<_>>();
+                let entries = acc
+                    .iter()
+                    .map(|(id, p)| (*id, p.as_slice()))
+                    .collect::<Vec<_>>();
                 self.isend(self.rank_of(v - mask, root), tag, frame(&entries));
                 return None;
             }
@@ -612,7 +666,10 @@ impl TaskComm {
             (pending, size.next_power_of_two())
         } else {
             let lsb = v & v.wrapping_neg();
-            (unframe(&self.irecv(self.rank_of(v & (v - 1), root), tag).await), lsb)
+            (
+                unframe(&self.irecv(self.rank_of(v & (v - 1), root), tag).await),
+                lsb,
+            )
         };
         // `pending` covers vranks [v, v + mask); peel off the upper half for
         // each child.
@@ -622,8 +679,10 @@ impl TaskComm {
             if child < size {
                 let (send, keep): (Vec<_>, Vec<_>) =
                     pending.into_iter().partition(|(id, _)| *id >= child as u64);
-                let entries =
-                    send.iter().map(|(id, p)| (*id, p.as_slice())).collect::<Vec<_>>();
+                let entries = send
+                    .iter()
+                    .map(|(id, p)| (*id, p.as_slice()))
+                    .collect::<Vec<_>>();
                 self.isend(self.rank_of(child, root), tag, frame(&entries));
                 pending = keep;
             }
@@ -641,7 +700,9 @@ impl TaskComm {
         seq_down: u64,
         kind: CollKind,
     ) -> Vec<Vec<u8>> {
-        self.allgather_arc_impl(data, seq_up, seq_down, kind).await.to_parts()
+        self.allgather_arc_impl(data, seq_up, seq_down, kind)
+            .await
+            .to_parts()
     }
 
     /// Allgather with a shared result: tree gather to vrank 0, one frame
@@ -709,7 +770,13 @@ impl TaskComm {
 
     /// Combining binomial fan-in: each edge carries one partial result,
     /// not the subtree's values.
-    async fn reduce_impl(&self, value: u64, op: crate::ReduceOp, root: usize, seq: u64) -> Option<u64> {
+    async fn reduce_impl(
+        &self,
+        value: u64,
+        op: crate::ReduceOp,
+        root: usize,
+        seq: u64,
+    ) -> Option<u64> {
         use crate::ReduceOp;
         let size = self.shared.size;
         let v = self.vrank(root);
@@ -718,7 +785,11 @@ impl TaskComm {
         let mut mask = 1usize;
         while mask < size {
             if v & mask != 0 {
-                self.isend(self.rank_of(v - mask, root), tag, acc.to_le_bytes().to_vec());
+                self.isend(
+                    self.rank_of(v - mask, root),
+                    tag,
+                    acc.to_le_bytes().to_vec(),
+                );
                 return None;
             }
             let child = v + mask;
@@ -755,7 +826,9 @@ impl TaskComm {
         // before us. One allocation-free O(P) pass replaces the
         // collect-and-sort (whose per-rank O(group) member vector was the
         // dominant cost of a 32Ki-rank open: P such vectors per split).
-        let all = self.allgather_arc_impl(&payload, seq_up, seq_down, CollKind::Split).await;
+        let all = self
+            .allgather_arc_impl(&payload, seq_up, seq_down, CollKind::Split)
+            .await;
         let me = (key, self.rank as u64);
         let mut new_size = 0usize;
         let mut new_rank = 0usize;
@@ -867,7 +940,12 @@ impl crate::co::CoComm for TaskComm {
         if hook::rejected_user_tag(tag) {
             if let Some(h) = &self.shared.hook {
                 let (comm, rank) = (&self.shared.ctx, self.rank);
-                h.on_event(&HookEvent::ReservedTag { comm, rank, dest, tag });
+                h.on_event(&HookEvent::ReservedTag {
+                    comm,
+                    rank,
+                    dest,
+                    tag,
+                });
             }
             panic!("{}", hook::reserved_tag_panic_text(tag));
         }
@@ -888,9 +966,21 @@ impl crate::co::CoComm for TaskComm {
         let payload = self.shared.mboxes[self.rank].lock().take(src, tag);
         if let Some(h) = &self.shared.hook {
             let (comm, rank) = (&self.shared.ctx, self.rank);
-            h.on_event(&HookEvent::TryRecv { comm, rank, src, tag, hit: payload.is_some() });
+            h.on_event(&HookEvent::TryRecv {
+                comm,
+                rank,
+                src,
+                tag,
+                hit: payload.is_some(),
+            });
             if let Some(p) = &payload {
-                h.on_event(&HookEvent::RecvDone { comm, rank, src, tag, payload: p });
+                h.on_event(&HookEvent::RecvDone {
+                    comm,
+                    rank,
+                    src,
+                    tag,
+                    payload: p,
+                });
             }
         }
         let payload = payload?;
@@ -940,11 +1030,7 @@ impl crate::co::CoComm for TaskComm {
         })
     }
 
-    fn bcast<'a>(
-        &'a self,
-        data: Option<Vec<u8>>,
-        root: usize,
-    ) -> crate::co::BoxFut<'a, Vec<u8>> {
+    fn bcast<'a>(&'a self, data: Option<Vec<u8>>, root: usize) -> crate::co::BoxFut<'a, Vec<u8>> {
         Box::pin(async move {
             assert!(root < self.shared.size, "bcast root {root} out of range");
             self.stats.bump_bcast();
@@ -962,7 +1048,9 @@ impl crate::co::CoComm for TaskComm {
             let seq_up = self.next_seq();
             let seq_down = self.next_seq();
             self.note_collective(seq_up, CollKind::Allgather, None);
-            let out = self.allgather_impl(data, seq_up, seq_down, CollKind::Allgather).await;
+            let out = self
+                .allgather_impl(data, seq_up, seq_down, CollKind::Allgather)
+                .await;
             self.note_collective_done(seq_up);
             out
         })
@@ -974,7 +1062,9 @@ impl crate::co::CoComm for TaskComm {
             let seq_up = self.next_seq();
             let seq_down = self.next_seq();
             self.note_collective(seq_up, CollKind::Allgather, None);
-            let out = self.allgather_arc_impl(data, seq_up, seq_down, CollKind::Allgather).await;
+            let out = self
+                .allgather_arc_impl(data, seq_up, seq_down, CollKind::Allgather)
+                .await;
             self.note_collective_done(seq_up);
             out
         })
@@ -997,7 +1087,11 @@ impl crate::co::CoComm for TaskComm {
         })
     }
 
-    fn split<'a>(&'a self, color: u64, key: u64) -> crate::co::BoxFut<'a, Box<dyn crate::co::CoComm>> {
+    fn split<'a>(
+        &'a self,
+        color: u64,
+        key: u64,
+    ) -> crate::co::BoxFut<'a, Box<dyn crate::co::CoComm>> {
         Box::pin(async move {
             Box::new(self.split_impl(color, key).await) as Box<dyn crate::co::CoComm>
         })
@@ -1023,7 +1117,9 @@ impl Drop for TaskComm {
     /// Skipped while the world is aborting (deadlock or panic teardown) —
     /// the primary diagnosis is already on its way out.
     fn drop(&mut self) {
-        let Some(hook) = self.shared.hook.clone() else { return };
+        let Some(hook) = self.shared.hook.clone() else {
+            return;
+        };
         if self.shared.world.is_aborting() {
             return;
         }
@@ -1043,7 +1139,11 @@ impl Drop for TaskComm {
         if !leaked.is_empty() {
             leaked.sort();
             let (comm, rank) = (&self.shared.ctx, self.rank);
-            hook.on_event(&HookEvent::Teardown { comm, rank, leaked: &leaked });
+            hook.on_event(&HookEvent::Teardown {
+                comm,
+                rank,
+                leaked: &leaked,
+            });
         }
     }
 }

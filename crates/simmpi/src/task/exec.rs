@@ -88,7 +88,9 @@ impl SchedPolicy {
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n > 0)
             .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
             });
         SchedPolicy::WorkSteal { workers }
     }
@@ -181,7 +183,9 @@ struct WorkerGuard {
 
 impl WorkerGuard {
     fn enter(w: usize) -> WorkerGuard {
-        WorkerGuard { prev: CURRENT_WORKER.replace(Some(w)) }
+        WorkerGuard {
+            prev: CURRENT_WORKER.replace(Some(w)),
+        }
     }
 }
 
@@ -230,9 +234,10 @@ impl Core {
         let workers = policy.workers();
         let (kind, seed, bound) = match *policy {
             SchedPolicy::WorkSteal { .. } => (PolicyKind::WorkSteal, 0, usize::MAX),
-            SchedPolicy::Serial { seed, preemption_bound } => {
-                (PolicyKind::Serial, seed, preemption_bound)
-            }
+            SchedPolicy::Serial {
+                seed,
+                preemption_bound,
+            } => (PolicyKind::Serial, seed, preemption_bound),
         };
         assert!(
             driver.is_none() || matches!(kind, PolicyKind::Serial),
@@ -275,9 +280,7 @@ impl Core {
         let now = self.runnable.fetch_add(1, SeqCst) + 1;
         self.peak_runnable.fetch_max(now as u64, SeqCst);
         let local = match self.policy {
-            PolicyKind::WorkSteal => {
-                CURRENT_WORKER.get().filter(|&w| w < self.locals.len())
-            }
+            PolicyKind::WorkSteal => CURRENT_WORKER.get().filter(|&w| w < self.locals.len()),
             PolicyKind::Serial => None,
         };
         match local {
@@ -446,7 +449,12 @@ where
     assert!(ntasks > 0, "world must have at least one task");
     let core = Arc::new(Core::new(policy, ntasks, trace, driver));
     let wakers: Vec<Waker> = (0..ntasks)
-        .map(|id| Waker::from(Arc::new(TaskWaker { id, core: core.clone() })))
+        .map(|id| {
+            Waker::from(Arc::new(TaskWaker {
+                id,
+                core: core.clone(),
+            }))
+        })
         .collect();
     let results: Vec<Mutex<Option<std::thread::Result<T>>>> =
         (0..ntasks).map(|_| Mutex::new(None)).collect();
@@ -460,7 +468,8 @@ where
             Mutex::new(Some(Box::pin(async move {
                 let v = fut.await;
                 *res.lock() = Some(Ok(v));
-            }) as Pin<Box<dyn Future<Output = ()> + Send + '_>>))
+            })
+                as Pin<Box<dyn Future<Output = ()> + Send + '_>>))
         })
         .collect();
     for id in 0..ntasks {
@@ -504,8 +513,7 @@ where
             }
             drop(slot);
             if let Some(h) = &hook {
-                let panicked =
-                    results[id].lock().as_ref().is_some_and(|r| r.is_err());
+                let panicked = results[id].lock().as_ref().is_some_and(|r| r.is_err());
                 h.on_event(&HookEvent::TaskFinish { task: id, panicked });
             }
             core.finish_one();
@@ -554,8 +562,7 @@ mod tests {
             || {},
         );
         assert!(!report.deadlocked);
-        let got: Vec<usize> =
-            results.into_iter().map(|r| r.unwrap().unwrap()).collect();
+        let got: Vec<usize> = results.into_iter().map(|r| r.unwrap().unwrap()).collect();
         assert_eq!(got, (0..16).map(|i| i * 2).collect::<Vec<_>>());
         assert_eq!(report.polls, 16);
     }
@@ -615,7 +622,10 @@ mod tests {
     fn serial_policy_is_deterministic_and_traced() {
         let run = |seed| {
             execute(
-                &SchedPolicy::Serial { seed, preemption_bound: usize::MAX },
+                &SchedPolicy::Serial {
+                    seed,
+                    preemption_bound: usize::MAX,
+                },
                 8,
                 None,
                 None,

@@ -169,7 +169,9 @@ where
         .map(|r| match r {
             Some(r) => r,
             None => Err(Box::new(Aborted(
-                reason.clone().unwrap_or_else(|| "task world torn down early".into()),
+                reason
+                    .clone()
+                    .unwrap_or_else(|| "task world torn down early".into()),
             )) as Box<dyn Any + Send>),
         })
         .collect();
@@ -257,8 +259,12 @@ impl TaskWorld {
             let TaskRun { results, stats, .. } = run;
             return (crate::sanitize::finalize_env_checked(results, &san), stats);
         }
-        let TaskRun { results, deadlock, stats, .. } =
-            run_engine(&policy, ntasks, None, None, false, f);
+        let TaskRun {
+            results,
+            deadlock,
+            stats,
+            ..
+        } = run_engine(&policy, ntasks, None, None, false, f);
         let out = propagate_panics(results);
         if let Some(d) = deadlock {
             panic!("simmpi task world {d}");
@@ -303,7 +309,10 @@ impl TaskWorld {
         F: Fn(TaskComm) -> Fut,
         Fut: Future<Output = T> + Send,
     {
-        let policy = SchedPolicy::Serial { seed: 0, preemption_bound: usize::MAX };
+        let policy = SchedPolicy::Serial {
+            seed: 0,
+            preemption_bound: usize::MAX,
+        };
         run_engine(&policy, ntasks, Some(check), Some(driver), true, f)
     }
 }
@@ -330,12 +339,23 @@ mod tests {
     /// runtime; the cross-runtime tests assert its results byte-equal.
     async fn mixed_script(
         c: &dyn CoComm,
-    ) -> (Vec<u64>, Vec<u8>, Option<Vec<Vec<u8>>>, Vec<u8>, Option<u64>, usize, usize, Vec<u64>, Vec<u8>)
-    {
+    ) -> (
+        Vec<u64>,
+        Vec<u8>,
+        Option<Vec<Vec<u8>>>,
+        Vec<u8>,
+        Option<u64>,
+        usize,
+        usize,
+        Vec<u64>,
+        Vec<u8>,
+    ) {
         let n = c.size();
         let r = c.rank();
         let all = c.allgather_u64(r as u64 + 1).await;
-        let b = c.bcast((r == 2 % n).then(|| vec![9, 9, r as u8]), 2 % n).await;
+        let b = c
+            .bcast((r == 2 % n).then(|| vec![9, 9, r as u8]), 2 % n)
+            .await;
         let g = c.gather(&[r as u8; 3], 1 % n).await;
         let parts = (r == 0).then(|| (0..n).map(|i| vec![i as u8; i + 1]).collect());
         let s = c.scatter(parts, 0).await;
@@ -370,7 +390,10 @@ mod tests {
         let ws = TaskWorld::run_with(WS4, 6, |c| async move { mixed_script(&c).await }).0;
         for seed in 0..8 {
             let ser = TaskWorld::run_with(
-                SchedPolicy::Serial { seed, preemption_bound: usize::MAX },
+                SchedPolicy::Serial {
+                    seed,
+                    preemption_bound: usize::MAX,
+                },
                 6,
                 |c| async move { mixed_script(&c).await },
             )
@@ -385,7 +408,11 @@ mod tests {
             let color = (c.rank() % 2) as u64;
             let key = (c.size() - c.rank()) as u64; // reverse order
             let sub = c.split(color, key).await;
-            (sub.rank(), sub.size(), sub.allgather_u64(c.rank() as u64).await)
+            (
+                sub.rank(),
+                sub.size(),
+                sub.allgather_u64(c.rank() as u64).await,
+            )
         });
         for (r, (sub_rank, sub_size, members)) in out.iter().enumerate() {
             assert_eq!(*sub_size, 4);
@@ -422,7 +449,10 @@ mod tests {
         })
         .0;
         for (r, (sizes, in_flight)) in out.iter().enumerate() {
-            assert_eq!(*in_flight, 0, "rank {r} still sees groups under construction");
+            assert_eq!(
+                *in_flight, 0,
+                "rank {r} still sees groups under construction"
+            );
             for (gen, &(rank, size)) in sizes.iter().enumerate() {
                 let ncolors = gen % 5 + 1;
                 assert_eq!(rank, r / ncolors, "generation {gen}");
@@ -453,7 +483,10 @@ mod tests {
                 || text.contains("parent ranks 2 and 1 both claim rank 1"),
             "{text}"
         );
-        assert!(text.contains("split #1 of comm \"world\", color 0"), "{text}");
+        assert!(
+            text.contains("split #1 of comm \"world\", color 0"),
+            "{text}"
+        );
         // Rank 1 disagrees with rank 0 about the group size.
         let text = split_local_panic(&[(0, 2), (1, 3)]);
         assert!(
@@ -463,7 +496,10 @@ mod tests {
         );
         // A rank beyond the declared size.
         let text = split_local_panic(&[(0, 2), (2, 2)]);
-        assert!(text.contains("parent rank 1 claims rank 2 of a group of 2"), "{text}");
+        assert!(
+            text.contains("parent rank 1 claims rank 2 of a group of 2"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -532,7 +568,10 @@ mod tests {
             }
         });
         assert!(
-            out[0].as_ref().expect("send panicked").contains("reserved for internal"),
+            out[0]
+                .as_ref()
+                .expect("send panicked")
+                .contains("reserved for internal"),
             "{out:?}"
         );
     }
@@ -567,7 +606,9 @@ mod tests {
             "{}",
             report.parked[0].description
         );
-        let aborted = run.results[0].as_ref().expect_err("parked rank did not finish");
+        let aborted = run.results[0]
+            .as_ref()
+            .expect_err("parked rank did not finish");
         assert!(aborted.downcast_ref::<Aborted>().is_some());
         assert!(run.results[1].is_ok() && run.results[2].is_ok());
     }
@@ -590,7 +631,10 @@ mod tests {
     fn serial_schedules_are_reproducible_and_traced() {
         let run = |seed| {
             TaskWorld::run_checked(
-                SchedPolicy::Serial { seed, preemption_bound: usize::MAX },
+                SchedPolicy::Serial {
+                    seed,
+                    preemption_bound: usize::MAX,
+                },
                 4,
                 Arc::new(Sanitizer::new()),
                 |c| async move { c.allgather_u64(c.rank() as u64).await },
@@ -617,7 +661,10 @@ mod tests {
         });
         assert!(run.deadlock.is_none());
         assert!(run.results[0].is_ok());
-        assert!(run.results[1].is_err(), "rank 1 teardown panics with the leak");
+        assert!(
+            run.results[1].is_err(),
+            "rank 1 teardown panics with the leak"
+        );
         let findings = san.findings();
         assert!(
             findings

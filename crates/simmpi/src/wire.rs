@@ -36,7 +36,11 @@ pub(crate) struct FrameIter<'a> {
 
 pub(crate) fn frame_iter(bytes: &[u8]) -> FrameIter<'_> {
     let count = u64::from_le_bytes(bytes[..8].try_into().expect("frame header"));
-    FrameIter { bytes, at: 8, left: count }
+    FrameIter {
+        bytes,
+        at: 8,
+        left: count,
+    }
 }
 
 impl<'a> Iterator for FrameIter<'a> {
@@ -67,7 +71,11 @@ impl ExactSizeIterator for FrameIter<'_> {}
 /// over `size` vranks: `min(lowbit(v), size - v)` (the whole tree for the
 /// root). Used to pre-size gather accumulators exactly.
 pub(crate) fn subtree_size(v: usize, size: usize) -> usize {
-    let span = if v == 0 { size.next_power_of_two() } else { v & v.wrapping_neg() };
+    let span = if v == 0 {
+        size.next_power_of_two()
+    } else {
+        v & v.wrapping_neg()
+    };
     span.min(size - v)
 }
 
@@ -79,8 +87,12 @@ mod tests {
     fn frame_roundtrip() {
         let entries: Vec<(u64, Vec<u8>)> =
             vec![(3, vec![1, 2, 3]), (0, Vec::new()), (7, vec![9; 40])];
-        let framed =
-            frame(&entries.iter().map(|(i, p)| (*i, p.as_slice())).collect::<Vec<_>>());
+        let framed = frame(
+            &entries
+                .iter()
+                .map(|(i, p)| (*i, p.as_slice()))
+                .collect::<Vec<_>>(),
+        );
         assert_eq!(unframe(&framed), entries);
     }
 

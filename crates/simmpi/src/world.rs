@@ -82,7 +82,9 @@ impl RankThread {
         if self.world.is_aborting() {
             std::panic::panic_any(Aborted("a peer rank panicked".into()));
         }
-        let Some(h) = &self.hook else { return std::thread::park() };
+        let Some(h) = &self.hook else {
+            return std::thread::park();
+        };
         std::thread::park_timeout(hook::ABORT_POLL);
         if let Some(reason) = h.should_abort() {
             std::panic::panic_any(Aborted(reason));
@@ -93,9 +95,18 @@ impl RankThread {
         }
         let waited = pending_since.get_or_insert_with(Instant::now).elapsed();
         if waited >= hook::watchdog_timeout() {
-            let p = self.world.parked(self.world_rank).expect("a pending call parks in a receive");
+            let p = self
+                .world
+                .parked(self.world_rank)
+                .expect("a pending call parks in a receive");
             let (comm, rank, src, tag) = (&p.ctx, p.comm_rank, p.src, p.tag);
-            h.on_event(&HookEvent::Stuck { comm, rank, src, tag, waited });
+            h.on_event(&HookEvent::Stuck {
+                comm,
+                rank,
+                src,
+                tag,
+                waited,
+            });
             panic!(
                 "simcheck: rank {} blocked in recv(src={}, tag={:#x}) past the watchdog",
                 p.comm_rank, p.src, p.tag
@@ -180,7 +191,11 @@ where
     // The lock orders registration against the abort sweep: a thread
     // registering after the sweep sees the abort flag before it parks.
     let threads = Mutex::new(Vec::with_capacity(ntasks));
-    let registry = || threads.lock().expect("rank panics are caught outside the registry lock");
+    let registry = || {
+        threads
+            .lock()
+            .expect("rank panics are caught outside the registry lock")
+    };
     let (f, check, world, registry) = (&f, &check, &world, &registry);
     std::thread::scope(|scope| {
         let handles: Vec<_> = comms
@@ -193,7 +208,10 @@ where
                         hook::set_current_task(rank);
                     }
                     let thread = std::thread::current();
-                    let unpark = Arc::new(Unpark { thread, woken: AtomicBool::new(false) });
+                    let unpark = Arc::new(Unpark {
+                        thread,
+                        woken: AtomicBool::new(false),
+                    });
                     RANK.with(|r| {
                         r.get_or_init(|| RankThread {
                             world: world.clone(),
@@ -215,7 +233,10 @@ where
                     };
                     let panicked = result.is_err();
                     match check {
-                        Some(h) => h.on_event(&HookEvent::TaskFinish { task: rank, panicked }),
+                        Some(h) => h.on_event(&HookEvent::TaskFinish {
+                            task: rank,
+                            panicked,
+                        }),
                         None if panicked => {
                             world.abort();
                             registry().iter().for_each(Thread::unpark);
@@ -239,7 +260,13 @@ fn tree_world(
     hook: Option<Arc<dyn CheckHook>>,
 ) -> (Arc<WorldRt>, Vec<Box<dyn CoComm>>) {
     let (world, comms) = TaskComm::world(ntasks, hook);
-    (world, comms.into_iter().map(|c| Box::new(c) as Box<dyn CoComm>).collect())
+    (
+        world,
+        comms
+            .into_iter()
+            .map(|c| Box::new(c) as Box<dyn CoComm>)
+            .collect(),
+    )
 }
 
 /// Launcher for SPMD execution: runs one closure instance per rank on its
@@ -317,8 +344,7 @@ mod tests {
                 for (r, res) in out.iter().enumerate() {
                     if r == root {
                         let bufs = res.as_ref().unwrap();
-                        let expect: Vec<Vec<u8>> =
-                            (0..n).map(|i| vec![i as u8, 0xEE]).collect();
+                        let expect: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8, 0xEE]).collect();
                         assert_eq!(bufs, &expect, "n={n} root={root}");
                     } else {
                         assert!(res.is_none());
@@ -371,7 +397,10 @@ mod tests {
                 let out = World::run(n, |c| {
                     c.bcast((c.rank() == root).then(|| vec![root as u8; 5]), root)
                 });
-                assert!(out.iter().all(|b| b == &vec![root as u8; 5]), "n={n} root={root}");
+                assert!(
+                    out.iter().all(|b| b == &vec![root as u8; 5]),
+                    "n={n} root={root}"
+                );
             }
         }
     }
@@ -498,7 +527,14 @@ mod tests {
                 }
             }
         });
-        assert_eq!(out[2], b"fiveseven" .iter().chain(b"other-seven".iter()).copied().collect::<Vec<u8>>());
+        assert_eq!(
+            out[2],
+            b"fiveseven"
+                .iter()
+                .chain(b"other-seven".iter())
+                .copied()
+                .collect::<Vec<u8>>()
+        );
     }
 
     #[test]
@@ -532,7 +568,9 @@ mod tests {
                 c.allreduce_f64(c.rank() as f64, ReduceOp::Sum),
             )
         });
-        assert!(out.iter().all(|&(mx, mn, s)| mx == 40 && mn == 3 && s == 10.0));
+        assert!(out
+            .iter()
+            .all(|&(mx, mn, s)| mx == 40 && mn == 3 && s == 10.0));
     }
 
     #[test]
@@ -608,7 +646,10 @@ mod tests {
             }
         });
         assert!(
-            out[0].as_ref().expect("send panicked").contains("reserved for internal"),
+            out[0]
+                .as_ref()
+                .expect("send panicked")
+                .contains("reserved for internal"),
             "{out:?}"
         );
     }
@@ -648,7 +689,9 @@ mod tests {
         });
         assert!(results.iter().any(|r| r.is_err()));
         assert!(
-            san.findings().iter().any(|f| f.kind == FindingKind::CollectiveMismatch),
+            san.findings()
+                .iter()
+                .any(|f| f.kind == FindingKind::CollectiveMismatch),
             "{:?}",
             san.findings()
         );
@@ -668,14 +711,20 @@ mod tests {
                 })
             })
             .expect_err("rank panic must propagate");
-            let text = err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default();
+            let text = err
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default();
             tx.send(text).expect("test thread waits for the verdict");
         });
         let text = rx
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("World::run hung: a rank panicked while a peer was blocked on it");
         runner.join().expect("runner thread");
-        assert!(text.contains("rank one exploded"), "first real panic re-raised: {text:?}");
+        assert!(
+            text.contains("rank one exploded"),
+            "first real panic re-raised: {text:?}"
+        );
     }
 
     #[test]
@@ -688,18 +737,28 @@ mod tests {
                 let err = catch_unwind(|| {
                     FlatWorld::run(2, |c| {
                         assert!(c.rank() != 1, "rank one exploded");
-                        if in_recv { drop(c.recv(1, 7)) } else { c.barrier() }
+                        if in_recv {
+                            drop(c.recv(1, 7))
+                        } else {
+                            c.barrier()
+                        }
                     })
                 })
                 .expect_err("rank panic must propagate");
-                let text = err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default();
+                let text = err
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .unwrap_or_default();
                 tx.send(text).expect("test thread waits for the verdict");
             });
             let text = rx
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .unwrap_or_else(|_| panic!("FlatWorld::run hung (rank 0 in recv: {in_recv})"));
             runner.join().expect("runner thread");
-            assert!(text.contains("rank one exploded"), "first real panic re-raised: {text:?}");
+            assert!(
+                text.contains("rank one exploded"),
+                "first real panic re-raised: {text:?}"
+            );
         }
     }
 

@@ -26,11 +26,18 @@ impl CheckHook for Probe {
 fn every_hook_in_a_list_sees_every_event_in_list_order() {
     let log = Arc::new(Mutex::new(Vec::new()));
     let probe = |id, reason| -> Arc<dyn CheckHook> {
-        Arc::new(Probe { id, log: log.clone(), reason })
+        Arc::new(Probe {
+            id,
+            log: log.clone(),
+            reason,
+        })
     };
     let hooks: Vec<Arc<dyn CheckHook>> = vec![probe(0, None), probe(1, None), probe(2, None)];
     // One worker: each event's fan-out runs to the end before the next.
-    let policy = SchedPolicy::Serial { seed: 1, preemption_bound: 2 };
+    let policy = SchedPolicy::Serial {
+        seed: 1,
+        preemption_bound: 2,
+    };
     let run = TaskWorld::run_checked(policy, 2, Arc::new(hooks), |c| async move {
         if c.rank() == 0 {
             c.send(1, 7, b"x");
@@ -45,10 +52,22 @@ fn every_hook_in_a_list_sees_every_event_in_list_order() {
     for (i, seen) in log.chunks(3).enumerate() {
         let ids: Vec<usize> = seen.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, [0, 1, 2], "event {i}");
-        assert!(seen.iter().all(|(_, ev)| *ev == seen[0].1), "event {i}: {seen:?}");
+        assert!(
+            seen.iter().all(|(_, ev)| *ev == seen[0].1),
+            "event {i}: {seen:?}"
+        );
     }
-    for kind in ["Send {", "RecvDone {", "Collective {", "CollectiveDone {", "TaskFinish {"] {
-        assert!(log.iter().any(|(_, ev)| ev.starts_with(kind)), "no {kind} event: {log:?}");
+    for kind in [
+        "Send {",
+        "RecvDone {",
+        "Collective {",
+        "CollectiveDone {",
+        "TaskFinish {",
+    ] {
+        assert!(
+            log.iter().any(|(_, ev)| ev.starts_with(kind)),
+            "no {kind} event: {log:?}"
+        );
     }
 }
 
@@ -56,10 +75,17 @@ fn every_hook_in_a_list_sees_every_event_in_list_order() {
 fn a_hook_list_aborts_with_the_first_reason() {
     let log = Arc::new(Mutex::new(Vec::new()));
     let probe = |id, reason| -> Arc<dyn CheckHook> {
-        Arc::new(Probe { id, log: log.clone(), reason })
+        Arc::new(Probe {
+            id,
+            log: log.clone(),
+            reason,
+        })
     };
-    let hooks: Vec<Arc<dyn CheckHook>> =
-        vec![probe(0, None), probe(1, Some("first")), probe(2, Some("second"))];
+    let hooks: Vec<Arc<dyn CheckHook>> = vec![
+        probe(0, None),
+        probe(1, Some("first")),
+        probe(2, Some("second")),
+    ];
     assert_eq!(hooks.should_abort().as_deref(), Some("first"));
     assert_eq!(hooks[..1].to_vec().should_abort(), None);
     assert_eq!(Vec::<Arc<dyn CheckHook>>::new().should_abort(), None);

@@ -44,7 +44,8 @@ const WS4: SchedPolicy = SchedPolicy::WorkSteal { workers: 4 };
 // that borrow their argument cannot name the needed lifetime).
 
 async fn bcast_script(c: &dyn CoComm, seed: u64, root: usize) -> Vec<u8> {
-    c.bcast((c.rank() == root).then(|| payload(seed, root, 96)), root).await
+    c.bcast((c.rank() == root).then(|| payload(seed, root, 96)), root)
+        .await
 }
 
 async fn gatherv_script(c: &dyn CoComm, seed: u64, root: usize) -> Option<Vec<Vec<u8>>> {
@@ -53,8 +54,11 @@ async fn gatherv_script(c: &dyn CoComm, seed: u64, root: usize) -> Option<Vec<Ve
 }
 
 async fn scatterv_script(c: &dyn CoComm, seed: u64, root: usize) -> Vec<u8> {
-    let parts = (c.rank() == root)
-        .then(|| (0..c.size()).map(|i| payload(seed, i, 48)).collect::<Vec<_>>());
+    let parts = (c.rank() == root).then(|| {
+        (0..c.size())
+            .map(|i| payload(seed, i, 48))
+            .collect::<Vec<_>>()
+    });
     c.scatter(parts, root).await
 }
 
@@ -82,13 +86,21 @@ async fn all_ops_script(
     c: &dyn CoComm,
     seed: u64,
     root: usize,
-) -> (Vec<u8>, Option<Vec<Vec<u8>>>, Vec<u8>, Option<u64>, Vec<Vec<u8>>) {
+) -> (
+    Vec<u8>,
+    Option<Vec<Vec<u8>>>,
+    Vec<u8>,
+    Option<u64>,
+    Vec<Vec<u8>>,
+) {
     let n = c.size();
-    let bc = c.bcast((c.rank() == root).then(|| payload(seed, root, 96)), root).await;
+    let bc = c
+        .bcast((c.rank() == root).then(|| payload(seed, root, 96)), root)
+        .await;
     let mine = payload(seed ^ 1, c.rank(), 64);
     let gathered = c.gather(&mine, root).await;
-    let parts = (c.rank() == root)
-        .then(|| (0..n).map(|i| payload(seed ^ 2, i, 48)).collect::<Vec<_>>());
+    let parts =
+        (c.rank() == root).then(|| (0..n).map(|i| payload(seed ^ 2, i, 48)).collect::<Vec<_>>());
     let scattered = c.scatter(parts, root).await;
     let mut s = seed ^ c.rank() as u64;
     // Keep the values small enough that Sum cannot overflow.
@@ -112,11 +124,16 @@ async fn split_script(
     let (n, r) = (c.size(), c.rank());
     let color = r % ncolors;
     let size = n / ncolors + usize::from(color < n % ncolors);
-    let place = if reverse { size - 1 - r / ncolors } else { r / ncolors };
+    let place = if reverse {
+        size - 1 - r / ncolors
+    } else {
+        r / ncolors
+    };
     let sub = if local {
         c.split_local(color as u64, place, size).await
     } else {
-        c.split(color as u64, if reverse { n - r } else { r } as u64).await
+        c.split(color as u64, if reverse { n - r } else { r } as u64)
+            .await
     };
     let gathered = sub.gather(&payload(seed, r, 48), sub.size() - 1).await;
     (sub.rank(), sub.size(), gathered)

@@ -14,7 +14,10 @@ use std::sync::Arc;
 fn stuck_findings(ntasks: usize, f: impl Fn(&Comm) + Send + Sync) -> Vec<String> {
     let san = Arc::new(Sanitizer::new());
     let results = World::run_checked(ntasks, san.clone(), |c| f(c));
-    assert!(results.iter().any(|r| r.is_err()), "the stuck rank must unwind");
+    assert!(
+        results.iter().any(|r| r.is_err()),
+        "the stuck rank must unwind"
+    );
     san.findings()
         .into_iter()
         .filter(|f| f.kind == FindingKind::Deadlock)
