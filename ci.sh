@@ -327,6 +327,40 @@ then
     exit 1
 fi
 
+echo "==> structural gate: ship by move (one owned send per runtime, a member's frame is its write-behind buffer)"
+# `CoComm::send_vec` is the one send a runtime implements — `TaskComm` and
+# the flat oracle, once each — and the provided `send(&[u8])` copies into
+# it, overridden nowhere. A member ships its frame with `send_vec` and
+# copies no frame (`agg.rs` has no `.to_vec()`); the aggregator's 16-byte
+# ack may stay on `send`. In `stream.rs` the staged run is written by
+# `flush_run`, which issues the VFS call itself and closes the extent the
+# run already sits in; the one `push_extent(` call is `submit`'s, for bytes
+# the frame does not hold yet.
+method() {
+    awk -v f="$2" '$0 ~ "^    (pub(\\(crate\\))? )?(async )?fn " f "[(<]" { on = 1 }
+        on { print } on && /^    }/ { exit }' "$1"
+}
+impl_fns() {
+    awk -v f="$1" '/^impl.*CoComm for / { on = 1 } on && /^}/ { on = 0 }
+        on && $0 ~ "fn " f "\\(" { print FILENAME ":" FNR ": " $0 }' crates/simmpi/src/*.rs crates/simmpi/src/task/*.rs
+}
+stream_extents=$(awk '/^#\[cfg\(test\)\]/ { exit } /push_extent\(/' crates/sion/src/stream.rs | grep -c . || true)
+if [ "$(impl_fns send_vec | grep -c .)" -ne 2 ] || [ -n "$(impl_fns send)" ] ||
+    ! method crates/sion/src/agg.rs ship | grep -q 'send_vec(' ||
+    method crates/sion/src/agg.rs ship | grep -q '\.send(' ||
+    grep -n '\.to_vec()' crates/sion/src/agg.rs ||
+    [ "$stream_extents" -ne 1 ] ||
+    ! method crates/sion/src/stream.rs submit | grep -q 'push_extent(' ||
+    ! method crates/sion/src/stream.rs flush_run | grep -q 'self\.issue(' ||
+    method crates/sion/src/stream.rs flush_run | grep -q 'self\.submit(' ||
+    method crates/sion/src/stream.rs flush_pending | grep -q 'self\.submit('
+then
+    impl_fns 'send(_vec)?'
+    echo "stream.rs has $stream_extents push_extent( lines outside its tests (want 1, in submit)"
+    echo "ship by move: runtimes implement \`send_vec\` only, \`MemberState::ship\` moves the frame with it, and the staged run is flushed in the frame (\`flush_run\`), never copied into it"
+    exit 1
+fi
+
 echo "==> structural gate: a re-export has a consumer (every \`pub use\` of a library crate names something a .rs file outside that crate's src/ mentions)"
 unused=$(for c in vfs parfs simmpi sion szip tracer mp2c sion-tools simcheck; do
     # What can import from the crate: every other crate, its own tests/, the
@@ -356,9 +390,9 @@ done)
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo fmt --check -p sion-vfs"
-# The one crate kept rustfmt-clean so far; the rest of the tree is not yet.
-cargo fmt --check -p sion-vfs
+echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi"
+# The crates kept rustfmt-clean so far; the rest of the tree is not yet.
+cargo fmt --check -p sion-vfs -p sion-simmpi
 
 # The counter every CHANGES.md entry quotes (net LoC is reported, not computed
 # by hand), after what this commit did to it.

@@ -246,8 +246,8 @@ impl Simulation {
         self.particles = keep;
         const TAG_MIGRATE_RIGHT: u64 = 0xA1;
         const TAG_MIGRATE_LEFT: u64 = 0xA2;
-        comm.send(right, TAG_MIGRATE_RIGHT, &Particle::encode_all(&to_right));
-        comm.send(left, TAG_MIGRATE_LEFT, &Particle::encode_all(&to_left));
+        comm.send_vec(right, TAG_MIGRATE_RIGHT, Particle::encode_all(&to_right));
+        comm.send_vec(left, TAG_MIGRATE_LEFT, Particle::encode_all(&to_left));
         let from_left = comm.recv(left, TAG_MIGRATE_RIGHT);
         let from_right = comm.recv(right, TAG_MIGRATE_LEFT);
         for bytes in [from_left, from_right] {

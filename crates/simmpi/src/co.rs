@@ -104,11 +104,24 @@ pub trait CoComm: Send + Sync {
     /// counting after the communicator is dropped.
     fn stats(&self) -> Option<Arc<CommStats>>;
 
-    /// Buffered send of `data` to `dest` with a matching `tag`; never
-    /// parks, so it stays synchronous. Tags in the reserved `0xC3`
-    /// collective namespace (and the `0xA6`/`0xA7` aggregation namespaces
-    /// outside the aggregation protocol) panic.
-    fn send(&self, dest: usize, tag: u64, data: &[u8]);
+    /// Buffered send of `data` to `dest` with a matching `tag`, by move: the
+    /// receiver's [`recv`](Self::recv) or [`try_recv`](Self::try_recv) gets
+    /// this very allocation, so a sender that built its message in place
+    /// (an aggregation frame) is never copied. Never parks, so it stays
+    /// synchronous. Tags in the reserved `0xC3` collective namespace (and
+    /// the `0xA6`/`0xA7` aggregation namespaces outside the aggregation
+    /// protocol) panic. Checkers see the payload as before: one
+    /// [`HookEvent::Send`](crate::HookEvent::Send) carrying its bytes, so the
+    /// ship/ack frame contract of [`AGG_SHIP_TAG_PREFIX`](crate::AGG_SHIP_TAG_PREFIX)
+    /// is unchanged.
+    fn send_vec(&self, dest: usize, tag: u64, data: Vec<u8>);
+
+    /// [`send_vec`](Self::send_vec) of a copy of borrowed bytes — for
+    /// callers that keep their buffer. No runtime overrides it: one send
+    /// path, one set of checks.
+    fn send(&self, dest: usize, tag: u64, data: &[u8]) {
+        self.send_vec(dest, tag, data.to_vec())
+    }
 
     /// Receive the next message from `src` with `tag`, with MPI-style
     /// message matching (other (source, tag) messages are queued); parks

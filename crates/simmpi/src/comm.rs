@@ -175,6 +175,11 @@ impl Comm {
         self.co.send(dest, tag, data)
     }
 
+    /// See [`CoComm::send_vec`].
+    pub fn send_vec(&self, dest: usize, tag: u64, data: Vec<u8>) {
+        self.co.send_vec(dest, tag, data)
+    }
+
     /// See [`CoComm::recv`].
     pub fn recv(&self, src: usize, tag: u64) -> Vec<u8> {
         drive_ready(self.co.recv(src, tag))

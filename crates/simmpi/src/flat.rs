@@ -254,7 +254,7 @@ impl CoComm for FlatCommunicator {
         Some(self.stats.clone())
     }
 
-    fn send(&self, dest: usize, tag: u64, data: &[u8]) {
+    fn send_vec(&self, dest: usize, tag: u64, data: Vec<u8>) {
         assert!(dest < self.size(), "send dest {dest} out of range");
         if hook::rejected_user_tag(tag) {
             if let Some(h) = &self.shared.hook {
@@ -277,11 +277,11 @@ impl CoComm for FlatCommunicator {
                 from,
                 to: dest,
                 tag,
-                payload: data,
+                payload: &data,
             });
         }
         self.shared.senders[dest]
-            .send((self.rank, tag, data.to_vec()))
+            .send((self.rank, tag, data))
             .expect("receiver mailbox alive for the world's lifetime");
     }
 

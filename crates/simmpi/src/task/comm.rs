@@ -935,7 +935,7 @@ impl crate::co::CoComm for TaskComm {
         Some(self.stats.clone())
     }
 
-    fn send(&self, dest: usize, tag: u64, data: &[u8]) {
+    fn send_vec(&self, dest: usize, tag: u64, data: Vec<u8>) {
         assert!(dest < self.shared.size, "send dest {dest} out of range");
         if hook::rejected_user_tag(tag) {
             if let Some(h) = &self.shared.hook {
@@ -950,7 +950,7 @@ impl crate::co::CoComm for TaskComm {
             panic!("{}", hook::reserved_tag_panic_text(tag));
         }
         self.stats.bump_send();
-        self.isend(dest, tag, data.to_vec());
+        self.isend(dest, tag, data);
     }
 
     fn recv<'a>(&'a self, src: usize, tag: u64) -> crate::co::BoxFut<'a, Vec<u8>> {

@@ -529,6 +529,46 @@ mod tests {
     }
 
     #[test]
+    fn send_vec_delivers_the_allocation_it_was_given() {
+        // Rank 0 reports where its two messages live, rank 1 where the ones
+        // it received do: one through `recv`, one through `try_recv` after a
+        // barrier has made it deliverable.
+        let out = TaskWorld::run(2, |c| async move {
+            if c.rank() == 0 {
+                let (a, b) = (vec![1u8; 4096], vec![2u8; 100]);
+                let sent = vec![a.as_ptr() as usize, b.as_ptr() as usize];
+                c.send_vec(1, 3, a);
+                c.send_vec(1, 4, b);
+                c.barrier().await;
+                sent
+            } else {
+                let a = c.recv(0, 3).await;
+                c.barrier().await;
+                let b = c.try_recv(0, 4).expect("delivered before the barrier");
+                assert_eq!((&a[..], &b[..]), (&[1u8; 4096][..], &[2u8; 100][..]));
+                vec![a.as_ptr() as usize, b.as_ptr() as usize]
+            }
+        });
+        assert_eq!(out[0], out[1]);
+    }
+
+    #[test]
+    fn send_of_borrowed_bytes_delivers_equal_bytes_on_every_runtime() {
+        async fn ring(c: &dyn CoComm) -> Vec<u8> {
+            let (r, n) = (c.rank(), c.size());
+            c.send((r + 1) % n, 9, &[r as u8; 5]);
+            c.recv((r + n - 1) % n, 9).await
+        }
+        let task = TaskWorld::run(3, |c| async move { ring(&c).await });
+        let thread = World::run(3, |c| drive_ready(ring(c.co())));
+        let flat = FlatWorld::run(3, |c| drive_ready(ring(c.co())));
+        let want: Vec<Vec<u8>> = (0..3).map(|r| vec![((r + 2) % 3) as u8; 5]).collect();
+        assert_eq!(task, want);
+        assert_eq!(thread, want);
+        assert_eq!(flat, want);
+    }
+
+    #[test]
     fn stats_count_this_ranks_ops() {
         let out = TaskWorld::run(4, |c| async move {
             c.barrier().await;

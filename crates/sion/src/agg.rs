@@ -22,8 +22,19 @@
 //! ack    = [u64 seq] [u64 status, 0 = applied]        tag TAG_ACK
 //! ```
 //!
-//! A member ships when the recorded payload reaches the write-behind
-//! capacity, on `flush`, and at close (the frame that ends the stream). The
+//! The frame is the member's write-behind buffer: a record is staged once,
+//! straight into the frame behind an open extent header ([`open_extent`]),
+//! and the flush that issues its shadow write fills in the length
+//! ([`close_extent`]) instead of copying it. Only writes of bytes the frame
+//! does not hold yet — rescue words, write-through records, records the
+//! size of the buffer or larger — are copied in ([`push_extent`]). So a
+//! shipped byte is copied once on the member, and [`CoComm::send_vec`]
+//! moves the frame into the aggregator's mailbox as it is.
+//!
+//! A member ships when the recorded extents reach the write-behind
+//! capacity, on `flush`, and at close (the frame that ends the stream). A
+//! run still staged at ship time has had no shadow write: it is carried
+//! into the next frame, header and bytes, and ships with that one. The
 //! aggregator drains *opportunistically* from inside its own write calls
 //! (non-parking [`CoComm::try_recv`], each poll a schedule point the checkers
 //! see), overlapping members' compute with its I/O, and fully at close.
@@ -46,24 +57,45 @@ use std::sync::Arc;
 use vfs::{IoSlice, VfsFile};
 
 /// Bytes reserved at the head of a frame for its sequence number.
-const SEQ_LEN: usize = 8;
+pub(crate) const SEQ_LEN: usize = 8;
+/// Bytes of an extent's `[offset][len]` header.
+pub(crate) const EXTENT_HEADER: usize = 16;
 /// In an extent's offset slot: the member's stream ends here.
 const END_OF_STREAM: u64 = u64::MAX;
 
-/// An empty frame for `payload` flushed bytes plus their extent/rescue words;
-/// the sequence slot is filled in at ship time: built in place, sent as built.
+/// An empty frame for `payload` bytes of extents plus a few chunks' header
+/// words; the sequence slot is filled in at ship time: built in place, sent
+/// as built.
 pub(crate) fn new_frame(payload: usize) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(SEQ_LEN + payload + 128);
+    let mut frame = Vec::with_capacity(SEQ_LEN + payload + 512);
     frame.resize(SEQ_LEN, 0);
     frame
 }
 
-/// Record one write (`slices` end to end at file offset `at`) as an extent.
+/// Record one write (`slices` end to end at file offset `at`) as an extent:
+/// the copy of bytes the frame does not hold yet.
 pub(crate) fn push_extent(frame: &mut Vec<u8>, at: u64, slices: &[IoSlice<'_>]) {
     let len: usize = slices.iter().map(|s| s.len()).sum();
     frame.extend_from_slice(&at.to_le_bytes());
     frame.extend_from_slice(&(len as u64).to_le_bytes());
     slices.iter().for_each(|s| frame.extend_from_slice(s));
+}
+
+/// Start an extent at file offset `at` whose bytes the caller appends to
+/// `frame` as it stages them; returns where they begin. Its length stays 0
+/// until [`close_extent`].
+pub(crate) fn open_extent(frame: &mut Vec<u8>, at: u64) -> usize {
+    frame.extend_from_slice(&at.to_le_bytes());
+    frame.extend_from_slice(&0u64.to_le_bytes());
+    frame.len()
+}
+
+/// Append `tail` to the extent whose bytes begin at `start` — the last one
+/// in `frame` — and fill in its length.
+pub(crate) fn close_extent(frame: &mut Vec<u8>, start: usize, tail: &[u8]) {
+    frame.extend_from_slice(tail);
+    let len = (frame.len() - start) as u64;
+    frame[start - 8..start].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Shipment counters of one task's aggregated-mode traffic, reported by
@@ -84,7 +116,10 @@ pub struct AggStats {
     pub acked_bytes: u64,
 }
 
-/// Member-side shipping state; the frame lives in the `TaskWriter` that fills it.
+/// Member-side shipping state. The frame lives in the `TaskWriter` that
+/// fills it: it is that writer's write-behind buffer, so staged bytes are
+/// appended once, behind their extent header, and ship where they were
+/// staged.
 #[derive(Default)]
 pub(crate) struct MemberState {
     /// Aggregator's rank in the file-group communicator.
@@ -105,36 +140,37 @@ impl MemberState {
         MemberState { agg, ship_cap: ship_cap.max(1), ..MemberState::default() }
     }
 
-    /// Ship `frame` and empty it for reuse, if its payload reached the ship
-    /// capacity or — with `now` — holds anything at all. Sends are buffered
-    /// and never park, so this is safe from synchronous writes. The shadow
-    /// writes on record at send time are exactly the extents it carries.
-    pub(crate) fn ship(&mut self, frame: &mut Vec<u8>, now: bool, lcom: &dyn CoComm) {
-        let payload = frame.len() - SEQ_LEN;
-        if payload == 0 || !(now || payload >= self.ship_cap) {
-            return;
-        }
+    /// Whether a frame holding `recorded` bytes of extents ships now: once
+    /// they reach the ship capacity or — with `now` — if there are any.
+    pub(crate) fn due(&self, recorded: usize, now: bool) -> bool {
+        recorded > 0 && (now || recorded >= self.ship_cap)
+    }
+
+    /// Ship `frame` by move: the aggregator's mailbox takes this allocation.
+    /// Sends are buffered and never park, so this is safe from synchronous
+    /// writes. The shadow writes on record at send time are exactly the
+    /// extents it carries.
+    pub(crate) fn ship(&mut self, mut frame: Vec<u8>, lcom: &dyn CoComm) {
         frame[..SEQ_LEN].copy_from_slice(&self.next_seq.to_le_bytes());
+        let len = frame.len() as u64;
         // Reserved-namespace tag: the scope marks this send as the protocol
         // itself, not a stray user send.
         let _protocol = simmpi::enter_agg_protocol();
-        lcom.send(self.agg, TAG_SHIP, frame);
+        lcom.send_vec(self.agg, TAG_SHIP, frame);
         self.stats.shipments += 1;
-        self.stats.shipped_bytes += frame.len() as u64;
-        self.inflight.push_back((self.next_seq, frame.len() as u64));
+        self.stats.shipped_bytes += len;
+        self.inflight.push_back((self.next_seq, len));
         self.next_seq += 1;
-        frame.truncate(SEQ_LEN);
     }
 
     /// End the stream: ship `frame` plus the end-of-stream word, then park
-    /// until every shipped frame is acknowledged. The frame is taken by value
-    /// and released with the final ship: left inside the writer it stays
-    /// allocated across the collective close on every member at once (`agg_1k`:
+    /// until every shipped frame is acknowledged. The writer hands its last
+    /// frame over without allocating a next one: a frame left allocated
+    /// across the collective close stays so on every member at once (`agg_1k`:
     /// 992 x 128 KiB, `setup_s` +48 %, `peak_rss_mib` +80..200 MiB, measured).
     pub(crate) async fn finish(&mut self, mut frame: Vec<u8>, lcom: &dyn CoComm) {
         frame.extend_from_slice(&END_OF_STREAM.to_le_bytes());
-        self.ship(&mut frame, true, lcom);
-        drop(frame);
+        self.ship(frame, lcom);
         while !self.inflight.is_empty() {
             let ack = lcom.recv(self.agg, TAG_ACK).await;
             self.note_ack(&ack);
@@ -219,7 +255,8 @@ impl AggState {
     }
 
     /// Write one frame's extents for member `i` and ack it. Frames are built by
-    /// [`push_extent`] in this same build: malformed framing is a bug — panic.
+    /// this module's extent writers in this same build: malformed framing is
+    /// a bug — panic.
     fn apply(&mut self, i: usize, buf: Vec<u8>, lcom: &dyn CoComm) {
         // Re-arm the task label (task runtimes share worker threads, `drain_all`
         // parks between frames): these are the aggregator's own physical writes.

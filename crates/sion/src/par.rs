@@ -87,7 +87,7 @@
 //! runtime, the serial executor included (`simcheck`'s misaligned-chunk
 //! mutation and its aligned control check exactly that).
 
-use crate::agg::{self, AggState, AggStats, MemberState};
+use crate::agg::{AggState, AggStats, MemberState};
 use crate::error::{Result, SionError};
 use crate::format::{CloseRecord, OpenRecord, SionFlags};
 use crate::physical_name;
@@ -401,7 +401,7 @@ pub async fn paropen_write_co(
     let mut writer = TaskWriter::new(file.clone(), geom, params.compressed, params.write_buffer);
     let role = if agg != me {
         let ship_cap = params.write_buffer as usize;
-        writer.frame = Some(agg::new_frame(ship_cap));
+        writer = writer.into_member(ship_cap);
         AggRole::Member(MemberState::new(agg, ship_cap))
     } else if end > me + 1 {
         AggRole::Aggregator(AggState::new(file, grank as u64, me + 1..end))
@@ -457,8 +457,9 @@ impl SionParWriter {
         }
         run(&mut self.writer)?;
         if let AggRole::Member(m) = &mut self.role {
-            let frame = self.writer.frame.as_mut().expect("a member's writer records");
-            m.ship(frame, ship_now, lcom);
+            if m.due(self.writer.recorded(), ship_now) {
+                m.ship(self.writer.take_frame(true), lcom);
+            }
             m.drain_acks(lcom);
         }
         Ok(())
@@ -574,8 +575,7 @@ impl SionParWriter {
             AggRole::Independent => (self.writer.finish(), AggStats::default()),
             AggRole::Member(mut m) => {
                 let finished = self.writer.finish();
-                let frame = self.writer.frame.take().expect("a member's writer records");
-                m.finish(frame, self.lcom.as_ref()).await;
+                m.finish(self.writer.take_frame(false), self.lcom.as_ref()).await;
                 let res = if m.failed && finished.is_ok() { Err(apply_failed()) } else { finished };
                 (res, m.stats)
             }

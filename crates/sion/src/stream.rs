@@ -8,6 +8,7 @@
 //! parallel API (`par`) and the serial API (`serial`) are thin wrappers
 //! over this module, so every access mode shares one engine.
 
+use crate::agg;
 use crate::error::{Result, SionError};
 use crate::layout::FileLayout;
 use crate::rescue::{RescueHeader, RESCUE_HEADER_LEN};
@@ -181,26 +182,31 @@ pub(crate) struct TaskWriter {
     enc: Option<FrameEncoder>,
     /// Total user bytes accepted (pre-compression).
     user_bytes: u64,
-    /// Write-behind buffer: pending stored bytes covering
-    /// `[wbuf_start, off)` of the current chunk. Always flushed before the
-    /// cursor leaves the chunk, so it never spans blocks.
+    /// Write-behind buffer. Its bytes from `run` on are the staged run:
+    /// pending stored bytes covering `[wbuf_start, off)` of the current
+    /// chunk, always flushed before the cursor leaves the chunk, so it never
+    /// spans blocks. On an independent writer `run` is 0 and a flush empties
+    /// the buffer. On an aggregated-mode member the buffer is the ship frame
+    /// ([`crate::agg`]): every write this engine issues is an extent in it,
+    /// so what the aggregator applies is exactly what this writer wrote to
+    /// its shadow handle. The staged run sits behind its open extent header
+    /// and stays where it is when flushed; other writes are copied in.
     wbuf: Vec<u8>,
-    /// Chunk offset of `wbuf[0]`.
+    /// Where the staged run begins in `wbuf`; `wbuf.len()` when none is.
+    run: usize,
+    /// Chunk offset of the staged run's first byte.
     wbuf_start: u64,
-    /// Buffer capacity; 0 = write-through (no coalescing).
+    /// Staged-run capacity; 0 = write-through (no coalescing).
     wbuf_cap: usize,
+    /// Aggregated-mode member only: `wbuf` is the ship frame, and no frame
+    /// is sized for more than this many bytes of extents (the ship
+    /// capacity).
+    ship_cap: Option<usize>,
     /// The rescue header's `used` field is stale and needs a patch at the
     /// next flush point (deferred even in write-through mode).
     rescue_dirty: bool,
     /// Coalescing counters for `CloseStats`/tracing.
     counters: IoCounters,
-    /// Aggregated-mode member only: the ship frame under construction.
-    /// Every write this engine issues is also appended to it as an extent
-    /// ([`crate::agg::push_extent`]), so what the aggregator applies is
-    /// exactly what this writer wrote to its shadow handle. The member
-    /// protocol ([`crate::agg::MemberState`]) installs, ships and finally
-    /// takes it.
-    pub frame: Option<Vec<u8>>,
 }
 
 impl TaskWriter {
@@ -223,15 +229,71 @@ impl TaskWriter {
             enc: compressed.then(FrameEncoder::new),
             user_bytes: 0,
             wbuf: Vec::with_capacity(wbuf_cap),
+            run: 0,
             wbuf_start: 0,
             wbuf_cap,
+            ship_cap: None,
             rescue_dirty: false,
             counters: IoCounters {
                 allocs: (wbuf_cap > 0) as u64,
                 ..IoCounters::default()
             },
-            frame: None,
         }
+    }
+
+    /// Make this an aggregated-mode member's writer: its write-behind
+    /// buffer becomes a ship frame for `ship_cap` bytes of extents. Its
+    /// [`IoCounters`] stay an independent writer's.
+    pub(crate) fn into_member(mut self, ship_cap: usize) -> Self {
+        self.wbuf = agg::new_frame(ship_cap);
+        self.run = self.wbuf.len();
+        self.ship_cap = Some(ship_cap);
+        self
+    }
+
+    /// The staged run: accepted bytes no VFS call has written yet.
+    fn staged(&self) -> &[u8] {
+        &self.wbuf[self.run..]
+    }
+
+    /// Where the frame's recorded extents end: before the staged run's
+    /// header, whose bytes have had no shadow write yet.
+    fn frame_cut(&self) -> usize {
+        if self.staged().is_empty() {
+            self.wbuf.len()
+        } else {
+            self.run - agg::EXTENT_HEADER
+        }
+    }
+
+    /// Member only: bytes of recorded extents in the frame.
+    pub(crate) fn recorded(&self) -> usize {
+        self.frame_cut() - agg::SEQ_LEN
+    }
+
+    /// Member only: hand out the frame's recorded extents to ship, by move.
+    /// With `next`, a new frame takes over and the staged run — at most one
+    /// record's tail — is carried into it, header and bytes. The last frame
+    /// (at close) gets no successor; whatever is still staged then was
+    /// never written (a failed flush) and is dropped.
+    pub(crate) fn take_frame(&mut self, next: bool) -> Vec<u8> {
+        let cut = self.frame_cut();
+        let staged = self.staged().len();
+        let mut successor = Vec::new();
+        if next {
+            // Sized like the frame it follows, up to the ship capacity: a
+            // stream's frames are alike, and a full-size frame for a few
+            // bytes costs the allocator a fresh heap block at every ship.
+            let cap = self.ship_cap.expect("a member's writer");
+            let payload = (cut - agg::SEQ_LEN).min(cap);
+            successor = agg::new_frame(payload + self.wbuf.len() - cut);
+            successor.extend_from_slice(&self.wbuf[cut..]);
+        }
+        let mut shipped = std::mem::replace(&mut self.wbuf, successor);
+        shipped.truncate(cut);
+        // A carried run ends the successor; the last frame has none.
+        self.run = self.wbuf.len().saturating_sub(staged);
+        shipped
     }
 
     /// Coalescing counters accumulated so far.
@@ -400,16 +462,20 @@ impl TaskWriter {
         } else {
             let mut rest = data;
             while !rest.is_empty() {
-                if self.wbuf.is_empty() {
+                if self.staged().is_empty() {
                     self.wbuf_start = self.off;
+                    if self.ship_cap.is_some() {
+                        let at = self.geom.data_offset(self.block) + self.off;
+                        self.run = agg::open_extent(&mut self.wbuf, at);
+                    }
                 }
-                let room = self.wbuf_cap - self.wbuf.len();
+                let room = self.wbuf_cap - self.staged().len();
                 let take = room.min(rest.len());
                 self.wbuf.extend_from_slice(&rest[..take]);
                 self.counters.bytes_copied += take as u64;
                 self.off += take as u64;
                 rest = &rest[take..];
-                if self.wbuf.len() == self.wbuf_cap {
+                if self.staged().len() == self.wbuf_cap {
                     self.flush_pending()?;
                 }
             }
@@ -436,45 +502,33 @@ impl TaskWriter {
     /// remains possible.
     fn put_vectored(&mut self, data: &[u8]) -> Result<()> {
         let b = self.block as usize;
-        let run_start = if self.wbuf.is_empty() { self.off } else { self.wbuf_start };
-        // First touch of the chunk with the data run starting right after
-        // the header slot: the header rides along as the leading slice.
-        // (Pending bytes imply the chunk was already entered, so the
-        // header-leading case only arises with an empty buffer at 0.)
-        let lead_header =
-            !self.entered[b] && self.geom.rescue_overhead > 0 && run_start == 0;
-        if !lead_header {
-            self.enter_chunk()?;
-        }
-        let header = RescueHeader {
-            global_rank: self.geom.global_rank,
-            block: self.block,
-            used: 0,
-        }
-        .encode();
-        let pending = std::mem::take(&mut self.wbuf);
-        let mut slices: [IoSlice<'_>; 3] = [IoSlice::new(&[]); 3];
-        let mut n = 0;
-        let at = if lead_header {
-            slices[n] = IoSlice::new(&header);
-            n += 1;
-            self.geom.chunk_start(self.block)
+        if self.staged().is_empty() {
+            // First touch of the chunk with the data run starting right
+            // after the header slot: the header rides along as the leading
+            // slice.
+            let lead_header =
+                !self.entered[b] && self.geom.rescue_overhead > 0 && self.off == 0;
+            if !lead_header {
+                self.enter_chunk()?;
+            }
+            let header = RescueHeader {
+                global_rank: self.geom.global_rank,
+                block: self.block,
+                used: 0,
+            }
+            .encode();
+            let slices = [IoSlice::new(&header), IoSlice::new(data)];
+            let (slices, at) = if lead_header {
+                (&slices[..], self.geom.chunk_start(self.block))
+            } else {
+                (&slices[1..], self.geom.data_offset(self.block) + self.off)
+            };
+            self.submit(slices, at, Submit::Vectored)?;
+            self.entered[b] = true;
         } else {
-            self.geom.data_offset(self.block) + run_start
-        };
-        if !pending.is_empty() {
-            slices[n] = IoSlice::new(&pending);
-            n += 1;
-        }
-        slices[n] = IoSlice::new(data);
-        n += 1;
-        let res = self.submit(&slices[..n], at, Submit::Vectored);
-        self.wbuf = pending;
-        res?;
-        self.entered[b] = true;
-        if !self.wbuf.is_empty() {
+            // Pending bytes imply the chunk was already entered: they lead.
+            self.flush_run(data)?;
             self.counters.flushes += 1;
-            self.wbuf.clear();
         }
         self.off += data.len() as u64;
         self.wbuf_start = self.off;
@@ -498,13 +552,8 @@ impl TaskWriter {
     /// what the task wrote. The crash_consistency integration tests pin
     /// this ordering via the `vfs::Faults` op log.
     fn flush_pending(&mut self) -> Result<()> {
-        if !self.wbuf.is_empty() {
-            let at = self.geom.data_offset(self.block) + self.wbuf_start;
-            let buf = std::mem::take(&mut self.wbuf);
-            let res = self.submit(&[IoSlice::new(&buf)], at, Submit::Scalar);
-            self.wbuf = buf;
-            res?;
-            self.wbuf.clear();
+        if !self.staged().is_empty() {
+            self.flush_run(&[])?;
             self.wbuf_start = self.off;
             self.counters.flushes += 1;
         }
@@ -527,12 +576,52 @@ impl TaskWriter {
         self.flush_pending()
     }
 
-    /// The one place this writer calls its file: every data run, rescue
-    /// header and `used` patch is submitted here — the one VFS call `how`
-    /// names, its [`IoCounters`] bookkeeping and, on a member's writer, the
-    /// extent record the aggregator will apply. A failed submission records
-    /// nothing.
+    /// Write the staged run, then `tail` if any (a large record riding out
+    /// behind it), as ONE VFS call at the run's offset — scalar alone,
+    /// vectored with a tail — and retire the run. An independent writer
+    /// empties its buffer. On a member's writer the run already sits in the
+    /// frame behind its open extent header: the tail is appended and the
+    /// length filled in, so the staged bytes are never copied again. On
+    /// error nothing is retired, so a retry remains possible.
+    fn flush_run(&mut self, tail: &[u8]) -> Result<()> {
+        let at = self.geom.data_offset(self.block) + self.wbuf_start;
+        let buf = std::mem::take(&mut self.wbuf);
+        let slices = [IoSlice::new(&buf[self.run..]), IoSlice::new(tail)];
+        let res = if tail.is_empty() {
+            self.issue(&slices[..1], at, Submit::Scalar)
+        } else {
+            self.issue(&slices, at, Submit::Vectored)
+        };
+        self.wbuf = buf;
+        res?;
+        if self.ship_cap.is_some() {
+            agg::close_extent(&mut self.wbuf, self.run, tail);
+            self.run = self.wbuf.len();
+        } else {
+            self.wbuf.clear();
+        }
+        Ok(())
+    }
+
+    /// [`issue`](Self::issue) a write of bytes the frame does not hold:
+    /// everything but the staged run, which [`flush_run`](Self::flush_run)
+    /// writes. On a member's writer the write is recorded as an extent
+    /// behind the ones before it — a copy, the one these bytes take on
+    /// their way to the aggregator. A failed write records nothing.
     fn submit(&mut self, slices: &[IoSlice<'_>], at: u64, how: Submit<'_>) -> Result<()> {
+        self.issue(slices, at, how)?;
+        if self.ship_cap.is_some() {
+            debug_assert!(self.staged().is_empty(), "an extent recorded behind a staged run");
+            agg::push_extent(&mut self.wbuf, at, slices);
+            self.run = self.wbuf.len();
+        }
+        Ok(())
+    }
+
+    /// The one place this writer calls its file: every data run, rescue
+    /// header and `used` patch is issued here — the one VFS call `how`
+    /// names and its [`IoCounters`] bookkeeping.
+    fn issue(&mut self, slices: &[IoSlice<'_>], at: u64, how: Submit<'_>) -> Result<()> {
         match how {
             Submit::Vectored => self.file.write_vectored_at(slices, at)?,
             Submit::Scalar => self.file.write_all_at(&slices[0], at)?,
@@ -542,9 +631,6 @@ impl TaskWriter {
         self.counters.vfs_calls += 1;
         self.counters.vectored_writes += matches!(how, Submit::Vectored) as u64;
         self.counters.vfs_bytes += slices.iter().map(|s| s.len() as u64).sum::<u64>();
-        if let Some(frame) = self.frame.as_mut() {
-            crate::agg::push_extent(frame, at, slices);
-        }
         Ok(())
     }
 
@@ -1444,23 +1530,11 @@ mod tests {
     fn rescue_header_rides_along_in_the_vectored_submit() {
         let (fs, layout) = setup(&[200], Alignment::FsBlock, true);
         let usable = layout.cap[0] - layout.rescue_overhead;
-        let mut w = writer_buffered(&fs, &layout, 0, false, 32);
         // A recording writer (what an aggregated-mode member runs): the
         // submit funnel logs each VFS write as `[u64 at][u64 len][bytes]`
         // behind the frame's 8-byte sequence slot.
-        w.frame = Some(crate::agg::new_frame(0));
-        let extents = |w: &TaskWriter| {
-            let frame = &w.frame.as_ref().unwrap()[8..];
-            let word = |p: usize| u64::from_le_bytes(frame[p..p + 8].try_into().unwrap());
-            let mut out = Vec::new();
-            let mut p = 0;
-            while p < frame.len() {
-                let len = word(p + 8) as usize;
-                out.push((word(p), frame[p + 16..p + 16 + len].to_vec()));
-                p += 16 + len;
-            }
-            out
-        };
+        let mut w = writer_buffered(&fs, &layout, 0, false, 32).into_member(0);
+        let extents = |w: &TaskWriter| frame_extents(&w.wbuf[..w.frame_cut()]);
         // First touch of the chunk with a large record: header slice +
         // payload slice land in one vectored write.
         w.write(&vec![9u8; usable as usize]).unwrap();
@@ -1485,6 +1559,110 @@ mod tests {
         file.read_exact_at(&mut hdr, layout.chunk_start(0, 0)).unwrap();
         let h = RescueHeader::decode(&hdr).unwrap();
         assert_eq!((h.global_rank, h.block, h.used), (0, 0, usable));
+    }
+
+    /// The extents `(at, bytes)` of a frame, behind its sequence slot.
+    fn frame_extents(frame: &[u8]) -> Vec<(u64, Vec<u8>)> {
+        let word = |p: usize| u64::from_le_bytes(frame[p..p + 8].try_into().unwrap());
+        let mut out = Vec::new();
+        let mut p = agg::SEQ_LEN;
+        while p < frame.len() {
+            let len = word(p + 8) as usize;
+            out.push((word(p), frame[p + 16..p + 16 + len].to_vec()));
+            p += 16 + len;
+        }
+        out
+    }
+
+    #[test]
+    fn member_frames_carry_exactly_the_shadow_writes() {
+        // (write buffer, record sizes): 700 B records through a 1 KiB
+        // buffer leave a staged tail to carry into the next frame at every
+        // ship; write-through; records at or above the buffer size, with
+        // and without staged bytes ahead of them; 1 B records.
+        let cases: [(u64, Vec<usize>); 4] = [
+            (1024, vec![700; 9]),
+            (0, vec![700; 9]),
+            (256, vec![300, 1000, 50, 256, 256, 10, 700]),
+            (1024, vec![1; 3000]),
+        ];
+        for rescue in [false, true] {
+            for (write_buffer, records) in &cases {
+                let (fs, layout) = setup(&[2000], Alignment::FsBlock, rescue);
+                let ship_cap = *write_buffer as usize;
+                let mut w = writer_buffered(&fs, &layout, 0, false, *write_buffer)
+                    .into_member(ship_cap);
+                let m = agg::MemberState::new(0, ship_cap);
+                let file = fs.open("f").unwrap();
+                let contents = || {
+                    let mut buf = vec![0u8; file.len().unwrap() as usize];
+                    file.read_exact_at(&mut buf, 0).unwrap();
+                    buf
+                };
+                // What an aggregator makes of the frames shipped so far.
+                let (mut image, mut extents, mut bytes, mut frames) = (Vec::new(), 0, 0, 0);
+                let mut apply = |frame: Vec<u8>| {
+                    frames += 1;
+                    for (at, data) in frame_extents(&frame) {
+                        let end = at as usize + data.len();
+                        image.resize(image.len().max(end), 0);
+                        image[at as usize..end].copy_from_slice(&data);
+                        extents += 1;
+                        bytes += data.len() as u64;
+                    }
+                    image.clone()
+                };
+                let record = |i: usize, n: usize| vec![(i % 251) as u8 + 1; n];
+                for (i, &n) in records.iter().enumerate() {
+                    w.write(&record(i, n)).unwrap();
+                    if m.due(w.recorded(), false) {
+                        // Every write issued so far ships, staged bytes do not.
+                        assert_eq!(apply(w.take_frame(true)), contents(), "{write_buffer} {i}");
+                    }
+                }
+                w.finish().unwrap();
+                assert_eq!(apply(w.take_frame(false)), contents(), "{write_buffer}");
+                let c = w.io_counters();
+                assert!(frames > 2, "{write_buffer}: {frames} frames");
+                assert_eq!((extents, bytes), (c.vfs_calls, c.vfs_bytes), "one extent per write");
+                // A member's counters are an independent writer's.
+                let (fs, layout) = setup(&[2000], Alignment::FsBlock, rescue);
+                let mut plain = writer_buffered(&fs, &layout, 0, false, *write_buffer);
+                for (i, &n) in records.iter().enumerate() {
+                    plain.write(&record(i, n)).unwrap();
+                }
+                plain.finish().unwrap();
+                assert_eq!(plain.io_counters(), c);
+            }
+        }
+    }
+
+    #[test]
+    fn a_member_ships_its_staged_bytes_in_the_allocation_they_were_staged_into() {
+        use simmpi::CoComm;
+        let start = setup(&[4096], Alignment::None, false).1.chunk_start(0, 0);
+        let got = simmpi::TaskWorld::run(2, |c| async move {
+            if c.rank() == 0 {
+                let frame = c.recv(1, simmpi::AGG_SHIP_TAG_PREFIX).await;
+                return (frame.as_ptr() as usize, frame_extents(&frame));
+            }
+            let (fs, layout) = setup(&[4096], Alignment::None, false);
+            let mut w = writer_buffered(&fs, &layout, 0, false, 1024).into_member(1024);
+            w.write(&[7u8; 256]).unwrap();
+            let staged_at = w.staged().as_ptr() as usize;
+            // The fourth record fills the run: it is flushed in place.
+            for _ in 0..3 {
+                w.write(&[7u8; 256]).unwrap();
+            }
+            let frame = w.take_frame(true);
+            let data_at = frame[agg::SEQ_LEN + agg::EXTENT_HEADER..].as_ptr() as usize;
+            assert_eq!(data_at, staged_at, "the flush copied the staged run");
+            let mut m = agg::MemberState::new(0, 1024);
+            m.ship(frame, &c);
+            (staged_at - agg::SEQ_LEN - agg::EXTENT_HEADER, Vec::new())
+        });
+        assert_eq!(got[0].0, got[1].0, "the mailbox copied the frame");
+        assert_eq!(got[0].1, vec![(start, vec![7u8; 1024])]);
     }
 
     #[test]
