@@ -103,7 +103,9 @@ struct StepRec {
 
 impl StepRec {
     fn dependent(&self, other: &StepRec) -> bool {
-        self.fp.iter().any(|a| other.fp.iter().any(|b| a.conflicts(b)))
+        self.fp
+            .iter()
+            .any(|a| other.fp.iter().any(|b| a.conflicts(b)))
     }
 
     /// Whether this step happens before the `later` one: `later` has seen
@@ -157,7 +159,10 @@ impl Recorder {
     }
 
     fn reset(&self, prefix: Vec<usize>) {
-        *self.lock() = RecState { prefix, ..RecState::default() };
+        *self.lock() = RecState {
+            prefix,
+            ..RecState::default()
+        };
     }
 
     fn take(&self) -> Vec<StepRec> {
@@ -187,7 +192,11 @@ impl ScheduleDriver for Recorder {
             .copied()
             .filter(|c| candidates.contains(c))
             .unwrap_or(candidates[0]);
-        g.steps.push(StepRec { chosen, candidates: candidates.to_vec(), ..StepRec::default() });
+        g.steps.push(StepRec {
+            chosen,
+            candidates: candidates.to_vec(),
+            ..StepRec::default()
+        });
         chosen
     }
 }
@@ -204,9 +213,16 @@ impl CheckHook for Recorder {
         let res = match (edge, *ev) {
             (Some(Edge::Send(chan)), _) => Some(Res::Chan(chan, ChanOp::Send)),
             (Some(Edge::Recv(chan)), _) => Some(Res::Chan(chan, ChanOp::Recv)),
-            (_, HookEvent::TryRecv { comm, rank, src, tag, hit: false }) => {
-                Some(Res::Chan((comm.id, src, rank, tag), ChanOp::Poll))
-            }
+            (
+                _,
+                HookEvent::TryRecv {
+                    comm,
+                    rank,
+                    src,
+                    tag,
+                    hit: false,
+                },
+            ) => Some(Res::Chan((comm.id, src, rank, tag), ChanOp::Poll)),
             _ => None,
         };
         if res.is_some() || edge.is_some() {
@@ -263,7 +279,9 @@ impl DporHarness {
         let san = Arc::new(Sanitizer::new());
         let hook: Arc<dyn CheckHook> = Arc::new(vec![self.recorder(), san.clone()]);
         let run = simmpi::TaskWorld::run_driven(ntasks, hook, self.driver(), f);
-        digest_task_run(ntasks, ScheduleCfg::Dpor, &san, run).map(|v| *vals = Some(v)).err()
+        digest_task_run(ntasks, ScheduleCfg::Dpor, &san, run)
+            .map(|v| *vals = Some(v))
+            .err()
     }
 }
 
@@ -313,7 +331,9 @@ pub struct Dpor {
 
 impl Default for Dpor {
     fn default() -> Self {
-        Dpor { max_schedules: 10_000 }
+        Dpor {
+            max_schedules: 10_000,
+        }
     }
 }
 
@@ -327,7 +347,9 @@ impl Dpor {
         &self,
         mut run_once: impl FnMut(&DporHarness) -> Option<Box<CheckFailure>>,
     ) -> DporOutcome {
-        let h = DporHarness { rec: Arc::new(Recorder::default()) };
+        let h = DporHarness {
+            rec: Arc::new(Recorder::default()),
+        };
         let mut out = DporOutcome::default();
         let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
         seen.insert(Vec::new());
@@ -400,7 +422,9 @@ impl Dpor {
         schedule: &[usize],
         run_once: impl FnOnce(&DporHarness) -> Option<Box<CheckFailure>>,
     ) -> Option<Box<CheckFailure>> {
-        let h = DporHarness { rec: Arc::new(Recorder::default()) };
+        let h = DporHarness {
+            rec: Arc::new(Recorder::default()),
+        };
         h.rec.reset(schedule.to_vec());
         let mut failure = run_once(&h);
         if let Some(f) = &mut failure {
@@ -478,8 +502,7 @@ mod tests {
                     hit
                 }
             });
-            let vals =
-                digest_task_run(2, ScheduleCfg::Dpor, &san, run).expect("clean program");
+            let vals = digest_task_run(2, ScheduleCfg::Dpor, &san, run).expect("clean program");
             outcomes.lock().unwrap().insert(vals[1]);
             None
         });

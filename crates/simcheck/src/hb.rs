@@ -106,10 +106,20 @@ impl Edge {
     /// The edge `ev` contributes, if it orders anything.
     pub(crate) fn of(ev: &HookEvent<'_>) -> Option<Edge> {
         Some(match *ev {
-            HookEvent::Send { comm, from, to, tag, .. } => Edge::Send((comm.id, from, to, tag)),
-            HookEvent::RecvDone { comm, rank, src, tag, .. } => {
-                Edge::Recv((comm.id, src, rank, tag))
-            }
+            HookEvent::Send {
+                comm,
+                from,
+                to,
+                tag,
+                ..
+            } => Edge::Send((comm.id, from, to, tag)),
+            HookEvent::RecvDone {
+                comm,
+                rank,
+                src,
+                tag,
+                ..
+            } => Edge::Recv((comm.id, src, rank, tag)),
             HookEvent::Collective { comm, seq, .. } => Edge::Enter(comm.id, seq),
             HookEvent::CollectiveDone { comm, seq, .. } => Edge::Exit(comm.id, seq),
             _ => return None,
@@ -274,14 +284,15 @@ impl HbState {
     /// First sub-range of `[start, end)` at `path` not covered by physical
     /// writes, or `None` if fully covered.
     fn first_uncovered(&self, path: &str, start: u64, end: u64) -> Option<(u64, u64)> {
-        let Some(iv) = self.written.get(path) else { return Some((start, end)) };
+        let Some(iv) = self.written.get(path) else {
+            return Some((start, end));
+        };
         let mut at = start;
         while at < end {
             match iv.range(..=at).next_back() {
                 Some((_, &ke)) if ke > at => at = ke,
                 _ => {
-                    let gap_end =
-                        iv.range(at..end).next().map(|(&k, _)| k).unwrap_or(end);
+                    let gap_end = iv.range(at..end).next().map(|(&k, _)| k).unwrap_or(end);
                     return Some((at, gap_end));
                 }
             }
@@ -297,19 +308,30 @@ impl HbState {
         if ns == AGG_SHIP_TAG_PREFIX && payload.len() >= 8 {
             let seq = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
             let pending = self.pending_shadow.remove(&task).unwrap_or_default();
-            self.obligations.entry((comm, from, seq)).or_default().extend(pending);
+            self.obligations
+                .entry((comm, from, seq))
+                .or_default()
+                .extend(pending);
         } else if ns == AGG_ACK_TAG_PREFIX && payload.len() >= 16 {
             let seq = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
             let status = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
             // `to` is the member being acked; a failed channel (nonzero
             // status) promises no durability.
-            let obligations = self.obligations.remove(&(comm, to, seq)).unwrap_or_default();
+            let obligations = self
+                .obligations
+                .remove(&(comm, to, seq))
+                .unwrap_or_default();
             for ob in obligations.into_iter().filter(|_| status == 0) {
                 let missing = self.first_uncovered(&ob.path, ob.offset, ob.offset + ob.len);
                 let Some(missing) = missing else { continue };
                 self.acks_total += 1;
                 if self.acks.len() < KEEP {
-                    let v = AckViolation { obligation: ob, seq, acker: Some(task), missing };
+                    let v = AckViolation {
+                        obligation: ob,
+                        seq,
+                        acker: Some(task),
+                        missing,
+                    };
                     self.acks.push(v);
                 }
             }
@@ -338,9 +360,7 @@ impl HbEngine {
     pub fn races(&self) -> Vec<HbRace> {
         let g = self.lock();
         let mut r = g.races.clone();
-        r.sort_by(|x, y| {
-            (&x.a.access, &x.b.access).cmp(&(&y.a.access, &y.b.access))
-        });
+        r.sort_by(|x, y| (&x.a.access, &x.b.access).cmp(&(&y.a.access, &y.b.access)));
         r
     }
 
@@ -397,7 +417,9 @@ impl CheckHook for HbEngine {
             return;
         }
         let Some(edge) = Edge::of(ev) else { return };
-        let Some(task) = simmpi::current_task().map(|t| t as u64) else { return };
+        let Some(task) = simmpi::current_task().map(|t| t as u64) else {
+            return;
+        };
         let mut g = self.lock();
         g.core.epoch(task, &[edge]);
         if let (Edge::Send(chan), HookEvent::Send { payload, .. }) = (edge, *ev) {
@@ -411,13 +433,19 @@ impl AccessSink for HbEngine {
         let task = access.task;
         let mut g = self.lock();
         let clock = g.core.epoch(task, &[]).clone();
-        let site = RaceSite { access: access.clone(), clock };
+        let site = RaceSite {
+            access: access.clone(),
+            clock,
+        };
         match access.kind {
             AccessKind::Write => {
                 g.mark_written(&access.path, access.offset, access.offset + access.len);
             }
             AccessKind::ShadowWrite => {
-                g.pending_shadow.entry(task).or_default().push(access.clone());
+                g.pending_shadow
+                    .entry(task)
+                    .or_default()
+                    .push(access.clone());
             }
             AccessKind::Read => {}
         }
@@ -432,7 +460,10 @@ impl AccessSink for HbEngine {
                 && p.access.conflicts(&site.access)
                 && p.clock.get(p.access.task) > site.clock.get(p.access.task)
             {
-                found.push(HbRace { a: p.clone(), b: site.clone() });
+                found.push(HbRace {
+                    a: p.clone(),
+                    b: site.clone(),
+                });
             }
         }
         prior.push(site);
@@ -449,11 +480,21 @@ mod tests {
     use std::sync::Arc;
 
     fn ctx(name: &str, size: usize) -> CommCtx {
-        CommCtx { id: 0x1000 + size as u64, name: name.into(), size }
+        CommCtx {
+            id: 0x1000 + size as u64,
+            name: name.into(),
+            size,
+        }
     }
 
     fn access(task: u64, kind: AccessKind, offset: u64, len: u64) -> FileAccess {
-        FileAccess { path: "f".into(), kind, task, offset, len }
+        FileAccess {
+            path: "f".into(),
+            kind,
+            task,
+            offset,
+            len,
+        }
     }
 
     /// Drive hook events as if `task` were the acting rank. The engine
@@ -478,7 +519,13 @@ mod tests {
     }
 
     fn send(eng: &HbEngine, comm: &CommCtx, from: usize, to: usize, tag: u64, payload: &[u8]) {
-        eng.on_event(&HookEvent::Send { comm, from, to, tag, payload });
+        eng.on_event(&HookEvent::Send {
+            comm,
+            from,
+            to,
+            tag,
+            payload,
+        });
     }
 
     #[test]
@@ -515,7 +562,13 @@ mod tests {
         as_task(0, || send(&eng, &c, 0, 1, 7, b"go"));
         as_task(1, || {
             let (comm, payload) = (&c, b"go".as_slice());
-            eng.on_event(&HookEvent::RecvDone { comm, rank: 1, src: 0, tag: 7, payload })
+            eng.on_event(&HookEvent::RecvDone {
+                comm,
+                rank: 1,
+                src: 0,
+                tag: 7,
+                payload,
+            })
         });
         eng.on_access(&access(1, AccessKind::Write, 5, 10));
         eng.assert_race_free("test");
@@ -531,8 +584,15 @@ mod tests {
         let eng = Arc::new(HbEngine::new());
         let c = ctx("world", 2);
         let (kind, comm) = (CollKind::Barrier, &c);
-        let enter =
-            |rank| eng.on_event(&HookEvent::Collective { comm, rank, seq: 1, kind, root: None });
+        let enter = |rank| {
+            eng.on_event(&HookEvent::Collective {
+                comm,
+                rank,
+                seq: 1,
+                kind,
+                root: None,
+            })
+        };
         let exit = |rank| eng.on_event(&HookEvent::CollectiveDone { comm, rank, seq: 1 });
         eng.on_access(&access(0, AccessKind::Write, 0, 10));
         as_task(0, || enter(0));
@@ -559,8 +619,7 @@ mod tests {
         let c = ctx("lcom", 2);
         let mut ship = 5u64.to_le_bytes().to_vec(); // seq 5
         ship.extend_from_slice(b"ops");
-        let ok_ack: Vec<u8> =
-            [5u64.to_le_bytes(), 0u64.to_le_bytes()].concat();
+        let ok_ack: Vec<u8> = [5u64.to_le_bytes(), 0u64.to_le_bytes()].concat();
         // Member (local rank 1) shadow-writes, ships; aggregator (local 0)
         // acks WITHOUT writing.
         eng.on_access(&access(1, AccessKind::ShadowWrite, 0, 64));
@@ -626,13 +685,22 @@ mod tests {
         let sent = steps.epoch(c, &[Edge::Send(r)]).get(c);
         steps.epoch(a, &[Edge::Send(m), Edge::Recv(r)]);
         let b_clock = steps.epoch(b, &[Edge::Recv(m)]);
-        assert!(b_clock.get(c) >= sent, "step epochs: B after C's send, {b_clock}");
+        assert!(
+            b_clock.get(c) >= sent,
+            "step epochs: B after C's send, {b_clock}"
+        );
 
         let mut events = ClockCore::default();
         events.epoch(c, &[Edge::Send(r)]);
         events.epoch(a, &[Edge::Send(m)]);
-        assert!(events.epoch(a, &[Edge::Recv(r)]).get(c) >= sent, "A is after C's send");
+        assert!(
+            events.epoch(a, &[Edge::Recv(r)]).get(c) >= sent,
+            "A is after C's send"
+        );
         let b_clock = events.epoch(b, &[Edge::Recv(m)]);
-        assert!(b_clock.get(c) < sent, "event epochs: B unordered with C, {b_clock}");
+        assert!(
+            b_clock.get(c) < sent,
+            "event epochs: B unordered with C, {b_clock}"
+        );
     }
 }

@@ -68,8 +68,8 @@ pub use report::{CheckFailure, DeadlockInfo, PendingOp, ScheduleCfg, TraceEv};
 pub use sched::{schedules, seed_budget, CheckedTaskWorld};
 
 pub use simmpi::{
-    current_task, decode_coll_tag, describe_tag, is_agg_tag, is_reserved_tag,
-    simcheck_env_enabled, Aborted, CheckHook, CollKind, CommCtx, Finding, FindingKind, LeakedMsg,
-    Sanitizer, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK, COLL_TAG_PREFIX,
+    current_task, decode_coll_tag, describe_tag, is_agg_tag, is_reserved_tag, simcheck_env_enabled,
+    Aborted, CheckHook, CollKind, CommCtx, Finding, FindingKind, LeakedMsg, Sanitizer,
+    AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK, COLL_TAG_PREFIX,
 };
 pub use vfs::{AccessKind, AccessSink, BlockGuard, BlockViolation, FileAccess, Tap, TapFs};

@@ -33,7 +33,10 @@ pub enum ScheduleCfg {
 impl fmt::Display for ScheduleCfg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            ScheduleCfg::Seeded { seed, preemption_bound } => {
+            ScheduleCfg::Seeded {
+                seed,
+                preemption_bound,
+            } => {
                 write!(f, "seed={seed:#018x}, preemption-bound={preemption_bound}")
             }
             ScheduleCfg::Dpor => write!(f, "dpor"),
@@ -137,7 +140,10 @@ mod tests {
     #[test]
     fn stable_report_is_reproducible_text() {
         let fail = CheckFailure {
-            cfg: ScheduleCfg::Seeded { seed: 7, preemption_bound: 2 },
+            cfg: ScheduleCfg::Seeded {
+                seed: 7,
+                preemption_bound: 2,
+            },
             findings: vec![Finding {
                 kind: FindingKind::Deadlock,
                 message: "whole-world deadlock: 2 task(s) blocked".into(),
@@ -156,7 +162,10 @@ mod tests {
         let b = fail.stable_report();
         assert_eq!(a, b);
         assert!(a.contains("seed=0x0000000000000007"), "{a}");
-        assert!(!a.contains("replay schedule"), "seeded failures have no forced schedule: {a}");
+        assert!(
+            !a.contains("replay schedule"),
+            "seeded failures have no forced schedule: {a}"
+        );
         assert!(a.contains("#0 task 1\n"), "{a}");
         assert_eq!(fail.to_string(), a);
     }

@@ -60,9 +60,15 @@ impl CheckedTaskWorld {
         Fut: std::future::Future<Output = T> + Send,
     {
         match cfg {
-            ScheduleCfg::Seeded { seed, preemption_bound } => {
+            ScheduleCfg::Seeded {
+                seed,
+                preemption_bound,
+            } => {
                 let san = Arc::new(Sanitizer::new());
-                let policy = simmpi::SchedPolicy::Serial { seed, preemption_bound };
+                let policy = simmpi::SchedPolicy::Serial {
+                    seed,
+                    preemption_bound,
+                };
                 let run = simmpi::TaskWorld::run_checked(policy, ntasks, san.clone(), f);
                 digest_task_run(ntasks, cfg, &san, run)
             }
@@ -120,7 +126,11 @@ pub(crate) fn digest_task_run<T: Send>(
             pending: d
                 .parked
                 .into_iter()
-                .map(|p| PendingOp { task: p.world_rank, comm: p.comm, op: p.op })
+                .map(|p| PendingOp {
+                    task: p.world_rank,
+                    comm: p.comm,
+                    op: p.op,
+                })
                 .collect(),
         }
     });
@@ -154,8 +164,11 @@ pub(crate) fn digest_task_run<T: Send>(
     if findings.is_empty() {
         return Ok(vals);
     }
-    let schedule =
-        if matches!(cfg, ScheduleCfg::Dpor) { run.trace.clone() } else { Vec::new() };
+    let schedule = if matches!(cfg, ScheduleCfg::Dpor) {
+        run.trace.clone()
+    } else {
+        Vec::new()
+    };
     Err(Box::new(CheckFailure {
         cfg,
         findings,
@@ -177,7 +190,10 @@ pub fn schedules(seeds: u64, bounds: &[usize]) -> Vec<ScheduleCfg> {
     let mut out = Vec::new();
     for &preemption_bound in bounds {
         for seed in 0..seeds {
-            out.push(ScheduleCfg::Seeded { seed, preemption_bound });
+            out.push(ScheduleCfg::Seeded {
+                seed,
+                preemption_bound,
+            });
         }
     }
     out
@@ -213,7 +229,10 @@ mod tests {
         assert_eq!(parse_seed_budget(Some("4")), Ok(4));
         for bad in ["0", "4x", "4 ", ""] {
             let err = parse_seed_budget(Some(bad)).expect_err(bad);
-            assert!(err.contains("SIMCHECK_SEEDS") && err.contains(&format!("{bad:?}")), "{err}");
+            assert!(
+                err.contains("SIMCHECK_SEEDS") && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
         }
     }
 }

@@ -32,7 +32,10 @@ use vfs::MemFs;
 /// any sanitizer finding, deadlock, rank panic, race, ack violation, or
 /// a capped exploration; returns the exploration report.
 fn explore_par_write(ntasks: usize, io_mode: IoMode) -> DporOutcome {
-    let out = Dpor { max_schedules: 50_000 }.explore(|h| {
+    let out = Dpor {
+        max_schedules: 50_000,
+    }
+    .explore(|h| {
         let engine = Arc::new(HbEngine::new());
         let san = Arc::new(Sanitizer::new());
         // Extents feed both the race checker and the DPOR footprint
@@ -40,8 +43,9 @@ fn explore_par_write(ntasks: usize, io_mode: IoMode) -> DporOutcome {
         let mem = Arc::new(MemFs::with_block_size(256));
         let fs = Arc::new(TapFs::new(mem, vec![engine.clone(), h.sink()]));
         let hook: Arc<dyn CheckHook> = Arc::new(vec![h.recorder(), san.clone(), engine.clone()]);
-        let params =
-            SionParams::new(96).with_alignment(sion::Alignment::None).with_io_mode(io_mode);
+        let params = SionParams::new(96)
+            .with_alignment(sion::Alignment::None)
+            .with_io_mode(io_mode);
         let run = TaskWorld::run_driven(ntasks, hook, h.driver(), |c| {
             let fs = fs.clone();
             let params = params.clone();
@@ -58,18 +62,28 @@ fn explore_par_write(ntasks: usize, io_mode: IoMode) -> DporOutcome {
         assert!(run.deadlock.is_none(), "deadlock under DPOR schedule");
         for r in run.results {
             r.unwrap_or_else(|p| {
-                panic!("rank panicked under DPOR schedule: {:?}", p.downcast_ref::<String>())
+                panic!(
+                    "rank panicked under DPOR schedule: {:?}",
+                    p.downcast_ref::<String>()
+                )
             });
         }
         let findings = san.findings();
-        assert!(findings.is_empty(), "sanitizer findings under DPOR schedule: {findings:?}");
+        assert!(
+            findings.is_empty(),
+            "sanitizer findings under DPOR schedule: {findings:?}"
+        );
         // Runs once per explored schedule: no byte-extent race, and no ack
         // sent before its shipment's bytes were durable, in any of them.
         engine.assert_race_free(&format!("par write, {ntasks} ranks"));
         None
     });
     assert!(out.failure.is_none());
-    assert!(!out.capped, "exploration hit the schedule cap: {}", out.summary());
+    assert!(
+        !out.capped,
+        "exploration hit the schedule cap: {}",
+        out.summary()
+    );
     out
 }
 
@@ -139,8 +153,18 @@ fn aggregated_mode_explores_exhaustively() {
     // election collapses to one aggregator per file regardless of
     // tasks_per_aggregator: these cases are one aggregator serving
     // (ranks - 1) remote members over the ship/ack protocol.
-    let two = explore_par_write(2, IoMode::Aggregated { tasks_per_aggregator: 2 });
-    let three = explore_par_write(3, IoMode::Aggregated { tasks_per_aggregator: 3 });
+    let two = explore_par_write(
+        2,
+        IoMode::Aggregated {
+            tasks_per_aggregator: 2,
+        },
+    );
+    let three = explore_par_write(
+        3,
+        IoMode::Aggregated {
+            tasks_per_aggregator: 3,
+        },
+    );
     println!("aggregated 2 ranks: {}", two.summary());
     println!("aggregated 3 ranks: {}", three.summary());
     // One remote member: ship, replay, ack happen under a schedule with
@@ -157,11 +181,19 @@ fn aggregated_mode_explores_exhaustively() {
 /// the protocol's schedule-point structure changed.
 #[test]
 fn aggregated_decision_trace_matches_golden() {
-    let out = explore_par_write(3, IoMode::Aggregated { tasks_per_aggregator: 3 });
+    let out = explore_par_write(
+        3,
+        IoMode::Aggregated {
+            tasks_per_aggregator: 3,
+        },
+    );
     let mut rendered = format!("{}\n", out.summary());
     rendered.push_str(&out.first_trace.join("\n"));
     rendered.push('\n');
-    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/dpor_trace_agg3.txt");
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/dpor_trace_agg3.txt"
+    );
     if std::env::var_os("SIMCHECK_BLESS").is_some() {
         std::fs::write(golden, &rendered).expect("bless golden");
     } else {

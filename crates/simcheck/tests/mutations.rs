@@ -15,7 +15,10 @@ use sion::{paropen_write_co, Alignment, FileLayout, SionParams};
 use std::sync::Arc;
 use vfs::MemFs;
 
-const CFG: ScheduleCfg = ScheduleCfg::Seeded { seed: 11, preemption_bound: 2 };
+const CFG: ScheduleCfg = ScheduleCfg::Seeded {
+    seed: 11,
+    preemption_bound: 2,
+};
 
 fn assert_replayable(a: &CheckFailure, b: &CheckFailure) {
     assert_eq!(
@@ -50,11 +53,15 @@ fn mismatched_root_is_flagged() {
     };
     let fail = run();
     assert!(
-        fail.findings.iter().any(|f| f.kind == FindingKind::CollectiveMismatch),
+        fail.findings
+            .iter()
+            .any(|f| f.kind == FindingKind::CollectiveMismatch),
         "expected a collective-mismatch finding:\n{fail}"
     );
     assert!(
-        fail.findings.iter().any(|f| f.message.contains("bcast(root=")),
+        fail.findings
+            .iter()
+            .any(|f| f.message.contains("bcast(root=")),
         "finding must name the mismatching operations:\n{fail}"
     );
     assert_replayable(&fail, &run());
@@ -72,7 +79,9 @@ fn mismatched_kind_is_flagged() {
     })
     .expect_err("barrier-vs-allgather must not pass");
     assert!(
-        fail.findings.iter().any(|f| f.kind == FindingKind::CollectiveMismatch),
+        fail.findings
+            .iter()
+            .any(|f| f.kind == FindingKind::CollectiveMismatch),
         "expected a collective-mismatch finding:\n{fail}"
     );
 }
@@ -94,7 +103,9 @@ fn reserved_tag_collision_is_flagged() {
     };
     let fail = run();
     assert!(
-        fail.findings.iter().any(|f| f.kind == FindingKind::ReservedTag),
+        fail.findings
+            .iter()
+            .any(|f| f.kind == FindingKind::ReservedTag),
         "expected a reserved-tag finding:\n{fail}"
     );
     assert_replayable(&fail, &run());
@@ -106,11 +117,16 @@ fn reserved_tag_collision_is_flagged() {
 /// also shows every VFS write carried its own rank's task label.
 fn guarded_write(ntasks: usize, fs_block: u64, params: &SionParams) -> Arc<BlockGuard> {
     let guard = BlockGuard::new(fs_block);
-    let fs = TapFs::new(Arc::new(MemFs::with_block_size(fs_block)), vec![guard.clone()]);
+    let fs = TapFs::new(
+        Arc::new(MemFs::with_block_size(fs_block)),
+        vec![guard.clone()],
+    );
     CheckedTaskWorld::run(ntasks, CFG, |c| {
         let fs = &fs;
         async move {
-            let mut w = paropen_write_co(fs, "out/guarded.sion", params, &c).await.unwrap();
+            let mut w = paropen_write_co(fs, "out/guarded.sion", params, &c)
+                .await
+                .unwrap();
             w.write(&vec![c.rank() as u8; 600]).unwrap();
             w.close_co().await.unwrap();
         }
@@ -130,8 +146,7 @@ fn misaligned_chunks_trigger_block_contention() {
     let ntasks = 4;
 
     // The layout math predicts the overlap...
-    let layout =
-        FileLayout::compute(&vec![600; ntasks], FS_BLOCK, Alignment::None, false).unwrap();
+    let layout = FileLayout::compute(&vec![600; ntasks], FS_BLOCK, Alignment::None, false).unwrap();
     assert!(
         !layout.shared_fs_blocks(FS_BLOCK).is_empty(),
         "test premise broken: unaligned 600-byte chunks should share {FS_BLOCK}-byte FS blocks"
@@ -161,26 +176,45 @@ fn misaligned_chunks_trigger_block_contention() {
 #[test]
 fn cyclic_recv_deadlocks_with_golden_report() {
     let run = || {
-        CheckedTaskWorld::run(2, ScheduleCfg::Seeded { seed: 5, preemption_bound: 1 }, |c| async move {
-            // Both ranks recv before anyone sends: classic head-to-head.
-            let _ = c.recv(1 - c.rank(), 7).await;
-            c.send(1 - c.rank(), 7, b"late");
-        })
+        CheckedTaskWorld::run(
+            2,
+            ScheduleCfg::Seeded {
+                seed: 5,
+                preemption_bound: 1,
+            },
+            |c| async move {
+                // Both ranks recv before anyone sends: classic head-to-head.
+                let _ = c.recv(1 - c.rank(), 7).await;
+                c.send(1 - c.rank(), 7, b"late");
+            },
+        )
         .expect_err("cyclic receives must deadlock")
     };
     let fail = run();
     assert!(
-        fail.findings.iter().any(|f| f.kind == FindingKind::Deadlock),
+        fail.findings
+            .iter()
+            .any(|f| f.kind == FindingKind::Deadlock),
         "expected a deadlock finding:\n{fail}"
     );
-    let dl = fail.deadlock.as_ref().expect("deadlock details must be present");
+    let dl = fail
+        .deadlock
+        .as_ref()
+        .expect("deadlock details must be present");
     assert_eq!(dl.pending.len(), 2, "both ranks are blocked:\n{fail}");
     for (rank, p) in dl.pending.iter().enumerate() {
         assert_eq!(p.task, rank, "pending ops are in stable rank order");
-        assert!(p.op.contains("recv("), "pending op names the receive: {}", p.op);
+        assert!(
+            p.op.contains("recv("),
+            "pending op names the receive: {}",
+            p.op
+        );
     }
     // The poll trace that led here is part of the replayable evidence.
-    assert!(!fail.trace.is_empty(), "decision trace must be recorded:\n{fail}");
+    assert!(
+        !fail.trace.is_empty(),
+        "decision trace must be recorded:\n{fail}"
+    );
 
     assert_replayable(&fail, &run());
 
@@ -197,26 +231,48 @@ fn cyclic_recv_deadlocks_with_golden_report() {
 fn missing_close_deadlock_names_comm_and_collective() {
     let fs = MemFs::with_block_size(1024);
     let run = || {
-        CheckedTaskWorld::run(4, ScheduleCfg::Seeded { seed: 5, preemption_bound: 1 }, |c| {
-            let fs = &fs;
-            async move {
-                let params = SionParams::new(1024).with_nfiles(2);
-                let mut w = paropen_write_co(fs, "out/hang.sion", &params, &c).await.unwrap();
-                w.write(&[c.rank() as u8; 100]).unwrap();
-                if c.rank() != 2 {
-                    w.close_co().await.unwrap();
+        CheckedTaskWorld::run(
+            4,
+            ScheduleCfg::Seeded {
+                seed: 5,
+                preemption_bound: 1,
+            },
+            |c| {
+                let fs = &fs;
+                async move {
+                    let params = SionParams::new(1024).with_nfiles(2);
+                    let mut w = paropen_write_co(fs, "out/hang.sion", &params, &c)
+                        .await
+                        .unwrap();
+                    w.write(&[c.rank() as u8; 100]).unwrap();
+                    if c.rank() != 2 {
+                        w.close_co().await.unwrap();
+                    }
                 }
-            }
-        })
+            },
+        )
         .expect_err("a close one rank never enters cannot complete")
     };
     let fail = run();
-    let dl = fail.deadlock.as_ref().unwrap_or_else(|| panic!("no deadlock verdict:\n{fail}"));
+    let dl = fail
+        .deadlock
+        .as_ref()
+        .unwrap_or_else(|| panic!("no deadlock verdict:\n{fail}"));
     let parked: Vec<usize> = dl.pending.iter().map(|p| p.task).collect();
-    assert_eq!(parked, [0, 1, 3], "the three closing ranks are parked, rank 2 is gone:\n{fail}");
+    assert_eq!(
+        parked,
+        [0, 1, 3],
+        "the three closing ranks are parked, rank 2 is gone:\n{fail}"
+    );
     for p in &dl.pending {
-        assert!(p.comm.starts_with("world"), "communicator named structurally: {p:?}");
-        assert!(p.op.contains("#") && !p.op.contains("0xc3"), "collective decoded, not hex: {p:?}");
+        assert!(
+            p.comm.starts_with("world"),
+            "communicator named structurally: {p:?}"
+        );
+        assert!(
+            p.op.contains("#") && !p.op.contains("0xc3"),
+            "collective decoded, not hex: {p:?}"
+        );
     }
     assert_replayable(&fail, &run());
     assert_matches_golden(&fail, "missing_close_report.txt");
@@ -233,27 +289,45 @@ fn try_recv_hit_consumes_the_in_flight_message() {
     const A: u64 = 0xA;
     const B: u64 = 0xB;
     let run = |seed| {
-        CheckedTaskWorld::run(2, ScheduleCfg::Seeded { seed, preemption_bound: 2 }, |c| async move {
-            if c.rank() == 0 {
-                c.send(1, A, b"first");
-                c.send(1, B, b"second");
-            } else {
-                // B's blocking receive leaves the earlier A queued; FIFO
-                // delivery guarantees the poll below hits.
-                assert_eq!(c.recv(0, B).await, b"second");
-                assert_eq!(c.try_recv(0, A).as_deref(), Some(&b"first"[..]));
-                assert_eq!(c.try_recv(0, A), None, "A was consumed by the hit");
-                let _ = c.recv(0, A).await;
-            }
-        })
+        CheckedTaskWorld::run(
+            2,
+            ScheduleCfg::Seeded {
+                seed,
+                preemption_bound: 2,
+            },
+            |c| async move {
+                if c.rank() == 0 {
+                    c.send(1, A, b"first");
+                    c.send(1, B, b"second");
+                } else {
+                    // B's blocking receive leaves the earlier A queued; FIFO
+                    // delivery guarantees the poll below hits.
+                    assert_eq!(c.recv(0, B).await, b"second");
+                    assert_eq!(c.try_recv(0, A).as_deref(), Some(&b"first"[..]));
+                    assert_eq!(c.try_recv(0, A), None, "A was consumed by the hit");
+                    let _ = c.recv(0, A).await;
+                }
+            },
+        )
         .expect_err("the second receive of A can never be satisfied")
     };
     for seed in 0..seed_budget().min(8) {
         let fail = run(seed);
-        let dl = fail.deadlock.as_ref().unwrap_or_else(|| panic!("no deadlock verdict:\n{fail}"));
+        let dl = fail
+            .deadlock
+            .as_ref()
+            .unwrap_or_else(|| panic!("no deadlock verdict:\n{fail}"));
         assert_eq!(dl.pending.len(), 1, "only rank 1 is blocked:\n{fail}");
-        assert!(dl.pending[0].op.contains("recv(src=0, tag=0xa)"), "{}", dl.pending[0].op);
-        assert_eq!(fail.findings.len(), 1, "a deadlock and nothing else (no leak):\n{fail}");
+        assert!(
+            dl.pending[0].op.contains("recv(src=0, tag=0xa)"),
+            "{}",
+            dl.pending[0].op
+        );
+        assert_eq!(
+            fail.findings.len(),
+            1,
+            "a deadlock and nothing else (no leak):\n{fail}"
+        );
         assert_replayable(&fail, &run(seed));
     }
 }
@@ -264,7 +338,10 @@ fn try_recv_hit_consumes_the_in_flight_message() {
 #[test]
 fn preemption_bound_zero_still_completes() {
     for seed in 0..4 {
-        let cfg = ScheduleCfg::Seeded { seed, preemption_bound: 0 };
+        let cfg = ScheduleCfg::Seeded {
+            seed,
+            preemption_bound: 0,
+        };
         let sums = CheckedTaskWorld::run(6, cfg, |c| async move {
             let all = c.allgather_u64(c.rank() as u64 * 3).await;
             c.barrier().await;

@@ -73,7 +73,10 @@ fn runtime_rejects_crafted_collision() {
     use simmpi::CoComm;
     for kind in KINDS {
         let crafted = make_coll_tag(kind, 3, 1);
-        let cfg = ScheduleCfg::Seeded { seed: 0, preemption_bound: 0 };
+        let cfg = ScheduleCfg::Seeded {
+            seed: 0,
+            preemption_bound: 0,
+        };
         let fail = CheckedTaskWorld::run(2, cfg, |c| async move {
             if c.rank() == 1 {
                 c.send(0, crafted, &[1]);
@@ -81,7 +84,9 @@ fn runtime_rejects_crafted_collision() {
         })
         .expect_err("crafted collision must be rejected");
         assert!(
-            fail.findings.iter().any(|f| f.kind == FindingKind::ReservedTag),
+            fail.findings
+                .iter()
+                .any(|f| f.kind == FindingKind::ReservedTag),
             "kind {kind:?}: expected reserved-tag finding:\n{fail}"
         );
     }

@@ -14,7 +14,9 @@ use vfs::{Faults, MemFs};
 
 /// Deterministic per-rank payload.
 fn payload(rank: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8)
+        .collect()
 }
 
 /// Collective open, this rank's payload in uneven pieces, collective close.
@@ -50,7 +52,12 @@ fn parallel_roundtrip_clean_across_schedules() {
                 let mut r = paropen_read_co(fs, "out/data.sion", &c).await.unwrap();
                 let mut back = vec![0u8; len];
                 r.read_exact(&mut back).unwrap();
-                assert_eq!(back, payload(c.rank(), len), "rank {} read-back mismatch", c.rank());
+                assert_eq!(
+                    back,
+                    payload(c.rank(), len),
+                    "rank {} read-back mismatch",
+                    c.rank()
+                );
                 r.close_co().await.unwrap();
             }
         })
@@ -59,7 +66,11 @@ fn parallel_roundtrip_clean_across_schedules() {
 
         let mf = Multifile::open(&fs, "out/data.sion").unwrap();
         for rank in 0..ntasks {
-            assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, len), "rank {rank} at {cfg}");
+            assert_eq!(
+                mf.read_rank(rank).unwrap(),
+                payload(rank, len),
+                "rank {rank} at {cfg}"
+            );
         }
     }
 }
@@ -75,8 +86,9 @@ fn parallel_roundtrip_clean_across_schedules() {
 fn aggregated_roundtrip_clean_across_schedules() {
     let ntasks = 4;
     let len = 3_000;
-    let params = SionParams::new(4096)
-        .with_io_mode(IoMode::Aggregated { tasks_per_aggregator: 2 });
+    let params = SionParams::new(4096).with_io_mode(IoMode::Aggregated {
+        tasks_per_aggregator: 2,
+    });
     let cfgs = schedules(seed_budget().min(8), &[0, 2]);
     for cfg in cfgs {
         let guard = BlockGuard::new(4096);
@@ -94,7 +106,11 @@ fn aggregated_roundtrip_clean_across_schedules() {
 
         let mf = Multifile::open(&fs, "out/agg.sion").unwrap();
         for rank in 0..ntasks {
-            assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, len), "rank {rank} at {cfg}");
+            assert_eq!(
+                mf.read_rank(rank).unwrap(),
+                payload(rank, len),
+                "rank {rank} at {cfg}"
+            );
         }
     }
 }
@@ -107,7 +123,10 @@ fn aggregated_roundtrip_clean_across_schedules() {
 #[test]
 fn crash_workload_clean_under_checker() {
     let ntasks = 4;
-    let params = SionParams::new(256).with_nfiles(2).with_rescue().with_write_buffer(128);
+    let params = SionParams::new(256)
+        .with_nfiles(2)
+        .with_rescue()
+        .with_write_buffer(128);
 
     fn crashy_run(
         ntasks: usize,
@@ -131,10 +150,16 @@ fn crash_workload_clean_under_checker() {
     // Probe run: learn the op count so the kill switch lands mid-write.
     let faulty = || {
         let faults = Faults::new();
-        (TapFs::new(Arc::new(MemFs::with_block_size(256)), vec![faults.clone()]), faults)
+        (
+            TapFs::new(Arc::new(MemFs::with_block_size(256)), vec![faults.clone()]),
+            faults,
+        )
     };
     let (probe, probe_faults) = faulty();
-    let cfg = ScheduleCfg::Seeded { seed: 1, preemption_bound: 2 };
+    let cfg = ScheduleCfg::Seeded {
+        seed: 1,
+        preemption_bound: 2,
+    };
     crashy_run(ntasks, &probe, &params, cfg)
         .unwrap_or_else(|fail| panic!("probe run flagged:\n{fail}"));
     let total_ops = probe_faults.op_count();
