@@ -361,11 +361,54 @@ then
     exit 1
 fi
 
-echo "==> structural gate: a re-export has a consumer (every \`pub use\` of a library crate names something a .rs file outside that crate's src/ mentions)"
+echo "==> structural gate: one task identity (the runtime labels the thread it runs a rank on; nothing else writes the label)"
+# `vfs::guard`'s per-thread label is the one task identity: the writer a
+# block guard charges and the acting rank of the happens-before engine.
+# `launch` sets it once per rank thread, the executor around every poll;
+# `sion` never labels, and simmpi keeps no task id in a thread-local of its
+# own (its thread-locals: the executor's worker, the ship/ack protocol
+# depth, a rank thread's park handle, which holds no rank).
+labels=$(find crates/simmpi/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^mod tests/ { exit }
+        /^ *(pub(\(crate\))? )?(async )?fn [a-z_]+/ { fn = $0; sub(/.*fn /, "", fn); sub(/[(<].*/, "", fn) }
+        /(set_task|clear_task)\(/ { l = $0; sub(/\(.*/, "", l); sub(/.*[^a-z_]/, "", l); print f ": " fn ": " l }' "$f"
+done)
+want_labels='crates/simmpi/src/task/exec.rs: execute: set_task
+crates/simmpi/src/task/exec.rs: execute: clear_task
+crates/simmpi/src/world.rs: launch: set_task'
+statics=$(find crates/simmpi/src -name '*.rs' | sort | while read -r f; do
+    awk '/^mod tests/ { exit } /thread_local!/ { on = 1 }
+        on && /static [A-Z_]+:/ { sub(/.*static /, ""); sub(/:.*/, ""); print } on && /^}/ { on = 0 }' "$f"
+done | sort | tr '\n' ' ')
+sion_labels=$(for f in crates/sion/src/*.rs; do
+    awk -v f="$f" '/^mod tests/ { exit } /(set_task|clear_task)\(/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$sion_labels" ] || [ "$labels" != "$want_labels" ] ||
+    [ "$statics" != "AGG_PROTOCOL_DEPTH CURRENT_WORKER RANK " ] ||
+    awk '/^struct RankThread/, /^}/' crates/simmpi/src/world.rs | grep -n 'rank'
+then
+    echo "$sion_labels"
+    echo "simmpi label writes:"; echo "$labels"
+    echo "simmpi thread-locals: $statics(want: AGG_PROTOCOL_DEPTH CURRENT_WORKER RANK, and no rank in RankThread)"
+    echo "one task identity: the runtime labels the thread it runs a rank on (\`launch\`, the executor's poll); \`sion\` labels nothing, simmpi keeps no second task id"
+    exit 1
+fi
+
+echo "==> structural gate: a re-export has a consumer (each name a library crate's \`pub use\` re-exports is used outside its src/, or names a type only the re-export makes nameable)"
+# Per name, not per statement: one used name must not carry its neighbours.
+# A name passes if a .rs file outside the crate's src/ mentions it, or if it
+# is defined in a private module and the crate's public interface hands it
+# out (a non-test `pub` or `->` line of the crate's src/ names it): then the
+# re-export is the only way to name it. An item of a `pub mod` is reachable
+# by its path and needs no second, root-level name.
 unused=$(for c in vfs parfs simmpi sion szip tracer mp2c sion-tools simcheck; do
     # What can import from the crate: every other crate, its own tests/, the
     # root tests/ and examples/, the benchmark.
     outside=$(ls -d crates/*/ "crates/$c"/*/ tests examples benchmark/src | grep -vx -e "crates/$c/" -e "crates/$c/src/")
+    # The crate's non-test source, one `file:line: text` per line.
+    src=$(find "crates/$c/src" -name '*.rs' | sort | while read -r f; do
+        awk -v f="$f" '/^mod tests/ { exit } { print f ":" FNR ": " $0 }' "$f"
+    done)
     # One line per `pub use …;` statement, the multi-line ones joined.
     awk '/^pub use /{on=1; s=""} on{s=s" "$0} on&&/;/{print s; on=0}' "crates/$c/src/lib.rs" |
     while read -r stmt; do
@@ -375,24 +418,32 @@ unused=$(for c in vfs parfs simmpi sion szip tracer mp2c sion-tools simcheck; do
             *\{*) names=${stmt#*\{}; names=${names%\}*} ;;
             *) names=${stmt##*::} ;;
         esac
-        names=$(echo "$names" | sed 's/[A-Za-z0-9_]* as //g' | tr -c 'A-Za-z0-9_' ' ')
-        # shellcheck disable=SC2046,SC2086
-        grep -rqw --include='*.rs' $(printf -- '-e %s ' $names) $outside ||
-            echo "crates/$c/src/lib.rs: $(echo "$stmt" | tr -s ' ')"
+        for name in $(echo "$names" | sed 's/[A-Za-z0-9_]* as //g' | tr -c 'A-Za-z0-9_' ' '); do
+            grep -rqw --include='*.rs' "$name" $outside && continue
+            def=$(echo "$src" | grep -aE "^[^:]*:[0-9]*: *pub (struct|enum|type|trait|fn|const|static) $name\b" | head -n 1)
+            module=${def%%:*}; module=${module#"crates/$c/src/"}; module=${module%/mod.rs}; module=${module%.rs}
+            if [ -n "$def" ] && ! grep -q "^pub mod ${module%%/*};" "crates/$c/src/lib.rs" &&
+                echo "$src" | grep -aw "$name" | grep -vE "^[^:]*:[0-9]*: *(//|(pub )?use )" |
+                    grep -vE "(struct|enum|type|trait|fn|const|static) $name\b" | grep -qE 'pub |->'
+            then
+                continue
+            fi
+            echo "crates/$c/src/lib.rs: $name"
+        done
     done
 done)
 [ -z "$unused" ] || {
     echo "$unused"
-    echo "nothing outside the crate's src/ uses these re-exports: drop the \`pub use\` (item used inside the crate only) or the module"
+    echo "nothing outside the crate's src/ uses these re-exported names: drop them from the \`pub use\` (an item of a \`pub mod\` keeps its path; an item used inside the crate only becomes \`pub(crate)\`)"
     exit 1
 }
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi"
+echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck"
 # The crates kept rustfmt-clean so far; the rest of the tree is not yet.
-cargo fmt --check -p sion-vfs -p sion-simmpi
+cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck
 
 # The counter every CHANGES.md entry quotes (net LoC is reported, not computed
 # by hand), after what this commit did to it.

@@ -127,7 +127,7 @@ pub fn collide(particles: &mut [Particle], grid: &CellGrid, alpha: f64, seed: u6
 /// every member's velocity rotates around the same axis — the standard
 /// Malevanets–Kapral solute–solvent coupling. Conserves each cell's
 /// momentum and kinetic energy exactly.
-pub fn collide_with_extras(
+pub(crate) fn collide_with_extras(
     particles: &mut [Particle],
     solutes: &mut [crate::solute::Solute],
     grid: &CellGrid,

@@ -25,10 +25,10 @@ mod particle;
 mod sim;
 mod solute;
 
-pub use dynamics::{collide, collide_with_extras, stream, CellGrid};
+pub use dynamics::{collide, stream, CellGrid};
 pub use particle::{Particle, PARTICLE_BYTES};
 pub use sim::{SimConfig, Simulation};
-pub use solute::{kinetic_energy, lj_forces, verlet_step, LjParams, Solute, SOLUTE_BYTES};
+pub use solute::{LjParams, Solute};
 
 #[cfg(test)]
 mod tests {

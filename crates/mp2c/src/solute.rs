@@ -15,7 +15,7 @@
 
 
 /// Bytes per solute record in a checkpoint: 7×f64 + u32.
-pub const SOLUTE_BYTES: usize = 60;
+pub(crate) const SOLUTE_BYTES: usize = 60;
 
 /// A heavy MD particle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,7 +40,7 @@ impl Solute {
         out.extend_from_slice(&self.id.to_le_bytes());
     }
 
-    /// Decode one solute from exactly [`SOLUTE_BYTES`] bytes.
+    /// Decode one solute from exactly `SOLUTE_BYTES` bytes.
     pub fn decode(bytes: &[u8]) -> Option<Solute> {
         if bytes.len() < SOLUTE_BYTES {
             return None;
@@ -102,7 +102,7 @@ fn min_image(mut d: f64, l: f64) -> f64 {
 /// Pairwise Lennard-Jones forces with minimum-image convention; returns
 /// the potential energy. Forces are accumulated into `force` (must be
 /// zeroed by the caller).
-pub fn lj_forces(solutes: &[Solute], lj: &LjParams, l: f64, force: &mut [[f64; 3]]) -> f64 {
+pub(crate) fn lj_forces(solutes: &[Solute], lj: &LjParams, l: f64, force: &mut [[f64; 3]]) -> f64 {
     assert_eq!(force.len(), solutes.len());
     let rc2 = lj.cutoff * lj.cutoff;
     let mut energy = 0.0;
@@ -134,7 +134,7 @@ pub fn lj_forces(solutes: &[Solute], lj: &LjParams, l: f64, force: &mut [[f64; 3
 
 /// One velocity-Verlet step of the solute system (periodic cube of extent
 /// `l`). Returns the LJ potential energy after the step.
-pub fn verlet_step(solutes: &mut [Solute], lj: &LjParams, dt: f64, l: f64) -> f64 {
+pub(crate) fn verlet_step(solutes: &mut [Solute], lj: &LjParams, dt: f64, l: f64) -> f64 {
     let n = solutes.len();
     if n == 0 {
         return 0.0;
@@ -159,18 +159,18 @@ pub fn verlet_step(solutes: &mut [Solute], lj: &LjParams, dt: f64, l: f64) -> f6
     energy
 }
 
-/// Kinetic energy of the solutes.
-pub fn kinetic_energy(solutes: &[Solute]) -> f64 {
-    solutes
-        .iter()
-        .map(|s| 0.5 * s.mass * s.vel.iter().map(|v| v * v).sum::<f64>())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Kinetic energy of the solutes.
+    fn kinetic_energy(solutes: &[Solute]) -> f64 {
+        solutes
+            .iter()
+            .map(|s| 0.5 * s.mass * s.vel.iter().map(|v| v * v).sum::<f64>())
+            .sum()
+    }
 
     fn pair(r: f64) -> Vec<Solute> {
         vec![

@@ -417,7 +417,7 @@ impl CheckHook for HbEngine {
             return;
         }
         let Some(edge) = Edge::of(ev) else { return };
-        let Some(task) = simmpi::current_task().map(|t| t as u64) else {
+        let Some(task) = vfs::guard::current_writer() else {
             return;
         };
         let mut g = self.lock();
@@ -476,7 +476,7 @@ impl AccessSink for HbEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::{CoComm, CollKind, CommCtx};
+    use simmpi::{CollKind, CommCtx};
     use std::sync::Arc;
 
     fn ctx(name: &str, size: usize) -> CommCtx {
@@ -497,25 +497,14 @@ mod tests {
         }
     }
 
-    /// Drive hook events as if `task` were the acting rank. The engine
-    /// reads `simmpi::current_task()`, which is unset on plain test
-    /// threads — so these tests run inside a 1-task world per acting rank.
-    fn as_task<R: Send>(task: usize, f: impl Fn() -> R + Send + Sync) -> R {
-        let run = simmpi::TaskWorld::run_checked(
-            simmpi::SchedPolicy::WorkSteal { workers: 1 },
-            task + 1,
-            Arc::new(simmpi::Sanitizer::new()),
-            |c| {
-                let f = &f;
-                async move { (c.rank() == task).then(f) }
-            },
-        );
-        run.results
-            .into_iter()
-            .last()
-            .expect("world has ranks")
-            .expect("no panic")
-            .expect("acting rank produced the value")
+    /// Drive hook events as if `task` were the acting rank: the engine
+    /// reads the thread's task label, which a runtime sets on the thread it
+    /// runs a rank on.
+    fn as_task<R>(task: u64, f: impl FnOnce() -> R) -> R {
+        vfs::guard::set_task(task);
+        let r = f();
+        vfs::guard::clear_task();
+        r
     }
 
     fn send(eng: &HbEngine, comm: &CommCtx, from: usize, to: usize, tag: u64, payload: &[u8]) {

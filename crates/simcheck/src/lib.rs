@@ -52,7 +52,9 @@
 //! block that two different labeled tasks write is reported as a
 //! [`BlockViolation`] ([`BlockGuard::assert_exclusive`] panics with the
 //! sorted list).
-//! `sion::paropen_write` labels each rank's writes automatically.
+//! The runtime labels each rank's writes: the thread launcher and the task
+//! executor set [`vfs::guard`]'s label to the world rank they run, the one
+//! task identity the block guard and the [`HbEngine`] both read.
 //!
 //! All diagnostics are deterministic — stable rank ordering, no hash-map
 //! iteration — so failing reports can be golden-file tested.
@@ -62,14 +64,14 @@ pub mod hb;
 mod report;
 mod sched;
 
-pub use dpor::{Dpor, DporHarness, DporOutcome};
-pub use hb::{AckViolation, HbEngine, HbRace, RaceSite, VClock};
+pub use dpor::{Dpor, DporOutcome};
+pub use hb::HbEngine;
 pub use report::{CheckFailure, DeadlockInfo, PendingOp, ScheduleCfg, TraceEv};
 pub use sched::{schedules, seed_budget, CheckedTaskWorld};
 
 pub use simmpi::{
-    current_task, decode_coll_tag, describe_tag, is_agg_tag, is_reserved_tag, simcheck_env_enabled,
-    Aborted, CheckHook, CollKind, CommCtx, Finding, FindingKind, LeakedMsg, Sanitizer,
-    AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK, COLL_TAG_PREFIX,
+    decode_coll_tag, describe_tag, is_agg_tag, is_reserved_tag, simcheck_env_enabled, Aborted,
+    CheckHook, CollKind, CommCtx, Finding, FindingKind, LeakedMsg, Sanitizer, AGG_ACK_TAG_PREFIX,
+    AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK, COLL_TAG_PREFIX,
 };
 pub use vfs::{AccessKind, AccessSink, BlockGuard, BlockViolation, FileAccess, Tap, TapFs};

@@ -382,22 +382,6 @@ impl CheckHook for Vec<Arc<dyn CheckHook>> {
     }
 }
 
-thread_local! {
-    static CURRENT_TASK: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Record the world rank executing on this thread (set by the world
-/// launchers before the task closure runs).
-pub(crate) fn set_current_task(task: usize) {
-    CURRENT_TASK.with(|c| c.set(Some(task)));
-}
-
-/// The world rank executing on this thread, if it was launched by a checked
-/// world — an identity that stays stable across sub-communicators.
-pub fn current_task() -> Option<usize> {
-    CURRENT_TASK.with(|c| c.get())
-}
-
 /// Whether `SIMCHECK=1` (or any value other than `0`/empty) is set in the
 /// environment. Read once per process.
 pub fn simcheck_env_enabled() -> bool {

@@ -51,7 +51,7 @@ pub use co::{AllGathered, BoxFut, CoComm};
 pub use comm::{Comm, CommStats, ReduceOp};
 pub use flat::FlatWorld;
 pub use hook::{
-    current_task, decode_coll_tag, describe_tag, enter_agg_protocol, is_agg_tag, is_reserved_tag,
+    decode_coll_tag, describe_tag, enter_agg_protocol, is_agg_tag, is_reserved_tag,
     simcheck_env_enabled, Aborted, AggProtocolScope, CheckHook, CollKind, CommCtx, HookEvent,
     LeakedMsg, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK, COLL_TAG_PREFIX,
 };

@@ -21,6 +21,9 @@
 //!   task with a seeded splitmix64 stream (or asking a
 //!   [`ScheduleDriver`]) — the one place a schedule is ever chosen, and
 //!   how `simcheck` explores wake orders.
+//! * **Task identity** — a worker labels its thread with the rank it polls
+//!   (`vfs::guard`) and clears the label once the poll is done, so a rank's
+//!   file writes and hook events are its own whichever worker runs it.
 //!
 //! Lost-wakeup freedom: `enqueue` increments the runnable count *before*
 //! taking the injector lock to signal, and an idling worker re-checks the
@@ -28,7 +31,7 @@
 //! `Condvar::wait`. Either the sleeper sees the new count and retries, or
 //! the waker's notification happens after the sleeper is parked.
 
-use crate::hook::{self, CheckHook, HookEvent};
+use crate::hook::{CheckHook, HookEvent};
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -476,7 +479,6 @@ where
         core.enqueue(id);
     }
 
-    let has_hook = hook.is_some();
     let run_worker = |w: usize| {
         let _g = WorkerGuard::enter(w);
         while let Some(id) = core.next_task(w) {
@@ -486,15 +488,13 @@ where
                 continue;
             };
             core.polls.fetch_add(1, SeqCst);
-            if has_hook {
-                hook::set_current_task(id);
-            }
+            // The thread runs rank `id` until the poll (and the drop of a
+            // finished future) is done: its file writes and hook events
+            // carry the rank's label, the one task identity.
+            vfs::guard::set_task(id as u64);
             let mut cx = Context::from_waker(&wakers[id]);
-            match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
-                Ok(Poll::Pending) => {
-                    core.parks.fetch_add(1, SeqCst);
-                    continue;
-                }
+            let finished = match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+                Ok(Poll::Pending) => false,
                 Ok(Poll::Ready(())) => {
                     // The wrapper stored Ok; dropping the future runs the
                     // communicator teardown check, whose leak diagnosis
@@ -503,13 +503,20 @@ where
                     if let Err(e) = catch_unwind(AssertUnwindSafe(|| *slot = None)) {
                         *results[id].lock() = Some(Err(e));
                     }
+                    true
                 }
                 Err(e) => {
                     *results[id].lock() = Some(Err(e));
                     // Keep the poll panic as the primary result even if
                     // teardown of the half-run future also panics.
                     let _ = catch_unwind(AssertUnwindSafe(|| *slot = None));
+                    true
                 }
+            };
+            vfs::guard::clear_task();
+            if !finished {
+                core.parks.fetch_add(1, SeqCst);
+                continue;
             }
             drop(slot);
             if let Some(h) = &hook {

@@ -11,7 +11,9 @@
 //! the thread while the future is `Pending`; the matching send unparks it
 //! through the thread's [`Waker`]. [`FlatWorld`](crate::FlatWorld) runs its
 //! oracle through the same [`launch`], so one `catch_unwind`, teardown and
-//! abort path serves both worlds.
+//! abort path serves both worlds; [`launch`] also labels each rank thread
+//! with its world rank (`vfs::guard`), the task identity the thread's file
+//! writes and hook events carry.
 //!
 //! # Correctness analysis
 //!
@@ -63,7 +65,6 @@ impl Wake for Unpark {
 /// [`launch`] before the rank's closure runs.
 struct RankThread {
     world: Arc<WorldRt>,
-    world_rank: usize,
     hook: Option<Arc<dyn CheckHook>>,
     unpark: Arc<Unpark>,
 }
@@ -95,9 +96,10 @@ impl RankThread {
         }
         let waited = pending_since.get_or_insert_with(Instant::now).elapsed();
         if waited >= hook::watchdog_timeout() {
+            let world_rank = vfs::guard::current_writer().expect("launch labels its rank threads");
             let p = self
                 .world
-                .parked(self.world_rank)
+                .parked(world_rank as usize)
                 .expect("a pending call parks in a receive");
             let (comm, rank, src, tag) = (&p.ctx, p.comm_rank, p.src, p.tag);
             h.on_event(&HookEvent::Stuck {
@@ -204,9 +206,9 @@ where
             .map(|(rank, co)| {
                 scope.spawn(move || {
                     registry().push(std::thread::current());
-                    if check.is_some() {
-                        hook::set_current_task(rank);
-                    }
+                    // The thread's one task identity, for its file writes
+                    // and hook events alike.
+                    vfs::guard::set_task(rank as u64);
                     let thread = std::thread::current();
                     let unpark = Arc::new(Unpark {
                         thread,
@@ -215,7 +217,6 @@ where
                     RANK.with(|r| {
                         r.get_or_init(|| RankThread {
                             world: world.clone(),
-                            world_rank: rank,
                             hook: check.clone(),
                             unpark,
                         });

@@ -211,20 +211,14 @@ struct MemberSlot {
 /// Aggregator-side state: the real file plus one slot per neighborhood member.
 pub(crate) struct AggState {
     file: Arc<dyn VfsFile>,
-    /// Global rank: the guards' task label for the writes it applies.
-    grank: u64,
     members: Vec<MemberSlot>,
     pub stats: AggStats,
 }
 
 impl AggState {
-    pub(crate) fn new(
-        file: Arc<dyn VfsFile>,
-        grank: u64,
-        lranks: std::ops::Range<usize>,
-    ) -> AggState {
+    pub(crate) fn new(file: Arc<dyn VfsFile>, lranks: std::ops::Range<usize>) -> AggState {
         let slot = |lrank| MemberSlot { lrank, next_seq: 0, done: false, failed: false };
-        AggState { file, grank, members: lranks.map(slot).collect(), stats: AggStats::default() }
+        AggState { file, members: lranks.map(slot).collect(), stats: AggStats::default() }
     }
 
     /// Apply every already-delivered shipment without parking — the overlap
@@ -258,9 +252,6 @@ impl AggState {
     /// this module's extent writers in this same build: malformed framing is
     /// a bug — panic.
     fn apply(&mut self, i: usize, buf: Vec<u8>, lcom: &dyn CoComm) {
-        // Re-arm the task label (task runtimes share worker threads, `drain_all`
-        // parks between frames): these are the aggregator's own physical writes.
-        vfs::guard::set_task(self.grank);
         let slot = &mut self.members[i];
         let word = |p: usize| u64::from_le_bytes(buf[p..p + 8].try_into().expect("frame word"));
         debug_assert_eq!(word(0), slot.next_seq, "frames arrive in ship order");

@@ -113,7 +113,7 @@ mod stream;
 pub use error::{Result, SionError};
 /// The payload of [`SionError::Compression`].
 pub use szip::SzipError;
-pub use format::{CloseRecord, OpenRecord, SionFlags};
+pub use format::SionFlags;
 pub use layout::{Alignment, FileLayout};
 pub use mapping::Mapping;
 pub use par::{

@@ -73,19 +73,13 @@
 //!   threads.
 //!
 //! `vfs::guard` block-contention attribution reads a per-*thread* task
-//! label, and under the task runtime ranks share worker threads and migrate
-//! across them, so a label set once per thread would go stale. The `_co`
-//! path therefore arms the label (`vfs::guard::set_task(grank)`) at every
-//! point from which a rank issues VFS writes without parking in between:
-//! on entry to each synchronous call (`write`, `write_in_chunk`,
-//! `ensure_free_space`, `flush`) and to `close_co`, and again after every
-//! park that precedes a write — the master's metablock-1 write after the
-//! open gather, the metadata tail after the close gather, and each frame an
-//! aggregator applies.
-//! The blocking entry points arm it once more up front, where a rank owns
-//! its thread. Block guards are thus attributed correctly on every
-//! runtime, the serial executor included (`simcheck`'s misaligned-chunk
-//! mutation and its aligned control check exactly that).
+//! label, which the runtime writes: the thread launcher and the task
+//! executor (before every poll) label the thread with the world rank it
+//! runs. Every write a rank issues — the master's metadata, each frame an
+//! aggregator applies, the coalesced flushes of the stream engine — is
+//! thus attributed to that rank on every runtime, on sub-communicators
+//! too, and the protocol never labels anything itself (`simcheck`'s
+//! misaligned-chunk mutation and its aligned control check exactly that).
 
 use crate::agg::{AggState, AggStats, MemberState};
 use crate::error::{Result, SionError};
@@ -268,13 +262,6 @@ pub fn paropen_write(
     params: &SionParams,
     comm: &Comm,
 ) -> Result<SionParWriter> {
-    // Label this rank's thread for the block-contention sanitizer: every
-    // write it issues through a `vfs::TapFs` (including coalesced
-    // stream-engine flushes, which run on this thread) is attributed to
-    // this global rank. The protocol body re-arms the label wherever a
-    // park could have let another rank relabel the thread — see the
-    // module docs.
-    vfs::guard::set_task(comm.rank() as u64);
     drive_ready(paropen_write_co(vfs, base, params, comm.co()))
 }
 
@@ -334,12 +321,7 @@ pub async fn paropen_write_co(
     // collective per field.
     let record = OpenRecord { chunksize: params.chunksize, grank: grank as u64 };
     let gathered = lcom.gather(&record.encode(), 0).await;
-    let setup = gathered.map(|raw| {
-        // The master's metablock-1 write happens after the gather parked
-        // this coroutine; arm its task label for the guards.
-        vfs::guard::set_task(grank as u64);
-        master_open_setup(vfs, base, params, filenum, ntasks, raw)
-    });
+    let setup = gathered.map(|raw| master_open_setup(vfs, base, params, filenum, ntasks, raw));
     let word = setup.as_ref().map(|s| if s.is_ok() { STATUS_OK } else { STATUS_ERR });
     let status = lcom.bcast_u64(word, 0).await;
 
@@ -404,7 +386,7 @@ pub async fn paropen_write_co(
         writer = writer.into_member(ship_cap);
         AggRole::Member(MemberState::new(agg, ship_cap))
     } else if end > me + 1 {
-        AggRole::Aggregator(AggState::new(file, grank as u64, me + 1..end))
+        AggRole::Aggregator(AggState::new(file, me + 1..end))
     } else {
         AggRole::Independent
     };
@@ -444,11 +426,6 @@ impl SionParWriter {
         ship_now: bool,
         run: impl FnOnce(&mut TaskWriter) -> Result<()>,
     ) -> Result<()> {
-        // Task-label attribution for the block/ordering guards. Under the
-        // task runtimes ranks migrate across worker threads, so the label
-        // is re-armed at every synchronous entry (no awaits until this
-        // call returns) instead of once per thread.
-        vfs::guard::set_task(self.grank as u64);
         let lcom = self.lcom.as_ref();
         match &mut self.role {
             AggRole::Member(m) if m.failed => return Err(apply_failed()),
@@ -569,7 +546,6 @@ impl SionParWriter {
         // failure. An aggregator exhaustively drains every member to its
         // end of stream (acking as it applies) before finishing its own;
         // apply failures surface through the members' own records.
-        vfs::guard::set_task(self.grank as u64);
         let role = std::mem::replace(&mut self.role, AggRole::Independent);
         let (finish_res, agg_stats) = match role {
             AggRole::Independent => (self.writer.finish(), AggStats::default()),
@@ -603,21 +579,17 @@ impl SionParWriter {
         // unless some task's flush failed.
         let finalize: Result<()> = match self.lcom.gather(&encoded, 0).await {
             None => Ok(()),
-            Some(raw) => {
-                // The gather parked; re-arm before the metadata writes.
-                vfs::guard::set_task(self.grank as u64);
-                (|| {
-                    let per_task: Vec<CloseRecord> =
-                        raw.iter().map(|b| CloseRecord::decode(b)).collect::<Result<_>>()?;
-                    if per_task.iter().any(|r| r.status != CloseRecord::STATUS_OK) {
-                        return Err(SionError::CollectiveMismatch(
-                            "a task failed to flush; metablock 2 not written".into(),
-                        ));
-                    }
-                    let rows: Vec<&[u64]> = per_task.iter().map(|r| r.used.as_slice()).collect();
-                    finalize_file(&self.writer, &rows)
-                })()
-            }
+            Some(raw) => (|| {
+                let per_task: Vec<CloseRecord> =
+                    raw.iter().map(|b| CloseRecord::decode(b)).collect::<Result<_>>()?;
+                if per_task.iter().any(|r| r.status != CloseRecord::STATUS_OK) {
+                    return Err(SionError::CollectiveMismatch(
+                        "a task failed to flush; metablock 2 not written".into(),
+                    ));
+                }
+                let rows: Vec<&[u64]> = per_task.iter().map(|r| r.used.as_slice()).collect();
+                finalize_file(&self.writer, &rows)
+            })(),
         };
         let status = check_master_status(self.lcom.as_ref(), finalize).await;
         // Collective over the global communicator: when close returns, the

@@ -99,6 +99,36 @@ fn clean_protocol_is_race_free_on_task_runtime() {
     engine.assert_race_free(&format!("clean aggregated protocol, {} tasks", NTASKS));
 }
 
+/// Two 4-rank halves of an 8-rank world (`split_local`), each writing an
+/// aggregated multifile of its own. Messages and file writes carry one
+/// task identity, the world rank the executor runs, so a half's local
+/// ranks are never mistaken for the other half's: no ack is charged with
+/// bytes another rank's aggregator owes.
+#[test]
+fn clean_protocol_is_race_free_on_sub_communicators() {
+    async fn prog(fs: Arc<dyn Vfs>, c: TaskComm) {
+        let half = c.rank() / NTASKS;
+        let sub = c.split_local(half as u64, c.rank() % NTASKS, NTASKS).await;
+        let path = format!("hb/half{half}.sion");
+        let mut w =
+            paropen_write_co(fs.as_ref(), &path, &agg_params(), sub.as_ref()).await.expect("open");
+        w.write(&payload(sub.rank(), 1)).expect("write");
+        w.write(&payload(sub.rank(), 129)).expect("write");
+        w.close_co().await.expect("close");
+    }
+    for seed in 0..8 {
+        let (engine, fs) = guarded_fs();
+        let policy = SchedPolicy::Serial { seed, preemption_bound: 2 };
+        let run =
+            TaskWorld::run_checked(policy, 2 * NTASKS, engine.clone(), |c| prog(fs.clone(), c));
+        assert!(run.deadlock.is_none(), "seed {seed}: clean protocol must not deadlock");
+        for r in run.results {
+            r.expect("rank must not panic");
+        }
+        engine.assert_race_free(&format!("two aggregated halves of 8 tasks, seed {seed}"));
+    }
+}
+
 // ---------------------------------------------------------------------
 // Seeded mutations of the ship/ack contract.
 // ---------------------------------------------------------------------

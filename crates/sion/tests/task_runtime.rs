@@ -119,6 +119,25 @@ fn serial_schedules_produce_the_same_multifile() {
     }
 }
 
+/// The executor labels its thread with a rank only while it polls that
+/// rank: once a world returns, the caller's thread (worker 0) carries no
+/// label its later file writes would be charged to.
+#[test]
+fn a_task_world_leaves_no_task_label_on_the_calling_thread() {
+    let fs = MemFs::with_block_size(4096);
+    let params = SionParams::new(4096);
+    let policy = SchedPolicy::Serial { seed: 3, preemption_bound: 2 };
+    TaskWorld::run_with(policy, 4, |c| {
+        let (fs, params) = (&fs, &params);
+        async move {
+            let mut w = paropen_write_co(fs, "label/data.sion", params, &c).await.unwrap();
+            w.write(&payload(c.rank(), 100)).unwrap();
+            w.close_co().await.unwrap();
+        }
+    });
+    assert_eq!(vfs::guard::current_writer(), None);
+}
+
 #[test]
 fn mismatched_params_fail_collectively_on_task_runtime() {
     let fs = MemFs::with_block_size(4096);

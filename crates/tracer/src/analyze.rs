@@ -55,7 +55,11 @@ pub enum TraceSource<'a> {
 }
 
 /// Load the decoded event stream of one rank from either back-end.
-pub fn load_rank_events(vfs: &dyn Vfs, source: &TraceSource<'_>, rank: usize) -> Result<Vec<Event>> {
+pub(crate) fn load_rank_events(
+    vfs: &dyn Vfs,
+    source: &TraceSource<'_>,
+    rank: usize,
+) -> Result<Vec<Event>> {
     let bytes = match source {
         TraceSource::TaskLocal(backend, _) => {
             let f = vfs.open(&backend.path_of(rank))?;

@@ -26,11 +26,11 @@ mod backend;
 mod event;
 mod synth;
 
-pub use analyze::{analyze, load_rank_events, AnalysisReport, RegionStats, TraceSource};
+pub use analyze::{analyze, AnalysisReport, RegionStats, TraceSource};
 pub use backend::{ActiveTrace, SionBackend, TaskLocalBackend, TraceBackend};
 pub use sion::{CloseStats, IoCounters};
 pub use event::{DecodeError, Event};
-pub use synth::{synthetic_events, SynthConfig, REGION_ITERATION, REGION_LEVEL0, REGION_MAIN};
+pub use synth::{synthetic_events, SynthConfig};
 
 use sion::Result;
 

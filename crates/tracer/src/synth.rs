@@ -34,11 +34,11 @@ impl Default for SynthConfig {
 }
 
 /// Region ids used by the generator.
-pub const REGION_MAIN: u32 = 0;
+pub(crate) const REGION_MAIN: u32 = 0;
 /// Region id of one solver iteration.
-pub const REGION_ITERATION: u32 = 1;
+pub(crate) const REGION_ITERATION: u32 = 1;
 /// Region ids of multigrid levels start here (level `l` = `REGION_LEVEL0 + l`).
-pub const REGION_LEVEL0: u32 = 10;
+pub(crate) const REGION_LEVEL0: u32 = 10;
 
 /// Generate `rank`'s event stream for an SMG2000-like run of `nranks`
 /// tasks. Deterministic in `(config, rank, nranks)`.

@@ -11,13 +11,16 @@
 //! [`Faults`](crate::Faults) tap it is charged with the bytes that reached
 //! the file, so a torn write owns only the blocks of its persisted prefix.
 //!
-//! Logical writer identity is a per-thread label set with [`set_task`] —
-//! `sion::par::paropen_write` labels each rank's thread with its global
-//! rank, so during a parallel SION write every physical `write_at` is
-//! attributed to the rank that issued it (including the coalesced flushes
-//! of the buffered stream engine, which run on the owning task's thread).
-//! Every [`TapFs`](crate::TapFs) op carries the label; writes from
-//! unlabeled threads (test setup, serial tools) are not tracked.
+//! Logical writer identity is a per-thread label, the one task identity
+//! of a run: the `simmpi` runtime sets it with [`set_task`] to the world
+//! rank it runs on the thread — once per rank thread of a thread world,
+//! around every poll of the task executor — so every physical `write_at`
+//! a rank issues is attributed to it (including the coalesced flushes of
+//! the buffered stream engine, and on sub-communicators too), without the
+//! I/O library labelling anything. Every [`TapFs`](crate::TapFs) op
+//! carries the label; writes from unlabeled threads (test setup, serial
+//! tools) are not tracked. Tests that drive a tap from a plain thread
+//! label it themselves.
 //!
 //! Violation reports are deterministic: they are kept in insertion order
 //! per file and sorted by (path, block, tasks) before rendering, so a

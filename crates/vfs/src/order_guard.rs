@@ -12,8 +12,8 @@
 //! only: every [`AccessSink`] is a [`Tap`], and listed in a
 //! [`TapFs`](crate::TapFs) it is told every read, write, and shadow write
 //! (the `simcheck` crate's vector-clock engine is one), attributed to the
-//! logical task labeled on the issuing thread via
-//! [`guard::set_task`](crate::guard::set_task).
+//! task labeled on the issuing thread — the world rank the `simmpi`
+//! runtime runs there ([`guard`](crate::guard)).
 //!
 //! Three access kinds are distinguished:
 //!

@@ -70,7 +70,8 @@ pub struct Op<'a> {
     /// Issued on a [`Vfs::create_shadow`] handle: a logical access whose
     /// bytes never reach the file at `path`.
     pub shadow: bool,
-    /// Label of the issuing thread ([`guard::set_task`](crate::guard::set_task)).
+    /// Label of the issuing thread: the world rank the runtime runs on it
+    /// ([`guard`](crate::guard)).
     pub task: Option<u64>,
     /// Byte offset (the new length for `SetLen`; 0 for `Create`, `Open`,
     /// `Sync`).
