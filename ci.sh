@@ -394,6 +394,35 @@ then
     exit 1
 fi
 
+echo "==> structural gate: scheduler hot path (a poll, a wake and a park write what their worker or rank owns)"
+# The executor's wake/poll/park cycle makes no SeqCst read-modify-write:
+# per-worker counters are bumped by their one writer, and no global
+# runnable count exists. A wake from a worker takes the injector lock only
+# to notify a registered sleeper (or when no worker of the world issues
+# it). A mailbox delivery reads the high-water marks before it raises them,
+# and a parked receive registers plain words, not a clone of the
+# communicator's shared identity.
+exec_rs=crates/simmpi/src/task/exec.rs
+worker_loop() {
+    awk '/let run_worker = \|/ { on = 1 } on { print } on && /^    };/ { exit }' "$exec_rs"
+}
+hot_rmw=$({ method "$exec_rs" enqueue; method "$exec_rs" try_pop; worker_loop; } |
+    grep -E '\.(fetch_[a-z]+|swap|compare_exchange[a-z_]*)\(.*SeqCst' || true)
+wake_locks=$(method "$exec_rs" enqueue |
+    awk '/injector\(\)/ && prev !~ /(else \{|if self\.sleepers\.load\(.*\) > 0 \{)$/ { print } { prev = $0 }')
+peak_rmw=$(method crates/simmpi/src/task/comm.rs note_mbox |
+    awk '/fetch_max\(/ && prev !~ /^ *if .*\.load\(/ { print } { prev = $0 }')
+park_clone=$(method crates/simmpi/src/task/comm.rs poll_take | grep -F 'ctx.clone()' || true)
+if [ -z "$(worker_loop)" ] || [ -z "$(method "$exec_rs" enqueue)" ] ||
+    [ -n "$hot_rmw$wake_locks$peak_rmw$park_clone" ]; then
+    echo "SeqCst RMW on the poll path: $hot_rmw"
+    echo "injector lock on a plain wake: $wake_locks"
+    echo "unconditional fetch_max in note_mbox: $peak_rmw"
+    echo "CommCtx clone per park: $park_clone"
+    echo "scheduler hot path: the executor counts per worker and signals only registered sleepers; mailbox marks and parked receives write rank-owned memory"
+    exit 1
+fi
+
 echo "==> structural gate: a re-export has a consumer (each name a library crate's \`pub use\` re-exports is used outside its src/, or names a type only the re-export makes nameable)"
 # Per name, not per statement: one used name must not carry its neighbours.
 # A name passes if a .rs file outside the crate's src/ mentions it, or if it

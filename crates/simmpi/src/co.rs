@@ -52,13 +52,12 @@ impl AllGathered {
     /// Build from per-rank parts — the copying fallback for runtimes
     /// without shared memory between ranks (the flat oracle).
     pub(crate) fn from_parts(parts: &[Vec<u8>]) -> AllGathered {
-        let entries: Vec<(u64, &[u8])> = parts
+        let entries = parts
             .iter()
             .enumerate()
-            .map(|(r, p)| (r as u64, p.as_slice()))
-            .collect();
+            .map(|(r, p)| (r as u64, p.as_slice()));
         AllGathered {
-            frame: Arc::new(crate::wire::frame(&entries)),
+            frame: Arc::new(crate::wire::frame(entries)),
         }
     }
 

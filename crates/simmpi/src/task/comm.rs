@@ -33,7 +33,7 @@
 use crate::co::AllGathered;
 use crate::comm::CommStats;
 use crate::hook::{self, coll_tag, CheckHook, CollKind, CommCtx, HookEvent, LeakedMsg};
-use crate::wire::{frame, subtree_size, unframe};
+use crate::wire::{frame, subtree_size, unframe, FrameCut};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -113,8 +113,20 @@ impl From<Arc<Vec<u8>>> for MsgBuf {
 
 type Message = (usize, u64, MsgBuf);
 
-/// One parked matched receive (collective round edges included),
-/// registered while its [`Recv`] future is `Pending`.
+/// One parked matched receive (collective round edges included), as a
+/// rank registers it while its [`Recv`] future is `Pending`: plain words,
+/// the communicator by its number in the world's registry, so parking
+/// writes nothing but the rank's own pending slot.
+#[derive(Clone, Copy)]
+struct ParkedRecv {
+    comm: usize,
+    comm_rank: usize,
+    src: usize,
+    tag: u64,
+}
+
+/// A [`ParkedRecv`] with its communicator resolved: what deadlock and
+/// watchdog reports name.
 #[derive(Clone)]
 pub(crate) struct Parked {
     pub(crate) ctx: CommCtx,
@@ -153,7 +165,9 @@ impl fmt::Display for Parked {
 /// once the world is being torn down early, and the mailbox high-water
 /// marks reported in [`SchedStats`](super::SchedStats).
 pub(crate) struct WorldRt {
-    pending: Vec<Mutex<Option<Parked>>>,
+    pending: Vec<Mutex<Option<ParkedRecv>>>,
+    /// Every communicator of the world, indexed by [`CoShared::comm_no`].
+    comms: Mutex<Vec<CommCtx>>,
     aborting: AtomicBool,
     peak_mbox_msgs: AtomicU64,
     peak_mbox_bytes: AtomicU64,
@@ -166,6 +180,7 @@ impl WorldRt {
     pub(crate) fn new(ntasks: usize) -> WorldRt {
         WorldRt {
             pending: (0..ntasks).map(|_| Mutex::new(None)).collect(),
+            comms: Mutex::new(Vec::new()),
             aborting: AtomicBool::new(false),
             peak_mbox_msgs: AtomicU64::new(0),
             peak_mbox_bytes: AtomicU64::new(0),
@@ -191,9 +206,16 @@ impl WorldRt {
         self.aborting.load(Ordering::SeqCst)
     }
 
+    /// Raise the mailbox high-water marks. Called on every delivery, so
+    /// it reads first: a mark that already covers the delivery costs no
+    /// write to the line all ranks share.
     fn note_mbox(&self, msgs: u64, bytes: u64) {
-        self.peak_mbox_msgs.fetch_max(msgs, Ordering::Relaxed);
-        self.peak_mbox_bytes.fetch_max(bytes, Ordering::Relaxed);
+        if msgs > self.peak_mbox_msgs.load(Ordering::Relaxed) {
+            self.peak_mbox_msgs.fetch_max(msgs, Ordering::Relaxed);
+        }
+        if bytes > self.peak_mbox_bytes.load(Ordering::Relaxed) {
+            self.peak_mbox_bytes.fetch_max(bytes, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn mbox_peaks(&self) -> (u64, u64) {
@@ -203,14 +225,31 @@ impl WorldRt {
         )
     }
 
-    fn pending(&self, world_rank: usize) -> &Mutex<Option<Parked>> {
+    /// Number a new communicator of this world.
+    fn register(&self, ctx: &CommCtx) -> usize {
+        let mut comms = self.comms.lock();
+        comms.push(ctx.clone());
+        comms.len() - 1
+    }
+
+    fn pending(&self, world_rank: usize) -> &Mutex<Option<ParkedRecv>> {
         &self.pending[world_rank]
+    }
+
+    fn resolve(&self, p: ParkedRecv) -> Parked {
+        Parked {
+            ctx: self.comms.lock()[p.comm].clone(),
+            comm_rank: p.comm_rank,
+            src: p.src,
+            tag: p.tag,
+        }
     }
 
     /// The receive `world_rank` is parked in right now — what the thread
     /// driver's watchdog names when a blocking call is stuck.
     pub(crate) fn parked(&self, world_rank: usize) -> Option<Parked> {
-        self.pending(world_rank).lock().clone()
+        let p = *self.pending(world_rank).lock();
+        p.map(|p| self.resolve(p))
     }
 
     /// The parked operations of every still-blocked task, in world-rank
@@ -219,7 +258,7 @@ impl WorldRt {
         self.pending
             .iter()
             .enumerate()
-            .filter_map(|(rank, slot)| slot.lock().take().map(|p| (rank, p)))
+            .filter_map(|(rank, slot)| slot.lock().take().map(|p| (rank, self.resolve(p))))
             .collect()
     }
 }
@@ -236,12 +275,13 @@ struct Mbox {
 }
 
 impl Mbox {
-    /// Pre-sized for tree traffic: a rank holds at most one message per
-    /// tree level per in-flight collective round (~log₂ P), not O(P).
-    fn for_world(size: usize) -> Mbox {
-        let depth = usize::BITS as usize - size.leading_zeros() as usize + 2;
+    /// An empty mailbox. It allocates nothing until its first delivery:
+    /// a communicator's creator builds every member's mailbox while the
+    /// others wait on the split, and most of them hold one or two tree
+    /// messages at a time.
+    fn new() -> Mbox {
         Mbox {
-            queue: VecDeque::with_capacity(depth),
+            queue: VecDeque::new(),
             bytes: 0,
             waiting: None,
         }
@@ -289,8 +329,8 @@ impl Recv<'_> {
         // Register for the deadlock report after arming the waker: if the
         // world quiesces with this entry in place, this receive is what the
         // rank is stuck on.
-        *pending.lock() = Some(Parked {
-            ctx: c.shared.ctx.clone(),
+        *pending.lock() = Some(ParkedRecv {
+            comm: c.shared.comm_no,
             comm_rank: c.rank,
             src: self.src,
             tag: self.tag,
@@ -324,7 +364,10 @@ impl Future for Recv<'_> {
 /// A sub-communicator under construction: members find its shared state in
 /// the parent's `splits` map, and the last one to attach retires the entry.
 struct SplitGroup {
-    shared: Arc<CoShared>,
+    /// One handle on the group's shared state per new rank, cloned by the
+    /// creating member, so a joining member moves its own out instead of
+    /// bumping the reference count every member shares.
+    handles: Vec<Option<Arc<CoShared>>>,
     /// Parent rank that claimed each new rank (`usize::MAX`: unclaimed);
     /// its length is the group size the creating member declared.
     claimed: Vec<usize>,
@@ -341,11 +384,19 @@ struct SplitGroup {
 pub(crate) struct CoShared {
     size: usize,
     ctx: CommCtx,
+    /// This communicator's number in the world's registry.
+    comm_no: usize,
     hook: Option<Arc<dyn CheckHook>>,
     world: Arc<WorldRt>,
     mboxes: Vec<Mutex<Mbox>>,
-    splits: Mutex<HashMap<(u64, u64), SplitGroup>>,
+    /// Groups under construction, in shards by color: ranks joining
+    /// different groups — typically on different workers, since tasks
+    /// start in rank blocks — take different locks.
+    splits: Vec<Mutex<HashMap<(u64, u64), SplitGroup>>>,
 }
+
+/// Shards of a communicator's split rendezvous map.
+const SPLIT_SHARDS: usize = 16;
 
 impl CoShared {
     fn new(ctx: CommCtx, hook: Option<Arc<dyn CheckHook>>, world: Arc<WorldRt>) -> CoShared {
@@ -353,13 +404,12 @@ impl CoShared {
         let size = ctx.size;
         CoShared {
             size,
+            comm_no: world.register(&ctx),
             ctx,
             hook,
             world,
-            mboxes: (0..size)
-                .map(|_| Mutex::new(Mbox::for_world(size)))
-                .collect(),
-            splits: Mutex::new(HashMap::new()),
+            mboxes: (0..size).map(|_| Mutex::new(Mbox::new())).collect(),
+            splits: (0..SPLIT_SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 }
@@ -454,7 +504,12 @@ impl TaskComm {
 
     /// This rank's virtual rank in a tree rooted at `root`.
     fn vrank(&self, root: usize) -> usize {
-        (self.rank + self.shared.size - root) % self.shared.size
+        self.vrank_of(self.rank, root)
+    }
+
+    /// Virtual rank of real rank `r` in a tree rooted at `root`.
+    fn vrank_of(&self, r: usize, root: usize) -> usize {
+        (r + self.shared.size - root) % self.shared.size
     }
 
     /// Real rank of virtual rank `v` in a tree rooted at `root`.
@@ -621,11 +676,8 @@ impl TaskComm {
         let mut mask = 1usize;
         while mask < size {
             if v & mask != 0 {
-                let entries = acc
-                    .iter()
-                    .map(|(id, p)| (*id, p.as_slice()))
-                    .collect::<Vec<_>>();
-                self.isend(self.rank_of(v - mask, root), tag, frame(&entries));
+                let entries = acc.iter().map(|(id, p)| (*id, p.as_slice()));
+                self.isend(self.rank_of(v - mask, root), tag, frame(entries));
                 return None;
             }
             let child = v + mask;
@@ -644,7 +696,10 @@ impl TaskComm {
     }
 
     /// Binomial-tree scatter body: the root's per-rank parts flow down the
-    /// tree, each edge carrying only the receiver's subtree.
+    /// tree, each edge carrying only the receiver's subtree, listed in real
+    /// rank order. The root frames each child's parts straight from
+    /// `parts`; every other node splices its children's frames out of the
+    /// one it received ([`FrameCut`]), so no entry is decoded on the way.
     async fn scatter_impl(
         &self,
         parts: Option<Vec<Vec<u8>>>,
@@ -655,42 +710,47 @@ impl TaskComm {
         let size = self.shared.size;
         let v = self.vrank(root);
         let tag = coll_tag(kind, seq, 0);
-        let (mut pending, mut mask) = if v == 0 {
-            let parts = parts.expect("root must supply scatter parts");
+        if v == 0 {
+            let mut parts = parts.expect("root must supply scatter parts");
             assert_eq!(parts.len(), size, "scatter needs one part per rank");
-            let pending: Vec<(u64, Vec<u8>)> = parts
-                .into_iter()
-                .enumerate()
-                .map(|(r, p)| (((r + size - root) % size) as u64, p))
-                .collect();
-            (pending, size.next_power_of_two())
-        } else {
-            let lsb = v & v.wrapping_neg();
-            (
-                unframe(&self.irecv(self.rank_of(v & (v - 1), root), tag).await),
-                lsb,
-            )
-        };
-        // `pending` covers vranks [v, v + mask); peel off the upper half for
-        // each child.
-        mask >>= 1;
+            // Each child takes the vranks [child, end) still held; as real
+            // ranks, in ascending order, that is one range or two when it
+            // wraps past rank size − 1.
+            let mut end = size;
+            let mut mask = size.next_power_of_two() >> 1;
+            while mask > 0 {
+                let child = mask;
+                if child < size {
+                    let (lo, hi) = (child + root, end + root);
+                    let (a, b) = if lo >= size {
+                        (lo - size..hi - size, 0..0)
+                    } else if hi <= size {
+                        (lo..hi, 0..0)
+                    } else {
+                        (0..hi - size, lo..size)
+                    };
+                    let entries = a
+                        .chain(b)
+                        .map(|r| (self.vrank_of(r, root) as u64, parts[r].as_slice()));
+                    self.isend(self.rank_of(child, root), tag, frame(entries));
+                    end = child;
+                }
+                mask >>= 1;
+            }
+            return std::mem::take(&mut parts[root]);
+        }
+        let lsb = v & v.wrapping_neg();
+        let got = self.irecv(self.rank_of(v & (v - 1), root), tag).await;
+        let mut held = FrameCut::new(got.into_vec());
+        let mut mask = lsb >> 1;
         while mask > 0 {
             let child = v + mask;
             if child < size {
-                let (send, keep): (Vec<_>, Vec<_>) =
-                    pending.into_iter().partition(|(id, _)| *id >= child as u64);
-                let entries = send
-                    .iter()
-                    .map(|(id, p)| (*id, p.as_slice()))
-                    .collect::<Vec<_>>();
-                self.isend(self.rank_of(child, root), tag, frame(&entries));
-                pending = keep;
+                self.isend(self.rank_of(child, root), tag, held.split_off(child as u64));
             }
             mask >>= 1;
         }
-        debug_assert_eq!(pending.len(), 1, "own part remains");
-        debug_assert_eq!(pending[0].0, v as u64, "own part remains");
-        pending.pop().expect("own part remains").1
+        held.into_single()
     }
 
     async fn allgather_impl(
@@ -721,11 +781,10 @@ impl TaskComm {
     ) -> AllGathered {
         let framed = self.gather_impl(data, 0, seq_up, kind).await.map(|parts| {
             frame(
-                &parts
+                parts
                     .iter()
                     .enumerate()
-                    .map(|(r, p)| (r as u64, p.as_slice()))
-                    .collect::<Vec<_>>(),
+                    .map(|(r, p)| (r as u64, p.as_slice())),
             )
         });
         AllGathered::from_frame(self.bcast_frame_impl(framed, seq_down, kind).await)
@@ -855,8 +914,9 @@ impl TaskComm {
     /// both the exchanged [`split`](crate::co::CoComm::split) and
     /// [`split_local`](crate::co::CoComm::split_local). No message is
     /// sent: the first member to arrive creates the group's shared state
-    /// in the parent's `splits` map, every member takes an `Arc` of it,
-    /// and the last one removes the entry, so the map holds only groups
+    /// in the parent's `splits` map, with one handle per new rank, every
+    /// member moves its own handle out, and the last one removes the
+    /// entry, so the map holds only groups
     /// still being formed. Split calls are collective and ordered, so every
     /// rank's `split_seq` names the same generation; the child's identity
     /// is derived structurally (parent name, generation, color), so every
@@ -868,13 +928,16 @@ impl TaskComm {
         let split_no = self.split_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let key = (split_no, color);
         let joined = {
-            let mut splits = self.shared.splits.lock();
+            let mut splits = self.shared.splits[color as usize % SPLIT_SHARDS].lock();
             let group = splits.entry(key).or_insert_with(|| SplitGroup {
-                shared: Arc::new(CoShared::new(
-                    self.shared.ctx.child(split_no, color, new_size),
-                    self.shared.hook.clone(),
-                    self.shared.world.clone(),
-                )),
+                handles: vec![
+                    Some(Arc::new(CoShared::new(
+                        self.shared.ctx.child(split_no, color, new_size),
+                        self.shared.hook.clone(),
+                        self.shared.world.clone(),
+                    )));
+                    new_size
+                ],
                 claimed: vec![usize::MAX; new_size],
                 creator: self.rank,
                 attached: 0,
@@ -899,7 +962,9 @@ impl TaskComm {
             } else {
                 group.claimed[new_rank] = self.rank;
                 group.attached += 1;
-                let shared = group.shared.clone();
+                let shared = group.handles[new_rank]
+                    .take()
+                    .expect("an unclaimed rank's handle");
                 if group.attached == size {
                     splits.remove(&key);
                 }
@@ -918,7 +983,7 @@ impl TaskComm {
     /// Sub-communicators of this communicator still being formed.
     #[cfg(test)]
     pub(crate) fn splits_in_flight(&self) -> usize {
-        self.shared.splits.lock().len()
+        self.shared.splits.iter().map(|s| s.lock().len()).sum()
     }
 }
 

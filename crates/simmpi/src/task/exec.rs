@@ -5,17 +5,30 @@
 //! rendezvous. The executor is deliberately small and entirely safe code:
 //!
 //! * **Queues** — one LIFO deque per worker plus a shared FIFO injector.
-//!   Owners pop newest-first, thieves steal oldest-first. LIFO descent
+//!   Owners pop newest-first, thieves steal oldest-first, and a wake
+//!   issued by a worker lands on that worker's own deque. LIFO descent
 //!   matters beyond cache warmth: it drives each binomial collective
 //!   depth-first, so the number of in-flight round buffers stays
 //!   O(log P · fanout) instead of O(P) (breadth-first order would
 //!   materialize half the tree's edge payloads at once at 64Ki ranks).
+//! * **Rank blocks** — a pool's tasks start on the deques, not the
+//!   injector: rank r on worker r·W/P. One worker's slots, mailboxes and
+//!   pending entries are then adjacent in memory, and a binomial subtree
+//!   (a contiguous vrank range) starts on one worker, so most tree edges
+//!   never cross cores.
+//! * **Nothing shared is written per poll.** Each worker's deque and its
+//!   counters sit on cache lines of their own; a counter is bumped by its
+//!   one writer with a plain load and store and summed once at the end.
+//!   There is no global runnable count: "runnable" means "on a deque (or
+//!   the injector)".
 //! * **Quiescence is exact deadlock detection.** A task is either live and
 //!   runnable, live and parked in a registered communicator wait, or
 //!   finished. When every worker is idle, no task is runnable and live
 //!   tasks remain, no future wake-up is possible (wakes only originate
 //!   from polls) — the world has deadlocked, deterministically and with no
-//!   watchdog timeout. The last worker to go idle declares it.
+//!   watchdog timeout. The last worker to go idle sees every queue empty
+//!   and every other worker registered; it counts the finished tasks and
+//!   declares the end of the run, a deadlock if some are missing.
 //! * **Policies** — [`SchedPolicy::WorkSteal`] for throughput, and
 //!   [`SchedPolicy::Serial`]: a single worker picking the next runnable
 //!   task with a seeded splitmix64 stream (or asking a
@@ -25,11 +38,16 @@
 //!   (`vfs::guard`) and clears the label once the poll is done, so a rank's
 //!   file writes and hook events are its own whichever worker runs it.
 //!
-//! Lost-wakeup freedom: `enqueue` increments the runnable count *before*
-//! taking the injector lock to signal, and an idling worker re-checks the
-//! count while holding that same lock from the final check until
-//! `Condvar::wait`. Either the sleeper sees the new count and retries, or
-//! the waker's notification happens after the sleeper is parked.
+//! Lost-wakeup freedom: an idling worker registers in the `sleepers`
+//! count under the injector lock, then re-checks the injector and every
+//! deque, holding that lock until `Condvar::wait`. A waking worker pushes
+//! under its deque's mutex, then reads `sleepers` without a lock, and only
+//! if it is non-zero takes the injector lock to notify. If the sleeper's
+//! re-check missed the push, it locked that deque first, so the deque
+//! mutex's release/acquire chain orders its registration before the
+//! waker's read: the waker sees a sleeper and notifies, after the sleeper
+//! is parked (it holds the injector lock until then). A wake issued off
+//! the pool pushes to the injector and notifies under the same lock.
 
 use crate::hook::{CheckHook, HookEvent};
 use parking_lot::Mutex;
@@ -38,7 +56,7 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 use std::task::{Context, Poll, Wake, Waker};
 
@@ -118,7 +136,6 @@ pub(crate) struct ExecReport {
     pub(crate) wakes: u64,
     pub(crate) steals: u64,
     pub(crate) parks: u64,
-    pub(crate) peak_runnable: u64,
     /// Poll order (task ids), recorded only for [`SchedPolicy::Serial`]
     /// runs that asked for it.
     pub(crate) trace: Vec<usize>,
@@ -141,7 +158,41 @@ struct SerialState {
 
 struct Injector {
     queue: VecDeque<usize>,
-    sleepers: usize,
+    /// Wake-ups issued from threads that are not a worker of this world
+    /// (and every wake of a [`SchedPolicy::Serial`] run).
+    wakes: u64,
+}
+
+/// Keeps `T` on cache lines of its own: 128 bytes, because the adjacent-
+/// line prefetcher moves 64-byte lines in pairs.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// One worker's counters. Only that worker writes them (see [`bump`]);
+/// [`Core::report`] sums them once the workers have joined.
+#[derive(Default)]
+struct Tally {
+    polls: AtomicU64,
+    wakes: AtomicU64,
+    steals: AtomicU64,
+    parks: AtomicU64,
+    /// Tasks this worker ran to completion.
+    finished: AtomicU64,
+}
+
+/// Count one event on a counter of the calling worker's own [`Tally`]: a
+/// plain load and store, no locked read-modify-write, because no other
+/// thread writes it.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Relaxed) + 1, Relaxed);
 }
 
 /// The `'static` half of the executor: everything a [`Waker`] needs.
@@ -149,45 +200,45 @@ struct Injector {
 /// frame, so they may borrow the caller's environment.
 struct Core {
     workers: usize,
+    ntasks: usize,
     policy: PolicyKind,
     /// Present only with [`SchedPolicy::Serial`]: owns every decision in
     /// place of the seeded stream.
     driver: Option<Arc<dyn ScheduleDriver>>,
     serial: Mutex<SerialState>,
-    locals: Vec<Mutex<VecDeque<usize>>>,
-    /// The injector queue and sleeper count; a `std` mutex because the
-    /// offline `parking_lot` shim has no `Condvar` to pair with its own.
+    /// Each worker's LIFO deque, one per cache-line pair.
+    deques: Vec<Padded<Mutex<VecDeque<usize>>>>,
+    /// Each worker's counters, one per cache-line pair.
+    tallies: Vec<Padded<Tally>>,
+    /// The injector queue; a `std` mutex because the offline `parking_lot`
+    /// shim has no `Condvar` to pair with its own.
     shared: StdMutex<Injector>,
     cv: Condvar,
-    /// Tasks currently enqueued (runnable).
-    runnable: AtomicUsize,
-    /// Tasks not yet finished.
-    live: AtomicUsize,
+    /// Workers registered as idle. Changed only under the injector lock
+    /// and read by `enqueue` without it; `Relaxed` throughout, because the
+    /// order a wake needs comes from the deque mutexes (module docs).
+    sleepers: AtomicUsize,
     done: AtomicBool,
     deadlocked: AtomicBool,
-    polls: AtomicU64,
-    wakes: AtomicU64,
-    steals: AtomicU64,
-    parks: AtomicU64,
-    peak_runnable: AtomicU64,
 }
 
 thread_local! {
-    /// Which worker (of the innermost running task world) this thread is;
-    /// wakes issued from a worker land on its own LIFO deque.
-    static CURRENT_WORKER: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Which worker of which task world this thread is, as (address of the
+    /// world's [`Core`], worker index); wakes issued from a worker land on
+    /// its own LIFO deque.
+    static CURRENT_WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
 /// Scoped CURRENT_WORKER assignment (restores on drop so task worlds can
 /// nest under thread worlds or run back-to-back on the caller thread).
 struct WorkerGuard {
-    prev: Option<usize>,
+    prev: Option<(usize, usize)>,
 }
 
 impl WorkerGuard {
-    fn enter(w: usize) -> WorkerGuard {
+    fn enter(core: &Core, w: usize) -> WorkerGuard {
         WorkerGuard {
-            prev: CURRENT_WORKER.replace(Some(w)),
+            prev: CURRENT_WORKER.replace(Some((core.key(), w))),
         }
     }
 }
@@ -246,8 +297,23 @@ impl Core {
             driver.is_none() || matches!(kind, PolicyKind::Serial),
             "a ScheduleDriver owns serial decisions; use SchedPolicy::Serial"
         );
+        // Initial placement: a serial run's tasks queue in rank order on
+        // the injector; a pool's start in contiguous rank blocks, rank r on
+        // worker r·W/P, so one worker's tasks sit next to each other in
+        // every per-rank table and a binomial subtree starts on one worker.
+        let mut queue = VecDeque::with_capacity(ntasks);
+        let mut blocks: Vec<VecDeque<usize>> = (0..workers)
+            .map(|_| VecDeque::with_capacity(ntasks.div_ceil(workers)))
+            .collect();
+        for id in 0..ntasks {
+            match kind {
+                PolicyKind::Serial => queue.push_back(id),
+                PolicyKind::WorkSteal => blocks[id * workers / ntasks].push_back(id),
+            }
+        }
         Core {
             workers,
+            ntasks,
             policy: kind,
             driver,
             serial: Mutex::new(SerialState {
@@ -258,47 +324,57 @@ impl Core {
                 trace: trace.then(|| Vec::with_capacity(ntasks * 4)),
                 steps: 0,
             }),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            shared: StdMutex::new(Injector {
-                queue: VecDeque::with_capacity(ntasks),
-                sleepers: 0,
-            }),
+            deques: blocks.into_iter().map(|b| Padded(Mutex::new(b))).collect(),
+            tallies: (0..workers).map(|_| Padded(Tally::default())).collect(),
+            shared: StdMutex::new(Injector { queue, wakes: 0 }),
             cv: Condvar::new(),
-            runnable: AtomicUsize::new(0),
-            live: AtomicUsize::new(ntasks),
+            sleepers: AtomicUsize::new(0),
             done: AtomicBool::new(false),
             deadlocked: AtomicBool::new(false),
-            polls: AtomicU64::new(0),
-            wakes: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            peak_runnable: AtomicU64::new(0),
+        }
+    }
+
+    /// This world's identity in [`CURRENT_WORKER`].
+    fn key(&self) -> usize {
+        self as *const Core as usize
+    }
+
+    /// The worker of this world the calling thread is, if any (never under
+    /// [`SchedPolicy::Serial`], whose wakes all go through the injector).
+    fn local_worker(&self) -> Option<usize> {
+        match self.policy {
+            PolicyKind::WorkSteal => CURRENT_WORKER
+                .get()
+                .filter(|&(core, _)| core == self.key())
+                .map(|(_, w)| w),
+            PolicyKind::Serial => None,
         }
     }
 
     /// Make task `id` runnable and signal an idle worker, lost-wakeup-free
-    /// (see module docs).
+    /// (see module docs). From a worker this writes the worker's own deque
+    /// and tally only, and takes the injector lock only to wake a sleeper.
     fn enqueue(&self, id: usize) {
-        self.wakes.fetch_add(1, SeqCst);
-        let now = self.runnable.fetch_add(1, SeqCst) + 1;
-        self.peak_runnable.fetch_max(now as u64, SeqCst);
-        let local = match self.policy {
-            PolicyKind::WorkSteal => CURRENT_WORKER.get().filter(|&w| w < self.locals.len()),
-            PolicyKind::Serial => None,
+        let Some(w) = self.local_worker() else {
+            let mut sh = self.injector();
+            sh.queue.push_back(id);
+            sh.wakes += 1;
+            if self.sleepers.load(Relaxed) > 0 {
+                self.cv.notify_one();
+            }
+            return;
         };
-        match local {
-            Some(w) => self.locals[w].lock().push_back(id),
-            None => self.injector().queue.push_back(id),
-        }
-        let sh = self.injector();
-        if sh.sleepers > 0 {
+        bump(&self.tallies[w].wakes);
+        self.deques[w].lock().push_back(id);
+        if self.sleepers.load(Relaxed) > 0 {
+            let _sh = self.injector();
             self.cv.notify_one();
         }
     }
 
     /// Dequeue a runnable task for worker `w`, if any.
     fn try_pop(&self, w: usize) -> Option<usize> {
-        let id = match self.policy {
+        match self.policy {
             PolicyKind::Serial => {
                 let mut sh = self.injector();
                 if sh.queue.is_empty() {
@@ -344,34 +420,32 @@ impl Core {
                 if let Some(t) = &mut st.trace {
                     t.push(id);
                 }
-                id
+                Some(id)
             }
             PolicyKind::WorkSteal => {
-                let own = self.locals[w].lock().pop_back();
-                let found = own
-                    .or_else(|| self.injector().queue.pop_front())
+                let own = self.deques[w].lock().pop_back();
+                own.or_else(|| self.injector().queue.pop_front())
                     .or_else(|| {
                         (1..self.workers).find_map(|i| {
-                            let v = (w + i) % self.workers;
-                            let id = self.locals[v].lock().pop_front();
+                            let id = self.deques[(w + i) % self.workers].lock().pop_front();
                             if id.is_some() {
-                                self.steals.fetch_add(1, SeqCst);
+                                bump(&self.tallies[w].steals);
                             }
                             id
                         })
-                    });
-                found?
+                    })
             }
-        };
-        self.runnable.fetch_sub(1, SeqCst);
-        Some(id)
+        }
     }
 
     /// Blocking dequeue; `None` means the world finished or deadlocked.
     ///
-    /// The last worker to find nothing runnable while live tasks remain
-    /// declares the deadlock: every other worker is parked inside this
-    /// function, so no poll is in flight and no future wake can occur.
+    /// An idle worker registers in `sleepers` under the injector lock and
+    /// only then re-checks every queue, still holding that lock until
+    /// `Condvar::wait`. So the last worker to register sees every queue
+    /// empty while every other worker sits in here: no poll is in flight,
+    /// no future wake can occur, and it declares the end of the run — a
+    /// deadlock if live tasks remain.
     fn next_task(&self, w: usize) -> Option<usize> {
         loop {
             if self.done.load(SeqCst) {
@@ -380,46 +454,45 @@ impl Core {
             if let Some(id) = self.try_pop(w) {
                 return Some(id);
             }
-            let mut sh = self.injector();
+            let sh = self.injector();
             if self.done.load(SeqCst) {
                 return None;
             }
-            if self.runnable.load(SeqCst) > 0 {
-                drop(sh);
+            let idle = self.sleepers.load(Relaxed) + 1;
+            self.sleepers.store(idle, Relaxed);
+            if !sh.queue.is_empty() || self.deques.iter().any(|d| !d.lock().is_empty()) {
+                self.sleepers.store(idle - 1, Relaxed);
                 continue;
             }
-            if sh.sleepers + 1 == self.workers {
-                if self.live.load(SeqCst) > 0 {
+            if idle == self.workers {
+                // Every other worker registered after its last finish, so
+                // the lock makes all their counts visible here.
+                let finished = self.tallies.iter().map(|t| t.finished.load(Relaxed));
+                if finished.sum::<u64>() < self.ntasks as u64 {
                     self.deadlocked.store(true, SeqCst);
                 }
                 self.done.store(true, SeqCst);
                 self.cv.notify_all();
                 return None;
             }
-            sh.sleepers += 1;
-            sh = self.cv.wait(sh).unwrap_or_else(|p| p.into_inner());
-            sh.sleepers -= 1;
-        }
-    }
-
-    /// Retire one finished task; the last one ends the run.
-    fn finish_one(&self) {
-        if self.live.fetch_sub(1, SeqCst) == 1 {
-            self.done.store(true, SeqCst);
-            let _sh = self.injector();
-            self.cv.notify_all();
+            let _sh = self.cv.wait(sh).unwrap_or_else(|p| p.into_inner());
+            self.sleepers
+                .store(self.sleepers.load(Relaxed) - 1, Relaxed);
         }
     }
 
     fn report(&self) -> ExecReport {
+        let sum = |f: fn(&Tally) -> &AtomicU64| {
+            self.tallies.iter().map(|t| f(t).load(Relaxed)).sum::<u64>()
+        };
         ExecReport {
             deadlocked: self.deadlocked.load(SeqCst),
             workers: self.workers,
-            polls: self.polls.load(SeqCst),
-            wakes: self.wakes.load(SeqCst),
-            steals: self.steals.load(SeqCst),
-            parks: self.parks.load(SeqCst),
-            peak_runnable: self.peak_runnable.load(SeqCst),
+            polls: sum(|t| &t.polls),
+            // Every task's first wake is its initial placement.
+            wakes: self.ntasks as u64 + self.injector().wakes + sum(|t| &t.wakes),
+            steals: sum(|t| &t.steals),
+            parks: sum(|t| &t.parks),
             trace: self.serial.lock().trace.take().unwrap_or_default(),
         }
     }
@@ -461,46 +534,38 @@ where
         .collect();
     let results: Vec<Mutex<Option<std::thread::Result<T>>>> =
         (0..ntasks).map(|_| Mutex::new(None)).collect();
-    // The slab of suspended rank state machines. Each slot's future writes
-    // its own Ok result before resolving; slots are cleared eagerly on
-    // completion so finished ranks free their stack state immediately.
-    let slots: Vec<_> = (0..ntasks)
-        .map(|id| {
-            let fut = make(id);
-            let res = &results[id];
-            Mutex::new(Some(Box::pin(async move {
-                let v = fut.await;
-                *res.lock() = Some(Ok(v));
-            })
-                as Pin<Box<dyn Future<Output = ()> + Send + '_>>))
-        })
+    // The slab of suspended rank state machines, boxed once each as built:
+    // no wrapper future, no type erasure. A finished future is dropped in
+    // place at once, so a finished rank frees its state immediately; its
+    // box goes back to the allocator with the slab, on this thread, so a
+    // worker never frees memory this thread's allocator arena handed out.
+    let slots: Vec<Mutex<Pin<Box<Option<Fut>>>>> = (0..ntasks)
+        .map(|id| Mutex::new(Box::pin(Some(make(id)))))
         .collect();
-    for id in 0..ntasks {
-        core.enqueue(id);
-    }
 
     let run_worker = |w: usize| {
-        let _g = WorkerGuard::enter(w);
+        let _g = WorkerGuard::enter(&core, w);
+        let tally = &core.tallies[w];
         while let Some(id) = core.next_task(w) {
             let mut slot = slots[id].lock();
-            let Some(fut) = slot.as_mut() else {
+            let Some(fut) = slot.as_mut().as_pin_mut() else {
                 // A duplicate wake raced with completion; nothing to poll.
                 continue;
             };
-            core.polls.fetch_add(1, SeqCst);
+            bump(&tally.polls);
             // The thread runs rank `id` until the poll (and the drop of a
             // finished future) is done: its file writes and hook events
             // carry the rank's label, the one task identity.
             vfs::guard::set_task(id as u64);
             let mut cx = Context::from_waker(&wakers[id]);
-            let finished = match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+            let finished = match catch_unwind(AssertUnwindSafe(|| fut.poll(&mut cx))) {
                 Ok(Poll::Pending) => false,
-                Ok(Poll::Ready(())) => {
-                    // The wrapper stored Ok; dropping the future runs the
-                    // communicator teardown check, whose leak diagnosis
-                    // panic replaces the result (the thread runtime's
-                    // (Ok, Err(teardown)) merge).
-                    if let Err(e) = catch_unwind(AssertUnwindSafe(|| *slot = None)) {
+                Ok(Poll::Ready(v)) => {
+                    // Dropping the future runs the communicator teardown
+                    // check, whose leak diagnosis panic replaces the result
+                    // (the thread runtime's (Ok, Err(teardown)) merge).
+                    *results[id].lock() = Some(Ok(v));
+                    if let Err(e) = catch_unwind(AssertUnwindSafe(|| slot.as_mut().set(None))) {
                         *results[id].lock() = Some(Err(e));
                     }
                     true
@@ -509,13 +574,13 @@ where
                     *results[id].lock() = Some(Err(e));
                     // Keep the poll panic as the primary result even if
                     // teardown of the half-run future also panics.
-                    let _ = catch_unwind(AssertUnwindSafe(|| *slot = None));
+                    let _ = catch_unwind(AssertUnwindSafe(|| slot.as_mut().set(None)));
                     true
                 }
             };
             vfs::guard::clear_task();
             if !finished {
-                core.parks.fetch_add(1, SeqCst);
+                bump(&tally.parks);
                 continue;
             }
             drop(slot);
@@ -523,7 +588,7 @@ where
                 let panicked = results[id].lock().as_ref().is_some_and(|r| r.is_err());
                 h.on_event(&HookEvent::TaskFinish { task: id, panicked });
             }
-            core.finish_one();
+            bump(&tally.finished);
         }
     };
     std::thread::scope(|s| {
@@ -623,6 +688,32 @@ mod tests {
         assert!(aborted);
         assert!(results[0].is_some() && results[2].is_some());
         assert!(results[1].is_none(), "parked task has no result");
+    }
+
+    #[test]
+    fn tasks_start_in_rank_blocks() {
+        let queued = |policy: &SchedPolicy| {
+            let core = Core::new(policy, 10, false, None);
+            let deques: Vec<Vec<usize>> = core
+                .deques
+                .iter()
+                .map(|d| d.lock().iter().copied().collect())
+                .collect();
+            let injected: Vec<usize> = core.injector().queue.iter().copied().collect();
+            (deques, injected)
+        };
+        // Rank r starts on worker r·W/P, nothing on the injector.
+        let (deques, injected) = queued(&SchedPolicy::WorkSteal { workers: 3 });
+        assert_eq!(deques, [vec![0, 1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]]);
+        assert!(injected.is_empty());
+        // A serial run queues every task in rank order on the injector.
+        let serial = SchedPolicy::Serial {
+            seed: 0,
+            preemption_bound: usize::MAX,
+        };
+        let (deques, injected) = queued(&serial);
+        assert_eq!(deques, [Vec::<usize>::new()]);
+        assert_eq!(injected, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -53,8 +53,6 @@ pub struct SchedStats {
     pub steals: u64,
     /// Polls that parked (`Pending`).
     pub parks: u64,
-    /// High-water mark of simultaneously runnable tasks.
-    pub peak_runnable: u64,
     /// High-water mark of any single rank's mailbox depth, in messages.
     pub peak_mailbox_msgs: u64,
     /// High-water mark of any single rank's queued mailbox payload bytes
@@ -186,7 +184,6 @@ where
             wakes: report.wakes,
             steals: report.steals,
             parks: report.parks,
-            peak_runnable: report.peak_runnable,
             peak_mailbox_msgs,
             peak_mailbox_bytes,
             frame_allocs: 0,
@@ -730,6 +727,84 @@ mod tests {
         assert!(stats.peak_mailbox_bytes >= 8, "{stats:?}");
         // The tree keeps any one mailbox logarithmic, never O(P).
         assert!(stats.peak_mailbox_msgs <= 6, "{stats:?}");
+    }
+
+    /// Every (from, to, payload) a run sends, as its hook sees it.
+    #[derive(Default)]
+    struct SendLog(std::sync::Mutex<Vec<(usize, usize, Vec<u8>)>>);
+
+    impl CheckHook for SendLog {
+        fn on_event(&self, ev: &crate::HookEvent<'_>) {
+            if let crate::HookEvent::Send {
+                from, to, payload, ..
+            } = *ev
+            {
+                self.0.lock().unwrap().push((from, to, payload.to_vec()));
+            }
+        }
+    }
+
+    /// The scatter edges as the decode-partition-reframe engine sent them:
+    /// the root lists its parts in real-rank order, each node hands every
+    /// child the entries at or above the child's vrank, in the order held.
+    fn reframed_scatter_edges(parts: &[Vec<u8>], root: usize) -> Vec<(usize, usize, Vec<u8>)> {
+        use crate::wire::{frame, unframe};
+        type Entries = Vec<(u64, Vec<u8>)>;
+        let size = parts.len();
+        let real = |v: usize| (v + root) % size;
+        let mut edges = Vec::new();
+        let mut todo: Vec<(usize, usize, Entries)> = vec![(
+            0,
+            size.next_power_of_two(),
+            (0..size)
+                .map(|r| (((r + size - root) % size) as u64, parts[r].clone()))
+                .collect(),
+        )];
+        while let Some((v, mut mask, mut pending)) = todo.pop() {
+            mask >>= 1;
+            while mask > 0 {
+                if v + mask < size {
+                    let (send, keep): (Entries, Entries) = pending
+                        .into_iter()
+                        .partition(|(id, _)| *id >= (v + mask) as u64);
+                    let framed = frame(send.iter().map(|(id, p)| (*id, p.as_slice())));
+                    assert_eq!(unframe(&framed), send);
+                    edges.push((real(v), real(v + mask), framed));
+                    todo.push((v + mask, mask, send));
+                    pending = keep;
+                }
+                mask >>= 1;
+            }
+        }
+        edges.sort();
+        edges
+    }
+
+    #[test]
+    fn scatter_edges_are_byte_identical_to_reframing_for_every_root() {
+        for size in 1..=13usize {
+            for root in 0..size {
+                let parts: Vec<Vec<u8>> = (0..size)
+                    .map(|r| vec![(r * 7 + root) as u8; (r * 5 + root) % 11])
+                    .collect();
+                let log = Arc::new(SendLog::default());
+                let expect = parts.clone();
+                let run = TaskWorld::run_checked(WS4, size, log.clone(), move |c| {
+                    let parts = (c.rank() == root).then(|| expect.clone());
+                    async move { c.scatter(parts, root).await }
+                });
+                for (r, got) in run.results.into_iter().enumerate() {
+                    assert_eq!(got.expect("no panic"), parts[r], "size {size} root {root}");
+                }
+                let mut sent = std::mem::take(&mut *log.0.lock().unwrap());
+                sent.sort();
+                assert_eq!(
+                    sent,
+                    reframed_scatter_edges(&parts, root),
+                    "size {size} root {root}"
+                );
+            }
+        }
     }
 
     #[test]
