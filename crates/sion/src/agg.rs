@@ -50,8 +50,8 @@
 
 // Shipment frames, member → aggregator, and acks `[seq, status]`,
 // aggregator → member: the namespaces `simmpi` reserves for this protocol.
-use simmpi::{AGG_ACK_TAG_PREFIX as TAG_ACK, AGG_SHIP_TAG_PREFIX as TAG_SHIP};
 use simmpi::CoComm;
+use simmpi::{AGG_ACK_TAG_PREFIX as TAG_ACK, AGG_SHIP_TAG_PREFIX as TAG_SHIP};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vfs::{IoSlice, VfsFile};
@@ -137,7 +137,11 @@ pub(crate) struct MemberState {
 impl MemberState {
     /// `ship_cap` is the write-behind capacity; 0 ships every write.
     pub(crate) fn new(agg: usize, ship_cap: usize) -> MemberState {
-        MemberState { agg, ship_cap: ship_cap.max(1), ..MemberState::default() }
+        MemberState {
+            agg,
+            ship_cap: ship_cap.max(1),
+            ..MemberState::default()
+        }
     }
 
     /// Whether a frame holding `recorded` bytes of extents ships now: once
@@ -188,7 +192,10 @@ impl MemberState {
     fn note_ack(&mut self, buf: &[u8]) {
         let seq = u64::from_le_bytes(buf[..8].try_into().expect("ack seq"));
         let status = u64::from_le_bytes(buf[8..16].try_into().expect("ack status"));
-        let (expect, bytes) = self.inflight.pop_front().expect("ack without in-flight frame");
+        let (expect, bytes) = self
+            .inflight
+            .pop_front()
+            .expect("ack without in-flight frame");
         debug_assert_eq!(seq, expect, "acks arrive in ship order");
         self.stats.acked_shipments += 1;
         self.stats.acked_bytes += bytes;
@@ -217,8 +224,17 @@ pub(crate) struct AggState {
 
 impl AggState {
     pub(crate) fn new(file: Arc<dyn VfsFile>, lranks: std::ops::Range<usize>) -> AggState {
-        let slot = |lrank| MemberSlot { lrank, next_seq: 0, done: false, failed: false };
-        AggState { file, members: lranks.map(slot).collect(), stats: AggStats::default() }
+        let slot = |lrank| MemberSlot {
+            lrank,
+            next_seq: 0,
+            done: false,
+            failed: false,
+        };
+        AggState {
+            file,
+            members: lranks.map(slot).collect(),
+            stats: AggStats::default(),
+        }
     }
 
     /// Apply every already-delivered shipment without parking — the overlap
@@ -260,7 +276,11 @@ impl AggState {
         while p < buf.len() {
             let at = word(p);
             if at == END_OF_STREAM {
-                assert_eq!(p + 8, buf.len(), "malformed frame: bytes after the end of stream");
+                assert_eq!(
+                    p + 8,
+                    buf.len(),
+                    "malformed frame: bytes after the end of stream"
+                );
                 slot.done = true;
                 break;
             }
@@ -269,7 +289,10 @@ impl AggState {
             // of its stream) but no longer touches the file: what is on disk
             // stays the durable prefix of the acked shipments.
             if !slot.failed {
-                slot.failed = self.file.write_all_at(&buf[p + 16..p + 16 + len], at).is_err();
+                slot.failed = self
+                    .file
+                    .write_all_at(&buf[p + 16..p + 16 + len], at)
+                    .is_err();
             }
             p += 16 + len;
         }

@@ -37,7 +37,10 @@ impl fmt::Display for SionError {
             SionError::Io(e) => write!(f, "I/O error: {e}"),
             SionError::Format(why) => write!(f, "not a valid multifile: {why}"),
             SionError::InvalidArg(why) => write!(f, "invalid argument: {why}"),
-            SionError::PieceTooLarge { requested, capacity } => write!(
+            SionError::PieceTooLarge {
+                requested,
+                capacity,
+            } => write!(
                 f,
                 "piece of {requested} bytes exceeds chunk capacity of {capacity} bytes; \
                  use the chunk-splitting write instead"

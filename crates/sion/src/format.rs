@@ -216,7 +216,9 @@ impl MetaBlock1 {
             ));
         }
         if filenum >= nfiles {
-            return Err(SionError::Format(format!("file number {filenum} >= nfiles {nfiles}")));
+            return Err(SionError::Format(format!(
+                "file number {filenum} >= nfiles {nfiles}"
+            )));
         }
         let n = ntasks_local as usize;
         let mut arrays = vec![0u8; 3 * 8 * n];
@@ -255,10 +257,14 @@ impl MetaBlock1 {
                 .ok_or_else(|| SionError::Format("chunk capacities overflow".into()))?;
         }
         if block_size > (1 << 56) {
-            return Err(SionError::Format("block size exceeds the sanity limit".into()));
+            return Err(SionError::Format(
+                "block size exceeds the sanity limit".into(),
+            ));
         }
         if mb1.data_start > (1 << 56) {
-            return Err(SionError::Format("data start exceeds the sanity limit".into()));
+            return Err(SionError::Format(
+                "data start exceeds the sanity limit".into(),
+            ));
         }
         Ok(mb1)
     }
@@ -281,14 +287,15 @@ impl MetaBlock2 {
 
     /// Per-block usage vector for one local task.
     pub fn task_usage(&self, ltask: usize, ntasks_local: usize) -> Vec<u64> {
-        (0..self.nblocks).map(|b| self.used_in(b, ltask, ntasks_local)).collect()
+        (0..self.nblocks)
+            .map(|b| self.used_in(b, ltask, ntasks_local))
+            .collect()
     }
 
     /// Serialize to bytes (including the local task count for validation).
     pub fn encode(&self, ntasks_local: usize) -> Vec<u8> {
         assert_eq!(self.used.len() as u64, self.nblocks * ntasks_local as u64);
-        let mut out =
-            Vec::with_capacity(MB2_FIXED_LEN as usize + 8 * self.used.len());
+        let mut out = Vec::with_capacity(MB2_FIXED_LEN as usize + 8 * self.used.len());
         out.extend_from_slice(&MAGIC2);
         out.extend_from_slice(&self.nblocks.to_le_bytes());
         out.extend_from_slice(&(ntasks_local as u64).to_le_bytes());
@@ -442,9 +449,15 @@ impl Trailer {
                 .and_then(|v| v.checked_add(TRAILER_LEN))
                 .ok_or_else(|| SionError::Format("trailer offsets overflow".into()))?;
             if end != len {
-                return Err(SionError::Format("trailer does not point at metablock 2".into()));
+                return Err(SionError::Format(
+                    "trailer does not point at metablock 2".into(),
+                ));
             }
-            return Ok(Trailer { mb2_off, mb2_len, index: None });
+            return Ok(Trailer {
+                mb2_off,
+                mb2_len,
+                index: None,
+            });
         }
         if tr[16..24] == MAGIC_EOF2 {
             if len < TRAILER2_LEN {
@@ -467,11 +480,19 @@ impl Trailer {
                 .and_then(|v| v.checked_add(TRAILER2_LEN))
                 .ok_or_else(|| SionError::Format("trailer offsets overflow".into()))?;
             if end != len {
-                return Err(SionError::Format("v2 trailer does not point at the file tail".into()));
+                return Err(SionError::Format(
+                    "v2 trailer does not point at the file tail".into(),
+                ));
             }
-            return Ok(Trailer { mb2_off, mb2_len, index: Some((idx_off, idx_len)) });
+            return Ok(Trailer {
+                mb2_off,
+                mb2_len,
+                index: Some((idx_off, idx_len)),
+            });
         }
-        Err(SionError::Format("missing end-of-file trailer (file not closed?)".into()))
+        Err(SionError::Format(
+            "missing end-of-file trailer (file not closed?)".into(),
+        ))
     }
 }
 
@@ -604,7 +625,11 @@ pub fn write_close_metadata(
     trailer.extend_from_slice(&MAGIC_EOF2);
     let total = body.len() as u64 + index.len() as u64 + TRAILER2_LEN;
     file.write_vectored_at(
-        &[IoSlice::new(&body), IoSlice::new(&index), IoSlice::new(&trailer)],
+        &[
+            IoSlice::new(&body),
+            IoSlice::new(&index),
+            IoSlice::new(&trailer),
+        ],
         offset,
     )?;
     // Make the trailer the authoritative end of file even if earlier sparse
@@ -655,7 +680,10 @@ impl OpenRecord {
             )));
         }
         let word = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-        Ok(OpenRecord { chunksize: word(0), grank: word(1) })
+        Ok(OpenRecord {
+            chunksize: word(0),
+            grank: word(1),
+        })
     }
 }
 
@@ -756,12 +784,18 @@ mod tests {
         let mut bytes = sample_mb1().encode();
         bytes[0] = b'X';
         f.write_all_at(&bytes, 0).unwrap();
-        assert!(matches!(MetaBlock1::read_from(f.as_ref()), Err(SionError::Format(_))));
+        assert!(matches!(
+            MetaBlock1::read_from(f.as_ref()),
+            Err(SionError::Format(_))
+        ));
 
         let mut bytes = sample_mb1().encode();
         bytes[8] = 99; // version
         f.write_all_at(&bytes, 0).unwrap();
-        assert!(matches!(MetaBlock1::read_from(f.as_ref()), Err(SionError::Format(_))));
+        assert!(matches!(
+            MetaBlock1::read_from(f.as_ref()),
+            Err(SionError::Format(_))
+        ));
     }
 
     #[test]
@@ -777,7 +811,10 @@ mod tests {
     fn mb2_roundtrip_via_file() {
         let fs = MemFs::new();
         let f = fs.create("m").unwrap();
-        let mb2 = MetaBlock2 { nblocks: 3, used: (0..12).map(|i| i * 11).collect() };
+        let mb2 = MetaBlock2 {
+            nblocks: 3,
+            used: (0..12).map(|i| i * 11).collect(),
+        };
         mb2.write_to(f.as_ref(), 5000, 4).unwrap();
         let back = MetaBlock2::read_from(f.as_ref(), 4).unwrap();
         assert_eq!(back, mb2);
@@ -789,7 +826,10 @@ mod tests {
     fn mb2_task_count_mismatch_rejected() {
         let fs = MemFs::new();
         let f = fs.create("m").unwrap();
-        let mb2 = MetaBlock2 { nblocks: 1, used: vec![1, 2, 3, 4] };
+        let mb2 = MetaBlock2 {
+            nblocks: 1,
+            used: vec![1, 2, 3, 4],
+        };
         mb2.write_to(f.as_ref(), 0, 4).unwrap();
         assert!(MetaBlock2::read_from(f.as_ref(), 5).is_err());
     }
@@ -807,7 +847,10 @@ mod tests {
     fn empty_mb2_zero_blocks() {
         let fs = MemFs::new();
         let f = fs.create("m").unwrap();
-        let mb2 = MetaBlock2 { nblocks: 0, used: vec![] };
+        let mb2 = MetaBlock2 {
+            nblocks: 0,
+            used: vec![],
+        };
         mb2.write_to(f.as_ref(), 128, 7).unwrap();
         let back = MetaBlock2::read_from(f.as_ref(), 7).unwrap();
         assert_eq!(back.nblocks, 0);
@@ -817,7 +860,10 @@ mod tests {
     fn v2_close_metadata_roundtrip() {
         let fs = MemFs::new();
         let f = fs.create("m").unwrap();
-        let mb2 = MetaBlock2 { nblocks: 3, used: (0..12).map(|i| i * 11).collect() };
+        let mb2 = MetaBlock2 {
+            nblocks: 3,
+            used: (0..12).map(|i| i * 11).collect(),
+        };
         write_close_metadata(f.as_ref(), 5000, &mb2, 4).unwrap();
 
         let trailer = Trailer::read_from(f.as_ref()).unwrap();
@@ -843,7 +889,10 @@ mod tests {
 
     #[test]
     fn chunk_index_is_task_major_prefix_sums() {
-        let mb2 = MetaBlock2 { nblocks: 2, used: vec![5, 0, 7, 3] };
+        let mb2 = MetaBlock2 {
+            nblocks: 2,
+            used: vec![5, 0, 7, 3],
+        };
         let idx = ChunkIndex::from_mb2(&mb2, 2);
         assert_eq!(idx.cum, vec![5, 12, 0, 3]);
         assert_eq!(idx.encode(2).len() as u64, ChunkIndex::encoded_len(2, 2));
@@ -853,7 +902,10 @@ mod tests {
     fn torn_index_is_detected_but_mb2_survives() {
         let fs = MemFs::new();
         let f = fs.create("m").unwrap();
-        let mb2 = MetaBlock2 { nblocks: 1, used: vec![9, 8] };
+        let mb2 = MetaBlock2 {
+            nblocks: 1,
+            used: vec![9, 8],
+        };
         write_close_metadata(f.as_ref(), 200, &mb2, 2).unwrap();
         let trailer = Trailer::read_from(f.as_ref()).unwrap();
         let idx = trailer.index.unwrap();
@@ -870,7 +922,10 @@ mod tests {
     fn v1_trailer_still_decodes() {
         let fs = MemFs::new();
         let f = fs.create("m").unwrap();
-        let mb2 = MetaBlock2 { nblocks: 1, used: vec![3] };
+        let mb2 = MetaBlock2 {
+            nblocks: 1,
+            used: vec![3],
+        };
         mb2.write_to(f.as_ref(), 64, 1).unwrap();
         let trailer = Trailer::read_from(f.as_ref()).unwrap();
         assert_eq!(trailer.index, None);
@@ -886,7 +941,10 @@ mod tests {
 
     #[test]
     fn open_record_round_trip() {
-        let rec = OpenRecord { chunksize: 1 << 33, grank: 4093 };
+        let rec = OpenRecord {
+            chunksize: 1 << 33,
+            grank: 4093,
+        };
         let bytes = rec.encode();
         assert_eq!(bytes.len(), OpenRecord::LEN);
         assert_eq!(OpenRecord::decode(&bytes).unwrap(), rec);
@@ -897,10 +955,16 @@ mod tests {
     #[test]
     fn close_record_round_trip() {
         for used in [vec![], vec![17u64], vec![0, 0, 5, 1 << 40]] {
-            let rec = CloseRecord { status: CloseRecord::STATUS_OK, used };
+            let rec = CloseRecord {
+                status: CloseRecord::STATUS_OK,
+                used,
+            };
             assert_eq!(CloseRecord::decode(&rec.encode()).unwrap(), rec);
         }
-        let rec = CloseRecord { status: CloseRecord::STATUS_FLUSH_FAILED, used: vec![9] };
+        let rec = CloseRecord {
+            status: CloseRecord::STATUS_FLUSH_FAILED,
+            used: vec![9],
+        };
         let mut bytes = rec.encode();
         assert_eq!(CloseRecord::decode(&bytes).unwrap(), rec);
         // Truncated payload and inconsistent block count must be rejected.

@@ -80,10 +80,14 @@ impl FileLayout {
         rescue: bool,
     ) -> Result<FileLayout> {
         if reqs.is_empty() {
-            return Err(SionError::InvalidArg("layout needs at least one task".into()));
+            return Err(SionError::InvalidArg(
+                "layout needs at least one task".into(),
+            ));
         }
         if fsblksize == 0 {
-            return Err(SionError::InvalidArg("file-system block size must be positive".into()));
+            return Err(SionError::InvalidArg(
+                "file-system block size must be positive".into(),
+            ));
         }
         let unit = alignment.unit(fsblksize);
         let rescue_overhead = if rescue { RESCUE_HEADER_LEN } else { 0 };
@@ -119,8 +123,11 @@ impl FileLayout {
             chunk_off.push(acc);
             acc += c;
         }
-        let rescue_overhead =
-            if mb1.flags.contains(SionFlags::RESCUE) { RESCUE_HEADER_LEN } else { 0 };
+        let rescue_overhead = if mb1.flags.contains(SionFlags::RESCUE) {
+            RESCUE_HEADER_LEN
+        } else {
+            0
+        };
         let unit = if mb1.flags.contains(SionFlags::ALIGNED) {
             // The original unit is recoverable only approximately; all
             // address arithmetic uses the stored capacities, so the unit is
@@ -173,9 +180,7 @@ impl FileLayout {
         let end = nblocks
             .checked_mul(self.block_size)
             .and_then(|v| v.checked_add(self.data_start))
-            .ok_or_else(|| {
-                SionError::Format("block extent overflows address arithmetic".into())
-            })?;
+            .ok_or_else(|| SionError::Format("block extent overflows address arithmetic".into()))?;
         if end > file_len {
             return Err(SionError::Format(format!(
                 "metadata claims {nblocks} blocks ending at {end}, but the file has only                  {file_len} bytes"
@@ -209,7 +214,10 @@ impl FileLayout {
         } else {
             occupied.iter().map(|&s| s as f64).sum::<f64>() / occupied.len() as f64
         };
-        SharingStats { max_sharers: max, mean_sharers: mean }
+        SharingStats {
+            max_sharers: max,
+            mean_sharers: mean,
+        }
     }
 
     /// Whether a group boundary *before* local task `t` is FS-block clean:
@@ -355,7 +363,11 @@ mod tests {
         let reqs = vec![16 << 10; 256];
         let l = FileLayout::compute(&reqs, 2 << 20, Alignment::Fixed(16 << 10), false).unwrap();
         let s = l.block_sharing(2 << 20);
-        assert!(s.max_sharers >= 128, "expected heavy sharing, got {}", s.max_sharers);
+        assert!(
+            s.max_sharers >= 128,
+            "expected heavy sharing, got {}",
+            s.max_sharers
+        );
     }
 
     #[test]

@@ -110,9 +110,8 @@ pub mod script;
 mod serial;
 mod stream;
 
+pub use agg::AggStats;
 pub use error::{Result, SionError};
-/// The payload of [`SionError::Compression`].
-pub use szip::SzipError;
 pub use format::SionFlags;
 pub use layout::{Alignment, FileLayout};
 pub use mapping::Mapping;
@@ -120,11 +119,12 @@ pub use par::{
     paropen_read, paropen_read_co, paropen_write, paropen_write_co, CloseStats, SionParReader,
     SionParWriter,
 };
-pub use agg::AggStats;
 pub use serial::{
     ChunkInfo, Locations, Multifile, RankReader, RankWriter, SerialWriter, TaskLocation,
 };
 pub use stream::{IoCounters, DEFAULT_READ_AHEAD, DEFAULT_WRITE_BUFFER};
+/// The payload of [`SionError::Compression`].
+pub use szip::SzipError;
 
 /// How tasks issue their chunk writes in a collective open (two-phase
 /// aggregated I/O goes beyond the paper; DESIGN.md §4f).
@@ -276,7 +276,10 @@ mod tests {
         let p = SionParams::new(1024);
         assert!(p.flags().contains(SionFlags::ALIGNED));
         assert!(!p.flags().contains(SionFlags::COMPRESSED));
-        let p = p.with_alignment(Alignment::None).with_compression().with_rescue();
+        let p = p
+            .with_alignment(Alignment::None)
+            .with_compression()
+            .with_rescue();
         assert!(!p.flags().contains(SionFlags::ALIGNED));
         assert!(p.flags().contains(SionFlags::COMPRESSED));
         assert!(p.flags().contains(SionFlags::RESCUE));

@@ -63,15 +63,22 @@ impl Mapping {
             }
             Mapping::RoundRobin => {
                 let file = rank % nfiles;
-                (file, rank / nfiles, ntasks / nfiles + usize::from(file < ntasks % nfiles))
+                (
+                    file,
+                    rank / nfiles,
+                    ntasks / nfiles + usize::from(file < ntasks % nfiles),
+                )
             }
             Mapping::Grouped(g) => {
                 let g = g.max(1) as usize;
                 let file = (rank / g).min(nfiles - 1);
                 let start = file * g; // <= rank
-                // The last file absorbs every rank beyond its own group.
-                let end =
-                    if file == nfiles - 1 { ntasks } else { ntasks.min(start.saturating_add(g)) };
+                                      // The last file absorbs every rank beyond its own group.
+                let end = if file == nfiles - 1 {
+                    ntasks
+                } else {
+                    ntasks.min(start.saturating_add(g))
+                };
                 (file, rank - start, end - start)
             }
         };
@@ -101,7 +108,6 @@ impl Mapping {
         }
         Ok(())
     }
-
 }
 
 #[cfg(test)]

@@ -151,14 +151,27 @@ fn params_fingerprint(p: &SionParams) -> u64 {
     };
     let (mode, mode_arg) = match p.io_mode {
         IoMode::Independent => (1, 0),
-        IoMode::Aggregated { tasks_per_aggregator } => (2, tasks_per_aggregator as u64),
+        IoMode::Aggregated {
+            tasks_per_aggregator,
+        } => (2, tasks_per_aggregator as u64),
     };
     let flags = p.compressed as u64 | (p.rescue as u64) << 1;
-    [p.nfiles as u64, align, align_arg, map, map_arg, mode, mode_arg, flags]
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h: u64, &field| {
-            (h ^ field).wrapping_mul(0x0000_0100_0000_01B3).rotate_left(29)
-        })
+    [
+        p.nfiles as u64,
+        align,
+        align_arg,
+        map,
+        map_arg,
+        mode,
+        mode_arg,
+        flags,
+    ]
+    .iter()
+    .fold(0xcbf2_9ce4_8422_2325, |h: u64, &field| {
+        (h ^ field)
+            .wrapping_mul(0x0000_0100_0000_01B3)
+            .rotate_left(29)
+    })
 }
 
 /// Statistics returned by [`SionParWriter::close`].
@@ -216,10 +229,11 @@ fn master_open_setup(
     ntasks: usize,
     raw: Vec<Vec<u8>>,
 ) -> Result<GroupSetup> {
-    let records: Vec<OpenRecord> =
-        raw.iter().map(|b| OpenRecord::decode(b)).collect::<Result<_>>()?;
-    let (layout, file) =
-        create_file(vfs, base, params, params.flags(), filenum, ntasks, &records)?;
+    let records: Vec<OpenRecord> = raw
+        .iter()
+        .map(|b| OpenRecord::decode(b))
+        .collect::<Result<_>>()?;
+    let (layout, file) = create_file(vfs, base, params, params.flags(), filenum, ntasks, &records)?;
     // Aggregation election (IoMode::Aggregated): neighborhood starts,
     // snapped to FS-block-clean task boundaries so aggregator extents
     // never share an FS block with another writer. Every scatter part
@@ -228,9 +242,9 @@ fn master_open_setup(
     // own aggregator with an empty neighborhood writes independently.
     let groups = match params.io_mode {
         IoMode::Independent => None,
-        IoMode::Aggregated { tasks_per_aggregator } => {
-            Some(layout.aggregation_groups(tasks_per_aggregator))
-        }
+        IoMode::Aggregated {
+            tasks_per_aggregator,
+        } => Some(layout.aggregation_groups(tasks_per_aggregator)),
     };
     let parts: Vec<Vec<u8>> = (0..layout.ntasks())
         .map(|t| {
@@ -299,11 +313,13 @@ pub async fn paropen_write_co(
     if verdict != AGREE_OK {
         // The task's own validation error is the most precise report.
         local_check?;
-        return Err(SionError::CollectiveMismatch(if verdict == AGREE_PARAM_MISMATCH {
-            "tasks passed different multifile parameters to the collective open".into()
-        } else {
-            "another task's parameters failed local pre-open validation".into()
-        }));
+        return Err(SionError::CollectiveMismatch(
+            if verdict == AGREE_PARAM_MISMATCH {
+                "tasks passed different multifile parameters to the collective open".into()
+            } else {
+                "another task's parameters failed local pre-open validation".into()
+            },
+        ));
     }
 
     // `group_of` is pure and the parameters agree, so every task of a file
@@ -319,10 +335,15 @@ pub async fn paropen_write_co(
     // Single-round metadata exchange: everything the master needs from
     // each task travels in ONE packed gather instead of one sequential
     // collective per field.
-    let record = OpenRecord { chunksize: params.chunksize, grank: grank as u64 };
+    let record = OpenRecord {
+        chunksize: params.chunksize,
+        grank: grank as u64,
+    };
     let gathered = lcom.gather(&record.encode(), 0).await;
     let setup = gathered.map(|raw| master_open_setup(vfs, base, params, filenum, ntasks, raw));
-    let word = setup.as_ref().map(|s| if s.is_ok() { STATUS_OK } else { STATUS_ERR });
+    let word = setup
+        .as_ref()
+        .map(|s| if s.is_ok() { STATUS_OK } else { STATUS_ERR });
     let status = lcom.bcast_u64(word, 0).await;
 
     // Per-file-group phase. Any failure here is captured, not returned:
@@ -368,7 +389,10 @@ pub async fn paropen_write_co(
     // One global reduction closes the open: the all-or-nothing failure
     // agreement across file groups. When it returns clean, every physical
     // file exists and every task holds a handle.
-    let any_failed = gcom.allreduce_u64(group_result.is_err() as u64, ReduceOp::Max).await != 0;
+    let any_failed = gcom
+        .allreduce_u64(group_result.is_err() as u64, ReduceOp::Max)
+        .await
+        != 0;
     let (geom, agg, end, file) = match (any_failed, group_result) {
         (false, Ok(tuple)) => tuple,
         (_, Err(e)) => return Err(e),
@@ -391,7 +415,14 @@ pub async fn paropen_write_co(
         AggRole::Independent
     };
 
-    Ok(SionParWriter { writer, lcom, gcom, filenum, grank, role })
+    Ok(SionParWriter {
+        writer,
+        lcom,
+        gcom,
+        filenum,
+        grank,
+        role,
+    })
 }
 
 /// Decode a write-open scatter part: 7 geometry words plus the aggregation
@@ -551,8 +582,13 @@ impl SionParWriter {
             AggRole::Independent => (self.writer.finish(), AggStats::default()),
             AggRole::Member(mut m) => {
                 let finished = self.writer.finish();
-                m.finish(self.writer.take_frame(false), self.lcom.as_ref()).await;
-                let res = if m.failed && finished.is_ok() { Err(apply_failed()) } else { finished };
+                m.finish(self.writer.take_frame(false), self.lcom.as_ref())
+                    .await;
+                let res = if m.failed && finished.is_ok() {
+                    Err(apply_failed())
+                } else {
+                    finished
+                };
                 (res, m.stats)
             }
             AggRole::Aggregator(mut a) => {
@@ -580,8 +616,10 @@ impl SionParWriter {
         let finalize: Result<()> = match self.lcom.gather(&encoded, 0).await {
             None => Ok(()),
             Some(raw) => (|| {
-                let per_task: Vec<CloseRecord> =
-                    raw.iter().map(|b| CloseRecord::decode(b)).collect::<Result<_>>()?;
+                let per_task: Vec<CloseRecord> = raw
+                    .iter()
+                    .map(|b| CloseRecord::decode(b))
+                    .collect::<Result<_>>()?;
                 if per_task.iter().any(|r| r.status != CloseRecord::STATUS_OK) {
                     return Err(SionError::CollectiveMismatch(
                         "a task failed to flush; metablock 2 not written".into(),
@@ -654,10 +692,15 @@ pub async fn paropen_read_co(
         }
         let parts = mf.rank_map.iter().map(|&(k, lt)| {
             let group_size = mf.files[k as usize].mb1.ntasks_local() as u64;
-            [STATUS_OK, mf.flags().bits(), ((k as u64) << 32) | lt as u64, group_size]
-                .iter()
-                .flat_map(|w| w.to_le_bytes())
-                .collect()
+            [
+                STATUS_OK,
+                mf.flags().bits(),
+                ((k as u64) << 32) | lt as u64,
+                group_size,
+            ]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect()
         });
         Ok(parts.collect())
     });
@@ -666,7 +709,10 @@ pub async fn paropen_read_co(
     // (a lone [STATUS_ERR] on failure) instead of costing a separate round.
     let (parts, failure) = match discovery {
         Some(Ok(parts)) => (Some(parts), None),
-        Some(Err(e)) => (Some(vec![STATUS_ERR.to_le_bytes().to_vec(); ntasks]), Some(e)),
+        Some(Err(e)) => (
+            Some(vec![STATUS_ERR.to_le_bytes().to_vec(); ntasks]),
+            Some(e),
+        ),
         None => (None, None),
     };
     let words: Vec<u64> = comm
@@ -685,7 +731,11 @@ pub async fn paropen_read_co(
     let filenum = (place >> 32) as u32;
 
     let lcom = comm
-        .split_local(filenum as u64, (place & 0xFFFF_FFFF) as usize, group_size as usize)
+        .split_local(
+            filenum as u64,
+            (place & 0xFFFF_FFFF) as usize,
+            group_size as usize,
+        )
         .await;
     let gcom = comm.split_local(0, grank, ntasks).await;
 
@@ -696,8 +746,8 @@ pub async fn paropen_read_co(
         FileView::open(vfs, base, filenum, None).and_then(|fv| {
             (0..fv.layout.ntasks())
                 .map(|t| {
-                    let mut words = ChunkGeom::from_layout(&fv.layout, t, fv.mb1.global_ranks[t])
-                        .encode();
+                    let mut words =
+                        ChunkGeom::from_layout(&fv.layout, t, fv.mb1.global_ranks[t]).encode();
                     words.extend(fv.usage_from_mb2(t)?);
                     Ok(words.iter().flat_map(|w| w.to_le_bytes()).collect())
                 })
@@ -735,7 +785,10 @@ pub async fn paropen_read_co(
     let lcom_stats = lcom.stats();
 
     // All-or-nothing across file groups, as in the write open.
-    let any_failed = gcom.allreduce_u64(group_result.is_err() as u64, ReduceOp::Max).await != 0;
+    let any_failed = gcom
+        .allreduce_u64(group_result.is_err() as u64, ReduceOp::Max)
+        .await
+        != 0;
     let (geom, used, file) = match (any_failed, group_result) {
         (false, Ok(triple)) => triple,
         (_, Err(e)) => return Err(e),

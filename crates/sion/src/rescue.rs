@@ -140,7 +140,9 @@ pub fn repair(vfs: &dyn Vfs, base: &str, force: bool) -> Result<RepairReport> {
         let mb1 = match MetaBlock1::read_from(file.as_ref()) {
             Ok(m) => m,
             Err(e) => {
-                report.problems.push(format!("{name}: metablock 1 unreadable: {e}"));
+                report
+                    .problems
+                    .push(format!("{name}: metablock 1 unreadable: {e}"));
                 continue;
             }
         };
@@ -178,7 +180,9 @@ pub fn repair(vfs: &dyn Vfs, base: &str, force: bool) -> Result<RepairReport> {
                     ));
                     continue;
                 }
-                let Some(h) = RescueHeader::decode(&hdr) else { continue };
+                let Some(h) = RescueHeader::decode(&hdr) else {
+                    continue;
+                };
                 if h.global_rank != mb1.global_ranks[t] || h.block != b {
                     // A header from a different (rank, block) means this spot
                     // is inconsistent with the file's own layout — possibly a
@@ -213,13 +217,12 @@ pub fn repair(vfs: &dyn Vfs, base: &str, force: bool) -> Result<RepairReport> {
         // Same writer as the collective close: metablock 2 + chunk index +
         // v2 trailer in one write, so forced repair of a cleanly closed
         // file is byte-identical to the close it replays.
-        if let Err(e) = crate::format::write_close_metadata(
-            file.as_ref(),
-            layout.mb2_offset(nblocks),
-            &mb2,
-            n,
-        ) {
-            report.problems.push(format!("{name}: cannot write rebuilt metablock 2: {e}"));
+        if let Err(e) =
+            crate::format::write_close_metadata(file.as_ref(), layout.mb2_offset(nblocks), &mb2, n)
+        {
+            report
+                .problems
+                .push(format!("{name}: cannot write rebuilt metablock 2: {e}"));
             continue;
         }
         report.files_repaired += 1;
@@ -233,7 +236,11 @@ mod tests {
 
     #[test]
     fn header_roundtrip() {
-        let h = RescueHeader { global_rank: 42, block: 7, used: 123456 };
+        let h = RescueHeader {
+            global_rank: 42,
+            block: 7,
+            used: 123456,
+        };
         let bytes = h.encode();
         assert_eq!(RescueHeader::decode(&bytes), Some(h));
     }
@@ -246,9 +253,16 @@ mod tests {
 
     #[test]
     fn used_field_offset_matches_encoding() {
-        let h = RescueHeader { global_rank: 1, block: 2, used: 0xABCD };
+        let h = RescueHeader {
+            global_rank: 1,
+            block: 2,
+            used: 0xABCD,
+        };
         let bytes = h.encode();
         let off = RescueHeader::USED_FIELD_OFFSET as usize;
-        assert_eq!(u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()), 0xABCD);
+        assert_eq!(
+            u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()),
+            0xABCD
+        );
     }
 }

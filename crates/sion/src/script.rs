@@ -68,8 +68,13 @@ impl SimSpec {
     /// production layout code.
     pub fn layout(&self) -> FileLayout {
         let reqs = vec![self.chunk_req.max(1); self.ntasks_local() as usize];
-        FileLayout::compute(&reqs, self.real_fsblk, Alignment::Fixed(self.align_unit), false)
-            .expect("valid spec")
+        FileLayout::compute(
+            &reqs,
+            self.real_fsblk,
+            Alignment::Fixed(self.align_unit),
+            false,
+        )
+        .expect("valid spec")
     }
 
     /// Mean number of tasks sharing each real FS block (1.0 when aligned).
@@ -131,7 +136,9 @@ fn open_write_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
     let mut ops = vec![IoOp::Bcast { bytes: WORD }];
     ops.extend(allreduce_word());
     // The file groups form without an exchange; ONE packed metadata gather.
-    ops.push(IoOp::Gather { bytes: OpenRecord::LEN as u64 });
+    ops.push(IoOp::Gather {
+        bytes: OpenRecord::LEN as u64,
+    });
     if master {
         ops.push(IoOp::Create(FileRef::Shared(file)));
         ops.push(IoOp::Write {
@@ -141,8 +148,10 @@ fn open_write_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
         });
     }
     ops.push(IoOp::Bcast { bytes: WORD }); // master status word
-    // Geometry plus the two aggregation words.
-    ops.push(IoOp::Scatter { bytes: GEOM_BYTES + 2 * WORD });
+                                           // Geometry plus the two aggregation words.
+    ops.push(IoOp::Scatter {
+        bytes: GEOM_BYTES + 2 * WORD,
+    });
     if !master {
         ops.push(IoOp::Open(FileRef::Shared(file)));
     }
@@ -154,7 +163,9 @@ fn open_write_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
 /// Ops of the collective close (mirrors `SionParWriter::close_co`): the
 /// packed `CloseRecord` is a status word, a block count and the usage row.
 fn close_ops(spec: &SimSpec, file: u32, master: bool, nblocks: u64) -> Vec<IoOp> {
-    let mut ops = vec![IoOp::Gather { bytes: 2 * WORD + 8 * nblocks }];
+    let mut ops = vec![IoOp::Gather {
+        bytes: 2 * WORD + 8 * nblocks,
+    }];
     if master {
         ops.push(IoOp::Write {
             file: FileRef::Shared(file),
@@ -200,12 +211,21 @@ fn multifile_classes(
     let mut classes = Vec::with_capacity(2 * nfiles as usize);
     for k in 0..nfiles {
         let local = base + if (k as u64) < rem { 1 } else { 0 };
-        classes.push(ScriptClass { count: 1, ops: mk(k, true) });
+        classes.push(ScriptClass {
+            count: 1,
+            ops: mk(k, true),
+        });
         if local > 1 {
-            classes.push(ScriptClass { count: local - 1, ops: mk(k, false) });
+            classes.push(ScriptClass {
+                count: local - 1,
+                ops: mk(k, false),
+            });
         }
     }
-    ScriptSet { ntasks: spec.ntasks, classes }
+    ScriptSet {
+        ntasks: spec.ntasks,
+        classes,
+    }
 }
 
 /// Ops of the collective open in read mode (mirrors
@@ -230,7 +250,9 @@ fn open_read_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
         });
     }
     ops.push(IoOp::Bcast { bytes: WORD }); // master status word
-    ops.push(IoOp::Scatter { bytes: GEOM_BYTES + 8 * spec.nblocks() });
+    ops.push(IoOp::Scatter {
+        bytes: GEOM_BYTES + 8 * spec.nblocks(),
+    });
     if !master {
         ops.push(IoOp::Open(FileRef::Shared(file)));
     }
@@ -244,7 +266,11 @@ pub fn sion_par_write(spec: &SimSpec) -> ScriptSet {
     let (bytes, sharers) = (spec.effective_bytes(), spec.sharers());
     multifile_classes(spec, true, move |file| {
         if bytes > 0 {
-            vec![IoOp::Write { file: FileRef::Shared(file), bytes, sharers }]
+            vec![IoOp::Write {
+                file: FileRef::Shared(file),
+                bytes,
+                sharers,
+            }]
         } else {
             Vec::new()
         }
@@ -256,7 +282,11 @@ pub fn sion_par_read(spec: &SimSpec) -> ScriptSet {
     let (bytes, sharers) = (spec.effective_bytes(), spec.sharers());
     multifile_classes(spec, false, move |file| {
         if bytes > 0 {
-            vec![IoOp::Read { file: FileRef::Shared(file), bytes, sharers }]
+            vec![IoOp::Read {
+                file: FileRef::Shared(file),
+                bytes,
+                sharers,
+            }]
         } else {
             Vec::new()
         }
@@ -276,7 +306,10 @@ pub fn sion_create(spec: &SimSpec) -> ScriptSet {
 pub fn task_local_create(ntasks: u64) -> ScriptSet {
     ScriptSet {
         ntasks,
-        classes: vec![ScriptClass { count: ntasks, ops: vec![IoOp::Create(FileRef::Own)] }],
+        classes: vec![ScriptClass {
+            count: ntasks,
+            ops: vec![IoOp::Create(FileRef::Own)],
+        }],
     }
 }
 
@@ -285,7 +318,10 @@ pub fn task_local_create(ntasks: u64) -> ScriptSet {
 pub fn task_local_open(ntasks: u64) -> ScriptSet {
     ScriptSet {
         ntasks,
-        classes: vec![ScriptClass { count: ntasks, ops: vec![IoOp::Open(FileRef::Own)] }],
+        classes: vec![ScriptClass {
+            count: ntasks,
+            ops: vec![IoOp::Open(FileRef::Own)],
+        }],
     }
 }
 
@@ -328,11 +364,7 @@ pub fn task_local_read(ntasks: u64, bytes_per_task: u64, real_fsblk: u64) -> Scr
 /// The single-file-sequential baseline (paper §1; MP2C's original
 /// checkpoint path): a designated I/O task gathers all data in
 /// buffer-limited rounds and writes it serially to one file.
-pub fn single_file_seq_write(
-    ntasks: u64,
-    bytes_per_task: u64,
-    master_buffer: u64,
-) -> ScriptSet {
+pub fn single_file_seq_write(ntasks: u64, bytes_per_task: u64, master_buffer: u64) -> ScriptSet {
     let total = ntasks * bytes_per_task;
     let rounds = total.div_ceil(master_buffer).max(1);
     let per_round = bytes_per_task.div_ceil(rounds);
@@ -352,8 +384,14 @@ pub fn single_file_seq_write(
     ScriptSet {
         ntasks,
         classes: vec![
-            ScriptClass { count: 1, ops: master },
-            ScriptClass { count: ntasks - 1, ops: worker },
+            ScriptClass {
+                count: 1,
+                ops: master,
+            },
+            ScriptClass {
+                count: ntasks - 1,
+                ops: worker,
+            },
         ],
     }
 }
@@ -380,8 +418,14 @@ pub fn single_file_seq_read(ntasks: u64, bytes_per_task: u64, master_buffer: u64
     ScriptSet {
         ntasks,
         classes: vec![
-            ScriptClass { count: 1, ops: master },
-            ScriptClass { count: ntasks - 1, ops: worker },
+            ScriptClass {
+                count: 1,
+                ops: master,
+            },
+            ScriptClass {
+                count: ntasks - 1,
+                ops: worker,
+            },
         ],
     }
 }
@@ -447,7 +491,11 @@ mod tests {
             .classes
             .iter()
             .map(|c| {
-                c.count * c.ops.iter().filter(|o| matches!(o, IoOp::Create(_))).count() as u64
+                c.count
+                    * c.ops
+                        .iter()
+                        .filter(|o| matches!(o, IoOp::Create(_)))
+                        .count() as u64
             })
             .sum();
         assert_eq!(creates, 8);
@@ -473,7 +521,11 @@ mod tests {
         // 1000 tasks x 1 MB = 1 GB total with a 256 MB buffer: 4 rounds.
         let wl = single_file_seq_write(1000, 1 << 20, 256 << 20);
         let master = &wl.classes[0];
-        let gathers = master.ops.iter().filter(|o| matches!(o, IoOp::Gather { .. })).count();
+        let gathers = master
+            .ops
+            .iter()
+            .filter(|o| matches!(o, IoOp::Gather { .. }))
+            .count();
         assert_eq!(gathers, 4);
         // Total written equals (rounded-up) total data.
         assert!(wl.total_write_bytes() >= 1000 * (1 << 20));

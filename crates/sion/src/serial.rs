@@ -124,7 +124,11 @@ impl Locations {
     /// previously filtered `used > 0`, silently hiding a trailing all-zero
     /// block and disagreeing with the on-disk block count.)
     pub fn max_blocks(&self) -> u64 {
-        self.tasks.iter().map(|t| t.chunks.len() as u64).max().unwrap_or(0)
+        self.tasks
+            .iter()
+            .map(|t| t.chunks.len() as u64)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -179,7 +183,15 @@ impl FileView {
         let index = trailer.index.filter(|&idx| {
             ChunkIndex::validate_header(handle.as_ref(), idx, nblocks, mb1.ntasks_local()).is_ok()
         });
-        Ok(FileView { handle, mb1, layout, trailer, nblocks, index, mb2: Mutex::new(None) })
+        Ok(FileView {
+            handle,
+            mb1,
+            layout,
+            trailer,
+            nblocks,
+            index,
+            mb2: Mutex::new(None),
+        })
     }
 
     /// The file's full metablock 2, materialized at most once (the linear
@@ -289,7 +301,10 @@ pub(crate) fn finalize_file(writer: &TaskWriter, rows: &[&[u64]]) -> Result<()> 
             used[b * n + lt] = u;
         }
     }
-    let mb2 = MetaBlock2 { nblocks: nblocks as u64, used };
+    let mb2 = MetaBlock2 {
+        nblocks: nblocks as u64,
+        used,
+    };
     write_close_metadata(writer.file(), writer.mb2_offset(mb2.nblocks), &mb2, n)
 }
 
@@ -390,7 +405,10 @@ impl Multifile {
             flags: files[0].mb1.flags,
             files,
             rank_map,
-            cache: Mutex::new(LocationCache { stamp: 0, entries: HashMap::new() }),
+            cache: Mutex::new(LocationCache {
+                stamp: 0,
+                entries: HashMap::new(),
+            }),
             all: Mutex::new(None),
         })
     }
@@ -434,13 +452,21 @@ impl Multifile {
         if rank >= self.ntasks {
             return Err(SionError::InvalidArg(format!("rank {rank} out of range")));
         }
-        if let Some(hit) = self.cache.lock().expect("location cache poisoned").get(rank) {
+        if let Some(hit) = self
+            .cache
+            .lock()
+            .expect("location cache poisoned")
+            .get(rank)
+        {
             return Ok(hit);
         }
         let (k, lt) = self.rank_map[rank];
         let usage = self.files[k as usize].usage(lt as usize)?;
         let loc = Arc::new(self.build_location(rank, &usage));
-        self.cache.lock().expect("location cache poisoned").insert(rank, loc.clone());
+        self.cache
+            .lock()
+            .expect("location cache poisoned")
+            .insert(rank, loc.clone());
         Ok(loc)
     }
 
@@ -555,7 +581,13 @@ impl Multifile {
         let geom = ChunkGeom::from_layout(&fv.layout, t.ltask, t.global_rank as u64);
         let used: Vec<u64> = t.chunks.iter().map(|c| c.used).collect();
         RankReader {
-            inner: TaskReader::new(fv.handle.clone(), geom, used, compressed, DEFAULT_READ_AHEAD),
+            inner: TaskReader::new(
+                fv.handle.clone(),
+                geom,
+                used,
+                compressed,
+                DEFAULT_READ_AHEAD,
+            ),
         }
     }
 
@@ -564,7 +596,8 @@ impl Multifile {
         let t = self.location(rank)?;
         // Exact for a plain stream, a floor for a compressed one.
         let mut out = Vec::with_capacity(t.stored_bytes as usize);
-        self.reader_at(&t).scan_remaining(&mut |run| out.extend_from_slice(run))?;
+        self.reader_at(&t)
+            .scan_remaining(&mut |run| out.extend_from_slice(run))?;
         Ok(out)
     }
 }
@@ -673,18 +706,28 @@ impl SerialWriter {
         for (k, ranks) in per_file.iter().enumerate() {
             let tasks: Vec<OpenRecord> = ranks
                 .iter()
-                .map(|&r| OpenRecord { chunksize: chunksizes[r], grank: r as u64 })
+                .map(|&r| OpenRecord {
+                    chunksize: chunksizes[r],
+                    grank: r as u64,
+                })
                 .collect();
             let (layout, file) =
                 create_file(vfs, base, params, stored_flags, k as u32, ntasks, &tasks)?;
             for (lt, &r) in ranks.iter().enumerate() {
                 let geom = ChunkGeom::from_layout(&layout, lt, r as u64);
-                writers[r] =
-                    Some(TaskWriter::new(file.clone(), geom, params.compressed, params.write_buffer));
+                writers[r] = Some(TaskWriter::new(
+                    file.clone(),
+                    geom,
+                    params.compressed,
+                    params.write_buffer,
+                ));
             }
         }
         Ok(SerialWriter {
-            writers: writers.into_iter().map(|w| w.expect("every rank assigned")).collect(),
+            writers: writers
+                .into_iter()
+                .map(|w| w.expect("every rank assigned"))
+                .collect(),
             per_file,
             cur: 0,
             ntasks,
@@ -734,7 +777,10 @@ impl SerialWriter {
     /// once. Every physical file's head is already written and its tail
     /// waits for [`close`](Self::close), on the calling thread.
     pub fn rank_writers(&mut self) -> Vec<RankWriter<'_>> {
-        self.writers.iter_mut().map(|inner| RankWriter { inner }).collect()
+        self.writers
+            .iter_mut()
+            .map(|inner| RankWriter { inner })
+            .collect()
     }
 
     /// Push every rank's buffered data (and rescue headers) to the VFS.
@@ -813,8 +859,10 @@ mod tests {
         let mf = Multifile::open(&fs, "lines.sion").unwrap();
         // Standard io::BufRead line iteration over a logical file.
         let reader = BufReader::new(mf.rank_reader(1).unwrap());
-        let nums: Vec<u32> =
-            reader.lines().map(|l| l.unwrap().parse().unwrap()).collect();
+        let nums: Vec<u32> = reader
+            .lines()
+            .map(|l| l.unwrap().parse().unwrap())
+            .collect();
         assert_eq!(nums, (0..50).collect::<Vec<_>>());
     }
 }

@@ -400,7 +400,9 @@ impl TaskWriter {
     /// any (a 64 B record rarely completes one), and hand the buffer back
     /// so the encoder does not regrow one for every frame.
     fn forward_frames(&mut self) -> Result<()> {
-        let Some(enc) = self.enc.as_mut() else { return Ok(()) };
+        let Some(enc) = self.enc.as_mut() else {
+            return Ok(());
+        };
         let stored = enc.take_output();
         if stored.is_empty() {
             return Ok(());
@@ -506,8 +508,7 @@ impl TaskWriter {
             // First touch of the chunk with the data run starting right
             // after the header slot: the header rides along as the leading
             // slice.
-            let lead_header =
-                !self.entered[b] && self.geom.rescue_overhead > 0 && self.off == 0;
+            let lead_header = !self.entered[b] && self.geom.rescue_overhead > 0 && self.off == 0;
             if !lead_header {
                 self.enter_chunk()?;
             }
@@ -611,7 +612,10 @@ impl TaskWriter {
     fn submit(&mut self, slices: &[IoSlice<'_>], at: u64, how: Submit<'_>) -> Result<()> {
         self.issue(slices, at, how)?;
         if self.ship_cap.is_some() {
-            debug_assert!(self.staged().is_empty(), "an extent recorded behind a staged run");
+            debug_assert!(
+                self.staged().is_empty(),
+                "an extent recorded behind a staged run"
+            );
             agg::push_extent(&mut self.wbuf, at, slices);
             self.run = self.wbuf.len();
         }
@@ -1129,12 +1133,7 @@ mod tests {
         (fs, layout)
     }
 
-    fn writer(
-        fs: &MemFs,
-        layout: &FileLayout,
-        ltask: usize,
-        compressed: bool,
-    ) -> TaskWriter {
+    fn writer(fs: &MemFs, layout: &FileLayout, ltask: usize, compressed: bool) -> TaskWriter {
         writer_buffered(fs, layout, ltask, compressed, DEFAULT_WRITE_BUFFER)
     }
 
@@ -1145,7 +1144,11 @@ mod tests {
         compressed: bool,
         write_buffer: u64,
     ) -> TaskWriter {
-        let file = if fs.exists("f") { fs.open_rw("f").unwrap() } else { fs.create("f").unwrap() };
+        let file = if fs.exists("f") {
+            fs.open_rw("f").unwrap()
+        } else {
+            fs.create("f").unwrap()
+        };
         TaskWriter::new(
             file,
             ChunkGeom::from_layout(layout, ltask, ltask as u64),
@@ -1228,7 +1231,10 @@ mod tests {
         let mut w = writer(&fs, &layout, 0, false);
         assert!(matches!(
             w.ensure_free_space(101),
-            Err(SionError::PieceTooLarge { requested: 101, capacity: 100 })
+            Err(SionError::PieceTooLarge {
+                requested: 101,
+                capacity: 100
+            })
         ));
         // But the splitting write handles it fine.
         w.write(&[9u8; 350]).unwrap();
@@ -1275,7 +1281,11 @@ mod tests {
         w.write(&data).unwrap();
         let used = w.finish().unwrap();
         let stored: u64 = used.iter().sum();
-        assert!(stored < data.len() as u64 / 2, "stored {stored} of {}", data.len());
+        assert!(
+            stored < data.len() as u64 / 2,
+            "stored {stored} of {}",
+            data.len()
+        );
 
         let file = fs.open("f").unwrap();
         let mut r = reader(file, ChunkGeom::from_layout(&layout, 0, 0), used, true);
@@ -1305,7 +1315,8 @@ mod tests {
         let file = fs.open("f").unwrap();
         for (b, &u) in used.iter().enumerate() {
             let mut hdr = [0u8; RESCUE_HEADER_LEN as usize];
-            file.read_exact_at(&mut hdr, layout.chunk_start(0, b as u64)).unwrap();
+            file.read_exact_at(&mut hdr, layout.chunk_start(0, b as u64))
+                .unwrap();
             let h = RescueHeader::decode(&hdr).unwrap();
             assert_eq!(h.global_rank, 0);
             assert_eq!(h.block, b as u64);
@@ -1428,11 +1439,13 @@ mod tests {
         // patches happen at flush points, not per put.
         let file = fs.open("f").unwrap();
         let mut hdr = [0u8; RESCUE_HEADER_LEN as usize];
-        file.read_exact_at(&mut hdr, layout.chunk_start(0, 0)).unwrap();
+        file.read_exact_at(&mut hdr, layout.chunk_start(0, 0))
+            .unwrap();
         assert_eq!(RescueHeader::decode(&hdr).unwrap().used, 0);
 
         w.flush().unwrap();
-        file.read_exact_at(&mut hdr, layout.chunk_start(0, 0)).unwrap();
+        file.read_exact_at(&mut hdr, layout.chunk_start(0, 0))
+            .unwrap();
         assert_eq!(RescueHeader::decode(&hdr).unwrap().used, 100);
         assert_eq!(w.io_counters().rescue_patches, 1);
 
@@ -1510,7 +1523,10 @@ mod tests {
             assert_eq!(c.vectored_writes, n_large, "{c:?}");
             assert_eq!(c.vfs_calls, n_large, "{c:?}");
             assert_eq!(c.vfs_bytes, total);
-            assert_eq!(c.bytes_copied, small as u64, "only the small record was staged: {c:?}");
+            assert_eq!(
+                c.bytes_copied, small as u64,
+                "only the small record was staged: {c:?}"
+            );
             let used = w.finish().unwrap();
             assert_eq!(used, vec![total]);
             let mut r = reader(
@@ -1543,20 +1559,32 @@ mod tests {
         assert_eq!(c.vfs_calls, 1, "header was not a separate write: {c:?}");
         assert_eq!(c.vfs_bytes, RESCUE_HEADER_LEN + usable);
         // ... logged as ONE extent at the chunk start: the slices end to end.
-        let header = RescueHeader { global_rank: 0, block: 0, used: 0 }.encode();
+        let header = RescueHeader {
+            global_rank: 0,
+            block: 0,
+            used: 0,
+        }
+        .encode();
         let submitted = [&header[..], &vec![9u8; usable as usize]].concat();
-        assert_eq!(extents(&w), vec![(layout.chunk_start(0, 0), submitted.clone())]);
+        assert_eq!(
+            extents(&w),
+            vec![(layout.chunk_start(0, 0), submitted.clone())]
+        );
         let used = w.finish().unwrap();
         assert_eq!(used, vec![usable]);
         // The later `used` patch is a second, 8-byte extent.
         let patch_at = layout.chunk_start(0, 0) + RescueHeader::USED_FIELD_OFFSET;
         assert_eq!(
             extents(&w),
-            vec![(layout.chunk_start(0, 0), submitted), (patch_at, usable.to_le_bytes().to_vec())]
+            vec![
+                (layout.chunk_start(0, 0), submitted),
+                (patch_at, usable.to_le_bytes().to_vec())
+            ]
         );
         let file = fs.open("f").unwrap();
         let mut hdr = [0u8; RESCUE_HEADER_LEN as usize];
-        file.read_exact_at(&mut hdr, layout.chunk_start(0, 0)).unwrap();
+        file.read_exact_at(&mut hdr, layout.chunk_start(0, 0))
+            .unwrap();
         let h = RescueHeader::decode(&hdr).unwrap();
         assert_eq!((h.global_rank, h.block, h.used), (0, 0, usable));
     }
@@ -1590,8 +1618,8 @@ mod tests {
             for (write_buffer, records) in &cases {
                 let (fs, layout) = setup(&[2000], Alignment::FsBlock, rescue);
                 let ship_cap = *write_buffer as usize;
-                let mut w = writer_buffered(&fs, &layout, 0, false, *write_buffer)
-                    .into_member(ship_cap);
+                let mut w =
+                    writer_buffered(&fs, &layout, 0, false, *write_buffer).into_member(ship_cap);
                 let m = agg::MemberState::new(0, ship_cap);
                 let file = fs.open("f").unwrap();
                 let contents = || {
@@ -1624,7 +1652,11 @@ mod tests {
                 assert_eq!(apply(w.take_frame(false)), contents(), "{write_buffer}");
                 let c = w.io_counters();
                 assert!(frames > 2, "{write_buffer}: {frames} frames");
-                assert_eq!((extents, bytes), (c.vfs_calls, c.vfs_bytes), "one extent per write");
+                assert_eq!(
+                    (extents, bytes),
+                    (c.vfs_calls, c.vfs_bytes),
+                    "one extent per write"
+                );
                 // A member's counters are an independent writer's.
                 let (fs, layout) = setup(&[2000], Alignment::FsBlock, rescue);
                 let mut plain = writer_buffered(&fs, &layout, 0, false, *write_buffer);
@@ -1682,7 +1714,9 @@ mod tests {
             false,
         );
         let mut back = Vec::new();
-        let n = r.scan_remaining(&mut |piece| back.extend_from_slice(piece)).unwrap();
+        let n = r
+            .scan_remaining(&mut |piece| back.extend_from_slice(piece))
+            .unwrap();
         assert_eq!(n, 4096);
         assert_eq!(back, data);
         let c = r.io_counters();
@@ -1811,17 +1845,26 @@ mod tests {
         let (fs, layout) = setup(&[3000], Alignment::None, false);
         let used = write(&fs, &layout, &data);
         let stored: u64 = used.iter().sum();
-        assert!(used.len() == 1 && layout.data_start + stored < 4096, "{used:?}");
+        assert!(
+            used.len() == 1 && layout.data_start + stored < 4096,
+            "{used:?}"
+        );
         let geom = ChunkGeom::from_layout(&layout, 0, 0);
         let mut r = reader(fs.open("f").unwrap(), geom, used.clone(), true);
         let mut back = Vec::new();
-        let n = r.scan_remaining(&mut |frame| back.extend_from_slice(frame)).unwrap();
+        let n = r
+            .scan_remaining(&mut |frame| back.extend_from_slice(frame))
+            .unwrap();
         assert_eq!((n, &back), (data.len() as u64, &data));
         let c = r.io_counters();
         assert_eq!((c.bytes_copied, c.allocs), (0, 0), "{c:?}");
         assert_eq!((c.vfs_calls, c.vfs_bytes), (1, stored), "{c:?}");
         assert!(r.feof());
-        assert_eq!(r.scan_remaining(&mut |_| panic!("nothing is left")).unwrap(), 0);
+        assert_eq!(
+            r.scan_remaining(&mut |_| panic!("nothing is left"))
+                .unwrap(),
+            0
+        );
 
         // `read` pays for the copy to the caller, and says so.
         let mut r = reader(fs.open("f").unwrap(), geom, used, true);
@@ -1830,7 +1873,8 @@ mod tests {
         assert_eq!(r.io_counters().bytes_copied, 1000);
         // A scan picks up in the middle of the frame `read` left.
         let mut rest = Vec::new();
-        r.scan_remaining(&mut |frame| rest.extend_from_slice(frame)).unwrap();
+        r.scan_remaining(&mut |frame| rest.extend_from_slice(frame))
+            .unwrap();
         assert_eq!([head, rest].concat(), data);
         assert_eq!(r.io_counters().bytes_copied, 1000);
 
@@ -1839,7 +1883,9 @@ mod tests {
         // decoder, of a frame that straddles two runs — every stored byte
         // where a chunk is smaller than a frame, fewer where a chunk holds
         // whole frames inside one page.
-        let data: Vec<u8> = (0..160_000u32).flat_map(|i| (i / 5 % 300).to_le_bytes()).collect();
+        let data: Vec<u8> = (0..160_000u32)
+            .flat_map(|i| (i / 5 % 300).to_le_bytes())
+            .collect();
         for chunk in [256u64, 8192] {
             let (fs, layout) = setup(&[chunk], Alignment::FsBlock, false);
             let used = write(&fs, &layout, &data);
@@ -1848,12 +1894,17 @@ mod tests {
             let geom = ChunkGeom::from_layout(&layout, 0, 0);
             let mut r = reader(fs.open("f").unwrap(), geom, used.clone(), true);
             let mut back = Vec::new();
-            r.scan_remaining(&mut |frame| back.extend_from_slice(frame)).unwrap();
+            r.scan_remaining(&mut |frame| back.extend_from_slice(frame))
+                .unwrap();
             assert!(back == data);
             let c = r.io_counters();
             assert_eq!(c.allocs, 0, "{c:?}");
             if chunk == 256 {
-                assert_eq!((c.vfs_calls, c.bytes_copied), (used.len() as u64, stored), "{c:?}");
+                assert_eq!(
+                    (c.vfs_calls, c.bytes_copied),
+                    (used.len() as u64, stored),
+                    "{c:?}"
+                );
             } else {
                 let pages: u64 = (0u64..)
                     .zip(&used)
@@ -1889,7 +1940,8 @@ mod tests {
             let mut back = vec![0u8; data.len()];
             if scan {
                 back.clear();
-                r.scan_remaining(&mut |run| back.extend_from_slice(run)).unwrap();
+                r.scan_remaining(&mut |run| back.extend_from_slice(run))
+                    .unwrap();
             } else {
                 for record in back.chunks_mut(4096) {
                     r.read_exact(record).unwrap();
@@ -1898,7 +1950,11 @@ mod tests {
             assert!(back == data, "scan {scan}");
             let c = r.io_counters();
             assert_eq!(c.vfs_calls, 5, "scan {scan}: one lease per FS block: {c:?}");
-            assert_eq!(c.bytes_copied, if scan { 0 } else { data.len() as u64 }, "{c:?}");
+            assert_eq!(
+                c.bytes_copied,
+                if scan { 0 } else { data.len() as u64 },
+                "{c:?}"
+            );
         }
     }
 
@@ -1912,12 +1968,12 @@ mod tests {
         let first = b"the first frame is whole. ".repeat(30);
         w.write(&first).unwrap();
         w.flush().unwrap();
-        w.write(&b"the second frame will be cut short. ".repeat(30)).unwrap();
+        w.write(&b"the second frame will be cut short. ".repeat(30))
+            .unwrap();
         let used = w.finish().unwrap();
         let cut = vec![used[0] - 5];
-        let truncated = |r: Result<usize>| {
-            matches!(r, Err(SionError::Compression(szip::SzipError::Truncated)))
-        };
+        let truncated =
+            |r: Result<usize>| matches!(r, Err(SionError::Compression(szip::SzipError::Truncated)));
 
         let geom = ChunkGeom::from_layout(&layout, 0, 0);
         let mut r = reader(fs.open("f").unwrap(), geom, cut.clone(), true);
@@ -1927,7 +1983,10 @@ mod tests {
         assert_eq!(buf[..first.len()], first[..]);
         assert!(truncated(r.read(&mut buf)));
         assert!(truncated(r.read(&mut buf)));
-        assert!(truncated(r.scan_remaining(&mut |_| panic!("no frame is left")).map(|n| n as usize)));
+        assert!(truncated(
+            r.scan_remaining(&mut |_| panic!("no frame is left"))
+                .map(|n| n as usize)
+        ));
 
         let mut r = reader(fs.open("f").unwrap(), geom, cut, true);
         let mut seen = Vec::new();

@@ -14,7 +14,9 @@ use vfs::{AccessKind, AccessSink, BlockGuard, FileAccess, MemFs, TapFs, Vfs};
 
 /// Deterministic per-rank payload.
 fn payload(rank: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8)
+        .collect()
 }
 
 /// Read back every physical file under `prefix` as raw bytes.
@@ -70,7 +72,11 @@ fn run_mode(
     // Whatever the transport, the data must round-trip.
     let mf = Multifile::open(&fs, "agg/m.sion").unwrap();
     for rank in 0..ntasks {
-        assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, bytes_per_task), "rank {rank}");
+        assert_eq!(
+            mf.read_rank(rank).unwrap(),
+            payload(rank, bytes_per_task),
+            "rank {rank}"
+        );
     }
     dump(&fs, "")
 }
@@ -79,7 +85,13 @@ fn run_mode(
 fn aggregated_bytes_identical_to_independent_across_layout_families() {
     // (name, params, ntasks, bytes/task, tasks_per_aggregator)
     let families: Vec<(&str, SionParams, usize, usize, usize)> = vec![
-        ("aligned", SionParams::new(4096).with_nfiles(2), 32, 9_000, 4),
+        (
+            "aligned",
+            SionParams::new(4096).with_nfiles(2),
+            32,
+            9_000,
+            4,
+        ),
         (
             "unaligned",
             SionParams::new(1000).with_alignment(Alignment::None),
@@ -89,7 +101,9 @@ fn aggregated_bytes_identical_to_independent_across_layout_families() {
         ),
         (
             "fixed+rescue",
-            SionParams::new(2000).with_alignment(Alignment::Fixed(2048)).with_rescue(),
+            SionParams::new(2000)
+                .with_alignment(Alignment::Fixed(2048))
+                .with_rescue(),
             24,
             5_000,
             8,
@@ -106,11 +120,16 @@ fn aggregated_bytes_identical_to_independent_across_layout_families() {
         let independent = run_mode(&params, IoMode::Independent, ntasks, bytes);
         let aggregated = run_mode(
             &params,
-            IoMode::Aggregated { tasks_per_aggregator: tpa },
+            IoMode::Aggregated {
+                tasks_per_aggregator: tpa,
+            },
             ntasks,
             bytes,
         );
-        assert_eq!(aggregated, independent, "family {name}: on-disk bytes must not depend on the transport");
+        assert_eq!(
+            aggregated, independent,
+            "family {name}: on-disk bytes must not depend on the transport"
+        );
     }
 }
 
@@ -120,7 +139,9 @@ fn all_three_runtimes_produce_identical_aggregated_multifiles() {
     let bytes_per_task = 5_000;
     let params = SionParams::new(2048)
         .with_nfiles(2)
-        .with_io_mode(IoMode::Aggregated { tasks_per_aggregator: 4 });
+        .with_io_mode(IoMode::Aggregated {
+            tasks_per_aggregator: 4,
+        });
 
     let fs_world = MemFs::with_block_size(4096);
     World::run(ntasks, |c| {
@@ -156,8 +177,9 @@ fn shipment_stats_account_for_every_frame() {
     // 16 aligned tasks, one file, neighborhoods of 4: the election is
     // deterministic — aggregators are exactly ranks 0, 4, 8, 12.
     let ntasks = 16;
-    let params = SionParams::new(4096)
-        .with_io_mode(IoMode::Aggregated { tasks_per_aggregator: 4 });
+    let params = SionParams::new(4096).with_io_mode(IoMode::Aggregated {
+        tasks_per_aggregator: 4,
+    });
     let fs = MemFs::with_block_size(4096);
     let stats: Vec<sion::CloseStats> = World::run(ntasks, |c| {
         let data = payload(c.rank(), 6_000);
@@ -185,22 +207,37 @@ fn shipment_stats_account_for_every_frame() {
     for (rank, s) in stats.iter().enumerate() {
         assert_eq!(s.user_bytes, 6_100, "rank {rank}");
         let a = s.agg;
-        assert_eq!(a.shipments, a.acked_shipments, "rank {rank}: close drains every frame: {a:?}");
+        assert_eq!(
+            a.shipments, a.acked_shipments,
+            "rank {rank}: close drains every frame: {a:?}"
+        );
         assert_eq!(a.shipped_bytes, a.acked_bytes, "rank {rank}: {a:?}");
         if is_aggregator(rank) {
             // Each aggregator serves 3 members; every member ships at
             // least HELLO/data and FINISH frames.
-            assert!(a.shipments >= 3, "rank {rank} received too few frames: {a:?}");
+            assert!(
+                a.shipments >= 3,
+                "rank {rank} received too few frames: {a:?}"
+            );
             received.0 += a.shipments;
             received.1 += a.shipped_bytes;
         } else {
-            assert!(a.shipments >= 2, "rank {rank} shipped too few frames: {a:?}");
-            assert!(a.shipped_bytes > 6_000, "rank {rank} ships its payload: {a:?}");
+            assert!(
+                a.shipments >= 2,
+                "rank {rank} shipped too few frames: {a:?}"
+            );
+            assert!(
+                a.shipped_bytes > 6_000,
+                "rank {rank} ships its payload: {a:?}"
+            );
             shipped.0 += a.shipments;
             shipped.1 += a.shipped_bytes;
         }
     }
-    assert_eq!(shipped, received, "every shipped frame is received and acked exactly once");
+    assert_eq!(
+        shipped, received,
+        "every shipped frame is received and acked exactly once"
+    );
 }
 
 #[test]
@@ -226,8 +263,13 @@ fn compressed_members_compress_once_and_ship_stored_bytes() {
         (stats, dump(&fs, ""))
     };
     let (independent_stats, independent) = run(IoMode::Independent);
-    let (stats, aggregated) = run(IoMode::Aggregated { tasks_per_aggregator: 4 });
-    assert_eq!(aggregated, independent, "compressing on the member must not change the file");
+    let (stats, aggregated) = run(IoMode::Aggregated {
+        tasks_per_aggregator: 4,
+    });
+    assert_eq!(
+        aggregated, independent,
+        "compressing on the member must not change the file"
+    );
     for (rank, s) in stats.iter().enumerate() {
         assert_eq!(s.user_bytes, bytes_per_task as u64, "rank {rank}");
         // The member's accounting is the independent run's, field for field.
@@ -279,7 +321,10 @@ fn aggregators_apply_their_members_writes_extent_for_extent() {
     // chunk boundary), one explicit flush. Records stay below the buffer
     // size: a vectored submit would reach the taps one slice at a time.
     let ntasks = 8;
-    let params = SionParams::new(4096).with_nfiles(2).with_rescue().with_write_buffer(1024);
+    let params = SionParams::new(4096)
+        .with_nfiles(2)
+        .with_rescue()
+        .with_write_buffer(1024);
     let workload = |w: &mut sion::SionParWriter, rank: usize| {
         for i in 0..8 {
             w.write(&record(rank, i, 700)).unwrap();
@@ -301,7 +346,9 @@ fn aggregators_apply_their_members_writes_extent_for_extent() {
         (log, mem)
     };
     let (independent, _) = run(IoMode::Independent);
-    let (log, mem) = run(IoMode::Aggregated { tasks_per_aggregator: 4 });
+    let (log, mem) = run(IoMode::Aggregated {
+        tasks_per_aggregator: 4,
+    });
 
     let mf = Multifile::open(mem.as_ref(), "x.sion").unwrap();
     let loc = mf.locations().unwrap();
@@ -309,14 +356,19 @@ fn aggregators_apply_their_members_writes_extent_for_extent() {
     let chunks = |rank: usize| {
         let t = &loc.tasks[rank];
         let header = t.capacity - t.usable;
-        t.chunks.iter().map(move |c| (c.offset - header, c.offset - header + t.capacity))
+        t.chunks
+            .iter()
+            .map(move |c| (c.offset - header, c.offset - header + t.capacity))
     };
     let inside = |rank: usize, (_, offset, len): &(String, u64, u64)| {
         chunks(rank).any(|(start, end)| *offset >= start && offset + len <= end)
     };
     for agg in [0, 4] {
         let physical = log.extents(AccessKind::Write, agg);
-        assert!(log.extents(AccessKind::ShadowWrite, agg).is_empty(), "aggregator {agg}");
+        assert!(
+            log.extents(AccessKind::ShadowWrite, agg).is_empty(),
+            "aggregator {agg}"
+        );
         let mut accounted = physical.iter().filter(|e| inside(agg, e)).count();
         for member in agg + 1..agg + 4 {
             assert!(
@@ -327,8 +379,11 @@ fn aggregators_apply_their_members_writes_extent_for_extent() {
             assert!(shadow.len() >= 8, "member {member}: {shadow:?}");
             // Every write the member's engine issued, applied once, as
             // issued, in the order issued, under the aggregator's label ...
-            let applied: Vec<_> =
-                physical.iter().filter(|e| inside(member, e)).cloned().collect();
+            let applied: Vec<_> = physical
+                .iter()
+                .filter(|e| inside(member, e))
+                .cloned()
+                .collect();
             assert_eq!(applied, shadow, "member {member} via aggregator {agg}");
             // ... and those are the writes an independent task issues.
             assert_eq!(
@@ -341,12 +396,20 @@ fn aggregators_apply_their_members_writes_extent_for_extent() {
         // What is left is the metadata the file master writes around the
         // data blocks — nothing lands in any other task's chunk.
         let data_start = chunks(agg).map(|(start, _)| start).min().unwrap();
-        let data_end = (agg..agg + 4).flat_map(chunks).map(|(_, end)| end).max().unwrap();
+        let data_end = (agg..agg + 4)
+            .flat_map(chunks)
+            .map(|(_, end)| end)
+            .max()
+            .unwrap();
         let metadata = physical
             .iter()
             .filter(|(_, offset, len)| offset + len <= data_start || *offset >= data_end)
             .count();
-        assert_eq!(accounted + metadata, physical.len(), "aggregator {agg}: {physical:?}");
+        assert_eq!(
+            accounted + metadata,
+            physical.len(),
+            "aggregator {agg}: {physical:?}"
+        );
     }
 }
 
@@ -360,7 +423,9 @@ fn aggregators_never_share_an_fs_block() {
         (
             SionParams::new(4096)
                 .with_nfiles(2)
-                .with_io_mode(IoMode::Aggregated { tasks_per_aggregator: 4 }),
+                .with_io_mode(IoMode::Aggregated {
+                    tasks_per_aggregator: 4,
+                }),
             32,
         ),
         // Unaligned: no clean internal boundary, so each file group
@@ -368,7 +433,9 @@ fn aggregators_never_share_an_fs_block() {
         (
             SionParams::new(1024)
                 .with_alignment(Alignment::None)
-                .with_io_mode(IoMode::Aggregated { tasks_per_aggregator: 2 }),
+                .with_io_mode(IoMode::Aggregated {
+                    tasks_per_aggregator: 2,
+                }),
             12,
         ),
     ] {
@@ -390,7 +457,9 @@ fn aggregated_rescue_files_verify_and_force_repair_byte_identically() {
     let params = SionParams::new(3000)
         .with_nfiles(2)
         .with_rescue()
-        .with_io_mode(IoMode::Aggregated { tasks_per_aggregator: 4 });
+        .with_io_mode(IoMode::Aggregated {
+            tasks_per_aggregator: 4,
+        });
     let fs = MemFs::with_block_size(4096);
     World::run(ntasks, |c| {
         let mut w = paropen_write(&fs, "r.sion", &params, c).unwrap();
@@ -407,7 +476,11 @@ fn aggregated_rescue_files_verify_and_force_repair_byte_identically() {
     // missing or stale, the rebuilt bytes would differ.
     let before = dump(&fs, "");
     sion::rescue::repair(&fs, "r.sion", true).unwrap();
-    assert_eq!(dump(&fs, ""), before, "repair from rescue headers reproduces the closed file");
+    assert_eq!(
+        dump(&fs, ""),
+        before,
+        "repair from rescue headers reproduces the closed file"
+    );
     assert!(sion_tools::verify(&fs, "r.sion").unwrap().is_clean());
 }
 
@@ -421,7 +494,9 @@ fn io_mode_mismatch_fails_collectively() {
         let io_mode = if c.rank() == 3 {
             IoMode::Independent
         } else {
-            IoMode::Aggregated { tasks_per_aggregator: 4 }
+            IoMode::Aggregated {
+                tasks_per_aggregator: 4,
+            }
         };
         let params = SionParams::new(1024).with_io_mode(io_mode);
         paropen_write(&fs, "clash.sion", &params, c).is_err()
@@ -431,7 +506,9 @@ fn io_mode_mismatch_fails_collectively() {
 
 /// Deterministic payload for the `i`-th record of `rank`.
 fn record(rank: usize, i: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|j| ((rank * 97 + i * 31 + j) % 251) as u8).collect()
+    (0..len)
+        .map(|j| ((rank * 97 + i * 31 + j) % 251) as u8)
+        .collect()
 }
 
 fn write_records(w: &mut sion::SionParWriter, rank: usize, sizes: &[usize]) {
@@ -544,7 +621,9 @@ fn single_task_neighborhoods_degenerate_to_independent_writes() {
     let base = SionParams::new(4096);
     let independent = run_mode(&base, IoMode::Independent, ntasks, 5_000);
     let fs = MemFs::with_block_size(4096);
-    let params = base.with_io_mode(IoMode::Aggregated { tasks_per_aggregator: 1 });
+    let params = base.with_io_mode(IoMode::Aggregated {
+        tasks_per_aggregator: 1,
+    });
     let stats = World::run(ntasks, |c| {
         let data = payload(c.rank(), 5_000);
         let mut w = paropen_write(&fs, "agg/m.sion", &params, c).unwrap();
@@ -552,7 +631,12 @@ fn single_task_neighborhoods_degenerate_to_independent_writes() {
         w.close().unwrap()
     });
     for (rank, s) in stats.iter().enumerate() {
-        assert_eq!(s.agg, sion::AggStats::default(), "rank {rank} must not ship: {:?}", s.agg);
+        assert_eq!(
+            s.agg,
+            sion::AggStats::default(),
+            "rank {rank} must not ship: {:?}",
+            s.agg
+        );
     }
     assert_eq!(dump(&fs, ""), independent);
 }

@@ -14,8 +14,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use simmpi::World;
 use sion::{
-    paropen_read, paropen_write, Alignment, Multifile, SerialWriter, SionParams,
-    DEFAULT_READ_AHEAD,
+    paropen_read, paropen_write, Alignment, Multifile, SerialWriter, SionParams, DEFAULT_READ_AHEAD,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -26,7 +25,9 @@ static DISK_CASE: AtomicUsize = AtomicUsize::new(0);
 
 /// Deterministic payload for the `i`-th write of `rank`.
 fn payload(rank: usize, i: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|j| ((rank * 97 + i * 31 + j) % 251) as u8).collect()
+    (0..len)
+        .map(|j| ((rank * 97 + i * 31 + j) % 251) as u8)
+        .collect()
 }
 
 /// Every physical file of the multifile at `base`, as (name, bytes) pairs.

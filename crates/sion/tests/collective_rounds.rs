@@ -7,9 +7,7 @@
 //! `sion::script` are held to the same counts.
 
 use parfs::IoOp;
-use simmpi::{
-    drive_ready, CoComm, CommStats, SchedPolicy, TaskWorld, World,
-};
+use simmpi::{drive_ready, CoComm, CommStats, SchedPolicy, TaskWorld, World};
 use sion::script::{sion_par_read, sion_par_write, SimSpec};
 use sion::{paropen_read, paropen_read_co, paropen_write, paropen_write_co, SionParams};
 use vfs::MemFs;
@@ -144,16 +142,30 @@ fn parent_and_global_traffic_stays_logarithmic_per_rank() {
             let rglobal = r.global_comm_stats().expect("runtime tracks stats");
             r.close_co().await.unwrap();
             let read_parent = parent.bytes_sent() - write_parent;
-            (write_parent, wglobal.bytes_sent(), read_parent, rglobal.bytes_sent())
+            (
+                write_parent,
+                wglobal.bytes_sent(),
+                read_parent,
+                rglobal.bytes_sent(),
+            )
         }
     });
     // A one-word broadcast costs its root one word per tree level; a
     // one-word reduction costs every rank at most one word.
     let word_bcast = 8 * LOG_P;
     for (rank, &(write_parent, wglobal, _, rglobal)) in sent.iter().enumerate() {
-        assert!(write_parent <= 2 * word_bcast + 8, "rank {rank}: {write_parent} B on the parent");
-        assert!(wglobal <= word_bcast + 8, "rank {rank}: {wglobal} B on the write gcom");
-        assert!(rglobal <= word_bcast + 8, "rank {rank}: {rglobal} B on the read gcom");
+        assert!(
+            write_parent <= 2 * word_bcast + 8,
+            "rank {rank}: {write_parent} B on the parent"
+        );
+        assert!(
+            wglobal <= word_bcast + 8,
+            "rank {rank}: {wglobal} B on the write gcom"
+        );
+        assert!(
+            rglobal <= word_bcast + 8,
+            "rank {rank}: {rglobal} B on the read gcom"
+        );
     }
     // The read open's one scatter moves each task's 4-word part (framed:
     // 16 B of id and length) down at most log P tree levels, half the
@@ -169,7 +181,11 @@ fn parent_and_global_traffic_stays_logarithmic_per_rank() {
 /// communicators. A reduction is what the `parfs` scripts spell as a gather.
 fn executed(comms: &[&CommStats]) -> [u64; 4] {
     let sum = |pick: fn(&CommStats) -> u64| comms.iter().map(|c| pick(c)).sum::<u64>();
-    assert_eq!(sum(|c| c.allgathers() + c.splits()), 0, "nothing the scripts cannot say");
+    assert_eq!(
+        sum(|c| c.allgathers() + c.splits()),
+        0,
+        "nothing the scripts cannot say"
+    );
     [
         sum(|c| c.gathers() + c.reduces()),
         sum(CommStats::bcasts),
@@ -199,21 +215,31 @@ fn scripted_collectives_match_an_executed_run() {
     let runs = World::run(8, |comm| {
         let parent = comm.stats().expect("runtime tracks stats");
         let mut w = paropen_write(&fs, "s.sion", &params, comm).unwrap();
-        let (lcom, gcom) = (w.local_comm_stats().unwrap(), w.global_comm_stats().unwrap());
+        let (lcom, gcom) = (
+            w.local_comm_stats().unwrap(),
+            w.global_comm_stats().unwrap(),
+        );
         w.write(&vec![comm.rank() as u8; 3000]).unwrap();
         w.close().unwrap();
         let write = executed(&[&parent, &lcom, &gcom]);
 
         let before = executed(&[&parent]);
         let r = paropen_read(&fs, "s.sion", comm).unwrap();
-        let (lcom, gcom) = (r.local_comm_stats().unwrap(), r.global_comm_stats().unwrap());
+        let (lcom, gcom) = (
+            r.local_comm_stats().unwrap(),
+            r.global_comm_stats().unwrap(),
+        );
         r.close().unwrap();
         let after = executed(&[&parent, &lcom, &gcom]);
         (write, std::array::from_fn(|i| after[i] - before[i]))
     });
     let spec = SimSpec::aligned(8, 2, 3000, 512);
     let (write, read) = (sion_par_write(&spec), sion_par_read(&spec));
-    assert_eq!(write.classes.len(), 4, "a master and a worker class per file");
+    assert_eq!(
+        write.classes.len(),
+        4,
+        "a master and a worker class per file"
+    );
     for (rank, (w, r)) in runs.iter().enumerate() {
         for class in &write.classes {
             assert_eq!(scripted(&class.ops), *w, "write, rank {rank}");

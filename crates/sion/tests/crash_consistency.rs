@@ -44,7 +44,11 @@ struct CrashFs {
 fn crash_fs() -> CrashFs {
     let (faults, guard) = (Faults::new(), BlockGuard::new(256));
     let mem = Arc::new(MemFs::with_block_size(256));
-    CrashFs { fs: TapFs::new(mem, vec![faults.clone(), guard.clone()]), faults, guard }
+    CrashFs {
+        fs: TapFs::new(mem, vec![faults.clone(), guard.clone()]),
+        faults,
+        guard,
+    }
 }
 
 /// Fixed default seed: CI runs are reproducible bit-for-bit.
@@ -89,7 +93,9 @@ fn params() -> SionParams {
 /// the aggregator of the other — every physical data write in the sweep
 /// goes through the shipment protocol.
 fn agg_params() -> SionParams {
-    params().with_io_mode(IoMode::Aggregated { tasks_per_aggregator: 2 })
+    params().with_io_mode(IoMode::Aggregated {
+        tasks_per_aggregator: 2,
+    })
 }
 
 /// The workload of the sweep: collective open, per-task piecewise writes,
@@ -117,7 +123,9 @@ fn crashy_workload(fs: &dyn Vfs, base: &str, seed: u64) {
 /// What the recovered image must satisfy for one rank.
 fn assert_rank_prefix(mf: &Multifile, rank: usize, seed: u64, ctx: &str) {
     let full = payload(seed, rank, PAYLOAD_LEN);
-    let got = mf.read_rank(rank).unwrap_or_else(|e| panic!("{ctx}: rank {rank} unreadable: {e}"));
+    let got = mf
+        .read_rank(rank)
+        .unwrap_or_else(|e| panic!("{ctx}: rank {rank} unreadable: {e}"));
     assert!(
         got.len() <= full.len() && got == full[..got.len()],
         "{ctx}: rank {rank} recovered {} bytes that are not a prefix of its payload",
@@ -166,7 +174,10 @@ fn every_crash_point_yields_a_repairable_prefix() {
     let probe = crash_fs();
     crashy_workload(&probe.fs, "probe.sion", seed);
     let total_ops = probe.faults.op_count();
-    assert!(total_ops > 20, "workload too small to be a meaningful sweep: {total_ops} ops");
+    assert!(
+        total_ops > 20,
+        "workload too small to be a meaningful sweep: {total_ops} ops"
+    );
 
     let mut recovered_points = 0u64;
     let mut unrecoverable_points = 0u64;
@@ -267,7 +278,11 @@ fn clobbered_rescue_header_costs_one_chunk_not_the_repair() {
     let c0 = mf.location(0).unwrap().chunks[0].offset - sion::rescue::RESCUE_HEADER_LEN;
     drop(mf);
     let f = fs.open_rw("clob.sion").unwrap();
-    let bogus = sion::rescue::RescueHeader { global_rank: 999, block: 42, used: 10 };
+    let bogus = sion::rescue::RescueHeader {
+        global_rank: 999,
+        block: 42,
+        used: 10,
+    };
     f.write_all_at(&bogus.encode(), c0).unwrap();
 
     let report = repair(&fs, "clob.sion", true).unwrap();
@@ -284,7 +299,10 @@ fn clobbered_rescue_header_costs_one_chunk_not_the_repair() {
     // complete.
     let mf = Multifile::open(&fs, "clob.sion").unwrap();
     for rank in 1..NTASKS {
-        assert_eq!(mf.read_rank(rank).unwrap(), payload(seed, rank, PAYLOAD_LEN));
+        assert_eq!(
+            mf.read_rank(rank).unwrap(),
+            payload(seed, rank, PAYLOAD_LEN)
+        );
     }
 }
 
@@ -301,11 +319,18 @@ fn failed_flush_is_never_followed_by_a_header_patch() {
         let mut w = paropen_write(&cfs.fs, "ord.sion", &p, comm).unwrap();
         w.write(&payload(seed, 0, 100)).unwrap(); // buffered, not yet on disk
         cfs.faults.take_log(); // look only at ops from here on
-        // Occurrence counters are global (metablock 1 and the rescue
-        // header already consumed write slots), so fail every write from
-        // now on; clear() below ends the outage.
-        cfs.faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
-        assert!(w.flush().is_err(), "injected data-write failure must surface");
+                               // Occurrence counters are global (metablock 1 and the rescue
+                               // header already consumed write slots), so fail every write from
+                               // now on; clear() below ends the outage.
+        cfs.faults.inject(FaultRule {
+            kind: FaultKind::Write,
+            from: 0,
+            count: u64::MAX,
+        });
+        assert!(
+            w.flush().is_err(),
+            "injected data-write failure must surface"
+        );
 
         let log = cfs.faults.take_log();
         let failed_write = log
@@ -357,7 +382,10 @@ fn every_crash_point_on_the_aggregated_path_yields_a_repairable_prefix() {
     let probe = crash_fs();
     crashy_workload_with(&probe.fs, "probe.sion", seed, &agg_params());
     let total_ops = probe.faults.op_count();
-    assert!(total_ops > 20, "workload too small to be a meaningful sweep: {total_ops} ops");
+    assert!(
+        total_ops > 20,
+        "workload too small to be a meaningful sweep: {total_ops} ops"
+    );
 
     let mut recovered_points = 0u64;
     let mut unrecoverable_points = 0u64;
@@ -443,8 +471,16 @@ fn killed_aggregator_mid_shipment_fails_members_and_stays_repairable() {
         // task's pre-fault traffic is staged.
         comm.barrier();
         if comm.rank() == 0 {
-            cfs.faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
-            cfs.faults.inject(FaultRule { kind: FaultKind::Sync, from: 0, count: u64::MAX });
+            cfs.faults.inject(FaultRule {
+                kind: FaultKind::Write,
+                from: 0,
+                count: u64::MAX,
+            });
+            cfs.faults.inject(FaultRule {
+                kind: FaultKind::Sync,
+                from: 0,
+                count: u64::MAX,
+            });
         }
         comm.barrier();
         // This wave can never become durable: the aggregators' replay
@@ -484,8 +520,16 @@ fn crashed_task_cannot_hang_the_collective_close() {
         if comm.rank() == 0 {
             // Everything from now on fails — including rank 0's part of
             // the close — while the other ranks' close I/O proceeds.
-            cfs.faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
-            cfs.faults.inject(FaultRule { kind: FaultKind::Sync, from: 0, count: u64::MAX });
+            cfs.faults.inject(FaultRule {
+                kind: FaultKind::Write,
+                from: 0,
+                count: u64::MAX,
+            });
+            cfs.faults.inject(FaultRule {
+                kind: FaultKind::Sync,
+                from: 0,
+                count: u64::MAX,
+            });
         }
         comm.barrier();
         w.close().is_err()
@@ -500,6 +544,9 @@ fn crashed_task_cannot_hang_the_collective_close() {
     assert!(report.is_clean(), "{:?}", report.problems);
     let mf = Multifile::open(&cfs.fs, "hang.sion").unwrap();
     for rank in 0..NTASKS {
-        assert_eq!(mf.read_rank(rank).unwrap(), payload(seed, rank, PAYLOAD_LEN));
+        assert_eq!(
+            mf.read_rank(rank).unwrap(),
+            payload(seed, rank, PAYLOAD_LEN)
+        );
     }
 }

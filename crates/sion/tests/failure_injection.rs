@@ -10,18 +10,31 @@ use vfs::{FaultKind, FaultRule, Faults, MemFs, TapFs};
 /// A `MemFs` behind a fault tap, and the handle that arms it.
 fn faulty(block_size: u64) -> (TapFs, Arc<Faults>) {
     let faults = Faults::new();
-    (TapFs::new(Arc::new(MemFs::with_block_size(block_size)), vec![faults.clone()]), faults)
+    (
+        TapFs::new(
+            Arc::new(MemFs::with_block_size(block_size)),
+            vec![faults.clone()],
+        ),
+        faults,
+    )
 }
 
 #[test]
 fn master_create_failure_fails_every_task() {
     let (fs, faults) = faulty(1024);
-    faults.inject(FaultRule { kind: FaultKind::Create, from: 0, count: u64::MAX });
+    faults.inject(FaultRule {
+        kind: FaultKind::Create,
+        from: 0,
+        count: u64::MAX,
+    });
     let results = World::run(6, |comm| {
         let params = SionParams::new(1024).with_nfiles(2);
         paropen_write(&fs, "f.sion", &params, comm).is_err()
     });
-    assert!(results.iter().all(|&failed| failed), "every task must see the failure");
+    assert!(
+        results.iter().all(|&failed| failed),
+        "every task must see the failure"
+    );
 }
 
 #[test]
@@ -29,7 +42,11 @@ fn one_of_two_masters_failing_fails_all() {
     // Only the second physical file's create fails: the tasks of the first
     // file group must fail too (the open is globally collective).
     let (fs, faults) = faulty(1024);
-    faults.inject(FaultRule { kind: FaultKind::Create, from: 1, count: 1 });
+    faults.inject(FaultRule {
+        kind: FaultKind::Create,
+        from: 1,
+        count: 1,
+    });
     let results = World::run(6, |comm| {
         let params = SionParams::new(1024).with_nfiles(2);
         paropen_write(&fs, "g.sion", &params, comm).is_err()
@@ -42,7 +59,11 @@ fn one_of_two_masters_failing_fails_all() {
 fn metadata_write_failure_fails_open() {
     let (fs, faults) = faulty(1024);
     // First write is metablock 1.
-    faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: 1 });
+    faults.inject(FaultRule {
+        kind: FaultKind::Write,
+        from: 0,
+        count: 1,
+    });
     let results = World::run(4, |comm| {
         let params = SionParams::new(1024);
         paropen_write(&fs, "h.sion", &params, comm).is_err()
@@ -60,7 +81,11 @@ fn open_failure_during_read_discovery_fails_everyone() {
         w.write(b"payload").unwrap();
         w.close().unwrap();
     });
-    faults.inject(FaultRule { kind: FaultKind::Open, from: 0, count: u64::MAX });
+    faults.inject(FaultRule {
+        kind: FaultKind::Open,
+        from: 0,
+        count: u64::MAX,
+    });
     let results = World::run(4, |comm| paropen_read(&fs, "r.sion", comm).is_err());
     assert!(results.iter().all(|&failed| failed));
 }
@@ -73,14 +98,17 @@ fn data_write_failures_surface_to_the_caller() {
         let mut w = paropen_write(&fs, "d.sion", &params, comm).unwrap();
         // Fail all writes from now on (metablock 1 was already written).
         if comm.rank() == 0 {
-            faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
+            faults.inject(FaultRule {
+                kind: FaultKind::Write,
+                from: 0,
+                count: u64::MAX,
+            });
         }
         comm.barrier();
         let write_failed = w.write(&vec![9u8; 5000]).is_err();
         // Synchronize the error before the collective close, as an
         // application must (see mp2c::checkpoint::collective_check).
-        let any_failed =
-            comm.allreduce_u64(write_failed as u64, simmpi::ReduceOp::Max) == 1;
+        let any_failed = comm.allreduce_u64(write_failed as u64, simmpi::ReduceOp::Max) == 1;
         (write_failed, any_failed)
     });
     // All writes went through the shared fault counter, so both ranks fail;
@@ -101,7 +129,11 @@ fn read_failures_surface_in_serial_view() {
     });
     // Let the metadata reads through (open + mb1 + mb2 per file), then cut.
     let mf = Multifile::open(&fs, "s.sion").unwrap();
-    faults.inject(FaultRule { kind: FaultKind::Read, from: 0, count: u64::MAX });
+    faults.inject(FaultRule {
+        kind: FaultKind::Read,
+        from: 0,
+        count: u64::MAX,
+    });
     assert!(mf.read_rank(0).is_err(), "data reads must fail");
     faults.clear();
     assert_eq!(mf.read_rank(0).unwrap(), vec![0u8; 2000]);
@@ -115,7 +147,9 @@ fn quota_kill_mid_write_is_recoverable_up_to_last_flush() {
     let (fs, faults) = faulty(512);
     World::run(2, |comm| {
         let params = SionParams::new(512).with_rescue().with_write_buffer(0);
-        let Ok(mut w) = paropen_write(&fs, "q.sion", &params, comm) else { return };
+        let Ok(mut w) = paropen_write(&fs, "q.sion", &params, comm) else {
+            return;
+        };
         let _ = w.write(&vec![comm.rank() as u8 + 1; 400]);
         let _ = w.flush();
         comm.barrier();
@@ -135,8 +169,10 @@ fn quota_kill_mid_write_is_recoverable_up_to_last_flush() {
     for rank in 0..2 {
         let got = mf.read_rank(rank).unwrap();
         let full = vec![rank as u8 + 1; 400];
-        assert!(got.len() <= full.len() && got[..] == full[..got.len()],
-            "rank {rank}: recovered bytes must be a prefix of the flushed payload");
+        assert!(
+            got.len() <= full.len() && got[..] == full[..got.len()],
+            "rank {rank}: recovered bytes must be a prefix of the flushed payload"
+        );
     }
 }
 
@@ -149,7 +185,11 @@ fn transient_write_fault_is_survivable_by_retrying_flush() {
         let params = SionParams::new(1024).with_rescue().with_write_buffer(4096);
         let mut w = paropen_write(&fs, "t.sion", &params, comm).unwrap();
         w.write(&vec![7u8; 600]).unwrap(); // buffered
-        faults.inject(FaultRule { kind: FaultKind::Write, from: 0, count: u64::MAX });
+        faults.inject(FaultRule {
+            kind: FaultKind::Write,
+            from: 0,
+            count: u64::MAX,
+        });
         assert!(w.flush().is_err(), "flush must surface the storage error");
         faults.clear(); // the outage passes
         w.flush().unwrap();
@@ -168,7 +208,11 @@ fn repair_with_failing_reads_errors_not_panics() {
         w.write(&vec![5u8; 900]).unwrap();
         w.close().unwrap();
     });
-    faults.inject(FaultRule { kind: FaultKind::Read, from: 2, count: u64::MAX });
+    faults.inject(FaultRule {
+        kind: FaultKind::Read,
+        from: 2,
+        count: u64::MAX,
+    });
     // Depending on where the reads die, repair errors or reports zero
     // recovery — it must not panic or hang.
     let _ = sion::rescue::repair(&fs, "rr.sion", true);

@@ -31,13 +31,17 @@ const NTASKS: usize = 4;
 fn agg_params() -> SionParams {
     SionParams::new(96)
         .with_alignment(Alignment::None)
-        .with_io_mode(IoMode::Aggregated { tasks_per_aggregator: 2 })
+        .with_io_mode(IoMode::Aggregated {
+            tasks_per_aggregator: 2,
+        })
 }
 
 fn guarded_fs() -> (Arc<HbEngine>, Arc<dyn Vfs>) {
     let engine = Arc::new(HbEngine::new());
-    let fs: Arc<dyn Vfs> =
-        Arc::new(TapFs::new(Arc::new(MemFs::with_block_size(4096)), vec![engine.clone()]));
+    let fs: Arc<dyn Vfs> = Arc::new(TapFs::new(
+        Arc::new(MemFs::with_block_size(4096)),
+        vec![engine.clone()],
+    ));
     (engine, fs)
 }
 
@@ -80,14 +84,18 @@ fn clean_protocol_is_race_free_on_thread_runtimes() {
 #[test]
 fn clean_protocol_is_race_free_on_task_runtime() {
     async fn prog(fs: Arc<dyn Vfs>, c: &dyn CoComm) {
-        let mut w =
-            paropen_write_co(fs.as_ref(), "hb/clean.sion", &agg_params(), c).await.expect("open");
+        let mut w = paropen_write_co(fs.as_ref(), "hb/clean.sion", &agg_params(), c)
+            .await
+            .expect("open");
         w.write(&payload(c.rank(), 1)).expect("write");
         w.write(&payload(c.rank(), 129)).expect("write");
         w.close_co().await.expect("close");
     }
     let (engine, fs) = guarded_fs();
-    let policy = SchedPolicy::Serial { seed: 0x5EED_CAFE, preemption_bound: 2 };
+    let policy = SchedPolicy::Serial {
+        seed: 0x5EED_CAFE,
+        preemption_bound: 2,
+    };
     let run = TaskWorld::run_checked(policy, NTASKS, engine.clone(), move |c| {
         let fs = fs.clone();
         async move { prog(fs, &c).await }
@@ -110,18 +118,25 @@ fn clean_protocol_is_race_free_on_sub_communicators() {
         let half = c.rank() / NTASKS;
         let sub = c.split_local(half as u64, c.rank() % NTASKS, NTASKS).await;
         let path = format!("hb/half{half}.sion");
-        let mut w =
-            paropen_write_co(fs.as_ref(), &path, &agg_params(), sub.as_ref()).await.expect("open");
+        let mut w = paropen_write_co(fs.as_ref(), &path, &agg_params(), sub.as_ref())
+            .await
+            .expect("open");
         w.write(&payload(sub.rank(), 1)).expect("write");
         w.write(&payload(sub.rank(), 129)).expect("write");
         w.close_co().await.expect("close");
     }
     for seed in 0..8 {
         let (engine, fs) = guarded_fs();
-        let policy = SchedPolicy::Serial { seed, preemption_bound: 2 };
+        let policy = SchedPolicy::Serial {
+            seed,
+            preemption_bound: 2,
+        };
         let run =
             TaskWorld::run_checked(policy, 2 * NTASKS, engine.clone(), |c| prog(fs.clone(), c));
-        assert!(run.deadlock.is_none(), "seed {seed}: clean protocol must not deadlock");
+        assert!(
+            run.deadlock.is_none(),
+            "seed {seed}: clean protocol must not deadlock"
+        );
         for r in run.results {
             r.expect("rank must not panic");
         }
@@ -147,7 +162,10 @@ where
     let run_once = || {
         let (engine, fs) = guarded_fs();
         let run = TaskWorld::run_checked(
-            SchedPolicy::Serial { seed, preemption_bound: 2 },
+            SchedPolicy::Serial {
+                seed,
+                preemption_bound: 2,
+            },
             2,
             engine.clone(),
             |c| prog(fs.clone(), c),
@@ -161,7 +179,10 @@ where
     };
     let (engine, first) = run_once();
     let (_, second) = run_once();
-    assert_eq!(first, second, "same seed must replay a byte-identical report");
+    assert_eq!(
+        first, second,
+        "same seed must replay a byte-identical report"
+    );
     (engine, first)
 }
 
@@ -205,8 +226,15 @@ fn ack_before_vfs_write_is_detected() {
     let violations = engine.ack_violations();
     assert_eq!(violations.len(), 1, "exactly one ack violation:\n{report}");
     assert_eq!(violations[0].seq, 1);
-    assert_eq!(violations[0].missing, (0, 40), "the whole extent is missing");
-    assert!(engine.races().is_empty(), "no extent race in this mutation:\n{report}");
+    assert_eq!(
+        violations[0].missing,
+        (0, 40),
+        "the whole extent is missing"
+    );
+    assert!(
+        engine.races().is_empty(),
+        "no extent race in this mutation:\n{report}"
+    );
 }
 
 /// Mutation 2: the aggregator applies only part of the frame before
@@ -234,7 +262,11 @@ fn partial_write_before_ack_is_detected() {
     });
     let violations = engine.ack_violations();
     assert_eq!(violations.len(), 1, "exactly one ack violation:\n{report}");
-    assert_eq!(violations[0].missing, (20, 40), "the unflushed tail is missing");
+    assert_eq!(
+        violations[0].missing,
+        (20, 40),
+        "the unflushed tail is missing"
+    );
 }
 
 /// Mutation 3: two members claim overlapping logical extents — both
@@ -247,22 +279,34 @@ fn overlapping_member_extents_are_detected() {
         let shadow = fs.create_shadow("hb/mut.dat").expect("shadow handle");
         // MUTATION: rank 0 claims [0, 40), rank 1 claims [20, 60).
         let offset = 20 * c.rank() as u64;
-        shadow.write_at(&[c.rank() as u8 + 1; 40], offset).expect("shadow write");
+        shadow
+            .write_at(&[c.rank() as u8 + 1; 40], offset)
+            .expect("shadow write");
         c.barrier().await;
     });
     let races = engine.races();
     assert_eq!(races.len(), 1, "exactly one extent race:\n{report}");
     let race = &races[0];
-    assert_ne!(race.a.access.task, race.b.access.task, "both sites are reported");
-    assert!(engine.ack_violations().is_empty(), "no ack violation in this mutation:\n{report}");
+    assert_ne!(
+        race.a.access.task, race.b.access.task,
+        "both sites are reported"
+    );
+    assert!(
+        engine.ack_violations().is_empty(),
+        "no ack violation in this mutation:\n{report}"
+    );
 
     // Golden pin: the seeded race report replays byte-identically, so it
     // can be held to a fixed rendering. Bless with SIMCHECK_BLESS=1.
-    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/hb_race_report.txt");
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/hb_race_report.txt"
+    );
     if std::env::var_os("SIMCHECK_BLESS").is_some() {
         std::fs::write(golden, &report).expect("bless golden");
     } else {
-        let want = std::fs::read_to_string(golden).expect("golden exists; SIMCHECK_BLESS=1 to create");
+        let want =
+            std::fs::read_to_string(golden).expect("golden exists; SIMCHECK_BLESS=1 to create");
         assert_eq!(report, want, "seeded race report drifted from golden");
     }
 }

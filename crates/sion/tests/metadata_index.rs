@@ -26,12 +26,17 @@ use vfs::{MemFs, Vfs};
 /// The golden fixture's payload generator (must not change: the fixture
 /// bytes are committed).
 fn golden_payload(rank: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8)
+        .collect()
 }
 
 const GOLDEN: [(&str, &[u8]); 2] = [
     ("golden_v1.sion", include_bytes!("golden/golden_v1.sion")),
-    ("golden_v1.sion.000001", include_bytes!("golden/golden_v1.sion.000001")),
+    (
+        "golden_v1.sion.000001",
+        include_bytes!("golden/golden_v1.sion.000001"),
+    ),
 ];
 
 /// Load the committed fixture into a fresh in-memory filesystem.
@@ -51,7 +56,9 @@ fn golden_workload(fs: &MemFs) {
     let params = SionParams::new(64).with_nfiles(2);
     let ntasks = 4;
     let mut w = SerialWriter::create(fs, "golden_v1.sion", &vec![64; ntasks], &params).unwrap();
-    let payloads: Vec<Vec<u8>> = (0..ntasks).map(|r| golden_payload(r, 40 + 70 * r)).collect();
+    let payloads: Vec<Vec<u8>> = (0..ntasks)
+        .map(|r| golden_payload(r, 40 + 70 * r))
+        .collect();
     let mut off = vec![0usize; ntasks];
     loop {
         let mut progressed = false;
@@ -125,7 +132,11 @@ fn golden_v1_fixture_opens_seeks_and_verifies() {
     assert_eq!(all.max_blocks(), mf.max_blocks());
 
     let vr = sion_tools::verify(&fs, "golden_v1.sion").unwrap();
-    assert!(vr.is_clean(), "golden fixture must verify clean: {:?}", vr.problems);
+    assert!(
+        vr.is_clean(),
+        "golden fixture must verify clean: {:?}",
+        vr.problems
+    );
     assert_eq!(vr.tasks_ok, 4);
 }
 
@@ -140,7 +151,11 @@ fn current_writer_downgraded_to_v1_matches_golden_bytes() {
     for (name, want) in GOLDEN {
         downgrade_to_v1(&fs, name);
         let got = file_bytes(&fs, name);
-        assert_eq!(got.len(), want.len(), "{name}: length drifted from the golden fixture");
+        assert_eq!(
+            got.len(),
+            want.len(),
+            "{name}: length drifted from the golden fixture"
+        );
         assert_eq!(got, want, "{name}: bytes drifted from the golden fixture");
     }
 }
@@ -156,8 +171,7 @@ fn assert_indexed_seek_equals_linear(
 ) {
     let fs = MemFs::with_block_size(256);
     let params = SionParams::new(chunksize).with_nfiles(nfiles);
-    let mut w =
-        SerialWriter::create(&fs, "eq.sion", &vec![chunksize; ntasks], &params).unwrap();
+    let mut w = SerialWriter::create(&fs, "eq.sion", &vec![chunksize; ntasks], &params).unwrap();
     write(&mut w);
     w.close().unwrap();
 
@@ -186,7 +200,11 @@ fn assert_indexed_seek_equals_linear(
     // The eager directory must agree with the lazy per-rank path too.
     let all = mf.locations().unwrap();
     for &(rank, pos, want) in &via_index {
-        assert_eq!(all.tasks[rank].find_chunk(pos), want, "eager rank {rank} pos {pos}");
+        assert_eq!(
+            all.tasks[rank].find_chunk(pos),
+            want,
+            "eager rank {rank} pos {pos}"
+        );
     }
     let payloads: Vec<Vec<u8>> = (0..ntasks).map(|r| mf.read_rank(r).unwrap()).collect();
     drop(mf);
@@ -198,14 +216,22 @@ fn assert_indexed_seek_equals_linear(
     let via_linear = seek_probe(&mf);
     assert_eq!(via_index, via_linear, "index and linear walk disagree");
     for (r, p) in payloads.iter().enumerate() {
-        assert_eq!(&mf.read_rank(r).unwrap(), p, "payload changed across downgrade");
+        assert_eq!(
+            &mf.read_rank(r).unwrap(),
+            p,
+            "payload changed across downgrade"
+        );
     }
 }
 
 /// Physical file names of a multifile (base + numbered siblings).
 fn multifile_names(fs: &MemFs, base: &str) -> Vec<String> {
-    let mut names: Vec<String> =
-        fs.list("").unwrap().into_iter().filter(|n| n.contains(base)).collect();
+    let mut names: Vec<String> = fs
+        .list("")
+        .unwrap()
+        .into_iter()
+        .filter(|n| n.contains(base))
+        .collect();
     names.sort();
     names
 }
@@ -242,7 +268,9 @@ fn indexed_seek_equals_linear_walk_across_layouts() {
     assert_indexed_seek_equals_linear(9, 80, 1, |w| {
         let mut x = 0x5105_2009u64;
         for _ in 0..60 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let r = (x >> 33) as usize % 9;
             let len = 1 + ((x >> 17) as usize % 120);
             w.select_rank(r).unwrap();
@@ -276,7 +304,10 @@ fn every_torn_tail_prefix_fails_open_cleanly() {
         tf.write_all_at(&clean[..tail_start + k], 0).unwrap();
         match Multifile::open(&tfs, "torn.sion") {
             Err(_) => {}
-            Ok(_) => panic!("torn tail (kept {k} of {} bytes) opened", clean.len() - tail_start),
+            Ok(_) => panic!(
+                "torn tail (kept {k} of {} bytes) opened",
+                clean.len() - tail_start
+            ),
         }
     }
 
@@ -315,14 +346,22 @@ fn damaged_index_under_intact_trailer_falls_back_to_linear_path() {
     let mf = Multifile::open(&fs, "dmg.sion").unwrap();
     for r in 0..4 {
         let want = golden_payload(r, 50 + 60 * r);
-        assert_eq!(mf.read_rank(r).unwrap(), want, "rank {r} via linear fallback");
+        assert_eq!(
+            mf.read_rank(r).unwrap(),
+            want,
+            "rank {r} via linear fallback"
+        );
         let (chunk, off) = mf.seek_logical(r, want.len() as u64 - 1).unwrap().unwrap();
         let mut b = [0u8; 1];
         mf.read_at(r, chunk, off, &mut b).unwrap();
         assert_eq!(b[0], *want.last().unwrap());
     }
     let vr = sion_tools::verify(&fs, "dmg.sion").unwrap();
-    assert!(vr.is_clean(), "fallback must verify clean: {:?}", vr.problems);
+    assert!(
+        vr.is_clean(),
+        "fallback must verify clean: {:?}",
+        vr.problems
+    );
 }
 
 #[test]
@@ -367,8 +406,16 @@ fn max_blocks_counts_trailing_empty_chunks() {
             capacity: 64,
             usable: 64,
             chunks: vec![
-                ChunkInfo { block: 0, offset: 0, used: 64 },
-                ChunkInfo { block: 1, offset: 64, used: 0 },
+                ChunkInfo {
+                    block: 0,
+                    offset: 0,
+                    used: 64,
+                },
+                ChunkInfo {
+                    block: 1,
+                    offset: 64,
+                    used: 0,
+                },
             ],
             cum: vec![64, 64],
             stored_bytes: 64,

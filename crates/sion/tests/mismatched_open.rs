@@ -74,17 +74,24 @@ fn check(fs: &MemFs, outcomes: Vec<Outcome>, shape: Shape, deviant: usize, runti
         } else {
             Outcome::Mismatch
         };
-        assert_eq!(*got, want, "{runtime}, {shape:?} at rank {deviant}: rank {rank}");
+        assert_eq!(
+            *got, want,
+            "{runtime}, {shape:?} at rank {deviant}: rank {rank}"
+        );
     }
-    assert!(fs.list("").unwrap().is_empty(), "{runtime}, {shape:?}: a rejected open created files");
+    assert!(
+        fs.list("").unwrap().is_empty(),
+        "{runtime}, {shape:?}: a rejected open created files"
+    );
 }
 
 #[test]
 fn mismatched_shape_fails_collectively_on_threads() {
     for (shape, deviant) in cases() {
         let fs = MemFs::with_block_size(4096);
-        let out =
-            World::run(NTASKS, |c| drive_ready(open_outcome(&fs, c.co(), shape, deviant)));
+        let out = World::run(NTASKS, |c| {
+            drive_ready(open_outcome(&fs, c.co(), shape, deviant))
+        });
         check(&fs, out, shape, deviant, "World");
     }
 }

@@ -26,7 +26,9 @@ fn stream(rank: usize) -> Vec<u8> {
         2 => 3 * chunksize(2) as usize + 17,
         r => 40 + (r * 37) % 200,
     };
-    (0..len).map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8)
+        .collect()
 }
 
 /// Read back every physical file under `prefix` as raw bytes.
@@ -62,7 +64,10 @@ fn written_collectively(params: &SionParams, ntasks: usize) -> Vec<(String, Vec<
     let fs = MemFs::with_block_size(FS_BLOCK);
     TaskWorld::run(ntasks, |c| {
         let fs = &fs;
-        let params = SionParams { chunksize: chunksize(c.rank()), ..params.clone() };
+        let params = SionParams {
+            chunksize: chunksize(c.rank()),
+            ..params.clone()
+        };
         async move {
             let mut w = paropen_write_co(fs, "id.sion", &params, &c).await.unwrap();
             w.write(&stream(c.rank())).unwrap();
@@ -91,7 +96,9 @@ fn serial_and_collective_writers_produce_identical_files() {
     for nfiles in [1, 3] {
         for alignment in [Alignment::FsBlock, Alignment::None] {
             for rescue in [false, true] {
-                let mut params = SionParams::new(0).with_nfiles(nfiles).with_alignment(alignment);
+                let mut params = SionParams::new(0)
+                    .with_nfiles(nfiles)
+                    .with_alignment(alignment);
                 params.rescue = rescue;
                 assert_identical(&params, 10);
             }
@@ -134,7 +141,9 @@ fn one_failed_flush_in_a_1536_task_group_fails_every_task_and_writes_no_trailer(
         let fs = &fs;
         let params = SionParams::new(chunksize(c.rank()));
         async move {
-            let mut w = paropen_write_co(fs, "fail.sion", &params, &c).await.unwrap();
+            let mut w = paropen_write_co(fs, "fail.sion", &params, &c)
+                .await
+                .unwrap();
             // Buffered: the victim's only write to the file is its close-time flush.
             w.write(&stream(c.rank())).unwrap();
             w.close_co().await.unwrap_err()

@@ -10,7 +10,9 @@ use vfs::{FaultKind, Faults, MemFs, TapFs, Vfs};
 
 /// Deterministic per-rank payload.
 fn payload(rank: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8)
+        .collect()
 }
 
 fn write_then_read_back(ntasks: usize, params: &SionParams, bytes_per_task: usize) {
@@ -38,7 +40,11 @@ fn write_then_read_back(ntasks: usize, params: &SionParams, bytes_per_task: usiz
     let mf = Multifile::open(&fs, "out/data.sion").unwrap();
     assert_eq!(mf.ntasks(), ntasks);
     for rank in 0..ntasks {
-        assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, bytes_per_task), "rank {rank}");
+        assert_eq!(
+            mf.read_rank(rank).unwrap(),
+            payload(rank, bytes_per_task),
+            "rank {rank}"
+        );
     }
 
     // The file count on disk matches nfiles, not ntasks.
@@ -58,14 +64,20 @@ fn multiple_physical_files() {
 
 #[test]
 fn unaligned_layout() {
-    write_then_read_back(6, &SionParams::new(2000).with_alignment(Alignment::None), 7_777);
+    write_then_read_back(
+        6,
+        &SionParams::new(2000).with_alignment(Alignment::None),
+        7_777,
+    );
 }
 
 #[test]
 fn round_robin_mapping() {
     write_then_read_back(
         10,
-        &SionParams::new(4096).with_nfiles(2).with_mapping(Mapping::RoundRobin),
+        &SionParams::new(4096)
+            .with_nfiles(2)
+            .with_mapping(Mapping::RoundRobin),
         5_000,
     );
 }
@@ -74,7 +86,9 @@ fn round_robin_mapping() {
 fn grouped_mapping() {
     write_then_read_back(
         16,
-        &SionParams::new(4096).with_nfiles(4).with_mapping(Mapping::Grouped(4)),
+        &SionParams::new(4096)
+            .with_nfiles(4)
+            .with_mapping(Mapping::Grouped(4)),
         3_333,
     );
 }
@@ -91,13 +105,21 @@ fn with_compression() {
 
 #[test]
 fn compression_and_rescue_together() {
-    write_then_read_back(4, &SionParams::new(4096).with_compression().with_rescue(), 15_000);
+    write_then_read_back(
+        4,
+        &SionParams::new(4096).with_compression().with_rescue(),
+        15_000,
+    );
 }
 
 #[test]
 fn tiny_alignment_many_blocks() {
     // Chunks much smaller than the data force many blocks.
-    write_then_read_back(5, &SionParams::new(512).with_alignment(Alignment::Fixed(512)), 6_000);
+    write_then_read_back(
+        5,
+        &SionParams::new(512).with_alignment(Alignment::Fixed(512)),
+        6_000,
+    );
 }
 
 #[test]
@@ -127,7 +149,10 @@ fn per_task_chunk_sizes_differ() {
     });
     let mf = Multifile::open(&fs, "uneven.sion").unwrap();
     for rank in 0..ntasks {
-        assert_eq!(mf.locations().unwrap().tasks[rank].chunksize_req, 1024 * (rank as u64 + 1));
+        assert_eq!(
+            mf.locations().unwrap().tasks[rank].chunksize_req,
+            1024 * (rank as u64 + 1)
+        );
     }
 }
 
@@ -246,8 +271,13 @@ fn functional_create_counts_match_paper_claim() {
     let faults = Faults::new();
     let fs = TapFs::new(Arc::new(MemFs::with_block_size(4096)), vec![faults.clone()]);
     // Creates in the fault tap's op log since the last call (it drains).
-    let creates =
-        || faults.take_log().iter().filter(|r| r.kind == FaultKind::Create && r.ok).count();
+    let creates = || {
+        faults
+            .take_log()
+            .iter()
+            .filter(|r| r.kind == FaultKind::Create && r.ok)
+            .count()
+    };
     World::run(ntasks, |comm| {
         let params = SionParams::new(1024).with_nfiles(4);
         let mut w = paropen_write(&fs, "few.sion", &params, comm).unwrap();
@@ -258,7 +288,9 @@ fn functional_create_counts_match_paper_claim() {
 
     World::run(ntasks, |comm| {
         // Task-local baseline: every task creates its own file.
-        let f = fs.create(&format!("taskloc/file.{:05}", comm.rank())).unwrap();
+        let f = fs
+            .create(&format!("taskloc/file.{:05}", comm.rank()))
+            .unwrap();
         f.write_all_at(b"payload", 0).unwrap();
     });
     assert_eq!(creates(), ntasks);
@@ -291,11 +323,21 @@ fn read_open_follows_non_ascending_rank_tables() {
     let mf = Multifile::open(&fs, "rot.sion").unwrap();
     World::run(ntasks, |comm| {
         let want = payload(writer_of(comm.rank()), 3000 + writer_of(comm.rank()));
-        assert_eq!(mf.read_rank(comm.rank()).unwrap(), want, "serial view, rank {}", comm.rank());
+        assert_eq!(
+            mf.read_rank(comm.rank()).unwrap(),
+            want,
+            "serial view, rank {}",
+            comm.rank()
+        );
         let mut r = paropen_read(&fs, "rot.sion", comm).unwrap();
         let mut back = vec![0u8; want.len()];
         r.read_exact(&mut back).unwrap();
-        assert_eq!(back, want, "rank {} read another task's chunks", comm.rank());
+        assert_eq!(
+            back,
+            want,
+            "rank {} read another task's chunks",
+            comm.rank()
+        );
         assert!(r.feof());
         r.close().unwrap();
     });

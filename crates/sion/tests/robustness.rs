@@ -113,7 +113,10 @@ fn random_garbage_of_many_sizes_errors() {
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         let fs = MemFs::with_block_size(512);
         write_file(&fs, "junk", &bytes);
-        assert!(Multifile::open(&fs, "junk").is_err(), "len {len} accepted?!");
+        assert!(
+            Multifile::open(&fs, "junk").is_err(),
+            "len {len} accepted?!"
+        );
     }
 }
 
@@ -180,7 +183,9 @@ proptest! {
 #[test]
 fn corrupt_compressed_chunk_never_serves_unverified_bytes() {
     let fs = MemFs::with_block_size(512);
-    let payload: Vec<u8> = (0..60_000u32).flat_map(|i| (i / 7 % 500).to_le_bytes()).collect();
+    let payload: Vec<u8> = (0..60_000u32)
+        .flat_map(|i| (i / 7 % 500).to_le_bytes())
+        .collect();
     World::run(2, |comm| {
         let params = SionParams::new(2048).with_compression();
         let mut w = paropen_write(&fs, "c.sion", &params, comm).unwrap();
@@ -225,15 +230,26 @@ fn corrupt_compressed_chunk_never_serves_unverified_bytes() {
 
     // Past the 13-byte frame header, in the first and in the last chunk
     // (after which no stored byte is left to trip over).
-    for at in [first.offset + 40, first.offset + first.used - 1, last.offset, last.offset + last.used - 1] {
+    for at in [
+        first.offset + 40,
+        first.offset + first.used - 1,
+        last.offset,
+        last.offset + last.used - 1,
+    ] {
         let mut bytes = original.clone();
         bytes[at as usize] ^= 0x10;
         let err = check(&bytes, &format!("flip at {at}"));
-        assert!(matches!(err, sion::SionError::Compression(_)), "flip at {at}: {err}");
+        assert!(
+            matches!(err, sion::SionError::Compression(_)),
+            "flip at {at}: {err}"
+        );
     }
 
     let truncated = |err: sion::SionError| {
-        matches!(err, sion::SionError::Compression(sion::SzipError::Truncated))
+        matches!(
+            err,
+            sion::SionError::Compression(sion::SzipError::Truncated)
+        )
     };
     // Byte 7 of the first frame header: `stored_len` grows by 1 MiB, and
     // the decoder is still waiting for the frame when the data runs out.
@@ -260,10 +276,15 @@ fn corrupt_compressed_chunk_never_serves_unverified_bytes() {
 /// deserted a collective would hang the others (run under `SIMCHECK=1`).
 fn par_open_verdicts(fs: &MemFs, base: &str, ntasks: usize) -> Vec<Result<(), String>> {
     let threads = World::run(ntasks, |comm| {
-        paropen_read(fs, base, comm).map(drop).map_err(|e| e.to_string())
+        paropen_read(fs, base, comm)
+            .map(drop)
+            .map_err(|e| e.to_string())
     });
     let tasks = TaskWorld::run(ntasks, |c| async move {
-        paropen_read_co(fs, base, &c).await.map(drop).map_err(|e| e.to_string())
+        paropen_read_co(fs, base, &c)
+            .await
+            .map(drop)
+            .map_err(|e| e.to_string())
     });
     assert_eq!(threads, tasks, "the runtimes disagree");
     threads
@@ -272,9 +293,14 @@ fn par_open_verdicts(fs: &MemFs, base: &str, ntasks: usize) -> Vec<Result<(), St
 /// The collective open must fail on every rank, and the rank that read the
 /// metadata must say what the serial open says.
 fn assert_refused_everywhere(verdicts: &[Result<(), String>], family: &str, what: &str) {
-    assert!(verdicts.iter().all(Result::is_err), "{what}: some rank opened: {verdicts:?}");
     assert!(
-        verdicts.iter().any(|v| v.as_ref().is_err_and(|e| e.contains(family))),
+        verdicts.iter().all(Result::is_err),
+        "{what}: some rank opened: {verdicts:?}"
+    );
+    assert!(
+        verdicts
+            .iter()
+            .any(|v| v.as_ref().is_err_and(|e| e.contains(family))),
         "{what}: nobody said \"{family}\": {verdicts:?}"
     );
 }
@@ -292,14 +318,19 @@ fn par_open_refuses_usage_beyond_the_chunk() {
         w.write(&[comm.rank() as u8 + 1; 40]).unwrap();
         w.close().unwrap();
     });
-    assert!(par_open_verdicts(&fs, "u.sion", 4).iter().all(Result::is_ok));
+    assert!(par_open_verdicts(&fs, "u.sion", 4)
+        .iter()
+        .all(Result::is_ok));
 
     // Block 0 of local task 1, in metablock 2 (block-major) and in the
     // chunk index (task-major prefix sums; the file has one block).
     let mut bytes = file_bytes(&fs, "u.sion");
     let trailer = Trailer::read_from(fs.open("u.sion").unwrap().as_ref()).unwrap();
     let (idx_off, _) = trailer.index.expect("a v2 close writes the index");
-    for at in [trailer.mb2_off + MB2_FIXED_LEN + 8, idx_off + IDX_FIXED_LEN + 8] {
+    for at in [
+        trailer.mb2_off + MB2_FIXED_LEN + 8,
+        idx_off + IDX_FIXED_LEN + 8,
+    ] {
         let at = at as usize;
         assert_eq!(bytes[at..at + 8], 40u64.to_le_bytes());
         bytes[at..at + 8].copy_from_slice(&100u64.to_le_bytes());
@@ -309,10 +340,22 @@ fn par_open_refuses_usage_beyond_the_chunk() {
 
     let family = "claims more bytes than its chunk holds";
     let mf = Multifile::open(&fs2, "u.sion").unwrap();
-    assert!(mf.location(1).is_err_and(|e| e.to_string().contains(family)));
-    assert!(mf.locations().is_err_and(|e| e.to_string().contains(family)));
-    assert_eq!(mf.read_rank(2).unwrap(), [3u8; 40], "the other rows are fine");
-    assert_refused_everywhere(&par_open_verdicts(&fs2, "u.sion", 4), family, "usage 100 of 64");
+    assert!(mf
+        .location(1)
+        .is_err_and(|e| e.to_string().contains(family)));
+    assert!(mf
+        .locations()
+        .is_err_and(|e| e.to_string().contains(family)));
+    assert_eq!(
+        mf.read_rank(2).unwrap(),
+        [3u8; 40],
+        "the other rows are fine"
+    );
+    assert_refused_everywhere(
+        &par_open_verdicts(&fs2, "u.sion", 4),
+        family,
+        "usage 100 of 64",
+    );
 }
 
 /// File 1 of a two-file multifile names another task count, or another file
@@ -324,7 +367,9 @@ fn par_open_refuses_usage_beyond_the_chunk() {
 fn par_open_refuses_what_the_serial_open_refuses() {
     let fs = MemFs::with_block_size(512);
     valid_multifile(&fs, false);
-    assert!(par_open_verdicts(&fs, "v.sion", 4).iter().all(Result::is_ok));
+    assert!(par_open_verdicts(&fs, "v.sion", 4)
+        .iter()
+        .all(Result::is_ok));
     let file0 = file_bytes(&fs, "v.sion");
     let file1 = file_bytes(&fs, "v.sion.000001");
 
@@ -339,12 +384,32 @@ fn par_open_refuses_what_the_serial_open_refuses() {
         let fs2 = MemFs::with_block_size(512);
         write_file(&fs2, "v.sion", &file0);
         write_file(&fs2, "v.sion.000001", &patched);
-        let serial = Multifile::open(&fs2, "v.sion").map(drop).map_err(|e| e.to_string());
+        let serial = Multifile::open(&fs2, "v.sion")
+            .map(drop)
+            .map_err(|e| e.to_string());
         assert!(serial.is_err_and(|e| e.contains(family)), "{what}");
         assert_refused_everywhere(&par_open_verdicts(&fs2, "v.sion", 4), family, what);
     };
-    check("ntasks_global 4 -> 5", 28, &4u64.to_le_bytes(), &5u64.to_le_bytes(), shape);
-    check("filenum 1 -> 0", 40, &1u32.to_le_bytes(), &0u32.to_le_bytes(), shape);
+    check(
+        "ntasks_global 4 -> 5",
+        28,
+        &4u64.to_le_bytes(),
+        &5u64.to_le_bytes(),
+        shape,
+    );
+    check(
+        "filenum 1 -> 0",
+        40,
+        &1u32.to_le_bytes(),
+        &0u32.to_le_bytes(),
+        shape,
+    );
     let at = MB1_FIXED_LEN as usize + 8;
-    check("ranks [2, 3] -> [2, 2]", at, &3u64.to_le_bytes(), &2u64.to_le_bytes(), rank_twice);
+    check(
+        "ranks [2, 3] -> [2, 2]",
+        at,
+        &3u64.to_le_bytes(),
+        &2u64.to_le_bytes(),
+        rank_twice,
+    );
 }

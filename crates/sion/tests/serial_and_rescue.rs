@@ -4,13 +4,13 @@
 
 use simmpi::World;
 use sion::rescue::{repair, RESCUE_HEADER_LEN};
-use sion::{
-    paropen_write, Alignment, Multifile, SerialWriter, SionError, SionParams,
-};
+use sion::{paropen_write, Alignment, Multifile, SerialWriter, SionError, SionParams};
 use vfs::{MemFs, Vfs};
 
 fn payload(rank: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 17 + rank * 97 + 3) % 253) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 17 + rank * 97 + 3) % 253) as u8)
+        .collect()
 }
 
 #[test]
@@ -29,7 +29,11 @@ fn serial_writer_roundtrip() {
     assert_eq!(mf.ntasks(), 4);
     assert_eq!(mf.locations().unwrap().nfiles, 2);
     for (rank, &req) in chunksizes.iter().enumerate() {
-        assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, 2000), "rank {rank}");
+        assert_eq!(
+            mf.read_rank(rank).unwrap(),
+            payload(rank, 2000),
+            "rank {rank}"
+        );
         assert_eq!(mf.locations().unwrap().tasks[rank].chunksize_req, req);
     }
 }
@@ -50,7 +54,9 @@ fn rank_reader_scan_is_zero_copy_on_memfs() {
     for rank in 0..3 {
         let mut r = mf.rank_reader(rank).unwrap();
         let mut seen = Vec::new();
-        let n = r.scan_remaining(&mut |piece| seen.extend_from_slice(piece)).unwrap();
+        let n = r
+            .scan_remaining(&mut |piece| seen.extend_from_slice(piece))
+            .unwrap();
         assert_eq!(n, 1500, "rank {rank}");
         assert_eq!(seen, payload(rank, 1500), "rank {rank}");
         let c = r.io_counters();
@@ -100,7 +106,8 @@ fn locations_report_geometry() {
     World::run(6, |comm| {
         let params = SionParams::new(2000).with_nfiles(2);
         let mut w = paropen_write(&fs, "loc.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 100 * (comm.rank() + 1))).unwrap();
+        w.write(&payload(comm.rank(), 100 * (comm.rank() + 1)))
+            .unwrap();
         w.close().unwrap();
     });
     let mf = Multifile::open(&fs, "loc.sion").unwrap();
@@ -124,8 +131,12 @@ fn locations_report_geometry() {
 fn multifile_rejects_non_sion_files() {
     let fs = MemFs::new();
     let f = fs.create("junk").unwrap();
-    f.write_all_at(b"this is not a multifile at all....", 0).unwrap();
-    assert!(matches!(Multifile::open(&fs, "junk"), Err(SionError::Format(_))));
+    f.write_all_at(b"this is not a multifile at all....", 0)
+        .unwrap();
+    assert!(matches!(
+        Multifile::open(&fs, "junk"),
+        Err(SionError::Format(_))
+    ));
 }
 
 /// Simulate a crash: cut the file at the start of metablock 2, removing it
@@ -146,18 +157,27 @@ fn repair_reconstructs_lost_metablock2() {
     World::run(ntasks, |comm| {
         let params = SionParams::new(512).with_rescue();
         let mut w = paropen_write(&fs, "crash.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 300 * (comm.rank() + 1))).unwrap();
+        w.write(&payload(comm.rank(), 300 * (comm.rank() + 1)))
+            .unwrap();
         w.close().unwrap();
     });
 
     // Sanity: opens fine before the crash.
     let before = Multifile::open(&fs, "crash.sion").unwrap();
-    let stored_before: Vec<u64> =
-        before.locations().unwrap().tasks.iter().map(|t| t.stored_bytes).collect();
+    let stored_before: Vec<u64> = before
+        .locations()
+        .unwrap()
+        .tasks
+        .iter()
+        .map(|t| t.stored_bytes)
+        .collect();
     drop(before);
 
     truncate_metadata(&fs, "crash.sion");
-    assert!(Multifile::open(&fs, "crash.sion").is_err(), "truncation must break the file");
+    assert!(
+        Multifile::open(&fs, "crash.sion").is_err(),
+        "truncation must break the file"
+    );
 
     let report = repair(&fs, "crash.sion", false).unwrap();
     assert_eq!(report.files_scanned, 1);
@@ -165,10 +185,19 @@ fn repair_reconstructs_lost_metablock2() {
     assert!(report.chunks_recovered > 0);
 
     let after = Multifile::open(&fs, "crash.sion").unwrap();
-    let stored_after: Vec<u64> = after.locations().unwrap().tasks.iter().map(|t| t.stored_bytes).collect();
+    let stored_after: Vec<u64> = after
+        .locations()
+        .unwrap()
+        .tasks
+        .iter()
+        .map(|t| t.stored_bytes)
+        .collect();
     assert_eq!(stored_after, stored_before);
     for rank in 0..ntasks {
-        assert_eq!(after.read_rank(rank).unwrap(), payload(rank, 300 * (rank + 1)));
+        assert_eq!(
+            after.read_rank(rank).unwrap(),
+            payload(rank, 300 * (rank + 1))
+        );
     }
 }
 
@@ -191,14 +220,21 @@ fn repair_recovers_flushed_data_from_buffered_crash() {
         drop(w); // no close → no metablock 2, no trailer
     });
 
-    assert!(Multifile::open(&fs, "bcrash.sion").is_err(), "crashed file must not open");
+    assert!(
+        Multifile::open(&fs, "bcrash.sion").is_err(),
+        "crashed file must not open"
+    );
     let report = repair(&fs, "bcrash.sion", false).unwrap();
     assert_eq!(report.files_repaired, 1);
     assert!(report.chunks_recovered > 0);
 
     let mf = Multifile::open(&fs, "bcrash.sion").unwrap();
     for rank in 0..ntasks {
-        assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, 700), "rank {rank}");
+        assert_eq!(
+            mf.read_rank(rank).unwrap(),
+            payload(rank, 700),
+            "rank {rank}"
+        );
     }
 }
 
@@ -234,7 +270,10 @@ fn repair_requires_rescue_flag() {
         w.write(b"data").unwrap();
         w.close().unwrap();
     });
-    assert!(matches!(repair(&fs, "norescue.sion", false), Err(SionError::Rescue(_))));
+    assert!(matches!(
+        repair(&fs, "norescue.sion", false),
+        Err(SionError::Rescue(_))
+    ));
 }
 
 #[test]
@@ -248,10 +287,16 @@ fn forced_repair_matches_collective_close() {
         w.write(&payload(comm.rank(), 700)).unwrap();
         w.close().unwrap();
     });
-    let before = Multifile::open(&fs, "force.sion").unwrap().locations().unwrap();
+    let before = Multifile::open(&fs, "force.sion")
+        .unwrap()
+        .locations()
+        .unwrap();
     let report = repair(&fs, "force.sion", true).unwrap();
     assert_eq!(report.files_repaired, 1);
-    let after = Multifile::open(&fs, "force.sion").unwrap().locations().unwrap();
+    let after = Multifile::open(&fs, "force.sion")
+        .unwrap()
+        .locations()
+        .unwrap();
     assert_eq!(before, after);
 }
 
@@ -278,7 +323,11 @@ fn repair_multifile_with_partial_metablock_loss_across_files() {
 
     let mf = Multifile::open(&fs, "part.sion").unwrap();
     for rank in 0..9 {
-        assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, 1100), "rank {rank}");
+        assert_eq!(
+            mf.read_rank(rank).unwrap(),
+            payload(rank, 1100),
+            "rank {rank}"
+        );
     }
 }
 
@@ -290,15 +339,22 @@ fn forced_repair_of_multifile_matches_collective_close() {
     World::run(6, |comm| {
         let params = SionParams::new(256).with_nfiles(2).with_rescue();
         let mut w = paropen_write(&fs, "mforce.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 500 + 100 * comm.rank())).unwrap();
+        w.write(&payload(comm.rank(), 500 + 100 * comm.rank()))
+            .unwrap();
         w.close().unwrap();
     });
-    let before = Multifile::open(&fs, "mforce.sion").unwrap().locations().unwrap();
+    let before = Multifile::open(&fs, "mforce.sion")
+        .unwrap()
+        .locations()
+        .unwrap();
     let report = repair(&fs, "mforce.sion", true).unwrap();
     assert_eq!(report.files_scanned, 2);
     assert_eq!(report.files_repaired, 2);
     assert_eq!(report.files_intact, 0);
-    let after = Multifile::open(&fs, "mforce.sion").unwrap().locations().unwrap();
+    let after = Multifile::open(&fs, "mforce.sion")
+        .unwrap()
+        .locations()
+        .unwrap();
     assert_eq!(before, after);
 }
 
@@ -332,7 +388,11 @@ fn repair_after_clean_close_is_byte_identical() {
     let report = repair(&fs, "ident.sion", true).unwrap();
     assert_eq!(report.files_repaired, 1);
     assert!(report.is_clean(), "{:?}", report.problems);
-    assert_eq!(file_bytes(&fs, "ident.sion"), before, "repair must be byte-identical");
+    assert_eq!(
+        file_bytes(&fs, "ident.sion"),
+        before,
+        "repair must be byte-identical"
+    );
 }
 
 #[test]
@@ -352,7 +412,11 @@ fn repair_skips_unopenable_file_but_fixes_the_rest() {
     let report = repair(&fs, "gone.sion", false).unwrap();
     assert_eq!(report.files_repaired, 1);
     assert!(!report.is_clean());
-    assert!(report.problems.iter().any(|p| p.contains("cannot open")), "{:?}", report.problems);
+    assert!(
+        report.problems.iter().any(|p| p.contains("cannot open")),
+        "{:?}",
+        report.problems
+    );
 }
 
 #[test]

@@ -51,18 +51,18 @@ impl ModelTask {
 #[derive(Debug, Clone)]
 enum Op {
     /// Seek rank to (block, pos).
-    Seek { rank: usize, block: usize, pos: usize },
+    Seek {
+        rank: usize,
+        block: usize,
+        pos: usize,
+    },
     /// Chunk-splitting write on a rank's current position.
     Write { rank: usize, data: Vec<u8> },
 }
 
 fn op_strategy(nranks: usize, cap: usize) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..nranks, 0usize..4, 0..cap).prop_map(|(rank, block, pos)| Op::Seek {
-            rank,
-            block,
-            pos
-        }),
+        (0..nranks, 0usize..4, 0..cap).prop_map(|(rank, block, pos)| Op::Seek { rank, block, pos }),
         (0..nranks, prop::collection::vec(any::<u8>(), 1..200))
             .prop_map(|(rank, data)| Op::Write { rank, data }),
     ]

@@ -5,14 +5,14 @@
 //! a four-digit-rank smoke run that would be infeasible thread-per-rank.
 
 use simmpi::{CoComm, SchedPolicy, TaskWorld, World};
-use sion::{
-    paropen_read_co, paropen_write, paropen_write_co, Mapping, Multifile, SionParams,
-};
+use sion::{paropen_read_co, paropen_write, paropen_write_co, Mapping, Multifile, SionParams};
 use vfs::{MemFs, Vfs};
 
 /// Deterministic per-rank payload.
 fn payload(rank: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8).collect()
+    (0..len)
+        .map(|i| ((i * 31 + rank * 131 + 7) % 251) as u8)
+        .collect()
 }
 
 /// Read back every physical file under `prefix` as raw bytes.
@@ -40,7 +40,9 @@ fn task_world_collective_roundtrip() {
         let params = &params;
         async move {
             let data = payload(c.rank(), bytes_per_task);
-            let mut w = paropen_write_co(fs, "out/data.sion", params, &c).await.unwrap();
+            let mut w = paropen_write_co(fs, "out/data.sion", params, &c)
+                .await
+                .unwrap();
             for piece in data.chunks(1000 + c.rank() * 37 + 1) {
                 w.write(piece).unwrap();
             }
@@ -60,14 +62,20 @@ fn task_world_collective_roundtrip() {
     let mf = Multifile::open(&fs, "out/data.sion").unwrap();
     assert_eq!(mf.ntasks(), ntasks);
     for rank in 0..ntasks {
-        assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, bytes_per_task), "rank {rank}");
+        assert_eq!(
+            mf.read_rank(rank).unwrap(),
+            payload(rank, bytes_per_task),
+            "rank {rank}"
+        );
     }
     assert_eq!(fs.list("out/").unwrap().len(), 4);
 }
 
 #[test]
 fn task_and_thread_runtimes_write_identical_multifiles() {
-    let params = SionParams::new(2048).with_nfiles(3).with_mapping(Mapping::RoundRobin);
+    let params = SionParams::new(2048)
+        .with_nfiles(3)
+        .with_mapping(Mapping::RoundRobin);
     let ntasks = 24;
     let bytes_per_task = 5_000;
 
@@ -114,7 +122,10 @@ fn serial_schedules_produce_the_same_multifile() {
     };
     let baseline = run(SchedPolicy::WorkSteal { workers: 4 });
     for seed in 0..4 {
-        let serial = SchedPolicy::Serial { seed, preemption_bound: usize::MAX };
+        let serial = SchedPolicy::Serial {
+            seed,
+            preemption_bound: usize::MAX,
+        };
         assert_eq!(run(serial), baseline, "seed {seed}");
     }
 }
@@ -126,11 +137,16 @@ fn serial_schedules_produce_the_same_multifile() {
 fn a_task_world_leaves_no_task_label_on_the_calling_thread() {
     let fs = MemFs::with_block_size(4096);
     let params = SionParams::new(4096);
-    let policy = SchedPolicy::Serial { seed: 3, preemption_bound: 2 };
+    let policy = SchedPolicy::Serial {
+        seed: 3,
+        preemption_bound: 2,
+    };
     TaskWorld::run_with(policy, 4, |c| {
         let (fs, params) = (&fs, &params);
         async move {
-            let mut w = paropen_write_co(fs, "label/data.sion", params, &c).await.unwrap();
+            let mut w = paropen_write_co(fs, "label/data.sion", params, &c)
+                .await
+                .unwrap();
             w.write(&payload(c.rank(), 100)).unwrap();
             w.close_co().await.unwrap();
         }
@@ -147,7 +163,9 @@ fn mismatched_params_fail_collectively_on_task_runtime() {
             // Rank 5 disagrees about the file count.
             let nfiles = if c.rank() == 5 { 2 } else { 1 };
             let params = SionParams::new(1024).with_nfiles(nfiles);
-            paropen_write_co(fs, "clash.sion", &params, &c).await.is_err()
+            paropen_write_co(fs, "clash.sion", &params, &c)
+                .await
+                .is_err()
         }
     });
     assert!(results.iter().all(|&failed| failed));
@@ -165,7 +183,9 @@ fn blocking_close_inside_a_task_world_panics_instead_of_parking() {
             let fs = &fs;
             let params = &params;
             async move {
-                let w = paropen_write_co(fs, "misuse.sion", params, &c).await.unwrap();
+                let w = paropen_write_co(fs, "misuse.sion", params, &c)
+                    .await
+                    .unwrap();
                 w.close().is_ok()
             }
         })
@@ -191,7 +211,9 @@ fn four_digit_rank_open_write_close() {
         let params = &params;
         async move {
             let data = payload(c.rank(), 256);
-            let mut w = paropen_write_co(fs, "big/huge.sion", params, &c).await.unwrap();
+            let mut w = paropen_write_co(fs, "big/huge.sion", params, &c)
+                .await
+                .unwrap();
             w.write(&data).unwrap();
             let stats = w.close_co().await.unwrap();
             assert_eq!(stats.user_bytes, 256);
@@ -206,6 +228,10 @@ fn four_digit_rank_open_write_close() {
     let mf = Multifile::open(&fs, "big/huge.sion").unwrap();
     assert_eq!(mf.ntasks(), ntasks);
     for rank in [0, 1, 1023, 2047] {
-        assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, 256), "rank {rank}");
+        assert_eq!(
+            mf.read_rank(rank).unwrap(),
+            payload(rank, 256),
+            "rank {rank}"
+        );
     }
 }
