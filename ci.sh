@@ -258,16 +258,28 @@ then
     exit 1
 fi
 
-echo "==> structural gate: a MemFs extent is one allocation (no Arc<Vec<u8>>, no dyn AsRef lease buffer in crates/vfs/src, no page-keyed table in mem.rs)"
+echo "==> structural gate: a MemFs extent is one buffer (copy-built extents are one Arc<[u8]> allocation; Arc<Vec<u8>> only as the owned lease variant; no dyn AsRef, no page-keyed table)"
 # An extent — the whole pages one write or one adopted lease put into one
-# FS block — is an `Arc<[u8]>` whose refcounts and bytes share one heap
-# block, and a lease holds that buffer, not a type-erased one. The table
-# maps a first page to an extent, never a page to its own allocation.
-# (simmpi's shared broadcast frames are another owner and out of scope here.)
-if grep -rnE 'Arc<Vec<u8>>|dyn AsRef' crates/vfs/src ||
+# FS block — is held by one buffer handle. What MemFs builds by copying is
+# an `Arc<[u8]>` whose refcounts and bytes share one heap block
+# (`Extent::whole(Arc::from(..))`); a writer's own `Vec`, handed over with
+# `ByteLease::from_vec`, is the one other kind, spelled `Arc<Vec<u8>>` once:
+# the owned variant of the lease's storage in lib.rs. mem.rs never wraps a
+# buffer as owned — it adopts what a lease holds — and a lease holds a
+# concrete buffer, not a type-erased one. The table maps a first page to an
+# extent, never a page to its own allocation. (simmpi's shared broadcast
+# frames are another owner and out of scope here.)
+owned_sites=$(grep -rn 'Arc<Vec<u8>>' crates/vfs/src || true)
+if [ "$(printf '%s\n' "$owned_sites" | grep -c .)" -ne 1 ] ||
+    ! printf '%s\n' "$owned_sites" | grep -qE '^crates/vfs/src/lib\.rs:[0-9]+: *Owned\(Arc<Vec<u8>>\),$' ||
+    grep -rn 'dyn AsRef' crates/vfs/src ||
+    grep -n 'Owned' crates/vfs/src/mem.rs ||
+    ! grep -q 'fn whole(buf: Arc<\[u8\]>)' crates/vfs/src/mem.rs ||
+    ! grep -q 'Extent::whole(Arc::from(run))' crates/vfs/src/mem.rs ||
     grep -nE 'type Page\b|BTreeMap<u64, *Arc<\[u8\]>>' crates/vfs/src/mem.rs
 then
-    echo "a MemFs extent is one \`Arc<[u8]>\` built straight from the writer's slice and keyed by its first page; \`ByteLease\` holds it"
+    printf 'Arc<Vec<u8>> in crates/vfs/src:\n%s\n' "$owned_sites"
+    echo "a MemFs extent is built straight from the writer's slice as one \`Arc<[u8]>\`, or adopted from a lease; \`Arc<Vec<u8>>\` is only the lease's owned variant (\`ByteLease::from_vec\`); extents are keyed by their first page"
     exit 1
 fi
 
@@ -358,6 +370,33 @@ then
     impl_fns 'send(_vec)?'
     echo "stream.rs has $stream_extents push_extent( lines outside its tests (want 1, in submit)"
     echo "ship by move: runtimes implement \`send_vec\` only, \`MemberState::ship\` moves the frame with it, and the staged run is flushed in the frame (\`flush_run\`), never copied into it"
+    exit 1
+fi
+
+echo "==> structural gate: one copy per written byte (a staged buffer becomes the file's storage; the aggregated write path polls where a message can be waiting)"
+# A byte is copied once, into the buffer its writer stages it in, and that
+# buffer is what a sharing backend keeps: an independent writer's
+# `flush_run` hands its full buffer over with `ByteLease::from_vec`, and
+# `AggState::apply` leases the received frame once and writes each extent
+# as a slice of it through `write_lease_at` — never `write_all_at`. In
+# `SionParWriter::op` a member collects acks only in the arm that ships
+# (guarded by `due(`) and an aggregator drains only in the arm guarded by
+# its writer's `vfs_calls` (or `ship_now`, i.e. flush): neither polls
+# before the op runs.
+op_body=$(method crates/sion/src/par.rs op)
+arm_of() {
+    printf '%s\n' "$op_body" | awk -v call="$1" '/=>/ { arm = $0 } index($0, call) { print arm }'
+}
+if ! method crates/sion/src/agg.rs apply | grep -q 'ByteLease::from_vec(' ||
+    ! method crates/sion/src/agg.rs apply | grep -q 'write_lease_at(&buf\.slice(' ||
+    method crates/sion/src/agg.rs apply | grep -q 'write_all_at(' ||
+    ! method crates/sion/src/stream.rs flush_run | grep -q 'ByteLease::from_vec(' ||
+    [ "$(printf '%s\n' "$op_body" | grep -cE 'try_drain\(|drain_acks\(')" -ne 2 ] ||
+    ! arm_of 'drain_acks(' | grep -q 'AggRole::Member(m) if m\.due(' ||
+    ! arm_of 'try_drain(' | grep -qE 'AggRole::Aggregator\(a\) if ship_now \|\| .*vfs_calls > calls'
+then
+    printf '%s\n' "$op_body" | grep -nE 'try_drain\(|drain_acks\(|=>'
+    echo "one copy per written byte: \`flush_run\` and \`AggState::apply\` hand their buffers over as leases (\`ByteLease::from_vec\`, \`write_lease_at\`), and \`SionParWriter::op\` polls only in its ship arm and its aggregator-called-the-file arm"
     exit 1
 fi
 
@@ -470,9 +509,9 @@ done)
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck"
+echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion"
 # The crates kept rustfmt-clean so far; the rest of the tree is not yet.
-cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck
+cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion
 
 # The counter every CHANGES.md entry quotes (net LoC is reported, not computed
 # by hand), after what this commit did to it.

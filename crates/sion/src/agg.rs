@@ -28,25 +28,32 @@
 //! ([`close_extent`]) instead of copying it. Only writes of bytes the frame
 //! does not hold yet — rescue words, write-through records, records the
 //! size of the buffer or larger — are copied in ([`push_extent`]). So a
-//! shipped byte is copied once on the member, and [`CoComm::send_vec`]
-//! moves the frame into the aggregator's mailbox as it is.
+//! shipped byte is copied once on the member, [`CoComm::send_vec`] moves
+//! the frame into the aggregator's mailbox as it is, and the aggregator
+//! leases the frame whole and writes each extent as a slice of it
+//! ([`vfs::VfsFile::write_lease_at`]): a backend that adopts whole pages
+//! keeps the frame's own bytes as the file's storage, so that one copy is
+//! the only one.
 //!
 //! A member ships when the recorded extents reach the write-behind
 //! capacity, on `flush`, and at close (the frame that ends the stream). A
 //! run still staged at ship time has had no shadow write: it is carried
-//! into the next frame, header and bytes, and ships with that one. The
-//! aggregator drains *opportunistically* from inside its own write calls
-//! (non-parking [`CoComm::try_recv`], each poll a schedule point the checkers
-//! see), overlapping members' compute with its I/O, and fully at close.
+//! into the next frame, header and bytes, and ships with that one. Polls
+//! happen only where a message can be waiting: a member collects its acks
+//! when it ships and at close, and the aggregator drains after an op in
+//! which its own writer called the file and on its `flush` (non-parking
+//! [`CoComm::try_recv`], each poll a schedule point the checkers see),
+//! overlapping members' compute with its I/O, and fully at close.
 //!
 //! Failure semantics (the §4a crash model, preserved): an acked shipment is
 //! in the VFS, as after an independent-mode `flush`; a crashed aggregator
 //! loses only not-yet-acked shipments. A VFS error while applying marks the
 //! member *failed*: the aggregator keeps draining to the end of its stream
 //! (a deserted protocol would hang the group) but writes no further extent
-//! of it, and every later ack carries status 1. The member folds that into
-//! its [`CloseRecord`](crate::format::CloseRecord): the group skips
-//! metablock 2 and the file stays repairable via `rescue::repair`.
+//! of it, and every later ack carries status 1. The member learns of it at
+//! its next ship, which fails, as every op after it does, or at close, and
+//! folds it into its [`CloseRecord`](crate::format::CloseRecord): the group
+//! skips metablock 2 and the file stays repairable via `rescue::repair`.
 
 // Shipment frames, member → aggregator, and acks `[seq, status]`,
 // aggregator → member: the namespaces `simmpi` reserves for this protocol.
@@ -54,7 +61,7 @@ use simmpi::CoComm;
 use simmpi::{AGG_ACK_TAG_PREFIX as TAG_ACK, AGG_SHIP_TAG_PREFIX as TAG_SHIP};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use vfs::{IoSlice, VfsFile};
+use vfs::{ByteLease, IoSlice, VfsFile};
 
 /// Bytes reserved at the head of a frame for its sequence number.
 pub(crate) const SEQ_LEN: usize = 8;
@@ -181,7 +188,7 @@ impl MemberState {
         }
     }
 
-    /// Consume every already-delivered ack without parking.
+    /// Consume every already-delivered ack without parking (after a ship).
     pub(crate) fn drain_acks(&mut self, lcom: &dyn CoComm) {
         while let Some(ack) = lcom.try_recv(self.agg, TAG_ACK) {
             self.note_ack(&ack);
@@ -238,7 +245,8 @@ impl AggState {
     }
 
     /// Apply every already-delivered shipment without parking — the overlap
-    /// hook, called from the aggregator's own write path.
+    /// hook, called after an aggregator's op that called its file, and on
+    /// its `flush`.
     pub(crate) fn try_drain(&mut self, lcom: &dyn CoComm) {
         for i in 0..self.members.len() {
             while !self.members[i].done {
@@ -264,10 +272,14 @@ impl AggState {
         }
     }
 
-    /// Write one frame's extents for member `i` and ack it. Frames are built by
-    /// this module's extent writers in this same build: malformed framing is
-    /// a bug — panic.
+    /// Write one frame's extents for member `i` and ack it. The frame is
+    /// leased whole and each extent written as a slice of that lease, so a
+    /// backend that adopts whole pages keeps the frame's own bytes — the
+    /// ones the member staged them into — instead of copying them. Frames
+    /// are built by this module's extent writers in this same build:
+    /// malformed framing is a bug — panic.
     fn apply(&mut self, i: usize, buf: Vec<u8>, lcom: &dyn CoComm) {
+        let buf = ByteLease::from_vec(buf);
         let slot = &mut self.members[i];
         let word = |p: usize| u64::from_le_bytes(buf[p..p + 8].try_into().expect("frame word"));
         debug_assert_eq!(word(0), slot.next_seq, "frames arrive in ship order");
@@ -291,7 +303,7 @@ impl AggState {
             if !slot.failed {
                 slot.failed = self
                     .file
-                    .write_all_at(&buf[p + 16..p + 16 + len], at)
+                    .write_lease_at(&buf.slice(p + 16, len), at)
                     .is_err();
             }
             p += 16 + len;

@@ -445,30 +445,40 @@ fn decode_write_part(bytes: &[u8]) -> Result<(ChunkGeom, usize, usize)> {
 }
 
 impl SionParWriter {
-    /// Run one synchronous stream op in this task's role. An aggregator
-    /// first takes the chance to apply any already-delivered shipments —
-    /// the compute/I/O overlap. A member runs the op on its own engine
-    /// (so errors surface exactly as in independent mode and nothing
-    /// invalid is ever recorded), ships the frame the engine filled if
-    /// `ship_now` or once it reached the write-behind capacity, and
-    /// collects whatever acks have arrived, without waiting.
+    /// Run one synchronous stream op in this task's role, polling only
+    /// where a message can be waiting. A member runs the op on its own
+    /// engine (so errors surface exactly as in independent mode and nothing
+    /// invalid is ever recorded) and ships the frame the engine filled if
+    /// `ship_now` or once it reached the write-behind capacity; a ship is
+    /// when it collects the acks that have arrived, without waiting. So an
+    /// aggregator's failure to apply shows at the member's next ship — that
+    /// op and every later one fail — or at close. An aggregator applies the
+    /// already-delivered shipments after an op in which its own writer
+    /// called the file, and on `flush`: the compute/I/O overlap, at the
+    /// pace of its own I/O rather than of every record.
     fn op(
         &mut self,
         ship_now: bool,
         run: impl FnOnce(&mut TaskWriter) -> Result<()>,
     ) -> Result<()> {
+        if matches!(&self.role, AggRole::Member(m) if m.failed) {
+            return Err(apply_failed());
+        }
+        let calls = self.writer.io_counters().vfs_calls;
+        run(&mut self.writer)?;
         let lcom = self.lcom.as_ref();
         match &mut self.role {
-            AggRole::Member(m) if m.failed => return Err(apply_failed()),
-            AggRole::Aggregator(a) => a.try_drain(lcom),
-            _ => {}
-        }
-        run(&mut self.writer)?;
-        if let AggRole::Member(m) = &mut self.role {
-            if m.due(self.writer.recorded(), ship_now) {
+            AggRole::Member(m) if m.due(self.writer.recorded(), ship_now) => {
                 m.ship(self.writer.take_frame(true), lcom);
+                m.drain_acks(lcom);
+                if m.failed {
+                    return Err(apply_failed());
+                }
             }
-            m.drain_acks(lcom);
+            AggRole::Aggregator(a) if ship_now || self.writer.io_counters().vfs_calls > calls => {
+                a.try_drain(lcom)
+            }
+            _ => {}
         }
         Ok(())
     }
@@ -504,7 +514,10 @@ impl SionParWriter {
     /// On an aggregated-mode member this ships everything written so far
     /// without waiting for the acknowledgement: durability follows when
     /// the aggregator next applies, and an aggregator crash loses only
-    /// not-yet-acked shipments (see [`crate::agg`]).
+    /// not-yet-acked shipments (see [`crate::agg`]). The acks that have
+    /// arrived are collected, so an earlier frame the aggregator failed to
+    /// apply fails this call. On an aggregator it also applies every
+    /// shipment already delivered.
     pub fn flush(&mut self) -> Result<()> {
         self.op(true, |w| w.flush())
     }

@@ -127,7 +127,10 @@ pub struct IoCounters {
     pub bytes_copied: u64,
     /// Transient heap buffers allocated on the hot path (staging buffers,
     /// a reader's owned window). A buffer that grows counts once per
-    /// growth; steady-state reuse counts zero.
+    /// growth; steady-state reuse counts zero. A write-behind buffer the
+    /// file adopted is replaced uncounted: the replacement takes the place
+    /// of the copy a backend that does not adopt allocates, so the count
+    /// is the same on every backend.
     pub allocs: u64,
     /// Submissions issued via `write_vectored_at` (each also counted once
     /// in `vfs_calls`, however many slices it carried).
@@ -398,13 +401,14 @@ impl TaskWriter {
 
     /// Compressed mode: write out the frames the encoder has completed, if
     /// any (a 64 B record rarely completes one), and hand the buffer back
-    /// so the encoder does not regrow one for every frame.
+    /// — empty or not — so the encoder does not regrow one for every frame.
     fn forward_frames(&mut self) -> Result<()> {
         let Some(enc) = self.enc.as_mut() else {
             return Ok(());
         };
         let stored = enc.take_output();
         if stored.is_empty() {
+            enc.recycle(stored);
             return Ok(());
         }
         let res = self.put_split(&stored, None);
@@ -584,9 +588,32 @@ impl TaskWriter {
     /// frame behind its open extent header: the tail is appended and the
     /// length filled in, so the staged bytes are never copied again. On
     /// error nothing is retired, so a retry remains possible.
+    ///
+    /// An independent writer whose run alone fills its buffer hands the
+    /// buffer itself to the file ([`ByteLease::from_vec`]). A backend that
+    /// adopts it keeps it as the file's storage — each byte was copied
+    /// once, into this buffer — and the writer allocates a fresh one in
+    /// place of the extent the backend did not allocate (not counted in
+    /// [`IoCounters::allocs`], which stay the same on every backend); a
+    /// backend that copies gives it back. Only a full buffer goes: a partly
+    /// filled one would pin its unused capacity in the file.
     fn flush_run(&mut self, tail: &[u8]) -> Result<()> {
         let at = self.geom.data_offset(self.block) + self.wbuf_start;
         let buf = std::mem::take(&mut self.wbuf);
+        if self.ship_cap.is_none() && tail.is_empty() && buf.len() == buf.capacity() {
+            let lease = ByteLease::from_vec(buf);
+            let res = self.issue(&[IoSlice::new(&lease)], at, Submit::Lease(&lease));
+            self.wbuf = lease.into_vec().unwrap_or_else(|kept| {
+                let mut fresh = Vec::with_capacity(self.wbuf_cap);
+                if res.is_err() {
+                    fresh.extend_from_slice(&kept);
+                }
+                fresh
+            });
+            res?;
+            self.wbuf.clear();
+            return Ok(());
+        }
         let slices = [IoSlice::new(&buf[self.run..]), IoSlice::new(tail)];
         let res = if tail.is_empty() {
             self.issue(&slices[..1], at, Submit::Scalar)
@@ -1695,6 +1722,90 @@ mod tests {
         });
         assert_eq!(got[0].0, got[1].0, "the mailbox copied the frame");
         assert_eq!(got[0].1, vec![(start, vec![7u8; 1024])]);
+    }
+
+    /// A plain writer over `file` with an 8 KiB buffer and the 4 KiB-aligned
+    /// chunk geometry of a 4 KiB-block file system, with or without rescue
+    /// headers (which put the first run 32 bytes past the block start).
+    fn writer_8k(file: Arc<dyn VfsFile>, rescue: bool) -> (TaskWriter, u64) {
+        let layout = FileLayout::compute(&[1 << 16], 4096, Alignment::FsBlock, rescue).unwrap();
+        let geom = ChunkGeom::from_layout(&layout, 0, 0);
+        assert_eq!(geom.chunk_start(0) % 4096, 0);
+        (
+            TaskWriter::new(file, geom, false, 8192),
+            geom.data_offset(0),
+        )
+    }
+
+    #[test]
+    fn a_full_buffer_is_adopted_by_memfs_and_the_counters_do_not_tell() {
+        let fs = MemFs::with_block_size(4096);
+        let (mut w, at) = writer_8k(fs.create("f").unwrap(), false);
+        w.write(&[1u8; 4096]).unwrap();
+        let staged_at = w.staged().as_ptr();
+        // The second record fills the buffer: the flush hands it over.
+        w.write(&[2u8; 4096]).unwrap();
+        // One extent per FS block, both in the staged buffer.
+        let f = fs.open("f").unwrap();
+        let second = f.read_lease(at + 4096, 4096).unwrap();
+        assert_eq!(f.read_lease(at, 4096).unwrap().as_ptr(), staged_at);
+        assert_eq!(second.as_ptr(), staged_at.wrapping_add(4096));
+        assert!(second.iter().all(|&b| b == 2));
+        w.write(&[3u8; 64]).unwrap();
+        assert_ne!(w.staged().as_ptr(), staged_at, "a fresh buffer");
+        w.finish().unwrap();
+        // The same writes through a backend that copies count the same.
+        let (mut copied, _) = writer_8k(Arc::new(vfs::NullFile::new()), false);
+        for record in [&[1u8; 4096][..], &[2u8; 4096], &[3u8; 64]] {
+            copied.write(record).unwrap();
+        }
+        copied.finish().unwrap();
+        assert_eq!(w.io_counters(), copied.io_counters());
+        assert_eq!(w.io_counters().allocs, 1, "{:?}", w.io_counters());
+    }
+
+    #[test]
+    fn a_buffer_the_backend_copies_comes_back_to_its_writer() {
+        // A backend that copies every lease, and a MemFs run that is not at
+        // a page boundary (behind a rescue header): the writer reuses its
+        // one buffer.
+        let fs = MemFs::with_block_size(4096);
+        for (file, rescue) in [
+            (Arc::new(vfs::NullFile::new()) as Arc<dyn VfsFile>, false),
+            (fs.create("f").unwrap(), true),
+        ] {
+            let (mut w, _) = writer_8k(file, rescue);
+            w.write(&[1u8; 64]).unwrap();
+            let staged_at = w.staged().as_ptr();
+            for _ in 0..3 {
+                w.write(&[2u8; 8192 - 64]).unwrap();
+                w.write(&[3u8; 64]).unwrap();
+            }
+            assert!(w.io_counters().flushes >= 2, "rescue {rescue}");
+            assert_eq!(w.staged().as_ptr(), staged_at, "rescue {rescue}");
+            assert_eq!(w.io_counters().allocs, 1, "rescue {rescue}");
+            w.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_record_that_completes_no_frame_keeps_the_encoders_output_buffer() {
+        let (fs, layout) = setup(&[1 << 20], Alignment::None, false);
+        let mut w = writer(&fs, &layout, 0, true);
+        let record: Vec<u8> = (0..szip::FRAME_RAW_MAX).map(|i| (i % 7) as u8).collect();
+        w.write(&record).unwrap();
+        let out = |w: &mut TaskWriter| {
+            let enc = w.enc.as_mut().unwrap();
+            let out = enc.take_output();
+            let cap = out.capacity();
+            enc.recycle(out);
+            cap
+        };
+        let cap = out(&mut w);
+        assert!(cap > 0, "a frame was forwarded and its buffer handed back");
+        w.write(&[5u8; 64]).unwrap();
+        assert_eq!(out(&mut w), cap, "the 64 B record dropped the buffer");
+        w.finish().unwrap();
     }
 
     #[test]

@@ -405,10 +405,11 @@ fn every_crash_point_on_the_aggregated_path_yields_a_repairable_prefix() {
     );
     // A kill switch far beyond any reachable op count is no crash at all.
     // (Unlike the independent sweep, the aggregated op count is not a
-    // stable constant: how often an aggregator's opportunistic drain runs
-    // — and thus how many `flush_pending` rounds it performs — depends on
-    // frame arrival timing. The prefix property is interleaving-safe, the
-    // exact count is not.) The aggregators (ranks 0 and 2) flushed their
+    // stable constant: an aggregator applies delivered frames only at its
+    // drain points — after one of its own ops that called the file, and
+    // on its flush — so how many of its members' frames it has applied by
+    // the time the writers are dropped depends on frame arrival timing.
+    // The prefix property is interleaving-safe, the exact count is not.) The aggregators (ranks 0 and 2) flushed their
     // own streams directly, so their full payloads recover. The members
     // shipped their final flush but were dropped without the collective
     // close — the aggregator never drained those last frames, which is

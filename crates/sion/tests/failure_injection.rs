@@ -3,7 +3,7 @@
 //! multifiles accepted as valid.
 
 use simmpi::World;
-use sion::{paropen_read, paropen_write, Multifile, SionParams};
+use sion::{paropen_read, paropen_write, IoMode, Multifile, SionParams};
 use std::sync::Arc;
 use vfs::{FaultKind, FaultRule, Faults, MemFs, TapFs};
 
@@ -216,4 +216,51 @@ fn repair_with_failing_reads_errors_not_panics() {
     // Depending on where the reads die, repair errors or reports zero
     // recovery — it must not panic or hang.
     let _ = sion::rescue::repair(&fs, "rr.sion", true);
+}
+
+#[test]
+fn a_failed_apply_shows_at_the_members_next_ship_and_at_close() {
+    // One neighborhood of two: rank 0 aggregates, rank 1 ships. The file
+    // fails every write once the first frame is in rank 0's mailbox, so
+    // applying it fails and its ack carries the failure back.
+    let (fs, faults) = faulty(4096);
+    let params = SionParams::new(4096).with_io_mode(IoMode::Aggregated {
+        tasks_per_aggregator: 2,
+    });
+    let results = World::run(2, |comm| {
+        let mut w = paropen_write(&fs, "apply.sion", &params, comm).unwrap();
+        if comm.rank() == 1 {
+            w.write(&[1u8; 100]).unwrap();
+            w.flush().unwrap();
+        }
+        comm.barrier();
+        if comm.rank() == 0 {
+            faults.inject(FaultRule {
+                kind: FaultKind::Write,
+                from: 0,
+                count: u64::MAX,
+            });
+            // Nothing of its own to write: this flush only applies the
+            // member's frame, which fails.
+            w.flush().unwrap();
+        }
+        comm.barrier();
+        let mut failed = Vec::new();
+        if comm.rank() == 1 {
+            // The failing ack has arrived, but writes that ship nothing
+            // do not poll for it; the next ship collects it, and from then
+            // on every op fails.
+            for _ in 0..2 {
+                failed.push(w.write(&[2u8; 100]).is_err());
+            }
+            failed.push(w.flush().is_err());
+            failed.push(w.write(&[3u8; 100]).is_err());
+        }
+        failed.push(w.close().is_err());
+        failed
+    });
+    assert_eq!(
+        results,
+        vec![vec![true], vec![false, false, true, true, true]]
+    );
 }

@@ -45,35 +45,110 @@ use std::io;
 pub use std::io::IoSlice;
 use std::sync::Arc;
 
-/// A zero-copy read lease: a refcounted borrow of a contiguous run of a
-/// file's backing storage, handed out by [`VfsFile::read_lease`].
+/// A zero-copy lease: a refcounted borrow of a contiguous run of bytes,
+/// handed out by [`VfsFile::read_lease`] and taken by
+/// [`VfsFile::write_lease_at`].
 ///
-/// The lease holds the backing buffer itself — for [`MemFs`] the extent's,
-/// an `Arc<[u8]>` whose refcounts and bytes share one allocation — plus a
-/// range. It keeps the buffer alive and its contents frozen from the lease
-/// holder's point of view (writers copy out or replace leased pages rather
-/// than mutating them), so consumers can inspect file bytes without a
-/// memcpy into a caller-owned buffer.
+/// The lease holds its buffer itself plus a range. The buffer is one of
+/// two kinds: one a backend copied bytes into — for [`MemFs`] the extent's,
+/// an `Arc<[u8]>` whose refcounts and bytes share one allocation — or a
+/// writer's own `Vec`, handed over whole by [`from_vec`](Self::from_vec)
+/// so that a backend can keep it as the file's storage instead of copying
+/// it. Either way the lease keeps the buffer alive and its contents frozen
+/// from the lease holder's point of view (writers copy out or replace
+/// leased pages rather than mutating them), so consumers can inspect file
+/// bytes without a memcpy into a caller-owned buffer.
 pub struct ByteLease {
-    buf: Arc<[u8]>,
+    buf: Backing,
     start: usize,
     len: usize,
+}
+
+/// The buffer behind a [`ByteLease`] and a [`MemFs`] extent.
+#[derive(Clone)]
+pub(crate) enum Backing {
+    /// Bytes a backend copied: refcounts and bytes in one allocation.
+    Built(Arc<[u8]>),
+    /// A writer's buffer, handed over whole ([`ByteLease::from_vec`]).
+    Owned(Arc<Vec<u8>>),
+}
+
+impl Backing {
+    pub(crate) fn bytes(&self) -> &[u8] {
+        match self {
+            Backing::Built(b) => b,
+            Backing::Owned(v) => v,
+        }
+    }
+
+    /// Whether nothing but this handle holds the buffer.
+    pub(crate) fn unshared(&self) -> bool {
+        match self {
+            Backing::Built(b) => Arc::strong_count(b) == 1,
+            Backing::Owned(v) => Arc::strong_count(v) == 1,
+        }
+    }
+
+    /// The bytes, writable in place — `None` while anything else holds the
+    /// buffer.
+    pub(crate) fn get_mut(&mut self) -> Option<&mut [u8]> {
+        match self {
+            Backing::Built(b) => Arc::get_mut(b),
+            Backing::Owned(v) => Arc::get_mut(v).map(|v| &mut v[..]),
+        }
+    }
 }
 
 impl ByteLease {
     /// Lease `buf[start..start + len]`. Panics if the range is out of
     /// bounds — backends construct leases from ranges they just validated.
-    pub fn new(buf: Arc<[u8]>, start: usize, len: usize) -> ByteLease {
+    pub(crate) fn new(buf: Backing, start: usize, len: usize) -> ByteLease {
         assert!(
-            start.checked_add(len).is_some_and(|end| end <= buf.len()),
+            start
+                .checked_add(len)
+                .is_some_and(|end| end <= buf.bytes().len()),
             "lease range out of bounds"
         );
         ByteLease { buf, start, len }
     }
 
+    /// Lease all of `buf` without copying it: a writer hands over the
+    /// buffer it filled, and a backend that shares storage keeps it as the
+    /// file's bytes ([`MemFs`] does for whole pages at a page boundary).
+    /// [`into_vec`](Self::into_vec) gives it back if nothing kept it.
+    pub fn from_vec(buf: Vec<u8>) -> ByteLease {
+        let len = buf.len();
+        ByteLease::new(Backing::Owned(Arc::new(buf)), 0, len)
+    }
+
+    /// The `len` bytes from `start` on of this lease, sharing its buffer.
+    /// Panics if the range is out of bounds.
+    pub fn slice(&self, start: usize, len: usize) -> ByteLease {
+        assert!(
+            start.checked_add(len).is_some_and(|end| end <= self.len),
+            "lease slice out of bounds"
+        );
+        ByteLease::new(self.buf.clone(), self.start + start, len)
+    }
+
+    /// The whole buffer [`from_vec`](Self::from_vec) lent, if nothing else
+    /// holds it any more — no backend kept it and no other lease of it is
+    /// alive. Otherwise, or for a backend's buffer, the lease comes back.
+    pub fn into_vec(self) -> Result<Vec<u8>, ByteLease> {
+        let ByteLease { buf, start, len } = self;
+        let buf = match buf {
+            Backing::Owned(v) => match Arc::try_unwrap(v) {
+                Ok(v) => return Ok(v),
+                Err(v) => Backing::Owned(v),
+            },
+            built => built,
+        };
+        Err(ByteLease { buf, start, len })
+    }
+
     /// The leased bytes.
     pub fn bytes(&self) -> &[u8] {
-        &self.buf[self.start..self.start + self.len]
+        &self.buf.bytes()[self.start..self.start + self.len]
     }
 
     /// Length of the leased run.
@@ -84,7 +159,7 @@ impl ByteLease {
 
     /// The backing buffer and where in it the leased bytes start: what a
     /// backend can adopt by refcount instead of copying.
-    pub(crate) fn parts(&self) -> (&Arc<[u8]>, usize) {
+    pub(crate) fn parts(&self) -> (&Backing, usize) {
         (&self.buf, self.start)
     }
 }
@@ -190,6 +265,11 @@ pub trait VfsFile: Send + Sync {
     /// bytes (copy-on-write both ways). The file ends up exactly as after
     /// [`write_all_at`](Self::write_all_at) of the same bytes, and fails
     /// the same way.
+    ///
+    /// The lent buffer may be another file's ([`read_lease`](Self::read_lease))
+    /// or a writer's own ([`ByteLease::from_vec`]): a writer that hands over
+    /// the buffer it staged its bytes in has copied each byte once, into
+    /// storage the file keeps.
     ///
     /// The default is that copy. [`MemFs`] adopts a lease of a whole number
     /// of pages at a page-aligned offset; [`LocalFs`] keeps the default,

@@ -25,22 +25,27 @@
 //! operations. The file length is an atomic high-water mark, raised under
 //! the lock of the block whose write reached it.
 //!
-//! # An extent is one allocation
+//! # A written byte is copied once
 //!
 //! An extent is a run of whole pages inside one FS block, backed by one
-//! `Arc<[u8]>`: refcounts and bytes in one heap block. The whole pages one
-//! source slice covers in one FS block become one extent — one allocation
-//! and one copy, and dropping it one free, however many pages it holds. A
-//! [`ByteLease`] holds the extent's buffer itself and runs to the end of
-//! the extent, and [`VfsFile::write_lease_at`] of a whole number of pages
-//! at a page boundary puts that same buffer into another file (or another
-//! place of this one) without copying it. A buffer held twice is never
-//! written in place: a write of whole pages replaces them, a partial write
-//! and `set_len` copy out the one page they touch first, and the pieces of
-//! the extent around it keep sharing the old allocation, so files sharing
-//! an extent stay independent.
+//! buffer. The whole pages one source slice covers in one FS block become
+//! one extent built by copying them: one `Arc<[u8]>`, refcounts and bytes
+//! in one heap block — one allocation and one copy, and dropping it one
+//! free, however many pages it holds. A writer that staged its bytes in a
+//! buffer of its own can skip that copy: [`VfsFile::write_lease_at`] of a
+//! [`ByteLease::from_vec`] lease of a whole number of pages at a page
+//! boundary makes the writer's buffer itself the file's storage, one
+//! extent per FS block it lands in, so each byte was copied once, into the
+//! buffer the file adopted. A [`ByteLease`] of a file holds its extent's
+//! buffer and runs to the end of the extent, and the same
+//! `write_lease_at` puts that buffer into another file (or another place
+//! of this one) without copying it. A buffer held twice is never written
+//! in place: a write of whole pages replaces them, a partial write and
+//! `set_len` copy out the one page they touch first, and the pieces of the
+//! extent around it keep sharing the old allocation, so files sharing an
+//! extent stay independent.
 
-use crate::{normalize_path, write_end, ByteLease, IoSlice, Vfs, VfsFile};
+use crate::{normalize_path, write_end, Backing, ByteLease, IoSlice, Vfs, VfsFile};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -59,13 +64,14 @@ const PAGE: usize = 4096;
 const STRIPES: usize = 64;
 
 /// A run of whole pages of one FS block: `pages` pages of `buf` from byte
-/// `start` on. The buffer's refcounts and bytes are one allocation, so
+/// `start` on. The buffer is one this file built by copying, or one a
+/// writer handed over ([`ByteLease::from_vec`]);
 /// [`VfsFile::read_lease`] hands out the buffer itself, and pieces cut from
 /// an extent keep sharing it. Writers never change a buffer something else
 /// holds, so leases observe a consistent snapshot.
 #[derive(Clone)]
 struct Extent {
-    buf: Arc<[u8]>,
+    buf: Backing,
     start: usize,
     pages: u64,
 }
@@ -75,7 +81,7 @@ impl Extent {
     fn whole(buf: Arc<[u8]>) -> Extent {
         let pages = (buf.len() / PAGE) as u64;
         Extent {
-            buf,
+            buf: Backing::Built(buf),
             start: 0,
             pages,
         }
@@ -91,7 +97,7 @@ impl Extent {
     }
 
     fn bytes(&self) -> &[u8] {
-        &self.buf[self.start..self.start + self.pages as usize * PAGE]
+        &self.buf.bytes()[self.start..self.start + self.pages as usize * PAGE]
     }
 }
 
@@ -134,7 +140,7 @@ fn unmap(map: &mut ExtentMap, from: u64, to: u64) {
 /// piece of its extent) is copied out into a one-page extent of its own.
 fn page_mut(map: &mut ExtentMap, page: u64) -> &mut [u8] {
     let (first, ext) = match extent_at(map, page) {
-        Some((first, ext)) if Arc::strong_count(&ext.buf) == 1 => {
+        Some((first, ext)) if ext.buf.unshared() => {
             (first, map.get_mut(&first).expect("found above"))
         }
         found => {
@@ -152,7 +158,7 @@ fn page_mut(map: &mut ExtentMap, page: u64) -> &mut [u8] {
         }
     };
     let at = ext.start + (page - first) as usize * PAGE;
-    &mut Arc::get_mut(&mut ext.buf).expect("held by this map only")[at..at + PAGE]
+    &mut ext.buf.get_mut().expect("held by this map only")[at..at + PAGE]
 }
 
 /// A zeroed page: one allocation, filled from a static zero page.
@@ -468,7 +474,7 @@ impl VfsFile for MemFile {
     }
 
     /// Zero-copy borrow of the backing extent: the lease is a clone of the
-    /// extent's `Arc<[u8]>` plus a range — no byte is copied. A lease runs
+    /// extent's buffer handle plus a range — no byte is copied. A lease runs
     /// from `offset` to the end of the extent holding it (never past the FS
     /// block), clipped at end of file and at `max_len`; at a hole it is
     /// `None` (holes have no backing storage to borrow; callers fall back
@@ -480,10 +486,10 @@ impl VfsFile for MemFile {
     /// Adopts a lent run instead of copying it: a lease of a whole number
     /// of pages written at a page-aligned offset — wherever it starts in
     /// its buffer — becomes extents of this file that share the lent
-    /// allocation with the file it came from, one per FS block it lands
-    /// in. Neither file can change the other's bytes: a write of whole
-    /// pages replaces them, a partial write and `set_len` copy out the page
-    /// they touch first. Every other lease is copied.
+    /// allocation with the file or the writer it came from, one per FS
+    /// block it lands in. Neither side can change the other's bytes: a
+    /// write of whole pages replaces them, a partial write and `set_len`
+    /// copy out the page they touch first. Every other lease is copied.
     fn write_lease_at(&self, lease: &ByteLease, offset: u64) -> io::Result<()> {
         self.data.write_lease(lease, offset)
     }
@@ -990,6 +996,92 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_writers_buffer_of_whole_pages_is_adopted_and_any_other_is_copied() {
+        let fs = MemFs::with_block_size(2 * PAGE as u64);
+        let f = fs.create("own").unwrap();
+        let data: Vec<u8> = (0..3 * PAGE).map(|i| (i % 251) as u8).collect();
+        let buf = data.clone();
+        let ptr = buf.as_ptr();
+        let lease = ByteLease::from_vec(buf);
+        f.write_lease_at(&lease, PAGE as u64).unwrap();
+        // Adopted across an FS-block boundary: one extent per block, both
+        // in the writer's allocation, which the file now keeps.
+        assert_eq!(f.read_lease(PAGE as u64, 3 * PAGE).unwrap().as_ptr(), ptr);
+        assert_eq!(
+            f.read_lease(2 * PAGE as u64, 2 * PAGE).unwrap().as_ptr(),
+            ptr.wrapping_add(PAGE)
+        );
+        assert!(lease.into_vec().is_err(), "the file holds the buffer");
+        assert_eq!(&image_of(&f, 4 * PAGE)[PAGE..], &data[..]);
+
+        // Not whole pages, or not at a page boundary: copied, and the
+        // buffer comes back to its writer.
+        for (len, at) in [(PAGE + 100, 8 * PAGE), (2 * PAGE, 12 * PAGE + 5)] {
+            let buf = data[..len].to_vec();
+            let ptr = buf.as_ptr();
+            let lease = ByteLease::from_vec(buf);
+            f.write_lease_at(&lease, at as u64).unwrap();
+            assert_ne!(f.read_lease(at as u64, len).unwrap().as_ptr(), ptr);
+            let Ok(back) = lease.into_vec() else {
+                panic!("copied: nothing else holds it")
+            };
+            assert_eq!((back.as_ptr(), &back[..]), (ptr, &data[..len]));
+            assert_eq!(&image_of(&f, at + len)[at..], &data[..len]);
+        }
+    }
+
+    #[test]
+    fn a_slice_of_a_writers_buffer_is_adopted_where_it_starts() {
+        let fs = MemFs::new();
+        let f = fs.create("slice").unwrap();
+        let buf: Vec<u8> = (0..2 * PAGE + 16).map(|i| (i % 241) as u8).collect();
+        let ptr = buf.as_ptr();
+        let whole = ByteLease::from_vec(buf);
+        let part = whole.slice(16, 2 * PAGE);
+        assert_eq!(
+            (part.as_ptr(), part.len()),
+            (ptr.wrapping_add(16), 2 * PAGE)
+        );
+        f.write_lease_at(&part, 0).unwrap();
+        assert_eq!(
+            f.read_lease(0, PAGE).unwrap().as_ptr(),
+            ptr.wrapping_add(16)
+        );
+        drop(part);
+        assert!(whole.into_vec().is_err(), "the file holds the buffer");
+    }
+
+    #[test]
+    fn a_partial_write_copies_out_an_adopted_page_a_reader_still_leases() {
+        let fs = MemFs::new();
+        let f = fs.create("own_cow").unwrap();
+        let data: Vec<u8> = (0..2 * PAGE).map(|i| (i % 239) as u8).collect();
+        let buf = data.clone();
+        let ptr = buf.as_ptr();
+        f.write_lease_at(&ByteLease::from_vec(buf), 0).unwrap();
+        let held = f.read_lease(0, 2 * PAGE).unwrap();
+        f.write_all_at(&[0xA5; 8], 100).unwrap();
+        assert_eq!(&held[..], &data[..], "the reader keeps its snapshot");
+        assert_ne!(f.read_lease(0, PAGE).unwrap().as_ptr(), ptr);
+        assert_eq!(
+            f.read_lease(PAGE as u64, PAGE).unwrap().as_ptr(),
+            ptr.wrapping_add(PAGE)
+        );
+        // With the reader gone, the file alone holds the writer's buffer:
+        // a partial write of its other page goes in place.
+        drop(held);
+        f.write_all_at(&[0x11; 8], PAGE as u64 + 200).unwrap();
+        assert_eq!(
+            f.read_lease(PAGE as u64, PAGE).unwrap().as_ptr(),
+            ptr.wrapping_add(PAGE)
+        );
+        let mut now = data.clone();
+        now[100..108].fill(0xA5);
+        now[PAGE + 200..PAGE + 208].fill(0x11);
+        assert_eq!(image_of(&f, 2 * PAGE), now);
+    }
+
     /// 16 pages: one 64 KiB FS block.
     const BLOCK: usize = 16 * PAGE;
 
@@ -1153,6 +1245,10 @@ mod tests {
         /// A lease of the source file at the offset, at most so many bytes,
         /// written with `write_lease_at`.
         Adopt(u64, usize, Pos),
+        /// A writer's buffer handed over with `ByteLease::from_vec`: the
+        /// lease of its bytes from the first number on, so many of them,
+        /// written with `write_lease_at`.
+        Own(usize, usize, Pos),
     }
     type Pos = (bool, u64, u64);
 
@@ -1181,6 +1277,12 @@ mod tests {
                 prop_oneof![(0..8u64).prop_map(|k| (false, k, 300)), pos()],
             )
                 .prop_map(|(from, max, to)| Op::Adopt(from, max, to)),
+            (
+                prop_oneof![Just(0usize), 0..2 * PAGE],
+                prop_oneof![(1..6usize).prop_map(|k| k * PAGE), span()],
+                prop_oneof![(0..8u64).prop_map(|k| (false, k, 300)), pos()],
+            )
+                .prop_map(|(from, len, to)| Op::Own(from, len, to)),
         ]
     }
 
@@ -1213,7 +1315,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random writes (scalar, vectored and of another file's leases),
+        /// Random writes (scalar, vectored, of another file's leases and of
+        /// writers' own buffers),
         /// truncations, reads and leases around page and FS-block
         /// boundaries, at block sizes from below one page to 2 MiB: bytes,
         /// `len` and the page-exact `allocated` equal the flat model after
@@ -1284,6 +1387,12 @@ mod tests {
                             f.write_lease_at(&lease, at(*to)).unwrap();
                             model.write(at(*to) as usize, &lease);
                         }
+                    }
+                    Op::Own(from, len, to) => {
+                        let buf: Vec<u8> = (0..from + len).map(|j| (step * 13 + j) as u8 | 0x40).collect();
+                        let lease = ByteLease::from_vec(buf).slice(*from, *len);
+                        f.write_lease_at(&lease, at(*to)).unwrap();
+                        model.write(at(*to) as usize, &lease);
                     }
                 }
                 let st = fs.stats("m").unwrap();
