@@ -462,6 +462,25 @@ if [ -z "$(worker_loop)" ] || [ -z "$(method "$exec_rs" enqueue)" ] ||
     exit 1
 fi
 
+echo "==> structural gate: the read side owns no communicator (SionParReader holds no CoComm, paropen_read_co never splits, the read close awaits nothing)"
+# A reader writes no metadata, so the read open is one scatter and one
+# reduction on the caller's communicator and the read close is local: the
+# handle keeps no communicator, the open forms no sub-communicator, and
+# `SionParReader::close_co` returns without waiting for a peer.
+par_rs=crates/sion/src/par.rs
+reader_struct=$(awk '/^pub struct SionParReader/ { on = 1 } on { print } on && /^}/ { exit }' "$par_rs")
+read_open=$(awk '/^pub async fn paropen_read_co/ { on = 1 } on { print } on && /^}/ { exit }' "$par_rs")
+read_close=$(awk '/^impl SionParReader/ { on = 1 } on && /^}/ { exit }
+    on && /^    pub async fn close_co\(/ { m = 1 } m { print } m && /^    }/ { exit }' "$par_rs")
+if [ -z "$reader_struct" ] || [ -z "$read_open" ] || [ -z "$read_close" ] ||
+    printf '%s\n' "$reader_struct" | grep -n 'CoComm' ||
+    printf '%s\n' "$read_open" | grep -n 'split_local' ||
+    printf '%s\n' "$read_close" | grep -n '\.await'
+then
+    echo "the read side owns no communicator: \`SionParReader\` holds no \`CoComm\`, \`paropen_read_co\` calls no \`split_local\`, \`SionParReader::close_co\` awaits nothing"
+    exit 1
+fi
+
 echo "==> structural gate: a re-export has a consumer (each name a library crate's \`pub use\` re-exports is used outside its src/, or names a type only the re-export makes nameable)"
 # Per name, not per statement: one used name must not carry its neighbours.
 # A name passes if a .rs file outside the crate's src/ mentions it, or if it

@@ -191,7 +191,8 @@ pub fn read_checkpoint(
                 }
                 Ok(out)
             })();
-            // The close is collective: agree on success first.
+            // Agree on success so every rank returns the same verdict; the
+            // read close itself is local.
             let out = collective_check(comm, read)?;
             r.close()?;
             out

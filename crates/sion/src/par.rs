@@ -26,23 +26,26 @@
 //!   across file groups;
 //! * write close — ONE usage gather + ONE status broadcast per file
 //!   group, then ONE global barrier, at every group size;
-//! * read open — ONE parent scatter handing each task its status, the
-//!   flags and its own place (file, position in that file's rank table,
-//!   group size), message-free `split_local`s, then per file group ONE
-//!   status broadcast + ONE geometry scatter, then ONE global allreduce.
-//!   What is scattered is decoded and checked by `serial.rs`, not here:
-//!   rank 0's discovery *is* a [`Multifile::open`] (every file's headers,
-//!   compared with file 0's, and the rank directory), and a file master's
-//!   setup is the header open of its one file plus the checked usage rows
-//!   out of its full metablock 2 — so the collective open fails, on every
-//!   task, exactly where the serial open of the same bytes fails.
+//! * read open — on the caller's communicator ONE scatter handing each task
+//!   its whole part (status, flags, its file, its chunk geometry and its
+//!   usage row), then ONE allreduce once every task has opened its file.
+//!   No split, no file-group phase: what is scattered is built and decoded
+//!   by `serial.rs`, not here — rank 0's discovery *is* a
+//!   [`Multifile::open`] (every file's headers, compared with file 0's, and
+//!   the rank directory) plus the checked usage rows out of each file's
+//!   full metablock 2 — so the collective open fails, on every task,
+//!   exactly where the serial open of the same bytes fails;
+//! * read close — local. A reader wrote no metadata, so it owns no
+//!   communicator and waits for nobody.
 //!
-//! No task keeps or scans a payload that grows with the number of tasks
-//! outside its own file group. On the caller's and the global communicator
-//! the write open and both closes move one word per tree edge; the read
-//! open's scatter hands each task its own four words, interior tree nodes
-//! forwarding their subtree's parts — O(P log P) bytes in all, where the
-//! rank-map broadcast it replaced moved O(P²).
+//! No task keeps a payload that grows with the number of tasks outside its
+//! own file group, save rank 0 at the read open: it reads every file's
+//! metablock 2 once, O(P·blocks) words the file masters used to read in
+//! parallel. On the caller's and the global communicator the write open and
+//! close move one word per tree edge; the read open's scatter hands each
+//! task its own (10 + blocks) words, interior tree nodes forwarding their
+//! subtree's parts — O(P log P) bytes in all, where the rank-map broadcast
+//! it replaced moved O(P²).
 //!
 //! The agreement round has to come *before* the groups form. A task whose
 //! parameters differ would compute a different place for itself than its
@@ -59,8 +62,8 @@
 //!
 //! The collective protocols are written once, as `async` functions over
 //! [`simmpi::CoComm`] ([`paropen_write_co`], [`paropen_read_co`],
-//! [`SionParWriter::close_co`], [`SionParReader::close_co`]), so the same
-//! state machines run on every runtime:
+//! [`SionParWriter::close_co`]), so the same state machines run on every
+//! runtime:
 //!
 //! * on the thread-backed runtimes the public blocking entry points
 //!   ([`paropen_write`], [`paropen_read`], `close`) hand the protocol the
@@ -83,10 +86,10 @@
 
 use crate::agg::{AggState, AggStats, MemberState};
 use crate::error::{Result, SionError};
-use crate::format::{CloseRecord, OpenRecord, SionFlags};
+use crate::format::{CloseRecord, OpenRecord};
 use crate::physical_name;
-use crate::serial::{create_file, finalize_file, FileView, Multifile};
-use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter, DEFAULT_READ_AHEAD};
+use crate::serial::{create_file, finalize_file, part_reader, Multifile};
+use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter};
 use crate::{IoMode, SionParams};
 use simmpi::{drive_ready, CoComm, Comm, CommStats, ReduceOp};
 use std::sync::Arc;
@@ -660,14 +663,11 @@ impl SionParWriter {
 }
 
 /// Handle for reading one task's logical file of a multifile
-/// (`sion_paropen_mpi` in read mode).
+/// (`sion_paropen_mpi` in read mode). It owns no communicator: a reader
+/// writes no metadata, so its close has nothing to agree on.
 pub struct SionParReader {
     reader: TaskReader,
-    gcom: Box<dyn CoComm>,
     grank: usize,
-    /// Stats handle of the file-group communicator used during open (the
-    /// communicator itself is dropped once the geometry is distributed).
-    lcom_stats: Option<Arc<CommStats>>,
 }
 
 /// Collectively open an existing multifile for reading.
@@ -688,12 +688,11 @@ pub async fn paropen_read_co(
     let grank = comm.rank();
     let ntasks = comm.size();
 
-    // The global master opens the multifile's headers once and tells each
-    // task its own place — [status, flags, file << 32 | local index, group
-    // size] — so tens of thousands of tasks neither hammer the metadata
-    // concurrently nor hold a copy of the whole rank → file map. The local
-    // index is the task's position in its file's own rank table, which is
-    // the order the file master scatters geometry in below.
+    // Rank 0 opens the multifile once — every file's headers and rank table,
+    // then each file's metablock 2 — and hands each task its whole part:
+    // [status, flags, file, chunk geometry, checked usage row]. Tens of
+    // thousands of tasks neither hammer the metadata concurrently nor hold
+    // a copy of the rank → file map.
     let discovery = (grank == 0).then(|| -> Result<Vec<Vec<u8>>> {
         let mf = Multifile::open(vfs, base)?;
         if mf.ntasks() != ntasks {
@@ -703,19 +702,16 @@ pub async fn paropen_read_co(
                 ntasks
             )));
         }
-        let parts = mf.rank_map.iter().map(|&(k, lt)| {
-            let group_size = mf.files[k as usize].mb1.ntasks_local() as u64;
-            [
-                STATUS_OK,
-                mf.flags().bits(),
-                ((k as u64) << 32) | lt as u64,
-                group_size,
-            ]
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
+        mf.read_parts()
+            .map(|words| {
+                let words = words?;
+                let mut part = Vec::with_capacity(8 * (1 + words.len()));
+                for w in std::iter::once(STATUS_OK).chain(words) {
+                    part.extend_from_slice(&w.to_le_bytes());
+                }
+                Ok(part)
+            })
             .collect()
-        });
-        Ok(parts.collect())
     });
 
     // ONE scatter: the status word travels as each part's leading word
@@ -734,100 +730,31 @@ pub async fn paropen_read_co(
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
         .collect();
-    let &[STATUS_OK, flags, place, group_size] = words.as_slice() else {
+    let [STATUS_OK, part @ ..] = words.as_slice() else {
         return Err(failure.unwrap_or_else(|| {
             SionError::CollectiveMismatch("master failed during read open".into())
         }));
     };
-    let flags = SionFlags::from_bits(flags)?;
-    let compressed = flags.contains(SionFlags::COMPRESSED);
-    let filenum = (place >> 32) as u32;
 
-    let lcom = comm
-        .split_local(
-            filenum as u64,
-            (place & 0xFFFF_FFFF) as usize,
-            group_size as usize,
-        )
-        .await;
-    let gcom = comm.split_local(0, grank, ntasks).await;
-
-    // Each file master reads its file's metadata once — the whole of
-    // metablock 2, it needs every row — and scatters per-task geometry plus
-    // usage vectors. Rank 0 compared the files with each other above.
-    let setup: Result<Vec<Vec<u8>>> = if lcom.rank() == 0 {
-        FileView::open(vfs, base, filenum, None).and_then(|fv| {
-            (0..fv.layout.ntasks())
-                .map(|t| {
-                    let mut words =
-                        ChunkGeom::from_layout(&fv.layout, t, fv.mb1.global_ranks[t]).encode();
-                    words.extend(fv.usage_from_mb2(t)?);
-                    Ok(words.iter().flat_map(|w| w.to_le_bytes()).collect())
-                })
-                .collect()
-        })
-    } else {
-        Ok(Vec::new())
-    };
-
-    let group_result: Result<(ChunkGeom, Vec<u64>, Arc<dyn vfs::VfsFile>)> = async {
-        if lcom.rank() == 0 {
-            check_master_status(lcom.as_ref(), setup.as_ref().map(|_| ()).map_err(clone_err))
-                .await?;
-        } else {
-            check_master_status(lcom.as_ref(), Ok(())).await?;
-        }
-        let mine = if lcom.rank() == 0 {
-            lcom.scatter(Some(setup.expect("status was OK")), 0).await
-        } else {
-            lcom.scatter(None, 0).await
-        };
-        if mine.len() % 8 != 0 || mine.len() < ChunkGeom::ENCODED_WORDS * 8 {
-            return Err(SionError::Format("bad read-open payload".into()));
-        }
-        let words: Vec<u64> = mine
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let geom = ChunkGeom::decode(&words[..ChunkGeom::ENCODED_WORDS])?;
-        let used = words[ChunkGeom::ENCODED_WORDS..].to_vec();
-        let file = vfs.open(&physical_name(base, filenum))?;
-        Ok((geom, used, file))
-    }
-    .await;
-    let lcom_stats = lcom.stats();
-
-    // All-or-nothing across file groups, as in the write open.
-    let any_failed = gcom
-        .allreduce_u64(group_result.is_err() as u64, ReduceOp::Max)
+    // Every task opens its own physical file; ONE reduction keeps the open
+    // all-or-nothing.
+    let opened = part_reader(vfs, base, part);
+    let any_failed = comm
+        .allreduce_u64(opened.is_err() as u64, ReduceOp::Max)
         .await
         != 0;
-    let (geom, used, file) = match (any_failed, group_result) {
-        (false, Ok(triple)) => triple,
-        (_, Err(e)) => return Err(e),
-        (true, Ok(_)) => {
-            return Err(SionError::CollectiveMismatch(
-                "another file group failed during the collective read open".into(),
-            ))
-        }
-    };
-    Ok(SionParReader {
-        reader: TaskReader::new(file, geom, used, compressed, DEFAULT_READ_AHEAD),
-        gcom,
-        grank,
-        lcom_stats,
-    })
+    match (any_failed, opened) {
+        (false, Ok(reader)) => Ok(SionParReader { reader, grank }),
+        (_, Err(e)) => Err(e),
+        (true, Ok(_)) => Err(SionError::CollectiveMismatch(
+            "another task failed during the collective read open".into(),
+        )),
+    }
 }
 
 /// What a member reports once an ack said its aggregator could not apply.
 fn apply_failed() -> SionError {
     SionError::CollectiveMismatch("aggregator failed to apply shipped data".into())
-}
-
-fn clone_err(e: &SionError) -> SionError {
-    // SionError is not Clone (it wraps io::Error); a formatted copy is
-    // enough for the error path.
-    SionError::CollectiveMismatch(e.to_string())
 }
 
 impl SionParReader {
@@ -863,28 +790,16 @@ impl SionParReader {
         self.reader.io_counters()
     }
 
-    /// Per-rank op/byte counters of the file-group communicator that
-    /// carried this task's open-time exchange, when the runtime tracks
-    /// them.
-    pub fn local_comm_stats(&self) -> Option<Arc<CommStats>> {
-        self.lcom_stats.clone()
-    }
-
-    /// Per-rank op/byte counters of this task's global communicator
-    /// duplicate.
-    pub fn global_comm_stats(&self) -> Option<Arc<CommStats>> {
-        self.gcom.stats()
-    }
-
-    /// `sion_parclose_mpi` for the read side.
+    /// `sion_parclose_mpi` for the read side. Local: a reader wrote no
+    /// metadata, so no task waits for another. A caller that deletes or
+    /// overwrites the multifile after reading it synchronizes by itself.
     pub fn close(self) -> Result<()> {
-        drive_ready(self.close_co())
+        Ok(())
     }
 
     /// [`close`](Self::close) as a resumable protocol; the task-runtime
-    /// entry point.
+    /// entry point. Ready at once.
     pub async fn close_co(self) -> Result<()> {
-        self.gcom.barrier().await;
         Ok(())
     }
 }

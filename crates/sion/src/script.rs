@@ -198,11 +198,10 @@ fn multifile_classes(
             open_read_ops(spec, file, master)
         };
         ops.extend(mid(file));
-        ops.extend(if write_mode {
-            close_ops(spec, file, master, nb)
-        } else {
-            vec![IoOp::Barrier]
-        });
+        // The read close is local.
+        if write_mode {
+            ops.extend(close_ops(spec, file, master, nb));
+        }
         ops
     };
     // Blocked mapping: the first `rem` files hold one extra task.
@@ -229,33 +228,31 @@ fn multifile_classes(
 }
 
 /// Ops of the collective open in read mode (mirrors
-/// [`crate::par::paropen_read_co`]): the global master scatters each task its
-/// status, flags and place; file masters read their file's metadata and
-/// scatter geometry and usage.
+/// [`crate::par::paropen_read_co`]): file 0's master — global rank 0 —
+/// reads every file's metablocks 1 and 2 and scatters each task its status,
+/// flags, file, geometry and usage row; every task opens its file, and one
+/// allreduce makes the open all-or-nothing.
 fn open_read_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
-    let mut ops = vec![IoOp::Scatter { bytes: 4 * WORD }];
-    if master {
-        // Approximation: the file master's reads of its own file stand in
-        // for rank 0's header-only discovery of every file as well.
-        ops.push(IoOp::Open(FileRef::Shared(file)));
-        ops.push(IoOp::Read {
-            file: FileRef::Shared(file),
-            bytes: spec.mb1_bytes(),
-            sharers: 1.0,
-        });
-        ops.push(IoOp::Read {
-            file: FileRef::Shared(file),
-            bytes: spec.mb2_bytes(spec.nblocks()),
-            sharers: 1.0,
-        });
+    let mut ops = Vec::new();
+    if master && file == 0 {
+        for k in 0..(spec.nfiles as u64).min(spec.ntasks) as u32 {
+            ops.push(IoOp::Open(FileRef::Shared(k)));
+            ops.push(IoOp::Read {
+                file: FileRef::Shared(k),
+                bytes: spec.mb1_bytes(),
+                sharers: 1.0,
+            });
+            ops.push(IoOp::Read {
+                file: FileRef::Shared(k),
+                bytes: spec.mb2_bytes(spec.nblocks()),
+                sharers: 1.0,
+            });
+        }
     }
-    ops.push(IoOp::Bcast { bytes: WORD }); // master status word
     ops.push(IoOp::Scatter {
-        bytes: GEOM_BYTES + 8 * spec.nblocks(),
+        bytes: 3 * WORD + GEOM_BYTES + 8 * spec.nblocks(),
     });
-    if !master {
-        ops.push(IoOp::Open(FileRef::Shared(file)));
-    }
+    ops.push(IoOp::Open(FileRef::Shared(file)));
     ops.extend(allreduce_word());
     ops
 }

@@ -497,6 +497,20 @@ impl Multifile {
         Ok(all)
     }
 
+    /// Every task's part of the collective read open ([`crate::par`]), in
+    /// global rank order: `[flags, file, chunk geometry, usage row]` as
+    /// words. The rows come from the bulk path — one metablock-2 read per
+    /// file — and are checked like any other; [`part_reader`] decodes a part.
+    pub(crate) fn read_parts(&self) -> impl Iterator<Item = Result<Vec<u64>>> + '_ {
+        (0u64..).zip(&self.rank_map).map(|(rank, &(k, lt))| {
+            let fv = &self.files[k as usize];
+            let mut words = vec![self.flags.bits(), k as u64];
+            words.extend(ChunkGeom::from_layout(&fv.layout, lt as usize, rank).encode());
+            words.extend(fv.usage_from_mb2(lt as usize)?);
+            Ok(words)
+        })
+    }
+
     /// Number of tasks stored in the multifile.
     pub fn ntasks(&self) -> usize {
         self.ntasks
@@ -600,6 +614,25 @@ impl Multifile {
             .scan_remaining(&mut |run| out.extend_from_slice(run))?;
         Ok(out)
     }
+}
+
+/// A task's reader from the part [`Multifile::read_parts`] built for it,
+/// over the task's own handle of its physical file.
+pub(crate) fn part_reader(vfs: &dyn Vfs, base: &str, part: &[u64]) -> Result<TaskReader> {
+    let [flags, file, ref rest @ ..] = *part else {
+        return Err(SionError::Format("truncated read-open part".into()));
+    };
+    let geom = ChunkGeom::decode(rest)?;
+    let used = rest[ChunkGeom::ENCODED_WORDS..].to_vec();
+    let compressed = SionFlags::from_bits(flags)?.contains(SionFlags::COMPRESSED);
+    let handle = vfs.open(&physical_name(base, file as u32))?;
+    Ok(TaskReader::new(
+        handle,
+        geom,
+        used,
+        compressed,
+        DEFAULT_READ_AHEAD,
+    ))
 }
 
 /// Streaming reader over one task's logical file (`sion_open_rank`).

@@ -81,46 +81,68 @@ fn write_open_and_close_cost_one_gather_each() {
     });
 }
 
+/// Write a small multifile, then read-open and close it, asserting what the
+/// read side costs on the parent communicator — it owns no other.
+async fn read_rounds(fs: &MemFs, params: &SionParams, comm: &dyn CoComm) {
+    let w = paropen_write_co(fs, "r.sion", params, comm).await.unwrap();
+    w.close_co().await.unwrap();
+
+    let parent = comm.stats().expect("runtime tracks stats");
+    let count = || {
+        [
+            parent.scatters(),
+            parent.reduces(),
+            parent.bcasts(),
+            parent.splits(),
+            parent.collectives(),
+        ]
+    };
+    let before = count();
+    let r = paropen_read_co(fs, "r.sion", comm).await.unwrap();
+    let open: Vec<u64> = count().iter().zip(before).map(|(a, b)| a - b).collect();
+    // ONE scatter of each task's whole part, ONE allreduce of the failed
+    // flag (a reduction and a broadcast of one word), no split.
+    assert_eq!(
+        open,
+        [1, 1, 1, 0, 3],
+        "[scatters, reduces, bcasts, splits, all]"
+    );
+
+    // The close is local.
+    let after_open = count();
+    r.close_co().await.unwrap();
+    assert_eq!(count(), after_open, "read close");
+}
+
 #[test]
 fn read_open_costs_one_scatter_on_the_parent() {
     let fs = MemFs::with_block_size(512);
-    let n = 6;
-    World::run(n, |comm| {
-        let params = SionParams::new(1024).with_nfiles(3);
-        let mut w = paropen_write(&fs, "r.sion", &params, comm).unwrap();
-        w.write(b"payload").unwrap();
-        w.close().unwrap();
+    let params = SionParams::new(1024).with_nfiles(3);
+    World::run(6, |comm| drive_ready(read_rounds(&fs, &params, comm.co())));
+}
 
-        let before = comm.stats().expect("runtime tracks stats").collectives();
-        let r = paropen_read(&fs, "r.sion", comm).unwrap();
-        let parent = comm.stats().expect("runtime tracks stats");
+/// The read twin of `write_open_and_close_cost_one_gather_each`: the same
+/// counts in an 8-task world of two files on the thread runtime and in a
+/// single 600-task file on the task runtime.
+#[test]
+fn read_open_costs_the_same_at_every_group_size() {
+    let fs = MemFs::with_block_size(512);
+    let params = SionParams::new(2048).with_nfiles(2);
+    World::run(8, |comm| drive_ready(read_rounds(&fs, &params, comm.co())));
 
-        // Read open on the parent communicator: ONE scatter handing each
-        // task its status and place, and no exchanged split.
-        assert_eq!(parent.scatters(), 1, "discovery scatter");
-        assert_eq!(parent.splits(), 0);
-        assert_eq!(parent.collectives() - before, 1);
-
-        // File group: ONE status broadcast + ONE geometry scatter.
-        let lcom = r.local_comm_stats().expect("runtime tracks stats");
-        assert_eq!(lcom.bcasts(), 1);
-        assert_eq!(lcom.scatters(), 1);
-        assert_eq!(lcom.gathers(), 0);
-        // Global duplicate: ONE failure-agreement allreduce.
-        let gcom = r.global_comm_stats().expect("runtime tracks stats");
-        assert_eq!(gcom.reduces(), 1);
-        assert_eq!(gcom.bcasts(), 1);
-        assert_eq!(gcom.allgathers(), 0);
-
-        r.close().unwrap();
-        assert_eq!(gcom.barriers(), 1);
+    let fs = MemFs::with_block_size(512);
+    let params = SionParams::new(2048);
+    TaskWorld::run(600, |c| {
+        let (fs, params) = (&fs, &params);
+        async move { read_rounds(fs, params, &c).await }
     });
 }
 
 /// No payload that grows with the number of tasks crosses the caller's or
-/// the global communicator: per rank, open and close send a few words per
-/// tree level there. At 256 ranks a single P-word frame (2 KiB) would
-/// break every bound below.
+/// the global communicator, save the read open's scatter of each task's own
+/// part: per rank, the rest of open and close sends a few words per tree
+/// level. At 256 ranks a single P-word frame (2 KiB) would break every
+/// bound below.
 #[test]
 fn parent_and_global_traffic_stays_logarithmic_per_rank() {
     const P: usize = 256;
@@ -139,21 +161,18 @@ fn parent_and_global_traffic_stays_logarithmic_per_rank() {
             let write_parent = parent.bytes_sent();
 
             let r = paropen_read_co(fs, "log.sion", &c).await.unwrap();
-            let rglobal = r.global_comm_stats().expect("runtime tracks stats");
             r.close_co().await.unwrap();
             let read_parent = parent.bytes_sent() - write_parent;
-            (
-                write_parent,
-                wglobal.bytes_sent(),
-                read_parent,
-                rglobal.bytes_sent(),
-            )
+            (write_parent, wglobal.bytes_sent(), read_parent)
         }
     });
     // A one-word broadcast costs its root one word per tree level; a
     // one-word reduction costs every rank at most one word.
     let word_bcast = 8 * LOG_P;
-    for (rank, &(write_parent, wglobal, _, rglobal)) in sent.iter().enumerate() {
+    // A read-open part is [status, flags, file], 7 geometry words and a
+    // one-block usage row, framed with 16 B of id and length.
+    let part = 8 * (10 + 1) + 16;
+    for (rank, &(write_parent, wglobal, read_parent)) in sent.iter().enumerate() {
         assert!(
             write_parent <= 2 * word_bcast + 8,
             "rank {rank}: {write_parent} B on the parent"
@@ -162,18 +181,27 @@ fn parent_and_global_traffic_stays_logarithmic_per_rank() {
             wglobal <= word_bcast + 8,
             "rank {rank}: {wglobal} B on the write gcom"
         );
+        // The binomial scatter tree: rank r holds the parts of its subtree,
+        // lsb(r) ranks (all P at the root), and forwards all but its own in
+        // one message per level below it, each with an 8-byte count.
+        let held = if rank == 0 {
+            P
+        } else {
+            rank & rank.wrapping_neg()
+        } as u64;
+        let forwarded = (held - 1) * part + 8 * held.ilog2() as u64;
         assert!(
-            rglobal <= word_bcast + 8,
-            "rank {rank}: {rglobal} B on the read gcom"
+            read_parent <= forwarded + word_bcast + 8,
+            "rank {rank}: {read_parent} B on the parent at the read open"
         );
     }
-    // The read open's one scatter moves each task's 4-word part (framed:
-    // 16 B of id and length) down at most log P tree levels, half the
-    // parts per level, plus an 8-byte count per message.
-    let scatter_total: u64 = sent.iter().map(|s| s.2).sum();
+    // In all, the one scatter moves each part down at most log P tree
+    // levels, half the parts per level, plus a count per message; the
+    // allreduce one word up and one down per tree edge.
+    let read_total: u64 = sent.iter().map(|s| s.2).sum();
     assert!(
-        scatter_total <= (P as u64 / 2) * LOG_P * (32 + 16) + 8 * P as u64,
-        "read-open scatter moved {scatter_total} B in total"
+        read_total <= (P as u64 / 2) * LOG_P * part + 8 * P as u64 + 16 * P as u64,
+        "the read open moved {read_total} B in total"
     );
 }
 
@@ -225,12 +253,8 @@ fn scripted_collectives_match_an_executed_run() {
 
         let before = executed(&[&parent]);
         let r = paropen_read(&fs, "s.sion", comm).unwrap();
-        let (lcom, gcom) = (
-            r.local_comm_stats().unwrap(),
-            r.global_comm_stats().unwrap(),
-        );
         r.close().unwrap();
-        let after = executed(&[&parent, &lcom, &gcom]);
+        let after = executed(&[&parent]);
         (write, std::array::from_fn(|i| after[i] - before[i]))
     });
     let spec = SimSpec::aligned(8, 2, 3000, 512);
