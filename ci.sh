@@ -55,8 +55,10 @@ echo "==> DPOR: exhaustive schedule enumeration over sion::par (both I/O modes)"
 # inequivalent interleaving of small open/write/close configurations runs
 # under the full checker stack (sanitizer + happens-before engine +
 # its `TapFs` extent sink). Explored-schedule counts are pinned in the test; the
-# first run's decision trace is a golden file.
-cargo test -p sion-simcheck --test dpor_sion -q
+# first run's decision trace is a golden file. Release, and with the ignored
+# test: four aggregated ranks (33 837 schedules) take ~4 s here and ~50 s in
+# the debug pass above, which skips them.
+cargo test --release -p sion-simcheck --test dpor_sion -q -- --include-ignored
 
 echo "==> happens-before engine: clean protocol + seeded ship/ack mutations"
 # The 4-rank aggregated protocol must be race- and ack-violation-free on
@@ -478,6 +480,18 @@ if [ -z "$reader_struct" ] || [ -z "$read_open" ] || [ -z "$read_close" ] ||
     printf '%s\n' "$read_close" | grep -n '\.await'
 then
     echo "the read side owns no communicator: \`SionParReader\` holds no \`CoComm\`, \`paropen_read_co\` calls no \`split_local\`, \`SionParReader::close_co\` awaits nothing"
+    exit 1
+fi
+
+echo "==> structural gate: a write phase ends in one reduction (no master status broadcast, no barrier, one bcast_u64 in par.rs)"
+# The file master's verdict rides the open's geometry scatter and the
+# close's global allreduce; failures have no channel of their own. The one
+# `bcast_u64(` left is the agreement round's parameter fingerprint.
+par_src=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/sion/src/par.rs)
+bcasts=$(printf '%s\n' "$par_src" | grep -c 'bcast_u64(' || true)
+if printf '%s\n' "$par_src" | grep -n 'check_master_status\|\.barrier(' || [ "$bcasts" -ne 1 ]; then
+    echo "bcast_u64( call sites in par.rs: $bcasts (want 1, the fingerprint)"
+    echo "a write phase ends in one reduction: no \`check_master_status\`, no \`.barrier(\`, one \`bcast_u64(\` in non-test \`crates/sion/src/par.rs\`"
     exit 1
 fi
 

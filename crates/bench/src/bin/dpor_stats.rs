@@ -82,8 +82,8 @@ fn main() {
     // so election collapses to one aggregator per file regardless of
     // tasks_per_aggregator: the aggregated cases below are one aggregator
     // serving (ranks - 1) remote members. Three remote members
-    // (aggregated-4) is the largest case that still finishes: 155 277
-    // schedules, most of this binary's run time.
+    // (aggregated-4) is the largest case: 33 837 schedules, most of this
+    // binary's run time.
     let cases = [
         Case { label: "independent-2", ranks: 2, io_mode: IoMode::Independent },
         Case { label: "independent-3", ranks: 3, io_mode: IoMode::Independent },

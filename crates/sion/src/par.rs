@@ -21,11 +21,15 @@
 //!   file groups form *without an exchange* — [`Mapping::group_of`] is
 //!   pure, so every task computes its own file, local rank and group size
 //!   and joins through [`CoComm::split_local`]. Then per file group ONE
-//!   metadata gather + ONE status broadcast + ONE geometry scatter, then
-//!   ONE global allreduce of the failed flag, the all-or-nothing agreement
+//!   metadata gather + ONE geometry scatter, whose parts lead with the
+//!   master's status word (a lone `[STATUS_ERR]` when it failed), then ONE
+//!   global allreduce of the failed flag, the all-or-nothing agreement
 //!   across file groups;
-//! * write close — ONE usage gather + ONE status broadcast per file
-//!   group, then ONE global barrier, at every group size;
+//! * write close — ONE usage gather per file group, after which the master
+//!   writes metablock 2, then ONE global allreduce of "my flush failed, or,
+//!   at the master, the finalize failed", at every group size. So every
+//!   task returns the same verdict, and `Ok` means every physical file's
+//!   metablock 2 is written;
 //! * read open — on the caller's communicator ONE scatter handing each task
 //!   its whole part (status, flags, its file, its chunk geometry and its
 //!   usage row), then ONE allreduce once every task has opened its file.
@@ -99,11 +103,12 @@ use vfs::Vfs;
 /// per-task geometry blobs to scatter plus the created file handle.
 type GroupSetup = (Vec<Vec<u8>>, Arc<dyn vfs::VfsFile>);
 
-/// Status word broadcast by a master after its setup phase, so that a
-/// failure anywhere in the group surfaces as an error on every task
-/// instead of a hang or a half-written multifile.
+/// Leading word of every part a master scatters at an open: its verdict
+/// rides the scatter, so that a failure anywhere in the group surfaces as
+/// an error on every task instead of a hang or a half-written multifile.
 const STATUS_OK: u64 = 0;
-/// The master itself failed (layout, create, or metablock write).
+/// The master itself failed (layout, create, or metablock write); the part
+/// is this one word.
 const STATUS_ERR: u64 = 1;
 
 /// Verdicts of the write open's agreement round, Max-reduced over the
@@ -113,27 +118,6 @@ const AGREE_OK: u64 = 0;
 const AGREE_LOCAL_INVALID: u64 = 1;
 /// Some task's parameter fingerprint differs from rank 0's.
 const AGREE_PARAM_MISMATCH: u64 = 2;
-
-async fn check_master_status(lcom: &dyn CoComm, local: Result<()>) -> Result<()> {
-    // Master converts its Result into a status word; everyone else echoes
-    // STATUS_OK and learns the verdict from the broadcast.
-    let word = if lcom.rank() == 0 {
-        Some(match &local {
-            Ok(_) => STATUS_OK,
-            Err(_) => STATUS_ERR,
-        })
-    } else {
-        None
-    };
-    let status = lcom.bcast_u64(word, 0).await;
-    match (status, local) {
-        (STATUS_OK, _) => Ok(()),
-        (_, Err(e)) => Err(e),
-        (_, Ok(_)) => Err(SionError::CollectiveMismatch(
-            "master task failed during collective open/close".into(),
-        )),
-    }
-}
 
 /// A fingerprint of the parameters that must agree across tasks. Each
 /// field is folded in by a step that is a bijection of the running hash
@@ -240,9 +224,9 @@ fn master_open_setup(
     // Aggregation election (IoMode::Aggregated): neighborhood starts,
     // snapped to FS-block-clean task boundaries so aggregator extents
     // never share an FS block with another writer. Every scatter part
-    // carries the same 9-word shape in both modes: 7 geometry words
-    // plus [aggregator lrank, neighborhood end) — a task that is its
-    // own aggregator with an empty neighborhood writes independently.
+    // carries the same 10-word shape in both modes: the status word, 7
+    // geometry words and [aggregator lrank, neighborhood end) — a task that
+    // is its own aggregator with an empty neighborhood writes independently.
     let groups = match params.io_mode {
         IoMode::Independent => None,
         IoMode::Aggregated {
@@ -251,7 +235,6 @@ fn master_open_setup(
     };
     let parts: Vec<Vec<u8>> = (0..layout.ntasks())
         .map(|t| {
-            let mut words = ChunkGeom::from_layout(&layout, t, records[t].grank).encode();
             let (agg, end) = match &groups {
                 None => (t as u64, t as u64 + 1),
                 Some(starts) => {
@@ -260,9 +243,12 @@ fn master_open_setup(
                     (starts[gi] as u64, end)
                 }
             };
-            words.push(agg);
-            words.push(end);
-            words.iter().flat_map(|w| w.to_le_bytes()).collect()
+            let geom = ChunkGeom::from_layout(&layout, t, records[t].grank).encode();
+            std::iter::once(STATUS_OK)
+                .chain(geom)
+                .chain([agg, end])
+                .flat_map(u64::to_le_bytes)
+                .collect()
         })
         .collect();
     Ok((parts, file))
@@ -343,37 +329,32 @@ pub async fn paropen_write_co(
         grank: grank as u64,
     };
     let gathered = lcom.gather(&record.encode(), 0).await;
-    let setup = gathered.map(|raw| master_open_setup(vfs, base, params, filenum, ntasks, raw));
-    let word = setup
-        .as_ref()
-        .map(|s| if s.is_ok() { STATUS_OK } else { STATUS_ERR });
-    let status = lcom.bcast_u64(word, 0).await;
-
-    // Per-file-group phase. Any failure here is captured, not returned:
-    // the global exchange below must run on every task or the healthy file
-    // groups would hang.
-    let group_result: Result<(ChunkGeom, usize, usize, Arc<dyn vfs::VfsFile>)> = async {
-        if status != STATUS_OK {
-            return Err(match setup {
-                Some(Err(e)) => e,
-                _ => SionError::CollectiveMismatch(
-                    "master task failed during collective open".into(),
-                ),
-            });
-        }
-        let (parts, created) = match setup {
-            Some(setup) => {
-                let (parts, file) = setup.expect("status was OK");
-                (Some(parts), Some(file))
-            }
-            None => (None, None),
+    let (parts, created, failure) =
+        match gathered.map(|raw| master_open_setup(vfs, base, params, filenum, ntasks, raw)) {
+            Some(Ok((parts, file))) => (Some(parts), Some(file), None),
+            Some(Err(e)) => (
+                Some(vec![STATUS_ERR.to_le_bytes().to_vec(); lsize]),
+                None,
+                Some(e),
+            ),
+            None => (None, None, None),
         };
-        let mine = lcom.scatter(parts, 0).await;
-        let (geom, agg, end) = decode_write_part(&mine)?;
+
+    // ONE scatter: the master's verdict travels as each part's leading word
+    // instead of costing a separate round. Any failure from here on is
+    // captured, not returned: the global exchange below must run on every
+    // task or the healthy file groups would hang.
+    let mine = lcom.scatter(parts, 0).await;
+    let group_result = decode_write_part(&mine).and_then(|part| {
+        let Some((geom, agg, end)) = part else {
+            return Err(failure.unwrap_or_else(|| {
+                SionError::CollectiveMismatch("master task failed during collective open".into())
+            }));
+        };
         let file = match created {
             Some(file) => file,
-            // The master created the file before the status broadcast, so
-            // it exists by now.
+            // The master created the file before the scatter, so it exists
+            // by now.
             None if agg == lcom.rank() => vfs.open_rw(&physical_name(base, filenum))?,
             // Aggregated-mode member: its stream engine runs against a
             // data-discarding shadow of the physical file; only its
@@ -386,8 +367,7 @@ pub async fn paropen_write_co(
             None => vfs.create_shadow(&physical_name(base, filenum))?,
         };
         Ok((geom, agg, end, file))
-    }
-    .await;
+    });
 
     // One global reduction closes the open: the all-or-nothing failure
     // agreement across file groups. When it returns clean, every physical
@@ -428,9 +408,10 @@ pub async fn paropen_write_co(
     })
 }
 
-/// Decode a write-open scatter part: 7 geometry words plus the aggregation
-/// words `[aggregator lrank, neighborhood end)`.
-fn decode_write_part(bytes: &[u8]) -> Result<(ChunkGeom, usize, usize)> {
+/// Decode a write-open scatter part: the master's status word, then 7
+/// geometry words and the aggregation words `[aggregator lrank,
+/// neighborhood end)`. `None` when the master failed.
+fn decode_write_part(bytes: &[u8]) -> Result<Option<(ChunkGeom, usize, usize)>> {
     if !bytes.len().is_multiple_of(8) {
         return Err(SionError::Format("bad chunk geometry payload".into()));
     }
@@ -438,13 +419,16 @@ fn decode_write_part(bytes: &[u8]) -> Result<(ChunkGeom, usize, usize)> {
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
         .collect();
-    if words.len() < ChunkGeom::ENCODED_WORDS + 2 {
+    let [STATUS_OK, part @ ..] = words.as_slice() else {
+        return Ok(None);
+    };
+    if part.len() < ChunkGeom::ENCODED_WORDS + 2 {
         return Err(SionError::Format("truncated write-open payload".into()));
     }
-    let geom = ChunkGeom::decode(&words)?;
-    let agg = words[ChunkGeom::ENCODED_WORDS] as usize;
-    let end = words[ChunkGeom::ENCODED_WORDS + 1] as usize;
-    Ok((geom, agg, end))
+    let geom = ChunkGeom::decode(part)?;
+    let agg = part[ChunkGeom::ENCODED_WORDS] as usize;
+    let end = part[ChunkGeom::ENCODED_WORDS + 1] as usize;
+    Ok(Some((geom, agg, end)))
 }
 
 impl SionParWriter {
@@ -576,8 +560,11 @@ impl SionParWriter {
     /// metablock 2 entirely: finalizing without the failed task's usage
     /// would silently drop its data. The un-finalized file remains
     /// recoverable via [`rescue::repair`](crate::rescue::repair) when
-    /// rescue headers are enabled. Only when close returns `Ok` on every
-    /// task is the multifile's metadata durable and final.
+    /// rescue headers are enabled. Close returns the same verdict on every
+    /// task: `Ok` means every physical file's metablock 2 is written, the
+    /// multifile's metadata durable and final. A task whose own flush
+    /// failed reports that error, every other failing task a
+    /// [`SionError::CollectiveMismatch`].
     pub fn close(self) -> Result<CloseStats> {
         drive_ready(self.close_co())
     }
@@ -614,9 +601,7 @@ impl SionParWriter {
         };
 
         // Packed close exchange: the error flag rides in the same record
-        // as the per-block usage, so the former standalone failure
-        // allgather round is gone — ONE gather and ONE status broadcast
-        // finish the file group.
+        // as the per-block usage, so ONE gather finishes the file group.
         let record = CloseRecord {
             status: if finish_res.is_ok() {
                 CloseRecord::STATUS_OK
@@ -645,13 +630,19 @@ impl SionParWriter {
                 finalize_file(&self.writer, &rows)
             })(),
         };
-        let status = check_master_status(self.lcom.as_ref(), finalize).await;
-        // Collective over the global communicator: when close returns, the
-        // entire multifile (all physical files' metablocks) is final.
-        // Always reached, error or not, so no file group can hang another.
-        self.gcom.barrier().await;
+        // ONE reduction over the global communicator ends the close, the
+        // all-or-nothing agreement across file groups: when it returns
+        // clean, every physical file's metablock 2 is written. Always
+        // reached, error or not, so no file group can hang another.
+        let failed = finish_res.is_err() || finalize.is_err();
+        let any_failed = self.gcom.allreduce_u64(failed as u64, ReduceOp::Max).await != 0;
         let used = finish_res?;
-        status?;
+        finalize?;
+        if any_failed {
+            return Err(SionError::CollectiveMismatch(
+                "another task failed during the collective close".into(),
+            ));
+        }
         Ok(CloseStats {
             user_bytes: self.writer.user_bytes(),
             stored_bytes: used.iter().sum(),

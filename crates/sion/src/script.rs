@@ -20,7 +20,7 @@
 //! All generators produce symmetric task *classes* (e.g. "file masters"
 //! and "workers"), which is what keeps 64 Ki-task simulations cheap.
 
-use crate::format::{MetaBlock1, OpenRecord};
+use crate::format::{ChunkIndex, MetaBlock1, OpenRecord, MB2_FIXED_LEN, TRAILER2_LEN};
 use crate::layout::{align_up, Alignment, FileLayout};
 use crate::stream::ChunkGeom;
 use parfs::{FileRef, IoOp, ScriptClass, ScriptSet};
@@ -103,10 +103,17 @@ impl SimSpec {
     }
 
     /// Size of metablock 2 for one physical file holding `nblocks` blocks.
+    fn mb2_body_bytes(&self, nblocks: u64) -> u64 {
+        MB2_FIXED_LEN + 8 * nblocks * self.ntasks_local()
+    }
+
+    /// Bytes the close writes at the end of one physical file holding
+    /// `nblocks` blocks ([`crate::format::write_close_metadata`]):
+    /// metablock 2, its chunk index and the v2 trailer.
     pub fn mb2_bytes(&self, nblocks: u64) -> u64 {
-        crate::format::MB2_FIXED_LEN
-            + 8 * nblocks * self.ntasks_local()
-            + crate::format::TRAILER_LEN
+        self.mb2_body_bytes(nblocks)
+            + ChunkIndex::encoded_len(nblocks, self.ntasks_local() as usize)
+            + TRAILER2_LEN
     }
 
     /// Number of blocks a task needs for its data.
@@ -147,10 +154,9 @@ fn open_write_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
             sharers: 1.0,
         });
     }
-    ops.push(IoOp::Bcast { bytes: WORD }); // master status word
-                                           // Geometry plus the two aggregation words.
+    // The master's status word, the geometry and the two aggregation words.
     ops.push(IoOp::Scatter {
-        bytes: GEOM_BYTES + 2 * WORD,
+        bytes: WORD + GEOM_BYTES + 2 * WORD,
     });
     if !master {
         ops.push(IoOp::Open(FileRef::Shared(file)));
@@ -161,7 +167,9 @@ fn open_write_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
 }
 
 /// Ops of the collective close (mirrors `SionParWriter::close_co`): the
-/// packed `CloseRecord` is a status word, a block count and the usage row.
+/// packed `CloseRecord` is a status word, a block count and the usage row;
+/// the master writes the file's tail, and one allreduce makes the close
+/// all-or-nothing.
 fn close_ops(spec: &SimSpec, file: u32, master: bool, nblocks: u64) -> Vec<IoOp> {
     let mut ops = vec![IoOp::Gather {
         bytes: 2 * WORD + 8 * nblocks,
@@ -173,8 +181,7 @@ fn close_ops(spec: &SimSpec, file: u32, master: bool, nblocks: u64) -> Vec<IoOp>
             sharers: 1.0,
         });
     }
-    ops.push(IoOp::Bcast { bytes: WORD });
-    ops.push(IoOp::Barrier);
+    ops.extend(allreduce_word());
     ops
 }
 
@@ -229,7 +236,8 @@ fn multifile_classes(
 
 /// Ops of the collective open in read mode (mirrors
 /// [`crate::par::paropen_read_co`]): file 0's master — global rank 0 —
-/// reads every file's metablocks 1 and 2 and scatters each task its status,
+/// reads every file's metablock 1, metablock 2 and trailer (not the chunk
+/// index) and scatters each task its status,
 /// flags, file, geometry and usage row; every task opens its file, and one
 /// allreduce makes the open all-or-nothing.
 fn open_read_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
@@ -244,7 +252,7 @@ fn open_read_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
             });
             ops.push(IoOp::Read {
                 file: FileRef::Shared(k),
-                bytes: spec.mb2_bytes(spec.nblocks()),
+                bytes: spec.mb2_body_bytes(spec.nblocks()) + TRAILER2_LEN,
                 sharers: 1.0,
             });
         }

@@ -21,10 +21,11 @@ async fn write_rounds(fs: &MemFs, params: &SionParams, comm: &dyn CoComm) {
     let gcom = w.global_comm_stats().expect("runtime tracks stats");
     let parent = comm.stats().expect("runtime tracks stats");
 
-    // Open: ONE packed metadata gather + ONE status broadcast + ONE
-    // geometry scatter on the file-group communicator — nothing else.
+    // Open: ONE packed metadata gather + ONE geometry scatter, whose parts
+    // carry the master's status word, on the file-group communicator —
+    // nothing else.
     assert_eq!(lcom.gathers(), 1, "open metadata gather");
-    assert_eq!(lcom.bcasts(), 1, "open status broadcast");
+    assert_eq!(lcom.bcasts(), 0, "the status rides the scatter");
     assert_eq!(lcom.scatters(), 1, "open geometry scatter");
     assert_eq!(lcom.allgathers(), 0);
     assert_eq!(lcom.barriers(), 0);
@@ -50,17 +51,19 @@ async fn write_rounds(fs: &MemFs, params: &SionParams, comm: &dyn CoComm) {
     let c = w.close_co().await.unwrap();
     assert!(c.stored_bytes >= 3000);
 
-    // Close: ONE packed usage gather + ONE status broadcast on the
-    // file group, ONE barrier on the global communicator — nothing
-    // else, and no further parent-communicator traffic.
+    // Close: ONE packed usage gather on the file group, ONE allreduce of
+    // the failed flag on the global communicator — nothing else, and no
+    // further parent-communicator traffic.
     assert_eq!(lcom.gathers(), 2, "close usage gather");
-    assert_eq!(lcom.bcasts(), 2, "close status broadcast");
+    assert_eq!(lcom.bcasts(), 0);
     assert_eq!(lcom.scatters(), 1);
     assert_eq!(lcom.allgathers(), 0);
     assert_eq!(lcom.barriers(), 0);
-    assert_eq!(lcom.collectives(), 5);
-    assert_eq!(gcom.barriers(), 1, "close global barrier");
-    assert_eq!(gcom.collectives(), 3);
+    assert_eq!(lcom.collectives(), 3);
+    assert_eq!(gcom.reduces(), 2, "close failure agreement, up");
+    assert_eq!(gcom.bcasts(), 2, "close failure agreement, down");
+    assert_eq!(gcom.barriers(), 0);
+    assert_eq!(gcom.collectives(), 4);
     assert_eq!(parent.collectives(), 3);
 }
 
@@ -177,8 +180,9 @@ fn parent_and_global_traffic_stays_logarithmic_per_rank() {
             write_parent <= 2 * word_bcast + 8,
             "rank {rank}: {write_parent} B on the parent"
         );
+        // Two one-word allreduces: the open's and the close's.
         assert!(
-            wglobal <= word_bcast + 8,
+            wglobal <= 2 * (word_bcast + 8),
             "rank {rank}: {wglobal} B on the write gcom"
         );
         // The binomial scatter tree: rank r holds the parts of its subtree,

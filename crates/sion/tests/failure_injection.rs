@@ -2,10 +2,15 @@
 //! surface as clean errors on every task — never hangs, never partial
 //! multifiles accepted as valid.
 
-use simmpi::World;
-use sion::{paropen_read, paropen_write, IoMode, Multifile, SionParams};
+use simmpi::{CoComm, TaskWorld, World};
+use sion::{
+    paropen_read, paropen_write, paropen_write_co, physical_name, IoMode, Multifile, SionError,
+    SionParams,
+};
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use vfs::{FaultKind, FaultRule, Faults, MemFs, TapFs};
+use vfs::{FaultKind, FaultRule, Faults, MemFs, Next, Op, OpKind, Tap, TapFs};
 
 /// A `MemFs` behind a fault tap, and the handle that arms it.
 fn faulty(block_size: u64) -> (TapFs, Arc<Faults>) {
@@ -263,4 +268,83 @@ fn a_failed_apply_shows_at_the_members_next_ship_and_at_close() {
         results,
         vec![vec![true], vec![false, false, true, true, true]]
     );
+}
+
+/// Refuses every write to one path once armed. Armed after the data is
+/// flushed, the one write it refuses is the close's metablock 2.
+struct RefuseWritesTo {
+    path: String,
+    armed: AtomicBool,
+}
+
+impl Tap for RefuseWritesTo {
+    fn around(&self, op: &Op<'_>, next: Next<'_>) -> io::Result<u64> {
+        if op.kind == OpKind::Write && op.path == self.path && self.armed.load(Ordering::SeqCst) {
+            return Err(io::Error::other("metablock 2 refused"));
+        }
+        next(op.len)
+    }
+
+    fn injects(&self) -> bool {
+        true
+    }
+}
+
+/// A file system that refuses writes to file 1 of `base` once armed.
+fn refusing_file_1(base: &str) -> (TapFs, Arc<RefuseWritesTo>) {
+    let tap = Arc::new(RefuseWritesTo {
+        path: physical_name(base, 1),
+        armed: AtomicBool::new(false),
+    });
+    let fs = TapFs::new(Arc::new(MemFs::with_block_size(1024)), vec![tap.clone()]);
+    (fs, tap)
+}
+
+/// Every task's close failed; only rank 2, file 1's master, saw the refused
+/// write itself.
+fn assert_one_verdict(errors: &[Option<SionError>], runtime: &str) {
+    for (rank, e) in errors.iter().enumerate() {
+        let e = e
+            .as_ref()
+            .unwrap_or_else(|| panic!("{runtime}: rank {rank} closed Ok"));
+        assert_eq!(
+            matches!(e, SionError::CollectiveMismatch(_)),
+            rank != 2,
+            "{runtime}: rank {rank}: {e}"
+        );
+    }
+}
+
+#[test]
+fn a_failed_metablock_2_fails_the_close_on_every_task() {
+    // File 0's master writes its metablock 2, file 1's master cannot. The
+    // close is all-or-nothing: file 0's tasks fail too, and the multifile
+    // does not open.
+    let params = SionParams::new(1024).with_nfiles(2);
+    let (fs, tap) = refusing_file_1("v.sion");
+    let results = World::run(4, |comm| {
+        let mut w = paropen_write(&fs, "v.sion", &params, comm).unwrap();
+        w.write(&[comm.rank() as u8; 100]).unwrap();
+        w.flush().unwrap();
+        comm.barrier();
+        tap.armed.store(true, Ordering::SeqCst);
+        w.close().err()
+    });
+    assert_one_verdict(&results, "thread runtime");
+    assert!(Multifile::open(&fs, "v.sion").is_err());
+
+    let (fs, tap) = refusing_file_1("t.sion");
+    let results = TaskWorld::run(4, |c| {
+        let (fs, tap, params) = (&fs, &tap, &params);
+        async move {
+            let mut w = paropen_write_co(fs, "t.sion", params, &c).await.unwrap();
+            w.write(&[c.rank() as u8; 100]).unwrap();
+            w.flush().unwrap();
+            c.barrier().await;
+            tap.armed.store(true, Ordering::SeqCst);
+            w.close_co().await.err()
+        }
+    });
+    assert_one_verdict(&results, "task runtime");
+    assert!(Multifile::open(&fs, "t.sion").is_err());
 }
