@@ -231,6 +231,26 @@ then
     exit 1
 fi
 
+echo "==> structural gate: one reader of a file's head and tail (metablocks, trailer and chunk index decode in format.rs and serial.rs only; rescue headers in rescue.rs)"
+# The mirror of the gate above. Who decodes a metablock, the trailer or the
+# chunk index, in non-test source outside format.rs and serial.rs (each
+# file up to its `#[cfg(test)]`): nobody — readers ask `serial::FileView`,
+# and `sionverify` and `sionrepair` ask the judge behind it,
+# `sion::check_metadata`, so a tool cannot call clean what a reader
+# refuses. A chunk's rescue header is decoded in rescue.rs only
+# (`rescue::chunk_used`, for repair and verify alike).
+readers=$(find crates -path '*/src/*' -name '*.rs' -not -path crates/sion/src/format.rs \
+    -not -path crates/sion/src/serial.rs | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /MetaBlock1::read_from|MetaBlock2::read_(from|at|header)|Trailer::read_from|ChunkIndex::(validate_header|read_task_cum)/ ||
+        (f != "crates/sion/src/rescue.rs" && /RescueHeader::decode/) { print f ":" FNR ": " $0 }' "$f"
+done)
+[ -z "$readers" ] || {
+    echo "$readers"
+    echo "a physical file's head and tail are decoded in \`format.rs\` and judged in \`serial.rs\` (\`FileView\`, \`check_metadata\`); a rescue header is read by \`rescue::chunk_used\`"
+    exit 1
+}
+
 echo "==> structural gate: defrag does not stage (no read_at bounce, no bounce buffer in sion-tools outside its tests)"
 # Each rank's stored runs go from the reader's window straight into its
 # RankWriter; the old bounce copy lives on only as the oracle in `mod tests`.

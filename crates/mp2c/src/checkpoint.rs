@@ -168,7 +168,9 @@ pub fn write_checkpoint(
     }
 }
 
-/// Collectively restore a simulation from the checkpoint at `base`.
+/// Collectively restore a simulation from the checkpoint at `base`. Every
+/// task returns the same verdict: open, read and decode of each task's
+/// stream end in one [`collective_check`], whichever strategy stored it.
 pub fn read_checkpoint(
     config: SimConfig,
     vfs: &dyn Vfs,
@@ -176,38 +178,32 @@ pub fn read_checkpoint(
     strategy: Strategy,
     comm: &Comm,
 ) -> Result<Simulation> {
-    let stream: Vec<u8> = match strategy {
-        Strategy::Sion { .. } => {
-            let mut r = paropen_read(vfs, base, comm)?;
-            let read = (|| -> Result<Vec<u8>> {
-                let mut out = Vec::new();
-                let mut buf = vec![0u8; 256 * 1024];
-                loop {
-                    let n = r.read(&mut buf)?;
-                    if n == 0 {
-                        break;
-                    }
-                    out.extend_from_slice(&buf[..n]);
+    let stream: Result<Vec<u8>> = match strategy {
+        // The read open agrees by itself and the read close is local.
+        Strategy::Sion { .. } => paropen_read(vfs, base, comm).and_then(|mut r| {
+            let mut out = Vec::new();
+            let mut buf = vec![0u8; 256 * 1024];
+            loop {
+                let n = r.read(&mut buf)?;
+                if n == 0 {
+                    break;
                 }
-                Ok(out)
-            })();
-            // Agree on success so every rank returns the same verdict; the
-            // read close itself is local.
-            let out = collective_check(comm, read)?;
+                out.extend_from_slice(&buf[..n]);
+            }
             r.close()?;
-            out
-        }
-        Strategy::TaskLocal => {
+            Ok(out)
+        }),
+        Strategy::TaskLocal => (|| {
             let f = vfs.open(&task_local_path(base, comm.rank()))?;
             let mut out = vec![0u8; f.len()? as usize];
             f.read_exact_at(&mut out, 0)?;
-            out
-        }
+            Ok(out)
+        })(),
         Strategy::SingleFileSequential => {
-            // Rank 0 reads and scatters the per-rank streams; its failures
-            // (missing file, wrong task count) must surface on every rank
-            // *before* the scatter.
-            let parts: Result<Option<Vec<Vec<u8>>>> = if comm.rank() == 0 {
+            // Rank 0 reads and scatters the per-rank streams. If it cannot,
+            // it scatters empty ones — no stream is empty — and keeps its
+            // error for the check.
+            let parts: Result<Vec<Vec<u8>>> = if comm.rank() == 0 {
                 (|| {
                     let f = vfs.open(base)?;
                     let mut count = [0u8; 8];
@@ -233,16 +229,21 @@ pub fn read_checkpoint(
                         at += len;
                         parts.push(s);
                     }
-                    Ok(Some(parts))
+                    Ok(parts)
                 })()
             } else {
-                Ok(None)
+                Ok(Vec::new())
             };
-            let parts = collective_check(comm, parts)?;
-            comm.scatter(parts, 0)
+            let (parts, failed) = match parts {
+                Ok(parts) => (parts, None),
+                Err(e) => (vec![Vec::new(); comm.size()], Some(e)),
+            };
+            let mine = comm.scatter((comm.rank() == 0).then_some(parts), 0);
+            failed.map_or(Ok(mine), Err)
         }
     };
-    let (step, particles, solutes) = decode_task_stream(&stream)?;
+    let (step, particles, solutes) =
+        collective_check(comm, stream.and_then(|s| decode_task_stream(&s)))?;
     Ok(Simulation::from_restart(config, particles, solutes, step, comm.rank(), comm.size()))
 }
 
@@ -349,6 +350,32 @@ mod tests {
         assert_eq!(fs.list("s2/").unwrap().len(), 2);
         assert_eq!(fs.list("tl/").unwrap().len(), 4);
         assert_eq!(fs.list("sf/").unwrap().len(), 1);
+    }
+
+    /// A damaged task-local checkpoint of one rank fails the restart on
+    /// every rank, whether the rank's stream is cut short (a decode
+    /// failure) or its file is gone (an open failure).
+    #[test]
+    fn damaged_task_local_restore_fails_on_every_rank() {
+        let cfg = SimConfig::default();
+        for cut in [true, false] {
+            let fs = MemFs::with_block_size(4096);
+            World::run(4, |comm| {
+                let sim = Simulation::new(cfg, comm.rank(), comm.size());
+                write_checkpoint(&sim, &fs, "tl", Strategy::TaskLocal, comm).unwrap();
+            });
+            let what = if cut {
+                fs.open_rw("tl.000002").unwrap().set_len(10).unwrap();
+                "rank 2's file cut to 10 bytes"
+            } else {
+                fs.remove("tl.000001").unwrap();
+                "rank 1's file removed"
+            };
+            let failed = World::run(4, |comm| {
+                read_checkpoint(cfg, &fs, "tl", Strategy::TaskLocal, comm).is_err()
+            });
+            assert_eq!(failed, [true; 4], "{what}");
+        }
     }
 
     #[test]

@@ -5,11 +5,12 @@ use vfs::LocalFs;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.len() < 2 || args.len() > 3 {
+    let flag = args.get(2).map(String::as_str);
+    if args.len() < 2 || args.len() > 3 || flag.is_some_and(|f| f != "--force") {
         eprintln!("usage: sionrepair <multifile> [--force]");
         std::process::exit(2);
     }
-    let force = args.get(2).map(|a| a == "--force").unwrap_or(false);
+    let force = flag.is_some();
     let fs = LocalFs::new(".");
     match sion::rescue::repair(&fs, &args[1], force) {
         Ok(rep) => {

@@ -9,6 +9,10 @@
 //! All functionality is available as library functions operating on any
 //! [`vfs::Vfs`]; the binaries wrap them over the local file system.
 //!
+//! No tool decodes metadata itself: [`verify`], like `sionrepair`, reports
+//! what [`sion::check_metadata`] finds, so what it calls clean every reader
+//! reads back exactly.
+//!
 //! Reading a rank end to end is one path for every multifile:
 //! [`verify`], [`cat_into`] and `Multifile::read_rank` all run
 //! [`sion::RankReader::scan_remaining`], which lends plain streams from
@@ -24,7 +28,6 @@
 //! threads (`over_ranks`); neither the report nor the output file depends
 //! on how many.
 
-use sion::rescue::{RescueHeader, RESCUE_HEADER_LEN};
 use sion::{
     IoCounters, Multifile, RankWriter, Result, SerialWriter, SionError, SionFlags, SionParams,
     TaskLocation,
@@ -352,19 +355,13 @@ impl VerifyReport {
     }
 }
 
-/// Integrity-check a multifile (the `sionverify` tool): metadata opens and
-/// cross-validates, every chunk's usage fits its capacity, every logical
-/// stream is readable end to end (which exercises decompression), and — if
-/// rescue headers are present — they agree with metablock 2.
+/// Integrity-check a multifile (the `sionverify` tool): the metadata is
+/// what [`sion::check_metadata`] accepts, every logical stream is readable
+/// end to end (which exercises decompression), and — if rescue headers are
+/// present — they agree with the metadata.
 ///
-/// The strict decoder rejects inconsistent metadata — impossible extents
-/// and duplicate ranks at [`Multifile::open`], usage overflowing capacity
-/// at the lazy per-rank fetch — which would turn every such defect into
-/// an opaque `Err` here. Instead, when either the open or a per-rank
-/// fetch fails, verify falls back to a *lenient raw-metadata scan*
-/// ([`verify_raw`]) that reads metablocks 1 and 2 directly and reports
-/// each inconsistency as a problem in the returned report — so damaged
-/// files still yield a diagnosis instead of just an error.
+/// When the judge finds problems they are the report, and `tasks_ok` stays
+/// 0: without metadata every reader agrees on, no stream can be certified.
 ///
 /// Still a serial program — one process, no communicator — but ranks are
 /// independent, so they are certified in contiguous ranges by at most
@@ -373,10 +370,14 @@ impl VerifyReport {
 /// report is the one a single loop over the ranks writes, whatever the
 /// thread count.
 pub fn verify(vfs: &dyn Vfs, base: &str) -> Result<VerifyReport> {
-    let mf = match Multifile::open(vfs, base) {
-        Ok(mf) => mf,
-        Err(open_err) => return verify_raw(vfs, base, open_err),
-    };
+    let problems: Vec<String> = sion::check_metadata(vfs, base)?
+        .into_iter()
+        .flat_map(|file| file.head.into_iter().chain(file.tail))
+        .collect();
+    if !problems.is_empty() {
+        return Ok(VerifyReport { tasks_ok: 0, problems });
+    }
+    let mf = Multifile::open(vfs, base)?;
     // Per-file handles for the rescue cross-check.
     let files = if mf.flags().contains(SionFlags::RESCUE) {
         (0..mf.nfiles())
@@ -388,14 +389,7 @@ pub fn verify(vfs: &dyn Vfs, base: &str) -> Result<VerifyReport> {
     // Verify keeps nothing per rank: its ranges need no items of their own.
     let parts = over_ranks(host_workers(), &mut vec![(); mf.ntasks()], |ranks, _| {
         verify_ranks(&mf, &files, ranks)
-    });
-    let parts = match parts {
-        Ok(parts) => parts,
-        // A per-rank fetch the strict decoder rejects sends the whole
-        // report through the raw fallback, exactly like a failed open:
-        // without consistent metadata, no stream can be certified.
-        Err(e) => return verify_raw(vfs, base, e),
-    };
+    })?;
     let mut report = VerifyReport::default();
     for part in parts {
         report.tasks_ok += part.tasks_ok;
@@ -417,9 +411,6 @@ fn verify_ranks(
     // verified without ever materializing the full `Locations`.
     for rank in ranks {
         let t = mf.location(rank)?;
-        // Note: per-chunk `used <= usable` needs no check here — metadata
-        // violating it cannot pass the strict fetch and is diagnosed by
-        // the raw fallback path instead.
         // Certify the logical stream readable end to end with the
         // borrow-based scan: a plain stream's runs are inspected in place
         // (on a leasing VFS nothing is copied), a compressed stream's
@@ -436,118 +427,17 @@ fn verify_ranks(
 
         // Rescue-header cross-check, on the same pass.
         if let Some(file) = files.get(t.file as usize) {
-            for c in &t.chunks {
-                if c.used == 0 {
-                    continue;
-                }
-                let mut hdr = [0u8; RESCUE_HEADER_LEN as usize];
-                let at = c.offset - RESCUE_HEADER_LEN;
-                if file.read_exact_at(&mut hdr, at).is_err() {
-                    report.problems.push(format!(
-                        "rank {rank} block {}: rescue header unreadable",
-                        c.block
-                    ));
-                    continue;
-                }
-                match RescueHeader::decode(&hdr) {
-                    Some(h)
-                        if h.global_rank == rank as u64
-                            && h.block == c.block
-                            && h.used == c.used => {}
-                    Some(h) => report.problems.push(format!(
-                        "rank {rank} block {}: rescue header disagrees \
-                         (rank {}, block {}, used {})",
-                        c.block, h.global_rank, h.block, h.used
-                    )),
-                    None => report.problems.push(format!(
-                        "rank {rank} block {}: rescue header missing",
-                        c.block
-                    )),
-                }
-            }
-        }
-    }
-    Ok(report)
-}
-
-/// Lenient fallback of [`verify`] for files the strict [`Multifile::open`]
-/// rejects: read metablocks 1 and 2 of every physical file directly and
-/// report each inconsistency (usage over capacity, impossible extents,
-/// duplicate ranks, unreadable metadata) as a problem. Returns `Err` only
-/// when even the first file's metablock 1 is unreadable — then there is
-/// nothing to diagnose against — propagating the original open error
-/// alongside the read failure. `tasks_ok` stays 0: without a consistent
-/// open, no stream can be certified readable.
-fn verify_raw(vfs: &dyn Vfs, base: &str, open_err: SionError) -> Result<VerifyReport> {
-    use sion::format::{MetaBlock1, MetaBlock2};
-    use sion::FileLayout;
-
-    let first = vfs
-        .open(base)
-        .map_err(|e| SionError::Format(format!("{open_err}; base file unreadable: {e}")))?;
-    let first_mb1 = MetaBlock1::read_from(first.as_ref())
-        .map_err(|e| SionError::Format(format!("{open_err}; metablock 1 unreadable: {e}")))?;
-    drop(first);
-
-    let mut report = VerifyReport::default();
-    report
-        .problems
-        .push(format!("strict metadata open failed: {open_err}"));
-
-    let mut seen_ranks = std::collections::BTreeMap::new();
-    for k in 0..first_mb1.nfiles {
-        let name = sion::physical_name(base, k);
-        let file = match vfs.open(&name) {
-            Ok(f) => f,
-            Err(e) => {
-                report.problems.push(format!("{name}: cannot open: {e}"));
-                continue;
-            }
-        };
-        let mb1 = match MetaBlock1::read_from(file.as_ref()) {
-            Ok(m) => m,
-            Err(e) => {
-                report.problems.push(format!("{name}: metablock 1 unreadable: {e}"));
-                continue;
-            }
-        };
-        if mb1.filenum != k {
-            report
-                .problems
-                .push(format!("{name}: claims file number {} (expected {k})", mb1.filenum));
-        }
-        for (t, &r) in mb1.global_ranks.iter().enumerate() {
-            if let Some(prev) = seen_ranks.insert(r, name.clone()) {
-                report
-                    .problems
-                    .push(format!("{name}: rank {r} (local task {t}) already mapped in {prev}"));
-            }
-        }
-        let layout = FileLayout::from_mb1(&mb1);
-        let n = layout.ntasks();
-        let mb2 = match MetaBlock2::read_from(file.as_ref(), n) {
-            Ok(m) => m,
-            Err(e) => {
-                report.problems.push(format!("{name}: metablock 2 unreadable: {e}"));
-                continue;
-            }
-        };
-        if let Ok(len) = file.len() {
-            if let Err(e) = layout.validate_extent(mb2.nblocks, len) {
-                report.problems.push(format!("{name}: {e}"));
-            }
-        }
-        for t in 0..n {
-            let usable = layout.usable(t);
-            for b in 0..mb2.nblocks {
-                let used = mb2.used_in(b, t, n);
-                if used > usable {
-                    report.problems.push(format!(
-                        "{name}: rank {} block {b}: {used} used bytes exceed usable \
-                         capacity {usable}",
-                        mb1.global_ranks[t]
-                    ));
-                }
+            for c in t.chunks.iter().filter(|c| c.used > 0) {
+                let found = sion::rescue::chunk_used(file.as_ref(), c.offset, rank as u64, c.block);
+                let problem = match found {
+                    Ok(Some(used)) if used == c.used => continue,
+                    Ok(Some(used)) => {
+                        format!("rescue header counts {used} bytes, the metadata {}", c.used)
+                    }
+                    Ok(None) => "rescue header missing".to_string(),
+                    Err(e) => e,
+                };
+                report.problems.push(format!("rank {rank} block {}: {problem}", c.block));
             }
         }
     }

@@ -132,6 +132,23 @@ fn tools_reject_bad_usage() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn sionrepair_rejects_any_flag_but_force() {
+    let dir = scratch("repairflags");
+    make_multifile(&dir);
+    let before = std::fs::read(dir.join("data.sion")).unwrap();
+    for flag in ["--forec", "-f", "force"] {
+        let out = run_tool(env!("CARGO_BIN_EXE_sionrepair"), &dir, &["data.sion", flag]);
+        assert_eq!(out.status.code(), Some(2), "sionrepair must reject {flag}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{flag}");
+    }
+    assert_eq!(std::fs::read(dir.join("data.sion")).unwrap(), before, "nothing was repaired");
+    let out = run_tool(env!("CARGO_BIN_EXE_sionrepair"), &dir, &["data.sion", "--force"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("2 repaired"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// User-input hardening: truncated and garbage files must produce a clean
 /// diagnostic and a nonzero exit — never a panic — from every tool, and a
 /// malformed numeric argument is a usage error.

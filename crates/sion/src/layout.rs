@@ -183,7 +183,8 @@ impl FileLayout {
             .ok_or_else(|| SionError::Format("block extent overflows address arithmetic".into()))?;
         if end > file_len {
             return Err(SionError::Format(format!(
-                "metadata claims {nblocks} blocks ending at {end}, but the file has only                  {file_len} bytes"
+                "metadata claims {nblocks} blocks ending at {end}, but the file has only \
+                 {file_len} bytes"
             )));
         }
         Ok(())

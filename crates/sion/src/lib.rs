@@ -120,7 +120,8 @@ pub use par::{
     SionParWriter,
 };
 pub use serial::{
-    ChunkInfo, Locations, Multifile, RankReader, RankWriter, SerialWriter, TaskLocation,
+    check_metadata, ChunkInfo, FileCheck, Locations, Multifile, RankReader, RankWriter,
+    SerialWriter, TaskLocation,
 };
 pub use stream::{IoCounters, DEFAULT_READ_AHEAD, DEFAULT_WRITE_BUFFER};
 /// The payload of [`SionError::Compression`].

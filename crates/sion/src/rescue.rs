@@ -12,12 +12,15 @@
 //! (kept current on every write). [`repair`] rebuilds a lost metablock 2 by
 //! scanning these headers — metablock 1 is written before any data and is
 //! assumed to survive.
+//! Which tails are lost, [`check_metadata`] decides — for `sionverify` too;
+//! a rescue header is read by [`chunk_used`], for both tools.
 
 use crate::error::{Result, SionError};
-use crate::format::{MetaBlock1, MetaBlock2, SionFlags};
+use crate::format::{MetaBlock2, SionFlags};
 use crate::layout::FileLayout;
 use crate::physical_name;
-use vfs::Vfs;
+use crate::serial::check_metadata;
+use vfs::{Vfs, VfsFile};
 
 /// Size of the per-chunk rescue header in bytes.
 pub const RESCUE_HEADER_LEN: u64 = 32;
@@ -96,28 +99,52 @@ impl RepairReport {
     }
 }
 
-/// Rebuild missing metablock 2s of the multifile at `base` by scanning
-/// rescue headers. Files with a valid metablock 2 are left alone unless
-/// `force` is set (then they are re-derived from the headers too).
+/// What the rescue header in front of the user data at `data_off` of `file`
+/// says `rank` stored in block `block`: `Ok(None)` for no header (a hole
+/// reads as zeros), `Err` for one unreadable or of another (rank, block).
+pub fn chunk_used(
+    file: &dyn VfsFile,
+    data_off: u64,
+    rank: u64,
+    block: u64,
+) -> std::result::Result<Option<u64>, String> {
+    let mut hdr = [0u8; RESCUE_HEADER_LEN as usize];
+    file.read_exact_at(&mut hdr, data_off - RESCUE_HEADER_LEN)
+        .map_err(|e| format!("rescue header of (rank {rank}, block {block}) unreadable: {e}"))?;
+    match RescueHeader::decode(&hdr) {
+        None => Ok(None),
+        Some(h) if h.global_rank == rank && h.block == block => Ok(Some(h.used)),
+        Some(h) => Err(format!(
+            "rescue header mismatch: found (rank {}, block {}) at chunk of (rank {rank}, \
+             block {block})",
+            h.global_rank, h.block
+        )),
+    }
+}
+
+/// Rebuild the tail of every physical file of the multifile at `base` that
+/// [`check_metadata`] rejects, by scanning rescue headers; with `force`,
+/// of every file whose head it accepts. "Intact" is what the judge accepts.
 ///
 /// Damage encountered mid-scan does not abort the run: a chunk whose
 /// rescue header is unreadable or belongs to a different (rank, block)
 /// is skipped (counted as empty) and reported in
 /// [`RepairReport::problems`], and a physical file that cannot be opened
-/// or whose metablock 1 is unreadable is skipped the same way, so the
-/// remaining chunks and files are still recovered. Only damage to the
-/// *first* file's metablock 1 is fatal — without it the multifile's
-/// shape (`nfiles`, rescue flag) is unknown.
+/// or whose head the judge rejects is left alone and reported the same
+/// way, so the remaining chunks and files are still recovered. Only
+/// damage to the *first* file's metablock 1 is fatal — without it the
+/// multifile's shape (`nfiles`, rescue flag) is unknown.
 pub fn repair(vfs: &dyn Vfs, base: &str, force: bool) -> Result<RepairReport> {
-    let first = vfs.open_rw(base)?;
-    let mb1 = MetaBlock1::read_from(first.as_ref())?;
-    if !mb1.flags.contains(SionFlags::RESCUE) {
+    let checks = check_metadata(vfs, base)?;
+    if !checks[0]
+        .mb1
+        .as_ref()
+        .is_some_and(|m| m.flags.contains(SionFlags::RESCUE))
+    {
         return Err(SionError::Rescue(
             "multifile was written without rescue headers; nothing to scan".into(),
         ));
     }
-    let nfiles = mb1.nfiles;
-    drop(first);
 
     let mut report = RepairReport {
         files_scanned: 0,
@@ -128,7 +155,20 @@ pub fn repair(vfs: &dyn Vfs, base: &str, force: bool) -> Result<RepairReport> {
         problems: Vec::new(),
     };
 
-    for k in 0..nfiles {
+    for (k, check) in (0u32..).zip(checks) {
+        let mb1 = match check.mb1 {
+            Some(mb1) if check.head.is_empty() => mb1,
+            _ => {
+                report.problems.extend(check.head);
+                continue;
+            }
+        };
+        report.files_scanned += 1;
+        if !force && check.tail.is_empty() {
+            report.files_intact += 1;
+            continue;
+        }
+
         let name = physical_name(base, k);
         let file = match vfs.open_rw(&name) {
             Ok(f) => f,
@@ -137,22 +177,6 @@ pub fn repair(vfs: &dyn Vfs, base: &str, force: bool) -> Result<RepairReport> {
                 continue;
             }
         };
-        let mb1 = match MetaBlock1::read_from(file.as_ref()) {
-            Ok(m) => m,
-            Err(e) => {
-                report
-                    .problems
-                    .push(format!("{name}: metablock 1 unreadable: {e}"));
-                continue;
-            }
-        };
-        report.files_scanned += 1;
-
-        if !force && MetaBlock2::read_from(file.as_ref(), mb1.ntasks_local()).is_ok() {
-            report.files_intact += 1;
-            continue;
-        }
-
         let layout = FileLayout::from_mb1(&mb1);
         let n = layout.ntasks();
         let file_len = file.len()?;
@@ -164,43 +188,28 @@ pub fn repair(vfs: &dyn Vfs, base: &str, force: bool) -> Result<RepairReport> {
         };
 
         let mut rows: Vec<Vec<u64>> = Vec::new();
-        let mut hdr = [0u8; RESCUE_HEADER_LEN as usize];
         for b in 0..max_blocks {
             let mut row = vec![0u64; n];
             for (t, slot) in row.iter_mut().enumerate() {
-                let at = layout.chunk_start(t, b);
-                if at + RESCUE_HEADER_LEN > file_len {
+                let data_off = layout.chunk_start(t, b) + RESCUE_HEADER_LEN;
+                if data_off > file_len {
                     continue;
                 }
-                if let Err(e) = file.read_exact_at(&mut hdr, at) {
-                    // In-bounds but unreadable: skip the chunk, keep going.
-                    report.problems.push(format!(
-                        "{name}: rescue header of (rank {}, block {b}) unreadable: {e}",
-                        mb1.global_ranks[t]
-                    ));
-                    continue;
-                }
-                let Some(h) = RescueHeader::decode(&hdr) else {
-                    continue;
-                };
-                if h.global_rank != mb1.global_ranks[t] || h.block != b {
-                    // A header from a different (rank, block) means this spot
-                    // is inconsistent with the file's own layout — possibly a
-                    // torn header write. Treat the chunk as unrecoverable and
-                    // move on; the rest of the file is still worth saving.
-                    report.problems.push(format!(
-                        "{name}: rescue header mismatch: found (rank {}, block {}) at \
-                         chunk of (rank {}, block {b}); chunk skipped",
-                        h.global_rank, h.block, mb1.global_ranks[t]
-                    ));
-                    continue;
-                }
-                let cap_user = layout.usable(t);
-                let used = h.used.min(cap_user);
-                *slot = used;
-                if used > 0 {
-                    report.chunks_recovered += 1;
-                    report.bytes_recovered += used;
+                // A header of a different (rank, block) means this spot is
+                // inconsistent with the file's own layout — possibly a torn
+                // header write. Treat the chunk as unrecoverable and move
+                // on; the rest of the file is still worth saving.
+                match chunk_used(file.as_ref(), data_off, mb1.global_ranks[t], b) {
+                    Ok(None) => {}
+                    Ok(Some(used)) => {
+                        let used = used.min(layout.usable(t));
+                        *slot = used;
+                        if used > 0 {
+                            report.chunks_recovered += 1;
+                            report.bytes_recovered += used;
+                        }
+                    }
+                    Err(e) => report.problems.push(format!("{name}: {e}; chunk skipped")),
                 }
             }
             rows.push(row);

@@ -31,7 +31,8 @@
 //! What a physical file starts and ends with is known here and in
 //! [`crate::format`] only: `FileView` decodes it, `create_file` and
 //! `finalize_file` write it, for [`SerialWriter`] and for the collective
-//! open/close of [`crate::par`] alike.
+//! open/close of [`crate::par`] alike, and [`check_metadata`] judges it for
+//! `sionverify` and `sionrepair`.
 
 use crate::error::{Result, SionError};
 use crate::format::{
@@ -152,27 +153,9 @@ pub(crate) struct FileView {
 }
 
 impl FileView {
-    /// Header open of physical file `k`: metablock 1, the trailer and the
-    /// fixed metablock-2 header, with the extent they describe checked
-    /// against the file's length. `file0` is the file whose idea of the
-    /// multifile's shape this one must share; file 0 itself, and a caller
-    /// that opens `k` alone after somebody compared them all, pass `None`.
-    pub(crate) fn open(
-        vfs: &dyn Vfs,
-        base: &str,
-        k: u32,
-        file0: Option<&FileView>,
-    ) -> Result<FileView> {
-        let handle = vfs.open(&physical_name(base, k))?;
-        let mb1 = MetaBlock1::read_from(handle.as_ref())?;
-        let same_shape = file0.is_none_or(|f0| {
-            mb1.nfiles == f0.mb1.nfiles && mb1.ntasks_global == f0.mb1.ntasks_global
-        });
-        if mb1.filenum != k || !same_shape {
-            return Err(SionError::Format(format!(
-                "physical file {k} disagrees with file 0 about the multifile shape"
-            )));
-        }
+    /// A file's view from its head: the trailer and the fixed metablock-2
+    /// header, with the extent they describe checked against the file.
+    fn with_tail(handle: Arc<dyn VfsFile>, mb1: MetaBlock1) -> Result<FileView> {
         let trailer = Trailer::read_from(handle.as_ref())?;
         let nblocks = MetaBlock2::read_header(handle.as_ref(), &trailer, mb1.ntasks_local())?;
         let layout = FileLayout::from_mb1(&mb1);
@@ -247,12 +230,134 @@ impl FileView {
         let usable = self.layout.usable(lt);
         match usage.iter().position(|&used| used > usable) {
             Some(b) => Err(SionError::Format(format!(
-                "file {}: task {lt} block {b} claims more bytes than its chunk holds",
-                self.mb1.filenum
+                "file {}: task {lt} block {b} claims more bytes than its chunk holds \
+                 ({} used bytes exceed its {usable} usable)",
+                self.mb1.filenum, usage[b]
             ))),
             None => Ok(usage),
         }
     }
+
+    /// Every problem of the usage rows on both views: metablock 2, the chunk
+    /// index (when the file has a usable one), and where the two disagree.
+    fn row_problems(&self) -> Vec<String> {
+        let mut problems = Vec::new();
+        for lt in 0..self.mb1.ntasks_local() {
+            match (self.usage_from_mb2(lt), self.usage(lt)) {
+                (Ok(mb2), Ok(index)) if mb2 == index => {}
+                (Ok(mb2), Ok(index)) => {
+                    let b = mb2.iter().zip(&index).take_while(|(m, i)| m == i).count();
+                    problems.push(format!(
+                        "task {lt} block {b}: the chunk index says {} bytes, metablock 2 {}",
+                        index[b], mb2[b]
+                    ));
+                }
+                (Err(e), _) => problems.push(format!("metablock 2: {e}")),
+                (_, Err(e)) => problems.push(format!("chunk index: {e}")),
+            }
+        }
+        problems
+    }
+}
+
+/// The one reader of a file's head: metablock 1 of physical file `k`, which
+/// must give the multifile the shape `file0` (file 0's, or `None`) gives it.
+fn read_head(handle: &dyn VfsFile, k: u32, file0: Option<&MetaBlock1>) -> Result<MetaBlock1> {
+    let mb1 = MetaBlock1::read_from(handle)?;
+    let same_shape =
+        file0.is_none_or(|f0| mb1.nfiles == f0.nfiles && mb1.ntasks_global == f0.ntasks_global);
+    if mb1.filenum != k || !same_shape {
+        return Err(SionError::Format(format!(
+            "physical file {k} disagrees with file 0 about the multifile shape"
+        )));
+    }
+    if mb1.nfiles as u64 > mb1.ntasks_global {
+        return Err(SionError::Format(format!(
+            "{} physical files for {} tasks is implausible",
+            mb1.nfiles, mb1.ntasks_global
+        )));
+    }
+    Ok(mb1)
+}
+
+/// The cross-file rank directory: global rank → (file, local task). Every
+/// rank below `ntasks` must be listed once, by one of `heads`.
+fn rank_map<'a>(
+    ntasks: usize,
+    heads: impl IntoIterator<Item = &'a MetaBlock1>,
+) -> Result<Vec<(u32, u32)>> {
+    let mut map: Vec<Option<(u32, u32)>> = vec![None; ntasks];
+    for mb1 in heads {
+        let k = mb1.filenum;
+        for (lt, &gr) in mb1.global_ranks.iter().enumerate() {
+            match map.get_mut(gr as usize) {
+                Some(slot @ None) => *slot = Some((k, lt as u32)),
+                _ => {
+                    return Err(SionError::Format(format!(
+                        "global rank {gr} duplicated or out of range in file {k}"
+                    )))
+                }
+            }
+        }
+    }
+    map.into_iter()
+        .enumerate()
+        .map(|(r, t)| {
+            t.ok_or_else(|| SionError::Format(format!("rank {r} missing from multifile")))
+        })
+        .collect()
+}
+
+/// What [`check_metadata`] found wrong with one physical file.
+#[derive(Debug, Default)]
+pub struct FileCheck {
+    /// With its head: it cannot be opened, its metablock 1 does not decode
+    /// or disagrees with file 0, or (file 0) the rank directory is broken.
+    pub head: Vec<String>,
+    /// With its tail, behind a metablock 1 that decodes: the trailer,
+    /// metablock 2 or index does not decode or fit, or a usage row exceeds
+    /// its chunk in either view, or the two views disagree.
+    pub tail: Vec<String>,
+    /// Its metablock 1, when that decodes, for `rescue::repair`.
+    pub(crate) mb1: Option<MetaBlock1>,
+}
+
+/// The one judge of a multifile's metadata: every problem, file by file.
+/// Files and rank directory are checked as [`Multifile::open`] checks them,
+/// and every usage row on both views the readers use — metablock 2
+/// (`locations`, `siondump`, the collective read open) and the chunk index
+/// (`location`, `read_rank`, `sioncat`, `siondefrag`) — which must agree.
+/// An index whose header does not validate is the linear fallback, no
+/// problem. `Err` only when file 0's head cannot say what the multifile is.
+pub fn check_metadata(vfs: &dyn Vfs, base: &str) -> Result<Vec<FileCheck>> {
+    let mb1_0 = read_head(vfs.open(base)?.as_ref(), 0, None)?;
+    let mut checks = Vec::new();
+    for k in 0..mb1_0.nfiles {
+        let name = physical_name(base, k);
+        let mut check = FileCheck::default();
+        let head = vfs.open(&name).map_err(|e| format!("cannot open: {e}"));
+        let head = head.and_then(|handle| match read_head(handle.as_ref(), k, Some(&mb1_0)) {
+            Ok(mb1) => Ok((handle, mb1)),
+            Err(e) => Err(format!("metablock 1 rejected: {e}")),
+        });
+        match head {
+            Err(e) => check.head = vec![format!("{name}: {e}")],
+            Ok((handle, mb1)) => {
+                let tail = FileView::with_tail(handle, mb1.clone())
+                    .map_or_else(|e| vec![e.to_string()], |fv| fv.row_problems());
+                check.tail = tail.into_iter().map(|p| format!("{name}: {p}")).collect();
+                check.mb1 = Some(mb1);
+            }
+        }
+        checks.push(check);
+    }
+    if checks.iter().all(|c| c.mb1.is_some()) {
+        let heads = checks.iter().flat_map(|c| &c.mb1);
+        if let Err(e) = rank_map(mb1_0.ntasks_global as usize, heads) {
+            checks[0].head.push(format!("{base}: {e}"));
+        }
+    }
+    Ok(checks)
 }
 
 /// Where a physical file is born, for the serial and the collective write
@@ -365,42 +470,21 @@ impl Multifile {
     /// directory. No per-(task, block) usage is touched — that is fetched
     /// per rank by [`location`](Self::location).
     pub fn open(vfs: &dyn Vfs, base: &str) -> Result<Multifile> {
-        let file0 = FileView::open(vfs, base, 0, None)?;
-        let nfiles = file0.mb1.nfiles;
-        let ntasks = file0.mb1.ntasks_global as usize;
-        if nfiles as u64 > file0.mb1.ntasks_global {
-            return Err(SionError::Format(format!(
-                "{nfiles} physical files for {ntasks} tasks is implausible"
-            )));
-        }
-
-        let mut files = vec![file0];
-        for k in 1..nfiles {
-            let fv = FileView::open(vfs, base, k, files.first())?;
+        let open = |k, file0: Option<&MetaBlock1>| {
+            let handle = vfs.open(&physical_name(base, k))?;
+            let mb1 = read_head(handle.as_ref(), k, file0)?;
+            FileView::with_tail(handle, mb1)
+        };
+        let mut files = vec![open(0, None)?];
+        for k in 1..files[0].mb1.nfiles {
+            let fv = open(k, Some(&files[0].mb1))?;
             files.push(fv);
         }
-        let mut rank_map: Vec<Option<(u32, u32)>> = vec![None; ntasks];
-        for (k, fv) in (0u32..).zip(&files) {
-            for (lt, &gr) in fv.mb1.global_ranks.iter().enumerate() {
-                let gr = gr as usize;
-                if gr >= ntasks || rank_map[gr].is_some() {
-                    return Err(SionError::Format(format!(
-                        "global rank {gr} duplicated or out of range in file {k}"
-                    )));
-                }
-                rank_map[gr] = Some((k, lt as u32));
-            }
-        }
-        let rank_map: Vec<(u32, u32)> = rank_map
-            .into_iter()
-            .enumerate()
-            .map(|(r, t)| {
-                t.ok_or_else(|| SionError::Format(format!("rank {r} missing from multifile")))
-            })
-            .collect::<Result<_>>()?;
+        let ntasks = files[0].mb1.ntasks_global as usize;
+        let rank_map = rank_map(ntasks, files.iter().map(|f| &f.mb1))?;
         Ok(Multifile {
             ntasks,
-            nfiles,
+            nfiles: files[0].mb1.nfiles,
             fsblksize: files[0].mb1.fsblksize,
             flags: files[0].mb1.flags,
             files,
