@@ -56,8 +56,8 @@ echo "==> DPOR: exhaustive schedule enumeration over sion::par (both I/O modes)"
 # under the full checker stack (sanitizer + happens-before engine +
 # its `TapFs` extent sink). Explored-schedule counts are pinned in the test; the
 # first run's decision trace is a golden file. Release, and with the ignored
-# test: four aggregated ranks (33 837 schedules) take ~4 s here and ~50 s in
-# the debug pass above, which skips them.
+# test: five independent ranks (24 438 schedules) take ~3.5 s here and ~30 s
+# in the debug pass above, which skips them.
 cargo test --release -p sion-simcheck --test dpor_sion -q -- --include-ignored
 
 echo "==> happens-before engine: clean protocol + seeded ship/ack mutations"
@@ -503,15 +503,25 @@ then
     exit 1
 fi
 
-echo "==> structural gate: a write phase ends in one reduction (no master status broadcast, no barrier, one bcast_u64 in par.rs)"
-# The file master's verdict rides the open's geometry scatter and the
-# close's global allreduce; failures have no channel of their own. The one
-# `bcast_u64(` left is the agreement round's parameter fingerprint.
+echo "==> structural gate: a write phase ends in one reduction (no master status channel, no barrier, no fingerprint broadcast; two bcast_u64 in par.rs)"
+# The write open agrees in ONE word-slice reduction (`reduce_u64s(`) whose
+# verdict rank 0 broadcasts: no task's parameter fingerprint is broadcast,
+# every task's is reduced. A uniform open's file master sends ONE status
+# word on `lcom` (`lcom.bcast_u64(`); a ragged master's verdict rides the
+# geometry scatter, the close's the global allreduce. So non-test par.rs
+# has one `reduce_u64s(`, exactly two `bcast_u64(` — the verdict, which
+# broadcasts what the reduction returned, and the status word — and no
+# `bcast_u64(` line names a fingerprint.
 par_src=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/sion/src/par.rs)
 bcasts=$(printf '%s\n' "$par_src" | grep -c 'bcast_u64(' || true)
-if printf '%s\n' "$par_src" | grep -n 'check_master_status\|\.barrier(' || [ "$bcasts" -ne 1 ]; then
-    echo "bcast_u64( call sites in par.rs: $bcasts (want 1, the fingerprint)"
-    echo "a write phase ends in one reduction: no \`check_master_status\`, no \`.barrier(\`, one \`bcast_u64(\` in non-test \`crates/sion/src/par.rs\`"
+status=$(printf '%s\n' "$par_src" | grep -c 'lcom\.bcast_u64(' || true)
+verdict=$(printf '%s\n' "$par_src" | grep -c 'bcast_u64(reduced\b' || true)
+reduces=$(printf '%s\n' "$par_src" | grep -c 'reduce_u64s(' || true)
+if printf '%s\n' "$par_src" | grep -n 'check_master_status\|\.barrier(\|bcast_u64(.*\(fingerprint\|fp\b\)' ||
+    [ "$bcasts" -ne 2 ] || [ "$status" -ne 1 ] || [ "$verdict" -ne 1 ] || [ "$reduces" -ne 1 ]
+then
+    echo "in par.rs: $bcasts bcast_u64( (want 2), $status lcom.bcast_u64( (want 1), $verdict bcast_u64(reduced (want 1), $reduces reduce_u64s( (want 1)"
+    echo "a write phase ends in one reduction: no \`check_master_status\`, no \`.barrier(\`, one \`reduce_u64s(\` whose result is the one other \`bcast_u64(\` besides \`lcom.bcast_u64(\`, and no fingerprint broadcast in non-test \`crates/sion/src/par.rs\`"
     exit 1
 fi
 

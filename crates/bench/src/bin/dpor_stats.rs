@@ -81,13 +81,14 @@ fn main() {
     // With Alignment::None no interior chunk boundary is FS-block clean,
     // so election collapses to one aggregator per file regardless of
     // tasks_per_aggregator: the aggregated cases below are one aggregator
-    // serving (ranks - 1) remote members. Three remote members
-    // (aggregated-4) is the largest case: 33 837 schedules, most of this
-    // binary's run time.
+    // serving (ranks - 1) remote members. Four remote members
+    // (aggregated-5) is the largest case and runs into the cap; five
+    // independent ranks (24 438 schedules) is the largest exhausted one.
     let cases = [
         Case { label: "independent-2", ranks: 2, io_mode: IoMode::Independent },
         Case { label: "independent-3", ranks: 3, io_mode: IoMode::Independent },
         Case { label: "independent-4", ranks: 4, io_mode: IoMode::Independent },
+        Case { label: "independent-5", ranks: 5, io_mode: IoMode::Independent },
         Case {
             label: "aggregated-2",
             ranks: 2,
@@ -102,6 +103,11 @@ fn main() {
             label: "aggregated-4",
             ranks: 4,
             io_mode: IoMode::Aggregated { tasks_per_aggregator: 4 },
+        },
+        Case {
+            label: "aggregated-5",
+            ranks: 5,
+            io_mode: IoMode::Aggregated { tasks_per_aggregator: 5 },
         },
     ];
 

@@ -15,10 +15,11 @@
 //! as a golden file (bless with `SIMCHECK_BLESS=1`).
 //!
 //! Four ranks — the first world whose binomial trees have an interior node
-//! that both receives and forwards — is exhausted in both modes. Four
-//! aggregated ranks take ~4 s in a release build and ~50 s in a debug one,
-//! so that test is `#[ignore]`d here and run by `ci.sh` in release with
-//! `--include-ignored`. Nothing truncates silently.
+//! that both receives and forwards — is exhausted in both modes, and five
+//! in independent mode. Five independent ranks take ~3.5 s in a release
+//! build and ~30 s in a debug one, so that test is `#[ignore]`d here
+//! and run by `ci.sh` in release with `--include-ignored`. Nothing
+//! truncates silently.
 
 use simcheck::{Dpor, DporOutcome, HbEngine, Sanitizer, TapFs};
 use simmpi::{CheckHook, CoComm, TaskWorld};
@@ -92,18 +93,15 @@ fn independent_mode_explores_exhaustively() {
     let three = explore_par_write(3, IoMode::Independent);
     println!("independent 2 ranks: {}", two.summary());
     println!("independent 3 ranks: {}", three.summary());
-    // Two ranks: one reversible pair, the protocol's very first message.
-    // The open now starts with rank 0 *sending* (the fingerprint
-    // broadcast) where it used to start with rank 0 *receiving* (the
-    // split's gather): under the default lowest-id-first order task 0's
-    // send runs while task 1, the receiver, is runnable and has not looked
-    // yet, so "receiver polls first and parks" is a second, inequivalent
-    // schedule (see `first_message_direction_decides_the_two_rank_count`).
-    // Every later pair is order-forced, as before.
-    assert_eq!(two.explored, 2, "{}", two.summary());
+    // Two ranks: no reversible pair. The open starts with the agreement
+    // reduction, whose first message flows *up* to rank 0, which parks on
+    // it before task 1 has sent (see
+    // `first_message_direction_decides_the_two_rank_count`); every later
+    // pair is order-forced.
+    assert_eq!(two.explored, 1, "{}", two.summary());
     // Three ranks: the tree's first interior choice appears.
-    assert_eq!(three.explored, 80, "{}", three.summary());
-    assert_eq!(three.pruned, 129, "{}", three.summary());
+    assert_eq!(three.explored, 8, "{}", three.summary());
+    assert_eq!(three.pruned, 5, "{}", three.summary());
 }
 
 /// Four ranks — the first world whose binomial trees have an interior node
@@ -112,8 +110,19 @@ fn independent_mode_explores_exhaustively() {
 fn independent_mode_explores_four_ranks_exhaustively() {
     let four = explore_par_write(4, IoMode::Independent);
     println!("independent 4 ranks: {}", four.summary());
-    assert_eq!(four.explored, 7_341, "{}", four.summary());
-    assert_eq!(four.pruned, 43_772, "{}", four.summary());
+    assert_eq!(four.explored, 157, "{}", four.summary());
+    assert_eq!(four.pruned, 461, "{}", four.summary());
+}
+
+/// Five ranks: the binomial trees' first rank (4) whose subtree is empty
+/// while a sibling's is not.
+#[test]
+#[ignore = "release only: ci.sh runs it with --include-ignored"]
+fn independent_mode_explores_five_ranks_exhaustively() {
+    let five = explore_par_write(5, IoMode::Independent);
+    println!("independent 5 ranks: {}", five.summary());
+    assert_eq!(five.explored, 24_438, "{}", five.summary());
+    assert_eq!(five.pruned, 160_401, "{}", five.summary());
 }
 
 /// The whole difference between the old and new 2-rank counts, isolated:
@@ -163,17 +172,16 @@ fn aggregated_mode_explores_exhaustively() {
     println!("aggregated 2 ranks: {}", two.summary());
     println!("aggregated 3 ranks: {}", three.summary());
     // One remote member: ship, replay, ack happen under a schedule with
-    // no reversible race left runnable — the open's first message is the
-    // only reversible pair, exactly as in independent mode.
-    assert_eq!(two.explored, 2, "{}", two.summary());
+    // no reversible race left runnable, and the open's first message flows
+    // up — one schedule, exactly as in independent mode.
+    assert_eq!(two.explored, 1, "{}", two.summary());
     // Two remote members racing their shipments into one aggregator.
-    assert_eq!(three.explored, 240, "{}", three.summary());
-    assert_eq!(three.pruned, 665, "{}", three.summary());
+    assert_eq!(three.explored, 24, "{}", three.summary());
+    assert_eq!(three.pruned, 41, "{}", three.summary());
 }
 
 /// One aggregator and three remote members.
 #[test]
-#[ignore = "release only: ci.sh runs it with --include-ignored"]
 fn aggregated_mode_explores_four_ranks_exhaustively() {
     let four = explore_par_write(
         4,
@@ -182,8 +190,8 @@ fn aggregated_mode_explores_four_ranks_exhaustively() {
         },
     );
     println!("aggregated 4 ranks: {}", four.summary());
-    assert_eq!(four.explored, 33_837, "{}", four.summary());
-    assert_eq!(four.pruned, 272_288, "{}", four.summary());
+    assert_eq!(four.explored, 733, "{}", four.summary());
+    assert_eq!(four.pruned, 3_657, "{}", four.summary());
 }
 
 /// The first (unforced) run's decision trace is a pure function of the

@@ -86,6 +86,61 @@ fn mismatched_kind_is_flagged() {
     );
 }
 
+/// A word-slice reduction is one collective to the checkers, however many
+/// words its frames carry: five-word reduces pass the sanitizer's kind and
+/// root checks and the happens-before engine on every DPOR schedule, and
+/// ranks that disagree on the root or the kind are flagged as with one
+/// word.
+#[test]
+fn multi_word_reduce_frames_are_checked_like_one_word_ones() {
+    use simcheck::{Dpor, HbEngine, Sanitizer};
+    use simmpi::{CheckHook, ReduceOp, TaskWorld};
+    let words = |r: usize| [r as u64, !(r as u64), 7, 1 << 40, r as u64 * 3];
+    let out = Dpor::default().explore(|h| {
+        let engine = Arc::new(HbEngine::new());
+        let san = Arc::new(Sanitizer::new());
+        let hook: Arc<dyn CheckHook> = Arc::new(vec![h.recorder(), san.clone(), engine.clone()]);
+        let run = TaskWorld::run_driven(4, hook, h.driver(), |c| async move {
+            let got = c.reduce_u64s(&words(c.rank()), ReduceOp::Max, 1).await;
+            c.bcast_u64(got.map(|w| w[0] ^ w[1]), 1).await
+        });
+        assert!(run.deadlock.is_none());
+        for r in run.results {
+            assert_eq!(r.ok(), Some(3 ^ !0), "max of ranks, xor max of !ranks");
+        }
+        assert!(san.findings().is_empty(), "{:?}", san.findings());
+        engine.assert_race_free("five-word reduce");
+        None
+    });
+    assert!(out.failure.is_none() && !out.capped, "{}", out.summary());
+
+    let root = CheckedTaskWorld::run(4, CFG, |c| async move {
+        c.reduce_u64s(&words(c.rank()), ReduceOp::Sum, c.rank() % 2)
+            .await;
+    })
+    .expect_err("five-word reduces to different roots must not pass");
+    assert!(
+        root.findings.iter().any(
+            |f| f.kind == FindingKind::CollectiveMismatch && f.message.contains("reduce(root=")
+        ),
+        "expected a reduce root mismatch:\n{root}"
+    );
+    let kind = CheckedTaskWorld::run(2, CFG, |c| async move {
+        if c.rank() == 0 {
+            c.reduce_u64s(&words(0), ReduceOp::Min, 0).await;
+        } else {
+            c.gather(&[0; 40], 0).await;
+        }
+    })
+    .expect_err("a five-word reduce against a gather must not pass");
+    assert!(
+        kind.findings
+            .iter()
+            .any(|f| f.kind == FindingKind::CollectiveMismatch),
+        "expected a kind mismatch:\n{kind}"
+    );
+}
+
 /// Bug class 2: a user point-to-point tag colliding with the reserved
 /// collective namespace (top byte 0xC3).
 #[test]

@@ -166,9 +166,17 @@ pub trait CoComm: Send + Sync {
         Box::pin(async move { AllGathered::from_parts(&self.allgather(data).await) })
     }
 
-    /// Rooted reduction: combines one `u64` per rank with `op`; the result
-    /// lands at `root` (`None` elsewhere).
-    fn reduce_u64<'a>(&'a self, value: u64, op: ReduceOp, root: usize) -> BoxFut<'a, Option<u64>>;
+    /// Rooted reduction of a word slice: every rank passes the same number
+    /// of words, and word `i` of the result, which lands at `root` (`None`
+    /// elsewhere), combines word `i` of every rank with `op`. One round
+    /// reduces any number of words: each tree edge carries one partial
+    /// result of the slice's length.
+    fn reduce_u64s<'a>(
+        &'a self,
+        values: &'a [u64],
+        op: ReduceOp,
+        root: usize,
+    ) -> BoxFut<'a, Option<Vec<u64>>>;
 
     /// Split into disjoint sub-communicators: ranks sharing a `color` end up
     /// in the same sub-communicator, ordered by `(key, parent rank)`.
@@ -204,6 +212,15 @@ pub trait CoComm: Send + Sync {
     // ------------------------------------------------------------------
     // Typed convenience layers (provided).
     // ------------------------------------------------------------------
+
+    /// [`reduce_u64s`](Self::reduce_u64s) of one word.
+    fn reduce_u64<'a>(&'a self, value: u64, op: ReduceOp, root: usize) -> BoxFut<'a, Option<u64>> {
+        Box::pin(async move {
+            self.reduce_u64s(&[value], op, root)
+                .await
+                .map(|words| words[0])
+        })
+    }
 
     /// Broadcast one `u64` from `root`.
     fn bcast_u64<'a>(&'a self, value: Option<u64>, root: usize) -> BoxFut<'a, u64> {

@@ -17,6 +17,17 @@ pub enum ReduceOp {
     Min,
 }
 
+impl ReduceOp {
+    /// Combine two `u64` contributions (`Sum` wraps).
+    pub(crate) fn fold(self, a: u64, b: u64) -> u64 {
+        match self {
+            ReduceOp::Sum => a.wrapping_add(b),
+            ReduceOp::Max => a.max(b),
+            ReduceOp::Min => a.min(b),
+        }
+    }
+}
+
 /// Live per-rank operation and byte counters for one communicator.
 ///
 /// Each counter records how many times *the owning rank* invoked the
@@ -188,6 +199,11 @@ impl Comm {
     /// See [`CoComm::reduce_u64`].
     pub fn reduce_u64(&self, value: u64, op: ReduceOp, root: usize) -> Option<u64> {
         drive_ready(self.co.reduce_u64(value, op, root))
+    }
+
+    /// See [`CoComm::reduce_u64s`].
+    pub fn reduce_u64s(&self, values: &[u64], op: ReduceOp, root: usize) -> Option<Vec<u64>> {
+        drive_ready(self.co.reduce_u64s(values, op, root))
     }
 
     /// See [`CoComm::reduce_f64`].

@@ -405,14 +405,29 @@ impl CoComm for FlatCommunicator {
         })
     }
 
-    /// Gathers and folds at the root: no reduction tree.
-    fn reduce_u64<'a>(&'a self, value: u64, op: ReduceOp, root: usize) -> BoxFut<'a, Option<u64>> {
+    /// Gathers and folds at the root, word by word: no reduction tree.
+    fn reduce_u64s<'a>(
+        &'a self,
+        values: &'a [u64],
+        op: ReduceOp,
+        root: usize,
+    ) -> BoxFut<'a, Option<Vec<u64>>> {
         Box::pin(async move {
-            self.gather_u64(value, root).await.map(|vals| match op {
-                ReduceOp::Sum => vals.iter().sum(),
-                ReduceOp::Max => vals.into_iter().max().expect("non-empty communicator"),
-                ReduceOp::Min => vals.into_iter().min().expect("non-empty communicator"),
-            })
+            let rows = self.gather_u64s(values, root).await?;
+            assert!(
+                rows.iter().all(|row| row.len() == values.len()),
+                "reduce_u64s: ranks passed different word counts"
+            );
+            Some(
+                (0..values.len())
+                    .map(|i| {
+                        rows.iter()
+                            .map(|row| row[i])
+                            .reduce(|a, b| op.fold(a, b))
+                            .expect("non-empty communicator")
+                    })
+                    .collect(),
+            )
         })
     }
 

@@ -831,35 +831,33 @@ impl TaskComm {
     /// not the subtree's values.
     async fn reduce_impl(
         &self,
-        value: u64,
+        values: &[u64],
         op: crate::ReduceOp,
         root: usize,
         seq: u64,
-    ) -> Option<u64> {
-        use crate::ReduceOp;
+    ) -> Option<Vec<u64>> {
         let size = self.shared.size;
         let v = self.vrank(root);
         let tag = coll_tag(CollKind::Reduce, seq, 0);
-        let mut acc = value;
+        let mut acc = values.to_vec();
         let mut mask = 1usize;
         while mask < size {
             if v & mask != 0 {
-                self.isend(
-                    self.rank_of(v - mask, root),
-                    tag,
-                    acc.to_le_bytes().to_vec(),
-                );
+                let bytes: Vec<u8> = acc.iter().flat_map(|w| w.to_le_bytes()).collect();
+                self.isend(self.rank_of(v - mask, root), tag, bytes);
                 return None;
             }
             let child = v + mask;
             if child < size {
                 let got = self.irecv(self.rank_of(child, root), tag).await;
-                let other = u64::from_le_bytes(got[..8].try_into().expect("u64 payload"));
-                acc = match op {
-                    ReduceOp::Sum => acc.wrapping_add(other),
-                    ReduceOp::Max => acc.max(other),
-                    ReduceOp::Min => acc.min(other),
-                };
+                assert_eq!(
+                    got.len(),
+                    8 * acc.len(),
+                    "reduce_u64s: ranks passed different word counts"
+                );
+                for (a, w) in acc.iter_mut().zip(got.chunks_exact(8)) {
+                    *a = op.fold(*a, u64::from_le_bytes(w.try_into().unwrap()));
+                }
             }
             mask <<= 1;
         }
@@ -1135,18 +1133,18 @@ impl crate::co::CoComm for TaskComm {
         })
     }
 
-    fn reduce_u64<'a>(
+    fn reduce_u64s<'a>(
         &'a self,
-        value: u64,
+        values: &'a [u64],
         op: crate::ReduceOp,
         root: usize,
-    ) -> crate::co::BoxFut<'a, Option<u64>> {
+    ) -> crate::co::BoxFut<'a, Option<Vec<u64>>> {
         Box::pin(async move {
             assert!(root < self.shared.size, "reduce root {root} out of range");
             self.stats.bump_reduce();
             let seq = self.next_seq();
             self.note_collective(seq, CollKind::Reduce, Some(root));
-            let out = self.reduce_impl(value, op, root, seq).await;
+            let out = self.reduce_impl(values, op, root, seq).await;
             self.note_collective_done(seq);
             out
         })

@@ -108,6 +108,34 @@ proptest! {
         prop_assert!(tree[root].is_some());
     }
 
+    /// reduce_u64s: the tree's combining fan-in of a word slice equals the
+    /// flat gather-and-fold and a per-word fold of the inputs, for every
+    /// op, root, world size and slice length.
+    #[test]
+    fn reduce_u64s_matches_a_per_word_fold(n in 1usize..65, root_sel in any::<u64>(), op_sel in any::<u64>(), words in 1usize..9, seed in any::<u64>()) {
+        let root = (root_sel as usize) % n;
+        let op = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min][(op_sel as usize) % 3];
+        let fold = |a: u64, b: u64| match op {
+            ReduceOp::Sum => a.wrapping_add(b),
+            ReduceOp::Max => a.max(b),
+            ReduceOp::Min => a.min(b),
+        };
+        let input = |r: usize| -> Vec<u64> {
+            let mut s = seed ^ (r as u64).wrapping_mul(0x2545_F491_4F6C_DD1D);
+            (0..words).map(|_| mix(&mut s)).collect()
+        };
+        let expect: Vec<u64> = (0..words)
+            .map(|i| (0..n).map(|r| input(r)[i]).reduce(fold).unwrap())
+            .collect();
+        let script = move |c: &Comm| c.reduce_u64s(&input(c.rank()), op, root);
+        let tree = World::run(n, |c| script(c));
+        let flat = FlatWorld::run(n, |c| script(c));
+        prop_assert_eq!(&tree, &flat);
+        for (r, got) in tree.iter().enumerate() {
+            prop_assert_eq!(got.as_ref(), (r == root).then_some(&expect));
+        }
+    }
+
     /// After split: collectives on the sub-communicators agree between
     /// runtimes — the tree shapes rebuild correctly for every group size
     /// that color assignment produces.

@@ -68,6 +68,23 @@ async fn reduce_script(c: &dyn CoComm, seed: u64, op: ReduceOp, root: usize) -> 
     c.reduce_u64(mix(&mut s) >> 16, op, root).await
 }
 
+/// Rank `r`'s `words` reduction inputs: full-range values, so `Sum` wraps.
+fn reduce_words(seed: u64, rank: usize, words: usize) -> Vec<u64> {
+    let mut s = seed ^ (rank as u64).wrapping_mul(0x2545_F491_4F6C_DD1D);
+    (0..words).map(|_| mix(&mut s)).collect()
+}
+
+async fn reduce_words_script(
+    c: &dyn CoComm,
+    seed: u64,
+    words: usize,
+    op: ReduceOp,
+    root: usize,
+) -> Option<Vec<u64>> {
+    c.reduce_u64s(&reduce_words(seed, c.rank(), words), op, root)
+        .await
+}
+
 async fn allgather_barrier_script(c: &dyn CoComm, seed: u64) -> Vec<Vec<Vec<u8>>> {
     let mut out = Vec::new();
     for round in 0..3u64 {
@@ -222,6 +239,31 @@ proptest! {
         prop_assert_eq!(&task, &thread);
         prop_assert_eq!(&task, &flat);
         prop_assert!(task[root].is_some());
+    }
+
+    /// reduce_u64s: word `i` of the result is the fold of every rank's
+    /// word `i`, on all three runtimes, for every op, root, world size and
+    /// slice length — and only the root holds it.
+    #[test]
+    fn reduce_u64s_matches_a_per_word_fold(n in 1usize..65, root_sel in any::<u64>(), op_sel in any::<u64>(), words in 1usize..9, seed in any::<u64>()) {
+        let root = (root_sel as usize) % n;
+        let op = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min][(op_sel as usize) % 3];
+        let fold = |a: u64, b: u64| match op {
+            ReduceOp::Sum => a.wrapping_add(b),
+            ReduceOp::Max => a.max(b),
+            ReduceOp::Min => a.min(b),
+        };
+        let expect: Vec<u64> = (0..words)
+            .map(|i| (0..n).map(|r| reduce_words(seed, r, words)[i]).reduce(fold).unwrap())
+            .collect();
+        let task = TaskWorld::run_with(WS4, n, |c| async move { reduce_words_script(&c, seed, words, op, root).await }).0;
+        let thread = World::run(n, |c| drive_ready(reduce_words_script(c.co(), seed, words, op, root)));
+        let flat = FlatWorld::run(n, |c| drive_ready(reduce_words_script(c.co(), seed, words, op, root)));
+        prop_assert_eq!(&task, &thread);
+        prop_assert_eq!(&task, &flat);
+        for (r, got) in task.iter().enumerate() {
+            prop_assert_eq!(got.as_ref(), (r == root).then_some(&expect));
+        }
     }
 
     /// allgather + barrier rounds: repeated phases stay rank-ordered and

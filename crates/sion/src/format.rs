@@ -643,50 +643,6 @@ pub fn write_close_metadata(
 // Packed collective-metadata records (wire format, not on-disk).
 // ---------------------------------------------------------------------
 
-/// Everything one task contributes to the collective *open*, packed into a
-/// single fixed-layout record so the whole exchange is **one** gather at
-/// the file master (instead of one sequential collective round per field).
-/// Parameter agreement and local validity are settled before the file
-/// groups form, so the record carries per-task values only.
-///
-/// Layout: 2 little-endian `u64` words — `[chunksize, global rank]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpenRecord {
-    /// This task's chunk-size request (the one per-task open parameter).
-    pub chunksize: u64,
-    /// This task's rank in the global communicator.
-    pub grank: u64,
-}
-
-impl OpenRecord {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 16;
-
-    /// Serialize to the fixed 16-byte wire layout.
-    pub fn encode(&self) -> [u8; Self::LEN] {
-        let mut out = [0u8; Self::LEN];
-        out[..8].copy_from_slice(&self.chunksize.to_le_bytes());
-        out[8..].copy_from_slice(&self.grank.to_le_bytes());
-        out
-    }
-
-    /// Inverse of [`encode`](Self::encode).
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() != Self::LEN {
-            return Err(SionError::Format(format!(
-                "open record must be {} bytes, got {}",
-                Self::LEN,
-                bytes.len()
-            )));
-        }
-        let word = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-        Ok(OpenRecord {
-            chunksize: word(0),
-            grank: word(1),
-        })
-    }
-}
-
 /// Everything one task contributes to the collective *close*, packed so
 /// the whole exchange is **one** gather at the file master: the error flag
 /// rides along with the per-block usage instead of costing a separate
@@ -937,19 +893,6 @@ mod tests {
     fn flags_reject_unknown_bits() {
         assert!(SionFlags::from_bits(0b1000).is_err());
         assert!(SionFlags::from_bits(0b111).is_ok());
-    }
-
-    #[test]
-    fn open_record_round_trip() {
-        let rec = OpenRecord {
-            chunksize: 1 << 33,
-            grank: 4093,
-        };
-        let bytes = rec.encode();
-        assert_eq!(bytes.len(), OpenRecord::LEN);
-        assert_eq!(OpenRecord::decode(&bytes).unwrap(), rec);
-        assert!(OpenRecord::decode(&bytes[..8]).is_err());
-        assert!(OpenRecord::decode(&[]).is_err());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use crate::error::{Result, SionError};
 use crate::format::{MetaBlock1, SionFlags};
 use crate::rescue::RESCUE_HEADER_LEN;
+use crate::stream::ChunkGeom;
 
 /// Chunk alignment policy (paper Fig. 2(c)).
 ///
@@ -45,6 +46,49 @@ pub(crate) fn align_up(x: u64, unit: u64) -> u64 {
     x.div_ceil(unit) * unit
 }
 
+/// The checks every layout makes, and what they fix for all its chunks:
+/// the alignment unit and the per-chunk rescue overhead.
+fn layout_rules(
+    ntasks: usize,
+    fsblksize: u64,
+    alignment: Alignment,
+    rescue: bool,
+) -> Result<(u64, u64)> {
+    if ntasks == 0 {
+        return Err(SionError::InvalidArg(
+            "layout needs at least one task".into(),
+        ));
+    }
+    if fsblksize == 0 {
+        return Err(SionError::InvalidArg(
+            "file-system block size must be positive".into(),
+        ));
+    }
+    let rescue_overhead = if rescue { RESCUE_HEADER_LEN } else { 0 };
+    Ok((alignment.unit(fsblksize), rescue_overhead))
+}
+
+/// One chunk's capacity: the request plus the rescue header, rounded up to
+/// the unit.
+fn chunk_cap(req: u64, unit: u64, rescue_overhead: u64) -> Result<u64> {
+    req.checked_add(rescue_overhead)
+        .and_then(|c| c.div_ceil(unit).checked_mul(unit))
+        .ok_or_else(overflow)
+}
+
+/// Offset of block 0: metablock 1 of `ntasks` tasks, rounded up to the
+/// unit.
+fn data_start(ntasks: usize, unit: u64) -> Result<u64> {
+    MetaBlock1::encoded_len(ntasks)
+        .div_ceil(unit)
+        .checked_mul(unit)
+        .ok_or_else(overflow)
+}
+
+fn overflow() -> SionError {
+    SionError::InvalidArg("block size overflows u64".into())
+}
+
 /// The complete chunk geometry of one physical file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileLayout {
@@ -79,31 +123,16 @@ impl FileLayout {
         alignment: Alignment,
         rescue: bool,
     ) -> Result<FileLayout> {
-        if reqs.is_empty() {
-            return Err(SionError::InvalidArg(
-                "layout needs at least one task".into(),
-            ));
-        }
-        if fsblksize == 0 {
-            return Err(SionError::InvalidArg(
-                "file-system block size must be positive".into(),
-            ));
-        }
-        let unit = alignment.unit(fsblksize);
-        let rescue_overhead = if rescue { RESCUE_HEADER_LEN } else { 0 };
+        let (unit, rescue_overhead) = layout_rules(reqs.len(), fsblksize, alignment, rescue)?;
         let mut cap = Vec::with_capacity(reqs.len());
         let mut chunk_off = Vec::with_capacity(reqs.len());
         let mut acc = 0u64;
         for &req in reqs {
-            let c = align_up(req + rescue_overhead, unit);
+            let c = chunk_cap(req, unit, rescue_overhead)?;
             chunk_off.push(acc);
-            acc = acc
-                .checked_add(c)
-                .ok_or_else(|| SionError::InvalidArg("block size overflows u64".into()))?;
+            acc = acc.checked_add(c).ok_or_else(overflow)?;
             cap.push(c);
         }
-        let mb1_len = MetaBlock1::encoded_len(reqs.len());
-        let data_start = align_up(mb1_len, unit);
         Ok(FileLayout {
             fsblksize,
             unit,
@@ -111,7 +140,7 @@ impl FileLayout {
             cap,
             chunk_off,
             block_size: acc,
-            data_start,
+            data_start: data_start(reqs.len(), unit)?,
         })
     }
 
@@ -278,6 +307,121 @@ impl FileLayout {
             .filter_map(|(b, s)| (s > 1).then_some(b as u64))
             .collect()
     }
+}
+
+/// [`FileLayout::compute`] of `ntasks` equal requests, in closed form:
+/// the layout of a file whose tasks all asked for the same chunk size,
+/// without its per-task vectors. Every task of a uniform collective open
+/// derives its own geometry and aggregation neighbourhood from it in O(1)
+/// instead of being sent them; the file master writes metablock 1 from the
+/// full [`FileLayout`], and the two agree by construction (same rules,
+/// same checked arithmetic) and by test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct UniformLayout {
+    ntasks: usize,
+    fsblksize: u64,
+    rescue_overhead: u64,
+    cap: u64,
+    block_size: u64,
+    data_start: u64,
+}
+
+impl UniformLayout {
+    /// The layout of `ntasks` requests of `req` bytes; fails exactly where
+    /// [`FileLayout::compute`] of the same requests fails.
+    pub(crate) fn compute(
+        ntasks: usize,
+        req: u64,
+        fsblksize: u64,
+        alignment: Alignment,
+        rescue: bool,
+    ) -> Result<UniformLayout> {
+        let (unit, rescue_overhead) = layout_rules(ntasks, fsblksize, alignment, rescue)?;
+        let cap = chunk_cap(req, unit, rescue_overhead)?;
+        Ok(UniformLayout {
+            ntasks,
+            fsblksize,
+            rescue_overhead,
+            cap,
+            block_size: cap.checked_mul(ntasks as u64).ok_or_else(overflow)?,
+            data_start: data_start(ntasks, unit)?,
+        })
+    }
+
+    /// Local task `ltask`'s geometry: [`ChunkGeom::from_layout`] of the
+    /// full layout.
+    pub(crate) fn geom(&self, ltask: usize, global_rank: u64) -> ChunkGeom {
+        ChunkGeom {
+            data_start: self.data_start,
+            block_size: self.block_size,
+            // At most `block_size`, which did not overflow.
+            chunk_off: ltask as u64 * self.cap,
+            cap: self.cap,
+            rescue_overhead: self.rescue_overhead,
+            global_rank,
+            fsblksize: self.fsblksize,
+        }
+    }
+
+    /// Local task `ltask`'s aggregation neighbourhood `[aggregator, end)`:
+    /// the group of [`FileLayout::aggregation_groups`] that holds it,
+    /// without listing the groups.
+    ///
+    /// With equal capacities the boundary before task `t` is clean when the
+    /// block stride keeps FS-block alignment and `data_start + t·cap` is a
+    /// multiple of the FS block `b` — for `t` in one residue class
+    /// `t0 mod p`, `p = b / gcd(cap, b)`, or for no `t` at all. The greedy
+    /// election then takes the first clean `t ≥ target` and every
+    /// `⌈target / p⌉·p` tasks after it.
+    pub(crate) fn aggregation_group(
+        &self,
+        ltask: usize,
+        tasks_per_aggregator: usize,
+    ) -> (usize, usize) {
+        let (n, target) = (self.ntasks as u128, tasks_per_aggregator.max(1) as u128);
+        let b = self.fsblksize as u128;
+        let clean = if self.block_size.is_multiple_of(self.fsblksize) {
+            clean_residue(self.data_start as u128 % b, self.cap as u128 % b, b)
+        } else {
+            None
+        };
+        let Some((t0, p)) = clean else {
+            return (0, self.ntasks);
+        };
+        let first = target + (t0 + p - target % p) % p;
+        let step = target.div_ceil(p) * p;
+        let t = ltask as u128;
+        let (agg, end) = if first >= n {
+            (0, n)
+        } else if t < first {
+            (0, first)
+        } else {
+            let agg = first + (t - first) / step * step;
+            (agg, n.min(agg + step))
+        };
+        (agg as usize, end as usize)
+    }
+}
+
+/// The `t ≥ 0` with `(d + t·c) mod b == 0`, for `d, c < b`: the residue
+/// class `(t0, p)` of all of them, or `None` when there is none.
+fn clean_residue(d: u128, c: u128, b: u128) -> Option<(u128, u128)> {
+    // Extended Euclid on (c, b): g = gcd(c, b) = x·c + y·b.
+    let (mut r0, mut r1, mut x0, mut x1) = (b as i128, c as i128, 0i128, 1i128);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (x0, x1) = (x1, x0 - q * x1);
+    }
+    let (g, inv) = (r0 as u128, x0);
+    let need = (b - d) % b;
+    if !need.is_multiple_of(g) {
+        return None;
+    }
+    let p = b / g;
+    // `inv·c ≡ g (mod b)`, so `t0 = inv · need/g` solves `t0·c ≡ need`.
+    let inv = inv.rem_euclid(p as i128) as u128;
+    Some((inv * (need / g) % p, p))
 }
 
 /// Result of [`FileLayout::block_sharing`].
@@ -485,6 +629,62 @@ mod tests {
                     prop_assert_eq!(end_t, l.chunk_start(0, 1));
                 }
             }
+        }
+
+        /// A task of a uniform open computes, in O(1), what the master's
+        /// full layout of `n` equal requests holds for it: the same chunk
+        /// geometry, and the same aggregation neighbourhood as
+        /// `aggregation_groups` elects — over FS blocks that are and are
+        /// not powers of two, every alignment, with and without rescue.
+        #[test]
+        fn uniform_layout_matches_the_full_layout(
+            n in 1usize..4097,
+            req in 0u64..100_000,
+            blk in prop_oneof![
+                1u64..65,
+                1u64..70_001,
+                prop::sample::select(vec![512u64, 4096, 2 << 20]),
+            ],
+            align in 0usize..3,
+            fixed in 1u64..20_001,
+            rescue in any::<bool>(),
+            k in 1usize..65,
+        ) {
+            let alignment = match align {
+                0 => Alignment::FsBlock,
+                1 => Alignment::None,
+                _ => Alignment::Fixed(fixed),
+            };
+            let full = FileLayout::compute(&vec![req; n], blk, alignment, rescue).unwrap();
+            let uniform = UniformLayout::compute(n, req, blk, alignment, rescue).unwrap();
+            let starts = full.aggregation_groups(k);
+            for t in 0..n {
+                prop_assert_eq!(uniform.geom(t, 7), ChunkGeom::from_layout(&full, t, 7));
+                let gi = starts.partition_point(|&s| s <= t) - 1;
+                let end = starts.get(gi + 1).copied().unwrap_or(n);
+                prop_assert_eq!(uniform.aggregation_group(t, k), (starts[gi], end), "task {}", t);
+            }
+        }
+
+        /// Near `u64::MAX` the closed form fails exactly where the full
+        /// layout fails, with the same error and without a panic.
+        #[test]
+        fn uniform_layout_overflows_where_the_full_layout_does(
+            n in 1usize..17,
+            req in prop_oneof![
+                0u64..1 << 20,
+                u64::MAX / 32..u64::MAX,
+                prop::sample::select(vec![u64::MAX, u64::MAX - 31, u64::MAX - 32]),
+            ],
+            fixed in prop_oneof![1u64..4097, u64::MAX / 4..u64::MAX],
+            rescue in any::<bool>(),
+        ) {
+            let full = FileLayout::compute(&vec![req; n], 4096, Alignment::Fixed(fixed), rescue);
+            let uniform = UniformLayout::compute(n, req, 4096, Alignment::Fixed(fixed), rescue);
+            prop_assert_eq!(
+                full.map(|l| ChunkGeom::from_layout(&l, n - 1, 0)).map_err(|e| e.to_string()),
+                uniform.map(|l| l.geom(n - 1, 0)).map_err(|e| e.to_string())
+            );
         }
 
         /// With FS-block alignment, no real block is ever shared.

@@ -85,6 +85,34 @@ impl Mapping {
         (file as u32, local, size)
     }
 
+    /// The global rank that is local rank `local` of file `file`: the
+    /// inverse of [`group_of`](Self::group_of), in closed form, so a file
+    /// master names its group's ranks without asking them and without
+    /// scanning all `ntasks`. For arguments [`validate`](Self::validate)
+    /// accepts, and `local` below the file's group size,
+    /// `group_of(rank_of(file, local, ..), ..) == (file, local, size)`.
+    /// Total elsewhere: the result is clamped into `0..ntasks.max(1)`.
+    pub fn rank_of(self, file: u32, local: usize, ntasks: usize, nfiles: u32) -> usize {
+        let ntasks = ntasks.max(1);
+        let nfiles = (nfiles as usize).clamp(1, ntasks);
+        let file = (file as usize).min(nfiles - 1);
+        let rank = match self {
+            Mapping::Blocked => {
+                let base = ntasks / nfiles;
+                let rem = ntasks % nfiles;
+                // The first `rem` files hold `base + 1` ranks each.
+                let first = file * base + file.min(rem);
+                first.saturating_add(local)
+            }
+            Mapping::RoundRobin => local.saturating_mul(nfiles).saturating_add(file),
+            Mapping::Grouped(g) => {
+                let g = g.max(1).min(ntasks as u64) as usize;
+                file.saturating_mul(g).saturating_add(local)
+            }
+        };
+        rank.min(ntasks - 1)
+    }
+
     /// Validate that this mapping populates every one of the `nfiles` files
     /// for a world of `ntasks` tasks (every physical file must hold at
     /// least one chunk).
@@ -208,6 +236,34 @@ mod tests {
                 (0..world).filter(|&r| m.file_of(r, ntasks, nfiles) == file).collect();
             prop_assert_eq!(size, peers.len());
             prop_assert_eq!(Some(local), peers.iter().position(|&r| r == me));
+        }
+
+        /// `rank_of` inverts `group_of` for every argument `validate`
+        /// accepts: each local rank of each file names the rank that
+        /// `group_of` places there, and out-of-range arguments stay in
+        /// `0..ntasks`.
+        #[test]
+        fn rank_of_inverts_group_of_over_full_domain(
+            ntasks in 0usize..300,
+            nfiles in 0u32..40,
+            file in 0u32..40,
+            local in 0usize..300,
+            kind in 0usize..3,
+            group in 0u64..40,
+        ) {
+            let m = match kind {
+                0 => Mapping::Blocked,
+                1 => Mapping::RoundRobin,
+                _ => Mapping::Grouped(group),
+            };
+            prop_assert!(m.rank_of(file, local, ntasks, nfiles) < ntasks.max(1));
+            if m.validate(ntasks, nfiles).is_ok() && file < nfiles {
+                let size = m.group_of(m.rank_of(file, 0, ntasks, nfiles), ntasks, nfiles).2;
+                for l in 0..size {
+                    let r = m.rank_of(file, l, ntasks, nfiles);
+                    prop_assert_eq!(m.group_of(r, ntasks, nfiles), (file, l, size));
+                }
+            }
         }
 
         /// `file_of` is total: over the *full* argument space — including

@@ -1,30 +1,43 @@
 //! Parallel access to multifiles (paper §3.2.1/§3.2.2).
 //!
 //! Open and close are *collective* operations over a communicator: at open,
-//! each task sends its chunk-size request to the master task of its
-//! physical file, which computes the layout, creates the file (one create
-//! per physical file instead of one per task — the source of the paper's
-//! orders-of-magnitude creation speedup), writes metablock 1 and returns
-//! each task its chunk geometry. At close, the master collects the bytes
-//! effectively written and stores them in metablock 2. Reads and writes in
-//! between are completely independent per task.
+//! the master task of each physical file lays out the chunks, creates the
+//! file (one create per physical file instead of one per task — the source
+//! of the paper's orders-of-magnitude creation speedup) and writes
+//! metablock 1, and each task learns its chunk geometry. At close, the
+//! master collects the bytes effectively written and stores them in
+//! metablock 2. Reads and writes in between are completely independent per
+//! task.
 //!
 //! # Collective round structure
 //!
-//! All per-task metadata travels in *packed* fixed-layout records
-//! ([`OpenRecord`], [`CloseRecord`]) so each phase costs a constant number
-//! of collective rounds regardless of how many fields it moves:
+//! Each phase costs a constant number of collective rounds regardless of
+//! how many metadata fields it moves, and a round is spent only on what a
+//! task cannot compute:
 //!
-//! * write open — on the caller's communicator ONE agreement round (rank
-//!   0's parameter fingerprint broadcast, then a Max-allreduce of each
-//!   task's verdict: mismatch, locally invalid, or fine), after which the
-//!   file groups form *without an exchange* — [`Mapping::group_of`] is
-//!   pure, so every task computes its own file, local rank and group size
-//!   and joins through [`CoComm::split_local`]. Then per file group ONE
-//!   metadata gather + ONE geometry scatter, whose parts lead with the
-//!   master's status word (a lone `[STATUS_ERR]` when it failed), then ONE
-//!   global allreduce of the failed flag, the all-or-nothing agreement
-//!   across file groups;
+//! * write open — on the caller's communicator ONE agreement round: a
+//!   Max-reduction of five words per task, `[locally invalid, fp, !fp,
+//!   chunk size, !chunk size]` (`fp` fingerprints the parameters that must
+//!   agree and the file system's block size; the maximum of `!x` is
+//!   `!min(x)`), from which rank 0 reads one verdict — mismatch, locally
+//!   invalid, ragged or uniform requests — and broadcasts it. Then the file
+//!   groups form *without an exchange*: [`Mapping::group_of`] is pure, so
+//!   every task computes its own file, local rank and group size and joins
+//!   through [`CoComm::split_local`]. Per file group:
+//!   - uniform requests (every `sionbench` workload, every task passing one
+//!     `SionParams::new(chunksize)`): the master fills metablock 1's rank
+//!     table from [`Mapping::rank_of`] and creates the file without
+//!     hearing from anyone, then ONE status-word broadcast orders the
+//!     create before the other tasks' opens and carries its verdict; each
+//!     task computes its geometry and aggregation neighbourhood in O(1)
+//!     with the master's layout rules;
+//!   - ragged requests (`mp2c`'s particle counts): ONE gather of the
+//!     requests + ONE scatter of each task's geometry, whose parts lead
+//!     with the master's status word (a lone `[STATUS_ERR]` when it
+//!     failed).
+//!
+//!   Then ONE global allreduce of the failed flag, the all-or-nothing
+//!   agreement across file groups;
 //! * write close — ONE usage gather per file group, after which the master
 //!   writes metablock 2, then ONE global allreduce of "my flush failed, or,
 //!   at the master, the finalize failed", at every group size. So every
@@ -46,7 +59,7 @@
 //! own file group, save rank 0 at the read open: it reads every file's
 //! metablock 2 once, O(P·blocks) words the file masters used to read in
 //! parallel. On the caller's and the global communicator the write open and
-//! close move one word per tree edge; the read open's scatter hands each
+//! close move a few words per tree edge; the read open's scatter hands each
 //! task its own (10 + blocks) words, interior tree nodes forwarding their
 //! subtree's parts — O(P log P) bytes in all, where the rank-map broadcast
 //! it replaced moved O(P²).
@@ -56,11 +69,11 @@
 //! peers expect — a rank someone else claims, or a group of another size —
 //! and a task whose *local* pre-open validation fails must still join
 //! every collective (deserting one would hang its peers). So both travel
-//! as that task's verdict in the reduction, every task learns the worst
-//! one, and on anything but a clean verdict all return an error before a
-//! single group exists.
+//! in the reduction, every task learns the worst verdict, and on anything
+//! but a clean one all return an error before a single group exists.
 //!
 //! [`Mapping::group_of`]: crate::Mapping::group_of
+//! [`Mapping::rank_of`]: crate::Mapping::rank_of
 //!
 //! # Maybe-async protocol bodies
 //!
@@ -90,7 +103,8 @@
 
 use crate::agg::{AggState, AggStats, MemberState};
 use crate::error::{Result, SionError};
-use crate::format::{CloseRecord, OpenRecord};
+use crate::format::CloseRecord;
+use crate::layout::UniformLayout;
 use crate::physical_name;
 use crate::serial::{create_file, finalize_file, part_reader, Multifile};
 use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter};
@@ -99,32 +113,72 @@ use simmpi::{drive_ready, CoComm, Comm, CommStats, ReduceOp};
 use std::sync::Arc;
 use vfs::Vfs;
 
-/// Payload a file master prepares during the collective write open: the
-/// per-task geometry blobs to scatter plus the created file handle.
-type GroupSetup = (Vec<Vec<u8>>, Arc<dyn vfs::VfsFile>);
+/// What a task holds once its file group has opened: its chunk geometry,
+/// its aggregation neighbourhood `[aggregator, end)` in local ranks, and —
+/// at the file master — the file it created.
+type GroupOpen = (ChunkGeom, usize, usize, Option<Arc<dyn vfs::VfsFile>>);
 
-/// Leading word of every part a master scatters at an open: its verdict
-/// rides the scatter, so that a failure anywhere in the group surfaces as
-/// an error on every task instead of a hang or a half-written multifile.
+/// What a ragged open's file master prepares: each task's part to scatter,
+/// and the file it created.
+type MasterSetup = (Vec<Vec<u8>>, Arc<dyn vfs::VfsFile>);
+
+/// Leading word of every part a master scatters at an open, and the one
+/// word a uniform write open's master broadcasts: its verdict travels with
+/// what the tasks need anyway, so that a failure anywhere in the group
+/// surfaces as an error on every task instead of a hang or a half-written
+/// multifile.
 const STATUS_OK: u64 = 0;
-/// The master itself failed (layout, create, or metablock write); the part
-/// is this one word.
+/// The master itself failed (layout, create, or metablock write); a
+/// scattered part is this one word.
 const STATUS_ERR: u64 = 1;
 
-/// Verdicts of the write open's agreement round, Max-reduced over the
-/// caller's communicator: the highest one present wins.
-const AGREE_OK: u64 = 0;
+/// Verdict of the write open's agreement round, which rank 0 reads from
+/// the reduced words ([`agreement_verdict`]) and broadcasts: every task
+/// asked for the same chunk size, so each computes its own place.
+const AGREE_UNIFORM: u64 = 0;
+/// The chunk-size requests differ: the file masters gather them.
+const AGREE_RAGGED: u64 = 1;
 /// Some task's parameters failed its local pre-open validation.
-const AGREE_LOCAL_INVALID: u64 = 1;
-/// Some task's parameter fingerprint differs from rank 0's.
-const AGREE_PARAM_MISMATCH: u64 = 2;
+const AGREE_LOCAL_INVALID: u64 = 2;
+/// Some task's parameter fingerprint differs from another's.
+const AGREE_PARAM_MISMATCH: u64 = 3;
 
-/// A fingerprint of the parameters that must agree across tasks. Each
-/// field is folded in by a step that is a bijection of the running hash
-/// and of the field, so two parameter sets that differ in exactly one
-/// field — one task's `nfiles` or mapping off, the disagreement the
-/// exchange-free file groups cannot survive — never collide.
-fn params_fingerprint(p: &SionParams) -> u64 {
+/// Words each task contributes to the write open's agreement reduction.
+pub(crate) const AGREEMENT_WORDS: usize = 5;
+
+/// One task's words of the agreement reduction, Max-reduced word by word:
+/// `[locally invalid, fp, !fp, chunk size, !chunk size]`. The maximum of
+/// `!x` is `!min(x)`, so the result tells whether the fingerprints and the
+/// requests agree on every task, and whether any task failed its check.
+fn agreement_words(params: &SionParams, fsblksize: u64, invalid: bool) -> [u64; AGREEMENT_WORDS] {
+    let fp = params_fingerprint(params, fsblksize);
+    [invalid as u64, fp, !fp, params.chunksize, !params.chunksize]
+}
+
+/// Rank 0's reading of the reduced [`agreement_words`].
+fn agreement_verdict(reduced: &[u64]) -> u64 {
+    let &[invalid, fp_max, not_fp_min, req_max, not_req_min] = reduced else {
+        unreachable!("the agreement reduces five words")
+    };
+    if fp_max != !not_fp_min {
+        AGREE_PARAM_MISMATCH
+    } else if invalid != 0 {
+        AGREE_LOCAL_INVALID
+    } else if req_max != !not_req_min {
+        AGREE_RAGGED
+    } else {
+        AGREE_UNIFORM
+    }
+}
+
+/// A fingerprint of the parameters that must agree across tasks, and of
+/// the file system's block size, from which every task of a uniform open
+/// computes its chunk geometry. Each field is folded in by a step that is a
+/// bijection of the running hash and of the field, so two parameter sets
+/// that differ in exactly one field — one task's `nfiles` or mapping off,
+/// the disagreement the exchange-free file groups cannot survive — never
+/// collide.
+fn params_fingerprint(p: &SionParams, fsblksize: u64) -> u64 {
     use crate::layout::Alignment;
     let (align, align_arg) = match p.alignment {
         Alignment::FsBlock => (1, 0),
@@ -152,6 +206,7 @@ fn params_fingerprint(p: &SionParams) -> u64 {
         mode,
         mode_arg,
         flags,
+        fsblksize,
     ]
     .iter()
     .fold(0xcbf2_9ce4_8422_2325, |h: u64, &field| {
@@ -205,55 +260,6 @@ pub struct SionParWriter {
     role: AggRole,
 }
 
-/// The file master's half of the write open: create the physical file from
-/// the gathered records ([`create_file`]: layout, create, metablock 1) and
-/// prepare each task's geometry part.
-fn master_open_setup(
-    vfs: &dyn Vfs,
-    base: &str,
-    params: &SionParams,
-    filenum: u32,
-    ntasks: usize,
-    raw: Vec<Vec<u8>>,
-) -> Result<GroupSetup> {
-    let records: Vec<OpenRecord> = raw
-        .iter()
-        .map(|b| OpenRecord::decode(b))
-        .collect::<Result<_>>()?;
-    let (layout, file) = create_file(vfs, base, params, params.flags(), filenum, ntasks, &records)?;
-    // Aggregation election (IoMode::Aggregated): neighborhood starts,
-    // snapped to FS-block-clean task boundaries so aggregator extents
-    // never share an FS block with another writer. Every scatter part
-    // carries the same 10-word shape in both modes: the status word, 7
-    // geometry words and [aggregator lrank, neighborhood end) — a task that
-    // is its own aggregator with an empty neighborhood writes independently.
-    let groups = match params.io_mode {
-        IoMode::Independent => None,
-        IoMode::Aggregated {
-            tasks_per_aggregator,
-        } => Some(layout.aggregation_groups(tasks_per_aggregator)),
-    };
-    let parts: Vec<Vec<u8>> = (0..layout.ntasks())
-        .map(|t| {
-            let (agg, end) = match &groups {
-                None => (t as u64, t as u64 + 1),
-                Some(starts) => {
-                    let gi = starts.partition_point(|&s| s <= t) - 1;
-                    let end = starts.get(gi + 1).copied().unwrap_or(layout.ntasks()) as u64;
-                    (starts[gi] as u64, end)
-                }
-            };
-            let geom = ChunkGeom::from_layout(&layout, t, records[t].grank).encode();
-            std::iter::once(STATUS_OK)
-                .chain(geom)
-                .chain([agg, end])
-                .flat_map(u64::to_le_bytes)
-                .collect()
-        })
-        .collect();
-    Ok((parts, file))
-}
-
 /// Collectively create a multifile for writing (`sion_paropen_mpi`).
 ///
 /// Every task of `comm` calls this with identical parameters except for
@@ -284,22 +290,17 @@ pub async fn paropen_write_co(
     // the file groups below are formed without an exchange, each task
     // computing its own place from (mapping, nfiles), so a task holding
     // different or invalid parameters must be found out first — it would
-    // claim a place in a group its peers do not expect it in. Rank 0's
-    // fingerprint goes down, the worst verdict comes back. A task whose
-    // own check fails still joins both collectives (deserting would hang
+    // claim a place in a group its peers do not expect it in. ONE
+    // reduction of every task's words, then rank 0's verdict comes back. A
+    // task whose own check fails still joins both (deserting would hang
     // its peers); on any failure every task returns here and nobody splits.
     let local_check = params.mapping.validate(ntasks, params.nfiles);
-    let fingerprint = params_fingerprint(params);
-    let reference = comm.bcast_u64((grank == 0).then_some(fingerprint), 0).await;
-    let mine = if reference != fingerprint {
-        AGREE_PARAM_MISMATCH
-    } else if local_check.is_err() {
-        AGREE_LOCAL_INVALID
-    } else {
-        AGREE_OK
-    };
-    let verdict = comm.allreduce_u64(mine, ReduceOp::Max).await;
-    if verdict != AGREE_OK {
+    let words = agreement_words(params, vfs.block_size(), local_check.is_err());
+    let reduced = comm.reduce_u64s(&words, ReduceOp::Max, 0).await;
+    let verdict = comm
+        .bcast_u64(reduced.as_deref().map(agreement_verdict), 0)
+        .await;
+    if !matches!(verdict, AGREE_UNIFORM | AGREE_RAGGED) {
         // The task's own validation error is the most precise report.
         local_check?;
         return Err(SionError::CollectiveMismatch(
@@ -321,41 +322,21 @@ pub async fn paropen_write_co(
     // global collectives (the paper's open/close are collective over gcom).
     let gcom = comm.split_local(0, grank, ntasks).await;
 
-    // Single-round metadata exchange: everything the master needs from
-    // each task travels in ONE packed gather instead of one sequential
-    // collective per field.
-    let record = OpenRecord {
-        chunksize: params.chunksize,
-        grank: grank as u64,
+    // The file-group phase: one protocol with one optional round. Any
+    // failure from here on is captured, not returned: the global exchange
+    // below must run on every task or the healthy file groups would hang.
+    let opened = if verdict == AGREE_UNIFORM {
+        open_group_uniform(vfs, base, params, filenum, grank, ntasks, lcom.as_ref()).await
+    } else {
+        open_group_ragged(vfs, base, params, filenum, ntasks, lcom.as_ref()).await
     };
-    let gathered = lcom.gather(&record.encode(), 0).await;
-    let (parts, created, failure) =
-        match gathered.map(|raw| master_open_setup(vfs, base, params, filenum, ntasks, raw)) {
-            Some(Ok((parts, file))) => (Some(parts), Some(file), None),
-            Some(Err(e)) => (
-                Some(vec![STATUS_ERR.to_le_bytes().to_vec(); lsize]),
-                None,
-                Some(e),
-            ),
-            None => (None, None, None),
-        };
-
-    // ONE scatter: the master's verdict travels as each part's leading word
-    // instead of costing a separate round. Any failure from here on is
-    // captured, not returned: the global exchange below must run on every
-    // task or the healthy file groups would hang.
-    let mine = lcom.scatter(parts, 0).await;
-    let group_result = decode_write_part(&mine).and_then(|part| {
-        let Some((geom, agg, end)) = part else {
-            return Err(failure.unwrap_or_else(|| {
-                SionError::CollectiveMismatch("master task failed during collective open".into())
-            }));
-        };
+    let me = lcom.rank();
+    let group_result = opened.and_then(|(geom, agg, end, created)| {
         let file = match created {
             Some(file) => file,
-            // The master created the file before the scatter, so it exists
-            // by now.
-            None if agg == lcom.rank() => vfs.open_rw(&physical_name(base, filenum))?,
+            // The master created the file before its status word or the
+            // scatter left, so it exists by now.
+            None if agg == me => vfs.open_rw(&physical_name(base, filenum))?,
             // Aggregated-mode member: its stream engine runs against a
             // data-discarding shadow of the physical file; only its
             // aggregator touches the file itself. On a plain VFS the
@@ -386,7 +367,6 @@ pub async fn paropen_write_co(
         }
     };
 
-    let me = lcom.rank();
     let mut writer = TaskWriter::new(file.clone(), geom, params.compressed, params.write_buffer);
     let role = if agg != me {
         let ship_cap = params.write_buffer as usize;
@@ -406,6 +386,135 @@ pub async fn paropen_write_co(
         grank,
         role,
     })
+}
+
+/// The file-group phase of a uniform write open. Every task asked for the
+/// same chunk size, so the master creates the file without hearing from
+/// anyone — metablock 1's rank table is [`Mapping::rank_of`]'s — and ONE
+/// status word on `lcom` orders the create before the other tasks' opens
+/// and carries the master's verdict. Only on a clean status does each task
+/// compute its own geometry and neighbourhood, with the master's layout
+/// rules and checked arithmetic ([`UniformLayout`]).
+///
+/// [`Mapping::rank_of`]: crate::Mapping::rank_of
+async fn open_group_uniform(
+    vfs: &dyn Vfs,
+    base: &str,
+    params: &SionParams,
+    filenum: u32,
+    grank: usize,
+    ntasks: usize,
+    lcom: &dyn CoComm,
+) -> Result<GroupOpen> {
+    let (me, lsize) = (lcom.rank(), lcom.size());
+    let created = (me == 0).then(|| {
+        let reqs = vec![params.chunksize; lsize];
+        create_file(vfs, base, params, params.flags(), filenum, ntasks, &reqs).map(|(_, f)| f)
+    });
+    let status = created
+        .as_ref()
+        .map(|c| if c.is_ok() { STATUS_OK } else { STATUS_ERR });
+    let status = lcom.bcast_u64(status, 0).await;
+    let created = created.transpose()?;
+    if status != STATUS_OK {
+        return Err(master_failed());
+    }
+    let layout = UniformLayout::compute(
+        lsize,
+        params.chunksize,
+        vfs.block_size(),
+        params.alignment,
+        params.rescue,
+    )?;
+    let (agg, end) = match params.io_mode {
+        IoMode::Independent => (me, me + 1),
+        IoMode::Aggregated {
+            tasks_per_aggregator,
+        } => layout.aggregation_group(me, tasks_per_aggregator),
+    };
+    Ok((layout.geom(me, grank as u64), agg, end, created))
+}
+
+/// The file-group phase of a ragged write open: ONE gather of the
+/// chunk-size requests at the master, which creates the file, and ONE
+/// scatter of each task's part.
+async fn open_group_ragged(
+    vfs: &dyn Vfs,
+    base: &str,
+    params: &SionParams,
+    filenum: u32,
+    ntasks: usize,
+    lcom: &dyn CoComm,
+) -> Result<GroupOpen> {
+    let setup = lcom
+        .gather_u64(params.chunksize, 0)
+        .await
+        .map(|reqs| master_open_setup(vfs, base, params, filenum, ntasks, &reqs));
+    let (parts, created, failure) = match setup {
+        Some(Ok((parts, file))) => (Some(parts), Some(file), None),
+        Some(Err(e)) => (
+            Some(vec![STATUS_ERR.to_le_bytes().to_vec(); lcom.size()]),
+            None,
+            Some(e),
+        ),
+        None => (None, None, None),
+    };
+    let mine = lcom.scatter(parts, 0).await;
+    let Some((geom, agg, end)) = decode_write_part(&mine)? else {
+        return Err(failure.unwrap_or_else(master_failed));
+    };
+    Ok((geom, agg, end, created))
+}
+
+/// The ragged master's half of the write open: create the physical file
+/// from the gathered requests ([`create_file`] lays it out, creates it and
+/// writes metablock 1) and prepare each task's part. Every part has the
+/// same 10-word shape in both modes: the status word, 7 geometry words and
+/// the aggregation neighbourhood `[aggregator, end)` — a task that is its
+/// own aggregator with an empty neighbourhood writes independently.
+fn master_open_setup(
+    vfs: &dyn Vfs,
+    base: &str,
+    params: &SionParams,
+    filenum: u32,
+    ntasks: usize,
+    reqs: &[u64],
+) -> Result<MasterSetup> {
+    let (layout, file) = create_file(vfs, base, params, params.flags(), filenum, ntasks, reqs)?;
+    // Aggregation election (IoMode::Aggregated): neighbourhood starts,
+    // snapped to FS-block-clean task boundaries so aggregator extents
+    // never share an FS block with another writer.
+    let groups = match params.io_mode {
+        IoMode::Independent => None,
+        IoMode::Aggregated {
+            tasks_per_aggregator,
+        } => Some(layout.aggregation_groups(tasks_per_aggregator)),
+    };
+    let parts: Vec<Vec<u8>> = (0..layout.ntasks())
+        .map(|t| {
+            let (agg, end) = match &groups {
+                None => (t as u64, t as u64 + 1),
+                Some(starts) => {
+                    let gi = starts.partition_point(|&s| s <= t) - 1;
+                    let end = starts.get(gi + 1).copied().unwrap_or(layout.ntasks()) as u64;
+                    (starts[gi] as u64, end)
+                }
+            };
+            let grank = params.mapping.rank_of(filenum, t, ntasks, params.nfiles);
+            let geom = ChunkGeom::from_layout(&layout, t, grank as u64).encode();
+            std::iter::once(STATUS_OK)
+                .chain(geom)
+                .chain([agg, end])
+                .flat_map(u64::to_le_bytes)
+                .collect()
+        })
+        .collect();
+    Ok((parts, file))
+}
+
+/// What a task reports when its file master failed during the open.
+fn master_failed() -> SionError {
+    SionError::CollectiveMismatch("master task failed during collective open".into())
 }
 
 /// Decode a write-open scatter part: the master's status word, then 7

@@ -4,7 +4,7 @@
 //! what we can execute as real threads. This module writes `parfs`
 //! workloads ([`ScriptSet`]) for them: chunk capacities, block sharing and
 //! metadata sizes come from the production code ([`crate::layout`],
-//! [`MetaBlock1`], the packed [`OpenRecord`] and `ChunkGeom` words), while
+//! [`MetaBlock1`] and the `ChunkGeom` words), while
 //! the collective open/close message pattern of [`crate::par`] and the
 //! baseline access patterns the paper compares against (one-file-per-task
 //! and single-file-sequential) are written by hand.
@@ -20,8 +20,9 @@
 //! All generators produce symmetric task *classes* (e.g. "file masters"
 //! and "workers"), which is what keeps 64 Ki-task simulations cheap.
 
-use crate::format::{ChunkIndex, MetaBlock1, OpenRecord, MB2_FIXED_LEN, TRAILER2_LEN};
+use crate::format::{ChunkIndex, MetaBlock1, MB2_FIXED_LEN, TRAILER2_LEN};
 use crate::layout::{align_up, Alignment, FileLayout};
+use crate::par::AGREEMENT_WORDS;
 use crate::stream::ChunkGeom;
 use parfs::{FileRef, IoOp, ScriptClass, ScriptSet};
 
@@ -137,15 +138,18 @@ fn allreduce_word() -> [IoOp; 2] {
 }
 
 /// Ops of the collective open in write mode, from the perspective of a
-/// file master / a worker (mirrors [`crate::par::paropen_write_co`]).
+/// file master / a worker (mirrors [`crate::par::paropen_write_co`]). A
+/// spec asks every task for the same chunk size, so this is the uniform
+/// open: no request gather, no geometry scatter.
 fn open_write_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
-    // Agreement round: rank 0's parameter fingerprint, then the verdict.
-    let mut ops = vec![IoOp::Bcast { bytes: WORD }];
-    ops.extend(allreduce_word());
-    // The file groups form without an exchange; ONE packed metadata gather.
-    ops.push(IoOp::Gather {
-        bytes: OpenRecord::LEN as u64,
-    });
+    // Agreement round: every task's five words reduced, rank 0's verdict
+    // back. The file groups form without an exchange.
+    let mut ops = vec![
+        IoOp::Gather {
+            bytes: AGREEMENT_WORDS as u64 * WORD,
+        },
+        IoOp::Bcast { bytes: WORD },
+    ];
     if master {
         ops.push(IoOp::Create(FileRef::Shared(file)));
         ops.push(IoOp::Write {
@@ -154,10 +158,8 @@ fn open_write_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
             sharers: 1.0,
         });
     }
-    // The master's status word, the geometry and the two aggregation words.
-    ops.push(IoOp::Scatter {
-        bytes: WORD + GEOM_BYTES + 2 * WORD,
-    });
+    // The master's status word; every task computes its own geometry.
+    ops.push(IoOp::Bcast { bytes: WORD });
     if !master {
         ops.push(IoOp::Open(FileRef::Shared(file)));
     }

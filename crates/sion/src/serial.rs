@@ -35,9 +35,7 @@
 //! `sionverify` and `sionrepair`.
 
 use crate::error::{Result, SionError};
-use crate::format::{
-    write_close_metadata, ChunkIndex, MetaBlock1, MetaBlock2, OpenRecord, SionFlags, Trailer,
-};
+use crate::format::{write_close_metadata, ChunkIndex, MetaBlock1, MetaBlock2, SionFlags, Trailer};
 use crate::layout::FileLayout;
 use crate::physical_name;
 use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter, DEFAULT_READ_AHEAD};
@@ -361,9 +359,12 @@ pub fn check_metadata(vfs: &dyn Vfs, base: &str) -> Result<Vec<FileCheck>> {
 }
 
 /// Where a physical file is born, for the serial and the collective write
-/// open alike: lay out the chunks `tasks` ask for (local task order), create
-/// file `filenum` and write its metablock 1. `flags` is what readers will be
-/// told; it differs from `params.flags()` only for [`SerialWriter::create_with_flags`].
+/// open alike: lay out the chunks its local tasks ask for (`reqs`, local
+/// task order), create file `filenum` and write its metablock 1. The rank
+/// table is computed, not collected: local task `l` is global rank
+/// [`Mapping::rank_of`](crate::Mapping::rank_of)`(filenum, l, …)`. `flags`
+/// is what readers will be told; it differs from `params.flags()` only for
+/// [`SerialWriter::create_with_flags`].
 pub(crate) fn create_file(
     vfs: &dyn Vfs,
     base: &str,
@@ -371,10 +372,9 @@ pub(crate) fn create_file(
     flags: SionFlags,
     filenum: u32,
     ntasks_global: usize,
-    tasks: &[OpenRecord],
+    reqs: &[u64],
 ) -> Result<(FileLayout, Arc<dyn VfsFile>)> {
-    let reqs: Vec<u64> = tasks.iter().map(|t| t.chunksize).collect();
-    let layout = FileLayout::compute(&reqs, vfs.block_size(), params.alignment, params.rescue)?;
+    let layout = FileLayout::compute(reqs, vfs.block_size(), params.alignment, params.rescue)?;
     let file = vfs.create(&physical_name(base, filenum))?;
     let mb1 = MetaBlock1 {
         version: crate::format::VERSION,
@@ -384,8 +384,14 @@ pub(crate) fn create_file(
         nfiles: params.nfiles,
         filenum,
         data_start: layout.data_start,
-        global_ranks: tasks.iter().map(|t| t.grank).collect(),
-        chunksize_req: reqs,
+        global_ranks: (0..reqs.len())
+            .map(|l| {
+                params
+                    .mapping
+                    .rank_of(filenum, l, ntasks_global, params.nfiles) as u64
+            })
+            .collect(),
+        chunksize_req: reqs.to_vec(),
         chunk_cap: layout.cap.clone(),
     };
     file.write_all_at(&mb1.encode(), 0)?;
@@ -821,15 +827,9 @@ impl SerialWriter {
         }
         let mut writers: Vec<Option<TaskWriter>> = (0..ntasks).map(|_| None).collect();
         for (k, ranks) in per_file.iter().enumerate() {
-            let tasks: Vec<OpenRecord> = ranks
-                .iter()
-                .map(|&r| OpenRecord {
-                    chunksize: chunksizes[r],
-                    grank: r as u64,
-                })
-                .collect();
+            let reqs: Vec<u64> = ranks.iter().map(|&r| chunksizes[r]).collect();
             let (layout, file) =
-                create_file(vfs, base, params, stored_flags, k as u32, ntasks, &tasks)?;
+                create_file(vfs, base, params, stored_flags, k as u32, ntasks, &reqs)?;
             for (lt, &r) in ranks.iter().enumerate() {
                 let geom = ChunkGeom::from_layout(&layout, lt, r as u64);
                 writers[r] = Some(TaskWriter::new(

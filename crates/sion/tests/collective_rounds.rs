@@ -21,12 +21,12 @@ async fn write_rounds(fs: &MemFs, params: &SionParams, comm: &dyn CoComm) {
     let gcom = w.global_comm_stats().expect("runtime tracks stats");
     let parent = comm.stats().expect("runtime tracks stats");
 
-    // Open: ONE packed metadata gather + ONE geometry scatter, whose parts
-    // carry the master's status word, on the file-group communicator —
-    // nothing else.
-    assert_eq!(lcom.gathers(), 1, "open metadata gather");
-    assert_eq!(lcom.bcasts(), 0, "the status rides the scatter");
-    assert_eq!(lcom.scatters(), 1, "open geometry scatter");
+    // Open, every task asking for the same chunk size: ONE broadcast of the
+    // master's status word on the file-group communicator — nothing else.
+    // Each task computes its geometry; nobody gathers or scatters it.
+    assert_eq!(lcom.gathers(), 0, "no request gather");
+    assert_eq!(lcom.bcasts(), 1, "the master's status word");
+    assert_eq!(lcom.scatters(), 0, "no geometry scatter");
     assert_eq!(lcom.allgathers(), 0);
     assert_eq!(lcom.barriers(), 0);
     assert_eq!(lcom.reduces(), 0);
@@ -37,13 +37,13 @@ async fn write_rounds(fs: &MemFs, params: &SionParams, comm: &dyn CoComm) {
     assert_eq!(gcom.allgathers(), 0);
     assert_eq!(gcom.barriers(), 0);
     assert_eq!(gcom.gathers(), 0);
-    // The parent communicator pays the agreement round — rank 0's
-    // fingerprint down, the verdict allreduce — and no exchanged split:
+    // The parent communicator pays the agreement round — every task's
+    // words reduced, rank 0's verdict broadcast — and no exchanged split:
     // the file groups form locally.
     assert_eq!(parent.splits(), 0);
-    assert_eq!(parent.bcasts(), 2, "fingerprint + verdict broadcasts");
-    assert_eq!(parent.reduces(), 1, "verdict reduction");
-    assert_eq!(parent.collectives(), 3);
+    assert_eq!(parent.bcasts(), 1, "verdict broadcast");
+    assert_eq!(parent.reduces(), 1, "agreement reduction");
+    assert_eq!(parent.collectives(), 2);
 
     // Touch two blocks so close gathers a non-trivial usage vector.
     w.write(&vec![comm.rank() as u8; 3000]).unwrap();
@@ -54,17 +54,17 @@ async fn write_rounds(fs: &MemFs, params: &SionParams, comm: &dyn CoComm) {
     // Close: ONE packed usage gather on the file group, ONE allreduce of
     // the failed flag on the global communicator — nothing else, and no
     // further parent-communicator traffic.
-    assert_eq!(lcom.gathers(), 2, "close usage gather");
-    assert_eq!(lcom.bcasts(), 0);
-    assert_eq!(lcom.scatters(), 1);
+    assert_eq!(lcom.gathers(), 1, "close usage gather");
+    assert_eq!(lcom.bcasts(), 1);
+    assert_eq!(lcom.scatters(), 0);
     assert_eq!(lcom.allgathers(), 0);
     assert_eq!(lcom.barriers(), 0);
-    assert_eq!(lcom.collectives(), 3);
+    assert_eq!(lcom.collectives(), 2);
     assert_eq!(gcom.reduces(), 2, "close failure agreement, up");
     assert_eq!(gcom.bcasts(), 2, "close failure agreement, down");
     assert_eq!(gcom.barriers(), 0);
     assert_eq!(gcom.collectives(), 4);
-    assert_eq!(parent.collectives(), 3);
+    assert_eq!(parent.collectives(), 2);
 }
 
 /// The round structure is the same constant at every group size: an 8-task
@@ -82,6 +82,76 @@ fn write_open_and_close_cost_one_gather_each() {
         let (fs, params) = (&fs, &params);
         async move { write_rounds(fs, params, &c).await }
     });
+}
+
+/// Where the requests differ — here only rank `odd` asks for another
+/// chunk size — the open takes the ragged path: ONE request gather and ONE
+/// geometry scatter on the file group, no status broadcast, and the parent
+/// and global rounds of the uniform open. The bytes are `SerialWriter`'s.
+#[test]
+fn a_ragged_open_gathers_and_scatters_the_geometry() {
+    let stream = |rank: usize| vec![rank as u8 + 1; 700 + 300 * rank];
+    for (ntasks, odd) in [(4, 3), (4, 2), (8, 7)] {
+        let req = |rank: usize| if rank == odd { 1000 } else { 600 };
+        let params = SionParams::new(0).with_nfiles(2);
+        let fs = MemFs::with_block_size(512);
+        World::run(ntasks, |comm| {
+            let params = SionParams {
+                chunksize: req(comm.rank()),
+                ..params.clone()
+            };
+            let parent = comm.stats().expect("runtime tracks stats");
+            let mut w = paropen_write(&fs, "rag.sion", &params, comm).unwrap();
+            let lcom = w.local_comm_stats().expect("runtime tracks stats");
+            let gcom = w.global_comm_stats().expect("runtime tracks stats");
+            assert_eq!(
+                [
+                    lcom.gathers(),
+                    lcom.scatters(),
+                    lcom.bcasts(),
+                    lcom.collectives()
+                ],
+                [1, 1, 0, 2],
+                "ragged open on the file group: [gathers, scatters, bcasts, all]"
+            );
+            assert_eq!(
+                [gcom.reduces(), gcom.bcasts(), gcom.collectives()],
+                [1, 1, 2]
+            );
+            assert_eq!(
+                [parent.reduces(), parent.bcasts(), parent.collectives()],
+                [1, 1, 2]
+            );
+            w.write(&stream(comm.rank())).unwrap();
+            w.close().unwrap();
+        });
+
+        let serial = MemFs::with_block_size(512);
+        let reqs: Vec<u64> = (0..ntasks).map(req).collect();
+        let mut w = sion::SerialWriter::create(&serial, "rag.sion", &reqs, &params).unwrap();
+        for rank in 0..ntasks {
+            w.select_rank(rank).unwrap();
+            w.write(&stream(rank)).unwrap();
+        }
+        w.close().unwrap();
+        for file in 0..2 {
+            let name = sion::physical_name("rag.sion", file);
+            assert_eq!(
+                contents(&fs, &name),
+                contents(&serial, &name),
+                "{ntasks} ranks, rank {odd} ragged: {name}"
+            );
+        }
+    }
+}
+
+/// The bytes of one physical file.
+fn contents(fs: &MemFs, path: &str) -> Vec<u8> {
+    use vfs::Vfs;
+    let f = fs.open(path).unwrap();
+    let mut buf = vec![0u8; f.len().unwrap() as usize];
+    f.read_exact_at(&mut buf, 0).unwrap();
+    buf
 }
 
 /// Write a small multifile, then read-open and close it, asserting what the
@@ -170,14 +240,15 @@ fn parent_and_global_traffic_stays_logarithmic_per_rank() {
         }
     });
     // A one-word broadcast costs its root one word per tree level; a
-    // one-word reduction costs every rank at most one word.
+    // reduction costs every rank at most one partial result, five words
+    // for the write open's agreement.
     let word_bcast = 8 * LOG_P;
     // A read-open part is [status, flags, file], 7 geometry words and a
     // one-block usage row, framed with 16 B of id and length.
     let part = 8 * (10 + 1) + 16;
     for (rank, &(write_parent, wglobal, read_parent)) in sent.iter().enumerate() {
         assert!(
-            write_parent <= 2 * word_bcast + 8,
+            write_parent <= word_bcast + 5 * 8,
             "rank {rank}: {write_parent} B on the parent"
         );
         // Two one-word allreduces: the open's and the close's.
