@@ -323,19 +323,35 @@ then
     exit 1
 fi
 
-echo "==> structural gate: one communicator contract (CoComm, implemented by the engine and the oracle; Comm is a handle)"
-# `CoComm` is the only communicator trait and has two implementations,
-# `TaskComm` and the flat oracle; the blocking `Comm` is a concrete handle
-# whose methods are `drive_ready` of its `CoComm` calls, so no adapter turns
-# one contract into the other. `FlatWorld` runs through `World`'s launcher
-# and spawns no thread of its own.
+echo "==> structural gate: one communicator contract (CoComm, implemented by the engine alone; Comm is a handle)"
+# `CoComm` is the only communicator trait and `TaskComm` its one
+# implementation; the blocking `Comm` is a concrete handle whose methods are
+# `drive_ready` of its `CoComm` calls, so no adapter turns one contract into
+# the other.
 co_impls=$(grep -rEc 'impl(<[^>]*>)? [A-Za-z:]*CoComm for' crates/simmpi/src | awk -F: '{ s += $2 } END { print s }')
 if grep -rnE 'trait Comm\b|BlockingComm|BlockingRef|blocking_cocomm' crates tests examples ||
-    grep -n 'spawn(' crates/simmpi/src/flat.rs ||
-    [ "$co_impls" -ne 2 ]
+    [ "$co_impls" -ne 1 ]
 then
-    echo "$co_impls \`impl CoComm for\` in crates/simmpi/src (want 2: TaskComm and the flat oracle)"
-    echo "one communicator contract: \`CoComm\` is the trait, \`Comm\` a handle driving it with \`drive_ready\`, and both worlds share one launcher"
+    echo "$co_impls \`impl CoComm for\` in crates/simmpi/src (want 1: TaskComm)"
+    echo "one communicator contract: \`CoComm\` is the trait, \`TaskComm\` the engine, \`Comm\` a handle driving it with \`drive_ready\`"
+    exit 1
+fi
+
+echo "==> structural gate: a specification, not a second runtime (no flat oracle; CoComm provides no fallback for try_recv, allgather_shared or split_local)"
+# The collectives are checked against `simmpi/tests/spec`, pure functions
+# from every rank's input to every rank's output, not against a second
+# runtime: no `FlatWorld`, no world builder to plug one in, no copying
+# `AllGathered::from_parts`. With one implementation, a provided body for a
+# method it overrides would be dead code that nothing tests.
+provided=$(awk '/^pub trait CoComm/ { on = 1 } on && /^}/ { exit }
+    on && /^    fn (try_recv|allgather_shared|split_local)[(<]/ { sig = 1; text = $0 }
+    sig && /\{ *$/ { print FILENAME ":" FNR ": " text; sig = 0 }
+    sig && /; *$/ { sig = 0 }' crates/simmpi/src/co.rs)
+if grep -rnE 'FlatWorld|flat_world|BuildWorld|fn from_parts\b' crates ||
+    [ -n "$provided" ]
+then
+    printf '%s\n' "$provided"
+    echo "no second runtime: the property tests compare the engine with \`tests/spec\`, and \`CoComm\` requires \`try_recv\`, \`allgather_shared\` and \`split_local\`"
     exit 1
 fi
 
@@ -361,10 +377,10 @@ then
     exit 1
 fi
 
-echo "==> structural gate: ship by move (one owned send per runtime, a member's frame is its write-behind buffer)"
-# `CoComm::send_vec` is the one send a runtime implements — `TaskComm` and
-# the flat oracle, once each — and the provided `send(&[u8])` copies into
-# it, overridden nowhere. A member ships its frame with `send_vec` and
+echo "==> structural gate: ship by move (one owned send in the engine, a member's frame is its write-behind buffer)"
+# `CoComm::send_vec` is the one send the engine implements — `TaskComm`,
+# once — and the provided `send(&[u8])` copies into it, overridden
+# nowhere. A member ships its frame with `send_vec` and
 # copies no frame (`agg.rs` has no `.to_vec()`); the aggregator's 16-byte
 # ack may stay on `send`. In `stream.rs` the staged run is written by
 # `flush_run`, which issues the VFS call itself and closes the extent the
@@ -379,7 +395,7 @@ impl_fns() {
         on && $0 ~ "fn " f "\\(" { print FILENAME ":" FNR ": " $0 }' crates/simmpi/src/*.rs crates/simmpi/src/task/*.rs
 }
 stream_extents=$(awk '/^#\[cfg\(test\)\]/ { exit } /push_extent\(/' crates/sion/src/stream.rs | grep -c . || true)
-if [ "$(impl_fns send_vec | grep -c .)" -ne 2 ] || [ -n "$(impl_fns send)" ] ||
+if [ "$(impl_fns send_vec | grep -c .)" -ne 1 ] || [ -n "$(impl_fns send)" ] ||
     ! method crates/sion/src/agg.rs ship | grep -q 'send_vec(' ||
     method crates/sion/src/agg.rs ship | grep -q '\.send(' ||
     grep -n '\.to_vec()' crates/sion/src/agg.rs ||
@@ -391,7 +407,7 @@ if [ "$(impl_fns send_vec | grep -c .)" -ne 2 ] || [ -n "$(impl_fns send)" ] ||
 then
     impl_fns 'send(_vec)?'
     echo "stream.rs has $stream_extents push_extent( lines outside its tests (want 1, in submit)"
-    echo "ship by move: runtimes implement \`send_vec\` only, \`MemberState::ship\` moves the frame with it, and the staged run is flushed in the frame (\`flush_run\`), never copied into it"
+    echo "ship by move: the engine implements \`send_vec\` only, \`MemberState::ship\` moves the frame with it, and the staged run is flushed in the frame (\`flush_run\`), never copied into it"
     exit 1
 fi
 

@@ -8,10 +8,13 @@
 //! arrays, `prop::collection::vec`, `prop::sample::select`, and
 //! [`test_runner::ProptestConfig`].
 //!
-//! Unlike upstream, generation is plain pseudo-random (no size ramping) and
-//! failures are not shrunk — the failure report instead includes the case
-//! seed so a failing input can be regenerated deterministically. Runs are
-//! fully deterministic per test name.
+//! Unlike upstream, generation is plain pseudo-random (no size ramping), and
+//! a failing case is shrunk through the random words its strategies drew,
+//! not through per-strategy value trees: each recorded word is rewritten to
+//! the smallest value that still fails (a range's draw of 0 is its start,
+//! `any`'s is zero, a collection's is its shortest length), and the report
+//! names the minimal failing input along with the case seed. A panic in the
+//! body counts as a failure. Runs are fully deterministic per test name.
 
 #![forbid(unsafe_code)]
 
@@ -72,10 +75,16 @@ pub mod test_runner {
         }
     }
 
-    /// Deterministic generator handed to strategies (xoshiro256**).
+    /// Deterministic generator handed to strategies (xoshiro256**), or a
+    /// replay of recorded words when a failing case is shrunk.
     #[derive(Clone, Debug)]
     pub struct TestRng {
         s: [u64; 4],
+        /// The words to hand out instead of the generator's; past their
+        /// end every draw is 0.
+        replay: Option<Vec<u64>>,
+        /// Every word handed out so far.
+        tape: Vec<u64>,
     }
 
     fn splitmix64(state: &mut u64) -> u64 {
@@ -97,11 +106,31 @@ pub mod test_runner {
                     splitmix64(&mut sm),
                     splitmix64(&mut sm),
                 ],
+                replay: None,
+                tape: Vec::new(),
+            }
+        }
+
+        /// Hand out `words`, then zeros.
+        fn replaying(words: Vec<u64>) -> Self {
+            TestRng {
+                s: [0; 4],
+                replay: Some(words),
+                tape: Vec::new(),
             }
         }
 
         /// Next raw 64-bit word.
         pub fn next_u64(&mut self) -> u64 {
+            let word = match &self.replay {
+                Some(words) => words.get(self.tape.len()).copied().unwrap_or(0),
+                None => self.step(),
+            };
+            self.tape.push(word);
+            word
+        }
+
+        fn step(&mut self) -> u64 {
             let s = &mut self.s;
             let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
             let t = s[1] << 17;
@@ -127,10 +156,13 @@ pub mod test_runner {
 
     /// Drive one `proptest!`-generated test: run cases until `config.cases`
     /// succeed, regenerating rejected inputs, panicking on the first failure
-    /// with the case seed for reproduction.
-    pub fn run<F>(config: &ProptestConfig, name: &str, mut case: F)
+    /// with the case seed and the shrunk failing input for reproduction.
+    /// `describe` generates a case's inputs from a generator and prints
+    /// them.
+    pub fn run<F, D>(config: &ProptestConfig, name: &str, mut case: F, describe: D)
     where
         F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
+        D: Fn(&mut TestRng) -> String,
     {
         // Deterministic per test name (FNV-1a) so CI runs are reproducible.
         let mut seed = 0xcbf2_9ce4_8422_2325u64;
@@ -144,7 +176,7 @@ pub mod test_runner {
         while passed < config.cases {
             let case_seed = master.next_u64();
             let mut rng = TestRng::from_seed(case_seed);
-            match case(&mut rng) {
+            match attempt(&mut case, &mut rng) {
                 Ok(()) => passed += 1,
                 Err(TestCaseError::Reject(_)) => {
                     rejected += 1;
@@ -155,13 +187,63 @@ pub mod test_runner {
                     );
                 }
                 Err(TestCaseError::Fail(msg)) => {
+                    let (tape, msg) = shrink(&mut case, rng.tape, msg);
+                    let input = describe(&mut TestRng::replaying(tape));
                     panic!(
                         "proptest '{name}' failed after {passed} passing case(s) \
-                         [case seed {case_seed:#018x}]: {msg}"
+                         [case seed {case_seed:#018x}]\nminimal failing input: {input}\n{msg}"
                     );
                 }
             }
         }
+    }
+
+    /// Run one case; a panic is a failure carrying the panic's text.
+    fn attempt<F>(case: &mut F, rng: &mut TestRng) -> Result<(), TestCaseError>
+    where
+        F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
+    {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(rng))).unwrap_or_else(|e| {
+            let text = e
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| e.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "<non-string panic payload>".into());
+            Err(TestCaseError::Fail(format!("panicked: {text}")))
+        })
+    }
+
+    /// Shrink a failing case by its recorded words: rewrite one word at a
+    /// time to the smallest of `0..min(word, 64)` that still fails, and
+    /// repeat until no word shrinks or 1024 cases have run. Every accepted
+    /// tape is smaller than the last, word by word, so this ends.
+    fn shrink<F>(case: &mut F, mut tape: Vec<u64>, mut msg: String) -> (Vec<u64>, String)
+    where
+        F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
+    {
+        let mut budget = 1024u32;
+        let mut shrunk = true;
+        while shrunk {
+            shrunk = false;
+            let mut i = 0;
+            while i < tape.len() {
+                for word in 0..tape[i].min(64) {
+                    if budget == 0 {
+                        return (tape, msg);
+                    }
+                    budget -= 1;
+                    let mut trial = tape.clone();
+                    trial[i] = word;
+                    let mut rng = TestRng::replaying(trial);
+                    if let Err(TestCaseError::Fail(m)) = attempt(case, &mut rng) {
+                        (tape, msg, shrunk) = (rng.tape, m, true);
+                        break;
+                    }
+                }
+                i += 1;
+            }
+        }
+        (tape, msg)
     }
 }
 
@@ -478,6 +560,12 @@ macro_rules! __proptest_body {
                     let __out: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
                         (|| { $body ::std::result::Result::Ok(()) })();
                     __out
+                }, |__rng| {
+                    let __input: ::std::vec::Vec<::std::string::String> = vec![$(
+                        format!("{} = {:?}", stringify!($arg),
+                            $crate::strategy::Strategy::generate(&($strat), __rng)),
+                    )*];
+                    __input.join(", ")
                 });
             }
         )*
@@ -641,6 +729,18 @@ mod tests {
         fn just_clones(v in Just(vec![1u8, 2, 3])) {
             prop_assert_eq!(v, vec![1u8, 2, 3]);
         }
+
+        #[test]
+        #[should_panic(expected = "minimal failing input: n = 10, seed = 0\n")]
+        fn failure_shrinks_to_the_smallest_input(n in 0u64..1000, seed in any::<u64>()) {
+            prop_assert!(n < 10 || seed == u64::MAX);
+        }
+
+        #[test]
+        #[should_panic(expected = "minimal failing input: v = [0, 0, 7]\npanicked: too big")]
+        fn a_panic_shrinks_too(v in prop::collection::vec(0u8..100, 0..20)) {
+            assert!(v.len() < 3 || v[2] < 7, "too big");
+        }
     }
 
     #[test]
@@ -666,6 +766,7 @@ mod tests {
             &ProptestConfig::with_cases(4),
             "always_fails",
             |_rng| Err(TestCaseError::fail("nope")),
+            |_rng| String::new(),
         );
     }
 }

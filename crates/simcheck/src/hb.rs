@@ -9,8 +9,8 @@
 //! entries of every collective exit, ticks `t` once, pushes the result for
 //! every send and joins it into every collective entry, and stores it as
 //! `t`'s clock. Every entry of a collective thus happens before every exit —
-//! exact for the flat runtime's slot rendezvous, a sound superset for the
-//! tree, whose real edges the message rule already covers. [`HbEngine`]
+//! exact for a rendezvous such as the barrier, a superset for the tree's
+//! rooted collectives, whose real edges the message rule already covers. [`HbEngine`]
 //! makes every event and file access its own epoch; the DPOR recorder
 //! ([`crate::dpor`]) makes every scheduled step one epoch, so a message sent
 //! in a step carries what the step received after sending it.

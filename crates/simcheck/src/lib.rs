@@ -33,10 +33,9 @@
 //!    a rank.
 //!
 //! 2. **`SIMCHECK=1`** — zero-code-change passive mode. With the
-//!    environment variable set, `World::run`, `FlatWorld::run` and
-//!    `TaskWorld::run` install a [`Sanitizer`] that performs the same
-//!    collective/tag/leak checks; on the two thread runtimes it also
-//!    converts silent hangs into watchdog-reported deadlocks
+//!    environment variable set, `World::run` and `TaskWorld::run` install
+//!    a [`Sanitizer`] that performs the same collective/tag/leak checks; on
+//!    the thread-per-rank `World` it also converts silent hangs into watchdog-reported deadlocks
 //!    (`SIMCHECK_TIMEOUT_MS`, default 20s) under real thread concurrency.
 //!    Production runs without the variable pay one `Option` branch per
 //!    operation.

@@ -25,7 +25,7 @@
 //!
 //! Protocol checks (collective matching, reserved tags, teardown leaks) are
 //! the same passive [`Sanitizer`] the `SIMCHECK=1` env mode installs on the
-//! thread runtimes, so diagnoses read the same everywhere.
+//! thread driver, so diagnoses read the same everywhere.
 
 use crate::report::{CheckFailure, DeadlockInfo, PendingOp, ScheduleCfg, TraceEv};
 use simmpi::Aborted;

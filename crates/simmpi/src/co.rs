@@ -1,20 +1,23 @@
 //! [`CoComm`]: the crate's one communicator contract.
 //!
-//! Every runtime implements it: the tree engine [`TaskComm`](crate::TaskComm)
-//! and the flat oracle. Its methods return futures, so a rank can be a
-//! cooperatively scheduled state machine that parks on mailbox receives
-//! instead of blocking a worker thread.
+//! One engine implements it: the tree engine [`TaskComm`](crate::TaskComm).
+//! Its methods return futures, so a rank can be a cooperatively scheduled
+//! state machine that parks on mailbox receives instead of blocking a
+//! worker thread. The trait stays a trait so protocol code takes
+//! `&dyn CoComm` (a world communicator and a split's result alike) and
+//! can be read against its contract alone.
 //!
 //! Protocol code written against `&dyn CoComm` (the `sion` crate's
-//! collective open/close) runs unchanged on **every** world:
+//! collective open/close) runs unchanged on both drivers of the engine:
 //!
-//! * on the task runtime, the futures genuinely suspend and the scheduler
-//!   interleaves thousands of ranks per worker thread;
-//! * on a thread-backed world ([`World`](crate::World),
-//!   [`FlatWorld`](crate::FlatWorld)) each rank owns its thread, and
-//!   [`drive_ready`](crate::drive_ready) polls the future there, parking the
-//!   thread while it waits for a peer. The blocking [`Comm`](crate::Comm)
-//!   handle is exactly that: one `drive_ready` per method.
+//! * on the task runtime ([`TaskWorld`](crate::TaskWorld)), the futures
+//!   genuinely suspend and the scheduler interleaves thousands of ranks per
+//!   worker thread;
+//! * on the thread-backed [`World`](crate::World) each rank owns its
+//!   thread, and [`drive_ready`](crate::drive_ready) polls the future
+//!   there, parking the thread while it waits for a peer. The blocking
+//!   [`Comm`](crate::Comm) handle is exactly that: one `drive_ready` per
+//!   method.
 
 use crate::comm::{bytes_to_u64s, CommStats, ReduceOp};
 use std::future::Future;
@@ -32,10 +35,10 @@ pub type BoxFut<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
 /// allocations per rank, O(P²) across the world. Its callers only ever
 /// *scan* the result (the membership filter in `split`, the decode of
 /// [`CoComm::allgather_u64`]), so at 64Ki ranks that
-/// materialization is pure waste. `AllGathered` is
-/// the scan-shaped alternative: runtimes whose ranks share memory return
-/// `Arc` clones of a single frame, making the whole collective O(1)
-/// allocations per rank; cloning the handle clones the `Arc`.
+/// materialization is pure waste. `AllGathered` is the scan-shaped
+/// alternative: every rank holds an `Arc` clone of a single frame, making
+/// the whole collective O(1) allocations per rank; cloning the handle
+/// clones the `Arc`.
 #[derive(Clone)]
 pub struct AllGathered {
     /// `crate::wire::frame` encoding, entries in rank order with id = rank.
@@ -47,18 +50,6 @@ impl AllGathered {
     /// order, ids equal to ranks).
     pub(crate) fn from_frame(frame: Arc<Vec<u8>>) -> AllGathered {
         AllGathered { frame }
-    }
-
-    /// Build from per-rank parts — the copying fallback for runtimes
-    /// without shared memory between ranks (the flat oracle).
-    pub(crate) fn from_parts(parts: &[Vec<u8>]) -> AllGathered {
-        let entries = parts
-            .iter()
-            .enumerate()
-            .map(|(r, p)| (r as u64, p.as_slice()));
-        AllGathered {
-            frame: Arc::new(crate::wire::frame(entries)),
-        }
     }
 
     /// Number of contributions (the communicator size).
@@ -129,13 +120,8 @@ pub trait CoComm: Send + Sync {
 
     /// Non-blocking matched receive: the next already-deliverable
     /// `(src, tag)` message, or `None` without parking. FIFO order per
-    /// `(src, tag)` matches [`recv`](Self::recv). The default returns
-    /// `None`, which degrades opportunistic drains to their blocking
-    /// fallback — still correct.
-    fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
-        let _ = (src, tag);
-        None
-    }
+    /// `(src, tag)` matches [`recv`](Self::recv).
+    fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>>;
 
     /// Parks until every rank has entered the barrier.
     fn barrier<'a>(&'a self) -> BoxFut<'a, ()>;
@@ -159,12 +145,9 @@ pub trait CoComm: Send + Sync {
 
     /// [`CoComm::allgather`] into one shared, scan-in-place result (see
     /// [`AllGathered`]) — same semantics, collective contract, and
-    /// [`CommStats`] accounting. Provided default copies through
-    /// `allgather`; shared-memory runtimes override it to hand every rank
-    /// an `Arc` clone of a single frame.
-    fn allgather_shared<'a>(&'a self, data: &'a [u8]) -> BoxFut<'a, AllGathered> {
-        Box::pin(async move { AllGathered::from_parts(&self.allgather(data).await) })
-    }
+    /// [`CommStats`] accounting, but every rank holds an `Arc` clone of a
+    /// single frame.
+    fn allgather_shared<'a>(&'a self, data: &'a [u8]) -> BoxFut<'a, AllGathered>;
 
     /// Rooted reduction of a word slice: every rank passes the same number
     /// of words, and word `i` of the result, which lands at `root` (`None`
@@ -190,24 +173,14 @@ pub trait CoComm: Send + Sync {
     /// runtime may form the group without sending a message. The caller
     /// guarantees that the members of each `color` agree on `new_size` and
     /// claim each rank in `0..new_size` exactly once; a runtime that
-    /// detects a violation panics. The provided implementation runs the
-    /// exchanged split keyed by `new_rank` and asserts that it agrees.
+    /// detects a violation panics. The result equals that of the exchanged
+    /// split keyed by `new_rank`.
     fn split_local<'a>(
         &'a self,
         color: u64,
         new_rank: usize,
         new_size: usize,
-    ) -> BoxFut<'a, Box<dyn CoComm>> {
-        Box::pin(async move {
-            let sub = self.split(color, new_rank as u64).await;
-            assert_eq!(
-                (sub.rank(), sub.size()),
-                (new_rank, new_size),
-                "split_local(color {color}): the exchanged split disagrees with the caller"
-            );
-            sub
-        })
-    }
+    ) -> BoxFut<'a, Box<dyn CoComm>>;
 
     // ------------------------------------------------------------------
     // Typed convenience layers (provided).
@@ -254,8 +227,8 @@ pub trait CoComm: Send + Sync {
     }
 
     /// Allgather one `u64` per rank. Decodes straight out of the shared
-    /// [`AllGathered`] frame — on shared-memory runtimes the whole round
-    /// costs O(1) allocations per rank (one `Vec<u64>`), never the
+    /// [`AllGathered`] frame — the whole round costs O(1) allocations per
+    /// rank (one `Vec<u64>`), never the
     /// `Vec<Vec<u8>>` materialization of the byte-level allgather.
     fn allgather_u64<'a>(&'a self, value: u64) -> BoxFut<'a, Vec<u64>> {
         Box::pin(async move {
@@ -327,25 +300,23 @@ pub trait CoComm: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{drive_ready, FlatWorld, World};
+    use crate::{drive_ready, TaskWorld, World};
 
     #[test]
-    fn one_co_script_agrees_on_the_thread_and_flat_worlds() {
-        // The same async script runs on both thread-backed worlds, each
-        // rank's thread driving it through drive_ready.
-        let script = |c: &dyn CoComm| {
-            drive_ready(async move {
-                let all = c.allgather_u64(c.rank() as u64 + 1).await;
-                let sum = c.allreduce_u64(c.rank() as u64, ReduceOp::Sum).await;
-                let b = c.bcast_u64((c.rank() == 2).then_some(99), 2).await;
-                let sub = c.split((c.rank() % 2) as u64, 0).await;
-                c.barrier().await;
-                (all, sum, b, sub.size(), sub.rank())
-            })
-        };
-        let tree = World::run(4, |c| script(c.co()));
-        let flat = FlatWorld::run(4, |c| script(c.co()));
-        assert_eq!(tree, flat);
+    fn one_co_script_agrees_on_the_thread_and_task_worlds() {
+        // The same async script runs on both drivers: each rank's thread
+        // driving it through drive_ready, and the task executor.
+        async fn script(c: &dyn CoComm) -> (Vec<u64>, u64, u64, usize, usize) {
+            let all = c.allgather_u64(c.rank() as u64 + 1).await;
+            let sum = c.allreduce_u64(c.rank() as u64, ReduceOp::Sum).await;
+            let b = c.bcast_u64((c.rank() == 2).then_some(99), 2).await;
+            let sub = c.split((c.rank() % 2) as u64, 0).await;
+            c.barrier().await;
+            (all, sum, b, sub.size(), sub.rank())
+        }
+        let tree = World::run(4, |c| drive_ready(script(c.co())));
+        let task = TaskWorld::run(4, |c| async move { script(&c).await });
+        assert_eq!(tree, task);
         for (r, (all, sum, b, ss, sr)) in tree.iter().enumerate() {
             assert_eq!(all, &vec![1, 2, 3, 4]);
             assert_eq!(*sum, 6);

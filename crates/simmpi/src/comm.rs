@@ -1,5 +1,5 @@
-//! [`Comm`], the blocking handle of the thread-backed worlds, and the
-//! counters and operators every communicator shares.
+//! [`Comm`], the blocking handle of the thread-backed [`World`](crate::World),
+//! and the counters and operators every communicator shares.
 
 use crate::co::CoComm;
 use crate::world::drive_ready;
@@ -113,8 +113,7 @@ impl CommStats {
 }
 
 /// One rank's blocking handle onto a communicator: what
-/// [`World`](crate::World) and [`FlatWorld`](crate::FlatWorld) hand each
-/// rank.
+/// [`World`](crate::World) hands each rank.
 ///
 /// It owns the rank's [`CoComm`] and adds nothing to it: every blocking
 /// method is [`drive_ready`] of the matching [`CoComm`] call (see there for

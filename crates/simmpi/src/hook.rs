@@ -11,8 +11,7 @@
 //! Several hooks share one runtime slot as a `Vec<Arc<dyn CheckHook>>`,
 //! which hands every event to each in list order. The built-in
 //! [`Sanitizer`](crate::sanitize::Sanitizer) is a hook; it is installed
-//! automatically by [`World::run`](crate::World::run),
-//! [`FlatWorld::run`](crate::flat::FlatWorld::run) and
+//! automatically by [`World::run`](crate::World::run) and
 //! [`TaskWorld::run`](crate::TaskWorld::run) when `SIMCHECK=1` is set in
 //! the environment. A hook never decides which rank runs next:
 //! interleaving control belongs to the task executor
@@ -250,10 +249,6 @@ pub struct LeakedMsg {
     pub tag: u64,
     /// Payload length in bytes.
     pub len: usize,
-    /// `true` if the message had been taken off a channel and stashed
-    /// (arrived but never matched — the flat runtime's channel + stash
-    /// pair), `false` if it still sat in the mailbox.
-    pub stashed: bool,
 }
 
 /// Panic payload used to tear down rank threads once a world-level failure
@@ -393,7 +388,7 @@ pub fn simcheck_env_enabled() -> bool {
     })
 }
 
-/// Deadlock watchdog for hooked runs on the thread runtimes:
+/// Deadlock watchdog for hooked runs on the thread driver:
 /// `SIMCHECK_TIMEOUT_MS` in the environment, default 20 s.
 pub(crate) fn watchdog_timeout() -> Duration {
     static MS: OnceLock<u64> = OnceLock::new();

@@ -9,19 +9,18 @@
 //!
 //! [`CoComm`] is the one communicator contract the `sion` crate programs
 //! against — mirroring how SIONlib is "by design not tied to a specific
-//! parallel programming interface". There is one tree-collective engine,
-//! two drivers of it, and one independent reference:
+//! parallel programming interface". It has one implementation, the
+//! tree-collective engine [`TaskComm`]: log-P binomial trees over per-rank
+//! mailboxes, with per-rank op/byte counters exposed as [`CommStats`]. Two
+//! drivers run it: [`TaskWorld`] with ranks as futures on a work-stealing
+//! (or seeded serial) executor, 16Ki–64Ki ranks; [`World`] with one OS
+//! thread per rank, each rank's blocking [`Comm`] handle polling the same
+//! futures through [`drive_ready`].
 //!
-//! * [`TaskComm`] — the engine: log-P binomial trees over per-rank
-//!   mailboxes, with per-rank op/byte counters exposed as [`CommStats`].
-//!   [`TaskWorld`] drives it with ranks as futures on a work-stealing
-//!   executor (16Ki–64Ki ranks); [`World`] drives it with one OS thread per
-//!   rank, each rank's blocking [`Comm`] handle polling the same futures
-//!   through [`drive_ready`].
-//! * The flat oracle — the original O(P) slot-and-barrier collectives,
-//!   sharing no collective code with the engine; kept only as the
-//!   reference the property tests compare the engine against, and reached
-//!   only through [`FlatWorld`].
+//! What the engine must compute is stated once, outside it: the property
+//! tests (`tests/properties.rs`) compare both drivers against an executable
+//! specification (`tests/spec/mod.rs`) that gives each collective's output
+//! on every rank as a pure function of every rank's input.
 //!
 //! # Example
 //!
@@ -40,7 +39,6 @@
 
 mod co;
 mod comm;
-mod flat;
 mod hook;
 mod sanitize;
 mod task;
@@ -49,7 +47,6 @@ mod world;
 
 pub use co::{AllGathered, BoxFut, CoComm};
 pub use comm::{Comm, CommStats, ReduceOp};
-pub use flat::FlatWorld;
 pub use hook::{
     decode_coll_tag, describe_tag, enter_agg_protocol, is_agg_tag, is_reserved_tag,
     simcheck_env_enabled, Aborted, AggProtocolScope, CheckHook, CollKind, CommCtx, HookEvent,

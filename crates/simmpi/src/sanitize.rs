@@ -22,7 +22,7 @@
 //!   `SIMCHECK_TIMEOUT_MS`). The precise whole-world deadlock verdict
 //!   is the task executor's quiescence detection (what `simcheck`'s
 //!   schedule-exploring harness reports); the watchdog is the budget
-//!   version for the thread runtimes that still turns a silent hang into a
+//!   version for the thread driver that still turns a silent hang into a
 //!   diagnosed failure.
 //!
 //! Findings panic on the offending rank (with the diagnosis as the panic
@@ -219,11 +219,10 @@ impl Sanitizer {
             .iter()
             .map(|m| {
                 format!(
-                    "from rank {} tag {} ({} bytes{})",
+                    "from rank {} tag {} ({} bytes)",
                     m.from,
                     describe_tag(m.tag),
-                    m.len,
-                    if m.stashed { ", stashed" } else { "" }
+                    m.len
                 )
             })
             .collect();
@@ -444,13 +443,11 @@ mod tests {
                 from: 1,
                 tag: 9,
                 len: 3,
-                stashed: false,
             },
             LeakedMsg {
                 from: 0,
                 tag: 5,
                 len: 10,
-                stashed: true,
             },
         ];
         let f = s.check_teardown(&c, 0, &leaked);

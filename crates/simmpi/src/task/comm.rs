@@ -1194,7 +1194,6 @@ impl Drop for TaskComm {
                 from,
                 tag,
                 len: payload.len(),
-                stashed: false,
             })
             .collect();
         mb.bytes = 0;

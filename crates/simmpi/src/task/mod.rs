@@ -320,7 +320,7 @@ mod tests {
     use crate::co::CoComm;
     use crate::comm::ReduceOp;
     use crate::sanitize::{FindingKind, Sanitizer};
-    use crate::{drive_ready, FlatWorld, World};
+    use crate::{drive_ready, World};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const WS4: SchedPolicy = SchedPolicy::WorkSteal { workers: 4 };
@@ -332,11 +332,7 @@ mod tests {
             .unwrap_or_else(|| "<non-string payload>".into())
     }
 
-    /// One protocol-shaped script exercised identically over every
-    /// runtime; the cross-runtime tests assert its results byte-equal.
-    async fn mixed_script(
-        c: &dyn CoComm,
-    ) -> (
+    type Mixed = (
         Vec<u64>,
         Vec<u8>,
         Option<Vec<Vec<u8>>>,
@@ -346,7 +342,11 @@ mod tests {
         usize,
         Vec<u64>,
         Vec<u8>,
-    ) {
+    );
+
+    /// One protocol-shaped script exercised identically over both drivers;
+    /// the cross-driver tests assert its results byte-equal.
+    async fn mixed_script(c: &dyn CoComm) -> Mixed {
         let n = c.size();
         let r = c.rank();
         let all = c.allgather_u64(r as u64 + 1).await;
@@ -371,14 +371,35 @@ mod tests {
         assert_eq!(out, (0..8).map(|r| (r, 8)).collect::<Vec<_>>());
     }
 
+    /// What [`mixed_script`] returns on rank `r` of `n`, spelled out.
+    fn mixed_expected(n: usize, r: usize) -> Mixed {
+        // The split keys by `n - r`: each colour's members, highest first.
+        let members: Vec<u64> = (0..n as u64)
+            .rev()
+            .filter(|&x| x % 2 == r as u64 % 2)
+            .collect();
+        let sub_rank = members.iter().position(|&x| x == r as u64).unwrap();
+        (
+            (1..=n as u64).collect(),
+            vec![9, 9, (2 % n) as u8],
+            (r == 1 % n).then(|| (0..n).map(|i| vec![i as u8; 3]).collect()),
+            vec![r as u8; r + 1],
+            (r == n - 1).then_some(3 * (n as u64 - 1)),
+            sub_rank,
+            members.len(),
+            members,
+            vec![((r + n - 1) % n) as u8, 0xAB],
+        )
+    }
+
     #[test]
-    fn all_three_runtimes_agree_on_the_mixed_script() {
+    fn task_and_thread_runtimes_agree_on_the_mixed_script() {
         for n in [1, 2, 3, 5, 8] {
             let task = TaskWorld::run(n, |c| async move { mixed_script(&c).await });
             let thread = World::run(n, |c| drive_ready(mixed_script(c.co())));
-            let flat = FlatWorld::run(n, |c| drive_ready(mixed_script(c.co())));
             assert_eq!(task, thread, "task tree vs thread tree at n={n}");
-            assert_eq!(task, flat, "tree vs flat at n={n}");
+            let want: Vec<Mixed> = (0..n).map(|r| mixed_expected(n, r)).collect();
+            assert_eq!(task, want, "n={n}");
         }
     }
 
@@ -550,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn send_of_borrowed_bytes_delivers_equal_bytes_on_every_runtime() {
+    fn send_of_borrowed_bytes_delivers_equal_bytes_on_both_drivers() {
         async fn ring(c: &dyn CoComm) -> Vec<u8> {
             let (r, n) = (c.rank(), c.size());
             c.send((r + 1) % n, 9, &[r as u8; 5]);
@@ -558,11 +579,9 @@ mod tests {
         }
         let task = TaskWorld::run(3, |c| async move { ring(&c).await });
         let thread = World::run(3, |c| drive_ready(ring(c.co())));
-        let flat = FlatWorld::run(3, |c| drive_ready(ring(c.co())));
         let want: Vec<Vec<u8>> = (0..3).map(|r| vec![((r + 2) % 3) as u8; 5]).collect();
         assert_eq!(task, want);
         assert_eq!(thread, want);
-        assert_eq!(flat, want);
     }
 
     #[test]

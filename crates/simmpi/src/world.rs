@@ -1,19 +1,18 @@
 //! The thread driver: [`drive_ready`], the one loop that polls a future on
-//! a rank's own thread, and the SPMD launcher both thread-backed worlds
-//! share.
+//! a rank's own thread, and [`World`], the SPMD launcher that gives each
+//! rank one.
 //!
 //! [`World::run`] spawns one OS thread per rank and hands each a blocking
 //! [`Comm`] over the rank's [`TaskComm`] — the same tree-collective engine
 //! [`TaskWorld`](crate::TaskWorld) schedules on its executor (mailboxes,
 //! binomial trees, reserved tags, stats and hook points all live in
 //! [`crate::task`]). Every blocking call is [`drive_ready`] of the matching
-//! [`CoComm`] future: it polls the future on the caller's thread and parks
-//! the thread while the future is `Pending`; the matching send unparks it
-//! through the thread's [`Waker`]. [`FlatWorld`](crate::FlatWorld) runs its
-//! oracle through the same [`launch`], so one `catch_unwind`, teardown and
-//! abort path serves both worlds; [`launch`] also labels each rank thread
-//! with its world rank (`vfs::guard`), the task identity the thread's file
-//! writes and hook events carry.
+//! [`CoComm`](crate::CoComm) future: it polls the future on the caller's
+//! thread and parks the thread while the future is `Pending`; the matching
+//! send unparks it through the thread's [`Waker`]. [`launch`] is the one
+//! `catch_unwind`, teardown and abort path of both entry points; it also
+//! labels each rank thread with its world rank (`vfs::guard`), the task
+//! identity the thread's file writes and hook events carry.
 //!
 //! # Correctness analysis
 //!
@@ -28,7 +27,6 @@
 //! when another rank's finding aborts the world, and a watchdog turns a
 //! silent hang into a diagnosed suspected deadlock.
 
-use crate::co::CoComm;
 use crate::comm::Comm;
 use crate::hook::{self, Aborted, CheckHook, HookEvent};
 use crate::task::{TaskComm, WorldRt};
@@ -120,9 +118,8 @@ impl RankThread {
 /// Drive `fut` to completion on the calling thread — the one loop in this
 /// crate that polls a future outside the task executor.
 ///
-/// On a rank thread of [`World`] or [`FlatWorld`](crate::FlatWorld) it
-/// parks the thread while the future is `Pending` (see the module docs for
-/// aborts and the watchdog). `thread::park` keeps a wake-up token, so an
+/// On a rank thread of [`World`] it parks the thread while the future is
+/// `Pending` (see the module docs for aborts and the watchdog). `thread::park` keeps a wake-up token, so an
 /// unpark that lands between the poll and the park is not lost; a stale
 /// token only costs one extra poll. Anywhere else the future gets a single
 /// poll and must be ready: one that parks was built over a task-runtime
@@ -152,33 +149,12 @@ pub fn drive_ready<T>(fut: impl Future<Output = T>) -> T {
     })
 }
 
-/// A fresh world of `ntasks` ranks under an optional hook: its runtime
-/// state (abort flag, pending table) and one communicator per rank.
-pub(crate) type BuildWorld =
-    fn(usize, Option<Arc<dyn CheckHook>>) -> (Arc<WorldRt>, Vec<Box<dyn CoComm>>);
-
-/// The `run` contract of both thread-backed worlds: the passive sanitizer
-/// under `SIMCHECK=1`, else the first real rank panic propagates.
-pub(crate) fn run<T, F>(build: BuildWorld, ntasks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Comm) -> T + Send + Sync,
-{
-    if hook::simcheck_env_enabled() {
-        let san = Arc::new(crate::sanitize::Sanitizer::new());
-        let results = launch(build, ntasks, Some(san.clone()), f);
-        return crate::sanitize::finalize_env_checked(results, &san);
-    }
-    crate::task::propagate_panics(launch(build, ntasks, None, f))
-}
-
-/// Run `f` on one OS thread per rank of a world `build` makes, each
-/// receiving its own [`Comm`]; returns each rank's result or panic, in rank
-/// order. Without a hook the first panicking rank aborts the world, so
-/// peers blocked on it unwind instead of hanging; with one, releasing them
-/// is the hook's business ([`CheckHook::should_abort`]).
-pub(crate) fn launch<T, F>(
-    build: BuildWorld,
+/// Run `f` on one OS thread per rank of a fresh tree-engine world, each
+/// receiving a [`Comm`] over its own [`TaskComm`]; returns each rank's
+/// result or panic, in rank order. Without a hook the first panicking rank
+/// aborts the world, so peers blocked on it unwind instead of hanging; with
+/// one, releasing them is the hook's business ([`CheckHook::should_abort`]).
+fn launch<T, F>(
     ntasks: usize,
     check: Option<Arc<dyn CheckHook>>,
     f: F,
@@ -188,7 +164,7 @@ where
     F: Fn(&Comm) -> T + Send + Sync,
 {
     assert!(ntasks > 0, "world must have at least one task");
-    let (world, comms) = build(ntasks, check.clone());
+    let (world, comms) = TaskComm::world(ntasks, check.clone());
     // Every started rank thread, so a panicking rank can wake the rest.
     // The lock orders registration against the abort sweep: a thread
     // registering after the sweep sees the abort flag before it parks.
@@ -221,7 +197,7 @@ where
                             unpark,
                         });
                     });
-                    let comm = Comm::new(co);
+                    let comm = Comm::new(Box::new(co));
                     let result = catch_unwind(AssertUnwindSafe(|| f(&comm)));
                     // Drop the communicator (running its teardown leak
                     // check, which may panic with a leak diagnosis) before
@@ -255,21 +231,6 @@ where
     })
 }
 
-/// The tree engine's world: one [`TaskComm`] per rank.
-fn tree_world(
-    ntasks: usize,
-    hook: Option<Arc<dyn CheckHook>>,
-) -> (Arc<WorldRt>, Vec<Box<dyn CoComm>>) {
-    let (world, comms) = TaskComm::world(ntasks, hook);
-    (
-        world,
-        comms
-            .into_iter()
-            .map(|c| Box::new(c) as Box<dyn CoComm>)
-            .collect(),
-    )
-}
-
 /// Launcher for SPMD execution: runs one closure instance per rank on its
 /// own OS thread.
 pub struct World;
@@ -290,7 +251,12 @@ impl World {
         T: Send,
         F: Fn(&Comm) -> T + Send + Sync,
     {
-        run(tree_world, ntasks, f)
+        if hook::simcheck_env_enabled() {
+            let san = Arc::new(crate::sanitize::Sanitizer::new());
+            let results = launch(ntasks, Some(san.clone()), f);
+            return crate::sanitize::finalize_env_checked(results, &san);
+        }
+        crate::task::propagate_panics(launch(ntasks, None, f))
     }
 
     /// Run `f` on `ntasks` threads under a [`CheckHook`], catching each
@@ -308,7 +274,7 @@ impl World {
         T: Send,
         F: Fn(&Comm) -> T + Send + Sync,
     {
-        launch(tree_world, ntasks, Some(check), f)
+        launch(ntasks, Some(check), f)
     }
 }
 
@@ -316,7 +282,6 @@ impl World {
 mod tests {
     use super::*;
     use crate::comm::ReduceOp;
-    use crate::FlatWorld;
 
     #[test]
     fn gather_collects_in_rank_order() {
@@ -700,43 +665,16 @@ mod tests {
 
     #[test]
     fn rank_panic_aborts_blocked_peers_and_propagates() {
-        // Rank 0 blocks on a message rank 1 will never send, because rank 1
-        // panics. The world runs on a helper thread so a regression shows
-        // up as this wall-clock guard firing, not as a hung test binary.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let runner = std::thread::spawn(move || {
-            let err = catch_unwind(|| {
-                World::run(2, |c| {
-                    assert!(c.rank() != 1, "rank one exploded");
-                    c.recv(1, 7)
-                })
-            })
-            .expect_err("rank panic must propagate");
-            let text = err
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .unwrap_or_default();
-            tx.send(text).expect("test thread waits for the verdict");
-        });
-        let text = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("World::run hung: a rank panicked while a peer was blocked on it");
-        runner.join().expect("runner thread");
-        assert!(
-            text.contains("rank one exploded"),
-            "first real panic re-raised: {text:?}"
-        );
-    }
-
-    #[test]
-    fn flat_rank_panic_aborts_blocked_peers_and_propagates() {
-        // The same through the shared launcher on the flat oracle, with rank
-        // 0 blocked in its rendezvous barrier and then in a receive.
+        // Rank 0 blocks on rank 1, which panics instead of taking part:
+        // first in a barrier, then in a receive of a message rank 1 will
+        // never send. The world runs on a helper thread so a regression
+        // shows up as this wall-clock guard firing, not as a hung test
+        // binary.
         for in_recv in [false, true] {
             let (tx, rx) = std::sync::mpsc::channel();
             let runner = std::thread::spawn(move || {
                 let err = catch_unwind(|| {
-                    FlatWorld::run(2, |c| {
+                    World::run(2, |c| {
                         assert!(c.rank() != 1, "rank one exploded");
                         if in_recv {
                             drop(c.recv(1, 7))
@@ -754,7 +692,7 @@ mod tests {
             });
             let text = rx
                 .recv_timeout(std::time::Duration::from_secs(60))
-                .unwrap_or_else(|_| panic!("FlatWorld::run hung (rank 0 in recv: {in_recv})"));
+                .unwrap_or_else(|_| panic!("World::run hung (rank 0 in recv: {in_recv})"));
             runner.join().expect("runner thread");
             assert!(
                 text.contains("rank one exploded"),

@@ -6,7 +6,7 @@
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use simmpi::{CoComm, FlatWorld, TaskWorld, World};
+use simmpi::{CoComm, SchedPolicy, TaskWorld, World};
 use sion::{
     paropen_read, paropen_write, paropen_write_co, Alignment, IoMode, Multifile, SionParams,
 };
@@ -133,6 +133,15 @@ fn aggregated_bytes_identical_to_independent_across_layout_families() {
     }
 }
 
+/// A seeded serial schedule of the task runtime: a second interleaving of
+/// the same ranks, replayable from its seed.
+fn serial(seed: u64) -> SchedPolicy {
+    SchedPolicy::Serial {
+        seed,
+        preemption_bound: 2,
+    }
+}
+
 #[test]
 fn all_three_runtimes_produce_identical_aggregated_multifiles() {
     let ntasks = 24;
@@ -151,25 +160,21 @@ fn all_three_runtimes_produce_identical_aggregated_multifiles() {
     });
     let baseline = dump(&fs_world, "");
 
-    let fs_flat = MemFs::with_block_size(4096);
-    FlatWorld::run(ntasks, |c| {
-        let mut w = paropen_write(&fs_flat, "m.sion", &params, c).unwrap();
-        w.write(&payload(c.rank(), bytes_per_task)).unwrap();
-        w.close().unwrap();
-    });
-    assert_eq!(dump(&fs_flat, ""), baseline, "flat runtime");
-
-    let fs_task = MemFs::with_block_size(4096);
-    TaskWorld::run(ntasks, |c| {
-        let fs = &fs_task;
-        let params = &params;
-        async move {
-            let mut w = paropen_write_co(fs, "m.sion", params, &c).await.unwrap();
-            w.write(&payload(c.rank(), bytes_per_task)).unwrap();
-            w.close_co().await.unwrap();
-        }
-    });
-    assert_eq!(dump(&fs_task, ""), baseline, "task runtime");
+    // The task runtime on the host's workers, and under four seeded serial
+    // schedules: other message orders than the threads'.
+    for policy in [SchedPolicy::host()].into_iter().chain((0..4).map(serial)) {
+        let fs_task = MemFs::with_block_size(4096);
+        TaskWorld::run_with(policy, ntasks, |c| {
+            let fs = &fs_task;
+            let params = &params;
+            async move {
+                let mut w = paropen_write_co(fs, "m.sion", params, &c).await.unwrap();
+                w.write(&payload(c.rank(), bytes_per_task)).unwrap();
+                w.close_co().await.unwrap();
+            }
+        });
+        assert_eq!(dump(&fs_task, ""), baseline, "task runtime, {policy:?}");
+    }
 }
 
 #[test]
@@ -518,42 +523,49 @@ fn write_records(w: &mut sion::SionParWriter, rank: usize, sizes: &[usize]) {
 }
 
 /// Run the write workload under `params` on the runtime selected by
-/// `runtime` (0 = thread tree, 1 = flat threads, 2 = task tree) and return
-/// the multifile's raw bytes.
+/// `runtime` (0 = thread tree, 1 = task tree under four seeded serial
+/// schedules, which must agree, 2 = task tree on the host's workers) and
+/// return the multifile's raw bytes.
 fn run_on_runtime(
     runtime: usize,
     params: &SionParams,
     ntasks: usize,
     sizes: &[usize],
 ) -> Vec<(String, Vec<u8>)> {
-    let fs = MemFs::with_block_size(4096);
+    let on_tasks = |policy| {
+        let fs = MemFs::with_block_size(4096);
+        TaskWorld::run_with(policy, ntasks, |c| {
+            let (fs, params) = (&fs, params);
+            async move {
+                let mut w = paropen_write_co(fs, "p.sion", params, &c).await.unwrap();
+                write_records(&mut w, c.rank(), sizes);
+                w.close_co().await.unwrap();
+            }
+        });
+        dump(&fs, "")
+    };
     match runtime {
         0 => {
+            let fs = MemFs::with_block_size(4096);
             World::run(ntasks, |c| {
                 let mut w = paropen_write(&fs, "p.sion", params, c).unwrap();
                 write_records(&mut w, c.rank(), sizes);
                 w.close().unwrap();
             });
+            dump(&fs, "")
         }
         1 => {
-            FlatWorld::run(ntasks, |c| {
-                let mut w = paropen_write(&fs, "p.sion", params, c).unwrap();
-                write_records(&mut w, c.rank(), sizes);
-                w.close().unwrap();
-            });
+            let first = on_tasks(serial(0));
+            for seed in 1..4 {
+                assert!(
+                    on_tasks(serial(seed)) == first,
+                    "the multifile depends on the serial schedule (seed {seed})"
+                );
+            }
+            first
         }
-        _ => {
-            TaskWorld::run(ntasks, |c| {
-                let (fs, params) = (&fs, params);
-                async move {
-                    let mut w = paropen_write_co(fs, "p.sion", params, &c).await.unwrap();
-                    write_records(&mut w, c.rank(), sizes);
-                    w.close_co().await.unwrap();
-                }
-            });
-        }
+        _ => on_tasks(SchedPolicy::host()),
     }
-    dump(&fs, "")
 }
 
 proptest! {

@@ -4,8 +4,8 @@
 //!
 //! * the **clean** protocol — a real 4-rank `Aggregated` open/write/close
 //!   — must be race- and violation-free under the [`HbEngine`] +
-//!   [`TapFs`] stack on all three runtimes (thread tree, task
-//!   tree, thread flat);
+//!   [`TapFs`] stack on both drivers of the runtime (thread per rank, and
+//!   the task executor under eight seeded serial schedules);
 //! * three **seeded mutations** of the ship/ack contract, each built as a
 //!   minimal member/aggregator exchange over the reserved `0xA6`/`0xA7`
 //!   namespace (under [`simmpi::enter_agg_protocol`], exactly like the
@@ -18,8 +18,7 @@
 
 use simcheck::{HbEngine, TapFs};
 use simmpi::{
-    CoComm, FlatWorld, SchedPolicy, TaskComm, TaskWorld, World, AGG_ACK_TAG_PREFIX,
-    AGG_SHIP_TAG_PREFIX,
+    CoComm, SchedPolicy, TaskComm, TaskWorld, World, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX,
 };
 use sion::{paropen_write, paropen_write_co, Alignment, IoMode, SionParams};
 use std::future::Future;
@@ -52,33 +51,22 @@ fn payload(rank: usize, salt: u8) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// Clean protocol: race-free on all three runtimes.
+// Clean protocol: race-free on both drivers.
 // ---------------------------------------------------------------------
 
 #[test]
 fn clean_protocol_is_race_free_on_thread_runtimes() {
-    for flat in [false, true] {
-        let (engine, fs) = guarded_fs();
-        let run = |c: &simmpi::Comm| {
-            let mut w =
-                paropen_write(fs.as_ref(), "hb/clean.sion", &agg_params(), c).expect("open");
-            w.write(&payload(c.rank(), 1)).expect("write");
-            w.write(&payload(c.rank(), 129)).expect("write");
-            w.close().expect("close");
-        };
-        let results = if flat {
-            FlatWorld::run_checked(NTASKS, engine.clone(), |c| run(c))
-        } else {
-            World::run_checked(NTASKS, engine.clone(), |c| run(c))
-        };
-        for r in results {
-            r.expect("rank must not panic");
-        }
-        engine.assert_race_free(&format!(
-            "clean aggregated protocol, {} threads, flat={flat}",
-            NTASKS
-        ));
+    let (engine, fs) = guarded_fs();
+    let results = World::run_checked(NTASKS, engine.clone(), |c| {
+        let mut w = paropen_write(fs.as_ref(), "hb/clean.sion", &agg_params(), c).expect("open");
+        w.write(&payload(c.rank(), 1)).expect("write");
+        w.write(&payload(c.rank(), 129)).expect("write");
+        w.close().expect("close");
+    });
+    for r in results {
+        r.expect("rank must not panic");
     }
+    engine.assert_race_free(&format!("clean aggregated protocol, {NTASKS} threads"));
 }
 
 #[test]
@@ -91,20 +79,27 @@ fn clean_protocol_is_race_free_on_task_runtime() {
         w.write(&payload(c.rank(), 129)).expect("write");
         w.close_co().await.expect("close");
     }
-    let (engine, fs) = guarded_fs();
-    let policy = SchedPolicy::Serial {
-        seed: 0x5EED_CAFE,
-        preemption_bound: 2,
-    };
-    let run = TaskWorld::run_checked(policy, NTASKS, engine.clone(), move |c| {
-        let fs = fs.clone();
-        async move { prog(fs, &c).await }
-    });
-    assert!(run.deadlock.is_none(), "clean protocol must not deadlock");
-    for r in run.results {
-        r.expect("rank must not panic");
+    for seed in 0..8 {
+        let (engine, fs) = guarded_fs();
+        let policy = SchedPolicy::Serial {
+            seed,
+            preemption_bound: 2,
+        };
+        let run = TaskWorld::run_checked(policy, NTASKS, engine.clone(), move |c| {
+            let fs = fs.clone();
+            async move { prog(fs, &c).await }
+        });
+        assert!(
+            run.deadlock.is_none(),
+            "seed {seed}: clean protocol must not deadlock"
+        );
+        for r in run.results {
+            r.expect("rank must not panic");
+        }
+        engine.assert_race_free(&format!(
+            "clean aggregated protocol, {NTASKS} tasks, seed {seed}"
+        ));
     }
-    engine.assert_race_free(&format!("clean aggregated protocol, {} tasks", NTASKS));
 }
 
 /// Two 4-rank halves of an 8-rank world (`split_local`), each writing an
