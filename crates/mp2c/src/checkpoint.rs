@@ -58,7 +58,8 @@ fn decode_task_stream(bytes: &[u8]) -> Result<(u64, Vec<Particle>, Vec<Solute>)>
     let count = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let particle_bytes = count
         .checked_mul(PARTICLE_BYTES as u64)
-        .ok_or_else(|| SionError::Format("particle count overflow".into()))? as usize;
+        .ok_or_else(|| SionError::Format("particle count overflow".into()))?
+        as usize;
     if bytes.len() < 16 + particle_bytes {
         return Err(SionError::Format(format!(
             "checkpoint stream carries {} bytes for {count} particles",
@@ -244,7 +245,14 @@ pub fn read_checkpoint(
     };
     let (step, particles, solutes) =
         collective_check(comm, stream.and_then(|s| decode_task_stream(&s)))?;
-    Ok(Simulation::from_restart(config, particles, solutes, step, comm.rank(), comm.size()))
+    Ok(Simulation::from_restart(
+        config,
+        particles,
+        solutes,
+        step,
+        comm.rank(),
+        comm.size(),
+    ))
 }
 
 #[cfg(test)]
@@ -284,12 +292,18 @@ mod tests {
 
     #[test]
     fn sion_checkpoint_roundtrip() {
-        roundtrip_strategy(Strategy::Sion { nfiles: 2, compressed: false });
+        roundtrip_strategy(Strategy::Sion {
+            nfiles: 2,
+            compressed: false,
+        });
     }
 
     #[test]
     fn sion_compressed_checkpoint_roundtrip() {
-        roundtrip_strategy(Strategy::Sion { nfiles: 1, compressed: true });
+        roundtrip_strategy(Strategy::Sion {
+            nfiles: 1,
+            compressed: true,
+        });
     }
 
     #[test]
@@ -313,15 +327,30 @@ mod tests {
                 sim.step(comm);
             }
             for (name, strat) in [
-                ("a", Strategy::Sion { nfiles: 1, compressed: false }),
+                (
+                    "a",
+                    Strategy::Sion {
+                        nfiles: 1,
+                        compressed: false,
+                    },
+                ),
                 ("b", Strategy::TaskLocal),
                 ("c", Strategy::SingleFileSequential),
             ] {
                 write_checkpoint(&sim, &fs, name, strat, comm).unwrap();
             }
-            let da = read_checkpoint(cfg, &fs, "a", Strategy::Sion { nfiles: 1, compressed: false }, comm)
-                .unwrap()
-                .global_digest(comm);
+            let da = read_checkpoint(
+                cfg,
+                &fs,
+                "a",
+                Strategy::Sion {
+                    nfiles: 1,
+                    compressed: false,
+                },
+                comm,
+            )
+            .unwrap()
+            .global_digest(comm);
             let db = read_checkpoint(cfg, &fs, "b", Strategy::TaskLocal, comm)
                 .unwrap()
                 .global_digest(comm);
@@ -342,8 +371,17 @@ mod tests {
         let fs = MemFs::with_block_size(4096);
         World::run(4, |comm| {
             let sim = Simulation::new(cfg, comm.rank(), comm.size());
-            write_checkpoint(&sim, &fs, "s2/c", Strategy::Sion { nfiles: 2, compressed: false }, comm)
-                .unwrap();
+            write_checkpoint(
+                &sim,
+                &fs,
+                "s2/c",
+                Strategy::Sion {
+                    nfiles: 2,
+                    compressed: false,
+                },
+                comm,
+            )
+            .unwrap();
             write_checkpoint(&sim, &fs, "tl/c", Strategy::TaskLocal, comm).unwrap();
             write_checkpoint(&sim, &fs, "sf/c", Strategy::SingleFileSequential, comm).unwrap();
         });

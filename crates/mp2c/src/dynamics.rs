@@ -159,7 +159,8 @@ pub(crate) fn collide_with_extras(
         }
     }
     // Solutes are dilute: a simple per-cell list is cheap.
-    let mut solutes_in: Vec<Vec<usize>> = vec![Vec::new(); if solutes.is_empty() { 0 } else { ncells }];
+    let mut solutes_in: Vec<Vec<usize>> =
+        vec![Vec::new(); if solutes.is_empty() { 0 } else { ncells }];
     for (i, s) in solutes.iter().enumerate() {
         if let Some(c) = grid.cell_of(&s.pos) {
             solutes_in[c].push(i);
@@ -168,8 +169,11 @@ pub(crate) fn collide_with_extras(
 
     for c in 0..ncells {
         let members = &order[starts[c]..starts[c + 1]];
-        let cell_solutes: &[usize] =
-            if solutes_in.is_empty() { &[] } else { &solutes_in[c] };
+        let cell_solutes: &[usize] = if solutes_in.is_empty() {
+            &[]
+        } else {
+            &solutes_in[c]
+        };
         if members.len() + cell_solutes.len() < 2 {
             continue; // no collision partner
         }
@@ -242,7 +246,11 @@ mod tests {
 
     #[test]
     fn streaming_wraps_periodically() {
-        let mut ps = vec![Particle { pos: [7.5, 0.5, 0.5], vel: [1.0, -2.0, 0.0], id: 0 }];
+        let mut ps = vec![Particle {
+            pos: [7.5, 0.5, 0.5],
+            vel: [1.0, -2.0, 0.0],
+            id: 0,
+        }];
         stream(&mut ps, 1.0, [8.0, 8.0, 8.0]);
         assert!((ps[0].pos[0] - 0.5).abs() < 1e-12);
         assert!((ps[0].pos[1] - 6.5).abs() < 1e-12);
@@ -250,13 +258,23 @@ mod tests {
 
     #[test]
     fn collision_conserves_momentum_and_energy() {
-        let grid = CellGrid { x_lo: 0, x_hi: 4, ly: 4, lz: 4 };
+        let grid = CellGrid {
+            x_lo: 0,
+            x_hi: 4,
+            ly: 4,
+            lz: 4,
+        };
         let mut ps = sample_particles(500, &grid);
         let (p0, e0) = totals(&ps);
         collide(&mut ps, &grid, 2.0, 99, 3);
         let (p1, e1) = totals(&ps);
         for k in 0..3 {
-            assert!((p0[k] - p1[k]).abs() < 1e-9, "momentum k={k}: {} vs {}", p0[k], p1[k]);
+            assert!(
+                (p0[k] - p1[k]).abs() < 1e-9,
+                "momentum k={k}: {} vs {}",
+                p0[k],
+                p1[k]
+            );
         }
         assert!((e0 - e1).abs() < 1e-9, "energy: {e0} vs {e1}");
         // And something actually happened.
@@ -265,7 +283,10 @@ mod tests {
             .zip(sample_particles(500, &grid))
             .filter(|(a, b)| a.vel != b.vel)
             .count();
-        assert!(moved > 100, "collision should change most velocities, changed {moved}");
+        assert!(
+            moved > 100,
+            "collision should change most velocities, changed {moved}"
+        );
     }
 
     fn totals(ps: &[Particle]) -> ([f64; 3], f64) {
@@ -282,7 +303,12 @@ mod tests {
 
     #[test]
     fn collisions_are_deterministic_in_inputs() {
-        let grid = CellGrid { x_lo: 2, x_hi: 6, ly: 4, lz: 4 };
+        let grid = CellGrid {
+            x_lo: 2,
+            x_hi: 6,
+            ly: 4,
+            lz: 4,
+        };
         let base: Vec<Particle> = sample_particles(200, &grid);
         let mut a = base.clone();
         let mut b = base.clone();
@@ -296,7 +322,12 @@ mod tests {
 
     #[test]
     fn cell_of_rejects_out_of_slab() {
-        let grid = CellGrid { x_lo: 4, x_hi: 8, ly: 8, lz: 8 };
+        let grid = CellGrid {
+            x_lo: 4,
+            x_hi: 8,
+            ly: 8,
+            lz: 8,
+        };
         assert!(grid.cell_of(&[3.9, 0.0, 0.0]).is_none());
         assert!(grid.cell_of(&[8.0, 0.0, 0.0]).is_none());
         assert!(grid.cell_of(&[4.0, 0.0, 0.0]).is_some());
@@ -305,8 +336,18 @@ mod tests {
 
     #[test]
     fn global_cell_ids_disjoint_across_slabs() {
-        let a = CellGrid { x_lo: 0, x_hi: 4, ly: 4, lz: 4 };
-        let b = CellGrid { x_lo: 4, x_hi: 8, ly: 4, lz: 4 };
+        let a = CellGrid {
+            x_lo: 0,
+            x_hi: 4,
+            ly: 4,
+            lz: 4,
+        };
+        let b = CellGrid {
+            x_lo: 4,
+            x_hi: 8,
+            ly: 4,
+            lz: 4,
+        };
         let ids_a: std::collections::HashSet<u64> =
             (0..a.ncells()).map(|c| a.global_cell_id(c)).collect();
         let ids_b: std::collections::HashSet<u64> =

@@ -68,7 +68,11 @@ mod tests {
 
     #[test]
     fn encode_is_52_bytes() {
-        let p = Particle { pos: [1.0, 2.0, 3.0], vel: [-0.5, 0.25, 0.0], id: 77 };
+        let p = Particle {
+            pos: [1.0, 2.0, 3.0],
+            vel: [-0.5, 0.25, 0.0],
+            id: 77,
+        };
         let mut buf = Vec::new();
         p.encode(&mut buf);
         assert_eq!(buf.len(), PARTICLE_BYTES);

@@ -92,7 +92,12 @@ impl Simulation {
     pub fn new(config: SimConfig, rank: usize, nranks: usize) -> Simulation {
         assert!(nranks as u32 <= config.domain, "more ranks than slabs");
         let (x_lo, x_hi) = Self::slab_bounds(config.domain, rank, nranks);
-        let grid = CellGrid { x_lo, x_hi, ly: config.domain, lz: config.domain };
+        let grid = CellGrid {
+            x_lo,
+            x_hi,
+            ly: config.domain,
+            lz: config.domain,
+        };
         let mut particles = Vec::new();
         let per_x = (config.domain * config.domain) as u64;
         for ix in x_lo..x_hi {
@@ -108,11 +113,7 @@ impl Simulation {
                                 iy as f64 + u01(c + 1),
                                 iz as f64 + u01(c + 2),
                             ],
-                            vel: [
-                                u01(c + 3) - 0.5,
-                                u01(c + 4) - 0.5,
-                                u01(c + 5) - 0.5,
-                            ],
+                            vel: [u01(c + 3) - 0.5, u01(c + 4) - 0.5, u01(c + 5) - 0.5],
                             id,
                         });
                     }
@@ -137,7 +138,15 @@ impl Simulation {
                 }
             })
             .collect();
-        Simulation { config, grid, particles, solutes, step_count: 0, rank, nranks }
+        Simulation {
+            config,
+            grid,
+            particles,
+            solutes,
+            step_count: 0,
+            rank,
+            nranks,
+        }
     }
 
     /// Rebuild a rank's state from restart data.
@@ -150,8 +159,21 @@ impl Simulation {
         nranks: usize,
     ) -> Simulation {
         let (x_lo, x_hi) = Self::slab_bounds(config.domain, rank, nranks);
-        let grid = CellGrid { x_lo, x_hi, ly: config.domain, lz: config.domain };
-        Simulation { config, grid, particles, solutes, step_count, rank, nranks }
+        let grid = CellGrid {
+            x_lo,
+            x_hi,
+            ly: config.domain,
+            lz: config.domain,
+        };
+        Simulation {
+            config,
+            grid,
+            particles,
+            solutes,
+            step_count,
+            rank,
+            nranks,
+        }
     }
 
     /// This rank.
@@ -357,7 +379,10 @@ mod tests {
             total += s.particles.len();
             for p in &s.particles {
                 assert!(ids.insert(p.id), "duplicate id {}", p.id);
-                assert!(s.grid.cell_of(&p.pos).is_some(), "particle outside its slab");
+                assert!(
+                    s.grid.cell_of(&p.pos).is_some(),
+                    "particle outside its slab"
+                );
             }
         }
         assert_eq!(total, (cfg.domain.pow(3) * cfg.particles_per_cell) as usize);
@@ -392,7 +417,10 @@ mod tests {
 
     #[test]
     fn migration_moves_particles_between_ranks() {
-        let cfg = SimConfig { dt: 0.9, ..SimConfig::default() };
+        let cfg = SimConfig {
+            dt: 0.9,
+            ..SimConfig::default()
+        };
         let moved = World::run(4, |comm| {
             let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
             let my_ids: std::collections::HashSet<u32> =
@@ -400,9 +428,15 @@ mod tests {
             for _ in 0..5 {
                 sim.step(comm);
             }
-            sim.particles.iter().filter(|p| !my_ids.contains(&p.id)).count()
+            sim.particles
+                .iter()
+                .filter(|p| !my_ids.contains(&p.id))
+                .count()
         });
-        assert!(moved.iter().sum::<usize>() > 0, "some particles must migrate");
+        assert!(
+            moved.iter().sum::<usize>() > 0,
+            "some particles must migrate"
+        );
     }
 
     #[test]
@@ -420,6 +454,9 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b);
-        assert!(a.iter().all(|&d| d == a[0]), "digest must agree across ranks");
+        assert!(
+            a.iter().all(|&d| d == a[0]),
+            "digest must agree across ranks"
+        );
     }
 }

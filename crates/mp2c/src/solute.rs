@@ -13,7 +13,6 @@
 //! deterministic arithmetic, so no solute communication is needed and a
 //! restart stays bit-identical.
 
-
 /// Bytes per solute record in a checkpoint: 7×f64 + u32.
 pub(crate) const SOLUTE_BYTES: usize = 60;
 
@@ -68,7 +67,12 @@ impl Solute {
         if !bytes.len().is_multiple_of(SOLUTE_BYTES) {
             return None;
         }
-        Some(bytes.chunks_exact(SOLUTE_BYTES).map(|c| Solute::decode(c).unwrap()).collect())
+        Some(
+            bytes
+                .chunks_exact(SOLUTE_BYTES)
+                .map(|c| Solute::decode(c).unwrap())
+                .collect(),
+        )
     }
 }
 
@@ -85,7 +89,11 @@ pub struct LjParams {
 
 impl Default for LjParams {
     fn default() -> Self {
-        LjParams { epsilon: 1.0, sigma: 0.8, cutoff: 2.0 }
+        LjParams {
+            epsilon: 1.0,
+            sigma: 0.8,
+            cutoff: 2.0,
+        }
     }
 }
 
@@ -174,14 +182,29 @@ mod tests {
 
     fn pair(r: f64) -> Vec<Solute> {
         vec![
-            Solute { pos: [1.0, 1.0, 1.0], vel: [0.0; 3], mass: 5.0, id: 0 },
-            Solute { pos: [1.0 + r, 1.0, 1.0], vel: [0.0; 3], mass: 5.0, id: 1 },
+            Solute {
+                pos: [1.0, 1.0, 1.0],
+                vel: [0.0; 3],
+                mass: 5.0,
+                id: 0,
+            },
+            Solute {
+                pos: [1.0 + r, 1.0, 1.0],
+                vel: [0.0; 3],
+                mass: 5.0,
+                id: 1,
+            },
         ]
     }
 
     #[test]
     fn encode_roundtrip() {
-        let s = Solute { pos: [1.5, -2.0, 3.25], vel: [0.1, 0.2, -0.3], mass: 7.5, id: 42 };
+        let s = Solute {
+            pos: [1.5, -2.0, 3.25],
+            vel: [0.1, 0.2, -0.3],
+            mass: 7.5,
+            id: 42,
+        };
         let mut buf = Vec::new();
         s.encode(&mut buf);
         assert_eq!(buf.len(), SOLUTE_BYTES);
@@ -196,12 +219,18 @@ mod tests {
         // at larger x? i=0 at x=1, j=1 at x=1+r → d = pos0-pos1 = -r).
         let mut force = vec![[0.0; 3]; 2];
         lj_forces(&pair(0.6), &lj, 16.0, &mut force);
-        assert!(force[0][0] < 0.0 && force[1][0] > 0.0, "repulsion: {force:?}");
+        assert!(
+            force[0][0] < 0.0 && force[1][0] > 0.0,
+            "repulsion: {force:?}"
+        );
         // sigma < r < cutoff with r beyond the minimum 2^(1/6) σ ≈ 0.898:
         // attraction pulls together.
         let mut force = vec![[0.0; 3]; 2];
         lj_forces(&pair(1.2), &lj, 16.0, &mut force);
-        assert!(force[0][0] > 0.0 && force[1][0] < 0.0, "attraction: {force:?}");
+        assert!(
+            force[0][0] > 0.0 && force[1][0] < 0.0,
+            "attraction: {force:?}"
+        );
         // Beyond cutoff: nothing.
         let mut force = vec![[0.0; 3]; 2];
         let e = lj_forces(&pair(3.0), &lj, 16.0, &mut force);
@@ -214,8 +243,18 @@ mod tests {
         let lj = LjParams::default();
         // A pair straddling the periodic boundary interacts via the image.
         let solutes = vec![
-            Solute { pos: [0.2, 4.0, 4.0], vel: [0.0; 3], mass: 2.0, id: 0 },
-            Solute { pos: [7.8, 4.0, 4.0], vel: [0.0; 3], mass: 2.0, id: 1 },
+            Solute {
+                pos: [0.2, 4.0, 4.0],
+                vel: [0.0; 3],
+                mass: 2.0,
+                id: 0,
+            },
+            Solute {
+                pos: [7.8, 4.0, 4.0],
+                vel: [0.0; 3],
+                mass: 2.0,
+                id: 1,
+            },
         ];
         let mut force = vec![[0.0; 3]; 2];
         let e = lj_forces(&solutes, &lj, 8.0, &mut force);
@@ -229,9 +268,24 @@ mod tests {
     fn verlet_conserves_energy_reasonably() {
         let lj = LjParams::default();
         let mut solutes = vec![
-            Solute { pos: [3.0, 4.0, 4.0], vel: [0.05, 0.0, 0.0], mass: 5.0, id: 0 },
-            Solute { pos: [4.2, 4.0, 4.0], vel: [-0.05, 0.0, 0.0], mass: 5.0, id: 1 },
-            Solute { pos: [4.0, 5.1, 4.0], vel: [0.0, -0.02, 0.0], mass: 5.0, id: 2 },
+            Solute {
+                pos: [3.0, 4.0, 4.0],
+                vel: [0.05, 0.0, 0.0],
+                mass: 5.0,
+                id: 0,
+            },
+            Solute {
+                pos: [4.2, 4.0, 4.0],
+                vel: [-0.05, 0.0, 0.0],
+                mass: 5.0,
+                id: 1,
+            },
+            Solute {
+                pos: [4.0, 5.1, 4.0],
+                vel: [0.0, -0.02, 0.0],
+                mass: 5.0,
+                id: 2,
+            },
         ];
         let mut f0 = vec![[0.0; 3]; 3];
         let e0 = lj_forces(&solutes, &lj, 8.0, &mut f0) + kinetic_energy(&solutes);

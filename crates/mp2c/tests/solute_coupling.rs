@@ -8,7 +8,11 @@ use simmpi::World;
 use vfs::MemFs;
 
 fn config_with_solutes() -> SimConfig {
-    SimConfig { nsolutes: 6, solute_mass: 8.0, ..SimConfig::default() }
+    SimConfig {
+        nsolutes: 6,
+        solute_mass: 8.0,
+        ..SimConfig::default()
+    }
 }
 
 #[test]
@@ -57,16 +61,27 @@ fn coupled_dynamics_conserve_momentum_including_solutes() {
 fn solvent_and_solutes_exchange_momentum() {
     // The coupling is real: solute momentum must change over time (it
     // couldn't without solvent interaction, LJ alone conserves it).
-    let cfg = SimConfig { nsolutes: 4, solute_mass: 8.0, ..SimConfig::default() };
+    let cfg = SimConfig {
+        nsolutes: 4,
+        solute_mass: 8.0,
+        ..SimConfig::default()
+    };
     let changed = World::run(2, |comm| {
         let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
         let before: Vec<[f64; 3]> = sim.solutes.iter().map(|s| s.vel).collect();
         for _ in 0..10 {
             sim.step(comm);
         }
-        sim.solutes.iter().zip(&before).filter(|(s, b)| &&s.vel != b).count()
+        sim.solutes
+            .iter()
+            .zip(&before)
+            .filter(|(s, b)| &&s.vel != b)
+            .count()
     });
-    assert!(changed[0] > 0, "solute velocities must change through the coupling");
+    assert!(
+        changed[0] > 0,
+        "solute velocities must change through the coupling"
+    );
 }
 
 #[test]
@@ -74,8 +89,14 @@ fn checkpoint_roundtrip_with_solutes_bit_identical() {
     let cfg = config_with_solutes();
     let fs = MemFs::with_block_size(4096);
     for strategy in [
-        Strategy::Sion { nfiles: 2, compressed: false },
-        Strategy::Sion { nfiles: 1, compressed: true },
+        Strategy::Sion {
+            nfiles: 2,
+            compressed: false,
+        },
+        Strategy::Sion {
+            nfiles: 1,
+            compressed: true,
+        },
         Strategy::TaskLocal,
         Strategy::SingleFileSequential,
     ] {
@@ -90,8 +111,7 @@ fn checkpoint_roundtrip_with_solutes_bit_identical() {
             }
             let reference = sim.global_digest(comm);
 
-            let mut restored =
-                read_checkpoint(cfg, &fs, "solute-ck", strategy, comm).unwrap();
+            let mut restored = read_checkpoint(cfg, &fs, "solute-ck", strategy, comm).unwrap();
             assert_eq!(restored.solutes.len(), 6, "solutes must be restored");
             for _ in 0..3 {
                 restored.step(comm);
@@ -99,7 +119,10 @@ fn checkpoint_roundtrip_with_solutes_bit_identical() {
             (reference, restored.global_digest(comm))
         });
         for (reference, restored) in digests {
-            assert_eq!(reference, restored, "strategy {strategy:?} diverged after restart");
+            assert_eq!(
+                reference, restored,
+                "strategy {strategy:?} diverged after restart"
+            );
         }
     }
 }
@@ -117,7 +140,10 @@ fn solute_free_checkpoints_still_decode() {
             &sim,
             &fs,
             "plain-ck",
-            Strategy::Sion { nfiles: 1, compressed: false },
+            Strategy::Sion {
+                nfiles: 1,
+                compressed: false,
+            },
             comm,
         )
         .unwrap();
@@ -125,7 +151,10 @@ fn solute_free_checkpoints_still_decode() {
             cfg,
             &fs,
             "plain-ck",
-            Strategy::Sion { nfiles: 1, compressed: false },
+            Strategy::Sion {
+                nfiles: 1,
+                compressed: false,
+            },
             comm,
         )
         .unwrap();

@@ -69,8 +69,7 @@ pub(crate) fn load_rank_events(
         }
         TraceSource::Sion(base) => Multifile::open(vfs, base)?.read_rank(rank)?,
     };
-    Event::decode_stream(&bytes)
-        .map_err(|e| SionError::Format(format!("rank {rank} trace: {e}")))
+    Event::decode_stream(&bytes).map_err(|e| SionError::Format(format!("rank {rank} trace: {e}")))
 }
 
 /// Analyze all ranks' traces: region profile + late-sender search.
@@ -79,7 +78,10 @@ pub fn analyze(vfs: &dyn Vfs, source: &TraceSource<'_>) -> Result<AnalysisReport
         TraceSource::TaskLocal(_, n) => *n,
         TraceSource::Sion(base) => Multifile::open(vfs, base)?.ntasks(),
     };
-    let mut report = AnalysisReport { nranks, ..Default::default() };
+    let mut report = AnalysisReport {
+        nranks,
+        ..Default::default()
+    };
     // (src, dst, tag) -> FIFO of send times, matching MPI ordering.
     let mut sends: HashMap<(u32, u32, u32), Vec<u64>> = HashMap::new();
     // Collect receives to match after all sends are known (traces are
@@ -110,10 +112,17 @@ pub fn analyze(vfs: &dyn Vfs, source: &TraceSource<'_>) -> Result<AnalysisReport
                         }
                     }
                 }
-                Event::Send { time, peer, tag, .. } => {
-                    sends.entry((rank as u32, peer, tag)).or_default().push(time);
+                Event::Send {
+                    time, peer, tag, ..
+                } => {
+                    sends
+                        .entry((rank as u32, peer, tag))
+                        .or_default()
+                        .push(time);
                 }
-                Event::Recv { time, peer, tag, .. } => {
+                Event::Recv {
+                    time, peer, tag, ..
+                } => {
                     // The wait began when the task finished its previous
                     // event (Scalasca's late-sender definition).
                     recvs.push((peer, rank as u32, tag, time, prev_time));
@@ -128,7 +137,9 @@ pub fn analyze(vfs: &dyn Vfs, source: &TraceSource<'_>) -> Result<AnalysisReport
     let mut cursors: HashMap<(u32, u32, u32), usize> = HashMap::new();
     for (src, dst, tag, recv_time, wait_start) in recvs {
         let key = (src, dst, tag);
-        let Some(times) = sends.get(&key) else { continue };
+        let Some(times) = sends.get(&key) else {
+            continue;
+        };
         let cur = cursors.entry(key).or_insert(0);
         if *cur >= times.len() {
             continue;
@@ -176,7 +187,12 @@ mod tests {
         let rep_a = analyze(&fs_a, &TraceSource::TaskLocal(&tl, ntasks)).unwrap();
 
         let fs_b = MemFs::with_block_size(4096);
-        record_run(&SionBackend::new("tr.sion", 1 << 20, 2), &fs_b, ntasks, &cfg);
+        record_run(
+            &SionBackend::new("tr.sion", 1 << 20, 2),
+            &fs_b,
+            ntasks,
+            &cfg,
+        );
         let rep_b = analyze(&fs_b, &TraceSource::Sion("tr.sion")).unwrap();
 
         // The storage layer must be invisible to the analysis.
@@ -195,7 +211,12 @@ mod tests {
         let plain = analyze(&fs1, &TraceSource::Sion("p.sion")).unwrap();
 
         let fs2 = MemFs::with_block_size(4096);
-        record_run(&SionBackend::new("c.sion", 1 << 20, 1).with_compression(), &fs2, 4, &cfg);
+        record_run(
+            &SionBackend::new("c.sion", 1 << 20, 1).with_compression(),
+            &fs2,
+            4,
+            &cfg,
+        );
         let compressed = analyze(&fs2, &TraceSource::Sion("c.sion")).unwrap();
         assert_eq!(plain, compressed);
     }
@@ -210,12 +231,31 @@ mod tests {
             let mut tracer = Tracer::new(comm.rank());
             if comm.rank() == 0 {
                 tracer.record(&Event::Enter { time: 0, region: 1 });
-                tracer.record(&Event::Send { time: 80, peer: 1, tag: 5, bytes: 8 });
-                tracer.record(&Event::Exit { time: 90, region: 1 });
+                tracer.record(&Event::Send {
+                    time: 80,
+                    peer: 1,
+                    tag: 5,
+                    bytes: 8,
+                });
+                tracer.record(&Event::Exit {
+                    time: 90,
+                    region: 1,
+                });
             } else {
-                tracer.record(&Event::Enter { time: 10, region: 1 });
-                tracer.record(&Event::Recv { time: 100, peer: 0, tag: 5, bytes: 8 });
-                tracer.record(&Event::Exit { time: 110, region: 1 });
+                tracer.record(&Event::Enter {
+                    time: 10,
+                    region: 1,
+                });
+                tracer.record(&Event::Recv {
+                    time: 100,
+                    peer: 0,
+                    tag: 5,
+                    bytes: 8,
+                });
+                tracer.record(&Event::Exit {
+                    time: 110,
+                    region: 1,
+                });
             }
             let mut trace = tl.activate(&fs, comm).unwrap();
             tracer.finalize(trace.as_mut()).unwrap();
@@ -234,9 +274,18 @@ mod tests {
         World::run(1, |comm| {
             let mut tracer = Tracer::new(0);
             tracer.record(&Event::Enter { time: 0, region: 9 });
-            tracer.record(&Event::Enter { time: 10, region: 8 });
-            tracer.record(&Event::Exit { time: 30, region: 8 });
-            tracer.record(&Event::Exit { time: 100, region: 9 });
+            tracer.record(&Event::Enter {
+                time: 10,
+                region: 8,
+            });
+            tracer.record(&Event::Exit {
+                time: 30,
+                region: 8,
+            });
+            tracer.record(&Event::Exit {
+                time: 100,
+                region: 9,
+            });
             let mut trace = tl.activate(&fs, comm).unwrap();
             tracer.finalize(trace.as_mut()).unwrap();
             trace.finalize().unwrap();
@@ -244,11 +293,19 @@ mod tests {
         let rep = analyze(&fs, &TraceSource::TaskLocal(&tl, 1)).unwrap();
         assert_eq!(
             rep.regions[&9],
-            RegionStats { visits: 1, inclusive_ns: 100, exclusive_ns: 80 }
+            RegionStats {
+                visits: 1,
+                inclusive_ns: 100,
+                exclusive_ns: 80
+            }
         );
         assert_eq!(
             rep.regions[&8],
-            RegionStats { visits: 1, inclusive_ns: 20, exclusive_ns: 20 }
+            RegionStats {
+                visits: 1,
+                inclusive_ns: 20,
+                exclusive_ns: 20
+            }
         );
     }
 

@@ -9,7 +9,7 @@
 //! the measurement.
 
 use simmpi::Comm;
-use sion::{paropen_write, CloseStats, Result, SionParams, SionParWriter};
+use sion::{paropen_write, CloseStats, Result, SionParWriter, SionParams};
 use std::sync::Arc;
 use vfs::{Vfs, VfsFile};
 
@@ -43,7 +43,9 @@ pub struct TaskLocalBackend {
 impl TaskLocalBackend {
     /// Back-end writing `"{prefix}.{rank:06}"` files.
     pub fn new(prefix: impl Into<String>) -> Self {
-        TaskLocalBackend { prefix: prefix.into() }
+        TaskLocalBackend {
+            prefix: prefix.into(),
+        }
     }
 
     /// The trace file path of `rank`.
@@ -101,7 +103,12 @@ pub struct SionBackend {
 impl SionBackend {
     /// Multifile back-end with the given base name and chunk request.
     pub fn new(base: impl Into<String>, chunksize: u64, nfiles: u32) -> Self {
-        SionBackend { base: base.into(), chunksize, nfiles, compressed: false }
+        SionBackend {
+            base: base.into(),
+            chunksize,
+            nfiles,
+            compressed: false,
+        }
     }
 
     /// Enable transparent compression of the trace streams.
@@ -157,8 +164,14 @@ mod tests {
         World::run(ntasks, |comm| {
             let mut tracer = Tracer::new(comm.rank());
             for i in 0..50u64 {
-                tracer.record(&Event::Enter { time: i * 10, region: comm.rank() as u32 });
-                tracer.record(&Event::Exit { time: i * 10 + 5, region: comm.rank() as u32 });
+                tracer.record(&Event::Enter {
+                    time: i * 10,
+                    region: comm.rank() as u32,
+                });
+                tracer.record(&Event::Exit {
+                    time: i * 10 + 5,
+                    region: comm.rank() as u32,
+                });
             }
             let mut trace = backend.activate(fs, comm).unwrap();
             tracer.finalize(trace.as_mut()).unwrap();
@@ -194,7 +207,11 @@ mod tests {
     #[test]
     fn compressed_sion_backend_roundtrip_and_shrinks() {
         let fs = MemFs::with_block_size(1024);
-        run_measurement(&SionBackend::new("c.sion", 64 * 1024, 1).with_compression(), &fs, 3);
+        run_measurement(
+            &SionBackend::new("c.sion", 64 * 1024, 1).with_compression(),
+            &fs,
+            3,
+        );
         let mf = sion::Multifile::open(&fs, "c.sion").unwrap();
         assert!(mf.compressed());
         let logical = mf.read_rank(0).unwrap();
@@ -202,7 +219,11 @@ mod tests {
         assert_eq!(evs.len(), 100);
         // Repetitive event streams compress well.
         let stored = mf.location(0).unwrap().stored_bytes;
-        assert!(stored < logical.len() as u64 / 2, "stored {stored} logical {}", logical.len());
+        assert!(
+            stored < logical.len() as u64 / 2,
+            "stored {stored} logical {}",
+            logical.len()
+        );
     }
 
     #[test]
@@ -237,7 +258,12 @@ mod tests {
     #[test]
     fn describe_strings() {
         assert!(TaskLocalBackend::new("p").describe().contains("task-local"));
-        assert!(SionBackend::new("b", 1, 4).describe().contains("4 physical"));
-        assert!(SionBackend::new("b", 1, 4).with_compression().describe().contains("compressed"));
+        assert!(SionBackend::new("b", 1, 4)
+            .describe()
+            .contains("4 physical"));
+        assert!(SionBackend::new("b", 1, 4)
+            .with_compression()
+            .describe()
+            .contains("compressed"));
     }
 }

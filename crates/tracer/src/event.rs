@@ -101,14 +101,24 @@ impl Event {
                 out.extend_from_slice(&time.to_le_bytes());
                 out.extend_from_slice(&region.to_le_bytes());
             }
-            Event::Send { time, peer, tag, bytes } => {
+            Event::Send {
+                time,
+                peer,
+                tag,
+                bytes,
+            } => {
                 out.push(KIND_SEND);
                 out.extend_from_slice(&time.to_le_bytes());
                 out.extend_from_slice(&peer.to_le_bytes());
                 out.extend_from_slice(&tag.to_le_bytes());
                 out.extend_from_slice(&bytes.to_le_bytes());
             }
-            Event::Recv { time, peer, tag, bytes } => {
+            Event::Recv {
+                time,
+                peer,
+                tag,
+                bytes,
+            } => {
                 out.push(KIND_RECV);
                 out.extend_from_slice(&time.to_le_bytes());
                 out.extend_from_slice(&peer.to_le_bytes());
@@ -144,10 +154,26 @@ impl Event {
         let time = u64::from_le_bytes(bytes[1..9].try_into().unwrap());
         let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
         let ev = match kind {
-            KIND_ENTER => Event::Enter { time, region: u32_at(9) },
-            KIND_EXIT => Event::Exit { time, region: u32_at(9) },
-            KIND_SEND => Event::Send { time, peer: u32_at(9), tag: u32_at(13), bytes: u32_at(17) },
-            _ => Event::Recv { time, peer: u32_at(9), tag: u32_at(13), bytes: u32_at(17) },
+            KIND_ENTER => Event::Enter {
+                time,
+                region: u32_at(9),
+            },
+            KIND_EXIT => Event::Exit {
+                time,
+                region: u32_at(9),
+            },
+            KIND_SEND => Event::Send {
+                time,
+                peer: u32_at(9),
+                tag: u32_at(13),
+                bytes: u32_at(17),
+            },
+            _ => Event::Recv {
+                time,
+                peer: u32_at(9),
+                tag: u32_at(13),
+                bytes: u32_at(17),
+            },
         };
         Ok((ev, need))
     }
@@ -172,9 +198,22 @@ mod tests {
     fn sample() -> Vec<Event> {
         vec![
             Event::Enter { time: 0, region: 7 },
-            Event::Send { time: 5, peer: 3, tag: 9, bytes: 4096 },
-            Event::Recv { time: 11, peer: 2, tag: 1, bytes: 128 },
-            Event::Exit { time: 20, region: 7 },
+            Event::Send {
+                time: 5,
+                peer: 3,
+                tag: 9,
+                bytes: 4096,
+            },
+            Event::Recv {
+                time: 11,
+                peer: 2,
+                tag: 1,
+                bytes: 128,
+            },
+            Event::Exit {
+                time: 20,
+                region: 7,
+            },
         ]
     }
 
@@ -200,10 +239,16 @@ mod tests {
     fn truncation_and_bad_kind_detected() {
         let mut buf = Vec::new();
         sample()[0].encode(&mut buf);
-        assert_eq!(Event::decode(&buf[..5]).unwrap_err(), DecodeError::Truncated);
+        assert_eq!(
+            Event::decode(&buf[..5]).unwrap_err(),
+            DecodeError::Truncated
+        );
         let mut bad = buf.clone();
         bad[0] = 0xEE;
-        assert_eq!(Event::decode(&bad).unwrap_err(), DecodeError::UnknownKind(0xEE));
+        assert_eq!(
+            Event::decode(&bad).unwrap_err(),
+            DecodeError::UnknownKind(0xEE)
+        );
     }
 
     proptest! {

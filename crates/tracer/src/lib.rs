@@ -28,8 +28,8 @@ mod synth;
 
 pub use analyze::{analyze, AnalysisReport, RegionStats, TraceSource};
 pub use backend::{ActiveTrace, SionBackend, TaskLocalBackend, TraceBackend};
-pub use sion::{CloseStats, IoCounters};
 pub use event::{DecodeError, Event};
+pub use sion::{CloseStats, IoCounters};
 pub use synth::{synthetic_events, SynthConfig};
 
 use sion::Result;
@@ -45,7 +45,11 @@ pub struct Tracer {
 impl Tracer {
     /// A fresh collection buffer for `rank`.
     pub fn new(rank: usize) -> Self {
-        Tracer { rank, buf: Vec::new(), nevents: 0 }
+        Tracer {
+            rank,
+            buf: Vec::new(),
+            nevents: 0,
+        }
     }
 
     /// Record one event into the collection buffer.
@@ -89,8 +93,14 @@ mod tests {
     fn tracer_accumulates_encoded_events() {
         let mut t = Tracer::new(3);
         assert!(t.is_empty());
-        t.record(&Event::Enter { time: 10, region: 1 });
-        t.record(&Event::Exit { time: 20, region: 1 });
+        t.record(&Event::Enter {
+            time: 10,
+            region: 1,
+        });
+        t.record(&Event::Exit {
+            time: 20,
+            region: 1,
+        });
         assert_eq!(t.len(), 2);
         assert!(t.buffer_bytes() > 0);
         assert_eq!(t.rank(), 3);

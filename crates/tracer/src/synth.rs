@@ -29,7 +29,13 @@ pub struct SynthConfig {
 
 impl Default for SynthConfig {
     fn default() -> Self {
-        SynthConfig { iterations: 10, levels: 4, neighbours: 4, halo_bytes: 4096, seed: 42 }
+        SynthConfig {
+            iterations: 10,
+            levels: 4,
+            neighbours: 4,
+            halo_bytes: 4096,
+            seed: 42,
+        }
     }
 }
 
@@ -43,46 +49,71 @@ pub(crate) const REGION_LEVEL0: u32 = 10;
 /// Generate `rank`'s event stream for an SMG2000-like run of `nranks`
 /// tasks. Deterministic in `(config, rank, nranks)`.
 pub fn synthetic_events(config: &SynthConfig, rank: usize, nranks: usize) -> Vec<Event> {
-    let mut rng = StdRng::seed_from_u64(
-        config.seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
+    let mut rng =
+        StdRng::seed_from_u64(config.seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut events = Vec::new();
     let mut t = 0u64;
-    events.push(Event::Enter { time: t, region: REGION_MAIN });
+    events.push(Event::Enter {
+        time: t,
+        region: REGION_MAIN,
+    });
     for _ in 0..config.iterations {
         t += rng.gen_range(100..200);
-        events.push(Event::Enter { time: t, region: REGION_ITERATION });
+        events.push(Event::Enter {
+            time: t,
+            region: REGION_ITERATION,
+        });
         for level in 0..config.levels {
             t += rng.gen_range(50..150);
-            events.push(Event::Enter { time: t, region: REGION_LEVEL0 + level });
+            events.push(Event::Enter {
+                time: t,
+                region: REGION_LEVEL0 + level,
+            });
             // Halo exchange: sends then receives, like a nearest-neighbour
             // stencil. Neighbour ranks are ±1, ±2, ... with wraparound.
             for n in 0..config.neighbours {
                 let offset = (n / 2 + 1) as isize * if n % 2 == 0 { 1 } else { -1 };
-                let peer =
-                    (rank as isize + offset).rem_euclid(nranks as isize) as u32;
+                let peer = (rank as isize + offset).rem_euclid(nranks as isize) as u32;
                 let bytes = config.halo_bytes / 2 + rng.gen_range(0..config.halo_bytes);
                 t += rng.gen_range(1..20);
-                events.push(Event::Send { time: t, peer, tag: level, bytes });
+                events.push(Event::Send {
+                    time: t,
+                    peer,
+                    tag: level,
+                    bytes,
+                });
             }
             for n in 0..config.neighbours {
                 let offset = (n / 2 + 1) as isize * if n % 2 == 0 { -1 } else { 1 };
-                let peer =
-                    (rank as isize + offset).rem_euclid(nranks as isize) as u32;
+                let peer = (rank as isize + offset).rem_euclid(nranks as isize) as u32;
                 let bytes = config.halo_bytes / 2 + rng.gen_range(0..config.halo_bytes);
                 // Rank-dependent jitter produces late senders.
                 t += rng.gen_range(1..40) + (rank as u64 % 7) * 3;
-                events.push(Event::Recv { time: t, peer, tag: level, bytes });
+                events.push(Event::Recv {
+                    time: t,
+                    peer,
+                    tag: level,
+                    bytes,
+                });
             }
             // Smoothing work on this level.
             t += rng.gen_range(200..400) >> level.min(4);
-            events.push(Event::Exit { time: t, region: REGION_LEVEL0 + level });
+            events.push(Event::Exit {
+                time: t,
+                region: REGION_LEVEL0 + level,
+            });
         }
         t += rng.gen_range(20..60);
-        events.push(Event::Exit { time: t, region: REGION_ITERATION });
+        events.push(Event::Exit {
+            time: t,
+            region: REGION_ITERATION,
+        });
     }
     t += 50;
-    events.push(Event::Exit { time: t, region: REGION_MAIN });
+    events.push(Event::Exit {
+        time: t,
+        region: REGION_MAIN,
+    });
     events
 }
 
@@ -120,8 +151,14 @@ mod tests {
 
     #[test]
     fn event_count_scales_with_config() {
-        let small = SynthConfig { iterations: 2, ..SynthConfig::default() };
-        let big = SynthConfig { iterations: 20, ..SynthConfig::default() };
+        let small = SynthConfig {
+            iterations: 2,
+            ..SynthConfig::default()
+        };
+        let big = SynthConfig {
+            iterations: 20,
+            ..SynthConfig::default()
+        };
         let n_small = synthetic_events(&small, 0, 8).len();
         let n_big = synthetic_events(&big, 0, 8).len();
         assert!(n_big > 8 * n_small);
@@ -129,7 +166,10 @@ mod tests {
 
     #[test]
     fn peers_in_range() {
-        let c = SynthConfig { neighbours: 6, ..SynthConfig::default() };
+        let c = SynthConfig {
+            neighbours: 6,
+            ..SynthConfig::default()
+        };
         for ev in synthetic_events(&c, 0, 4) {
             if let Event::Send { peer, .. } | Event::Recv { peer, .. } = ev {
                 assert!(peer < 4);
