@@ -61,8 +61,8 @@ echo "==> DPOR: exhaustive schedule enumeration over sion::par (both I/O modes)"
 cargo test --release -p sion-simcheck --test dpor_sion -q -- --include-ignored
 
 echo "==> happens-before engine: clean protocol + seeded ship/ack mutations"
-# The 4-rank aggregated protocol must be race- and ack-violation-free on
-# all three runtimes; the three seeded mutations (ack-before-write,
+# The 4-rank aggregated protocol must be race- and ack-violation-free under
+# work stealing and seeded serial schedules; the three seeded mutations (ack-before-write,
 # extent cut short before the ack, overlapping member extents) must each be
 # detected with a replayable seed, one race report golden-pinned.
 SIMCHECK=1 cargo test -p sion --test hb_mutations -q
@@ -263,8 +263,7 @@ staging=$(awk '/^#\[cfg\(test\)\]/ { exit }
 }
 
 echo "==> structural gate: no frame pool (a message is one Vec, allocated by its sender and dropped by its receiver)"
-# `CoComm` has no `recycle`, nor does the blocking `Comm` handle over it.
-# The one `fn recycle` left in simmpi is `TaskComm`'s inherent drop, kept
+# `CoComm` has no `recycle`. The one `fn recycle` left in simmpi is `TaskComm`'s inherent drop, kept
 # while sionbench calls it (ROADMAP item 1(c)); szip's
 # `FrameEncoder::recycle` reuses an encoder's output buffer and is no
 # message pool.
@@ -323,19 +322,32 @@ then
     exit 1
 fi
 
-echo "==> structural gate: one communicator contract (CoComm, implemented by the engine alone; Comm is a handle)"
+echo "==> structural gate: one communicator contract (CoComm, implemented by the engine alone)"
 # `CoComm` is the only communicator trait and `TaskComm` its one
-# implementation; the blocking `Comm` is a concrete handle whose methods are
-# `drive_ready` of its `CoComm` calls, so no adapter turns one contract into
-# the other.
+# implementation, so no adapter turns one contract into another.
 co_impls=$(grep -rEc 'impl(<[^>]*>)? [A-Za-z:]*CoComm for' crates/simmpi/src | awk -F: '{ s += $2 } END { print s }')
 if grep -rnE 'trait Comm\b|BlockingComm|BlockingRef|blocking_cocomm' crates tests examples ||
     [ "$co_impls" -ne 1 ]
 then
     echo "$co_impls \`impl CoComm for\` in crates/simmpi/src (want 1: TaskComm)"
-    echo "one communicator contract: \`CoComm\` is the trait, \`TaskComm\` the engine, \`Comm\` a handle driving it with \`drive_ready\`"
+    echo "one communicator contract: \`CoComm\` is the trait, \`TaskComm\` the engine"
     exit 1
 fi
+
+echo "==> structural gate: one driver (every rank is a TaskWorld task: no thread-per-rank World, blocking Comm, abort query or watchdog)"
+# A rank that waits for a peer suspends its task, never a thread, and a
+# hang ends in the executor's exact deadlock report. The thread driver,
+# its blocking `Comm` handle, the hook's `should_abort` query, the
+# watchdog's `Stuck` event and its `SIMCHECK_TIMEOUT_MS` knob, and the
+# blocking `sion::paropen_write`/`paropen_read` over them are gone; the
+# `_co` entry points are the collective API.
+one_driver=$(grep -rnE '\bWorld::run|simmpi::World|pub struct Comm\b|should_abort|\bStuck\b|SIMCHECK_TIMEOUT_MS|pub fn paropen_(write|read)\(' \
+    crates src examples tests || true)
+[ -z "$one_driver" ] || {
+    echo "$one_driver"
+    echo "one driver: ranks run on \`TaskWorld\` and await \`CoComm\` (and the \`_co\` entry points); no \`World\`, blocking \`Comm\`, \`should_abort\`, \`Stuck\` or \`SIMCHECK_TIMEOUT_MS\`"
+    exit 1
+}
 
 echo "==> structural gate: a specification, not a second runtime (no flat oracle; CoComm provides no fallback for try_recv, allgather_shared or split_local)"
 # The collectives are checked against `simmpi/tests/spec`, pure functions
@@ -356,8 +368,8 @@ then
 fi
 
 echo "==> structural gate: one happens-before relation (one hook event, one vector-clock core, one extent-conflict rule)"
-# The runtimes report through `CheckHook::on_event(&HookEvent)`; the trait
-# has that and the `should_abort` query, nothing else. `simcheck::hb`'s
+# The runtime reports through `CheckHook::on_event(&HookEvent)`; the trait
+# has that method and nothing else. `simcheck::hb`'s
 # `ClockCore` is the only vector clock: the race engine makes each event an
 # epoch, the DPOR recorder each scheduled step. `FileAccess::conflicts` is
 # the one extent-conflict rule; DPOR's `Res::conflicts` adds only channels.
@@ -368,10 +380,10 @@ conflict_fns=$(grep -rn 'fn conflicts\b' crates/*/src | sed 's/:[0-9]*:.*//' | t
 if grep -rn 'struct TraceHb' crates ||
     grep -rnE 'VecDeque<V?Clock>|fn join\b' crates/*/src | grep -v '^crates/simcheck/src/hb.rs:' ||
     grep -rnE 'fn on_(send|recv_done|collective|collective_done|try_recv|reserved_tag|teardown|stuck|task_finish)\b' crates/*/src ||
-    [ "$hook_fns" != "on_event should_abort " ] ||
+    [ "$hook_fns" != "on_event " ] ||
     [ "$conflict_fns" != "crates/simcheck/src/dpor.rs crates/vfs/src/order_guard.rs " ]
 then
-    echo "CheckHook methods: $hook_fns(want: on_event should_abort)"
+    echo "CheckHook methods: $hook_fns(want: on_event)"
     echo "fn conflicts in: $conflict_fns(want: simcheck dpor.rs for channels, vfs order_guard.rs for extents)"
     echo "one happens-before relation: hooks match on \`HookEvent\`, ordering goes through \`hb::ClockCore\` epochs, extents conflict by \`FileAccess::conflicts\`"
     exit 1
@@ -438,21 +450,19 @@ then
     exit 1
 fi
 
-echo "==> structural gate: one task identity (the runtime labels the thread it runs a rank on; nothing else writes the label)"
+echo "==> structural gate: one task identity (the executor labels the thread it polls a rank on; nothing else writes the label)"
 # `vfs::guard`'s per-thread label is the one task identity: the writer a
 # block guard charges and the acting rank of the happens-before engine.
-# `launch` sets it once per rank thread, the executor around every poll;
-# `sion` never labels, and simmpi keeps no task id in a thread-local of its
-# own (its thread-locals: the executor's worker, the ship/ack protocol
-# depth, a rank thread's park handle, which holds no rank).
+# The executor sets it around every poll; `sion` never labels, and simmpi
+# keeps no task id in a thread-local of its own (its thread-locals: the
+# executor's worker and the ship/ack protocol depth).
 labels=$(find crates/simmpi/src -name '*.rs' | sort | while read -r f; do
     awk -v f="$f" '/^mod tests/ { exit }
         /^ *(pub(\(crate\))? )?(async )?fn [a-z_]+/ { fn = $0; sub(/.*fn /, "", fn); sub(/[(<].*/, "", fn) }
         /(set_task|clear_task)\(/ { l = $0; sub(/\(.*/, "", l); sub(/.*[^a-z_]/, "", l); print f ": " fn ": " l }' "$f"
 done)
 want_labels='crates/simmpi/src/task/exec.rs: execute: set_task
-crates/simmpi/src/task/exec.rs: execute: clear_task
-crates/simmpi/src/world.rs: launch: set_task'
+crates/simmpi/src/task/exec.rs: execute: clear_task'
 statics=$(find crates/simmpi/src -name '*.rs' | sort | while read -r f; do
     awk '/^mod tests/ { exit } /thread_local!/ { on = 1 }
         on && /static [A-Z_]+:/ { sub(/.*static /, ""); sub(/:.*/, ""); print } on && /^}/ { on = 0 }' "$f"
@@ -461,13 +471,12 @@ sion_labels=$(for f in crates/sion/src/*.rs; do
     awk -v f="$f" '/^mod tests/ { exit } /(set_task|clear_task)\(/ { print f ":" FNR ": " $0 }' "$f"
 done)
 if [ -n "$sion_labels" ] || [ "$labels" != "$want_labels" ] ||
-    [ "$statics" != "AGG_PROTOCOL_DEPTH CURRENT_WORKER RANK " ] ||
-    awk '/^struct RankThread/, /^}/' crates/simmpi/src/world.rs | grep -n 'rank'
+    [ "$statics" != "AGG_PROTOCOL_DEPTH CURRENT_WORKER " ]
 then
     echo "$sion_labels"
     echo "simmpi label writes:"; echo "$labels"
-    echo "simmpi thread-locals: $statics(want: AGG_PROTOCOL_DEPTH CURRENT_WORKER RANK, and no rank in RankThread)"
-    echo "one task identity: the runtime labels the thread it runs a rank on (\`launch\`, the executor's poll); \`sion\` labels nothing, simmpi keeps no second task id"
+    echo "simmpi thread-locals: $statics(want: AGG_PROTOCOL_DEPTH CURRENT_WORKER)"
+    echo "one task identity: the executor labels the thread it polls a rank on; \`sion\` labels nothing, simmpi keeps no second task id"
     exit 1
 fi
 
@@ -588,9 +597,9 @@ done)
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion"
+echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion -p sion-mp2c -p sion-tracer"
 # The crates kept rustfmt-clean so far; the rest of the tree is not yet.
-cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion
+cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion -p sion-mp2c -p sion-tracer
 
 # The counter every CHANGES.md entry quotes (net LoC is reported, not computed
 # by hand), after what this commit did to it.

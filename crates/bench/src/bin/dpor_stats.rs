@@ -118,7 +118,7 @@ fn main() {
         "  \"notes\": \"exhaustive DPOR over sion::par open/2x40B-write/close on the driven \
          serial task runtime; explored == schedules executed after partial-order reduction \
          (an upper bound on the inequivalent-schedule count) under the \
-         channel/collective/extent dependence relation\",\n",
+         channel/extent dependence relation\",\n",
     );
     j.push_str("  \"results\": [\n");
     for (i, case) in cases.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! `par_smoke [--ranks N] [--budget-secs S]` — a real (non-scripted)
-//! `sion::par` open/write/close run on the task runtime, at rank counts a
-//! thread-per-rank world cannot reach.
+//! `sion::par` open/write/close run on the task runtime, at rank counts in
+//! the tens of thousands.
 //!
 //! Every rank opens the shared multifile collectively, writes a
 //! deterministic payload, and closes; the produced image is then verified

@@ -450,7 +450,7 @@ pub fn ablation_gather_buffer() -> Vec<Row> {
 /// VFS and reports the engine's own coalescing counters, so the figure is
 /// deterministic (call counts, not wall clock).
 pub fn ablation_write_buffer() -> Vec<Row> {
-    use simmpi::World;
+    use simmpi::{CoComm, TaskWorld};
     use vfs::MemFs;
 
     let total = 256usize * 1024;
@@ -461,15 +461,21 @@ pub fn ablation_write_buffer() -> Vec<Row> {
         {
             let fs = MemFs::new();
             let params = sion::SionParams::new(1 << 20).with_write_buffer(buffer);
-            let stats = World::run(4, |comm| {
-                let mut w = sion::paropen_write(&fs, "ab.sion", &params, comm).unwrap();
-                let payload = vec![comm.rank() as u8; record];
-                let mut written = 0;
-                while written < total {
-                    w.write(&payload).unwrap();
-                    written += record;
+            let stats = TaskWorld::run(4, |comm| {
+                let fs = &fs;
+                let params = &params;
+                async move {
+                    let mut w = sion::paropen_write_co(fs, "ab.sion", params, &comm)
+                        .await
+                        .unwrap();
+                    let payload = vec![comm.rank() as u8; record];
+                    let mut written = 0;
+                    while written < total {
+                        w.write(&payload).unwrap();
+                        written += record;
+                    }
+                    w.close_co().await.unwrap()
                 }
-                w.close().unwrap()
             });
             rows.push(Row::new(
                 "ablation-write-buffer",

@@ -16,8 +16,8 @@
 use crate::particle::{Particle, PARTICLE_BYTES};
 use crate::sim::{SimConfig, Simulation};
 use crate::solute::{Solute, SOLUTE_BYTES};
-use simmpi::{Comm, ReduceOp};
-use sion::{paropen_read, paropen_write, Result, SionError, SionParams};
+use simmpi::{CoComm, ReduceOp};
+use sion::{paropen_read_co, paropen_write_co, Result, SionError, SionParams};
 use vfs::Vfs;
 
 /// How checkpoints are stored.
@@ -97,8 +97,10 @@ fn task_local_path(base: &str, rank: usize) -> String {
 /// collective operation: if any rank failed locally, every rank returns an
 /// error instead of some ranks blocking forever in a collective the failed
 /// rank never reaches (the classic MPI error-path deadlock).
-fn collective_check<T>(comm: &Comm, local: Result<T>) -> Result<T> {
-    let failed = comm.allreduce_u64(local.is_err() as u64, ReduceOp::Max);
+async fn collective_check<T>(comm: &dyn CoComm, local: Result<T>) -> Result<T> {
+    let failed = comm
+        .allreduce_u64(local.is_err() as u64, ReduceOp::Max)
+        .await;
     match (failed, local) {
         (0, ok) => ok,
         (_, Err(e)) => Err(e),
@@ -109,12 +111,12 @@ fn collective_check<T>(comm: &Comm, local: Result<T>) -> Result<T> {
 }
 
 /// Collectively write a checkpoint of `sim` under `base`.
-pub fn write_checkpoint(
+pub async fn write_checkpoint(
     sim: &Simulation,
     vfs: &dyn Vfs,
     base: &str,
     strategy: Strategy,
-    comm: &Comm,
+    comm: &dyn CoComm,
 ) -> Result<()> {
     let stream = encode_task_stream(sim);
     match strategy {
@@ -123,11 +125,11 @@ pub fn write_checkpoint(
             if compressed {
                 params = params.with_compression();
             }
-            let mut w = paropen_write(vfs, base, &params, comm)?;
+            let mut w = paropen_write_co(vfs, base, &params, comm).await?;
             let wrote = w.write(&stream);
             // The close is collective: agree on success first.
-            collective_check(comm, wrote)?;
-            w.close()?;
+            collective_check(comm, wrote).await?;
+            w.close_co().await?;
             Ok(())
         }
         Strategy::TaskLocal => {
@@ -137,12 +139,12 @@ pub fn write_checkpoint(
                 f.sync()?;
                 Ok(())
             })();
-            collective_check(comm, wrote)
+            collective_check(comm, wrote).await
         }
         Strategy::SingleFileSequential => {
             // Gather-and-write: rank 0 serializes everyone's stream into
             // one file with a rank directory up front.
-            let gathered = comm.gather(&stream, 0);
+            let gathered = comm.gather(&stream, 0).await;
             let wrote = if comm.rank() == 0 {
                 (|| -> Result<()> {
                     let streams = gathered.expect("root receives gather");
@@ -164,36 +166,40 @@ pub fn write_checkpoint(
             } else {
                 Ok(())
             };
-            collective_check(comm, wrote)
+            collective_check(comm, wrote).await
         }
     }
 }
 
 /// Collectively restore a simulation from the checkpoint at `base`. Every
 /// task returns the same verdict: open, read and decode of each task's
-/// stream end in one [`collective_check`], whichever strategy stored it.
-pub fn read_checkpoint(
+/// stream end in one `collective_check`, whichever strategy stored it.
+pub async fn read_checkpoint(
     config: SimConfig,
     vfs: &dyn Vfs,
     base: &str,
     strategy: Strategy,
-    comm: &Comm,
+    comm: &dyn CoComm,
 ) -> Result<Simulation> {
     let stream: Result<Vec<u8>> = match strategy {
         // The read open agrees by itself and the read close is local.
-        Strategy::Sion { .. } => paropen_read(vfs, base, comm).and_then(|mut r| {
-            let mut out = Vec::new();
-            let mut buf = vec![0u8; 256 * 1024];
-            loop {
-                let n = r.read(&mut buf)?;
-                if n == 0 {
-                    break;
+        Strategy::Sion { .. } => {
+            async {
+                let mut r = paropen_read_co(vfs, base, comm).await?;
+                let mut out = Vec::new();
+                let mut buf = vec![0u8; 256 * 1024];
+                loop {
+                    let n = r.read(&mut buf)?;
+                    if n == 0 {
+                        break;
+                    }
+                    out.extend_from_slice(&buf[..n]);
                 }
-                out.extend_from_slice(&buf[..n]);
+                r.close_co().await?;
+                Ok(out)
             }
-            r.close()?;
-            Ok(out)
-        }),
+            .await
+        }
         Strategy::TaskLocal => (|| {
             let f = vfs.open(&task_local_path(base, comm.rank()))?;
             let mut out = vec![0u8; f.len()? as usize];
@@ -239,12 +245,12 @@ pub fn read_checkpoint(
                 Ok(parts) => (parts, None),
                 Err(e) => (vec![Vec::new(); comm.size()], Some(e)),
             };
-            let mine = comm.scatter((comm.rank() == 0).then_some(parts), 0);
+            let mine = comm.scatter((comm.rank() == 0).then_some(parts), 0).await;
             failed.map_or(Ok(mine), Err)
         }
     };
     let (step, particles, solutes) =
-        collective_check(comm, stream.and_then(|s| decode_task_stream(&s)))?;
+        collective_check(comm, stream.and_then(|s| decode_task_stream(&s))).await?;
     Ok(Simulation::from_restart(
         config,
         particles,
@@ -258,32 +264,39 @@ pub fn read_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::World;
+    use simmpi::TaskWorld;
     use vfs::MemFs;
 
     fn roundtrip_strategy(strategy: Strategy) {
         let cfg = SimConfig::default();
         let ntasks = 4;
         let fs = MemFs::with_block_size(4096);
-        let digests = World::run(ntasks, |comm| {
-            // Run, checkpoint, run on; in parallel restore and run the same
-            // number of steps — digests must match bit-for-bit.
-            let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
-            for _ in 0..4 {
-                sim.step(comm);
-            }
-            write_checkpoint(&sim, &fs, "ckpt", strategy, comm).unwrap();
-            for _ in 0..3 {
-                sim.step(comm);
-            }
-            let original = sim.global_digest(comm);
+        let digests = TaskWorld::run(ntasks, |comm| {
+            let fs = &fs;
+            async move {
+                // Run, checkpoint, run on; in parallel restore and run the same
+                // number of steps — digests must match bit-for-bit.
+                let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
+                for _ in 0..4 {
+                    sim.step(&comm).await;
+                }
+                write_checkpoint(&sim, fs, "ckpt", strategy, &comm)
+                    .await
+                    .unwrap();
+                for _ in 0..3 {
+                    sim.step(&comm).await;
+                }
+                let original = sim.global_digest(&comm).await;
 
-            let mut restored = read_checkpoint(cfg, &fs, "ckpt", strategy, comm).unwrap();
-            assert_eq!(restored.step_count, 4);
-            for _ in 0..3 {
-                restored.step(comm);
+                let mut restored = read_checkpoint(cfg, fs, "ckpt", strategy, &comm)
+                    .await
+                    .unwrap();
+                assert_eq!(restored.step_count, 4);
+                for _ in 0..3 {
+                    restored.step(&comm).await;
+                }
+                (original, restored.global_digest(&comm).await)
             }
-            (original, restored.global_digest(comm))
         });
         for (original, restored) in digests {
             assert_eq!(original, restored, "restart must continue bit-identically");
@@ -321,43 +334,54 @@ mod tests {
         // All three strategies must restore the same global state.
         let cfg = SimConfig::default();
         let fs = MemFs::with_block_size(4096);
-        let out = World::run(3, |comm| {
-            let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
-            for _ in 0..5 {
-                sim.step(comm);
-            }
-            for (name, strat) in [
-                (
+        let out = TaskWorld::run(3, |comm| {
+            let fs = &fs;
+            async move {
+                let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
+                for _ in 0..5 {
+                    sim.step(&comm).await;
+                }
+                for (name, strat) in [
+                    (
+                        "a",
+                        Strategy::Sion {
+                            nfiles: 1,
+                            compressed: false,
+                        },
+                    ),
+                    ("b", Strategy::TaskLocal),
+                    ("c", Strategy::SingleFileSequential),
+                ] {
+                    write_checkpoint(&sim, fs, name, strat, &comm)
+                        .await
+                        .unwrap();
+                }
+                let da = read_checkpoint(
+                    cfg,
+                    fs,
                     "a",
                     Strategy::Sion {
                         nfiles: 1,
                         compressed: false,
                     },
-                ),
-                ("b", Strategy::TaskLocal),
-                ("c", Strategy::SingleFileSequential),
-            ] {
-                write_checkpoint(&sim, &fs, name, strat, comm).unwrap();
+                    &comm,
+                )
+                .await
+                .unwrap()
+                .global_digest(&comm)
+                .await;
+                let db = read_checkpoint(cfg, fs, "b", Strategy::TaskLocal, &comm)
+                    .await
+                    .unwrap()
+                    .global_digest(&comm)
+                    .await;
+                let dc = read_checkpoint(cfg, fs, "c", Strategy::SingleFileSequential, &comm)
+                    .await
+                    .unwrap()
+                    .global_digest(&comm)
+                    .await;
+                (da, db, dc)
             }
-            let da = read_checkpoint(
-                cfg,
-                &fs,
-                "a",
-                Strategy::Sion {
-                    nfiles: 1,
-                    compressed: false,
-                },
-                comm,
-            )
-            .unwrap()
-            .global_digest(comm);
-            let db = read_checkpoint(cfg, &fs, "b", Strategy::TaskLocal, comm)
-                .unwrap()
-                .global_digest(comm);
-            let dc = read_checkpoint(cfg, &fs, "c", Strategy::SingleFileSequential, comm)
-                .unwrap()
-                .global_digest(comm);
-            (da, db, dc)
         });
         for (da, db, dc) in out {
             assert_eq!(da, db);
@@ -369,21 +393,29 @@ mod tests {
     fn file_counts_match_strategy() {
         let cfg = SimConfig::default();
         let fs = MemFs::with_block_size(4096);
-        World::run(4, |comm| {
-            let sim = Simulation::new(cfg, comm.rank(), comm.size());
-            write_checkpoint(
-                &sim,
-                &fs,
-                "s2/c",
-                Strategy::Sion {
-                    nfiles: 2,
-                    compressed: false,
-                },
-                comm,
-            )
-            .unwrap();
-            write_checkpoint(&sim, &fs, "tl/c", Strategy::TaskLocal, comm).unwrap();
-            write_checkpoint(&sim, &fs, "sf/c", Strategy::SingleFileSequential, comm).unwrap();
+        TaskWorld::run(4, |comm| {
+            let fs = &fs;
+            async move {
+                let sim = Simulation::new(cfg, comm.rank(), comm.size());
+                write_checkpoint(
+                    &sim,
+                    fs,
+                    "s2/c",
+                    Strategy::Sion {
+                        nfiles: 2,
+                        compressed: false,
+                    },
+                    &comm,
+                )
+                .await
+                .unwrap();
+                write_checkpoint(&sim, fs, "tl/c", Strategy::TaskLocal, &comm)
+                    .await
+                    .unwrap();
+                write_checkpoint(&sim, fs, "sf/c", Strategy::SingleFileSequential, &comm)
+                    .await
+                    .unwrap();
+            }
         });
         assert_eq!(fs.list("s2/").unwrap().len(), 2);
         assert_eq!(fs.list("tl/").unwrap().len(), 4);
@@ -398,9 +430,14 @@ mod tests {
         let cfg = SimConfig::default();
         for cut in [true, false] {
             let fs = MemFs::with_block_size(4096);
-            World::run(4, |comm| {
-                let sim = Simulation::new(cfg, comm.rank(), comm.size());
-                write_checkpoint(&sim, &fs, "tl", Strategy::TaskLocal, comm).unwrap();
+            TaskWorld::run(4, |comm| {
+                let fs = &fs;
+                async move {
+                    let sim = Simulation::new(cfg, comm.rank(), comm.size());
+                    write_checkpoint(&sim, fs, "tl", Strategy::TaskLocal, &comm)
+                        .await
+                        .unwrap();
+                }
             });
             let what = if cut {
                 fs.open_rw("tl.000002").unwrap().set_len(10).unwrap();
@@ -409,8 +446,13 @@ mod tests {
                 fs.remove("tl.000001").unwrap();
                 "rank 1's file removed"
             };
-            let failed = World::run(4, |comm| {
-                read_checkpoint(cfg, &fs, "tl", Strategy::TaskLocal, comm).is_err()
+            let failed = TaskWorld::run(4, |comm| {
+                let fs = &fs;
+                async move {
+                    read_checkpoint(cfg, fs, "tl", Strategy::TaskLocal, &comm)
+                        .await
+                        .is_err()
+                }
             });
             assert_eq!(failed, [true; 4], "{what}");
         }
@@ -420,12 +462,22 @@ mod tests {
     fn single_file_restore_rejects_wrong_world() {
         let cfg = SimConfig::default();
         let fs = MemFs::with_block_size(4096);
-        World::run(4, |comm| {
-            let sim = Simulation::new(cfg, comm.rank(), comm.size());
-            write_checkpoint(&sim, &fs, "w4", Strategy::SingleFileSequential, comm).unwrap();
+        TaskWorld::run(4, |comm| {
+            let fs = &fs;
+            async move {
+                let sim = Simulation::new(cfg, comm.rank(), comm.size());
+                write_checkpoint(&sim, fs, "w4", Strategy::SingleFileSequential, &comm)
+                    .await
+                    .unwrap();
+            }
         });
-        let fails = World::run(2, |comm| {
-            read_checkpoint(cfg, &fs, "w4", Strategy::SingleFileSequential, comm).is_err()
+        let fails = TaskWorld::run(2, |comm| {
+            let fs = &fs;
+            async move {
+                read_checkpoint(cfg, fs, "w4", Strategy::SingleFileSequential, &comm)
+                    .await
+                    .is_err()
+            }
         });
         assert!(fails.iter().all(|&f| f));
     }

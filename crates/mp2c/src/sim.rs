@@ -4,7 +4,7 @@
 use crate::dynamics::{collide_with_extras, splitmix64, stream, u01, CellGrid};
 use crate::particle::Particle;
 use crate::solute::{verlet_step, LjParams, Solute};
-use simmpi::{Comm, ReduceOp};
+use simmpi::{CoComm, ReduceOp};
 
 /// Simulation parameters (identical on every rank).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,10 +188,10 @@ impl Simulation {
 
     /// One full MPC step: solvent streaming + migration, MD sub-steps for
     /// the solutes, then the coupled SRD collision.
-    pub fn step(&mut self, comm: &Comm) {
+    pub async fn step(&mut self, comm: &dyn CoComm) {
         let l = self.config.domain as f64;
         stream(&mut self.particles, self.config.dt, [l, l, l]);
-        self.migrate(comm);
+        self.migrate(comm).await;
         // Replicated MD: every rank advances the identical solute set with
         // identical arithmetic, so no communication is needed here.
         if !self.solutes.is_empty() {
@@ -209,7 +209,7 @@ impl Simulation {
             self.step_count,
         );
         if !self.solutes.is_empty() {
-            self.sync_solutes(comm);
+            self.sync_solutes(comm).await;
         }
         self.step_count += 1;
     }
@@ -217,7 +217,7 @@ impl Simulation {
     /// Re-replicate the solutes after the coupled collision: each slab's
     /// owner updated the velocities of the solutes inside it, so owners
     /// exchange their post-collision copies and everyone merges by id.
-    fn sync_solutes(&mut self, comm: &Comm) {
+    async fn sync_solutes(&mut self, comm: &dyn CoComm) {
         if self.nranks == 1 {
             return;
         }
@@ -229,7 +229,7 @@ impl Simulation {
                 .copied()
                 .collect::<Vec<_>>(),
         );
-        for bytes in comm.allgather(&mine) {
+        for bytes in comm.allgather(&mine).await {
             for updated in Solute::decode_all(&bytes).expect("well-formed solute payload") {
                 if let Some(slot) = self.solutes.iter_mut().find(|s| s.id == updated.id) {
                     *slot = updated;
@@ -240,7 +240,7 @@ impl Simulation {
 
     /// Exchange particles that streamed out of the slab with the left and
     /// right neighbours (periodic).
-    fn migrate(&mut self, comm: &Comm) {
+    async fn migrate(&mut self, comm: &dyn CoComm) {
         if self.nranks == 1 {
             return;
         }
@@ -270,8 +270,8 @@ impl Simulation {
         const TAG_MIGRATE_LEFT: u64 = 0xA2;
         comm.send_vec(right, TAG_MIGRATE_RIGHT, Particle::encode_all(&to_right));
         comm.send_vec(left, TAG_MIGRATE_LEFT, Particle::encode_all(&to_left));
-        let from_left = comm.recv(left, TAG_MIGRATE_RIGHT);
-        let from_right = comm.recv(right, TAG_MIGRATE_LEFT);
+        let from_left = comm.recv(left, TAG_MIGRATE_RIGHT).await;
+        let from_right = comm.recv(right, TAG_MIGRATE_LEFT).await;
         for bytes in [from_left, from_right] {
             self.particles
                 .extend(Particle::decode_all(&bytes).expect("well-formed migration payload"));
@@ -279,18 +279,19 @@ impl Simulation {
     }
 
     /// Global particle count.
-    pub fn total_particles(&self, comm: &Comm) -> u64 {
+    pub async fn total_particles(&self, comm: &dyn CoComm) -> u64 {
         comm.allreduce_u64(self.particles.len() as u64, ReduceOp::Sum)
+            .await
     }
 
     /// Global momentum (solvent plus, on top of every rank's identical
     /// replica, the solute contribution counted once).
-    pub fn total_momentum(&self, comm: &Comm) -> [f64; 3] {
+    pub async fn total_momentum(&self, comm: &dyn CoComm) -> [f64; 3] {
         let mut out = [0.0f64; 3];
         for (k, o) in out.iter_mut().enumerate() {
             let local: f64 = self.particles.iter().map(|p| p.vel[k]).sum();
             let solute: f64 = self.solutes.iter().map(|s| s.mass * s.vel[k]).sum();
-            *o = comm.allreduce_f64(local, ReduceOp::Sum) + solute;
+            *o = comm.allreduce_f64(local, ReduceOp::Sum).await + solute;
         }
         out
     }
@@ -328,8 +329,9 @@ impl Simulation {
 
     /// Global state digest (equal iff the global particle sets are
     /// bit-identical).
-    pub fn global_digest(&self, comm: &Comm) -> u64 {
+    pub async fn global_digest(&self, comm: &dyn CoComm) -> u64 {
         comm.allgather_u64(self.local_digest())
+            .await
             .into_iter()
             .fold(0u64, u64::wrapping_add)
     }
@@ -338,7 +340,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::World;
+    use simmpi::TaskWorld;
 
     #[test]
     fn slab_bounds_partition_domain() {
@@ -391,15 +393,15 @@ mod tests {
     #[test]
     fn stepping_conserves_particles_and_momentum() {
         let cfg = SimConfig::default();
-        let reports = World::run(4, |comm| {
+        let reports = TaskWorld::run(4, |comm| async move {
             let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
-            let n0 = sim.total_particles(comm);
-            let p0 = sim.total_momentum(comm);
+            let n0 = sim.total_particles(&comm).await;
+            let p0 = sim.total_momentum(&comm).await;
             for _ in 0..10 {
-                sim.step(comm);
+                sim.step(&comm).await;
             }
-            let n1 = sim.total_particles(comm);
-            let p1 = sim.total_momentum(comm);
+            let n1 = sim.total_particles(&comm).await;
+            let p1 = sim.total_momentum(&comm).await;
             (n0, n1, p0, p1)
         });
         for (n0, n1, p0, p1) in reports {
@@ -421,12 +423,12 @@ mod tests {
             dt: 0.9,
             ..SimConfig::default()
         };
-        let moved = World::run(4, |comm| {
+        let moved = TaskWorld::run(4, |comm| async move {
             let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
             let my_ids: std::collections::HashSet<u32> =
                 sim.particles.iter().map(|p| p.id).collect();
             for _ in 0..5 {
-                sim.step(comm);
+                sim.step(&comm).await;
             }
             sim.particles
                 .iter()
@@ -443,12 +445,12 @@ mod tests {
     fn same_world_size_reproduces_digest() {
         let cfg = SimConfig::default();
         let run = || {
-            World::run(3, |comm| {
+            TaskWorld::run(3, |comm| async move {
                 let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
                 for _ in 0..8 {
-                    sim.step(comm);
+                    sim.step(&comm).await;
                 }
-                sim.global_digest(comm)
+                sim.global_digest(&comm).await
             })
         };
         let a = run();

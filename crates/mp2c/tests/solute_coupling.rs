@@ -4,7 +4,7 @@
 
 use mp2c::checkpoint::{read_checkpoint, write_checkpoint, Strategy};
 use mp2c::{SimConfig, Simulation};
-use simmpi::World;
+use simmpi::{CoComm, TaskWorld};
 use vfs::MemFs;
 
 fn config_with_solutes() -> SimConfig {
@@ -18,11 +18,11 @@ fn config_with_solutes() -> SimConfig {
 #[test]
 fn solutes_replicated_identically_across_ranks() {
     let cfg = config_with_solutes();
-    let out = World::run(4, |comm| {
+    let out = TaskWorld::run(4, |comm| async move {
         let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
         assert_eq!(sim.solutes.len(), 6);
         for _ in 0..8 {
-            sim.step(comm);
+            sim.step(&comm).await;
         }
         // Serialize the replica for cross-rank comparison.
         mp2c::Solute::encode_all(&sim.solutes)
@@ -35,14 +35,19 @@ fn solutes_replicated_identically_across_ranks() {
 #[test]
 fn coupled_dynamics_conserve_momentum_including_solutes() {
     let cfg = config_with_solutes();
-    let out = World::run(4, |comm| {
+    let out = TaskWorld::run(4, |comm| async move {
         let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
-        let p0 = sim.total_momentum(comm);
-        let n0 = sim.total_particles(comm);
+        let p0 = sim.total_momentum(&comm).await;
+        let n0 = sim.total_particles(&comm).await;
         for _ in 0..10 {
-            sim.step(comm);
+            sim.step(&comm).await;
         }
-        (p0, sim.total_momentum(comm), n0, sim.total_particles(comm))
+        (
+            p0,
+            sim.total_momentum(&comm).await,
+            n0,
+            sim.total_particles(&comm).await,
+        )
     });
     for (p0, p1, n0, n1) in out {
         assert_eq!(n0, n1);
@@ -66,11 +71,11 @@ fn solvent_and_solutes_exchange_momentum() {
         solute_mass: 8.0,
         ..SimConfig::default()
     };
-    let changed = World::run(2, |comm| {
+    let changed = TaskWorld::run(2, |comm| async move {
         let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
         let before: Vec<[f64; 3]> = sim.solutes.iter().map(|s| s.vel).collect();
         for _ in 0..10 {
-            sim.step(comm);
+            sim.step(&comm).await;
         }
         sim.solutes
             .iter()
@@ -100,23 +105,30 @@ fn checkpoint_roundtrip_with_solutes_bit_identical() {
         Strategy::TaskLocal,
         Strategy::SingleFileSequential,
     ] {
-        let digests = World::run(4, |comm| {
-            let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
-            for _ in 0..4 {
-                sim.step(comm);
-            }
-            write_checkpoint(&sim, &fs, "solute-ck", strategy, comm).unwrap();
-            for _ in 0..3 {
-                sim.step(comm);
-            }
-            let reference = sim.global_digest(comm);
+        let digests = TaskWorld::run(4, |comm| {
+            let fs = &fs;
+            async move {
+                let mut sim = Simulation::new(cfg, comm.rank(), comm.size());
+                for _ in 0..4 {
+                    sim.step(&comm).await;
+                }
+                write_checkpoint(&sim, fs, "solute-ck", strategy, &comm)
+                    .await
+                    .unwrap();
+                for _ in 0..3 {
+                    sim.step(&comm).await;
+                }
+                let reference = sim.global_digest(&comm).await;
 
-            let mut restored = read_checkpoint(cfg, &fs, "solute-ck", strategy, comm).unwrap();
-            assert_eq!(restored.solutes.len(), 6, "solutes must be restored");
-            for _ in 0..3 {
-                restored.step(comm);
+                let mut restored = read_checkpoint(cfg, fs, "solute-ck", strategy, &comm)
+                    .await
+                    .unwrap();
+                assert_eq!(restored.solutes.len(), 6, "solutes must be restored");
+                for _ in 0..3 {
+                    restored.step(&comm).await;
+                }
+                (reference, restored.global_digest(&comm).await)
             }
-            (reference, restored.global_digest(comm))
         });
         for (reference, restored) in digests {
             assert_eq!(
@@ -134,31 +146,36 @@ fn solute_free_checkpoints_still_decode() {
     let cfg = SimConfig::default();
     assert_eq!(cfg.nsolutes, 0);
     let fs = MemFs::with_block_size(4096);
-    World::run(2, |comm| {
-        let sim = Simulation::new(cfg, comm.rank(), comm.size());
-        write_checkpoint(
-            &sim,
-            &fs,
-            "plain-ck",
-            Strategy::Sion {
-                nfiles: 1,
-                compressed: false,
-            },
-            comm,
-        )
-        .unwrap();
-        let restored = read_checkpoint(
-            cfg,
-            &fs,
-            "plain-ck",
-            Strategy::Sion {
-                nfiles: 1,
-                compressed: false,
-            },
-            comm,
-        )
-        .unwrap();
-        assert!(restored.solutes.is_empty());
-        assert_eq!(restored.particles.len(), sim.particles.len());
+    TaskWorld::run(2, |comm| {
+        let fs = &fs;
+        async move {
+            let sim = Simulation::new(cfg, comm.rank(), comm.size());
+            write_checkpoint(
+                &sim,
+                fs,
+                "plain-ck",
+                Strategy::Sion {
+                    nfiles: 1,
+                    compressed: false,
+                },
+                &comm,
+            )
+            .await
+            .unwrap();
+            let restored = read_checkpoint(
+                cfg,
+                fs,
+                "plain-ck",
+                Strategy::Sion {
+                    nfiles: 1,
+                    compressed: false,
+                },
+                &comm,
+            )
+            .await
+            .unwrap();
+            assert!(restored.solutes.is_empty());
+            assert_eq!(restored.particles.len(), sim.particles.len());
+        }
     });
 }

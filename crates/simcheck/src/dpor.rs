@@ -37,11 +37,10 @@
 //! sequence; [`Dpor::replay`] forces that sequence as the prefix and
 //! reproduces the failure exactly.
 //!
-//! Driven schedules exist on the task executor only: it polls one rank at
-//! a time, so each decision can be handed to a driver. The thread driver
-//! (`simmpi::World`) runs the same `TaskComm` engine and the same
-//! `sion::par` protocol with the operating system choosing the
-//! interleaving, so DPOR coverage of the protocol transfers to it.
+//! Driven schedules need the executor's serial policy: it polls one rank
+//! at a time, so each decision can be handed to a driver. A work-stealing
+//! run executes the same futures with the workers racing, so DPOR
+//! coverage of the protocol transfers to it.
 
 use crate::hb::{Chan, ClockCore, Edge, VClock};
 use crate::report::{CheckFailure, ScheduleCfg};
@@ -203,12 +202,12 @@ impl ScheduleDriver for Recorder {
 
 impl CheckHook for Recorder {
     fn on_event(&self, ev: &HookEvent<'_>) {
-        // Collective brackets order steps but never conflict: entries
-        // commute, and no scheduler can move an exit before an entry. A
-        // `try_recv` hit is followed by `RecvDone`, which records the
-        // consume; only the miss needs its own entry (it is still dependent
-        // with the send that would have satisfied it — reordering them flips
-        // the poll's outcome — but two misses commute).
+        // A collective is its tree messages: they arrive here as sends and
+        // receives. A `try_recv` hit is followed by `RecvDone`, which
+        // records the consume; only the miss needs its own entry (it is
+        // still dependent with the send that would have satisfied it —
+        // reordering them flips the poll's outcome — but two misses
+        // commute).
         let edge = Edge::of(ev);
         let res = match (edge, *ev) {
             (Some(Edge::Send(chan)), _) => Some(Res::Chan(chan, ChanOp::Send)),
@@ -225,7 +224,7 @@ impl CheckHook for Recorder {
             ) => Some(Res::Chan((comm.id, src, rank, tag), ChanOp::Poll)),
             _ => None,
         };
-        if res.is_some() || edge.is_some() {
+        if res.is_some() {
             self.touch(res, edge);
         }
     }

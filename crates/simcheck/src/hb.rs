@@ -1,17 +1,16 @@
 //! The happens-before relation: one vector-clock core, and the race engine
 //! built on it.
 //!
-//! `ClockCore` keeps one [`VClock`] per world task, a FIFO of send
+//! `ClockCore` keeps one [`VClock`] per world task and a FIFO of send
 //! snapshots per `(comm, from, to, tag)` channel (mailbox matching is FIFO
-//! per channel, so each receive pairs with its true send) and the joined
-//! entry clocks of every `(comm, seq)` collective. It advances in *epochs*:
-//! an epoch of task `t` joins the oldest snapshot of every receive and the
-//! entries of every collective exit, ticks `t` once, pushes the result for
-//! every send and joins it into every collective entry, and stores it as
-//! `t`'s clock. Every entry of a collective thus happens before every exit —
-//! exact for a rendezvous such as the barrier, a superset for the tree's
-//! rooted collectives, whose real edges the message rule already covers. [`HbEngine`]
-//! makes every event and file access its own epoch; the DPOR recorder
+//! per channel, so each receive pairs with its true send). It advances in
+//! *epochs*: an epoch of task `t` joins the oldest snapshot of every
+//! receive, ticks `t` once, pushes the result for every send, and stores
+//! it as `t`'s clock. Collectives need no rule of their own: their tree
+//! messages reach the hook as sends and receives, and carry exactly the
+//! edges the collective has — a barrier orders every entry before every
+//! exit, a gather orders no leaf after the root. [`HbEngine`] makes every
+//! event and file access its own epoch; the DPOR recorder
 //! ([`crate::dpor`]) makes every scheduled step one epoch, so a message sent
 //! in a step carries what the step received after sending it.
 //!
@@ -96,10 +95,6 @@ pub(crate) enum Edge {
     Send(Chan),
     /// Took a message: the epoch joins the channel's oldest snapshot.
     Recv(Chan),
-    /// Entered collective `(comm, seq)`: the epoch's clock joins its entries.
-    Enter(u64, u64),
-    /// Left collective `(comm, seq)`: the epoch joins its entries so far.
-    Exit(u64, u64),
 }
 
 impl Edge {
@@ -120,8 +115,6 @@ impl Edge {
                 tag,
                 ..
             } => Edge::Recv((comm.id, src, rank, tag)),
-            HookEvent::Collective { comm, seq, .. } => Edge::Enter(comm.id, seq),
-            HookEvent::CollectiveDone { comm, seq, .. } => Edge::Exit(comm.id, seq),
             _ => return None,
         })
     }
@@ -134,8 +127,6 @@ pub(crate) struct ClockCore {
     tasks: BTreeMap<u64, VClock>,
     /// In-flight send snapshots, FIFO per channel.
     chans: BTreeMap<Chan, VecDeque<VClock>>,
-    /// Accumulated entry clocks per `(comm, seq)` collective.
-    colls: BTreeMap<(u64, u64), VClock>,
 }
 
 impl ClockCore {
@@ -144,26 +135,16 @@ impl ClockCore {
     pub(crate) fn epoch(&mut self, task: u64, edges: &[Edge]) -> &VClock {
         let clock = self.tasks.entry(task).or_default();
         for edge in edges {
-            match *edge {
-                Edge::Recv(chan) => {
-                    if let Some(snap) = self.chans.get_mut(&chan).and_then(VecDeque::pop_front) {
-                        clock.join(&snap);
-                    }
+            if let Edge::Recv(chan) = *edge {
+                if let Some(snap) = self.chans.get_mut(&chan).and_then(VecDeque::pop_front) {
+                    clock.join(&snap);
                 }
-                Edge::Exit(comm, seq) => {
-                    if let Some(entries) = self.colls.get(&(comm, seq)) {
-                        clock.join(entries);
-                    }
-                }
-                Edge::Send(_) | Edge::Enter(..) => {}
             }
         }
         clock.tick(task);
         for edge in edges {
-            match *edge {
-                Edge::Send(chan) => self.chans.entry(chan).or_default().push_back(clock.clone()),
-                Edge::Enter(comm, seq) => self.colls.entry((comm, seq)).or_default().join(clock),
-                Edge::Recv(_) | Edge::Exit(..) => {}
+            if let Edge::Send(chan) = *edge {
+                self.chans.entry(chan).or_default().push_back(clock.clone());
             }
         }
         clock
@@ -476,7 +457,7 @@ impl AccessSink for HbEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::{CollKind, CommCtx};
+    use simmpi::CommCtx;
     use std::sync::Arc;
 
     fn ctx(name: &str, size: usize) -> CommCtx {
@@ -566,30 +547,6 @@ mod tests {
         eng.on_access(&access(0, AccessKind::Write, 100, 8));
         eng.on_access(&access(1, AccessKind::Write, 100, 8));
         assert_eq!(eng.races().len(), 1);
-    }
-
-    #[test]
-    fn collective_brackets_order_across_the_barrier() {
-        let eng = Arc::new(HbEngine::new());
-        let c = ctx("world", 2);
-        let (kind, comm) = (CollKind::Barrier, &c);
-        let enter = |rank| {
-            eng.on_event(&HookEvent::Collective {
-                comm,
-                rank,
-                seq: 1,
-                kind,
-                root: None,
-            })
-        };
-        let exit = |rank| eng.on_event(&HookEvent::CollectiveDone { comm, rank, seq: 1 });
-        eng.on_access(&access(0, AccessKind::Write, 0, 10));
-        as_task(0, || enter(0));
-        as_task(1, || enter(1));
-        as_task(0, || exit(0));
-        as_task(1, || exit(1));
-        eng.on_access(&access(1, AccessKind::Write, 0, 10));
-        eng.assert_race_free("test");
     }
 
     #[test]
@@ -691,5 +648,76 @@ mod tests {
             b_clock.get(c) < sent,
             "event epochs: B unordered with C, {b_clock}"
         );
+    }
+
+    /// How many of 32 seeded serial schedules of the two-rank `prog` the
+    /// engine finds a race in, with `prog`'s file writes going through a
+    /// `TapFs` that reports to a fresh engine per schedule.
+    fn racy_schedules<Fut>(prog: impl Fn(simmpi::TaskComm, Arc<dyn vfs::Vfs>) -> Fut) -> usize
+    where
+        Fut: std::future::Future<Output = ()> + Send,
+    {
+        (0..32)
+            .filter(|&seed| {
+                let engine = Arc::new(HbEngine::new());
+                let fs: Arc<dyn vfs::Vfs> = Arc::new(vfs::TapFs::new(
+                    Arc::new(vfs::MemFs::new()),
+                    vec![engine.clone()],
+                ));
+                fs.create("f").unwrap();
+                let policy = simmpi::SchedPolicy::Serial {
+                    seed,
+                    preemption_bound: usize::MAX,
+                };
+                let run = simmpi::TaskWorld::run_checked(policy, 2, engine.clone(), |c| {
+                    prog(c, fs.clone())
+                });
+                for r in run.results {
+                    r.expect("no rank panics");
+                }
+                !engine.races().is_empty()
+            })
+            .count()
+    }
+
+    /// Bytes 0..8 of "f", written by the calling rank.
+    fn write_head(fs: &dyn vfs::Vfs) {
+        let f = fs.open_rw("f").unwrap();
+        f.write_all_at(&[1; 8], 0).unwrap();
+    }
+
+    #[test]
+    fn a_gather_orders_no_leaf_access_after_the_roots() {
+        // The root writes before a gather, the leaf after it. The leaf only
+        // sends to the root, so nothing orders the root's write before the
+        // leaf's, whichever rank enters the gather first.
+        let racy = racy_schedules(|c, fs| async move {
+            use simmpi::CoComm;
+            if c.rank() == 0 {
+                write_head(fs.as_ref());
+            }
+            c.gather(&[c.rank() as u8], 0).await;
+            if c.rank() == 1 {
+                write_head(fs.as_ref());
+            }
+        });
+        assert_eq!(racy, 32, "schedules that report the race");
+    }
+
+    #[test]
+    fn barrier_messages_order_writes_across_the_barrier() {
+        // The barrier's fan-in and release messages put rank 0's write
+        // before rank 1's on every schedule.
+        let racy = racy_schedules(|c, fs| async move {
+            use simmpi::CoComm;
+            if c.rank() == 0 {
+                write_head(fs.as_ref());
+            }
+            c.barrier().await;
+            if c.rank() == 1 {
+                write_head(fs.as_ref());
+            }
+        });
+        assert_eq!(racy, 0, "schedules that report a race");
     }
 }

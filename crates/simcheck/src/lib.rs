@@ -33,10 +33,9 @@
 //!    a rank.
 //!
 //! 2. **`SIMCHECK=1`** — zero-code-change passive mode. With the
-//!    environment variable set, `World::run` and `TaskWorld::run` install
-//!    a [`Sanitizer`] that performs the same collective/tag/leak checks; on
-//!    the thread-per-rank `World` it also converts silent hangs into watchdog-reported deadlocks
-//!    (`SIMCHECK_TIMEOUT_MS`, default 20s) under real thread concurrency.
+//!    environment variable set, `TaskWorld::run` installs a [`Sanitizer`]
+//!    that performs the same collective/tag/leak checks under work
+//!    stealing, and records the executor's exact deadlock verdict.
 //!    Production runs without the variable pay one `Option` branch per
 //!    operation.
 //!
@@ -51,9 +50,9 @@
 //! block that two different labeled tasks write is reported as a
 //! [`BlockViolation`] ([`BlockGuard::assert_exclusive`] panics with the
 //! sorted list).
-//! The runtime labels each rank's writes: the thread launcher and the task
-//! executor set [`vfs::guard`]'s label to the world rank they run, the one
-//! task identity the block guard and the [`HbEngine`] both read.
+//! The runtime labels each rank's writes: the task executor sets
+//! [`vfs::guard`]'s label to the world rank it polls, the one task
+//! identity the block guard and the [`HbEngine`] both read.
 //!
 //! All diagnostics are deterministic — stable rank ordering, no hash-map
 //! iteration — so failing reports can be golden-file tested.

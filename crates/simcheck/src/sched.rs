@@ -24,8 +24,8 @@
 //!   byte-identical [`stable_report`](crate::CheckFailure::stable_report).
 //!
 //! Protocol checks (collective matching, reserved tags, teardown leaks) are
-//! the same passive [`Sanitizer`] the `SIMCHECK=1` env mode installs on the
-//! thread driver, so diagnoses read the same everywhere.
+//! the same passive [`Sanitizer`] the `SIMCHECK=1` env mode installs on a
+//! work-stealing run, so diagnoses read the same everywhere.
 
 use crate::report::{CheckFailure, DeadlockInfo, PendingOp, ScheduleCfg, TraceEv};
 use simmpi::Aborted;

@@ -8,21 +8,17 @@
 //! can be read against its contract alone.
 //!
 //! Protocol code written against `&dyn CoComm` (the `sion` crate's
-//! collective open/close) runs unchanged on both drivers of the engine:
-//!
-//! * on the task runtime ([`TaskWorld`](crate::TaskWorld)), the futures
-//!   genuinely suspend and the scheduler interleaves thousands of ranks per
-//!   worker thread;
-//! * on the thread-backed [`World`](crate::World) each rank owns its
-//!   thread, and [`drive_ready`](crate::drive_ready) polls the future
-//!   there, parking the thread while it waits for a peer. The blocking
-//!   [`Comm`](crate::Comm) handle is exactly that: one `drive_ready` per
-//!   method.
+//! collective open/close, the `mp2c` checkpoint, the `tracer` backends)
+//! runs on the one driver, [`TaskWorld`](crate::TaskWorld): the futures
+//! genuinely suspend and the scheduler interleaves thousands of ranks per
+//! worker thread. [`drive_ready`] polls a future once outside it, for the
+//! calls that never wait.
 
 use crate::comm::{bytes_to_u64s, CommStats, ReduceOp};
 use std::future::Future;
-use std::pin::Pin;
+use std::pin::{pin, Pin};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// Boxed future returned by [`CoComm`] methods.
 pub type BoxFut<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
@@ -297,15 +293,28 @@ pub trait CoComm: Send + Sync {
     }
 }
 
+/// Poll `fut` once and return its value — for a future that never waits
+/// on a peer (a local protocol step, a one-rank communicator) outside any
+/// task world. A future that parks needs the scheduler: await it in a
+/// [`TaskWorld`](crate::TaskWorld) rank. Here it panics rather than block
+/// the calling thread for good.
+pub fn drive_ready<T>(fut: impl Future<Output = T>) -> T {
+    match pin!(fut).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(v) => v,
+        Poll::Pending => panic!(
+            "drive_ready: future parked; a communicator future that waits for a peer must be \
+             awaited in a task world rank"
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{drive_ready, TaskWorld, World};
+    use crate::TaskWorld;
 
     #[test]
-    fn one_co_script_agrees_on_the_thread_and_task_worlds() {
-        // The same async script runs on both drivers: each rank's thread
-        // driving it through drive_ready, and the task executor.
+    fn one_co_script_runs_on_the_task_world() {
         async fn script(c: &dyn CoComm) -> (Vec<u64>, u64, u64, usize, usize) {
             let all = c.allgather_u64(c.rank() as u64 + 1).await;
             let sum = c.allreduce_u64(c.rank() as u64, ReduceOp::Sum).await;
@@ -314,10 +323,8 @@ mod tests {
             c.barrier().await;
             (all, sum, b, sub.size(), sub.rank())
         }
-        let tree = World::run(4, |c| drive_ready(script(c.co())));
         let task = TaskWorld::run(4, |c| async move { script(&c).await });
-        assert_eq!(tree, task);
-        for (r, (all, sum, b, ss, sr)) in tree.iter().enumerate() {
+        for (r, (all, sum, b, ss, sr)) in task.iter().enumerate() {
             assert_eq!(all, &vec![1, 2, 3, 4]);
             assert_eq!(*sum, 6);
             assert_eq!(*b, 99);
@@ -327,14 +334,30 @@ mod tests {
     }
 
     #[test]
-    fn drive_ready_runs_a_one_rank_world() {
-        let got = World::run(1, |c| {
-            let co = c.co();
+    fn drive_ready_completes_a_one_rank_world_and_refuses_a_parked_future() {
+        // A one-rank world's collectives never wait: one poll finishes them.
+        let got = TaskWorld::run(1, |c| async move {
             drive_ready(async {
-                co.barrier().await;
-                co.allgather_u64(7).await
+                c.barrier().await;
+                c.allgather_u64(7).await
             })
         });
         assert_eq!(got, vec![vec![7]]);
+        // A receive nobody has sent to parks, and drive_ready says so.
+        let text = TaskWorld::run(2, |c| async move {
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drive_ready(c.recv(1 - c.rank(), 5))
+            }))
+            .expect_err("a parked receive must not be driven to completion");
+            refused
+                .downcast::<&str>()
+                .expect("literal message")
+                .to_string()
+        });
+        assert!(
+            text.iter()
+                .all(|t| t.contains("drive_ready: future parked")),
+            "{text:?}"
+        );
     }
 }

@@ -1,10 +1,6 @@
-//! [`Comm`], the blocking handle of the thread-backed [`World`](crate::World),
-//! and the counters and operators every communicator shares.
+//! The counters and operators every communicator shares.
 
-use crate::co::CoComm;
-use crate::world::drive_ready;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Reduction operators for the numeric convenience collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +29,8 @@ impl ReduceOp {
 /// Each counter records how many times *the owning rank* invoked the
 /// corresponding collective (or point-to-point call) on this communicator —
 /// the MPI-profiling view, not a cross-rank aggregate. Runtimes that track
-/// stats hand out `Arc<CommStats>` handles via [`CoComm::stats`]; the handle
+/// stats hand out `Arc<CommStats>` handles via
+/// [`CoComm::stats`](crate::CoComm::stats); the handle
 /// stays live after the communicator is dropped, so callers can snapshot
 /// counters around a protocol (e.g. asserting that a collective open costs
 /// exactly one gather and one broadcast).
@@ -109,135 +106,6 @@ impl CommStats {
             + self.allgathers()
             + self.reduces()
             + self.splits()
-    }
-}
-
-/// One rank's blocking handle onto a communicator: what
-/// [`World`](crate::World) hands each rank.
-///
-/// It owns the rank's [`CoComm`] and adds nothing to it: every blocking
-/// method is [`drive_ready`] of the matching [`CoComm`] call (see there for
-/// each contract), which on a rank's own thread parks the thread while the
-/// call waits for a peer. Protocol code written once over `&dyn CoComm`,
-/// and the calls nothing makes blocking (`split_local`, `try_recv`,
-/// `scatter_u64`), take [`co`](Self::co).
-pub struct Comm {
-    co: Box<dyn CoComm>,
-}
-
-impl Comm {
-    pub(crate) fn new(co: Box<dyn CoComm>) -> Comm {
-        Comm { co }
-    }
-
-    /// The resumable communicator this handle drives.
-    pub fn co(&self) -> &dyn CoComm {
-        self.co.as_ref()
-    }
-
-    /// This task's rank in `0..size()`.
-    pub fn rank(&self) -> usize {
-        self.co.rank()
-    }
-
-    /// Number of tasks in the communicator.
-    pub fn size(&self) -> usize {
-        self.co.size()
-    }
-
-    /// See [`CoComm::stats`].
-    pub fn stats(&self) -> Option<Arc<CommStats>> {
-        self.co.stats()
-    }
-
-    /// See [`CoComm::barrier`].
-    pub fn barrier(&self) {
-        drive_ready(self.co.barrier())
-    }
-
-    /// See [`CoComm::gather`].
-    pub fn gather(&self, data: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
-        drive_ready(self.co.gather(data, root))
-    }
-
-    /// See [`CoComm::scatter`].
-    pub fn scatter(&self, parts: Option<Vec<Vec<u8>>>, root: usize) -> Vec<u8> {
-        drive_ready(self.co.scatter(parts, root))
-    }
-
-    /// See [`CoComm::bcast`].
-    pub fn bcast(&self, data: Option<Vec<u8>>, root: usize) -> Vec<u8> {
-        drive_ready(self.co.bcast(data, root))
-    }
-
-    /// See [`CoComm::allgather`].
-    pub fn allgather(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        drive_ready(self.co.allgather(data))
-    }
-
-    /// See [`CoComm::split`].
-    pub fn split(&self, color: u64, key: u64) -> Comm {
-        Comm::new(drive_ready(self.co.split(color, key)))
-    }
-
-    /// See [`CoComm::send`].
-    pub fn send(&self, dest: usize, tag: u64, data: &[u8]) {
-        self.co.send(dest, tag, data)
-    }
-
-    /// See [`CoComm::send_vec`].
-    pub fn send_vec(&self, dest: usize, tag: u64, data: Vec<u8>) {
-        self.co.send_vec(dest, tag, data)
-    }
-
-    /// See [`CoComm::recv`].
-    pub fn recv(&self, src: usize, tag: u64) -> Vec<u8> {
-        drive_ready(self.co.recv(src, tag))
-    }
-
-    /// See [`CoComm::reduce_u64`].
-    pub fn reduce_u64(&self, value: u64, op: ReduceOp, root: usize) -> Option<u64> {
-        drive_ready(self.co.reduce_u64(value, op, root))
-    }
-
-    /// See [`CoComm::reduce_u64s`].
-    pub fn reduce_u64s(&self, values: &[u64], op: ReduceOp, root: usize) -> Option<Vec<u64>> {
-        drive_ready(self.co.reduce_u64s(values, op, root))
-    }
-
-    /// See [`CoComm::reduce_f64`].
-    pub fn reduce_f64(&self, value: f64, op: ReduceOp, root: usize) -> Option<f64> {
-        drive_ready(self.co.reduce_f64(value, op, root))
-    }
-
-    /// See [`CoComm::gather_u64`].
-    pub fn gather_u64(&self, value: u64, root: usize) -> Option<Vec<u64>> {
-        drive_ready(self.co.gather_u64(value, root))
-    }
-
-    /// See [`CoComm::gather_u64s`].
-    pub fn gather_u64s(&self, values: &[u64], root: usize) -> Option<Vec<Vec<u64>>> {
-        drive_ready(self.co.gather_u64s(values, root))
-    }
-
-    /// See [`CoComm::bcast_u64`].
-    pub fn bcast_u64(&self, value: Option<u64>, root: usize) -> u64 {
-        drive_ready(self.co.bcast_u64(value, root))
-    }
-
-    /// See [`CoComm::allgather_u64`].
-    pub fn allgather_u64(&self, value: u64) -> Vec<u64> {
-        drive_ready(self.co.allgather_u64(value))
-    }
-
-    /// See [`CoComm::allreduce_u64`].
-    pub fn allreduce_u64(&self, value: u64, op: ReduceOp) -> u64 {
-        drive_ready(self.co.allreduce_u64(value, op))
-    }
-
-    /// See [`CoComm::allreduce_f64`].
-    pub fn allreduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
-        drive_ready(self.co.allreduce_f64(value, op))
     }
 }
 

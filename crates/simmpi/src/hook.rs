@@ -6,19 +6,17 @@
 //! installed, so a communicator without one takes one `Option` branch per
 //! operation and nothing else.
 //!
-//! Hooks are observation-only; their one query,
-//! [`CheckHook::should_abort`], lets a hook release a blocked world.
-//! Several hooks share one runtime slot as a `Vec<Arc<dyn CheckHook>>`,
-//! which hands every event to each in list order. The built-in
-//! [`Sanitizer`](crate::sanitize::Sanitizer) is a hook; it is installed
-//! automatically by [`World::run`](crate::World::run) and
-//! [`TaskWorld::run`](crate::TaskWorld::run) when `SIMCHECK=1` is set in
-//! the environment. A hook never decides which rank runs next:
+//! Hooks are observation-only. Several share one runtime slot as a
+//! `Vec<Arc<dyn CheckHook>>`, which hands every event to each in list
+//! order. The built-in [`Sanitizer`](crate::sanitize::Sanitizer) is a hook;
+//! [`TaskWorld::run`](crate::TaskWorld::run) installs it when `SIMCHECK=1`
+//! is set in the environment. A hook never decides which rank runs next:
 //! interleaving control belongs to the task executor
 //! ([`SchedPolicy::Serial`](crate::SchedPolicy::Serial) for seeded
 //! schedules, a [`ScheduleDriver`](crate::ScheduleDriver) for systematic
 //! exploration), which polls one rank at a time and decides deadlock by
-//! exact quiescence.
+//! exact quiescence. A hook that panics fails its rank; peers left waiting
+//! on it are released by the same quiescence verdict.
 //!
 //! The reserved collective tag namespace also lives here. A collective
 //! message tag packs, from the top: the `0xC3` reserved prefix byte, one
@@ -29,7 +27,6 @@
 
 use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// Top byte of the reserved collective tag namespace. User point-to-point
 /// tags must keep their top byte different from `0xC3`.
@@ -251,10 +248,10 @@ pub struct LeakedMsg {
     pub len: usize,
 }
 
-/// Panic payload used to tear down rank threads once a world-level failure
-/// (deadlock, sanitizer finding on another rank) has been diagnosed. A
-/// checker catching panics should treat `Aborted` unwinds as secondary —
-/// the primary diagnosis is recorded where the failure was detected.
+/// Error payload of a rank still parked when its task world was torn down
+/// (a deadlock, or peers waiting on a rank that failed). A checker should
+/// treat `Aborted` results as secondary: the primary diagnosis is recorded
+/// where the failure was detected.
 #[derive(Debug)]
 pub struct Aborted(pub String);
 
@@ -272,16 +269,6 @@ pub enum HookEvent<'a> {
         seq: u64,
         kind: CollKind,
         root: Option<usize>,
-    },
-    /// A rank *left* a collective (the call returned on that rank). With
-    /// [`Collective`](Self::Collective) this brackets every collective: a
-    /// happens-before checker may soundly order every entry of collective
-    /// `(comm, seq)` before every exit — a superset of the true dependence
-    /// of any correct collective implementation.
-    CollectiveDone {
-        comm: &'a CommCtx,
-        rank: usize,
-        seq: u64,
     },
     /// A message (user or internal, including reserved-namespace frames)
     /// was pushed into `to`'s mailbox. The payload lets ordering checkers
@@ -330,50 +317,28 @@ pub enum HookEvent<'a> {
         rank: usize,
         leaked: &'a [LeakedMsg],
     },
-    /// A blocked receive exceeded the deadlock watchdog. Hooks should
-    /// record and panic; if the hook returns, the runtime panics with a
-    /// generic message.
-    Stuck {
-        comm: &'a CommCtx,
-        rank: usize,
-        src: usize,
-        tag: u64,
-        waited: Duration,
-    },
     /// A task's closure returned (or panicked), reported after the task's
     /// world communicator was dropped.
     TaskFinish { task: usize, panicked: bool },
 }
 
-/// What the communicator runtimes report to: every observation arrives as
-/// one [`HookEvent`], and [`should_abort`](Self::should_abort) is the one
-/// query. A hook that detects a violation reports it by panicking (the
-/// runtime makes no attempt to continue past a hook panic) and should
-/// arrange for `should_abort` to release the other ranks.
+/// What the communicator runtime reports to: every observation arrives as
+/// one [`HookEvent`]. A hook that detects a violation reports it by
+/// panicking on the rank that caused the event (the runtime makes no
+/// attempt to continue past a hook panic).
 pub trait CheckHook: Send + Sync {
     /// One observation; a hook matches the kinds it checks and ignores the
     /// rest.
     fn on_event(&self, ev: &HookEvent<'_>);
-
-    /// Polled by blocked receives; returning `Some(reason)`
-    /// makes the blocked rank unwind with an [`Aborted`] panic.
-    fn should_abort(&self) -> Option<String> {
-        None
-    }
 }
 
 /// Several hooks in one runtime slot (a schedule recorder, a sanitizer, a
-/// happens-before engine): every event reaches each hook in list order, and
-/// the first hook with an abort reason names it.
+/// happens-before engine): every event reaches each hook in list order.
 impl CheckHook for Vec<Arc<dyn CheckHook>> {
     fn on_event(&self, ev: &HookEvent<'_>) {
         for h in self {
             h.on_event(ev);
         }
-    }
-
-    fn should_abort(&self) -> Option<String> {
-        self.iter().find_map(|h| h.should_abort())
     }
 }
 
@@ -387,21 +352,6 @@ pub fn simcheck_env_enabled() -> bool {
             .unwrap_or(false)
     })
 }
-
-/// Deadlock watchdog for hooked runs on the thread driver:
-/// `SIMCHECK_TIMEOUT_MS` in the environment, default 20 s.
-pub(crate) fn watchdog_timeout() -> Duration {
-    static MS: OnceLock<u64> = OnceLock::new();
-    Duration::from_millis(*MS.get_or_init(|| {
-        std::env::var("SIMCHECK_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20_000)
-    }))
-}
-
-/// Poll interval of the hooked blocked-receive loop.
-pub(crate) const ABORT_POLL: Duration = Duration::from_millis(5);
 
 #[cfg(test)]
 mod tests {

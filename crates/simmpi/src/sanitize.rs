@@ -18,21 +18,17 @@
 //!   naming the offending rank.
 //! * **message leaks** — unconsumed messages found when a communicator
 //!   handle is dropped.
-//! * **suspected deadlock** — a receive blocked past the watchdog (see
-//!   `SIMCHECK_TIMEOUT_MS`). The precise whole-world deadlock verdict
-//!   is the task executor's quiescence detection (what `simcheck`'s
-//!   schedule-exploring harness reports); the watchdog is the budget
-//!   version for the thread driver that still turns a silent hang into a
-//!   diagnosed failure.
+//! * **deadlock** — recorded from the task executor's exact quiescence
+//!   verdict ([`record_deadlock`](Sanitizer::record_deadlock)).
 //!
 //! Findings panic on the offending rank (with the diagnosis as the panic
-//! message) and raise the abort flag so ranks blocked in receives unwind
-//! too instead of hanging the test run. All report text is deterministic:
-//! state lives in `BTreeMap`s and leak lists are sorted before reporting.
+//! message); peers left waiting on it are released when the executor
+//! finds the world quiescent. All report text is deterministic: state
+//! lives in `BTreeMap`s and leak lists are sorted before reporting.
 
 use crate::hook::{
-    describe_tag, is_agg_tag, reserved_tag_panic_text, Aborted, CheckHook, CollKind, CommCtx,
-    HookEvent, LeakedMsg,
+    describe_tag, is_agg_tag, reserved_tag_panic_text, CheckHook, CollKind, CommCtx, HookEvent,
+    LeakedMsg,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -53,8 +49,7 @@ pub enum FindingKind {
     ReservedTag,
     /// Messages were never consumed before communicator teardown.
     MessageLeak,
-    /// All live ranks parked with no runnable peer (schedule-exploring
-    /// harness), or a single receive exceeded the passive watchdog.
+    /// All live ranks parked with no runnable peer.
     Deadlock,
     /// A rank's closure panicked (recorded by the schedule-exploring
     /// harness).
@@ -115,7 +110,6 @@ fn fmt_op(kind: CollKind, root: Option<usize>) -> String {
 pub struct Sanitizer {
     entries: Mutex<BTreeMap<(u64, u64), CollEntry>>,
     findings: Mutex<Vec<Finding>>,
-    abort: Mutex<Option<String>>,
 }
 
 impl Sanitizer {
@@ -133,10 +127,6 @@ impl Sanitizer {
     fn record(&self, kind: FindingKind, message: String) -> Finding {
         let f = Finding { kind, message };
         self.findings.lock().push(f.clone());
-        let mut abort = self.abort.lock();
-        if abort.is_none() {
-            *abort = Some(f.to_string());
-        }
         f
     }
 
@@ -262,8 +252,7 @@ impl Sanitizer {
             .collect()
     }
 
-    /// Record a deadlock-class finding (used by the passive watchdog and by
-    /// the schedule-exploring harness for its whole-world verdict).
+    /// Record a deadlock finding: the executor's whole-world verdict.
     pub fn record_deadlock(&self, message: String) -> Finding {
         self.record(FindingKind::Deadlock, message)
     }
@@ -271,9 +260,9 @@ impl Sanitizer {
 
 /// Collapse the per-rank results of an env-gated (`SIMCHECK=1`) checked run
 /// back into the plain `run` contract: re-panic with the primary diagnosis
-/// (preferring a real finding over the secondary [`Aborted`] unwinds of
-/// ranks released from blocked receives), then fail on collectives the
-/// world left incomplete.
+/// (preferring a real finding over the secondary
+/// [`Aborted`](crate::Aborted) results of ranks released from blocked
+/// receives), then fail on collectives the world left incomplete.
 pub(crate) fn finalize_env_checked<T>(
     results: Vec<std::thread::Result<T>>,
     san: &Sanitizer,
@@ -281,13 +270,12 @@ pub(crate) fn finalize_env_checked<T>(
     let ntasks = results.len();
     let vals = crate::task::propagate_panics(results);
     // No real panic, yet some rank did not finish: it was released from a
-    // blocked receive by the abort flag.
+    // blocked receive when the world deadlocked.
     if vals.len() < ntasks {
         let reason = san
-            .abort
-            .lock()
-            .clone()
-            .unwrap_or_else(|| "no reason recorded".into());
+            .findings()
+            .first()
+            .map_or_else(|| "no reason recorded".into(), Finding::to_string);
         panic!("simcheck: world aborted: {reason}");
     }
     let incomplete = san.incomplete_collectives();
@@ -333,28 +321,8 @@ impl CheckHook for Sanitizer {
                     panic!("simcheck: {f}");
                 }
             }
-            HookEvent::Stuck {
-                comm,
-                rank,
-                src,
-                tag,
-                waited,
-            } => {
-                let f = self.record_deadlock(format!(
-                    "suspected deadlock: rank {rank} on comm \"{}\" blocked in recv(src={src}, \
-                     tag={}) for {:?} with no message arriving",
-                    comm.name,
-                    describe_tag(tag),
-                    waited,
-                ));
-                std::panic::panic_any(Aborted(format!("simcheck: {f}")));
-            }
             _ => {}
         }
-    }
-
-    fn should_abort(&self) -> Option<String> {
-        self.abort.lock().clone()
     }
 }
 
@@ -400,7 +368,7 @@ mod tests {
             "{}",
             f.message
         );
-        assert!(s.should_abort().is_some());
+        assert_eq!(s.findings().len(), 1);
     }
 
     #[test]

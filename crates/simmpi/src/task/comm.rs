@@ -19,16 +19,12 @@
 //! run ahead, or with a *different kind* of collective at the same ordinal.
 //!
 //! The only blocking primitive is the [`Recv`] future: it returns
-//! `Poll::Pending` until the matching send wakes it. *Who polls* is the
-//! driver's business — the work-stealing executor ([`super::exec`]) for
-//! rank tasks, or [`drive_ready`](crate::drive_ready) on the rank's own OS
-//! thread in a [`World`](crate::World), which parks the thread while a
-//! future is pending.
+//! `Poll::Pending` until the matching send wakes it, and the executor
+//! ([`super::exec`]) polls the rank's task again.
 //!
 //! Every parked receive registers itself in the world's pending-op table
-//! ([`WorldRt`]), so a deadlock report (executor quiescence) or a watchdog
-//! report (thread driver) can name exactly which rank is stuck in which
-//! receive on which communicator.
+//! ([`WorldRt`]), so a deadlock report (executor quiescence) can name
+//! exactly which rank is stuck in which receive on which communicator.
 
 use crate::co::AllGathered;
 use crate::comm::CommStats;
@@ -125,8 +121,8 @@ struct ParkedRecv {
     tag: u64,
 }
 
-/// A [`ParkedRecv`] with its communicator resolved: what deadlock and
-/// watchdog reports name.
+/// A [`ParkedRecv`] with its communicator resolved: what a deadlock report
+/// names.
 #[derive(Clone)]
 pub(crate) struct Parked {
     pub(crate) ctx: CommCtx,
@@ -243,13 +239,6 @@ impl WorldRt {
             src: p.src,
             tag: p.tag,
         }
-    }
-
-    /// The receive `world_rank` is parked in right now — what the thread
-    /// driver's watchdog names when a blocking call is stuck.
-    pub(crate) fn parked(&self, world_rank: usize) -> Option<Parked> {
-        let p = *self.pending(world_rank).lock();
-        p.map(|p| self.resolve(p))
     }
 
     /// The parked operations of every still-blocked task, in world-rank
@@ -415,9 +404,7 @@ impl CoShared {
 }
 
 /// One rank's handle onto a tree-collective communicator. Rank tasks
-/// `.await` its [`CoComm`](crate::co::CoComm) methods on the executor; in a
-/// [`World`](crate::World) each rank's [`Comm`](crate::Comm) owns one and
-/// drives the same futures on the rank's own thread.
+/// `.await` its [`CoComm`](crate::co::CoComm) methods on the executor.
 pub struct TaskComm {
     rank: usize,
     /// Rank in the *world* communicator — the pending-table index, stable
@@ -447,7 +434,7 @@ impl TaskComm {
     }
 
     /// A fresh world of `ntasks` ranks: its runtime state and one handle
-    /// per rank, in rank order. Both drivers launch from here.
+    /// per rank, in rank order.
     pub(crate) fn world(
         ntasks: usize,
         hook: Option<Arc<dyn CheckHook>>,
@@ -487,17 +474,6 @@ impl TaskComm {
                 seq,
                 kind,
                 root,
-            });
-        }
-    }
-
-    /// Report a collective exit (the call returned on this rank).
-    fn note_collective_done(&self, seq: u64) {
-        if let Some(h) = &self.shared.hook {
-            h.on_event(&HookEvent::CollectiveDone {
-                comm: &self.shared.ctx,
-                rank: self.rank,
-                seq,
             });
         }
     }
@@ -553,8 +529,8 @@ impl TaskComm {
                 _ => None,
             }
         };
-        // Wake outside the mailbox lock; the wake enqueues into the
-        // executor or unparks the destination's thread.
+        // Wake outside the mailbox lock; the wake enqueues the
+        // destination's task into the executor.
         if let Some(w) = waker {
             w.wake();
         }
@@ -902,9 +878,7 @@ impl TaskComm {
             }
         }
         debug_assert!(new_size > 0, "caller is in its own color group");
-        let comm = self.attach(color, new_rank, new_size);
-        self.note_collective_done(seq_up);
-        comm
+        self.attach(color, new_rank, new_size)
     }
 
     /// Join sub-communicator `color` of this rank's next split generation
@@ -1057,7 +1031,6 @@ impl crate::co::CoComm for TaskComm {
             let seq = self.next_seq();
             self.note_collective(seq, CollKind::Barrier, None);
             self.barrier_impl(seq, CollKind::Barrier).await;
-            self.note_collective_done(seq);
         })
     }
 
@@ -1071,9 +1044,7 @@ impl crate::co::CoComm for TaskComm {
             self.stats.bump_gather();
             let seq = self.next_seq();
             self.note_collective(seq, CollKind::Gather, Some(root));
-            let out = self.gather_impl(data, root, seq, CollKind::Gather).await;
-            self.note_collective_done(seq);
-            out
+            self.gather_impl(data, root, seq, CollKind::Gather).await
         })
     }
 
@@ -1087,9 +1058,7 @@ impl crate::co::CoComm for TaskComm {
             self.stats.bump_scatter();
             let seq = self.next_seq();
             self.note_collective(seq, CollKind::Scatter, Some(root));
-            let out = self.scatter_impl(parts, root, seq, CollKind::Scatter).await;
-            self.note_collective_done(seq);
-            out
+            self.scatter_impl(parts, root, seq, CollKind::Scatter).await
         })
     }
 
@@ -1099,9 +1068,7 @@ impl crate::co::CoComm for TaskComm {
             self.stats.bump_bcast();
             let seq = self.next_seq();
             self.note_collective(seq, CollKind::Bcast, Some(root));
-            let out = self.bcast_impl(data, root, seq, CollKind::Bcast).await;
-            self.note_collective_done(seq);
-            out
+            self.bcast_impl(data, root, seq, CollKind::Bcast).await
         })
     }
 
@@ -1111,11 +1078,8 @@ impl crate::co::CoComm for TaskComm {
             let seq_up = self.next_seq();
             let seq_down = self.next_seq();
             self.note_collective(seq_up, CollKind::Allgather, None);
-            let out = self
-                .allgather_impl(data, seq_up, seq_down, CollKind::Allgather)
-                .await;
-            self.note_collective_done(seq_up);
-            out
+            self.allgather_impl(data, seq_up, seq_down, CollKind::Allgather)
+                .await
         })
     }
 
@@ -1125,11 +1089,8 @@ impl crate::co::CoComm for TaskComm {
             let seq_up = self.next_seq();
             let seq_down = self.next_seq();
             self.note_collective(seq_up, CollKind::Allgather, None);
-            let out = self
-                .allgather_arc_impl(data, seq_up, seq_down, CollKind::Allgather)
-                .await;
-            self.note_collective_done(seq_up);
-            out
+            self.allgather_arc_impl(data, seq_up, seq_down, CollKind::Allgather)
+                .await
         })
     }
 
@@ -1144,9 +1105,7 @@ impl crate::co::CoComm for TaskComm {
             self.stats.bump_reduce();
             let seq = self.next_seq();
             self.note_collective(seq, CollKind::Reduce, Some(root));
-            let out = self.reduce_impl(values, op, root, seq).await;
-            self.note_collective_done(seq);
-            out
+            self.reduce_impl(values, op, root, seq).await
         })
     }
 

@@ -503,8 +503,8 @@ impl Core {
 ///
 /// Per-rank outcomes land in the returned vector: `Some(Ok(_))` is written
 /// by the wrapper future on normal completion, `Some(Err(_))` records a
-/// poll or teardown panic (merged exactly like the thread runtime's
-/// body/teardown pair), and `None` marks a task still parked when the
+/// poll or teardown panic (a teardown panic after a finished body
+/// replaces its value), and `None` marks a task still parked when the
 /// world deadlocked. On deadlock, `on_deadlock` runs *before* the parked
 /// futures (and the communicators they own) are dropped, so the comm layer
 /// can flip into aborting mode and keep teardown hooks quiet.
@@ -562,8 +562,8 @@ where
                 Ok(Poll::Pending) => false,
                 Ok(Poll::Ready(v)) => {
                     // Dropping the future runs the communicator teardown
-                    // check, whose leak diagnosis panic replaces the result
-                    // (the thread runtime's (Ok, Err(teardown)) merge).
+                    // check, whose leak diagnosis panic replaces the
+                    // result.
                     *results[id].lock() = Some(Ok(v));
                     if let Err(e) = catch_unwind(AssertUnwindSafe(|| slot.as_mut().set(None))) {
                         *results[id].lock() = Some(Err(e));

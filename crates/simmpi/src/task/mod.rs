@@ -1,31 +1,29 @@
-//! The tree-collective engine and its executor driver: ranks as resumable
+//! The tree-collective engine and its one driver: ranks as resumable
 //! state machines on a work-stealing pool.
 //!
 //! [`TaskComm`] (see [`comm`]) is the one implementation of the tree
-//! collectives. [`TaskWorld`] drives it the scalable way: instead of one
-//! OS thread per rank, each rank is an `async` state machine that parks on
-//! mailbox receives and is scheduled — with its peers — on a bounded
-//! worker pool ([`SchedPolicy::host`] sizes it to the machine). That is
-//! what makes *real* 16Ki–64Ki-rank runs of the `sion` collective
-//! open/write/close path possible: rank state is a few hundred bytes of
-//! suspended future, not an 8 MiB thread stack, and a blocked rank costs
-//! nothing but its entry in the pending table. [`World`](crate::World) is
-//! the other driver of the same code: one OS thread per rank, each polling
-//! its own futures through [`drive_ready`](crate::drive_ready).
+//! collectives. [`TaskWorld`] drives it: instead of one OS thread per
+//! rank, each rank is an `async` state machine that parks on mailbox
+//! receives and is scheduled — with its peers — on a bounded worker pool
+//! ([`SchedPolicy::host`] sizes it to the machine). That is what makes
+//! *real* 16Ki–64Ki-rank runs of the `sion` collective open/write/close
+//! path possible: rank state is a few hundred bytes of suspended future,
+//! not an 8 MiB thread stack, and a blocked rank costs nothing but its
+//! entry in the pending table.
 //!
 //! `simcheck` plugs in through [`SchedPolicy::Serial`] — its serialized
-//! scheduler is literally one policy of this executor — and through the
-//! same [`CheckHook`]/[`Sanitizer`](crate::Sanitizer) hooks as the thread
-//! driver. Deadlock detection is *exact* here, not watchdog-based: the
-//! executor declares a deadlock the moment no task is runnable while live
-//! tasks remain (see [`exec`]), and the report names every parked
-//! operation.
+//! scheduler is literally one policy of this executor — and through
+//! [`CheckHook`]s such as the [`Sanitizer`](crate::Sanitizer). Deadlock
+//! detection is *exact*: the executor declares a deadlock the moment no
+//! task is runnable while live tasks remain (see [`exec`]), and the report
+//! names every parked operation. The same verdict releases the peers of a
+//! rank that panicked: they are parked on it, so the world quiesces and
+//! they end as [`Aborted`].
 
 mod comm;
 mod exec;
 
 pub use comm::TaskComm;
-pub(crate) use comm::WorldRt;
 pub use exec::{SchedPolicy, ScheduleDriver};
 
 use crate::hook::{self, Aborted, CheckHook};
@@ -195,7 +193,7 @@ where
 }
 
 /// Collapse the per-rank results of a plain (hook-free) run to the `run`
-/// contract both drivers share: propagate the first real panic — the
+/// contract: propagate the first real panic — the
 /// [`Aborted`] unwinds of peers released from a torn-down world are
 /// secondary — or return every rank's value.
 pub(crate) fn propagate_panics<T>(results: Vec<std::thread::Result<T>>) -> Vec<T> {
@@ -217,8 +215,7 @@ pub(crate) fn propagate_panics<T>(results: Vec<std::thread::Result<T>>) -> Vec<T
     out
 }
 
-/// Launcher for SPMD execution as rank tasks over [`TaskComm`] — the
-/// scalable sibling of [`World`](crate::World).
+/// Launcher for SPMD execution as rank tasks over [`TaskComm`].
 pub struct TaskWorld;
 
 impl TaskWorld {
@@ -228,8 +225,9 @@ impl TaskWorld {
     /// diagnosis instead of hanging.
     ///
     /// With `SIMCHECK=1` in the environment the run is instrumented with
-    /// the passive [`Sanitizer`](crate::Sanitizer), exactly as
-    /// [`World::run`](crate::World::run).
+    /// the passive [`Sanitizer`](crate::Sanitizer): collective mismatches,
+    /// reserved-tag sends, message leaks and deadlocks fail the run with a
+    /// diagnosis instead of hanging or corrupting data.
     pub fn run<T, F, Fut>(ntasks: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -270,10 +268,9 @@ impl TaskWorld {
     }
 
     /// Run `f` under a [`CheckHook`], catching each rank's panic, with the
-    /// full scheduler outcome (deadlock report, stats, serial trace) — the
-    /// task-runtime analogue of
-    /// [`World::run_checked`](crate::World::run_checked), and the entry
-    /// point `simcheck` drives with seeded [`SchedPolicy::Serial`]
+    /// full scheduler outcome (deadlock report, stats, serial trace), so a
+    /// checker can assemble a per-rank report even when ranks fail — the
+    /// entry point `simcheck` drives with seeded [`SchedPolicy::Serial`]
     /// schedules.
     pub fn run_checked<T, F, Fut>(
         policy: SchedPolicy,
@@ -320,7 +317,6 @@ mod tests {
     use crate::co::CoComm;
     use crate::comm::ReduceOp;
     use crate::sanitize::{FindingKind, Sanitizer};
-    use crate::{drive_ready, World};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const WS4: SchedPolicy = SchedPolicy::WorkSteal { workers: 4 };
@@ -344,8 +340,8 @@ mod tests {
         Vec<u8>,
     );
 
-    /// One protocol-shaped script exercised identically over both drivers;
-    /// the cross-driver tests assert its results byte-equal.
+    /// One protocol-shaped script touching every kind of call; the tests
+    /// assert its results under every schedule against [`mixed_expected`].
     async fn mixed_script(c: &dyn CoComm) -> Mixed {
         let n = c.size();
         let r = c.rank();
@@ -393,11 +389,9 @@ mod tests {
     }
 
     #[test]
-    fn task_and_thread_runtimes_agree_on_the_mixed_script() {
+    fn mixed_script_meets_its_expectation() {
         for n in [1, 2, 3, 5, 8] {
             let task = TaskWorld::run(n, |c| async move { mixed_script(&c).await });
-            let thread = World::run(n, |c| drive_ready(mixed_script(c.co())));
-            assert_eq!(task, thread, "task tree vs thread tree at n={n}");
             let want: Vec<Mixed> = (0..n).map(|r| mixed_expected(n, r)).collect();
             assert_eq!(task, want, "n={n}");
         }
@@ -571,17 +565,118 @@ mod tests {
     }
 
     #[test]
-    fn send_of_borrowed_bytes_delivers_equal_bytes_on_both_drivers() {
-        async fn ring(c: &dyn CoComm) -> Vec<u8> {
+    fn send_of_borrowed_bytes_delivers_equal_bytes() {
+        let out = TaskWorld::run(3, |c| async move {
             let (r, n) = (c.rank(), c.size());
             c.send((r + 1) % n, 9, &[r as u8; 5]);
             c.recv((r + n - 1) % n, 9).await
-        }
-        let task = TaskWorld::run(3, |c| async move { ring(&c).await });
-        let thread = World::run(3, |c| drive_ready(ring(c.co())));
+        });
         let want: Vec<Vec<u8>> = (0..3).map(|r| vec![((r + 2) % 3) as u8; 5]).collect();
-        assert_eq!(task, want);
-        assert_eq!(thread, want);
+        assert_eq!(out, want);
+    }
+
+    #[test]
+    fn ring_pass_around() {
+        let n = 6;
+        let out = TaskWorld::run_with(WS4, n, |c| async move {
+            let next = (c.rank() + 1) % n;
+            let prev = (c.rank() + n - 1) % n;
+            let mut token = vec![c.rank() as u8];
+            for _ in 0..n {
+                c.send(next, 0, &token);
+                token = c.recv(prev, 0).await;
+                token.push(c.rank() as u8);
+            }
+            token
+        })
+        .0;
+        // After n hops every token is back home having visited all ranks.
+        for (r, token) in out.iter().enumerate() {
+            assert_eq!(token.len(), n + 1);
+            assert_eq!(token[0] as usize, r);
+            assert_eq!(*token.last().unwrap() as usize, r);
+        }
+    }
+
+    #[test]
+    fn repeated_collectives_reuse_tags_safely() {
+        let out = TaskWorld::run_with(WS4, 4, |c| async move {
+            let mut acc = 0u64;
+            for round in 0..50u64 {
+                acc += c
+                    .allreduce_u64(round + c.rank() as u64, ReduceOp::Sum)
+                    .await;
+            }
+            acc
+        })
+        .0;
+        // sum over rounds of (4*round + 0+1+2+3)
+        let expect: u64 = (0..50u64).map(|r| 4 * r + 6).sum();
+        assert!(out.iter().all(|&v| v == expect), "{out:?} != {expect}");
+    }
+
+    #[test]
+    fn mixed_collective_sequences_do_not_cross_talk() {
+        // Fast ranks may race ahead into the next collective; sequence
+        // numbers in the tags must keep the messages apart.
+        let out = TaskWorld::run_with(WS4, 7, |c| async move {
+            let mut digest = 0u64;
+            for i in 0..10u64 {
+                let root = (i as usize) % 7;
+                let b = c
+                    .bcast((c.rank() == root).then(|| vec![i as u8; 3]), root)
+                    .await;
+                digest = digest.wrapping_mul(31).wrapping_add(b[0] as u64);
+                c.barrier().await;
+                let g = c.allgather_u64(c.rank() as u64 + i).await;
+                digest = digest.wrapping_mul(31).wrapping_add(g.iter().sum::<u64>());
+                let _ = c.gather(&[i as u8], 3).await;
+            }
+            digest
+        })
+        .0;
+        assert!(out.windows(2).all(|w| w[0] == w[1]), "{out:?}");
+    }
+
+    #[test]
+    fn float_and_all_reductions() {
+        let out = TaskWorld::run(5, |c| async move {
+            let r = c.rank() as f64;
+            (
+                c.allreduce_u64(c.rank() as u64 * 10, ReduceOp::Max).await,
+                c.allreduce_u64(c.rank() as u64 * 10 + 3, ReduceOp::Min)
+                    .await,
+                c.allreduce_f64(r, ReduceOp::Sum).await,
+                c.reduce_f64(r, ReduceOp::Sum, 0).await,
+                c.reduce_f64(r, ReduceOp::Max, 0).await,
+                c.reduce_f64(r, ReduceOp::Min, 0).await,
+            )
+        });
+        assert_eq!(out[0], (40, 3, 10.0, Some(10.0), Some(4.0), Some(0.0)));
+        for got in &out[1..] {
+            assert_eq!(*got, (40, 3, 10.0, None, None, None));
+        }
+    }
+
+    #[test]
+    fn nested_splits_name_their_communicators_structurally() {
+        let out = TaskWorld::run(4, |c| async move {
+            let sub = c.split((c.rank() % 2) as u64, 0).await;
+            let sub2 = sub.split(0, 0).await;
+            (sub.size(), sub2.size(), sub.barrier().await)
+        });
+        assert!(out.iter().all(|&(a, b, ())| a == 2 && b == 2));
+        // The names the engine gives them, as a deadlock report shows them.
+        let run = TaskWorld::run_checked(WS4, 4, Arc::new(Sanitizer::new()), |c| async move {
+            let sub = c.split((c.rank() % 2) as u64, 0).await;
+            let sub2 = sub.split(0, 0).await;
+            if c.rank() == 3 {
+                sub2.barrier().await; // its partner never joins
+            }
+        });
+        let parked = run.deadlock.expect("rank 3 waits alone").parked;
+        assert_eq!(parked.len(), 1);
+        assert_eq!(parked[0].comm, "world/s1.c1/s1.c0");
     }
 
     #[test]
@@ -630,6 +725,99 @@ mod tests {
                 .contains("reserved for internal"),
             "{out:?}"
         );
+    }
+
+    #[test]
+    fn rank_panic_releases_peers_parked_on_it_and_propagates() {
+        // Rank 0 waits on rank 1, which panics instead of taking part:
+        // first in a barrier, then in a receive of a message rank 1 will
+        // never send. The world quiesces and the first real panic wins.
+        for in_recv in [false, true] {
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                TaskWorld::run_with(WS4, 2, |c| async move {
+                    assert!(c.rank() != 1, "rank one exploded");
+                    if in_recv {
+                        drop(c.recv(1, 7).await)
+                    } else {
+                        c.barrier().await
+                    }
+                })
+            }))
+            .expect_err("rank panic must propagate");
+            let text = panic_text(err);
+            assert!(
+                text.contains("rank one exploded"),
+                "in_recv {in_recv}: {text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn checked_run_flags_root_mismatch() {
+        let san = Arc::new(Sanitizer::new());
+        let run = TaskWorld::run_checked(WS4, 2, san.clone(), |c| async move {
+            // Divergent roots at the same collective ordinal. Every rank
+            // supplies data so only the mismatch can fail the run.
+            c.bcast(Some(vec![1]), c.rank()).await;
+        });
+        assert!(run.results.iter().any(|r| r.is_err()));
+        assert!(
+            san.findings()
+                .iter()
+                .any(|f| f.kind == FindingKind::CollectiveMismatch),
+            "{:?}",
+            san.findings()
+        );
+    }
+
+    /// Ping-pongs between neighbour pairs interleaved with every kind of
+    /// collective: each round parks and wakes every rank several times, so
+    /// a lost wake-up hangs this test (as a deadlock report).
+    async fn wakeup_stress(c: TaskComm) -> u64 {
+        const ROUNDS: u64 = 100;
+        let (n, r) = (c.size(), c.rank());
+        let peer = r ^ 1;
+        let mut digest = 0u64;
+        for i in 0..ROUNDS {
+            if r % 2 == 0 {
+                c.send(peer, 1, &(i + r as u64).to_le_bytes());
+                let back = c.recv(peer, 2).await;
+                digest = digest.wrapping_mul(31).wrapping_add(back[0] as u64);
+            } else {
+                let ping = c.recv(peer, 1).await;
+                c.send(peer, 2, &ping);
+            }
+            let root = i as usize % n;
+            digest = digest.wrapping_mul(31).wrapping_add(match i % 4 {
+                0 => {
+                    c.barrier().await;
+                    0
+                }
+                1 => c.allreduce_u64(i + r as u64, ReduceOp::Sum).await,
+                2 => c.bcast((r == root).then(|| vec![i as u8; 9]), root).await[0] as u64,
+                _ => c
+                    .gather(&[r as u8], root)
+                    .await
+                    .map_or(1, |g| g.len() as u64),
+            });
+        }
+        digest
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_under_stress() {
+        // 64 ranks × 100 rounds: 3200 ping-pongs between 100 collectives.
+        let plain = TaskWorld::run_with(WS4, 64, wakeup_stress).0;
+        // The same program under the passive sanitizer (the SIMCHECK=1
+        // configuration).
+        let san = Arc::new(Sanitizer::new());
+        let checked: Vec<u64> = TaskWorld::run_checked(WS4, 64, san.clone(), wakeup_stress)
+            .results
+            .into_iter()
+            .map(|r| r.expect("no rank panics"))
+            .collect();
+        assert_eq!(checked, plain);
+        assert!(san.findings().is_empty(), "{:?}", san.findings());
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Property tests: both drivers of the tree-collective engine against the
-//! executable specification in `spec/mod.rs`.
+//! Property tests: the tree-collective engine against the executable
+//! specification in `spec/mod.rs`.
 //!
 //! Every property runs one script, written once against [`CoComm`], on
-//! [`TaskWorld`] (work stealing over four workers) and on the
-//! thread-per-rank [`World`] (each rank's thread driving the same script
-//! through [`drive_ready`]), asserts that the two agree rank by rank, and
-//! asserts that both equal what the specification says each rank must
-//! hold, computed from the same per-rank inputs. World sizes run from 1 to
+//! [`TaskWorld`] twice — work stealing over four workers, and a seeded
+//! serial schedule — asserts that the two agree rank by rank, and asserts
+//! that both equal what the specification says each rank must hold,
+//! computed from the same per-rank inputs. World sizes run from 1 to
 //! 64 ranks, roots are random, payloads ragged (empty ones included).
 //! Scheduling freedom (work stealing, seeded serial replay, preemption
 //! bounds) must never change one bit of any rank's output.
@@ -14,7 +13,7 @@
 mod spec;
 
 use proptest::prelude::*;
-use simmpi::{drive_ready, CoComm, ReduceOp, SchedPolicy, TaskWorld, World};
+use simmpi::{CoComm, ReduceOp, SchedPolicy, TaskWorld};
 
 /// Splitmix-style generator so every rank's input is a pure function of
 /// (seed, rank): both drivers and the specification see identical inputs
@@ -60,22 +59,26 @@ fn op_of(sel: u64) -> ReduceOp {
 
 const WS4: SchedPolicy = SchedPolicy::WorkSteal { workers: 4 };
 
-/// Run `$body`, a future over `$c: &dyn CoComm`, on every rank of both
-/// drivers of an `$n`-rank world; assert that the drivers agree rank by
-/// rank and yield the per-rank results.
-macro_rules! on_both_drivers {
-    ($n:expr, |$c:ident| $body:expr) => {{
-        let task = TaskWorld::run_with(WS4, $n, |$c| async move {
-            let $c: &dyn CoComm = &$c;
-            $body.await
-        })
-        .0;
-        let thread = World::run($n, |$c| {
-            let $c = $c.co();
-            drive_ready($body)
+/// Run `$body`, a future over `$c: &dyn CoComm`, on every rank of an
+/// `$n`-rank world twice: under work stealing and under the serial
+/// schedule seeded by `$sched`; assert that the runs agree rank by rank and
+/// yield the per-rank results.
+macro_rules! on_two_schedules {
+    ($n:expr, $sched:expr, |$c:ident| $body:expr) => {{
+        let run = |policy| {
+            TaskWorld::run_with(policy, $n, |$c| async move {
+                let $c: &dyn CoComm = &$c;
+                $body.await
+            })
+            .0
+        };
+        let stealing = run(WS4);
+        let serial = run(SchedPolicy::Serial {
+            seed: $sched,
+            preemption_bound: usize::MAX,
         });
-        prop_assert_eq!(&task, &thread, "task driver vs thread driver");
-        task
+        prop_assert_eq!(&stealing, &serial, "work stealing vs seeded serial");
+        stealing
     }};
 }
 
@@ -224,7 +227,7 @@ proptest! {
     fn bcast_meets_spec(n in 1usize..65, root_sel in any::<u64>(), seed in any::<u64>()) {
         let root = (root_sel as usize) % n;
         let input = move |r: usize| (r == root).then(|| payload(seed, r, 96));
-        let got = on_both_drivers!(n, |c| c.bcast(input(c.rank()), root));
+        let got = on_two_schedules!(n, seed, |c| c.bcast(input(c.rank()), root));
         let inputs: Vec<_> = (0..n).map(input).collect();
         prop_assert_eq!(got, spec::bcast(&inputs, root));
     }
@@ -235,7 +238,7 @@ proptest! {
     fn gatherv_meets_spec(n in 1usize..65, root_sel in any::<u64>(), seed in any::<u64>()) {
         let root = (root_sel as usize) % n;
         let input = move |r: usize| payload(seed, r, 64);
-        let got = on_both_drivers!(n, |c| c.gather(&input(c.rank()), root));
+        let got = on_two_schedules!(n, seed, |c| c.gather(&input(c.rank()), root));
         let inputs: Vec<_> = (0..n).map(input).collect();
         prop_assert_eq!(got, spec::gather(&inputs, root));
     }
@@ -246,7 +249,7 @@ proptest! {
     fn gather_u64s_meets_spec(n in 1usize..65, root_sel in any::<u64>(), seed in any::<u64>()) {
         let root = (root_sel as usize) % n;
         let input = move |r: usize| words(seed, r, 9, true);
-        let got = on_both_drivers!(n, |c| c.gather_u64s(&input(c.rank()), root));
+        let got = on_two_schedules!(n, seed, |c| c.gather_u64s(&input(c.rank()), root));
         let inputs: Vec<_> = (0..n).map(input).collect();
         prop_assert_eq!(got, spec::gather(&inputs, root));
     }
@@ -259,7 +262,7 @@ proptest! {
         let input = move |r: usize| {
             (r == root).then(|| (0..n).map(|i| payload(seed, i, 48)).collect::<Vec<_>>())
         };
-        let got = on_both_drivers!(n, |c| c.scatter(input(c.rank()), root));
+        let got = on_two_schedules!(n, seed, |c| c.scatter(input(c.rank()), root));
         let inputs: Vec<_> = (0..n).map(input).collect();
         prop_assert_eq!(got, spec::scatter(&inputs, root));
     }
@@ -269,7 +272,7 @@ proptest! {
     #[test]
     fn allgather_u64_meets_spec(n in 1usize..65, seed in any::<u64>()) {
         let input = move |r: usize| words(seed, r, 1, false)[0];
-        let got = on_both_drivers!(n, |c| c.allgather_u64(input(c.rank())));
+        let got = on_two_schedules!(n, seed, |c| c.allgather_u64(input(c.rank())));
         let inputs: Vec<_> = (0..n).map(input).collect();
         prop_assert_eq!(got, spec::allgather(&inputs));
     }
@@ -279,7 +282,7 @@ proptest! {
     #[test]
     fn reduce_meets_spec(n in 1usize..65, root_sel in any::<u64>(), op_sel in any::<u64>(), seed in any::<u64>()) {
         let (root, op) = ((root_sel as usize) % n, op_of(op_sel));
-        let got = on_both_drivers!(n, |c| c.reduce_u64(small_word(seed, c.rank()), op, root));
+        let got = on_two_schedules!(n, seed, |c| c.reduce_u64(small_word(seed, c.rank()), op, root));
         let inputs: Vec<_> = (0..n).map(|r| vec![small_word(seed, r)]).collect();
         let want: Vec<_> = spec::reduce_u64s(&inputs, op, root)
             .into_iter()
@@ -295,7 +298,7 @@ proptest! {
     fn reduce_u64s_meets_spec(n in 1usize..65, root_sel in any::<u64>(), op_sel in any::<u64>(), nwords in 1usize..9, seed in any::<u64>()) {
         let (root, op) = ((root_sel as usize) % n, op_of(op_sel));
         let input = move |r: usize| words(seed, r, nwords, false);
-        let got = on_both_drivers!(n, |c| c.reduce_u64s(&input(c.rank()), op, root));
+        let got = on_two_schedules!(n, seed, |c| c.reduce_u64s(&input(c.rank()), op, root));
         let inputs: Vec<_> = (0..n).map(input).collect();
         prop_assert_eq!(got, spec::reduce_u64s(&inputs, op, root));
     }
@@ -305,7 +308,7 @@ proptest! {
     /// composed over the group's inputs.
     #[test]
     fn split_collectives_meet_spec(n in 1usize..65, ncolors in 1usize..6, reverse in any::<bool>(), seed in any::<u64>()) {
-        let got = on_both_drivers!(n, |c| split_collectives_script(c, seed, ncolors, reverse));
+        let got = on_two_schedules!(n, seed, |c| split_collectives_script(c, seed, ncolors, reverse));
         let places = spec::split(&split_inputs(n, ncolors, reverse));
         let gathered = spec::within(&places, |p| payload(seed, p, 48), |i| spec::gather(i, 0));
         let bc = spec::within(
@@ -332,8 +335,8 @@ proptest! {
         let places = spec::split(&split_inputs(n, ncolors, reverse));
         let gathered = spec::within(&places, |p| payload(seed, p, 48), |i| spec::gather(i, i.len() - 1));
         let want: Vec<_> = (0..n).map(|r| (places[r].rank, places[r].size, gathered[r].clone())).collect();
-        let exchanged = on_both_drivers!(n, |c| split_script(c, seed, ncolors, reverse, false));
-        let local = on_both_drivers!(n, |c| split_script(c, seed, ncolors, reverse, true));
+        let exchanged = on_two_schedules!(n, seed, |c| split_script(c, seed, ncolors, reverse, false));
+        let local = on_two_schedules!(n, seed, |c| split_script(c, seed, ncolors, reverse, true));
         prop_assert_eq!(&exchanged, &want, "split vs spec");
         prop_assert_eq!(&local, &want, "split_local vs spec");
     }
@@ -343,7 +346,7 @@ proptest! {
     /// as cross-round bleed).
     #[test]
     fn allgather_barrier_rounds_meet_spec(n in 1usize..65, seed in any::<u64>()) {
-        let got = on_both_drivers!(n, |c| allgather_barrier_script(c, seed));
+        let got = on_two_schedules!(n, seed, |c| allgather_barrier_script(c, seed));
         let rounds: Vec<_> = (0..3u64)
             .map(|round| spec::allgather(&(0..n).map(|r| payload(seed ^ round, r, 32)).collect::<Vec<_>>()))
             .collect();
@@ -363,8 +366,8 @@ proptest! {
         let task = TaskWorld::run_with(serial, n, |c| async move {
             all_ops_script(&c, seed, root).await
         }).0;
-        let both = on_both_drivers!(n, |c| all_ops_script(c, seed, root));
-        prop_assert_eq!(&task, &both, "serial vs work-stealing and threads");
+        let both = on_two_schedules!(n, !sched_seed, |c| all_ops_script(c, seed, root));
+        prop_assert_eq!(&task, &both, "bounded serial vs unbounded schedules");
         prop_assert_eq!(task, all_ops_spec(n, seed, root));
     }
 }

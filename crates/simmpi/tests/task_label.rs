@@ -1,9 +1,8 @@
-//! The runtime is the one writer of a thread's task label: the launcher
-//! labels each rank thread and the executor each poll with the world rank
-//! it runs, so a rank's file writes are attributed without the program
-//! labelling anything.
+//! The runtime is the one writer of a thread's task label: the executor
+//! labels each poll with the world rank it runs, so a rank's file writes
+//! are attributed without the program labelling anything.
 
-use simmpi::{CoComm, SchedPolicy, TaskWorld, World};
+use simmpi::{CoComm, SchedPolicy, TaskWorld};
 use std::sync::Arc;
 use vfs::{BlockGuard, MemFs, TapFs, Vfs};
 
@@ -35,21 +34,19 @@ fn assert_one_shared_block(guard: &BlockGuard) {
 
 #[test]
 fn task_world_writes_are_charged_to_their_ranks() {
-    let (guard, fs) = guarded_fs();
-    let policy = SchedPolicy::Serial {
-        seed: 1,
-        preemption_bound: 2,
-    };
-    TaskWorld::run_with(policy, 2, |c| {
-        let fs = &fs;
-        async move { write_own_bytes(fs, c.rank()) }
-    });
-    assert_one_shared_block(&guard);
-}
-
-#[test]
-fn thread_world_writes_are_charged_to_their_ranks() {
-    let (guard, fs) = guarded_fs();
-    World::run(2, |c| write_own_bytes(&fs, c.rank()));
-    assert_one_shared_block(&guard);
+    // Serially, and with two workers running the ranks at once.
+    for policy in [
+        SchedPolicy::Serial {
+            seed: 1,
+            preemption_bound: 2,
+        },
+        SchedPolicy::WorkSteal { workers: 2 },
+    ] {
+        let (guard, fs) = guarded_fs();
+        TaskWorld::run_with(policy, 2, |c| {
+            let fs = &fs;
+            async move { write_own_bytes(fs, c.rank()) }
+        });
+        assert_one_shared_block(&guard);
+    }
 }

@@ -447,8 +447,8 @@ fn verify_ranks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::World;
-    use sion::paropen_write;
+    use simmpi::{CoComm, TaskWorld};
+    use sion::paropen_write_co;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use vfs::{BlockGuard, FaultKind, FaultRule, Faults, MemFs, Next, Op, OpKind, Tap, TapFs};
 
@@ -462,13 +462,15 @@ mod tests {
 
     /// `in.sion` with `payload(rank, lens[rank])` for every rank.
     fn multifile_of(fs: &MemFs, params: &SionParams, lens: &[usize]) {
-        World::run(lens.len(), |comm| {
-            let mut w = paropen_write(fs, "in.sion", params, comm).unwrap();
+        TaskWorld::run(lens.len(), |comm| async move {
+            let mut w = paropen_write_co(fs, "in.sion", params, &comm)
+                .await
+                .unwrap();
             // Multiple writes force several blocks when chunks are small.
             for piece in payload(comm.rank(), lens[comm.rank()]).chunks(700) {
                 w.write(piece).unwrap();
             }
-            w.close().unwrap();
+            w.close_co().await.unwrap();
         });
     }
 
@@ -571,13 +573,18 @@ mod tests {
         // One busy task + idle tasks → gappy input; defrag output must be
         // dense.
         let fs = MemFs::with_block_size(512);
-        World::run(4, |comm| {
-            let params = SionParams::new(512);
-            let mut w = paropen_write(&fs, "gappy.sion", &params, comm).unwrap();
-            if comm.rank() == 0 {
-                w.write(&payload(0, 20 * 512)).unwrap();
+        TaskWorld::run(4, |comm| {
+            let fs = &fs;
+            async move {
+                let params = SionParams::new(512);
+                let mut w = paropen_write_co(fs, "gappy.sion", &params, &comm)
+                    .await
+                    .unwrap();
+                if comm.rank() == 0 {
+                    w.write(&payload(0, 20 * 512)).unwrap();
+                }
+                w.close_co().await.unwrap();
             }
-            w.close().unwrap();
         });
         let out = MemFs::with_block_size(512);
         defrag(&fs, "gappy.sion", &out, "dense.sion", 1).unwrap();

@@ -3,8 +3,8 @@
 //! `siondefrag`, `sionverify`, `sioncat`, and `sionrepair` as child
 //! processes, exactly as a user would.
 
-use simmpi::World;
-use sion::{paropen_write, SionParams};
+use simmpi::{CoComm, TaskWorld};
+use sion::{paropen_write_co, SionParams};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use vfs::LocalFs;
@@ -19,13 +19,18 @@ fn scratch(tag: &str) -> PathBuf {
 /// Create a rescue-enabled multifile with 4 tasks / 2 physical files.
 fn make_multifile(dir: &Path) {
     let fs = LocalFs::with_block_size(dir, 4096);
-    World::run(4, |comm| {
-        let params = SionParams::new(4096).with_nfiles(2).with_rescue();
-        let mut w = paropen_write(&fs, "data.sion", &params, comm).unwrap();
-        for i in 0..3 {
-            w.write(&vec![(comm.rank() * 8 + i) as u8; 2500]).unwrap();
+    TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(4096).with_nfiles(2).with_rescue();
+            let mut w = paropen_write_co(fs, "data.sion", &params, &comm)
+                .await
+                .unwrap();
+            for i in 0..3 {
+                w.write(&vec![(comm.rank() * 8 + i) as u8; 2500]).unwrap();
+            }
+            w.close_co().await.unwrap();
         }
-        w.close().unwrap();
     });
 }
 

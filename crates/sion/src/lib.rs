@@ -22,10 +22,10 @@
 //!
 //! | Paper                 | Here |
 //! |-----------------------|------|
-//! | `sion_paropen_mpi` (write) | [`paropen_write`] → [`SionParWriter`] |
+//! | `sion_paropen_mpi` (write) | [`paropen_write_co`] → [`SionParWriter`] |
 //! | `sion_ensure_free_space` + `fwrite` | [`SionParWriter::ensure_free_space`] + [`SionParWriter::write_in_chunk`] |
 //! | `sion_fwrite`          | [`SionParWriter::write`] |
-//! | `sion_paropen_mpi` (read) | [`paropen_read`] → [`SionParReader`] |
+//! | `sion_paropen_mpi` (read) | [`paropen_read_co`] → [`SionParReader`] |
 //! | `sion_feof` / `sion_bytes_avail_in_chunk` / `sion_fread` | [`SionParReader::feof`] / [`bytes_avail_in_chunk`](SionParReader::bytes_avail_in_chunk) / [`read`](SionParReader::read) |
 //! | `sion_open` (serial write) | [`SerialWriter`] |
 //! | `sion_open` / `sion_open_rank` (serial read) | [`Multifile`] / [`Multifile::rank_reader`] |
@@ -54,7 +54,7 @@
 //! * the buffer fills up,
 //! * the stream leaves the current chunk (boundary crossing or seek),
 //! * an explicit [`SionParWriter::flush`] / [`SerialWriter::flush`],
-//! * [`SionParWriter::close`] / [`SerialWriter::close`].
+//! * [`SionParWriter::close_co`] / [`SerialWriter::close`].
 //!
 //! After a crash, everything up to the last flush point is recoverable by
 //! [`rescue::repair`]; bytes still in the buffer are lost. Readers keep one
@@ -74,28 +74,33 @@
 //! ## Quick start
 //!
 //! ```
-//! use simmpi::World;
+//! use simmpi::{CoComm, TaskWorld};
 //! use vfs::MemFs;
 //!
 //! let fs = MemFs::new();
 //! let params = sion::SionParams::new(64 * 1024).with_nfiles(2);
-//! // `comm` is this rank's blocking `simmpi::Comm`; inside a `TaskWorld`,
-//! // await the `_co` entry points with the rank's `CoComm` instead.
-//! World::run(8, |comm| {
-//!     let mut w = sion::paropen_write(&fs, "run/ckpt.sion", &params, comm).unwrap();
-//!     let payload = vec![comm.rank() as u8; 1000];
-//!     w.write(&payload).unwrap();
-//!     w.close().unwrap();
+//! // Each rank is a task; `comm` is its communicator, and the collective
+//! // calls suspend the task while they wait for peers.
+//! TaskWorld::run(8, |comm| {
+//!     let (fs, params) = (&fs, &params);
+//!     async move {
+//!         let mut w = sion::paropen_write_co(fs, "run/ckpt.sion", params, &comm)
+//!             .await
+//!             .unwrap();
+//!         let payload = vec![comm.rank() as u8; 1000];
+//!         w.write(&payload).unwrap();
+//!         w.close_co().await.unwrap();
 //!
-//!     let mut r = sion::paropen_read(&fs, "run/ckpt.sion", comm).unwrap();
-//!     let mut back = Vec::new();
-//!     while !r.feof() {
-//!         let mut buf = vec![0u8; r.bytes_avail_in_chunk() as usize];
-//!         r.read_exact(&mut buf).unwrap();
-//!         back.extend_from_slice(&buf);
+//!         let mut r = sion::paropen_read_co(fs, "run/ckpt.sion", &comm).await.unwrap();
+//!         let mut back = Vec::new();
+//!         while !r.feof() {
+//!             let mut buf = vec![0u8; r.bytes_avail_in_chunk() as usize];
+//!             r.read_exact(&mut buf).unwrap();
+//!             back.extend_from_slice(&buf);
+//!         }
+//!         assert_eq!(back, payload);
+//!         r.close_co().await.unwrap();
 //!     }
-//!     assert_eq!(back, payload);
-//!     r.close().unwrap();
 //! });
 //! ```
 
@@ -115,10 +120,7 @@ pub use error::{Result, SionError};
 pub use format::SionFlags;
 pub use layout::{Alignment, FileLayout};
 pub use mapping::Mapping;
-pub use par::{
-    paropen_read, paropen_read_co, paropen_write, paropen_write_co, CloseStats, SionParReader,
-    SionParWriter,
-};
+pub use par::{paropen_read_co, paropen_write_co, CloseStats, SionParReader, SionParWriter};
 pub use serial::{
     check_metadata, ChunkInfo, FileCheck, Locations, Multifile, RankReader, RankWriter,
     SerialWriter, TaskLocation,

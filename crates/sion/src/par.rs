@@ -75,30 +75,21 @@
 //! [`Mapping::group_of`]: crate::Mapping::group_of
 //! [`Mapping::rank_of`]: crate::Mapping::rank_of
 //!
-//! # Maybe-async protocol bodies
+//! # Async protocol bodies
 //!
-//! The collective protocols are written once, as `async` functions over
-//! [`simmpi::CoComm`] ([`paropen_write_co`], [`paropen_read_co`],
-//! [`SionParWriter::close_co`]), so the same state machines run on every
-//! runtime:
-//!
-//! * on the thread-backed runtimes the public blocking entry points
-//!   ([`paropen_write`], [`paropen_read`], `close`) hand the protocol the
-//!   rank's own [`simmpi::CoComm`] ([`Comm::co`](simmpi::Comm::co)) and
-//!   retire it with [`simmpi::drive_ready`], which parks the rank's thread
-//!   at each collective round until a peer's message arrives;
-//! * inside a [`simmpi::TaskWorld`] the `_co` entry points are awaited
-//!   directly and genuinely park on each collective round, which is what
-//!   lets a 16Ki–64Ki-rank collective open run on a handful of worker
-//!   threads.
+//! The collective protocols are `async` functions over [`simmpi::CoComm`]
+//! ([`paropen_write_co`], [`paropen_read_co`], [`SionParWriter::close_co`]).
+//! A rank of a [`simmpi::TaskWorld`] awaits them, and they genuinely park
+//! on each collective round, which is what lets a 16Ki–64Ki-rank
+//! collective open run on a handful of worker threads.
 //!
 //! `vfs::guard` block-contention attribution reads a per-*thread* task
-//! label, which the runtime writes: the thread launcher and the task
-//! executor (before every poll) label the thread with the world rank it
-//! runs. Every write a rank issues — the master's metadata, each frame an
-//! aggregator applies, the coalesced flushes of the stream engine — is
-//! thus attributed to that rank on every runtime, on sub-communicators
-//! too, and the protocol never labels anything itself (`simcheck`'s
+//! label, which the runtime writes: the task executor labels the thread
+//! with the world rank it runs before every poll. Every write a rank
+//! issues — the master's metadata, each frame an aggregator applies, the
+//! coalesced flushes of the stream engine — is thus attributed to that
+//! rank, on sub-communicators too, and the protocol never labels anything
+//! itself (`simcheck`'s
 //! misaligned-chunk mutation and its aligned control check exactly that).
 
 use crate::agg::{AggState, AggStats, MemberState};
@@ -109,7 +100,7 @@ use crate::physical_name;
 use crate::serial::{create_file, finalize_file, part_reader, Multifile};
 use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter};
 use crate::{IoMode, SionParams};
-use simmpi::{drive_ready, CoComm, Comm, CommStats, ReduceOp};
+use simmpi::{CoComm, CommStats, ReduceOp};
 use std::sync::Arc;
 use vfs::Vfs;
 
@@ -216,7 +207,7 @@ fn params_fingerprint(p: &SionParams, fsblksize: u64) -> u64 {
     })
 }
 
-/// Statistics returned by [`SionParWriter::close`].
+/// Statistics returned by [`SionParWriter::close_co`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CloseStats {
     /// User bytes this task wrote (pre-compression).
@@ -262,21 +253,9 @@ pub struct SionParWriter {
 
 /// Collectively create a multifile for writing (`sion_paropen_mpi`).
 ///
-/// Every task of `comm` calls this with identical parameters except for
+/// Every task of `comm` awaits this with identical parameters except for
 /// `params.chunksize`, which may differ per task. Returns this task's
 /// writer handle.
-pub fn paropen_write(
-    vfs: &dyn Vfs,
-    base: &str,
-    params: &SionParams,
-    comm: &Comm,
-) -> Result<SionParWriter> {
-    drive_ready(paropen_write_co(vfs, base, params, comm.co()))
-}
-
-/// [`paropen_write`] as a resumable protocol over [`CoComm`]: the entry
-/// point for task-runtime ranks (`TaskWorld`), which `.await` it instead
-/// of blocking a thread per rank.
 pub async fn paropen_write_co(
     vfs: &dyn Vfs,
     base: &str,
@@ -636,7 +615,7 @@ impl SionParWriter {
 
     /// Per-rank op/byte counters of this task's *file-group* communicator,
     /// when the runtime tracks them. The returned handle keeps counting
-    /// through [`close`](Self::close) (which consumes the writer), so
+    /// through [`close_co`](Self::close_co) (which consumes the writer), so
     /// callers can assert collective round counts after the fact.
     pub fn local_comm_stats(&self) -> Option<Arc<CommStats>> {
         self.lcom.stats()
@@ -674,12 +653,6 @@ impl SionParWriter {
     /// multifile's metadata durable and final. A task whose own flush
     /// failed reports that error, every other failing task a
     /// [`SionError::CollectiveMismatch`].
-    pub fn close(self) -> Result<CloseStats> {
-        drive_ready(self.close_co())
-    }
-
-    /// [`close`](Self::close) as a resumable protocol; the task-runtime
-    /// entry point.
     pub async fn close_co(mut self) -> Result<CloseStats> {
         // Aggregation epilogue, before the metadata exchange. A member
         // finishes its stream (the authoritative `used` vector), ships the
@@ -774,12 +747,6 @@ pub struct SionParReader {
 ///
 /// The task count of `comm` must equal the task count the multifile was
 /// written with, and each task is positioned at its own logical file.
-pub fn paropen_read(vfs: &dyn Vfs, base: &str, comm: &Comm) -> Result<SionParReader> {
-    drive_ready(paropen_read_co(vfs, base, comm.co()))
-}
-
-/// [`paropen_read`] as a resumable protocol over [`CoComm`]; the
-/// task-runtime entry point.
 pub async fn paropen_read_co(
     vfs: &dyn Vfs,
     base: &str,
@@ -891,14 +858,9 @@ impl SionParReader {
     }
 
     /// `sion_parclose_mpi` for the read side. Local: a reader wrote no
-    /// metadata, so no task waits for another. A caller that deletes or
-    /// overwrites the multifile after reading it synchronizes by itself.
-    pub fn close(self) -> Result<()> {
-        Ok(())
-    }
-
-    /// [`close`](Self::close) as a resumable protocol; the task-runtime
-    /// entry point. Ready at once.
+    /// metadata, so no task waits for another, and the future is ready at
+    /// once. A caller that deletes or overwrites the multifile after
+    /// reading it synchronizes by itself.
     pub async fn close_co(self) -> Result<()> {
         Ok(())
     }

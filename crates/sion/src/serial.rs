@@ -957,21 +957,26 @@ impl RankWriter<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{paropen_write, Multifile, SionParams};
-    use simmpi::World;
+    use crate::{paropen_write_co, Multifile, SionParams};
+    use simmpi::TaskWorld;
     use std::io::{BufRead, BufReader};
     use vfs::MemFs;
 
     #[test]
     fn rank_reader_works_with_bufreader() {
         let fs = MemFs::with_block_size(1024);
-        World::run(2, |comm| {
-            let params = SionParams::new(1024);
-            let mut w = paropen_write(&fs, "lines.sion", &params, comm).unwrap();
-            for i in 0..50 {
-                w.write(format!("{i}\n").as_bytes()).unwrap();
+        TaskWorld::run(2, |comm| {
+            let fs = &fs;
+            async move {
+                let params = SionParams::new(1024);
+                let mut w = paropen_write_co(fs, "lines.sion", &params, &comm)
+                    .await
+                    .unwrap();
+                for i in 0..50 {
+                    w.write(format!("{i}\n").as_bytes()).unwrap();
+                }
+                w.close_co().await.unwrap();
             }
-            w.close().unwrap();
         });
         let mf = Multifile::open(&fs, "lines.sion").unwrap();
         // Standard io::BufRead line iteration over a logical file.

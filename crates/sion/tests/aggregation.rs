@@ -6,10 +6,8 @@
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use simmpi::{CoComm, SchedPolicy, TaskWorld, World};
-use sion::{
-    paropen_read, paropen_write, paropen_write_co, Alignment, IoMode, Multifile, SionParams,
-};
+use simmpi::{CoComm, SchedPolicy, TaskWorld};
+use sion::{paropen_read_co, paropen_write_co, Alignment, IoMode, Multifile, SionParams};
 use vfs::{AccessKind, AccessSink, BlockGuard, FileAccess, MemFs, TapFs, Vfs};
 
 /// Deterministic per-rank payload.
@@ -51,8 +49,8 @@ fn write_workload(w: &mut sion::SionParWriter, rank: usize, data: &[u8], in_chun
     }
 }
 
-/// Write the same workload under `params` with the given `io_mode` on the
-/// thread runtime and return the resulting multifile's raw bytes.
+/// Write the same workload under `params` with the given `io_mode` and
+/// return the resulting multifile's raw bytes.
 fn run_mode(
     params: &SionParams,
     io_mode: IoMode,
@@ -62,12 +60,18 @@ fn run_mode(
     let fs = MemFs::with_block_size(4096);
     let params = params.clone().with_io_mode(io_mode);
     let in_chunk = !params.compressed;
-    World::run(ntasks, |c| {
-        let data = payload(c.rank(), bytes_per_task);
-        let mut w = paropen_write(&fs, "agg/m.sion", &params, c).unwrap();
-        write_workload(&mut w, c.rank(), &data, in_chunk);
-        let stats = w.close().unwrap();
-        assert_eq!(stats.user_bytes, bytes_per_task as u64);
+    TaskWorld::run(ntasks, |c| {
+        let fs = &fs;
+        let params = &params;
+        async move {
+            let data = payload(c.rank(), bytes_per_task);
+            let mut w = paropen_write_co(fs, "agg/m.sion", params, &c)
+                .await
+                .unwrap();
+            write_workload(&mut w, c.rank(), &data, in_chunk);
+            let stats = w.close_co().await.unwrap();
+            assert_eq!(stats.user_bytes, bytes_per_task as u64);
+        }
     });
     // Whatever the transport, the data must round-trip.
     let mf = Multifile::open(&fs, "agg/m.sion").unwrap();
@@ -143,7 +147,7 @@ fn serial(seed: u64) -> SchedPolicy {
 }
 
 #[test]
-fn all_three_runtimes_produce_identical_aggregated_multifiles() {
+fn every_schedule_produces_identical_aggregated_multifiles() {
     let ntasks = 24;
     let bytes_per_task = 5_000;
     let params = SionParams::new(2048)
@@ -152,16 +156,23 @@ fn all_three_runtimes_produce_identical_aggregated_multifiles() {
             tasks_per_aggregator: 4,
         });
 
+    // One worker: ranks run in the executor's FIFO order.
     let fs_world = MemFs::with_block_size(4096);
-    World::run(ntasks, |c| {
-        let mut w = paropen_write(&fs_world, "m.sion", &params, c).unwrap();
-        w.write(&payload(c.rank(), bytes_per_task)).unwrap();
-        w.close().unwrap();
+    TaskWorld::run_with(SchedPolicy::WorkSteal { workers: 1 }, ntasks, |c| {
+        let fs_world = &fs_world;
+        let params = &params;
+        async move {
+            let mut w = paropen_write_co(fs_world, "m.sion", params, &c)
+                .await
+                .unwrap();
+            w.write(&payload(c.rank(), bytes_per_task)).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     let baseline = dump(&fs_world, "");
 
-    // The task runtime on the host's workers, and under four seeded serial
-    // schedules: other message orders than the threads'.
+    // The host's workers, and four seeded serial schedules: other message
+    // orders than the single worker's.
     for policy in [SchedPolicy::host()].into_iter().chain((0..4).map(serial)) {
         let fs_task = MemFs::with_block_size(4096);
         TaskWorld::run_with(policy, ntasks, |c| {
@@ -186,24 +197,28 @@ fn shipment_stats_account_for_every_frame() {
         tasks_per_aggregator: 4,
     });
     let fs = MemFs::with_block_size(4096);
-    let stats: Vec<sion::CloseStats> = World::run(ntasks, |c| {
-        let data = payload(c.rank(), 6_000);
-        let mut w = paropen_write(&fs, "s.sion", &params, c).unwrap();
-        for piece in data.chunks(500) {
-            w.write(piece).unwrap();
-        }
-        w.flush().unwrap();
-        w.write(&[0xEE; 100]).unwrap();
+    let stats: Vec<sion::CloseStats> = TaskWorld::run(ntasks, |c| {
+        let fs = &fs;
+        let params = &params;
+        async move {
+            let data = payload(c.rank(), 6_000);
+            let mut w = paropen_write_co(fs, "s.sion", params, &c).await.unwrap();
+            for piece in data.chunks(500) {
+                w.write(piece).unwrap();
+            }
+            w.flush().unwrap();
+            w.write(&[0xEE; 100]).unwrap();
 
-        // The read side is mode-agnostic: the same collective read works
-        // on the aggregated file while the writer world is still up.
-        let stats = w.close().unwrap();
-        let mut r = paropen_read(&fs, "s.sion", c).unwrap();
-        let mut back = vec![0u8; 6_000];
-        r.read_exact(&mut back).unwrap();
-        assert_eq!(back, data);
-        r.close().unwrap();
-        stats
+            // The read side is mode-agnostic: the same collective read works
+            // on the aggregated file while the writer world is still up.
+            let stats = w.close_co().await.unwrap();
+            let mut r = paropen_read_co(fs, "s.sion", &c).await.unwrap();
+            let mut back = vec![0u8; 6_000];
+            r.read_exact(&mut back).unwrap();
+            assert_eq!(back, data);
+            r.close_co().await.unwrap();
+            stats
+        }
     });
 
     let is_aggregator = |rank: usize| rank.is_multiple_of(4);
@@ -258,12 +273,16 @@ fn compressed_members_compress_once_and_ship_stored_bytes() {
     let run = |io_mode: IoMode| {
         let fs = MemFs::with_block_size(4096);
         let params = base.clone().with_io_mode(io_mode);
-        let stats = World::run(ntasks, |c| {
-            let mut w = paropen_write(&fs, "z.sion", &params, c).unwrap();
-            for piece in data(c.rank()).chunks(1000) {
-                w.write(piece).unwrap();
+        let stats = TaskWorld::run(ntasks, |c| {
+            let fs = &fs;
+            let params = &params;
+            async move {
+                let mut w = paropen_write_co(fs, "z.sion", params, &c).await.unwrap();
+                for piece in data(c.rank()).chunks(1000) {
+                    w.write(piece).unwrap();
+                }
+                w.close_co().await.unwrap()
             }
-            w.close().unwrap()
         });
         (stats, dump(&fs, ""))
     };
@@ -343,10 +362,14 @@ fn aggregators_apply_their_members_writes_extent_for_extent() {
         let mem = Arc::new(MemFs::with_block_size(4096));
         let fs = TapFs::new(mem.clone(), vec![log.clone()]);
         let params = params.clone().with_io_mode(io_mode);
-        World::run(ntasks, |c| {
-            let mut w = paropen_write(&fs, "x.sion", &params, c).unwrap();
-            workload(&mut w, c.rank());
-            w.close().unwrap();
+        TaskWorld::run(ntasks, |c| {
+            let fs = &fs;
+            let params = &params;
+            async move {
+                let mut w = paropen_write_co(fs, "x.sion", params, &c).await.unwrap();
+                workload(&mut w, c.rank());
+                w.close_co().await.unwrap();
+            }
         });
         (log, mem)
     };
@@ -446,11 +469,15 @@ fn aggregators_never_share_an_fs_block() {
     ] {
         let guard = BlockGuard::new(4096);
         let fs = TapFs::new(Arc::new(MemFs::with_block_size(4096)), vec![guard.clone()]);
-        World::run(ntasks, |c| {
-            let data = payload(c.rank(), 5_000);
-            let mut w = paropen_write(&fs, "g.sion", &params, c).unwrap();
-            write_workload(&mut w, c.rank(), &data, true);
-            w.close().unwrap();
+        TaskWorld::run(ntasks, |c| {
+            let fs = &fs;
+            let params = &params;
+            async move {
+                let data = payload(c.rank(), 5_000);
+                let mut w = paropen_write_co(fs, "g.sion", params, &c).await.unwrap();
+                write_workload(&mut w, c.rank(), &data, true);
+                w.close_co().await.unwrap();
+            }
         });
         guard.assert_exclusive();
     }
@@ -466,10 +493,14 @@ fn aggregated_rescue_files_verify_and_force_repair_byte_identically() {
             tasks_per_aggregator: 4,
         });
     let fs = MemFs::with_block_size(4096);
-    World::run(ntasks, |c| {
-        let mut w = paropen_write(&fs, "r.sion", &params, c).unwrap();
-        w.write(&payload(c.rank(), 7_000)).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(ntasks, |c| {
+        let fs = &fs;
+        let params = &params;
+        async move {
+            let mut w = paropen_write_co(fs, "r.sion", params, &c).await.unwrap();
+            w.write(&payload(c.rank(), 7_000)).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
 
     let report = sion_tools::verify(&fs, "r.sion").unwrap();
@@ -492,19 +523,24 @@ fn aggregated_rescue_files_verify_and_force_repair_byte_identically() {
 #[test]
 fn io_mode_mismatch_fails_collectively() {
     let fs = MemFs::with_block_size(4096);
-    let results = World::run(8, |c| {
-        // Rank 3 disagrees about the transport. The mode changes the
-        // communication protocol, so a split-brain open must fail on
-        // EVERY task, not deadlock or limp along.
-        let io_mode = if c.rank() == 3 {
-            IoMode::Independent
-        } else {
-            IoMode::Aggregated {
-                tasks_per_aggregator: 4,
-            }
-        };
-        let params = SionParams::new(1024).with_io_mode(io_mode);
-        paropen_write(&fs, "clash.sion", &params, c).is_err()
+    let results = TaskWorld::run(8, |c| {
+        let fs = &fs;
+        async move {
+            // Rank 3 disagrees about the transport. The mode changes the
+            // communication protocol, so a split-brain open must fail on
+            // EVERY task, not deadlock or limp along.
+            let io_mode = if c.rank() == 3 {
+                IoMode::Independent
+            } else {
+                IoMode::Aggregated {
+                    tasks_per_aggregator: 4,
+                }
+            };
+            let params = SionParams::new(1024).with_io_mode(io_mode);
+            paropen_write_co(fs, "clash.sion", &params, &c)
+                .await
+                .is_err()
+        }
     });
     assert!(results.iter().all(|&failed| failed));
 }
@@ -523,9 +559,9 @@ fn write_records(w: &mut sion::SionParWriter, rank: usize, sizes: &[usize]) {
 }
 
 /// Run the write workload under `params` on the runtime selected by
-/// `runtime` (0 = thread tree, 1 = task tree under four seeded serial
-/// schedules, which must agree, 2 = task tree on the host's workers) and
-/// return the multifile's raw bytes.
+/// `runtime` (0 = one work-stealing worker, 1 = four seeded serial
+/// schedules, which must agree, 2 = the host's workers) and return the
+/// multifile's raw bytes.
 fn run_on_runtime(
     runtime: usize,
     params: &SionParams,
@@ -545,15 +581,7 @@ fn run_on_runtime(
         dump(&fs, "")
     };
     match runtime {
-        0 => {
-            let fs = MemFs::with_block_size(4096);
-            World::run(ntasks, |c| {
-                let mut w = paropen_write(&fs, "p.sion", params, c).unwrap();
-                write_records(&mut w, c.rank(), sizes);
-                w.close().unwrap();
-            });
-            dump(&fs, "")
-        }
+        0 => on_tasks(SchedPolicy::WorkSteal { workers: 1 }),
         1 => {
             let first = on_tasks(serial(0));
             for seed in 1..4 {
@@ -636,11 +664,17 @@ fn single_task_neighborhoods_degenerate_to_independent_writes() {
     let params = base.with_io_mode(IoMode::Aggregated {
         tasks_per_aggregator: 1,
     });
-    let stats = World::run(ntasks, |c| {
-        let data = payload(c.rank(), 5_000);
-        let mut w = paropen_write(&fs, "agg/m.sion", &params, c).unwrap();
-        write_workload(&mut w, c.rank(), &data, true);
-        w.close().unwrap()
+    let stats = TaskWorld::run(ntasks, |c| {
+        let fs = &fs;
+        let params = &params;
+        async move {
+            let data = payload(c.rank(), 5_000);
+            let mut w = paropen_write_co(fs, "agg/m.sion", params, &c)
+                .await
+                .unwrap();
+            write_workload(&mut w, c.rank(), &data, true);
+            w.close_co().await.unwrap()
+        }
     });
     for (rank, s) in stats.iter().enumerate() {
         assert_eq!(

@@ -12,9 +12,10 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use simmpi::World;
+use simmpi::{CoComm, TaskWorld};
 use sion::{
-    paropen_read, paropen_write, Alignment, Multifile, SerialWriter, SionParams, DEFAULT_READ_AHEAD,
+    paropen_read_co, paropen_write_co, Alignment, Multifile, SerialWriter, SionParams,
+    DEFAULT_READ_AHEAD,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -124,13 +125,18 @@ proptest! {
             let fs = MemFs::with_block_size(1024);
             let mut params = SionParams::new(1024).with_nfiles(2).with_write_buffer(buffer);
             params.rescue = rescue;
-            World::run(ntasks, |comm| {
-                let mut w = paropen_write(&fs, "p.sion", &params, comm).unwrap();
+            TaskWorld::run(ntasks, |comm| {
+let fs = &fs;
+let params = &params;
+let sizes = &sizes;
+async move {
+                let mut w = paropen_write_co(fs, "p.sion", params, &comm).await.unwrap();
                 for (i, &len) in sizes.iter().enumerate() {
                     w.write(&payload(comm.rank(), i, len)).unwrap();
                 }
-                w.close().unwrap();
-            });
+                w.close_co().await.unwrap();
+            }
+});
             fs
         };
         let fs_buf = run(write_buffer);
@@ -144,8 +150,10 @@ proptest! {
         let expect_of = |rank: usize| -> Vec<u8> {
             sizes.iter().enumerate().flat_map(|(i, &len)| payload(rank, i, len)).collect()
         };
-        World::run(ntasks, |comm| {
-            let mut r = paropen_read(&fs_buf, "p.sion", comm).unwrap();
+        TaskWorld::run(ntasks, |comm| {
+let fs_buf = &fs_buf;
+async move {
+            let mut r = paropen_read_co(fs_buf, "p.sion", &comm).await.unwrap();
             let mut back = Vec::new();
             let mut buf = [0u8; 97];
             loop {
@@ -156,8 +164,9 @@ proptest! {
                 back.extend_from_slice(&buf[..n]);
             }
             assert_eq!(back, expect_of(comm.rank()), "rank {}", comm.rank());
-            r.close().unwrap();
-        });
+            r.close_co().await.unwrap();
+        }
+});
     }
 
     /// Explicit flushes at arbitrary points must not change the final

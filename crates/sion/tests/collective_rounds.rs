@@ -7,9 +7,9 @@
 //! `sion::script` are held to the same counts.
 
 use parfs::IoOp;
-use simmpi::{drive_ready, CoComm, CommStats, SchedPolicy, TaskWorld, World};
+use simmpi::{CoComm, CommStats, SchedPolicy, TaskWorld};
 use sion::script::{sion_par_read, sion_par_write, SimSpec};
-use sion::{paropen_read, paropen_read_co, paropen_write, paropen_write_co, SionParams};
+use sion::{paropen_read_co, paropen_write_co, SionParams};
 use vfs::MemFs;
 
 /// Open, write two blocks, close — asserting the per-communicator round
@@ -68,13 +68,16 @@ async fn write_rounds(fs: &MemFs, params: &SionParams, comm: &dyn CoComm) {
 }
 
 /// The round structure is the same constant at every group size: an 8-task
-/// world in two file groups on the thread runtime, and a single 600-task
-/// file group on the task runtime.
+/// world in two file groups, and a single 600-task file group.
 #[test]
 fn write_open_and_close_cost_one_gather_each() {
     let fs = MemFs::with_block_size(512);
     let params = SionParams::new(2048).with_nfiles(2);
-    World::run(8, |comm| drive_ready(write_rounds(&fs, &params, comm.co())));
+    TaskWorld::run(8, |comm| {
+        let fs = &fs;
+        let params = &params;
+        async move { write_rounds(fs, params, &comm).await }
+    });
 
     let fs = MemFs::with_block_size(512);
     let params = SionParams::new(2048);
@@ -95,35 +98,41 @@ fn a_ragged_open_gathers_and_scatters_the_geometry() {
         let req = |rank: usize| if rank == odd { 1000 } else { 600 };
         let params = SionParams::new(0).with_nfiles(2);
         let fs = MemFs::with_block_size(512);
-        World::run(ntasks, |comm| {
-            let params = SionParams {
-                chunksize: req(comm.rank()),
-                ..params.clone()
-            };
-            let parent = comm.stats().expect("runtime tracks stats");
-            let mut w = paropen_write(&fs, "rag.sion", &params, comm).unwrap();
-            let lcom = w.local_comm_stats().expect("runtime tracks stats");
-            let gcom = w.global_comm_stats().expect("runtime tracks stats");
-            assert_eq!(
-                [
-                    lcom.gathers(),
-                    lcom.scatters(),
-                    lcom.bcasts(),
-                    lcom.collectives()
-                ],
-                [1, 1, 0, 2],
-                "ragged open on the file group: [gathers, scatters, bcasts, all]"
-            );
-            assert_eq!(
-                [gcom.reduces(), gcom.bcasts(), gcom.collectives()],
-                [1, 1, 2]
-            );
-            assert_eq!(
-                [parent.reduces(), parent.bcasts(), parent.collectives()],
-                [1, 1, 2]
-            );
-            w.write(&stream(comm.rank())).unwrap();
-            w.close().unwrap();
+        TaskWorld::run(ntasks, |comm| {
+            let fs = &fs;
+            let params = &params;
+            async move {
+                let params = SionParams {
+                    chunksize: req(comm.rank()),
+                    ..params.clone()
+                };
+                let parent = comm.stats().expect("runtime tracks stats");
+                let mut w = paropen_write_co(fs, "rag.sion", &params, &comm)
+                    .await
+                    .unwrap();
+                let lcom = w.local_comm_stats().expect("runtime tracks stats");
+                let gcom = w.global_comm_stats().expect("runtime tracks stats");
+                assert_eq!(
+                    [
+                        lcom.gathers(),
+                        lcom.scatters(),
+                        lcom.bcasts(),
+                        lcom.collectives()
+                    ],
+                    [1, 1, 0, 2],
+                    "ragged open on the file group: [gathers, scatters, bcasts, all]"
+                );
+                assert_eq!(
+                    [gcom.reduces(), gcom.bcasts(), gcom.collectives()],
+                    [1, 1, 2]
+                );
+                assert_eq!(
+                    [parent.reduces(), parent.bcasts(), parent.collectives()],
+                    [1, 1, 2]
+                );
+                w.write(&stream(comm.rank())).unwrap();
+                w.close_co().await.unwrap();
+            }
         });
 
         let serial = MemFs::with_block_size(512);
@@ -191,17 +200,24 @@ async fn read_rounds(fs: &MemFs, params: &SionParams, comm: &dyn CoComm) {
 fn read_open_costs_one_scatter_on_the_parent() {
     let fs = MemFs::with_block_size(512);
     let params = SionParams::new(1024).with_nfiles(3);
-    World::run(6, |comm| drive_ready(read_rounds(&fs, &params, comm.co())));
+    TaskWorld::run(6, |comm| {
+        let fs = &fs;
+        let params = &params;
+        async move { read_rounds(fs, params, &comm).await }
+    });
 }
 
 /// The read twin of `write_open_and_close_cost_one_gather_each`: the same
-/// counts in an 8-task world of two files on the thread runtime and in a
-/// single 600-task file on the task runtime.
+/// counts in an 8-task world of two files and in a single 600-task file.
 #[test]
 fn read_open_costs_the_same_at_every_group_size() {
     let fs = MemFs::with_block_size(512);
     let params = SionParams::new(2048).with_nfiles(2);
-    World::run(8, |comm| drive_ready(read_rounds(&fs, &params, comm.co())));
+    TaskWorld::run(8, |comm| {
+        let fs = &fs;
+        let params = &params;
+        async move { read_rounds(fs, params, &comm).await }
+    });
 
     let fs = MemFs::with_block_size(512);
     let params = SionParams::new(2048);
@@ -315,22 +331,26 @@ fn scripted(ops: &[IoOp]) -> [u64; 4] {
 fn scripted_collectives_match_an_executed_run() {
     let fs = MemFs::with_block_size(512);
     let params = SionParams::new(2048).with_nfiles(2);
-    let runs = World::run(8, |comm| {
-        let parent = comm.stats().expect("runtime tracks stats");
-        let mut w = paropen_write(&fs, "s.sion", &params, comm).unwrap();
-        let (lcom, gcom) = (
-            w.local_comm_stats().unwrap(),
-            w.global_comm_stats().unwrap(),
-        );
-        w.write(&vec![comm.rank() as u8; 3000]).unwrap();
-        w.close().unwrap();
-        let write = executed(&[&parent, &lcom, &gcom]);
+    let runs = TaskWorld::run(8, |comm| {
+        let fs = &fs;
+        let params = &params;
+        async move {
+            let parent = comm.stats().expect("runtime tracks stats");
+            let mut w = paropen_write_co(fs, "s.sion", params, &comm).await.unwrap();
+            let (lcom, gcom) = (
+                w.local_comm_stats().unwrap(),
+                w.global_comm_stats().unwrap(),
+            );
+            w.write(&vec![comm.rank() as u8; 3000]).unwrap();
+            w.close_co().await.unwrap();
+            let write = executed(&[&parent, &lcom, &gcom]);
 
-        let before = executed(&[&parent]);
-        let r = paropen_read(&fs, "s.sion", comm).unwrap();
-        r.close().unwrap();
-        let after = executed(&[&parent]);
-        (write, std::array::from_fn(|i| after[i] - before[i]))
+            let before = executed(&[&parent]);
+            let r = paropen_read_co(fs, "s.sion", &comm).await.unwrap();
+            r.close_co().await.unwrap();
+            let after = executed(&[&parent]);
+            (write, std::array::from_fn(|i| after[i] - before[i]))
+        }
     });
     let spec = SimSpec::aligned(8, 2, 3000, 512);
     let (write, read) = (sion_par_write(&spec), sion_par_read(&spec));

@@ -24,9 +24,9 @@
 //! `CRASH_SEED` environment variable to diversify CI runs); every failure
 //! message includes the crash point and seed needed to reproduce it.
 
-use simmpi::World;
+use simmpi::{CoComm, TaskWorld};
 use sion::rescue::repair;
-use sion::{paropen_write, IoMode, Multifile, SionParams};
+use sion::{paropen_write_co, IoMode, Multifile, SionParams};
 use std::sync::Arc;
 use vfs::{BlockGuard, FaultKind, FaultRule, Faults, MemFs, TapFs, Vfs};
 
@@ -103,8 +103,8 @@ fn agg_params() -> SionParams {
 /// close). Every error is swallowed: under an armed kill switch each task
 /// simply stops making progress, like a dying process.
 fn crashy_workload_with(fs: &dyn Vfs, base: &str, seed: u64, params: &SionParams) {
-    World::run(NTASKS, |comm| {
-        let Ok(mut w) = paropen_write(fs, base, params, comm) else {
+    TaskWorld::run(NTASKS, |comm| async move {
+        let Ok(mut w) = paropen_write_co(fs, base, params, &comm).await else {
             return;
         };
         for piece in payload(seed, comm.rank(), PAYLOAD_LEN).chunks(100) {
@@ -267,10 +267,15 @@ fn clobbered_rescue_header_costs_one_chunk_not_the_repair() {
     // problem report; the remaining chunks and files still repair.
     let seed = seed();
     let fs = MemFs::with_block_size(256);
-    World::run(NTASKS, |comm| {
-        let mut w = paropen_write(&fs, "clob.sion", &params(), comm).unwrap();
-        w.write(&payload(seed, comm.rank(), PAYLOAD_LEN)).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(NTASKS, |comm| {
+        let fs = &fs;
+        async move {
+            let mut w = paropen_write_co(fs, "clob.sion", &params(), &comm)
+                .await
+                .unwrap();
+            w.write(&payload(seed, comm.rank(), PAYLOAD_LEN)).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     // Clobber the rescue header of rank 0's first chunk with a *valid*
     // header of the wrong (rank, block) — the hardest case to reject.
@@ -314,54 +319,59 @@ fn failed_flush_is_never_followed_by_a_header_patch() {
     // retried flush completes both in order.
     let seed = seed();
     let cfs = crash_fs();
-    World::run(1, |comm| {
-        let p = SionParams::new(256).with_rescue().with_write_buffer(4096);
-        let mut w = paropen_write(&cfs.fs, "ord.sion", &p, comm).unwrap();
-        w.write(&payload(seed, 0, 100)).unwrap(); // buffered, not yet on disk
-        cfs.faults.take_log(); // look only at ops from here on
-                               // Occurrence counters are global (metablock 1 and the rescue
-                               // header already consumed write slots), so fail every write from
-                               // now on; clear() below ends the outage.
-        cfs.faults.inject(FaultRule {
-            kind: FaultKind::Write,
-            from: 0,
-            count: u64::MAX,
-        });
-        assert!(
-            w.flush().is_err(),
-            "injected data-write failure must surface"
-        );
+    TaskWorld::run(1, |comm| {
+        let cfs = &cfs;
+        async move {
+            let p = SionParams::new(256).with_rescue().with_write_buffer(4096);
+            let mut w = paropen_write_co(&cfs.fs, "ord.sion", &p, &comm)
+                .await
+                .unwrap();
+            w.write(&payload(seed, 0, 100)).unwrap(); // buffered, not yet on disk
+            cfs.faults.take_log(); // look only at ops from here on
+                                   // Occurrence counters are global (metablock 1 and the rescue
+                                   // header already consumed write slots), so fail every write from
+                                   // now on; clear() below ends the outage.
+            cfs.faults.inject(FaultRule {
+                kind: FaultKind::Write,
+                from: 0,
+                count: u64::MAX,
+            });
+            assert!(
+                w.flush().is_err(),
+                "injected data-write failure must surface"
+            );
 
-        let log = cfs.faults.take_log();
-        let failed_write = log
-            .iter()
-            .find(|r| r.kind == FaultKind::Write && !r.ok)
-            .expect("the failed data write is in the log");
-        assert!(
-            !log.iter().any(|r| {
-                r.seq > failed_write.seq && r.kind == FaultKind::Write && r.ok && r.len == 8
-            }),
-            "no 8-byte used-field patch may follow the failed data flush: {log:?}"
-        );
+            let log = cfs.faults.take_log();
+            let failed_write = log
+                .iter()
+                .find(|r| r.kind == FaultKind::Write && !r.ok)
+                .expect("the failed data write is in the log");
+            assert!(
+                !log.iter().any(|r| {
+                    r.seq > failed_write.seq && r.kind == FaultKind::Write && r.ok && r.len == 8
+                }),
+                "no 8-byte used-field patch may follow the failed data flush: {log:?}"
+            );
 
-        // Transient-EIO retry semantics: the buffer was kept, a second
-        // flush persists data first, then the patch.
-        cfs.faults.clear();
-        w.flush().unwrap();
-        let log = cfs.faults.take_log();
-        let data = log
-            .iter()
-            .find(|r| r.kind == FaultKind::Write && r.ok && r.len == 100)
-            .expect("retried data write");
-        let patch = log
-            .iter()
-            .find(|r| r.kind == FaultKind::Write && r.ok && r.len == 8)
-            .expect("rescue patch after retry");
-        assert!(
-            data.seq < patch.seq,
-            "data must be durable before the header claims it: {log:?}"
-        );
-        w.close().unwrap();
+            // Transient-EIO retry semantics: the buffer was kept, a second
+            // flush persists data first, then the patch.
+            cfs.faults.clear();
+            w.flush().unwrap();
+            let log = cfs.faults.take_log();
+            let data = log
+                .iter()
+                .find(|r| r.kind == FaultKind::Write && r.ok && r.len == 100)
+                .expect("retried data write");
+            let patch = log
+                .iter()
+                .find(|r| r.kind == FaultKind::Write && r.ok && r.len == 8)
+                .expect("rescue patch after retry");
+            assert!(
+                data.seq < patch.seq,
+                "data must be durable before the header claims it: {log:?}"
+            );
+            w.close_co().await.unwrap();
+        }
     });
     cfs.faults.clear();
     let mf = Multifile::open(&cfs.fs, "ord.sion").unwrap();
@@ -464,32 +474,37 @@ fn killed_aggregator_mid_shipment_fails_members_and_stays_repairable() {
     // (metablock 2 is skipped), and repair recovers a per-rank prefix.
     let seed = seed();
     let cfs = crash_fs();
-    let results = World::run(NTASKS, |comm| {
-        let mut w = paropen_write(&cfs.fs, "kagg.sion", &agg_params(), comm).unwrap();
-        w.write(&payload(seed, comm.rank(), PAYLOAD_LEN)).unwrap();
-        w.flush().unwrap();
-        // The fault rules are shared state; arm them only after every
-        // task's pre-fault traffic is staged.
-        comm.barrier();
-        if comm.rank() == 0 {
-            cfs.faults.inject(FaultRule {
-                kind: FaultKind::Write,
-                from: 0,
-                count: u64::MAX,
-            });
-            cfs.faults.inject(FaultRule {
-                kind: FaultKind::Sync,
-                from: 0,
-                count: u64::MAX,
-            });
+    let results = TaskWorld::run(NTASKS, |comm| {
+        let cfs = &cfs;
+        async move {
+            let mut w = paropen_write_co(&cfs.fs, "kagg.sion", &agg_params(), &comm)
+                .await
+                .unwrap();
+            w.write(&payload(seed, comm.rank(), PAYLOAD_LEN)).unwrap();
+            w.flush().unwrap();
+            // The fault rules are shared state; arm them only after every
+            // task's pre-fault traffic is staged.
+            comm.barrier().await;
+            if comm.rank() == 0 {
+                cfs.faults.inject(FaultRule {
+                    kind: FaultKind::Write,
+                    from: 0,
+                    count: u64::MAX,
+                });
+                cfs.faults.inject(FaultRule {
+                    kind: FaultKind::Sync,
+                    from: 0,
+                    count: u64::MAX,
+                });
+            }
+            comm.barrier().await;
+            // This wave can never become durable: the aggregators' replay
+            // writes die. The member-side error may surface on a later write
+            // (via a poisoned ack) or at the collective close.
+            let late = w.write(&[0xAB; 64]);
+            let closed = w.close_co().await;
+            late.is_err() || closed.is_err()
         }
-        comm.barrier();
-        // This wave can never become durable: the aggregators' replay
-        // writes die. The member-side error may surface on a later write
-        // (via a poisoned ack) or at the collective close.
-        let late = w.write(&[0xAB; 64]);
-        let closed = w.close();
-        late.is_err() || closed.is_err()
     });
     assert!(
         results.iter().all(|&failed| failed),
@@ -511,29 +526,34 @@ fn crashed_task_cannot_hang_the_collective_close() {
     // un-finalized file stays repairable.
     let seed = seed();
     let cfs = crash_fs();
-    let results = World::run(NTASKS, |comm| {
-        let mut w = paropen_write(&cfs.fs, "hang.sion", &params(), comm).unwrap();
-        w.write(&payload(seed, comm.rank(), PAYLOAD_LEN)).unwrap();
-        w.flush().unwrap();
-        // Everyone's payload is durable before any fault is armed — the
-        // rules are shared state and must not race the flushes above.
-        comm.barrier();
-        if comm.rank() == 0 {
-            // Everything from now on fails — including rank 0's part of
-            // the close — while the other ranks' close I/O proceeds.
-            cfs.faults.inject(FaultRule {
-                kind: FaultKind::Write,
-                from: 0,
-                count: u64::MAX,
-            });
-            cfs.faults.inject(FaultRule {
-                kind: FaultKind::Sync,
-                from: 0,
-                count: u64::MAX,
-            });
+    let results = TaskWorld::run(NTASKS, |comm| {
+        let cfs = &cfs;
+        async move {
+            let mut w = paropen_write_co(&cfs.fs, "hang.sion", &params(), &comm)
+                .await
+                .unwrap();
+            w.write(&payload(seed, comm.rank(), PAYLOAD_LEN)).unwrap();
+            w.flush().unwrap();
+            // Everyone's payload is durable before any fault is armed — the
+            // rules are shared state and must not race the flushes above.
+            comm.barrier().await;
+            if comm.rank() == 0 {
+                // Everything from now on fails — including rank 0's part of
+                // the close — while the other ranks' close I/O proceeds.
+                cfs.faults.inject(FaultRule {
+                    kind: FaultKind::Write,
+                    from: 0,
+                    count: u64::MAX,
+                });
+                cfs.faults.inject(FaultRule {
+                    kind: FaultKind::Sync,
+                    from: 0,
+                    count: u64::MAX,
+                });
+            }
+            comm.barrier().await;
+            w.close_co().await.is_err()
         }
-        comm.barrier();
-        w.close().is_err()
     });
     assert!(
         results.iter().all(|&failed| failed),

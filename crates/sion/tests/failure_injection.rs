@@ -2,10 +2,9 @@
 //! surface as clean errors on every task — never hangs, never partial
 //! multifiles accepted as valid.
 
-use simmpi::{CoComm, TaskWorld, World};
+use simmpi::{CoComm, TaskWorld};
 use sion::{
-    paropen_read, paropen_write, paropen_write_co, physical_name, IoMode, Multifile, SionError,
-    SionParams,
+    paropen_read_co, paropen_write_co, physical_name, IoMode, Multifile, SionError, SionParams,
 };
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,9 +31,14 @@ fn master_create_failure_fails_every_task() {
         from: 0,
         count: u64::MAX,
     });
-    let results = World::run(6, |comm| {
-        let params = SionParams::new(1024).with_nfiles(2);
-        paropen_write(&fs, "f.sion", &params, comm).is_err()
+    let results = TaskWorld::run(6, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(1024).with_nfiles(2);
+            paropen_write_co(fs, "f.sion", &params, &comm)
+                .await
+                .is_err()
+        }
     });
     assert!(
         results.iter().all(|&failed| failed),
@@ -52,9 +56,14 @@ fn one_of_two_masters_failing_fails_all() {
         from: 1,
         count: 1,
     });
-    let results = World::run(6, |comm| {
-        let params = SionParams::new(1024).with_nfiles(2);
-        paropen_write(&fs, "g.sion", &params, comm).is_err()
+    let results = TaskWorld::run(6, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(1024).with_nfiles(2);
+            paropen_write_co(fs, "g.sion", &params, &comm)
+                .await
+                .is_err()
+        }
     });
     // The open is all-or-nothing across file groups: every task fails.
     assert!(results.iter().all(|&failed| failed), "{results:?}");
@@ -69,9 +78,14 @@ fn metadata_write_failure_fails_open() {
         from: 0,
         count: 1,
     });
-    let results = World::run(4, |comm| {
-        let params = SionParams::new(1024);
-        paropen_write(&fs, "h.sion", &params, comm).is_err()
+    let results = TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(1024);
+            paropen_write_co(fs, "h.sion", &params, &comm)
+                .await
+                .is_err()
+        }
     });
     assert!(results.iter().all(|&failed| failed));
 }
@@ -80,41 +94,58 @@ fn metadata_write_failure_fails_open() {
 fn open_failure_during_read_discovery_fails_everyone() {
     // Build a valid multifile, then make all opens fail.
     let (fs, faults) = faulty(1024);
-    World::run(4, |comm| {
-        let params = SionParams::new(1024);
-        let mut w = paropen_write(&fs, "r.sion", &params, comm).unwrap();
-        w.write(b"payload").unwrap();
-        w.close().unwrap();
+    TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(1024);
+            let mut w = paropen_write_co(fs, "r.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(b"payload").unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     faults.inject(FaultRule {
         kind: FaultKind::Open,
         from: 0,
         count: u64::MAX,
     });
-    let results = World::run(4, |comm| paropen_read(&fs, "r.sion", comm).is_err());
+    let results = TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move { paropen_read_co(fs, "r.sion", &comm).await.is_err() }
+    });
     assert!(results.iter().all(|&failed| failed));
 }
 
 #[test]
 fn data_write_failures_surface_to_the_caller() {
     let (fs, faults) = faulty(1024);
-    let results = World::run(2, |comm| {
-        let params = SionParams::new(1024);
-        let mut w = paropen_write(&fs, "d.sion", &params, comm).unwrap();
-        // Fail all writes from now on (metablock 1 was already written).
-        if comm.rank() == 0 {
-            faults.inject(FaultRule {
-                kind: FaultKind::Write,
-                from: 0,
-                count: u64::MAX,
-            });
+    let results = TaskWorld::run(2, |comm| {
+        let faults = &faults;
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(1024);
+            let mut w = paropen_write_co(fs, "d.sion", &params, &comm)
+                .await
+                .unwrap();
+            // Fail all writes from now on (metablock 1 was already written).
+            if comm.rank() == 0 {
+                faults.inject(FaultRule {
+                    kind: FaultKind::Write,
+                    from: 0,
+                    count: u64::MAX,
+                });
+            }
+            comm.barrier().await;
+            let write_failed = w.write(&vec![9u8; 5000]).is_err();
+            // Synchronize the error before the collective close, as an
+            // application must (see mp2c::checkpoint::collective_check).
+            let any_failed = comm
+                .allreduce_u64(write_failed as u64, simmpi::ReduceOp::Max)
+                .await
+                == 1;
+            (write_failed, any_failed)
         }
-        comm.barrier();
-        let write_failed = w.write(&vec![9u8; 5000]).is_err();
-        // Synchronize the error before the collective close, as an
-        // application must (see mp2c::checkpoint::collective_check).
-        let any_failed = comm.allreduce_u64(write_failed as u64, simmpi::ReduceOp::Max) == 1;
-        (write_failed, any_failed)
     });
     // All writes went through the shared fault counter, so both ranks fail;
     // the essential assertion is that the error reached the caller and the
@@ -126,11 +157,16 @@ fn data_write_failures_surface_to_the_caller() {
 #[test]
 fn read_failures_surface_in_serial_view() {
     let (fs, faults) = faulty(1024);
-    World::run(3, |comm| {
-        let params = SionParams::new(1024);
-        let mut w = paropen_write(&fs, "s.sion", &params, comm).unwrap();
-        w.write(&vec![comm.rank() as u8; 2000]).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(3, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(1024);
+            let mut w = paropen_write_co(fs, "s.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&vec![comm.rank() as u8; 2000]).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     // Let the metadata reads through (open + mb1 + mb2 per file), then cut.
     let mf = Multifile::open(&fs, "s.sion").unwrap();
@@ -150,22 +186,26 @@ fn quota_kill_mid_write_is_recoverable_up_to_last_flush() {
     // mid-write, the job dies, and repair brings back everything flushed
     // before the cut.
     let (fs, faults) = faulty(512);
-    World::run(2, |comm| {
-        let params = SionParams::new(512).with_rescue().with_write_buffer(0);
-        let Ok(mut w) = paropen_write(&fs, "q.sion", &params, comm) else {
-            return;
-        };
-        let _ = w.write(&vec![comm.rank() as u8 + 1; 400]);
-        let _ = w.flush();
-        comm.barrier();
-        if comm.rank() == 0 {
-            // Budget exhausted from here on: the very next write is cut.
-            faults.set_quota(faults.bytes_written());
+    TaskWorld::run(2, |comm| {
+        let faults = &faults;
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(512).with_rescue().with_write_buffer(0);
+            let Ok(mut w) = paropen_write_co(fs, "q.sion", &params, &comm).await else {
+                return;
+            };
+            let _ = w.write(&vec![comm.rank() as u8 + 1; 400]);
+            let _ = w.flush();
+            comm.barrier().await;
+            if comm.rank() == 0 {
+                // Budget exhausted from here on: the very next write is cut.
+                faults.set_quota(faults.bytes_written());
+            }
+            comm.barrier().await;
+            let failed = w.write(&vec![9u8; 400]).is_err() || w.flush().is_err();
+            assert!(failed, "writes past the quota must fail");
+            // Job dies: no close.
         }
-        comm.barrier();
-        let failed = w.write(&vec![9u8; 400]).is_err() || w.flush().is_err();
-        assert!(failed, "writes past the quota must fail");
-        // Job dies: no close.
     });
     faults.clear();
     let report = sion::rescue::repair(&fs, "q.sion", false).unwrap();
@@ -186,19 +226,25 @@ fn transient_write_fault_is_survivable_by_retrying_flush() {
     // A transient EIO during flush must leave the writer retryable: the
     // write-behind buffer is kept, and a later flush lands the same bytes.
     let (fs, faults) = faulty(1024);
-    World::run(1, |comm| {
-        let params = SionParams::new(1024).with_rescue().with_write_buffer(4096);
-        let mut w = paropen_write(&fs, "t.sion", &params, comm).unwrap();
-        w.write(&vec![7u8; 600]).unwrap(); // buffered
-        faults.inject(FaultRule {
-            kind: FaultKind::Write,
-            from: 0,
-            count: u64::MAX,
-        });
-        assert!(w.flush().is_err(), "flush must surface the storage error");
-        faults.clear(); // the outage passes
-        w.flush().unwrap();
-        w.close().unwrap();
+    TaskWorld::run(1, |comm| {
+        let faults = &faults;
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(1024).with_rescue().with_write_buffer(4096);
+            let mut w = paropen_write_co(fs, "t.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&vec![7u8; 600]).unwrap(); // buffered
+            faults.inject(FaultRule {
+                kind: FaultKind::Write,
+                from: 0,
+                count: u64::MAX,
+            });
+            assert!(w.flush().is_err(), "flush must surface the storage error");
+            faults.clear(); // the outage passes
+            w.flush().unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     let mf = Multifile::open(&fs, "t.sion").unwrap();
     assert_eq!(mf.read_rank(0).unwrap(), vec![7u8; 600]);
@@ -207,11 +253,16 @@ fn transient_write_fault_is_survivable_by_retrying_flush() {
 #[test]
 fn repair_with_failing_reads_errors_not_panics() {
     let (fs, faults) = faulty(512);
-    World::run(2, |comm| {
-        let params = SionParams::new(512).with_rescue();
-        let mut w = paropen_write(&fs, "rr.sion", &params, comm).unwrap();
-        w.write(&vec![5u8; 900]).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(2, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(512).with_rescue();
+            let mut w = paropen_write_co(fs, "rr.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&vec![5u8; 900]).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     faults.inject(FaultRule {
         kind: FaultKind::Read,
@@ -232,37 +283,44 @@ fn a_failed_apply_shows_at_the_members_next_ship_and_at_close() {
     let params = SionParams::new(4096).with_io_mode(IoMode::Aggregated {
         tasks_per_aggregator: 2,
     });
-    let results = World::run(2, |comm| {
-        let mut w = paropen_write(&fs, "apply.sion", &params, comm).unwrap();
-        if comm.rank() == 1 {
-            w.write(&[1u8; 100]).unwrap();
-            w.flush().unwrap();
-        }
-        comm.barrier();
-        if comm.rank() == 0 {
-            faults.inject(FaultRule {
-                kind: FaultKind::Write,
-                from: 0,
-                count: u64::MAX,
-            });
-            // Nothing of its own to write: this flush only applies the
-            // member's frame, which fails.
-            w.flush().unwrap();
-        }
-        comm.barrier();
-        let mut failed = Vec::new();
-        if comm.rank() == 1 {
-            // The failing ack has arrived, but writes that ship nothing
-            // do not poll for it; the next ship collects it, and from then
-            // on every op fails.
-            for _ in 0..2 {
-                failed.push(w.write(&[2u8; 100]).is_err());
+    let results = TaskWorld::run(2, |comm| {
+        let faults = &faults;
+        let fs = &fs;
+        let params = &params;
+        async move {
+            let mut w = paropen_write_co(fs, "apply.sion", params, &comm)
+                .await
+                .unwrap();
+            if comm.rank() == 1 {
+                w.write(&[1u8; 100]).unwrap();
+                w.flush().unwrap();
             }
-            failed.push(w.flush().is_err());
-            failed.push(w.write(&[3u8; 100]).is_err());
+            comm.barrier().await;
+            if comm.rank() == 0 {
+                faults.inject(FaultRule {
+                    kind: FaultKind::Write,
+                    from: 0,
+                    count: u64::MAX,
+                });
+                // Nothing of its own to write: this flush only applies the
+                // member's frame, which fails.
+                w.flush().unwrap();
+            }
+            comm.barrier().await;
+            let mut failed = Vec::new();
+            if comm.rank() == 1 {
+                // The failing ack has arrived, but writes that ship nothing
+                // do not poll for it; the next ship collects it, and from then
+                // on every op fails.
+                for _ in 0..2 {
+                    failed.push(w.write(&[2u8; 100]).is_err());
+                }
+                failed.push(w.flush().is_err());
+                failed.push(w.write(&[3u8; 100]).is_err());
+            }
+            failed.push(w.close_co().await.is_err());
+            failed
         }
-        failed.push(w.close().is_err());
-        failed
     });
     assert_eq!(
         results,
@@ -321,18 +379,6 @@ fn a_failed_metablock_2_fails_the_close_on_every_task() {
     // close is all-or-nothing: file 0's tasks fail too, and the multifile
     // does not open.
     let params = SionParams::new(1024).with_nfiles(2);
-    let (fs, tap) = refusing_file_1("v.sion");
-    let results = World::run(4, |comm| {
-        let mut w = paropen_write(&fs, "v.sion", &params, comm).unwrap();
-        w.write(&[comm.rank() as u8; 100]).unwrap();
-        w.flush().unwrap();
-        comm.barrier();
-        tap.armed.store(true, Ordering::SeqCst);
-        w.close().err()
-    });
-    assert_one_verdict(&results, "thread runtime");
-    assert!(Multifile::open(&fs, "v.sion").is_err());
-
     let (fs, tap) = refusing_file_1("t.sion");
     let results = TaskWorld::run(4, |c| {
         let (fs, tap, params) = (&fs, &tap, &params);
@@ -345,6 +391,6 @@ fn a_failed_metablock_2_fails_the_close_on_every_task() {
             w.close_co().await.err()
         }
     });
-    assert_one_verdict(&results, "task runtime");
+    assert_one_verdict(&results, "task world");
     assert!(Multifile::open(&fs, "t.sion").is_err());
 }

@@ -4,8 +4,8 @@
 //!
 //! * the **clean** protocol — a real 4-rank `Aggregated` open/write/close
 //!   — must be race- and violation-free under the [`HbEngine`] +
-//!   [`TapFs`] stack on both drivers of the runtime (thread per rank, and
-//!   the task executor under eight seeded serial schedules);
+//!   [`TapFs`] stack, with ranks running at once on four work-stealing
+//!   workers and under eight seeded serial schedules;
 //! * three **seeded mutations** of the ship/ack contract, each built as a
 //!   minimal member/aggregator exchange over the reserved `0xA6`/`0xA7`
 //!   namespace (under [`simmpi::enter_agg_protocol`], exactly like the
@@ -17,10 +17,8 @@
 //! (`tests/golden/hb_race_report.txt`, bless with `SIMCHECK_BLESS=1`).
 
 use simcheck::{HbEngine, TapFs};
-use simmpi::{
-    CoComm, SchedPolicy, TaskComm, TaskWorld, World, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX,
-};
-use sion::{paropen_write, paropen_write_co, Alignment, IoMode, SionParams};
+use simmpi::{CoComm, SchedPolicy, TaskComm, TaskWorld, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX};
+use sion::{paropen_write_co, Alignment, IoMode, SionParams};
 use std::future::Future;
 use std::sync::Arc;
 use vfs::{MemFs, Vfs};
@@ -51,22 +49,31 @@ fn payload(rank: usize, salt: u8) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// Clean protocol: race-free on both drivers.
+// Clean protocol: race-free under work stealing and serial schedules.
 // ---------------------------------------------------------------------
 
 #[test]
-fn clean_protocol_is_race_free_on_thread_runtimes() {
+fn clean_protocol_is_race_free_under_work_stealing() {
     let (engine, fs) = guarded_fs();
-    let results = World::run_checked(NTASKS, engine.clone(), |c| {
-        let mut w = paropen_write(fs.as_ref(), "hb/clean.sion", &agg_params(), c).expect("open");
-        w.write(&payload(c.rank(), 1)).expect("write");
-        w.write(&payload(c.rank(), 129)).expect("write");
-        w.close().expect("close");
+    let policy = SchedPolicy::WorkSteal { workers: 4 };
+    let run = TaskWorld::run_checked(policy, NTASKS, engine.clone(), |c| {
+        let fs = fs.clone();
+        async move {
+            let mut w = paropen_write_co(fs.as_ref(), "hb/clean.sion", &agg_params(), &c)
+                .await
+                .expect("open");
+            w.write(&payload(c.rank(), 1)).expect("write");
+            w.write(&payload(c.rank(), 129)).expect("write");
+            w.close_co().await.expect("close");
+        }
     });
-    for r in results {
+    assert!(run.deadlock.is_none(), "clean protocol must not deadlock");
+    for r in run.results {
         r.expect("rank must not panic");
     }
-    engine.assert_race_free(&format!("clean aggregated protocol, {NTASKS} threads"));
+    engine.assert_race_free(&format!(
+        "clean aggregated protocol, {NTASKS} tasks on 4 workers"
+    ));
 }
 
 #[test]

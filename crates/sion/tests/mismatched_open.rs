@@ -5,11 +5,11 @@
 //! round ahead of the splits must catch it: every task gets the collective
 //! error, nobody hangs, nobody panics in `split_local`, nothing is created.
 //!
-//! Run on the thread driver, the work-stealing task executor, and the
-//! serial task executor across `simcheck`'s seeded schedules.
+//! Run on the work-stealing task executor and on the serial task executor
+//! across `simcheck`'s seeded schedules.
 
 use simcheck::{schedules, seed_budget, CheckedTaskWorld};
-use simmpi::{drive_ready, CoComm, TaskWorld, World};
+use simmpi::{CoComm, TaskWorld};
 use sion::{paropen_write_co, Mapping, SionError, SionParams};
 use vfs::{MemFs, Vfs};
 
@@ -83,17 +83,6 @@ fn check(fs: &MemFs, outcomes: Vec<Outcome>, shape: Shape, deviant: usize, runti
         fs.list("").unwrap().is_empty(),
         "{runtime}, {shape:?}: a rejected open created files"
     );
-}
-
-#[test]
-fn mismatched_shape_fails_collectively_on_threads() {
-    for (shape, deviant) in cases() {
-        let fs = MemFs::with_block_size(4096);
-        let out = World::run(NTASKS, |c| {
-            drive_ready(open_outcome(&fs, c.co(), shape, deviant))
-        });
-        check(&fs, out, shape, deviant, "World");
-    }
 }
 
 #[test]

@@ -106,7 +106,7 @@ fn serial_and_collective_writers_produce_identical_files() {
     }
 }
 
-/// One file group far wider than any thread runtime's world.
+/// One file group of four-digit width.
 const BIG_GROUP: usize = 1536;
 
 #[test]

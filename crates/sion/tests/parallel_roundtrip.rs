@@ -1,10 +1,10 @@
-//! End-to-end tests of the parallel API: thread-backed tasks write a
+//! End-to-end tests of the parallel API: rank tasks write a
 //! multifile collectively, read it back in parallel and serially, across
 //! the parameter space (file counts, alignments, compression, rescue,
 //! mappings, uneven chunk sizes).
 
-use simmpi::World;
-use sion::{paropen_read, paropen_write, Alignment, Mapping, Multifile, SionParams};
+use simmpi::{CoComm, TaskWorld};
+use sion::{paropen_read_co, paropen_write_co, Alignment, Mapping, Multifile, SionParams};
 use std::sync::Arc;
 use vfs::{FaultKind, Faults, MemFs, TapFs, Vfs};
 
@@ -17,23 +17,28 @@ fn payload(rank: usize, len: usize) -> Vec<u8> {
 
 fn write_then_read_back(ntasks: usize, params: &SionParams, bytes_per_task: usize) {
     let fs = MemFs::with_block_size(4096);
-    World::run(ntasks, |comm| {
-        let data = payload(comm.rank(), bytes_per_task);
-        let mut w = paropen_write(&fs, "out/data.sion", params, comm).unwrap();
-        // Write in uneven pieces to exercise chunk splitting.
-        for piece in data.chunks(1000 + comm.rank() * 37 + 1) {
-            w.write(piece).unwrap();
-        }
-        let stats = w.close().unwrap();
-        assert_eq!(stats.user_bytes, bytes_per_task as u64);
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            let data = payload(comm.rank(), bytes_per_task);
+            let mut w = paropen_write_co(fs, "out/data.sion", params, &comm)
+                .await
+                .unwrap();
+            // Write in uneven pieces to exercise chunk splitting.
+            for piece in data.chunks(1000 + comm.rank() * 37 + 1) {
+                w.write(piece).unwrap();
+            }
+            let stats = w.close_co().await.unwrap();
+            assert_eq!(stats.user_bytes, bytes_per_task as u64);
 
-        // Parallel read-back.
-        let mut r = paropen_read(&fs, "out/data.sion", comm).unwrap();
-        let mut back = vec![0u8; bytes_per_task];
-        r.read_exact(&mut back).unwrap();
-        assert_eq!(back, data, "rank {} read-back mismatch", comm.rank());
-        assert!(r.feof());
-        r.close().unwrap();
+            // Parallel read-back.
+            let mut r = paropen_read_co(fs, "out/data.sion", &comm).await.unwrap();
+            let mut back = vec![0u8; bytes_per_task];
+            r.read_exact(&mut back).unwrap();
+            assert_eq!(back, data, "rank {} read-back mismatch", comm.rank());
+            assert!(r.feof());
+            r.close_co().await.unwrap();
+        }
     });
 
     // Serial global-view read-back.
@@ -131,21 +136,26 @@ fn single_task_world() {
 fn per_task_chunk_sizes_differ() {
     let fs = MemFs::with_block_size(4096);
     let ntasks = 6;
-    World::run(ntasks, |comm| {
-        // Every task asks for a different chunk size (paper: "which can be
-        // individually chosen for each task").
-        let mut params = SionParams::new(1024 * (comm.rank() as u64 + 1));
-        params.nfiles = 2;
-        let data = payload(comm.rank(), 5000 * (comm.rank() + 1));
-        let mut w = paropen_write(&fs, "uneven.sion", &params, comm).unwrap();
-        w.write(&data).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            // Every task asks for a different chunk size (paper: "which can be
+            // individually chosen for each task").
+            let mut params = SionParams::new(1024 * (comm.rank() as u64 + 1));
+            params.nfiles = 2;
+            let data = payload(comm.rank(), 5000 * (comm.rank() + 1));
+            let mut w = paropen_write_co(fs, "uneven.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&data).unwrap();
+            w.close_co().await.unwrap();
 
-        let mut r = paropen_read(&fs, "uneven.sion", comm).unwrap();
-        let mut back = vec![0u8; data.len()];
-        r.read_exact(&mut back).unwrap();
-        assert_eq!(back, data);
-        r.close().unwrap();
+            let mut r = paropen_read_co(fs, "uneven.sion", &comm).await.unwrap();
+            let mut back = vec![0u8; data.len()];
+            r.read_exact(&mut back).unwrap();
+            assert_eq!(back, data);
+            r.close_co().await.unwrap();
+        }
     });
     let mf = Multifile::open(&fs, "uneven.sion").unwrap();
     for rank in 0..ntasks {
@@ -160,57 +170,75 @@ fn per_task_chunk_sizes_differ() {
 fn ensure_free_space_write_in_chunk_api() {
     // The paper's Listing 1 style: ensure_free_space + plain fwrite.
     let fs = MemFs::with_block_size(4096);
-    World::run(4, |comm| {
-        let params = SionParams::new(4096);
-        let mut w = paropen_write(&fs, "listing1.sion", &params, comm).unwrap();
-        for round in 0..5u8 {
-            let piece = vec![round ^ comm.rank() as u8; 3000];
-            w.ensure_free_space(piece.len() as u64).unwrap();
-            w.write_in_chunk(&piece).unwrap();
-        }
-        w.close().unwrap();
+    TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(4096);
+            let mut w = paropen_write_co(fs, "listing1.sion", &params, &comm)
+                .await
+                .unwrap();
+            for round in 0..5u8 {
+                let piece = vec![round ^ comm.rank() as u8; 3000];
+                w.ensure_free_space(piece.len() as u64).unwrap();
+                w.write_in_chunk(&piece).unwrap();
+            }
+            w.close_co().await.unwrap();
 
-        // Listing 2 style read: bytes_avail_in_chunk + bounded reads.
-        let mut r = paropen_read(&fs, "listing1.sion", comm).unwrap();
-        let mut got = Vec::new();
-        while !r.feof() {
-            let avail = r.bytes_avail_in_chunk() as usize;
-            assert!(avail > 0);
-            let mut buf = vec![0u8; avail];
-            r.read_exact(&mut buf).unwrap();
-            got.extend_from_slice(&buf);
+            // Listing 2 style read: bytes_avail_in_chunk + bounded reads.
+            let mut r = paropen_read_co(fs, "listing1.sion", &comm).await.unwrap();
+            let mut got = Vec::new();
+            while !r.feof() {
+                let avail = r.bytes_avail_in_chunk() as usize;
+                assert!(avail > 0);
+                let mut buf = vec![0u8; avail];
+                r.read_exact(&mut buf).unwrap();
+                got.extend_from_slice(&buf);
+            }
+            assert_eq!(got.len(), 15_000);
+            for round in 0..5usize {
+                assert!(got[round * 3000..(round + 1) * 3000]
+                    .iter()
+                    .all(|&b| b == (round as u8) ^ comm.rank() as u8));
+            }
+            r.close_co().await.unwrap();
         }
-        assert_eq!(got.len(), 15_000);
-        for round in 0..5usize {
-            assert!(got[round * 3000..(round + 1) * 3000]
-                .iter()
-                .all(|&b| b == (round as u8) ^ comm.rank() as u8));
-        }
-        r.close().unwrap();
     });
 }
 
 #[test]
 fn read_with_wrong_task_count_fails_everywhere() {
     let fs = MemFs::with_block_size(4096);
-    World::run(4, |comm| {
-        let params = SionParams::new(1024);
-        let mut w = paropen_write(&fs, "four.sion", &params, comm).unwrap();
-        w.write(b"x").unwrap();
-        w.close().unwrap();
+    TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(1024);
+            let mut w = paropen_write_co(fs, "four.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(b"x").unwrap();
+            w.close_co().await.unwrap();
+        }
     });
-    let results = World::run(3, |comm| paropen_read(&fs, "four.sion", comm).is_err());
+    let results = TaskWorld::run(3, |comm| {
+        let fs = &fs;
+        async move { paropen_read_co(fs, "four.sion", &comm).await.is_err() }
+    });
     assert!(results.iter().all(|&failed| failed));
 }
 
 #[test]
 fn mismatched_params_fail_collectively() {
     let fs = MemFs::with_block_size(4096);
-    let results = World::run(4, |comm| {
-        // Rank 2 disagrees about the file count.
-        let nfiles = if comm.rank() == 2 { 2 } else { 1 };
-        let params = SionParams::new(1024).with_nfiles(nfiles);
-        paropen_write(&fs, "clash.sion", &params, comm).is_err()
+    let results = TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            // Rank 2 disagrees about the file count.
+            let nfiles = if comm.rank() == 2 { 2 } else { 1 };
+            let params = SionParams::new(1024).with_nfiles(nfiles);
+            paropen_write_co(fs, "clash.sion", &params, &comm)
+                .await
+                .is_err()
+        }
     });
     assert!(results.iter().all(|&failed| failed));
 }
@@ -218,17 +246,22 @@ fn mismatched_params_fail_collectively() {
 #[test]
 fn empty_writers_produce_empty_streams() {
     let fs = MemFs::with_block_size(4096);
-    World::run(4, |comm| {
-        let params = SionParams::new(4096);
-        let w = paropen_write(&fs, "empty.sion", &params, comm).unwrap();
-        let stats = w.close().unwrap();
-        assert_eq!(stats.user_bytes, 0);
+    TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(4096);
+            let w = paropen_write_co(fs, "empty.sion", &params, &comm)
+                .await
+                .unwrap();
+            let stats = w.close_co().await.unwrap();
+            assert_eq!(stats.user_bytes, 0);
 
-        let mut r = paropen_read(&fs, "empty.sion", comm).unwrap();
-        assert!(r.feof());
-        let mut buf = [0u8; 16];
-        assert_eq!(r.read(&mut buf).unwrap(), 0);
-        r.close().unwrap();
+            let mut r = paropen_read_co(fs, "empty.sion", &comm).await.unwrap();
+            assert!(r.feof());
+            let mut buf = [0u8; 16];
+            assert_eq!(r.read(&mut buf).unwrap(), 0);
+            r.close_co().await.unwrap();
+        }
     });
 }
 
@@ -238,15 +271,20 @@ fn sparse_chunks_stay_holes() {
     // the untouched chunks of the quiet tasks must not consume storage.
     let fs = MemFs::with_block_size(4096);
     let ntasks = 8;
-    World::run(ntasks, |comm| {
-        let params = SionParams::new(4096);
-        let mut w = paropen_write(&fs, "holey.sion", &params, comm).unwrap();
-        if comm.rank() == 0 {
-            w.write(&payload(0, 40 * 4096)).unwrap(); // 40 blocks
-        } else {
-            w.write(b"tiny").unwrap();
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(4096);
+            let mut w = paropen_write_co(fs, "holey.sion", &params, &comm)
+                .await
+                .unwrap();
+            if comm.rank() == 0 {
+                w.write(&payload(0, 40 * 4096)).unwrap(); // 40 blocks
+            } else {
+                w.write(b"tiny").unwrap();
+            }
+            w.close_co().await.unwrap();
         }
-        w.close().unwrap();
     });
     let stats = fs.stats("holey.sion").unwrap();
     // Logical size covers 40 blocks x 8 tasks; physical must be near the
@@ -278,20 +316,28 @@ fn functional_create_counts_match_paper_claim() {
             .filter(|r| r.kind == FaultKind::Create && r.ok)
             .count()
     };
-    World::run(ntasks, |comm| {
-        let params = SionParams::new(1024).with_nfiles(4);
-        let mut w = paropen_write(&fs, "few.sion", &params, comm).unwrap();
-        w.write(b"payload").unwrap();
-        w.close().unwrap();
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(1024).with_nfiles(4);
+            let mut w = paropen_write_co(fs, "few.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(b"payload").unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     assert_eq!(creates(), 4);
 
-    World::run(ntasks, |comm| {
-        // Task-local baseline: every task creates its own file.
-        let f = fs
-            .create(&format!("taskloc/file.{:05}", comm.rank()))
-            .unwrap();
-        f.write_all_at(b"payload", 0).unwrap();
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            // Task-local baseline: every task creates its own file.
+            let f = fs
+                .create(&format!("taskloc/file.{:05}", comm.rank()))
+                .unwrap();
+            f.write_all_at(b"payload", 0).unwrap();
+        }
     });
     assert_eq!(creates(), ntasks);
 }
@@ -305,11 +351,16 @@ fn read_open_follows_non_ascending_rank_tables() {
     use sion::format::MetaBlock1;
     let fs = MemFs::with_block_size(4096);
     let (ntasks, per_file) = (6, 3);
-    World::run(ntasks, |comm| {
-        let params = SionParams::new(2048).with_nfiles(2);
-        let mut w = paropen_write(&fs, "rot.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 3000 + comm.rank())).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(2048).with_nfiles(2);
+            let mut w = paropen_write_co(fs, "rot.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&payload(comm.rank(), 3000 + comm.rank())).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     for k in 0..2 {
         let file = fs.open_rw(&sion::physical_name("rot.sion", k)).unwrap();
@@ -321,24 +372,28 @@ fn read_open_follows_non_ascending_rank_tables() {
     // every rank finds what its left neighbour in the file wrote.
     let writer_of = |rank: usize| rank / per_file * per_file + (rank + per_file - 1) % per_file;
     let mf = Multifile::open(&fs, "rot.sion").unwrap();
-    World::run(ntasks, |comm| {
-        let want = payload(writer_of(comm.rank()), 3000 + writer_of(comm.rank()));
-        assert_eq!(
-            mf.read_rank(comm.rank()).unwrap(),
-            want,
-            "serial view, rank {}",
-            comm.rank()
-        );
-        let mut r = paropen_read(&fs, "rot.sion", comm).unwrap();
-        let mut back = vec![0u8; want.len()];
-        r.read_exact(&mut back).unwrap();
-        assert_eq!(
-            back,
-            want,
-            "rank {} read another task's chunks",
-            comm.rank()
-        );
-        assert!(r.feof());
-        r.close().unwrap();
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        let mf = &mf;
+        async move {
+            let want = payload(writer_of(comm.rank()), 3000 + writer_of(comm.rank()));
+            assert_eq!(
+                mf.read_rank(comm.rank()).unwrap(),
+                want,
+                "serial view, rank {}",
+                comm.rank()
+            );
+            let mut r = paropen_read_co(fs, "rot.sion", &comm).await.unwrap();
+            let mut back = vec![0u8; want.len()];
+            r.read_exact(&mut back).unwrap();
+            assert_eq!(
+                back,
+                want,
+                "rank {} read another task's chunks",
+                comm.rank()
+            );
+            assert!(r.feof());
+            r.close_co().await.unwrap();
+        }
     });
 }

@@ -3,13 +3,12 @@
 //! their logical files to the end and close. The read close is local — a
 //! reader wrote no metadata, so nobody waits for the one that left.
 //!
-//! Run on the thread driver, the work-stealing task executor, and the
-//! serial task executor across `simcheck`'s seeded schedules, whose
-//! deadlock verdict is exact.
+//! Run on the work-stealing task executor and on the serial task executor
+//! across `simcheck`'s seeded schedules, whose deadlock verdict is exact.
 
 use simcheck::{schedules, seed_budget, CheckedTaskWorld};
-use simmpi::{drive_ready, CoComm, TaskWorld, World};
-use sion::{paropen_read_co, paropen_write, SionParams};
+use simmpi::{CoComm, TaskWorld};
+use sion::{paropen_read_co, paropen_write_co, SionParams};
 use vfs::MemFs;
 
 const NTASKS: usize = 6;
@@ -22,11 +21,14 @@ fn payload(rank: usize) -> Vec<u8> {
 /// A two-file multifile holding every rank's payload.
 fn written() -> MemFs {
     let fs = MemFs::with_block_size(512);
-    World::run(NTASKS, |comm| {
-        let params = SionParams::new(512).with_nfiles(2);
-        let mut w = paropen_write(&fs, BASE, &params, comm).unwrap();
-        w.write(&payload(comm.rank())).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(NTASKS, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(512).with_nfiles(2);
+            let mut w = paropen_write_co(fs, BASE, &params, &comm).await.unwrap();
+            w.write(&payload(comm.rank())).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     fs
 }
@@ -54,17 +56,6 @@ fn check(got: &[Vec<u8>], deserter: usize, runtime: &str) {
             payload(rank)
         };
         assert_eq!(*back, want, "{runtime}, deserter {deserter}: rank {rank}");
-    }
-}
-
-#[test]
-fn a_reader_leaves_without_closing_on_threads() {
-    let fs = written();
-    for deserter in [0, 4] {
-        let got = World::run(NTASKS, |c| {
-            drive_ready(read_or_leave(&fs, c.co(), deserter))
-        });
-        check(&got, deserter, "World");
     }
 }
 

@@ -3,18 +3,20 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use simmpi::{TaskWorld, World};
+use simmpi::{CoComm, TaskWorld};
 use sion::format::{Trailer, IDX_FIXED_LEN, MB1_FIXED_LEN, MB2_FIXED_LEN};
-use sion::{paropen_read, paropen_read_co, paropen_write, Alignment, Multifile, SionParams};
+use sion::{paropen_read_co, paropen_write_co, Alignment, Multifile, SionParams};
 use vfs::{MemFs, Vfs};
 
 fn valid_multifile(fs: &MemFs, rescue: bool) {
-    World::run(4, |comm| {
+    TaskWorld::run(4, |comm| async move {
         let mut params = SionParams::new(1024).with_nfiles(2);
         params.rescue = rescue;
-        let mut w = paropen_write(fs, "v.sion", &params, comm).unwrap();
+        let mut w = paropen_write_co(fs, "v.sion", &params, &comm)
+            .await
+            .unwrap();
         w.write(&vec![comm.rank() as u8 + 1; 3000]).unwrap();
-        w.close().unwrap();
+        w.close_co().await.unwrap();
     });
 }
 
@@ -94,11 +96,16 @@ fn mismatched_physical_files_rejected() {
     let fs_a = MemFs::with_block_size(512);
     valid_multifile(&fs_a, false);
     let fs_b = MemFs::with_block_size(512);
-    World::run(6, |comm| {
-        let params = SionParams::new(2048).with_nfiles(2);
-        let mut w = paropen_write(&fs_b, "v.sion", &params, comm).unwrap();
-        w.write(b"other shape").unwrap();
-        w.close().unwrap();
+    TaskWorld::run(6, |comm| {
+        let fs_b = &fs_b;
+        async move {
+            let params = SionParams::new(2048).with_nfiles(2);
+            let mut w = paropen_write_co(fs_b, "v.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(b"other shape").unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     let fs2 = MemFs::with_block_size(512);
     write_file(&fs2, "v.sion", &file_bytes(&fs_a, "v.sion"));
@@ -186,11 +193,17 @@ fn corrupt_compressed_chunk_never_serves_unverified_bytes() {
     let payload: Vec<u8> = (0..60_000u32)
         .flat_map(|i| (i / 7 % 500).to_le_bytes())
         .collect();
-    World::run(2, |comm| {
-        let params = SionParams::new(2048).with_compression();
-        let mut w = paropen_write(&fs, "c.sion", &params, comm).unwrap();
-        w.write(&payload).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(2, |comm| {
+        let fs = &fs;
+        let payload = &payload;
+        async move {
+            let params = SionParams::new(2048).with_compression();
+            let mut w = paropen_write_co(fs, "c.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(payload).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     let original = file_bytes(&fs, "c.sion");
     let loc = Multifile::open(&fs, "c.sion").unwrap().location(1).unwrap();
@@ -271,23 +284,16 @@ fn corrupt_compressed_chunk_never_serves_unverified_bytes() {
 }
 
 /// What a collective read open of `base` by `ntasks` tasks tells each rank,
-/// errors as text — on the thread runtime and on the task runtime, which
-/// must tell the same story. Returning at all is half the point: a rank that
-/// deserted a collective would hang the others (run under `SIMCHECK=1`).
+/// errors as text. Returning at all is half the point: a rank that
+/// deserted a collective would leave the others parked, a deadlock the
+/// task world reports.
 fn par_open_verdicts(fs: &MemFs, base: &str, ntasks: usize) -> Vec<Result<(), String>> {
-    let threads = World::run(ntasks, |comm| {
-        paropen_read(fs, base, comm)
-            .map(drop)
-            .map_err(|e| e.to_string())
-    });
-    let tasks = TaskWorld::run(ntasks, |c| async move {
+    TaskWorld::run(ntasks, |c| async move {
         paropen_read_co(fs, base, &c)
             .await
             .map(drop)
             .map_err(|e| e.to_string())
-    });
-    assert_eq!(threads, tasks, "the runtimes disagree");
-    threads
+    })
 }
 
 /// The collective open must fail on every rank, and the rank that read the
@@ -312,11 +318,16 @@ fn assert_refused_everywhere(verdicts: &[Result<(), String>], family: &str, what
 #[test]
 fn par_open_refuses_usage_beyond_the_chunk() {
     let fs = MemFs::with_block_size(512);
-    World::run(4, |comm| {
-        let params = SionParams::new(64).with_alignment(Alignment::None);
-        let mut w = paropen_write(&fs, "u.sion", &params, comm).unwrap();
-        w.write(&[comm.rank() as u8 + 1; 40]).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(64).with_alignment(Alignment::None);
+            let mut w = paropen_write_co(fs, "u.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&[comm.rank() as u8 + 1; 40]).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     assert!(par_open_verdicts(&fs, "u.sion", 4)
         .iter()

@@ -2,9 +2,9 @@
 //! seek, global-view addressed reads, metadata introspection, and
 //! reconstruction of lost metablocks from rescue headers.
 
-use simmpi::World;
+use simmpi::{CoComm, TaskWorld};
 use sion::rescue::{repair, RESCUE_HEADER_LEN};
-use sion::{paropen_write, Alignment, Multifile, SerialWriter, SionError, SionParams};
+use sion::{paropen_write_co, Alignment, Multifile, SerialWriter, SionError, SionParams};
 use vfs::{MemFs, Vfs};
 
 fn payload(rank: usize, len: usize) -> Vec<u8> {
@@ -103,12 +103,17 @@ fn serial_seek_positions_by_rank_chunk_pos() {
 #[test]
 fn locations_report_geometry() {
     let fs = MemFs::with_block_size(4096);
-    World::run(6, |comm| {
-        let params = SionParams::new(2000).with_nfiles(2);
-        let mut w = paropen_write(&fs, "loc.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 100 * (comm.rank() + 1)))
-            .unwrap();
-        w.close().unwrap();
+    TaskWorld::run(6, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(2000).with_nfiles(2);
+            let mut w = paropen_write_co(fs, "loc.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&payload(comm.rank(), 100 * (comm.rank() + 1)))
+                .unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     let mf = Multifile::open(&fs, "loc.sion").unwrap();
     let loc = mf.locations().unwrap();
@@ -154,12 +159,17 @@ fn truncate_metadata(fs: &MemFs, path: &str) {
 fn repair_reconstructs_lost_metablock2() {
     let fs = MemFs::with_block_size(512);
     let ntasks = 6;
-    World::run(ntasks, |comm| {
-        let params = SionParams::new(512).with_rescue();
-        let mut w = paropen_write(&fs, "crash.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 300 * (comm.rank() + 1)))
-            .unwrap();
-        w.close().unwrap();
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(512).with_rescue();
+            let mut w = paropen_write_co(fs, "crash.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&payload(comm.rank(), 300 * (comm.rank() + 1)))
+                .unwrap();
+            w.close_co().await.unwrap();
+        }
     });
 
     // Sanity: opens fine before the crash.
@@ -210,14 +220,19 @@ fn repair_recovers_flushed_data_from_buffered_crash() {
     // down that flush really durably patches the headers.
     let fs = MemFs::with_block_size(512);
     let ntasks = 4;
-    World::run(ntasks, |comm| {
-        let params = SionParams::new(512).with_rescue().with_write_buffer(4096);
-        let mut w = paropen_write(&fs, "bcrash.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 700)).unwrap();
-        w.flush().unwrap();
-        // Unflushed tail, smaller than the buffer: lost in the "crash".
-        w.write(&payload(comm.rank(), 100)).unwrap();
-        drop(w); // no close → no metablock 2, no trailer
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(512).with_rescue().with_write_buffer(4096);
+            let mut w = paropen_write_co(fs, "bcrash.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&payload(comm.rank(), 700)).unwrap();
+            w.flush().unwrap();
+            // Unflushed tail, smaller than the buffer: lost in the "crash".
+            w.write(&payload(comm.rank(), 100)).unwrap();
+            drop(w); // no close → no metablock 2, no trailer
+        }
     });
 
     assert!(
@@ -241,11 +256,16 @@ fn repair_recovers_flushed_data_from_buffered_crash() {
 #[test]
 fn repair_multifile_with_mixed_damage() {
     let fs = MemFs::with_block_size(512);
-    World::run(8, |comm| {
-        let params = SionParams::new(512).with_nfiles(2).with_rescue();
-        let mut w = paropen_write(&fs, "mixed.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 900)).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(8, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(512).with_nfiles(2).with_rescue();
+            let mut w = paropen_write_co(fs, "mixed.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&payload(comm.rank(), 900)).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     // Damage only the second physical file.
     truncate_metadata(&fs, "mixed.sion.000001");
@@ -264,11 +284,16 @@ fn repair_multifile_with_mixed_damage() {
 #[test]
 fn repair_requires_rescue_flag() {
     let fs = MemFs::with_block_size(512);
-    World::run(2, |comm| {
-        let params = SionParams::new(512); // no rescue
-        let mut w = paropen_write(&fs, "norescue.sion", &params, comm).unwrap();
-        w.write(b"data").unwrap();
-        w.close().unwrap();
+    TaskWorld::run(2, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(512); // no rescue
+            let mut w = paropen_write_co(fs, "norescue.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(b"data").unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     assert!(matches!(
         repair(&fs, "norescue.sion", false),
@@ -281,11 +306,16 @@ fn forced_repair_matches_collective_close() {
     // With force=true, the rescue reconstruction must agree byte-for-byte
     // with what the collective close wrote.
     let fs = MemFs::with_block_size(256);
-    World::run(4, |comm| {
-        let params = SionParams::new(256).with_rescue();
-        let mut w = paropen_write(&fs, "force.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 700)).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(256).with_rescue();
+            let mut w = paropen_write_co(fs, "force.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&payload(comm.rank(), 700)).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     let before = Multifile::open(&fs, "force.sion")
         .unwrap()
@@ -306,11 +336,16 @@ fn repair_multifile_with_partial_metablock_loss_across_files() {
     // stays intact. Repair must fix exactly the damaged ones and leave a
     // fully readable multifile.
     let fs = MemFs::with_block_size(512);
-    World::run(9, |comm| {
-        let params = SionParams::new(512).with_nfiles(3).with_rescue();
-        let mut w = paropen_write(&fs, "part.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 1100)).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(9, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(512).with_nfiles(3).with_rescue();
+            let mut w = paropen_write_co(fs, "part.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&payload(comm.rank(), 1100)).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     truncate_metadata(&fs, "part.sion");
     truncate_metadata(&fs, "part.sion.000002");
@@ -336,12 +371,17 @@ fn forced_repair_of_multifile_matches_collective_close() {
     // force=true over several physical files: the reconstruction must
     // agree with the clean close's metadata on every file.
     let fs = MemFs::with_block_size(256);
-    World::run(6, |comm| {
-        let params = SionParams::new(256).with_nfiles(2).with_rescue();
-        let mut w = paropen_write(&fs, "mforce.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 500 + 100 * comm.rank()))
-            .unwrap();
-        w.close().unwrap();
+    TaskWorld::run(6, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(256).with_nfiles(2).with_rescue();
+            let mut w = paropen_write_co(fs, "mforce.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&payload(comm.rank(), 500 + 100 * comm.rank()))
+                .unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     let before = Multifile::open(&fs, "mforce.sion")
         .unwrap()
@@ -374,15 +414,20 @@ fn repair_after_clean_close_is_byte_identical() {
     // the writer path and the repair path alike. Force-repairing a cleanly
     // closed multifile must therefore reproduce the files bit for bit.
     let fs = MemFs::with_block_size(256);
-    World::run(4, |comm| {
-        let params = SionParams::new(256).with_rescue();
-        let mut w = paropen_write(&fs, "ident.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 300)).unwrap();
-        if comm.rank() == 1 {
-            // Advance into a fresh trailing chunk without writing to it.
-            w.ensure_free_space(200).unwrap();
+    TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(256).with_rescue();
+            let mut w = paropen_write_co(fs, "ident.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&payload(comm.rank(), 300)).unwrap();
+            if comm.rank() == 1 {
+                // Advance into a fresh trailing chunk without writing to it.
+                w.ensure_free_space(200).unwrap();
+            }
+            w.close_co().await.unwrap();
         }
-        w.close().unwrap();
     });
     let before = file_bytes(&fs, "ident.sion");
     let report = repair(&fs, "ident.sion", true).unwrap();
@@ -400,11 +445,16 @@ fn repair_skips_unopenable_file_but_fixes_the_rest() {
     // Losing one physical file entirely costs that file's data only: the
     // others still repair, and the loss is reported as a problem.
     let fs = MemFs::with_block_size(512);
-    World::run(4, |comm| {
-        let params = SionParams::new(512).with_nfiles(2).with_rescue();
-        let mut w = paropen_write(&fs, "gone.sion", &params, comm).unwrap();
-        w.write(&payload(comm.rank(), 900)).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(512).with_nfiles(2).with_rescue();
+            let mut w = paropen_write_co(fs, "gone.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&payload(comm.rank(), 900)).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     truncate_metadata(&fs, "gone.sion");
     fs.remove("gone.sion.000001").unwrap();
@@ -422,11 +472,16 @@ fn repair_skips_unopenable_file_but_fixes_the_rest() {
 #[test]
 fn rescue_headers_have_expected_layout_overhead() {
     let fs = MemFs::with_block_size(4096);
-    World::run(2, |comm| {
-        let params = SionParams::new(4096).with_rescue();
-        let mut w = paropen_write(&fs, "ovh.sion", &params, comm).unwrap();
-        w.write(&[1u8; 10]).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(2, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(4096).with_rescue();
+            let mut w = paropen_write_co(fs, "ovh.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&[1u8; 10]).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     let mf = Multifile::open(&fs, "ovh.sion").unwrap();
     let binding = mf.locations().unwrap();

@@ -6,9 +6,11 @@
 //! back exactly and verify clean; and a file the metadata judge accepts is
 //! one repair leaves byte for byte alone.
 
-use simmpi::World;
+use simmpi::{CoComm, TaskWorld};
 use sion::rescue::repair;
-use sion::{check_metadata, paropen_read, paropen_write, physical_name, Multifile, SionParams};
+use sion::{
+    check_metadata, paropen_read_co, paropen_write_co, physical_name, Multifile, SionParams,
+};
 use sion_tools::verify;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use vfs::{MemFs, Vfs};
@@ -38,11 +40,14 @@ fn word(bytes: &[u8], at: usize) -> u64 {
 /// The rescue multifile every case starts from: (name, bytes) per file.
 fn image() -> Vec<(String, Vec<u8>)> {
     let fs = MemFs::with_block_size(512);
-    World::run(NTASKS, |comm| {
-        let params = SionParams::new(512).with_nfiles(NFILES).with_rescue();
-        let mut w = paropen_write(&fs, BASE, &params, comm).unwrap();
-        w.write(&payload(comm.rank())).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(NTASKS, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(512).with_nfiles(NFILES).with_rescue();
+            let mut w = paropen_write_co(fs, BASE, &params, &comm).await.unwrap();
+            w.write(&payload(comm.rank())).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     (0..NFILES)
         .map(|k| physical_name(BASE, k))
@@ -69,10 +74,11 @@ fn read_back(fs: &MemFs) -> Result<(), String> {
             ));
         }
     }
-    let verdicts = World::run(NTASKS, |comm| {
+    let verdicts = TaskWorld::run(NTASKS, |comm| async move {
         let rank = comm.rank();
-        let mut r =
-            paropen_read(fs, BASE, comm).map_err(|e| format!("paropen_read failed: {e}"))?;
+        let mut r = paropen_read_co(fs, BASE, &comm)
+            .await
+            .map_err(|e| format!("paropen_read failed: {e}"))?;
         let (mut got, mut buf) = (Vec::new(), [0u8; 256]);
         loop {
             match r.read(&mut buf) {
@@ -81,7 +87,8 @@ fn read_back(fs: &MemFs) -> Result<(), String> {
                 Err(e) => return Err(format!("paropen_read rank {rank} read failed: {e}")),
             }
         }
-        r.close()
+        r.close_co()
+            .await
             .map_err(|e| format!("paropen_read rank {rank} close failed: {e}"))?;
         match got == payload(rank) {
             true => Ok(()),

@@ -1,11 +1,11 @@
 //! End-to-end `sion::par` on the task runtime: the collective
 //! open/write/close protocol driven as resumable rank tasks
 //! (`paropen_write_co` / `paropen_read_co` inside a `TaskWorld`), including
-//! byte-identity of the produced multifile against the thread runtime and
-//! a four-digit-rank smoke run that would be infeasible thread-per-rank.
+//! byte-identity of the produced multifile across worker counts and
+//! schedules, and a four-digit-rank smoke run.
 
-use simmpi::{CoComm, SchedPolicy, TaskWorld, World};
-use sion::{paropen_read_co, paropen_write, paropen_write_co, Mapping, Multifile, SionParams};
+use simmpi::{drive_ready, CoComm, SchedPolicy, TaskWorld};
+use sion::{paropen_read_co, paropen_write_co, Mapping, Multifile, SionParams};
 use vfs::{MemFs, Vfs};
 
 /// Deterministic per-rank payload.
@@ -72,36 +72,28 @@ fn task_world_collective_roundtrip() {
 }
 
 #[test]
-fn task_and_thread_runtimes_write_identical_multifiles() {
+fn one_and_four_workers_write_identical_multifiles() {
     let params = SionParams::new(2048)
         .with_nfiles(3)
         .with_mapping(Mapping::RoundRobin);
     let ntasks = 24;
     let bytes_per_task = 5_000;
-
-    let fs_task = MemFs::with_block_size(4096);
-    TaskWorld::run(ntasks, |c| {
-        let fs = &fs_task;
-        let params = &params;
-        async move {
-            let data = payload(c.rank(), bytes_per_task);
-            let mut w = paropen_write_co(fs, "m.sion", params, &c).await.unwrap();
-            w.write(&data).unwrap();
-            w.close_co().await.unwrap();
-        }
-    });
-
-    let fs_thread = MemFs::with_block_size(4096);
-    World::run(ntasks, |c| {
-        let data = payload(c.rank(), bytes_per_task);
-        let mut w = paropen_write(&fs_thread, "m.sion", &params, c).unwrap();
-        w.write(&data).unwrap();
-        w.close().unwrap();
-    });
-
+    let written = |workers| {
+        let fs = MemFs::with_block_size(4096);
+        TaskWorld::run_with(SchedPolicy::WorkSteal { workers }, ntasks, |c| {
+            let (fs, params) = (&fs, &params);
+            async move {
+                let data = payload(c.rank(), bytes_per_task);
+                let mut w = paropen_write_co(fs, "m.sion", params, &c).await.unwrap();
+                w.write(&data).unwrap();
+                w.close_co().await.unwrap();
+            }
+        });
+        dump(&fs, "")
+    };
     // The multifile on disk is byte-identical, physical file by physical
-    // file — the task runtime changes scheduling, not one bit of output.
-    assert_eq!(dump(&fs_task, ""), dump(&fs_thread, ""));
+    // file — the scheduling changes, not one bit of output.
+    assert_eq!(written(1), written(4));
 }
 
 #[test]
@@ -172,10 +164,10 @@ fn mismatched_params_fail_collectively_on_task_runtime() {
 }
 
 #[test]
-fn blocking_close_inside_a_task_world_panics_instead_of_parking() {
-    // `close` is `drive_ready(close_co())`. On a task-world worker thread the
-    // close's collective rounds park, and `drive_ready` must refuse with its
-    // misuse message instead of holding the worker thread forever.
+fn driving_a_close_to_completion_in_one_poll_panics_instead_of_parking() {
+    // On a task-world worker thread the close's collective rounds park, and
+    // `drive_ready` must refuse with its misuse message instead of holding
+    // the worker thread forever.
     let fs = MemFs::with_block_size(4096);
     let params = SionParams::new(1024);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -186,11 +178,11 @@ fn blocking_close_inside_a_task_world_panics_instead_of_parking() {
                 let w = paropen_write_co(fs, "misuse.sion", params, &c)
                     .await
                     .unwrap();
-                w.close().is_ok()
+                drive_ready(w.close_co()).is_ok()
             }
         })
     }))
-    .expect_err("a blocking close on a task-world rank must panic");
+    .expect_err("a close driven in one poll on a task-world rank must panic");
     let text = err
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -201,8 +193,7 @@ fn blocking_close_inside_a_task_world_panics_instead_of_parking() {
 
 #[test]
 fn four_digit_rank_open_write_close() {
-    // 2048 resumable rank tasks on a handful of workers — a world that
-    // would need 2048 OS threads (and their stacks) thread-per-rank.
+    // 2048 resumable rank tasks on a handful of workers.
     let fs = MemFs::with_block_size(4096);
     let ntasks = 2048;
     let params = SionParams::new(512).with_nfiles(8).with_write_buffer(4096);

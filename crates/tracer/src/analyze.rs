@@ -161,18 +161,18 @@ mod tests {
     use crate::backend::{SionBackend, TraceBackend};
     use crate::synth::{synthetic_events, SynthConfig, REGION_MAIN};
     use crate::Tracer;
-    use simmpi::World;
+    use simmpi::{CoComm, TaskWorld};
     use vfs::MemFs;
 
     fn record_run(backend: &dyn TraceBackend, fs: &MemFs, ntasks: usize, cfg: &SynthConfig) {
-        World::run(ntasks, |comm| {
+        TaskWorld::run(ntasks, |comm| async move {
             let mut tracer = Tracer::new(comm.rank());
             for ev in synthetic_events(cfg, comm.rank(), comm.size()) {
                 tracer.record(&ev);
             }
-            let mut trace = backend.activate(fs, comm).unwrap();
+            let mut trace = backend.activate(fs, &comm).await.unwrap();
             tracer.finalize(trace.as_mut()).unwrap();
-            trace.finalize().unwrap();
+            trace.finalize().await.unwrap();
         });
     }
 
@@ -227,39 +227,43 @@ mod tests {
         // only sends at t=80: 70 ns of late-sender waiting.
         let fs = MemFs::new();
         let tl = TaskLocalBackend::new("ls");
-        World::run(2, |comm| {
-            let mut tracer = Tracer::new(comm.rank());
-            if comm.rank() == 0 {
-                tracer.record(&Event::Enter { time: 0, region: 1 });
-                tracer.record(&Event::Send {
-                    time: 80,
-                    peer: 1,
-                    tag: 5,
-                    bytes: 8,
-                });
-                tracer.record(&Event::Exit {
-                    time: 90,
-                    region: 1,
-                });
-            } else {
-                tracer.record(&Event::Enter {
-                    time: 10,
-                    region: 1,
-                });
-                tracer.record(&Event::Recv {
-                    time: 100,
-                    peer: 0,
-                    tag: 5,
-                    bytes: 8,
-                });
-                tracer.record(&Event::Exit {
-                    time: 110,
-                    region: 1,
-                });
+        TaskWorld::run(2, |comm| {
+            let fs = &fs;
+            let tl = &tl;
+            async move {
+                let mut tracer = Tracer::new(comm.rank());
+                if comm.rank() == 0 {
+                    tracer.record(&Event::Enter { time: 0, region: 1 });
+                    tracer.record(&Event::Send {
+                        time: 80,
+                        peer: 1,
+                        tag: 5,
+                        bytes: 8,
+                    });
+                    tracer.record(&Event::Exit {
+                        time: 90,
+                        region: 1,
+                    });
+                } else {
+                    tracer.record(&Event::Enter {
+                        time: 10,
+                        region: 1,
+                    });
+                    tracer.record(&Event::Recv {
+                        time: 100,
+                        peer: 0,
+                        tag: 5,
+                        bytes: 8,
+                    });
+                    tracer.record(&Event::Exit {
+                        time: 110,
+                        region: 1,
+                    });
+                }
+                let mut trace = tl.activate(fs, &comm).await.unwrap();
+                tracer.finalize(trace.as_mut()).unwrap();
+                trace.finalize().await.unwrap();
             }
-            let mut trace = tl.activate(&fs, comm).unwrap();
-            tracer.finalize(trace.as_mut()).unwrap();
-            trace.finalize().unwrap();
         });
         let rep = analyze(&fs, &TraceSource::TaskLocal(&tl, 2)).unwrap();
         assert_eq!(rep.messages_matched, 1);
@@ -271,24 +275,28 @@ mod tests {
     fn region_profile_times_add_up() {
         let fs = MemFs::new();
         let tl = TaskLocalBackend::new("prof");
-        World::run(1, |comm| {
-            let mut tracer = Tracer::new(0);
-            tracer.record(&Event::Enter { time: 0, region: 9 });
-            tracer.record(&Event::Enter {
-                time: 10,
-                region: 8,
-            });
-            tracer.record(&Event::Exit {
-                time: 30,
-                region: 8,
-            });
-            tracer.record(&Event::Exit {
-                time: 100,
-                region: 9,
-            });
-            let mut trace = tl.activate(&fs, comm).unwrap();
-            tracer.finalize(trace.as_mut()).unwrap();
-            trace.finalize().unwrap();
+        TaskWorld::run(1, |comm| {
+            let fs = &fs;
+            let tl = &tl;
+            async move {
+                let mut tracer = Tracer::new(0);
+                tracer.record(&Event::Enter { time: 0, region: 9 });
+                tracer.record(&Event::Enter {
+                    time: 10,
+                    region: 8,
+                });
+                tracer.record(&Event::Exit {
+                    time: 30,
+                    region: 8,
+                });
+                tracer.record(&Event::Exit {
+                    time: 100,
+                    region: 9,
+                });
+                let mut trace = tl.activate(fs, &comm).await.unwrap();
+                tracer.finalize(trace.as_mut()).unwrap();
+                trace.finalize().await.unwrap();
+            }
         });
         let rep = analyze(&fs, &TraceSource::TaskLocal(&tl, 1)).unwrap();
         assert_eq!(
@@ -316,14 +324,18 @@ mod tests {
         let fs = MemFs::new();
         let tl = TaskLocalBackend::new("sum");
         let cfg = SynthConfig::default();
-        World::run(1, |comm| {
-            let mut tracer = Tracer::new(0);
-            for ev in synthetic_events(&cfg, 0, 1) {
-                tracer.record(&ev);
+        TaskWorld::run(1, |comm| {
+            let fs = &fs;
+            let tl = &tl;
+            async move {
+                let mut tracer = Tracer::new(0);
+                for ev in synthetic_events(&cfg, 0, 1) {
+                    tracer.record(&ev);
+                }
+                let mut trace = tl.activate(fs, &comm).await.unwrap();
+                tracer.finalize(trace.as_mut()).unwrap();
+                trace.finalize().await.unwrap();
             }
-            let mut trace = tl.activate(&fs, comm).unwrap();
-            tracer.finalize(trace.as_mut()).unwrap();
-            trace.finalize().unwrap();
         });
         let rep = analyze(&fs, &TraceSource::TaskLocal(&tl, 1)).unwrap();
         let root = rep.regions[&crate::synth::REGION_MAIN];

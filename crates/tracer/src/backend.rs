@@ -8,26 +8,30 @@
 //! Scalasca creates its files up front and writes buffers at the end of
 //! the measurement.
 
-use simmpi::Comm;
-use sion::{paropen_write, CloseStats, Result, SionParWriter, SionParams};
+use simmpi::{BoxFut, CoComm};
+use sion::{paropen_write_co, CloseStats, Result, SionParWriter, SionParams};
 use std::sync::Arc;
 use vfs::{Vfs, VfsFile};
 
 /// An activated (open) trace one task can flush its buffer into.
-pub trait ActiveTrace {
+pub trait ActiveTrace: Send {
     /// Append encoded events to this task's trace.
     fn write_events(&mut self, data: &[u8]) -> Result<()>;
 
     /// Finish the trace. Collective for the multifile back-end, which also
     /// reports its close statistics (bytes, blocks, write coalescing
     /// counters); the task-local back-end has none to report.
-    fn finalize(self: Box<Self>) -> Result<Option<CloseStats>>;
+    fn finalize(self: Box<Self>) -> BoxFut<'static, Result<Option<CloseStats>>>;
 }
 
 /// Strategy for storing per-task traces.
 pub trait TraceBackend: Send + Sync {
     /// Collectively create/initialize this task's trace storage.
-    fn activate(&self, vfs: &dyn Vfs, comm: &Comm) -> Result<Box<dyn ActiveTrace>>;
+    fn activate<'a>(
+        &'a self,
+        vfs: &'a dyn Vfs,
+        comm: &'a dyn CoComm,
+    ) -> BoxFut<'a, Result<Box<dyn ActiveTrace>>>;
 
     /// Path prefix (for reporting).
     fn describe(&self) -> String;
@@ -66,18 +70,26 @@ impl ActiveTrace for TaskLocalActive {
         Ok(())
     }
 
-    fn finalize(self: Box<Self>) -> Result<Option<CloseStats>> {
-        self.file.sync()?;
-        Ok(None)
+    fn finalize(self: Box<Self>) -> BoxFut<'static, Result<Option<CloseStats>>> {
+        Box::pin(async move {
+            self.file.sync()?;
+            Ok(None)
+        })
     }
 }
 
 impl TraceBackend for TaskLocalBackend {
-    fn activate(&self, vfs: &dyn Vfs, comm: &Comm) -> Result<Box<dyn ActiveTrace>> {
+    fn activate<'a>(
+        &'a self,
+        vfs: &'a dyn Vfs,
+        comm: &'a dyn CoComm,
+    ) -> BoxFut<'a, Result<Box<dyn ActiveTrace>>> {
         // Every task creates its own file — the contention the paper's
         // Fig. 3 and Table 2 quantify.
-        let file = vfs.create(&self.path_of(comm.rank()))?;
-        Ok(Box::new(TaskLocalActive { file, at: 0 }))
+        Box::pin(async move {
+            let file = vfs.create(&self.path_of(comm.rank()))?;
+            Ok(Box::new(TaskLocalActive { file, at: 0 }) as Box<dyn ActiveTrace>)
+        })
     }
 
     fn describe(&self) -> String {
@@ -127,19 +139,25 @@ impl ActiveTrace for SionActive {
         self.writer.write(data)
     }
 
-    fn finalize(self: Box<Self>) -> Result<Option<CloseStats>> {
-        Ok(Some(self.writer.close()?))
+    fn finalize(self: Box<Self>) -> BoxFut<'static, Result<Option<CloseStats>>> {
+        Box::pin(async move { Ok(Some(self.writer.close_co().await?)) })
     }
 }
 
 impl TraceBackend for SionBackend {
-    fn activate(&self, vfs: &dyn Vfs, comm: &Comm) -> Result<Box<dyn ActiveTrace>> {
+    fn activate<'a>(
+        &'a self,
+        vfs: &'a dyn Vfs,
+        comm: &'a dyn CoComm,
+    ) -> BoxFut<'a, Result<Box<dyn ActiveTrace>>> {
         let mut params = SionParams::new(self.chunksize).with_nfiles(self.nfiles);
         if self.compressed {
             params = params.with_compression();
         }
-        let writer = paropen_write(vfs, &self.base, &params, comm)?;
-        Ok(Box::new(SionActive { writer }))
+        Box::pin(async move {
+            let writer = paropen_write_co(vfs, &self.base, &params, comm).await?;
+            Ok(Box::new(SionActive { writer }) as Box<dyn ActiveTrace>)
+        })
     }
 
     fn describe(&self) -> String {
@@ -157,11 +175,11 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::Tracer;
-    use simmpi::World;
+    use simmpi::TaskWorld;
     use vfs::MemFs;
 
     fn run_measurement(backend: &dyn TraceBackend, fs: &MemFs, ntasks: usize) {
-        World::run(ntasks, |comm| {
+        TaskWorld::run(ntasks, |comm| async move {
             let mut tracer = Tracer::new(comm.rank());
             for i in 0..50u64 {
                 tracer.record(&Event::Enter {
@@ -173,9 +191,9 @@ mod tests {
                     region: comm.rank() as u32,
                 });
             }
-            let mut trace = backend.activate(fs, comm).unwrap();
+            let mut trace = backend.activate(fs, &comm).await.unwrap();
             tracer.finalize(trace.as_mut()).unwrap();
-            trace.finalize().unwrap();
+            trace.finalize().await.unwrap();
         });
     }
 
@@ -230,28 +248,40 @@ mod tests {
     fn sion_backend_reports_coalesced_close_stats() {
         let fs = MemFs::with_block_size(1024);
         let backend = SionBackend::new("stats.sion", 64 * 1024, 1);
-        World::run(2, |comm| {
-            let mut trace = backend.activate(&fs, comm).unwrap();
-            // Many small event flushes: the stream engine should coalesce
-            // them into far fewer VFS writes.
-            for _ in 0..64 {
-                trace.write_events(&[comm.rank() as u8; 64]).unwrap();
+        TaskWorld::run(2, |comm| {
+            let backend = &backend;
+            let fs = &fs;
+            async move {
+                let mut trace = backend.activate(fs, &comm).await.unwrap();
+                // Many small event flushes: the stream engine should coalesce
+                // them into far fewer VFS writes.
+                for _ in 0..64 {
+                    trace.write_events(&[comm.rank() as u8; 64]).unwrap();
+                }
+                let stats = trace
+                    .finalize()
+                    .await
+                    .unwrap()
+                    .expect("multifile reports stats");
+                assert_eq!(stats.user_bytes, 64 * 64);
+                assert_eq!(stats.write_io.user_calls, 64);
+                assert!(
+                    stats.write_io.vfs_calls * 5 <= stats.write_io.user_calls,
+                    "expected ≥5× coalescing, got {:?}",
+                    stats.write_io
+                );
             }
-            let stats = trace.finalize().unwrap().expect("multifile reports stats");
-            assert_eq!(stats.user_bytes, 64 * 64);
-            assert_eq!(stats.write_io.user_calls, 64);
-            assert!(
-                stats.write_io.vfs_calls * 5 <= stats.write_io.user_calls,
-                "expected ≥5× coalescing, got {:?}",
-                stats.write_io
-            );
         });
         // Task-local backend reports no stats.
         let local = TaskLocalBackend::new("tl/run");
-        World::run(1, |comm| {
-            let mut trace = local.activate(&fs, comm).unwrap();
-            trace.write_events(b"x").unwrap();
-            assert!(trace.finalize().unwrap().is_none());
+        TaskWorld::run(1, |comm| {
+            let fs = &fs;
+            let local = &local;
+            async move {
+                let mut trace = local.activate(fs, &comm).await.unwrap();
+                trace.write_events(b"x").unwrap();
+                assert!(trace.finalize().await.unwrap().is_none());
+            }
         });
     }
 

@@ -13,8 +13,8 @@
 //!
 //! Logical writer identity is a per-thread label, the one task identity
 //! of a run: the `simmpi` runtime sets it with [`set_task`] to the world
-//! rank it runs on the thread — once per rank thread of a thread world,
-//! around every poll of the task executor — so every physical `write_at`
+//! rank it runs on the thread, around every poll of the task executor —
+//! so every physical `write_at`
 //! a rank issues is attributed to it (including the coalesced flushes of
 //! the buffered stream engine, and on sub-communicators too), without the
 //! I/O library labelling anything. Every [`TapFs`](crate::TapFs) op

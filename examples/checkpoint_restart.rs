@@ -10,7 +10,7 @@
 
 use mp2c::checkpoint::{read_checkpoint, write_checkpoint, Strategy};
 use mp2c::{SimConfig, Simulation};
-use simmpi::World;
+use simmpi::{CoComm, TaskWorld};
 use std::time::Instant;
 use vfs::{LocalFs, Vfs};
 
@@ -35,38 +35,45 @@ fn main() {
         ("single-file sequential", "ck_seq", Strategy::SingleFileSequential),
     ];
 
-    let digests = World::run(ntasks, |comm| {
-        let mut sim = Simulation::new(config, comm.rank(), comm.size());
-        for _ in 0..10 {
-            sim.step(comm);
-        }
-
-        for (name, base, strategy) in strategies {
-            let t0 = Instant::now();
-            write_checkpoint(&sim, &fs, base, strategy, comm).unwrap();
-            comm.barrier();
-            if comm.rank() == 0 {
-                println!("  wrote {name:<24} in {:>8.2?}", t0.elapsed());
+    let digests = TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            let mut sim = Simulation::new(config, comm.rank(), comm.size());
+            for _ in 0..10 {
+                sim.step(&comm).await;
             }
-        }
 
-        // Continue the original run.
-        for _ in 0..5 {
-            sim.step(comm);
-        }
-        let reference = sim.global_digest(comm);
+            for (name, base, strategy) in strategies {
+                let t0 = Instant::now();
+                write_checkpoint(&sim, fs, base, strategy, &comm)
+                    .await
+                    .unwrap();
+                comm.barrier().await;
+                if comm.rank() == 0 {
+                    println!("  wrote {name:<24} in {:>8.2?}", t0.elapsed());
+                }
+            }
 
-        // Restart from each checkpoint and replay the same steps.
-        let mut digests = vec![reference];
-        for (_, base, strategy) in strategies {
-            let mut restored = read_checkpoint(config, &fs, base, strategy, comm).unwrap();
-            assert_eq!(restored.step_count, 10);
+            // Continue the original run.
             for _ in 0..5 {
-                restored.step(comm);
+                sim.step(&comm).await;
             }
-            digests.push(restored.global_digest(comm));
+            let reference = sim.global_digest(&comm).await;
+
+            // Restart from each checkpoint and replay the same steps.
+            let mut digests = vec![reference];
+            for (_, base, strategy) in strategies {
+                let mut restored = read_checkpoint(config, fs, base, strategy, &comm)
+                    .await
+                    .unwrap();
+                assert_eq!(restored.step_count, 10);
+                for _ in 0..5 {
+                    restored.step(&comm).await;
+                }
+                digests.push(restored.global_digest(&comm).await);
+            }
+            digests
         }
-        digests
     });
 
     // All restarts on all ranks must agree with the uninterrupted run.

@@ -7,9 +7,9 @@
 //! cargo run --example multifile_tools
 //! ```
 
-use simmpi::World;
+use simmpi::{CoComm, TaskWorld};
 use sion::rescue::repair;
-use sion::{paropen_write, Multifile, SionParams};
+use sion::{paropen_write_co, Multifile, SionParams};
 use vfs::{LocalFs, Vfs};
 
 fn main() {
@@ -20,14 +20,19 @@ fn main() {
     // A multifile with small chunks (so several blocks form) and rescue
     // headers enabled.
     let ntasks = 6;
-    World::run(ntasks, |comm| {
-        let params = SionParams::new(4096).with_nfiles(2).with_rescue();
-        let mut w = paropen_write(&fs, "data.sion", &params, comm).unwrap();
-        for i in 0..comm.rank() + 2 {
-            let chunk = vec![(comm.rank() * 16 + i) as u8; 3000];
-            w.write(&chunk).unwrap();
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            let params = SionParams::new(4096).with_nfiles(2).with_rescue();
+            let mut w = paropen_write_co(fs, "data.sion", &params, &comm)
+                .await
+                .unwrap();
+            for i in 0..comm.rank() + 2 {
+                let chunk = vec![(comm.rank() * 16 + i) as u8; 3000];
+                w.write(&chunk).unwrap();
+            }
+            w.close_co().await.unwrap();
         }
-        w.close().unwrap();
     });
 
     // --- siondump ---------------------------------------------------------

@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use simmpi::World;
+use simmpi::{CoComm, TaskWorld};
 use sionlib::{sion, vfs};
 use vfs::{LocalFs, Vfs};
 
@@ -19,32 +19,40 @@ fn main() {
     println!("writing a multifile from {ntasks} tasks (2 physical files) ...");
 
     // --- parallel write (paper Listing 1) --------------------------------
-    World::run(ntasks, |comm| {
-        // Each task expects to write pieces of at most 64 KiB.
-        let params = sion::SionParams::new(64 * 1024).with_nfiles(2);
-        let mut w = sion::paropen_write(&fs, "demo.sion", &params, comm).unwrap();
-        for line in 0..100 {
-            let record = format!("rank {:03} record {:04}\n", comm.rank(), line);
-            w.ensure_free_space(record.len() as u64).unwrap();
-            w.write_in_chunk(record.as_bytes()).unwrap();
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            // Each task expects to write pieces of at most 64 KiB.
+            let params = sion::SionParams::new(64 * 1024).with_nfiles(2);
+            let mut w = sion::paropen_write_co(fs, "demo.sion", &params, &comm)
+                .await
+                .unwrap();
+            for line in 0..100 {
+                let record = format!("rank {:03} record {:04}\n", comm.rank(), line);
+                w.ensure_free_space(record.len() as u64).unwrap();
+                w.write_in_chunk(record.as_bytes()).unwrap();
+            }
+            w.close_co().await.unwrap();
         }
-        w.close().unwrap();
     });
 
     // --- parallel read (paper Listing 2) ---------------------------------
-    World::run(ntasks, |comm| {
-        let mut r = sion::paropen_read(&fs, "demo.sion", comm).unwrap();
-        let mut data = Vec::new();
-        while !r.feof() {
-            let avail = r.bytes_avail_in_chunk() as usize;
-            let mut buf = vec![0u8; avail];
-            r.read_exact(&mut buf).unwrap();
-            data.extend_from_slice(&buf);
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            let mut r = sion::paropen_read_co(fs, "demo.sion", &comm).await.unwrap();
+            let mut data = Vec::new();
+            while !r.feof() {
+                let avail = r.bytes_avail_in_chunk() as usize;
+                let mut buf = vec![0u8; avail];
+                r.read_exact(&mut buf).unwrap();
+                data.extend_from_slice(&buf);
+            }
+            let text = String::from_utf8(data).unwrap();
+            assert_eq!(text.lines().count(), 100);
+            assert!(text.starts_with(&format!("rank {:03} record 0000", comm.rank())));
+            r.close_co().await.unwrap();
         }
-        let text = String::from_utf8(data).unwrap();
-        assert_eq!(text.lines().count(), 100);
-        assert!(text.starts_with(&format!("rank {:03} record 0000", comm.rank())));
-        r.close().unwrap();
     });
     println!("parallel read-back OK");
 

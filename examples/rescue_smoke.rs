@@ -13,7 +13,7 @@
 //! ./target/release/sionverify target/smoke/crash.sion
 //! ```
 
-use simmpi::World;
+use simmpi::{CoComm, TaskWorld};
 use sionlib::{sion, vfs};
 use std::sync::Arc;
 use vfs::{Faults, LocalFs, MemFs, TapFs, Vfs};
@@ -37,9 +37,9 @@ fn payload(rank: usize, len: usize) -> Vec<u8> {
 }
 
 fn workload(fs: &dyn Vfs) {
-    World::run(NTASKS, |comm| {
+    TaskWorld::run(NTASKS, |comm| async move {
         let params = sion::SionParams::new(256).with_rescue().with_write_buffer(128);
-        let Ok(mut w) = sion::paropen_write(fs, "crash.sion", &params, comm) else {
+        let Ok(mut w) = sion::paropen_write_co(fs, "crash.sion", &params, &comm).await else {
             return;
         };
         for piece in payload(comm.rank(), PAYLOAD_LEN).chunks(100) {

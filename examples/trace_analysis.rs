@@ -8,7 +8,7 @@
 //! cargo run --example trace_analysis
 //! ```
 
-use simmpi::World;
+use simmpi::{CoComm, TaskWorld};
 use tracer::{
     analyze, synthetic_events, SionBackend, SynthConfig, TaskLocalBackend, TraceBackend,
     TraceSource, Tracer,
@@ -28,15 +28,18 @@ fn main() {
 
     println!("tracing a synthetic SMG2000-like run on {ntasks} tasks ...");
     for backend in [&task_local as &dyn TraceBackend, &multifile] {
-        World::run(ntasks, |comm| {
-            let mut tracer = Tracer::new(comm.rank());
-            for ev in synthetic_events(&workload, comm.rank(), comm.size()) {
-                tracer.record(&ev);
+        TaskWorld::run(ntasks, |comm| {
+            let fs = &fs;
+            async move {
+                let mut tracer = Tracer::new(comm.rank());
+                for ev in synthetic_events(&workload, comm.rank(), comm.size()) {
+                    tracer.record(&ev);
+                }
+                // Measurement activation + finalization (what Table 2 times).
+                let mut trace = backend.activate(fs, &comm).await.unwrap();
+                tracer.finalize(trace.as_mut()).unwrap();
+                trace.finalize().await.unwrap();
             }
-            // Measurement activation + finalization (what Table 2 times).
-            let mut trace = backend.activate(&fs, comm).unwrap();
-            tracer.finalize(trace.as_mut()).unwrap();
-            trace.finalize().unwrap();
         });
         println!("  flushed to {}", backend.describe());
     }

@@ -2,7 +2,7 @@
 //! applications (mp2c, tracer) through the sion library, the serial tool
 //! suite, and back — over the in-memory and counting file systems.
 
-use simmpi::World;
+use simmpi::{CoComm, TaskWorld};
 use sionlib::{mp2c, sion, sion_tools, tracer, vfs};
 use std::sync::Arc;
 use vfs::{FaultKind, Faults, MemFs, TapFs, Vfs};
@@ -26,16 +26,21 @@ fn checkpoint_then_tools_pipeline() {
     let fs = MemFs::with_block_size(4096);
     let strategy = mp2c::checkpoint::Strategy::Sion { nfiles: 2, compressed: false };
 
-    let reference = World::run(4, |comm| {
-        let mut sim = mp2c::Simulation::new(cfg, comm.rank(), comm.size());
-        for _ in 0..6 {
-            sim.step(comm);
+    let reference = TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let mut sim = mp2c::Simulation::new(cfg, comm.rank(), comm.size());
+            for _ in 0..6 {
+                sim.step(&comm).await;
+            }
+            mp2c::checkpoint::write_checkpoint(&sim, fs, "ck.sion", strategy, &comm)
+                .await
+                .unwrap();
+            for _ in 0..4 {
+                sim.step(&comm).await;
+            }
+            sim.global_digest(&comm).await
         }
-        mp2c::checkpoint::write_checkpoint(&sim, &fs, "ck.sion", strategy, comm).unwrap();
-        for _ in 0..4 {
-            sim.step(comm);
-        }
-        sim.global_digest(comm)
     })[0];
 
     // Tool pass: dump mentions 4 tasks; defrag to a single physical file.
@@ -45,21 +50,31 @@ fn checkpoint_then_tools_pipeline() {
     sion_tools::defrag(&fs, "ck.sion", &out, "ck-dense.sion", 1).unwrap();
 
     // Restart from the defragmented checkpoint.
-    let restarted = World::run(4, |comm| {
-        let mut sim = mp2c::checkpoint::read_checkpoint(
-            cfg,
-            &out,
-            "ck-dense.sion",
-            mp2c::checkpoint::Strategy::Sion { nfiles: 1, compressed: false },
-            comm,
-        )
-        .unwrap();
-        for _ in 0..4 {
-            sim.step(comm);
+    let restarted = TaskWorld::run(4, |comm| {
+        let out = &out;
+        async move {
+            let mut sim = mp2c::checkpoint::read_checkpoint(
+                cfg,
+                out,
+                "ck-dense.sion",
+                mp2c::checkpoint::Strategy::Sion {
+                    nfiles: 1,
+                    compressed: false,
+                },
+                &comm,
+            )
+            .await
+            .unwrap();
+            for _ in 0..4 {
+                sim.step(&comm).await;
+            }
+            sim.global_digest(&comm).await
         }
-        sim.global_digest(comm)
     })[0];
-    assert_eq!(reference, restarted, "defragmented checkpoint must restart identically");
+    assert_eq!(
+        reference, restarted,
+        "defragmented checkpoint must restart identically"
+    );
 }
 
 #[test]
@@ -69,14 +84,20 @@ fn trace_split_files_decode_as_event_streams() {
     let fs = MemFs::with_block_size(4096);
     let cfg = tracer::SynthConfig::default();
     let backend = tracer::SionBackend::new("tr.sion", 1 << 20, 2);
-    World::run(6, |comm| {
-        let mut t = tracer::Tracer::new(comm.rank());
-        for ev in tracer::synthetic_events(&cfg, comm.rank(), comm.size()) {
-            t.record(&ev);
+    TaskWorld::run(6, |comm| {
+        let backend = &backend;
+        let fs = &fs;
+        async move {
+            let mut t = tracer::Tracer::new(comm.rank());
+            for ev in tracer::synthetic_events(&cfg, comm.rank(), comm.size()) {
+                t.record(&ev);
+            }
+            let mut trace = tracer::TraceBackend::activate(backend, fs, &comm)
+                .await
+                .unwrap();
+            t.finalize(trace.as_mut()).unwrap();
+            trace.finalize().await.unwrap();
         }
-        let mut trace = tracer::TraceBackend::activate(&backend, &fs, comm).unwrap();
-        t.finalize(trace.as_mut()).unwrap();
-        trace.finalize().unwrap();
     });
 
     let out = MemFs::new();
@@ -101,18 +122,27 @@ fn op_log_counts_the_metadata_story() {
     let payload_len = 5_000;
 
     let (fs, sion_log) = logged_fs();
-    World::run(ntasks, |comm| {
-        let params = sion::SionParams::new(4096).with_nfiles(nfiles);
-        let mut w = sion::paropen_write(&fs, "multi.sion", &params, comm).unwrap();
-        w.write(&vec![comm.rank() as u8; payload_len]).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(ntasks, |comm| {
+        let fs = &fs;
+        async move {
+            let params = sion::SionParams::new(4096).with_nfiles(nfiles);
+            let mut w = sion::paropen_write_co(fs, "multi.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.write(&vec![comm.rank() as u8; payload_len]).unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     assert_eq!(creates(&sion_log), nfiles as u64);
 
     let (fs2, local_log) = logged_fs();
-    World::run(ntasks, |comm| {
-        let f = fs2.create(&format!("task.{:06}", comm.rank())).unwrap();
-        f.write_all_at(&vec![comm.rank() as u8; payload_len], 0).unwrap();
+    TaskWorld::run(ntasks, |comm| {
+        let fs2 = &fs2;
+        async move {
+            let f = fs2.create(&format!("task.{:06}", comm.rank())).unwrap();
+            f.write_all_at(&vec![comm.rank() as u8; payload_len], 0)
+                .unwrap();
+        }
     });
     assert_eq!(creates(&local_log), ntasks as u64);
 
@@ -125,22 +155,36 @@ fn op_log_counts_the_metadata_story() {
 fn compressed_checkpoint_smaller_than_plain() {
     let cfg = mp2c::SimConfig { domain: 8, particles_per_cell: 6, ..Default::default() };
     let fs = MemFs::with_block_size(4096);
-    World::run(4, |comm| {
-        let sim = mp2c::Simulation::new(cfg, comm.rank(), comm.size());
-        for (base, compressed) in [("plain.sion", false), ("packed.sion", true)] {
-            mp2c::checkpoint::write_checkpoint(
-                &sim,
-                &fs,
-                base,
-                mp2c::checkpoint::Strategy::Sion { nfiles: 1, compressed },
-                comm,
-            )
-            .unwrap();
+    TaskWorld::run(4, |comm| {
+        let fs = &fs;
+        async move {
+            let sim = mp2c::Simulation::new(cfg, comm.rank(), comm.size());
+            for (base, compressed) in [("plain.sion", false), ("packed.sion", true)] {
+                mp2c::checkpoint::write_checkpoint(
+                    &sim,
+                    fs,
+                    base,
+                    mp2c::checkpoint::Strategy::Sion {
+                        nfiles: 1,
+                        compressed,
+                    },
+                    &comm,
+                )
+                .await
+                .unwrap();
+            }
         }
     });
-    let plain = sion::Multifile::open(&fs, "plain.sion").unwrap().locations().unwrap().total_stored_bytes();
-    let packed =
-        sion::Multifile::open(&fs, "packed.sion").unwrap().locations().unwrap().total_stored_bytes();
+    let plain = sion::Multifile::open(&fs, "plain.sion")
+        .unwrap()
+        .locations()
+        .unwrap()
+        .total_stored_bytes();
+    let packed = sion::Multifile::open(&fs, "packed.sion")
+        .unwrap()
+        .locations()
+        .unwrap()
+        .total_stored_bytes();
     // Double-precision particle data is mostly mantissa noise, so the LZSS
     // codec cannot shrink it much — but the stored-block fallback bounds
     // the expansion to the per-frame overhead (the transparency guarantee).
@@ -168,10 +212,15 @@ fn simulated_experiments_agree_with_functional_counts() {
         .sum();
 
     let (fs, log) = logged_fs();
-    World::run(ntasks as usize, |comm| {
-        let params = sion::SionParams::new(1).with_nfiles(nfiles);
-        let w = sion::paropen_write(&fs, "x.sion", &params, comm).unwrap();
-        w.close().unwrap();
+    TaskWorld::run(ntasks as usize, |comm| {
+        let fs = &fs;
+        async move {
+            let params = sion::SionParams::new(1).with_nfiles(nfiles);
+            let w = sion::paropen_write_co(fs, "x.sion", &params, &comm)
+                .await
+                .unwrap();
+            w.close_co().await.unwrap();
+        }
     });
     assert_eq!(script_creates, creates(&log));
 }
