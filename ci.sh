@@ -263,10 +263,11 @@ staging=$(awk '/^#\[cfg\(test\)\]/ { exit }
 }
 
 echo "==> structural gate: no frame pool (a message is one Vec, allocated by its sender and dropped by its receiver)"
-# `CoComm` has no `recycle`. The one `fn recycle` left in simmpi is `TaskComm`'s inherent drop, kept
-# while sionbench calls it (ROADMAP item 1(c)); szip's
-# `FrameEncoder::recycle` reuses an encoder's output buffer and is no
-# message pool.
+# The one `fn recycle` left in simmpi is `CoComm::recycle`, a plain
+# `drop(buf)` nothing in the engine or `agg.rs` calls, kept while
+# sionbench's `layers.rs` calls it (ROADMAP item 1's benchmark slice);
+# szip's `FrameEncoder::recycle` reuses an encoder's output buffer and is
+# no message pool.
 recycles=$(grep -rn -A1 'fn recycle' crates/simmpi/src | tr -s ' ')
 want_recycle='crates/simmpi/src/task/comm.rs:NNN: pub fn recycle(&self, buf: Vec<u8>) {
 crates/simmpi/src/task/comm.rs-NNN- drop(buf);'
@@ -275,7 +276,7 @@ if grep -rnE 'FrameArena|frame_into' crates ||
     [ "$(echo "$recycles" | sed 's/\([:-]\)[0-9]*\([:-]\)/\1NNN\2/')" != "$want_recycle" ]
 then
     echo "$recycles"
-    echo "no frame arena, no \`frame_into\`, no \`recycle\` on a communicator trait: messages are plain \`Vec\`s"
+    echo "no frame arena, no \`frame_into\`, no \`.recycle(\` call in the engine or agg.rs: messages are plain \`Vec\`s"
     exit 1
 fi
 
@@ -322,15 +323,36 @@ then
     exit 1
 fi
 
-echo "==> structural gate: one communicator contract (CoComm, implemented by the engine alone)"
-# `CoComm` is the only communicator trait and `TaskComm` its one
-# implementation, so no adapter turns one contract into another.
-co_impls=$(grep -rEc 'impl(<[^>]*>)? [A-Za-z:]*CoComm for' crates/simmpi/src | awk -F: '{ s += $2 } END { print s }')
-if grep -rnE 'trait Comm\b|BlockingComm|BlockingRef|blocking_cocomm' crates tests examples ||
-    [ "$co_impls" -ne 1 ]
+echo "==> structural gate: one communicator type (CoComm is the engine: no communicator trait, no boxed or type-erased futures, no second runtime, one send path)"
+# `simmpi::CoComm` is a concrete struct whose waiting operations are
+# inherent `async fn`s: no trait stands in front of its one implementation,
+# nothing takes it as `dyn`, and the engine boxes no future (`BoxFut` lives
+# in `tracer`, whose `TraceBackend` has two implementations). The
+# collectives are checked against `simmpi/tests/spec`, pure functions from
+# every rank's input to every rank's output, not against a second runtime:
+# no `FlatWorld`, no world builder to plug one in, no copying
+# `AllGathered::from_parts`. `send_vec` is the one send, and `send(&[u8])`
+# copies into it.
+method() {
+    awk -v f="$2" '$0 ~ "^    (pub(\\(crate\\))? )?(async )?fn " f "[(<]" { on = 1 }
+        on { print } on && /^    }/ { exit }' "$1"
+}
+comm_rs=crates/simmpi/src/task/comm.rs
+one_comm=$({
+    grep -rnE '\btrait [A-Za-z]*Comm\b|BlockingComm|BlockingRef|blocking_cocomm|dyn ([A-Za-z_]+::)*CoComm\b' crates src tests examples
+    grep -rnE 'BoxFut|\bimpl\b[^{]* [A-Za-z:]*Comm for ' crates/simmpi/src
+    grep -rnE '^impl\b.* for CoComm\b' crates/simmpi/src | grep -v ': *impl Drop for CoComm {$'
+    grep -n 'Box::pin' "$comm_rs"
+    grep -rnE 'FlatWorld|flat_world|BuildWorld|fn from_parts\b' crates
+} || true)
+send_vecs=$(grep -rnE 'fn send_vec\b' crates/simmpi/src | grep -c . || true)
+sends=$(grep -rnE 'fn send\(' crates/simmpi/src | grep -c . || true)
+if [ -n "$one_comm" ] || [ "$send_vecs" -ne 1 ] || [ "$sends" -ne 1 ] ||
+    ! method "$comm_rs" send | grep -q 'self\.send_vec(dest, tag, data\.to_vec())'
 then
-    echo "$co_impls \`impl CoComm for\` in crates/simmpi/src (want 1: TaskComm)"
-    echo "one communicator contract: \`CoComm\` is the trait, \`TaskComm\` the engine"
+    printf '%s\n' "$one_comm"
+    echo "$send_vecs fn send_vec, $sends fn send in crates/simmpi/src (want 1 each, send copying into send_vec)"
+    echo "one communicator type: \`CoComm\` is the engine's struct with inherent async methods; no communicator trait, \`dyn CoComm\`, \`BoxFut\` or \`Box::pin\` in the engine, no second runtime"
     exit 1
 fi
 
@@ -348,24 +370,6 @@ one_driver=$(grep -rnE '\bWorld::run|simmpi::World|pub struct Comm\b|should_abor
     echo "one driver: ranks run on \`TaskWorld\` and await \`CoComm\` (and the \`_co\` entry points); no \`World\`, blocking \`Comm\`, \`should_abort\`, \`Stuck\` or \`SIMCHECK_TIMEOUT_MS\`"
     exit 1
 }
-
-echo "==> structural gate: a specification, not a second runtime (no flat oracle; CoComm provides no fallback for try_recv, allgather_shared or split_local)"
-# The collectives are checked against `simmpi/tests/spec`, pure functions
-# from every rank's input to every rank's output, not against a second
-# runtime: no `FlatWorld`, no world builder to plug one in, no copying
-# `AllGathered::from_parts`. With one implementation, a provided body for a
-# method it overrides would be dead code that nothing tests.
-provided=$(awk '/^pub trait CoComm/ { on = 1 } on && /^}/ { exit }
-    on && /^    fn (try_recv|allgather_shared|split_local)[(<]/ { sig = 1; text = $0 }
-    sig && /\{ *$/ { print FILENAME ":" FNR ": " text; sig = 0 }
-    sig && /; *$/ { sig = 0 }' crates/simmpi/src/co.rs)
-if grep -rnE 'FlatWorld|flat_world|BuildWorld|fn from_parts\b' crates ||
-    [ -n "$provided" ]
-then
-    printf '%s\n' "$provided"
-    echo "no second runtime: the property tests compare the engine with \`tests/spec\`, and \`CoComm\` requires \`try_recv\`, \`allgather_shared\` and \`split_local\`"
-    exit 1
-fi
 
 echo "==> structural gate: one happens-before relation (one hook event, one vector-clock core, one extent-conflict rule)"
 # The runtime reports through `CheckHook::on_event(&HookEvent)`; the trait
@@ -389,26 +393,15 @@ then
     exit 1
 fi
 
-echo "==> structural gate: ship by move (one owned send in the engine, a member's frame is its write-behind buffer)"
-# `CoComm::send_vec` is the one send the engine implements — `TaskComm`,
-# once — and the provided `send(&[u8])` copies into it, overridden
-# nowhere. A member ships its frame with `send_vec` and
-# copies no frame (`agg.rs` has no `.to_vec()`); the aggregator's 16-byte
-# ack may stay on `send`. In `stream.rs` the staged run is written by
+echo "==> structural gate: ship by move (a member's frame is its message and its write-behind buffer)"
+# A member ships its frame with `CoComm::send_vec`, the one send (see "one
+# communicator type"), and copies no frame (`agg.rs` has no `.to_vec()`);
+# the aggregator's 16-byte ack may stay on `send`. In `stream.rs` the staged run is written by
 # `flush_run`, which issues the VFS call itself and closes the extent the
 # run already sits in; the one `push_extent(` call is `submit`'s, for bytes
 # the frame does not hold yet.
-method() {
-    awk -v f="$2" '$0 ~ "^    (pub(\\(crate\\))? )?(async )?fn " f "[(<]" { on = 1 }
-        on { print } on && /^    }/ { exit }' "$1"
-}
-impl_fns() {
-    awk -v f="$1" '/^impl.*CoComm for / { on = 1 } on && /^}/ { on = 0 }
-        on && $0 ~ "fn " f "\\(" { print FILENAME ":" FNR ": " $0 }' crates/simmpi/src/*.rs crates/simmpi/src/task/*.rs
-}
 stream_extents=$(awk '/^#\[cfg\(test\)\]/ { exit } /push_extent\(/' crates/sion/src/stream.rs | grep -c . || true)
-if [ "$(impl_fns send_vec | grep -c .)" -ne 1 ] || [ -n "$(impl_fns send)" ] ||
-    ! method crates/sion/src/agg.rs ship | grep -q 'send_vec(' ||
+if ! method crates/sion/src/agg.rs ship | grep -q 'send_vec(' ||
     method crates/sion/src/agg.rs ship | grep -q '\.send(' ||
     grep -n '\.to_vec()' crates/sion/src/agg.rs ||
     [ "$stream_extents" -ne 1 ] ||
@@ -417,9 +410,8 @@ if [ "$(impl_fns send_vec | grep -c .)" -ne 1 ] || [ -n "$(impl_fns send)" ] ||
     method crates/sion/src/stream.rs flush_run | grep -q 'self\.submit(' ||
     method crates/sion/src/stream.rs flush_pending | grep -q 'self\.submit('
 then
-    impl_fns 'send(_vec)?'
     echo "stream.rs has $stream_extents push_extent( lines outside its tests (want 1, in submit)"
-    echo "ship by move: the engine implements \`send_vec\` only, \`MemberState::ship\` moves the frame with it, and the staged run is flushed in the frame (\`flush_run\`), never copied into it"
+    echo "ship by move: \`MemberState::ship\` moves the frame with it, and the staged run is flushed in the frame (\`flush_run\`), never copied into it"
     exit 1
 fi
 
@@ -596,6 +588,11 @@ done)
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> RUSTDOCFLAGS=-D warnings cargo doc --no-deps --workspace --lib"
+# Every workspace library crate documents cleanly: a link to a private
+# item (a module, a constant) renders as dead text in the public docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib -q
 
 echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion -p sion-mp2c -p sion-tracer"
 # The crates kept rustfmt-clean so far; the rest of the tree is not yet.

@@ -14,7 +14,7 @@
 //! Writes a JSON report (default `BENCH_dpor.json`).
 
 use simcheck::{Dpor, DporOutcome, HbEngine, Sanitizer, TapFs};
-use simmpi::{CheckHook, CoComm, TaskWorld};
+use simmpi::{CheckHook, TaskWorld};
 use sion::{paropen_write_co, IoMode, SionParams};
 use std::sync::Arc;
 use std::time::Instant;

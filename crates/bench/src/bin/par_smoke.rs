@@ -11,7 +11,7 @@
 //! smaller `--ranks` there — the checks serialize some paths).
 
 use bench::arg;
-use simmpi::{CoComm, SchedPolicy, TaskWorld};
+use simmpi::{SchedPolicy, TaskWorld};
 use sion::{paropen_write_co, Multifile, SionParams};
 use std::time::Instant;
 use vfs::MemFs;

@@ -97,7 +97,7 @@ fn task_local_path(base: &str, rank: usize) -> String {
 /// collective operation: if any rank failed locally, every rank returns an
 /// error instead of some ranks blocking forever in a collective the failed
 /// rank never reaches (the classic MPI error-path deadlock).
-async fn collective_check<T>(comm: &dyn CoComm, local: Result<T>) -> Result<T> {
+async fn collective_check<T>(comm: &CoComm, local: Result<T>) -> Result<T> {
     let failed = comm
         .allreduce_u64(local.is_err() as u64, ReduceOp::Max)
         .await;
@@ -116,7 +116,7 @@ pub async fn write_checkpoint(
     vfs: &dyn Vfs,
     base: &str,
     strategy: Strategy,
-    comm: &dyn CoComm,
+    comm: &CoComm,
 ) -> Result<()> {
     let stream = encode_task_stream(sim);
     match strategy {
@@ -179,7 +179,7 @@ pub async fn read_checkpoint(
     vfs: &dyn Vfs,
     base: &str,
     strategy: Strategy,
-    comm: &dyn CoComm,
+    comm: &CoComm,
 ) -> Result<Simulation> {
     let stream: Result<Vec<u8>> = match strategy {
         // The read open agrees by itself and the read close is local.

@@ -188,7 +188,7 @@ impl Simulation {
 
     /// One full MPC step: solvent streaming + migration, MD sub-steps for
     /// the solutes, then the coupled SRD collision.
-    pub async fn step(&mut self, comm: &dyn CoComm) {
+    pub async fn step(&mut self, comm: &CoComm) {
         let l = self.config.domain as f64;
         stream(&mut self.particles, self.config.dt, [l, l, l]);
         self.migrate(comm).await;
@@ -217,7 +217,7 @@ impl Simulation {
     /// Re-replicate the solutes after the coupled collision: each slab's
     /// owner updated the velocities of the solutes inside it, so owners
     /// exchange their post-collision copies and everyone merges by id.
-    async fn sync_solutes(&mut self, comm: &dyn CoComm) {
+    async fn sync_solutes(&mut self, comm: &CoComm) {
         if self.nranks == 1 {
             return;
         }
@@ -240,7 +240,7 @@ impl Simulation {
 
     /// Exchange particles that streamed out of the slab with the left and
     /// right neighbours (periodic).
-    async fn migrate(&mut self, comm: &dyn CoComm) {
+    async fn migrate(&mut self, comm: &CoComm) {
         if self.nranks == 1 {
             return;
         }
@@ -279,14 +279,14 @@ impl Simulation {
     }
 
     /// Global particle count.
-    pub async fn total_particles(&self, comm: &dyn CoComm) -> u64 {
+    pub async fn total_particles(&self, comm: &CoComm) -> u64 {
         comm.allreduce_u64(self.particles.len() as u64, ReduceOp::Sum)
             .await
     }
 
     /// Global momentum (solvent plus, on top of every rank's identical
     /// replica, the solute contribution counted once).
-    pub async fn total_momentum(&self, comm: &dyn CoComm) -> [f64; 3] {
+    pub async fn total_momentum(&self, comm: &CoComm) -> [f64; 3] {
         let mut out = [0.0f64; 3];
         for (k, o) in out.iter_mut().enumerate() {
             let local: f64 = self.particles.iter().map(|p| p.vel[k]).sum();
@@ -329,7 +329,7 @@ impl Simulation {
 
     /// Global state digest (equal iff the global particle sets are
     /// bit-identical).
-    pub async fn global_digest(&self, comm: &dyn CoComm) -> u64 {
+    pub async fn global_digest(&self, comm: &CoComm) -> u64 {
         comm.allgather_u64(self.local_digest())
             .await
             .into_iter()

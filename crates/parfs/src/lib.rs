@@ -15,7 +15,7 @@
 //!   throughput (paper Fig. 4);
 //! * **bandwidth sharing**: concurrent transfers share client injection
 //!   links, I/O servers, and the aggregate backplane max-min fairly, via a
-//!   fluid-flow model ([`fluid`]);
+//!   fluid-flow model (`fluid.rs`);
 //! * **client-side read caching**: re-reads may exceed the file-system
 //!   maximum (paper Fig. 5(b)).
 //!

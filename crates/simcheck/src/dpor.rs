@@ -272,7 +272,7 @@ impl DporHarness {
     ) -> Option<Box<CheckFailure>>
     where
         T: Send,
-        F: Fn(simmpi::TaskComm) -> Fut,
+        F: Fn(simmpi::CoComm) -> Fut,
         Fut: std::future::Future<Output = T> + Send,
     {
         let san = Arc::new(Sanitizer::new());
@@ -443,7 +443,7 @@ impl Dpor {
     ) -> Result<Vec<T>, Box<CheckFailure>>
     where
         T: Send,
-        F: Fn(simmpi::TaskComm) -> Fut,
+        F: Fn(simmpi::CoComm) -> Fut,
         Fut: std::future::Future<Output = T> + Send,
     {
         let mut vals = None;
@@ -459,7 +459,6 @@ impl Dpor {
 mod tests {
     use super::*;
     use crate::{CheckedTaskWorld, ScheduleCfg};
-    use simmpi::CoComm;
 
     /// Two tasks each do one barrier: the only decisions are which task
     /// polls first at each quiescent point, and all of them commute except
@@ -519,7 +518,7 @@ mod tests {
     /// schedule.
     #[test]
     fn failures_carry_a_replayable_schedule() {
-        let prog = |c: simmpi::TaskComm| async move {
+        let prog = |c: simmpi::CoComm| async move {
             if c.rank() == 0 {
                 c.send(1, 7, b"x");
             } else {

@@ -653,7 +653,7 @@ mod tests {
     /// How many of 32 seeded serial schedules of the two-rank `prog` the
     /// engine finds a race in, with `prog`'s file writes going through a
     /// `TapFs` that reports to a fresh engine per schedule.
-    fn racy_schedules<Fut>(prog: impl Fn(simmpi::TaskComm, Arc<dyn vfs::Vfs>) -> Fut) -> usize
+    fn racy_schedules<Fut>(prog: impl Fn(simmpi::CoComm, Arc<dyn vfs::Vfs>) -> Fut) -> usize
     where
         Fut: std::future::Future<Output = ()> + Send,
     {
@@ -692,7 +692,6 @@ mod tests {
         // sends to the root, so nothing orders the root's write before the
         // leaf's, whichever rank enters the gather first.
         let racy = racy_schedules(|c, fs| async move {
-            use simmpi::CoComm;
             if c.rank() == 0 {
                 write_head(fs.as_ref());
             }
@@ -709,7 +708,6 @@ mod tests {
         // The barrier's fan-in and release messages put rank 0's write
         // before rank 1's on every schedule.
         let racy = racy_schedules(|c, fs| async move {
-            use simmpi::CoComm;
             if c.rank() == 0 {
                 write_head(fs.as_ref());
             }

@@ -56,7 +56,7 @@ impl CheckedTaskWorld {
     ) -> Result<Vec<T>, Box<CheckFailure>>
     where
         T: Send,
-        F: Fn(simmpi::TaskComm) -> Fut,
+        F: Fn(simmpi::CoComm) -> Fut,
         Fut: std::future::Future<Output = T> + Send,
     {
         match cfg {
@@ -94,7 +94,7 @@ impl CheckedTaskWorld {
     ) -> Result<usize, Box<CheckFailure>>
     where
         T: Send,
-        F: Fn(simmpi::TaskComm) -> Fut,
+        F: Fn(simmpi::CoComm) -> Fut,
         Fut: std::future::Future<Output = T> + Send,
     {
         let mut explored = 0;

@@ -22,7 +22,7 @@
 //! truncates silently.
 
 use simcheck::{Dpor, DporOutcome, HbEngine, Sanitizer, TapFs};
-use simmpi::{CheckHook, CoComm, TaskWorld};
+use simmpi::{CheckHook, TaskWorld};
 use sion::{paropen_write_co, IoMode, SionParams};
 use std::sync::Arc;
 use vfs::MemFs;

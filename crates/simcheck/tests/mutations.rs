@@ -10,7 +10,6 @@ use simcheck::{
     seed_budget, BlockGuard, CheckFailure, CheckedTaskWorld, FindingKind, ScheduleCfg, TapFs,
     COLL_TAG_PREFIX,
 };
-use simmpi::CoComm;
 use sion::{paropen_write_co, Alignment, FileLayout, SionParams};
 use std::sync::Arc;
 use vfs::MemFs;

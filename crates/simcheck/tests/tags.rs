@@ -70,7 +70,6 @@ proptest! {
 #[test]
 fn runtime_rejects_crafted_collision() {
     use simcheck::{CheckedTaskWorld, FindingKind, ScheduleCfg};
-    use simmpi::CoComm;
     for kind in KINDS {
         let crafted = make_coll_tag(kind, 3, 1);
         let cfg = ScheduleCfg::Seeded {

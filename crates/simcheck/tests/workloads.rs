@@ -20,7 +20,7 @@ fn payload(rank: usize, len: usize) -> Vec<u8> {
 }
 
 /// Collective open, this rank's payload in uneven pieces, collective close.
-async fn write_payload(fs: &TapFs, path: &str, params: &SionParams, c: &dyn CoComm, len: usize) {
+async fn write_payload(fs: &TapFs, path: &str, params: &SionParams, c: &CoComm, len: usize) {
     let mut w = paropen_write_co(fs, path, params, c).await.unwrap();
     for piece in payload(c.rank(), len).chunks(700 + c.rank() * 13 + 1) {
         w.write(piece).unwrap();

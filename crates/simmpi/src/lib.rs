@@ -7,11 +7,12 @@
 //! point-to-point messaging with MPI-style (source, tag) matching for the
 //! mini-apps.
 //!
-//! [`CoComm`] is the one communicator contract the `sion` crate programs
-//! against — mirroring how SIONlib is "by design not tied to a specific
-//! parallel programming interface". It has one implementation, the
-//! tree-collective engine [`TaskComm`]: log-P binomial trees over per-rank
-//! mailboxes, with per-rank op/byte counters exposed as [`CommStats`]. One
+//! [`CoComm`] is the one communicator the `sion` crate programs against —
+//! SIONlib is "by design not tied to a specific parallel programming
+//! interface", and here the interface is this one concrete type, not a
+//! trait: the tree-collective engine, log-P binomial trees over per-rank
+//! mailboxes, with per-rank op/byte counters exposed as [`CommStats`]. Its
+//! waiting operations are `async fn`s with concrete, unboxed futures. One
 //! driver runs it: [`TaskWorld`], with ranks as futures on a work-stealing
 //! (or seeded serial) executor, from one rank to 64Ki and beyond. A rank
 //! that waits for a peer suspends its task, never a thread.
@@ -25,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use simmpi::{CoComm, TaskWorld};
+//! use simmpi::TaskWorld;
 //!
 //! let sums = TaskWorld::run(4, |comm| async move {
 //!     let mine = (comm.rank() as u64 + 1).to_le_bytes().to_vec();
@@ -44,7 +45,7 @@ mod sanitize;
 mod task;
 mod wire;
 
-pub use co::{drive_ready, AllGathered, BoxFut, CoComm};
+pub use co::{drive_ready, AllGathered};
 pub use comm::{CommStats, ReduceOp};
 pub use hook::{
     decode_coll_tag, describe_tag, enter_agg_protocol, is_agg_tag, is_reserved_tag,
@@ -53,5 +54,5 @@ pub use hook::{
 };
 pub use sanitize::{Finding, FindingKind, Sanitizer};
 pub use task::{
-    DeadlockReport, ParkedOp, SchedPolicy, SchedStats, ScheduleDriver, TaskComm, TaskRun, TaskWorld,
+    CoComm, DeadlockReport, ParkedOp, SchedPolicy, SchedStats, ScheduleDriver, TaskRun, TaskWorld,
 };

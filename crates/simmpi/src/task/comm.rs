@@ -1,4 +1,4 @@
-//! The tree-collective engine: per-rank mailboxes and [`TaskComm`].
+//! The tree-collective engine: per-rank mailboxes and [`CoComm`].
 //!
 //! This is the crate's only implementation of the log-P collectives:
 //!
@@ -27,7 +27,7 @@
 //! exactly which rank is stuck in which receive on which communicator.
 
 use crate::co::AllGathered;
-use crate::comm::CommStats;
+use crate::comm::{CommStats, ReduceOp};
 use crate::hook::{self, coll_tag, CheckHook, CollKind, CommCtx, HookEvent, LeakedMsg};
 use crate::wire::{frame, subtree_size, unframe, FrameCut};
 use parking_lot::Mutex;
@@ -113,7 +113,7 @@ type Message = (usize, u64, MsgBuf);
 /// rank registers it while its [`Recv`] future is `Pending`: plain words,
 /// the communicator by its number in the world's registry, so parking
 /// writes nothing but the rank's own pending slot.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 struct ParkedRecv {
     comm: usize,
     comm_rank: usize,
@@ -290,15 +290,26 @@ impl Mbox {
 
 /// Matched-receive future on one rank's mailbox; the engine's only parking
 /// point. The `Ready` transition reports the completed match
-/// ([`HookEvent::RecvDone`]) exactly once, wherever it is awaited.
+/// ([`HookEvent::RecvDone`]) exactly once, wherever it is awaited; a drop
+/// while parked withdraws the receive.
 struct Recv<'a> {
-    comm: &'a TaskComm,
+    comm: &'a CoComm,
     src: usize,
     tag: u64,
     parked: bool,
 }
 
 impl Recv<'_> {
+    /// This receive as its pending-table entry.
+    fn entry(&self) -> ParkedRecv {
+        ParkedRecv {
+            comm: self.comm.shared.comm_no,
+            comm_rank: self.comm.rank,
+            src: self.src,
+            tag: self.tag,
+        }
+    }
+
     /// Take the match or park: arm the mailbox waker and register in the
     /// pending table.
     fn poll_take(&mut self, cx: &mut Context<'_>) -> Poll<MsgBuf> {
@@ -318,14 +329,33 @@ impl Recv<'_> {
         // Register for the deadlock report after arming the waker: if the
         // world quiesces with this entry in place, this receive is what the
         // rank is stuck on.
-        *pending.lock() = Some(ParkedRecv {
-            comm: c.shared.comm_no,
-            comm_rank: c.rank,
-            src: self.src,
-            tag: self.tag,
-        });
+        *pending.lock() = Some(self.entry());
         self.parked = true;
         Poll::Pending
+    }
+}
+
+impl Drop for Recv<'_> {
+    /// Withdraw a parked receive: its pending-table entry, so a deadlock
+    /// report never names a receive nobody awaits, and its mailbox waker,
+    /// so a later send to this `(src, tag)` wakes no task for it. Left in
+    /// place while the world aborts: the executor drops the futures of a
+    /// deadlocked world before the report reads the table.
+    fn drop(&mut self) {
+        let c = self.comm;
+        if !self.parked || c.shared.world.is_aborting() {
+            return;
+        }
+        {
+            let mut mb = c.shared.mboxes[c.rank].lock();
+            if matches!(&mb.waiting, Some((s, t, _)) if (*s, *t) == (self.src, self.tag)) {
+                mb.waiting = None;
+            }
+        }
+        let mut slot = c.shared.world.pending(c.world_rank).lock();
+        if *slot == Some(self.entry()) {
+            *slot = None;
+        }
     }
 }
 
@@ -403,9 +433,18 @@ impl CoShared {
     }
 }
 
-/// One rank's handle onto a tree-collective communicator. Rank tasks
-/// `.await` its [`CoComm`](crate::co::CoComm) methods on the executor.
-pub struct TaskComm {
+/// One rank's handle onto a communicator: a group of tasks with collective
+/// and point-to-point communication, in the image of an MPI communicator,
+/// whose waiting operations are futures. Rank tasks `.await` them on the
+/// executor.
+///
+/// All collective methods must be called by **every** rank of the
+/// communicator, in the same order (the usual MPI contract), and each
+/// returned future must be driven to completion before the rank starts its
+/// next operation (the protocol layer simply `.await`s them in sequence).
+/// Payloads are raw bytes; the typed helpers ([`bcast_u64`](Self::bcast_u64),
+/// [`allreduce_u64`](Self::allreduce_u64), …) are built on them in `co.rs`.
+pub struct CoComm {
     rank: usize,
     /// Rank in the *world* communicator — the pending-table index, stable
     /// across splits.
@@ -421,9 +460,9 @@ pub struct TaskComm {
     stats: Arc<CommStats>,
 }
 
-impl TaskComm {
-    fn new(rank: usize, world_rank: usize, shared: Arc<CoShared>) -> TaskComm {
-        TaskComm {
+impl CoComm {
+    fn new(rank: usize, world_rank: usize, shared: Arc<CoShared>) -> CoComm {
+        CoComm {
             rank,
             world_rank,
             shared,
@@ -438,7 +477,7 @@ impl TaskComm {
     pub(crate) fn world(
         ntasks: usize,
         hook: Option<Arc<dyn CheckHook>>,
-    ) -> (Arc<WorldRt>, Vec<TaskComm>) {
+    ) -> (Arc<WorldRt>, Vec<CoComm>) {
         let world = Arc::new(WorldRt::new(ntasks));
         let shared = Arc::new(CoShared::new(
             CommCtx::new("world".into(), ntasks),
@@ -446,17 +485,9 @@ impl TaskComm {
             world.clone(),
         ));
         let comms = (0..ntasks)
-            .map(|r| TaskComm::new(r, r, shared.clone()))
+            .map(|r| CoComm::new(r, r, shared.clone()))
             .collect();
         (world, comms)
-    }
-
-    /// Drops `buf`. A message is a plain `Vec` its receiver owns, so there
-    /// is nothing to give back: this is not on [`CoComm`](crate::co::CoComm),
-    /// and stays only while `sionbench`'s collective micro-timings call it
-    /// (ROADMAP item 1(c) drops it).
-    pub fn recycle(&self, buf: Vec<u8>) {
-        drop(buf);
     }
 
     /// Claim the next collective sequence number.
@@ -546,50 +577,11 @@ impl TaskComm {
         }
     }
 
-    /// Binomial-tree broadcast body (kept separate from the stats/seq
-    /// bookkeeping).
-    async fn bcast_impl(
-        &self,
-        data: Option<Vec<u8>>,
-        root: usize,
-        seq: u64,
-        kind: CollKind,
-    ) -> Vec<u8> {
-        let size = self.shared.size;
-        let v = self.vrank(root);
-        let tag = coll_tag(kind, seq, 0);
-        let (buf, mut mask) = if v == 0 {
-            (
-                data.expect("root must supply bcast data"),
-                size.next_power_of_two(),
-            )
-        } else {
-            // Parent is the vrank with this vrank's lowest set bit cleared;
-            // children span the bits below it.
-            let lsb = v & v.wrapping_neg();
-            (
-                self.irecv(self.rank_of(v & (v - 1), root), tag)
-                    .await
-                    .into_vec(),
-                lsb,
-            )
-        };
-        mask >>= 1;
-        while mask > 0 {
-            let child = v + mask;
-            if child < size {
-                self.isend(self.rank_of(child, root), tag, buf.clone());
-            }
-            mask >>= 1;
-        }
-        buf
-    }
-
     /// Broadcast an already-framed allgather result down the vrank-0 tree,
     /// sharing one refcounted buffer across all P−1 edges instead of
     /// copying the O(P)-byte frame per edge — the step that makes
     /// allgather (and with it `split`) linear instead of quadratic in
-    /// total bytes. Wire tags are identical to [`Self::bcast_impl`] rooted
+    /// total bytes. Wire tags are identical to [`Self::bcast`] rooted
     /// at 0; the byte counters are not per-edge: a forwarding rank charges
     /// its [`CommStats`] once per logical payload, however many children
     /// its `Arc` clones fan out to, and the world counts each frame once
@@ -671,76 +663,6 @@ impl TaskComm {
         Some(out)
     }
 
-    /// Binomial-tree scatter body: the root's per-rank parts flow down the
-    /// tree, each edge carrying only the receiver's subtree, listed in real
-    /// rank order. The root frames each child's parts straight from
-    /// `parts`; every other node splices its children's frames out of the
-    /// one it received ([`FrameCut`]), so no entry is decoded on the way.
-    async fn scatter_impl(
-        &self,
-        parts: Option<Vec<Vec<u8>>>,
-        root: usize,
-        seq: u64,
-        kind: CollKind,
-    ) -> Vec<u8> {
-        let size = self.shared.size;
-        let v = self.vrank(root);
-        let tag = coll_tag(kind, seq, 0);
-        if v == 0 {
-            let mut parts = parts.expect("root must supply scatter parts");
-            assert_eq!(parts.len(), size, "scatter needs one part per rank");
-            // Each child takes the vranks [child, end) still held; as real
-            // ranks, in ascending order, that is one range or two when it
-            // wraps past rank size − 1.
-            let mut end = size;
-            let mut mask = size.next_power_of_two() >> 1;
-            while mask > 0 {
-                let child = mask;
-                if child < size {
-                    let (lo, hi) = (child + root, end + root);
-                    let (a, b) = if lo >= size {
-                        (lo - size..hi - size, 0..0)
-                    } else if hi <= size {
-                        (lo..hi, 0..0)
-                    } else {
-                        (0..hi - size, lo..size)
-                    };
-                    let entries = a
-                        .chain(b)
-                        .map(|r| (self.vrank_of(r, root) as u64, parts[r].as_slice()));
-                    self.isend(self.rank_of(child, root), tag, frame(entries));
-                    end = child;
-                }
-                mask >>= 1;
-            }
-            return std::mem::take(&mut parts[root]);
-        }
-        let lsb = v & v.wrapping_neg();
-        let got = self.irecv(self.rank_of(v & (v - 1), root), tag).await;
-        let mut held = FrameCut::new(got.into_vec());
-        let mut mask = lsb >> 1;
-        while mask > 0 {
-            let child = v + mask;
-            if child < size {
-                self.isend(self.rank_of(child, root), tag, held.split_off(child as u64));
-            }
-            mask >>= 1;
-        }
-        held.into_single()
-    }
-
-    async fn allgather_impl(
-        &self,
-        data: &[u8],
-        seq_up: u64,
-        seq_down: u64,
-        kind: CollKind,
-    ) -> Vec<Vec<u8>> {
-        self.allgather_arc_impl(data, seq_up, seq_down, kind)
-            .await
-            .to_parts()
-    }
-
     /// Allgather with a shared result: tree gather to vrank 0, one frame
     /// built there, then `Arc` clones of that frame down the tree — 2(P−1)
     /// messages in 2·log P rounds, every rank scanning the same buffer. A
@@ -766,125 +688,10 @@ impl TaskComm {
         AllGathered::from_frame(self.bcast_frame_impl(framed, seq_down, kind).await)
     }
 
-    /// Tree barrier body: binomial fan-in of empty messages to rank 0,
-    /// then a binomial fan-out release.
-    async fn barrier_impl(&self, seq: u64, kind: CollKind) {
-        let size = self.shared.size;
-        if size == 1 {
-            return;
-        }
-        let up = coll_tag(kind, seq, 0);
-        let down = coll_tag(kind, seq, 1);
-        let v = self.rank; // rooted at rank 0
-        let mut mask = 1usize;
-        while mask < size {
-            if v & mask != 0 {
-                self.isend(v - mask, up, Vec::new());
-                break;
-            }
-            if v + mask < size {
-                self.irecv(v + mask, up).await;
-            }
-            mask <<= 1;
-        }
-        if v == 0 {
-            mask = size.next_power_of_two();
-        } else {
-            // `mask` is v's lowest set bit; the release arrives from the
-            // same parent the fan-in went to.
-            self.irecv(v & (v - 1), down).await;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if v + mask < size {
-                self.isend(v + mask, down, Vec::new());
-            }
-            mask >>= 1;
-        }
-    }
-
-    /// Combining binomial fan-in: each edge carries one partial result,
-    /// not the subtree's values.
-    async fn reduce_impl(
-        &self,
-        values: &[u64],
-        op: crate::ReduceOp,
-        root: usize,
-        seq: u64,
-    ) -> Option<Vec<u64>> {
-        let size = self.shared.size;
-        let v = self.vrank(root);
-        let tag = coll_tag(CollKind::Reduce, seq, 0);
-        let mut acc = values.to_vec();
-        let mut mask = 1usize;
-        while mask < size {
-            if v & mask != 0 {
-                let bytes: Vec<u8> = acc.iter().flat_map(|w| w.to_le_bytes()).collect();
-                self.isend(self.rank_of(v - mask, root), tag, bytes);
-                return None;
-            }
-            let child = v + mask;
-            if child < size {
-                let got = self.irecv(self.rank_of(child, root), tag).await;
-                assert_eq!(
-                    got.len(),
-                    8 * acc.len(),
-                    "reduce_u64s: ranks passed different word counts"
-                );
-                for (a, w) in acc.iter_mut().zip(got.chunks_exact(8)) {
-                    *a = op.fold(*a, u64::from_le_bytes(w.try_into().unwrap()));
-                }
-            }
-            mask <<= 1;
-        }
-        Some(acc)
-    }
-
-    /// `split` with the concrete handle type;
-    /// [`CoComm::split`](crate::co::CoComm::split) boxes it.
-    async fn split_impl(&self, color: u64, key: u64) -> TaskComm {
-        self.stats.bump_split();
-        // Determine group membership: allgather (color, key, rank). Counted
-        // as part of the split, not as a separate allgather.
-        let seq_up = self.next_seq();
-        let seq_down = self.next_seq();
-        self.note_collective(seq_up, CollKind::Split, None);
-        let mut payload = Vec::with_capacity(24);
-        payload.extend_from_slice(&color.to_le_bytes());
-        payload.extend_from_slice(&key.to_le_bytes());
-        payload.extend_from_slice(&(self.rank as u64).to_le_bytes());
-        // Scan the shared frame in place. A rank only needs its group's
-        // *size* and its own *position* in the (key, rank) order; since
-        // ranks are unique, position = how many same-color entries sort
-        // before us. One allocation-free O(P) pass replaces the
-        // collect-and-sort (whose per-rank O(group) member vector was the
-        // dominant cost of a 32Ki-rank open: P such vectors per split).
-        let all = self
-            .allgather_arc_impl(&payload, seq_up, seq_down, CollKind::Split)
-            .await;
-        let me = (key, self.rank as u64);
-        let mut new_size = 0usize;
-        let mut new_rank = 0usize;
-        for b in all.iter() {
-            let c = u64::from_le_bytes(b[0..8].try_into().unwrap());
-            if c != color {
-                continue;
-            }
-            let k = u64::from_le_bytes(b[8..16].try_into().unwrap());
-            let r = u64::from_le_bytes(b[16..24].try_into().unwrap());
-            new_size += 1;
-            if (k, r) < me {
-                new_rank += 1;
-            }
-        }
-        debug_assert!(new_size > 0, "caller is in its own color group");
-        self.attach(color, new_rank, new_size)
-    }
-
     /// Join sub-communicator `color` of this rank's next split generation
     /// as rank `new_rank` of `new_size` — the one construction path behind
-    /// both the exchanged [`split`](crate::co::CoComm::split) and
-    /// [`split_local`](crate::co::CoComm::split_local). No message is
+    /// both the exchanged [`split`](Self::split) and
+    /// [`split_local`](Self::split_local). No message is
     /// sent: the first member to arrive creates the group's shared state
     /// in the parent's `splits` map, with one handle per new rank, every
     /// member moves its own handle out, and the last one removes the
@@ -896,7 +703,7 @@ impl TaskComm {
     ///
     /// Panics, naming both parent ranks, when two members claim the same
     /// new rank or disagree about the group size.
-    fn attach(&self, color: u64, new_rank: usize, new_size: usize) -> TaskComm {
+    fn attach(&self, color: u64, new_rank: usize, new_size: usize) -> CoComm {
         let split_no = self.split_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let key = (split_no, color);
         let joined = {
@@ -944,7 +751,7 @@ impl TaskComm {
             }
         };
         match joined {
-            Ok(sub) => TaskComm::new(new_rank, self.world_rank, sub),
+            Ok(sub) => CoComm::new(new_rank, self.world_rank, sub),
             Err(why) => panic!(
                 "split #{split_no} of comm \"{}\", color {color}: {why}",
                 self.shared.ctx.name
@@ -959,20 +766,37 @@ impl TaskComm {
     }
 }
 
-impl crate::co::CoComm for TaskComm {
-    fn rank(&self) -> usize {
+/// The communicator's API: what protocol code calls. Every collective
+/// claims its sequence number(s) and reports its entry to the hook before
+/// the first message of its tree moves.
+impl CoComm {
+    /// This task's rank in `0..size()`.
+    pub fn rank(&self) -> usize {
         self.rank
     }
 
-    fn size(&self) -> usize {
+    /// Number of tasks in the communicator.
+    pub fn size(&self) -> usize {
         self.shared.size
     }
 
-    fn stats(&self) -> Option<Arc<CommStats>> {
-        Some(self.stats.clone())
+    /// Live op/byte counters for this rank's view of the communicator. The
+    /// returned handle keeps counting after the communicator is dropped.
+    pub fn stats(&self) -> Arc<CommStats> {
+        self.stats.clone()
     }
 
-    fn send_vec(&self, dest: usize, tag: u64, data: Vec<u8>) {
+    /// Buffered send of `data` to `dest` with a matching `tag`, by move: the
+    /// receiver's [`recv`](Self::recv) or [`try_recv`](Self::try_recv) gets
+    /// this very allocation, so a sender that built its message in place
+    /// (an aggregation frame) is never copied. Never parks, so it stays
+    /// synchronous. Tags in the reserved `0xC3` collective namespace (and
+    /// the `0xA6`/`0xA7` aggregation namespaces outside the aggregation
+    /// protocol) panic. Checkers see the payload as before: one
+    /// [`HookEvent::Send`] carrying its bytes, so the ship/ack frame
+    /// contract of [`AGG_SHIP_TAG_PREFIX`](crate::AGG_SHIP_TAG_PREFIX) is
+    /// unchanged.
+    pub fn send_vec(&self, dest: usize, tag: u64, data: Vec<u8>) {
         assert!(dest < self.shared.size, "send dest {dest} out of range");
         if hook::rejected_user_tag(tag) {
             if let Some(h) = &self.shared.hook {
@@ -990,15 +814,26 @@ impl crate::co::CoComm for TaskComm {
         self.isend(dest, tag, data);
     }
 
-    fn recv<'a>(&'a self, src: usize, tag: u64) -> crate::co::BoxFut<'a, Vec<u8>> {
-        Box::pin(async move {
-            assert!(src < self.shared.size, "recv src {src} out of range");
-            self.stats.bump_recv();
-            self.irecv(src, tag).await.into_vec()
-        })
+    /// [`send_vec`](Self::send_vec) of a copy of borrowed bytes — for
+    /// callers that keep their buffer: one send path, one set of checks.
+    pub fn send(&self, dest: usize, tag: u64, data: &[u8]) {
+        self.send_vec(dest, tag, data.to_vec())
     }
 
-    fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
+    /// Receive the next message from `src` with `tag`, with MPI-style
+    /// message matching (other (source, tag) messages are queued); parks
+    /// until a match is deliverable. Dropping the future while it is parked
+    /// withdraws the receive.
+    pub async fn recv(&self, src: usize, tag: u64) -> Vec<u8> {
+        assert!(src < self.shared.size, "recv src {src} out of range");
+        self.stats.bump_recv();
+        self.irecv(src, tag).await.into_vec()
+    }
+
+    /// Non-blocking matched receive: the next already-deliverable
+    /// `(src, tag)` message, or `None` without parking. FIFO order per
+    /// `(src, tag)` matches [`recv`](Self::recv).
+    pub fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
         assert!(src < self.shared.size, "try_recv src {src} out of range");
         let payload = self.shared.mboxes[self.rank].lock().take(src, tag);
         if let Some(h) = &self.shared.hook {
@@ -1025,113 +860,277 @@ impl crate::co::CoComm for TaskComm {
         Some(payload.into_vec())
     }
 
-    fn barrier<'a>(&'a self) -> crate::co::BoxFut<'a, ()> {
-        Box::pin(async move {
-            self.stats.bump_barrier();
-            let seq = self.next_seq();
-            self.note_collective(seq, CollKind::Barrier, None);
-            self.barrier_impl(seq, CollKind::Barrier).await;
-        })
+    /// Parks until every rank has entered the barrier: a binomial fan-in
+    /// of empty messages to rank 0, then a binomial fan-out release.
+    pub async fn barrier(&self) {
+        self.stats.bump_barrier();
+        let seq = self.next_seq();
+        self.note_collective(seq, CollKind::Barrier, None);
+        let size = self.shared.size;
+        if size == 1 {
+            return;
+        }
+        let up = coll_tag(CollKind::Barrier, seq, 0);
+        let down = coll_tag(CollKind::Barrier, seq, 1);
+        let v = self.rank; // rooted at rank 0
+        let mut mask = 1usize;
+        while mask < size {
+            if v & mask != 0 {
+                self.isend(v - mask, up, Vec::new());
+                break;
+            }
+            if v + mask < size {
+                self.irecv(v + mask, up).await;
+            }
+            mask <<= 1;
+        }
+        if v == 0 {
+            mask = size.next_power_of_two();
+        } else {
+            // `mask` is v's lowest set bit; the release arrives from the
+            // same parent the fan-in went to.
+            self.irecv(v & (v - 1), down).await;
+        }
+        mask >>= 1;
+        while mask > 0 {
+            if v + mask < size {
+                self.isend(v + mask, down, Vec::new());
+            }
+            mask >>= 1;
+        }
     }
 
-    fn gather<'a>(
-        &'a self,
-        data: &'a [u8],
-        root: usize,
-    ) -> crate::co::BoxFut<'a, Option<Vec<Vec<u8>>>> {
-        Box::pin(async move {
-            assert!(root < self.shared.size, "gather root {root} out of range");
-            self.stats.bump_gather();
-            let seq = self.next_seq();
-            self.note_collective(seq, CollKind::Gather, Some(root));
-            self.gather_impl(data, root, seq, CollKind::Gather).await
-        })
+    /// Gather each rank's buffer at `root`: `Some(buffers)` (indexed by
+    /// rank) at the root, `None` elsewhere. Buffers may have different
+    /// lengths (gatherv semantics).
+    pub async fn gather(&self, data: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
+        assert!(root < self.shared.size, "gather root {root} out of range");
+        self.stats.bump_gather();
+        let seq = self.next_seq();
+        self.note_collective(seq, CollKind::Gather, Some(root));
+        self.gather_impl(data, root, seq, CollKind::Gather).await
     }
 
-    fn scatter<'a>(
-        &'a self,
-        parts: Option<Vec<Vec<u8>>>,
-        root: usize,
-    ) -> crate::co::BoxFut<'a, Vec<u8>> {
-        Box::pin(async move {
-            assert!(root < self.shared.size, "scatter root {root} out of range");
-            self.stats.bump_scatter();
-            let seq = self.next_seq();
-            self.note_collective(seq, CollKind::Scatter, Some(root));
-            self.scatter_impl(parts, root, seq, CollKind::Scatter).await
-        })
+    /// Scatter per-rank buffers from `root`. The root passes `Some(parts)`
+    /// with exactly `size()` entries; other ranks pass `None`. Every rank
+    /// receives its part (scatterv semantics).
+    ///
+    /// The root's parts flow down a binomial tree, each edge carrying only
+    /// the receiver's subtree, listed in real rank order. The root frames
+    /// each child's parts straight from `parts`; every other node splices
+    /// its children's frames out of the one it received (`FrameCut`), so
+    /// no entry is decoded on the way.
+    pub async fn scatter(&self, parts: Option<Vec<Vec<u8>>>, root: usize) -> Vec<u8> {
+        assert!(root < self.shared.size, "scatter root {root} out of range");
+        self.stats.bump_scatter();
+        let seq = self.next_seq();
+        self.note_collective(seq, CollKind::Scatter, Some(root));
+        let size = self.shared.size;
+        let v = self.vrank(root);
+        let tag = coll_tag(CollKind::Scatter, seq, 0);
+        if v == 0 {
+            let mut parts = parts.expect("root must supply scatter parts");
+            assert_eq!(parts.len(), size, "scatter needs one part per rank");
+            // Each child takes the vranks [child, end) still held; as real
+            // ranks, in ascending order, that is one range or two when it
+            // wraps past rank size − 1.
+            let mut end = size;
+            let mut mask = size.next_power_of_two() >> 1;
+            while mask > 0 {
+                let child = mask;
+                if child < size {
+                    let (lo, hi) = (child + root, end + root);
+                    let (a, b) = if lo >= size {
+                        (lo - size..hi - size, 0..0)
+                    } else if hi <= size {
+                        (lo..hi, 0..0)
+                    } else {
+                        (0..hi - size, lo..size)
+                    };
+                    let entries = a
+                        .chain(b)
+                        .map(|r| (self.vrank_of(r, root) as u64, parts[r].as_slice()));
+                    self.isend(self.rank_of(child, root), tag, frame(entries));
+                    end = child;
+                }
+                mask >>= 1;
+            }
+            return std::mem::take(&mut parts[root]);
+        }
+        let lsb = v & v.wrapping_neg();
+        let got = self.irecv(self.rank_of(v & (v - 1), root), tag).await;
+        let mut held = FrameCut::new(got.into_vec());
+        let mut mask = lsb >> 1;
+        while mask > 0 {
+            let child = v + mask;
+            if child < size {
+                self.isend(self.rank_of(child, root), tag, held.split_off(child as u64));
+            }
+            mask >>= 1;
+        }
+        held.into_single()
     }
 
-    fn bcast<'a>(&'a self, data: Option<Vec<u8>>, root: usize) -> crate::co::BoxFut<'a, Vec<u8>> {
-        Box::pin(async move {
-            assert!(root < self.shared.size, "bcast root {root} out of range");
-            self.stats.bump_bcast();
-            let seq = self.next_seq();
-            self.note_collective(seq, CollKind::Bcast, Some(root));
-            self.bcast_impl(data, root, seq, CollKind::Bcast).await
-        })
+    /// Broadcast `root`'s buffer to every rank down a binomial tree. Only
+    /// the root's `data` is consulted.
+    pub async fn bcast(&self, data: Option<Vec<u8>>, root: usize) -> Vec<u8> {
+        assert!(root < self.shared.size, "bcast root {root} out of range");
+        self.stats.bump_bcast();
+        let seq = self.next_seq();
+        self.note_collective(seq, CollKind::Bcast, Some(root));
+        let size = self.shared.size;
+        let v = self.vrank(root);
+        let tag = coll_tag(CollKind::Bcast, seq, 0);
+        let (buf, mut mask) = if v == 0 {
+            (
+                data.expect("root must supply bcast data"),
+                size.next_power_of_two(),
+            )
+        } else {
+            // Parent is the vrank with this vrank's lowest set bit cleared;
+            // children span the bits below it.
+            let lsb = v & v.wrapping_neg();
+            (
+                self.irecv(self.rank_of(v & (v - 1), root), tag)
+                    .await
+                    .into_vec(),
+                lsb,
+            )
+        };
+        mask >>= 1;
+        while mask > 0 {
+            let child = v + mask;
+            if child < size {
+                self.isend(self.rank_of(child, root), tag, buf.clone());
+            }
+            mask >>= 1;
+        }
+        buf
     }
 
-    fn allgather<'a>(&'a self, data: &'a [u8]) -> crate::co::BoxFut<'a, Vec<Vec<u8>>> {
-        Box::pin(async move {
-            self.stats.bump_allgather();
-            let seq_up = self.next_seq();
-            let seq_down = self.next_seq();
-            self.note_collective(seq_up, CollKind::Allgather, None);
-            self.allgather_impl(data, seq_up, seq_down, CollKind::Allgather)
-                .await
-        })
+    /// Gather every rank's buffer at every rank: [`allgather_shared`]
+    /// materialized as per-rank vectors.
+    ///
+    /// [`allgather_shared`]: Self::allgather_shared
+    pub async fn allgather(&self, data: &[u8]) -> Vec<Vec<u8>> {
+        self.allgather_shared(data).await.to_parts()
     }
 
-    fn allgather_shared<'a>(&'a self, data: &'a [u8]) -> crate::co::BoxFut<'a, AllGathered> {
-        Box::pin(async move {
-            self.stats.bump_allgather();
-            let seq_up = self.next_seq();
-            let seq_down = self.next_seq();
-            self.note_collective(seq_up, CollKind::Allgather, None);
-            self.allgather_arc_impl(data, seq_up, seq_down, CollKind::Allgather)
-                .await
-        })
+    /// [`allgather`](Self::allgather) into one shared, scan-in-place result
+    /// (see [`AllGathered`]) — same semantics, collective contract, and
+    /// [`CommStats`] accounting, but every rank holds an `Arc` clone of a
+    /// single frame.
+    pub async fn allgather_shared(&self, data: &[u8]) -> AllGathered {
+        self.stats.bump_allgather();
+        let seq_up = self.next_seq();
+        let seq_down = self.next_seq();
+        self.note_collective(seq_up, CollKind::Allgather, None);
+        self.allgather_arc_impl(data, seq_up, seq_down, CollKind::Allgather)
+            .await
     }
 
-    fn reduce_u64s<'a>(
-        &'a self,
-        values: &'a [u64],
-        op: crate::ReduceOp,
-        root: usize,
-    ) -> crate::co::BoxFut<'a, Option<Vec<u64>>> {
-        Box::pin(async move {
-            assert!(root < self.shared.size, "reduce root {root} out of range");
-            self.stats.bump_reduce();
-            let seq = self.next_seq();
-            self.note_collective(seq, CollKind::Reduce, Some(root));
-            self.reduce_impl(values, op, root, seq).await
-        })
+    /// Rooted reduction of a word slice: every rank passes the same number
+    /// of words, and word `i` of the result, which lands at `root` (`None`
+    /// elsewhere), combines word `i` of every rank with `op`. A combining
+    /// binomial fan-in: each tree edge carries one partial result of the
+    /// slice's length, not the subtree's values.
+    pub async fn reduce_u64s(&self, values: &[u64], op: ReduceOp, root: usize) -> Option<Vec<u64>> {
+        assert!(root < self.shared.size, "reduce root {root} out of range");
+        self.stats.bump_reduce();
+        let seq = self.next_seq();
+        self.note_collective(seq, CollKind::Reduce, Some(root));
+        let size = self.shared.size;
+        let v = self.vrank(root);
+        let tag = coll_tag(CollKind::Reduce, seq, 0);
+        let mut acc = values.to_vec();
+        let mut mask = 1usize;
+        while mask < size {
+            if v & mask != 0 {
+                let bytes: Vec<u8> = acc.iter().flat_map(|w| w.to_le_bytes()).collect();
+                self.isend(self.rank_of(v - mask, root), tag, bytes);
+                return None;
+            }
+            let child = v + mask;
+            if child < size {
+                let got = self.irecv(self.rank_of(child, root), tag).await;
+                assert_eq!(
+                    got.len(),
+                    8 * acc.len(),
+                    "reduce_u64s: ranks passed different word counts"
+                );
+                for (a, w) in acc.iter_mut().zip(got.chunks_exact(8)) {
+                    *a = op.fold(*a, u64::from_le_bytes(w.try_into().unwrap()));
+                }
+            }
+            mask <<= 1;
+        }
+        Some(acc)
     }
 
-    fn split<'a>(
-        &'a self,
-        color: u64,
-        key: u64,
-    ) -> crate::co::BoxFut<'a, Box<dyn crate::co::CoComm>> {
-        Box::pin(async move {
-            Box::new(self.split_impl(color, key).await) as Box<dyn crate::co::CoComm>
-        })
+    /// Split into disjoint sub-communicators: ranks sharing a `color` end up
+    /// in the same sub-communicator, ordered by `(key, parent rank)`.
+    /// Collective over the parent.
+    pub async fn split(&self, color: u64, key: u64) -> CoComm {
+        self.stats.bump_split();
+        // Determine group membership: allgather (color, key, rank). Counted
+        // as part of the split, not as a separate allgather.
+        let seq_up = self.next_seq();
+        let seq_down = self.next_seq();
+        self.note_collective(seq_up, CollKind::Split, None);
+        let mut payload = Vec::with_capacity(24);
+        payload.extend_from_slice(&color.to_le_bytes());
+        payload.extend_from_slice(&key.to_le_bytes());
+        payload.extend_from_slice(&(self.rank as u64).to_le_bytes());
+        // Scan the shared frame in place. A rank only needs its group's
+        // *size* and its own *position* in the (key, rank) order; since
+        // ranks are unique, position = how many same-color entries sort
+        // before us. One allocation-free O(P) pass replaces the
+        // collect-and-sort (whose per-rank O(group) member vector was the
+        // dominant cost of a 32Ki-rank open: P such vectors per split).
+        let all = self
+            .allgather_arc_impl(&payload, seq_up, seq_down, CollKind::Split)
+            .await;
+        let me = (key, self.rank as u64);
+        let mut new_size = 0usize;
+        let mut new_rank = 0usize;
+        for b in all.iter() {
+            let c = u64::from_le_bytes(b[0..8].try_into().unwrap());
+            if c != color {
+                continue;
+            }
+            let k = u64::from_le_bytes(b[8..16].try_into().unwrap());
+            let r = u64::from_le_bytes(b[16..24].try_into().unwrap());
+            new_size += 1;
+            if (k, r) < me {
+                new_rank += 1;
+            }
+        }
+        debug_assert!(new_size > 0, "caller is in its own color group");
+        self.attach(color, new_rank, new_size)
     }
 
-    fn split_local<'a>(
-        &'a self,
-        color: u64,
-        new_rank: usize,
-        new_size: usize,
-    ) -> crate::co::BoxFut<'a, Box<dyn crate::co::CoComm>> {
-        Box::pin(async move {
-            Box::new(self.attach(color, new_rank, new_size)) as Box<dyn crate::co::CoComm>
-        })
+    /// [`split`](Self::split) without the exchange, for callers that can
+    /// compute their own place in the result: this rank becomes rank
+    /// `new_rank` of the `new_size`-rank sub-communicator `color`. Still
+    /// collective over the parent and ordered with its other splits, but
+    /// the group forms without a message. The caller guarantees that the
+    /// members of each `color` agree on `new_size` and claim each rank in
+    /// `0..new_size` exactly once; a violation panics. The result equals
+    /// that of the exchanged split keyed by `new_rank`.
+    pub async fn split_local(&self, color: u64, new_rank: usize, new_size: usize) -> CoComm {
+        self.attach(color, new_rank, new_size)
+    }
+
+    /// Drops `buf`. A message is a plain `Vec` its receiver owns, so there
+    /// is nothing to give back: this stays only while `sionbench`'s
+    /// collective micro-timings (`benchmark/src/layers.rs`) call it, until
+    /// ROADMAP item 1's benchmark slice drops the call.
+    pub fn recycle(&self, buf: Vec<u8>) {
+        drop(buf);
     }
 }
 
-impl Drop for TaskComm {
+impl Drop for CoComm {
     /// Teardown check: when a hook is installed, report messages this
     /// rank's mailbox still holds — every message a correct program sends
     /// is eventually matched by a receive, so leftovers mean a lost message

@@ -1,7 +1,7 @@
 //! The tree-collective engine and its one driver: ranks as resumable
 //! state machines on a work-stealing pool.
 //!
-//! [`TaskComm`] (see [`comm`]) is the one implementation of the tree
+//! [`CoComm`] (see [`comm`]) is the one communicator and its tree
 //! collectives. [`TaskWorld`] drives it: instead of one OS thread per
 //! rank, each rank is an `async` state machine that parks on mailbox
 //! receives and is scheduled — with its peers — on a bounded worker pool
@@ -23,7 +23,7 @@
 mod comm;
 mod exec;
 
-pub use comm::TaskComm;
+pub use comm::CoComm;
 pub use exec::{SchedPolicy, ScheduleDriver};
 
 use crate::hook::{self, Aborted, CheckHook};
@@ -133,11 +133,11 @@ fn run_engine<T, F, Fut>(
 ) -> TaskRun<T>
 where
     T: Send,
-    F: Fn(TaskComm) -> Fut,
+    F: Fn(CoComm) -> Fut,
     Fut: Future<Output = T> + Send,
 {
-    let (world, comms) = TaskComm::world(ntasks, hook.clone());
-    let mut pool: Vec<Option<TaskComm>> = comms.into_iter().map(Some).collect();
+    let (world, comms) = CoComm::world(ntasks, hook.clone());
+    let mut pool: Vec<Option<CoComm>> = comms.into_iter().map(Some).collect();
     let (raw, report) = exec::execute(
         policy,
         ntasks,
@@ -215,7 +215,7 @@ pub(crate) fn propagate_panics<T>(results: Vec<std::thread::Result<T>>) -> Vec<T
     out
 }
 
-/// Launcher for SPMD execution as rank tasks over [`TaskComm`].
+/// Launcher for SPMD execution as rank tasks over [`CoComm`].
 pub struct TaskWorld;
 
 impl TaskWorld {
@@ -231,7 +231,7 @@ impl TaskWorld {
     pub fn run<T, F, Fut>(ntasks: usize, f: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(TaskComm) -> Fut,
+        F: Fn(CoComm) -> Fut,
         Fut: Future<Output = T> + Send,
     {
         Self::run_with(SchedPolicy::host(), ntasks, f).0
@@ -242,7 +242,7 @@ impl TaskWorld {
     pub fn run_with<T, F, Fut>(policy: SchedPolicy, ntasks: usize, f: F) -> (Vec<T>, SchedStats)
     where
         T: Send,
-        F: Fn(TaskComm) -> Fut,
+        F: Fn(CoComm) -> Fut,
         Fut: Future<Output = T> + Send,
     {
         if hook::simcheck_env_enabled() {
@@ -280,7 +280,7 @@ impl TaskWorld {
     ) -> TaskRun<T>
     where
         T: Send,
-        F: Fn(TaskComm) -> Fut,
+        F: Fn(CoComm) -> Fut,
         Fut: Future<Output = T> + Send,
     {
         let trace = matches!(policy, SchedPolicy::Serial { .. });
@@ -300,7 +300,7 @@ impl TaskWorld {
     ) -> TaskRun<T>
     where
         T: Send,
-        F: Fn(TaskComm) -> Fut,
+        F: Fn(CoComm) -> Fut,
         Fut: Future<Output = T> + Send,
     {
         let policy = SchedPolicy::Serial {
@@ -314,7 +314,6 @@ impl TaskWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::co::CoComm;
     use crate::comm::ReduceOp;
     use crate::sanitize::{FindingKind, Sanitizer};
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -342,7 +341,7 @@ mod tests {
 
     /// One protocol-shaped script touching every kind of call; the tests
     /// assert its results under every schedule against [`mixed_expected`].
-    async fn mixed_script(c: &dyn CoComm) -> Mixed {
+    async fn mixed_script(c: &CoComm) -> Mixed {
         let n = c.size();
         let r = c.rank();
         let all = c.allgather_u64(r as u64 + 1).await;
@@ -689,8 +688,7 @@ mod tests {
             let _ = c.reduce_u64(1, ReduceOp::Sum, 0).await;
             let sub = c.split(0, c.rank() as u64).await;
             sub.barrier().await;
-            let s = c.stats().expect("task runtime tracks stats");
-            let sub_s = sub.stats().expect("sub-communicator tracks stats");
+            let (s, sub_s) = (c.stats(), sub.stats());
             (
                 s.barriers(),
                 s.bcasts(),
@@ -773,7 +771,7 @@ mod tests {
     /// Ping-pongs between neighbour pairs interleaved with every kind of
     /// collective: each round parks and wakes every rank several times, so
     /// a lost wake-up hangs this test (as a deadlock report).
-    async fn wakeup_stress(c: TaskComm) -> u64 {
+    async fn wakeup_stress(c: CoComm) -> u64 {
         const ROUNDS: u64 = 100;
         let (n, r) = (c.size(), c.rank());
         let peer = r ^ 1;
@@ -855,6 +853,30 @@ mod tests {
             .expect_err("parked rank did not finish");
         assert!(aborted.downcast_ref::<Aborted>().is_some());
         assert!(run.results[1].is_ok() && run.results[2].is_ok());
+    }
+
+    #[test]
+    fn a_dropped_receive_leaves_the_deadlock_report() {
+        // Rank 0 parks in a receive once, drops it and finishes; rank 2
+        // parks for good. Only rank 2 is stuck.
+        let run = TaskWorld::run_checked(WS4, 3, Arc::new(Sanitizer::new()), |c| async move {
+            match c.rank() {
+                0 => {
+                    let mut recv = std::pin::pin!(c.recv(1, 5));
+                    std::future::poll_fn(|cx| {
+                        assert!(recv.as_mut().poll(cx).is_pending(), "nobody sent");
+                        std::task::Poll::Ready(())
+                    })
+                    .await;
+                }
+                2 => drop(c.recv(1, 9).await),
+                _ => {}
+            }
+        });
+        let report = run.deadlock.expect("rank 2 parks for good");
+        let ranks: Vec<usize> = report.parked.iter().map(|p| p.world_rank).collect();
+        assert_eq!(ranks, vec![2], "{report}");
+        assert!(run.results[0].is_ok() && run.results[1].is_ok());
     }
 
     #[test]
@@ -1018,7 +1040,7 @@ mod tests {
     fn shared_bcast_frames_charge_bytes_once_per_logical_payload() {
         let (out, stats) = TaskWorld::run_with(WS4, 4, |c| async move {
             c.allgather_u64(c.rank() as u64 + 1).await;
-            c.stats().expect("task runtime tracks stats").bytes_sent()
+            c.stats().bytes_sent()
         });
         // Down-phase frame over 4 ranks: 8-byte count + 4 × (id, len, 8-byte
         // payload) = 104 bytes, Arc-shared down the tree.

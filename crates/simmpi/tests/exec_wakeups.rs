@@ -32,7 +32,7 @@ fn within_a_minute<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Sen
 /// 64th round the sender blocks its worker for a moment first, so the
 /// other workers run dry and go to sleep, and the next message has to
 /// wake one of them.
-async fn ping_pong(c: &dyn CoComm, rounds: u64) -> u64 {
+async fn ping_pong(c: &CoComm, rounds: u64) -> u64 {
     let (r, n) = (c.rank(), c.size());
     let half = n / 2;
     let (peer, first) = if r < half {

@@ -1,7 +1,7 @@
 //! A hook list is one hook: a `Vec<Arc<dyn CheckHook>>` hands every event a
 //! run reports to each listed hook, in list order.
 
-use simmpi::{CheckHook, CoComm, HookEvent, SchedPolicy, TaskWorld};
+use simmpi::{CheckHook, HookEvent, SchedPolicy, TaskWorld};
 use std::sync::{Arc, Mutex};
 
 /// Logs every event it sees under its own id.

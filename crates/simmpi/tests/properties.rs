@@ -59,7 +59,7 @@ fn op_of(sel: u64) -> ReduceOp {
 
 const WS4: SchedPolicy = SchedPolicy::WorkSteal { workers: 4 };
 
-/// Run `$body`, a future over `$c: &dyn CoComm`, on every rank of an
+/// Run `$body`, a future over `$c: &CoComm`, on every rank of an
 /// `$n`-rank world twice: under work stealing and under the serial
 /// schedule seeded by `$sched`; assert that the runs agree rank by rank and
 /// yield the per-rank results.
@@ -67,7 +67,7 @@ macro_rules! on_two_schedules {
     ($n:expr, $sched:expr, |$c:ident| $body:expr) => {{
         let run = |policy| {
             TaskWorld::run_with(policy, $n, |$c| async move {
-                let $c: &dyn CoComm = &$c;
+                let $c: &CoComm = &$c;
                 $body.await
             })
             .0
@@ -85,7 +85,7 @@ macro_rules! on_two_schedules {
 /// Split into `ncolors` round-robin groups keyed by rank, or against it
 /// when `reverse`, then run four collectives on the group.
 async fn split_collectives_script(
-    c: &dyn CoComm,
+    c: &CoComm,
     seed: u64,
     ncolors: usize,
     reverse: bool,
@@ -114,7 +114,7 @@ async fn split_collectives_script(
 /// [`CoComm::split_local`] with each rank computing its own place; then a
 /// gather at the group's last rank.
 async fn split_script(
-    c: &dyn CoComm,
+    c: &CoComm,
     seed: u64,
     ncolors: usize,
     reverse: bool,
@@ -145,7 +145,7 @@ fn split_inputs(n: usize, ncolors: usize, reverse: bool) -> Vec<(u64, u64)> {
         .collect()
 }
 
-async fn allgather_barrier_script(c: &dyn CoComm, seed: u64) -> Vec<Vec<Vec<u8>>> {
+async fn allgather_barrier_script(c: &CoComm, seed: u64) -> Vec<Vec<Vec<u8>>> {
     let mut out = Vec::new();
     for round in 0..3u64 {
         let mine = payload(seed ^ round, c.rank(), 32);
@@ -166,7 +166,7 @@ type AllOps = (
 /// One pass over every collective in the §3.1 protocol's working set:
 /// bcast, variable-length gather, variable-length scatter, reduce,
 /// barrier, allgather.
-async fn all_ops_script(c: &dyn CoComm, seed: u64, root: usize) -> AllOps {
+async fn all_ops_script(c: &CoComm, seed: u64, root: usize) -> AllOps {
     let (n, r) = (c.size(), c.rank());
     let bc = c
         .bcast((r == root).then(|| payload(seed, root, 96)), root)

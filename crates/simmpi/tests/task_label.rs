@@ -2,7 +2,7 @@
 //! labels each poll with the world rank it runs, so a rank's file writes
 //! are attributed without the program labelling anything.
 
-use simmpi::{CoComm, SchedPolicy, TaskWorld};
+use simmpi::{SchedPolicy, TaskWorld};
 use std::sync::Arc;
 use vfs::{BlockGuard, MemFs, TapFs, Vfs};
 

@@ -447,7 +447,7 @@ fn verify_ranks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::{CoComm, TaskWorld};
+    use simmpi::TaskWorld;
     use sion::paropen_write_co;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use vfs::{BlockGuard, FaultKind, FaultRule, Faults, MemFs, Next, Op, OpKind, Tap, TapFs};

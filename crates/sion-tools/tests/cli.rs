@@ -3,7 +3,7 @@
 //! `siondefrag`, `sionverify`, `sioncat`, and `sionrepair` as child
 //! processes, exactly as a user would.
 
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sion::{paropen_write_co, SionParams};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};

@@ -161,7 +161,7 @@ impl MemberState {
     /// Sends are buffered and never park, so this is safe from synchronous
     /// writes. The shadow writes on record at send time are exactly the
     /// extents it carries.
-    pub(crate) fn ship(&mut self, mut frame: Vec<u8>, lcom: &dyn CoComm) {
+    pub(crate) fn ship(&mut self, mut frame: Vec<u8>, lcom: &CoComm) {
         frame[..SEQ_LEN].copy_from_slice(&self.next_seq.to_le_bytes());
         let len = frame.len() as u64;
         // Reserved-namespace tag: the scope marks this send as the protocol
@@ -179,7 +179,7 @@ impl MemberState {
     /// frame over without allocating a next one: a frame left allocated
     /// across the collective close stays so on every member at once (`agg_1k`:
     /// 992 x 128 KiB, `setup_s` +48 %, `peak_rss_mib` +80..200 MiB, measured).
-    pub(crate) async fn finish(&mut self, mut frame: Vec<u8>, lcom: &dyn CoComm) {
+    pub(crate) async fn finish(&mut self, mut frame: Vec<u8>, lcom: &CoComm) {
         frame.extend_from_slice(&END_OF_STREAM.to_le_bytes());
         self.ship(frame, lcom);
         while !self.inflight.is_empty() {
@@ -189,7 +189,7 @@ impl MemberState {
     }
 
     /// Consume every already-delivered ack without parking (after a ship).
-    pub(crate) fn drain_acks(&mut self, lcom: &dyn CoComm) {
+    pub(crate) fn drain_acks(&mut self, lcom: &CoComm) {
         while let Some(ack) = lcom.try_recv(self.agg, TAG_ACK) {
             self.note_ack(&ack);
         }
@@ -247,7 +247,7 @@ impl AggState {
     /// Apply every already-delivered shipment without parking — the overlap
     /// hook, called after an aggregator's op that called its file, and on
     /// its `flush`.
-    pub(crate) fn try_drain(&mut self, lcom: &dyn CoComm) {
+    pub(crate) fn try_drain(&mut self, lcom: &CoComm) {
         for i in 0..self.members.len() {
             while !self.members[i].done {
                 let Some(buf) = lcom.try_recv(self.members[i].lrank, TAG_SHIP) else {
@@ -259,7 +259,7 @@ impl AggState {
     }
 
     /// Drain every member to the end of its stream, parking as needed.
-    pub(crate) async fn drain_all(&mut self, lcom: &dyn CoComm) {
+    pub(crate) async fn drain_all(&mut self, lcom: &CoComm) {
         for i in 0..self.members.len() {
             while !self.members[i].done {
                 let lrank = self.members[i].lrank;
@@ -278,7 +278,7 @@ impl AggState {
     /// ones the member staged them into — instead of copying them. Frames
     /// are built by this module's extent writers in this same build:
     /// malformed framing is a bug — panic.
-    fn apply(&mut self, i: usize, buf: Vec<u8>, lcom: &dyn CoComm) {
+    fn apply(&mut self, i: usize, buf: Vec<u8>, lcom: &CoComm) {
         let buf = ByteLease::from_vec(buf);
         let slot = &mut self.members[i];
         let word = |p: usize| u64::from_le_bytes(buf[p..p + 8].try_into().expect("frame word"));

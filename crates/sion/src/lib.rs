@@ -74,7 +74,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use simmpi::{CoComm, TaskWorld};
+//! use simmpi::TaskWorld;
 //! use vfs::MemFs;
 //!
 //! let fs = MemFs::new();

@@ -244,8 +244,8 @@ pub struct SionParWriter {
     /// arithmetic, validation and close accounting — and records each
     /// write as an extent for its aggregator to apply (see [`crate::agg`]).
     writer: TaskWriter,
-    lcom: Box<dyn CoComm>,
-    gcom: Box<dyn CoComm>,
+    lcom: CoComm,
+    gcom: CoComm,
     filenum: u32,
     grank: usize,
     role: AggRole,
@@ -260,7 +260,7 @@ pub async fn paropen_write_co(
     vfs: &dyn Vfs,
     base: &str,
     params: &SionParams,
-    comm: &dyn CoComm,
+    comm: &CoComm,
 ) -> Result<SionParWriter> {
     let grank = comm.rank();
     let ntasks = comm.size();
@@ -305,9 +305,9 @@ pub async fn paropen_write_co(
     // failure from here on is captured, not returned: the global exchange
     // below must run on every task or the healthy file groups would hang.
     let opened = if verdict == AGREE_UNIFORM {
-        open_group_uniform(vfs, base, params, filenum, grank, ntasks, lcom.as_ref()).await
+        open_group_uniform(vfs, base, params, filenum, grank, ntasks, &lcom).await
     } else {
-        open_group_ragged(vfs, base, params, filenum, ntasks, lcom.as_ref()).await
+        open_group_ragged(vfs, base, params, filenum, ntasks, &lcom).await
     };
     let me = lcom.rank();
     let group_result = opened.and_then(|(geom, agg, end, created)| {
@@ -383,7 +383,7 @@ async fn open_group_uniform(
     filenum: u32,
     grank: usize,
     ntasks: usize,
-    lcom: &dyn CoComm,
+    lcom: &CoComm,
 ) -> Result<GroupOpen> {
     let (me, lsize) = (lcom.rank(), lcom.size());
     let created = (me == 0).then(|| {
@@ -423,7 +423,7 @@ async fn open_group_ragged(
     params: &SionParams,
     filenum: u32,
     ntasks: usize,
-    lcom: &dyn CoComm,
+    lcom: &CoComm,
 ) -> Result<GroupOpen> {
     let setup = lcom
         .gather_u64(params.chunksize, 0)
@@ -541,7 +541,7 @@ impl SionParWriter {
         }
         let calls = self.writer.io_counters().vfs_calls;
         run(&mut self.writer)?;
-        let lcom = self.lcom.as_ref();
+        let lcom = &self.lcom;
         match &mut self.role {
             AggRole::Member(m) if m.due(self.writer.recorded(), ship_now) => {
                 m.ship(self.writer.take_frame(true), lcom);
@@ -589,7 +589,7 @@ impl SionParWriter {
     /// On an aggregated-mode member this ships everything written so far
     /// without waiting for the acknowledgement: durability follows when
     /// the aggregator next applies, and an aggregator crash loses only
-    /// not-yet-acked shipments (see [`crate::agg`]). The acks that have
+    /// not-yet-acked shipments (see `agg.rs`). The acks that have
     /// arrived are collected, so an earlier frame the aggregator failed to
     /// apply fails this call. On an aggregator it also applies every
     /// shipment already delivered.
@@ -613,19 +613,21 @@ impl SionParWriter {
         }
     }
 
-    /// Per-rank op/byte counters of this task's *file-group* communicator,
-    /// when the runtime tracks them. The returned handle keeps counting
-    /// through [`close_co`](Self::close_co) (which consumes the writer), so
-    /// callers can assert collective round counts after the fact.
+    /// Per-rank op/byte counters of this task's *file-group* communicator.
+    /// The returned handle keeps counting through
+    /// [`close_co`](Self::close_co) (which consumes the writer), so callers
+    /// can assert collective round counts after the fact. Always `Some`:
+    /// the `Option` stays while `sionbench` (`benchmark/src/cycle.rs`)
+    /// stores it, until ROADMAP item 1's benchmark slice.
     pub fn local_comm_stats(&self) -> Option<Arc<CommStats>> {
-        self.lcom.stats()
+        Some(self.lcom.stats())
     }
 
     /// Per-rank op/byte counters of this task's *global* communicator
-    /// duplicate; same lifetime guarantees as
-    /// [`local_comm_stats`](Self::local_comm_stats).
+    /// duplicate; same lifetime guarantees, and the same always-`Some`
+    /// `Option`, as [`local_comm_stats`](Self::local_comm_stats).
     pub fn global_comm_stats(&self) -> Option<Arc<CommStats>> {
-        self.gcom.stats()
+        Some(self.gcom.stats())
     }
 
     /// This task's global rank.
@@ -667,8 +669,7 @@ impl SionParWriter {
             AggRole::Independent => (self.writer.finish(), AggStats::default()),
             AggRole::Member(mut m) => {
                 let finished = self.writer.finish();
-                m.finish(self.writer.take_frame(false), self.lcom.as_ref())
-                    .await;
+                m.finish(self.writer.take_frame(false), &self.lcom).await;
                 let res = if m.failed && finished.is_ok() {
                     Err(apply_failed())
                 } else {
@@ -677,7 +678,7 @@ impl SionParWriter {
                 (res, m.stats)
             }
             AggRole::Aggregator(mut a) => {
-                a.drain_all(self.lcom.as_ref()).await;
+                a.drain_all(&self.lcom).await;
                 (self.writer.finish(), a.stats)
             }
         };
@@ -747,11 +748,7 @@ pub struct SionParReader {
 ///
 /// The task count of `comm` must equal the task count the multifile was
 /// written with, and each task is positioned at its own logical file.
-pub async fn paropen_read_co(
-    vfs: &dyn Vfs,
-    base: &str,
-    comm: &dyn CoComm,
-) -> Result<SionParReader> {
+pub async fn paropen_read_co(vfs: &dyn Vfs, base: &str, comm: &CoComm) -> Result<SionParReader> {
     let grank = comm.rank();
     let ntasks = comm.size();
 

@@ -3,7 +3,7 @@
 //! The paper's timing experiments run at up to 64 Ki tasks — far beyond
 //! what we can execute as real threads. This module writes `parfs`
 //! workloads ([`ScriptSet`]) for them: chunk capacities, block sharing and
-//! metadata sizes come from the production code ([`crate::layout`],
+//! metadata sizes come from the production code (`layout.rs`,
 //! [`MetaBlock1`] and the `ChunkGeom` words), while
 //! the collective open/close message pattern of [`crate::par`] and the
 //! baseline access patterns the paper compares against (one-file-per-task

@@ -456,7 +456,7 @@ impl LocationCache {
 /// A multifile opened with the serial global view (`sion_open` read mode).
 ///
 /// Opening is cheap (headers only); per-rank metadata arrives on demand —
-/// see the [module docs](self) for the lazy lifecycle.
+/// see the module docs of `serial.rs` for the lazy lifecycle.
 pub struct Multifile {
     pub(crate) files: Vec<FileView>,
     ntasks: usize,

@@ -1698,7 +1698,6 @@ mod tests {
 
     #[test]
     fn a_member_ships_its_staged_bytes_in_the_allocation_they_were_staged_into() {
-        use simmpi::CoComm;
         let start = setup(&[4096], Alignment::None, false).1.chunk_start(0, 0);
         let got = simmpi::TaskWorld::run(2, |c| async move {
             if c.rank() == 0 {

@@ -6,7 +6,7 @@
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use simmpi::{CoComm, SchedPolicy, TaskWorld};
+use simmpi::{SchedPolicy, TaskWorld};
 use sion::{paropen_read_co, paropen_write_co, Alignment, IoMode, Multifile, SionParams};
 use vfs::{AccessKind, AccessSink, BlockGuard, FileAccess, MemFs, TapFs, Vfs};
 

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sion::{
     paropen_read_co, paropen_write_co, Alignment, Multifile, SerialWriter, SionParams,
     DEFAULT_READ_AHEAD,

@@ -14,12 +14,12 @@ use vfs::MemFs;
 
 /// Open, write two blocks, close — asserting the per-communicator round
 /// counts after the open and after the close.
-async fn write_rounds(fs: &MemFs, params: &SionParams, comm: &dyn CoComm) {
+async fn write_rounds(fs: &MemFs, params: &SionParams, comm: &CoComm) {
     let mut w = paropen_write_co(fs, "mf.sion", params, comm).await.unwrap();
 
     let lcom = w.local_comm_stats().expect("runtime tracks stats");
     let gcom = w.global_comm_stats().expect("runtime tracks stats");
-    let parent = comm.stats().expect("runtime tracks stats");
+    let parent = comm.stats();
 
     // Open, every task asking for the same chunk size: ONE broadcast of the
     // master's status word on the file-group communicator — nothing else.
@@ -106,7 +106,7 @@ fn a_ragged_open_gathers_and_scatters_the_geometry() {
                     chunksize: req(comm.rank()),
                     ..params.clone()
                 };
-                let parent = comm.stats().expect("runtime tracks stats");
+                let parent = comm.stats();
                 let mut w = paropen_write_co(fs, "rag.sion", &params, &comm)
                     .await
                     .unwrap();
@@ -165,11 +165,11 @@ fn contents(fs: &MemFs, path: &str) -> Vec<u8> {
 
 /// Write a small multifile, then read-open and close it, asserting what the
 /// read side costs on the parent communicator — it owns no other.
-async fn read_rounds(fs: &MemFs, params: &SionParams, comm: &dyn CoComm) {
+async fn read_rounds(fs: &MemFs, params: &SionParams, comm: &CoComm) {
     let w = paropen_write_co(fs, "r.sion", params, comm).await.unwrap();
     w.close_co().await.unwrap();
 
-    let parent = comm.stats().expect("runtime tracks stats");
+    let parent = comm.stats();
     let count = || {
         [
             parent.scatters(),
@@ -242,7 +242,7 @@ fn parent_and_global_traffic_stays_logarithmic_per_rank() {
     let (sent, _) = TaskWorld::run_with(policy, P, |c| {
         let (fs, params) = (&fs, &params);
         async move {
-            let parent = c.stats().expect("runtime tracks stats");
+            let parent = c.stats();
             let mut w = paropen_write_co(fs, "log.sion", params, &c).await.unwrap();
             let wglobal = w.global_comm_stats().expect("runtime tracks stats");
             w.write(&[c.rank() as u8; 100]).unwrap();
@@ -335,7 +335,7 @@ fn scripted_collectives_match_an_executed_run() {
         let fs = &fs;
         let params = &params;
         async move {
-            let parent = comm.stats().expect("runtime tracks stats");
+            let parent = comm.stats();
             let mut w = paropen_write_co(fs, "s.sion", params, &comm).await.unwrap();
             let (lcom, gcom) = (
                 w.local_comm_stats().unwrap(),

@@ -24,7 +24,7 @@
 //! `CRASH_SEED` environment variable to diversify CI runs); every failure
 //! message includes the crash point and seed needed to reproduce it.
 
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sion::rescue::repair;
 use sion::{paropen_write_co, IoMode, Multifile, SionParams};
 use std::sync::Arc;

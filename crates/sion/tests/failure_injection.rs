@@ -2,7 +2,7 @@
 //! surface as clean errors on every task — never hangs, never partial
 //! multifiles accepted as valid.
 
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sion::{
     paropen_read_co, paropen_write_co, physical_name, IoMode, Multifile, SionError, SionParams,
 };

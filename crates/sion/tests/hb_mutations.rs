@@ -17,7 +17,7 @@
 //! (`tests/golden/hb_race_report.txt`, bless with `SIMCHECK_BLESS=1`).
 
 use simcheck::{HbEngine, TapFs};
-use simmpi::{CoComm, SchedPolicy, TaskComm, TaskWorld, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX};
+use simmpi::{CoComm, SchedPolicy, TaskWorld, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX};
 use sion::{paropen_write_co, Alignment, IoMode, SionParams};
 use std::future::Future;
 use std::sync::Arc;
@@ -78,7 +78,7 @@ fn clean_protocol_is_race_free_under_work_stealing() {
 
 #[test]
 fn clean_protocol_is_race_free_on_task_runtime() {
-    async fn prog(fs: Arc<dyn Vfs>, c: &dyn CoComm) {
+    async fn prog(fs: Arc<dyn Vfs>, c: &CoComm) {
         let mut w = paropen_write_co(fs.as_ref(), "hb/clean.sion", &agg_params(), c)
             .await
             .expect("open");
@@ -116,11 +116,11 @@ fn clean_protocol_is_race_free_on_task_runtime() {
 /// bytes another rank's aggregator owes.
 #[test]
 fn clean_protocol_is_race_free_on_sub_communicators() {
-    async fn prog(fs: Arc<dyn Vfs>, c: TaskComm) {
+    async fn prog(fs: Arc<dyn Vfs>, c: CoComm) {
         let half = c.rank() / NTASKS;
         let sub = c.split_local(half as u64, c.rank() % NTASKS, NTASKS).await;
         let path = format!("hb/half{half}.sion");
-        let mut w = paropen_write_co(fs.as_ref(), &path, &agg_params(), sub.as_ref())
+        let mut w = paropen_write_co(fs.as_ref(), &path, &agg_params(), &sub)
             .await
             .expect("open");
         w.write(&payload(sub.rank(), 1)).expect("write");
@@ -158,7 +158,7 @@ const SEED: u64 = 0x00AC_C1DE_0000_0001;
 /// seed alone) and returns the first run's engine and report.
 fn detect<F, Fut>(seed: u64, prog: F) -> (Arc<HbEngine>, String)
 where
-    F: Fn(Arc<dyn Vfs>, TaskComm) -> Fut,
+    F: Fn(Arc<dyn Vfs>, CoComm) -> Fut,
     Fut: Future<Output = ()> + Send,
 {
     let run_once = || {

@@ -42,7 +42,7 @@ fn cases() -> impl Iterator<Item = (Shape, usize)> {
         .flat_map(|shape| [0, 4].map(|deviant| (shape, deviant)))
 }
 
-async fn open_outcome(fs: &dyn Vfs, c: &dyn CoComm, shape: Shape, deviant: usize) -> Outcome {
+async fn open_outcome(fs: &dyn Vfs, c: &CoComm, shape: Shape, deviant: usize) -> Outcome {
     let agreed = SionParams::new(1024).with_nfiles(2);
     let params = match shape {
         _ if c.rank() != deviant => agreed,

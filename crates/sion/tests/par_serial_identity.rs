@@ -4,7 +4,7 @@
 //! every file-group size — and a group whose close cannot be finalized must
 //! say so on every task and leave no trailer behind.
 
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sion::format::Trailer;
 use sion::{paropen_write_co, Alignment, SerialWriter, SionError, SionParams};
 use std::io;

@@ -3,7 +3,7 @@
 //! the parameter space (file counts, alignments, compression, rescue,
 //! mappings, uneven chunk sizes).
 
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sion::{paropen_read_co, paropen_write_co, Alignment, Mapping, Multifile, SionParams};
 use std::sync::Arc;
 use vfs::{FaultKind, Faults, MemFs, TapFs, Vfs};

@@ -34,7 +34,7 @@ fn written() -> MemFs {
 }
 
 /// What this rank read back; the deserter reads nothing and never closes.
-async fn read_or_leave(fs: &MemFs, c: &dyn CoComm, deserter: usize) -> Vec<u8> {
+async fn read_or_leave(fs: &MemFs, c: &CoComm, deserter: usize) -> Vec<u8> {
     let mut r = paropen_read_co(fs, BASE, c).await.unwrap();
     if c.rank() == deserter {
         drop(r);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sion::format::{Trailer, IDX_FIXED_LEN, MB1_FIXED_LEN, MB2_FIXED_LEN};
 use sion::{paropen_read_co, paropen_write_co, Alignment, Multifile, SionParams};
 use vfs::{MemFs, Vfs};

@@ -2,7 +2,7 @@
 //! seek, global-view addressed reads, metadata introspection, and
 //! reconstruction of lost metablocks from rescue headers.
 
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sion::rescue::{repair, RESCUE_HEADER_LEN};
 use sion::{paropen_write_co, Alignment, Multifile, SerialWriter, SionError, SionParams};
 use vfs::{MemFs, Vfs};

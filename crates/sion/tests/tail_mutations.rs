@@ -6,7 +6,7 @@
 //! back exactly and verify clean; and a file the metadata judge accepts is
 //! one repair leaves byte for byte alone.
 
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sion::rescue::repair;
 use sion::{
     check_metadata, paropen_read_co, paropen_write_co, physical_name, Multifile, SionParams,

@@ -4,7 +4,7 @@
 //! byte-identity of the produced multifile across worker counts and
 //! schedules, and a four-digit-rank smoke run.
 
-use simmpi::{drive_ready, CoComm, SchedPolicy, TaskWorld};
+use simmpi::{drive_ready, SchedPolicy, TaskWorld};
 use sion::{paropen_read_co, paropen_write_co, Mapping, Multifile, SionParams};
 use vfs::{MemFs, Vfs};
 
@@ -69,6 +69,31 @@ fn task_world_collective_roundtrip() {
         );
     }
     assert_eq!(fs.list("out/").unwrap().len(), 4);
+}
+
+/// The collective entry points return `Send` futures, so a rank that
+/// awaits them can run on a work-stealing world: checked where each future
+/// is built, not where a world first spawns a rank that holds it.
+#[test]
+fn collective_entry_point_futures_are_send() {
+    fn assert_send<T: Send>(_: &T) {}
+    let fs = MemFs::new();
+    let params = SionParams::new(4096);
+    TaskWorld::run(2, |c| {
+        let (fs, params) = (&fs, &params);
+        async move {
+            let open = paropen_write_co(fs, "send/f.sion", params, &c);
+            assert_send(&open);
+            let mut w = open.await.unwrap();
+            w.write(&payload(c.rank(), 100)).unwrap();
+            let close = w.close_co();
+            assert_send(&close);
+            close.await.unwrap();
+            let open = paropen_read_co(fs, "send/f.sion", &c);
+            assert_send(&open);
+            open.await.unwrap().close_co().await.unwrap();
+        }
+    });
 }
 
 #[test]

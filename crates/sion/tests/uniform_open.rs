@@ -12,7 +12,7 @@ use sion::{
 use vfs::{MemFs, Vfs};
 
 /// Open with `params` on every task; the master's error or the others'.
-async fn open_outcome(fs: &MemFs, params: &SionParams, c: &dyn CoComm) -> SionError {
+async fn open_outcome(fs: &MemFs, params: &SionParams, c: &CoComm) -> SionError {
     match paropen_write_co(fs, "ovf.sion", params, c).await {
         Ok(_) => panic!("rank {}: an overflowing layout opened", c.rank()),
         Err(e) => e,

@@ -161,7 +161,7 @@ mod tests {
     use crate::backend::{SionBackend, TraceBackend};
     use crate::synth::{synthetic_events, SynthConfig, REGION_MAIN};
     use crate::Tracer;
-    use simmpi::{CoComm, TaskWorld};
+    use simmpi::TaskWorld;
     use vfs::MemFs;
 
     fn record_run(backend: &dyn TraceBackend, fs: &MemFs, ntasks: usize, cfg: &SynthConfig) {

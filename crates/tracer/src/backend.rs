@@ -8,10 +8,17 @@
 //! Scalasca creates its files up front and writes buffers at the end of
 //! the measurement.
 
-use simmpi::{BoxFut, CoComm};
+use simmpi::CoComm;
 use sion::{paropen_write_co, CloseStats, Result, SionParWriter, SionParams};
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
 use vfs::{Vfs, VfsFile};
+
+/// Boxed future returned by the back-end traits: each has two
+/// implementations and is used as a trait object (`&dyn TraceBackend`,
+/// `Box<dyn ActiveTrace>`), so its futures are type-erased.
+pub(crate) type BoxFut<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
 
 /// An activated (open) trace one task can flush its buffer into.
 pub trait ActiveTrace: Send {
@@ -30,7 +37,7 @@ pub trait TraceBackend: Send + Sync {
     fn activate<'a>(
         &'a self,
         vfs: &'a dyn Vfs,
-        comm: &'a dyn CoComm,
+        comm: &'a CoComm,
     ) -> BoxFut<'a, Result<Box<dyn ActiveTrace>>>;
 
     /// Path prefix (for reporting).
@@ -82,7 +89,7 @@ impl TraceBackend for TaskLocalBackend {
     fn activate<'a>(
         &'a self,
         vfs: &'a dyn Vfs,
-        comm: &'a dyn CoComm,
+        comm: &'a CoComm,
     ) -> BoxFut<'a, Result<Box<dyn ActiveTrace>>> {
         // Every task creates its own file — the contention the paper's
         // Fig. 3 and Table 2 quantify.
@@ -148,7 +155,7 @@ impl TraceBackend for SionBackend {
     fn activate<'a>(
         &'a self,
         vfs: &'a dyn Vfs,
-        comm: &'a dyn CoComm,
+        comm: &'a CoComm,
     ) -> BoxFut<'a, Result<Box<dyn ActiveTrace>>> {
         let mut params = SionParams::new(self.chunksize).with_nfiles(self.nfiles);
         if self.compressed {

@@ -530,9 +530,10 @@ const NAMESPACE_SHARDS: usize = 16;
 
 /// A sparse in-memory [`Vfs`].
 ///
-/// The path → file map is sharded across [`NAMESPACE_SHARDS`] independently
-/// locked hash maps keyed by a path hash, so concurrent create/open/stat
-/// traffic from many simulated tasks does not contend on a single mutex.
+/// The path → file map is sharded across `NAMESPACE_SHARDS` (16)
+/// independently locked hash maps keyed by a path hash, so concurrent
+/// create/open/stat traffic from many simulated tasks does not contend on a
+/// single mutex.
 /// Per-file data is locked per FS block (see the module docs), so a
 /// namespace lock is never held while file contents are read, written or
 /// freed.

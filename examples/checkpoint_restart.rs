@@ -10,7 +10,7 @@
 
 use mp2c::checkpoint::{read_checkpoint, write_checkpoint, Strategy};
 use mp2c::{SimConfig, Simulation};
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use std::time::Instant;
 use vfs::{LocalFs, Vfs};
 

@@ -7,7 +7,7 @@
 //! cargo run --example multifile_tools
 //! ```
 
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sion::rescue::repair;
 use sion::{paropen_write_co, Multifile, SionParams};
 use vfs::{LocalFs, Vfs};

@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sionlib::{sion, vfs};
 use vfs::{LocalFs, Vfs};
 

@@ -8,7 +8,7 @@
 //! cargo run --example trace_analysis
 //! ```
 
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use tracer::{
     analyze, synthetic_events, SionBackend, SynthConfig, TaskLocalBackend, TraceBackend,
     TraceSource, Tracer,

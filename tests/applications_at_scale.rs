@@ -5,7 +5,7 @@
 
 use mp2c::checkpoint::{read_checkpoint, write_checkpoint, Strategy};
 use mp2c::{Particle, SimConfig, Simulation};
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use tracer::{synthetic_events, Event, SionBackend, SynthConfig, TraceBackend, Tracer};
 use vfs::{MemFs, Vfs};
 

@@ -2,7 +2,7 @@
 //! applications (mp2c, tracer) through the sion library, the serial tool
 //! suite, and back — over the in-memory and counting file systems.
 
-use simmpi::{CoComm, TaskWorld};
+use simmpi::TaskWorld;
 use sionlib::{mp2c, sion, sion_tools, tracer, vfs};
 use std::sync::Arc;
 use vfs::{FaultKind, Faults, MemFs, TapFs, Vfs};

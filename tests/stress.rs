@@ -1,7 +1,7 @@
 //! Stress tests: larger worlds and payloads than the unit suites use, to
 //! shake out scaling assumptions (these still run in seconds on MemFs).
 
-use simmpi::{CoComm, ReduceOp, TaskWorld};
+use simmpi::{ReduceOp, TaskWorld};
 use sionlib::{sion, vfs};
 use vfs::MemFs;
 
