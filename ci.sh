@@ -542,6 +542,18 @@ then
     exit 1
 fi
 
+echo "==> structural gate: one chunk layout (no UniformLayout, no from_layout, one struct …Layout in sion)"
+# The §3.1 layout is one type: equal chunk capacities are a representation
+# of `FileLayout` (its `(ntasks, cap)` form, built by `compute`, `from_mb1`
+# and `uniform` alike), not a second type beside it, and a task's geometry
+# is `FileLayout::geom`, not a constructor on `ChunkGeom`.
+layouts=$(grep -rhE '^ *(pub(\([a-z]+\))? )?struct [A-Za-z0-9_]*Layout\b' crates/sion/src | wc -l)
+if grep -rnE '\bUniformLayout\b|fn from_layout\b' crates || [ "$layouts" -ne 1 ]; then
+    echo "crates/sion/src declares $layouts \`struct …Layout\` (want 1)"
+    echo "one layout type: equal capacities are \`FileLayout\`'s \`(ntasks, cap)\` form, a task's geometry is \`FileLayout::geom\`"
+    exit 1
+fi
+
 echo "==> structural gate: a re-export has a consumer (each name a library crate's \`pub use\` re-exports is used outside its src/, or names a type only the re-export makes nameable)"
 # Per name, not per statement: one used name must not carry its neighbours.
 # A name passes if a .rs file outside the crate's src/ mentions it, or if it

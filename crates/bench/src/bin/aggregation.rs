@@ -9,8 +9,9 @@
 //!   (unaligned) layouts, `fsblksize / record` tasks share each FS block
 //!   and pay the GPFS lock penalty `1 + w·log2(sharers)` (paper Table 1);
 //! * **aggregated**: one elected aggregator per FS-block neighborhood
-//!   (`tasks_per_aggregator` = the block span, as `FileLayout::
-//!   aggregation_groups` snaps elections to clean block boundaries)
+//!   (`tasks_per_aggregator` = the block span: with equal chunks the
+//!   layout's clean boundaries recur every block span, and
+//!   `FileLayout::aggregation_group` snaps each group out to them)
 //!   receives members' records over the torus and issues block-exclusive
 //!   writes (`sharers = 1`). Shipment overlaps the write-behind drain, so
 //!   members appear only as a compute-phase class plus a one-frame
@@ -43,8 +44,9 @@ const TORUS_BW: f64 = 375.0e6;
 const FRAME_BYTES: u64 = 4 << 20;
 
 /// Mean number of tasks whose chunks overlap one FS block: the block span
-/// of a compact layout, clamped to the tasks actually in the file.
-/// Aligned layouts pad every chunk to a block multiple, so nothing shares.
+/// of a compact layout of equal chunks, clamped to the tasks actually in
+/// the file (what `FileLayout::block_sharing` counts). Aligned layouts pad
+/// every chunk to a block multiple, so nothing shares.
 fn block_span(m: &Machine, record: u64, tasks_per_file: u64, aligned: bool) -> u64 {
     if aligned {
         1
@@ -161,9 +163,10 @@ fn main() {
     let mut samples = Vec::new();
     for &(record, aligned) in points {
         let span = block_span(&m, record, tasks_per_file, aligned);
-        // The election snaps to clean block boundaries, so the group size
-        // is the full block span; aligned layouts have no sharing to
-        // remove, and a small group still demonstrates the shipment path.
+        // The election snaps to clean block boundaries, which equal chunks
+        // place every block span, so the group size is the full span;
+        // aligned layouts have no sharing to remove, and a small group
+        // still demonstrates the shipment path.
         let tpa = span.max(4);
         let indep = independent(ntasks, nfiles, per_task, span);
         let agg = aggregated(ntasks, nfiles, per_task, span, tpa);
@@ -182,7 +185,7 @@ fn main() {
     // Sensitivity: vary tasks_per_aggregator at 4 KiB records. Groups
     // smaller than the block span leave several aggregators sharing each
     // block — the curve peaks at the full span, which is exactly the
-    // boundary `FileLayout::aggregation_groups` snaps to.
+    // boundary `FileLayout::aggregation_group` snaps to.
     let mut tpa_sweep = Vec::new();
     if !quick {
         let record = 4 << 10;

@@ -431,28 +431,6 @@ impl Dpor {
         }
         failure
     }
-
-    /// [`Dpor::replay`] specialized to a plain `TaskWorld` program with a
-    /// fresh [`Sanitizer`]: the one-call replay for failures found by
-    /// [`CheckedTaskWorld::run`](crate::CheckedTaskWorld) under
-    /// [`ScheduleCfg::Dpor`].
-    pub fn replay_task_world<T, F, Fut>(
-        ntasks: usize,
-        schedule: &[usize],
-        f: F,
-    ) -> Result<Vec<T>, Box<CheckFailure>>
-    where
-        T: Send,
-        F: Fn(simmpi::CoComm) -> Fut,
-        Fut: std::future::Future<Output = T> + Send,
-    {
-        let mut vals = None;
-        let failure = Self::replay(schedule, |h| h.run_sanitized(ntasks, &f, &mut vals));
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(vals.expect("replay ran exactly once")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -534,8 +512,10 @@ mod tests {
         };
         assert!(!err.schedule.is_empty());
         assert_eq!(err.cfg, ScheduleCfg::Dpor);
-        let replayed = Dpor::replay_task_world(2, &err.schedule, prog)
-            .expect_err("forced schedule reproduces the failure");
+        let mut vals = None;
+        let replayed = Dpor::replay(&err.schedule, |h| h.run_sanitized(2, prog, &mut vals))
+            .expect("forced schedule reproduces the failure");
+        assert!(vals.is_none(), "a failed replay returns no values");
         assert_eq!(replayed.stable_report(), err.stable_report());
     }
 }

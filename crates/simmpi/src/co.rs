@@ -97,13 +97,6 @@ impl CoComm {
         })
     }
 
-    /// Scatter one `u64` to each rank from `root`.
-    pub async fn scatter_u64(&self, values: Option<Vec<u64>>, root: usize) -> u64 {
-        let parts = values.map(|vs| vs.iter().map(|v| v.to_le_bytes().to_vec()).collect());
-        let got = self.scatter(parts, root).await;
-        u64::from_le_bytes(got[..8].try_into().expect("u64 payload"))
-    }
-
     /// Allgather one `u64` per rank. Decodes straight out of the shared
     /// [`AllGathered`] frame — the whole round costs O(1) allocations per
     /// rank (one `Vec<u64>`), never the
@@ -226,7 +219,6 @@ mod tests {
             assert_send(&c.reduce_u64(7, ReduceOp::Sum, 0));
             assert_send(&c.bcast_u64(Some(7), 0));
             assert_send(&c.gather_u64(7, 0));
-            assert_send(&c.scatter_u64(Some(vec![7]), 0));
             assert_send(&c.allgather_u64(7));
             assert_send(&c.allreduce_u64(7, ReduceOp::Sum));
             assert_send(&c.gather_u64s(&words, 0));

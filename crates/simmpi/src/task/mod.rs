@@ -58,10 +58,11 @@ pub struct SchedStats {
     /// additional queue memory).
     pub peak_mailbox_bytes: u64,
     /// Always 0: messages are plain `Vec`s and no frame pool counts them.
-    /// Kept only because `sionbench` reads it; ROADMAP item 1(c) drops it.
+    /// Kept only because `sionbench` reads it; ROADMAP item 1's
+    /// metric-hygiene slice drops it.
     pub frame_allocs: u64,
     /// Always 0, like [`frame_allocs`](Self::frame_allocs); ROADMAP item
-    /// 1(c) drops it.
+    /// 1's metric-hygiene slice drops it.
     pub frame_reuses: u64,
     /// Logical bytes broadcast as `Arc`-shared frames, counted once per
     /// frame — not once per tree edge the clone fans out to.

@@ -3,7 +3,8 @@
 //!
 //! In [`IoMode::Aggregated`](crate::IoMode::Aggregated) each file group is
 //! cut into FS-block-clean *neighborhoods* of consecutive local tasks
-//! ([`FileLayout::aggregation_groups`](crate::layout::FileLayout::aggregation_groups)):
+//! ([`FileLayout::aggregation_groups`](crate::FileLayout::aggregation_groups);
+//! each task finds its own with `FileLayout::aggregation_group`):
 //! the lowest task is the **aggregator**, the others are **members**. A
 //! member runs the one stream engine ([`TaskWriter`](crate::stream::TaskWriter))
 //! as an independent writer would, over a byte-discarding *shadow* handle

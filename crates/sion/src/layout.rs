@@ -90,23 +90,51 @@ fn overflow() -> SionError {
 }
 
 /// The complete chunk geometry of one physical file.
+///
+/// Equal chunk capacities are held as one `(ntasks, cap)` pair that answers
+/// every question in O(1), for a uniform open's tasks and a uniform file's
+/// readers alike; unequal ones as per-task offsets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileLayout {
     /// File-system block size used for alignment decisions.
     pub fsblksize: u64,
-    /// Effective alignment unit (1 = unaligned).
-    pub unit: u64,
     /// Per-chunk rescue-header overhead (0 or [`RESCUE_HEADER_LEN`]).
     pub rescue_overhead: u64,
-    /// Chunk capacity per local task, including rescue overhead.
-    pub cap: Vec<u64>,
-    /// Offset of each local task's chunk within a block (exclusive prefix
-    /// sums of `cap`).
-    pub chunk_off: Vec<u64>,
+    caps: Caps,
     /// Total size of one block (sum of capacities).
     pub block_size: u64,
     /// Offset of block 0.
     pub data_start: u64,
+}
+
+/// The chunk capacities of a file's local tasks, including rescue overhead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Caps {
+    /// `n` chunks of `cap` bytes; task `t`'s starts `t·cap` into a block.
+    Uniform { n: usize, cap: u64 },
+    /// Where each task's chunk starts within a block, then the block's
+    /// end: the prefix sums of the capacities.
+    Ragged(Vec<u64>),
+}
+
+impl Caps {
+    /// The capacities `caps` (at least one), held as one if all are equal.
+    fn of(caps: &[u64]) -> Result<Caps> {
+        let (n, cap) = (caps.len(), caps[0]);
+        if caps.iter().any(|&c| c != cap) {
+            return Caps::ragged(caps);
+        }
+        Ok(Caps::Uniform { n, cap })
+    }
+
+    /// The per-task form of the capacities `cap`, equal or not.
+    fn ragged(cap: &[u64]) -> Result<Caps> {
+        let mut off = vec![0u64];
+        for &c in cap {
+            off.push(off[off.len() - 1].checked_add(c).ok_or_else(overflow)?);
+        }
+        Ok(Caps::Ragged(off))
+    }
 }
 
 impl FileLayout {
@@ -123,68 +151,100 @@ impl FileLayout {
         alignment: Alignment,
         rescue: bool,
     ) -> Result<FileLayout> {
-        let (unit, rescue_overhead) = layout_rules(reqs.len(), fsblksize, alignment, rescue)?;
-        let mut cap = Vec::with_capacity(reqs.len());
-        let mut chunk_off = Vec::with_capacity(reqs.len());
-        let mut acc = 0u64;
-        for &req in reqs {
-            let c = chunk_cap(req, unit, rescue_overhead)?;
-            chunk_off.push(acc);
-            acc = acc.checked_add(c).ok_or_else(overflow)?;
-            cap.push(c);
-        }
-        Ok(FileLayout {
-            fsblksize,
-            unit,
-            rescue_overhead,
-            cap,
-            chunk_off,
-            block_size: acc,
-            data_start: data_start(reqs.len(), unit)?,
-        })
+        let (unit, overhead) = layout_rules(reqs.len(), fsblksize, alignment, rescue)?;
+        let cap = reqs
+            .iter()
+            .map(|&req| chunk_cap(req, unit, overhead))
+            .collect::<Result<Vec<u64>>>()?;
+        let caps = Caps::of(&cap)?;
+        FileLayout::new(caps, fsblksize, overhead, data_start(reqs.len(), unit)?)
     }
 
-    /// Rebuild the layout of an existing file from its metablock 1.
-    pub fn from_mb1(mb1: &MetaBlock1) -> FileLayout {
-        let mut chunk_off = Vec::with_capacity(mb1.chunk_cap.len());
-        let mut acc = 0u64;
-        for &c in &mb1.chunk_cap {
-            chunk_off.push(acc);
-            acc += c;
-        }
-        let rescue_overhead = if mb1.flags.contains(SionFlags::RESCUE) {
-            RESCUE_HEADER_LEN
-        } else {
-            0
+    /// [`compute`](Self::compute) of `n` requests of `req` bytes, in O(1):
+    /// the layout every task of a uniform write open derives itself.
+    pub(crate) fn uniform(
+        n: usize,
+        req: u64,
+        fsblksize: u64,
+        alignment: Alignment,
+        rescue: bool,
+    ) -> Result<FileLayout> {
+        let (unit, overhead) = layout_rules(n, fsblksize, alignment, rescue)?;
+        let cap = chunk_cap(req, unit, overhead)?;
+        let caps = Caps::Uniform { n, cap };
+        FileLayout::new(caps, fsblksize, overhead, data_start(n, unit)?)
+    }
+
+    /// Rebuild the layout of an existing file from its metablock 1, whose
+    /// capacities are stored already aligned.
+    pub fn from_mb1(mb1: &MetaBlock1) -> Result<FileLayout> {
+        let rescue = mb1.flags.contains(SionFlags::RESCUE);
+        let n = mb1.chunk_cap.len();
+        let (_, overhead) = layout_rules(n, mb1.fsblksize, Alignment::None, rescue)?;
+        let caps = Caps::of(&mb1.chunk_cap)?;
+        FileLayout::new(caps, mb1.fsblksize, overhead, mb1.data_start)
+    }
+
+    /// The one constructor: `caps`' block size, with checked arithmetic.
+    fn new(caps: Caps, fsblksize: u64, rescue_overhead: u64, data_start: u64) -> Result<Self> {
+        let block_size = match &caps {
+            Caps::Uniform { n, cap } => cap.checked_mul(*n as u64).ok_or_else(overflow)?,
+            Caps::Ragged(off) => off[off.len() - 1],
         };
-        let unit = if mb1.flags.contains(SionFlags::ALIGNED) {
-            // The original unit is recoverable only approximately; all
-            // address arithmetic uses the stored capacities, so the unit is
-            // informational for readers.
-            mb1.fsblksize
-        } else {
-            1
-        };
-        FileLayout {
-            fsblksize: mb1.fsblksize,
-            unit,
+        // Block 0 ends inside `u64`: a one-block file's metablock 2 goes there.
+        data_start.checked_add(block_size).ok_or_else(overflow)?;
+        Ok(FileLayout {
+            fsblksize,
             rescue_overhead,
-            cap: mb1.chunk_cap.clone(),
-            chunk_off,
-            block_size: acc,
-            data_start: mb1.data_start,
-        }
+            caps,
+            block_size,
+            data_start,
+        })
     }
 
     /// Number of local tasks.
     pub fn ntasks(&self) -> usize {
-        self.cap.len()
+        match &self.caps {
+            Caps::Uniform { n, .. } => *n,
+            Caps::Ragged(off) => off.len() - 1,
+        }
+    }
+
+    /// Local task `ltask`'s chunk within a block: `(offset, capacity)`.
+    fn chunk(&self, ltask: usize) -> (u64, u64) {
+        match &self.caps {
+            Caps::Uniform { n, cap } => {
+                assert!(ltask < *n, "local task {ltask} of {n}");
+                // At most `block_size`, which did not overflow.
+                (ltask as u64 * cap, *cap)
+            }
+            Caps::Ragged(off) => (off[ltask], off[ltask + 1] - off[ltask]),
+        }
+    }
+
+    /// Chunk capacity of local task `ltask`, including rescue overhead.
+    pub(crate) fn cap(&self, ltask: usize) -> u64 {
+        self.chunk(ltask).1
+    }
+
+    /// Local task `ltask`'s chunk geometry, what its stream engine needs.
+    pub(crate) fn geom(&self, ltask: usize, global_rank: u64) -> ChunkGeom {
+        let (chunk_off, cap) = self.chunk(ltask);
+        ChunkGeom {
+            data_start: self.data_start,
+            block_size: self.block_size,
+            chunk_off,
+            cap,
+            rescue_overhead: self.rescue_overhead,
+            global_rank,
+            fsblksize: self.fsblksize,
+        }
     }
 
     /// File offset of the start of task `ltask`'s chunk in block `block`
     /// (including the rescue header, if any).
     pub fn chunk_start(&self, ltask: usize, block: u64) -> u64 {
-        self.data_start + block * self.block_size + self.chunk_off[ltask]
+        self.data_start + block * self.block_size + self.chunk(ltask).0
     }
 
     /// File offset where task `ltask`'s *user data* starts in block `block`.
@@ -194,7 +254,7 @@ impl FileLayout {
 
     /// Bytes of user data one chunk of task `ltask` can hold.
     pub fn usable(&self, ltask: usize) -> u64 {
-        self.cap[ltask] - self.rescue_overhead
+        self.cap(ltask) - self.rescue_overhead
     }
 
     /// Offset where metablock 2 goes when the file holds `nblocks` blocks.
@@ -219,35 +279,56 @@ impl FileLayout {
         Ok(())
     }
 
+    /// How many tasks' chunks overlap each occupied *real* FS block of one
+    /// layout block, run-length encoded as `(first FS block, FS blocks,
+    /// sharers)` in block order: O(tasks), however large the chunks.
+    fn sharers(&self, real_block: u64) -> Vec<(u64, u64, u32)> {
+        assert!(real_block >= 1);
+        let mut runs: Vec<(u64, u64, u32)> = Vec::new();
+        for (off, cap) in (0..self.ntasks())
+            .map(|t| self.chunk(t))
+            .filter(|c| c.1 > 0)
+        {
+            let (mut first, last) = (off / real_block, (off + cap - 1) / real_block);
+            // The FS block the previous chunk ended in may be this one's first.
+            if let Some(run) = runs.last_mut().filter(|r| r.0 + r.1 - 1 == first) {
+                let sharers = run.2 + 1;
+                run.1 -= 1;
+                if run.1 == 0 {
+                    runs.pop();
+                }
+                runs.push((first, 1, sharers));
+                first += 1;
+            }
+            if first <= last {
+                runs.push((first, last - first + 1, 1));
+            }
+        }
+        runs
+    }
+
     /// Statistics on how many distinct tasks touch each *real* file-system
     /// block within one layout block — the contention the paper's Table 1
     /// quantifies. With proper alignment the maximum is 1; with chunks
     /// smaller than the real block size, many tasks share each block.
     pub fn block_sharing(&self, real_block: u64) -> SharingStats {
-        assert!(real_block >= 1);
-        let nblocks_fs = self.block_size.div_ceil(real_block).max(1);
-        let mut sharers = vec![0u32; nblocks_fs as usize];
-        for (t, &off) in self.chunk_off.iter().enumerate() {
-            if self.cap[t] == 0 {
-                continue;
-            }
-            let first = off / real_block;
-            let last = (off + self.cap[t] - 1) / real_block;
-            for b in first..=last {
-                sharers[b as usize] += 1;
-            }
-        }
-        let occupied: Vec<u32> = sharers.into_iter().filter(|&s| s > 0).collect();
-        let max = occupied.iter().copied().max().unwrap_or(0);
-        let mean = if occupied.is_empty() {
-            0.0
-        } else {
-            occupied.iter().map(|&s| s as f64).sum::<f64>() / occupied.len() as f64
-        };
+        let runs = self.sharers(real_block);
+        let occupied: u128 = runs.iter().map(|r| r.1 as u128).sum();
+        let touches: u128 = runs.iter().map(|r| r.1 as u128 * r.2 as u128).sum();
         SharingStats {
-            max_sharers: max,
-            mean_sharers: mean,
+            max_sharers: runs.iter().map(|r| r.2).max().unwrap_or(0),
+            mean_sharers: touches as f64 / occupied.max(1) as f64,
         }
+    }
+
+    /// The real FS-block indices (relative to the start of one layout
+    /// block) that more than one task's chunk overlaps — the static
+    /// prediction the runtime block-contention sanitizer
+    /// (`vfs::BlockGuard`) must agree with when every task writes its
+    /// full chunk. Sorted, deterministic.
+    pub fn shared_fs_blocks(&self, real_block: u64) -> Vec<u64> {
+        let runs = self.sharers(real_block);
+        runs.iter().filter(|r| r.2 > 1).map(|r| r.0).collect()
     }
 
     /// Whether a group boundary *before* local task `t` is FS-block clean:
@@ -258,7 +339,7 @@ impl FileLayout {
     /// chunk start being aligned in block 0.
     pub fn clean_boundary(&self, t: usize) -> bool {
         self.block_size.is_multiple_of(self.fsblksize)
-            && (self.data_start + self.chunk_off[t]).is_multiple_of(self.fsblksize)
+            && (self.data_start + self.chunk(t).0).is_multiple_of(self.fsblksize)
     }
 
     /// Aggregator election for two-phase collective writes: pack
@@ -282,90 +363,10 @@ impl FileLayout {
         starts
     }
 
-    /// The real FS-block indices (relative to the start of one layout
-    /// block) that more than one task's chunk overlaps — the static
-    /// prediction the runtime block-contention sanitizer
-    /// (`vfs::BlockGuard`) must agree with when every task writes its
-    /// full chunk. Sorted, deterministic.
-    pub fn shared_fs_blocks(&self, real_block: u64) -> Vec<u64> {
-        assert!(real_block >= 1);
-        let nblocks_fs = self.block_size.div_ceil(real_block).max(1);
-        let mut sharers = vec![0u32; nblocks_fs as usize];
-        for (t, &off) in self.chunk_off.iter().enumerate() {
-            if self.cap[t] == 0 {
-                continue;
-            }
-            let first = off / real_block;
-            let last = (off + self.cap[t] - 1) / real_block;
-            for b in first..=last {
-                sharers[b as usize] += 1;
-            }
-        }
-        sharers
-            .into_iter()
-            .enumerate()
-            .filter_map(|(b, s)| (s > 1).then_some(b as u64))
-            .collect()
-    }
-}
-
-/// [`FileLayout::compute`] of `ntasks` equal requests, in closed form:
-/// the layout of a file whose tasks all asked for the same chunk size,
-/// without its per-task vectors. Every task of a uniform collective open
-/// derives its own geometry and aggregation neighbourhood from it in O(1)
-/// instead of being sent them; the file master writes metablock 1 from the
-/// full [`FileLayout`], and the two agree by construction (same rules,
-/// same checked arithmetic) and by test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct UniformLayout {
-    ntasks: usize,
-    fsblksize: u64,
-    rescue_overhead: u64,
-    cap: u64,
-    block_size: u64,
-    data_start: u64,
-}
-
-impl UniformLayout {
-    /// The layout of `ntasks` requests of `req` bytes; fails exactly where
-    /// [`FileLayout::compute`] of the same requests fails.
-    pub(crate) fn compute(
-        ntasks: usize,
-        req: u64,
-        fsblksize: u64,
-        alignment: Alignment,
-        rescue: bool,
-    ) -> Result<UniformLayout> {
-        let (unit, rescue_overhead) = layout_rules(ntasks, fsblksize, alignment, rescue)?;
-        let cap = chunk_cap(req, unit, rescue_overhead)?;
-        Ok(UniformLayout {
-            ntasks,
-            fsblksize,
-            rescue_overhead,
-            cap,
-            block_size: cap.checked_mul(ntasks as u64).ok_or_else(overflow)?,
-            data_start: data_start(ntasks, unit)?,
-        })
-    }
-
-    /// Local task `ltask`'s geometry: [`ChunkGeom::from_layout`] of the
-    /// full layout.
-    pub(crate) fn geom(&self, ltask: usize, global_rank: u64) -> ChunkGeom {
-        ChunkGeom {
-            data_start: self.data_start,
-            block_size: self.block_size,
-            // At most `block_size`, which did not overflow.
-            chunk_off: ltask as u64 * self.cap,
-            cap: self.cap,
-            rescue_overhead: self.rescue_overhead,
-            global_rank,
-            fsblksize: self.fsblksize,
-        }
-    }
-
     /// Local task `ltask`'s aggregation neighbourhood `[aggregator, end)`:
-    /// the group of [`FileLayout::aggregation_groups`] that holds it,
-    /// without listing the groups.
+    /// the group of [`aggregation_groups`](Self::aggregation_groups) that
+    /// holds it — looked up in the list for per-task capacities, and
+    /// without listing the groups for equal ones.
     ///
     /// With equal capacities the boundary before task `t` is clean when the
     /// block stride keeps FS-block alignment and `data_start + t·cap` is a
@@ -378,15 +379,19 @@ impl UniformLayout {
         ltask: usize,
         tasks_per_aggregator: usize,
     ) -> (usize, usize) {
-        let (n, target) = (self.ntasks as u128, tasks_per_aggregator.max(1) as u128);
+        let Caps::Uniform { n, cap } = self.caps else {
+            let starts = self.aggregation_groups(tasks_per_aggregator);
+            return group_of(&starts, ltask, self.ntasks());
+        };
+        let (n, target) = (n as u128, tasks_per_aggregator.max(1) as u128);
         let b = self.fsblksize as u128;
         let clean = if self.block_size.is_multiple_of(self.fsblksize) {
-            clean_residue(self.data_start as u128 % b, self.cap as u128 % b, b)
+            clean_residue(self.data_start as u128 % b, cap as u128 % b, b)
         } else {
             None
         };
         let Some((t0, p)) = clean else {
-            return (0, self.ntasks);
+            return (0, n as usize);
         };
         let first = target + (t0 + p - target % p) % p;
         let step = target.div_ceil(p) * p;
@@ -401,6 +406,14 @@ impl UniformLayout {
         };
         (agg as usize, end as usize)
     }
+}
+
+/// The group `[aggregator, end)` that holds local task `t` of `n`, given
+/// the sorted first tasks of the groups
+/// ([`FileLayout::aggregation_groups`]).
+pub(crate) fn group_of(starts: &[usize], t: usize, n: usize) -> (usize, usize) {
+    let gi = starts.partition_point(|&s| s <= t) - 1;
+    (starts[gi], starts.get(gi + 1).copied().unwrap_or(n))
 }
 
 /// The `t ≥ 0` with `(d + t·c) mod b == 0`, for `d, c < b`: the residue
@@ -447,11 +460,32 @@ mod tests {
         assert_eq!(align_up(7, 1), 7);
     }
 
+    /// Every chunk of `l` as `(offset, capacity)`.
+    fn chunks(l: &FileLayout) -> Vec<(u64, u64)> {
+        (0..l.ntasks()).map(|t| l.chunk(t)).collect()
+    }
+
+    /// [`FileLayout::compute`] that keeps per-task capacities even where
+    /// they are all equal: the other representation of the same requests.
+    fn compute_ragged(
+        reqs: &[u64],
+        fsblksize: u64,
+        alignment: Alignment,
+        rescue: bool,
+    ) -> Result<FileLayout> {
+        let (unit, rescue_overhead) = layout_rules(reqs.len(), fsblksize, alignment, rescue)?;
+        let cap = reqs
+            .iter()
+            .map(|&req| chunk_cap(req, unit, rescue_overhead))
+            .collect::<Result<Vec<u64>>>()?;
+        let data_start = data_start(reqs.len(), unit)?;
+        FileLayout::new(Caps::ragged(&cap)?, fsblksize, rescue_overhead, data_start)
+    }
+
     #[test]
     fn aligned_layout_rounds_capacities() {
         let l = FileLayout::compute(&[100, 4096, 5000], 4096, Alignment::FsBlock, false).unwrap();
-        assert_eq!(l.cap, vec![4096, 4096, 8192]);
-        assert_eq!(l.chunk_off, vec![0, 4096, 8192]);
+        assert_eq!(chunks(&l), vec![(0, 4096), (4096, 4096), (8192, 8192)]);
         assert_eq!(l.block_size, 16384);
         assert_eq!(l.data_start % 4096, 0);
         assert!(l.data_start >= MetaBlock1::encoded_len(3));
@@ -460,7 +494,7 @@ mod tests {
     #[test]
     fn unaligned_layout_packs_tightly() {
         let l = FileLayout::compute(&[100, 200, 300], 4096, Alignment::None, false).unwrap();
-        assert_eq!(l.cap, vec![100, 200, 300]);
+        assert_eq!(chunks(&l), vec![(0, 100), (100, 200), (300, 300)]);
         assert_eq!(l.block_size, 600);
         assert_eq!(l.data_start, MetaBlock1::encoded_len(3));
     }
@@ -468,15 +502,23 @@ mod tests {
     #[test]
     fn fixed_alignment_unit() {
         let l = FileLayout::compute(&[1], 2 << 20, Alignment::Fixed(16 << 10), false).unwrap();
-        assert_eq!(l.cap, vec![16 << 10]);
-        assert_eq!(l.unit, 16 << 10);
+        assert_eq!(l.cap(0), 16 << 10);
+        assert_eq!(l.data_start, 16 << 10);
+    }
+
+    #[test]
+    fn equal_capacities_are_held_as_one() {
+        let l = FileLayout::compute(&[100, 4000, 4096], 4096, Alignment::FsBlock, false).unwrap();
+        assert_eq!(l.caps, Caps::Uniform { n: 3, cap: 4096 });
+        let l = FileLayout::compute(&[100, 4097], 4096, Alignment::FsBlock, false).unwrap();
+        assert_eq!(l.caps, Caps::Ragged(vec![0, 4096, 12288]));
     }
 
     #[test]
     fn rescue_overhead_is_added_before_alignment() {
         let l = FileLayout::compute(&[4096], 4096, Alignment::FsBlock, true).unwrap();
         // 4096 + 32 rounds up to two blocks.
-        assert_eq!(l.cap, vec![8192]);
+        assert_eq!(l.cap(0), 8192);
         assert_eq!(l.usable(0), 8192 - RESCUE_HEADER_LEN);
         assert_eq!(l.data_offset(0, 0), l.chunk_start(0, 0) + RESCUE_HEADER_LEN);
     }
@@ -516,6 +558,20 @@ mod tests {
     }
 
     #[test]
+    fn sharers_count_every_task_in_an_fs_block() {
+        // Chunks of 100, 300, 50, 50, 700 bytes on 256-byte FS blocks:
+        // [0,100) [100,400) [400,450) [450,500) [500,1200).
+        let l = FileLayout::compute(&[100, 300, 50, 50, 700], 256, Alignment::None, false).unwrap();
+        // Block 0 holds tasks 0 and 1, block 1 tasks 1 to 4, blocks 2 to 3
+        // task 4 only, block 4 task 4 alone.
+        assert_eq!(l.sharers(256), vec![(0, 1, 2), (1, 1, 4), (2, 3, 1)]);
+        assert_eq!(l.shared_fs_blocks(256), vec![0, 1]);
+        let s = l.block_sharing(256);
+        assert_eq!(s.max_sharers, 4);
+        assert_eq!(s.mean_sharers, 9.0 / 5.0);
+    }
+
+    #[test]
     fn aggregation_groups_follow_clean_boundaries() {
         // Fully aligned: every task boundary is clean, groups are exact.
         let l = FileLayout::compute(&[100; 8], 4096, Alignment::FsBlock, false).unwrap();
@@ -549,15 +605,16 @@ mod tests {
     #[test]
     fn zero_request_allowed_without_alignment() {
         let l = FileLayout::compute(&[0, 10], 4096, Alignment::None, false).unwrap();
-        assert_eq!(l.cap[0], 0);
+        assert_eq!(l.cap(0), 0);
         assert_eq!(l.usable(0), 0);
-        assert_eq!(l.chunk_off, vec![0, 0]);
+        assert_eq!(chunks(&l), vec![(0, 0), (0, 10)]);
     }
 
     #[test]
     fn empty_task_list_rejected() {
         assert!(FileLayout::compute(&[], 4096, Alignment::FsBlock, false).is_err());
         assert!(FileLayout::compute(&[1], 0, Alignment::FsBlock, false).is_err());
+        assert!(FileLayout::uniform(0, 1, 4096, Alignment::FsBlock, false).is_err());
     }
 
     #[test]
@@ -573,19 +630,51 @@ mod tests {
             data_start: l.data_start,
             global_ranks: vec![0, 1, 2],
             chunksize_req: vec![100, 200, 3000],
-            chunk_cap: l.cap.clone(),
+            chunk_cap: chunks(&l).into_iter().map(|(_, c)| c).collect(),
         };
-        let l2 = FileLayout::from_mb1(&mb1);
-        assert_eq!(l2.cap, l.cap);
-        assert_eq!(l2.chunk_off, l.chunk_off);
-        assert_eq!(l2.block_size, l.block_size);
-        assert_eq!(l2.data_start, l.data_start);
-        assert_eq!(l2.rescue_overhead, l.rescue_overhead);
+        let l2 = FileLayout::from_mb1(&mb1).unwrap();
+        assert_eq!(l2, l);
         for t in 0..3 {
             for b in 0..3 {
                 assert_eq!(l2.chunk_start(t, b), l.chunk_start(t, b));
             }
         }
+    }
+
+    #[test]
+    fn block_zero_must_end_inside_u64() {
+        // One chunk of nearly `u64::MAX` bytes behind an 84-byte metablock
+        // 1: the block fits `u64`, its end does not.
+        let req = u64::MAX - 10;
+        let err = FileLayout::compute(&[req], 4096, Alignment::None, false).unwrap_err();
+        assert_eq!(err.to_string(), overflow().to_string());
+        assert!(FileLayout::uniform(1, req, 4096, Alignment::None, false).is_err());
+        let fits = u64::MAX - MetaBlock1::encoded_len(1);
+        let l = FileLayout::compute(&[fits], 4096, Alignment::None, false).unwrap();
+        assert_eq!(l.mb2_offset(1), u64::MAX);
+    }
+
+    #[test]
+    fn from_mb1_rejects_capacities_that_overflow() {
+        let mb1 = MetaBlock1 {
+            version: crate::format::VERSION,
+            flags: SionFlags::empty(),
+            fsblksize: 512,
+            ntasks_global: 2,
+            nfiles: 1,
+            filenum: 0,
+            data_start: 4096,
+            global_ranks: vec![0, 1],
+            chunksize_req: vec![1, 1],
+            chunk_cap: vec![u64::MAX, 1],
+        };
+        let err = FileLayout::from_mb1(&mb1).unwrap_err();
+        assert_eq!(err.to_string(), overflow().to_string());
+        let mb1 = MetaBlock1 {
+            chunk_cap: vec![u64::MAX / 2 + 1; 2],
+            ..mb1
+        };
+        assert!(FileLayout::from_mb1(&mb1).is_err());
     }
 
     proptest! {
@@ -608,12 +697,13 @@ mod tests {
             let overhead = if rescue { RESCUE_HEADER_LEN } else { 0 };
             let mut expect_off = 0u64;
             for (t, &req) in reqs.iter().enumerate() {
-                prop_assert_eq!(l.chunk_off[t], expect_off);
-                prop_assert!(l.cap[t] >= req + overhead);
-                prop_assert!(l.cap[t] < req + overhead + unit); // minimal rounding
-                prop_assert_eq!(l.cap[t] % unit, 0);
-                prop_assert_eq!(l.usable(t), l.cap[t] - overhead);
-                expect_off += l.cap[t];
+                let (off, cap) = l.chunk(t);
+                prop_assert_eq!(off, expect_off);
+                prop_assert!(cap >= req + overhead);
+                prop_assert!(cap < req + overhead + unit); // minimal rounding
+                prop_assert_eq!(cap % unit, 0);
+                prop_assert_eq!(l.usable(t), cap - overhead);
+                expect_off += cap;
             }
             prop_assert_eq!(l.block_size, expect_off);
             prop_assert_eq!(l.data_start % unit, 0);
@@ -622,7 +712,7 @@ mod tests {
             // begins, and the last chunk of block 0 ends where block 1
             // begins.
             for t in 0..reqs.len() {
-                let end_t = l.chunk_start(t, 0) + l.cap[t];
+                let end_t = l.chunk_start(t, 0) + l.cap(t);
                 if t + 1 < reqs.len() {
                     prop_assert_eq!(end_t, l.chunk_start(t + 1, 0));
                 } else {
@@ -631,60 +721,61 @@ mod tests {
             }
         }
 
-        /// A task of a uniform open computes, in O(1), what the master's
-        /// full layout of `n` equal requests holds for it: the same chunk
-        /// geometry, and the same aggregation neighbourhood as
-        /// `aggregation_groups` elects — over FS blocks that are and are
-        /// not powers of two, every alignment, with and without rescue.
+        /// The run-length sharer histogram is the per-FS-block count of the
+        /// chunks that overlap each block, over ragged requests.
         #[test]
-        fn uniform_layout_matches_the_full_layout(
-            n in 1usize..4097,
-            req in 0u64..100_000,
-            blk in prop_oneof![
-                1u64..65,
-                1u64..70_001,
-                prop::sample::select(vec![512u64, 4096, 2 << 20]),
-            ],
-            align in 0usize..3,
-            fixed in 1u64..20_001,
-            rescue in any::<bool>(),
-            k in 1usize..65,
+        fn sharers_match_a_per_block_count(
+            reqs in prop::collection::vec(0u64..5_000, 1..48),
+            real in 1u64..3_000,
+            align in 0usize..2,
         ) {
-            let alignment = match align {
-                0 => Alignment::FsBlock,
-                1 => Alignment::None,
-                _ => Alignment::Fixed(fixed),
-            };
-            let full = FileLayout::compute(&vec![req; n], blk, alignment, rescue).unwrap();
-            let uniform = UniformLayout::compute(n, req, blk, alignment, rescue).unwrap();
-            let starts = full.aggregation_groups(k);
-            for t in 0..n {
-                prop_assert_eq!(uniform.geom(t, 7), ChunkGeom::from_layout(&full, t, 7));
-                let gi = starts.partition_point(|&s| s <= t) - 1;
-                let end = starts.get(gi + 1).copied().unwrap_or(n);
-                prop_assert_eq!(uniform.aggregation_group(t, k), (starts[gi], end), "task {}", t);
+            let alignment = if align == 0 { Alignment::None } else { Alignment::Fixed(100) };
+            let l = FileLayout::compute(&reqs, 4096, alignment, false).unwrap();
+            let mut count = vec![0u32; l.block_size.div_ceil(real) as usize];
+            for (off, cap) in chunks(&l).into_iter().filter(|&(_, c)| c > 0) {
+                for b in off / real..=(off + cap - 1) / real {
+                    count[b as usize] += 1;
+                }
             }
+            let expanded: Vec<u32> = l
+                .sharers(real)
+                .into_iter()
+                .flat_map(|(_, len, s)| std::iter::repeat_n(s, len as usize))
+                .collect();
+            let runs = l.sharers(real);
+            prop_assert!(runs.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0));
+            let occupied: Vec<u32> = count.iter().copied().filter(|&s| s > 0).collect();
+            prop_assert_eq!(expanded, occupied);
+            let shared: Vec<u64> = (0u64..).zip(&count).filter(|(_, &s)| s > 1).map(|(b, _)| b).collect();
+            prop_assert_eq!(l.shared_fs_blocks(real), shared);
         }
 
-        /// Near `u64::MAX` the closed form fails exactly where the full
-        /// layout fails, with the same error and without a panic.
+        /// Writer and reader hold the same layout: `from_mb1` of the
+        /// metablock 1 that `create_file` writes equals the layout the
+        /// writer laid the chunks out with, for equal and for ragged
+        /// requests, every alignment, with and without rescue headers.
         #[test]
-        fn uniform_layout_overflows_where_the_full_layout_does(
-            n in 1usize..17,
-            req in prop_oneof![
-                0u64..1 << 20,
-                u64::MAX / 32..u64::MAX,
-                prop::sample::select(vec![u64::MAX, u64::MAX - 31, u64::MAX - 32]),
-            ],
-            fixed in prop_oneof![1u64..4097, u64::MAX / 4..u64::MAX],
+        fn from_mb1_of_the_written_head_is_the_writers_layout(
+            reqs in prop::collection::vec(1u64..20_000, 1..24),
+            uniform in any::<bool>(),
+            align in 0usize..3,
             rescue in any::<bool>(),
         ) {
-            let full = FileLayout::compute(&vec![req; n], 4096, Alignment::Fixed(fixed), rescue);
-            let uniform = UniformLayout::compute(n, req, 4096, Alignment::Fixed(fixed), rescue);
-            prop_assert_eq!(
-                full.map(|l| ChunkGeom::from_layout(&l, n - 1, 0)).map_err(|e| e.to_string()),
-                uniform.map(|l| l.geom(n - 1, 0)).map_err(|e| e.to_string())
-            );
+            use vfs::{MemFs, Vfs};
+            let reqs = if uniform { vec![reqs[0]; reqs.len()] } else { reqs };
+            let alignment = [Alignment::FsBlock, Alignment::None, Alignment::Fixed(1000)][align];
+            let mut params = crate::SionParams::new(1).with_alignment(alignment);
+            params.rescue = rescue;
+            let fs = MemFs::with_block_size(512);
+            let (written, _) = crate::serial::create_file(
+                &fs, "l.sion", &params, params.flags(), 0, reqs.len(), &reqs,
+            )
+            .unwrap();
+            let mb1 = MetaBlock1::read_from(fs.open("l.sion").unwrap().as_ref()).unwrap();
+            let read = FileLayout::from_mb1(&mb1).unwrap();
+            prop_assert_eq!(&read, &written);
+            let held_as_one = matches!(read.caps, Caps::Uniform { .. });
+            prop_assert!(held_as_one || !uniform);
         }
 
         /// With FS-block alignment, no real block is ever shared.
@@ -695,6 +786,84 @@ mod tests {
         ) {
             let l = FileLayout::compute(&reqs, blk, Alignment::FsBlock, false).unwrap();
             prop_assert!(l.block_sharing(blk).max_sharers <= 1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One layout, two representations: `uniform` (and `compute`, which
+        /// picks it for equal requests) holds `n` equal requests as one
+        /// capacity, `compute_ragged` as per-task vectors. They answer every
+        /// query alike — chunk addresses, geometry, block size and data
+        /// start, the aggregation neighbourhood (the closed form against
+        /// the greedy election), the shared FS blocks and the sharing
+        /// statistics — and where either fails, both fail with the same
+        /// error and without a panic: over FS blocks that are and are not
+        /// powers of two, every alignment, rescue, and requests and units
+        /// near `u64::MAX`.
+        #[test]
+        fn both_representations_answer_alike(
+            n in prop_oneof![1usize..17, 1usize..4097],
+            req in prop_oneof![
+                0u64..100_000,
+                u64::MAX / 32..u64::MAX,
+                prop::sample::select(vec![u64::MAX, u64::MAX - 31, u64::MAX - 32]),
+            ],
+            blk in prop_oneof![
+                1u64..65,
+                1u64..70_001,
+                prop::sample::select(vec![512u64, 4096, 2 << 20]),
+            ],
+            align in 0usize..3,
+            fixed in prop_oneof![1u64..20_001, u64::MAX / 4..u64::MAX],
+            rescue in any::<bool>(),
+            k in 1usize..65,
+            real in prop_oneof![Just(0u64), 1u64..70_001],
+        ) {
+            let alignment = match align {
+                0 => Alignment::FsBlock,
+                1 => Alignment::None,
+                _ => Alignment::Fixed(fixed),
+            };
+            let reqs = vec![req; n];
+            let uniform = FileLayout::uniform(n, req, blk, alignment, rescue);
+            let ragged = compute_ragged(&reqs, blk, alignment, rescue);
+            let picked = FileLayout::compute(&reqs, blk, alignment, rescue);
+            let (u, r) = match (uniform, ragged) {
+                (Ok(u), Ok(r)) => (u, r),
+                (u, r) => {
+                    let err = |l: Result<FileLayout>| l.map_err(|e| e.to_string()).err();
+                    let (eu, er) = (err(u), err(r));
+                    prop_assert!(eu.is_some() && eu == er, "{:?} / {:?}", eu, er);
+                    prop_assert_eq!(err(picked), eu);
+                    return Ok(());
+                }
+            };
+            let forms = (&u.caps, &r.caps);
+            prop_assert!(matches!(forms, (Caps::Uniform { .. }, Caps::Ragged(_))), "{:?}", forms);
+            prop_assert_eq!(picked.unwrap(), u.clone());
+            prop_assert_eq!(
+                (u.ntasks(), u.block_size, u.data_start),
+                (r.ntasks(), r.block_size, r.data_start)
+            );
+            let starts = r.aggregation_groups(k);
+            for t in 0..n {
+                prop_assert_eq!(u.geom(t, 7), r.geom(t, 7));
+                prop_assert_eq!(u.usable(t), r.usable(t));
+                prop_assert_eq!(u.chunk_start(t, 0), r.chunk_start(t, 0));
+                prop_assert_eq!(u.data_offset(t, 0), r.data_offset(t, 0));
+                let group = group_of(&starts, t, n);
+                prop_assert_eq!(u.aggregation_group(t, k), group, "task {}", t);
+                // O(n) a call on the per-task form: a sample of the tasks.
+                if t % 64 == 0 || t + 1 == n {
+                    prop_assert_eq!(r.aggregation_group(t, k), group, "task {}", t);
+                }
+            }
+            prop_assert_eq!(u.aggregation_groups(k), starts);
+            let real = if real == 0 { blk } else { real };
+            prop_assert_eq!(u.shared_fs_blocks(real), r.shared_fs_blocks(real));
+            prop_assert_eq!(u.block_sharing(real), r.block_sharing(real));
         }
     }
 }

@@ -95,7 +95,7 @@
 use crate::agg::{AggState, AggStats, MemberState};
 use crate::error::{Result, SionError};
 use crate::format::CloseRecord;
-use crate::layout::UniformLayout;
+use crate::layout::{group_of, FileLayout};
 use crate::physical_name;
 use crate::serial::{create_file, finalize_file, part_reader, Multifile};
 use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter};
@@ -373,7 +373,7 @@ pub async fn paropen_write_co(
 /// status word on `lcom` orders the create before the other tasks' opens
 /// and carries the master's verdict. Only on a clean status does each task
 /// compute its own geometry and neighbourhood, with the master's layout
-/// rules and checked arithmetic ([`UniformLayout`]).
+/// rules and checked arithmetic ([`FileLayout::uniform`]).
 ///
 /// [`Mapping::rank_of`]: crate::Mapping::rank_of
 async fn open_group_uniform(
@@ -398,7 +398,7 @@ async fn open_group_uniform(
     if status != STATUS_OK {
         return Err(master_failed());
     }
-    let layout = UniformLayout::compute(
+    let layout = FileLayout::uniform(
         lsize,
         params.chunksize,
         vfs.block_size(),
@@ -472,18 +472,14 @@ fn master_open_setup(
     let parts: Vec<Vec<u8>> = (0..layout.ntasks())
         .map(|t| {
             let (agg, end) = match &groups {
-                None => (t as u64, t as u64 + 1),
-                Some(starts) => {
-                    let gi = starts.partition_point(|&s| s <= t) - 1;
-                    let end = starts.get(gi + 1).copied().unwrap_or(layout.ntasks()) as u64;
-                    (starts[gi] as u64, end)
-                }
+                None => (t, t + 1),
+                Some(starts) => group_of(starts, t, layout.ntasks()),
             };
             let grank = params.mapping.rank_of(filenum, t, ntasks, params.nfiles);
-            let geom = ChunkGeom::from_layout(&layout, t, grank as u64).encode();
+            let geom = layout.geom(t, grank as u64).encode();
             std::iter::once(STATUS_OK)
                 .chain(geom)
-                .chain([agg, end])
+                .chain([agg as u64, end as u64])
                 .flat_map(u64::to_le_bytes)
                 .collect()
         })

@@ -177,7 +177,7 @@ pub fn repair(vfs: &dyn Vfs, base: &str, force: bool) -> Result<RepairReport> {
                 continue;
             }
         };
-        let layout = FileLayout::from_mb1(&mb1);
+        let layout = FileLayout::from_mb1(&mb1)?;
         let n = layout.ntasks();
         let file_len = file.len()?;
         // Upper bound on blocks that can physically exist in the file.

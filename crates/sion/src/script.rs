@@ -15,7 +15,7 @@
 //! one-word allreduce is a `Gather` plus a `Bcast` of 8 bytes; `parfs` times
 //! every collective over all tasks, whichever communicator `par.rs` runs it
 //! on. Replacing the scripts with ones recorded from an executed run is
-//! ROADMAP item 7.
+//! ROADMAP item 12.
 //!
 //! All generators produce symmetric task *classes* (e.g. "file masters"
 //! and "workers"), which is what keeps 64 Ki-task simulations cheap.
@@ -87,7 +87,7 @@ impl SimSpec {
     /// block-allocation floor: with block-aligned chunks, a file system
     /// materializes whole blocks, so even tiny per-task data costs one
     /// block (the MP2C effect in the paper's Fig. 6).
-    pub fn effective_bytes(&self) -> u64 {
+    fn effective_bytes(&self) -> u64 {
         if self.bytes_per_task == 0 {
             return 0;
         }
@@ -99,7 +99,7 @@ impl SimSpec {
     }
 
     /// Size of metablock 1 for one physical file.
-    pub fn mb1_bytes(&self) -> u64 {
+    fn mb1_bytes(&self) -> u64 {
         MetaBlock1::encoded_len(self.ntasks_local() as usize)
     }
 
@@ -111,7 +111,7 @@ impl SimSpec {
     /// Bytes the close writes at the end of one physical file holding
     /// `nblocks` blocks ([`crate::format::write_close_metadata`]):
     /// metablock 2, its chunk index and the v2 trailer.
-    pub fn mb2_bytes(&self, nblocks: u64) -> u64 {
+    fn mb2_bytes(&self, nblocks: u64) -> u64 {
         self.mb2_body_bytes(nblocks)
             + ChunkIndex::encoded_len(nblocks, self.ntasks_local() as usize)
             + TRAILER2_LEN

@@ -156,7 +156,7 @@ impl FileView {
     fn with_tail(handle: Arc<dyn VfsFile>, mb1: MetaBlock1) -> Result<FileView> {
         let trailer = Trailer::read_from(handle.as_ref())?;
         let nblocks = MetaBlock2::read_header(handle.as_ref(), &trailer, mb1.ntasks_local())?;
-        let layout = FileLayout::from_mb1(&mb1);
+        let layout = FileLayout::from_mb1(&mb1)?;
         layout.validate_extent(nblocks, handle.len()?)?;
         // A v2 trailer names an index record; use it only if its header
         // agrees with the metablock geometry — a torn index silently
@@ -392,7 +392,7 @@ pub(crate) fn create_file(
             })
             .collect(),
         chunksize_req: reqs.to_vec(),
-        chunk_cap: layout.cap.clone(),
+        chunk_cap: (0..reqs.len()).map(|l| layout.cap(l)).collect(),
     };
     file.write_all_at(&mb1.encode(), 0)?;
     Ok((layout, file))
@@ -595,7 +595,7 @@ impl Multifile {
         (0u64..).zip(&self.rank_map).map(|(rank, &(k, lt))| {
             let fv = &self.files[k as usize];
             let mut words = vec![self.flags.bits(), k as u64];
-            words.extend(ChunkGeom::from_layout(&fv.layout, lt as usize, rank).encode());
+            words.extend(fv.layout.geom(lt as usize, rank).encode());
             words.extend(fv.usage_from_mb2(lt as usize)?);
             Ok(words)
         })
@@ -682,7 +682,7 @@ impl Multifile {
 
     fn reader(&self, t: &TaskLocation, compressed: bool) -> RankReader {
         let fv = &self.files[t.file as usize];
-        let geom = ChunkGeom::from_layout(&fv.layout, t.ltask, t.global_rank as u64);
+        let geom = fv.layout.geom(t.ltask, t.global_rank as u64);
         let used: Vec<u64> = t.chunks.iter().map(|c| c.used).collect();
         RankReader {
             inner: TaskReader::new(
@@ -831,7 +831,7 @@ impl SerialWriter {
             let (layout, file) =
                 create_file(vfs, base, params, stored_flags, k as u32, ntasks, &reqs)?;
             for (lt, &r) in ranks.iter().enumerate() {
-                let geom = ChunkGeom::from_layout(&layout, lt, r as u64);
+                let geom = layout.geom(lt, r as u64);
                 writers[r] = Some(TaskWriter::new(
                     file.clone(),
                     geom,

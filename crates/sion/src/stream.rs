@@ -10,14 +10,14 @@
 
 use crate::agg;
 use crate::error::{Result, SionError};
-use crate::layout::FileLayout;
 use crate::rescue::{RescueHeader, RESCUE_HEADER_LEN};
 use std::sync::Arc;
 use szip::{FrameDecoder, FrameEncoder};
 use vfs::{ByteLease, IoSlice, VfsFile};
 
 /// The chunk geometry of a single task within one physical file — the
-/// minimal slice of a [`FileLayout`] a task needs to address its chunks.
+/// minimal slice of a [`FileLayout`](crate::FileLayout) a task needs to
+/// address its chunks ([`FileLayout::geom`](crate::FileLayout::geom)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ChunkGeom {
     /// Offset of block 0 in the physical file.
@@ -38,19 +38,6 @@ pub(crate) struct ChunkGeom {
 }
 
 impl ChunkGeom {
-    /// Extract the geometry of local task `ltask` from a file layout.
-    pub(crate) fn from_layout(layout: &FileLayout, ltask: usize, global_rank: u64) -> Self {
-        ChunkGeom {
-            data_start: layout.data_start,
-            block_size: layout.block_size,
-            chunk_off: layout.chunk_off[ltask],
-            cap: layout.cap[ltask],
-            rescue_overhead: layout.rescue_overhead,
-            global_rank,
-            fsblksize: layout.fsblksize,
-        }
-    }
-
     /// File offset of this task's chunk in `block` (including header).
     pub(crate) fn chunk_start(&self, block: u64) -> u64 {
         self.data_start + block * self.block_size + self.chunk_off
@@ -1178,7 +1165,7 @@ mod tests {
         };
         TaskWriter::new(
             file,
-            ChunkGeom::from_layout(layout, ltask, ltask as u64),
+            layout.geom(ltask, ltask as u64),
             compressed,
             write_buffer,
         )
@@ -1203,7 +1190,7 @@ mod tests {
         assert_eq!(used, vec![11]);
 
         let file = fs.open("f").unwrap();
-        let mut r = reader(file, ChunkGeom::from_layout(&layout, 0, 0), used, false);
+        let mut r = reader(file, layout.geom(0, 0), used, false);
         assert!(!r.feof());
         assert_eq!(r.bytes_avail_in_chunk(), 11);
         let mut buf = vec![0u8; 11];
@@ -1224,7 +1211,7 @@ mod tests {
         assert_eq!(w.current_block(), 3);
 
         let file = fs.open("f").unwrap();
-        let mut r = reader(file, ChunkGeom::from_layout(&layout, 0, 0), used, false);
+        let mut r = reader(file, layout.geom(0, 0), used, false);
         let mut back = vec![0u8; 1000];
         r.read_exact(&mut back).unwrap();
         assert_eq!(back, data);
@@ -1245,7 +1232,7 @@ mod tests {
         assert_eq!(used, vec![60, 50]);
 
         let file = fs.open("f").unwrap();
-        let mut r = reader(file, ChunkGeom::from_layout(&layout, 0, 0), used, false);
+        let mut r = reader(file, layout.geom(0, 0), used, false);
         let mut all = vec![0u8; 110];
         r.read_exact(&mut all).unwrap();
         assert_eq!(&all[..60], &[1u8; 60][..]);
@@ -1280,12 +1267,7 @@ mod tests {
         let useds: Vec<Vec<u64>> = ws.iter_mut().map(|w| w.finish().unwrap()).collect();
         for (t, used) in useds.iter().enumerate() {
             let file = fs.open("f").unwrap();
-            let mut r = reader(
-                file,
-                ChunkGeom::from_layout(&layout, t, t as u64),
-                used.clone(),
-                false,
-            );
+            let mut r = reader(file, layout.geom(t, t as u64), used.clone(), false);
             let mut back = vec![0u8; 400];
             r.read_exact(&mut back).unwrap();
             for round in 0..4 {
@@ -1315,7 +1297,7 @@ mod tests {
         );
 
         let file = fs.open("f").unwrap();
-        let mut r = reader(file, ChunkGeom::from_layout(&layout, 0, 0), used, true);
+        let mut r = reader(file, layout.geom(0, 0), used, true);
         assert!(!r.feof());
         let mut back = vec![0u8; data.len()];
         r.read_exact(&mut back).unwrap();
@@ -1350,12 +1332,7 @@ mod tests {
             assert_eq!(h.used, u);
         }
         // Data reads back despite the headers.
-        let mut r = reader(
-            fs.open("f").unwrap(),
-            ChunkGeom::from_layout(&layout, 0, 0),
-            used,
-            false,
-        );
+        let mut r = reader(fs.open("f").unwrap(), layout.geom(0, 0), used, false);
         let mut back = vec![0u8; 300];
         r.read_exact(&mut back).unwrap();
         assert_eq!(back, vec![7u8; 300]);
@@ -1373,12 +1350,7 @@ mod tests {
         let used = w.finish().unwrap();
         assert_eq!(used, vec![100, 0, 10]);
 
-        let mut r = reader(
-            fs.open("f").unwrap(),
-            ChunkGeom::from_layout(&layout, 0, 0),
-            used,
-            false,
-        );
+        let mut r = reader(fs.open("f").unwrap(), layout.geom(0, 0), used, false);
         let mut back = vec![0u8; 110];
         r.read_exact(&mut back).unwrap();
         assert_eq!(&back[..100], &[1u8; 100][..]);
@@ -1393,12 +1365,7 @@ mod tests {
         let used = w.finish().unwrap();
         // Never-written trailing blocks are trimmed away entirely.
         assert_eq!(used, Vec::<u64>::new());
-        let mut r = reader(
-            fs.open("f").unwrap(),
-            ChunkGeom::from_layout(&layout, 0, 0),
-            used,
-            false,
-        );
+        let mut r = reader(fs.open("f").unwrap(), layout.geom(0, 0), used, false);
         assert!(r.feof());
     }
 
@@ -1417,12 +1384,7 @@ mod tests {
         assert_eq!(c.vfs_bytes, 4096);
         assert_eq!(c.flushes, 1);
 
-        let mut r = reader(
-            fs.open("f").unwrap(),
-            ChunkGeom::from_layout(&layout, 0, 0),
-            used,
-            false,
-        );
+        let mut r = reader(fs.open("f").unwrap(), layout.geom(0, 0), used, false);
         let mut back = vec![0u8; 4096];
         r.read_exact(&mut back).unwrap();
         for i in 0..64usize {
@@ -1513,12 +1475,7 @@ mod tests {
         let used = w.finish().unwrap();
         assert_eq!(used, vec![60, 5]);
 
-        let mut r = reader(
-            fs.open("f").unwrap(),
-            ChunkGeom::from_layout(&layout, 0, 0),
-            used,
-            false,
-        );
+        let mut r = reader(fs.open("f").unwrap(), layout.geom(0, 0), used, false);
         let mut back = vec![0u8; 65];
         r.read_exact(&mut back).unwrap();
         assert_eq!(&back[..10], &[1u8; 10][..]);
@@ -1556,12 +1513,7 @@ mod tests {
             );
             let used = w.finish().unwrap();
             assert_eq!(used, vec![total]);
-            let mut r = reader(
-                fs.open("f").unwrap(),
-                ChunkGeom::from_layout(&layout, 0, 0),
-                used,
-                false,
-            );
+            let mut r = reader(fs.open("f").unwrap(), layout.geom(0, 0), used, false);
             let mut back = vec![0u8; total as usize];
             r.read_exact(&mut back).unwrap();
             assert!(back[..small].iter().all(|&b| b == 1));
@@ -1572,7 +1524,7 @@ mod tests {
     #[test]
     fn rescue_header_rides_along_in_the_vectored_submit() {
         let (fs, layout) = setup(&[200], Alignment::FsBlock, true);
-        let usable = layout.cap[0] - layout.rescue_overhead;
+        let usable = layout.usable(0);
         // A recording writer (what an aggregated-mode member runs): the
         // submit funnel logs each VFS write as `[u64 at][u64 len][bytes]`
         // behind the frame's 8-byte sequence slot.
@@ -1728,7 +1680,7 @@ mod tests {
     /// headers (which put the first run 32 bytes past the block start).
     fn writer_8k(file: Arc<dyn VfsFile>, rescue: bool) -> (TaskWriter, u64) {
         let layout = FileLayout::compute(&[1 << 16], 4096, Alignment::FsBlock, rescue).unwrap();
-        let geom = ChunkGeom::from_layout(&layout, 0, 0);
+        let geom = layout.geom(0, 0);
         assert_eq!(geom.chunk_start(0) % 4096, 0);
         (
             TaskWriter::new(file, geom, false, 8192),
@@ -1817,12 +1769,7 @@ mod tests {
         w.write(&data).unwrap();
         let used = w.finish().unwrap();
 
-        let mut r = reader(
-            fs.open("f").unwrap(),
-            ChunkGeom::from_layout(&layout, 0, 0),
-            used,
-            false,
-        );
+        let mut r = reader(fs.open("f").unwrap(), layout.geom(0, 0), used, false);
         let mut back = Vec::new();
         let n = r
             .scan_remaining(&mut |piece| back.extend_from_slice(piece))
@@ -1850,7 +1797,7 @@ mod tests {
                 w.write(&data).unwrap();
                 used = w.finish().unwrap();
             }
-            let geom = ChunkGeom::from_layout(&layout, 3, 3);
+            let geom = layout.geom(3, 3);
             let mut r = reader(fs.open("f").unwrap(), geom, used, false);
             let (mut back, mut lent, mut runs) = (Vec::new(), 0, 0);
             r.scan_runs(&mut |run, lease| {
@@ -1911,7 +1858,7 @@ mod tests {
             );
             assert!(bytes == bytes_w, "{case}: the bytes `write` writes");
             assert_eq!(used.len(), 1 + (lead > 0) as usize, "{case}");
-            let geom = ChunkGeom::from_layout(&layout, 0, 0);
+            let geom = layout.geom(0, 0);
             let f = fs.open("f").unwrap();
             let first = f.read_lease(geom.data_offset(0), 4096).unwrap();
             assert_eq!(first.as_ptr() == lease.as_ptr(), adopted, "{case}");
@@ -1930,7 +1877,7 @@ mod tests {
             w.write_run(data, Some(&lease)).unwrap();
             let used = w.finish().unwrap();
             let f = fs.open("f").unwrap();
-            let geom = ChunkGeom::from_layout(&layout, 0, 0);
+            let geom = layout.geom(0, 0);
             let stored = f.read_lease(geom.data_offset(0), data.len()).unwrap();
             assert!(stored.as_ptr() != lease.as_ptr());
             let mut back = vec![0u8; data.len()];
@@ -1959,7 +1906,7 @@ mod tests {
             used.len() == 1 && layout.data_start + stored < 4096,
             "{used:?}"
         );
-        let geom = ChunkGeom::from_layout(&layout, 0, 0);
+        let geom = layout.geom(0, 0);
         let mut r = reader(fs.open("f").unwrap(), geom, used.clone(), true);
         let mut back = Vec::new();
         let n = r
@@ -2001,7 +1948,7 @@ mod tests {
             let used = write(&fs, &layout, &data);
             let stored: u64 = used.iter().sum();
             assert!(used.len() > 2, "{used:?}");
-            let geom = ChunkGeom::from_layout(&layout, 0, 0);
+            let geom = layout.geom(0, 0);
             let mut r = reader(fs.open("f").unwrap(), geom, used.clone(), true);
             let mut back = Vec::new();
             r.scan_remaining(&mut |frame| back.extend_from_slice(frame))
@@ -2044,7 +1991,7 @@ mod tests {
             w.write(record).unwrap();
         }
         let used = w.finish().unwrap();
-        let geom = ChunkGeom::from_layout(&layout, 0, 0);
+        let geom = layout.geom(0, 0);
         for scan in [true, false] {
             let mut r = reader(fs.open("f").unwrap(), geom, used.clone(), false);
             let mut back = vec![0u8; data.len()];
@@ -2085,7 +2032,7 @@ mod tests {
         let truncated =
             |r: Result<usize>| matches!(r, Err(SionError::Compression(szip::SzipError::Truncated)));
 
-        let geom = ChunkGeom::from_layout(&layout, 0, 0);
+        let geom = layout.geom(0, 0);
         let mut r = reader(fs.open("f").unwrap(), geom, cut.clone(), true);
         let mut buf = vec![0u8; 4000];
         // The whole frame is served first, then the error, every time.
@@ -2118,13 +2065,7 @@ mod tests {
         w.write(&data).unwrap();
         let used = w.finish().unwrap();
 
-        let mut r = TaskReader::new(
-            fs.open("f").unwrap(),
-            ChunkGeom::from_layout(&layout, 0, 0),
-            used,
-            false,
-            64,
-        );
+        let mut r = TaskReader::new(fs.open("f").unwrap(), layout.geom(0, 0), used, false, 64);
         let mut back = Vec::new();
         let mut byte = [0u8; 7];
         loop {
@@ -2162,7 +2103,7 @@ mod tests {
         let read_all = |read_ahead: u64| {
             let mut r = TaskReader::new(
                 fs.open("f").unwrap(),
-                ChunkGeom::from_layout(&layout, 1, 1),
+                layout.geom(1, 1),
                 used.clone(),
                 false,
                 read_ahead,

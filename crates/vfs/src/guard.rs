@@ -135,14 +135,6 @@ impl BlockGuard {
         v
     }
 
-    /// Drain the recorded violations (deterministic order), resetting the
-    /// log but keeping block ownership.
-    pub fn take_violations(&self) -> Vec<BlockViolation> {
-        let mut v = std::mem::take(&mut *self.violations.lock());
-        v.sort();
-        v
-    }
-
     /// Panic with a deterministic multi-line report if any cross-writer
     /// block overlap was recorded — the checked form of the paper's §3.2
     /// "no two tasks share an FS block" invariant.
@@ -291,10 +283,10 @@ mod tests {
         f.write_all_at(&[2u8; 8], 0).unwrap();
         g.write_all_at(&[2u8; 8], 0).unwrap();
         clear_task();
-        let v = guard.take_violations();
+        let v = guard.violations();
         assert_eq!(v.len(), 2);
         assert_eq!(v[0].path, "a");
         assert_eq!(v[1].path, "z");
-        assert!(guard.take_violations().is_empty());
+        assert_eq!(guard.violations(), v);
     }
 }
