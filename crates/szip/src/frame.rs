@@ -127,7 +127,11 @@ pub struct FrameEncoder {
 impl FrameEncoder {
     /// A fresh encoder with empty buffers.
     pub fn new() -> Self {
-        Self { pending: Vec::new(), out: Vec::new(), raw_total: 0 }
+        Self {
+            pending: Vec::new(),
+            out: Vec::new(),
+            raw_total: 0,
+        }
     }
 
     /// Buffer `data`, emitting frames whenever a full frame's worth is
@@ -357,7 +361,10 @@ impl FrameDecoder {
             let want = match Header::parse(&self.buf[self.consumed..])? {
                 Some(h) if have >= h.frame_len() => {
                     let at = self.consumed + HEADER;
-                    h.decode(&self.buf[at..at + h.stored_len], frame_buf(&mut self.frame, &h))?;
+                    h.decode(
+                        &self.buf[at..at + h.stored_len],
+                        frame_buf(&mut self.frame, &h),
+                    )?;
                     self.consumed += h.frame_len();
                     self.emit(&h);
                     return Ok((taken, true));
@@ -472,7 +479,11 @@ mod tests {
         // Pending output is not traded for a buffer handed back late.
         enc.recycle(vec![0xAA; 64]);
         let second = enc.take_output();
-        assert_eq!(second, crate::compress(&data), "no byte of the old frame survives");
+        assert_eq!(
+            second,
+            crate::compress(&data),
+            "no byte of the old frame survives"
+        );
         assert_eq!((second.as_ptr(), second.capacity()), (ptr, cap));
     }
 
@@ -486,7 +497,10 @@ mod tests {
             dec.feed(&good);
             dec.feed(&bad);
             let mut out = b"kept:".to_vec();
-            assert!(matches!(dec.drain_into(&mut out), Err(SzipError::Corrupt(_))));
+            assert!(matches!(
+                dec.drain_into(&mut out),
+                Err(SzipError::Corrupt(_))
+            ));
             assert_eq!(out, b"kept:a good frame, a good frame, a good frame");
             // The bad frame is still there: no later call gets past it.
             dec.feed(&good);
@@ -593,7 +607,9 @@ mod tests {
         let mut state = 0x1234_5678_9ABC_DEF0u64;
         let mut buf: Vec<u8> = (0..4096)
             .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 (state >> 56) as u8
             })
             .collect();

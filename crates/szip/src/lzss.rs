@@ -69,7 +69,11 @@ fn common_prefix(d: &[u8], a: usize, b: usize) -> usize {
         }
         len += 8;
     }
-    len + x[len..].iter().zip(&y[len..]).take_while(|(p, q)| p == q).count()
+    len + x[len..]
+        .iter()
+        .zip(&y[len..])
+        .take_while(|(p, q)| p == q)
+        .count()
 }
 
 /// Token writer: a group's flag byte is reserved when its first token is
@@ -151,7 +155,10 @@ struct Matcher {
 }
 
 fn zeroed<const N: usize>() -> Box<[u32; N]> {
-    vec![0u32; N].into_boxed_slice().try_into().expect("length is N")
+    vec![0u32; N]
+        .into_boxed_slice()
+        .try_into()
+        .expect("length is N")
 }
 
 impl Matcher {
@@ -163,7 +170,12 @@ impl Matcher {
     /// the tables' initial zeros are stale.
     fn with_base(base: u32) -> Self {
         assert!(base >= WINDOW as u32);
-        Matcher { base, head8: zeroed(), head4: zeroed(), prev8: zeroed() }
+        Matcher {
+            base,
+            head8: zeroed(),
+            head4: zeroed(),
+            prev8: zeroed(),
+        }
     }
 
     /// Enter `pos` (8 readable bytes) into both tables and return the
@@ -482,7 +494,11 @@ mod tests {
         let data = vec![0x41u8; 10_000];
         let mut packed = Vec::new();
         compress_block(&data, &mut packed);
-        assert!(packed.len() < 200, "run should pack tightly, got {}", packed.len());
+        assert!(
+            packed.len() < 200,
+            "run should pack tightly, got {}",
+            packed.len()
+        );
         let mut out = Vec::new();
         decompress_block(&packed, data.len(), &mut out).unwrap();
         assert_eq!(out, data);
@@ -530,7 +546,11 @@ mod tests {
         data.extend_from_slice(b"-tail-no-match");
         let mut packed = Vec::new();
         compress_block(&data, &mut packed);
-        assert!(matches(&packed).contains(&(WINDOW, 64)), "{:?}", matches(&packed));
+        assert!(
+            matches(&packed).contains(&(WINDOW, 64)),
+            "{:?}",
+            matches(&packed)
+        );
         assert_eq!(roundtrip(&data), data);
     }
 
@@ -540,10 +560,21 @@ mod tests {
         // remainder shorter than the encoder emits.
         for len in (MIN_EMIT..MAX_MATCH + 6).chain(2 * MAX_MATCH - 2..2 * MAX_MATCH + 6) {
             let mut packed = Vec::new();
-            Tokens { out: &mut packed, flags_pos: 0, bit: 8 }.matched(7, len);
+            Tokens {
+                out: &mut packed,
+                flags_pos: 0,
+                bit: 8,
+            }
+            .matched(7, len);
             let found = matches(&packed);
-            assert_eq!(found.iter().map(|&(_, l)| l).sum::<usize>(), len, "len {len}: {found:?}");
-            assert!(found.iter().all(|&(d, l)| d == 7 && (MIN_EMIT..=MAX_MATCH).contains(&l)));
+            assert_eq!(
+                found.iter().map(|&(_, l)| l).sum::<usize>(),
+                len,
+                "len {len}: {found:?}"
+            );
+            assert!(found
+                .iter()
+                .all(|&(d, l)| d == 7 && (MIN_EMIT..=MAX_MATCH).contains(&l)));
         }
     }
 
@@ -551,7 +582,9 @@ mod tests {
     /// the epoch reset that clears them, must both be invisible.
     #[test]
     fn output_independent_of_table_history_and_epoch_wrap() {
-        let a: Vec<u8> = (0..40_000u32).flat_map(|i| (i % 1000 / 3).to_le_bytes()).collect();
+        let a: Vec<u8> = (0..40_000u32)
+            .flat_map(|i| (i % 1000 / 3).to_le_bytes())
+            .collect();
         let b: Vec<u8> = a.iter().rev().map(|x| x ^ 0x55).collect();
         let run = |m: &mut Matcher, data: &[u8]| {
             let mut out = Vec::new();
@@ -569,20 +602,34 @@ mod tests {
         run(&mut m, &b);
         assert!(m.base > EPOCH_LIMIT);
         assert_eq!(run(&mut m, &a), fresh, "first block after the reset");
-        assert_eq!(m.base, WINDOW as u32 + a.len() as u32, "tables were cleared and base restarted");
+        assert_eq!(
+            m.base,
+            WINDOW as u32 + a.len() as u32,
+            "tables were cleared and base restarted"
+        );
         run(&mut m, &b);
-        assert_eq!(run(&mut m, &a), fresh, "stale entries of A and B in every bucket");
+        assert_eq!(
+            run(&mut m, &a),
+            fresh,
+            "stale entries of A and B in every bucket"
+        );
     }
 
     /// A block too long for one search is cut into pieces that share the
     /// token stream, mid-group included.
     #[test]
     fn pieces_share_one_token_stream() {
-        let data: Vec<u8> = (0..30_000u32).flat_map(|i| (i % 700 / 3).to_le_bytes()).collect();
+        let data: Vec<u8> = (0..30_000u32)
+            .flat_map(|i| (i % 700 / 3).to_le_bytes())
+            .collect();
         for piece in [1, 13, 1000, 65_537] {
             let mut m = Matcher::new();
             let mut packed = Vec::new();
-            let mut tokens = Tokens { out: &mut packed, flags_pos: 0, bit: 8 };
+            let mut tokens = Tokens {
+                out: &mut packed,
+                flags_pos: 0,
+                bit: 8,
+            };
             for part in data.chunks(piece) {
                 m.compress_piece(part, &mut tokens);
             }

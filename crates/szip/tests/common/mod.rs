@@ -259,8 +259,7 @@ pub fn frame_starts(packed: &[u8]) -> Vec<usize> {
     let mut at = 0;
     while at < packed.len() {
         starts.push(at);
-        at += v1::HEADER
-            + u32::from_le_bytes(packed[at + 5..at + 9].try_into().unwrap()) as usize;
+        at += v1::HEADER + u32::from_le_bytes(packed[at + 5..at + 9].try_into().unwrap()) as usize;
     }
     assert_eq!(at, packed.len(), "stream ends at a frame boundary");
     starts

@@ -34,7 +34,11 @@ fn check_frames(stream: &[u8], methods: [u8; 4]) {
     for (i, (name, input)) in common::fixture_inputs().into_iter().enumerate() {
         let end = starts.get(i + 1).copied().unwrap_or(stream.len());
         let frame = &stream[starts[i]..end];
-        assert_eq!(decompress(frame).expect("frame decodes alone"), input, "{name}");
+        assert_eq!(
+            decompress(frame).expect("frame decodes alone"),
+            input,
+            "{name}"
+        );
         assert_eq!(frame[0], methods[i], "{name}");
     }
 }
@@ -56,13 +60,20 @@ fn v2_stream_decodes_to_its_input() {
 
 #[test]
 fn v1_and_v2_frames_splice() {
-    let (s1, s2) = (common::frame_starts(V1_STREAM), common::frame_starts(V2_STREAM));
+    let (s1, s2) = (
+        common::frame_starts(V1_STREAM),
+        common::frame_starts(V2_STREAM),
+    );
     let inputs = common::fixture_inputs();
     // trace (v2), words (v1), zeros (v2), random (v1), then all of v1 again.
     let mut spliced = Vec::new();
     let mut want = Vec::new();
     for (i, (_, input)) in inputs.iter().enumerate() {
-        let (stream, starts) = if i % 2 == 0 { (V2_STREAM, &s2) } else { (V1_STREAM, &s1) };
+        let (stream, starts) = if i % 2 == 0 {
+            (V2_STREAM, &s2)
+        } else {
+            (V1_STREAM, &s1)
+        };
         let end = starts.get(i + 1).copied().unwrap_or(stream.len());
         spliced.extend_from_slice(&stream[starts[i]..end]);
         want.extend_from_slice(input);

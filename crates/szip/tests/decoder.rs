@@ -57,7 +57,9 @@ fn agree(block: &[u8], raw_len: usize) -> Result<Vec<u8>, &'static str> {
 /// group, and in the exact tail.
 #[test]
 fn every_overlap_shape_on_both_sides_of_the_slack_boundary() {
-    let prefix: Vec<Token> = (0..40u8).map(|i| Token::Lit(i.wrapping_mul(37) ^ 0x5A)).collect();
+    let prefix: Vec<Token> = (0..40u8)
+        .map(|i| Token::Lit(i.wrapping_mul(37) ^ 0x5A))
+        .collect();
     for tail in [0usize, 1, 15, 16, 40, 2063, 2064, 2079, 2080, 2081, 2100] {
         for dist in 1..=32 {
             for len in 3..=258 {
@@ -80,7 +82,10 @@ fn every_overlap_shape_on_both_sides_of_the_slack_boundary() {
 #[test]
 fn match_only_groups_up_to_the_last_byte() {
     for from_end in (0..=2100).step_by(7) {
-        let mut tokens: Vec<Token> = b"seed-bytes:0123456789abcdef".iter().map(|&b| Token::Lit(b)).collect();
+        let mut tokens: Vec<Token> = b"seed-bytes:0123456789abcdef"
+            .iter()
+            .map(|&b| Token::Lit(b))
+            .collect();
         let mut raw_len = tokens.len();
         for i in 0..40 {
             let (dist, len) = ([1, 5, 8, 9, 16, 27][i % 6], [258, 3, 200, 17][i % 4]);

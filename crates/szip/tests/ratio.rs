@@ -121,7 +121,12 @@ fn decode_floor() {
         raw.len() as f64 / 1e9 / new,
         old / new
     );
-    println!("decode floor: {:.2}x ({:.3} s against {:.3} s)", old / new, old, new);
+    println!(
+        "decode floor: {:.2}x ({:.3} s against {:.3} s)",
+        old / new,
+        old,
+        new
+    );
 }
 
 /// The tables are per thread and reused: A after B, A on a fresh thread and
