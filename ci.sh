@@ -28,17 +28,21 @@ echo "==> sion-vfs in release: MemFs threads sharing one file, offset arithmetic
 # u64::MAX must fail, not report itself done).
 cargo test --release -p sion-vfs -q
 
-echo "==> szip in release: ratio floors, decode floor, v1/v2 golden streams, hostile frames"
+echo "==> szip in release: ratio floors, decode floor, v1/v2 golden streams, pinned encoder output, hostile frames"
 # Release as well as the debug run above: the encoder's arithmetic wraps
-# instead of panicking there, and the ratio floors (trace events, word mix,
-# particles and random bytes stored) and the golden streams (v1: FNV-1a
-# frames of the first encoder; v2: the first frames with the word-wise
-# check) are what keeps a faster matcher or decoder honest. The decode
-# floor only measures here (it returns at once in a debug build): framed
-# `decompress` of 16 MiB of trace-like records must be at least twice as
-# fast as the frozen v1 reader — push decoder plus FNV-1a — timed beside it
-# in the same test, so the floor is a ratio, not this host's speed.
+# instead of panicking there, and the ratio floors (word mix and random
+# bytes stored in szip; trace events and mp2c particles in the root
+# package's `tests/szip_payloads.rs`, so szip depends on neither
+# application), the golden streams (v1: FNV-1a frames of the first encoder;
+# v2: the first frames with the word-wise check) and the pinned digests of
+# what the encoder writes are what keeps a faster matcher or decoder
+# honest. The decode floor only measures here (it returns at once in a
+# debug build): framed `decompress` of 16 MiB of trace-like records must be
+# at least twice as fast as the frozen v1 reader — push decoder plus
+# FNV-1a — timed beside it in the same test, so the floor is a ratio, not
+# this host's speed.
 cargo test --release -p sion-szip -q
+cargo test --release --test szip_payloads -q
 
 echo "==> crash-consistency harness (fixed seed)"
 CRASH_SEED=1359024137 cargo test -p sion --test crash_consistency -q
@@ -326,8 +330,7 @@ fi
 echo "==> structural gate: one communicator type (CoComm is the engine: no communicator trait, no boxed or type-erased futures, no second runtime, one send path)"
 # `simmpi::CoComm` is a concrete struct whose waiting operations are
 # inherent `async fn`s: no trait stands in front of its one implementation,
-# nothing takes it as `dyn`, and the engine boxes no future (`BoxFut` lives
-# in `tracer`, whose `TraceBackend` has two implementations). The
+# nothing takes it as `dyn`, and the engine boxes no future. The
 # collectives are checked against `simmpi/tests/spec`, pure functions from
 # every rank's input to every rank's output, not against a second runtime:
 # no `FlatWorld`, no world builder to plug one in, no copying
@@ -554,6 +557,23 @@ if grep -rnE '\bUniformLayout\b|fn from_layout\b' crates || [ "$layouts" -ne 1 ]
     exit 1
 fi
 
+echo "==> structural gate: one trace back-end type (TraceBackend and ActiveTrace are enums; no boxed futures; szip decodes through decode_next)"
+# The paper's tracing choice — task-local files or one multifile (§5.2) —
+# is one `tracer::TraceBackend` enum whose inherent `async fn activate`
+# returns an `ActiveTrace` enum, and `analyze` reads through the same
+# value: no back-end trait, no `dyn` back-end, no `TraceSource` and no
+# `BoxFut` anywhere. szip's `FrameDecoder` has one public decode entry,
+# `decode_next`: no public `feed` or `drain_into`.
+one_trace=$({
+    grep -rnE 'BoxFut|\btrait (TraceBackend|ActiveTrace)\b|\bdyn (TraceBackend|ActiveTrace)\b|TraceSource' crates src tests examples
+    grep -rnE 'pub fn (feed|drain_into)\b' crates/szip/src
+} || true)
+[ -z "$one_trace" ] || {
+    echo "$one_trace"
+    echo "one trace back-end type: \`TraceBackend\`/\`ActiveTrace\` are enums with inherent methods, \`analyze\` takes a \`&TraceBackend\`; szip decodes through \`FrameDecoder::decode_next\` only"
+    exit 1
+}
+
 echo "==> structural gate: a re-export has a consumer (each name a library crate's \`pub use\` re-exports is used outside its src/, or names a type only the re-export makes nameable)"
 # Per name, not per statement: one used name must not carry its neighbours.
 # A name passes if a .rs file outside the crate's src/ mentions it, or if it
@@ -606,9 +626,9 @@ echo "==> RUSTDOCFLAGS=-D warnings cargo doc --no-deps --workspace --lib"
 # item (a module, a constant) renders as dead text in the public docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib -q
 
-echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion -p sion-mp2c -p sion-tracer"
+echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion -p sion-mp2c -p sion-tracer -p sion-szip"
 # The crates kept rustfmt-clean so far; the rest of the tree is not yet.
-cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion -p sion-mp2c -p sion-tracer
+cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion -p sion-mp2c -p sion-tracer -p sion-szip
 
 # The counter every CHANGES.md entry quotes (net LoC is reported, not computed
 # by hand), after what this commit did to it.

@@ -186,11 +186,20 @@ impl FileLayout {
     }
 
     /// The one constructor: `caps`' block size, with checked arithmetic.
+    /// Every chunk holds at least one byte: a reader rejects a file with a
+    /// zero capacity, so no writer may lay one out.
     fn new(caps: Caps, fsblksize: u64, rescue_overhead: u64, data_start: u64) -> Result<Self> {
-        let block_size = match &caps {
-            Caps::Uniform { n, cap } => cap.checked_mul(*n as u64).ok_or_else(overflow)?,
-            Caps::Ragged(off) => off[off.len() - 1],
+        let (block_size, zero_cap) = match &caps {
+            Caps::Uniform { n, cap } => {
+                (cap.checked_mul(*n as u64).ok_or_else(overflow)?, *cap == 0)
+            }
+            Caps::Ragged(off) => (off[off.len() - 1], off.windows(2).any(|w| w[0] == w[1])),
         };
+        if zero_cap {
+            return Err(SionError::InvalidArg(
+                "zero chunk capacity (a 0-byte chunk request)".into(),
+            ));
+        }
         // Block 0 ends inside `u64`: a one-block file's metablock 2 goes there.
         data_start.checked_add(block_size).ok_or_else(overflow)?;
         Ok(FileLayout {
@@ -285,10 +294,7 @@ impl FileLayout {
     fn sharers(&self, real_block: u64) -> Vec<(u64, u64, u32)> {
         assert!(real_block >= 1);
         let mut runs: Vec<(u64, u64, u32)> = Vec::new();
-        for (off, cap) in (0..self.ntasks())
-            .map(|t| self.chunk(t))
-            .filter(|c| c.1 > 0)
-        {
+        for (off, cap) in (0..self.ntasks()).map(|t| self.chunk(t)) {
             let (mut first, last) = (off / real_block, (off + cap - 1) / real_block);
             // The FS block the previous chunk ended in may be this one's first.
             if let Some(run) = runs.last_mut().filter(|r| r.0 + r.1 - 1 == first) {
@@ -603,11 +609,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_request_allowed_without_alignment() {
-        let l = FileLayout::compute(&[0, 10], 4096, Alignment::None, false).unwrap();
-        assert_eq!(l.cap(0), 0);
+    fn zero_capacity_rejected() {
+        for alignment in [Alignment::None, Alignment::FsBlock, Alignment::Fixed(512)] {
+            let err = FileLayout::compute(&[0, 10], 4096, alignment, false).unwrap_err();
+            assert!(err.to_string().contains("zero chunk capacity"), "{err}");
+            assert!(FileLayout::uniform(2, 0, 4096, alignment, false).is_err());
+        }
+        // A rescue header alone fills a chunk: capacity, but nothing usable.
+        let l = FileLayout::compute(&[0, 10], 4096, Alignment::None, true).unwrap();
+        assert_eq!(l.cap(0), RESCUE_HEADER_LEN);
         assert_eq!(l.usable(0), 0);
-        assert_eq!(chunks(&l), vec![(0, 0), (0, 10)]);
     }
 
     #[test]
@@ -692,7 +703,11 @@ mod tests {
                 1 => Alignment::None,
                 _ => Alignment::Fixed(1024),
             };
-            let l = FileLayout::compute(&reqs, blk, alignment, rescue).unwrap();
+            let Ok(l) = FileLayout::compute(&reqs, blk, alignment, rescue) else {
+                // Only a 0-byte request without a rescue header has no room.
+                prop_assert!(reqs.contains(&0) && !rescue);
+                return Ok(());
+            };
             let unit = alignment.unit(blk);
             let overhead = if rescue { RESCUE_HEADER_LEN } else { 0 };
             let mut expect_off = 0u64;
@@ -730,7 +745,10 @@ mod tests {
             align in 0usize..2,
         ) {
             let alignment = if align == 0 { Alignment::None } else { Alignment::Fixed(100) };
-            let l = FileLayout::compute(&reqs, 4096, alignment, false).unwrap();
+            let Ok(l) = FileLayout::compute(&reqs, 4096, alignment, false) else {
+                prop_assert!(reqs.contains(&0));
+                return Ok(());
+            };
             let mut count = vec![0u32; l.block_size.div_ceil(real) as usize];
             for (off, cap) in chunks(&l).into_iter().filter(|&(_, c)| c > 0) {
                 for b in off / real..=(off + cap - 1) / real {

@@ -397,3 +397,45 @@ fn read_open_follows_non_ascending_rank_tables() {
         }
     });
 }
+
+/// What the collective write open accepts, a reader opens: a 0-byte chunk
+/// request without a rescue header fails the open on every rank, whether
+/// all ranks ask for 0 bytes (a uniform open) or one does (a ragged one);
+/// with rescue headers the same requests write a file that reads back.
+#[test]
+fn zero_chunk_request_round_trips_or_is_refused() {
+    for rescue in [false, true] {
+        for ragged in [false, true] {
+            let fs = MemFs::with_block_size(4096);
+            let opened = TaskWorld::run(2, |comm| {
+                let fs = &fs;
+                async move {
+                    let req = if ragged { comm.rank() as u64 * 10 } else { 0 };
+                    let mut params = SionParams::new(req).with_alignment(Alignment::None);
+                    params.rescue = rescue;
+                    let mut w = match paropen_write_co(fs, "zero.sion", &params, &comm).await {
+                        Ok(w) => w,
+                        Err(e) => return Err(e.to_string()),
+                    };
+                    w.write(&payload(comm.rank(), req as usize)).unwrap();
+                    w.close_co().await.unwrap();
+                    Ok(())
+                }
+            });
+            let case = format!("rescue {rescue}, ragged {ragged}");
+            if !rescue {
+                // The master names the cause; every other rank learns it failed.
+                assert!(opened.iter().all(Result::is_err), "{case}: {opened:?}");
+                let err = opened[0].as_ref().unwrap_err();
+                assert!(err.contains("zero chunk capacity"), "{case}: {err}");
+                continue;
+            }
+            assert!(opened.iter().all(Result::is_ok), "{case}: {opened:?}");
+            let mf = Multifile::open(&fs, "zero.sion").unwrap();
+            for rank in 0..2 {
+                let len = if ragged { rank * 10 } else { 0 };
+                assert_eq!(mf.read_rank(rank).unwrap(), payload(rank, len), "{case}");
+            }
+        }
+    }
+}

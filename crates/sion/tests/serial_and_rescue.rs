@@ -491,3 +491,29 @@ fn rescue_headers_have_expected_layout_overhead() {
         assert_eq!(t.usable, 8192 - RESCUE_HEADER_LEN);
     }
 }
+
+/// What the serial writer accepts, a reader opens: a 0-byte chunk request
+/// without a rescue header is refused at create, under every alignment;
+/// with one, the chunk holds the header and the file reads back.
+#[test]
+fn zero_chunk_request_round_trips_or_is_refused() {
+    for alignment in [Alignment::None, Alignment::FsBlock, Alignment::Fixed(512)] {
+        let fs = MemFs::with_block_size(4096);
+        let params = SionParams::new(0).with_alignment(alignment);
+        let err = SerialWriter::create(&fs, "zero.sion", &[0, 10], &params).err();
+        assert!(
+            matches!(err, Some(SionError::InvalidArg(_))),
+            "{alignment:?}: {err:?}"
+        );
+        assert!(fs.list("zero.sion").unwrap().is_empty(), "{alignment:?}");
+
+        let params = params.with_rescue();
+        let mut w = SerialWriter::create(&fs, "zero.sion", &[0, 10], &params).unwrap();
+        w.select_rank(1).unwrap();
+        w.write(&payload(1, 10)).unwrap();
+        w.close().unwrap();
+        let mf = Multifile::open(&fs, "zero.sion").unwrap();
+        assert_eq!(mf.read_rank(0).unwrap(), Vec::<u8>::new(), "{alignment:?}");
+        assert_eq!(mf.read_rank(1).unwrap(), payload(1, 10), "{alignment:?}");
+    }
+}

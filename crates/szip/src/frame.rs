@@ -304,13 +304,10 @@ fn frame_buf<'a>(frame: &'a mut Vec<u8>, h: &Header) -> &'a mut [u8] {
 
 /// Streaming decoder, one frame at a time: [`decode_next`] takes packed
 /// bytes from wherever they are and leaves the decoded frame in
-/// [`frame`]; [`feed`] + [`drain_into`] is the same thing for a caller
-/// that wants the decoder to hold the packed bytes and a `Vec` to grow.
+/// [`frame`].
 ///
 /// [`decode_next`]: FrameDecoder::decode_next
 /// [`frame`]: FrameDecoder::frame
-/// [`feed`]: FrameDecoder::feed
-/// [`drain_into`]: FrameDecoder::drain_into
 #[derive(Default)]
 pub struct FrameDecoder {
     /// Packed bytes held back: `buf[consumed..]` starts at a frame header.
@@ -331,7 +328,7 @@ impl FrameDecoder {
     }
 
     /// Append more packed bytes to the internal buffer.
-    pub fn feed(&mut self, packed: &[u8]) {
+    fn feed(&mut self, packed: &[u8]) {
         // Compact occasionally so long streams don't grow without bound.
         if self.consumed > 0 && self.consumed >= self.buf.len() / 2 {
             self.buf.drain(..self.consumed);
@@ -408,21 +405,8 @@ impl FrameDecoder {
         &self.frame[..self.frame_len]
     }
 
-    /// Decode every complete frame currently buffered, appending raw bytes
-    /// to `out`. Incomplete trailing frames stay buffered for later `feed`s.
-    ///
-    /// On error `out` ends with the last good frame: bytes of a frame that
-    /// failed its token or checksum check are never handed out. The bad
-    /// frame stays buffered, so every later call fails the same way.
-    pub fn drain_into(&mut self, out: &mut Vec<u8>) -> Result<(), SzipError> {
-        while self.decode_next(&[])?.1 {
-            out.extend_from_slice(self.frame());
-        }
-        Ok(())
-    }
-
-    /// True when no partial frame is pending — i.e. every byte fed so far
-    /// formed complete frames. A well-formed stream ends at a boundary.
+    /// True when no partial frame is pending — i.e. every byte taken so
+    /// far formed complete frames. A well-formed stream ends at a boundary.
     pub fn is_frame_boundary(&self) -> bool {
         self.consumed == self.buf.len()
     }
@@ -433,8 +417,8 @@ impl FrameDecoder {
     }
 
     /// Total packed bytes copied into the internal buffer so far, by
-    /// [`feed`](Self::feed) or by [`decode_next`](Self::decode_next) for a
-    /// frame that straddles its inputs.
+    /// [`decode_next`](Self::decode_next) for a frame that straddles its
+    /// inputs or a bad frame it keeps.
     pub fn buffered_bytes(&self) -> u64 {
         self.buffered_total
     }
@@ -443,6 +427,24 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decode every frame of `input` that completes, appending it to
+    /// `out`; an incomplete last frame stays buffered for the next input.
+    /// On error `out` ends with the last good frame.
+    fn decode_all(
+        dec: &mut FrameDecoder,
+        mut input: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), SzipError> {
+        loop {
+            let (taken, decoded) = dec.decode_next(input)?;
+            input = &input[taken..];
+            if !decoded {
+                return Ok(());
+            }
+            out.extend_from_slice(dec.frame());
+        }
+    }
 
     #[test]
     fn flush_midstream_keeps_frames_independent() {
@@ -455,13 +457,11 @@ mod tests {
         // Each part decodes on its own.
         let mut dec = FrameDecoder::new();
         let mut out = Vec::new();
-        dec.feed(&first);
-        dec.drain_into(&mut out).unwrap();
+        decode_all(&mut dec, &first, &mut out).unwrap();
         assert_eq!(out, b"aaaaaaaaaaaaaaaaaaaaaaaaaaaaa");
         let mut out2 = Vec::new();
         let mut dec2 = FrameDecoder::new();
-        dec2.feed(&second);
-        dec2.drain_into(&mut out2).unwrap();
+        decode_all(&mut dec2, &second, &mut out2).unwrap();
         assert_eq!(out2, b"bbbbbbbbbbbbbbbbbbbbbbbbbbbbb");
     }
 
@@ -494,17 +494,15 @@ mod tests {
         for flip in [HEADER + 1, bad.len() - 1] {
             bad[flip] ^= 0x40;
             let mut dec = FrameDecoder::new();
-            dec.feed(&good);
-            dec.feed(&bad);
             let mut out = b"kept:".to_vec();
+            let both = [&good[..], &bad[..]].concat();
             assert!(matches!(
-                dec.drain_into(&mut out),
+                decode_all(&mut dec, &both, &mut out),
                 Err(SzipError::Corrupt(_))
             ));
             assert_eq!(out, b"kept:a good frame, a good frame, a good frame");
             // The bad frame is still there: no later call gets past it.
-            dec.feed(&good);
-            assert!(dec.drain_into(&mut out).is_err());
+            assert!(decode_all(&mut dec, &good, &mut out).is_err());
             assert_eq!(out.len(), 5 + 40);
             bad[flip] ^= 0x40;
         }
@@ -528,9 +526,8 @@ mod tests {
         assert_eq!(enc.raw_bytes(), 5);
         let packed = enc.finish();
         let mut dec = FrameDecoder::new();
-        dec.feed(&packed);
         let mut out = Vec::new();
-        dec.drain_into(&mut out).unwrap();
+        decode_all(&mut dec, &packed, &mut out).unwrap();
         assert_eq!(dec.raw_bytes(), 5);
     }
 
@@ -596,7 +593,7 @@ mod tests {
         assert!(matches!(dec.decode_next(&good), Err(SzipError::Corrupt(_))));
         assert!(dec.frame().is_empty());
         let mut out = Vec::new();
-        assert!(dec.drain_into(&mut out).is_err() && out.is_empty());
+        assert!(decode_all(&mut dec, &[], &mut out).is_err() && out.is_empty());
     }
 
     /// What the v2 check must notice, on 4 KiB of noise: any one bit, any

@@ -214,8 +214,8 @@ mod tests {
             prop_assert_eq!(decompress(&compress(&data)).unwrap(), data);
         }
 
-        /// Feeding the decoder in arbitrary-sized increments produces the
-        /// same output as one-shot decoding.
+        /// Handing the decoder the stream in arbitrary-sized increments
+        /// produces the same output as one-shot decoding.
         #[test]
         fn incremental_decode_equals_oneshot(
             data in prop::collection::vec(any::<u8>(), 0..8_000),
@@ -224,9 +224,15 @@ mod tests {
             let packed = compress(&data);
             let mut dec = FrameDecoder::new();
             let mut out = Vec::new();
-            for piece in packed.chunks(chunk) {
-                dec.feed(piece);
-                dec.drain_into(&mut out).unwrap();
+            for mut piece in packed.chunks(chunk) {
+                loop {
+                    let (taken, decoded) = dec.decode_next(piece).unwrap();
+                    piece = &piece[taken..];
+                    if !decoded {
+                        break;
+                    }
+                    out.extend_from_slice(dec.frame());
+                }
             }
             prop_assert!(dec.is_frame_boundary());
             prop_assert_eq!(out, data);

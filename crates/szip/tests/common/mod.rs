@@ -133,8 +133,8 @@ pub fn fixture_inputs() -> [(&'static str, Vec<u8>); 4] {
 }
 
 /// The reader as it was before frame methods 2/3 and the slice decoder:
-/// FNV-1a, the `Vec::push` block decoder and `FrameDecoder::drain_into`'s
-/// header checks, copied from that commit and frozen. It is the oracle the
+/// FNV-1a, the `Vec::push` block decoder and the frame decoder's header
+/// checks, copied from that commit and frozen. It is the oracle the
 /// block decoder is compared with, the "old reader" of the compatibility
 /// tests and the baseline of the decode-speed floor. Never update it.
 pub mod v1 {

@@ -139,3 +139,35 @@ fn emitted_tokens_stay_inside_the_format() {
         assert_eq!(out, input, "{name}");
     }
 }
+
+/// 64-bit FNV-1a, a digest of stored bytes for [`encoder_output_is_pinned`].
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The bytes today's encoder stores, pinned: `compress` of each fixture
+/// input and of 1 MiB of trace-like records (four full frames). Decoders
+/// are held to golden streams; this holds the encoder, so no refactor
+/// changes what is stored without changing this table.
+#[test]
+fn encoder_output_is_pinned() {
+    let mut inputs: Vec<(&str, Vec<u8>)> = common::fixture_inputs().into();
+    inputs.push(("trace 1 MiB", common::trace_like(0x51_11, 1 << 20)));
+    let got: Vec<(&str, usize, u64)> = inputs
+        .iter()
+        .map(|(name, input)| {
+            let packed = compress(input);
+            (*name, packed.len(), digest(&packed))
+        })
+        .collect();
+    let want: [(&str, usize, u64); 5] = [
+        ("trace", 36002, 0x1f36_11db_bdf5_f4c2),
+        ("words", 6528, 0xc029_8557_b2c8_dd80),
+        ("zeros", 265, 0x07b3_4939_f337_b30b),
+        ("random", 6157, 0x68b4_3684_29b9_6817),
+        ("trace 1 MiB", 456744, 0x8f91_ac18_ac2e_8288),
+    ];
+    assert_eq!(got, want);
+}

@@ -51,10 +51,22 @@ fn check_mutation(
         }
     }
 
+    // Every frame `decode_next` hands out, up to the first it rejects.
     let mut dec = FrameDecoder::new();
-    dec.feed(&mutated);
     let mut out = Vec::new();
-    let drained = dec.drain_into(&mut out);
+    let mut rest = &mutated[..];
+    let drained = loop {
+        match dec.decode_next(rest) {
+            Ok((taken, true)) => {
+                rest = &rest[taken..];
+                out.extend_from_slice(dec.frame());
+            }
+            Ok((_, false)) => break Ok(()),
+            Err(e) => break Err(e),
+        }
+    };
+    // A rejected frame stays rejected: no later call gets past it.
+    prop_assert!(drained.is_ok() || dec.decode_next(&[]).is_err());
     // A frame costs at least its 13-byte header.
     prop_assert!(out.len() <= mutated.len() / 13 * FRAME_RAW_MAX);
     prop_assert_eq!(out.len() as u64, dec.raw_bytes());

@@ -1,58 +1,22 @@
-//! What the encoder must achieve on the payloads this repository really
-//! compresses, so that the matcher is not tuned to one of them — and that
-//! its output is a function of its input, whatever its reused tables hold —
-//! and how much faster than its predecessor the decoder must stay.
+//! What the encoder must achieve on text and on noise — and that its
+//! output is a function of its input, whatever its reused tables hold —
+//! and how much faster than its predecessor the decoder must stay. The
+//! floors on the applications' own payloads (`tracer` events, `mp2c`
+//! particles) are the root package's `tests/szip_payloads.rs`, so that this
+//! crate depends on neither.
 
 mod common;
 
 use common::v1;
-use mp2c::Particle;
 use szip::{compress, decompress, FRAME_RAW_MAX};
-use tracer::{synthetic_events, SynthConfig};
-
-/// 1 MiB of one rank's encoded solver trace, as `sionbench`'s `trace_szip`
-/// builds it.
-fn trace_events(seed: u64) -> Vec<u8> {
-    let mut rng = common::SplitMix(seed);
-    let mut buf = Vec::new();
-    while buf.len() < 1 << 20 {
-        let config = SynthConfig {
-            iterations: 256,
-            seed: rng.next_u64(),
-            ..SynthConfig::default()
-        };
-        for ev in synthetic_events(&config, 3, 256) {
-            ev.encode(&mut buf);
-        }
-    }
-    buf.truncate(1 << 20);
-    buf
-}
-
-/// `mp2c::checkpoint`'s payload: `f64` positions and velocities.
-fn particles(seed: u64) -> Vec<u8> {
-    let mut rng = common::SplitMix(seed);
-    let mut unit = || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-    let all: Vec<Particle> = (0..12_000)
-        .map(|id| Particle {
-            pos: std::array::from_fn(|_| unit() * 64.0),
-            vel: std::array::from_fn(|_| unit() - 0.5),
-            id,
-        })
-        .collect();
-    Particle::encode_all(&all)
-}
 
 #[test]
 fn ratio_floors() {
     // `None`: incompressible, must be stored at no more than 16 B a frame.
-    // The v1 hash-chain matcher (64 probes a position) reached 2.05 on the
-    // trace events and 4.76 on the word mix; `sionbench`'s
-    // `stored_per_user_byte` bound on `trace_szip` is 1.98 here.
-    let cases: [(&str, Vec<u8>, Option<f64>); 4] = [
-        ("trace events", trace_events(1), Some(2.2)),
+    // The v1 hash-chain matcher (64 probes a position) reached 4.76 on the
+    // word mix.
+    let cases: [(&str, Vec<u8>, Option<f64>); 2] = [
         ("word mix", common::word_mix(5, 1 << 20), Some(4.3)),
-        ("mp2c particles", particles(9), None),
         ("random bytes", common::random_bytes(7, 600_000), None),
     ];
     for (name, raw, floor) in cases {
@@ -135,7 +99,7 @@ fn decode_floor() {
 /// rest on this).
 #[test]
 fn output_is_a_function_of_the_input() {
-    let a = trace_events(2);
+    let a = common::trace_like(2, 1 << 20);
     let b = common::word_mix(3, 700_000);
     let first = compress(&a);
     compress(&b);

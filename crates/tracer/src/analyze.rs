@@ -10,7 +10,7 @@
 //! serial interface ([`sion::Multifile::rank_reader`]), exactly the access
 //! mode the paper describes for the Scalasca integration.
 
-use crate::backend::TaskLocalBackend;
+use crate::backend::{task_local_path, TraceBackend};
 use crate::event::Event;
 use sion::{Multifile, Result, SionError};
 use std::collections::HashMap;
@@ -46,37 +46,22 @@ pub struct AnalysisReport {
     pub late_sender_wait_ns: u64,
 }
 
-/// Where to load traces from.
-pub enum TraceSource<'a> {
-    /// Task-local files written by [`TaskLocalBackend`].
-    TaskLocal(&'a TaskLocalBackend, usize),
-    /// A SIONlib multifile.
-    Sion(&'a str),
-}
-
-/// Load the decoded event stream of one rank from either back-end.
-pub(crate) fn load_rank_events(
-    vfs: &dyn Vfs,
-    source: &TraceSource<'_>,
-    rank: usize,
-) -> Result<Vec<Event>> {
-    let bytes = match source {
-        TraceSource::TaskLocal(backend, _) => {
-            let f = vfs.open(&backend.path_of(rank))?;
-            let mut buf = vec![0u8; f.len()? as usize];
-            f.read_exact_at(&mut buf, 0)?;
-            buf
+/// Analyze the traces `backend` stored for `nranks` ranks: region profile
+/// and late-sender search. A multifile knows its rank count and must hold
+/// `nranks`; task-local files are found by the caller's count.
+pub fn analyze(vfs: &dyn Vfs, backend: &TraceBackend, nranks: usize) -> Result<AnalysisReport> {
+    let multifile = match backend {
+        TraceBackend::TaskLocal { .. } => None,
+        TraceBackend::Sion { base, .. } => {
+            let mf = Multifile::open(vfs, base)?;
+            if mf.ntasks() != nranks {
+                return Err(SionError::Format(format!(
+                    "trace multifile {base} holds {} ranks, {nranks} expected",
+                    mf.ntasks()
+                )));
+            }
+            Some(mf)
         }
-        TraceSource::Sion(base) => Multifile::open(vfs, base)?.read_rank(rank)?,
-    };
-    Event::decode_stream(&bytes).map_err(|e| SionError::Format(format!("rank {rank} trace: {e}")))
-}
-
-/// Analyze all ranks' traces: region profile + late-sender search.
-pub fn analyze(vfs: &dyn Vfs, source: &TraceSource<'_>) -> Result<AnalysisReport> {
-    let nranks = match source {
-        TraceSource::TaskLocal(_, n) => *n,
-        TraceSource::Sion(base) => Multifile::open(vfs, base)?.ntasks(),
     };
     let mut report = AnalysisReport {
         nranks,
@@ -89,7 +74,18 @@ pub fn analyze(vfs: &dyn Vfs, source: &TraceSource<'_>) -> Result<AnalysisReport
     let mut recvs: Vec<(u32, u32, u32, u64, u64)> = Vec::new(); // (src, dst, tag, recv_time, wait_start)
 
     for rank in 0..nranks {
-        let events = load_rank_events(vfs, source, rank)?;
+        let bytes = match (backend, &multifile) {
+            (_, Some(mf)) => mf.read_rank(rank)?,
+            (TraceBackend::TaskLocal { prefix }, None) => {
+                let f = vfs.open(&task_local_path(prefix, rank))?;
+                let mut buf = vec![0u8; f.len()? as usize];
+                f.read_exact_at(&mut buf, 0)?;
+                buf
+            }
+            (TraceBackend::Sion { .. }, None) => unreachable!("a multifile was opened"),
+        };
+        let events = Event::decode_stream(&bytes)
+            .map_err(|e| SionError::Format(format!("rank {rank} trace: {e}")))?;
         report.events += events.len() as u64;
         // Stack frames carry (region, enter time, child inclusive time), so
         // exclusive time = inclusive - children.
@@ -158,20 +154,34 @@ pub fn analyze(vfs: &dyn Vfs, source: &TraceSource<'_>) -> Result<AnalysisReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{SionBackend, TraceBackend};
     use crate::synth::{synthetic_events, SynthConfig, REGION_MAIN};
     use crate::Tracer;
     use simmpi::TaskWorld;
     use vfs::MemFs;
 
-    fn record_run(backend: &dyn TraceBackend, fs: &MemFs, ntasks: usize, cfg: &SynthConfig) {
+    fn task_local(prefix: &str) -> TraceBackend {
+        TraceBackend::TaskLocal {
+            prefix: prefix.into(),
+        }
+    }
+
+    fn sion(base: &str, nfiles: u32, compressed: bool) -> TraceBackend {
+        TraceBackend::Sion {
+            base: base.into(),
+            chunksize: 1 << 20,
+            nfiles,
+            compressed,
+        }
+    }
+
+    fn record_run(backend: &TraceBackend, fs: &MemFs, ntasks: usize, cfg: &SynthConfig) {
         TaskWorld::run(ntasks, |comm| async move {
             let mut tracer = Tracer::new(comm.rank());
             for ev in synthetic_events(cfg, comm.rank(), comm.size()) {
                 tracer.record(&ev);
             }
             let mut trace = backend.activate(fs, &comm).await.unwrap();
-            tracer.finalize(trace.as_mut()).unwrap();
+            tracer.finalize(&mut trace).unwrap();
             trace.finalize().await.unwrap();
         });
     }
@@ -182,18 +192,14 @@ mod tests {
         let ntasks = 8;
 
         let fs_a = MemFs::new();
-        let tl = TaskLocalBackend::new("tr/run");
+        let tl = task_local("tr/run");
         record_run(&tl, &fs_a, ntasks, &cfg);
-        let rep_a = analyze(&fs_a, &TraceSource::TaskLocal(&tl, ntasks)).unwrap();
+        let rep_a = analyze(&fs_a, &tl, ntasks).unwrap();
 
         let fs_b = MemFs::with_block_size(4096);
-        record_run(
-            &SionBackend::new("tr.sion", 1 << 20, 2),
-            &fs_b,
-            ntasks,
-            &cfg,
-        );
-        let rep_b = analyze(&fs_b, &TraceSource::Sion("tr.sion")).unwrap();
+        let multi = sion("tr.sion", 2, false);
+        record_run(&multi, &fs_b, ntasks, &cfg);
+        let rep_b = analyze(&fs_b, &multi, ntasks).unwrap();
 
         // The storage layer must be invisible to the analysis.
         assert_eq!(rep_a, rep_b);
@@ -207,18 +213,25 @@ mod tests {
     fn compressed_multifile_analyzes_identically() {
         let cfg = SynthConfig::default();
         let fs1 = MemFs::with_block_size(4096);
-        record_run(&SionBackend::new("p.sion", 1 << 20, 1), &fs1, 4, &cfg);
-        let plain = analyze(&fs1, &TraceSource::Sion("p.sion")).unwrap();
+        let p = sion("p.sion", 1, false);
+        record_run(&p, &fs1, 4, &cfg);
+        let plain = analyze(&fs1, &p, 4).unwrap();
 
         let fs2 = MemFs::with_block_size(4096);
-        record_run(
-            &SionBackend::new("c.sion", 1 << 20, 1).with_compression(),
-            &fs2,
-            4,
-            &cfg,
-        );
-        let compressed = analyze(&fs2, &TraceSource::Sion("c.sion")).unwrap();
+        let c = sion("c.sion", 1, true);
+        record_run(&c, &fs2, 4, &cfg);
+        let compressed = analyze(&fs2, &c, 4).unwrap();
         assert_eq!(plain, compressed);
+    }
+
+    #[test]
+    fn multifile_must_hold_the_callers_rank_count() {
+        let fs = MemFs::with_block_size(4096);
+        let multi = sion("n.sion", 1, false);
+        record_run(&multi, &fs, 3, &SynthConfig::default());
+        assert!(analyze(&fs, &multi, 3).is_ok());
+        let err = analyze(&fs, &multi, 4).unwrap_err().to_string();
+        assert!(err.contains("holds 3 ranks, 4 expected"), "{err}");
     }
 
     #[test]
@@ -226,7 +239,7 @@ mod tests {
         // Rank 1 receives at t=100 having been idle since t=10, but rank 0
         // only sends at t=80: 70 ns of late-sender waiting.
         let fs = MemFs::new();
-        let tl = TaskLocalBackend::new("ls");
+        let tl = task_local("ls");
         TaskWorld::run(2, |comm| {
             let fs = &fs;
             let tl = &tl;
@@ -261,11 +274,11 @@ mod tests {
                     });
                 }
                 let mut trace = tl.activate(fs, &comm).await.unwrap();
-                tracer.finalize(trace.as_mut()).unwrap();
+                tracer.finalize(&mut trace).unwrap();
                 trace.finalize().await.unwrap();
             }
         });
-        let rep = analyze(&fs, &TraceSource::TaskLocal(&tl, 2)).unwrap();
+        let rep = analyze(&fs, &tl, 2).unwrap();
         assert_eq!(rep.messages_matched, 1);
         assert_eq!(rep.late_senders, 1);
         assert_eq!(rep.late_sender_wait_ns, 70);
@@ -274,7 +287,7 @@ mod tests {
     #[test]
     fn region_profile_times_add_up() {
         let fs = MemFs::new();
-        let tl = TaskLocalBackend::new("prof");
+        let tl = task_local("prof");
         TaskWorld::run(1, |comm| {
             let fs = &fs;
             let tl = &tl;
@@ -294,11 +307,11 @@ mod tests {
                     region: 9,
                 });
                 let mut trace = tl.activate(fs, &comm).await.unwrap();
-                tracer.finalize(trace.as_mut()).unwrap();
+                tracer.finalize(&mut trace).unwrap();
                 trace.finalize().await.unwrap();
             }
         });
-        let rep = analyze(&fs, &TraceSource::TaskLocal(&tl, 1)).unwrap();
+        let rep = analyze(&fs, &tl, 1).unwrap();
         assert_eq!(
             rep.regions[&9],
             RegionStats {
@@ -322,7 +335,7 @@ mod tests {
         // For a single-rank trace with one root region, the sum of all
         // exclusive times equals the root's inclusive time.
         let fs = MemFs::new();
-        let tl = TaskLocalBackend::new("sum");
+        let tl = task_local("sum");
         let cfg = SynthConfig::default();
         TaskWorld::run(1, |comm| {
             let fs = &fs;
@@ -333,11 +346,11 @@ mod tests {
                     tracer.record(&ev);
                 }
                 let mut trace = tl.activate(fs, &comm).await.unwrap();
-                tracer.finalize(trace.as_mut()).unwrap();
+                tracer.finalize(&mut trace).unwrap();
                 trace.finalize().await.unwrap();
             }
         });
-        let rep = analyze(&fs, &TraceSource::TaskLocal(&tl, 1)).unwrap();
+        let rep = analyze(&fs, &tl, 1).unwrap();
         let root = rep.regions[&crate::synth::REGION_MAIN];
         let total_exclusive: u64 = rep.regions.values().map(|s| s.exclusive_ns).sum();
         assert_eq!(total_exclusive, root.inclusive_ns);

@@ -10,170 +10,121 @@
 
 use simmpi::CoComm;
 use sion::{paropen_write_co, CloseStats, Result, SionParWriter, SionParams};
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::Arc;
 use vfs::{Vfs, VfsFile};
 
-/// Boxed future returned by the back-end traits: each has two
-/// implementations and is used as a trait object (`&dyn TraceBackend`,
-/// `Box<dyn ActiveTrace>`), so its futures are type-erased.
-pub(crate) type BoxFut<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
+/// Where per-task traces are stored.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceBackend {
+    /// One physical file per task: `"{prefix}.{rank:06}"` — the
+    /// multiple-file-parallel scheme Scalasca originally used.
+    TaskLocal {
+        /// Path prefix for the per-task files.
+        prefix: String,
+    },
+    /// All traces in one SIONlib multifile (the paper's integration): a
+    /// chunk size equal to the expected buffer size means a single block
+    /// of chunks, exactly as §5.2 describes for the zlib-compressed
+    /// Scalasca buffers.
+    Sion {
+        /// Multifile base name.
+        base: String,
+        /// Expected (maximum) per-task buffer size — the chunk request.
+        chunksize: u64,
+        /// Number of underlying physical files (the paper used 16 for the
+        /// 1470 GB SMG2000 trace).
+        nfiles: u32,
+        /// Transparent compression (paper §6 road map).
+        compressed: bool,
+    },
+}
 
-/// An activated (open) trace one task can flush its buffer into.
-pub trait ActiveTrace: Send {
+/// The trace file path of `rank` under the task-local `prefix`.
+pub(crate) fn task_local_path(prefix: &str, rank: usize) -> String {
+    format!("{prefix}.{rank:06}")
+}
+
+impl TraceBackend {
+    /// Collectively create/initialize this task's trace storage.
+    pub async fn activate(&self, vfs: &dyn Vfs, comm: &CoComm) -> Result<ActiveTrace> {
+        match self {
+            // Every task creates its own file — the contention the paper's
+            // Fig. 3 and Table 2 quantify.
+            TraceBackend::TaskLocal { prefix } => Ok(ActiveTrace::TaskLocal {
+                file: vfs.create(&task_local_path(prefix, comm.rank()))?,
+                at: 0,
+            }),
+            TraceBackend::Sion {
+                base,
+                chunksize,
+                nfiles,
+                compressed,
+            } => {
+                let mut params = SionParams::new(*chunksize).with_nfiles(*nfiles);
+                if *compressed {
+                    params = params.with_compression();
+                }
+                let writer = paropen_write_co(vfs, base, &params, comm).await?;
+                Ok(ActiveTrace::Sion(Box::new(writer)))
+            }
+        }
+    }
+
+    /// Where the traces go (for reporting).
+    pub fn describe(&self) -> String {
+        match self {
+            TraceBackend::TaskLocal { prefix } => format!("task-local files at {prefix}.*"),
+            TraceBackend::Sion {
+                base,
+                nfiles,
+                compressed,
+                ..
+            } => format!(
+                "sion multifile at {base} ({nfiles} physical files{})",
+                if *compressed { ", compressed" } else { "" }
+            ),
+        }
+    }
+}
+
+/// An activated (open) trace one task flushes its buffer into.
+pub enum ActiveTrace {
+    /// This task's own file and the offset of its next write.
+    TaskLocal {
+        /// The task's trace file.
+        file: Arc<dyn VfsFile>,
+        /// Bytes written so far.
+        at: u64,
+    },
+    /// This task's stream of the multifile (boxed: a writer is large, a
+    /// file handle is not).
+    Sion(Box<SionParWriter>),
+}
+
+impl ActiveTrace {
     /// Append encoded events to this task's trace.
-    fn write_events(&mut self, data: &[u8]) -> Result<()>;
+    pub fn write_events(&mut self, data: &[u8]) -> Result<()> {
+        match self {
+            ActiveTrace::TaskLocal { file, at } => {
+                file.write_all_at(data, *at)?;
+                *at += data.len() as u64;
+                Ok(())
+            }
+            ActiveTrace::Sion(writer) => writer.write(data),
+        }
+    }
 
     /// Finish the trace. Collective for the multifile back-end, which also
     /// reports its close statistics (bytes, blocks, write coalescing
     /// counters); the task-local back-end has none to report.
-    fn finalize(self: Box<Self>) -> BoxFut<'static, Result<Option<CloseStats>>>;
-}
-
-/// Strategy for storing per-task traces.
-pub trait TraceBackend: Send + Sync {
-    /// Collectively create/initialize this task's trace storage.
-    fn activate<'a>(
-        &'a self,
-        vfs: &'a dyn Vfs,
-        comm: &'a CoComm,
-    ) -> BoxFut<'a, Result<Box<dyn ActiveTrace>>>;
-
-    /// Path prefix (for reporting).
-    fn describe(&self) -> String;
-}
-
-/// One physical file per task: `"{prefix}.{rank:06}"` — the
-/// multiple-file-parallel scheme Scalasca originally used.
-pub struct TaskLocalBackend {
-    /// Path prefix for the per-task files.
-    pub prefix: String,
-}
-
-impl TaskLocalBackend {
-    /// Back-end writing `"{prefix}.{rank:06}"` files.
-    pub fn new(prefix: impl Into<String>) -> Self {
-        TaskLocalBackend {
-            prefix: prefix.into(),
+    pub async fn finalize(self) -> Result<Option<CloseStats>> {
+        match self {
+            ActiveTrace::TaskLocal { file, .. } => {
+                file.sync()?;
+                Ok(None)
+            }
+            ActiveTrace::Sion(writer) => Ok(Some(writer.close_co().await?)),
         }
-    }
-
-    /// The trace file path of `rank`.
-    pub fn path_of(&self, rank: usize) -> String {
-        format!("{}.{rank:06}", self.prefix)
-    }
-}
-
-struct TaskLocalActive {
-    file: Arc<dyn VfsFile>,
-    at: u64,
-}
-
-impl ActiveTrace for TaskLocalActive {
-    fn write_events(&mut self, data: &[u8]) -> Result<()> {
-        self.file.write_all_at(data, self.at)?;
-        self.at += data.len() as u64;
-        Ok(())
-    }
-
-    fn finalize(self: Box<Self>) -> BoxFut<'static, Result<Option<CloseStats>>> {
-        Box::pin(async move {
-            self.file.sync()?;
-            Ok(None)
-        })
-    }
-}
-
-impl TraceBackend for TaskLocalBackend {
-    fn activate<'a>(
-        &'a self,
-        vfs: &'a dyn Vfs,
-        comm: &'a CoComm,
-    ) -> BoxFut<'a, Result<Box<dyn ActiveTrace>>> {
-        // Every task creates its own file — the contention the paper's
-        // Fig. 3 and Table 2 quantify.
-        Box::pin(async move {
-            let file = vfs.create(&self.path_of(comm.rank()))?;
-            Ok(Box::new(TaskLocalActive { file, at: 0 }) as Box<dyn ActiveTrace>)
-        })
-    }
-
-    fn describe(&self) -> String {
-        format!("task-local files at {}.*", self.prefix)
-    }
-}
-
-/// All traces in one SIONlib multifile (the paper's integration): a chunk
-/// size equal to the expected buffer size means a single block of chunks,
-/// exactly as §5.2 describes for the zlib-compressed Scalasca buffers.
-pub struct SionBackend {
-    /// Multifile base name.
-    pub base: String,
-    /// Expected (maximum) per-task buffer size — the chunk request.
-    pub chunksize: u64,
-    /// Number of underlying physical files (the paper used 16 for the
-    /// 1470 GB SMG2000 trace).
-    pub nfiles: u32,
-    /// Transparent compression (paper §6 road map).
-    pub compressed: bool,
-}
-
-impl SionBackend {
-    /// Multifile back-end with the given base name and chunk request.
-    pub fn new(base: impl Into<String>, chunksize: u64, nfiles: u32) -> Self {
-        SionBackend {
-            base: base.into(),
-            chunksize,
-            nfiles,
-            compressed: false,
-        }
-    }
-
-    /// Enable transparent compression of the trace streams.
-    pub fn with_compression(mut self) -> Self {
-        self.compressed = true;
-        self
-    }
-}
-
-struct SionActive {
-    writer: SionParWriter,
-}
-
-impl ActiveTrace for SionActive {
-    fn write_events(&mut self, data: &[u8]) -> Result<()> {
-        self.writer.write(data)
-    }
-
-    fn finalize(self: Box<Self>) -> BoxFut<'static, Result<Option<CloseStats>>> {
-        Box::pin(async move { Ok(Some(self.writer.close_co().await?)) })
-    }
-}
-
-impl TraceBackend for SionBackend {
-    fn activate<'a>(
-        &'a self,
-        vfs: &'a dyn Vfs,
-        comm: &'a CoComm,
-    ) -> BoxFut<'a, Result<Box<dyn ActiveTrace>>> {
-        let mut params = SionParams::new(self.chunksize).with_nfiles(self.nfiles);
-        if self.compressed {
-            params = params.with_compression();
-        }
-        Box::pin(async move {
-            let writer = paropen_write_co(vfs, &self.base, &params, comm).await?;
-            Ok(Box::new(SionActive { writer }) as Box<dyn ActiveTrace>)
-        })
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "sion multifile at {} ({} physical files{})",
-            self.base,
-            self.nfiles,
-            if self.compressed { ", compressed" } else { "" }
-        )
     }
 }
 
@@ -185,7 +136,16 @@ mod tests {
     use simmpi::TaskWorld;
     use vfs::MemFs;
 
-    fn run_measurement(backend: &dyn TraceBackend, fs: &MemFs, ntasks: usize) {
+    fn sion(base: &str, chunksize: u64, nfiles: u32, compressed: bool) -> TraceBackend {
+        TraceBackend::Sion {
+            base: base.into(),
+            chunksize,
+            nfiles,
+            compressed,
+        }
+    }
+
+    fn run_measurement(backend: &TraceBackend, fs: &MemFs, ntasks: usize) {
         TaskWorld::run(ntasks, |comm| async move {
             let mut tracer = Tracer::new(comm.rank());
             for i in 0..50u64 {
@@ -199,7 +159,7 @@ mod tests {
                 });
             }
             let mut trace = backend.activate(fs, &comm).await.unwrap();
-            tracer.finalize(trace.as_mut()).unwrap();
+            tracer.finalize(&mut trace).unwrap();
             trace.finalize().await.unwrap();
         });
     }
@@ -207,7 +167,10 @@ mod tests {
     #[test]
     fn task_local_backend_one_file_per_task() {
         let fs = MemFs::new();
-        run_measurement(&TaskLocalBackend::new("traces/run"), &fs, 4);
+        let backend = TraceBackend::TaskLocal {
+            prefix: "traces/run".into(),
+        };
+        run_measurement(&backend, &fs, 4);
         assert_eq!(fs.list("traces/").unwrap().len(), 4);
         let f = fs.open("traces/run.000002").unwrap();
         let mut buf = vec![0u8; f.len().unwrap() as usize];
@@ -220,7 +183,7 @@ mod tests {
     #[test]
     fn sion_backend_single_multifile() {
         let fs = MemFs::with_block_size(1024);
-        run_measurement(&SionBackend::new("traces.sion", 64 * 1024, 2), &fs, 6);
+        run_measurement(&sion("traces.sion", 64 * 1024, 2, false), &fs, 6);
         assert_eq!(fs.list("traces.sion").unwrap().len(), 2);
         let mf = sion::Multifile::open(&fs, "traces.sion").unwrap();
         for rank in 0..6 {
@@ -232,11 +195,7 @@ mod tests {
     #[test]
     fn compressed_sion_backend_roundtrip_and_shrinks() {
         let fs = MemFs::with_block_size(1024);
-        run_measurement(
-            &SionBackend::new("c.sion", 64 * 1024, 1).with_compression(),
-            &fs,
-            3,
-        );
+        run_measurement(&sion("c.sion", 64 * 1024, 1, true), &fs, 3);
         let mf = sion::Multifile::open(&fs, "c.sion").unwrap();
         assert!(mf.compressed());
         let logical = mf.read_rank(0).unwrap();
@@ -254,7 +213,7 @@ mod tests {
     #[test]
     fn sion_backend_reports_coalesced_close_stats() {
         let fs = MemFs::with_block_size(1024);
-        let backend = SionBackend::new("stats.sion", 64 * 1024, 1);
+        let backend = sion("stats.sion", 64 * 1024, 1, false);
         TaskWorld::run(2, |comm| {
             let backend = &backend;
             let fs = &fs;
@@ -280,7 +239,9 @@ mod tests {
             }
         });
         // Task-local backend reports no stats.
-        let local = TaskLocalBackend::new("tl/run");
+        let local = TraceBackend::TaskLocal {
+            prefix: "tl/run".into(),
+        };
         TaskWorld::run(1, |comm| {
             let fs = &fs;
             let local = &local;
@@ -292,15 +253,37 @@ mod tests {
         });
     }
 
+    /// Both back-ends' futures are `Send`, so a rank that awaits one can
+    /// run on a work-stealing world: checked where each future is built.
+    /// The futures are dropped unpolled.
+    #[test]
+    fn activate_and_finalize_futures_are_send() {
+        fn assert_send<T: Send>(_: &T) {}
+        let fs = MemFs::with_block_size(1024);
+        let local = TraceBackend::TaskLocal {
+            prefix: "send/run".into(),
+        };
+        let multi = sion("send.sion", 1024, 1, false);
+        TaskWorld::run(1, |comm| {
+            let (fs, local, multi) = (&fs, &local, &multi);
+            async move {
+                assert_send(&local.activate(fs, &comm));
+                assert_send(&multi.activate(fs, &comm));
+                for backend in [local, multi] {
+                    let trace = backend.activate(fs, &comm).await.unwrap();
+                    let done = trace.finalize();
+                    assert_send(&done);
+                    assert!(done.await.is_ok());
+                }
+            }
+        });
+    }
+
     #[test]
     fn describe_strings() {
-        assert!(TaskLocalBackend::new("p").describe().contains("task-local"));
-        assert!(SionBackend::new("b", 1, 4)
-            .describe()
-            .contains("4 physical"));
-        assert!(SionBackend::new("b", 1, 4)
-            .with_compression()
-            .describe()
-            .contains("compressed"));
+        let local = TraceBackend::TaskLocal { prefix: "p".into() };
+        assert!(local.describe().contains("task-local"));
+        assert!(sion("b", 1, 4, false).describe().contains("4 physical"));
+        assert!(sion("b", 1, 4, true).describe().contains("compressed"));
     }
 }

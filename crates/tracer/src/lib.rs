@@ -13,21 +13,20 @@
 //! * a compact binary [`Event`] model (region enter/exit, message send/
 //!   receive) with a self-delimiting wire format;
 //! * a per-task [`Tracer`] collection buffer;
-//! * two interchangeable trace back-ends — [`TaskLocalBackend`] (one
-//!   physical file per task, the original Scalasca scheme) and
-//!   [`SionBackend`] (a SIONlib multifile, optionally compressed as the
-//!   paper's §6 suggests);
+//! * one [`TraceBackend`] choice of two storage schemes — one physical
+//!   file per task (the original Scalasca scheme) or a SIONlib multifile,
+//!   optionally compressed as the paper's §6 suggests;
 //! * a postmortem [`analyze`] pass in the spirit of Scalasca's wait-state
 //!   search (per-region time profile plus late-sender detection), reading
-//!   traces through either back-end.
+//!   traces back through the same [`TraceBackend`].
 
 mod analyze;
 mod backend;
 mod event;
 mod synth;
 
-pub use analyze::{analyze, AnalysisReport, RegionStats, TraceSource};
-pub use backend::{ActiveTrace, SionBackend, TaskLocalBackend, TraceBackend};
+pub use analyze::{analyze, AnalysisReport, RegionStats};
+pub use backend::{ActiveTrace, TraceBackend};
 pub use event::{DecodeError, Event};
 pub use sion::{CloseStats, IoCounters};
 pub use synth::{synthetic_events, SynthConfig};
@@ -80,7 +79,7 @@ impl Tracer {
 
     /// Flush the buffer into an activated trace and consume the tracer
     /// (measurement finalization).
-    pub fn finalize(self, trace: &mut dyn ActiveTrace) -> Result<()> {
+    pub fn finalize(self, trace: &mut ActiveTrace) -> Result<()> {
         trace.write_events(&self.buf)
     }
 }

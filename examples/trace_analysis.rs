@@ -9,10 +9,7 @@
 //! ```
 
 use simmpi::TaskWorld;
-use tracer::{
-    analyze, synthetic_events, SionBackend, SynthConfig, TaskLocalBackend, TraceBackend,
-    TraceSource, Tracer,
-};
+use tracer::{analyze, synthetic_events, SynthConfig, TraceBackend, Tracer};
 use vfs::{LocalFs, Vfs};
 
 fn main() {
@@ -23,11 +20,16 @@ fn main() {
     let ntasks = 16;
     let workload = SynthConfig { iterations: 30, levels: 5, neighbours: 4, ..Default::default() };
 
-    let task_local = TaskLocalBackend::new("traces/run");
-    let multifile = SionBackend::new("traces.sion", 1 << 20, 2).with_compression();
+    let task_local = TraceBackend::TaskLocal { prefix: "traces/run".into() };
+    let multifile = TraceBackend::Sion {
+        base: "traces.sion".into(),
+        chunksize: 1 << 20,
+        nfiles: 2,
+        compressed: true,
+    };
 
     println!("tracing a synthetic SMG2000-like run on {ntasks} tasks ...");
-    for backend in [&task_local as &dyn TraceBackend, &multifile] {
+    for backend in [&task_local, &multifile] {
         TaskWorld::run(ntasks, |comm| {
             let fs = &fs;
             async move {
@@ -37,7 +39,7 @@ fn main() {
                 }
                 // Measurement activation + finalization (what Table 2 times).
                 let mut trace = backend.activate(fs, &comm).await.unwrap();
-                tracer.finalize(trace.as_mut()).unwrap();
+                tracer.finalize(&mut trace).unwrap();
                 trace.finalize().await.unwrap();
             }
         });
@@ -51,9 +53,8 @@ fn main() {
     );
 
     // Postmortem analysis over both stores.
-    let rep_local =
-        analyze(&fs, &TraceSource::TaskLocal(&task_local, ntasks)).unwrap();
-    let rep_sion = analyze(&fs, &TraceSource::Sion("traces.sion")).unwrap();
+    let rep_local = analyze(&fs, &task_local, ntasks).unwrap();
+    let rep_sion = analyze(&fs, &multifile, ntasks).unwrap();
     assert_eq!(rep_local, rep_sion, "storage must be invisible to the analysis");
 
     println!(

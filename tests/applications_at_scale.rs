@@ -6,7 +6,7 @@
 use mp2c::checkpoint::{read_checkpoint, write_checkpoint, Strategy};
 use mp2c::{Particle, SimConfig, Simulation};
 use simmpi::TaskWorld;
-use tracer::{synthetic_events, Event, SionBackend, SynthConfig, TraceBackend, Tracer};
+use tracer::{synthetic_events, Event, SynthConfig, TraceBackend, Tracer};
 use vfs::{MemFs, Vfs};
 
 const RANKS: usize = 4096;
@@ -74,7 +74,12 @@ fn tracer_sion_backend_traces_split_and_decode_on_4096_ranks() {
         neighbours: 2,
         ..SynthConfig::default()
     };
-    let backend = SionBackend::new("tr.sion", 4096, 16);
+    let backend = TraceBackend::Sion {
+        base: "tr.sion".into(),
+        chunksize: 4096,
+        nfiles: 16,
+        compressed: false,
+    };
     TaskWorld::run(RANKS, |comm| {
         let (fs, backend) = (&fs, &backend);
         async move {
@@ -83,7 +88,7 @@ fn tracer_sion_backend_traces_split_and_decode_on_4096_ranks() {
                 tracer.record(&ev);
             }
             let mut trace = backend.activate(fs, &comm).await.unwrap();
-            tracer.finalize(trace.as_mut()).unwrap();
+            tracer.finalize(&mut trace).unwrap();
             let stats = trace.finalize().await.unwrap().expect("multifile stats");
             assert!(stats.user_bytes > 0);
         }

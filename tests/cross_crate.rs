@@ -83,7 +83,12 @@ fn trace_split_files_decode_as_event_streams() {
     // must decode as the original task-local trace files would.
     let fs = MemFs::with_block_size(4096);
     let cfg = tracer::SynthConfig::default();
-    let backend = tracer::SionBackend::new("tr.sion", 1 << 20, 2);
+    let backend = tracer::TraceBackend::Sion {
+        base: "tr.sion".into(),
+        chunksize: 1 << 20,
+        nfiles: 2,
+        compressed: false,
+    };
     TaskWorld::run(6, |comm| {
         let backend = &backend;
         let fs = &fs;
@@ -92,10 +97,8 @@ fn trace_split_files_decode_as_event_streams() {
             for ev in tracer::synthetic_events(&cfg, comm.rank(), comm.size()) {
                 t.record(&ev);
             }
-            let mut trace = tracer::TraceBackend::activate(backend, fs, &comm)
-                .await
-                .unwrap();
-            t.finalize(trace.as_mut()).unwrap();
+            let mut trace = backend.activate(fs, &comm).await.unwrap();
+            t.finalize(&mut trace).unwrap();
             trace.finalize().await.unwrap();
         }
     });
