@@ -50,8 +50,13 @@ pub struct AnalysisReport {
 /// and late-sender search. A multifile knows its rank count and must hold
 /// `nranks`; task-local files are found by the caller's count.
 pub fn analyze(vfs: &dyn Vfs, backend: &TraceBackend, nranks: usize) -> Result<AnalysisReport> {
-    let multifile = match backend {
-        TraceBackend::TaskLocal { .. } => None,
+    match backend {
+        TraceBackend::TaskLocal { prefix } => report_of((0..nranks).map(|rank| {
+            let f = vfs.open(&task_local_path(prefix, rank))?;
+            let mut buf = vec![0u8; f.len()? as usize];
+            f.read_exact_at(&mut buf, 0)?;
+            Ok(buf)
+        })),
         TraceBackend::Sion { base, .. } => {
             let mf = Multifile::open(vfs, base)?;
             if mf.ntasks() != nranks {
@@ -60,11 +65,15 @@ pub fn analyze(vfs: &dyn Vfs, backend: &TraceBackend, nranks: usize) -> Result<A
                     mf.ntasks()
                 )));
             }
-            Some(mf)
+            report_of((0..nranks).map(|rank| mf.read_rank(rank)))
         }
-    };
+    }
+}
+
+/// The analysis of every rank's encoded event stream, rank 0 first.
+fn report_of(streams: impl ExactSizeIterator<Item = Result<Vec<u8>>>) -> Result<AnalysisReport> {
     let mut report = AnalysisReport {
-        nranks,
+        nranks: streams.len(),
         ..Default::default()
     };
     // (src, dst, tag) -> FIFO of send times, matching MPI ordering.
@@ -73,18 +82,8 @@ pub fn analyze(vfs: &dyn Vfs, backend: &TraceBackend, nranks: usize) -> Result<A
     // per-rank, so matching must be global).
     let mut recvs: Vec<(u32, u32, u32, u64, u64)> = Vec::new(); // (src, dst, tag, recv_time, wait_start)
 
-    for rank in 0..nranks {
-        let bytes = match (backend, &multifile) {
-            (_, Some(mf)) => mf.read_rank(rank)?,
-            (TraceBackend::TaskLocal { prefix }, None) => {
-                let f = vfs.open(&task_local_path(prefix, rank))?;
-                let mut buf = vec![0u8; f.len()? as usize];
-                f.read_exact_at(&mut buf, 0)?;
-                buf
-            }
-            (TraceBackend::Sion { .. }, None) => unreachable!("a multifile was opened"),
-        };
-        let events = Event::decode_stream(&bytes)
+    for (rank, bytes) in streams.enumerate() {
+        let events = Event::decode_stream(&bytes?)
             .map_err(|e| SionError::Format(format!("rank {rank} trace: {e}")))?;
         report.events += events.len() as u64;
         // Stack frames carry (region, enter time, child inclusive time), so
