@@ -574,6 +574,19 @@ one_trace=$({
     exit 1
 }
 
+echo "==> structural gate: a parked task holds its handle once (no \`async fn …(mut self\` in crates/*/src)"
+# An `async fn` whose receiver is `mut self` keeps the receiver twice in its
+# future: once as the argument, once as the mutable binding the body uses.
+# Every task parked in a collective close holds such a future, so a by-value
+# `mut self` entry point is a plain `fn … -> impl Future` whose body is one
+# `async move` block (`SionParWriter::close_co`).
+twice=$(grep -rnE 'async fn [A-Za-z0-9_]+(<[^>]*>)?\(mut self\b' crates/*/src || true)
+[ -z "$twice" ] || {
+    echo "$twice"
+    echo "a parked task holds its handle once: write \`fn …(mut self) -> impl Future<Output = …> + Send { async move { … } }\`, not \`async fn …(mut self\`"
+    exit 1
+}
+
 echo "==> structural gate: a re-export has a consumer (each name a library crate's \`pub use\` re-exports is used outside its src/, or names a type only the re-export makes nameable)"
 # Per name, not per statement: one used name must not carry its neighbours.
 # A name passes if a .rs file outside the crate's src/ mentions it, or if it

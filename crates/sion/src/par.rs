@@ -101,6 +101,7 @@ use crate::serial::{create_file, finalize_file, part_reader, Multifile};
 use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter};
 use crate::{IoMode, SionParams};
 use simmpi::{CoComm, CommStats, ReduceOp};
+use std::future::Future;
 use std::sync::Arc;
 use vfs::Vfs;
 
@@ -651,84 +652,91 @@ impl SionParWriter {
     /// multifile's metadata durable and final. A task whose own flush
     /// failed reports that error, every other failing task a
     /// [`SionError::CollectiveMismatch`].
-    pub async fn close_co(mut self) -> Result<CloseStats> {
-        // Aggregation epilogue, before the metadata exchange. A member
-        // finishes its stream (the authoritative `used` vector), ships the
-        // final frame with the end-of-stream word, and then collects every
-        // outstanding ack — so by the time it enters the close gather, its
-        // data is either durably applied or its CloseRecord carries the
-        // failure. An aggregator exhaustively drains every member to its
-        // end of stream (acking as it applies) before finishing its own;
-        // apply failures surface through the members' own records.
-        let role = std::mem::replace(&mut self.role, AggRole::Independent);
-        let (finish_res, agg_stats) = match role {
-            AggRole::Independent => (self.writer.finish(), AggStats::default()),
-            AggRole::Member(mut m) => {
-                let finished = self.writer.finish();
-                m.finish(self.writer.take_frame(false), &self.lcom).await;
-                let res = if m.failed && finished.is_ok() {
-                    Err(apply_failed())
-                } else {
-                    finished
-                };
-                (res, m.stats)
-            }
-            AggRole::Aggregator(mut a) => {
-                a.drain_all(&self.lcom).await;
-                (self.writer.finish(), a.stats)
-            }
-        };
-
-        // Packed close exchange: the error flag rides in the same record
-        // as the per-block usage, so ONE gather finishes the file group.
-        let record = CloseRecord {
-            status: if finish_res.is_ok() {
-                CloseRecord::STATUS_OK
-            } else {
-                CloseRecord::STATUS_FLUSH_FAILED
-            },
-            used: finish_res.as_ref().map(|u| u.clone()).unwrap_or_default(),
-        };
-        let encoded = record.encode();
-
-        // ONE usage gather at the file master, which finalizes the file —
-        // unless some task's flush failed.
-        let finalize: Result<()> = match self.lcom.gather(&encoded, 0).await {
-            None => Ok(()),
-            Some(raw) => (|| {
-                let per_task: Vec<CloseRecord> = raw
-                    .iter()
-                    .map(|b| CloseRecord::decode(b))
-                    .collect::<Result<_>>()?;
-                if per_task.iter().any(|r| r.status != CloseRecord::STATUS_OK) {
-                    return Err(SionError::CollectiveMismatch(
-                        "a task failed to flush; metablock 2 not written".into(),
-                    ));
+    ///
+    /// Not an `async fn`: one whose receiver is `mut self` keeps the writer
+    /// twice in its future, and every task parked in the close gather
+    /// holds that future.
+    #[allow(clippy::manual_async_fn)] // see above: an `async fn` stores `self` twice
+    pub fn close_co(mut self) -> impl Future<Output = Result<CloseStats>> + Send {
+        async move {
+            // Aggregation epilogue, before the metadata exchange. A member
+            // finishes its stream (the authoritative `used` vector), ships the
+            // final frame with the end-of-stream word, and then collects every
+            // outstanding ack — so by the time it enters the close gather, its
+            // data is either durably applied or its CloseRecord carries the
+            // failure. An aggregator exhaustively drains every member to its
+            // end of stream (acking as it applies) before finishing its own;
+            // apply failures surface through the members' own records.
+            let role = std::mem::replace(&mut self.role, AggRole::Independent);
+            let (finish_res, agg_stats) = match role {
+                AggRole::Independent => (self.writer.finish(), AggStats::default()),
+                AggRole::Member(mut m) => {
+                    let finished = self.writer.finish();
+                    m.finish(self.writer.take_frame(false), &self.lcom).await;
+                    let res = if m.failed && finished.is_ok() {
+                        Err(apply_failed())
+                    } else {
+                        finished
+                    };
+                    (res, m.stats)
                 }
-                let rows: Vec<&[u64]> = per_task.iter().map(|r| r.used.as_slice()).collect();
-                finalize_file(&self.writer, &rows)
-            })(),
-        };
-        // ONE reduction over the global communicator ends the close, the
-        // all-or-nothing agreement across file groups: when it returns
-        // clean, every physical file's metablock 2 is written. Always
-        // reached, error or not, so no file group can hang another.
-        let failed = finish_res.is_err() || finalize.is_err();
-        let any_failed = self.gcom.allreduce_u64(failed as u64, ReduceOp::Max).await != 0;
-        let used = finish_res?;
-        finalize?;
-        if any_failed {
-            return Err(SionError::CollectiveMismatch(
-                "another task failed during the collective close".into(),
-            ));
+                AggRole::Aggregator(mut a) => {
+                    a.drain_all(&self.lcom).await;
+                    (self.writer.finish(), a.stats)
+                }
+            };
+
+            // Packed close exchange: the error flag rides in the same record
+            // as the per-block usage, so ONE gather finishes the file group.
+            let record = CloseRecord {
+                status: if finish_res.is_ok() {
+                    CloseRecord::STATUS_OK
+                } else {
+                    CloseRecord::STATUS_FLUSH_FAILED
+                },
+                used: finish_res.as_ref().map(|u| u.clone()).unwrap_or_default(),
+            };
+            let encoded = record.encode();
+
+            // ONE usage gather at the file master, which finalizes the file —
+            // unless some task's flush failed.
+            let finalize: Result<()> = match self.lcom.gather(&encoded, 0).await {
+                None => Ok(()),
+                Some(raw) => (|| {
+                    let per_task: Vec<CloseRecord> = raw
+                        .iter()
+                        .map(|b| CloseRecord::decode(b))
+                        .collect::<Result<_>>()?;
+                    if per_task.iter().any(|r| r.status != CloseRecord::STATUS_OK) {
+                        return Err(SionError::CollectiveMismatch(
+                            "a task failed to flush; metablock 2 not written".into(),
+                        ));
+                    }
+                    let rows: Vec<&[u64]> = per_task.iter().map(|r| r.used.as_slice()).collect();
+                    finalize_file(&self.writer, &rows)
+                })(),
+            };
+            // ONE reduction over the global communicator ends the close, the
+            // all-or-nothing agreement across file groups: when it returns
+            // clean, every physical file's metablock 2 is written. Always
+            // reached, error or not, so no file group can hang another.
+            let failed = finish_res.is_err() || finalize.is_err();
+            let any_failed = self.gcom.allreduce_u64(failed as u64, ReduceOp::Max).await != 0;
+            let used = finish_res?;
+            finalize?;
+            if any_failed {
+                return Err(SionError::CollectiveMismatch(
+                    "another task failed during the collective close".into(),
+                ));
+            }
+            Ok(CloseStats {
+                user_bytes: self.writer.user_bytes(),
+                stored_bytes: used.iter().sum(),
+                blocks: used.iter().filter(|&&u| u > 0).count() as u64,
+                write_io: self.writer.io_counters(),
+                agg: agg_stats,
+            })
         }
-        Ok(CloseStats {
-            user_bytes: self.writer.user_bytes(),
-            stored_bytes: used.iter().sum(),
-            blocks: used.iter().filter(|&&u| u > 0).count() as u64,
-            write_io: self.writer.io_counters(),
-            agg: agg_stats,
-        })
     }
 }
 

@@ -114,10 +114,12 @@ pub struct IoCounters {
     pub bytes_copied: u64,
     /// Transient heap buffers allocated on the hot path (staging buffers,
     /// a reader's owned window). A buffer that grows counts once per
-    /// growth; steady-state reuse counts zero. A write-behind buffer the
-    /// file adopted is replaced uncounted: the replacement takes the place
-    /// of the copy a backend that does not adopt allocates, so the count
-    /// is the same on every backend.
+    /// growth; steady-state reuse counts zero. A writer counts its
+    /// write-behind buffer at its first staged byte, where the buffer is
+    /// allocated, and only once: the buffer a writer allocates after the
+    /// file adopted the previous one takes the place of the copy a backend
+    /// that does not adopt allocates, so the count is the same on every
+    /// backend.
     pub allocs: u64,
     /// Submissions issued via `write_vectored_at` (each also counted once
     /// in `vfs_calls`, however many slices it carried).
@@ -180,7 +182,10 @@ pub(crate) struct TaskWriter {
     /// ([`crate::agg`]): every write this engine issues is an extent in it,
     /// so what the aggregator applies is exactly what this writer wrote to
     /// its shadow handle. The staged run sits behind its open extent header
-    /// and stays where it is when flushed; other writes are copied in.
+    /// and stays where it is when flushed; other writes are copied in. An
+    /// independent writer's buffer exists only while bytes are staged or
+    /// may be: none until the first staged byte, none after the file
+    /// adopted it, none after [`finish`](Self::finish).
     wbuf: Vec<u8>,
     /// Where the staged run begins in `wbuf`; `wbuf.len()` when none is.
     run: usize,
@@ -218,16 +223,13 @@ impl TaskWriter {
             entered: vec![false],
             enc: compressed.then(FrameEncoder::new),
             user_bytes: 0,
-            wbuf: Vec::with_capacity(wbuf_cap),
+            wbuf: Vec::new(),
             run: 0,
             wbuf_start: 0,
             wbuf_cap,
             ship_cap: None,
             rescue_dirty: false,
-            counters: IoCounters {
-                allocs: (wbuf_cap > 0) as u64,
-                ..IoCounters::default()
-            },
+            counters: IoCounters::default(),
         }
     }
 
@@ -456,11 +458,7 @@ impl TaskWriter {
             let mut rest = data;
             while !rest.is_empty() {
                 if self.staged().is_empty() {
-                    self.wbuf_start = self.off;
-                    if self.ship_cap.is_some() {
-                        let at = self.geom.data_offset(self.block) + self.off;
-                        self.run = agg::open_extent(&mut self.wbuf, at);
-                    }
+                    self.open_run();
                 }
                 let room = self.wbuf_cap - self.staged().len();
                 let take = room.min(rest.len());
@@ -478,6 +476,22 @@ impl TaskWriter {
         self.used[b] = self.used[b].max(self.off);
         self.rescue_dirty = true;
         Ok(())
+    }
+
+    /// Start a staged run at the cursor: on a member's writer behind an open
+    /// extent header in the frame; on an independent writer with no buffer,
+    /// in a new one of exactly `wbuf_cap` bytes, so a full run is a full
+    /// buffer ([`flush_run`](Self::flush_run)).
+    fn open_run(&mut self) {
+        self.wbuf_start = self.off;
+        if self.ship_cap.is_some() {
+            let at = self.geom.data_offset(self.block) + self.off;
+            self.run = agg::open_extent(&mut self.wbuf, at);
+        } else if self.wbuf.capacity() == 0 {
+            self.wbuf = Vec::with_capacity(self.wbuf_cap);
+        }
+        // One staging buffer per writer, counted alike on every backend.
+        self.counters.allocs = 1;
     }
 
     /// Large-record zero-copy flush: submit (rescue header on first chunk
@@ -579,11 +593,10 @@ impl TaskWriter {
     /// An independent writer whose run alone fills its buffer hands the
     /// buffer itself to the file ([`ByteLease::from_vec`]). A backend that
     /// adopts it keeps it as the file's storage — each byte was copied
-    /// once, into this buffer — and the writer allocates a fresh one in
-    /// place of the extent the backend did not allocate (not counted in
-    /// [`IoCounters::allocs`], which stay the same on every backend); a
-    /// backend that copies gives it back. Only a full buffer goes: a partly
-    /// filled one would pin its unused capacity in the file.
+    /// once, into this buffer — and the writer is left without one until it
+    /// next stages a byte; a backend that copies gives it back. Only a full
+    /// buffer goes: a partly filled one would pin its unused capacity in
+    /// the file.
     fn flush_run(&mut self, tail: &[u8]) -> Result<()> {
         let at = self.geom.data_offset(self.block) + self.wbuf_start;
         let buf = std::mem::take(&mut self.wbuf);
@@ -591,10 +604,11 @@ impl TaskWriter {
             let lease = ByteLease::from_vec(buf);
             let res = self.issue(&[IoSlice::new(&lease)], at, Submit::Lease(&lease));
             self.wbuf = lease.into_vec().unwrap_or_else(|kept| {
-                let mut fresh = Vec::with_capacity(self.wbuf_cap);
-                if res.is_err() {
-                    fresh.extend_from_slice(&kept);
+                if res.is_ok() {
+                    return Vec::new();
                 }
+                let mut fresh = Vec::with_capacity(self.wbuf_cap);
+                fresh.extend_from_slice(&kept);
                 fresh
             });
             res?;
@@ -723,7 +737,9 @@ impl TaskWriter {
     }
 
     /// Flush (buffer and, in compressed mode, encoder) and return the
-    /// per-block usage vector.
+    /// per-block usage vector. An independent writer frees its write-behind
+    /// buffer; a member's is its last ship frame, which
+    /// [`take_frame`](Self::take_frame) still hands out.
     ///
     /// Trailing blocks with zero stored bytes are trimmed: a chunk merely
     /// *entered* (e.g. via `ensure_free_space`, rescue header written,
@@ -738,6 +754,9 @@ impl TaskWriter {
         self.forward_frames()?;
         self.enc = None;
         self.flush_pending()?;
+        if self.ship_cap.is_none() {
+            self.wbuf = Vec::new();
+        }
         self.file.sync()?;
         let mut used = self.used.clone();
         while used.last() == Some(&0) {
@@ -1713,6 +1732,28 @@ mod tests {
         copied.finish().unwrap();
         assert_eq!(w.io_counters(), copied.io_counters());
         assert_eq!(w.io_counters().allocs, 1, "{:?}", w.io_counters());
+    }
+
+    #[test]
+    fn the_write_behind_buffer_exists_only_while_bytes_are_staged() {
+        let fs = MemFs::with_block_size(4096);
+        // Finished without a write: no buffer, none counted.
+        let (mut w, _) = writer_8k(fs.create("idle").unwrap(), false);
+        w.finish().unwrap();
+        assert_eq!((w.wbuf.capacity(), w.io_counters().allocs), (0, 0));
+        // The first staged byte allocates exactly the buffer's size; a full
+        // buffer the file adopts leaves none behind until the next staged
+        // byte; finish frees the last one.
+        let (mut w, _) = writer_8k(fs.create("f").unwrap(), false);
+        assert_eq!(w.wbuf.capacity(), 0);
+        w.write(&[1u8; 4096]).unwrap();
+        assert_eq!(w.wbuf.capacity(), 8192);
+        w.write(&[2u8; 4096]).unwrap();
+        assert_eq!(w.wbuf.capacity(), 0, "adopted");
+        w.write(&[3u8; 64]).unwrap();
+        assert_eq!(w.wbuf.capacity(), 8192);
+        w.finish().unwrap();
+        assert_eq!((w.wbuf.capacity(), w.io_counters().allocs), (0, 1));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! schedules, and a four-digit-rank smoke run.
 
 use simmpi::{drive_ready, SchedPolicy, TaskWorld};
-use sion::{paropen_read_co, paropen_write_co, Mapping, Multifile, SionParams};
+use sion::{
+    paropen_read_co, paropen_write_co, Mapping, Multifile, SionParReader, SionParWriter, SionParams,
+};
 use vfs::{MemFs, Vfs};
 
 /// Deterministic per-rank payload.
@@ -92,6 +94,41 @@ fn collective_entry_point_futures_are_send() {
             let open = paropen_read_co(fs, "send/f.sion", &c);
             assert_send(&open);
             open.await.unwrap().close_co().await.unwrap();
+        }
+    });
+}
+
+/// A rank parked in a close holds its handle once: each close future is
+/// smaller than two of the handles it consumes. (An `async fn` whose
+/// receiver is `mut self` stores the receiver twice, and every rank parked
+/// in the close gather pays for the copy.)
+#[test]
+fn close_futures_hold_their_handle_once() {
+    use std::mem::{size_of, size_of_val};
+    let fs = MemFs::new();
+    let params = SionParams::new(4096);
+    TaskWorld::run(2, |c| {
+        let (fs, params) = (&fs, &params);
+        async move {
+            let mut w = paropen_write_co(fs, "size/f.sion", params, &c)
+                .await
+                .unwrap();
+            w.write(&payload(c.rank(), 100)).unwrap();
+            let close = w.close_co();
+            let (future, handle) = (size_of_val(&close), size_of::<SionParWriter>());
+            assert!(
+                future < 2 * handle,
+                "write close {future} B, writer {handle} B"
+            );
+            close.await.unwrap();
+            let r = paropen_read_co(fs, "size/f.sion", &c).await.unwrap();
+            let close = r.close_co();
+            let (future, handle) = (size_of_val(&close), size_of::<SionParReader>());
+            assert!(
+                future < 2 * handle,
+                "read close {future} B, reader {handle} B"
+            );
+            close.await.unwrap();
         }
     });
 }

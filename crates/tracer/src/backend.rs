@@ -10,6 +10,7 @@
 
 use simmpi::CoComm;
 use sion::{paropen_write_co, CloseStats, Result, SionParWriter, SionParams};
+use std::future::Future;
 use std::sync::Arc;
 use vfs::{Vfs, VfsFile};
 
@@ -117,13 +118,20 @@ impl ActiveTrace {
     /// Finish the trace. Collective for the multifile back-end, which also
     /// reports its close statistics (bytes, blocks, write coalescing
     /// counters); the task-local back-end has none to report.
-    pub async fn finalize(self) -> Result<Option<CloseStats>> {
-        match self {
-            ActiveTrace::TaskLocal { file, .. } => {
-                file.sync()?;
-                Ok(None)
+    ///
+    /// Not an `async fn`: one that matches on its `self` keeps the trace
+    /// twice in its future, beside the close's future that every task
+    /// parked in the close gather holds.
+    #[allow(clippy::manual_async_fn)] // see above: an `async fn` stores `self` twice
+    pub fn finalize(self) -> impl Future<Output = Result<Option<CloseStats>>> + Send {
+        async move {
+            match self {
+                ActiveTrace::TaskLocal { file, .. } => {
+                    file.sync()?;
+                    Ok(None)
+                }
+                ActiveTrace::Sion(writer) => Ok(Some(writer.close_co().await?)),
             }
-            ActiveTrace::Sion(writer) => Ok(Some(writer.close_co().await?)),
         }
     }
 }
@@ -275,6 +283,29 @@ mod tests {
                     assert_send(&done);
                     assert!(done.await.is_ok());
                 }
+            }
+        });
+    }
+
+    /// A task parked in a multifile trace's finalize holds its writer once:
+    /// the future is smaller than two writers (the close's future inside it
+    /// holds one).
+    #[test]
+    fn finalize_future_holds_its_writer_once() {
+        use std::mem::{size_of, size_of_val};
+        let fs = MemFs::with_block_size(1024);
+        let multi = sion("size.sion", 1024, 1, false);
+        TaskWorld::run(1, |comm| {
+            let (fs, multi) = (&fs, &multi);
+            async move {
+                let trace = multi.activate(fs, &comm).await.unwrap();
+                let done = trace.finalize();
+                let (future, writer) = (size_of_val(&done), size_of::<SionParWriter>());
+                assert!(
+                    future < 2 * writer,
+                    "finalize {future} B, writer {writer} B"
+                );
+                assert!(done.await.is_ok());
             }
         });
     }
