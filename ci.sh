@@ -28,7 +28,7 @@ echo "==> sion-vfs in release: MemFs threads sharing one file, offset arithmetic
 # u64::MAX must fail, not report itself done).
 cargo test --release -p sion-vfs -q
 
-echo "==> szip in release: ratio floors, decode floor, v1/v2 golden streams, pinned encoder output, hostile frames"
+echo "==> szip in release: ratio floors, decode floors (framed and block), v1/v2 golden streams, pinned encoder output, hostile frames"
 # Release as well as the debug run above: the encoder's arithmetic wraps
 # instead of panicking there, and the ratio floors (word mix and random
 # bytes stored in szip; trace events and mp2c particles in the root
@@ -36,11 +36,13 @@ echo "==> szip in release: ratio floors, decode floor, v1/v2 golden streams, pin
 # application), the golden streams (v1: FNV-1a frames of the first encoder;
 # v2: the first frames with the word-wise check) and the pinned digests of
 # what the encoder writes are what keeps a faster matcher or decoder
-# honest. The decode floor only measures here (it returns at once in a
-# debug build): framed `decompress` of 16 MiB of trace-like records must be
-# at least twice as fast as the frozen v1 reader — push decoder plus
-# FNV-1a — timed beside it in the same test, so the floor is a ratio, not
-# this host's speed.
+# honest. The two decode floors only measure here (they return at once in
+# a debug build), each a ratio against the frozen v1 code timed beside it
+# in the same test, not this host's speed: `decode_floor`, framed
+# `decompress` of 16 MiB of trace-like records at least twice as fast as
+# the v1 reader (push decoder plus FNV-1a, which dominates it), and
+# `block_decode_floor`, `decompress_block` alone at least twice as fast as
+# the v1 block decoder on the same blocks (each block's best of 5 passes).
 cargo test --release -p sion-szip -q
 cargo test --release --test szip_payloads -q
 
@@ -628,6 +630,27 @@ done)
 [ -z "$unused" ] || {
     echo "$unused"
     echo "nothing outside the crate's src/ uses these re-exported names: drop them from the \`pub use\` (an item of a \`pub mod\` keeps its path; an item used inside the crate only becomes \`pub(crate)\`)"
+    exit 1
+}
+
+echo "==> structural gate: a pub fn reached by path has a caller outside its file (sion::{format, par, rescue, script}, vfs::guard, simcheck::{hb, dpor}, mp2c::checkpoint)"
+# Items of these `pub mod`s are named by their path, so neither the
+# re-export gate above nor `unreachable_pub` sees one that nothing uses.
+# A name passes if a .rs file other than its own — any crate, the root
+# tests/ and examples/, the benchmark — mentions it.
+unused=$(for f in crates/sion/src/format.rs crates/sion/src/par.rs crates/sion/src/rescue.rs \
+        crates/sion/src/script.rs crates/vfs/src/guard.rs crates/simcheck/src/hb.rs \
+        crates/simcheck/src/dpor.rs crates/mp2c/src/checkpoint.rs; do
+    awk '/^mod tests/ { exit } { print }' "$f" |
+        sed -nE 's/^ *pub (const |async )?fn ([A-Za-z0-9_]+).*/\2/p' | sort -u |
+        while read -r name; do
+            grep -rlw --include='*.rs' "$name" crates src tests examples benchmark/src |
+                grep -vxq "$f" || echo "$f: pub fn $name"
+        done
+done)
+[ -z "$unused" ] || {
+    echo "$unused"
+    echo "nothing outside its file calls these: make them private, or \`pub(crate)\` if the crate uses them elsewhere"
     exit 1
 }
 

@@ -281,7 +281,7 @@ pub struct MetaBlock2 {
 
 impl MetaBlock2 {
     /// Bytes used by task `ltask` in block `b`.
-    pub fn used_in(&self, b: u64, ltask: usize, ntasks_local: usize) -> u64 {
+    fn used_in(&self, b: u64, ltask: usize, ntasks_local: usize) -> u64 {
         self.used[b as usize * ntasks_local + ltask]
     }
 
@@ -520,7 +520,7 @@ impl ChunkIndex {
     }
 
     /// Build the index from a decoded metablock 2 (transpose + prefix sum).
-    pub fn from_mb2(mb2: &MetaBlock2, ntasks_local: usize) -> ChunkIndex {
+    fn from_mb2(mb2: &MetaBlock2, ntasks_local: usize) -> ChunkIndex {
         let nblocks = mb2.nblocks;
         let mut cum = Vec::with_capacity((nblocks as usize) * ntasks_local);
         for t in 0..ntasks_local {

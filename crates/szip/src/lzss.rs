@@ -9,8 +9,12 @@
 //! The encoder finds matches with two hash tables over the block — one
 //! keyed by the next 8 bytes, one by the next 4 — whose storage lives per
 //! thread and is reused from block to block ([`Matcher`]). The decoder
-//! ([`decompress_into`]) takes whole groups in wide copies while a group
-//! cannot leave either buffer, and token by token with every check after.
+//! ([`decompress_into`]) decodes a group that cannot leave either buffer
+//! from one fixed-size window of the block into one fixed-size window of
+//! the output, taken once per group: a literal run is one 8-byte copy, a
+//! match of distance ≥ 16 and length ≤ 16 one 16-byte copy, and the only
+//! check per token is a match's distance. The last groups go token by
+//! token with every check.
 
 use std::cell::RefCell;
 
@@ -330,18 +334,28 @@ pub fn decompress_block(
     res
 }
 
-/// Input bytes a group can take — flag byte, eight 3-byte tokens — plus the
-/// 8 the last literal copy may read past its run.
-const GROUP_IN: usize = 1 + 8 * 3 + 8;
-/// Output bytes a group can produce, plus the 16 the last match copy may
-/// write past its length.
-const GROUP_OUT: usize = 8 * MAX_MATCH + 16;
+/// Input bytes a fast group is read from: its flag byte and eight 3-byte
+/// tokens reach offset 25, and the last literal copy reads 8 bytes from
+/// there; 40 holds 8 bytes from any offset modulo 32.
+const GROUP_IN: usize = 40;
+/// Output offsets a fast group's window spans: more than the 8 ·
+/// `MAX_MATCH` = 2 064 bytes a group can produce, so that an offset taken
+/// modulo the span is unchanged, and a power of two, so that the compiler
+/// sees it inside the window.
+const GROUP_SPAN: usize = 4096;
+/// Output bytes a fast group is written through: its span, plus the 16 a
+/// copy may write past it.
+const GROUP_OUT: usize = GROUP_SPAN + 16;
 
-/// Eight literals in one copy; the caller advances by how many it wanted.
+/// The output window of the group that starts at `op`. The caller has
+/// checked that `GROUP_OUT` bytes are left from `op`, so the compiler
+/// drops this check, and a copy into the window at an offset modulo
+/// [`GROUP_SPAN`] needs none.
 #[inline(always)]
-fn copy_lits(block: &[u8], ip: usize, dst: &mut [u8], op: usize) {
-    let word: [u8; 8] = block[ip..ip + 8].try_into().expect("8-byte slice");
-    dst[op..op + 8].copy_from_slice(&word);
+fn group_out(dst: &mut [u8], op: usize) -> &mut [u8; GROUP_OUT] {
+    (&mut dst[op..op + GROUP_OUT])
+        .try_into()
+        .expect("GROUP_OUT bytes")
 }
 
 /// A match of distance at least `N`, copied `N` bytes at a time: up to
@@ -373,56 +387,88 @@ fn copy_match(dst: &mut [u8], op: usize, dist: usize, len: usize) {
     }
 }
 
+/// A fast group's match other than the one-copy kind: longer than 16
+/// bytes, or a distance under 16. Out of line, so that the group loop
+/// stays small.
+#[inline(never)]
+fn copy_other(dst: &mut [u8], op: usize, dist: usize, len: usize) {
+    if dist >= 16 {
+        copy_wide::<16>(dst, op, dist, len);
+    } else if dist >= 8 {
+        copy_wide::<8>(dst, op, dist, len);
+    } else {
+        copy_match(dst, op, dist, len);
+    }
+}
+
 /// Decode `block` into `dst`, whose length is the block's declared raw
 /// length. On an error `dst` holds garbage.
 ///
 /// While a group has slack — [`GROUP_IN`] bytes of input and [`GROUP_OUT`]
 /// bytes of output left — no token of it can be truncated or overrun
-/// `dst`, whatever its bytes say, so literal runs are copied 8 bytes at a
-/// time and matches in 8/16-byte steps that may write past their end (later
-/// tokens overwrite the excess), and the only thing left to check is that a
-/// distance stays inside what has been produced. The last groups take the
-/// exact path with every check.
+/// `dst`, whatever its bytes say. Such a group is read from one
+/// `&[u8; GROUP_IN]` taken once: a token's offset in it is at most 25, and
+/// taken modulo 32 the compiler sees it inside too. It is written through
+/// [`group_out`] at its offset from `op` modulo [`GROUP_SPAN`], which a
+/// group's at most 2 064 bytes never reach. A literal run is one
+/// 8-byte copy; a match with distance ≥ 16 and length ≤ 16 — nearly every
+/// match in record data — is one 16-byte copy; longer or closer matches
+/// go to `copy_other`. Copies may write past their end (later tokens
+/// overwrite the excess), and the one check left per token is that a
+/// match's distance stays inside what has been produced. The last groups
+/// take the exact path with every check.
 pub(crate) fn decompress_into(block: &[u8], dst: &mut [u8]) -> Result<(), &'static str> {
     let raw_len = dst.len();
     let (mut ip, mut op) = (0usize, 0usize);
-    while ip + GROUP_IN <= block.len() && op + GROUP_OUT <= raw_len {
-        let flags = block[ip];
-        ip += 1;
-        if flags == 0 {
-            copy_lits(block, ip, dst, op);
-            ip += 8;
-            op += 8;
-            continue;
-        }
-        // Bit 8 ends the group: below it, a run of zeros is a run of
-        // literals and the one after it a match.
-        let mut bits = flags as u32 | 0x100;
+    // `checked_sub`: a bound that cannot wrap is one the compiler carries
+    // into the group.
+    while raw_len
+        .checked_sub(op)
+        .is_some_and(|left| left >= GROUP_OUT)
+    {
+        let Some(group) = block.get(ip..ip + GROUP_IN) else {
+            break;
+        };
+        let group: &[u8; GROUP_IN] = group.try_into().expect("GROUP_IN bytes");
+        // `k` indexes `group`, `g` the group's output from `op`. Bit 8
+        // ends the group: below it, a run of zeros is a run of literals
+        // and the one after it a match.
+        let (mut k, mut g) = (1usize, 0usize);
+        let mut bits = group[0] as u32 | 0x100;
         loop {
             let run = bits.trailing_zeros() as usize;
-            copy_lits(block, ip, dst, op);
-            ip += run;
-            op += run;
+            let lits: [u8; 8] = *group[k % 32..].first_chunk().expect("8 bytes");
+            *group_out(dst, op)[g % GROUP_SPAN..]
+                .first_chunk_mut()
+                .expect("8 bytes") = lits;
+            k += run;
+            g += run;
             bits >>= run;
             if bits == 1 {
                 break;
             }
             bits >>= 1;
-            let dist = u16::from_le_bytes([block[ip], block[ip + 1]]) as usize + 1;
-            let len = block[ip + 2] as usize + MIN_MATCH;
-            ip += 3;
-            if dist > op {
+            let t = k % 32;
+            let dist = u16::from_le_bytes([group[t], group[t + 1]]) as usize + 1;
+            let len = group[t + 2] as usize + MIN_MATCH;
+            k += 3;
+            let o = g % GROUP_SPAN;
+            // What has been produced, and where in it the match starts
+            // (cut from the group's end, which is known to be in `dst`).
+            let done = &dst[..op + GROUP_OUT][..op + o];
+            let Some(from) = done.len().checked_sub(dist) else {
                 return Err("match distance reaches before block start");
-            }
-            if dist >= 16 {
-                copy_wide::<16>(dst, op, dist, len);
-            } else if dist >= 8 {
-                copy_wide::<8>(dst, op, dist, len);
+            };
+            if dist >= 16 && len <= 16 {
+                let word: [u8; 16] = *done[from..].first_chunk().expect("dist >= 16");
+                *group_out(dst, op)[o..].first_chunk_mut().expect("16 bytes") = word;
             } else {
-                copy_match(dst, op, dist, len);
+                copy_other(dst, op + o, dist, len);
             }
-            op += len;
+            g += len;
         }
+        ip += k;
+        op += g;
     }
     while op < raw_len {
         if ip >= block.len() {

@@ -37,6 +37,17 @@ fn encode(tokens: &[Token]) -> Vec<u8> {
     block
 }
 
+/// The bytes `tokens` expand to.
+fn decoded_len(tokens: &[Token]) -> usize {
+    tokens
+        .iter()
+        .map(|token| match *token {
+            Token::Lit(_) => 1,
+            Token::Match { len, .. } => len,
+        })
+        .sum()
+}
+
 /// Both decoders on `block`; their common verdict.
 fn agree(block: &[u8], raw_len: usize) -> Result<Vec<u8>, &'static str> {
     let mut old = b"kept".to_vec();
@@ -77,6 +88,30 @@ fn every_overlap_shape_on_both_sides_of_the_slack_boundary() {
     }
 }
 
+/// The same shapes on both sides of the output window of a fast group
+/// (4 096 + 16 bytes in `lzss.rs`): behind the match, enough literals that
+/// `len + tail` crosses 4 112 as `len` runs, so that a shape lands in a
+/// fast group, in the last fast group, or in the exact tail.
+#[test]
+fn every_overlap_shape_on_both_sides_of_the_output_window() {
+    let prefix: Vec<Token> = (0..40u8)
+        .map(|i| Token::Lit(i.wrapping_mul(37) ^ 0x5A))
+        .collect();
+    for tail in [3990usize, 4109] {
+        for dist in 1..=32 {
+            for len in 3..=258 {
+                let mut tokens = prefix.clone();
+                tokens.push(Token::Match { dist, len });
+                tokens.extend((0..tail).map(|i| Token::Lit((i % 251) as u8)));
+                let out = agree(&encode(&tokens), 40 + len + tail).expect("a valid block");
+                for i in 40..40 + len {
+                    assert_eq!(out[i], out[i - dist], "dist {dist} len {len} tail {tail}");
+                }
+            }
+        }
+    }
+}
+
 /// Groups of nothing but long matches fill the output fastest for the
 /// input they take: the output-slack side of the boundary.
 #[test]
@@ -94,6 +129,51 @@ fn match_only_groups_up_to_the_last_byte() {
         }
         tokens.extend((0..from_end).map(|i| Token::Lit(i as u8)));
         agree(&encode(&tokens), raw_len + from_end).expect("a valid block");
+    }
+}
+
+/// The input side of the boundary at the width of a fast group's input
+/// window (40 bytes in `lzss.rs`). Groups of long matches keep the
+/// output slack wide, so the token stream is what runs out; behind them
+/// come 0..=80 bytes of literals, or of 3-byte match tokens, and each
+/// block is also cut at every byte of that tail. Every block is decoded
+/// under its own length and under one an output window (4 096 + 16 bytes
+/// in `lzss.rs`) longer, which leaves the input as the only bound.
+#[test]
+fn token_tails_across_the_input_slack_boundary() {
+    const WINDOW: usize = 40;
+    let mut body: Vec<Token> = (0..16u8)
+        .map(|i| Token::Lit(i.wrapping_mul(29) ^ 0xA5))
+        .collect();
+    body.extend((0..48).map(|i| Token::Match {
+        dist: [1, 7, 16, 24, 31, 9][i % 6],
+        len: [258, 258, 16, 258][i % 4],
+    }));
+    let body_bytes = encode(&body).len();
+    let tail_tokens: [fn(usize) -> Token; 2] = [
+        |i| Token::Lit((i * 13 % 251) as u8),
+        |i| {
+            let (dist, len) = [(16, 16), (40, 258), (300, 5), (3, 258), (17, 9)][i % 5];
+            Token::Match { dist, len }
+        },
+    ];
+    for tail_token in tail_tokens {
+        for n in 0.. {
+            let mut tokens = body.clone();
+            tokens.extend((0..n).map(tail_token));
+            let block = encode(&tokens);
+            let tail_bytes = block.len() - body_bytes;
+            if tail_bytes > 2 * WINDOW {
+                break;
+            }
+            let raw_len = decoded_len(&tokens);
+            agree(&block, raw_len).expect("a valid block");
+            for cut in 0..=tail_bytes {
+                let cut_block = &block[..block.len() - cut];
+                let _ = agree(cut_block, raw_len);
+                let _ = agree(cut_block, raw_len + 4096 + 16);
+            }
+        }
     }
 }
 

@@ -93,6 +93,67 @@ fn decode_floor() {
     );
 }
 
+/// The block decoder alone against the frozen v1 block decoder, on the
+/// same blocks in the same process, with no check on either side: the
+/// framed floor above is mostly v1's FNV-1a and cannot see a change to the
+/// block decoder. The blocks are 16 MiB of trace-like records, each timed
+/// at its best of 5 passes. The floor, 2.0×, lies between the ratio of the
+/// decoder that indexed the whole block for every token (1.7–1.8×) and
+/// that of the one that reads each group through fixed windows (2.2–2.4×;
+/// EXPERIMENTS.md has both). Release only, like `decode_floor`.
+#[test]
+fn block_decode_floor() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let raw = common::trace_like(11, 16 << 20);
+    let packed = compress(&raw);
+    let starts = common::frame_starts(&packed);
+    let blocks: Vec<(&[u8], usize)> = starts
+        .iter()
+        .enumerate()
+        .map(|(i, &at)| {
+            let end = starts.get(i + 1).copied().unwrap_or(packed.len());
+            let raw_len = u32::from_le_bytes(packed[at + 1..at + 5].try_into().unwrap()) as usize;
+            assert_eq!(packed[at], 3, "trace-like data compresses");
+            (&packed[at + v1::HEADER..end], raw_len)
+        })
+        .collect();
+    // Five passes over the blocks, the two decoders alternating block by
+    // block, each into its own `Vec`; a block's time is its best of the
+    // five, so a slow stretch of the host costs neither side.
+    let (mut old, mut new) = (vec![f64::MAX; blocks.len()], vec![f64::MAX; blocks.len()]);
+    let (mut old_out, mut new_out) = (Vec::with_capacity(raw.len()), Vec::with_capacity(raw.len()));
+    for _ in 0..5 {
+        old_out.clear();
+        new_out.clear();
+        for (i, &(block, raw_len)) in blocks.iter().enumerate() {
+            let start = std::time::Instant::now();
+            v1::decompress_block(block, raw_len, &mut old_out).unwrap();
+            old[i] = old[i].min(start.elapsed().as_secs_f64());
+            let start = std::time::Instant::now();
+            szip::decompress_block(block, raw_len, &mut new_out).unwrap();
+            new[i] = new[i].min(start.elapsed().as_secs_f64());
+        }
+        assert!(old_out == raw && new_out == raw);
+    }
+    let (old, new) = (old.iter().sum::<f64>(), new.iter().sum::<f64>());
+    let gbps = |s: f64| raw.len() as f64 / 1e9 / s;
+    assert!(
+        old >= 2.0 * new,
+        "block decode floor: v1 {:.3} GB/s, decompress_block {:.3} GB/s, {:.2}x",
+        gbps(old),
+        gbps(new),
+        old / new
+    );
+    println!(
+        "block decode floor: {:.2}x ({:.3} GB/s against {:.3} GB/s)",
+        old / new,
+        gbps(new),
+        gbps(old)
+    );
+}
+
 /// The tables are per thread and reused: A after B, A on a fresh thread and
 /// the first A must be the same bytes (`stored_per_user_byte` being exact
 /// for a seed, and a member's stream matching what its aggregator stores,
