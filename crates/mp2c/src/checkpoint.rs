@@ -16,8 +16,8 @@
 use crate::particle::{Particle, PARTICLE_BYTES};
 use crate::sim::{SimConfig, Simulation};
 use crate::solute::{Solute, SOLUTE_BYTES};
-use simmpi::{CoComm, ReduceOp};
-use sion::{paropen_read_co, paropen_write_co, Result, SionError, SionParams};
+use simmpi::CoComm;
+use sion::{all_or_nothing, paropen_read_co, paropen_write_co, Result, SionError, SionParams};
 use vfs::Vfs;
 
 /// How checkpoints are stored.
@@ -93,22 +93,11 @@ fn task_local_path(base: &str, rank: usize) -> String {
     format!("{base}.{rank:06}")
 }
 
-/// Synchronize error state across the communicator *before* the next
-/// collective operation: if any rank failed locally, every rank returns an
-/// error instead of some ranks blocking forever in a collective the failed
-/// rank never reaches (the classic MPI error-path deadlock).
-async fn collective_check<T>(comm: &CoComm, local: Result<T>) -> Result<T> {
-    let failed = comm
-        .allreduce_u64(local.is_err() as u64, ReduceOp::Max)
-        .await;
-    match (failed, local) {
-        (0, ok) => ok,
-        (_, Err(e)) => Err(e),
-        (_, Ok(_)) => Err(SionError::CollectiveMismatch(
-            "another task failed during the checkpoint operation".into(),
-        )),
-    }
-}
+/// What a task whose own part succeeded reports when a peer's failed: the
+/// checkpoint's agreements ([`all_or_nothing`]) run before the next
+/// collective, so no rank blocks forever in one a failed rank never
+/// reaches (the classic MPI error-path deadlock).
+const PEER_FAILED: &str = "another task failed during the checkpoint operation";
 
 /// Collectively write a checkpoint of `sim` under `base`.
 pub async fn write_checkpoint(
@@ -128,7 +117,7 @@ pub async fn write_checkpoint(
             let mut w = paropen_write_co(vfs, base, &params, comm).await?;
             let wrote = w.write(&stream);
             // The close is collective: agree on success first.
-            collective_check(comm, wrote).await?;
+            all_or_nothing(comm, wrote, PEER_FAILED).await?;
             w.close_co().await?;
             Ok(())
         }
@@ -139,7 +128,7 @@ pub async fn write_checkpoint(
                 f.sync()?;
                 Ok(())
             })();
-            collective_check(comm, wrote).await
+            all_or_nothing(comm, wrote, PEER_FAILED).await
         }
         Strategy::SingleFileSequential => {
             // Gather-and-write: rank 0 serializes everyone's stream into
@@ -166,14 +155,14 @@ pub async fn write_checkpoint(
             } else {
                 Ok(())
             };
-            collective_check(comm, wrote).await
+            all_or_nothing(comm, wrote, PEER_FAILED).await
         }
     }
 }
 
 /// Collectively restore a simulation from the checkpoint at `base`. Every
 /// task returns the same verdict: open, read and decode of each task's
-/// stream end in one `collective_check`, whichever strategy stored it.
+/// stream end in one [`all_or_nothing`] agreement, whichever strategy stored it.
 pub async fn read_checkpoint(
     config: SimConfig,
     vfs: &dyn Vfs,
@@ -249,8 +238,12 @@ pub async fn read_checkpoint(
             failed.map_or(Ok(mine), Err)
         }
     };
-    let (step, particles, solutes) =
-        collective_check(comm, stream.and_then(|s| decode_task_stream(&s))).await?;
+    let (step, particles, solutes) = all_or_nothing(
+        comm,
+        stream.and_then(|s| decode_task_stream(&s)),
+        PEER_FAILED,
+    )
+    .await?;
     Ok(Simulation::from_restart(
         config,
         particles,

@@ -44,7 +44,6 @@
 
 use crate::hb::{Chan, ClockCore, Edge, VClock};
 use crate::report::{CheckFailure, ScheduleCfg};
-use crate::sched::digest_task_run;
 use simmpi::{CheckHook, HookEvent, Sanitizer, ScheduleDriver};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -277,9 +276,10 @@ impl DporHarness {
     {
         let san = Arc::new(Sanitizer::new());
         let hook: Arc<dyn CheckHook> = Arc::new(vec![self.recorder(), san.clone()]);
-        let run = simmpi::TaskWorld::run_driven(ntasks, hook, self.driver(), f);
-        digest_task_run(ntasks, ScheduleCfg::Dpor, &san, run)
+        simmpi::TaskWorld::run_driven(ntasks, hook, self.driver(), f)
+            .verdict(Some(&san))
             .map(|v| *vals = Some(v))
+            .map_err(|failure| CheckFailure::new(ScheduleCfg::Dpor, failure))
             .err()
     }
 }
@@ -302,7 +302,7 @@ pub struct DporOutcome {
     /// Decision trace of the first (unforced) run, one rendered line per
     /// step — the golden-file anchor for scheduler determinism.
     pub first_trace: Vec<String>,
-    /// First failing run, with [`CheckFailure::schedule`] set for replay.
+    /// First failing run; its [`CheckFailure::schedule`] replays it.
     pub failure: Option<Box<CheckFailure>>,
 }
 
@@ -370,9 +370,8 @@ impl Dpor {
                     .map(|(i, s)| format!("#{i} task {} of {:?}", s.chosen, s.candidates))
                     .collect();
             }
-            if let Some(mut f) = failure {
-                f.schedule = steps.iter().map(|s| s.chosen).collect();
-                out.failure = Some(f);
+            if failure.is_some() {
+                out.failure = failure;
                 break;
             }
             for j in 0..steps.len() {
@@ -425,11 +424,7 @@ impl Dpor {
             rec: Arc::new(Recorder::default()),
         };
         h.rec.reset(schedule.to_vec());
-        let mut failure = run_once(&h);
-        if let Some(f) = &mut failure {
-            f.schedule = h.rec.take().iter().map(|s| s.chosen).collect();
-        }
-        failure
+        run_once(&h)
     }
 }
 
@@ -478,7 +473,7 @@ mod tests {
                     hit
                 }
             });
-            let vals = digest_task_run(2, ScheduleCfg::Dpor, &san, run).expect("clean program");
+            let vals = run.verdict(Some(&san)).expect("clean program");
             outcomes.lock().unwrap().insert(vals[1]);
             None
         });
@@ -510,10 +505,10 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("the leaky interleaving must be found"),
         };
-        assert!(!err.schedule.is_empty());
+        assert!(!err.schedule().is_empty());
         assert_eq!(err.cfg, ScheduleCfg::Dpor);
         let mut vals = None;
-        let replayed = Dpor::replay(&err.schedule, |h| h.run_sanitized(2, prog, &mut vals))
+        let replayed = Dpor::replay(err.schedule(), |h| h.run_sanitized(2, prog, &mut vals))
             .expect("forced schedule reproduces the failure");
         assert!(vals.is_none(), "a failed replay returns no values");
         assert_eq!(replayed.stable_report(), err.stable_report());

@@ -35,9 +35,13 @@
 //! 2. **`SIMCHECK=1`** — zero-code-change passive mode. With the
 //!    environment variable set, `TaskWorld::run` installs a [`Sanitizer`]
 //!    that performs the same collective/tag/leak checks under work
-//!    stealing, and records the executor's exact deadlock verdict.
-//!    Production runs without the variable pay one `Option` branch per
-//!    operation.
+//!    stealing. Production runs without the variable pay one `Option`
+//!    branch per operation.
+//!
+//! Both modes reach one verdict: `simmpi`'s `TaskRun::verdict` classifies
+//! a finished run's per-rank outcomes and builds the deadlock finding from
+//! the executor's [`DeadlockReport`](simmpi::DeadlockReport). `SIMCHECK=1`
+//! raises it; a [`CheckFailure`] is it under its [`ScheduleCfg`].
 //!
 //! Every checker is a [`CheckHook`] (several share a run as a
 //! `Vec<Arc<dyn CheckHook>>`), and ordering comes from one place, [`hb`]'s
@@ -64,7 +68,7 @@ mod sched;
 
 pub use dpor::{Dpor, DporOutcome};
 pub use hb::HbEngine;
-pub use report::{CheckFailure, DeadlockInfo, PendingOp, ScheduleCfg, TraceEv};
+pub use report::{CheckFailure, ScheduleCfg};
 pub use sched::{schedules, seed_budget, CheckedTaskWorld};
 
 pub use simmpi::{

@@ -5,7 +5,7 @@
 //! insertion-ordered state only — no map iteration order, no addresses, no
 //! timestamps.
 
-use simmpi::Finding;
+use simmpi::{DeadlockReport, Finding, RunFailure};
 use std::fmt;
 
 /// One point of the schedule space: the interleaving is a pure function of
@@ -44,64 +44,51 @@ impl fmt::Display for ScheduleCfg {
     }
 }
 
-/// One scheduling decision of a checked run: the executor polled `task`
-/// until it parked or finished.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEv {
-    /// Decision ordinal (0-based).
-    pub step: usize,
-    /// World task chosen to run.
-    pub task: usize,
-}
-
-/// One rank's pending operation at deadlock time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingOp {
-    /// World task id.
-    pub task: usize,
-    /// Structural name of the communicator the operation is on.
-    pub comm: String,
-    /// Description of the blocked operation (decoded tag included).
-    pub op: String,
-}
-
-/// A whole-world deadlock verdict: every live rank blocked in a receive
-/// with no deliverable message. Rank tasks park by returning `Pending`, so
-/// there is no stack to walk — the pending-op table carries the diagnosis.
-#[derive(Debug, Clone, Default)]
-pub struct DeadlockInfo {
-    /// Blocked ranks in ascending task order.
-    pub pending: Vec<PendingOp>,
-}
-
-/// Everything known about a failed checked run: the findings, the deadlock
-/// verdict if there was one, and the full decision trace that reproduces it.
+/// A failed checked run: `simmpi`'s one verdict ([`RunFailure`]) under the
+/// schedule that produced it.
 #[derive(Debug)]
 pub struct CheckFailure {
     /// The schedule point that produced the failure; re-running the same
     /// program under this configuration replays it exactly.
     pub cfg: ScheduleCfg,
-    /// All sanitizer findings, in (deterministic) detection order.
+    /// All findings, in (deterministic) detection order.
     pub findings: Vec<Finding>,
     /// Present when the failure was a whole-world deadlock.
-    pub deadlock: Option<DeadlockInfo>,
-    /// Every scheduling decision of the run, in order.
-    pub trace: Vec<TraceEv>,
-    /// For [`ScheduleCfg::Dpor`] failures: the full decision sequence
-    /// (chosen task per step) of the failing run. Forcing it as the
-    /// decision prefix of a driven serial run replays the failure exactly.
-    /// Empty for seeded failures (the seed is the replay handle there).
-    pub schedule: Vec<usize>,
+    pub deadlock: Option<DeadlockReport>,
+    /// Every scheduling decision of the run: the task polled at each step.
+    pub trace: Vec<usize>,
 }
 
 impl CheckFailure {
+    /// `failure` as found under `cfg`.
+    pub(crate) fn new(cfg: ScheduleCfg, failure: RunFailure) -> Box<CheckFailure> {
+        Box::new(CheckFailure {
+            cfg,
+            findings: failure.findings,
+            deadlock: failure.deadlock,
+            trace: failure.trace,
+        })
+    }
+
+    /// For [`ScheduleCfg::Dpor`] failures: the full decision sequence of
+    /// the failing run, its [`trace`](Self::trace). Forcing it as the
+    /// decision prefix of a driven serial run ([`crate::Dpor::replay`])
+    /// replays the failure exactly. Empty for seeded failures (the seed is
+    /// the replay handle there).
+    pub fn schedule(&self) -> &[usize] {
+        match self.cfg {
+            ScheduleCfg::Dpor => &self.trace,
+            ScheduleCfg::Seeded { .. } => &[],
+        }
+    }
+
     /// Deterministic rendering: byte-identical between a failing seed and
     /// its replay, suitable for golden-file comparison.
     pub fn stable_report(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("simcheck failure ({})\n", self.cfg));
-        if !self.schedule.is_empty() {
-            out.push_str(&format!("replay schedule: {:?}\n", self.schedule));
+        if !self.schedule().is_empty() {
+            out.push_str(&format!("replay schedule: {:?}\n", self.schedule()));
         }
         out.push_str(&format!("findings ({}):\n", self.findings.len()));
         for f in &self.findings {
@@ -110,15 +97,18 @@ impl CheckFailure {
         if let Some(d) = &self.deadlock {
             out.push_str(&format!(
                 "deadlock: {} rank(s) blocked with no deliverable message:\n",
-                d.pending.len()
+                d.parked.len()
             ));
-            for p in &d.pending {
-                out.push_str(&format!("  rank {}: {} on \"{}\"\n", p.task, p.op, p.comm));
+            for p in &d.parked {
+                out.push_str(&format!(
+                    "  rank {}: {} on \"{}\"\n",
+                    p.world_rank, p.op, p.comm
+                ));
             }
         }
         out.push_str(&format!("trace ({} decisions):\n", self.trace.len()));
-        for ev in &self.trace {
-            out.push_str(&format!("  #{} task {}\n", ev.step, ev.task));
+        for (step, task) in self.trace.iter().enumerate() {
+            out.push_str(&format!("  #{step} task {task}\n"));
         }
         out
     }
@@ -135,7 +125,7 @@ impl std::error::Error for CheckFailure {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::FindingKind;
+    use simmpi::{FindingKind, ParkedOp};
 
     #[test]
     fn stable_report_is_reproducible_text() {
@@ -148,15 +138,14 @@ mod tests {
                 kind: FindingKind::Deadlock,
                 message: "whole-world deadlock: 2 task(s) blocked".into(),
             }],
-            deadlock: Some(DeadlockInfo {
-                pending: vec![PendingOp {
-                    task: 0,
+            deadlock: Some(DeadlockReport {
+                parked: vec![ParkedOp {
+                    world_rank: 0,
                     comm: "world".into(),
                     op: "recv(src=1, tag=0x2)".into(),
                 }],
             }),
-            trace: vec![TraceEv { step: 0, task: 1 }],
-            schedule: Vec::new(),
+            trace: vec![1],
         };
         let a = fail.stable_report();
         let b = fail.stable_report();

@@ -27,17 +27,9 @@
 //! the same passive [`Sanitizer`] the `SIMCHECK=1` env mode installs on a
 //! work-stealing run, so diagnoses read the same everywhere.
 
-use crate::report::{CheckFailure, DeadlockInfo, PendingOp, ScheduleCfg, TraceEv};
-use simmpi::Aborted;
-use simmpi::{Finding, FindingKind, Sanitizer};
+use crate::report::{CheckFailure, ScheduleCfg};
+use simmpi::Sanitizer;
 use std::sync::Arc;
-
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    p.downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| p.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "<non-string panic payload>".to_string())
-}
 
 /// Launcher executing `simmpi` programs, written as rank tasks for
 /// [`simmpi::TaskWorld`], under explored schedules — the one harness for
@@ -69,8 +61,9 @@ impl CheckedTaskWorld {
                     seed,
                     preemption_bound,
                 };
-                let run = simmpi::TaskWorld::run_checked(policy, ntasks, san.clone(), f);
-                digest_task_run(ntasks, cfg, &san, run)
+                simmpi::TaskWorld::run_checked(policy, ntasks, san.clone(), f)
+                    .verdict(Some(&san))
+                    .map_err(|failure| CheckFailure::new(cfg, failure))
             }
             ScheduleCfg::Dpor => {
                 let mut vals = None;
@@ -104,83 +97,6 @@ impl CheckedTaskWorld {
         }
         Ok(explored)
     }
-}
-
-/// Turn a finished task-runtime run into the checked verdict: sanitizer
-/// findings + deadlock verdict + per-rank panics, or the per-rank values
-/// when clean. Shared by the seeded path, the DPOR explorer, and DPOR
-/// replay; for [`ScheduleCfg::Dpor`] the decision trace doubles as the
-/// replay [`CheckFailure::schedule`].
-pub(crate) fn digest_task_run<T: Send>(
-    ntasks: usize,
-    cfg: ScheduleCfg,
-    san: &Sanitizer,
-    run: simmpi::TaskRun<T>,
-) -> Result<Vec<T>, Box<CheckFailure>> {
-    let deadlock = run.deadlock.map(|d| {
-        san.record_deadlock(format!(
-            "whole-world deadlock: {} task(s) parked with no runnable peer",
-            d.parked.len()
-        ));
-        DeadlockInfo {
-            pending: d
-                .parked
-                .into_iter()
-                .map(|p| PendingOp {
-                    task: p.world_rank,
-                    comm: p.comm,
-                    op: p.op,
-                })
-                .collect(),
-        }
-    });
-    let mut findings = san.findings();
-    let mut vals = Vec::new();
-    for (rank, r) in run.results.into_iter().enumerate() {
-        match r {
-            Ok(v) => vals.push(v),
-            Err(p) if p.is::<Aborted>() => {}
-            Err(p) => {
-                let msg = panic_message(p.as_ref());
-                if !msg.starts_with("simcheck:") {
-                    findings.push(Finding {
-                        kind: FindingKind::Panic,
-                        message: format!("rank {rank} panicked: {msg}"),
-                    });
-                }
-            }
-        }
-    }
-    findings.extend(san.incomplete_collectives());
-    if findings.is_empty() && vals.len() != ntasks {
-        findings.push(Finding {
-            kind: FindingKind::Panic,
-            message: format!(
-                "{} of {ntasks} rank(s) unwound without a recorded finding",
-                ntasks - vals.len()
-            ),
-        });
-    }
-    if findings.is_empty() {
-        return Ok(vals);
-    }
-    let schedule = if matches!(cfg, ScheduleCfg::Dpor) {
-        run.trace.clone()
-    } else {
-        Vec::new()
-    };
-    Err(Box::new(CheckFailure {
-        cfg,
-        findings,
-        deadlock,
-        trace: run
-            .trace
-            .into_iter()
-            .enumerate()
-            .map(|(step, task)| TraceEv { step, task })
-            .collect(),
-        schedule,
-    }))
 }
 
 /// The standard schedule sweep: `seeds` seeds at each preemption bound

@@ -255,9 +255,9 @@ fn cyclic_recv_deadlocks_with_golden_report() {
         .deadlock
         .as_ref()
         .expect("deadlock details must be present");
-    assert_eq!(dl.pending.len(), 2, "both ranks are blocked:\n{fail}");
-    for (rank, p) in dl.pending.iter().enumerate() {
-        assert_eq!(p.task, rank, "pending ops are in stable rank order");
+    assert_eq!(dl.parked.len(), 2, "both ranks are blocked:\n{fail}");
+    for (rank, p) in dl.parked.iter().enumerate() {
+        assert_eq!(p.world_rank, rank, "pending ops are in stable rank order");
         assert!(
             p.op.contains("recv("),
             "pending op names the receive: {}",
@@ -312,13 +312,13 @@ fn missing_close_deadlock_names_comm_and_collective() {
         .deadlock
         .as_ref()
         .unwrap_or_else(|| panic!("no deadlock verdict:\n{fail}"));
-    let parked: Vec<usize> = dl.pending.iter().map(|p| p.task).collect();
+    let parked: Vec<usize> = dl.parked.iter().map(|p| p.world_rank).collect();
     assert_eq!(
         parked,
         [0, 1, 3],
         "the three closing ranks are parked, rank 2 is gone:\n{fail}"
     );
-    for p in &dl.pending {
+    for p in &dl.parked {
         assert!(
             p.comm.starts_with("world"),
             "communicator named structurally: {p:?}"
@@ -371,11 +371,11 @@ fn try_recv_hit_consumes_the_in_flight_message() {
             .deadlock
             .as_ref()
             .unwrap_or_else(|| panic!("no deadlock verdict:\n{fail}"));
-        assert_eq!(dl.pending.len(), 1, "only rank 1 is blocked:\n{fail}");
+        assert_eq!(dl.parked.len(), 1, "only rank 1 is blocked:\n{fail}");
         assert!(
-            dl.pending[0].op.contains("recv(src=0, tag=0xa)"),
+            dl.parked[0].op.contains("recv(src=0, tag=0xa)"),
             "{}",
-            dl.pending[0].op
+            dl.parked[0].op
         );
         assert_eq!(
             fail.findings.len(),

@@ -3,7 +3,7 @@
 //!
 //! [`CoComm`] is the crate's one communicator: its tree engine
 //! (`task/comm.rs`) moves bytes, and the helpers here (`bcast_u64`,
-//! `allreduce_u64`, `gather_u64s`, `reduce_f64`, …) encode words on top of
+//! `allreduce_u64`, `gather_u64`, `reduce_f64`, …) encode words on top of
 //! its byte collectives. Every waiting operation is an `async fn`, so a
 //! rank is a cooperatively scheduled state machine that parks on mailbox
 //! receives instead of blocking a worker thread, and each future's type is
@@ -17,7 +17,7 @@
 //! [`drive_ready`] polls a future once outside it, for the calls that never
 //! wait.
 
-use crate::comm::{bytes_to_u64s, ReduceOp};
+use crate::comm::ReduceOp;
 use crate::CoComm;
 use std::future::Future;
 use std::pin::pin;
@@ -117,14 +117,6 @@ impl CoComm {
         self.bcast_u64(reduced, 0).await
     }
 
-    /// Gather a `u64` slice per rank at `root`.
-    pub async fn gather_u64s(&self, values: &[u64], root: usize) -> Option<Vec<Vec<u64>>> {
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.gather(&bytes, root)
-            .await
-            .map(|bufs| bufs.iter().map(|b| bytes_to_u64s(b)).collect())
-    }
-
     /// Rooted reduction of an `f64`.
     pub async fn reduce_f64(&self, value: f64, op: ReduceOp, root: usize) -> Option<f64> {
         let buf = value.to_le_bytes();
@@ -221,7 +213,6 @@ mod tests {
             assert_send(&c.gather_u64(7, 0));
             assert_send(&c.allgather_u64(7));
             assert_send(&c.allreduce_u64(7, ReduceOp::Sum));
-            assert_send(&c.gather_u64s(&words, 0));
             assert_send(&c.reduce_f64(7.0, ReduceOp::Sum, 0));
             assert_send(&c.allreduce_f64(7.0, ReduceOp::Sum));
         });

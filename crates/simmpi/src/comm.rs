@@ -108,17 +108,3 @@ impl CommStats {
             + self.splits()
     }
 }
-
-/// Reinterpret a little-endian byte buffer as `u64`s (length must be a
-/// multiple of 8).
-pub(crate) fn bytes_to_u64s(bytes: &[u8]) -> Vec<u64> {
-    assert_eq!(
-        bytes.len() % 8,
-        0,
-        "u64 payload length must be a multiple of 8"
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}

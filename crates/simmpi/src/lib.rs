@@ -52,7 +52,7 @@ pub use hook::{
     simcheck_env_enabled, Aborted, AggProtocolScope, CheckHook, CollKind, CommCtx, HookEvent,
     LeakedMsg, AGG_ACK_TAG_PREFIX, AGG_SHIP_TAG_PREFIX, COLL_TAG_MASK, COLL_TAG_PREFIX,
 };
-pub use sanitize::{Finding, FindingKind, Sanitizer};
+pub use sanitize::{Finding, FindingKind, RunFailure, Sanitizer};
 pub use task::{
     CoComm, DeadlockReport, ParkedOp, SchedPolicy, SchedStats, ScheduleDriver, TaskRun, TaskWorld,
 };

@@ -18,19 +18,24 @@
 //!   naming the offending rank.
 //! * **message leaks** — unconsumed messages found when a communicator
 //!   handle is dropped.
-//! * **deadlock** — recorded from the task executor's exact quiescence
-//!   verdict ([`record_deadlock`](Sanitizer::record_deadlock)).
 //!
 //! Findings panic on the offending rank (with the diagnosis as the panic
 //! message); peers left waiting on it are released when the executor
 //! finds the world quiescent. All report text is deterministic: state
 //! lives in `BTreeMap`s and leak lists are sorted before reporting.
+//!
+//! [`TaskRun::verdict`] turns a finished run into its one verdict: the
+//! sanitizer's findings, the executor's exact deadlock report and the
+//! ranks' panics, in [`RunFailure`]. `TaskWorld::run` raises it; `simcheck`
+//! wraps it with its schedule.
 
 use crate::hook::{
-    describe_tag, is_agg_tag, reserved_tag_panic_text, CheckHook, CollKind, CommCtx, HookEvent,
-    LeakedMsg,
+    describe_tag, is_agg_tag, reserved_tag_panic_text, Aborted, CheckHook, CollKind, CommCtx,
+    HookEvent, LeakedMsg,
 };
+use crate::task::{DeadlockReport, TaskRun};
 use parking_lot::Mutex;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -251,39 +256,119 @@ impl Sanitizer {
             })
             .collect()
     }
+}
 
-    /// Record a deadlock finding: the executor's whole-world verdict.
-    pub fn record_deadlock(&self, message: String) -> Finding {
-        self.record(FindingKind::Deadlock, message)
+/// Why a run failed, as [`TaskRun::verdict`] classified it: the one
+/// record of a failed run that `TaskWorld::run` raises and `simcheck`
+/// reports.
+#[derive(Debug)]
+pub struct RunFailure {
+    /// Every finding, in a deterministic order: the sanitizer's in
+    /// detection order, the deadlock verdict's, one per rank panic no
+    /// finding already diagnoses, then the collectives left incomplete.
+    pub findings: Vec<Finding>,
+    /// The executor's deadlock verdict, when the world quiesced with
+    /// parked ranks.
+    pub deadlock: Option<DeadlockReport>,
+    /// The run's poll order ([`TaskRun::trace`]).
+    pub trace: Vec<usize>,
+    /// The first rank panic that is not an [`Aborted`] release.
+    pub panic: Option<Box<dyn Any + Send>>,
+}
+
+fn panic_message(p: &(dyn Any + Send)) -> String {
+    p.downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| p.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".to_string())
+}
+
+impl<T> TaskRun<T> {
+    /// The one classification of a finished run: every rank's value, or
+    /// the [`RunFailure`]. A rank ends in its value, in an [`Aborted`]
+    /// release (secondary: what it waited on is diagnosed where it
+    /// failed), or in a real panic, a [`FindingKind::Panic`] finding unless
+    /// its message is already a `simcheck:` diagnosis. A deadlock is one
+    /// [`FindingKind::Deadlock`] finding. With the run's sanitizer `san`,
+    /// its findings and the collectives it saw left incomplete join in.
+    pub fn verdict(self, san: Option<&Sanitizer>) -> Result<Vec<T>, RunFailure> {
+        let ntasks = self.results.len();
+        let mut findings = san.map_or_else(Vec::new, Sanitizer::findings);
+        if let Some(d) = &self.deadlock {
+            findings.push(Finding {
+                kind: FindingKind::Deadlock,
+                message: format!(
+                    "whole-world deadlock: {} task(s) parked with no runnable peer",
+                    d.parked.len()
+                ),
+            });
+        }
+        let mut vals = Vec::with_capacity(ntasks);
+        let mut panic = None;
+        for (rank, r) in self.results.into_iter().enumerate() {
+            match r {
+                Ok(v) => vals.push(v),
+                Err(p) if p.is::<Aborted>() => {}
+                Err(p) => {
+                    let msg = panic_message(p.as_ref());
+                    if !msg.starts_with("simcheck:") {
+                        findings.push(Finding {
+                            kind: FindingKind::Panic,
+                            message: format!("rank {rank} panicked: {msg}"),
+                        });
+                    }
+                    panic.get_or_insert(p);
+                }
+            }
+        }
+        if let Some(san) = san {
+            findings.extend(san.incomplete_collectives());
+        }
+        if findings.is_empty() && vals.len() != ntasks {
+            findings.push(Finding {
+                kind: FindingKind::Panic,
+                message: format!(
+                    "{} of {ntasks} rank(s) unwound without a recorded finding",
+                    ntasks - vals.len()
+                ),
+            });
+        }
+        if findings.is_empty() {
+            return Ok(vals);
+        }
+        Err(RunFailure {
+            findings,
+            deadlock: self.deadlock,
+            trace: self.trace,
+            panic,
+        })
     }
 }
 
-/// Collapse the per-rank results of an env-gated (`SIMCHECK=1`) checked run
-/// back into the plain `run` contract: re-panic with the primary diagnosis
-/// (preferring a real finding over the secondary
-/// [`Aborted`](crate::Aborted) results of ranks released from blocked
-/// receives), then fail on collectives the world left incomplete.
-pub(crate) fn finalize_env_checked<T>(
-    results: Vec<std::thread::Result<T>>,
-    san: &Sanitizer,
-) -> Vec<T> {
-    let ntasks = results.len();
-    let vals = crate::task::propagate_panics(results);
-    // No real panic, yet some rank did not finish: it was released from a
-    // blocked receive when the world deadlocked.
-    if vals.len() < ntasks {
-        let reason = san
-            .findings()
-            .first()
-            .map_or_else(|| "no reason recorded".into(), Finding::to_string);
-        panic!("simcheck: world aborted: {reason}");
+impl RunFailure {
+    /// Fail the way `TaskWorld::run` does: re-raise the first real panic's
+    /// own payload; else panic naming every finding, then every parked
+    /// operation of the deadlock report (which the deadlock finding only
+    /// counts, so it is left out).
+    pub(crate) fn raise(self) -> ! {
+        if let Some(p) = self.panic {
+            std::panic::resume_unwind(p);
+        }
+        let findings: Vec<String> = self
+            .findings
+            .iter()
+            .filter(|f| f.kind != FindingKind::Deadlock)
+            .map(Finding::to_string)
+            .collect();
+        let mut lines = Vec::new();
+        if !findings.is_empty() {
+            lines.push(format!("simcheck: {}", findings.join("; ")));
+        }
+        if let Some(d) = self.deadlock {
+            lines.push(format!("simmpi task world {d}"));
+        }
+        panic!("{}", lines.join("\n"))
     }
-    let incomplete = san.incomplete_collectives();
-    if !incomplete.is_empty() {
-        let msgs: Vec<String> = incomplete.iter().map(|f| f.to_string()).collect();
-        panic!("simcheck: {}", msgs.join("; "));
-    }
-    vals
 }
 
 impl CheckHook for Sanitizer {

@@ -26,6 +26,7 @@
 //! ([`WorldRt`]), so a deadlock report (executor quiescence) can name
 //! exactly which rank is stuck in which receive on which communicator.
 
+use super::ParkedOp;
 use crate::co::AllGathered;
 use crate::comm::{CommStats, ReduceOp};
 use crate::hook::{self, coll_tag, CheckHook, CollKind, CommCtx, HookEvent, LeakedMsg};
@@ -33,7 +34,6 @@ use crate::wire::{frame, subtree_size, unframe, FrameCut};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -121,40 +121,6 @@ struct ParkedRecv {
     tag: u64,
 }
 
-/// A [`ParkedRecv`] with its communicator resolved: what a deadlock report
-/// names.
-#[derive(Clone)]
-pub(crate) struct Parked {
-    pub(crate) ctx: CommCtx,
-    pub(crate) comm_rank: usize,
-    pub(crate) src: usize,
-    pub(crate) tag: u64,
-}
-
-impl Parked {
-    /// The blocked operation alone (no communicator name), in the same
-    /// shape as `simcheck`'s pending-op dumps.
-    pub(crate) fn op_text(&self) -> String {
-        format!(
-            "recv(src={}, tag={}) as rank {}",
-            self.src,
-            hook::describe_tag(self.tag),
-            self.comm_rank
-        )
-    }
-}
-
-impl fmt::Display for Parked {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "on comm \"{}\" parked in {}",
-            self.ctx.name,
-            self.op_text()
-        )
-    }
-}
-
 /// Per-world runtime state shared by every communicator of one task world:
 /// the pending-op table (indexed by *world* rank, so registration is a
 /// single per-rank lock), the abort flag that silences teardown checks
@@ -232,22 +198,26 @@ impl WorldRt {
         &self.pending[world_rank]
     }
 
-    fn resolve(&self, p: ParkedRecv) -> Parked {
-        Parked {
-            ctx: self.comms.lock()[p.comm].clone(),
-            comm_rank: p.comm_rank,
-            src: p.src,
-            tag: p.tag,
-        }
-    }
-
     /// The parked operations of every still-blocked task, in world-rank
-    /// order — the body of a deadlock report.
-    pub(crate) fn snapshot_pending(&self) -> Vec<(usize, Parked)> {
+    /// order, their communicators resolved — the body of a deadlock report.
+    pub(crate) fn snapshot_pending(&self) -> Vec<ParkedOp> {
+        let comms = self.comms.lock();
         self.pending
             .iter()
             .enumerate()
-            .filter_map(|(rank, slot)| slot.lock().take().map(|p| (rank, self.resolve(p))))
+            .filter_map(|(world_rank, slot)| {
+                let p = slot.lock().take()?;
+                Some(ParkedOp {
+                    world_rank,
+                    comm: comms[p.comm].name.to_string(),
+                    op: format!(
+                        "recv(src={}, tag={}) as rank {}",
+                        p.src,
+                        hook::describe_tag(p.tag),
+                        p.comm_rank
+                    ),
+                })
+            })
             .collect()
     }
 }

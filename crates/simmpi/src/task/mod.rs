@@ -69,7 +69,9 @@ pub struct SchedStats {
     pub shared_frame_bytes: u64,
 }
 
-/// One operation parked at the moment a deadlock was declared.
+/// One operation parked at the moment a deadlock was declared. Its
+/// `Display` names the communicator, the rank within it and the receive it
+/// is stuck in: `on comm "world" parked in recv(src=1, tag=0x9) as rank 0`.
 #[derive(Debug, Clone)]
 pub struct ParkedOp {
     /// Rank in the world communicator.
@@ -79,9 +81,12 @@ pub struct ParkedOp {
     /// The blocked operation (decoded tag included), e.g.
     /// `recv(src=1, tag=0x9) as rank 0`.
     pub op: String,
-    /// Human-readable description: communicator, rank within it, and the
-    /// receive or rendezvous it is stuck in.
-    pub description: String,
+}
+
+impl fmt::Display for ParkedOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "on comm \"{}\" parked in {}", self.comm, self.op)
+    }
 }
 
 /// Exact deadlock diagnosis: every task still parked when the executor
@@ -100,7 +105,7 @@ impl fmt::Display for DeadlockReport {
             self.parked.len()
         )?;
         for op in &self.parked {
-            writeln!(f, "  [task {}] {}", op.world_rank, op.description)?;
+            writeln!(f, "  [task {}] {op}", op.world_rank)?;
         }
         Ok(())
     }
@@ -149,16 +154,7 @@ where
         || world.abort(),
     );
     let deadlock = report.deadlocked.then(|| DeadlockReport {
-        parked: world
-            .snapshot_pending()
-            .into_iter()
-            .map(|(world_rank, p)| ParkedOp {
-                world_rank,
-                comm: p.ctx.name.to_string(),
-                op: p.op_text(),
-                description: p.to_string(),
-            })
-            .collect(),
+        parked: world.snapshot_pending(),
     });
     let reason = deadlock.as_ref().map(|d| format!("simmpi task world {d}"));
     let results = raw
@@ -193,29 +189,6 @@ where
     }
 }
 
-/// Collapse the per-rank results of a plain (hook-free) run to the `run`
-/// contract: propagate the first real panic — the
-/// [`Aborted`] unwinds of peers released from a torn-down world are
-/// secondary — or return every rank's value.
-pub(crate) fn propagate_panics<T>(results: Vec<std::thread::Result<T>>) -> Vec<T> {
-    let mut out = Vec::with_capacity(results.len());
-    let mut primary: Option<Box<dyn Any + Send>> = None;
-    for r in results {
-        match r {
-            Ok(v) => out.push(v),
-            Err(e) => {
-                if primary.is_none() && e.downcast_ref::<Aborted>().is_none() {
-                    primary = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(p) = primary {
-        std::panic::resume_unwind(p);
-    }
-    out
-}
-
 /// Launcher for SPMD execution as rank tasks over [`CoComm`].
 pub struct TaskWorld;
 
@@ -246,26 +219,14 @@ impl TaskWorld {
         F: Fn(CoComm) -> Fut,
         Fut: Future<Output = T> + Send,
     {
-        if hook::simcheck_env_enabled() {
-            let san = Arc::new(Sanitizer::new());
-            let run = Self::run_checked(policy, ntasks, san.clone(), f);
-            if let Some(d) = &run.deadlock {
-                san.record_deadlock(format!("simmpi task world {d}"));
-            }
-            let TaskRun { results, stats, .. } = run;
-            return (crate::sanitize::finalize_env_checked(results, &san), stats);
+        let san = hook::simcheck_env_enabled().then(|| Arc::new(Sanitizer::new()));
+        let check = san.clone().map(|s| s as Arc<dyn CheckHook>);
+        let mut run = run_engine(&policy, ntasks, check, None, false, f);
+        let stats = std::mem::take(&mut run.stats);
+        match run.verdict(san.as_deref()) {
+            Ok(out) => (out, stats),
+            Err(failure) => failure.raise(),
         }
-        let TaskRun {
-            results,
-            deadlock,
-            stats,
-            ..
-        } = run_engine(&policy, ntasks, None, None, false, f);
-        let out = propagate_panics(results);
-        if let Some(d) = deadlock {
-            panic!("simmpi task world {d}");
-        }
-        (out, stats)
     }
 
     /// Run `f` under a [`CheckHook`], catching each rank's panic, with the
@@ -845,9 +806,9 @@ mod tests {
         assert_eq!(report.parked.len(), 1);
         assert_eq!(report.parked[0].world_rank, 0);
         assert!(
-            report.parked[0].description.contains("recv(src=1"),
+            report.parked[0].to_string().contains("recv(src=1"),
             "{}",
-            report.parked[0].description
+            report.parked[0]
         );
         let aborted = run.results[0]
             .as_ref()

@@ -243,17 +243,6 @@ proptest! {
         prop_assert_eq!(got, spec::gather(&inputs, root));
     }
 
-    /// gather_u64s: ragged word vectors (the close-time usage exchange
-    /// shape) survive the tree framing exactly.
-    #[test]
-    fn gather_u64s_meets_spec(n in 1usize..65, root_sel in any::<u64>(), seed in any::<u64>()) {
-        let root = (root_sel as usize) % n;
-        let input = move |r: usize| words(seed, r, 9, true);
-        let got = on_two_schedules!(n, seed, |c| c.gather_u64s(&input(c.rank()), root));
-        let inputs: Vec<_> = (0..n).map(input).collect();
-        prop_assert_eq!(got, spec::gather(&inputs, root));
-    }
-
     /// scatterv: each rank receives exactly its part of the root's
     /// variable-length distribution.
     #[test]

@@ -305,16 +305,15 @@ impl MetaBlock2 {
         out
     }
 
-    /// Decode from bytes, validating against the expected task count.
-    pub fn decode(bytes: &[u8], expect_ntasks_local: usize) -> Result<Self> {
-        if bytes.len() < MB2_FIXED_LEN as usize {
-            return Err(SionError::Format("metablock 2 too short".into()));
-        }
-        if bytes[0..8] != MAGIC2 {
+    /// Check the fixed header `[magic, nblocks, ntasks]` against the
+    /// expected task count; returns the block count and the encoded length
+    /// the header claims.
+    fn check_header(fixed: &[u8], expect_ntasks_local: usize) -> Result<(u64, u64)> {
+        if fixed[0..8] != MAGIC2 {
             return Err(SionError::Format("bad metablock 2 magic".into()));
         }
-        let nblocks = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let ntasks = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+        let nblocks = u64::from_le_bytes(fixed[8..16].try_into().unwrap());
+        let ntasks = u64::from_le_bytes(fixed[16..24].try_into().unwrap());
         if nblocks > (1 << 32) {
             return Err(SionError::Format(format!(
                 "block count {nblocks} exceeds the sanity limit"
@@ -325,11 +324,21 @@ impl MetaBlock2 {
                 "metablock 2 task count {ntasks} != metablock 1 task count {expect_ntasks_local}"
             )));
         }
-        let want = nblocks
+        let len = nblocks
             .checked_mul(ntasks)
             .and_then(|c| c.checked_mul(8))
+            .and_then(|c| c.checked_add(MB2_FIXED_LEN))
             .ok_or_else(|| SionError::Format("metablock 2 size overflow".into()))?;
-        if bytes.len() as u64 != MB2_FIXED_LEN + want {
+        Ok((nblocks, len))
+    }
+
+    /// Decode from bytes, validating against the expected task count.
+    pub fn decode(bytes: &[u8], expect_ntasks_local: usize) -> Result<Self> {
+        if bytes.len() < MB2_FIXED_LEN as usize {
+            return Err(SionError::Format("metablock 2 too short".into()));
+        }
+        let (nblocks, len) = Self::check_header(bytes, expect_ntasks_local)?;
+        if bytes.len() as u64 != len {
             return Err(SionError::Format("metablock 2 length mismatch".into()));
         }
         let used = bytes[MB2_FIXED_LEN as usize..]
@@ -365,27 +374,8 @@ impl MetaBlock2 {
         let mut fixed = [0u8; MB2_FIXED_LEN as usize];
         file.read_exact_at(&mut fixed, trailer.mb2_off)
             .map_err(|_| SionError::Format("file too short for metablock 2".into()))?;
-        if fixed[0..8] != MAGIC2 {
-            return Err(SionError::Format("bad metablock 2 magic".into()));
-        }
-        let nblocks = u64::from_le_bytes(fixed[8..16].try_into().unwrap());
-        let ntasks = u64::from_le_bytes(fixed[16..24].try_into().unwrap());
-        if nblocks > (1 << 32) {
-            return Err(SionError::Format(format!(
-                "block count {nblocks} exceeds the sanity limit"
-            )));
-        }
-        if ntasks != expect_ntasks_local as u64 {
-            return Err(SionError::Format(format!(
-                "metablock 2 task count {ntasks} != metablock 1 task count {expect_ntasks_local}"
-            )));
-        }
-        let want = nblocks
-            .checked_mul(ntasks)
-            .and_then(|c| c.checked_mul(8))
-            .and_then(|c| c.checked_add(MB2_FIXED_LEN))
-            .ok_or_else(|| SionError::Format("metablock 2 size overflow".into()))?;
-        if trailer.mb2_len != want {
+        let (nblocks, len) = Self::check_header(&fixed, expect_ntasks_local)?;
+        if trailer.mb2_len != len {
             return Err(SionError::Format("metablock 2 length mismatch".into()));
         }
         Ok(nblocks)

@@ -109,7 +109,7 @@ mod error;
 pub mod format;
 mod layout;
 mod mapping;
-pub mod par;
+mod par;
 pub mod rescue;
 pub mod script;
 mod serial;
@@ -120,7 +120,9 @@ pub use error::{Result, SionError};
 pub use format::SionFlags;
 pub use layout::{Alignment, FileLayout};
 pub use mapping::Mapping;
-pub use par::{paropen_read_co, paropen_write_co, CloseStats, SionParReader, SionParWriter};
+pub use par::{
+    all_or_nothing, paropen_read_co, paropen_write_co, CloseStats, SionParReader, SionParWriter,
+};
 pub use serial::{
     check_metadata, ChunkInfo, FileCheck, Locations, Multifile, RankReader, RankWriter,
     SerialWriter, TaskLocation,

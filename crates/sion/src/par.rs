@@ -333,19 +333,12 @@ pub async fn paropen_write_co(
     // One global reduction closes the open: the all-or-nothing failure
     // agreement across file groups. When it returns clean, every physical
     // file exists and every task holds a handle.
-    let any_failed = gcom
-        .allreduce_u64(group_result.is_err() as u64, ReduceOp::Max)
-        .await
-        != 0;
-    let (geom, agg, end, file) = match (any_failed, group_result) {
-        (false, Ok(tuple)) => tuple,
-        (_, Err(e)) => return Err(e),
-        (true, Ok(_)) => {
-            return Err(SionError::CollectiveMismatch(
-                "another file group failed during the collective open".into(),
-            ))
-        }
-    };
+    let (geom, agg, end, file) = all_or_nothing(
+        &gcom,
+        group_result,
+        "another file group failed during the collective open",
+    )
+    .await?;
 
     let mut writer = TaskWriter::new(file.clone(), geom, params.compressed, params.write_buffer);
     let role = if agg != me {
@@ -806,17 +799,39 @@ pub async fn paropen_read_co(vfs: &dyn Vfs, base: &str, comm: &CoComm) -> Result
 
     // Every task opens its own physical file; ONE reduction keeps the open
     // all-or-nothing.
-    let opened = part_reader(vfs, base, part);
-    let any_failed = comm
-        .allreduce_u64(opened.is_err() as u64, ReduceOp::Max)
-        .await
-        != 0;
-    match (any_failed, opened) {
-        (false, Ok(reader)) => Ok(SionParReader { reader, grank }),
-        (_, Err(e)) => Err(e),
-        (true, Ok(_)) => Err(SionError::CollectiveMismatch(
-            "another task failed during the collective read open".into(),
-        )),
+    let reader = all_or_nothing(
+        comm,
+        part_reader(vfs, base, part),
+        "another task failed during the collective read open",
+    )
+    .await?;
+    Ok(SionParReader { reader, grank })
+}
+
+/// The all-or-nothing agreement that ends a collective phase: ONE
+/// allreduce of the failure flag over `comm`, then this task's own error,
+/// or `CollectiveMismatch(peer_failed)` when only its peers failed. Every
+/// task reaches it, error or not, so no task is left waiting on one that
+/// gave up.
+///
+/// A plain `fn` around one `async move` block: an `async fn` would store
+/// `local` (a whole reader or writer handle) twice in its future, in every
+/// rank parked in the agreement.
+#[allow(clippy::manual_async_fn)] // see above: an `async fn` stores `local` twice
+pub fn all_or_nothing<'a, T: 'a>(
+    comm: &'a CoComm,
+    local: Result<T>,
+    peer_failed: &'a str,
+) -> impl Future<Output = Result<T>> + 'a {
+    async move {
+        let any_failed = comm
+            .allreduce_u64(local.is_err() as u64, ReduceOp::Max)
+            .await
+            != 0;
+        match local {
+            Ok(_) if any_failed => Err(SionError::CollectiveMismatch(peer_failed.into())),
+            local => local,
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! workloads ([`ScriptSet`]) for them: chunk capacities, block sharing and
 //! metadata sizes come from the production code (`layout.rs`,
 //! [`MetaBlock1`] and the `ChunkGeom` words), while
-//! the collective open/close message pattern of [`crate::par`] and the
+//! the collective open/close message pattern of `par.rs` and the
 //! baseline access patterns the paper compares against (one-file-per-task
 //! and single-file-sequential) are written by hand.
 //! `tests/collective_rounds.rs` holds the hand-written pattern to the
@@ -138,7 +138,7 @@ fn allreduce_word() -> [IoOp; 2] {
 }
 
 /// Ops of the collective open in write mode, from the perspective of a
-/// file master / a worker (mirrors [`crate::par::paropen_write_co`]). A
+/// file master / a worker (mirrors [`crate::paropen_write_co`]). A
 /// spec asks every task for the same chunk size, so this is the uniform
 /// open: no request gather, no geometry scatter.
 fn open_write_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
@@ -237,7 +237,7 @@ fn multifile_classes(
 }
 
 /// Ops of the collective open in read mode (mirrors
-/// [`crate::par::paropen_read_co`]): file 0's master — global rank 0 —
+/// [`crate::paropen_read_co`]): file 0's master — global rank 0 —
 /// reads every file's metablock 1, metablock 2 and trailer (not the chunk
 /// index) and scatters each task its status,
 /// flags, file, geometry and usage row; every task opens its file, and one

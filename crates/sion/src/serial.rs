@@ -31,7 +31,7 @@
 //! What a physical file starts and ends with is known here and in
 //! [`crate::format`] only: `FileView` decodes it, `create_file` and
 //! `finalize_file` write it, for [`SerialWriter`] and for the collective
-//! open/close of [`crate::par`] alike, and [`check_metadata`] judges it for
+//! open/close of `par.rs` alike, and [`check_metadata`] judges it for
 //! `sionverify` and `sionrepair`.
 
 use crate::error::{Result, SionError};
@@ -587,7 +587,7 @@ impl Multifile {
         Ok(all)
     }
 
-    /// Every task's part of the collective read open ([`crate::par`]), in
+    /// Every task's part of the collective read open (`par.rs`), in
     /// global rank order: `[flags, file, chunk geometry, usage row]` as
     /// words. The rows come from the bulk path — one metablock-2 read per
     /// file — and are checked like any other; [`part_reader`] decodes a part.
