@@ -29,10 +29,28 @@ fn main() {
     println!("simulating {nparticles} particles on {ntasks} tasks ...");
 
     let strategies = [
-        ("sion multifile", "ck_sion", Strategy::Sion { nfiles: 2, compressed: false }),
-        ("sion compressed", "ck_zip", Strategy::Sion { nfiles: 2, compressed: true }),
+        (
+            "sion multifile",
+            "ck_sion",
+            Strategy::Sion {
+                nfiles: 2,
+                compressed: false,
+            },
+        ),
+        (
+            "sion compressed",
+            "ck_zip",
+            Strategy::Sion {
+                nfiles: 2,
+                compressed: true,
+            },
+        ),
         ("task-local files", "ck_local", Strategy::TaskLocal),
-        ("single-file sequential", "ck_seq", Strategy::SingleFileSequential),
+        (
+            "single-file sequential",
+            "ck_seq",
+            Strategy::SingleFileSequential,
+        ),
     ];
 
     let digests = TaskWorld::run(ntasks, |comm| {
@@ -79,7 +97,10 @@ fn main() {
     // All restarts on all ranks must agree with the uninterrupted run.
     let reference = digests[0][0];
     for per_rank in &digests {
-        assert!(per_rank.iter().all(|&d| d == reference), "restart diverged!");
+        assert!(
+            per_rank.iter().all(|&d| d == reference),
+            "restart diverged!"
+        );
     }
     println!("all restarts continue bit-identically (digest {reference:#018x})");
 

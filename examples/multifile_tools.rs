@@ -41,7 +41,11 @@ fn main() {
 
     // --- sionsplit --------------------------------------------------------
     let created = sion_tools::split(&fs, "data.sion", &fs, "extracted/task", None).unwrap();
-    println!("\n== split == recreated {} task files: {:?}", created.len(), &created[..2]);
+    println!(
+        "\n== split == recreated {} task files: {:?}",
+        created.len(),
+        &created[..2]
+    );
     for (rank, path) in created.iter().enumerate() {
         let f = fs.open(path).unwrap();
         assert_eq!(f.len().unwrap() as usize, (rank + 2) * 3000);
@@ -67,11 +71,17 @@ fn main() {
         let mb2_off = u64::from_le_bytes(trailer[0..8].try_into().unwrap());
         f.set_len(mb2_off).unwrap();
     }
-    assert!(Multifile::open(&fs, "data.sion").is_err(), "truncation broke the multifile");
+    assert!(
+        Multifile::open(&fs, "data.sion").is_err(),
+        "truncation broke the multifile"
+    );
     let report = repair(&fs, "data.sion", false).unwrap();
     println!(
         "\n== repair == scanned {} files, repaired {}, recovered {} chunks / {} bytes",
-        report.files_scanned, report.files_repaired, report.chunks_recovered, report.bytes_recovered
+        report.files_scanned,
+        report.files_repaired,
+        report.chunks_recovered,
+        report.bytes_recovered
     );
     let recovered = Multifile::open(&fs, "data.sion").unwrap();
     for rank in 0..ntasks {

@@ -38,7 +38,9 @@ fn payload(rank: usize, len: usize) -> Vec<u8> {
 
 fn workload(fs: &dyn Vfs) {
     TaskWorld::run(NTASKS, |comm| async move {
-        let params = sion::SionParams::new(256).with_rescue().with_write_buffer(128);
+        let params = sion::SionParams::new(256)
+            .with_rescue()
+            .with_write_buffer(128);
         let Ok(mut w) = sion::paropen_write_co(fs, "crash.sion", &params, &comm).await else {
             return;
         };
@@ -56,7 +58,10 @@ fn main() {
     // Probe run (in memory): learn the workload's operation count, then
     // arm the kill switch deep enough that metadata and most data landed.
     let probe = Faults::new();
-    workload(&TapFs::new(Arc::new(MemFs::with_block_size(256)), vec![probe.clone()]));
+    workload(&TapFs::new(
+        Arc::new(MemFs::with_block_size(256)),
+        vec![probe.clone()],
+    ));
     let total_ops = probe.op_count();
     let crash_at = total_ops * 3 / 4;
 

@@ -27,8 +27,7 @@ fn main() {
             let sion = simulate(&machine, &sion_create(&spec)).makespan;
 
             // A 1 TB write spread over 32 physical files.
-            let spec =
-                SimSpec::aligned(n, 32.min(n as u32), (1u64 << 40) / n, machine.fsblksize);
+            let spec = SimSpec::aligned(n, 32.min(n as u32), (1u64 << 40) / n, machine.fsblksize);
             let wl = sion_par_write(&spec);
             let bw = simulate(&machine, &wl).write_bandwidth(&wl) / 1e6;
 

@@ -18,9 +18,16 @@ fn main() {
     let fs = LocalFs::with_block_size(&dir, 64 * 1024);
 
     let ntasks = 16;
-    let workload = SynthConfig { iterations: 30, levels: 5, neighbours: 4, ..Default::default() };
+    let workload = SynthConfig {
+        iterations: 30,
+        levels: 5,
+        neighbours: 4,
+        ..Default::default()
+    };
 
-    let task_local = TraceBackend::TaskLocal { prefix: "traces/run".into() };
+    let task_local = TraceBackend::TaskLocal {
+        prefix: "traces/run".into(),
+    };
     let multifile = TraceBackend::Sion {
         base: "traces.sion".into(),
         chunksize: 1 << 20,
@@ -55,7 +62,10 @@ fn main() {
     // Postmortem analysis over both stores.
     let rep_local = analyze(&fs, &task_local, ntasks).unwrap();
     let rep_sion = analyze(&fs, &multifile, ntasks).unwrap();
-    assert_eq!(rep_local, rep_sion, "storage must be invisible to the analysis");
+    assert_eq!(
+        rep_local, rep_sion,
+        "storage must be invisible to the analysis"
+    );
 
     println!(
         "analyzed {} events from {} ranks: {} messages matched, {} late senders \
@@ -70,12 +80,17 @@ fn main() {
     regions.sort_by_key(|(_, st)| std::cmp::Reverse(st.inclusive_ns));
     println!("top regions by inclusive time:");
     for (region, st) in regions.iter().take(5) {
-        println!("  region {:>3}: {:>10} ns over {:>5} visits", region, st.inclusive_ns, st.visits);
+        println!(
+            "  region {:>3}: {:>10} ns over {:>5} visits",
+            region, st.inclusive_ns, st.visits
+        );
     }
 
     // The compressed multifile is also much smaller on disk.
     let mf = sion::Multifile::open(&fs, "traces.sion").unwrap();
-    let logical: u64 = (0..ntasks).map(|r| mf.read_rank(r).unwrap().len() as u64).sum();
+    let logical: u64 = (0..ntasks)
+        .map(|r| mf.read_rank(r).unwrap().len() as u64)
+        .sum();
     let stored = mf.locations().unwrap().total_stored_bytes();
     println!("trace data: {logical} bytes logical, {stored} bytes stored (compressed)");
 

@@ -11,11 +11,18 @@ use vfs::{FaultKind, Faults, MemFs, TapFs, Vfs};
 /// byte count say what I/O a run performed.
 fn logged_fs() -> (TapFs, Arc<Faults>) {
     let faults = Faults::new();
-    (TapFs::new(Arc::new(MemFs::with_block_size(4096)), vec![faults.clone()]), faults)
+    (
+        TapFs::new(Arc::new(MemFs::with_block_size(4096)), vec![faults.clone()]),
+        faults,
+    )
 }
 
 fn creates(faults: &Faults) -> u64 {
-    faults.take_log().iter().filter(|r| r.kind == FaultKind::Create && r.ok).count() as u64
+    faults
+        .take_log()
+        .iter()
+        .filter(|r| r.kind == FaultKind::Create && r.ok)
+        .count() as u64
 }
 
 #[test]
@@ -24,7 +31,10 @@ fn checkpoint_then_tools_pipeline() {
     // it; a restart from the defragmented copy continues identically.
     let cfg = mp2c::SimConfig::default();
     let fs = MemFs::with_block_size(4096);
-    let strategy = mp2c::checkpoint::Strategy::Sion { nfiles: 2, compressed: false };
+    let strategy = mp2c::checkpoint::Strategy::Sion {
+        nfiles: 2,
+        compressed: false,
+    };
 
     let reference = TaskWorld::run(4, |comm| {
         let fs = &fs;
@@ -111,7 +121,11 @@ fn trace_split_files_decode_as_event_streams() {
         let mut buf = vec![0u8; f.len().unwrap() as usize];
         f.read_exact_at(&mut buf, 0).unwrap();
         let events = tracer::Event::decode_stream(&buf).unwrap();
-        assert_eq!(events, tracer::synthetic_events(&cfg, rank, 6), "rank {rank}");
+        assert_eq!(
+            events,
+            tracer::synthetic_events(&cfg, rank, 6),
+            "rank {rank}"
+        );
     }
 }
 
@@ -156,7 +170,11 @@ fn op_log_counts_the_metadata_story() {
 
 #[test]
 fn compressed_checkpoint_smaller_than_plain() {
-    let cfg = mp2c::SimConfig { domain: 8, particles_per_cell: 6, ..Default::default() };
+    let cfg = mp2c::SimConfig {
+        domain: 8,
+        particles_per_cell: 6,
+        ..Default::default()
+    };
     let fs = MemFs::with_block_size(4096);
     TaskWorld::run(4, |comm| {
         let fs = &fs;
@@ -210,7 +228,10 @@ fn simulated_experiments_agree_with_functional_counts() {
         .iter()
         .map(|c| {
             c.count
-                * c.ops.iter().filter(|o| matches!(o, parfs::IoOp::Create(_))).count() as u64
+                * c.ops
+                    .iter()
+                    .filter(|o| matches!(o, parfs::IoOp::Create(_)))
+                    .count() as u64
         })
         .sum();
 
