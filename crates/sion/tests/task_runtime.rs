@@ -133,6 +133,31 @@ fn close_futures_hold_their_handle_once() {
     });
 }
 
+/// A rank parked in an open holds one future per open, so the open futures
+/// stay small: at most 1 KiB each (696 B for the write open and 840 B for
+/// the read open). An `async fn` that keeps a by-value argument
+/// across an `.await` stores it twice; `sion::all_or_nothing` written that
+/// way grew the read open to 1 248 B.
+#[test]
+fn open_futures_stay_under_a_kibibyte() {
+    use std::mem::size_of_val;
+    let fs = MemFs::new();
+    let params = SionParams::new(4096);
+    TaskWorld::run(2, |c| {
+        let (fs, params) = (&fs, &params);
+        async move {
+            let open = paropen_write_co(fs, "open/f.sion", params, &c);
+            let size = size_of_val(&open);
+            assert!(size <= 1024, "write open future {size} B");
+            open.await.unwrap().close_co().await.unwrap();
+            let open = paropen_read_co(fs, "open/f.sion", &c);
+            let size = size_of_val(&open);
+            assert!(size <= 1024, "read open future {size} B");
+            open.await.unwrap().close_co().await.unwrap();
+        }
+    });
+}
+
 #[test]
 fn one_and_four_workers_write_identical_multifiles() {
     let params = SionParams::new(2048)

@@ -16,6 +16,7 @@
 //! check per token is a match's distance. The last groups go token by
 //! token with every check.
 
+use crate::FRAME_RAW_MAX;
 use std::cell::RefCell;
 
 /// Sliding-window size: the largest distance the `u16` field can carry.
@@ -28,11 +29,14 @@ pub(crate) const MAX_MATCH: usize = MIN_MATCH + 255;
 /// Shortest match the encoder emits: a 3-byte match costs 3⅛ bytes against
 /// 3⅜ bytes as literals, which buys nothing.
 const MIN_EMIT: usize = 4;
-/// Buckets per hash table (log2).
-const HASH_BITS: u32 = 15;
-/// 8-byte-chain candidates tried at an ordinary position, and at the one
-/// lazy step after a match too short to have come from that chain.
-const DEPTH: usize = 1;
+/// Buckets of the 8-byte table (log2): twice the window, so that few
+/// positions of other keys share a chain (at 2¹⁵, 28 % more chain
+/// candidates are read on trace events, for the same matches).
+const HASH8_BITS: u32 = 17;
+/// Buckets of the 4-byte table (log2), one per window position.
+const HASH4_BITS: u32 = 16;
+/// 8-byte-chain candidates tried at the one lazy step after a match too
+/// short to have come from that chain.
 const LAZY_DEPTH: usize = 6;
 /// The scan step grows by one for every `1 << SKIP_SHIFT` misses in a
 /// row, up to `1 + MAX_SKIP`.
@@ -51,12 +55,12 @@ fn read8(d: &[u8], p: usize) -> u64 {
 
 #[inline(always)]
 fn hash8(v: u64) -> usize {
-    (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - HASH_BITS)) as usize
+    (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - HASH8_BITS)) as usize
 }
 
 #[inline(always)]
 fn hash4(v: u32) -> usize {
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH4_BITS)) as usize
 }
 
 /// Length of the common prefix of `d[a..]` and `d[b..]`, `a < b`, a word
@@ -80,42 +84,102 @@ fn common_prefix(d: &[u8], a: usize, b: usize) -> usize {
         .count()
 }
 
-/// Token writer: a group's flag byte is reserved when its first token is
-/// emitted and match bits are set in place.
+/// Token writer into a buffer sized for the worst case ([`Tokens::write`]),
+/// so that a short literal run is one 8-byte copy and a match token one
+/// 4-byte store: each may write past its end, into bytes the next token
+/// overwrites. A group is always open — the next one's flag byte is
+/// reserved as soon as one fills — and the open group's flags are stored
+/// at every match.
 struct Tokens<'a> {
-    out: &'a mut Vec<u8>,
+    out: &'a mut [u8],
+    /// Bytes written so far.
+    at: usize,
     flags_pos: usize,
-    /// Tokens in the open group; 8 = none open.
+    flags: u8,
+    /// Tokens in the open group, `0..8`.
     bit: u8,
 }
 
 impl Tokens<'_> {
+    /// What the tokens of `raw_len` input bytes may touch: as literals
+    /// they take `raw_len + raw_len / 8 + 1` bytes (with the flag byte of
+    /// an empty last group), and a copy writes at most 8 past that.
+    fn bound(raw_len: usize) -> usize {
+        raw_len + raw_len / 8 + 16
+    }
+
+    /// Write the tokens `emit` produces for at most `raw_len` input bytes
+    /// to the start of `buf`, grown to [`Tokens::bound`] if shorter, and
+    /// return their length.
+    fn write(buf: &mut Vec<u8>, raw_len: usize, emit: impl FnOnce(&mut Tokens<'_>)) -> usize {
+        let need = Tokens::bound(raw_len);
+        if buf.len() < need {
+            buf.resize(need, 0);
+        }
+        let mut tokens = Tokens {
+            out: buf,
+            at: 1,
+            flags_pos: 0,
+            flags: 0,
+            bit: 0,
+        };
+        tokens.out[0] = 0;
+        emit(&mut tokens);
+        // An open group without tokens is not written.
+        tokens.at - (tokens.bit == 0) as usize
+    }
+
     #[inline(always)]
     fn open_group(&mut self) {
+        self.out[self.at] = 0;
+        self.flags_pos = self.at;
+        self.at += 1;
+        self.flags = 0;
+        self.bit = 0;
+    }
+
+    #[inline(always)]
+    fn counted(&mut self) {
+        self.bit += 1;
         if self.bit == 8 {
-            self.flags_pos = self.out.len();
-            self.out.push(0);
-            self.bit = 0;
+            self.open_group();
         }
     }
 
-    /// Fill the open group, then whole groups of 8 in bulk, then the rest.
+    /// The literals `d[from..to]`. A run that fits the open group — nearly
+    /// every run in record data — is one 8-byte copy if `d` has 8 bytes
+    /// from `from`; a longer one fills the group, then goes 8 to a group.
     #[inline(always)]
-    fn literals(&mut self, mut lits: &[u8]) {
-        while !lits.is_empty() && self.bit != 8 {
-            self.out.push(lits[0]);
-            self.bit += 1;
+    fn literals(&mut self, d: &[u8], from: usize, to: usize) {
+        let n = to - from;
+        if n <= 8 - self.bit as usize {
+            if let Some(word) = d.get(from..from + 8) {
+                self.out[self.at..self.at + 8].copy_from_slice(word);
+                self.at += n;
+                self.bit += n as u8;
+                if self.bit == 8 {
+                    self.open_group();
+                }
+                return;
+            }
+        }
+        let mut lits = &d[from..to];
+        while !lits.is_empty() && self.bit != 0 {
+            self.out[self.at] = lits[0];
+            self.at += 1;
+            self.counted();
             lits = &lits[1..];
         }
         while lits.len() >= 8 {
-            self.out.push(0);
-            self.out.extend_from_slice(&lits[..8]);
+            self.out[self.at..self.at + 8].copy_from_slice(&lits[..8]);
+            self.at += 8;
+            self.open_group();
             lits = &lits[8..];
         }
-        if !lits.is_empty() {
-            self.open_group();
-            self.out.extend_from_slice(lits);
-            self.bit += lits.len() as u8;
+        for &b in lits {
+            self.out[self.at] = b;
+            self.at += 1;
+            self.counted();
         }
     }
 
@@ -130,12 +194,12 @@ impl Tokens<'_> {
             } else {
                 MAX_MATCH
             };
-            self.open_group();
-            self.out[self.flags_pos] |= 1 << self.bit;
-            self.bit += 1;
-            let dist_code = (dist - 1) as u16;
-            self.out.extend_from_slice(&dist_code.to_le_bytes());
-            self.out.push((take - MIN_MATCH) as u8);
+            self.flags |= 1 << self.bit;
+            self.out[self.flags_pos] = self.flags;
+            let token = (dist - 1) as u32 | ((take - MIN_MATCH) as u32) << 16;
+            self.out[self.at..self.at + 4].copy_from_slice(&token.to_le_bytes());
+            self.at += 3;
+            self.counted();
             len -= take;
             if len == 0 {
                 return;
@@ -153,9 +217,13 @@ impl Tokens<'_> {
 /// output depends on the block alone.
 struct Matcher {
     base: u32,
-    head8: Box<[u32; 1 << HASH_BITS]>,
-    head4: Box<[u32; 1 << HASH_BITS]>,
+    head8: Box<[u32; 1 << HASH8_BITS]>,
+    head4: Box<[u32; 1 << HASH4_BITS]>,
     prev8: Box<[u32; WINDOW]>,
+    /// Where a block's tokens are written before they are appended to the
+    /// caller's buffer: zeroed once, never shrunk, overwritten by every
+    /// block.
+    tokens: Vec<u8>,
 }
 
 fn zeroed<const N: usize>() -> Box<[u32; N]> {
@@ -179,7 +247,53 @@ impl Matcher {
             head8: zeroed(),
             head4: zeroed(),
             prev8: zeroed(),
+            tokens: Vec::new(),
         }
+    }
+
+    /// Enter `pos` (8 readable bytes) into both tables and return their
+    /// candidates `(c8, c4)`, the earlier positions that had the same hash.
+    #[inline(always)]
+    fn enter(&mut self, v: u64, abs: u32) -> (u32, u32) {
+        let (h8, h4) = (hash8(v), hash4(v as u32));
+        let c8 = self.head8[h8];
+        let c4 = self.head4[h4];
+        self.head8[h8] = abs;
+        self.head4[h4] = abs;
+        self.prev8[abs as usize % WINDOW] = c8;
+        (c8, c4)
+    }
+
+    /// [`Self::search`] at depth 1, for an ordinary position: the 8-byte
+    /// candidate wins if its 8 bytes are equal; otherwise the 4-byte
+    /// candidate's length comes from one XOR of 8 bytes, and only when all
+    /// 8 are equal is it extended further. No chain read.
+    #[inline(always)]
+    fn search_one(&mut self, d: &[u8], pos: usize) -> (usize, usize) {
+        let base = self.base;
+        let abs = base + pos as u32;
+        let floor = base.max(abs - WINDOW as u32);
+        let v = read8(d, pos);
+        let (c8, c4) = self.enter(v, abs);
+        if c8 >= floor {
+            let c = (c8 - base) as usize;
+            if read8(d, c) == v {
+                return (8 + common_prefix(d, c + 8, pos + 8), pos - c);
+            }
+        }
+        if c4 >= floor {
+            let c = (c4 - base) as usize;
+            let diff = read8(d, c) ^ v;
+            let len = if diff == 0 {
+                8 + common_prefix(d, c + 8, pos + 8)
+            } else {
+                (diff.trailing_zeros() / 8) as usize
+            };
+            if len >= MIN_EMIT {
+                return (len, pos - c);
+            }
+        }
+        (0, 0)
     }
 
     /// Enter `pos` (8 readable bytes) into both tables and return the
@@ -192,13 +306,7 @@ impl Matcher {
         let abs = base + pos as u32;
         let floor = base.max(abs - WINDOW as u32);
         let v = read8(d, pos);
-        let (h8, h4) = (hash8(v), hash4(v as u32));
-        let mut c8 = self.head8[h8];
-        let c4 = self.head4[h4];
-        self.head8[h8] = abs;
-        self.head4[h4] = abs;
-        self.prev8[abs as usize % WINDOW] = c8;
-
+        let (mut c8, c4) = self.enter(v, abs);
         let mut best_len = MIN_EMIT - 1;
         let mut best_dist = 0;
         for _ in 0..N {
@@ -242,13 +350,17 @@ impl Matcher {
     /// that share one token stream: a piece's matches stay inside it, so
     /// every distance is one the decoder has already produced.
     fn compress(&mut self, d: &[u8], out: &mut Vec<u8>) {
-        let mut tokens = Tokens {
-            out,
-            flags_pos: 0,
-            bit: 8,
-        };
-        for piece in d.chunks(BLOCK_MAX) {
-            self.compress_piece(piece, &mut tokens);
+        let mut buf = std::mem::take(&mut self.tokens);
+        let len = Tokens::write(&mut buf, d.len(), |tokens| {
+            for piece in d.chunks(BLOCK_MAX) {
+                self.compress_piece(piece, tokens);
+            }
+        });
+        out.extend_from_slice(&buf[..len]);
+        // A block larger than a frame (only a direct `compress_block` call
+        // makes one) leaves no buffer behind.
+        if buf.len() <= Tokens::bound(FRAME_RAW_MAX) {
+            self.tokens = buf;
         }
     }
 
@@ -267,7 +379,7 @@ impl Matcher {
         // The last 7 bytes are never searched (a match may still run into
         // them): `search` reads 8 bytes.
         while pos + 8 <= d.len() {
-            let (mut len, mut dist) = self.search::<DEPTH>(d, pos);
+            let (mut len, mut dist) = self.search_one(d, pos);
             if len == 0 {
                 // Incompressible stretch: scan ever more sparsely until
                 // something matches again.
@@ -287,22 +399,23 @@ impl Matcher {
                     dist = dist1;
                 }
             }
-            tokens.literals(&d[anchor..pos]);
+            tokens.literals(d, anchor, pos);
             tokens.matched(dist, len);
             // Positions a match covers are not entered: on record data they
             // only crowd the chains.
             pos += len;
             anchor = pos;
         }
-        tokens.literals(&d[anchor..]);
+        tokens.literals(d, anchor, d.len());
         self.base += d.len() as u32;
     }
 }
 
 thread_local! {
-    /// One set of tables per thread that compresses, not per encoder: a
-    /// checkpoint keeps hundreds of [`crate::FrameEncoder`]s alive on a
-    /// handful of threads.
+    /// One set of tables (1 MiB) and one token buffer (288 KiB for a
+    /// frame) per thread that compresses, not per encoder: a checkpoint
+    /// keeps hundreds of [`crate::FrameEncoder`]s alive on a handful of
+    /// threads.
     static MATCHER: RefCell<Matcher> = RefCell::new(Matcher::new());
 }
 
@@ -606,12 +719,8 @@ mod tests {
         // remainder shorter than the encoder emits.
         for len in (MIN_EMIT..MAX_MATCH + 6).chain(2 * MAX_MATCH - 2..2 * MAX_MATCH + 6) {
             let mut packed = Vec::new();
-            Tokens {
-                out: &mut packed,
-                flags_pos: 0,
-                bit: 8,
-            }
-            .matched(7, len);
+            let n = Tokens::write(&mut packed, len, |tokens| tokens.matched(7, len));
+            packed.truncate(n);
             let found = matches(&packed);
             assert_eq!(
                 found.iter().map(|&(_, l)| l).sum::<usize>(),
@@ -671,14 +780,12 @@ mod tests {
         for piece in [1, 13, 1000, 65_537] {
             let mut m = Matcher::new();
             let mut packed = Vec::new();
-            let mut tokens = Tokens {
-                out: &mut packed,
-                flags_pos: 0,
-                bit: 8,
-            };
-            for part in data.chunks(piece) {
-                m.compress_piece(part, &mut tokens);
-            }
+            let n = Tokens::write(&mut packed, data.len(), |tokens| {
+                for part in data.chunks(piece) {
+                    m.compress_piece(part, tokens);
+                }
+            });
+            packed.truncate(n);
             let mut out = Vec::new();
             decompress_block(&packed, data.len(), &mut out).unwrap();
             assert!(out == data, "pieces of {piece}");
@@ -704,7 +811,73 @@ mod tests {
         assert!(decompress_block(&packed, 2, &mut out).is_err());
     }
 
+    /// Step two matchers from the same state — both fed `history` first,
+    /// so the tables also hold entries of an earlier block — over every
+    /// position of `data`: the one-candidate search must find what the
+    /// generic search at depth 1 finds and leave the same tables. Before
+    /// every `decoy`-th position (0: none) both 8-byte buckets it reads are
+    /// pointed at an earlier position, as a colliding key would leave them,
+    /// so that the 4-byte candidate also gets to match all 8 bytes.
+    fn search_one_is_depth_one(
+        history: &[u8],
+        data: &[u8],
+        decoy: usize,
+    ) -> Result<(), TestCaseError> {
+        let (mut one, mut generic) = (Matcher::new(), Matcher::new());
+        one.compress(history, &mut Vec::new());
+        generic.compress(history, &mut Vec::new());
+        for pos in 0..data.len().saturating_sub(7) {
+            if decoy > 0 && pos % decoy == 0 {
+                let h = hash8(read8(data, pos));
+                one.head8[h] = one.base + (pos / 2) as u32;
+                generic.head8[h] = generic.base + (pos / 2) as u32;
+            }
+            prop_assert_eq!(
+                one.search_one(data, pos),
+                generic.search::<1>(data, pos),
+                "(len, dist) at {}",
+                pos
+            );
+        }
+        prop_assert!(one.head8 == generic.head8, "8-byte table");
+        prop_assert!(one.head4 == generic.head4, "4-byte table");
+        prop_assert!(one.prev8 == generic.prev8, "8-byte chains");
+        Ok(())
+    }
+
+    /// 13-byte records `[kind u8][time u64][region u32]` with increasing
+    /// times, as `tracer` encodes them: fields repeat at every distance.
+    fn records(fields: &[(u8, u16, u8)]) -> Vec<u8> {
+        let mut t = 0u64;
+        let mut out = Vec::new();
+        for &(kind, step, region) in fields {
+            t += step as u64;
+            out.push(kind);
+            out.extend_from_slice(&t.to_le_bytes());
+            out.extend_from_slice(&(region as u32).to_le_bytes());
+        }
+        out
+    }
+
     proptest! {
+        #[test]
+        fn search_one_on_arbitrary_bytes(
+            history in prop::collection::vec(any::<u8>(), 0..2048),
+            data in prop::collection::vec(any::<u8>(), 0..4096),
+            decoy in 0usize..8
+        ) {
+            search_one_is_depth_one(&history, &data, decoy)?;
+        }
+
+        #[test]
+        fn search_one_on_records(
+            history in prop::collection::vec((0u8..4, 0u16..400, 0u8..8), 0..200),
+            fields in prop::collection::vec((0u8..4, 0u16..400, 0u8..8), 0..400),
+            decoy in 0usize..8
+        ) {
+            search_one_is_depth_one(&records(&history), &records(&fields), decoy)?;
+        }
+
         #[test]
         fn roundtrip_arbitrary(data in prop::collection::vec(any::<u8>(), 0..4096)) {
             prop_assert_eq!(roundtrip(&data), data);

@@ -264,3 +264,249 @@ pub fn frame_starts(packed: &[u8]) -> Vec<usize> {
     assert_eq!(at, packed.len(), "stream ends at a frame boundary");
     starts
 }
+
+/// The block encoder as it was before the one-candidate search and the
+/// two table sizes: one `HASH_BITS = 15` for both tables, and the generic
+/// chain walk at depth 1 at every ordinary position. Copied from that
+/// commit and frozen, as [`v1`] froze the reader: it is the baseline of
+/// the encode-speed floor. Never update it.
+pub mod old_encoder {
+    use std::cell::RefCell;
+
+    const WINDOW: usize = 64 * 1024;
+    const MIN_MATCH: usize = 3;
+    const MAX_MATCH: usize = MIN_MATCH + 255;
+    const MIN_EMIT: usize = 4;
+    const HASH_BITS: u32 = 15;
+    const DEPTH: usize = 1;
+    const LAZY_DEPTH: usize = 6;
+    const SKIP_SHIFT: u32 = 5;
+    const MAX_SKIP: usize = 31;
+    const EPOCH_LIMIT: u32 = u32::MAX / 2;
+    const BLOCK_MAX: usize = 1 << 30;
+
+    #[inline(always)]
+    fn read8(d: &[u8], p: usize) -> u64 {
+        u64::from_le_bytes(d[p..p + 8].try_into().expect("8-byte slice"))
+    }
+
+    #[inline(always)]
+    fn hash8(v: u64) -> usize {
+        (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - HASH_BITS)) as usize
+    }
+
+    #[inline(always)]
+    fn hash4(v: u32) -> usize {
+        (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    }
+
+    #[inline(always)]
+    fn common_prefix(d: &[u8], a: usize, b: usize) -> usize {
+        let (x, y) = (&d[a..], &d[b..]);
+        let mut len = 0;
+        for (wx, wy) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+            let diff = u64::from_le_bytes(wx.try_into().expect("8-byte chunk"))
+                ^ u64::from_le_bytes(wy.try_into().expect("8-byte chunk"));
+            if diff != 0 {
+                return len + (diff.trailing_zeros() / 8) as usize;
+            }
+            len += 8;
+        }
+        len + x[len..]
+            .iter()
+            .zip(&y[len..])
+            .take_while(|(p, q)| p == q)
+            .count()
+    }
+
+    struct Tokens<'a> {
+        out: &'a mut Vec<u8>,
+        flags_pos: usize,
+        bit: u8,
+    }
+
+    impl Tokens<'_> {
+        #[inline(always)]
+        fn open_group(&mut self) {
+            if self.bit == 8 {
+                self.flags_pos = self.out.len();
+                self.out.push(0);
+                self.bit = 0;
+            }
+        }
+
+        #[inline(always)]
+        fn literals(&mut self, mut lits: &[u8]) {
+            while !lits.is_empty() && self.bit != 8 {
+                self.out.push(lits[0]);
+                self.bit += 1;
+                lits = &lits[1..];
+            }
+            while lits.len() >= 8 {
+                self.out.push(0);
+                self.out.extend_from_slice(&lits[..8]);
+                lits = &lits[8..];
+            }
+            if !lits.is_empty() {
+                self.open_group();
+                self.out.extend_from_slice(lits);
+                self.bit += lits.len() as u8;
+            }
+        }
+
+        #[inline(always)]
+        fn matched(&mut self, dist: usize, mut len: usize) {
+            loop {
+                let take = if len <= MAX_MATCH {
+                    len
+                } else if len - MAX_MATCH < MIN_EMIT {
+                    len - MIN_EMIT
+                } else {
+                    MAX_MATCH
+                };
+                self.open_group();
+                self.out[self.flags_pos] |= 1 << self.bit;
+                self.bit += 1;
+                let dist_code = (dist - 1) as u16;
+                self.out.extend_from_slice(&dist_code.to_le_bytes());
+                self.out.push((take - MIN_MATCH) as u8);
+                len -= take;
+                if len == 0 {
+                    return;
+                }
+            }
+        }
+    }
+
+    struct Matcher {
+        base: u32,
+        head8: Box<[u32; 1 << HASH_BITS]>,
+        head4: Box<[u32; 1 << HASH_BITS]>,
+        prev8: Box<[u32; WINDOW]>,
+    }
+
+    fn zeroed<const N: usize>() -> Box<[u32; N]> {
+        vec![0u32; N]
+            .into_boxed_slice()
+            .try_into()
+            .expect("length is N")
+    }
+
+    impl Matcher {
+        fn new() -> Self {
+            Matcher {
+                base: WINDOW as u32,
+                head8: zeroed(),
+                head4: zeroed(),
+                prev8: zeroed(),
+            }
+        }
+
+        #[inline(always)]
+        fn search<const N: usize>(&mut self, d: &[u8], pos: usize) -> (usize, usize) {
+            let base = self.base;
+            let abs = base + pos as u32;
+            let floor = base.max(abs - WINDOW as u32);
+            let v = read8(d, pos);
+            let (h8, h4) = (hash8(v), hash4(v as u32));
+            let mut c8 = self.head8[h8];
+            let c4 = self.head4[h4];
+            self.head8[h8] = abs;
+            self.head4[h4] = abs;
+            self.prev8[abs as usize % WINDOW] = c8;
+
+            let mut best_len = MIN_EMIT - 1;
+            let mut best_dist = 0;
+            for _ in 0..N {
+                if c8 < floor {
+                    break;
+                }
+                let c = (c8 - base) as usize;
+                if read8(d, c) == v && d.get(c + best_len) == d.get(pos + best_len) {
+                    let len = 8 + common_prefix(d, c + 8, pos + 8);
+                    if len > best_len {
+                        best_len = len;
+                        best_dist = pos - c;
+                    }
+                }
+                let next = self.prev8[c8 as usize % WINDOW];
+                if next >= c8 {
+                    break;
+                }
+                c8 = next;
+            }
+            if best_len < 8 && c4 >= floor {
+                let c = (c4 - base) as usize;
+                if read8(d, c) as u32 == v as u32 {
+                    let len = 4 + common_prefix(d, c + 4, pos + 4);
+                    if len > best_len {
+                        best_len = len;
+                        best_dist = pos - c;
+                    }
+                }
+            }
+            if best_len >= MIN_EMIT {
+                (best_len, best_dist)
+            } else {
+                (0, 0)
+            }
+        }
+
+        fn compress(&mut self, d: &[u8], out: &mut Vec<u8>) {
+            let mut tokens = Tokens {
+                out,
+                flags_pos: 0,
+                bit: 8,
+            };
+            for piece in d.chunks(BLOCK_MAX) {
+                self.compress_piece(piece, &mut tokens);
+            }
+        }
+
+        fn compress_piece(&mut self, d: &[u8], tokens: &mut Tokens<'_>) {
+            if self.base > EPOCH_LIMIT {
+                self.head8.fill(0);
+                self.head4.fill(0);
+                self.prev8.fill(0);
+                self.base = WINDOW as u32;
+            }
+            let mut anchor = 0;
+            let mut pos = 0;
+            let mut misses = 0usize;
+            while pos + 8 <= d.len() {
+                let (mut len, mut dist) = self.search::<DEPTH>(d, pos);
+                if len == 0 {
+                    misses += 1;
+                    pos += 1 + (misses >> SKIP_SHIFT).min(MAX_SKIP);
+                    continue;
+                }
+                misses = 0;
+                if len < 8 && pos + 9 <= d.len() {
+                    let (len1, dist1) = self.search::<LAZY_DEPTH>(d, pos + 1);
+                    if len1 > len + 1 {
+                        pos += 1;
+                        len = len1;
+                        dist = dist1;
+                    }
+                }
+                tokens.literals(&d[anchor..pos]);
+                tokens.matched(dist, len);
+                pos += len;
+                anchor = pos;
+            }
+            tokens.literals(&d[anchor..]);
+            self.base += d.len() as u32;
+        }
+    }
+
+    thread_local! {
+        static MATCHER: RefCell<Matcher> = RefCell::new(Matcher::new());
+    }
+
+    /// `szip::compress_block` of that commit.
+    pub fn compress_block(data: &[u8], out: &mut Vec<u8>) -> usize {
+        let start_len = out.len();
+        MATCHER.with(|m| m.borrow_mut().compress(data, out));
+        out.len() - start_len
+    }
+}

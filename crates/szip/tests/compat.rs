@@ -150,7 +150,9 @@ fn digest(bytes: &[u8]) -> u64 {
 /// The bytes today's encoder stores, pinned: `compress` of each fixture
 /// input and of 1 MiB of trace-like records (four full frames). Decoders
 /// are held to golden streams; this holds the encoder, so no refactor
-/// changes what is stored without changing this table.
+/// changes what is stored without changing this table. A row may only
+/// move to fewer bytes: the split 2¹⁷/2¹⁶ tables took trace 36 002 →
+/// 35 978, words 6 528 → 6 524 and trace 1 MiB 456 744 → 456 349.
 #[test]
 fn encoder_output_is_pinned() {
     let mut inputs: Vec<(&str, Vec<u8>)> = common::fixture_inputs().into();
@@ -163,11 +165,11 @@ fn encoder_output_is_pinned() {
         })
         .collect();
     let want: [(&str, usize, u64); 5] = [
-        ("trace", 36002, 0x1f36_11db_bdf5_f4c2),
-        ("words", 6528, 0xc029_8557_b2c8_dd80),
+        ("trace", 35978, 0x7a51_ebc4_a3a6_fd61),
+        ("words", 6524, 0x1a64_0dc2_bd59_b94a),
         ("zeros", 265, 0x07b3_4939_f337_b30b),
         ("random", 6157, 0x68b4_3684_29b9_6817),
-        ("trace 1 MiB", 456744, 0x8f91_ac18_ac2e_8288),
+        ("trace 1 MiB", 456349, 0xfcde_686c_94c7_1a2b),
     ];
     assert_eq!(got, want);
 }
