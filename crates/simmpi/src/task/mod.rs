@@ -935,6 +935,143 @@ mod tests {
         }
     }
 
+    /// One rank's view of one communicator, in program order: each send as
+    /// `(true, to, tag, payload)`, each completed receive as
+    /// `(false, src, tag, [])`. A scatter frame's entries are sorted by id,
+    /// so the log pins every edge of every tree but not the order of the
+    /// entries inside a scatter edge.
+    type EdgeEvent = (bool, usize, u64, Vec<u8>);
+
+    #[derive(Default)]
+    struct EdgeLog(std::sync::Mutex<std::collections::BTreeMap<(String, usize), Vec<EdgeEvent>>>);
+
+    impl CheckHook for EdgeLog {
+        fn on_event(&self, ev: &crate::HookEvent<'_>) {
+            use crate::wire::{frame, unframe};
+            let (comm, rank, event) = match *ev {
+                crate::HookEvent::Send {
+                    comm,
+                    from,
+                    to,
+                    tag,
+                    payload,
+                } => {
+                    let payload = match hook::decode_coll_tag(tag) {
+                        Some((crate::CollKind::Scatter, ..)) => {
+                            let mut entries = unframe(payload);
+                            entries.sort_by_key(|e| e.0);
+                            frame(entries.iter().map(|(id, p)| (*id, p.as_slice())))
+                        }
+                        _ => payload.to_vec(),
+                    };
+                    (comm, from, (true, to, tag, payload))
+                }
+                crate::HookEvent::RecvDone {
+                    comm,
+                    rank,
+                    src,
+                    tag,
+                    ..
+                } => (comm, rank, (false, src, tag, Vec::new())),
+                _ => return,
+            };
+            let key = (comm.name.to_string(), rank);
+            self.0.lock().unwrap().entry(key).or_default().push(event);
+        }
+    }
+
+    /// Every collective kind once, rooted ones at `root`, then a split and
+    /// a barrier on the new communicator.
+    async fn edge_script(c: CoComm, root: usize) {
+        let (n, r) = (c.size(), c.rank());
+        c.barrier().await;
+        c.bcast((r == root).then(|| vec![r as u8; 5]), root).await;
+        c.gather(&vec![r as u8; r % 5 + 1], root).await;
+        let parts = (r == root).then(|| (0..n).map(|i| vec![i as u8 ^ 0x5A; i % 7]).collect());
+        c.scatter(parts, root).await;
+        let words = [r as u64, (n - r) as u64];
+        c.reduce_u64s(&words, ReduceOp::Sum, root).await;
+        c.allgather_u64(r as u64 * 3).await;
+        let sub = c.split((r % 3) as u64, (n - r) as u64).await;
+        sub.barrier().await;
+        c.allreduce_u64(r as u64, ReduceOp::Max).await;
+    }
+
+    /// FNV-1a over every rank's edge log of [`edge_script`] at roots 0,
+    /// n/3 and n−1.
+    fn edge_digest(n: usize) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for b in bytes {
+                h ^= *b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for root in [0, n / 3, n - 1] {
+            let log = Arc::new(EdgeLog::default());
+            let run = TaskWorld::run_checked(WS4, n, log.clone(), move |c| edge_script(c, root));
+            assert!(run.results.iter().all(|r| r.is_ok()), "n {n} root {root}");
+            for ((name, rank), events) in log.0.lock().unwrap().iter() {
+                eat(name.as_bytes());
+                eat(&(*rank as u64).to_le_bytes());
+                eat(&(events.len() as u64).to_le_bytes());
+                for (send, peer, tag, payload) in events {
+                    eat(&[*send as u8]);
+                    eat(&(*peer as u64).to_le_bytes());
+                    eat(&tag.to_le_bytes());
+                    eat(&(payload.len() as u64).to_le_bytes());
+                    eat(payload);
+                }
+            }
+        }
+        h
+    }
+
+    /// The tree shape every collective walks, pinned edge by edge: each
+    /// message's destination, tag and bytes, and each rank's order of
+    /// sends and receives, at sizes 1..=33.
+    #[test]
+    fn collective_edges_keep_their_order() {
+        let got: Vec<u64> = (1..=33).map(edge_digest).collect();
+        assert_eq!(got, EDGE_DIGESTS, "{got:#x?}");
+    }
+
+    const EDGE_DIGESTS: [u64; 33] = [
+        0xcbf29ce484222325,
+        0xde75ea37fc38f944,
+        0x289cbe4dc5a58d17,
+        0xde1fe1e5d1c133ef,
+        0x1ec83ceef304ef59,
+        0x8390d208efe36ab9,
+        0x0c22a8f0dc1d4444,
+        0x241e931bfd02cb80,
+        0x24d4db5e32ec9084,
+        0xb324b2b9c2191f03,
+        0xb573f5e790808d80,
+        0x44eaa9df49ac4d3d,
+        0x995d8ada645dda30,
+        0xc35d26f51cb248e7,
+        0x750ce020706d1464,
+        0x7ec8dc5bbc08a5bd,
+        0x4502e0e2e43592f0,
+        0x0cffddbbba806f18,
+        0x6a8826031f7141f5,
+        0xc1742c5aa3dcb452,
+        0x45db1bbecc51e2a5,
+        0x6aec4f67784e5e13,
+        0x452ffca696f58ac0,
+        0x7d4767faffeaa2ba,
+        0xbf2f2322f3fcc8d2,
+        0x3d419fd385598f08,
+        0x97b0b4282002a3f5,
+        0xa50a67e945d8bb18,
+        0x75e2857c1a7b4374,
+        0x3639e9938983fbc2,
+        0xf7761ae0bbe7deb1,
+        0xa9ae3967ccc31900,
+        0x9d8ac2e098c0ee0a,
+    ];
+
     /// The scatter edges as the decode-partition-reframe engine sent them:
     /// the root lists its parts in real-rank order, each node hands every
     /// child the entries at or above the child's vrank, in the order held.
