@@ -387,6 +387,32 @@ then
     exit 1
 fi
 
+echo "==> structural gate: one binomial tree (every collective walks task/comm.rs's Tree; no hand-written mask loop, subtree size or vrank helper)"
+# The tree's shape fixes every message order the DPOR counts, the golden
+# traces and the deadlock reports pin, so it is spelled once: `Tree` in
+# task/comm.rs (`real`, `parent`, `children` nearest first, `subtree`).
+# In non-test simmpi source (each file up to its `#[cfg(test)]`) its bit
+# arithmetic, `next_power_of_two` and `wrapping_neg`, occurs only inside
+# `impl Tree`, no collective shifts a mask by hand, and no second subtree
+# or vrank helper exists. A scatter edge is one ascending vrank run, so
+# `wire::FrameCut` holds one run and no `runs:` field.
+tree_escapes=$(find crates/simmpi/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /^impl Tree \{/ { in_tree = 1 }
+        /^pub\(crate\) struct FrameCut \{/ { in_cut = 1 }
+        (!in_tree && /next_power_of_two|wrapping_neg/) ||
+        /mask <<=|mask >>=|fn subtree_size|fn vrank|fn rank_of/ ||
+        (in_cut && /runs:/) { print f ":" FNR ": " $0 }
+        /^\}/ { in_tree = 0; in_cut = 0 }' "$f"
+done)
+trees=$(grep -c '^impl Tree {' crates/simmpi/src/task/comm.rs || true)
+if [ -n "$tree_escapes" ] || [ "$trees" -ne 1 ]; then
+    echo "$tree_escapes"
+    echo "$trees impl Tree in task/comm.rs (want 1)"
+    echo "one binomial tree: collectives walk \`Tree\` (\`children()\` for a fan-in, \`.rev()\` and \`forward\` for a fan-out); no mask loop, \`subtree_size\`, vrank helper or two-run \`FrameCut\` in non-test \`crates/simmpi/src\`"
+    exit 1
+fi
+
 echo "==> structural gate: one driver (every rank is a TaskWorld task: no thread-per-rank World, blocking Comm, abort query or watchdog)"
 # A rank that waits for a peer suspends its task, never a thread, and a
 # hang ends in the executor's exact deadlock report. The thread driver,

@@ -10,6 +10,13 @@
 //! * `barrier` — binomial fan-in of empty messages to rank 0, then a
 //!   fan-out release: 2(P−1) messages, no rendezvous primitive.
 //!
+//! Every one of them walks one tree type, `Tree`: a rank's vrank, its
+//! parent and its children. A fan-in takes its children nearest first,
+//! then sends to its parent; a fan-out takes from its parent, then sends
+//! to its children farthest first (`forward` for the broadcasts, which
+//! charges owned bytes per edge and a shared frame once). A scatter edge
+//! carries its subtree's parts as one ascending run of vranks.
+//!
 //! Every collective invocation consumes one *collective sequence number*
 //! (all ranks agree on it because collectives are ordered), and its
 //! messages are tagged in a reserved namespace
@@ -30,7 +37,7 @@ use super::ParkedOp;
 use crate::co::AllGathered;
 use crate::comm::{CommStats, ReduceOp};
 use crate::hook::{self, coll_tag, CheckHook, CollKind, CommCtx, HookEvent, LeakedMsg};
-use crate::wire::{frame, subtree_size, unframe, FrameCut};
+use crate::wire::{frame, unframe, FrameCut};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -50,6 +57,7 @@ use std::task::{Context, Poll, Waker};
 /// byte gauges charge owned bytes only — an `Arc` clone adds no queued
 /// payload memory. The world-wide logical volume moved this way is
 /// tracked separately as `shared_frame_bytes` on [`WorldRt`].
+#[derive(Clone)]
 enum MsgBuf {
     Owned(Vec<u8>),
     Shared(Arc<Vec<u8>>),
@@ -79,6 +87,18 @@ impl MsgBuf {
     fn mbox_charge(&self) -> u64 {
         match self {
             MsgBuf::Owned(v) => v.len() as u64,
+            MsgBuf::Shared(_) => 0,
+        }
+    }
+
+    /// Bytes [`CommStats`] charges for the `nth` edge (0-based) a fan-out
+    /// sends this payload down: owned bytes per edge, each edge being a
+    /// copy; a shared frame once, on its first edge, since every further
+    /// edge is one more `Arc` clone of the same buffer.
+    fn edge_charge(&self, nth: usize) -> u64 {
+        match self {
+            MsgBuf::Owned(v) => v.len() as u64,
+            MsgBuf::Shared(a) if nth == 0 => a.len() as u64,
             MsgBuf::Shared(_) => 0,
         }
     }
@@ -219,6 +239,58 @@ impl WorldRt {
                 })
             })
             .collect()
+    }
+}
+
+/// One rank's place in the binomial tree every collective walks: vrank
+/// `v` of a tree over `size` ranks rooted at real rank `root`, where real
+/// rank `r` is vrank `(r - root) mod size`. A vrank's parent is the vrank
+/// with its lowest set bit cleared; its children are `v + 2^k` for every
+/// `2^k` below that bit (below `size` rounded up to a power of two at the
+/// root) that is still in the tree.
+///
+/// Two rules give every collective its message order. A fan-in takes its
+/// children nearest first, then sends to its parent; a fan-out takes from
+/// its parent, then sends to its children farthest first.
+struct Tree {
+    v: usize,
+    size: usize,
+    root: usize,
+}
+
+impl Tree {
+    /// Real rank of vrank `v`.
+    fn real(&self, v: usize) -> usize {
+        (v + self.root) % self.size
+    }
+
+    /// The parent's real rank; `None` at the root.
+    fn parent(&self) -> Option<usize> {
+        (self.v != 0).then(|| self.real(self.v & (self.v - 1)))
+    }
+
+    /// Span of vranks this node's subtree may cover: its lowest set bit,
+    /// or the whole tree rounded up to a power of two at the root.
+    fn span(&self) -> usize {
+        match self.v {
+            0 => self.size.next_power_of_two(),
+            v => v & v.wrapping_neg(),
+        }
+    }
+
+    /// The children's vranks, nearest first (`v + 1`, `v + 2`, `v + 4`,
+    /// …); `.rev()` gives a fan-out's order.
+    fn children(&self) -> impl DoubleEndedIterator<Item = usize> {
+        let (v, size) = (self.v, self.size);
+        let n = (0..self.span().trailing_zeros())
+            .take_while(|k| v + (1 << k) < size)
+            .count() as u32;
+        (0..n).map(move |k| v + (1 << k))
+    }
+
+    /// Number of vranks in this node's subtree, itself included.
+    fn subtree(&self) -> usize {
+        self.span().min(self.size - self.v)
     }
 }
 
@@ -479,19 +551,14 @@ impl CoComm {
         }
     }
 
-    /// This rank's virtual rank in a tree rooted at `root`.
-    fn vrank(&self, root: usize) -> usize {
-        self.vrank_of(self.rank, root)
-    }
-
-    /// Virtual rank of real rank `r` in a tree rooted at `root`.
-    fn vrank_of(&self, r: usize, root: usize) -> usize {
-        (r + self.shared.size - root) % self.shared.size
-    }
-
-    /// Real rank of virtual rank `v` in a tree rooted at `root`.
-    fn rank_of(&self, v: usize, root: usize) -> usize {
-        (v + root) % self.shared.size
+    /// This rank's place in the tree rooted at `root`.
+    fn tree(&self, root: usize) -> Tree {
+        let size = self.shared.size;
+        Tree {
+            v: (self.rank + size - root) % size,
+            size,
+            root,
+        }
     }
 
     /// Internal send along a tree edge (not counted as a user send).
@@ -501,10 +568,9 @@ impl CoComm {
         self.isend_uncharged(dest, tag, payload);
     }
 
-    /// [`Self::isend`] without the per-edge byte charge — for `Arc` clones
-    /// of one shared frame, which [`Self::bcast_frame_impl`] charges once
-    /// per logical payload instead of once per edge. Delivers the message
-    /// and wakes the destination if it is parked on a match.
+    /// [`Self::isend`] without the byte charge, which [`Self::forward`]
+    /// takes from [`MsgBuf::edge_charge`]. Delivers the message and wakes
+    /// the destination if it is parked on a match.
     fn isend_uncharged(&self, dest: usize, tag: u64, payload: MsgBuf) {
         if let Some(h) = &self.shared.hook {
             let (comm, from) = (&self.shared.ctx, self.rank);
@@ -537,6 +603,16 @@ impl CoComm {
         }
     }
 
+    /// A fan-out's sends: `buf` down every child edge of `t`, farthest
+    /// child first, each edge a copy of owned bytes or one more `Arc`
+    /// clone of a shared frame, charged by [`MsgBuf::edge_charge`].
+    fn forward(&self, t: &Tree, tag: u64, buf: &MsgBuf) {
+        for (nth, child) in t.children().rev().enumerate() {
+            self.stats.add_bytes(buf.edge_charge(nth));
+            self.isend_uncharged(t.real(child), tag, buf.clone());
+        }
+    }
+
     /// Internal matched receive (not counted as a user receive).
     fn irecv(&self, src: usize, tag: u64) -> Recv<'_> {
         Recv {
@@ -562,35 +638,18 @@ impl CoComm {
         seq: u64,
         kind: CollKind,
     ) -> Arc<Vec<u8>> {
-        let size = self.shared.size;
-        let v = self.rank; // rooted at rank 0, like the allgather up-phase
+        let t = self.tree(0); // rooted at rank 0, like the allgather up-phase
         let tag = coll_tag(kind, seq, 0);
-        let (buf, mut mask) = if v == 0 {
-            (
-                Arc::new(data.expect("root must supply bcast data")),
-                size.next_power_of_two(),
-            )
-        } else {
-            let lsb = v & v.wrapping_neg();
-            (self.irecv(v & (v - 1), tag).await.into_shared(), lsb)
-        };
-        if v == 0 {
-            self.shared.world.note_shared_frame(buf.len() as u64);
-        }
-        mask >>= 1;
-        let mut forwarded = false;
-        while mask > 0 {
-            let child = v + mask;
-            if child < size {
-                self.isend_uncharged(child, tag, MsgBuf::Shared(buf.clone()));
-                forwarded = true;
+        let buf = match t.parent() {
+            Some(parent) => self.irecv(parent, tag).await,
+            None => {
+                let data = data.expect("root must supply bcast data");
+                self.shared.world.note_shared_frame(data.len() as u64);
+                MsgBuf::Shared(Arc::new(data))
             }
-            mask >>= 1;
-        }
-        if forwarded {
-            self.stats.add_bytes(buf.len() as u64);
-        }
-        buf
+        };
+        self.forward(&t, tag, &buf);
+        buf.into_shared()
     }
 
     /// Binomial-tree gather body: each edge carries the sender's whole
@@ -604,31 +663,25 @@ impl CoComm {
         seq: u64,
         kind: CollKind,
     ) -> Option<Vec<Vec<u8>>> {
-        let size = self.shared.size;
-        let v = self.vrank(root);
+        let t = self.tree(root);
         let tag = coll_tag(kind, seq, 0);
         // Pre-sized to this vrank's exact binomial subtree: the
         // accumulator never reallocates on the way up.
-        let mut acc: Vec<(u64, Vec<u8>)> = Vec::with_capacity(subtree_size(v, size));
-        acc.push((v as u64, data.to_vec()));
-        let mut mask = 1usize;
-        while mask < size {
-            if v & mask != 0 {
-                let entries = acc.iter().map(|(id, p)| (*id, p.as_slice()));
-                self.isend(self.rank_of(v - mask, root), tag, frame(entries));
-                return None;
-            }
-            let child = v + mask;
-            if child < size {
-                acc.extend(unframe(&self.irecv(self.rank_of(child, root), tag).await));
-            }
-            mask <<= 1;
+        let mut acc: Vec<(u64, Vec<u8>)> = Vec::with_capacity(t.subtree());
+        acc.push((t.v as u64, data.to_vec()));
+        for child in t.children() {
+            let got = self.irecv(t.real(child), tag).await;
+            acc.extend(unframe(&got));
         }
-        // Only vrank 0 (the root) falls through. Every vrank arrives exactly
-        // once; place by real rank.
-        let mut out = vec![Vec::new(); size];
+        if let Some(parent) = t.parent() {
+            let entries = acc.iter().map(|(id, p)| (*id, p.as_slice()));
+            self.isend(parent, tag, frame(entries));
+            return None;
+        }
+        // Every vrank arrives at the root exactly once; place by real rank.
+        let mut out = vec![Vec::new(); t.size];
         for (vr, payload) in acc {
-            out[self.rank_of(vr as usize, root)] = payload;
+            out[t.real(vr as usize)] = payload;
         }
         Some(out)
     }
@@ -836,38 +889,21 @@ impl CoComm {
         self.stats.bump_barrier();
         let seq = self.next_seq();
         self.note_collective(seq, CollKind::Barrier, None);
-        let size = self.shared.size;
-        if size == 1 {
-            return;
+        // Round 0 is the fan-in, round 1 the release.
+        let tag = move |round| coll_tag(CollKind::Barrier, seq, round);
+        let t = self.tree(0);
+        for child in t.children() {
+            self.irecv(t.real(child), tag(0)).await;
         }
-        let up = coll_tag(CollKind::Barrier, seq, 0);
-        let down = coll_tag(CollKind::Barrier, seq, 1);
-        let v = self.rank; // rooted at rank 0
-        let mut mask = 1usize;
-        while mask < size {
-            if v & mask != 0 {
-                self.isend(v - mask, up, Vec::new());
-                break;
+        // The release comes from the parent the fan-in went to.
+        let release = match t.parent() {
+            Some(parent) => {
+                self.isend(parent, tag(0), Vec::new());
+                self.irecv(parent, tag(1)).await
             }
-            if v + mask < size {
-                self.irecv(v + mask, up).await;
-            }
-            mask <<= 1;
-        }
-        if v == 0 {
-            mask = size.next_power_of_two();
-        } else {
-            // `mask` is v's lowest set bit; the release arrives from the
-            // same parent the fan-in went to.
-            self.irecv(v & (v - 1), down).await;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if v + mask < size {
-                self.isend(v + mask, down, Vec::new());
-            }
-            mask >>= 1;
-        }
+            None => MsgBuf::Owned(Vec::new()),
+        };
+        self.forward(&t, tag(1), &release);
     }
 
     /// Gather each rank's buffer at `root`: `Some(buffers)` (indexed by
@@ -886,57 +922,32 @@ impl CoComm {
     /// receives its part (scatterv semantics).
     ///
     /// The root's parts flow down a binomial tree, each edge carrying only
-    /// the receiver's subtree, listed in real rank order. The root frames
-    /// each child's parts straight from `parts`; every other node splices
-    /// its children's frames out of the one it received (`FrameCut`), so
-    /// no entry is decoded on the way.
+    /// the receiver's subtree as one ascending run of vranks. The root
+    /// frames each child's parts straight from `parts`; every other node
+    /// splices its children's frames out of the one it received
+    /// (`FrameCut`), so no entry is decoded on the way.
     pub async fn scatter(&self, parts: Option<Vec<Vec<u8>>>, root: usize) -> Vec<u8> {
         assert!(root < self.shared.size, "scatter root {root} out of range");
         self.stats.bump_scatter();
         let seq = self.next_seq();
         self.note_collective(seq, CollKind::Scatter, Some(root));
-        let size = self.shared.size;
-        let v = self.vrank(root);
+        let t = self.tree(root);
         let tag = coll_tag(CollKind::Scatter, seq, 0);
-        if v == 0 {
+        let Some(parent) = t.parent() else {
             let mut parts = parts.expect("root must supply scatter parts");
-            assert_eq!(parts.len(), size, "scatter needs one part per rank");
-            // Each child takes the vranks [child, end) still held; as real
-            // ranks, in ascending order, that is one range or two when it
-            // wraps past rank size − 1.
-            let mut end = size;
-            let mut mask = size.next_power_of_two() >> 1;
-            while mask > 0 {
-                let child = mask;
-                if child < size {
-                    let (lo, hi) = (child + root, end + root);
-                    let (a, b) = if lo >= size {
-                        (lo - size..hi - size, 0..0)
-                    } else if hi <= size {
-                        (lo..hi, 0..0)
-                    } else {
-                        (0..hi - size, lo..size)
-                    };
-                    let entries = a
-                        .chain(b)
-                        .map(|r| (self.vrank_of(r, root) as u64, parts[r].as_slice()));
-                    self.isend(self.rank_of(child, root), tag, frame(entries));
-                    end = child;
-                }
-                mask >>= 1;
+            assert_eq!(parts.len(), t.size, "scatter needs one part per rank");
+            // Each child takes the vranks [child, end) still held.
+            let mut end = t.size;
+            for child in t.children().rev() {
+                let entries = (child..end).map(|v| (v as u64, parts[t.real(v)].as_slice()));
+                self.isend(t.real(child), tag, frame(entries));
+                end = child;
             }
             return std::mem::take(&mut parts[root]);
-        }
-        let lsb = v & v.wrapping_neg();
-        let got = self.irecv(self.rank_of(v & (v - 1), root), tag).await;
-        let mut held = FrameCut::new(got.into_vec());
-        let mut mask = lsb >> 1;
-        while mask > 0 {
-            let child = v + mask;
-            if child < size {
-                self.isend(self.rank_of(child, root), tag, held.split_off(child as u64));
-            }
-            mask >>= 1;
+        };
+        let mut held = FrameCut::new(self.irecv(parent, tag).await.into_vec());
+        for child in t.children().rev() {
+            self.isend(t.real(child), tag, held.split_off(child as u64));
         }
         held.into_single()
     }
@@ -948,34 +959,14 @@ impl CoComm {
         self.stats.bump_bcast();
         let seq = self.next_seq();
         self.note_collective(seq, CollKind::Bcast, Some(root));
-        let size = self.shared.size;
-        let v = self.vrank(root);
+        let t = self.tree(root);
         let tag = coll_tag(CollKind::Bcast, seq, 0);
-        let (buf, mut mask) = if v == 0 {
-            (
-                data.expect("root must supply bcast data"),
-                size.next_power_of_two(),
-            )
-        } else {
-            // Parent is the vrank with this vrank's lowest set bit cleared;
-            // children span the bits below it.
-            let lsb = v & v.wrapping_neg();
-            (
-                self.irecv(self.rank_of(v & (v - 1), root), tag)
-                    .await
-                    .into_vec(),
-                lsb,
-            )
+        let buf = match t.parent() {
+            Some(parent) => self.irecv(parent, tag).await,
+            None => MsgBuf::Owned(data.expect("root must supply bcast data")),
         };
-        mask >>= 1;
-        while mask > 0 {
-            let child = v + mask;
-            if child < size {
-                self.isend(self.rank_of(child, root), tag, buf.clone());
-            }
-            mask >>= 1;
-        }
-        buf
+        self.forward(&t, tag, &buf);
+        buf.into_vec()
     }
 
     /// Gather every rank's buffer at every rank: [`allgather_shared`]
@@ -1009,32 +1000,27 @@ impl CoComm {
         self.stats.bump_reduce();
         let seq = self.next_seq();
         self.note_collective(seq, CollKind::Reduce, Some(root));
-        let size = self.shared.size;
-        let v = self.vrank(root);
+        let t = self.tree(root);
         let tag = coll_tag(CollKind::Reduce, seq, 0);
-        let mut acc = values.to_vec();
-        let mut mask = 1usize;
-        while mask < size {
-            if v & mask != 0 {
-                let bytes: Vec<u8> = acc.iter().flat_map(|w| w.to_le_bytes()).collect();
-                self.isend(self.rank_of(v - mask, root), tag, bytes);
-                return None;
+        // Boxed: the accumulator never changes length.
+        let mut acc = Box::<[u64]>::from(values);
+        for child in t.children() {
+            let got = self.irecv(t.real(child), tag).await;
+            assert_eq!(
+                got.len(),
+                8 * acc.len(),
+                "reduce_u64s: ranks passed different word counts"
+            );
+            for (a, w) in acc.iter_mut().zip(got.chunks_exact(8)) {
+                *a = op.fold(*a, u64::from_le_bytes(w.try_into().unwrap()));
             }
-            let child = v + mask;
-            if child < size {
-                let got = self.irecv(self.rank_of(child, root), tag).await;
-                assert_eq!(
-                    got.len(),
-                    8 * acc.len(),
-                    "reduce_u64s: ranks passed different word counts"
-                );
-                for (a, w) in acc.iter_mut().zip(got.chunks_exact(8)) {
-                    *a = op.fold(*a, u64::from_le_bytes(w.try_into().unwrap()));
-                }
-            }
-            mask <<= 1;
         }
-        Some(acc)
+        if let Some(parent) = t.parent() {
+            let bytes: Vec<u8> = acc.iter().flat_map(|w| w.to_le_bytes()).collect();
+            self.isend(parent, tag, bytes);
+            return None;
+        }
+        Some(acc.into_vec())
     }
 
     /// Split into disjoint sub-communicators: ranks sharing a `color` end up
@@ -1134,6 +1120,34 @@ impl Drop for CoComm {
                 rank,
                 leaked: &leaked,
             });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Tree;
+
+    #[test]
+    fn tree_subtrees_partition_and_parents_match_children() {
+        for size in 1..=70usize {
+            for root in [0, size / 3, size - 1] {
+                let at = |v| Tree { v, size, root };
+                assert_eq!(at(0).subtree(), size, "size {size} root {root}");
+                assert_eq!(at(0).parent(), None);
+                for v in 0..size {
+                    let t = at(v);
+                    let below: usize = t.children().map(|c| at(c).subtree()).sum();
+                    assert_eq!(t.subtree(), 1 + below, "size {size} root {root} v {v}");
+                    for c in t.children() {
+                        assert_eq!(
+                            at(c).parent(),
+                            Some(t.real(v)),
+                            "size {size} v {v} child {c}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -1073,7 +1073,7 @@ mod tests {
     ];
 
     /// The scatter edges as the decode-partition-reframe engine sent them:
-    /// the root lists its parts in real-rank order, each node hands every
+    /// the root lists its parts in vrank order, each node hands every
     /// child the entries at or above the child's vrank, in the order held.
     fn reframed_scatter_edges(parts: &[Vec<u8>], root: usize) -> Vec<(usize, usize, Vec<u8>)> {
         use crate::wire::{frame, unframe};
@@ -1085,7 +1085,7 @@ mod tests {
             0,
             size.next_power_of_two(),
             (0..size)
-                .map(|r| (((r + size - root) % size) as u64, parts[r].clone()))
+                .map(|v| (v as u64, parts[real(v)].clone()))
                 .collect(),
         )];
         while let Some((v, mut mask, mut pending)) = todo.pop() {

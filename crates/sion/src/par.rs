@@ -712,16 +712,13 @@ impl SionParWriter {
             // ONE reduction over the global communicator ends the close, the
             // all-or-nothing agreement across file groups: when it returns
             // clean, every physical file's metablock 2 is written. Always
-            // reached, error or not, so no file group can hang another.
-            let failed = finish_res.is_err() || finalize.is_err();
-            let any_failed = self.gcom.allreduce_u64(failed as u64, ReduceOp::Max).await != 0;
-            let used = finish_res?;
-            finalize?;
-            if any_failed {
-                return Err(SionError::CollectiveMismatch(
-                    "another task failed during the collective close".into(),
-                ));
-            }
+            // reached, error or not; a flush error outranks a finalize one.
+            let used = all_or_nothing(
+                &self.gcom,
+                finish_res.and_then(|used| finalize.map(|()| used)),
+                "another task failed during the collective close",
+            )
+            .await?;
             Ok(CloseStats {
                 user_bytes: self.writer.user_bytes(),
                 stored_bytes: used.iter().sum(),
