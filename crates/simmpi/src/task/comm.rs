@@ -282,6 +282,8 @@ impl Tree {
     /// …); `.rev()` gives a fan-out's order.
     fn children(&self) -> impl DoubleEndedIterator<Item = usize> {
         let (v, size) = (self.v, self.size);
+        // A `u32` count: a parked fan-in holds this iterator, and a
+        // `Range<u32>` keeps its future a word smaller.
         let n = (0..self.span().trailing_zeros())
             .take_while(|k| v + (1 << k) < size)
             .count() as u32;
@@ -1002,7 +1004,8 @@ impl CoComm {
         self.note_collective(seq, CollKind::Reduce, Some(root));
         let t = self.tree(root);
         let tag = coll_tag(CollKind::Reduce, seq, 0);
-        // Boxed: the accumulator never changes length.
+        // Boxed: the accumulator never changes length, and a box is a word
+        // smaller than a `Vec` in the future of every rank parked here.
         let mut acc = Box::<[u64]>::from(values);
         for child in t.children() {
             let got = self.irecv(t.real(child), tag).await;
