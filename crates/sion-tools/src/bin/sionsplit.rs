@@ -11,10 +11,12 @@ fn main() {
     }
     let ranks: Vec<usize> = args[3..]
         .iter()
-        .map(|a| a.parse().unwrap_or_else(|_| {
-            eprintln!("sionsplit: bad rank {a:?}");
-            std::process::exit(2);
-        }))
+        .map(|a| {
+            a.parse().unwrap_or_else(|_| {
+                eprintln!("sionsplit: bad rank {a:?}");
+                std::process::exit(2);
+            })
+        })
         .collect();
     let fs = LocalFs::new(".");
     let selection = (!ranks.is_empty()).then_some(ranks.as_slice());

@@ -202,7 +202,9 @@ fn defrag_on(
     // rank the location cache has evicted by then. No full `Locations` is
     // ever materialized. One chunk per task, sized to exactly its stored
     // data.
-    let locs = (0..ntasks).map(|rank| mf.location(rank)).collect::<Result<Vec<_>>>()?;
+    let locs = (0..ntasks)
+        .map(|rank| mf.location(rank))
+        .collect::<Result<Vec<_>>>()?;
     let chunksizes: Vec<u64> = locs.iter().map(|t| t.stored_bytes.max(1)).collect();
     // Write-through: a lent run (at most one MemFs extent, so at most one FS
     // block) reaches the output as one write of its lease instead of being
@@ -329,7 +331,10 @@ pub fn cat_into(
     let mf = Multifile::open(vfs, base)?;
     let mut reader = mf.rank_reader(rank)?;
     let bytes = reader.scan_remaining(sink)?;
-    Ok(CatStats { bytes, io: reader.io_counters() })
+    Ok(CatStats {
+        bytes,
+        io: reader.io_counters(),
+    })
 }
 
 /// Stream one rank's logical (decompressed) content (the `sioncat` tool).
@@ -375,7 +380,10 @@ pub fn verify(vfs: &dyn Vfs, base: &str) -> Result<VerifyReport> {
         .flat_map(|file| file.head.into_iter().chain(file.tail))
         .collect();
     if !problems.is_empty() {
-        return Ok(VerifyReport { tasks_ok: 0, problems });
+        return Ok(VerifyReport {
+            tasks_ok: 0,
+            problems,
+        });
     }
     let mf = Multifile::open(vfs, base)?;
     // Per-file handles for the rescue cross-check.
@@ -437,7 +445,9 @@ fn verify_ranks(
                     Ok(None) => "rescue header missing".to_string(),
                     Err(e) => e,
                 };
-                report.problems.push(format!("rank {rank} block {}: {problem}", c.block));
+                report
+                    .problems
+                    .push(format!("rank {rank} block {}: {problem}", c.block));
             }
         }
     }
@@ -453,7 +463,9 @@ mod tests {
     use vfs::{BlockGuard, FaultKind, FaultRule, Faults, MemFs, Next, Op, OpKind, Tap, TapFs};
 
     fn payload(rank: usize, len: usize) -> Vec<u8> {
-        (0..len).map(|i| ((i * 11 + rank * 73 + 5) % 241) as u8).collect()
+        (0..len)
+            .map(|i| ((i * 11 + rank * 73 + 5) % 241) as u8)
+            .collect()
     }
 
     fn sample_multifile(fs: &MemFs, params: &SionParams, ntasks: usize) {
@@ -484,7 +496,9 @@ mod tests {
         assert!(text.contains("stored bytes:   18000"));
         // Every rank has a row.
         for rank in 0..6 {
-            assert!(text.lines().any(|l| l.trim_start().starts_with(&format!("{rank} "))));
+            assert!(text
+                .lines()
+                .any(|l| l.trim_start().starts_with(&format!("{rank} "))));
         }
     }
 
@@ -510,7 +524,10 @@ mod tests {
         sample_multifile(&fs, &SionParams::new(512), 5);
         let out = MemFs::new();
         let created = split(&fs, "in.sion", &out, "x", Some(&[1, 3])).unwrap();
-        assert_eq!(created, vec!["x.000001".to_string(), "x.000003".to_string()]);
+        assert_eq!(
+            created,
+            vec!["x.000001".to_string(), "x.000003".to_string()]
+        );
         assert!(split(&fs, "in.sion", &out, "x", Some(&[9])).is_err());
     }
 
@@ -554,12 +571,18 @@ mod tests {
     fn defrag_preserves_compression_verbatim() {
         let fs = MemFs::with_block_size(512);
         sample_multifile(&fs, &SionParams::new(512).with_compression(), 3);
-        let stored_in =
-            Multifile::open(&fs, "in.sion").unwrap().locations().unwrap().total_stored_bytes();
+        let stored_in = Multifile::open(&fs, "in.sion")
+            .unwrap()
+            .locations()
+            .unwrap()
+            .total_stored_bytes();
 
         let out = MemFs::with_block_size(512);
         let stats = defrag(&fs, "in.sion", &out, "out.sion", 1).unwrap();
-        assert_eq!(stats.stored_bytes, stored_in, "stored (compressed) bytes copied verbatim");
+        assert_eq!(
+            stats.stored_bytes, stored_in,
+            "stored (compressed) bytes copied verbatim"
+        );
 
         let mf = Multifile::open(&out, "out.sion").unwrap();
         assert!(mf.compressed());
@@ -599,7 +622,10 @@ mod tests {
 
     #[test]
     fn cat_streams_one_rank() {
-        for params in [SionParams::new(512), SionParams::new(512).with_compression()] {
+        for params in [
+            SionParams::new(512),
+            SionParams::new(512).with_compression(),
+        ] {
             let fs = MemFs::with_block_size(512);
             sample_multifile(&fs, &params, 3);
             assert_eq!(cat(&fs, "in.sion", 2).unwrap(), payload(2, 3000));
@@ -618,8 +644,16 @@ mod tests {
         let stats = cat_into(&fs, "in.sion", 1, &mut |run| got.extend_from_slice(run)).unwrap();
         assert_eq!(got, payload(1, 3000));
         assert_eq!(stats.bytes, 3000);
-        assert_eq!(stats.io.bytes_copied, 0, "leases served the whole cat: {:?}", stats.io);
-        assert_eq!(stats.io.allocs, 0, "no bounce buffer was needed: {:?}", stats.io);
+        assert_eq!(
+            stats.io.bytes_copied, 0,
+            "leases served the whole cat: {:?}",
+            stats.io
+        );
+        assert_eq!(
+            stats.io.allocs, 0,
+            "no bounce buffer was needed: {:?}",
+            stats.io
+        );
     }
 
     #[test]
@@ -634,7 +668,11 @@ mod tests {
     #[test]
     fn verify_clean_compressed_multifile() {
         let fs = MemFs::with_block_size(512);
-        sample_multifile(&fs, &SionParams::new(512).with_compression().with_nfiles(2), 4);
+        sample_multifile(
+            &fs,
+            &SionParams::new(512).with_compression().with_nfiles(2),
+            4,
+        );
         let report = verify(&fs, "in.sion").unwrap();
         assert!(report.is_clean(), "{:?}", report.problems);
     }
@@ -693,7 +731,10 @@ mod tests {
         assert!(!report.is_clean());
         assert_eq!(report.tasks_ok, 0);
         assert!(
-            report.problems.iter().any(|p| p.contains("600") && p.contains("exceed")),
+            report
+                .problems
+                .iter()
+                .any(|p| p.contains("600") && p.contains("exceed")),
             "{:?}",
             report.problems
         );
@@ -704,14 +745,16 @@ mod tests {
         let fs = MemFs::with_block_size(512);
         sample_multifile(&fs, &SionParams::new(512).with_rescue(), 2);
         let mf = Multifile::open(&fs, "in.sion").unwrap();
-        let chunk0 = mf.location(0).unwrap().chunks[0].offset
-            - sion::rescue::RESCUE_HEADER_LEN;
+        let chunk0 = mf.location(0).unwrap().chunks[0].offset - sion::rescue::RESCUE_HEADER_LEN;
         drop(mf);
         let f = fs.open_rw("in.sion").unwrap();
         f.write_all_at(b"XXXXXXXX", chunk0).unwrap(); // smash the magic
         let report = verify(&fs, "in.sion").unwrap();
         assert!(!report.is_clean());
-        assert!(report.problems.iter().any(|p| p.contains("rescue header")), "{report:?}");
+        assert!(
+            report.problems.iter().any(|p| p.contains("rescue header")),
+            "{report:?}"
+        );
     }
 
     #[test]
@@ -733,8 +776,9 @@ mod tests {
     fn bounce_defrag(fs: &MemFs, out: &MemFs, nfiles: u32) {
         let mf = Multifile::open(fs, "in.sion").unwrap();
         let flags = mf.flags();
-        let chunksizes: Vec<u64> =
-            (0..mf.ntasks()).map(|r| mf.location(r).unwrap().stored_bytes.max(1)).collect();
+        let chunksizes: Vec<u64> = (0..mf.ntasks())
+            .map(|r| mf.location(r).unwrap().stored_bytes.max(1))
+            .collect();
         let mut params = SionParams::new(0).with_nfiles(nfiles);
         if !flags.contains(SionFlags::ALIGNED) {
             params = params.with_alignment(sion::Alignment::None);
@@ -774,14 +818,39 @@ mod tests {
         let unaligned = SionParams::new(512).with_alignment(sion::Alignment::None);
         let shapes = [
             ("plain", SionParams::new(512), vec![3000; 4], 1),
-            ("compressed", SionParams::new(512).with_compression(), vec![3000; 3], 1),
-            ("rescue", SionParams::new(512).with_rescue(), vec![3000; 4], 1),
+            (
+                "compressed",
+                SionParams::new(512).with_compression(),
+                vec![3000; 3],
+                1,
+            ),
+            (
+                "rescue",
+                SionParams::new(512).with_rescue(),
+                vec![3000; 4],
+                1,
+            ),
             ("unaligned", unaligned, vec![3000; 5], 1),
-            ("3 files to 2", SionParams::new(512).with_nfiles(3), vec![3000; 6], 2),
-            ("one busy rank", SionParams::new(512), vec![20 * 512, 0, 0, 0], 1),
+            (
+                "3 files to 2",
+                SionParams::new(512).with_nfiles(3),
+                vec![3000; 6],
+                2,
+            ),
+            (
+                "one busy rank",
+                SionParams::new(512),
+                vec![20 * 512, 0, 0, 0],
+                1,
+            ),
             // Seven ranks split 4+3, 3+3+1 and 2+2+2+1 over 2, 3, 4 workers;
             // runs of several pages.
-            ("7 ranks", SionParams::new(16384), (0..7).map(|r| 9000 + 4000 * r).collect(), 1),
+            (
+                "7 ranks",
+                SionParams::new(16384),
+                (0..7).map(|r| 9000 + 4000 * r).collect(),
+                1,
+            ),
         ];
         for (shape, params, lens, nfiles) in shapes {
             let fs = MemFs::with_block_size(512);
@@ -792,7 +861,10 @@ mod tests {
             for workers in 1..=4 {
                 let out = MemFs::with_block_size(512);
                 defrag_on(workers, &fs, "in.sion", &out, "out.sion", nfiles).unwrap();
-                assert!(out_files(&out, nfiles) == want, "{shape}, {workers} workers");
+                assert!(
+                    out_files(&out, nfiles) == want,
+                    "{shape}, {workers} workers"
+                );
             }
         }
     }
@@ -801,7 +873,10 @@ mod tests {
     fn defrag_copies_nothing_on_a_leasing_backend() {
         // The stored runs are MemFs pages lent to the output's writes: the
         // readers neither copy nor allocate, compressed or not.
-        for params in [SionParams::new(512), SionParams::new(512).with_compression()] {
+        for params in [
+            SionParams::new(512),
+            SionParams::new(512).with_compression(),
+        ] {
             let fs = MemFs::with_block_size(512);
             sample_multifile(&fs, &params, 3);
             let out = MemFs::with_block_size(512);
@@ -907,7 +982,13 @@ mod tests {
         // one per FS block and one for a last partial page — not one per
         // 4 KiB page, and the output shares every whole page with the input.
         const BLOCK: u64 = 64 << 10;
-        let lens = [5 * BLOCK as usize + 100, 3 * BLOCK as usize, 200_000, 0, 9000];
+        let lens = [
+            5 * BLOCK as usize + 100,
+            3 * BLOCK as usize,
+            200_000,
+            0,
+            9000,
+        ];
         let fs = MemFs::with_block_size(BLOCK);
         multifile_of(&fs, &SionParams::new(1 << 20), &lens);
         let mem = Arc::new(MemFs::with_block_size(BLOCK));
@@ -921,7 +1002,10 @@ mod tests {
         );
         let (fin, fout) = (fs.open("in.sion").unwrap(), mem.open("out.sion").unwrap());
         for (rank, &len) in lens.iter().enumerate() {
-            assert!(output.read_rank(rank).unwrap() == payload(rank, len), "rank {rank}");
+            assert!(
+                output.read_rank(rank).unwrap() == payload(rank, len),
+                "rank {rank}"
+            );
             let Some(&copy) = output.location(rank).unwrap().chunks.first() else {
                 continue;
             };
@@ -1012,8 +1096,16 @@ mod tests {
         for rank in 0..mf.ntasks() {
             mf.location(rank).unwrap();
         }
-        let meta = faults.take_log().iter().filter(|op| op.kind == FaultKind::Read).count();
-        faults.inject(FaultRule { kind: FaultKind::Read, from: 2 * meta as u64, count: u64::MAX });
+        let meta = faults
+            .take_log()
+            .iter()
+            .filter(|op| op.kind == FaultKind::Read)
+            .count();
+        faults.inject(FaultRule {
+            kind: FaultKind::Read,
+            from: 2 * meta as u64,
+            count: u64::MAX,
+        });
         fs
     }
 
@@ -1029,7 +1121,10 @@ mod tests {
             let fs = failing_data_reads(mem);
             let out = MemFs::with_block_size(512);
             let err = defrag_on(2, &fs, "in.sion", &out, "out.sion", 1).unwrap_err();
-            assert!(err.to_string().contains("injected fault"), "busy rank {busy}: {err}");
+            assert!(
+                err.to_string().contains("injected fault"),
+                "busy rank {busy}: {err}"
+            );
             assert!(out.exists("out.sion"), "the metadata reads went through");
         }
     }
@@ -1059,7 +1154,10 @@ mod tests {
         let cut = c.offset + c.used / 2;
         // Lent pages stop at the cut, and the window read there comes back
         // empty: an error, not a short copy.
-        let fs = TapFs::new(mem.clone(), vec![Arc::new(BytesGone(cut..c.offset + c.used))]);
+        let fs = TapFs::new(
+            mem.clone(),
+            vec![Arc::new(BytesGone(cut..c.offset + c.used))],
+        );
         let out = MemFs::with_block_size(512);
         let err = defrag_on(2, &fs, "in.sion", &out, "out.sion", 1).unwrap_err();
         assert!(err.to_string().contains("end of file"), "{err}");
@@ -1102,7 +1200,11 @@ mod tests {
         let fs = TapFs::new(mem, vec![tap.clone()]);
         let out = MemFs::with_block_size(512);
         defrag_on(2, &fs, "in.sion", &out, "out.sion", 1).unwrap();
-        assert_eq!(tap.1.load(Ordering::Relaxed), RANKS, "one chunk-index read per rank");
+        assert_eq!(
+            tap.1.load(Ordering::Relaxed),
+            RANKS,
+            "one chunk-index read per rank"
+        );
     }
 
     #[test]
@@ -1113,7 +1215,10 @@ mod tests {
         sample_multifile(&fs, &SionParams::new(512).with_rescue().with_nfiles(2), 5);
         let out = MemFs::with_block_size(512);
         defrag(&fs, "in.sion", &out, "out.sion", 2).unwrap();
-        assert!(Multifile::open(&out, "out.sion").unwrap().flags().contains(SionFlags::RESCUE));
+        assert!(Multifile::open(&out, "out.sion")
+            .unwrap()
+            .flags()
+            .contains(SionFlags::RESCUE));
         let report = verify(&out, "out.sion").unwrap();
         assert!(report.is_clean(), "{:?}", report.problems);
         assert_eq!(report.tasks_ok, 5);

@@ -49,7 +49,11 @@ fn dump_split_verify_cat_pipeline() {
 
     // siondump prints the shape.
     let out = run_tool(env!("CARGO_BIN_EXE_siondump"), &dir, &["data.sion"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("tasks:          4"), "{text}");
     assert!(text.contains("rescue=true"));
@@ -60,8 +64,16 @@ fn dump_split_verify_cat_pipeline() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("OK: 4 task streams"));
 
     // sionsplit extracts all four logical files.
-    let out = run_tool(env!("CARGO_BIN_EXE_sionsplit"), &dir, &["data.sion", "x/task"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = run_tool(
+        env!("CARGO_BIN_EXE_sionsplit"),
+        &dir,
+        &["data.sion", "x/task"],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     for rank in 0..4 {
         let path = dir.join(format!("x/task.{rank:06}"));
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 7500, "{path:?}");
@@ -80,11 +92,23 @@ fn dump_split_verify_cat_pipeline() {
 fn defrag_then_verify() {
     let dir = scratch("defrag");
     make_multifile(&dir);
-    let out = run_tool(env!("CARGO_BIN_EXE_siondefrag"), &dir, &["data.sion", "dense.sion"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = run_tool(
+        env!("CARGO_BIN_EXE_siondefrag"),
+        &dir,
+        &["data.sion", "dense.sion"],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("defragmented 4 tasks"));
     let out = run_tool(env!("CARGO_BIN_EXE_sionverify"), &dir, &["dense.sion"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -96,7 +120,11 @@ fn repair_after_crash_via_cli() {
     {
         use std::os::unix::fs::FileExt;
         let path = dir.join("data.sion");
-        let f = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
+        let f = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
         let len = f.metadata().unwrap().len();
         let mut tr = [0u8; 24];
         f.read_exact_at(&mut tr, len - 24).unwrap();
@@ -108,11 +136,19 @@ fn repair_after_crash_via_cli() {
     assert!(!out.status.success());
     // ...repair fixes it...
     let out = run_tool(env!("CARGO_BIN_EXE_sionrepair"), &dir, &["data.sion"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("1 repaired"));
     // ...and verify passes again.
     let out = run_tool(env!("CARGO_BIN_EXE_sionverify"), &dir, &["data.sion"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -145,11 +181,26 @@ fn sionrepair_rejects_any_flag_but_force() {
     for flag in ["--forec", "-f", "force"] {
         let out = run_tool(env!("CARGO_BIN_EXE_sionrepair"), &dir, &["data.sion", flag]);
         assert_eq!(out.status.code(), Some(2), "sionrepair must reject {flag}");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{flag}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{flag}"
+        );
     }
-    assert_eq!(std::fs::read(dir.join("data.sion")).unwrap(), before, "nothing was repaired");
-    let out = run_tool(env!("CARGO_BIN_EXE_sionrepair"), &dir, &["data.sion", "--force"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        std::fs::read(dir.join("data.sion")).unwrap(),
+        before,
+        "nothing was repaired"
+    );
+    let out = run_tool(
+        env!("CARGO_BIN_EXE_sionrepair"),
+        &dir,
+        &["data.sion", "--force"],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("2 repaired"));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -174,27 +225,54 @@ fn tools_survive_garbage_and_truncated_files() {
     ] {
         for file in ["garbage.sion", "trunc.sion"] {
             let out = run_tool(bin, &dir, &[file]);
-            assert_eq!(out.status.code(), Some(1), "{bin} on {file} must fail cleanly");
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{bin} on {file} must fail cleanly"
+            );
             let err = String::from_utf8_lossy(&out.stderr);
-            assert!(!err.contains("panicked"), "{bin} on {file} panicked:\n{err}");
+            assert!(
+                !err.contains("panicked"),
+                "{bin} on {file} panicked:\n{err}"
+            );
             assert!(!err.is_empty(), "{bin} on {file}: no diagnostic");
         }
     }
     for file in ["garbage.sion", "trunc.sion"] {
         let out = run_tool(env!("CARGO_BIN_EXE_sioncat"), &dir, &[file, "0"]);
-        assert_eq!(out.status.code(), Some(1), "sioncat on {file} must fail cleanly");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "sioncat on {file} must fail cleanly"
+        );
         assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
         let out = run_tool(env!("CARGO_BIN_EXE_sionsplit"), &dir, &[file, "y/task"]);
-        assert_eq!(out.status.code(), Some(1), "sionsplit on {file} must fail cleanly");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "sionsplit on {file} must fail cleanly"
+        );
         assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
         let out = run_tool(env!("CARGO_BIN_EXE_siondefrag"), &dir, &[file, "d.sion"]);
-        assert_eq!(out.status.code(), Some(1), "siondefrag on {file} must fail cleanly");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "siondefrag on {file} must fail cleanly"
+        );
         assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
     }
 
     // Malformed numeric arguments are usage errors, not panics.
-    let out = run_tool(env!("CARGO_BIN_EXE_siondefrag"), &dir, &["data.sion", "d.sion", "zero"]);
-    assert_eq!(out.status.code(), Some(2), "bad nfiles must be a usage error");
+    let out = run_tool(
+        env!("CARGO_BIN_EXE_siondefrag"),
+        &dir,
+        &["data.sion", "d.sion", "zero"],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "bad nfiles must be a usage error"
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad nfiles"));
     let out = run_tool(env!("CARGO_BIN_EXE_sioncat"), &dir, &["data.sion", "x"]);
     assert_eq!(out.status.code(), Some(2), "bad rank must be a usage error");
