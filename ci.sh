@@ -413,6 +413,24 @@ if [ -n "$tree_escapes" ] || [ "$trees" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> structural gate: a Multifile is plain data (no lock, memo or location cache in serial.rs; location returns a TaskLocation by value)"
+# Once opened, `sion::serial::Multifile` and its `FileView`s hold what the
+# open read and nothing else: every `location` reads its row from the file
+# (one chunk-index slice, or one word per block of metablock 2), and every
+# bulk reader reads each file's metablock 2 once per call. No sionbench
+# workload ever hit the location LRU or the memoized rows this replaced,
+# and `tests/serial_reads.rs` pins the reads each call makes.
+serial_rs=crates/sion/src/serial.rs
+memo=$(awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$serial_rs" |
+    grep -E '\b(Mutex|RwLock|RefCell|OnceCell|OnceLock|HashMap|LocationCache)\b' || true)
+if [ -n "$memo" ] ||
+    ! grep -qE '^    pub fn location\(&self, rank: usize\) -> Result<TaskLocation> \{' "$serial_rs"
+then
+    echo "$memo"
+    echo "a Multifile is plain data: no \`Mutex\`, \`RwLock\`, \`RefCell\`, \`OnceCell\`, \`OnceLock\`, \`HashMap\` or \`LocationCache\` in non-test \`$serial_rs\`, and \`Multifile::location\` returns \`Result<TaskLocation>\`"
+    exit 1
+fi
+
 echo "==> structural gate: one driver (every rank is a TaskWorld task: no thread-per-rank World, blocking Comm, abort query or watchdog)"
 # A rank that waits for a peer suspends its task, never a thread, and a
 # hang ends in the executor's exact deadlock report. The thread driver,
@@ -718,9 +736,9 @@ echo "==> RUSTDOCFLAGS=-D warnings cargo doc --no-deps --workspace --lib"
 # item (a module, a constant) renders as dead text in the public docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib -q
 
-echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion -p sion-mp2c -p sion-tracer -p sion-szip -p sionlib"
+echo "==> cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion -p sion-mp2c -p sion-tracer -p sion-szip -p sion-tools -p sionlib"
 # The packages kept rustfmt-clean so far; the rest of the tree is not yet.
-cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion -p sion-mp2c -p sion-tracer -p sion-szip -p sionlib
+cargo fmt --check -p sion-vfs -p sion-simmpi -p sion-simcheck -p sion -p sion-mp2c -p sion-tracer -p sion-szip -p sion-tools -p sionlib
 
 # The counter every CHANGES.md entry quotes (net LoC is reported, not computed
 # by hand), after what this commit did to it.

@@ -198,10 +198,9 @@ fn defrag_on(
     let ntasks = mf.ntasks();
     let flags = mf.flags();
     // Each rank's location is fetched once, by the sizing pass, and handed
-    // to the copy: a second lookup would re-read the chunk index of every
-    // rank the location cache has evicted by then. No full `Locations` is
-    // ever materialized. One chunk per task, sized to exactly its stored
-    // data.
+    // to the copy: a second lookup would read the rank's chunk-index slice
+    // again. No full `Locations` is ever materialized. One chunk per task,
+    // sized to exactly its stored data.
     let locs = (0..ntasks)
         .map(|rank| mf.location(rank))
         .collect::<Result<Vec<_>>>()?;
@@ -240,7 +239,7 @@ fn defrag_on(
 /// counters.
 fn copy_ranks(
     mf: &Multifile,
-    locs: &[Arc<TaskLocation>],
+    locs: &[TaskLocation],
     writers: &mut [RankWriter<'_>],
 ) -> Result<(u64, IoCounters)> {
     let (mut stored, mut io) = (0u64, IoCounters::default());
@@ -1181,8 +1180,8 @@ mod tests {
 
     #[test]
     fn defrag_reads_each_ranks_chunk_index_slice_once() {
-        // More ranks than the location cache holds: a second lookup per
-        // rank would re-read the index slice of every rank evicted by then.
+        // Every lookup reads the file, so a second lookup of a rank would
+        // read its index slice a second time.
         const RANKS: usize = 600;
         let mem = Arc::new(MemFs::with_block_size(512));
         let mut w =

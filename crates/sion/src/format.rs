@@ -381,6 +381,28 @@ impl MetaBlock2 {
         Ok(nblocks)
     }
 
+    /// Read local task `ltask`'s row out of the metablock 2 an already-read
+    /// trailer names, whose header said `nblocks` blocks of `ntasks_local`
+    /// tasks: its own word of each block, one 8-byte read per block, never
+    /// the whole matrix — the per-rank fetch of a file without a usable
+    /// chunk index.
+    pub fn read_task_row(
+        file: &dyn VfsFile,
+        trailer: &Trailer,
+        nblocks: u64,
+        ntasks_local: usize,
+        ltask: usize,
+    ) -> Result<Vec<u64>> {
+        let row = trailer.mb2_off + MB2_FIXED_LEN + 8 * ltask as u64;
+        (0..nblocks)
+            .map(|b| -> Result<u64> {
+                let mut word = [0u8; 8];
+                file.read_exact_at(&mut word, row + 8 * b * ntasks_local as u64)?;
+                Ok(u64::from_le_bytes(word))
+            })
+            .collect()
+    }
+
     /// Write the metablock and a **v1** (index-less) trailer at `offset`,
     /// finishing the file. Production closes go through
     /// [`write_close_metadata`]; this survives for unit tests and for

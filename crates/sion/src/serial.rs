@@ -17,14 +17,14 @@
 //! [`Multifile::open`] is a **header open**: it reads metablock 1, the
 //! trailer, and the fixed metablock-2 header of each physical file — O(one
 //! small read per file plus the rank directory), never the O(ranks·blocks)
-//! usage matrix. Per-rank metadata is fetched on demand by
+//! usage matrix. Per-rank metadata is read from the file on every call of
 //! [`Multifile::location`]: for index-carrying (v2) files one contiguous
 //! read of that rank's prefix sums, for pre-index (v1) files — or when the
-//! index is torn — a lazily cached materialization of the file's full
-//! metablock 2. Fetched [`TaskLocation`]s live in a small LRU cache, so
-//! repeated seeks over a working set of ranks cost no further I/O;
-//! [`Multifile::locations`] remains the eager full materialization, now
-//! computed once and shared.
+//! index is torn — that rank's own word of each block of metablock 2; either
+//! way O(blocks), independent of the rank count. The bulk readers —
+//! [`Multifile::locations`], the collective read open and
+//! [`check_metadata`] — read each file's metablock 2 once per call. Once
+//! open, a [`Multifile`] is plain data: it holds no lock and no cached row.
 //!
 //! # A file's head and tail
 //!
@@ -40,8 +40,7 @@ use crate::layout::FileLayout;
 use crate::physical_name;
 use crate::stream::{ChunkGeom, IoCounters, TaskReader, TaskWriter, DEFAULT_READ_AHEAD};
 use crate::SionParams;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use vfs::{ByteLease, Vfs, VfsFile};
 
 /// Location and fill state of one chunk (`sion_get_locations` output).
@@ -119,9 +118,7 @@ impl Locations {
     /// Largest number of blocks in any physical file, **counting trailing
     /// empty blocks**: every task's chunk list has one entry per block of
     /// its file, so this equals the largest `metablock 2 nblocks` and
-    /// agrees with what `siondump` prints and `siondefrag` reports. (It
-    /// previously filtered `used > 0`, silently hiding a trailing all-zero
-    /// block and disagreeing with the on-disk block count.)
+    /// agrees with what `siondump` prints and `siondefrag` reports.
     pub fn max_blocks(&self) -> u64 {
         self.tasks
             .iter()
@@ -132,10 +129,9 @@ impl Locations {
 }
 
 /// Per-physical-file state of a lazily opened multifile: the layout and
-/// trailer geometry read at open, plus the lazily materialized full
-/// metablock 2 for files without a usable chunk index. Every decode and
-/// check of a file's metadata happens here, for the serial open and for the
-/// collective read open alike.
+/// trailer geometry read at open. Every decode and check of a file's
+/// metadata happens here, for the serial open and for the collective read
+/// open alike.
 pub(crate) struct FileView {
     handle: Arc<dyn VfsFile>,
     pub(crate) mb1: MetaBlock1,
@@ -146,8 +142,6 @@ pub(crate) struct FileView {
     /// Validated chunk-index region; `None` for pre-index files and for
     /// files whose index is torn (the linear fallback).
     index: Option<(u64, u64)>,
-    /// Full metablock 2, materialized at most once (v1 / torn-index path).
-    mb2: Mutex<Option<Arc<MetaBlock2>>>,
 }
 
 impl FileView {
@@ -171,35 +165,31 @@ impl FileView {
             trailer,
             nblocks,
             index,
-            mb2: Mutex::new(None),
         })
     }
 
-    /// The file's full metablock 2, materialized at most once (the linear
-    /// path for pre-index files and torn indexes, the bulk path for a
-    /// caller that wants every task's row).
-    fn full_mb2(&self) -> Result<Arc<MetaBlock2>> {
-        let mut slot = self.mb2.lock().expect("metablock cache poisoned");
-        if let Some(mb2) = slot.as_ref() {
-            return Ok(mb2.clone());
-        }
-        let mb2 = Arc::new(MetaBlock2::read_at(
-            self.handle.as_ref(),
-            &self.trailer,
-            self.mb1.ntasks_local(),
-        )?);
-        *slot = Some(mb2.clone());
-        Ok(mb2)
+    /// The file's whole metablock 2, read for a caller that wants every
+    /// task's row.
+    fn read_mb2(&self) -> Result<MetaBlock2> {
+        MetaBlock2::read_at(self.handle.as_ref(), &self.trailer, self.mb1.ntasks_local())
     }
 
-    /// Local task `lt`'s stored bytes per block, fetched on its own: one
-    /// contiguous chunk-index read for v2 files — O(blocks of this task),
-    /// independent of the task count — else out of the full metablock 2.
+    /// Local task `lt`'s row out of `mb2`, checked.
+    fn mb2_usage(&self, mb2: &MetaBlock2, lt: usize) -> Result<Vec<u64>> {
+        self.checked(lt, mb2.task_usage(lt, self.mb1.ntasks_local()))
+    }
+
+    /// Local task `lt`'s stored bytes per block, fetched on its own, checked:
+    /// one contiguous chunk-index read for v2 files, else its own word of
+    /// each block of metablock 2 — O(blocks of this task) either way,
+    /// independent of the task count.
     fn usage(&self, lt: usize) -> Result<Vec<u64>> {
+        let (file, n) = (self.handle.as_ref(), self.mb1.ntasks_local());
         let Some((idx_off, _)) = self.index else {
-            return self.usage_from_mb2(lt);
+            let row = MetaBlock2::read_task_row(file, &self.trailer, self.nblocks, n, lt)?;
+            return self.checked(lt, row);
         };
-        let cum = ChunkIndex::read_task_cum(self.handle.as_ref(), idx_off, self.nblocks, lt)?;
+        let cum = ChunkIndex::read_task_cum(file, idx_off, self.nblocks, lt)?;
         let mut usage = Vec::with_capacity(cum.len());
         let mut prev = 0u64;
         for (b, &c) in cum.iter().enumerate() {
@@ -213,12 +203,6 @@ impl FileView {
             prev = c;
         }
         self.checked(lt, usage)
-    }
-
-    /// [`usage`](Self::usage) out of the full metablock 2: one read per
-    /// file, not one index read per task, for whoever needs every row.
-    pub(crate) fn usage_from_mb2(&self, lt: usize) -> Result<Vec<u64>> {
-        self.checked(lt, self.full_mb2()?.task_usage(lt, self.mb1.ntasks_local()))
     }
 
     /// No usage row leaves this module unchecked: a block that claims more
@@ -236,23 +220,33 @@ impl FileView {
         }
     }
 
-    /// Every problem of the usage rows on both views: metablock 2, the chunk
-    /// index (when the file has a usable one), and where the two disagree.
+    /// Every problem of the usage rows on both views: metablock 2 (read
+    /// once), the chunk index (when the file has a usable one), and where
+    /// the two disagree.
     fn row_problems(&self) -> Vec<String> {
+        let n = self.mb1.ntasks_local();
+        let mb2 = match self.read_mb2() {
+            Ok(mb2) => mb2,
+            Err(e) => return vec![format!("metablock 2: {e}"); n],
+        };
         let mut problems = Vec::new();
-        for lt in 0..self.mb1.ntasks_local() {
-            match (self.usage_from_mb2(lt), self.usage(lt)) {
-                (Ok(mb2), Ok(index)) if mb2 == index => {}
-                (Ok(mb2), Ok(index)) => {
-                    let b = mb2.iter().zip(&index).take_while(|(m, i)| m == i).count();
-                    problems.push(format!(
-                        "task {lt} block {b}: the chunk index says {} bytes, metablock 2 {}",
-                        index[b], mb2[b]
-                    ));
-                }
-                (Err(e), _) => problems.push(format!("metablock 2: {e}")),
-                (_, Err(e)) => problems.push(format!("chunk index: {e}")),
-            }
+        for lt in 0..n {
+            let problem = match (self.mb2_usage(&mb2, lt), self.index) {
+                (Err(e), _) => format!("metablock 2: {e}"),
+                (Ok(_), None) => continue,
+                (Ok(row), Some(_)) => match self.usage(lt) {
+                    Ok(index) if index == row => continue,
+                    Ok(index) => {
+                        let b = row.iter().zip(&index).take_while(|(m, i)| m == i).count();
+                        format!(
+                            "task {lt} block {b}: the chunk index says {} bytes, metablock 2 {}",
+                            index[b], row[b]
+                        )
+                    }
+                    Err(e) => format!("chunk index: {e}"),
+                },
+            };
+            problems.push(problem);
         }
         problems
     }
@@ -419,44 +413,10 @@ pub(crate) fn finalize_file(writer: &TaskWriter, rows: &[&[u64]]) -> Result<()> 
     write_close_metadata(writer.file(), writer.mb2_offset(mb2.nblocks), &mb2, n)
 }
 
-/// Capacity of the per-rank [`TaskLocation`] LRU: plenty for tool working
-/// sets, bounded so a 64Ki-rank scan cannot reconstruct the eager open.
-const LOCATION_CACHE_CAP: usize = 256;
-
-/// A tiny clock-stamped LRU over fetched task locations.
-struct LocationCache {
-    stamp: u64,
-    entries: HashMap<usize, (u64, Arc<TaskLocation>)>,
-}
-
-impl LocationCache {
-    fn get(&mut self, rank: usize) -> Option<Arc<TaskLocation>> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.entries.get_mut(&rank).map(|e| {
-            e.0 = stamp;
-            e.1.clone()
-        })
-    }
-
-    fn insert(&mut self, rank: usize, loc: Arc<TaskLocation>) {
-        if self.entries.len() >= LOCATION_CACHE_CAP && !self.entries.contains_key(&rank) {
-            // Drop everything not touched within the last half-capacity
-            // accesses: one O(capacity) pass per capacity/2 inserts. A
-            // rank-by-rank scan (verify, defrag) is nothing but inserts,
-            // and verify's workers make them under this one lock.
-            let keep_from = self.stamp.saturating_sub(LOCATION_CACHE_CAP as u64 / 2);
-            self.entries.retain(|_, (stamp, _)| *stamp > keep_from);
-        }
-        self.stamp += 1;
-        self.entries.insert(rank, (self.stamp, loc));
-    }
-}
-
 /// A multifile opened with the serial global view (`sion_open` read mode).
 ///
-/// Opening is cheap (headers only); per-rank metadata arrives on demand —
-/// see the module docs of `serial.rs` for the lazy lifecycle.
+/// Opening is cheap (headers only); per-rank metadata is read on demand, on
+/// every call — see the module docs of `serial.rs` for the lazy lifecycle.
 pub struct Multifile {
     pub(crate) files: Vec<FileView>,
     ntasks: usize,
@@ -465,9 +425,6 @@ pub struct Multifile {
     flags: SionFlags,
     /// Global rank → (physical file, local task index).
     pub(crate) rank_map: Vec<(u32, u32)>,
-    cache: Mutex<LocationCache>,
-    /// The eager materialization, computed at most once.
-    all: Mutex<Option<Arc<Locations>>>,
 }
 
 impl Multifile {
@@ -495,11 +452,6 @@ impl Multifile {
             flags: files[0].mb1.flags,
             files,
             rank_map,
-            cache: Mutex::new(LocationCache {
-                stamp: 0,
-                entries: HashMap::new(),
-            }),
-            all: Mutex::new(None),
         })
     }
 
@@ -534,70 +486,66 @@ impl Multifile {
     }
 
     /// On-demand per-rank metadata fetch (`sion_get_locations` for one
-    /// rank): one contiguous chunk-index read for v2 files — O(blocks of
-    /// this rank), independent of the total rank count — served from a
-    /// small LRU on repeat access. Usage validation happens here, on
-    /// exactly the rows read.
-    pub fn location(&self, rank: usize) -> Result<Arc<TaskLocation>> {
+    /// rank), read from the file on every call: one contiguous chunk-index
+    /// read for v2 files, one word per block of metablock 2 otherwise —
+    /// O(blocks of this rank), independent of the total rank count. Usage
+    /// validation happens here, on exactly the rows read.
+    pub fn location(&self, rank: usize) -> Result<TaskLocation> {
         if rank >= self.ntasks {
             return Err(SionError::InvalidArg(format!("rank {rank} out of range")));
         }
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .expect("location cache poisoned")
-            .get(rank)
-        {
-            return Ok(hit);
-        }
         let (k, lt) = self.rank_map[rank];
         let usage = self.files[k as usize].usage(lt as usize)?;
-        let loc = Arc::new(self.build_location(rank, &usage));
-        self.cache
-            .lock()
-            .expect("location cache poisoned")
-            .insert(rank, loc.clone());
-        Ok(loc)
+        Ok(self.build_location(rank, &usage))
     }
 
     /// All metadata (`sion_get_locations`): the eager full materialization,
-    /// computed once per open and shared. Tools that truly need every rank
-    /// (`siondump`) use this; everything else should stream via
+    /// one metablock-2 read per file per call. Tools that truly need every
+    /// rank (`siondump`) use this; everything else should stream via
     /// [`location`](Self::location).
-    pub fn locations(&self) -> Result<Arc<Locations>> {
-        let mut slot = self.all.lock().expect("locations cache poisoned");
-        if let Some(all) = slot.as_ref() {
-            return Ok(all.clone());
-        }
-        let mut tasks = Vec::with_capacity(self.ntasks);
-        for rank in 0..self.ntasks {
-            let (k, lt) = self.rank_map[rank];
-            // Bulk path: one metablock 2 per file, not ntasks index reads.
-            let usage = self.files[k as usize].usage_from_mb2(lt as usize)?;
-            tasks.push(self.build_location(rank, &usage));
-        }
-        let all = Arc::new(Locations {
+    pub fn locations(&self) -> Result<Locations> {
+        let tasks = self
+            .rows()
+            .enumerate()
+            .map(|(rank, usage)| Ok(self.build_location(rank, &usage?)))
+            .collect::<Result<_>>()?;
+        Ok(Locations {
             ntasks: self.ntasks,
             nfiles: self.nfiles,
             fsblksize: self.fsblksize,
             flags: self.flags,
             tasks,
-        });
-        *slot = Some(all.clone());
-        Ok(all)
+        })
     }
 
     /// Every task's part of the collective read open (`par.rs`), in
     /// global rank order: `[flags, file, chunk geometry, usage row]` as
-    /// words. The rows come from the bulk path — one metablock-2 read per
-    /// file — and are checked like any other; [`part_reader`] decodes a part.
+    /// words, the rows from [`rows`](Self::rows); [`part_reader`] decodes a
+    /// part.
     pub(crate) fn read_parts(&self) -> impl Iterator<Item = Result<Vec<u64>>> + '_ {
-        (0u64..).zip(&self.rank_map).map(|(rank, &(k, lt))| {
+        self.rows().enumerate().map(|(rank, usage)| {
+            let (k, lt) = self.rank_map[rank];
             let fv = &self.files[k as usize];
             let mut words = vec![self.flags.bits(), k as u64];
-            words.extend(fv.layout.geom(lt as usize, rank).encode());
-            words.extend(fv.usage_from_mb2(lt as usize)?);
+            words.extend(fv.layout.geom(lt as usize, rank as u64).encode());
+            words.extend(usage?);
             Ok(words)
+        })
+    }
+
+    /// Every rank's checked usage row, in global rank order, for the bulk
+    /// readers: one metablock-2 read per file per call, made when the
+    /// file's first rank comes up, so the first error is the lowest failing
+    /// rank's.
+    fn rows(&self) -> impl Iterator<Item = Result<Vec<u64>>> + '_ {
+        let mut mb2s: Vec<Option<MetaBlock2>> = vec![None; self.files.len()];
+        self.rank_map.iter().map(move |&(k, lt)| {
+            let fv = &self.files[k as usize];
+            let mb2 = match &mut mb2s[k as usize] {
+                Some(mb2) => mb2,
+                slot => slot.insert(fv.read_mb2()?),
+            };
+            fv.mb2_usage(mb2, lt as usize)
         })
     }
 
@@ -662,7 +610,7 @@ impl Multifile {
     /// reader over that task's logical file, transparently decompressing
     /// if the multifile is compressed.
     pub fn rank_reader(&self, rank: usize) -> Result<RankReader> {
-        Ok(self.reader_at(&*self.location(rank)?))
+        Ok(self.reader_at(&self.location(rank)?))
     }
 
     /// [`rank_reader`](Self::rank_reader) for a location this multifile
