@@ -96,15 +96,31 @@ echo "==> par_smoke: real 64Ki-rank collective open/write/close (task runtime)"
 # gather, decode and metadata tail a single master ever handles (~2 s).
 # The smaller SIMCHECK=1 run layers the passive sanitizer over the same
 # protocol (collective mismatches, reserved tags, leaks).
+# Memory per rank: every 64Ki-rank run (the five and the one-group run)
+# must peak at most 5 KiB of resident set per rank (`VmHWM`, which
+# par_smoke prints per rank; ~4.4–4.6 KiB on the 2-core CI box, of which
+# ~3.3 KiB is the runtime's and the rest the payload and the bytes MemFs
+# stores for it — a whole 4 KiB page per rank would read ~8 KiB).
 par_smoke_best() {
     : > target/par_smoke.walls
+    : > target/par_smoke.rss
     for _ in 1 2 3 4 5; do
         ./target/release/par_smoke --ranks "$1" --nfiles 32 --budget-secs 60 \
             2> target/par_smoke.log || { cat target/par_smoke.log >&2; exit 1; }
         sed -n 's/^par_smoke: [0-9]* ranks .* in \([0-9.]*\)s .*/\1/p' target/par_smoke.log \
             >> target/par_smoke.walls
+        sed -n 's/^par_smoke: .* = \([0-9]*\) B a rank)$/\1/p' target/par_smoke.log \
+            >> target/par_smoke.rss
     done
     sort -n target/par_smoke.walls | head -n 1
+}
+rss_per_rank_ok() {
+    worst=$(sort -n target/par_smoke.rss | tail -n 1)
+    echo "par_smoke: 64Ki ranks $1: peak RSS per rank at most ${worst:-?} B"
+    [ "$(wc -l < target/par_smoke.rss)" -eq "$2" ] && [ "$worst" -gt 0 ] && [ "$worst" -le 5120 ] || {
+        echo "par_smoke: 64Ki-rank peak RSS exceeds 5 KiB per rank (or was not printed)"
+        exit 1
+    }
 }
 wall_16k=$(par_smoke_best 16384)
 wall_64k=$(par_smoke_best 65536)
@@ -113,7 +129,12 @@ awk -v a="$wall_16k" -v b="$wall_64k" 'BEGIN { exit !(a > 0 && b > 0 && b <= 5 *
     echo "par_smoke: 64Ki-rank wall exceeds 5x the 16Ki-rank wall"
     exit 1
 }
-./target/release/par_smoke --ranks 65536 --nfiles 1 --budget-secs 60
+rss_per_rank_ok "(32 files, 5 runs)" 5
+./target/release/par_smoke --ranks 65536 --nfiles 1 --budget-secs 60 2> target/par_smoke.log ||
+    { cat target/par_smoke.log >&2; exit 1; }
+cat target/par_smoke.log >&2
+sed -n 's/^par_smoke: .* = \([0-9]*\) B a rank)$/\1/p' target/par_smoke.log > target/par_smoke.rss
+rss_per_rank_ok "(1 file)" 1
 SIMCHECK=1 ./target/release/par_smoke --ranks 256 --budget-secs 120
 
 echo "==> rescue smoke: crash a multifile, sionrepair it, sionverify it"

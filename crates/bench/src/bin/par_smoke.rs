@@ -6,7 +6,9 @@
 //! deterministic payload, and closes; the produced image is then verified
 //! rank-by-rank through the serial global view. Wall clock is checked
 //! against `--budget-secs` (exit 2 on overrun) so CI catches scheduler
-//! regressions as time, not hangs. With `SIMCHECK=1` in the environment
+//! regressions as time, not hangs. The summary line ends with the
+//! process's peak resident set (`VmHWM`), in all and per rank, which
+//! `ci.sh` bounds. With `SIMCHECK=1` in the environment
 //! the run additionally executes under the passive sanitizer (use a
 //! smaller `--ranks` there — the checks serialize some paths).
 
@@ -15,6 +17,17 @@ use simmpi::{SchedPolicy, TaskWorld};
 use sion::{paropen_write_co, Multifile, SionParams};
 use std::time::Instant;
 use vfs::MemFs;
+
+/// `VmHWM` of this process in KiB, read from `/proc/self/status`; 0 where
+/// there is none.
+fn peak_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok());
+    kib.unwrap_or(0)
+}
 
 /// Deterministic per-rank payload.
 fn payload(rank: usize, len: usize) -> Vec<u8> {
@@ -81,9 +94,11 @@ fn main() {
         );
     }
 
+    let peak_kib = peak_rss_kib();
     eprintln!(
         "par_smoke: {ranks} ranks x {bytes_per_rank} B across {nfiles} file(s) in {:.2}s \
-         ({} workers, {} polls, {} wakes, {} parks, {} steals, peak mailbox {} msgs / {} B)",
+         ({} workers, {} polls, {} wakes, {} parks, {} steals, peak mailbox {} msgs / {} B, \
+         peak RSS {peak_kib} KiB = {} B a rank)",
         wall.as_secs_f64(),
         sched.workers,
         sched.polls,
@@ -92,6 +107,7 @@ fn main() {
         sched.steals,
         sched.peak_mailbox_msgs,
         sched.peak_mailbox_bytes,
+        peak_kib * 1024 / ranks as u64,
     );
 
     if wall.as_secs() >= budget_secs {

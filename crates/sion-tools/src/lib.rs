@@ -1206,6 +1206,45 @@ mod tests {
         );
     }
 
+    /// Fails the read of the metablock 2 that `self.0` names; lets the
+    /// read of its fixed header, which the open validates, through.
+    struct FailsMetablock2(sion::format::Trailer);
+
+    impl Tap for FailsMetablock2 {
+        fn around(&self, op: &Op<'_>, next: Next<'_>) -> std::io::Result<u64> {
+            let mb2 = (self.0.mb2_off, self.0.mb2_len);
+            if op.kind == OpKind::Read && (op.offset, op.len) == mb2 {
+                return Err(std::io::Error::other("injected"));
+            }
+            next(op.len)
+        }
+
+        fn injects(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_failed_metablock_2_read_is_one_problem_not_one_per_task() {
+        const RANKS: usize = 1000;
+        let mem = Arc::new(MemFs::with_block_size(512));
+        let mut w =
+            SerialWriter::create(&*mem, "in.sion", &[512; RANKS], &SionParams::new(512)).unwrap();
+        for rank in 0..RANKS {
+            w.select_rank(rank).unwrap();
+            w.write(&payload(rank, 100)).unwrap();
+        }
+        w.close().unwrap();
+        let file = mem.open("in.sion").unwrap();
+        let trailer = sion::format::Trailer::read_from(file.as_ref()).unwrap();
+        let fs = TapFs::new(mem, vec![Arc::new(FailsMetablock2(trailer))]);
+        let report = verify(&fs, "in.sion").unwrap();
+        assert_eq!(
+            report.problems,
+            ["in.sion: metablock 2: I/O error: injected"]
+        );
+    }
+
     #[test]
     fn defrag_of_a_rescue_multifile_verifies_clean() {
         // verify cross-checks every chunk's rescue header against

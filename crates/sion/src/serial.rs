@@ -221,14 +221,14 @@ impl FileView {
     }
 
     /// Every problem of the usage rows on both views: metablock 2 (read
-    /// once), the chunk index (when the file has a usable one), and where
-    /// the two disagree.
+    /// once; a read that fails is one problem, not one per task), the chunk
+    /// index (when the file has a usable one), and where the two disagree.
     fn row_problems(&self) -> Vec<String> {
-        let n = self.mb1.ntasks_local();
         let mb2 = match self.read_mb2() {
             Ok(mb2) => mb2,
-            Err(e) => return vec![format!("metablock 2: {e}"); n],
+            Err(e) => return vec![format!("metablock 2: {e}")],
         };
+        let n = self.mb1.ntasks_local();
         let mut problems = Vec::new();
         for lt in 0..n {
             let problem = match (self.mb2_usage(&mb2, lt), self.index) {

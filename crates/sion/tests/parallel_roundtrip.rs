@@ -439,3 +439,49 @@ fn zero_chunk_request_round_trips_or_is_refused() {
         }
     }
 }
+
+#[test]
+fn a_short_chunk_costs_its_bytes_not_its_pages() {
+    // wide_8k's shape at 64 ranks: 256–768 B a rank in 192 B records, 1 KiB
+    // chunks on 4 KiB FS blocks, so each chunk takes an FS block of the file
+    // model and its first page holds a few hundred bytes.
+    let fs = MemFs::with_block_size(4096);
+    let params = SionParams::new(1024).with_nfiles(4).with_write_buffer(2048);
+    TaskWorld::run(64, |comm| {
+        let (fs, params) = (&fs, &params);
+        async move {
+            let data = payload(comm.rank(), 256 + comm.rank() * 97 % 513);
+            let mut w = paropen_write_co(fs, "wide.sion", params, &comm)
+                .await
+                .unwrap();
+            for record in data.chunks(192) {
+                w.write(record).unwrap();
+            }
+            w.close_co().await.unwrap();
+        }
+    });
+    let out = MemFs::with_block_size(4096);
+    sion_tools::defrag(&fs, "wide.sion", &out, "dense.sion", 1).unwrap();
+    // (allocated, resident, extended) of each physical file and of the
+    // defragmented copy: the file model still counts whole pages (18 a
+    // file: 16 chunk blocks and metadata), the memory behind them holds the
+    // bytes written, and no page is written past its stored end twice.
+    let footprint = |fs: &MemFs, name: &str| {
+        let st = fs.stats(name).unwrap();
+        (st.allocated, st.resident, st.extended)
+    };
+    let files: Vec<_> = (0..4)
+        .map(|f| footprint(&fs, &sion::physical_name("wide.sion", f)))
+        .chain([footprint(&out, "dense.sion")])
+        .collect();
+    assert_eq!(
+        files,
+        [
+            (73728, 8829, 0),
+            (73728, 9037, 0),
+            (73728, 9245, 0),
+            (73728, 8940, 0),
+            (270336, 35607, 0),
+        ]
+    );
+}

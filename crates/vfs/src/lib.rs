@@ -247,11 +247,13 @@ pub trait VfsFile: Send + Sync {
     /// Borrow up to `max_len` bytes at `offset` straight from the file's
     /// backing storage, without copying. Returns a lease over **at most**
     /// `max_len` bytes — however much of the range one contiguous backing
-    /// run can serve (at least one byte) — or `None` when the backend has
-    /// no shareable backing storage for the range (real disks, holes, or
-    /// `offset` at/past end of file). Callers must treat `None` and short
-    /// leases as a cue to fall back to [`read_at`](Self::read_at); the two
-    /// paths observe identical bytes.
+    /// run can serve (at least one byte), ending at the last byte that run
+    /// stores — or `None` when the backend has no shareable backing storage
+    /// for the range (real disks, holes, bytes inside the file a backend
+    /// does not store — on [`MemFs`], past the last byte written to a page
+    /// — or `offset` at/past end of file). Callers must treat `None` and
+    /// short leases as a cue to fall back to [`read_at`](Self::read_at);
+    /// the two paths observe identical bytes.
     fn read_lease(&self, offset: u64, max_len: usize) -> Option<ByteLease> {
         let _ = (offset, max_len);
         None

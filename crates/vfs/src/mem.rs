@@ -1,11 +1,21 @@
 //! [`MemFs`]: a thread-safe, sparse, in-memory file system.
 //!
-//! Files are stored as maps of extents, runs of whole 4 KiB pages; ranges
-//! never written are *holes* that consume no memory and read back as zeros.
-//! This mirrors the sparse-allocation behaviour of GPFS/Lustre that
-//! SIONlib's block-per-task layout depends on ("file systems tend not to
-//! physically allocate the empty blocks"), and lets tests assert on
-//! *physically allocated* bytes (e.g. that `siondefrag` removes gaps).
+//! Files are stored as maps of extents, runs of 4 KiB pages; ranges never
+//! written are *holes* that consume no memory and read back as zeros. This
+//! mirrors the sparse-allocation behaviour of GPFS/Lustre that SIONlib's
+//! block-per-task layout depends on ("file systems tend not to physically
+//! allocate the empty blocks"), and lets tests assert on *physically
+//! allocated* bytes (e.g. that `siondefrag` removes gaps).
+//!
+//! The FS model counts whole pages ([`MemFsStats::allocated`]); the host
+//! memory behind a page holds only the bytes written to it. A write into a
+//! hole page stores the page up to the last byte it writes, and the rest of
+//! the page reads as zeros, as a hole does; a later write past that point
+//! copies the page once into a buffer of twice its stored bytes (at least
+//! what the write needs, at most a page), so the copies one page ever takes
+//! add up to less than a page ([`MemFsStats::resident`],
+//! [`MemFsStats::extended`]). A task's chunk of a few hundred bytes at the
+//! start of an FS block costs those bytes, not a page.
 //!
 //! # Locking: per FS block, not per file
 //!
@@ -63,9 +73,11 @@ const PAGE: usize = 4096;
 /// 1/64 and then wait for one block's copy at most.
 const STRIPES: usize = 64;
 
-/// A run of whole pages of one FS block: `pages` pages of `buf` from byte
-/// `start` on. The buffer is one this file built by copying, or one a
-/// writer handed over ([`ByteLease::from_vec`]);
+/// A run of pages of one FS block: `pages` pages of `buf` from byte `start`
+/// on, where the buffer may end inside the last page: that page is *short*,
+/// and its unstored end reads as zeros. Every other page is whole. The
+/// buffer is one this file built by copying, or one a writer handed over
+/// ([`ByteLease::from_vec`]) — always whole pages;
 /// [`VfsFile::read_lease`] hands out the buffer itself, and pieces cut from
 /// an extent keep sharing it. Writers never change a buffer something else
 /// holds, so leases observe a consistent snapshot.
@@ -77,9 +89,10 @@ struct Extent {
 }
 
 impl Extent {
-    /// All of `buf`, a whole number of pages.
+    /// All of `buf`: whole pages, and a short last one if its length is
+    /// not a multiple of a page.
     fn whole(buf: Arc<[u8]>) -> Extent {
-        let pages = (buf.len() / PAGE) as u64;
+        let pages = buf.len().div_ceil(PAGE) as u64;
         Extent {
             buf: Backing::Built(buf),
             start: 0,
@@ -96,8 +109,17 @@ impl Extent {
         }
     }
 
+    /// The bytes it stores: all of its pages but the unstored end of a
+    /// short last page.
     fn bytes(&self) -> &[u8] {
-        &self.buf.bytes()[self.start..self.start + self.pages as usize * PAGE]
+        let buf = self.buf.bytes();
+        &buf[self.start..buf.len().min(self.start + self.pages as usize * PAGE)]
+    }
+
+    /// The bytes it stores of its page `page`, counted from `first`.
+    fn page(&self, first: u64, page: u64) -> &[u8] {
+        let from = &self.bytes()[(page - first) as usize * PAGE..];
+        &from[..from.len().min(PAGE)]
     }
 }
 
@@ -135,22 +157,35 @@ fn unmap(map: &mut ExtentMap, from: u64, to: u64) {
     }
 }
 
-/// Page `page`, writable in place: a hole becomes a zeroed page, and a page
-/// whose allocation anything else holds (a lease, another file, another
-/// piece of its extent) is copied out into a one-page extent of its own.
-fn page_mut(map: &mut ExtentMap, page: u64) -> &mut [u8] {
+/// The stored bytes of page `page`, at least its first `need`, writable in
+/// place. A hole becomes a short page of `need` zeros; a page storing fewer
+/// than `need` bytes is copied into one of twice its stored bytes (at least
+/// `need`, at most a page), and the bytes copied again are added to
+/// `extended`; a page whose allocation anything else holds (a lease, another
+/// file, another piece of its extent) is copied out into a one-page extent
+/// of its own.
+fn page_mut<'m>(
+    map: &'m mut ExtentMap,
+    page: u64,
+    need: usize,
+    extended: &AtomicU64,
+) -> &'m mut [u8] {
     let (first, ext) = match extent_at(map, page) {
-        Some((first, ext)) if ext.buf.unshared() => {
+        Some((first, ext)) if ext.buf.unshared() && ext.page(first, page).len() >= need => {
             (first, map.get_mut(&first).expect("found above"))
         }
         found => {
-            let copy = match found {
-                Some((first, ext)) => {
-                    let at = (page - first) as usize * PAGE;
-                    Arc::from(&ext.bytes()[at..at + PAGE])
+            let old = found.map_or(&[][..], |(first, ext)| ext.page(first, page));
+            let len = match old.len() {
+                0 => need,
+                n if n < need => {
+                    extended.fetch_add(n as u64, Ordering::Relaxed);
+                    need.max(2 * n).min(PAGE)
                 }
-                None => blank_page(),
+                n => n,
             };
+            let mut copy = zeroed(len);
+            Arc::get_mut(&mut copy).expect("just built")[..old.len()].copy_from_slice(old);
             if found.is_some() {
                 unmap(map, page, page + 1);
             }
@@ -158,13 +193,16 @@ fn page_mut(map: &mut ExtentMap, page: u64) -> &mut [u8] {
         }
     };
     let at = ext.start + (page - first) as usize * PAGE;
-    &mut ext.buf.get_mut().expect("held by this map only")[at..at + PAGE]
+    let buf = ext.buf.get_mut().expect("held by this map only");
+    let end = buf.len().min(at + PAGE);
+    &mut buf[at..end]
 }
 
-/// A zeroed page: one allocation, filled from a static zero page.
-fn blank_page() -> Arc<[u8]> {
+/// `len` (at most a page) zeros: one allocation, filled from a static zero
+/// page.
+fn zeroed(len: usize) -> Arc<[u8]> {
     static ZEROS: [u8; PAGE] = [0; PAGE];
-    Arc::from(&ZEROS[..])
+    Arc::from(&ZEROS[..len])
 }
 
 /// Read cursor over an iovec laid end to end.
@@ -222,6 +260,9 @@ struct FileData {
     /// Lock granule in pages: the FS block, or one page where the block is
     /// smaller than the unit of storage. No extent is longer.
     pages_per_block: u64,
+    /// Bytes of short pages copied again because a write reached past
+    /// their stored end ([`MemFsStats::extended`]).
+    extended: AtomicU64,
 }
 
 impl FileData {
@@ -230,6 +271,7 @@ impl FileData {
             stripes: std::array::from_fn(|_| RwLock::new(ExtentMap::new())),
             len: AtomicU64::new(0),
             pages_per_block: (block_size / PAGE as u64).max(1),
+            extended: AtomicU64::new(0),
         }
     }
 
@@ -253,9 +295,16 @@ impl FileData {
         (pos / granule + 1).saturating_mul(granule)
     }
 
-    fn allocated_bytes(&self) -> u64 {
-        let pages = |s: &RwLock<ExtentMap>| s.read().values().map(|e| e.pages).sum::<u64>();
-        self.stripes.iter().map(pages).sum::<u64>() * PAGE as u64
+    /// The bytes of the pages this file maps, and the bytes they store.
+    fn footprint(&self) -> (u64, u64) {
+        let (mut pages, mut stored) = (0, 0);
+        for stripe in &self.stripes {
+            for ext in stripe.read().values() {
+                pages += ext.pages;
+                stored += ext.bytes().len() as u64;
+            }
+        }
+        (pages * PAGE as u64, stored)
     }
 
     fn read_at(&self, buf: &mut [u8], offset: u64) -> usize {
@@ -273,13 +322,21 @@ impl FileData {
                 let pos = offset + done as u64;
                 let page = pos / PAGE as u64;
                 let room = block_stop - done;
-                // One copy per extent, one fill per hole.
+                // One copy per extent, one fill per hole or unstored end of
+                // a short page.
                 let take = match extent_at(&map, page) {
                     Some((first, ext)) => {
-                        let from = &ext.bytes()[(pos - first * PAGE as u64) as usize..];
-                        let take = from.len().min(room);
-                        buf[done..done + take].copy_from_slice(&from[..take]);
-                        take
+                        let at = (pos - first * PAGE as u64) as usize;
+                        let stored = ext.bytes();
+                        if at < stored.len() {
+                            let take = (stored.len() - at).min(room);
+                            buf[done..done + take].copy_from_slice(&stored[at..at + take]);
+                            take
+                        } else {
+                            let take = (ext.pages as usize * PAGE - at).min(room);
+                            buf[done..done + take].fill(0);
+                            take
+                        }
                     }
                     None => {
                         let next = map.range(page..).next();
@@ -326,11 +383,11 @@ impl FileData {
                         pos += run.len() as u64;
                     }
                     // A partial page, or one gathered from several slices,
-                    // is written in place, copied out first only when
-                    // anything else holds its allocation.
+                    // is written in place, copied first only when anything
+                    // else holds its allocation or it stores too few bytes.
                     None => {
                         let take = (PAGE - in_page).min(room);
-                        let bytes = page_mut(&mut map, page);
+                        let bytes = page_mut(&mut map, page, in_page + take, &self.extended);
                         let mut at = in_page;
                         src.take(take, |piece| {
                             bytes[at..at + piece.len()].copy_from_slice(piece);
@@ -358,8 +415,12 @@ impl FileData {
         }
         let (first, ext) = extent_at(&map, page)?;
         let at = (offset - first * PAGE as u64) as usize;
+        let stored = ext.bytes().len();
+        if at >= stored {
+            return None;
+        }
         let left = (len - offset).min(max_len as u64) as usize;
-        let take = (ext.pages as usize * PAGE - at).min(left);
+        let take = (stored - at).min(left);
         Some(ByteLease::new(ext.buf.clone(), ext.start + at, take))
     }
 
@@ -399,9 +460,9 @@ impl FileData {
         let mut stripes: Vec<_> = self.stripes.iter().map(|s| s.write()).collect();
         if len < self.len.load(Ordering::Acquire) {
             // Drop pages fully past the new end — extents starting there, and
-            // the tail of the one extent reaching across it — and zero the
-            // tail of the boundary page, so re-extending reads back zeros
-            // (POSIX).
+            // the tail of the one extent reaching across it — and cut the
+            // boundary page short at the new end, so re-extending reads back
+            // zeros (POSIX).
             let first_dropped = len.div_ceil(PAGE as u64);
             for map in &mut stripes {
                 map.split_off(&first_dropped);
@@ -414,8 +475,13 @@ impl FileData {
             if keep_into_boundary > 0 {
                 let boundary = len / PAGE as u64;
                 let holder = &mut stripes[self.stripe_index(boundary)];
-                if extent_at(holder, boundary).is_some() {
-                    page_mut(holder, boundary)[keep_into_boundary..].fill(0);
+                let kept = extent_at(holder, boundary)
+                    .map(|(first, ext)| ext.page(first, boundary))
+                    .filter(|page| page.len() > keep_into_boundary)
+                    .map(|page| Extent::whole(Arc::from(&page[..keep_into_boundary])));
+                if let Some(kept) = kept {
+                    unmap(holder, boundary, boundary + 1);
+                    holder.insert(boundary, kept);
                 }
             }
         }
@@ -475,10 +541,11 @@ impl VfsFile for MemFile {
 
     /// Zero-copy borrow of the backing extent: the lease is a clone of the
     /// extent's buffer handle plus a range — no byte is copied. A lease runs
-    /// from `offset` to the end of the extent holding it (never past the FS
-    /// block), clipped at end of file and at `max_len`; at a hole it is
-    /// `None` (holes have no backing storage to borrow; callers fall back
-    /// to `read_at`).
+    /// from `offset` to the last byte the extent holding it stores (never
+    /// past the FS block), clipped at end of file and at `max_len`; at a
+    /// hole, or past the stored end of a short page, it is `None` (there is
+    /// no backing storage to borrow; callers fall back to `read_at`, which
+    /// yields zeros).
     fn read_lease(&self, offset: u64, max_len: usize) -> Option<ByteLease> {
         self.data.read_lease(offset, max_len)
     }
@@ -513,14 +580,24 @@ impl VfsFile for MemFile {
 pub struct MemFsStats {
     /// Logical file size in bytes.
     pub len: u64,
-    /// Bytes of the pages this file maps (hole-free footprint), page-exact.
-    /// A per-file figure, as `du` reports reflinked files: a page this file
-    /// shares with another ([`VfsFile::write_lease_at`]) counts in both.
-    /// It counts mapped pages, not allocations: a page copied out of an
-    /// extent (a partial write, `set_len`) or an extent cut short leaves
-    /// the rest of that extent holding its whole allocation, so resident
-    /// memory can exceed `allocated` until every piece is gone.
+    /// Bytes of the pages this file maps (hole-free footprint), page-exact:
+    /// the file-system model, in which a written page takes a whole page
+    /// however few of its bytes were written. A per-file figure, as `du`
+    /// reports reflinked files: a page this file shares with another
+    /// ([`VfsFile::write_lease_at`]) counts in both.
     pub allocated: u64,
+    /// Bytes the mapped pages store: whole pages, and a short page's bytes
+    /// up to its stored end (the last byte written to it, or twice what it
+    /// stored before a later write reached past that, at most a page).
+    /// At most `allocated`, and per file like it. It counts mapped bytes,
+    /// not allocations: a page copied out of an extent (a partial write,
+    /// `set_len`) or an extent cut short leaves the rest of that extent
+    /// holding its whole allocation, so host memory can exceed `resident`
+    /// until every piece is gone.
+    pub resident: u64,
+    /// Bytes copied again since the file was created because a write
+    /// reached past the stored end of a short page.
+    pub extended: u64,
 }
 
 /// Number of independent lock shards the namespace is split into. Tasks of
@@ -578,9 +655,12 @@ impl MemFs {
         let path = normalize_path(path);
         let data = self.shard(&path).lock().get(&path)?.clone();
         let len = data.len.load(Ordering::Acquire);
+        let (allocated, resident) = data.footprint();
         Some(MemFsStats {
             len,
-            allocated: data.allocated_bytes(),
+            allocated,
+            resident,
+            extended: data.extended.load(Ordering::Relaxed),
         })
     }
 
@@ -672,6 +752,50 @@ mod tests {
         let mut buf = [1u8; 16];
         f.read_exact_at(&mut buf, 4096).unwrap();
         assert_eq!(buf, [0u8; 16]);
+    }
+
+    #[test]
+    fn a_page_stores_the_bytes_written_to_it_and_doubles_to_grow() {
+        let fs = MemFs::new();
+        let f = fs.create("short").unwrap();
+        let footprint = || {
+            let st = fs.stats("short").unwrap();
+            (st.allocated, st.resident, st.extended)
+        };
+        let page = PAGE as u64;
+        // A hole page stores up to the last byte written, zeros before it.
+        f.write_all_at(&[7; 100], 200).unwrap();
+        assert_eq!(footprint(), (page, 300, 0));
+        assert_eq!(f.read_lease(250, PAGE).unwrap().len(), 50);
+        assert_eq!(f.read_lease(0, 10).unwrap()[..], [0; 10]);
+        // Past the stored end: no lease, and reads of zeros as in a hole.
+        f.write_all_at(b"z", 2 * page).unwrap();
+        assert!(f.read_lease(300, 10).is_none());
+        let mut back = vec![1u8; PAGE];
+        f.read_exact_at(&mut back, 0).unwrap();
+        assert!(back[..200].iter().chain(&back[300..]).all(|&b| b == 0));
+        assert!(back[200..300].iter().all(|&b| b == 7));
+        // A write past the stored end copies the page once into twice its
+        // stored bytes, or what the write needs, at most a page: the copies
+        // add up to less than a page.
+        for (at, resident, extended) in [(400, 600, 300), (3000, 3006, 900), (4090, 4096, 3906)] {
+            f.write_all_at(&[9; 6], at).unwrap();
+            assert_eq!(
+                footprint(),
+                (2 * page, resident + 1, extended),
+                "write at {at}"
+            );
+        }
+        // Inside the stored bytes: in place.
+        f.write_all_at(&[5; 10], 1000).unwrap();
+        assert_eq!(footprint(), (2 * page, 4097, 3906));
+        // `set_len` cuts a page short at the new end.
+        f.set_len(150).unwrap();
+        assert_eq!(footprint(), (page, 150, 3906));
+        f.set_len(page).unwrap();
+        assert_eq!(f.read_lease(0, PAGE).unwrap().len(), 150);
+        f.read_exact_at(&mut back, 0).unwrap();
+        assert!(back.iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -1287,12 +1411,14 @@ mod tests {
         ]
     }
 
-    /// The reference: a flat byte vector plus the set of pages written and
-    /// still inside the file, which is what `allocated` must count.
+    /// The reference: a flat byte vector plus, for each page written and
+    /// still inside the file, its written end — one past the highest
+    /// in-page offset written to it, cut by `set_len`. `allocated` must
+    /// count these pages, and `resident` store at least their written ends.
     #[derive(Default)]
     struct Model {
         bytes: Vec<u8>,
-        touched: std::collections::BTreeSet<u64>,
+        ends: BTreeMap<u64, usize>,
     }
 
     impl Model {
@@ -1302,14 +1428,20 @@ mod tests {
                 self.bytes.resize(end, 0);
             }
             self.bytes[at..end].copy_from_slice(data);
-            self.touched
-                .extend(at as u64 / PAGE as u64..=(end as u64 - 1) / PAGE as u64);
+            for page in at / PAGE..=(end - 1) / PAGE {
+                let written = (end - page * PAGE).min(PAGE);
+                let e = self.ends.entry(page as u64).or_default();
+                *e = (*e).max(written);
+            }
         }
 
         fn set_len(&mut self, len: usize) {
             self.bytes.resize(len, 0);
-            self.touched
-                .retain(|&page| page * (PAGE as u64) < len as u64);
+            self.ends.retain(|&page, e| {
+                let from = page as usize * PAGE;
+                *e = (*e).min(len.saturating_sub(from));
+                from < len
+            });
         }
     }
 
@@ -1321,8 +1453,10 @@ mod tests {
         /// truncations, reads and leases around page and FS-block
         /// boundaries, at block sizes from below one page to 2 MiB: bytes,
         /// `len` and the page-exact `allocated` equal the flat model after
-        /// every step, every lease still shows the bytes it was taken over,
-        /// and the file whose pages were adopted is unchanged.
+        /// every step, `resident` lies between the pages' written ends and
+        /// `allocated`, a lease reaches at least to its page's written end,
+        /// every lease still shows the bytes it was taken over, and the file
+        /// whose pages were adopted is unchanged.
         #[test]
         fn file_matches_flat_model(
             block in prop::sample::select(vec![512u64, 4096, 3 * 4096, 64 << 10, 2 << 20]),
@@ -1367,15 +1501,17 @@ mod tests {
                     }
                     Op::Lease(p, max) => {
                         let start = at(*p) as usize;
-                        let backed = start < model.bytes.len()
-                            && model.touched.contains(&(start as u64 / PAGE as u64));
+                        let inside = start < model.bytes.len();
+                        let end = model.ends.get(&(start as u64 / PAGE as u64)).copied();
+                        let backed = inside && end.is_some_and(|end| start % PAGE < end);
                         match f.read_lease(start as u64, *max) {
                             Some(lease) => {
-                                prop_assert!(backed);
+                                prop_assert!(inside && end.is_some());
                                 let granule = (block as usize / PAGE).max(1) * PAGE;
                                 let most = (*max).min(granule - start % granule).min(model.bytes.len() - start);
+                                let written = end.unwrap_or(0).saturating_sub(start % PAGE);
                                 let n = lease.len();
-                                prop_assert!(n >= most.min(PAGE - start % PAGE) && n <= most);
+                                prop_assert!(n >= most.min(written) && n <= most);
                                 prop_assert_eq!(&lease[..], &model.bytes[start..start + n]);
                                 let snapshot = lease.to_vec();
                                 leases.push((lease, snapshot));
@@ -1398,11 +1534,14 @@ mod tests {
                 }
                 let st = fs.stats("m").unwrap();
                 prop_assert_eq!(st.len, model.bytes.len() as u64);
-                prop_assert_eq!(st.allocated, (model.touched.len() * PAGE) as u64);
+                prop_assert_eq!(st.allocated, (model.ends.len() * PAGE) as u64);
+                let ends: usize = model.ends.values().sum();
+                prop_assert!(ends as u64 <= st.resident && st.resident <= st.allocated);
+                prop_assert!(
+                    image_of(&f, model.bytes.len()) == model.bytes,
+                    "file image differs from the model after step {}", step
+                );
             }
-            let mut image = vec![0u8; model.bytes.len()];
-            f.read_exact_at(&mut image, 0).unwrap();
-            prop_assert!(image == model.bytes, "file image differs from the model");
             for (lease, snapshot) in &leases {
                 prop_assert_eq!(&lease[..], &snapshot[..]);
             }
