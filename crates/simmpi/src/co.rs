@@ -4,10 +4,10 @@
 //! [`CoComm`] is the crate's one communicator: its tree engine
 //! (`task/comm.rs`) moves bytes, and the helpers here (`bcast_u64`,
 //! `allreduce_u64`, `gather_u64`, `reduce_f64`, …) encode words on top of
-//! its byte collectives. Every waiting operation is an `async fn`, so a
-//! rank is a cooperatively scheduled state machine that parks on mailbox
-//! receives instead of blocking a worker thread, and each future's type is
-//! concrete: nothing is boxed on the way to the one parking point.
+//! its byte collectives. Every waiting operation returns an `async` block,
+//! so a rank is a cooperatively scheduled state machine that parks on
+//! mailbox receives instead of blocking a worker thread, and each future's
+//! type is concrete: nothing is boxed on the way to the one parking point.
 //!
 //! Protocol code takes `&CoComm` (a world communicator and a split's
 //! result alike): the `sion` crate's collective open/close, the `mp2c`
@@ -70,78 +70,114 @@ impl AllGathered {
 }
 
 /// Typed collectives: one word (or word slice) per rank, encoded
-/// little-endian over the byte collectives of the engine.
+/// little-endian over the byte collectives of the engine. Plain `fn`s
+/// returning one `async move` block, as the engine's are.
+#[allow(clippy::manual_async_fn)] // an `async fn` stores its arguments twice
 impl CoComm {
     /// [`reduce_u64s`](Self::reduce_u64s) of one word.
-    pub async fn reduce_u64(&self, value: u64, op: ReduceOp, root: usize) -> Option<u64> {
-        self.reduce_u64s(&[value], op, root)
-            .await
-            .map(|words| words[0])
+    pub fn reduce_u64(
+        &self,
+        value: u64,
+        op: ReduceOp,
+        root: usize,
+    ) -> impl Future<Output = Option<u64>> + Send + '_ {
+        async move {
+            self.reduce_u64s(&[value], op, root)
+                .await
+                .map(|words| words[0])
+        }
     }
 
     /// Broadcast one `u64` from `root`.
-    pub async fn bcast_u64(&self, value: Option<u64>, root: usize) -> u64 {
-        let got = self
-            .bcast(value.map(|v| v.to_le_bytes().to_vec()), root)
-            .await;
-        u64::from_le_bytes(got[..8].try_into().expect("u64 payload"))
+    pub fn bcast_u64(
+        &self,
+        value: Option<u64>,
+        root: usize,
+    ) -> impl Future<Output = u64> + Send + '_ {
+        async move {
+            let got = self
+                .bcast(value.map(|v| v.to_le_bytes().to_vec()), root)
+                .await;
+            u64::from_le_bytes(got[..8].try_into().expect("u64 payload"))
+        }
     }
 
     /// Gather one `u64` per rank at `root`.
-    pub async fn gather_u64(&self, value: u64, root: usize) -> Option<Vec<u64>> {
-        let buf = value.to_le_bytes();
-        self.gather(&buf, root).await.map(|bufs| {
-            bufs.iter()
-                .map(|b| u64::from_le_bytes(b[..8].try_into().expect("u64 payload")))
-                .collect()
-        })
+    pub fn gather_u64(
+        &self,
+        value: u64,
+        root: usize,
+    ) -> impl Future<Output = Option<Vec<u64>>> + Send + '_ {
+        async move {
+            let buf = value.to_le_bytes();
+            self.gather(&buf, root).await.map(|bufs| {
+                bufs.iter()
+                    .map(|b| u64::from_le_bytes(b[..8].try_into().expect("u64 payload")))
+                    .collect()
+            })
+        }
     }
 
     /// Allgather one `u64` per rank. Decodes straight out of the shared
     /// [`AllGathered`] frame — the whole round costs O(1) allocations per
     /// rank (one `Vec<u64>`), never the
     /// `Vec<Vec<u8>>` materialization of the byte-level allgather.
-    pub async fn allgather_u64(&self, value: u64) -> Vec<u64> {
-        let buf = value.to_le_bytes();
-        self.allgather_shared(&buf)
-            .await
-            .iter()
-            .map(|b| u64::from_le_bytes(b[..8].try_into().expect("u64 payload")))
-            .collect()
+    pub fn allgather_u64(&self, value: u64) -> impl Future<Output = Vec<u64>> + Send + '_ {
+        async move {
+            let buf = value.to_le_bytes();
+            self.allgather_shared(&buf)
+                .await
+                .iter()
+                .map(|b| u64::from_le_bytes(b[..8].try_into().expect("u64 payload")))
+                .collect()
+        }
     }
 
     /// All-reduce a `u64` with `op`: a reduction to rank 0 and a broadcast
     /// of the result, one word per tree edge each way.
-    pub async fn allreduce_u64(&self, value: u64, op: ReduceOp) -> u64 {
-        let reduced = self.reduce_u64(value, op, 0).await;
-        self.bcast_u64(reduced, 0).await
+    pub fn allreduce_u64(&self, value: u64, op: ReduceOp) -> impl Future<Output = u64> + Send + '_ {
+        async move {
+            // `reduce_u64s` directly, not through `reduce_u64`: one
+            // future less nested in every rank parked here.
+            let reduced = self.reduce_u64s(&[value], op, 0).await;
+            self.bcast_u64(reduced.map(|words| words[0]), 0).await
+        }
     }
 
     /// Rooted reduction of an `f64`.
-    pub async fn reduce_f64(&self, value: f64, op: ReduceOp, root: usize) -> Option<f64> {
-        let buf = value.to_le_bytes();
-        let gathered = self.gather(&buf, root).await?;
-        let vals = gathered
-            .iter()
-            .map(|b| f64::from_le_bytes(b[..8].try_into().expect("f64 payload")));
-        Some(match op {
-            ReduceOp::Sum => vals.sum(),
-            ReduceOp::Max => vals.fold(f64::NEG_INFINITY, f64::max),
-            ReduceOp::Min => vals.fold(f64::INFINITY, f64::min),
-        })
+    pub fn reduce_f64(
+        &self,
+        value: f64,
+        op: ReduceOp,
+        root: usize,
+    ) -> impl Future<Output = Option<f64>> + Send + '_ {
+        async move {
+            let buf = value.to_le_bytes();
+            let gathered = self.gather(&buf, root).await?;
+            let vals = gathered
+                .iter()
+                .map(|b| f64::from_le_bytes(b[..8].try_into().expect("f64 payload")));
+            Some(match op {
+                ReduceOp::Sum => vals.sum(),
+                ReduceOp::Max => vals.fold(f64::NEG_INFINITY, f64::max),
+                ReduceOp::Min => vals.fold(f64::INFINITY, f64::min),
+            })
+        }
     }
 
     /// All-reduce an `f64` with `op`.
-    pub async fn allreduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
-        let buf = value.to_le_bytes();
-        let all = self.allgather(&buf).await;
-        let vals = all
-            .iter()
-            .map(|b| f64::from_le_bytes(b[..8].try_into().expect("f64 payload")));
-        match op {
-            ReduceOp::Sum => vals.sum(),
-            ReduceOp::Max => vals.fold(f64::NEG_INFINITY, f64::max),
-            ReduceOp::Min => vals.fold(f64::INFINITY, f64::min),
+    pub fn allreduce_f64(&self, value: f64, op: ReduceOp) -> impl Future<Output = f64> + Send + '_ {
+        async move {
+            let buf = value.to_le_bytes();
+            let all = self.allgather(&buf).await;
+            let vals = all
+                .iter()
+                .map(|b| f64::from_le_bytes(b[..8].try_into().expect("f64 payload")));
+            match op {
+                ReduceOp::Sum => vals.sum(),
+                ReduceOp::Max => vals.fold(f64::NEG_INFINITY, f64::max),
+                ReduceOp::Min => vals.fold(f64::INFINITY, f64::min),
+            }
         }
     }
 }
@@ -215,6 +251,27 @@ mod tests {
             assert_send(&c.allreduce_u64(7, ReduceOp::Sum));
             assert_send(&c.reduce_f64(7.0, ReduceOp::Sum, 0));
             assert_send(&c.allreduce_f64(7.0, ReduceOp::Sum));
+        });
+    }
+
+    /// A rank parked in a collective holds its future, so the futures a
+    /// parked protocol nests stay under ceilings: each keeps its receiver
+    /// and its arguments once (an `async fn` keeps a second copy in its
+    /// body's bindings: 184 B for `bcast_u64`, 200 B for `gather`, 216 B
+    /// for `allreduce_u64`), and the receive they park on packs into three
+    /// words. Ceilings, not exact sizes: a future's layout varies with
+    /// rustc.
+    #[test]
+    fn parked_collective_futures_stay_under_their_ceilings() {
+        use std::mem::size_of_val;
+        TaskWorld::run(1, |c| async move {
+            let bytes = [7u8; 8];
+            let size = size_of_val(&c.bcast_u64(Some(7), 0));
+            assert!(size <= 144, "bcast_u64 future {size} B");
+            let size = size_of_val(&c.gather(&bytes, 0));
+            assert!(size <= 152, "gather future {size} B");
+            let size = size_of_val(&c.allreduce_u64(7, ReduceOp::Max));
+            assert!(size <= 168, "allreduce_u64 future {size} B");
         });
     }
 

@@ -336,20 +336,30 @@ impl Mbox {
 /// point. The `Ready` transition reports the completed match
 /// ([`HookEvent::RecvDone`]) exactly once, wherever it is awaited; a drop
 /// while parked withdraws the receive.
+///
+/// Every rank parked in a collective holds one, so it packs into three
+/// words: the source rank as a `u32` beside the flag (a communicator has
+/// at most `u32::MAX` ranks, checked where it is built), not a `usize`
+/// followed by seven bytes of padding.
 struct Recv<'a> {
     comm: &'a CoComm,
-    src: usize,
     tag: u64,
+    src: u32,
     parked: bool,
 }
 
 impl Recv<'_> {
+    /// The source rank.
+    fn src(&self) -> usize {
+        self.src as usize
+    }
+
     /// This receive as its pending-table entry.
     fn entry(&self) -> ParkedRecv {
         ParkedRecv {
             comm: self.comm.shared.comm_no,
             comm_rank: self.comm.rank,
-            src: self.src,
+            src: self.src(),
             tag: self.tag,
         }
     }
@@ -360,7 +370,7 @@ impl Recv<'_> {
         let c = self.comm;
         let pending = c.shared.world.pending(c.world_rank);
         let mut mb = c.shared.mboxes[c.rank].lock();
-        if let Some(payload) = mb.take(self.src, self.tag) {
+        if let Some(payload) = mb.take(self.src(), self.tag) {
             drop(mb);
             if self.parked {
                 self.parked = false;
@@ -368,7 +378,7 @@ impl Recv<'_> {
             }
             return Poll::Ready(payload);
         }
-        mb.waiting = Some((self.src, self.tag, cx.waker().clone()));
+        mb.waiting = Some((self.src(), self.tag, cx.waker().clone()));
         drop(mb);
         // Register for the deadlock report after arming the waker: if the
         // world quiesces with this entry in place, this receive is what the
@@ -392,7 +402,7 @@ impl Drop for Recv<'_> {
         }
         {
             let mut mb = c.shared.mboxes[c.rank].lock();
-            if matches!(&mb.waiting, Some((s, t, _)) if (*s, *t) == (self.src, self.tag)) {
+            if matches!(&mb.waiting, Some((s, t, _)) if (*s, *t) == (self.src(), self.tag)) {
                 mb.waiting = None;
             }
         }
@@ -411,7 +421,7 @@ impl Future for Recv<'_> {
         let c = this.comm;
         let payload = std::task::ready!(this.poll_take(cx));
         if let Some(h) = &c.shared.hook {
-            let (comm, rank, src, tag) = (&c.shared.ctx, c.rank, this.src, this.tag);
+            let (comm, rank, src, tag) = (&c.shared.ctx, c.rank, this.src(), this.tag);
             h.on_event(&HookEvent::RecvDone {
                 comm,
                 rank,
@@ -464,6 +474,11 @@ const SPLIT_SHARDS: usize = 16;
 impl CoShared {
     fn new(ctx: CommCtx, hook: Option<Arc<dyn CheckHook>>, world: Arc<WorldRt>) -> CoShared {
         assert!(ctx.size > 0, "communicator must have at least one rank");
+        assert!(
+            u32::try_from(ctx.size).is_ok(),
+            "communicator of {} ranks: at most u32::MAX",
+            ctx.size
+        );
         let size = ctx.size;
         CoShared {
             size,
@@ -504,6 +519,7 @@ pub struct CoComm {
     stats: Arc<CommStats>,
 }
 
+#[allow(clippy::manual_async_fn)] // as for the API below: an `async fn` stores its arguments twice
 impl CoComm {
     fn new(rank: usize, world_rank: usize, shared: Arc<CoShared>) -> CoComm {
         CoComm {
@@ -619,8 +635,9 @@ impl CoComm {
     fn irecv(&self, src: usize, tag: u64) -> Recv<'_> {
         Recv {
             comm: self,
-            src,
             tag,
+            // `src < size() <= u32::MAX` (`CoShared::new`).
+            src: src as u32,
             parked: false,
         }
     }
@@ -634,58 +651,74 @@ impl CoComm {
     /// its [`CommStats`] once per logical payload, however many children
     /// its `Arc` clones fan out to, and the world counts each frame once
     /// at the root as `shared_frame_bytes`.
-    async fn bcast_frame_impl(
+    fn bcast_frame_impl(
         &self,
         data: Option<Vec<u8>>,
         seq: u64,
         kind: CollKind,
-    ) -> Arc<Vec<u8>> {
-        let t = self.tree(0); // rooted at rank 0, like the allgather up-phase
-        let tag = coll_tag(kind, seq, 0);
-        let buf = match t.parent() {
-            Some(parent) => self.irecv(parent, tag).await,
-            None => {
-                let data = data.expect("root must supply bcast data");
-                self.shared.world.note_shared_frame(data.len() as u64);
-                MsgBuf::Shared(Arc::new(data))
-            }
-        };
-        self.forward(&t, tag, &buf);
-        buf.into_shared()
+    ) -> impl Future<Output = Arc<Vec<u8>>> + Send + '_ {
+        async move {
+            let t = self.tree(0); // rooted at rank 0, like the allgather up-phase
+            let tag = coll_tag(kind, seq, 0);
+            let buf = match t.parent() {
+                Some(parent) => self.irecv(parent, tag).await,
+                None => {
+                    let data = data.expect("root must supply bcast data");
+                    self.shared.world.note_shared_frame(data.len() as u64);
+                    MsgBuf::Shared(Arc::new(data))
+                }
+            };
+            self.forward(&t, tag, &buf);
+            buf.into_shared()
+        }
     }
 
     /// Binomial-tree gather body: each edge carries the sender's whole
     /// subtree as framed (vrank, payload) pairs — a leaf sends exactly its
     /// own payload, nothing is deposited or cloned beyond what its tree
     /// edge needs.
-    async fn gather_impl(
-        &self,
-        data: &[u8],
+    ///
+    /// `up` is the sequence number and kind a caller already claimed for
+    /// the fan-in (an allgather's up-phase). `None` makes it a plain
+    /// [`gather`](Self::gather), which this future enters itself at its
+    /// first poll: a rank parked in a gather holds this future alone, not
+    /// a wrapper that keeps the arguments a second time.
+    fn gather_impl<'a>(
+        &'a self,
+        data: &'a [u8],
         root: usize,
-        seq: u64,
-        kind: CollKind,
-    ) -> Option<Vec<Vec<u8>>> {
-        let t = self.tree(root);
-        let tag = coll_tag(kind, seq, 0);
-        // Pre-sized to this vrank's exact binomial subtree: the
-        // accumulator never reallocates on the way up.
-        let mut acc: Vec<(u64, Vec<u8>)> = Vec::with_capacity(t.subtree());
-        acc.push((t.v as u64, data.to_vec()));
-        for child in t.children() {
-            let got = self.irecv(t.real(child), tag).await;
-            acc.extend(unframe(&got));
+        up: Option<(u64, CollKind)>,
+    ) -> impl Future<Output = Option<Vec<Vec<u8>>>> + Send + 'a {
+        async move {
+            let (seq, kind) = up.unwrap_or_else(|| {
+                assert!(root < self.shared.size, "gather root {root} out of range");
+                self.stats.bump_gather();
+                let seq = self.next_seq();
+                self.note_collective(seq, CollKind::Gather, Some(root));
+                (seq, CollKind::Gather)
+            });
+            let t = self.tree(root);
+            let tag = coll_tag(kind, seq, 0);
+            // Pre-sized to this vrank's exact binomial subtree: the
+            // accumulator never reallocates on the way up.
+            let mut acc: Vec<(u64, Vec<u8>)> = Vec::with_capacity(t.subtree());
+            acc.push((t.v as u64, data.to_vec()));
+            for child in t.children() {
+                let got = self.irecv(t.real(child), tag).await;
+                acc.extend(unframe(&got));
+            }
+            if let Some(parent) = t.parent() {
+                let entries = acc.iter().map(|(id, p)| (*id, p.as_slice()));
+                self.isend(parent, tag, frame(entries));
+                return None;
+            }
+            // Every vrank arrives at the root exactly once; place by real rank.
+            let mut out = vec![Vec::new(); t.size];
+            for (vr, payload) in acc {
+                out[t.real(vr as usize)] = payload;
+            }
+            Some(out)
         }
-        if let Some(parent) = t.parent() {
-            let entries = acc.iter().map(|(id, p)| (*id, p.as_slice()));
-            self.isend(parent, tag, frame(entries));
-            return None;
-        }
-        // Every vrank arrives at the root exactly once; place by real rank.
-        let mut out = vec![Vec::new(); t.size];
-        for (vr, payload) in acc {
-            out[t.real(vr as usize)] = payload;
-        }
-        Some(out)
     }
 
     /// Allgather with a shared result: tree gather to vrank 0, one frame
@@ -695,22 +728,27 @@ impl CoComm {
     /// count but costs P·log P messages; in-process, total message-handling
     /// work, not network depth, is the scarce resource, and 2(P−1) won
     /// when both were measured (DESIGN.md §4b).
-    async fn allgather_arc_impl(
-        &self,
-        data: &[u8],
+    fn allgather_arc_impl<'a>(
+        &'a self,
+        data: &'a [u8],
         seq_up: u64,
         seq_down: u64,
         kind: CollKind,
-    ) -> AllGathered {
-        let framed = self.gather_impl(data, 0, seq_up, kind).await.map(|parts| {
-            frame(
-                parts
-                    .iter()
-                    .enumerate()
-                    .map(|(r, p)| (r as u64, p.as_slice())),
-            )
-        });
-        AllGathered::from_frame(self.bcast_frame_impl(framed, seq_down, kind).await)
+    ) -> impl Future<Output = AllGathered> + Send + 'a {
+        async move {
+            let framed = self
+                .gather_impl(data, 0, Some((seq_up, kind)))
+                .await
+                .map(|parts| {
+                    frame(
+                        parts
+                            .iter()
+                            .enumerate()
+                            .map(|(r, p)| (r as u64, p.as_slice())),
+                    )
+                });
+            AllGathered::from_frame(self.bcast_frame_impl(framed, seq_down, kind).await)
+        }
     }
 
     /// Join sub-communicator `color` of this rank's next split generation
@@ -794,6 +832,12 @@ impl CoComm {
 /// The communicator's API: what protocol code calls. Every collective
 /// claims its sequence number(s) and reports its entry to the hook before
 /// the first message of its tree moves.
+///
+/// Its waiting operations are plain `fn`s returning one `async move`
+/// block, which runs nothing before its first poll: an `async fn` keeps its
+/// receiver and its arguments twice in its future, and a rank parked in a
+/// collective holds that future, nested in every protocol future above it.
+#[allow(clippy::manual_async_fn)] // see above: an `async fn` stores its arguments twice
 impl CoComm {
     /// This task's rank in `0..size()`.
     pub fn rank(&self) -> usize {
@@ -849,10 +893,12 @@ impl CoComm {
     /// message matching (other (source, tag) messages are queued); parks
     /// until a match is deliverable. Dropping the future while it is parked
     /// withdraws the receive.
-    pub async fn recv(&self, src: usize, tag: u64) -> Vec<u8> {
-        assert!(src < self.shared.size, "recv src {src} out of range");
-        self.stats.bump_recv();
-        self.irecv(src, tag).await.into_vec()
+    pub fn recv(&self, src: usize, tag: u64) -> impl Future<Output = Vec<u8>> + Send + '_ {
+        async move {
+            assert!(src < self.shared.size, "recv src {src} out of range");
+            self.stats.bump_recv();
+            self.irecv(src, tag).await.into_vec()
+        }
     }
 
     /// Non-blocking matched receive: the next already-deliverable
@@ -887,36 +933,38 @@ impl CoComm {
 
     /// Parks until every rank has entered the barrier: a binomial fan-in
     /// of empty messages to rank 0, then a binomial fan-out release.
-    pub async fn barrier(&self) {
-        self.stats.bump_barrier();
-        let seq = self.next_seq();
-        self.note_collective(seq, CollKind::Barrier, None);
-        // Round 0 is the fan-in, round 1 the release.
-        let tag = move |round| coll_tag(CollKind::Barrier, seq, round);
-        let t = self.tree(0);
-        for child in t.children() {
-            self.irecv(t.real(child), tag(0)).await;
-        }
-        // The release comes from the parent the fan-in went to.
-        let release = match t.parent() {
-            Some(parent) => {
-                self.isend(parent, tag(0), Vec::new());
-                self.irecv(parent, tag(1)).await
+    pub fn barrier(&self) -> impl Future<Output = ()> + Send + '_ {
+        async move {
+            self.stats.bump_barrier();
+            let seq = self.next_seq();
+            self.note_collective(seq, CollKind::Barrier, None);
+            // Round 0 is the fan-in, round 1 the release.
+            let tag = move |round| coll_tag(CollKind::Barrier, seq, round);
+            let t = self.tree(0);
+            for child in t.children() {
+                self.irecv(t.real(child), tag(0)).await;
             }
-            None => MsgBuf::Owned(Vec::new()),
-        };
-        self.forward(&t, tag(1), &release);
+            // The release comes from the parent the fan-in went to.
+            let release = match t.parent() {
+                Some(parent) => {
+                    self.isend(parent, tag(0), Vec::new());
+                    self.irecv(parent, tag(1)).await
+                }
+                None => MsgBuf::Owned(Vec::new()),
+            };
+            self.forward(&t, tag(1), &release);
+        }
     }
 
     /// Gather each rank's buffer at `root`: `Some(buffers)` (indexed by
     /// rank) at the root, `None` elsewhere. Buffers may have different
     /// lengths (gatherv semantics).
-    pub async fn gather(&self, data: &[u8], root: usize) -> Option<Vec<Vec<u8>>> {
-        assert!(root < self.shared.size, "gather root {root} out of range");
-        self.stats.bump_gather();
-        let seq = self.next_seq();
-        self.note_collective(seq, CollKind::Gather, Some(root));
-        self.gather_impl(data, root, seq, CollKind::Gather).await
+    pub fn gather<'a>(
+        &'a self,
+        data: &'a [u8],
+        root: usize,
+    ) -> impl Future<Output = Option<Vec<Vec<u8>>>> + Send + 'a {
+        self.gather_impl(data, root, None)
     }
 
     /// Scatter per-rank buffers from `root`. The root passes `Some(parts)`
@@ -928,68 +976,88 @@ impl CoComm {
     /// frames each child's parts straight from `parts`; every other node
     /// splices its children's frames out of the one it received
     /// (`FrameCut`), so no entry is decoded on the way.
-    pub async fn scatter(&self, parts: Option<Vec<Vec<u8>>>, root: usize) -> Vec<u8> {
-        assert!(root < self.shared.size, "scatter root {root} out of range");
-        self.stats.bump_scatter();
-        let seq = self.next_seq();
-        self.note_collective(seq, CollKind::Scatter, Some(root));
-        let t = self.tree(root);
-        let tag = coll_tag(CollKind::Scatter, seq, 0);
-        let Some(parent) = t.parent() else {
-            let mut parts = parts.expect("root must supply scatter parts");
-            assert_eq!(parts.len(), t.size, "scatter needs one part per rank");
-            // Each child takes the vranks [child, end) still held.
-            let mut end = t.size;
+    pub fn scatter(
+        &self,
+        parts: Option<Vec<Vec<u8>>>,
+        root: usize,
+    ) -> impl Future<Output = Vec<u8>> + Send + '_ {
+        async move {
+            assert!(root < self.shared.size, "scatter root {root} out of range");
+            self.stats.bump_scatter();
+            let seq = self.next_seq();
+            self.note_collective(seq, CollKind::Scatter, Some(root));
+            let t = self.tree(root);
+            let tag = coll_tag(CollKind::Scatter, seq, 0);
+            let Some(parent) = t.parent() else {
+                let mut parts = parts.expect("root must supply scatter parts");
+                assert_eq!(parts.len(), t.size, "scatter needs one part per rank");
+                // Each child takes the vranks [child, end) still held.
+                let mut end = t.size;
+                for child in t.children().rev() {
+                    let entries = (child..end).map(|v| (v as u64, parts[t.real(v)].as_slice()));
+                    self.isend(t.real(child), tag, frame(entries));
+                    end = child;
+                }
+                return std::mem::take(&mut parts[root]);
+            };
+            let mut held = FrameCut::new(self.irecv(parent, tag).await.into_vec());
             for child in t.children().rev() {
-                let entries = (child..end).map(|v| (v as u64, parts[t.real(v)].as_slice()));
-                self.isend(t.real(child), tag, frame(entries));
-                end = child;
+                self.isend(t.real(child), tag, held.split_off(child as u64));
             }
-            return std::mem::take(&mut parts[root]);
-        };
-        let mut held = FrameCut::new(self.irecv(parent, tag).await.into_vec());
-        for child in t.children().rev() {
-            self.isend(t.real(child), tag, held.split_off(child as u64));
+            held.into_single()
         }
-        held.into_single()
     }
 
     /// Broadcast `root`'s buffer to every rank down a binomial tree. Only
     /// the root's `data` is consulted.
-    pub async fn bcast(&self, data: Option<Vec<u8>>, root: usize) -> Vec<u8> {
-        assert!(root < self.shared.size, "bcast root {root} out of range");
-        self.stats.bump_bcast();
-        let seq = self.next_seq();
-        self.note_collective(seq, CollKind::Bcast, Some(root));
-        let t = self.tree(root);
-        let tag = coll_tag(CollKind::Bcast, seq, 0);
-        let buf = match t.parent() {
-            Some(parent) => self.irecv(parent, tag).await,
-            None => MsgBuf::Owned(data.expect("root must supply bcast data")),
-        };
-        self.forward(&t, tag, &buf);
-        buf.into_vec()
+    pub fn bcast(
+        &self,
+        data: Option<Vec<u8>>,
+        root: usize,
+    ) -> impl Future<Output = Vec<u8>> + Send + '_ {
+        async move {
+            assert!(root < self.shared.size, "bcast root {root} out of range");
+            self.stats.bump_bcast();
+            let seq = self.next_seq();
+            self.note_collective(seq, CollKind::Bcast, Some(root));
+            let t = self.tree(root);
+            let tag = coll_tag(CollKind::Bcast, seq, 0);
+            let buf = match t.parent() {
+                Some(parent) => self.irecv(parent, tag).await,
+                None => MsgBuf::Owned(data.expect("root must supply bcast data")),
+            };
+            self.forward(&t, tag, &buf);
+            buf.into_vec()
+        }
     }
 
     /// Gather every rank's buffer at every rank: [`allgather_shared`]
     /// materialized as per-rank vectors.
     ///
     /// [`allgather_shared`]: Self::allgather_shared
-    pub async fn allgather(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        self.allgather_shared(data).await.to_parts()
+    pub fn allgather<'a>(
+        &'a self,
+        data: &'a [u8],
+    ) -> impl Future<Output = Vec<Vec<u8>>> + Send + 'a {
+        async move { self.allgather_shared(data).await.to_parts() }
     }
 
     /// [`allgather`](Self::allgather) into one shared, scan-in-place result
     /// (see [`AllGathered`]) — same semantics, collective contract, and
     /// [`CommStats`] accounting, but every rank holds an `Arc` clone of a
     /// single frame.
-    pub async fn allgather_shared(&self, data: &[u8]) -> AllGathered {
-        self.stats.bump_allgather();
-        let seq_up = self.next_seq();
-        let seq_down = self.next_seq();
-        self.note_collective(seq_up, CollKind::Allgather, None);
-        self.allgather_arc_impl(data, seq_up, seq_down, CollKind::Allgather)
-            .await
+    pub fn allgather_shared<'a>(
+        &'a self,
+        data: &'a [u8],
+    ) -> impl Future<Output = AllGathered> + Send + 'a {
+        async move {
+            self.stats.bump_allgather();
+            let seq_up = self.next_seq();
+            let seq_down = self.next_seq();
+            self.note_collective(seq_up, CollKind::Allgather, None);
+            self.allgather_arc_impl(data, seq_up, seq_down, CollKind::Allgather)
+                .await
+        }
     }
 
     /// Rooted reduction of a word slice: every rank passes the same number
@@ -997,75 +1065,84 @@ impl CoComm {
     /// elsewhere), combines word `i` of every rank with `op`. A combining
     /// binomial fan-in: each tree edge carries one partial result of the
     /// slice's length, not the subtree's values.
-    pub async fn reduce_u64s(&self, values: &[u64], op: ReduceOp, root: usize) -> Option<Vec<u64>> {
-        assert!(root < self.shared.size, "reduce root {root} out of range");
-        self.stats.bump_reduce();
-        let seq = self.next_seq();
-        self.note_collective(seq, CollKind::Reduce, Some(root));
-        let t = self.tree(root);
-        let tag = coll_tag(CollKind::Reduce, seq, 0);
-        // Boxed: the accumulator never changes length, and a box is a word
-        // smaller than a `Vec` in the future of every rank parked here.
-        let mut acc = Box::<[u64]>::from(values);
-        for child in t.children() {
-            let got = self.irecv(t.real(child), tag).await;
-            assert_eq!(
-                got.len(),
-                8 * acc.len(),
-                "reduce_u64s: ranks passed different word counts"
-            );
-            for (a, w) in acc.iter_mut().zip(got.chunks_exact(8)) {
-                *a = op.fold(*a, u64::from_le_bytes(w.try_into().unwrap()));
+    pub fn reduce_u64s<'a>(
+        &'a self,
+        values: &'a [u64],
+        op: ReduceOp,
+        root: usize,
+    ) -> impl Future<Output = Option<Vec<u64>>> + Send + 'a {
+        async move {
+            assert!(root < self.shared.size, "reduce root {root} out of range");
+            self.stats.bump_reduce();
+            let seq = self.next_seq();
+            self.note_collective(seq, CollKind::Reduce, Some(root));
+            let t = self.tree(root);
+            let tag = coll_tag(CollKind::Reduce, seq, 0);
+            // Boxed: the accumulator never changes length, and a box is a word
+            // smaller than a `Vec` in the future of every rank parked here.
+            let mut acc = Box::<[u64]>::from(values);
+            for child in t.children() {
+                let got = self.irecv(t.real(child), tag).await;
+                assert_eq!(
+                    got.len(),
+                    8 * acc.len(),
+                    "reduce_u64s: ranks passed different word counts"
+                );
+                for (a, w) in acc.iter_mut().zip(got.chunks_exact(8)) {
+                    *a = op.fold(*a, u64::from_le_bytes(w.try_into().unwrap()));
+                }
             }
+            if let Some(parent) = t.parent() {
+                let bytes: Vec<u8> = acc.iter().flat_map(|w| w.to_le_bytes()).collect();
+                self.isend(parent, tag, bytes);
+                return None;
+            }
+            Some(acc.into_vec())
         }
-        if let Some(parent) = t.parent() {
-            let bytes: Vec<u8> = acc.iter().flat_map(|w| w.to_le_bytes()).collect();
-            self.isend(parent, tag, bytes);
-            return None;
-        }
-        Some(acc.into_vec())
     }
 
     /// Split into disjoint sub-communicators: ranks sharing a `color` end up
     /// in the same sub-communicator, ordered by `(key, parent rank)`.
     /// Collective over the parent.
-    pub async fn split(&self, color: u64, key: u64) -> CoComm {
-        self.stats.bump_split();
-        // Determine group membership: allgather (color, key, rank). Counted
-        // as part of the split, not as a separate allgather.
-        let seq_up = self.next_seq();
-        let seq_down = self.next_seq();
-        self.note_collective(seq_up, CollKind::Split, None);
-        let mut payload = Vec::with_capacity(24);
-        payload.extend_from_slice(&color.to_le_bytes());
-        payload.extend_from_slice(&key.to_le_bytes());
-        payload.extend_from_slice(&(self.rank as u64).to_le_bytes());
-        // Scan the shared frame in place. A rank only needs its group's
-        // *size* and its own *position* in the (key, rank) order; since
-        // ranks are unique, position = how many same-color entries sort
-        // before us. One allocation-free O(P) pass replaces the
-        // collect-and-sort (whose per-rank O(group) member vector was the
-        // dominant cost of a 32Ki-rank open: P such vectors per split).
-        let all = self
-            .allgather_arc_impl(&payload, seq_up, seq_down, CollKind::Split)
-            .await;
-        let me = (key, self.rank as u64);
-        let mut new_size = 0usize;
-        let mut new_rank = 0usize;
-        for b in all.iter() {
-            let c = u64::from_le_bytes(b[0..8].try_into().unwrap());
-            if c != color {
-                continue;
+    pub fn split(&self, color: u64, key: u64) -> impl Future<Output = CoComm> + Send + '_ {
+        async move {
+            self.stats.bump_split();
+            // Determine group membership: allgather (color, key, rank). Counted
+            // as part of the split, not as a separate allgather.
+            let seq_up = self.next_seq();
+            let seq_down = self.next_seq();
+            self.note_collective(seq_up, CollKind::Split, None);
+            let mut payload = Vec::with_capacity(24);
+            payload.extend_from_slice(&color.to_le_bytes());
+            payload.extend_from_slice(&key.to_le_bytes());
+            payload.extend_from_slice(&(self.rank as u64).to_le_bytes());
+            // Scan the shared frame in place. A rank only needs its group's
+            // *size* and its own *position* in the (key, rank) order; since
+            // ranks are unique, position = how many same-color entries sort
+            // before us. One allocation-free O(P) pass replaces the
+            // collect-and-sort (whose per-rank O(group) member vector was the
+            // dominant cost of a 32Ki-rank open: P such vectors per split).
+            let all = self
+                .allgather_arc_impl(&payload, seq_up, seq_down, CollKind::Split)
+                .await;
+            let me = (key, self.rank as u64);
+            let mut new_size = 0usize;
+            let mut new_rank = 0usize;
+            for b in all.iter() {
+                let c = u64::from_le_bytes(b[0..8].try_into().unwrap());
+                if c != color {
+                    continue;
+                }
+                let k = u64::from_le_bytes(b[8..16].try_into().unwrap());
+                let r = u64::from_le_bytes(b[16..24].try_into().unwrap());
+                new_size += 1;
+                if (k, r) < me {
+                    new_rank += 1;
+                }
             }
-            let k = u64::from_le_bytes(b[8..16].try_into().unwrap());
-            let r = u64::from_le_bytes(b[16..24].try_into().unwrap());
-            new_size += 1;
-            if (k, r) < me {
-                new_rank += 1;
-            }
+            debug_assert!(new_size > 0, "caller is in its own color group");
+            self.attach(color, new_rank, new_size)
         }
-        debug_assert!(new_size > 0, "caller is in its own color group");
-        self.attach(color, new_rank, new_size)
     }
 
     /// [`split`](Self::split) without the exchange, for callers that can
@@ -1076,8 +1153,13 @@ impl CoComm {
     /// members of each `color` agree on `new_size` and claim each rank in
     /// `0..new_size` exactly once; a violation panics. The result equals
     /// that of the exchanged split keyed by `new_rank`.
-    pub async fn split_local(&self, color: u64, new_rank: usize, new_size: usize) -> CoComm {
-        self.attach(color, new_rank, new_size)
+    pub fn split_local(
+        &self,
+        color: u64,
+        new_rank: usize,
+        new_size: usize,
+    ) -> impl Future<Output = CoComm> + Send + '_ {
+        async move { self.attach(color, new_rank, new_size) }
     }
 
     /// Drops `buf`. A message is a plain `Vec` its receiver owns, so there

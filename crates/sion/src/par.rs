@@ -83,6 +83,11 @@
 //! on each collective round, which is what lets a 16Ki–64Ki-rank
 //! collective open run on a handful of worker threads.
 //!
+//! What a parked rank holds is therefore what these futures keep across
+//! their `.await`s, paid once per rank: the handles [`SionParWriter`] and
+//! [`SionParReader`] are one word each, a box allocated once at the end of
+//! the open, and each future keeps only what a later step needs.
+//!
 //! `vfs::guard` block-contention attribution reads a per-*thread* task
 //! label, which the runtime writes: the task executor labels the thread
 //! with the world rank it runs before every poll. Every write a rank
@@ -237,9 +242,27 @@ enum AggRole {
     Aggregator(AggState),
 }
 
+impl AggRole {
+    /// Shipment counters so far; all zeros in independent mode.
+    fn stats(&self) -> AggStats {
+        match self {
+            AggRole::Independent => AggStats::default(),
+            AggRole::Member(m) => m.stats,
+            AggRole::Aggregator(a) => a.stats,
+        }
+    }
+}
+
 /// Handle for writing one task's logical file of an open multifile
 /// (`sion_paropen_mpi` in write mode).
-pub struct SionParWriter {
+///
+/// One word: what the handle holds lives in one box, allocated once at the
+/// end of the collective open, so every future that keeps the handle
+/// across an `.await` — a rank's own, the close's — pays a pointer for it.
+pub struct SionParWriter(Box<WriterState>);
+
+/// What a [`SionParWriter`] holds.
+struct WriterState {
     /// This task's stream engine. In aggregated mode a *member*'s engine
     /// writes to a [`Vfs::create_shadow`] handle — identical chunk
     /// arithmetic, validation and close accounting — and records each
@@ -257,61 +280,113 @@ pub struct SionParWriter {
 /// Every task of `comm` awaits this with identical parameters except for
 /// `params.chunksize`, which may differ per task. Returns this task's
 /// writer handle.
-pub async fn paropen_write_co(
-    vfs: &dyn Vfs,
-    base: &str,
-    params: &SionParams,
-    comm: &CoComm,
-) -> Result<SionParWriter> {
-    let grank = comm.rank();
-    let ntasks = comm.size();
-
-    // Agreement round, on the caller's communicator and before any split:
-    // the file groups below are formed without an exchange, each task
-    // computing its own place from (mapping, nfiles), so a task holding
-    // different or invalid parameters must be found out first — it would
-    // claim a place in a group its peers do not expect it in. ONE
-    // reduction of every task's words, then rank 0's verdict comes back. A
-    // task whose own check fails still joins both (deserting would hang
-    // its peers); on any failure every task returns here and nobody splits.
-    let local_check = params.mapping.validate(ntasks, params.nfiles);
-    let words = agreement_words(params, vfs.block_size(), local_check.is_err());
-    let reduced = comm.reduce_u64s(&words, ReduceOp::Max, 0).await;
-    let verdict = comm
-        .bcast_u64(reduced.as_deref().map(agreement_verdict), 0)
-        .await;
-    if !matches!(verdict, AGREE_UNIFORM | AGREE_RAGGED) {
-        // The task's own validation error is the most precise report.
-        local_check?;
-        return Err(SionError::CollectiveMismatch(
-            if verdict == AGREE_PARAM_MISMATCH {
-                "tasks passed different multifile parameters to the collective open".into()
-            } else {
-                "another task's parameters failed local pre-open validation".into()
-            },
-        ));
-    }
-
-    // `group_of` is pure and the parameters agree, so every task of a file
-    // names the same group and a distinct rank in it. Local ranks follow
-    // global rank order: the local rank *is* the local task index of the
-    // on-disk layout.
-    let (filenum, lrank, lsize) = params.mapping.group_of(grank, ntasks, params.nfiles);
-    let lcom = comm.split_local(filenum as u64, lrank, lsize).await;
-    // A private duplicate of the global communicator, so the handle can run
-    // global collectives (the paper's open/close are collective over gcom).
-    let gcom = comm.split_local(0, grank, ntasks).await;
-
-    // The file-group phase: one protocol with one optional round. Any
-    // failure from here on is captured, not returned: the global exchange
-    // below must run on every task or the healthy file groups would hang.
-    let opened = if verdict == AGREE_UNIFORM {
-        open_group_uniform(vfs, base, params, filenum, grank, ntasks, &lcom).await
-    } else {
-        open_group_ragged(vfs, base, params, filenum, ntasks, &lcom).await
+///
+/// Every task parked in the open holds this future, so it keeps only what
+/// a later step needs across each `.await`. It is a plain `fn` around one
+/// `async move` block, because an `async fn` keeps its arguments twice, as
+/// arguments and as the body's bindings; the body and the file-group
+/// phases reach the arguments through one `WriteOpen`; and since a local
+/// that is ever borrowed keeps its place in the future up to the end of
+/// its scope, a step that borrows one runs in a block or a future of its
+/// own, and the handle is built by a plain function.
+#[allow(clippy::manual_async_fn)] // see above: an `async fn` stores its arguments twice
+pub fn paropen_write_co<'a>(
+    vfs: &'a dyn Vfs,
+    base: &'a str,
+    params: &'a SionParams,
+    comm: &'a CoComm,
+) -> impl Future<Output = Result<SionParWriter>> + Send + 'a {
+    let at = WriteOpen {
+        vfs,
+        base,
+        params,
+        comm,
     };
+    async move {
+        // Agreement round, on the caller's communicator and before any split:
+        // the file groups below are formed without an exchange, each task
+        // computing its own place from (mapping, nfiles), so a task holding
+        // different or invalid parameters must be found out first — it would
+        // claim a place in a group its peers do not expect it in. ONE
+        // reduction of every task's words, then rank 0's verdict comes back. A
+        // task whose own check fails still joins both (deserting would hang
+        // its peers); on any failure every task returns here and nobody splits.
+        let reduced = {
+            let invalid = at.validate().is_err();
+            let words = agreement_words(at.params, at.vfs.block_size(), invalid);
+            at.comm.reduce_u64s(&words, ReduceOp::Max, 0).await
+        };
+        let verdict = at
+            .comm
+            .bcast_u64(reduced.map(|r| agreement_verdict(&r)), 0)
+            .await;
+        if !matches!(verdict, AGREE_UNIFORM | AGREE_RAGGED) {
+            // The task's own validation error is the most precise report:
+            // the check is pure, so it is run again rather than kept.
+            at.validate()?;
+            return Err(SionError::CollectiveMismatch(
+                if verdict == AGREE_PARAM_MISMATCH {
+                    "tasks passed different multifile parameters to the collective open".into()
+                } else {
+                    "another task's parameters failed local pre-open validation".into()
+                },
+            ));
+        }
+
+        // `group_of` is pure and the parameters agree, so every task of a file
+        // names the same group and a distinct rank in it. Local ranks follow
+        // global rank order: the local rank *is* the local task index of the
+        // on-disk layout.
+        let uniform = verdict == AGREE_UNIFORM;
+        let (filenum, lrank, lsize) =
+            at.params
+                .mapping
+                .group_of(at.comm.rank(), at.comm.size(), at.params.nfiles);
+        // The file-group phase. Any failure from here on is captured, not
+        // returned: the global exchange below must run on every task or the
+        // healthy file groups would hang.
+        let (lcom, opened) = open_group(&at, filenum, (lrank, lsize), uniform).await;
+        // A private duplicate of the global communicator, so the handle can run
+        // global collectives (the paper's open/close are collective over gcom).
+        let gcom = at.comm.split_local(0, at.comm.rank(), at.comm.size()).await;
+
+        // One global reduction closes the open: the all-or-nothing failure
+        // agreement across file groups. When it returns clean, every physical
+        // file exists and every task holds a handle. It runs on `gcom`, which
+        // a task holds in its handle's box or, when its group failed, beside
+        // its error: a task parked in it holds its handle as a word, and
+        // drops it when a peer failed.
+        let local = writer_handle(&at, filenum, lcom, gcom, opened);
+        let any_failed = {
+            let gcom = match &local {
+                Ok(w) => &w.0.gcom,
+                Err((_, gcom)) => gcom,
+            };
+            gcom.allreduce_u64(local.is_err() as u64, ReduceOp::Max)
+                .await
+                != 0
+        };
+        agreed(local.map_err(|(e, _)| e), any_failed, OPEN_PEER_FAILED)
+    }
+}
+
+/// This task's writer handle, from the outcome of its file-group phase:
+/// the one box, with its communicators, its file — created by the master,
+/// opened, or the shadow an aggregated-mode member writes to — and its
+/// aggregation role. When the phase or the file failed, the error, with
+/// the global communicator the open's agreement still runs on.
+fn writer_handle(
+    at: &WriteOpen<'_>,
+    filenum: u32,
+    lcom: CoComm,
+    gcom: CoComm,
+    opened: Result<GroupOpen>,
+) -> std::result::Result<SionParWriter, (SionError, CoComm)> {
+    let WriteOpen {
+        vfs, base, params, ..
+    } = *at;
     let me = lcom.rank();
-    let group_result = opened.and_then(|(geom, agg, end, created)| {
+    let parts = opened.and_then(|(geom, agg, end, created)| {
         let file = match created {
             Some(file) => file,
             // The master created the file before its status word or the
@@ -329,17 +404,10 @@ pub async fn paropen_write_co(
         };
         Ok((geom, agg, end, file))
     });
-
-    // One global reduction closes the open: the all-or-nothing failure
-    // agreement across file groups. When it returns clean, every physical
-    // file exists and every task holds a handle.
-    let (geom, agg, end, file) = all_or_nothing(
-        &gcom,
-        group_result,
-        "another file group failed during the collective open",
-    )
-    .await?;
-
+    let (geom, agg, end, file) = match parts {
+        Ok(parts) => parts,
+        Err(e) => return Err((e, gcom)),
+    };
     let mut writer = TaskWriter::new(file.clone(), geom, params.compressed, params.write_buffer);
     let role = if agg != me {
         let ship_cap = params.write_buffer as usize;
@@ -350,18 +418,61 @@ pub async fn paropen_write_co(
     } else {
         AggRole::Independent
     };
-
-    Ok(SionParWriter {
+    Ok(SionParWriter(Box::new(WriterState {
         writer,
         lcom,
         gcom,
         filenum,
-        grank,
+        grank: at.comm.rank(),
         role,
-    })
+    })))
 }
 
-/// The file-group phase of a uniform write open. Every task asked for the
+/// What a task of a healthy file group reports when another group failed
+/// during the collective open.
+const OPEN_PEER_FAILED: &str = "another file group failed during the collective open";
+
+/// The arguments of one write open, which its file-group phases borrow as
+/// one reference.
+struct WriteOpen<'a> {
+    vfs: &'a dyn Vfs,
+    base: &'a str,
+    params: &'a SionParams,
+    comm: &'a CoComm,
+}
+
+impl WriteOpen<'_> {
+    /// This task's local pre-open check of its parameters.
+    fn validate(&self) -> Result<()> {
+        let p = self.params;
+        p.mapping.validate(self.comm.size(), p.nfiles)
+    }
+}
+
+/// The file-group phase of the write open: this task joins its file
+/// group's communicator as local rank `lrank` of `lsize`, runs one
+/// protocol with one optional round on it, and returns the communicator
+/// with the phase's outcome. One future for both kinds of request, so that
+/// the open parks on it at one `.await`.
+#[allow(clippy::manual_async_fn)] // see `paropen_write_co`
+fn open_group<'a>(
+    at: &'a WriteOpen<'a>,
+    filenum: u32,
+    (lrank, lsize): (usize, usize),
+    uniform: bool,
+) -> impl Future<Output = (CoComm, Result<GroupOpen>)> + Send + 'a {
+    async move {
+        let lcom = at.comm.split_local(filenum as u64, lrank, lsize).await;
+        let opened = if uniform {
+            group_uniform(at, filenum, &lcom).await
+        } else {
+            group_ragged(at, filenum, &lcom).await
+        };
+        (lcom, opened)
+    }
+}
+
+/// The file-group phase for uniform requests. Every task asked for the
 /// same chunk size, so the master creates the file without hearing from
 /// anyone — metablock 1's rank table is [`Mapping::rank_of`]'s — and ONE
 /// status word on `lcom` orders the create before the other tasks' opens
@@ -370,73 +481,83 @@ pub async fn paropen_write_co(
 /// rules and checked arithmetic ([`FileLayout::uniform`]).
 ///
 /// [`Mapping::rank_of`]: crate::Mapping::rank_of
-async fn open_group_uniform(
-    vfs: &dyn Vfs,
-    base: &str,
-    params: &SionParams,
+#[allow(clippy::manual_async_fn)] // see `paropen_write_co`
+fn group_uniform<'a>(
+    at: &'a WriteOpen<'a>,
     filenum: u32,
-    grank: usize,
-    ntasks: usize,
-    lcom: &CoComm,
-) -> Result<GroupOpen> {
-    let (me, lsize) = (lcom.rank(), lcom.size());
-    let created = (me == 0).then(|| {
-        let reqs = vec![params.chunksize; lsize];
-        create_file(vfs, base, params, params.flags(), filenum, ntasks, &reqs).map(|(_, f)| f)
-    });
-    let status = created
-        .as_ref()
-        .map(|c| if c.is_ok() { STATUS_OK } else { STATUS_ERR });
-    let status = lcom.bcast_u64(status, 0).await;
-    let created = created.transpose()?;
-    if status != STATUS_OK {
-        return Err(master_failed());
+    lcom: &'a CoComm,
+) -> impl Future<Output = Result<GroupOpen>> + Send + 'a {
+    async move {
+        let params = at.params;
+        let created = (lcom.rank() == 0).then(|| {
+            let reqs = vec![params.chunksize; lcom.size()];
+            let ntasks = at.comm.size();
+            create_file(
+                at.vfs,
+                at.base,
+                params,
+                params.flags(),
+                filenum,
+                ntasks,
+                &reqs,
+            )
+            .map(|(_, f)| f)
+        });
+        let status = created
+            .as_ref()
+            .map(|c| if c.is_ok() { STATUS_OK } else { STATUS_ERR });
+        let status = lcom.bcast_u64(status, 0).await;
+        let created = created.transpose()?;
+        if status != STATUS_OK {
+            return Err(master_failed());
+        }
+        let (me, lsize) = (lcom.rank(), lcom.size());
+        let layout = FileLayout::uniform(
+            lsize,
+            params.chunksize,
+            at.vfs.block_size(),
+            params.alignment,
+            params.rescue,
+        )?;
+        let (agg, end) = match params.io_mode {
+            IoMode::Independent => (me, me + 1),
+            IoMode::Aggregated {
+                tasks_per_aggregator,
+            } => layout.aggregation_group(me, tasks_per_aggregator),
+        };
+        Ok((layout.geom(me, at.comm.rank() as u64), agg, end, created))
     }
-    let layout = FileLayout::uniform(
-        lsize,
-        params.chunksize,
-        vfs.block_size(),
-        params.alignment,
-        params.rescue,
-    )?;
-    let (agg, end) = match params.io_mode {
-        IoMode::Independent => (me, me + 1),
-        IoMode::Aggregated {
-            tasks_per_aggregator,
-        } => layout.aggregation_group(me, tasks_per_aggregator),
-    };
-    Ok((layout.geom(me, grank as u64), agg, end, created))
 }
 
-/// The file-group phase of a ragged write open: ONE gather of the
-/// chunk-size requests at the master, which creates the file, and ONE
-/// scatter of each task's part.
-async fn open_group_ragged(
-    vfs: &dyn Vfs,
-    base: &str,
-    params: &SionParams,
+/// The file-group phase for ragged requests: ONE gather of the chunk-size
+/// requests at the master, which creates the file, and ONE scatter of each
+/// task's part.
+#[allow(clippy::manual_async_fn)] // see `paropen_write_co`
+fn group_ragged<'a>(
+    at: &'a WriteOpen<'a>,
     filenum: u32,
-    ntasks: usize,
-    lcom: &CoComm,
-) -> Result<GroupOpen> {
-    let setup = lcom
-        .gather_u64(params.chunksize, 0)
-        .await
-        .map(|reqs| master_open_setup(vfs, base, params, filenum, ntasks, &reqs));
-    let (parts, created, failure) = match setup {
-        Some(Ok((parts, file))) => (Some(parts), Some(file), None),
-        Some(Err(e)) => (
-            Some(vec![STATUS_ERR.to_le_bytes().to_vec(); lcom.size()]),
-            None,
-            Some(e),
-        ),
-        None => (None, None, None),
-    };
-    let mine = lcom.scatter(parts, 0).await;
-    let Some((geom, agg, end)) = decode_write_part(&mine)? else {
-        return Err(failure.unwrap_or_else(master_failed));
-    };
-    Ok((geom, agg, end, created))
+    lcom: &'a CoComm,
+) -> impl Future<Output = Result<GroupOpen>> + Send + 'a {
+    async move {
+        let setup = lcom
+            .gather_u64(at.params.chunksize, 0)
+            .await
+            .map(|reqs| master_open_setup(at, filenum, &reqs));
+        let (parts, created, failure) = match setup {
+            Some(Ok((parts, file))) => (Some(parts), Some(file), None),
+            Some(Err(e)) => (
+                Some(vec![STATUS_ERR.to_le_bytes().to_vec(); lcom.size()]),
+                None,
+                Some(e),
+            ),
+            None => (None, None, None),
+        };
+        let mine = lcom.scatter(parts, 0).await;
+        let Some((geom, agg, end)) = decode_write_part(&mine)? else {
+            return Err(failure.unwrap_or_else(master_failed));
+        };
+        Ok((geom, agg, end, created))
+    }
 }
 
 /// The ragged master's half of the write open: create the physical file
@@ -445,14 +566,14 @@ async fn open_group_ragged(
 /// same 10-word shape in both modes: the status word, 7 geometry words and
 /// the aggregation neighbourhood `[aggregator, end)` — a task that is its
 /// own aggregator with an empty neighbourhood writes independently.
-fn master_open_setup(
-    vfs: &dyn Vfs,
-    base: &str,
-    params: &SionParams,
-    filenum: u32,
-    ntasks: usize,
-    reqs: &[u64],
-) -> Result<MasterSetup> {
+fn master_open_setup(at: &WriteOpen<'_>, filenum: u32, reqs: &[u64]) -> Result<MasterSetup> {
+    let WriteOpen {
+        vfs,
+        base,
+        params,
+        comm,
+    } = *at;
+    let ntasks = comm.size();
     let (layout, file) = create_file(vfs, base, params, params.flags(), filenum, ntasks, reqs)?;
     // Aggregation election (IoMode::Aggregated): neighbourhood starts,
     // snapped to FS-block-clean task boundaries so aggregator extents
@@ -526,21 +647,22 @@ impl SionParWriter {
         ship_now: bool,
         run: impl FnOnce(&mut TaskWriter) -> Result<()>,
     ) -> Result<()> {
-        if matches!(&self.role, AggRole::Member(m) if m.failed) {
+        let s = &mut *self.0;
+        if matches!(&s.role, AggRole::Member(m) if m.failed) {
             return Err(apply_failed());
         }
-        let calls = self.writer.io_counters().vfs_calls;
-        run(&mut self.writer)?;
-        let lcom = &self.lcom;
-        match &mut self.role {
-            AggRole::Member(m) if m.due(self.writer.recorded(), ship_now) => {
-                m.ship(self.writer.take_frame(true), lcom);
+        let calls = s.writer.io_counters().vfs_calls;
+        run(&mut s.writer)?;
+        let lcom = &s.lcom;
+        match &mut s.role {
+            AggRole::Member(m) if m.due(s.writer.recorded(), ship_now) => {
+                m.ship(s.writer.take_frame(true), lcom);
                 m.drain_acks(lcom);
                 if m.failed {
                     return Err(apply_failed());
                 }
             }
-            AggRole::Aggregator(a) if ship_now || self.writer.io_counters().vfs_calls > calls => {
+            AggRole::Aggregator(a) if ship_now || s.writer.io_counters().vfs_calls > calls => {
                 a.try_drain(lcom)
             }
             _ => {}
@@ -570,7 +692,7 @@ impl SionParWriter {
 
     /// Bytes left in the current chunk.
     pub fn bytes_avail_in_chunk(&self) -> u64 {
-        self.writer.bytes_avail_in_chunk()
+        self.0.writer.bytes_avail_in_chunk()
     }
 
     /// `sion_flush`: push buffered data (and the rescue header, if enabled)
@@ -590,17 +712,13 @@ impl SionParWriter {
     /// I/O-call accounting for this task's stream so far. On an
     /// aggregated-mode member: the shadow stream's counters.
     pub fn io_counters(&self) -> IoCounters {
-        self.writer.io_counters()
+        self.0.writer.io_counters()
     }
 
     /// Aggregated-mode shipment counters so far (see [`AggStats`]); all
     /// zeros in independent mode.
     pub fn agg_stats(&self) -> AggStats {
-        match &self.role {
-            AggRole::Independent => AggStats::default(),
-            AggRole::Member(m) => m.stats,
-            AggRole::Aggregator(a) => a.stats,
-        }
+        self.0.role.stats()
     }
 
     /// Per-rank op/byte counters of this task's *file-group* communicator.
@@ -610,24 +728,24 @@ impl SionParWriter {
     /// the `Option` stays while `sionbench` (`benchmark/src/cycle.rs`)
     /// stores it, until ROADMAP item 1's benchmark slice.
     pub fn local_comm_stats(&self) -> Option<Arc<CommStats>> {
-        Some(self.lcom.stats())
+        Some(self.0.lcom.stats())
     }
 
     /// Per-rank op/byte counters of this task's *global* communicator
     /// duplicate; same lifetime guarantees, and the same always-`Some`
     /// `Option`, as [`local_comm_stats`](Self::local_comm_stats).
     pub fn global_comm_stats(&self) -> Option<Arc<CommStats>> {
-        Some(self.gcom.stats())
+        Some(self.0.gcom.stats())
     }
 
     /// This task's global rank.
     pub fn rank(&self) -> usize {
-        self.grank
+        self.0.grank
     }
 
     /// Index of the physical file this task writes to.
     pub fn filenum(&self) -> u32 {
-        self.filenum
+        self.0.filenum
     }
 
     /// `sion_parclose_mpi`: collectively finalize the multifile. The file
@@ -648,9 +766,12 @@ impl SionParWriter {
     ///
     /// Not an `async fn`: one whose receiver is `mut self` keeps the writer
     /// twice in its future, and every task parked in the close gather
-    /// holds that future.
+    /// holds that future. The body borrows the handle's role in place
+    /// instead of moving it out, so the future keeps the one-word handle
+    /// and what each step holds across its `.await`.
     #[allow(clippy::manual_async_fn)] // see above: an `async fn` stores `self` twice
-    pub fn close_co(mut self) -> impl Future<Output = Result<CloseStats>> + Send {
+    pub fn close_co(self) -> impl Future<Output = Result<CloseStats>> + Send {
+        let SionParWriter(mut s) = self;
         async move {
             // Aggregation epilogue, before the metadata exchange. A member
             // finishes its stream (the authoritative `used` vector), ships the
@@ -660,80 +781,103 @@ impl SionParWriter {
             // failure. An aggregator exhaustively drains every member to its
             // end of stream (acking as it applies) before finishing its own;
             // apply failures surface through the members' own records.
-            let role = std::mem::replace(&mut self.role, AggRole::Independent);
-            let (finish_res, agg_stats) = match role {
-                AggRole::Independent => (self.writer.finish(), AggStats::default()),
-                AggRole::Member(mut m) => {
-                    let finished = self.writer.finish();
-                    m.finish(self.writer.take_frame(false), &self.lcom).await;
-                    let res = if m.failed && finished.is_ok() {
+            let finish_res = match &mut s.role {
+                AggRole::Independent => s.writer.finish(),
+                AggRole::Member(m) => {
+                    let finished = s.writer.finish();
+                    m.finish(s.writer.take_frame(false), &s.lcom).await;
+                    if m.failed && finished.is_ok() {
                         Err(apply_failed())
                     } else {
                         finished
-                    };
-                    (res, m.stats)
+                    }
                 }
-                AggRole::Aggregator(mut a) => {
-                    a.drain_all(&self.lcom).await;
-                    (self.writer.finish(), a.stats)
+                AggRole::Aggregator(a) => {
+                    a.drain_all(&s.lcom).await;
+                    s.writer.finish()
                 }
             };
 
             // Packed close exchange: the error flag rides in the same record
-            // as the per-block usage, so ONE gather finishes the file group.
-            let record = CloseRecord {
-                status: if finish_res.is_ok() {
-                    CloseRecord::STATUS_OK
-                } else {
-                    CloseRecord::STATUS_FLUSH_FAILED
-                },
-                used: finish_res.as_ref().map(|u| u.clone()).unwrap_or_default(),
-            };
-            let encoded = record.encode();
-
-            // ONE usage gather at the file master, which finalizes the file —
-            // unless some task's flush failed.
-            let finalize: Result<()> = match self.lcom.gather(&encoded, 0).await {
-                None => Ok(()),
-                Some(raw) => (|| {
-                    let per_task: Vec<CloseRecord> = raw
-                        .iter()
-                        .map(|b| CloseRecord::decode(b))
-                        .collect::<Result<_>>()?;
-                    if per_task.iter().any(|r| r.status != CloseRecord::STATUS_OK) {
-                        return Err(SionError::CollectiveMismatch(
-                            "a task failed to flush; metablock 2 not written".into(),
-                        ));
-                    }
-                    let rows: Vec<&[u64]> = per_task.iter().map(|r| r.used.as_slice()).collect();
-                    finalize_file(&self.writer, &rows)
-                })(),
-            };
+            // as the per-block usage, so ONE gather finishes the file group
+            // — and, at the file master, writes metablock 2 unless some
+            // task's flush failed.
+            let (encoded, finish_res) = close_record(finish_res);
+            let finalize = close_group(&s.lcom, &s.writer, encoded).await;
             // ONE reduction over the global communicator ends the close, the
             // all-or-nothing agreement across file groups: when it returns
             // clean, every physical file's metablock 2 is written. Always
             // reached, error or not; a flush error outranks a finalize one.
             let used = all_or_nothing(
-                &self.gcom,
+                &s.gcom,
                 finish_res.and_then(|used| finalize.map(|()| used)),
                 "another task failed during the collective close",
             )
             .await?;
             Ok(CloseStats {
-                user_bytes: self.writer.user_bytes(),
+                user_bytes: s.writer.user_bytes(),
                 stored_bytes: used.iter().sum(),
                 blocks: used.iter().filter(|&&u| u > 0).count() as u64,
-                write_io: self.writer.io_counters(),
-                agg: agg_stats,
+                write_io: s.writer.io_counters(),
+                agg: s.role.stats(),
             })
         }
     }
 }
 
+/// A task's packed [`CloseRecord`] — its flush verdict and per-block
+/// usage — encoded for the close gather, and its finish result back.
+fn close_record(finished: Result<Vec<u64>>) -> (Vec<u8>, Result<Vec<u64>>) {
+    let record = match &finished {
+        Ok(used) => CloseRecord {
+            status: CloseRecord::STATUS_OK,
+            used: used.clone(),
+        },
+        Err(_) => CloseRecord {
+            status: CloseRecord::STATUS_FLUSH_FAILED,
+            used: Vec::new(),
+        },
+    };
+    (record.encode(), finished)
+}
+
+/// The file group's half of the write close: ONE gather of every task's
+/// encoded [`CloseRecord`] at the file master, which writes metablock 2
+/// unless some task's flush failed. Its own future, which owns the record:
+/// nothing of it is left in the close's future for the global agreement.
+#[allow(clippy::manual_async_fn)] // an `async fn` stores its arguments twice
+fn close_group<'a>(
+    lcom: &'a CoComm,
+    writer: &'a TaskWriter,
+    encoded: Vec<u8>,
+) -> impl Future<Output = Result<()>> + Send + 'a {
+    async move {
+        let Some(raw) = lcom.gather(&encoded, 0).await else {
+            return Ok(());
+        };
+        let per_task: Vec<CloseRecord> = raw
+            .iter()
+            .map(|b| CloseRecord::decode(b))
+            .collect::<Result<_>>()?;
+        if per_task.iter().any(|r| r.status != CloseRecord::STATUS_OK) {
+            return Err(SionError::CollectiveMismatch(
+                "a task failed to flush; metablock 2 not written".into(),
+            ));
+        }
+        let rows: Vec<&[u64]> = per_task.iter().map(|r| r.used.as_slice()).collect();
+        finalize_file(writer, &rows)
+    }
+}
+
 /// Handle for reading one task's logical file of a multifile
 /// (`sion_paropen_mpi` in read mode). It owns no communicator: a reader
-/// writes no metadata, so its close has nothing to agree on.
-pub struct SionParReader {
+/// writes no metadata, so its close has nothing to agree on. One word, as
+/// a [`SionParWriter`] is: the reader lives in one box, allocated once
+/// the task's file is open.
+pub struct SionParReader(Box<ReaderState>);
+
+/// What a [`SionParReader`] holds.
+struct ReaderState {
     reader: TaskReader,
     grank: usize,
 }
@@ -743,66 +887,76 @@ pub struct SionParReader {
 /// The task count of `comm` must equal the task count the multifile was
 /// written with, and each task is positioned at its own logical file.
 pub async fn paropen_read_co(vfs: &dyn Vfs, base: &str, comm: &CoComm) -> Result<SionParReader> {
-    let grank = comm.rank();
-    let ntasks = comm.size();
+    // Everything up to this task's own open is one block, so that none of
+    // it is kept in the future of a task parked in the agreement below.
+    let opened = {
+        let ntasks = comm.size();
 
-    // Rank 0 opens the multifile once — every file's headers and rank table,
-    // then each file's metablock 2 — and hands each task its whole part:
-    // [status, flags, file, chunk geometry, checked usage row]. Tens of
-    // thousands of tasks neither hammer the metadata concurrently nor hold
-    // a copy of the rank → file map.
-    let discovery = (grank == 0).then(|| -> Result<Vec<Vec<u8>>> {
-        let mf = Multifile::open(vfs, base)?;
-        if mf.ntasks() != ntasks {
-            return Err(SionError::CollectiveMismatch(format!(
-                "multifile was written by {} tasks, read with {}",
-                mf.ntasks(),
-                ntasks
-            )));
-        }
-        mf.read_parts()
-            .map(|words| {
-                let words = words?;
-                let mut part = Vec::with_capacity(8 * (1 + words.len()));
-                for w in std::iter::once(STATUS_OK).chain(words) {
-                    part.extend_from_slice(&w.to_le_bytes());
-                }
-                Ok(part)
-            })
-            .collect()
-    });
+        // Rank 0 opens the multifile once — every file's headers and rank
+        // table, then each file's metablock 2 — and hands each task its
+        // whole part: [status, flags, file, chunk geometry, checked usage
+        // row]. Tens of thousands of tasks neither hammer the metadata
+        // concurrently nor hold a copy of the rank → file map.
+        let discovery = (comm.rank() == 0).then(|| -> Result<Vec<Vec<u8>>> {
+            let mf = Multifile::open(vfs, base)?;
+            if mf.ntasks() != ntasks {
+                return Err(SionError::CollectiveMismatch(format!(
+                    "multifile was written by {} tasks, read with {}",
+                    mf.ntasks(),
+                    ntasks
+                )));
+            }
+            mf.read_parts()
+                .map(|words| {
+                    let words = words?;
+                    let mut part = Vec::with_capacity(8 * (1 + words.len()));
+                    for w in std::iter::once(STATUS_OK).chain(words) {
+                        part.extend_from_slice(&w.to_le_bytes());
+                    }
+                    Ok(part)
+                })
+                .collect()
+        });
 
-    // ONE scatter: the status word travels as each part's leading word
-    // (a lone [STATUS_ERR] on failure) instead of costing a separate round.
-    let (parts, failure) = match discovery {
-        Some(Ok(parts)) => (Some(parts), None),
-        Some(Err(e)) => (
-            Some(vec![STATUS_ERR.to_le_bytes().to_vec(); ntasks]),
-            Some(e),
-        ),
-        None => (None, None),
+        // ONE scatter: the status word travels as each part's leading word
+        // (a lone [STATUS_ERR] on failure) instead of costing a separate
+        // round.
+        let (parts, failure) = match discovery {
+            Some(Ok(parts)) => (Some(parts), None),
+            Some(Err(e)) => (
+                Some(vec![STATUS_ERR.to_le_bytes().to_vec(); ntasks]),
+                Some(e),
+            ),
+            None => (None, None),
+        };
+        let words: Vec<u64> = comm
+            .scatter(parts, 0)
+            .await
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let [STATUS_OK, part @ ..] = words.as_slice() else {
+            return Err(failure.unwrap_or_else(|| {
+                SionError::CollectiveMismatch("master failed during read open".into())
+            }));
+        };
+        // Every task opens its own physical file into the handle's box.
+        part_reader(vfs, base, part).map(|reader| {
+            SionParReader(Box::new(ReaderState {
+                reader,
+                grank: comm.rank(),
+            }))
+        })
     };
-    let words: Vec<u64> = comm
-        .scatter(parts, 0)
-        .await
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let [STATUS_OK, part @ ..] = words.as_slice() else {
-        return Err(failure.unwrap_or_else(|| {
-            SionError::CollectiveMismatch("master failed during read open".into())
-        }));
-    };
 
-    // Every task opens its own physical file; ONE reduction keeps the open
-    // all-or-nothing.
-    let reader = all_or_nothing(
+    // ONE reduction keeps the open all-or-nothing. The agreement holds the
+    // one-word handle.
+    all_or_nothing(
         comm,
-        part_reader(vfs, base, part),
+        opened,
         "another task failed during the collective read open",
     )
-    .await?;
-    Ok(SionParReader { reader, grank })
+    .await
 }
 
 /// The all-or-nothing agreement that ends a collective phase: ONE
@@ -812,8 +966,7 @@ pub async fn paropen_read_co(vfs: &dyn Vfs, base: &str, comm: &CoComm) -> Result
 /// gave up.
 ///
 /// A plain `fn` around one `async move` block: an `async fn` would store
-/// `local` (a whole reader or writer handle) twice in its future, in every
-/// rank parked in the agreement.
+/// `local` twice in its future, in every rank parked in the agreement.
 #[allow(clippy::manual_async_fn)] // see above: an `async fn` stores `local` twice
 pub fn all_or_nothing<'a, T: 'a>(
     comm: &'a CoComm,
@@ -825,10 +978,16 @@ pub fn all_or_nothing<'a, T: 'a>(
             .allreduce_u64(local.is_err() as u64, ReduceOp::Max)
             .await
             != 0;
-        match local {
-            Ok(_) if any_failed => Err(SionError::CollectiveMismatch(peer_failed.into())),
-            local => local,
-        }
+        agreed(local, any_failed, peer_failed)
+    }
+}
+
+/// An all-or-nothing agreement's verdict for one task: its own error, or
+/// `CollectiveMismatch(peer_failed)` when only its peers failed.
+fn agreed<T>(local: Result<T>, any_failed: bool, peer_failed: &str) -> Result<T> {
+    match local {
+        Ok(_) if any_failed => Err(SionError::CollectiveMismatch(peer_failed.into())),
+        local => local,
     }
 }
 
@@ -840,34 +999,34 @@ fn apply_failed() -> SionError {
 impl SionParReader {
     /// `sion_feof`: whether this task's logical file is exhausted.
     pub fn feof(&mut self) -> bool {
-        self.reader.feof()
+        self.0.reader.feof()
     }
 
     /// `sion_bytes_avail_in_chunk`: unread stored bytes in the current
     /// chunk.
     pub fn bytes_avail_in_chunk(&self) -> u64 {
-        self.reader.bytes_avail_in_chunk()
+        self.0.reader.bytes_avail_in_chunk()
     }
 
     /// `sion_fread`: read up to `buf.len()` logical bytes, crossing chunk
     /// boundaries; returns bytes read (0 at end of stream).
     pub fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
-        self.reader.read(buf)
+        self.0.reader.read(buf)
     }
 
     /// Read exactly `buf.len()` logical bytes or fail.
     pub fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
-        self.reader.read_exact(buf)
+        self.0.reader.read_exact(buf)
     }
 
     /// This task's global rank.
     pub fn rank(&self) -> usize {
-        self.grank
+        self.0.grank
     }
 
     /// I/O-call accounting for this task's read stream so far.
     pub fn io_counters(&self) -> IoCounters {
-        self.reader.io_counters()
+        self.0.reader.io_counters()
     }
 
     /// `sion_parclose_mpi` for the read side. Local: a reader wrote no

@@ -98,64 +98,109 @@ fn collective_entry_point_futures_are_send() {
     });
 }
 
-/// A rank parked in a close holds its handle once: each close future is
-/// smaller than two of the handles it consumes. (An `async fn` whose
-/// receiver is `mut self` stores the receiver twice, and every rank parked
-/// in the close gather pays for the copy.)
-#[test]
-fn close_futures_hold_their_handle_once() {
-    use std::mem::{size_of, size_of_val};
-    let fs = MemFs::new();
-    let params = SionParams::new(4096);
-    TaskWorld::run(2, |c| {
-        let (fs, params) = (&fs, &params);
-        async move {
-            let mut w = paropen_write_co(fs, "size/f.sion", params, &c)
-                .await
-                .unwrap();
-            w.write(&payload(c.rank(), 100)).unwrap();
-            let close = w.close_co();
-            let (future, handle) = (size_of_val(&close), size_of::<SionParWriter>());
-            assert!(
-                future < 2 * handle,
-                "write close {future} B, writer {handle} B"
-            );
-            close.await.unwrap();
-            let r = paropen_read_co(fs, "size/f.sion", &c).await.unwrap();
-            let close = r.close_co();
-            let (future, handle) = (size_of_val(&close), size_of::<SionParReader>());
-            assert!(
-                future < 2 * handle,
-                "read close {future} B, reader {handle} B"
-            );
-            close.await.unwrap();
-        }
-    });
-}
-
-/// A rank parked in an open holds one future per open, so the open futures
-/// stay small: at most 1 KiB each (696 B for the write open and 840 B for
-/// the read open). An `async fn` that keeps a by-value argument
-/// across an `.await` stores it twice; `sion::all_or_nothing` written that
-/// way grew the read open to 1 248 B.
-#[test]
-fn open_futures_stay_under_a_kibibyte() {
+/// The sizes of a rank's four collective futures, `[write open, write
+/// close, read open, read close]`, as a rank of a two-rank world builds
+/// them (every rank's are the same).
+fn collective_future_sizes() -> [usize; 4] {
     use std::mem::size_of_val;
     let fs = MemFs::new();
     let params = SionParams::new(4096);
-    TaskWorld::run(2, |c| {
+    let sizes = TaskWorld::run(2, |c| {
         let (fs, params) = (&fs, &params);
         async move {
-            let open = paropen_write_co(fs, "open/f.sion", params, &c);
-            let size = size_of_val(&open);
-            assert!(size <= 1024, "write open future {size} B");
-            open.await.unwrap().close_co().await.unwrap();
-            let open = paropen_read_co(fs, "open/f.sion", &c);
-            let size = size_of_val(&open);
-            assert!(size <= 1024, "read open future {size} B");
-            open.await.unwrap().close_co().await.unwrap();
+            let open = paropen_write_co(fs, "size/f.sion", params, &c);
+            let write_open = size_of_val(&open);
+            let mut w = open.await.unwrap();
+            w.write(&payload(c.rank(), 100)).unwrap();
+            let close = w.close_co();
+            let write_close = size_of_val(&close);
+            close.await.unwrap();
+            let open = paropen_read_co(fs, "size/f.sion", &c);
+            let read_open = size_of_val(&open);
+            let close = open.await.unwrap().close_co();
+            let read_close = size_of_val(&close);
+            close.await.unwrap();
+            [write_open, write_close, read_open, read_close]
         }
     });
+    sizes[0]
+}
+
+/// Ceiling on a parked write open's future (696 B before the handles were
+/// boxed).
+const WRITE_OPEN_CEILING: usize = 360;
+/// Ceiling on a parked write close's future (1 032 B before).
+const WRITE_CLOSE_CEILING: usize = 248;
+/// Ceiling on a parked read open's future (840 B before).
+const READ_OPEN_CEILING: usize = 320;
+/// Ceiling on the read close's future: the handle and the state word
+/// (408 B before).
+const READ_CLOSE_CEILING: usize = 16;
+
+/// What a rank parked in the collective open or close owns: a one-word
+/// handle (544 B for a writer and 400 B for a reader before), whose box
+/// holds the stream, the aggregation role and the two communicators; a
+/// communicator handle of at most six words; and a future per entry point
+/// that keeps only word-sized state across its `.await`s. Ceilings, not
+/// exact sizes: a future's layout varies with rustc.
+#[test]
+fn a_parked_rank_owns_one_word_handles_and_lean_futures() {
+    use std::mem::size_of;
+    assert_eq!(size_of::<SionParWriter>(), size_of::<usize>());
+    assert_eq!(size_of::<SionParReader>(), size_of::<usize>());
+    assert!(size_of::<simmpi::CoComm>() <= 48, "CoComm");
+    let sizes = collective_future_sizes();
+    let ceilings = [
+        WRITE_OPEN_CEILING,
+        WRITE_CLOSE_CEILING,
+        READ_OPEN_CEILING,
+        READ_CLOSE_CEILING,
+    ];
+    assert!(
+        sizes
+            .iter()
+            .zip(ceilings)
+            .all(|(&size, ceiling)| size <= ceiling),
+        "[write open, write close, read open, read close] futures: {sizes:?} B, \
+         ceilings {ceilings:?} B"
+    );
+}
+
+/// A rank parked in a close holds its handle once: the write close's
+/// future stays under an absolute ceiling (1 032 B when it held a 544 B
+/// writer beside its moved-out role; an `async fn` with a `mut self`
+/// receiver stored the writer twice, 1 592 B), and the read close's future
+/// is its one-word handle and a state word.
+#[test]
+fn close_futures_hold_their_handle_once() {
+    let [_, write_close, _, read_close] = collective_future_sizes();
+    assert!(
+        write_close <= WRITE_CLOSE_CEILING,
+        "write close {write_close} B"
+    );
+    assert!(
+        read_close <= READ_CLOSE_CEILING,
+        "read close {read_close} B"
+    );
+}
+
+/// A rank parked in an open holds one future per open, so the open futures
+/// stay small: at most [`WRITE_OPEN_CEILING`] and [`READ_OPEN_CEILING`]
+/// (the bound was 1 KiB, over 696 B for the write open and 840 B for the
+/// read open). An `async fn` that keeps a by-value argument across an
+/// `.await` stores it twice; `sion::all_or_nothing` written that way grew
+/// the read open to 1 248 B.
+#[test]
+fn open_futures_stay_under_a_kibibyte() {
+    let [write_open, _, read_open, _] = collective_future_sizes();
+    assert!(
+        write_open <= WRITE_OPEN_CEILING,
+        "write open future {write_open} B"
+    );
+    assert!(
+        read_open <= READ_OPEN_CEILING,
+        "read open future {read_open} B"
+    );
 }
 
 #[test]

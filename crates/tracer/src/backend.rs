@@ -66,7 +66,7 @@ impl TraceBackend {
                     params = params.with_compression();
                 }
                 let writer = paropen_write_co(vfs, base, &params, comm).await?;
-                Ok(ActiveTrace::Sion(Box::new(writer)))
+                Ok(ActiveTrace::Sion(writer))
             }
         }
     }
@@ -97,9 +97,8 @@ pub enum ActiveTrace {
         /// Bytes written so far.
         at: u64,
     },
-    /// This task's stream of the multifile (boxed: a writer is large, a
-    /// file handle is not).
-    Sion(Box<SionParWriter>),
+    /// This task's stream of the multifile (a writer handle is one word).
+    Sion(SionParWriter),
 }
 
 impl ActiveTrace {
@@ -288,11 +287,13 @@ mod tests {
     }
 
     /// A task parked in a multifile trace's finalize holds its writer once:
-    /// the future is smaller than two writers (the close's future inside it
-    /// holds one).
+    /// the future is the close's future and a few words, under an absolute
+    /// ceiling (1 072 B when the close held a 544 B writer, 1 656 B when it
+    /// held it twice). A ratio to the writer no longer says anything: the
+    /// writer handle is one word.
     #[test]
     fn finalize_future_holds_its_writer_once() {
-        use std::mem::{size_of, size_of_val};
+        use std::mem::size_of_val;
         let fs = MemFs::with_block_size(1024);
         let multi = sion("size.sion", 1024, 1, false);
         TaskWorld::run(1, |comm| {
@@ -300,11 +301,8 @@ mod tests {
             async move {
                 let trace = multi.activate(fs, &comm).await.unwrap();
                 let done = trace.finalize();
-                let (future, writer) = (size_of_val(&done), size_of::<SionParWriter>());
-                assert!(
-                    future < 2 * writer,
-                    "finalize {future} B, writer {writer} B"
-                );
+                let future = size_of_val(&done);
+                assert!(future <= 280, "finalize {future} B");
                 assert!(done.await.is_ok());
             }
         });
