@@ -12,7 +12,7 @@
 //! interface", and here the interface is this one concrete type, not a
 //! trait: the tree-collective engine, log-P binomial trees over per-rank
 //! mailboxes, with per-rank op/byte counters exposed as [`CommStats`]. Its
-//! waiting operations are `async fn`s with concrete, unboxed futures. One
+//! waiting operations return concrete, unboxed futures. One
 //! driver runs it: [`TaskWorld`], with ranks as futures on a work-stealing
 //! (or seeded serial) executor, from one rank to 64Ki and beyond. A rank
 //! that waits for a peer suspends its task, never a thread.

@@ -374,7 +374,8 @@ pub fn paropen_write_co<'a>(
 /// the one box, with its communicators, its file — created by the master,
 /// opened, or the shadow an aggregated-mode member writes to — and its
 /// aggregation role. When the phase or the file failed, the error, with
-/// the global communicator the open's agreement still runs on.
+/// the global communicator the open's agreement still runs on (the group
+/// communicator is dropped: this task's file-group phase is over).
 fn writer_handle(
     at: &WriteOpen<'_>,
     filenum: u32,
@@ -764,11 +765,10 @@ impl SionParWriter {
     /// failed reports that error, every other failing task a
     /// [`SionError::CollectiveMismatch`].
     ///
-    /// Not an `async fn`: one whose receiver is `mut self` keeps the writer
-    /// twice in its future, and every task parked in the close gather
-    /// holds that future. The body borrows the handle's role in place
-    /// instead of moving it out, so the future keeps the one-word handle
-    /// and what each step holds across its `.await`.
+    /// Not an `async fn`, which keeps its receiver twice in its future:
+    /// every task parked in the close holds that future. It keeps the
+    /// one-word handle and borrows the role in place, and each step holds
+    /// only its own state across its `.await`.
     #[allow(clippy::manual_async_fn)] // see above: an `async fn` stores `self` twice
     pub fn close_co(self) -> impl Future<Output = Result<CloseStats>> + Send {
         let SionParWriter(mut s) = self;
