@@ -338,9 +338,8 @@ impl Mbox {
 /// while parked withdraws the receive.
 ///
 /// Every rank parked in a collective holds one, so it packs into three
-/// words: the source rank as a `u32` beside the flag (a communicator has
-/// at most `u32::MAX` ranks, checked where it is built), not a `usize`
-/// followed by seven bytes of padding.
+/// words: the source rank is a `u32` beside the flag (a communicator has
+/// at most `u32::MAX` ranks, checked where it is built).
 struct Recv<'a> {
     comm: &'a CoComm,
     tag: u64,
