@@ -605,7 +605,7 @@ echo "==> structural gate: the read side owns no communicator (SionParReader hol
 # `SionParReader::close_co` returns without waiting for a peer.
 par_rs=crates/sion/src/par.rs
 reader_struct=$(awk '/^pub struct SionParReader/ { on = 1 } on { print } on && /^}/ { exit }' "$par_rs")
-read_open=$(awk '/^pub async fn paropen_read_co/ { on = 1 } on { print } on && /^}/ { exit }' "$par_rs")
+read_open=$(awk '/^pub fn paropen_read_co/ { on = 1 } on { print } on && /^}/ { exit }' "$par_rs")
 read_close=$(awk '/^impl SionParReader/ { on = 1 } on && /^}/ { exit }
     on && /^    pub async fn close_co\(/ { m = 1 } m { print } m && /^    }/ { exit }' "$par_rs")
 if [ -z "$reader_struct" ] || [ -z "$read_open" ] || [ -z "$read_close" ] ||
@@ -636,6 +636,24 @@ if printf '%s\n' "$par_src" | grep -n 'check_master_status\|\.barrier(\|bcast_u6
 then
     echo "in par.rs: $bcasts bcast_u64( (want 2), $status lcom.bcast_u64( (want 1), $verdict bcast_u64(reduced (want 1), $reduces reduce_u64s( (want 1)"
     echo "a write phase ends in one reduction: no \`check_master_status\`, no \`.barrier(\`, one \`reduce_u64s(\` whose result is the one other \`bcast_u64(\` besides \`lcom.bcast_u64(\`, and no fingerprint broadcast in non-test \`crates/sion/src/par.rs\`"
+    exit 1
+fi
+
+echo "==> structural gate: one collective record (no CloseRecord or decode_write_part; one STATUS_ERR part fill and one word decode in par.rs)"
+# The parts both opens scatter and the records the close gathers are one
+# record, `[status, words…]` as little-endian u64s, with one `encode` and
+# one `decode` in par.rs and one `scatter_parts` that fills a failed
+# master's parts. So no `CloseRecord` or `decode_write_part` is left in
+# `crates`, and non-test par.rs has at most one `vec![…STATUS_ERR…` part
+# fill and at most one `chunks_exact(8)` and one `from_le_bytes(` line.
+fills=$(printf '%s\n' "$par_src" | grep -c 'vec!\[.*STATUS_ERR' || true)
+splits=$(printf '%s\n' "$par_src" | grep -c 'chunks_exact(8)' || true)
+words=$(printf '%s\n' "$par_src" | grep -c 'from_le_bytes(' || true)
+if grep -rn 'CloseRecord\|decode_write_part' crates ||
+    [ "$fills" -gt 1 ] || [ "$splits" -gt 1 ] || [ "$words" -gt 1 ]
+then
+    echo "in par.rs: $fills STATUS_ERR part fills, $splits chunks_exact(8), $words from_le_bytes( (want at most 1 each)"
+    echo "one collective record: no \`CloseRecord\` or \`decode_write_part\` in crates; the opens' parts and the close's records go through par.rs's one \`encode\`/\`decode\` and \`scatter_parts\`"
     exit 1
 fi
 

@@ -53,7 +53,7 @@
 //! (a deserted protocol would hang the group) but writes no further extent
 //! of it, and every later ack carries status 1. The member learns of it at
 //! its next ship, which fails, as every op after it does, or at close, and
-//! folds it into its [`CloseRecord`](crate::format::CloseRecord): the group
+//! folds it into its close record's status word (`par.rs`): the group
 //! skips metablock 2 and the file stays repairable via `rescue::repair`.
 
 // Shipment frames, member → aggregator, and acks `[seq, status]`,

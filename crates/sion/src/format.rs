@@ -29,6 +29,9 @@
 //!   version, so pre-index files keep decoding unchanged.
 //!
 //! All integers are little-endian. Arrays are stored contiguously.
+//!
+//! Only what is stored lives here: the records the collective open and
+//! close exchange between tasks are `par.rs`'s, and never reach a file.
 
 use crate::error::{Result, SionError};
 use std::ops::{BitOr, BitOrAssign};
@@ -651,64 +654,6 @@ pub fn write_close_metadata(
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Packed collective-metadata records (wire format, not on-disk).
-// ---------------------------------------------------------------------
-
-/// Everything one task contributes to the collective *close*, packed so
-/// the whole exchange is **one** gather at the file master: the error flag
-/// rides along with the per-block usage instead of costing a separate
-/// allgather round.
-///
-/// Layout: `[status, nblocks, used[0], ..., used[nblocks-1]]`, little-endian
-/// `u64` words.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CloseRecord {
-    /// `0` when this task's stream finished cleanly; nonzero when its final
-    /// flush/sync failed (the group then skips writing metablock 2).
-    pub status: u64,
-    /// Bytes effectively stored per block this task touched.
-    pub used: Vec<u64>,
-}
-
-impl CloseRecord {
-    /// `status` of a task whose stream finished cleanly.
-    pub const STATUS_OK: u64 = 0;
-    /// `status` bit of a task whose final flush failed.
-    pub const STATUS_FLUSH_FAILED: u64 = 1;
-
-    /// Serialize to the variable-length wire layout.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.used.len() * 8);
-        out.extend_from_slice(&self.status.to_le_bytes());
-        out.extend_from_slice(&(self.used.len() as u64).to_le_bytes());
-        for u in &self.used {
-            out.extend_from_slice(&u.to_le_bytes());
-        }
-        out
-    }
-
-    /// Inverse of [`encode`](Self::encode).
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 16 || !bytes.len().is_multiple_of(8) {
-            return Err(SionError::Format("truncated close record".into()));
-        }
-        let status = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-        let nblocks = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        if bytes.len() != 16 + nblocks * 8 {
-            return Err(SionError::Format(format!(
-                "close record claims {nblocks} blocks but carries {} payload bytes",
-                bytes.len() - 16
-            )));
-        }
-        let used = bytes[16..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(CloseRecord { status, used })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,27 +850,5 @@ mod tests {
     fn flags_reject_unknown_bits() {
         assert!(SionFlags::from_bits(0b1000).is_err());
         assert!(SionFlags::from_bits(0b111).is_ok());
-    }
-
-    #[test]
-    fn close_record_round_trip() {
-        for used in [vec![], vec![17u64], vec![0, 0, 5, 1 << 40]] {
-            let rec = CloseRecord {
-                status: CloseRecord::STATUS_OK,
-                used,
-            };
-            assert_eq!(CloseRecord::decode(&rec.encode()).unwrap(), rec);
-        }
-        let rec = CloseRecord {
-            status: CloseRecord::STATUS_FLUSH_FAILED,
-            used: vec![9],
-        };
-        let mut bytes = rec.encode();
-        assert_eq!(CloseRecord::decode(&bytes).unwrap(), rec);
-        // Truncated payload and inconsistent block count must be rejected.
-        assert!(CloseRecord::decode(&bytes[..bytes.len() - 8]).is_err());
-        bytes[8] = 7;
-        assert!(CloseRecord::decode(&bytes).is_err());
-        assert!(CloseRecord::decode(&[0u8; 8]).is_err());
     }
 }

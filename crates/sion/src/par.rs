@@ -32,20 +32,19 @@
 //!     task computes its geometry and aggregation neighbourhood in O(1)
 //!     with the master's layout rules;
 //!   - ragged requests (`mp2c`'s particle counts): ONE gather of the
-//!     requests + ONE scatter of each task's geometry, whose parts lead
-//!     with the master's status word (a lone `[STATUS_ERR]` when it
-//!     failed).
+//!     requests + ONE scatter of each task's geometry and neighbourhood.
 //!
 //!   Then ONE global allreduce of the failed flag, the all-or-nothing
 //!   agreement across file groups;
-//! * write close — ONE usage gather per file group, after which the master
-//!   writes metablock 2, then ONE global allreduce of "my flush failed, or,
-//!   at the master, the finalize failed", at every group size. So every
-//!   task returns the same verdict, and `Ok` means every physical file's
+//! * write close — ONE gather per file group of each task's `[status,
+//!   nblocks, used…]`, after which the master writes metablock 2 unless a
+//!   flush failed, then ONE global allreduce of "my flush failed, or, at
+//!   the master, the finalize failed", at every group size. So every task
+//!   returns the same verdict, and `Ok` means every physical file's
 //!   metablock 2 is written;
 //! * read open — on the caller's communicator ONE scatter handing each task
-//!   its whole part (status, flags, its file, its chunk geometry and its
-//!   usage row), then ONE allreduce once every task has opened its file.
+//!   its whole part (flags, its file, its chunk geometry and its usage
+//!   row), then ONE allreduce once every task has opened its file.
 //!   No split, no file-group phase: what is scattered is built and decoded
 //!   by `serial.rs`, not here — rank 0's discovery *is* a
 //!   [`Multifile::open`] (every file's headers, compared with file 0's, and
@@ -54,6 +53,13 @@
 //!   exactly where the serial open of the same bytes fails;
 //! * read close — local. A reader wrote no metadata, so it owns no
 //!   communicator and waits for nobody.
+//!
+//! What the opens scatter and the close gathers is one record per task,
+//! `[status, words…]` as little-endian `u64`s, built by one `encode` and
+//! read by one `decode`, so a verdict rides with what the others need
+//! anyway instead of costing a round: the master's in both opens'
+//! `scatter_parts` (a lone `[STATUS_ERR]` when it failed), a task's flush
+//! verdict in its close record.
 //!
 //! No task keeps a payload that grows with the number of tasks outside its
 //! own file group, save rank 0 at the read open: it reads every file's
@@ -99,7 +105,6 @@
 
 use crate::agg::{AggState, AggStats, MemberState};
 use crate::error::{Result, SionError};
-use crate::format::CloseRecord;
 use crate::layout::{group_of, FileLayout};
 use crate::physical_name;
 use crate::serial::{create_file, finalize_file, part_reader, Multifile};
@@ -115,19 +120,70 @@ use vfs::Vfs;
 /// at the file master — the file it created.
 type GroupOpen = (ChunkGeom, usize, usize, Option<Arc<dyn vfs::VfsFile>>);
 
-/// What a ragged open's file master prepares: each task's part to scatter,
-/// and the file it created.
-type MasterSetup = (Vec<Vec<u8>>, Arc<dyn vfs::VfsFile>);
+/// What a ragged open's file master prepares: each task's words to
+/// scatter, and the file it created.
+type MasterSetup = (Vec<Vec<u64>>, Arc<dyn vfs::VfsFile>);
 
-/// Leading word of every part a master scatters at an open, and the one
-/// word a uniform write open's master broadcasts: its verdict travels with
-/// what the tasks need anyway, so that a failure anywhere in the group
-/// surfaces as an error on every task instead of a hang or a half-written
-/// multifile.
+/// Leading word of every collective record, and the one word a uniform
+/// write open's master broadcasts: a verdict travels with what the others
+/// need anyway, so that a failure anywhere in the group surfaces as an
+/// error on every task instead of a hang or a half-written multifile.
 const STATUS_OK: u64 = 0;
-/// The master itself failed (layout, create, or metablock write); a
-/// scattered part is this one word.
+/// The master failed (layout, create, metablock write, discovery) and its
+/// scattered part is this one word, or a task's final flush failed.
 const STATUS_ERR: u64 = 1;
+
+/// One collective record: `status`, then `words`, as little-endian `u64`s.
+fn encode(status: u64, words: impl IntoIterator<Item = u64>) -> Vec<u8> {
+    let words = std::iter::once(status).chain(words);
+    let mut out = Vec::with_capacity(8 * words.size_hint().0);
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    out
+}
+
+/// Inverse of [`encode`]: the status word and the words after it.
+fn decode(bytes: &[u8]) -> Result<(u64, Vec<u64>)> {
+    let mut words = bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()));
+    match words.next() {
+        Some(status) if bytes.len().is_multiple_of(8) => Ok((status, words.collect())),
+        _ => Err(SionError::Format(format!(
+            "collective record of {} bytes",
+            bytes.len()
+        ))),
+    }
+}
+
+/// ONE scatter from rank 0 of `comm`, which passes `Some` of each task's
+/// words or of its own failure; every task gets its words back, or else
+/// the root's error at the root and `CollectiveMismatch(master_failed)`
+/// elsewhere. The parts are encoded at the call, and what a task reports
+/// on a lone `[STATUS_ERR]` is one value, the root's error or the text:
+/// every task parked in an open holds this future.
+#[allow(clippy::manual_async_fn)] // see `paropen_write_co`
+fn scatter_parts<'a>(
+    comm: &'a CoComm,
+    parts: Option<Result<Vec<Vec<u64>>>>,
+    master_failed: &'a str,
+) -> impl Future<Output = Result<Vec<u64>>> + Send + 'a {
+    let (parts, failure) = match parts {
+        Some(Ok(parts)) => {
+            let parts = parts.into_iter().map(|p| encode(STATUS_OK, p)).collect();
+            (Some(parts), Err(master_failed))
+        }
+        Some(Err(e)) => (Some(vec![encode(STATUS_ERR, []); comm.size()]), Ok(e)),
+        None => (None, Err(master_failed)),
+    };
+    async move {
+        match decode(&comm.scatter(parts, 0).await)? {
+            (STATUS_OK, words) => Ok(words),
+            _ => Err(failure.unwrap_or_else(|text| SionError::CollectiveMismatch(text.into()))),
+        }
+    }
+}
 
 /// Verdict of the write open's agreement round, which rank 0 reads from
 /// the reduced words ([`agreement_verdict`]) and broadcasts: every task
@@ -510,7 +566,7 @@ fn group_uniform<'a>(
         let status = lcom.bcast_u64(status, 0).await;
         let created = created.transpose()?;
         if status != STATUS_OK {
-            return Err(master_failed());
+            return Err(SionError::CollectiveMismatch(MASTER_FAILED.into()));
         }
         let (me, lsize) = (lcom.rank(), lcom.size());
         let layout = FileLayout::uniform(
@@ -540,33 +596,30 @@ fn group_ragged<'a>(
     lcom: &'a CoComm,
 ) -> impl Future<Output = Result<GroupOpen>> + Send + 'a {
     async move {
-        let setup = lcom
-            .gather_u64(at.params.chunksize, 0)
-            .await
-            .map(|reqs| master_open_setup(at, filenum, &reqs));
-        let (parts, created, failure) = match setup {
-            Some(Ok((parts, file))) => (Some(parts), Some(file), None),
-            Some(Err(e)) => (
-                Some(vec![STATUS_ERR.to_le_bytes().to_vec(); lcom.size()]),
-                None,
-                Some(e),
-            ),
-            None => (None, None, None),
+        let reqs = lcom.gather_u64(at.params.chunksize, 0).await;
+        let mut created = None;
+        let parts = reqs.map(|reqs| {
+            let (parts, file) = master_open_setup(at, filenum, &reqs)?;
+            created = Some(file);
+            Ok(parts)
+        });
+        // The part is 7 geometry words and the aggregation neighbourhood
+        // `[aggregator lrank, end)`.
+        let part = scatter_parts(lcom, parts, MASTER_FAILED).await?;
+        let geom = ChunkGeom::decode(&part)?;
+        let [agg, end] = part[ChunkGeom::ENCODED_WORDS..] else {
+            return Err(SionError::Format("truncated write-open payload".into()));
         };
-        let mine = lcom.scatter(parts, 0).await;
-        let Some((geom, agg, end)) = decode_write_part(&mine)? else {
-            return Err(failure.unwrap_or_else(master_failed));
-        };
-        Ok((geom, agg, end, created))
+        Ok((geom, agg as usize, end as usize, created))
     }
 }
 
 /// The ragged master's half of the write open: create the physical file
 /// from the gathered requests ([`create_file`] lays it out, creates it and
-/// writes metablock 1) and prepare each task's part. Every part has the
-/// same 10-word shape in both modes: the status word, 7 geometry words and
-/// the aggregation neighbourhood `[aggregator, end)` — a task that is its
-/// own aggregator with an empty neighbourhood writes independently.
+/// writes metablock 1) and prepare each task's words. Every part has the
+/// same 9-word shape in both modes: 7 geometry words and the aggregation
+/// neighbourhood `[aggregator, end)` — a task that is its own aggregator
+/// with an empty neighbourhood writes independently.
 fn master_open_setup(at: &WriteOpen<'_>, filenum: u32, reqs: &[u64]) -> Result<MasterSetup> {
     let WriteOpen {
         vfs,
@@ -585,51 +638,23 @@ fn master_open_setup(at: &WriteOpen<'_>, filenum: u32, reqs: &[u64]) -> Result<M
             tasks_per_aggregator,
         } => Some(layout.aggregation_groups(tasks_per_aggregator)),
     };
-    let parts: Vec<Vec<u8>> = (0..layout.ntasks())
+    let parts = (0..layout.ntasks())
         .map(|t| {
             let (agg, end) = match &groups {
                 None => (t, t + 1),
                 Some(starts) => group_of(starts, t, layout.ntasks()),
             };
             let grank = params.mapping.rank_of(filenum, t, ntasks, params.nfiles);
-            let geom = layout.geom(t, grank as u64).encode();
-            std::iter::once(STATUS_OK)
-                .chain(geom)
-                .chain([agg as u64, end as u64])
-                .flat_map(u64::to_le_bytes)
-                .collect()
+            let mut part = layout.geom(t, grank as u64).encode();
+            part.extend([agg as u64, end as u64]);
+            part
         })
         .collect();
     Ok((parts, file))
 }
 
 /// What a task reports when its file master failed during the open.
-fn master_failed() -> SionError {
-    SionError::CollectiveMismatch("master task failed during collective open".into())
-}
-
-/// Decode a write-open scatter part: the master's status word, then 7
-/// geometry words and the aggregation words `[aggregator lrank,
-/// neighborhood end)`. `None` when the master failed.
-fn decode_write_part(bytes: &[u8]) -> Result<Option<(ChunkGeom, usize, usize)>> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(SionError::Format("bad chunk geometry payload".into()));
-    }
-    let words: Vec<u64> = bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let [STATUS_OK, part @ ..] = words.as_slice() else {
-        return Ok(None);
-    };
-    if part.len() < ChunkGeom::ENCODED_WORDS + 2 {
-        return Err(SionError::Format("truncated write-open payload".into()));
-    }
-    let geom = ChunkGeom::decode(part)?;
-    let agg = part[ChunkGeom::ENCODED_WORDS] as usize;
-    let end = part[ChunkGeom::ENCODED_WORDS + 1] as usize;
-    Ok(Some((geom, agg, end)))
-}
+const MASTER_FAILED: &str = "master task failed during collective open";
 
 impl SionParWriter {
     /// Run one synchronous stream op in this task's role, polling only
@@ -754,8 +779,8 @@ impl SionParWriter {
     ///
     /// Crash behaviour: a task whose local flush/sync fails still takes
     /// part in every collective below (deserting the gather would hang the
-    /// surviving tasks) — its packed [`CloseRecord`] carries the failure
-    /// flag alongside the usage vector, and the group then skips writing
+    /// surviving tasks) — its close record carries the failure flag where
+    /// the usage vector would go, and the group then skips writing
     /// metablock 2 entirely: finalizing without the failed task's usage
     /// would silently drop its data. The un-finalized file remains
     /// recoverable via [`rescue::repair`](crate::rescue::repair) when
@@ -777,7 +802,7 @@ impl SionParWriter {
             // finishes its stream (the authoritative `used` vector), ships the
             // final frame with the end-of-stream word, and then collects every
             // outstanding ack — so by the time it enters the close gather, its
-            // data is either durably applied or its CloseRecord carries the
+            // data is either durably applied or its close record carries the
             // failure. An aggregator exhaustively drains every member to its
             // end of stream (acking as it applies) before finishing its own;
             // apply failures surface through the members' own records.
@@ -825,26 +850,21 @@ impl SionParWriter {
     }
 }
 
-/// A task's packed [`CloseRecord`] — its flush verdict and per-block
-/// usage — encoded for the close gather, and its finish result back.
+/// A task's close record for the gather — `[status, nblocks, used…]`, a
+/// failed task's `[STATUS_ERR, 0]` — and its finish result back, moved: a
+/// local the close borrowed would keep its place in the close's future.
 fn close_record(finished: Result<Vec<u64>>) -> (Vec<u8>, Result<Vec<u64>>) {
     let record = match &finished {
-        Ok(used) => CloseRecord {
-            status: CloseRecord::STATUS_OK,
-            used: used.clone(),
-        },
-        Err(_) => CloseRecord {
-            status: CloseRecord::STATUS_FLUSH_FAILED,
-            used: Vec::new(),
-        },
+        Ok(used) => encode(STATUS_OK, [used.len() as u64].iter().chain(used).copied()),
+        Err(_) => encode(STATUS_ERR, [0]),
     };
-    (record.encode(), finished)
+    (record, finished)
 }
 
 /// The file group's half of the write close: ONE gather of every task's
-/// encoded [`CloseRecord`] at the file master, which writes metablock 2
-/// unless some task's flush failed. Its own future, which owns the record:
-/// nothing of it is left in the close's future for the global agreement.
+/// close record at the file master, which writes metablock 2 unless some
+/// task's flush failed. Its own future, which owns the record: nothing of
+/// it is left in the close's future for the global agreement.
 #[allow(clippy::manual_async_fn)] // an `async fn` stores its arguments twice
 fn close_group<'a>(
     lcom: &'a CoComm,
@@ -855,18 +875,36 @@ fn close_group<'a>(
         let Some(raw) = lcom.gather(&encoded, 0).await else {
             return Ok(());
         };
-        let per_task: Vec<CloseRecord> = raw
+        let per_task = raw
             .iter()
-            .map(|b| CloseRecord::decode(b))
-            .collect::<Result<_>>()?;
-        if per_task.iter().any(|r| r.status != CloseRecord::STATUS_OK) {
+            .map(|b| close_row(b))
+            .collect::<Result<Vec<_>>>()?;
+        if per_task.iter().any(|&(status, _)| status != STATUS_OK) {
             return Err(SionError::CollectiveMismatch(
                 "a task failed to flush; metablock 2 not written".into(),
             ));
         }
-        let rows: Vec<&[u64]> = per_task.iter().map(|r| r.used.as_slice()).collect();
+        let rows: Vec<&[u64]> = per_task.iter().map(|(_, used)| used.as_slice()).collect();
         finalize_file(writer, &rows)
     }
+}
+
+/// A close record's status and usage row. The record is `[status, nblocks,
+/// used…]`, a failed task's `[STATUS_ERR, 0]`; `nblocks` must count the
+/// row.
+fn close_row(bytes: &[u8]) -> Result<(u64, Vec<u64>)> {
+    let (status, mut used) = decode(bytes)?;
+    let Some(&nblocks) = used.first() else {
+        return Err(SionError::Format("truncated close record".into()));
+    };
+    used.remove(0);
+    if nblocks != used.len() as u64 {
+        return Err(SionError::Format(format!(
+            "close record claims {nblocks} blocks but carries {} payload bytes",
+            8 * used.len()
+        )));
+    }
+    Ok((status, used))
 }
 
 /// Handle for reading one task's logical file of a multifile
@@ -886,77 +924,56 @@ struct ReaderState {
 ///
 /// The task count of `comm` must equal the task count the multifile was
 /// written with, and each task is positioned at its own logical file.
-pub async fn paropen_read_co(vfs: &dyn Vfs, base: &str, comm: &CoComm) -> Result<SionParReader> {
-    // Everything up to this task's own open is one block, so that none of
-    // it is kept in the future of a task parked in the agreement below.
-    let opened = {
-        let ntasks = comm.size();
-
-        // Rank 0 opens the multifile once — every file's headers and rank
-        // table, then each file's metablock 2 — and hands each task its
-        // whole part: [status, flags, file, chunk geometry, checked usage
-        // row]. Tens of thousands of tasks neither hammer the metadata
-        // concurrently nor hold a copy of the rank → file map.
-        let discovery = (comm.rank() == 0).then(|| -> Result<Vec<Vec<u8>>> {
-            let mf = Multifile::open(vfs, base)?;
-            if mf.ntasks() != ntasks {
-                return Err(SionError::CollectiveMismatch(format!(
-                    "multifile was written by {} tasks, read with {}",
-                    mf.ntasks(),
-                    ntasks
-                )));
-            }
-            mf.read_parts()
-                .map(|words| {
-                    let words = words?;
-                    let mut part = Vec::with_capacity(8 * (1 + words.len()));
-                    for w in std::iter::once(STATUS_OK).chain(words) {
-                        part.extend_from_slice(&w.to_le_bytes());
-                    }
-                    Ok(part)
+///
+/// A plain `fn` around one `async move` block, as [`paropen_write_co`] is:
+/// every task parked in the open holds this future.
+#[allow(clippy::manual_async_fn)] // see `paropen_write_co`
+pub fn paropen_read_co<'a>(
+    vfs: &'a dyn Vfs,
+    base: &'a str,
+    comm: &'a CoComm,
+) -> impl Future<Output = Result<SionParReader>> + Send + 'a {
+    async move {
+        // Everything up to this task's own open is one block, so that none
+        // of it is kept in the future of a task parked in the agreement
+        // below.
+        let opened = {
+            // Rank 0 opens the multifile once — every file's headers and
+            // rank table, then each file's metablock 2 — and hands each task
+            // its whole part: [flags, file, chunk geometry, checked usage
+            // row]. Tens of thousands of tasks neither hammer the metadata
+            // concurrently nor hold a copy of the rank → file map.
+            let discovery = (comm.rank() == 0).then(|| {
+                let mf = Multifile::open(vfs, base)?;
+                if mf.ntasks() != comm.size() {
+                    return Err(SionError::CollectiveMismatch(format!(
+                        "multifile was written by {} tasks, read with {}",
+                        mf.ntasks(),
+                        comm.size()
+                    )));
+                }
+                mf.read_parts().collect()
+            });
+            let part = scatter_parts(comm, discovery, "master failed during read open").await;
+            // Every task opens its own physical file into the handle's box.
+            part.and_then(|part| part_reader(vfs, base, &part))
+                .map(|reader| {
+                    SionParReader(Box::new(ReaderState {
+                        reader,
+                        grank: comm.rank(),
+                    }))
                 })
-                .collect()
-        });
-
-        // ONE scatter: the status word travels as each part's leading word
-        // (a lone [STATUS_ERR] on failure) instead of costing a separate
-        // round.
-        let (parts, failure) = match discovery {
-            Some(Ok(parts)) => (Some(parts), None),
-            Some(Err(e)) => (
-                Some(vec![STATUS_ERR.to_le_bytes().to_vec(); ntasks]),
-                Some(e),
-            ),
-            None => (None, None),
         };
-        let words: Vec<u64> = comm
-            .scatter(parts, 0)
-            .await
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let [STATUS_OK, part @ ..] = words.as_slice() else {
-            return Err(failure.unwrap_or_else(|| {
-                SionError::CollectiveMismatch("master failed during read open".into())
-            }));
-        };
-        // Every task opens its own physical file into the handle's box.
-        part_reader(vfs, base, part).map(|reader| {
-            SionParReader(Box::new(ReaderState {
-                reader,
-                grank: comm.rank(),
-            }))
-        })
-    };
 
-    // ONE reduction keeps the open all-or-nothing. The agreement holds the
-    // one-word handle.
-    all_or_nothing(
-        comm,
-        opened,
-        "another task failed during the collective read open",
-    )
-    .await
+        // ONE reduction keeps the open all-or-nothing. The agreement holds
+        // the one-word handle.
+        all_or_nothing(
+            comm,
+            opened,
+            "another task failed during the collective read open",
+        )
+        .await
+    }
 }
 
 /// The all-or-nothing agreement that ends a collective phase: ONE
@@ -1035,5 +1052,36 @@ impl SionParReader {
     /// reading it synchronizes by itself.
     pub async fn close_co(self) -> Result<()> {
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn collective_record_round_trip() {
+        for used in [vec![], vec![17u64], vec![0, 0, 5, 1 << 40]] {
+            let rec = encode(STATUS_OK, [used.len() as u64].iter().chain(&used).copied());
+            assert_eq!(rec.len(), 8 * (2 + used.len()));
+            assert_eq!(close_row(&rec).unwrap(), (STATUS_OK, used));
+        }
+        let mut bytes = encode(STATUS_ERR, [1, 9]);
+        let wire: Vec<u8> = [1u64, 1, 9].iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(bytes, wire);
+        assert_eq!(decode(&bytes).unwrap(), (STATUS_ERR, vec![1, 9]));
+        assert_eq!(close_row(&bytes).unwrap(), (STATUS_ERR, vec![9]));
+        // A truncated payload and an inconsistent block count are rejected.
+        assert!(close_row(&bytes[..bytes.len() - 8]).is_err());
+        bytes[8] = 7;
+        assert!(close_row(&bytes).is_err());
+        // The bare status word is a record, but no close record.
+        assert_eq!(decode(&[0u8; 8]).unwrap(), (STATUS_OK, vec![]));
+        assert!(close_row(&[0u8; 8]).is_err());
+        // No status word, or a length that is not a multiple of 8, is no
+        // record.
+        assert!(decode(&[]).is_err());
+        assert!(decode(&wire[..wire.len() - 1]).is_err());
+        assert!(close_row(&wire[..12]).is_err());
     }
 }

@@ -168,8 +168,8 @@ fn open_write_ops(spec: &SimSpec, file: u32, master: bool) -> Vec<IoOp> {
     ops
 }
 
-/// Ops of the collective close (mirrors `SionParWriter::close_co`): the
-/// packed `CloseRecord` is a status word, a block count and the usage row;
+/// Ops of the collective close (mirrors `SionParWriter::close_co`): each
+/// task's close record is a status word, a block count and the usage row;
 /// the master writes the file's tail, and one allreduce makes the close
 /// all-or-nothing.
 fn close_ops(spec: &SimSpec, file: u32, master: bool, nblocks: u64) -> Vec<IoOp> {
